@@ -652,6 +652,12 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
     let top = flag_usize(flags, "threads", 4)?.max(1);
     let widths = if top == 1 { vec![1] } else { vec![1, top] };
     let summary = bat_bench::perf::run(quick, &widths);
+    if !summary.thread_counts.contains(&top) {
+        eprintln!(
+            "[bench] {top}-thread rows skipped: the machine has {} core(s)",
+            summary.nproc
+        );
+    }
     let json =
         serde_json::to_string_pretty(&summary).map_err(|e| format!("serialize summary: {e}"))?;
     println!("{json}");

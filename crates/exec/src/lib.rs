@@ -182,26 +182,62 @@ where
     }
     // cuts[b] = first index whose prefix weight reaches b/k of the total;
     // computed by one forward sweep, so cuts are monotone and partition
-    // 0..n exactly.
-    let mut cuts = Vec::with_capacity(k + 1);
-    cuts.push(0usize);
+    // 0..n exactly. `k <= MAX_THREADS * 4`, so the cuts live on the stack
+    // and a steady-state call never allocates.
+    let mut cuts = [0usize; MAX_THREADS * 4 + 1];
     let mut prefix: u128 = 0;
     let mut i = 0usize;
-    for b in 1..k {
+    for (b, cut) in cuts.iter_mut().enumerate().take(k).skip(1) {
         let target = total * b as u128;
         while i < n && prefix * (k as u128) < target {
             prefix += u128::from(weights[i]);
             i += 1;
         }
-        cuts.push(i);
+        *cut = i;
     }
-    cuts.push(n);
+    cuts[k] = n;
     let cuts = &cuts;
     run_blocks(k, &|b| {
         let range = cuts[b]..cuts[b + 1];
         if !range.is_empty() {
             f(b, range);
         }
+    });
+}
+
+/// [`parallel_row_blocks`] with the rows split by cumulative *weight*
+/// instead of count (see [`parallel_weighted_chunks`]): `weights[r]` is row
+/// `r`'s cost, e.g. an attention row's exact allowed-key count, so a block
+/// of short item rows and a block of long instruction rows carry the same
+/// work. Row `r` is still handed to exactly one `f(first_row, rows_slice)`
+/// call, so per-row results are schedule-independent.
+///
+/// # Panics
+///
+/// Panics if `data.len() != weights.len() * row_len`.
+pub fn parallel_weighted_row_blocks<T, F>(
+    data: &mut [T],
+    row_len: usize,
+    weights: &[u64],
+    grain_rows: usize,
+    f: F,
+) where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    assert_eq!(
+        data.len(),
+        weights.len() * row_len,
+        "buffer length {} is not {} rows of {row_len}",
+        data.len(),
+        weights.len()
+    );
+    let ptr = SendPtr(data.as_mut_ptr());
+    parallel_weighted_chunks(weights, grain_rows, |_, rows| {
+        // SAFETY: the chunks partition 0..weights.len(), so the row slices
+        // are disjoint and in bounds; the buffer outlives the call.
+        let slice = unsafe { ptr.slice_rows(rows.start * row_len, rows.len() * row_len) };
+        f(rows.start, slice);
     });
 }
 
@@ -470,6 +506,26 @@ mod tests {
                 }
             });
             let want: Vec<u32> = (0..(rows * row_len) as u32).collect();
+            assert_eq!(buf, want, "{t} threads");
+        }
+        set_threads(1);
+    }
+
+    #[test]
+    fn weighted_row_blocks_cover_every_row_once() {
+        for t in [1, 2, 4, 8] {
+            set_threads(t);
+            let row_len = 3;
+            let weights: Vec<u64> = (0..41).map(|i| 1 + (i * 29) % 17).collect();
+            let mut buf = vec![0u32; weights.len() * row_len];
+            parallel_weighted_row_blocks(&mut buf, row_len, &weights, 1, |first_row, block| {
+                for (off, row) in block.chunks_mut(row_len).enumerate() {
+                    for (c, slot) in row.iter_mut().enumerate() {
+                        *slot += ((first_row + off) * row_len + c) as u32;
+                    }
+                }
+            });
+            let want: Vec<u32> = (0..buf.len() as u32).collect();
             assert_eq!(buf, want, "{t} threads");
         }
         set_threads(1);

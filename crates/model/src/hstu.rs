@@ -122,10 +122,10 @@ impl HstuModel {
     /// Runs the HSTU stack over `suffix`, optionally splicing a cached
     /// prefix KV segment, mirroring [`crate::GrModel::forward`] — including
     /// its batched, parallel execution: per-layer projections are one
-    /// axpy-form `X·W` product each, and attention is mask-gathered per
-    /// token (SiLU weights over allowed positions only, normalized by the
-    /// allowed count), parallel over tokens with bit-identical results for
-    /// any thread count.
+    /// axpy-form `X·W` product each, and attention runs over each token's
+    /// allowed key runs only (SiLU weights in a compact score row,
+    /// normalized by the allowed count), parallel over tokens with
+    /// bit-identical results for any thread count.
     ///
     /// # Panics
     ///
@@ -197,8 +197,7 @@ impl HstuModel {
                 suffix.segs[g - p_len]
             }
         }));
-        mask.build(suffix.scheme, tags, p_len, s_len);
-        let grain = mask.attn_grain(cfg.q_dim());
+        mask.build(suffix.scheme, tags, p_len);
 
         h.reset(s_len, cfg.hidden_dim);
         for (t, &tok) in suffix.tokens.iter().enumerate() {
@@ -223,20 +222,15 @@ impl HstuModel {
             xn.matmul_into(&lw.wv, v);
             xn.matmul_into(&lw.wu, up);
             for m in [&mut *q, &mut *k, &mut *v, &mut *up] {
-                m.par_rows_mut(4, |_, row| fast_silu_in_place(row));
+                m.par_rows_mut(|_, row| fast_silu_in_place(row));
             }
-            q.par_rows_mut(4, |t, row| {
-                let pos = suffix.pos[t] as usize;
-                for head in 0..cfg.query_heads {
-                    self.rope.apply(&mut row[head * d..(head + 1) * d], pos);
-                }
-            });
-            k.par_rows_mut(4, |t, row| {
-                let pos = suffix.pos[t] as usize;
-                for head in 0..cfg.kv_heads {
-                    self.rope.apply(&mut row[head * d..(head + 1) * d], pos);
-                }
-            });
+            for m in [&mut *q, &mut *k] {
+                m.par_rows_mut(|t, row| {
+                    let pos = suffix.pos[t] as usize;
+                    row.chunks_exact_mut(d)
+                        .for_each(|head| self.rope.apply(head, pos));
+                });
+            }
             for t in 0..s_len {
                 suffix_kv.layers[l].push(k.row(t), v.row(t));
             }
@@ -246,52 +240,29 @@ impl HstuModel {
             let sl = &suffix_kv.layers[l];
             let kview = SplitCols::new(prefix.map(|p| p.layers[l].keys()), sl.keys());
             let vview = SplitCols::new(prefix.map(|p| p.layers[l].values()), sl.values());
-            // Adaptive masked SiLU attention + count normalization +
-            // elementwise gate, parallel over tokens (the softmax analogue
-            // is `attend_token` in [`crate::transformer`]).
+            // SiLU attention over the token's allowed key runs + count
+            // normalization + elementwise gate, parallel over tokens (the
+            // softmax analogue is `attend_token` in [`crate::transformer`]).
             act.reset(s_len, cfg.hidden_dim);
             let q_ro: &Matrix = q;
             let u_ro: &Matrix = up;
             let mask_ro: &MaskBuf = mask;
-            act.par_rows_mut(grain, |t, grow| {
-                let mask = mask_ro.row(t);
-                let window = mask.len();
-                let count = mask_ro.allowed(t);
-                let q_row = q_ro.row(t);
+            act.par_rows_mut_weighted(mask_ro.allowed(), |t, grow| {
+                let runs = mask_ro.runs(t);
+                let count = mask_ro.allowed()[t] as usize;
                 with_thread_scratch(|scr: &mut HstuScratch| {
                     let HstuScratch { s, agg, normed } = scr;
                     agg.clear();
                     agg.resize(cfg.kv_dim(), 0.0);
-                    for head in 0..cfg.kv_heads {
-                        let qv = &q_row[head * d..(head + 1) * d];
-                        let out = &mut agg[head * d..(head + 1) * d];
-                        if count * 4 >= window {
-                            // Dense row: vectorized full-window sweep;
-                            // masked positions get weight exactly 0.
-                            s.clear();
-                            s.resize(window, 0.0);
-                            for (c, &qc) in qv.iter().enumerate() {
-                                kview.axpy_plane(head * d + c, window, qc, s);
-                            }
-                            for (sj, &ok) in s.iter_mut().zip(mask) {
-                                *sj = if ok { fast_silu(*sj * scale) } else { 0.0 };
-                            }
-                            vview.rows_dot_acc(head * d, s, out);
-                        } else {
-                            // Sparse row: gather only the allowed positions.
-                            for j in (0..window).filter(|&j| mask[j]) {
-                                let mut sc = 0.0f32;
-                                for (c, &qc) in qv.iter().enumerate() {
-                                    sc += qc * kview.at(head * d + c, j);
-                                }
-                                let w = fast_silu(sc * scale);
-                                if w != 0.0 {
-                                    for (c, o) in out.iter_mut().enumerate() {
-                                        *o += w * vview.at(head * d + c, j);
-                                    }
-                                }
-                            }
+                    s.resize(count, 0.0);
+                    let heads = q_ro.row(t).chunks_exact(d).zip(agg.chunks_exact_mut(d));
+                    for (head, (qv, out)) in heads.enumerate() {
+                        s.fill(0.0);
+                        for (c, &qc) in qv.iter().enumerate() {
+                            kview.axpy_plane(head * d + c, runs, std::iter::once(qc), s);
                         }
+                        s.iter_mut().for_each(|x| *x = fast_silu(*x * scale));
+                        vview.rows_dot_acc(head * d, runs, s, out);
                     }
                     // Context-size normalization (HSTU's pointwise
                     // aggregation).
@@ -307,7 +278,7 @@ impl HstuModel {
             });
             act.matmul_into(&lw.wo, o);
             let o_ro: &Matrix = o;
-            h.par_rows_mut(8, |t, row| axpy(row, 1.0, o_ro.row(t)));
+            h.par_rows_mut(|t, row| axpy(row, 1.0, o_ro.row(t)));
         }
 
         norm_rows_into(h, &self.final_norm, hidden_all);
@@ -316,8 +287,8 @@ impl HstuModel {
     }
 }
 
-/// Thread-local scratch of the HSTU attention closure: SiLU score row,
-/// per-head aggregate, and its normalized copy. See
+/// Thread-local scratch of the HSTU attention closure: compact SiLU score
+/// row, per-head aggregate, and its normalized copy. See
 /// [`bat_exec::with_thread_scratch`].
 #[derive(Default)]
 struct HstuScratch {
@@ -389,7 +360,8 @@ mod tests {
     }
 
     /// Item KV context-independence — the property that makes cross-user
-    /// sharing sound — holds for HSTU under the bipartite scheme.
+    /// sharing sound — holds for HSTU under the bipartite scheme, bit for
+    /// bit (same run lists, same kernels as the softmax model).
     #[test]
     fn item_kv_context_independent_under_bipartite() {
         let model = HstuModel::random(hstu_cfg(), 13);
@@ -398,12 +370,12 @@ mod tests {
         let seq = layout.build(PrefixKind::Item, &u, &i, &s);
         let full = model.forward(&seq, None);
         let solo = model.compute_kv(&layout.item_standalone(1, &i[1], 0));
+        let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for l in 0..model.config().layers {
             for (t, g) in (2..4).enumerate() {
-                assert!(max_diff(&full.suffix_kv.layers[l].key(g), &solo.layers[l].key(t)) < 1e-5);
-                assert!(
-                    max_diff(&full.suffix_kv.layers[l].value(g), &solo.layers[l].value(t)) < 1e-5
-                );
+                let (in_prompt, alone) = (&full.suffix_kv.layers[l], &solo.layers[l]);
+                assert_eq!(bits(in_prompt.key(g)), bits(alone.key(t)));
+                assert_eq!(bits(in_prompt.value(g)), bits(alone.value(t)));
             }
         }
     }

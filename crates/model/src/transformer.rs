@@ -12,10 +12,11 @@ use crate::prompt::{SegTag, TokenSeq};
 use crate::weights::Weights;
 use bat_exec::with_thread_scratch;
 use bat_tensor::ops::{
-    axpy, dot, dot_fast, fast_silu_mul_in_place, rms_norm, rms_norm_into, silu,
-    stable_softmax_fast_in_place, stable_softmax_in_place,
+    axpy, dot, fast_silu_mul_in_place, rms_norm, rms_norm_into, silu, stable_softmax_fast_in_place,
+    stable_softmax_in_place,
 };
 use bat_tensor::{ColBlock, Matrix, RopeTable, SplitCols};
+use std::ops::Range;
 
 /// Result of a forward pass.
 #[derive(Debug, Clone)]
@@ -69,7 +70,7 @@ impl ForwardOutput {
 
 /// Reusable scratch for [`GrModel::forward_with`] (and the HSTU twin): every
 /// intermediate of the forward pass — norms, projections, attention rows,
-/// FFN activations, masks, and the output itself — lives here and is
+/// FFN activations, mask run lists, and the output itself — lives here and is
 /// re-shaped (capacity kept) instead of re-allocated. Keep one per worker
 /// and the steady-state forward performs **zero heap allocations** after
 /// the first call at a given shape; per-token attention scratch is
@@ -212,14 +213,16 @@ impl GrModel {
     /// The pass is batched and parallel: per layer, projections for all
     /// suffix tokens run as one axpy-form `X·W` [`Matrix::matmul`] (weights
     /// are stored `in × out`, so no transpose exists anywhere on this
-    /// path); keys/values are repacked per KV head into contiguous
-    /// `g_len × d` matrices; and attention is **mask-gathered** — each
-    /// token scores only the positions its bipartite-mask row allows, like
-    /// the seed, instead of a full causal rectangle that is then mostly
-    /// masked away (under the item-prefix layout >90 % of the rectangle is
-    /// disallowed, so gathering is where the forward's arithmetic saving
-    /// lives). Rows run in parallel; every output slot is written by
-    /// exactly one task with fixed inner order, so logits are
+    /// path); keys/values are appended per layer to packed plane-major
+    /// blocks; and attention is **run-structured** — the bipartite mask is
+    /// block-structured, so each token's allowed keys are a few contiguous
+    /// runs, and it scores, softmaxes and accumulates over exactly those
+    /// runs through one kernel (see `attend_token`). Nothing is spent on a
+    /// masked key — no `-inf` lanes, no gathers — and a row's arithmetic
+    /// depends on its allowed keys alone, so an item block attends
+    /// bit-identically standalone and inside a full prompt. Rows run in
+    /// parallel, split by their allowed-key counts; every output slot is
+    /// written by exactly one task with fixed inner order, so logits are
     /// **bit-identical for any thread count** — the property the
     /// parallel-determinism suite pins.
     ///
@@ -305,10 +308,9 @@ impl GrModel {
             logits,
         } = out;
 
-        // Combined tags over [prefix ++ suffix] and the bipartite mask
-        // rows, one per suffix token over its causal window. Tags and
-        // scheme are layer- and head-independent, so these are computed
-        // exactly once per forward.
+        // Combined tags over [prefix ++ suffix] and each suffix token's
+        // allowed key runs. Tags and scheme are layer- and head-independent,
+        // so these are computed exactly once per forward.
         tags.clear();
         tags.extend((0..g_len).map(|g| {
             if g < p_len {
@@ -317,8 +319,7 @@ impl GrModel {
                 suffix.segs[g - p_len]
             }
         }));
-        mask.build(suffix.scheme, tags, p_len, s_len);
-        let grain = mask.attn_grain(cfg.q_dim());
+        mask.build(suffix.scheme, tags, p_len);
 
         // Hidden states of suffix tokens as one s_len × hidden matrix.
         h.reset(s_len, cfg.hidden_dim);
@@ -343,18 +344,13 @@ impl GrModel {
             xn.matmul_into(&lw.wq, q);
             xn.matmul_into(&lw.wk, k);
             xn.matmul_into(&lw.wv, v);
-            q.par_rows_mut(4, |t, row| {
-                let pos = suffix.pos[t] as usize;
-                for qh in 0..cfg.query_heads {
-                    self.rope.apply(&mut row[qh * d..(qh + 1) * d], pos);
-                }
-            });
-            k.par_rows_mut(4, |t, row| {
-                let pos = suffix.pos[t] as usize;
-                for kh in 0..cfg.kv_heads {
-                    self.rope.apply(&mut row[kh * d..(kh + 1) * d], pos);
-                }
-            });
+            for m in [&mut *q, &mut *k] {
+                m.par_rows_mut(|t, row| {
+                    let pos = suffix.pos[t] as usize;
+                    row.chunks_exact_mut(d)
+                        .for_each(|head| self.rope.apply(head, pos));
+                });
+            }
             for t in 0..s_len {
                 suffix_kv.layers[l].push(k.row(t), v.row(t));
             }
@@ -362,75 +358,55 @@ impl GrModel {
             // Attention reads the cached prefix block and the just-pushed
             // suffix block through a zero-copy [`SplitCols`] view — the
             // canonical packed layout means nothing is gathered or repacked
-            // per request. Adaptive per token: dense rows (user tokens,
-            // which see most of the context) sweep the full causal window
-            // and mask by -inf; sparse rows (item tokens, which see only
-            // their own item under the bipartite scheme) gather just the
-            // allowed positions. Path choice depends only on the mask row,
-            // never on the thread count.
+            // per request — over each token's allowed key runs.
             let sl = &suffix_kv.layers[l];
             attn.reset(s_len, cfg.q_dim());
             let q_ro: &Matrix = q;
             let mask_ro: &MaskBuf = mask;
-            if repack {
+            let (kcomb, vcomb);
+            let (kview, vview) = if repack {
                 // Replay the pre-change data movement faithfully: the old
                 // `pack_kv_transposed` walked the row-major segment token
                 // by token and scattered each row into the transposed
                 // planes — one strided write per element, fresh blocks per
                 // layer per request. A plane-level memcpy would understate
                 // that cost, so the baseline packs column-wise too.
-                let mut kcomb = ColBlock::with_capacity(kv_dim, g_len);
-                let mut vcomb = ColBlock::with_capacity(kv_dim, g_len);
-                let k_src = SplitCols::new(prefix.map(|p| p.layers[l].keys()), sl.keys());
-                let v_src = SplitCols::new(prefix.map(|p| p.layers[l].values()), sl.values());
-                let mut colbuf = vec![0.0f32; kv_dim];
-                for j in 0..g_len {
-                    for (r, c) in colbuf.iter_mut().enumerate() {
-                        *c = k_src.at(r, j);
+                let repacked = |pre: Option<&ColBlock>, suf: &ColBlock| {
+                    let src = SplitCols::new(pre, suf);
+                    let mut comb = ColBlock::with_capacity(kv_dim, g_len);
+                    let mut colbuf = vec![0.0f32; kv_dim];
+                    for j in 0..g_len {
+                        for (r, c) in colbuf.iter_mut().enumerate() {
+                            *c = src.at(r, j);
+                        }
+                        comb.push_col(&colbuf);
                     }
-                    kcomb.push_col(&colbuf);
-                }
-                for j in 0..g_len {
-                    for (r, c) in colbuf.iter_mut().enumerate() {
-                        *c = v_src.at(r, j);
-                    }
-                    vcomb.push_col(&colbuf);
-                }
-                let kview = SplitCols::new(None, &kcomb);
-                let vview = SplitCols::new(None, &vcomb);
-                attn.par_rows_mut(grain, |t, row| {
-                    attend_token(
-                        q_ro.row(t),
-                        kview,
-                        vview,
-                        mask_ro.row(t),
-                        mask_ro.allowed(t),
-                        group,
-                        d,
-                        scale,
-                        row,
-                    );
-                });
+                    comb
+                };
+                kcomb = repacked(prefix.map(|p| p.layers[l].keys()), sl.keys());
+                vcomb = repacked(prefix.map(|p| p.layers[l].values()), sl.values());
+                (SplitCols::new(None, &kcomb), SplitCols::new(None, &vcomb))
             } else {
-                let kview = SplitCols::new(prefix.map(|p| p.layers[l].keys()), sl.keys());
-                let vview = SplitCols::new(prefix.map(|p| p.layers[l].values()), sl.values());
-                attn.par_rows_mut(grain, |t, row| {
-                    attend_token(
-                        q_ro.row(t),
-                        kview,
-                        vview,
-                        mask_ro.row(t),
-                        mask_ro.allowed(t),
-                        group,
-                        d,
-                        scale,
-                        row,
-                    );
-                });
-            }
+                (
+                    SplitCols::new(prefix.map(|p| p.layers[l].keys()), sl.keys()),
+                    SplitCols::new(prefix.map(|p| p.layers[l].values()), sl.values()),
+                )
+            };
+            attn.par_rows_mut_weighted(mask_ro.allowed(), |t, row| {
+                attend_token(
+                    q_ro.row(t),
+                    kview,
+                    vview,
+                    mask_ro.runs(t),
+                    group,
+                    d,
+                    scale,
+                    row,
+                );
+            });
             attn.matmul_into(&lw.wo, o);
             let o_ro: &Matrix = o;
-            h.par_rows_mut(8, |t, row| axpy(row, 1.0, o_ro.row(t)));
+            h.par_rows_mut(|t, row| axpy(row, 1.0, o_ro.row(t)));
 
             // SwiGLU FFN, batched; skipped when structurally zero.
             if !self.ffn_zero[l] {
@@ -438,10 +414,10 @@ impl GrModel {
                 xn.matmul_into(&lw.w_gate, act);
                 xn.matmul_into(&lw.w_up, up);
                 let up_ro: &Matrix = up;
-                act.par_rows_mut(4, |t, row| fast_silu_mul_in_place(row, up_ro.row(t)));
+                act.par_rows_mut(|t, row| fast_silu_mul_in_place(row, up_ro.row(t)));
                 act.matmul_into(&lw.w_down, o);
                 let o_ro: &Matrix = o;
-                h.par_rows_mut(8, |t, row| axpy(row, 1.0, o_ro.row(t)));
+                h.par_rows_mut(|t, row| axpy(row, 1.0, o_ro.row(t)));
             }
         }
 
@@ -621,112 +597,102 @@ impl GrModel {
 
 use crate::prompt::allowed_tags as allowed;
 
-/// One flat bipartite-mask row per suffix token, covering its causal window
-/// `0..=p_len + t`, with per-row offsets and allowed counts. Masks depend
-/// only on tags and the scheme, never on the layer or head, so each forward
-/// builds them exactly once — in place, keeping capacity, so a warmed
-/// workspace rebuilds masks without allocating. Also records the estimated
-/// attention cost under `attend_token`'s adaptive dense/sparse choice,
-/// which gates parallel dispatch.
+/// The bipartite mask of one forward, run-length encoded: per suffix token,
+/// the ascending virtual-column runs of `[prefix ++ suffix]` it may attend
+/// and their exact total. The mask is block-structured (causal ∧ the
+/// tag-pair rule of [`crate::prompt::allowed_tags`]), so the tags are cut
+/// into maximal same-tag blocks once and each row tests blocks, not keys:
+/// O(rows × blocks) to build and a handful of runs per row to store.
+/// Masks depend only on tags and the scheme, never on the layer or head,
+/// so each forward builds them exactly once — in place, keeping capacity,
+/// so a warmed workspace rebuilds them without allocating.
 #[derive(Default)]
 pub(crate) struct MaskBuf {
-    flat: Vec<bool>,
+    /// Maximal same-tag blocks of the combined tags (build scratch).
+    blocks: Vec<(SegTag, Range<usize>)>,
+    runs: Vec<Range<usize>>,
+    /// `runs[off[t]..off[t + 1]]` are suffix token `t`'s runs.
     off: Vec<usize>,
-    allowed: Vec<usize>,
-    cost: usize,
+    /// Allowed-key count per suffix token (the runs' total length), as the
+    /// weights the attention stage is partitioned by.
+    allowed: Vec<u64>,
 }
 
 impl MaskBuf {
+    /// Encodes the mask rows of the suffix tokens `tags[p_len..]`.
     pub(crate) fn build(
         &mut self,
         scheme: crate::prompt::MaskScheme,
         tags: &[SegTag],
         p_len: usize,
-        s_len: usize,
     ) {
-        self.flat.clear();
+        self.blocks.clear();
+        self.runs.clear();
         self.off.clear();
         self.allowed.clear();
-        self.cost = 0;
-        self.off.push(0);
-        for t in 0..s_len {
-            let tq = tags[p_len + t];
-            let window = p_len + t + 1;
-            let mut count = 0usize;
-            for tg in &tags[..window] {
-                let ok = allowed(scheme, tq, *tg);
-                count += ok as usize;
-                self.flat.push(ok);
+        for (g, &tag) in tags.iter().enumerate() {
+            match self.blocks.last_mut() {
+                Some((last, r)) if *last == tag => r.end = g + 1,
+                _ => self.blocks.push((tag, g..g + 1)),
             }
-            self.off.push(self.flat.len());
-            self.allowed.push(count);
-            // Positions this row actually sweeps: dense rows pay the whole
-            // window, sparse rows only their gathered allowed positions.
-            self.cost += if count * 4 >= window { window } else { count };
+        }
+        self.off.push(0);
+        for (g_q, &tq) in tags.iter().enumerate().skip(p_len) {
+            let first = self.runs.len();
+            let mut count = 0;
+            for (tag, block) in &self.blocks {
+                if block.start > g_q {
+                    break;
+                }
+                if !allowed(scheme, tq, *tag) {
+                    continue;
+                }
+                let end = block.end.min(g_q + 1); // causal cut
+                count += end - block.start;
+                match self.runs[first..].last_mut() {
+                    Some(run) if run.end == block.start => run.end = end,
+                    _ => self.runs.push(block.start..end),
+                }
+            }
+            self.off.push(self.runs.len());
+            self.allowed.push(count as u64);
         }
     }
 
-    /// Mask row of suffix token `t` (length = its causal window).
+    /// Allowed key runs of suffix token `t`: ascending, disjoint, and
+    /// non-adjacent.
     #[inline]
-    pub(crate) fn row(&self, t: usize) -> &[bool] {
-        &self.flat[self.off[t]..self.off[t + 1]]
+    pub(crate) fn runs(&self, t: usize) -> &[Range<usize>] {
+        &self.runs[self.off[t]..self.off[t + 1]]
     }
 
-    /// Allowed-position count of suffix token `t`'s row.
+    /// Allowed-key count of every suffix token.
     #[inline]
-    pub(crate) fn allowed(&self, t: usize) -> usize {
-        self.allowed[t]
-    }
-
-    /// Parallel grain for the attention stage: rows are farmed out to the
-    /// pool only when the stage's estimated MAC count clears the same
-    /// threshold the matmul kernels use; tiny attentions run inline and
-    /// skip dispatch overhead. The choice is a pure function of the masks
-    /// and model width — never the thread count — so parallel results stay
-    /// bit-identical (path choices and write slots are unchanged).
-    pub(crate) fn attn_grain(&self, q_dim: usize) -> usize {
-        const ATTN_PAR_MACS: usize = 32 * 1024;
-        if self.cost * q_dim * 2 >= ATTN_PAR_MACS {
-            1
-        } else {
-            usize::MAX
-        }
+    pub(crate) fn allowed(&self) -> &[u64] {
+        &self.allowed
     }
 }
 
-/// RMS-normalizes every row of `h` with `gain` into `out`, in parallel,
-/// reusing `out`'s storage.
+/// RMS-normalizes every row of `h` with `gain` into `out`, reusing `out`'s
+/// storage.
 pub(crate) fn norm_rows_into(h: &Matrix, gain: &[f32], out: &mut Matrix) {
     out.reset(h.rows(), h.cols());
-    out.par_rows_mut(4, |t, row| rms_norm_into(h.row(t), gain, 1e-6, row));
+    out.par_rows_mut(|t, row| rms_norm_into(h.row(t), gain, 1e-6, row));
 }
 
-/// Thread-local scratch of [`attend_token`]: score row, gathered indices,
-/// and gathered K/V buffers. Held via [`bat_exec::with_thread_scratch`], so
-/// each pool worker (a persistent daemon thread) warms its own buffers once
-/// and every later token on any request reuses them allocation-free.
-#[derive(Default)]
-struct AttnScratch {
-    s: Vec<f32>,
-    idx: Vec<usize>,
-    kg: Vec<f32>,
-    vg: Vec<f32>,
-}
-
-/// Softmax attention of **all** query heads for one token, over the
-/// zero-copy [`SplitCols`] views of the packed `[prefix ++ suffix]`
-/// keys/values and the token's bipartite-mask row (whose length is the
-/// causal window). Adaptive: when at least a quarter of the window is
-/// allowed, each head scores the whole window with vectorized axpy-plane
-/// sweeps and masks by `-inf` (under [`stable_softmax_fast_in_place`] a
-/// masked slot carries weight ≲ 1e-38 — zero at f32 accumulation scale);
-/// otherwise the allowed positions are gathered **once per token** into
-/// contiguous per-KV-head buffers that all heads then sweep branch-free
-/// (under the item-prefix layout a sparse row allows ~10 of ~200 positions,
-/// so the per-head cost used to be pure gather overhead). The path choice
-/// depends only on the mask row, so results are thread-count-independent
-/// either way; the split kernels are bit-identical to contiguous sweeps
-/// (see [`bat_tensor::packed`]).
+/// Softmax attention of **all** query heads for one token over its allowed
+/// key `runs`, reading the packed `[prefix ++ suffix]` keys/values through
+/// zero-copy [`SplitCols`] views. One path for every row: scores go into a
+/// *compact* row — one slot per allowed key, nothing for masked ones — so
+/// the softmax sees no `-inf` lane and P·V multiplies no dead weight. The
+/// `group` query heads sharing a KV head are scored together, each K plane
+/// swept for all of them while it is hot. Reduction order is a function of
+/// the compact index alone (see [`bat_tensor::packed`]), so a row's output
+/// is independent of the masked keys around its runs, of the prefix/suffix
+/// split, and of the thread count. The score rows are thread-local scratch
+/// via [`bat_exec::with_thread_scratch`], so each pool worker (a
+/// persistent daemon thread) warms its buffer once and every later token
+/// reuses it allocation-free.
 // Flat scalar/slice args: this sits inside the parallel per-token closure,
 // and bundling them into a struct would just move the construction cost
 // into the hot loop.
@@ -735,70 +701,32 @@ pub(crate) fn attend_token(
     q_row: &[f32],
     keys: SplitCols<'_>,
     vals: SplitCols<'_>,
-    mask: &[bool],
-    allowed: usize,
+    runs: &[Range<usize>],
     group: usize,
     d: usize,
     scale: f32,
     out_row: &mut [f32],
 ) {
-    let window = mask.len();
-    let heads = q_row.len() / d;
-    with_thread_scratch(|scr: &mut AttnScratch| {
-        if allowed * 4 >= window {
-            let s = &mut scr.s;
-            s.clear();
-            s.resize(window, 0.0);
-            for qh in 0..heads {
-                let kh = qh / group;
-                let qv = &q_row[qh * d..(qh + 1) * d];
-                s.fill(0.0);
-                for (c, &qc) in qv.iter().enumerate() {
-                    keys.axpy_plane(kh * d + c, window, qc, s);
-                }
-                for (sj, &ok) in s.iter_mut().zip(mask) {
-                    *sj = if ok { *sj * scale } else { f32::NEG_INFINITY };
-                }
-                stable_softmax_fast_in_place(s);
-                vals.rows_dot_acc(kh * d, s, &mut out_row[qh * d..(qh + 1) * d]);
+    let n: usize = runs.iter().map(Range::len).sum();
+    if n == 0 {
+        return; // fully-masked row: attention output stays zero
+    }
+    with_thread_scratch(|s: &mut Vec<f32>| {
+        s.resize(group * n, 0.0);
+        let heads = q_row
+            .chunks_exact(group * d)
+            .zip(out_row.chunks_exact_mut(group * d));
+        for (kh, (q_heads, out_heads)) in heads.enumerate() {
+            s.fill(0.0);
+            for c in 0..d {
+                // Component `c` of each of the group's query heads.
+                let qc = q_heads[c..].iter().step_by(d).copied();
+                keys.axpy_plane(kh * d + c, runs, qc, s);
             }
-        } else {
-            let AttnScratch { s, idx, kg, vg } = scr;
-            idx.clear();
-            idx.extend((0..window).filter(|&j| mask[j]));
-            let n = idx.len();
-            if n == 0 {
-                return; // fully-masked row: attention output stays zero
-            }
-            // Gathered K/V, packed `d × n` per KV head so the per-head
-            // loops below run the same contiguous axpy/dot kernels as the
-            // dense path.
-            let kv_dim = keys.rows();
-            kg.clear();
-            kg.resize(kv_dim * n, 0.0);
-            vg.clear();
-            vg.resize(kv_dim * n, 0.0);
-            for r in 0..kv_dim {
-                keys.gather_plane_into(r, idx, &mut kg[r * n..(r + 1) * n]);
-                vals.gather_plane_into(r, idx, &mut vg[r * n..(r + 1) * n]);
-            }
-            s.clear();
-            s.resize(n, 0.0);
-            for qh in 0..heads {
-                let kh = qh / group;
-                let qv = &q_row[qh * d..(qh + 1) * d];
-                s.fill(0.0);
-                for (c, &qc) in qv.iter().enumerate() {
-                    let lo = (kh * d + c) * n;
-                    axpy(s, qc, &kg[lo..lo + n]);
-                }
-                s.iter_mut().for_each(|x| *x *= scale);
-                stable_softmax_fast_in_place(s);
-                let out = &mut out_row[qh * d..(qh + 1) * d];
-                for (c, o) in out.iter_mut().enumerate() {
-                    let lo = (kh * d + c) * n;
-                    *o += dot_fast(s, &vg[lo..lo + n]);
-                }
+            for (sg, out) in s.chunks_exact_mut(n).zip(out_heads.chunks_exact_mut(d)) {
+                sg.iter_mut().for_each(|x| *x *= scale);
+                stable_softmax_fast_in_place(sg);
+                vals.rows_dot_acc(kh * d, runs, sg, out);
             }
         }
     })
@@ -827,6 +755,10 @@ mod tests {
             .zip(b)
             .map(|(x, y)| (x - y).abs())
             .fold(0.0, f32::max)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -881,7 +813,9 @@ mod tests {
 
     /// §4.2/§4.3: under the bipartite scheme, an item's KV computed
     /// standalone equals its KV inside the full IP prompt — the property
-    /// that makes cross-user item-cache sharing sound.
+    /// that makes cross-user item-cache sharing sound. Bit for bit: a
+    /// row's attention depends on its allowed keys alone, and an item's
+    /// allowed keys are its own block wherever the block sits.
     #[test]
     fn item_kv_is_context_independent_under_bipartite() {
         let model = tiny_model(13);
@@ -895,15 +829,48 @@ mod tests {
         let solo_kv = model.compute_kv(&standalone);
         for l in 0..model.config().layers {
             for (t, g) in (4..6).enumerate() {
-                assert!(
-                    max_diff(&full.suffix_kv.layers[l].key(g), &solo_kv.layers[l].key(t)) < 1e-5
-                );
-                assert!(
-                    max_diff(
-                        &full.suffix_kv.layers[l].value(g),
-                        &solo_kv.layers[l].value(t)
-                    ) < 1e-5
-                );
+                let (in_prompt, solo) = (&full.suffix_kv.layers[l], &solo_kv.layers[l]);
+                assert_eq!(bits(&in_prompt.key(g)), bits(&solo.key(t)));
+                assert_eq!(bits(&in_prompt.value(g)), bits(&solo.value(t)));
+            }
+        }
+    }
+
+    /// The run-length encoded mask admits exactly the keys the per-pair
+    /// rule admits, as ascending non-adjacent runs — over both schemes,
+    /// per-item discriminants, and any prefix split.
+    #[test]
+    fn mask_runs_match_the_pairwise_rule() {
+        let items = [vec![0, 50], vec![1], vec![2, 52, 53]];
+        for scheme in [MaskScheme::Bipartite, MaskScheme::NaiveCausal] {
+            let layout = PromptLayout::new(scheme);
+            let seqs = [
+                layout.build(PrefixKind::User, &[40, 41, 42], &items, &[60, 61]),
+                layout.build(PrefixKind::Item, &[40, 41, 42], &items, &[60]),
+                layout.build_per_item_discriminants(
+                    PrefixKind::Item,
+                    &[40],
+                    &items,
+                    &[60],
+                    &[61, 62, 63],
+                ),
+            ];
+            for seq in &seqs {
+                for p_len in [0, 1, seq.len() / 2, seq.len() - 1] {
+                    let mut mask = MaskBuf::default();
+                    mask.build(scheme, &seq.segs, p_len);
+                    for t in 0..seq.len() - p_len {
+                        let want: Vec<usize> = (0..seq.len())
+                            .filter(|&k| seq.allowed(p_len + t, k))
+                            .collect();
+                        let runs = mask.runs(t);
+                        let got: Vec<usize> = runs.iter().flat_map(|r| r.clone()).collect();
+                        assert_eq!(got, want, "{scheme:?} split {p_len} row {t}");
+                        assert_eq!(mask.allowed()[t], want.len() as u64);
+                        assert!(runs.windows(2).all(|w| w[0].end < w[1].start));
+                        assert!(runs.iter().all(|r| !r.is_empty()));
+                    }
+                }
             }
         }
     }

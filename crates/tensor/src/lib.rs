@@ -1,10 +1,10 @@
 //! Minimal dense linear-algebra kernels for the GR transformer.
 //!
 //! `bat-model` needs a small set of primitives to run a transformer forward
-//! pass: a row-major matrix with matmul, numerically-stable (masked)
-//! softmax, RMS normalization, rotary position embeddings (RoPE, [Su et
-//! al. 2024], the position encoding the paper adjusts in §4.2), and the
-//! fused attention epilogues. Everything is portable f32 from scratch — no
+//! pass: a row-major matrix with matmul, numerically-stable softmax, RMS
+//! normalization, rotary position embeddings (RoPE, [Su et al. 2024], the
+//! position encoding the paper adjusts in §4.2), and the run-windowed
+//! attention kernels over packed KV. Everything is portable f32 from scratch — no
 //! BLAS, no SIMD intrinsics — but the hot kernels are written for
 //! throughput: [`Matrix::matmul_nt`] streams a transposed-packed operand
 //! through a branch-free 4-wide-unrolled dot product with cache tiling, and
@@ -31,8 +31,8 @@ pub mod rope;
 pub use matrix::Matrix;
 pub use ops::{
     active_simd_tier, axpy, dot, dot_fast, fast_exp, fast_silu, fast_silu_in_place,
-    fast_silu_mul_in_place, fused_masked_softmax_av, fused_silu_av, rms_norm, rms_norm_into, silu,
-    softmax_masked_in_place, stable_softmax_fast_in_place, stable_softmax_in_place,
+    fast_silu_mul_in_place, fused_masked_softmax_av, rms_norm, rms_norm_into, silu,
+    stable_softmax_fast_in_place, stable_softmax_in_place,
 };
 pub use packed::{ColBlock, SplitCols};
 pub use quant::{f16_to_f32, f32_to_f16, fp16_round_trip, QuantKind, QuantizedColBlock};

@@ -178,10 +178,7 @@ impl Matrix {
         if n == 0 || m == 0 || k == 0 {
             return;
         }
-        // Below this many multiply-adds the pool dispatch overhead exceeds
-        // the kernel cost; run inline.
-        const PAR_MACS: usize = 32 * 1024;
-        let grain_rows = if n * m * k >= PAR_MACS { 1 } else { usize::MAX };
+        let grain_rows = par_grain(n * m * k);
         bat_exec::parallel_row_blocks(&mut out.data, m, grain_rows, |first_row, block| {
             let n_block = block.len() / m;
             // Quad-block the output rows: four rows share every rhs-row
@@ -255,10 +252,7 @@ impl Matrix {
         // Rows-per-tile of the packed operand kept hot in L1 across output
         // rows; 16 rows × 256 columns of f32 is 16 KiB.
         const J_TILE: usize = 16;
-        // Below this many multiply-adds the pool dispatch overhead exceeds
-        // the kernel cost; run inline.
-        const PAR_MACS: usize = 32 * 1024;
-        let grain_rows = if n * m * k >= PAR_MACS { 1 } else { usize::MAX };
+        let grain_rows = par_grain(n * m * k);
         bat_exec::parallel_row_blocks(&mut out.data, m, grain_rows, |first_row, block| {
             let n_block = block.len() / m;
             for j0 in (0..m).step_by(J_TILE) {
@@ -378,12 +372,15 @@ impl Matrix {
         self.data.iter().all(|&x| x == 0.0)
     }
 
-    /// Visits every row mutably as `f(row_index, row)`, in parallel row
-    /// blocks on [`bat_exec`] when there are at least `grain_rows` rows.
-    /// Each row is processed by exactly one task, so results are
-    /// bit-identical for any thread count as long as `f` computes each row
-    /// independently of the others.
-    pub fn par_rows_mut<F>(&mut self, grain_rows: usize, f: F)
+    /// Visits every row mutably as `f(row_index, row)` — an element-wise
+    /// row map (RoPE, residual add, norm, activation). Row blocks go to
+    /// [`bat_exec`]'s pool once the matrix has enough elements to repay a
+    /// dispatch (see [`par_grain`]); a ranking-sized residual add costs
+    /// several times more through the pool than inline. Each row is
+    /// processed by exactly one task, so results are bit-identical for any
+    /// thread count as long as `f` computes each row independently of the
+    /// others.
+    pub fn par_rows_mut<F>(&mut self, f: F)
     where
         F: Fn(usize, &mut [f32]) + Sync,
     {
@@ -391,11 +388,37 @@ impl Matrix {
             return;
         }
         let cols = self.cols;
-        bat_exec::parallel_row_blocks(&mut self.data, cols, grain_rows, |first_row, block| {
+        let grain = par_grain(self.data.len());
+        bat_exec::parallel_row_blocks(&mut self.data, cols, grain, |first_row, block| {
             for (off, row) in block.chunks_mut(cols).enumerate() {
                 f(first_row + off, row);
             }
         });
+    }
+
+    /// [`Matrix::par_rows_mut`] for rows of unequal cost: `weights[row]` is
+    /// how many `cols`-wide steps the row takes (an attention row's allowed
+    /// key count), and the row blocks are balanced by weight, not by count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights.len() != self.rows()`.
+    pub fn par_rows_mut_weighted<F>(&mut self, weights: &[u64], f: F)
+    where
+        F: Fn(usize, &mut [f32]) + Sync,
+    {
+        assert_eq!(weights.len(), self.rows, "one weight per row");
+        if self.rows == 0 || self.cols == 0 {
+            return;
+        }
+        let cols = self.cols;
+        let grain = par_grain(weights.iter().sum::<u64>() as usize * cols);
+        let body = |first_row: usize, block: &mut [f32]| {
+            for (off, row) in block.chunks_mut(cols).enumerate() {
+                f(first_row + off, row);
+            }
+        };
+        bat_exec::parallel_weighted_row_blocks(&mut self.data, cols, weights, grain, body);
     }
 
     /// `out[c] += ⟨s, row c⟩` over the first `s.len()` columns of each of
@@ -458,6 +481,22 @@ impl Matrix {
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0f32, f32::max),
         )
+    }
+}
+
+/// Row grain for a data-parallel stage of `work` multiply-adds (or element
+/// visits): `1` — farm rows out to the pool — once the stage is big enough
+/// to repay a pool dispatch (~10 µs at two threads), else `usize::MAX` —
+/// run inline. A pure function of the shapes, never the thread count, and
+/// every stage it gates computes rows independently, so it moves speed
+/// only.
+#[inline]
+pub(crate) fn par_grain(work: usize) -> usize {
+    const PAR_MACS: usize = 32 * 1024;
+    if work >= PAR_MACS {
+        1
+    } else {
+        usize::MAX
     }
 }
 

@@ -1,5 +1,5 @@
 //! Elementwise and reduction kernels: softmax, RMSNorm, SiLU, and the
-//! fused attention epilogues (masked-softmax·V, SiLU·V).
+//! fused masked-softmax·V attention epilogue.
 
 use crate::Matrix;
 
@@ -32,26 +32,6 @@ pub fn stable_softmax_in_place(logits: &mut [f32]) {
     if sum > 0.0 {
         logits.iter_mut().for_each(|v| *v /= sum);
     }
-}
-
-/// Masked softmax: positions where `allowed[i]` is false receive probability
-/// zero; the remainder normalizes over the allowed set.
-///
-/// This is the kernel behind Bipartite Attention's cross-item masking: a
-/// query token's attention row is computed over exactly the positions its
-/// mask admits.
-///
-/// # Panics
-///
-/// Panics if `logits.len() != allowed.len()`.
-pub fn softmax_masked_in_place(logits: &mut [f32], allowed: &[bool]) {
-    assert_eq!(logits.len(), allowed.len(), "mask arity mismatch");
-    for (v, &ok) in logits.iter_mut().zip(allowed) {
-        if !ok {
-            *v = f32::NEG_INFINITY;
-        }
-    }
-    stable_softmax_in_place(logits);
 }
 
 /// Root-mean-square layer normalization (as in Llama/Qwen):
@@ -101,9 +81,11 @@ pub fn silu(x: f32) -> f32 {
 /// The batched forward paths spend most of their non-matmul time in
 /// softmax/SiLU exponentials; swapping libm's scalar `exp` (~15 ns) for
 /// this (~1 ns vectorized) is a headline kernel win. Inputs below ≈ -87
-/// clamp to `exp(-87) ≈ 1.6e-38` rather than exactly 0 — callers that need
-/// exact zeros for masked slots (softmax over `-inf`) handle the
-/// fully-masked row before calling and tolerate ~1e-38 weights otherwise.
+/// clamp to `exp(-87) ≈ 1.6e-38` rather than exactly 0. That is barely
+/// above `f32::MIN_POSITIVE`: any later scale by a factor below 1 lands in
+/// the subnormal range, where x86 takes a microcode assist per operand.
+/// [`stable_softmax_fast_in_place`] therefore cuts such inputs to an exact
+/// `0.0` before they reach this function.
 #[inline]
 // The digits are Cephes' exact hi/lo split of ln 2 and minimax
 // coefficients; "rounding" them as clippy suggests would change the split.
@@ -218,10 +200,13 @@ pub fn active_simd_tier() -> &'static str {
 /// separate vectorizable passes (lane-folded max, exponentiate, lane-folded
 /// sum, scale by reciprocal), dispatched to an AVX2-compiled copy on
 /// capable CPUs. Semantics match [`stable_softmax_in_place`] up to the
-/// approximation and reassociation error: a fully-`-inf` row becomes all
-/// zeros, and `-inf` entries in a mixed row receive weight ≲ 1e-38
-/// (exactly zero in the seed kernel). Every pass runs in a fixed order
-/// that depends only on the slice length, so results are deterministic.
+/// approximation and reassociation error, with one defined edge: a logit
+/// more than [`SOFTMAX_CUTOFF`] below the row maximum (so also `-inf`, and
+/// NaN) gets weight exactly `0.0`. Every weight is therefore `0.0` or a
+/// normal number — never subnormal, never NaN — and a row sums to 1 or,
+/// when no logit is finite (fully masked, or a `+inf` present), is all
+/// zeros. Every pass runs in a fixed order that depends only on the slice
+/// length, so results are deterministic.
 pub fn stable_softmax_fast_in_place(logits: &mut [f32]) {
     if logits.is_empty() {
         return;
@@ -272,6 +257,13 @@ unsafe fn softmax_fast_neon(logits: &mut [f32]) {
     softmax_fast_body(logits)
 }
 
+/// Shifted logits below this get softmax weight exactly `0.0`.
+/// `exp(-64) ≈ 1.6e-28` is far under f32 accumulation scale (a weight that
+/// small cannot move a sum whose largest term is 1), yet ten orders of
+/// magnitude above `f32::MIN_POSITIVE`, so the `1/sum` scale cannot push a
+/// surviving weight into the subnormal range for any row shorter than 1e10.
+pub const SOFTMAX_CUTOFF: f32 = -64.0;
+
 #[inline(always)]
 fn softmax_fast_body(logits: &mut [f32]) {
     let max = lane_max(logits);
@@ -279,7 +271,16 @@ fn softmax_fast_body(logits: &mut [f32]) {
         logits.iter_mut().for_each(|v| *v = 0.0);
         return;
     }
-    logits.iter_mut().for_each(|v| *v = fast_exp(*v - max));
+    // A select, not a branch: both arms are computed and blended, the same
+    // on every SIMD tier. The comparison is false for NaN, so NaN → 0.0.
+    logits.iter_mut().for_each(|v| {
+        let x = *v - max;
+        *v = if x >= SOFTMAX_CUTOFF {
+            fast_exp(x)
+        } else {
+            0.0
+        };
+    });
     let sum = lane_sum(logits);
     if sum > 0.0 {
         let inv = 1.0 / sum;
@@ -529,47 +530,6 @@ pub fn fused_masked_softmax_av(
     }
 }
 
-/// Fused SiLU-gated attention epilogue (HSTU-style pointwise attention).
-///
-/// For each allowed position `g`, computes `w = silu(scores[g] · scale)`
-/// and accumulates `w · values.row(g)` into `out`. Unlike softmax
-/// attention there is no normalization across positions here — HSTU
-/// divides by the allowed-position count at a wider scope (across all
-/// heads), so the caller owns that step.
-///
-/// `scores` is clobbered (masked slots are zeroed, allowed slots hold the
-/// SiLU weight on return). `out` is accumulated into. As with
-/// [`fused_masked_softmax_av`], `scores` may cover a causal prefix of the
-/// value rows.
-///
-/// # Panics
-///
-/// Panics if `scores` and `allowed` disagree, if `scores` is longer than
-/// `values.rows()`, or if `out.len() != values.cols()`.
-pub fn fused_silu_av(
-    scores: &mut [f32],
-    allowed: &[bool],
-    scale: f32,
-    values: &Matrix,
-    out: &mut [f32],
-) {
-    assert_eq!(scores.len(), allowed.len(), "mask arity mismatch");
-    assert!(
-        scores.len() <= values.rows(),
-        "scores/values arity mismatch"
-    );
-    assert_eq!(out.len(), values.cols(), "output arity mismatch");
-    for (g, (v, &ok)) in scores.iter_mut().zip(allowed).enumerate() {
-        if !ok {
-            *v = 0.0;
-            continue;
-        }
-        let w = silu(*v * scale);
-        *v = w;
-        axpy(out, w, values.row(g));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,22 +549,6 @@ mod tests {
         stable_softmax_in_place(&mut v);
         assert!(v.iter().all(|x| x.is_finite()));
         assert!((v[0] - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn fully_masked_row_is_zero() {
-        let mut v = vec![3.0f32, 1.0];
-        softmax_masked_in_place(&mut v, &[false, false]);
-        assert_eq!(v, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn mask_zeroes_disallowed_positions() {
-        let mut v = vec![1.0f32, 5.0, 1.0];
-        softmax_masked_in_place(&mut v, &[true, false, true]);
-        assert_eq!(v[1], 0.0);
-        assert!((v[0] - 0.5).abs() < 1e-6);
-        assert!((v[2] - 0.5).abs() < 1e-6);
     }
 
     #[test]
@@ -693,27 +637,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_silu_av_matches_scalar_loop() {
-        let values = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let raw = [0.5f32, -0.25, 1.5];
-        let allowed = [true, true, false];
-        let scale = 0.4;
-
-        let mut want = vec![0.0f32; 2];
-        for (g, &ok) in allowed.iter().enumerate() {
-            if ok {
-                axpy(&mut want, silu(raw[g] * scale), values.row(g));
-            }
-        }
-
-        let mut scores = raw;
-        let mut got = vec![0.0f32; 2];
-        fused_silu_av(&mut scores, &allowed, scale, &values, &mut got);
-        assert_eq!(want, got);
-        assert_eq!(scores[2], 0.0);
-    }
-
-    #[test]
     fn fast_exp_tracks_libm_exp() {
         let mut x = -20.0f32;
         while x <= 20.0 {
@@ -791,7 +714,7 @@ mod tests {
         assert_eq!(v, vec![0.0, 0.0, 0.0]);
         let mut v = vec![1.0, f32::NEG_INFINITY, 1.0];
         stable_softmax_fast_in_place(&mut v);
-        assert!(v[1] < 1e-36 && (v[0] - 0.5).abs() < 1e-6);
+        assert!(v[1] == 0.0 && (v[0] - 0.5).abs() < 1e-6);
     }
 
     /// Pins the elementwise kernels' per-architecture clones directly
@@ -858,6 +781,35 @@ mod tests {
             for (d, b) in dispatched.iter().zip(&baseline) {
                 prop_assert_eq!(d.to_bits(), b.to_bits());
             }
+        }
+
+        /// The numeric edge of the fast softmax: whatever mix of ordinary,
+        /// hugely negative, infinite and NaN logits a row holds — fully
+        /// masked rows, a single live lane and empty rows (a zero-length
+        /// item block) included — every weight is `0.0` or a normal
+        /// number, and the row sums to 1 or is all zeros. Never NaN, never
+        /// subnormal.
+        #[test]
+        fn fast_softmax_weights_are_zero_or_normal(
+            row in proptest::collection::vec((0u8..8, -90.0f32..90.0), 0..200),
+        ) {
+            let mut v: Vec<f32> = row
+                .iter()
+                .map(|&(kind, x)| match kind {
+                    0 => f32::NEG_INFINITY,
+                    1 => f32::INFINITY,
+                    2 => f32::NAN,
+                    3 => -1e30,
+                    _ => x,
+                })
+                .collect();
+            stable_softmax_fast_in_place(&mut v);
+            prop_assert!(v.iter().all(|w| *w == 0.0 || w.is_normal()), "{:?}", v);
+            let sum: f32 = v.iter().sum();
+            prop_assert!(
+                v.iter().all(|w| *w == 0.0) || (sum - 1.0).abs() < 1e-4,
+                "sum {}", sum
+            );
         }
 
         /// Softmax is invariant to adding a constant to all logits.

@@ -10,18 +10,21 @@
 //! [`SplitCols`] is a zero-copy view over an optional cached-prefix block
 //! followed by a suffix block, presenting them as one virtual
 //! concatenation. Its kernels ([`SplitCols::axpy_plane`],
-//! [`SplitCols::rows_dot_acc`]) reproduce the contiguous kernels'
-//! arithmetic **bit-for-bit**: `axpy` is element-wise, so splitting a sweep
-//! at the prefix/suffix boundary cannot change a bit, and the dot kernels
-//! replicate [`crate::matrix`]'s exact `LANES`-chunk grouping over the
-//! virtual concatenation — the one chunk that straddles the boundary is
-//! gathered into a stack temporary, every other chunk streams from whichever
-//! block owns it, and the scalar tail walks ascending virtual indices. A
-//! forward pass that attends through a view is therefore bit-identical to
-//! one that first copied both blocks into a single contiguous matrix.
+//! [`SplitCols::rows_dot_acc`]) read only the virtual-column *runs* a
+//! bipartite mask row allows and index their score operand *compactly* (by
+//! position among the allowed columns), reproducing the contiguous kernels'
+//! arithmetic over a gathered copy of those columns **bit-for-bit**: `axpy`
+//! is element-wise, so sweeping it piece by piece cannot change a bit, and
+//! the dot kernel replicates [`crate::matrix`]'s exact `LANES`-chunk
+//! grouping over the compact index — a chunk that straddles two pieces is
+//! gathered into a stack temporary, every other chunk streams from the
+//! block that owns it, and the scalar tail walks ascending compact indices.
+//! A row's result therefore depends on its allowed keys alone: not on the
+//! masked columns between them, nor on where the prefix/suffix split falls.
 
 use crate::matrix::{fold_lanes, LANES};
 use crate::ops::axpy;
+use std::ops::Range;
 
 /// A `rows × len` block stored plane-major with column-append support.
 ///
@@ -135,12 +138,14 @@ impl ColBlock {
     }
 
     /// Grows the column capacity to at least `want`, repacking planes at
-    /// the new stride.
+    /// the new stride. An explicit reservation on an empty block is exact:
+    /// a one- or two-token item segment is stored thousands of times over,
+    /// and a minimum capacity would double its resident bytes.
     fn grow_to(&mut self, want: usize) {
         if want <= self.cap {
             return;
         }
-        let new_cap = want.max(self.cap * 2).max(4);
+        let new_cap = want.max(self.cap * 2);
         let mut data = vec![0.0f32; self.rows * new_cap];
         for r in 0..self.rows {
             data[r * new_cap..r * new_cap + self.len].copy_from_slice(self.plane(r));
@@ -293,28 +298,10 @@ impl<'a> SplitCols<'a> {
         self.suf.rows()
     }
 
-    /// Columns contributed by the prefix block (the split point).
-    #[inline]
-    pub fn split(&self) -> usize {
-        self.pre.map_or(0, ColBlock::len)
-    }
-
-    /// Total virtual columns.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.split() + self.suf.len()
-    }
-
-    /// True when both blocks are empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Element at plane `r`, virtual column `j`.
     #[inline]
     pub fn at(&self, r: usize, j: usize) -> f32 {
-        let p = self.split();
+        let p = self.pre.map_or(0, ColBlock::len);
         if j < p {
             self.pre.unwrap().plane(r)[j]
         } else {
@@ -322,272 +309,258 @@ impl<'a> SplitCols<'a> {
         }
     }
 
-    /// `out[j] += coeff · plane(r)[j]` over the first `window` virtual
-    /// columns. `axpy` is element-wise, so running it per block is the
-    /// same arithmetic as one sweep over a contiguous copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window > self.len()` or `out.len() < window`.
+    /// Plane `r` of each block, as `(prefix, suffix)` slices (an absent
+    /// prefix reads as empty).
     #[inline]
-    pub fn axpy_plane(&self, r: usize, window: usize, coeff: f32, out: &mut [f32]) {
-        assert!(window <= self.len(), "axpy_plane window overrun");
-        let p = self.split().min(window);
-        if let Some(pre) = self.pre {
-            axpy(&mut out[..p], coeff, &pre.plane(r)[..p]);
-        }
-        axpy(&mut out[p..window], coeff, &self.suf.plane(r)[..window - p]);
+    fn plane_parts(&self, r: usize) -> (&'a [f32], &'a [f32]) {
+        (self.pre.map_or(&[], |b| b.plane(r)), self.suf.plane(r))
     }
 
-    /// Gathers `plane(r)` at the given virtual columns into `out`
-    /// (clearing it first). The sparse attention path gathers allowed
-    /// positions once per token and then sweeps contiguous buffers.
-    pub fn gather_plane(&self, r: usize, idx: &[usize], out: &mut Vec<f32>) {
-        out.clear();
-        out.reserve(idx.len());
-        let p = self.split();
-        let pre = self.pre.map(|b| b.plane(r));
-        let suf = self.suf.plane(r);
-        for &j in idx {
-            out.push(if j < p { pre.unwrap()[j] } else { suf[j - p] });
-        }
-    }
-
-    /// Gathers `plane(r)` at the given virtual columns into an
-    /// exactly-sized slice — the in-place twin of
-    /// [`SplitCols::gather_plane`] for callers packing several planes into
-    /// one flat buffer.
+    /// `out[g][j] += coeffs[g] · plane(r)[col(j)]` for every coefficient at
+    /// once, where `col` walks the virtual columns of `runs` (ascending,
+    /// disjoint half-open ranges) in order and `j` is the *compact* index —
+    /// the position among the run columns. `out` holds one compact row per
+    /// coefficient, back to back: the query heads that share this K plane
+    /// are all scored while it is hot. `axpy` is element-wise, so running
+    /// it per contiguous piece is the same arithmetic as one sweep over a
+    /// gathered copy.
     ///
     /// # Panics
     ///
-    /// Panics if `out.len() != idx.len()`.
-    pub fn gather_plane_into(&self, r: usize, idx: &[usize], out: &mut [f32]) {
-        assert_eq!(out.len(), idx.len(), "gather_plane_into length mismatch");
-        let p = self.split();
-        let pre = self.pre.map(|b| b.plane(r));
-        let suf = self.suf.plane(r);
-        for (o, &j) in out.iter_mut().zip(idx) {
-            *o = if j < p { pre.unwrap()[j] } else { suf[j - p] };
+    /// Panics if a run overruns `self.len()` or `out` is not a whole number
+    /// of rows of the runs' total length.
+    #[inline]
+    pub fn axpy_plane(
+        &self,
+        r: usize,
+        runs: &[Range<usize>],
+        coeffs: impl Iterator<Item = f32> + Clone,
+        out: &mut [f32],
+    ) {
+        let n: usize = runs.iter().map(Range::len).sum();
+        if n == 0 {
+            return;
+        }
+        assert_eq!(out.len() % n, 0, "axpy_plane runs/output length mismatch");
+        let (pre, suf) = self.plane_parts(r);
+        let mut at = 0;
+        for run in runs {
+            let [in_pre, in_suf] = split_run(run, pre.len());
+            for src in [&pre[in_pre], &suf[in_suf]] {
+                for (row, coeff) in out.chunks_exact_mut(n).zip(coeffs.clone()) {
+                    axpy(&mut row[at..at + src.len()], coeff, src);
+                }
+                at += src.len();
+            }
         }
     }
 
-    /// `out[c] += ⟨s, plane(row0 + c)⟩` over the first `s.len()` virtual
-    /// columns — the split twin of [`crate::Matrix::rows_dot_acc`], and
-    /// bit-identical to running it on a contiguous copy of the
-    /// concatenation: the chunk grouping, per-row lane accumulators,
-    /// fixed-tree fold, and ascending scalar tail are all reproduced over
-    /// virtual indices (see module docs).
+    /// `out[c] += ⟨s, plane(row0 + c)[runs]⟩` with `s` indexed compactly
+    /// (see [`SplitCols::axpy_plane`]) — the attention value accumulation
+    /// over exactly the keys a mask row allows. Bit-identical to
+    /// [`crate::Matrix::rows_dot_acc`] over a contiguous gathered copy of
+    /// the run columns: lanes, fixed-tree fold and ascending scalar tail
+    /// are all assigned by compact index, so the result does not depend on
+    /// where the runs lie or where the prefix/suffix split falls.
     ///
     /// # Panics
     ///
-    /// Panics if `row0 + out.len() > self.rows()` or `s.len() > self.len()`.
-    pub fn rows_dot_acc(&self, row0: usize, s: &[f32], out: &mut [f32]) {
+    /// Panics if `row0 + out.len() > self.rows()`, a run overruns
+    /// `self.len()`, or the runs' total length is not `s.len()`.
+    pub fn rows_dot_acc(&self, row0: usize, runs: &[Range<usize>], s: &[f32], out: &mut [f32]) {
         assert!(row0 + out.len() <= self.rows(), "rows_dot_acc row overrun");
-        assert!(s.len() <= self.len(), "rows_dot_acc column overrun");
+        assert_eq!(
+            runs.iter().map(Range::len).sum::<usize>(),
+            s.len(),
+            "rows_dot_acc runs/weights length mismatch"
+        );
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            return unsafe { split_rows_dot_acc_avx2(self.pre, self.suf, row0, s, out) };
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: AVX-512F support was just verified at runtime.
+                return unsafe { runs_dot_acc_avx512(*self, row0, runs, s, out) };
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 support was just verified at runtime.
+                return unsafe { runs_dot_acc_avx2(*self, row0, runs, s, out) };
+            }
         }
-        split_rows_dot_acc_body(self.pre, self.suf, row0, s, out)
+        #[cfg(target_arch = "aarch64")]
+        if std::arch::is_aarch64_feature_detected!("neon") {
+            // SAFETY: NEON support was just verified at runtime.
+            return unsafe { runs_dot_acc_neon(*self, row0, runs, s, out) };
+        }
+        runs_dot_acc_body(*self, row0, runs, s, out)
     }
 }
 
-/// [`SplitCols::rows_dot_acc`]'s body compiled with AVX2 enabled (see
+/// The two contiguous pieces of virtual-column `run` when the first `p`
+/// columns live in the prefix block: its columns there, then its columns
+/// in the suffix block, each in block-local indices (either may be empty).
+#[inline(always)]
+fn split_run(run: &Range<usize>, p: usize) -> [Range<usize>; 2] {
+    [
+        run.start.min(p)..run.end.min(p),
+        run.start.max(p) - p..run.end.max(p) - p,
+    ]
+}
+
+/// [`SplitCols::rows_dot_acc`]'s body compiled with AVX-512F enabled (see
 /// `matrix::fold_rows_into_avx2` for why the body must be
 /// `#[inline(always)]`).
 #[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn runs_dot_acc_avx512(
+    v: SplitCols<'_>,
+    row0: usize,
+    runs: &[Range<usize>],
+    s: &[f32],
+    out: &mut [f32],
+) {
+    runs_dot_acc_body(v, row0, runs, s, out)
+}
+
+/// [`SplitCols::rows_dot_acc`]'s body compiled with AVX2 enabled.
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn split_rows_dot_acc_avx2(
-    pre: Option<&ColBlock>,
-    suf: &ColBlock,
+unsafe fn runs_dot_acc_avx2(
+    v: SplitCols<'_>,
     row0: usize,
+    runs: &[Range<usize>],
     s: &[f32],
     out: &mut [f32],
 ) {
-    split_rows_dot_acc_body(pre, suf, row0, s, out)
+    runs_dot_acc_body(v, row0, runs, s, out)
 }
 
-/// Splits the window `0..n` into the regions the chunked dot kernels walk:
-/// `full_pre` is the end of the LANES-chunks that lie entirely in the
-/// prefix; a boundary chunk follows iff the split point is not
-/// chunk-aligned inside the main region.
-#[inline(always)]
-fn chunk_regions(n: usize, p: usize) -> (usize, usize, bool) {
-    let main = n / LANES * LANES;
-    let full_pre = if p >= main { main } else { p / LANES * LANES };
-    let boundary = full_pre < main && p > full_pre;
-    (main, full_pre, boundary)
-}
-
-#[inline(always)]
-fn split_rows_dot_acc_body(
-    pre: Option<&ColBlock>,
-    suf: &ColBlock,
+/// [`SplitCols::rows_dot_acc`]'s body compiled with NEON enabled (aarch64).
+#[cfg(target_arch = "aarch64")]
+#[target_feature(enable = "neon")]
+unsafe fn runs_dot_acc_neon(
+    v: SplitCols<'_>,
     row0: usize,
+    runs: &[Range<usize>],
     s: &[f32],
     out: &mut [f32],
 ) {
-    let n = s.len();
-    let p = pre.map_or(0, ColBlock::len).min(n);
-    let (main, full_pre, boundary) = chunk_regions(n, p);
-    let empty: &[f32] = &[];
-    let pre_plane = |r: usize| pre.map_or(empty, |b| &b.plane(row0 + r)[..p]);
+    runs_dot_acc_body(v, row0, runs, s, out)
+}
+
+/// Four planes per pass sharing each `s` chunk load, exactly like
+/// `matrix::rows_dot_acc_body`; every plane keeps its own lane
+/// accumulators so no sum is reassociated.
+#[inline(always)]
+fn runs_dot_acc_body(
+    v: SplitCols<'_>,
+    row0: usize,
+    runs: &[Range<usize>],
+    s: &[f32],
+    out: &mut [f32],
+) {
     let mut c = 0;
-    // Four rows per pass sharing each `s` chunk load, exactly like
-    // `rows_dot_acc_body`; every row keeps its own lane accumulators so no
-    // sum is reassociated.
     while c + 4 <= out.len() {
-        let (q0, q1, q2, q3) = (
-            pre_plane(c),
-            pre_plane(c + 1),
-            pre_plane(c + 2),
-            pre_plane(c + 3),
-        );
-        let (v0, v1, v2, v3) = (
-            &suf.plane(row0 + c)[..n - p],
-            &suf.plane(row0 + c + 1)[..n - p],
-            &suf.plane(row0 + c + 2)[..n - p],
-            &suf.plane(row0 + c + 3)[..n - p],
-        );
-        let mut a0 = [0.0f32; LANES];
-        let mut a1 = [0.0f32; LANES];
-        let mut a2 = [0.0f32; LANES];
-        let mut a3 = [0.0f32; LANES];
-        let mut i = 0;
-        while i < full_pre {
-            let ps: &[f32; LANES] = s[i..i + LANES].try_into().unwrap();
-            let p0: &[f32; LANES] = q0[i..i + LANES].try_into().unwrap();
-            let p1: &[f32; LANES] = q1[i..i + LANES].try_into().unwrap();
-            let p2: &[f32; LANES] = q2[i..i + LANES].try_into().unwrap();
-            let p3: &[f32; LANES] = q3[i..i + LANES].try_into().unwrap();
-            for l in 0..LANES {
-                a0[l] += ps[l] * p0[l];
-                a1[l] += ps[l] * p1[l];
-                a2[l] += ps[l] * p2[l];
-                a3[l] += ps[l] * p3[l];
-            }
-            i += LANES;
+        let (p0, s0) = v.plane_parts(row0 + c);
+        let (p1, s1) = v.plane_parts(row0 + c + 1);
+        let (p2, s2) = v.plane_parts(row0 + c + 2);
+        let (p3, s3) = v.plane_parts(row0 + c + 3);
+        let sums = runs_dot([p0, p1, p2, p3], [s0, s1, s2, s3], runs, s);
+        for (o, sum) in out[c..c + 4].iter_mut().zip(sums) {
+            *o += sum;
         }
-        if boundary {
-            // The one chunk straddling the split: gather it so the lane
-            // grouping matches the contiguous kernel's.
-            let ps: &[f32; LANES] = s[i..i + LANES].try_into().unwrap();
-            let mut b0 = [0.0f32; LANES];
-            let mut b1 = [0.0f32; LANES];
-            let mut b2 = [0.0f32; LANES];
-            let mut b3 = [0.0f32; LANES];
-            for l in 0..LANES {
-                let j = i + l;
-                if j < p {
-                    b0[l] = q0[j];
-                    b1[l] = q1[j];
-                    b2[l] = q2[j];
-                    b3[l] = q3[j];
-                } else {
-                    b0[l] = v0[j - p];
-                    b1[l] = v1[j - p];
-                    b2[l] = v2[j - p];
-                    b3[l] = v3[j - p];
-                }
-            }
-            for l in 0..LANES {
-                a0[l] += ps[l] * b0[l];
-                a1[l] += ps[l] * b1[l];
-                a2[l] += ps[l] * b2[l];
-                a3[l] += ps[l] * b3[l];
-            }
-            i += LANES;
-        }
-        while i < main {
-            let ps: &[f32; LANES] = s[i..i + LANES].try_into().unwrap();
-            let p0: &[f32; LANES] = v0[i - p..i - p + LANES].try_into().unwrap();
-            let p1: &[f32; LANES] = v1[i - p..i - p + LANES].try_into().unwrap();
-            let p2: &[f32; LANES] = v2[i - p..i - p + LANES].try_into().unwrap();
-            let p3: &[f32; LANES] = v3[i - p..i - p + LANES].try_into().unwrap();
-            for l in 0..LANES {
-                a0[l] += ps[l] * p0[l];
-                a1[l] += ps[l] * p1[l];
-                a2[l] += ps[l] * p2[l];
-                a3[l] += ps[l] * p3[l];
-            }
-            i += LANES;
-        }
-        // Fixed-tree fold, then the ascending virtual-index scalar tail —
-        // the same association as `fold_lanes` over a contiguous row.
-        let mut s0 = fold_lanes(a0, &[], &[]);
-        let mut s1 = fold_lanes(a1, &[], &[]);
-        let mut s2 = fold_lanes(a2, &[], &[]);
-        let mut s3 = fold_lanes(a3, &[], &[]);
-        for j in main..n {
-            let sj = s[j];
-            if j < p {
-                s0 += sj * q0[j];
-                s1 += sj * q1[j];
-                s2 += sj * q2[j];
-                s3 += sj * q3[j];
-            } else {
-                s0 += sj * v0[j - p];
-                s1 += sj * v1[j - p];
-                s2 += sj * v2[j - p];
-                s3 += sj * v3[j - p];
-            }
-        }
-        out[c] += s0;
-        out[c + 1] += s1;
-        out[c + 2] += s2;
-        out[c + 3] += s3;
         c += 4;
     }
     while c < out.len() {
-        out[c] += split_dot_body(s, pre_plane(c), &suf.plane(row0 + c)[..n - p]);
+        let (p, sf) = v.plane_parts(row0 + c);
+        out[c] += runs_dot([p], [sf], runs, s)[0];
         c += 1;
     }
 }
 
-/// `⟨s, pre ++ suf⟩` with the exact chunk grouping of
-/// `matrix::dot_unrolled_body` over the virtual concatenation.
+/// `⟨s, plane[runs]⟩` for `K` planes (`pre[k] ++ suf[k]`) at once, with
+/// the exact grouping of `matrix::dot_unrolled_body` over the compact
+/// index `i`: column `i` below `main` accumulates into lane `i % LANES` of
+/// its plane — whole chunks through [`lanes_acc`], the ragged ends of a
+/// piece lane by lane, which is the same per-lane order — and the last
+/// `s.len() % LANES` columns are added after the fixed-tree fold, ascending.
 #[inline(always)]
-fn split_dot_body(s: &[f32], pre: &[f32], suf: &[f32]) -> f32 {
-    let n = s.len();
-    let p = pre.len();
-    debug_assert_eq!(p + suf.len(), n, "split_dot length mismatch");
-    let (main, full_pre, boundary) = chunk_regions(n, p);
-    let mut acc = [0.0f32; LANES];
+fn runs_dot<const K: usize>(
+    pre: [&[f32]; K],
+    suf: [&[f32]; K],
+    runs: &[Range<usize>],
+    s: &[f32],
+) -> [f32; K] {
+    let main = s.len() / LANES * LANES;
+    let mut acc = [[0.0f32; LANES]; K];
+    let mut tail = [[0.0f32; LANES]; K];
     let mut i = 0;
-    while i < full_pre {
-        let ps: &[f32; LANES] = s[i..i + LANES].try_into().unwrap();
-        let pb: &[f32; LANES] = pre[i..i + LANES].try_into().unwrap();
-        for l in 0..LANES {
-            acc[l] += ps[l] * pb[l];
+    for run in runs {
+        for (block, piece) in [&pre, &suf].into_iter().zip(split_run(run, pre[0].len())) {
+            let len = piece.len();
+            let mut src = *block;
+            for plane in &mut src {
+                *plane = &plane[piece.clone()];
+            }
+            let m = len.min(main.saturating_sub(i));
+            let head = (i.wrapping_neg() % LANES).min(m);
+            let full = (m - head) / LANES * LANES;
+            // Ragged head, whole chunks, ragged rest: ascending compact
+            // index within every lane.
+            let mut mid = src;
+            for plane in &mut mid {
+                *plane = &plane[head..head + full];
+            }
+            lane_wise(&mut acc, s, &src, i, 0..head);
+            lanes_acc(&mut acc, &s[i + head..i + head + full], mid);
+            lane_wise(&mut acc, s, &src, i, head + full..m);
+            for t in m..len {
+                for k in 0..K {
+                    tail[k][i + t - main] = src[k][t];
+                }
+            }
+            i += len;
         }
-        i += LANES;
     }
-    if boundary {
-        let ps: &[f32; LANES] = s[i..i + LANES].try_into().unwrap();
-        let mut pb = [0.0f32; LANES];
-        for (l, slot) in pb.iter_mut().enumerate() {
-            let j = i + l;
-            *slot = if j < p { pre[j] } else { suf[j - p] };
+    let mut sums = [0.0f32; K];
+    for k in 0..K {
+        sums[k] = fold_lanes(acc[k], &s[main..], &tail[k]);
+    }
+    sums
+}
+
+/// Columns `ts` of a piece that starts at compact index `i`, one at a time
+/// into the lane each belongs to.
+#[inline(always)]
+fn lane_wise<const K: usize>(
+    acc: &mut [[f32; LANES]; K],
+    s: &[f32],
+    src: &[&[f32]; K],
+    i: usize,
+    ts: Range<usize>,
+) {
+    for t in ts {
+        for k in 0..K {
+            acc[k][(i + t) % LANES] += s[i + t] * src[k][t];
         }
-        for l in 0..LANES {
-            acc[l] += ps[l] * pb[l];
+    }
+}
+
+/// `acc[k][l] += s[i + l] · src[k][i + l]` over the `LANES`-chunks of `s`
+/// (whose length is a multiple of `LANES` and equals every `src[k]`'s).
+#[inline(always)]
+fn lanes_acc<const K: usize>(acc: &mut [[f32; LANES]; K], s: &[f32], src: [&[f32]; K]) {
+    // Lock-step chunk iterators, not indexing: this is the shape LLVM
+    // turns into one full-width vector multiply-add per plane.
+    let mut chunks = src.map(|v| v.chunks_exact(LANES));
+    let mut a = *acc;
+    for ps in s.chunks_exact(LANES) {
+        for k in 0..K {
+            let pv = chunks[k].next().expect("src[k] as long as s");
+            for l in 0..LANES {
+                a[k][l] += ps[l] * pv[l];
+            }
         }
-        i += LANES;
     }
-    while i < main {
-        let ps: &[f32; LANES] = s[i..i + LANES].try_into().unwrap();
-        let pb: &[f32; LANES] = suf[i - p..i - p + LANES].try_into().unwrap();
-        for l in 0..LANES {
-            acc[l] += ps[l] * pb[l];
-        }
-        i += LANES;
-    }
-    let mut sum = fold_lanes(acc, &[], &[]);
-    for j in main..n {
-        sum += s[j] * if j < p { pre[j] } else { suf[j - p] };
-    }
-    sum
+    *acc = a;
 }
 
 #[cfg(test)]
@@ -595,6 +568,10 @@ mod tests {
     use super::*;
     use crate::Matrix;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
 
     fn random_block(rows: usize, cols: usize, rng: &mut SmallRng) -> ColBlock {
         let mut b = ColBlock::new(rows);
@@ -696,12 +673,39 @@ mod tests {
         assert_eq!(a.capacity(), cap);
     }
 
-    /// The split kernels must be bit-identical to the contiguous kernels
-    /// over a materialized concatenation, for every split point — including
-    /// chunk-aligned splits, splits inside the scalar tail, and windows
-    /// shorter than the prefix.
+    /// Random ascending, disjoint (possibly adjacent or empty) runs inside
+    /// `0..n`.
+    fn random_runs(n: usize, rng: &mut SmallRng) -> Vec<Range<usize>> {
+        let mut runs = Vec::new();
+        let mut at = 0;
+        while at < n && runs.len() < 6 {
+            let start = rng.gen_range(at..n + 1);
+            let end = rng.gen_range(start..n + 1);
+            runs.push(start..end);
+            at = end;
+        }
+        runs
+    }
+
+    /// Contiguous copy of the run columns — the compact layout the run
+    /// kernels must reproduce bitwise.
+    fn gather_runs(flat: &Matrix, runs: &[Range<usize>]) -> Matrix {
+        let cols: Vec<usize> = runs.iter().flat_map(|r| r.clone()).collect();
+        let mut m = Matrix::zeros(flat.rows(), cols.len());
+        for r in 0..flat.rows() {
+            for (j, &c) in cols.iter().enumerate() {
+                m.set(r, j, flat.get(r, c));
+            }
+        }
+        m
+    }
+
+    /// The run kernels must be bit-identical to the contiguous kernels
+    /// over a gathered copy of the run columns, for every split point and
+    /// run layout — chunk-aligned splits, runs straddling the split, runs
+    /// shorter than a chunk, empty runs, and the full causal window.
     #[test]
-    fn split_kernels_bit_match_contiguous() {
+    fn run_kernels_bit_match_contiguous_gather() {
         let mut rng = SmallRng::seed_from_u64(42);
         for &(rows, p_cols, s_cols) in &[
             (8usize, 0usize, 5usize),
@@ -717,25 +721,58 @@ mod tests {
             let view = SplitCols::new(pre.as_ref(), &suf);
             let flat = concat_matrix(pre.as_ref(), &suf);
             let n = p_cols + s_cols;
-            for window in [1, p_cols.max(1), n.min(p_cols + 1), n] {
-                let s: Vec<f32> = (0..window).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                // rows_dot_acc twin.
+            let mut layouts = vec![vec![0..n], vec![0..1], vec![0..p_cols, p_cols..n]];
+            layouts.extend((0..8).map(|_| random_runs(n, &mut rng)));
+            for runs in layouts {
+                let packed = gather_runs(&flat, &runs);
+                let s: Vec<f32> = (0..packed.cols())
+                    .map(|_| rng.gen_range(-1.0..1.0))
+                    .collect();
                 let mut got = vec![0.1f32; rows];
                 let mut want = vec![0.1f32; rows];
-                view.rows_dot_acc(0, &s, &mut got);
-                flat.rows_dot_acc(&s, &mut want);
+                view.rows_dot_acc(0, &runs, &s, &mut got);
+                packed.rows_dot_acc(&s, &mut want);
                 for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(g.to_bits(), w.to_bits(), "rows_dot_acc split mismatch");
+                    assert_eq!(g.to_bits(), w.to_bits(), "rows_dot_acc {runs:?}");
                 }
-                // axpy twin.
-                let mut got = vec![0.0f32; window];
-                let mut want = vec![0.0f32; window];
-                view.axpy_plane(rows - 1, window, 0.37, &mut got);
-                axpy(&mut want, 0.37, &flat.row(rows - 1)[..window]);
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(g.to_bits(), w.to_bits(), "axpy split mismatch");
+                // Two coefficients at once: one compact row each.
+                let coeffs = [0.37f32, -1.25];
+                let mut got = vec![0.0f32; 2 * s.len()];
+                view.axpy_plane(rows - 1, &runs, coeffs.into_iter(), &mut got);
+                for (g, &coeff) in coeffs.iter().enumerate() {
+                    let mut want = vec![0.0f32; s.len()];
+                    axpy(&mut want, coeff, packed.row(rows - 1));
+                    let got = &got[g * s.len()..(g + 1) * s.len()];
+                    assert_eq!(bits(got), bits(&want), "axpy_plane {runs:?}");
                 }
             }
+        }
+    }
+
+    /// Every SIMD tier present on this CPU runs the same arithmetic as the
+    /// baseline body (the dispatcher only ever picks the widest).
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn every_x86_tier_of_rows_dot_acc_is_bit_identical() {
+        let mut rng = SmallRng::seed_from_u64(45);
+        let pre = random_block(7, 21, &mut rng);
+        let suf = random_block(7, 38, &mut rng);
+        let view = SplitCols::new(Some(&pre), &suf);
+        let runs = [2..19, 20..23, 30..59];
+        let s: Vec<f32> = (0..49).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let mut gold = vec![0.0f32; 7];
+        runs_dot_acc_body(view, 0, &runs, &s, &mut gold);
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            let mut got = vec![0.0f32; 7];
+            // SAFETY: AVX-512F support was just verified at runtime.
+            unsafe { runs_dot_acc_avx512(view, 0, &runs, &s, &mut got) };
+            assert_eq!(bits(&got), bits(&gold), "avx512f");
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            let mut got = vec![0.0f32; 7];
+            // SAFETY: AVX2 support was just verified at runtime.
+            unsafe { runs_dot_acc_avx2(view, 0, &runs, &s, &mut got) };
+            assert_eq!(bits(&got), bits(&gold), "avx2");
         }
     }
 
@@ -748,30 +785,11 @@ mod tests {
         let flat = concat_matrix(Some(&pre), &suf);
         let s: Vec<f32> = (0..19).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let mut got = vec![0.0f32; 4];
-        view.rows_dot_acc(4, &s, &mut got);
+        view.rows_dot_acc(4, std::slice::from_ref(&(0..19)), &s, &mut got);
         for (c, g) in got.iter().enumerate() {
             let want = crate::ops::dot_fast(&s, flat.row(4 + c));
             assert_eq!(g.to_bits(), want.to_bits());
         }
-    }
-
-    #[test]
-    fn gather_plane_reads_virtual_indices() {
-        let mut rng = SmallRng::seed_from_u64(44);
-        let pre = random_block(3, 6, &mut rng);
-        let suf = random_block(3, 4, &mut rng);
-        let view = SplitCols::new(Some(&pre), &suf);
-        let mut out = Vec::new();
-        view.gather_plane(2, &[0, 5, 6, 9], &mut out);
-        assert_eq!(
-            out,
-            vec![
-                pre.plane(2)[0],
-                pre.plane(2)[5],
-                suf.plane(2)[0],
-                suf.plane(2)[3]
-            ]
-        );
     }
 
     #[test]

@@ -340,12 +340,11 @@ impl QuantizedColBlock {
 
     /// `out[c] += ⟨s, dequantized plane(row0 + c)⟩` over the first
     /// `s.len()` columns — the dequant-fused twin of
-    /// [`crate::packed::SplitCols::rows_dot_acc`], bit-identical to
-    /// running that kernel on [`Self::dequantize`]'s output: per row, the
-    /// same `LANES`-chunk products in the same order, the same fixed-tree
-    /// fold, the same ascending scalar tail. (The f32 twin's 4-row outer
-    /// unroll shares score-chunk loads but keeps per-row accumulators, so
-    /// per-row arithmetic is unchanged by the unroll.)
+    /// [`crate::packed::SplitCols::rows_dot_acc`] over the single run
+    /// `0..s.len()`, bit-identical to running that kernel on
+    /// [`Self::dequantize`]'s output: per row, the same `LANES`-chunk
+    /// products in the same order, the same fixed-tree fold, the same
+    /// ascending scalar tail.
     ///
     /// # Panics
     ///
@@ -353,32 +352,37 @@ impl QuantizedColBlock {
     pub fn rows_dot_acc(&self, row0: usize, s: &[f32], out: &mut [f32]) {
         assert!(row0 + out.len() <= self.rows, "rows_dot_acc row overrun");
         assert!(s.len() <= self.len, "rows_dot_acc column overrun");
-        let n = s.len();
-        let main = n / LANES * LANES;
-        let mut buf = [0.0f32; LANES];
-        for (c, slot) in out.iter_mut().enumerate() {
-            let r = row0 + c;
-            let mut acc = [0.0f32; LANES];
-            let mut i = 0;
-            while i < main {
+        let main = s.len() / LANES * LANES;
+        // Four rows per pass, like the f32 kernel: four independent lane
+        // accumulators hide the add latency a single row's chain is bound
+        // by. Each row's own arithmetic is unchanged by the grouping.
+        for (q, quad) in out.chunks_mut(4).enumerate() {
+            let r0 = row0 + 4 * q;
+            let mut acc = [[0.0f32; LANES]; 4];
+            let mut buf = [[0.0f32; LANES]; 4];
+            for i in (0..main).step_by(LANES) {
                 let ps: &[f32; LANES] = s[i..i + LANES].try_into().unwrap();
-                self.dequant_chunk(r, i, &mut buf);
-                for l in 0..LANES {
-                    acc[l] += ps[l] * buf[l];
+                for k in 0..quad.len() {
+                    self.dequant_chunk(r0 + k, i, &mut buf[k]);
+                    for l in 0..LANES {
+                        acc[k][l] += ps[l] * buf[k][l];
+                    }
                 }
-                i += LANES;
             }
-            let mut sum = fold_lanes(acc, &[], &[]);
-            for (j, &sj) in s.iter().enumerate().skip(main) {
-                sum += sj * self.at(r, j);
+            for (k, slot) in quad.iter_mut().enumerate() {
+                let mut sum = fold_lanes(acc[k], &[], &[]);
+                for (j, &sj) in s.iter().enumerate().skip(main) {
+                    sum += sj * self.at(r0 + k, j);
+                }
+                *slot += sum;
             }
-            *slot += sum;
         }
     }
 
     /// `out[j] += coeff · dequantized plane(r)[j]` over the first `window`
     /// columns — the dequant-fused twin of
-    /// [`crate::packed::SplitCols::axpy_plane`]. `axpy` is element-wise,
+    /// [`crate::packed::SplitCols::axpy_plane`] over the single run
+    /// `0..window`. `axpy` is element-wise,
     /// so fusing the per-element dequantization cannot change a bit.
     ///
     /// # Panics
@@ -475,14 +479,19 @@ mod tests {
                     let mut got = vec![0.1f32; rows];
                     let mut want = vec![0.1f32; rows];
                     q.rows_dot_acc(0, &s, &mut got);
-                    view.rows_dot_acc(0, &s, &mut want);
+                    view.rows_dot_acc(0, std::slice::from_ref(&(0..window)), &s, &mut want);
                     for (g, w) in got.iter().zip(&want) {
                         assert_eq!(g.to_bits(), w.to_bits(), "{kind:?} rows_dot_acc mismatch");
                     }
                     let mut got = vec![0.2f32; window];
                     let mut want = vec![0.2f32; window];
                     q.axpy_plane(rows - 1, window, 0.37, &mut got);
-                    view.axpy_plane(rows - 1, window, 0.37, &mut want);
+                    view.axpy_plane(
+                        rows - 1,
+                        std::slice::from_ref(&(0..window)),
+                        std::iter::once(0.37),
+                        &mut want,
+                    );
                     for (g, w) in got.iter().zip(&want) {
                         assert_eq!(g.to_bits(), w.to_bits(), "{kind:?} axpy_plane mismatch");
                     }

@@ -70,7 +70,7 @@ proptest! {
             let mut got = vec![0.5f32; rows];
             let mut want = vec![0.5f32; rows];
             q.rows_dot_acc(0, &scores, &mut got);
-            view.rows_dot_acc(0, &scores, &mut want);
+            view.rows_dot_acc(0, std::slice::from_ref(&(0..window)), &scores, &mut want);
             for (g, w) in got.iter().zip(&want) {
                 prop_assert_eq!(g.to_bits(), w.to_bits(), "{:?} rows_dot_acc", kind);
             }
@@ -78,7 +78,12 @@ proptest! {
             let mut got = vec![-0.25f32; window];
             let mut want = vec![-0.25f32; window];
             q.axpy_plane(plane, window, coeff, &mut got);
-            view.axpy_plane(plane, window, coeff, &mut want);
+            view.axpy_plane(
+                plane,
+                std::slice::from_ref(&(0..window)),
+                std::iter::once(coeff),
+                &mut want,
+            );
             for (g, w) in got.iter().zip(&want) {
                 prop_assert_eq!(g.to_bits(), w.to_bits(), "{:?} axpy_plane", kind);
             }

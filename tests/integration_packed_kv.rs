@@ -6,9 +6,18 @@
 //! batched kernels reorder float accumulation, so the serial oracle is a
 //! tolerance contract, not a bitwise one) — over random prefix/suffix
 //! splits, both mask schemes, and both MHA- and GQA-shaped configurations.
+//!
+//! Since attention attends only a row's allowed key runs, with a reduction
+//! order that depends on those keys alone, the suite also pins the stronger
+//! contract: a cached-prefix forward — any split, either scheme, or an
+//! Item-as-prefix forward over item segments computed *standalone* — is
+//! bit-identical to the cold monolithic forward of the same prompt.
 
 use bat::exec::set_threads;
-use bat::{GrModel, GrModelConfig, MaskScheme, PrefixKind, PromptLayout, Weights};
+use bat::{
+    ForwardOutput, GrModel, GrModelConfig, KvSegment, MaskScheme, PrefixKind, PromptLayout, Weights,
+};
+use bat_model::SegTag;
 use proptest::prelude::*;
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -38,8 +47,87 @@ fn build_parts(
     (user, items, vec![0, 1])
 }
 
+/// `cached` (a forward of the prompt's tail behind some cached prefix)
+/// must reproduce the tail of `cold` (the monolithic forward) bit for bit.
+fn assert_tail_bits_eq(cached: &ForwardOutput, cold: &ForwardOutput, what: &str) {
+    let cut = cold.hidden_all.rows() - cached.hidden_all.rows();
+    assert_eq!(bits(&cached.logits), bits(&cold.logits), "{what}: logits");
+    for t in 0..cached.hidden_all.rows() {
+        assert_eq!(
+            bits(cached.hidden(t)),
+            bits(cold.hidden(cut + t)),
+            "{what}: hidden state of suffix token {t}"
+        );
+        for (got, want) in cached.suffix_kv.layers.iter().zip(&cold.suffix_kv.layers) {
+            assert_eq!(
+                bits(&got.key(t)),
+                bits(&want.key(cut + t)),
+                "{what}: key {t}"
+            );
+            assert_eq!(
+                bits(&got.value(t)),
+                bits(&want.value(cut + t)),
+                "{what}: value {t}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Cached-prefix forwards are bit-identical to the cold monolithic
+    /// forward: behind a prefix cut at an arbitrary token (either scheme),
+    /// and — the Item-as-prefix serving path — behind item segments that
+    /// were each computed standalone and concatenated, at every thread
+    /// count. (The per-tier pin tests in `bat-tensor` extend this across
+    /// scalar / AVX2 / AVX-512 / NEON: every tier is the same arithmetic.)
+    #[test]
+    fn cached_prefix_forward_is_bit_identical_to_cold_forward(
+        user_len in 1usize..9,
+        n_items in 1usize..6,
+        item_len in 1usize..4,
+        seed in 0u64..u64::MAX,
+        naive in proptest::bool::ANY,
+        gqa_deep in proptest::bool::ANY,
+        user_first in proptest::bool::ANY,
+        split_frac in 0.0f64..1.0,
+    ) {
+        let cfg = if gqa_deep { GrModelConfig::small(64) } else { GrModelConfig::tiny(64) };
+        let model = GrModel::new(Weights::random(cfg, seed));
+        let (user, items, instr) = build_parts(user_len, n_items, item_len);
+
+        set_threads(1);
+        let scheme = if naive { MaskScheme::NaiveCausal } else { MaskScheme::Bipartite };
+        let kind = if user_first { PrefixKind::User } else { PrefixKind::Item };
+        let seq = PromptLayout::new(scheme).build(kind, &user, &items, &instr);
+        let cold = model.forward(&seq, None);
+        let cut = 1 + ((seq.len() - 2) as f64 * split_frac) as usize;
+        let (head, tail) = seq.split_at(cut);
+        let spliced = model.forward(&tail, Some(&model.compute_kv(&head)));
+        assert_tail_bits_eq(&spliced, &cold, "arbitrary split");
+
+        // Item-as-prefix over standalone item segments (tagged Item(0) when
+        // cached, re-tagged with their index in this candidate list).
+        let layout = PromptLayout::new(MaskScheme::Bipartite);
+        let seq = layout.build(PrefixKind::Item, &user, &items, &instr);
+        let cold = model.forward(&seq, None);
+        let cached: Vec<KvSegment> = items
+            .iter()
+            .map(|item| model.compute_kv(&layout.item_standalone(0, item, 0)))
+            .collect();
+        let mut prefix = KvSegment::concat(&cached.iter().collect::<Vec<_>>());
+        for (g, tag) in prefix.segs.iter_mut().enumerate() {
+            *tag = SegTag::Item((g / item_len) as u32);
+        }
+        let (_, tail) = seq.split_at(prefix.len());
+        for threads in [1usize, 2, 4, 8] {
+            set_threads(threads);
+            let hit = model.forward(&tail, Some(&prefix));
+            assert_tail_bits_eq(&hit, &cold, "item-as-prefix hit");
+        }
+        set_threads(1);
+    }
 
     /// Packed-prefix forward ≡ the pre-change repack forward bitwise, and
     /// ≡ the serial reference oracle at tolerance, for a prefix split at an

@@ -1,8 +1,8 @@
 //! Pins the zero-allocation steady state: after one warmup call, a
 //! same-shaped [`bat::GrModel::forward_with`] through a reused
 //! [`bat::ForwardWorkspace`] must not touch the heap at all. Every scratch
-//! buffer — workspace matrices, mask rows, suffix KV planes, attention
-//! gather scratch — is pre-sized and reused in place.
+//! buffer — workspace matrices, mask run lists, suffix KV planes, attention
+//! score scratch — is pre-sized and reused in place.
 //!
 //! The whole binary holds exactly one `#[test]` so no concurrent test can
 //! allocate while the counting window is open.
