@@ -10,6 +10,7 @@ pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
     use std::sync::{Arc, Condvar, Mutex};
+    use std::time::{Duration, Instant};
 
     struct Inner<T> {
         queue: VecDeque<T>,
@@ -61,6 +62,24 @@ pub mod channel {
             match self {
                 TryRecvError::Empty => write!(f, "channel is empty"),
                 TryRecvError::Disconnected => write!(f, "channel is disconnected"),
+            }
+        }
+    }
+
+    /// Error returned by [`Receiver::recv_timeout`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum RecvTimeoutError {
+        /// No message arrived before the timeout passed.
+        Timeout,
+        /// Channel is empty and all senders are gone.
+        Disconnected,
+    }
+
+    impl fmt::Display for RecvTimeoutError {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self {
+                RecvTimeoutError::Timeout => write!(f, "timed out waiting on channel"),
+                RecvTimeoutError::Disconnected => write!(f, "channel is disconnected"),
             }
         }
     }
@@ -166,6 +185,12 @@ pub mod channel {
         /// Returns [`RecvError`] once the channel is empty *and* every
         /// sender has been dropped.
         pub fn recv(&self) -> Result<T, RecvError> {
+            self.recv_until(None).map_err(|_| RecvError)
+        }
+
+        /// Blocks on the channel's condvar (no polling) until a message,
+        /// the disconnect, or `deadline` (`None` waits forever).
+        fn recv_until(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
             let mut inner = self.shared.inner.lock().unwrap();
             loop {
                 if let Some(msg) = inner.queue.pop_front() {
@@ -174,9 +199,18 @@ pub mod channel {
                     return Ok(msg);
                 }
                 if inner.senders == 0 {
-                    return Err(RecvError);
+                    return Err(RecvTimeoutError::Disconnected);
                 }
-                inner = self.shared.not_empty.wait(inner).unwrap();
+                inner = match deadline {
+                    None => self.shared.not_empty.wait(inner).unwrap(),
+                    Some(deadline) => {
+                        let left = deadline.saturating_duration_since(Instant::now());
+                        if left.is_zero() {
+                            return Err(RecvTimeoutError::Timeout);
+                        }
+                        self.shared.not_empty.wait_timeout(inner, left).unwrap().0
+                    }
+                };
             }
         }
 
@@ -199,6 +233,22 @@ pub mod channel {
             } else {
                 Err(TryRecvError::Empty)
             }
+        }
+
+        /// Receives a message, blocking for at most `timeout`.
+        ///
+        /// # Errors
+        ///
+        /// [`RecvTimeoutError::Timeout`] when no message arrived in time,
+        /// [`RecvTimeoutError::Disconnected`] once the channel is empty and
+        /// every sender is gone.
+        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
+            self.recv_until(Some(Instant::now() + timeout))
+        }
+
+        /// Whether no message is queued right now.
+        pub fn is_empty(&self) -> bool {
+            self.shared.inner.lock().unwrap().queue.is_empty()
         }
 
         /// Blocking iterator over messages until disconnect.
@@ -245,7 +295,7 @@ pub mod channel {
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, unbounded, RecvError, TryRecvError};
+    use super::channel::{bounded, unbounded, RecvError, RecvTimeoutError, TryRecvError};
     use std::thread;
     use std::time::Duration;
 
@@ -259,6 +309,9 @@ mod tests {
             assert_eq!(rx.recv().unwrap(), i);
         }
         assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        assert!(rx.is_empty());
+        tx.send(9).unwrap();
+        assert!(!rx.is_empty());
     }
 
     #[test]
@@ -292,6 +345,24 @@ mod tests {
         assert_eq!(rx.recv().unwrap(), 1);
         assert_eq!(rx.recv().unwrap(), 2);
         sender.join().unwrap();
+    }
+
+    #[test]
+    fn recv_timeout_expires_delivers_and_reports_disconnect() {
+        let (tx, rx) = unbounded();
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(5)),
+            Err(RecvTimeoutError::Timeout)
+        );
+        // A send from another thread wakes the blocked receiver well before
+        // its deadline: the wait is on the condvar, not a poll.
+        let sender = thread::spawn(move || tx.send(7).unwrap());
+        assert_eq!(rx.recv_timeout(Duration::from_secs(30)), Ok(7));
+        sender.join().unwrap();
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(30)),
+            Err(RecvTimeoutError::Disconnected)
+        );
     }
 
     #[test]

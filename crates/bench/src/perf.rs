@@ -1,10 +1,13 @@
-//! Tracked wall-clock perf baseline for the execution layer.
+//! Tracked wall-clock perf baseline for the execution layer and the
+//! serving data plane.
 //!
 //! Measures the reproduction's own kernels — the seed implementations
 //! ([`Matrix::matmul_naive`], [`GrModel::forward_reference`]) against the
 //! blocked/fused/parallel rewrites ([`Matrix::matmul`],
 //! [`GrModel::forward`]) — and checks the determinism contract (parallel
-//! runs bit-identical to serial). `batctl bench` prints the summary as JSON
+//! runs bit-identical to serial). Under them sit the `serve` rows: one
+//! saturation drain of the threaded runtime per transport, and the
+//! worker pacer's overshoot. `batctl bench` prints the summary as JSON
 //! and the committed `BENCH_KERNELS.json` at the repo root records the
 //! before/after numbers for regression tracking.
 //!
@@ -16,16 +19,19 @@ use bat::exec;
 use bat_model::prompt::{MaskScheme, PromptLayout, SegTag, TokenSeq};
 use bat_model::{ForwardWorkspace, GrModel, GrModelConfig, KvSegment, Weights};
 use bat_sched::{BatchScheduler, BatchingConfig};
+use bat_serve::{Pacer, ServeOptions, ServeRuntime, TransportKind};
+use bat_sim::{EngineConfig, SystemKind};
 use bat_tensor::{
     active_simd_tier, axpy, dot_fast, fast_silu_mul_in_place, stable_softmax_fast_in_place,
     ColBlock, Matrix, QuantKind, QuantizedColBlock, SplitCols,
 };
-use bat_types::PrefixKind;
+use bat_types::{ClusterConfig, DatasetConfig, ModelConfig, PrefixKind};
+use bat_workload::{TraceGenerator, Workload};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A seeded random matrix (unit scale).
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -73,6 +79,9 @@ pub struct PerfSummary {
     pub kernels: Vec<BenchResult>,
     /// End-to-end forward-pass measurements (proxy model, ranking prompt).
     pub forward: Vec<BenchResult>,
+    /// Serving data-plane measurements (see [`serve_rows`]).
+    #[serde(default)]
+    pub serve: Vec<BenchResult>,
     /// Before/after headline ratios.
     pub speedups: Vec<Speedup>,
 }
@@ -202,6 +211,78 @@ fn check_determinism(widths: &[usize]) -> bool {
             .all(|(x, y)| x.to_bits() == y.to_bits());
     }
     ok
+}
+
+/// The serving data plane with compute ≈ 0, one row each:
+///
+/// * `serve_drain_channel` / `serve_drain_uds` — seconds for one
+///   `ServeRuntime::serve` saturation drain of a fixed Books trace (1 000
+///   requests; 100 when `quick`) through the slot scheduler at `time_scale`
+///   1e-6, over in-process channels and over Unix sockets: planner, slot
+///   machine, frame codec, transport, worker pacing and the wake-driven
+///   waits, with nothing to wait for but each other.
+/// * `worker_pacing_overshoot` — seconds a [`Pacer`] blocks for 10 000
+///   charges of 1 µs. The priced total is 0.010 s, so `secs / 0.010` is the
+///   overshoot: ≈ 1 when small charges share sleeps, ≈ 55 if each paid the
+///   timer floor.
+fn serve_rows(quick: bool, samples: u32) -> Vec<BenchResult> {
+    let mut ds = DatasetConfig::books();
+    let cfg = EngineConfig::for_system(
+        SystemKind::Bat,
+        ModelConfig::qwen2_1_5b(),
+        ClusterConfig::a100_4node().with_nodes(2),
+        &ds,
+    )
+    .with_batching(Some(BatchingConfig::default()));
+    // One request per session, as in the repo benchmark's `serve_slots`:
+    // the round count then barely moves with the seed.
+    ds.session_mean_requests = 1.0;
+    let requests = if quick { 100 } else { 1_000 };
+    let mut trace = TraceGenerator::new(Workload::new(ds, 7), 11).generate(5.0, 300.0);
+    assert!(trace.len() >= requests, "trace generator fell short");
+    trace.truncate(requests);
+
+    let mut rows = Vec::new();
+    let mut transports = vec![("serve_drain_channel", TransportKind::Channel)];
+    if cfg!(unix) {
+        transports.push(("serve_drain_uds", TransportKind::Uds));
+    }
+    for (name, transport) in transports {
+        let opts = ServeOptions {
+            time_scale: 1e-6,
+            transport,
+            ..ServeOptions::default()
+        };
+        let runtime = ServeRuntime::new(cfg.clone(), opts).expect("preset config validates");
+        let secs = time_best(
+            || {
+                black_box(runtime.serve(black_box(&trace)));
+            },
+            samples,
+        );
+        rows.push(BenchResult {
+            name: name.into(),
+            threads: 1,
+            secs,
+        });
+    }
+
+    let pacing_secs = time_best(
+        || {
+            let mut pacer = Pacer::new();
+            for _ in 0..10_000 {
+                black_box(pacer.charge(Duration::from_micros(1), true));
+                pacer.catch_up();
+            }
+        },
+        samples,
+    );
+    rows.push(BenchResult {
+        name: "worker_pacing_overshoot".into(),
+        threads: 1,
+        secs: pacing_secs,
+    });
+    rows
 }
 
 /// Runs the full suite at each width in `widths` that fits the machine
@@ -525,6 +606,8 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
         secs: round_secs,
     });
 
+    let serve = serve_rows(quick, samples);
+
     let deterministic = check_determinism(widths);
     exec::set_threads(restore);
 
@@ -561,6 +644,7 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
         deterministic,
         kernels,
         forward,
+        serve,
         speedups,
     }
 }
@@ -586,9 +670,11 @@ const GATE_ABS_SLACK_SECS: f64 = 0.0005;
 /// flag), the same architecture (SIMD rows are named by detected tier),
 /// and overlapping thread widths.
 pub fn regressions(fresh: &PerfSummary, baseline: &PerfSummary, tolerance: f64) -> Vec<String> {
+    fn rows(s: &PerfSummary) -> Vec<&BenchResult> {
+        s.kernels.iter().chain(&s.forward).chain(&s.serve).collect()
+    }
     let mut out = Vec::new();
-    let fresh_rows: Vec<&BenchResult> = fresh.kernels.iter().chain(&fresh.forward).collect();
-    let base_rows: Vec<&BenchResult> = baseline.kernels.iter().chain(&baseline.forward).collect();
+    let (fresh_rows, base_rows) = (rows(fresh), rows(baseline));
     for base in &base_rows {
         // Skip baseline widths the fresh run was not asked to measure.
         if base.threads != 1 && !fresh.thread_counts.contains(&base.threads) {
@@ -689,6 +775,7 @@ mod tests {
                 row("forward_batched", 4, 0.010),
                 row("forward_packed_prefix", 1, 0.002),
             ],
+            serve: vec![row("serve_drain_uds", 1, 0.030)],
             speedups: vec![],
         };
         let mut fresh = baseline.clone();

@@ -109,6 +109,15 @@ impl From<std::io::Error> for NetError {
     }
 }
 
+impl From<crossbeam::channel::RecvTimeoutError> for NetError {
+    fn from(e: crossbeam::channel::RecvTimeoutError) -> Self {
+        match e {
+            crossbeam::channel::RecvTimeoutError::Timeout => NetError::Timeout,
+            crossbeam::channel::RecvTimeoutError::Disconnected => NetError::Disconnected,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -86,16 +86,23 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// Encodes the header of a frame with tag `msg_type` and `payload_len`
+/// payload bytes.
+fn encode_header(msg_type: u8, payload_len: usize) -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN];
+    h[..4].copy_from_slice(&MAGIC.to_le_bytes());
+    h[4] = VERSION;
+    h[5] = msg_type;
+    h[8..12].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    let crc = crc32(&h[..12]);
+    h[12..].copy_from_slice(&crc.to_le_bytes());
+    h
+}
+
 /// Encodes a frame into a fresh byte vector.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + frame.payload.len());
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.push(VERSION);
-    out.push(frame.msg_type);
-    out.extend_from_slice(&[0u8, 0u8]);
-    out.extend_from_slice(&(frame.payload.len() as u32).to_le_bytes());
-    let crc = crc32(&out[..12]);
-    out.extend_from_slice(&crc.to_le_bytes());
+    let mut out = Vec::with_capacity(frame.wire_len());
+    out.extend_from_slice(&encode_header(frame.msg_type, frame.payload.len()));
     out.extend_from_slice(&frame.payload);
     out
 }
@@ -171,8 +178,8 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), NetError> {
 ///
 /// Propagates the writer's I/O errors as typed [`NetError`]s.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), NetError> {
-    let bytes = encode_frame(frame);
-    w.write_all(&bytes)?;
+    w.write_all(&encode_header(frame.msg_type, frame.payload.len()))?;
+    w.write_all(&frame.payload)?;
     Ok(())
 }
 

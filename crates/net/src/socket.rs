@@ -13,18 +13,27 @@
 //! its sender; receivers drain any buffered frames first, then surface
 //! that error — so a peer that sends five frames and crashes still
 //! delivers all five.
+//!
+//! The send side buffers: [`Conn::send_batch`] encodes every frame of a
+//! batch into the connection's `BufWriter` under one writer lock and
+//! flushes once, so a batch that fits the buffer costs one `write` call.
+//!
+//! A [`SocketListener`] accepts the same way a conn receives: a pump thread
+//! blocks in `accept` and queues wrapped connections, so a bounded-wait
+//! accept is a timed channel receive, not a non-blocking poll.
 
 use crate::error::NetError;
 use crate::frame::{read_frame, write_frame, Frame};
 use crate::transport::{Conn, Listener, Transport};
-use crossbeam::channel::{unbounded, Receiver, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, TryRecvError};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -98,6 +107,9 @@ pub struct SocketConn {
 
 impl SocketConn {
     fn spawn(stream: Stream) -> Result<Arc<SocketConn>, NetError> {
+        if let Stream::Tcp(tcp) = &stream {
+            tcp.set_nodelay(true).ok();
+        }
         let reader_stream = stream.try_clone()?;
         let writer_stream = stream.try_clone()?;
         let (tx, rx) = unbounded();
@@ -131,7 +143,6 @@ impl SocketConn {
 
     /// Wraps an accepted or dialed TCP stream.
     pub fn from_tcp(stream: TcpStream) -> Result<Arc<SocketConn>, NetError> {
-        stream.set_nodelay(true).ok();
         Self::spawn(Stream::Tcp(stream))
     }
 
@@ -144,18 +155,41 @@ impl SocketConn {
     fn fate(&self) -> NetError {
         lock(&self.fate).clone().unwrap_or(NetError::Disconnected)
     }
+
+    /// Writes `frames` under one writer lock and flushes once.
+    fn write_all(&self, frames: &[Frame]) -> Result<(), NetError> {
+        if frames.is_empty() {
+            return Ok(());
+        }
+        let mut w = lock(&self.writer);
+        for frame in frames {
+            write_frame(&mut *w, frame)?;
+        }
+        w.flush()?;
+        Ok(())
+    }
 }
 
 impl Conn for SocketConn {
     fn send(&self, frame: Frame) -> Result<(), NetError> {
-        let mut w = lock(&self.writer);
-        write_frame(&mut *w, &frame)?;
-        w.flush()?;
-        Ok(())
+        self.write_all(&[frame])
+    }
+
+    fn send_batch(&self, frames: &mut Vec<Frame>) -> Result<(), NetError> {
+        let sent = self.write_all(frames);
+        frames.clear();
+        sent
     }
 
     fn recv(&self) -> Result<Frame, NetError> {
         self.incoming.recv().map_err(|_| self.fate())
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> Result<Frame, NetError> {
+        self.incoming.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => NetError::Timeout,
+            RecvTimeoutError::Disconnected => self.fate(),
+        })
     }
 
     fn try_recv(&self) -> Result<Option<Frame>, NetError> {
@@ -177,31 +211,58 @@ impl Drop for SocketConn {
     }
 }
 
-/// Listener over a bound TCP socket.
-pub struct TcpTransportListener {
-    inner: TcpListener,
+/// Listener over a bound TCP or Unix-domain socket. A Unix listener
+/// unlinks its path on drop.
+pub struct SocketListener {
+    incoming: Receiver<Result<Arc<SocketConn>, NetError>>,
+    /// Raised by drop; the pump checks it after every `accept`.
+    closed: Arc<AtomicBool>,
     addr: String,
+    unix: bool,
 }
 
-impl Listener for TcpTransportListener {
+impl SocketListener {
+    /// Starts the accept pump over `accept`, which blocks for the next peer.
+    fn spawn(
+        addr: String,
+        unix: bool,
+        mut accept: impl FnMut() -> std::io::Result<Stream> + Send + 'static,
+    ) -> Box<dyn Listener> {
+        let (tx, rx) = unbounded();
+        let closed = Arc::new(AtomicBool::new(false));
+        let pump_closed = Arc::clone(&closed);
+        // Detached on purpose: drop raises `closed` and dials the endpoint
+        // once, which wakes the pump out of `accept`; it then exits and
+        // releases the socket. An accept error ends the pump too, after
+        // the typed error has been queued for the next caller.
+        std::thread::spawn(move || loop {
+            let stream = accept();
+            if pump_closed.load(Ordering::Acquire) {
+                break;
+            }
+            let conn = stream.map_err(NetError::from).and_then(SocketConn::spawn);
+            let last = conn.is_err();
+            if tx.send(conn).is_err() || last {
+                break;
+            }
+        });
+        Box::new(SocketListener {
+            incoming: rx,
+            closed,
+            addr,
+            unix,
+        })
+    }
+}
+
+impl Listener for SocketListener {
     fn accept(&self) -> Result<Arc<dyn Conn>, NetError> {
-        let (stream, _) = self.inner.accept()?;
-        Ok(SocketConn::from_tcp(stream)? as Arc<dyn Conn>)
+        let conn = self.incoming.recv().map_err(|_| NetError::Disconnected)?;
+        Ok(conn? as Arc<dyn Conn>)
     }
 
     fn accept_timeout(&self, timeout: Duration) -> Result<Arc<dyn Conn>, NetError> {
-        // Flip to non-blocking and poll: `TcpListener` has no native timed
-        // accept, and this path only runs during worker (re)join.
-        self.inner.set_nonblocking(true)?;
-        let result = poll_accept(timeout, || match self.inner.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false).ok();
-                Some(SocketConn::from_tcp(stream))
-            }
-            Err(_) => None,
-        });
-        self.inner.set_nonblocking(false)?;
-        result
+        Ok(self.incoming.recv_timeout(timeout)?? as Arc<dyn Conn>)
     }
 
     fn local_addr(&self) -> String {
@@ -209,19 +270,18 @@ impl Listener for TcpTransportListener {
     }
 }
 
-fn poll_accept(
-    timeout: Duration,
-    mut try_once: impl FnMut() -> Option<Result<Arc<SocketConn>, NetError>>,
-) -> Result<Arc<dyn Conn>, NetError> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        if let Some(conn) = try_once() {
-            return conn.map(|c| c as Arc<dyn Conn>);
+impl Drop for SocketListener {
+    fn drop(&mut self) {
+        self.closed.store(true, Ordering::Release);
+        // Best-effort wake-up of the pump; if the dial fails the pump (and
+        // the bound socket) lives until the process exits.
+        if self.unix {
+            #[cfg(unix)]
+            let _ = UnixStream::connect(&self.addr);
+            let _ = std::fs::remove_file(&self.addr);
+        } else {
+            let _ = TcpStream::connect(&self.addr);
         }
-        if Instant::now() >= deadline {
-            return Err(NetError::Timeout);
-        }
-        std::thread::sleep(Duration::from_micros(200));
     }
 }
 
@@ -245,52 +305,15 @@ impl Transport for TcpTransport {
             .local_addr()
             .map(|a| a.to_string())
             .unwrap_or_else(|_| addr.to_string());
-        Ok(Box::new(TcpTransportListener { inner, addr }))
+        Ok(SocketListener::spawn(addr, false, move || {
+            inner.accept().map(|(stream, _)| Stream::Tcp(stream))
+        }))
     }
 
     fn connect(&self, addr: &str) -> Result<Arc<dyn Conn>, NetError> {
         let stream = TcpStream::connect(addr)
             .map_err(|e| NetError::InvalidAddress(format!("connect {addr}: {e}")))?;
         Ok(SocketConn::from_tcp(stream)? as Arc<dyn Conn>)
-    }
-}
-
-/// Listener over a bound Unix-domain socket. Unlinks its path on drop.
-#[cfg(unix)]
-pub struct UdsTransportListener {
-    inner: UnixListener,
-    path: String,
-}
-
-#[cfg(unix)]
-impl Listener for UdsTransportListener {
-    fn accept(&self) -> Result<Arc<dyn Conn>, NetError> {
-        let (stream, _) = self.inner.accept()?;
-        Ok(SocketConn::from_unix(stream)? as Arc<dyn Conn>)
-    }
-
-    fn accept_timeout(&self, timeout: Duration) -> Result<Arc<dyn Conn>, NetError> {
-        self.inner.set_nonblocking(true)?;
-        let result = poll_accept(timeout, || match self.inner.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false).ok();
-                Some(SocketConn::from_unix(stream))
-            }
-            Err(_) => None,
-        });
-        self.inner.set_nonblocking(false)?;
-        result
-    }
-
-    fn local_addr(&self) -> String {
-        self.path.clone()
-    }
-}
-
-#[cfg(unix)]
-impl Drop for UdsTransportListener {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
     }
 }
 
@@ -320,9 +343,8 @@ impl Transport for UdsTransport {
         }
         let inner = UnixListener::bind(addr)
             .map_err(|e| NetError::InvalidAddress(format!("bind {addr}: {e}")))?;
-        Ok(Box::new(UdsTransportListener {
-            inner,
-            path: addr.to_string(),
+        Ok(SocketListener::spawn(addr.to_string(), true, move || {
+            inner.accept().map(|(stream, _)| Stream::Unix(stream))
         }))
     }
 
@@ -371,6 +393,22 @@ mod tests {
             .unwrap();
         assert_eq!(got, c);
 
+        // A batch is one flush; its frames arrive whole and in order.
+        let mut batch: Vec<Frame> = (0..40u8)
+            .map(|i| Frame::new(9, vec![i; i as usize]))
+            .collect();
+        client.send_batch(&mut batch).unwrap();
+        assert!(batch.is_empty());
+        for i in 0..40u8 {
+            let frame = server.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(frame, Frame::new(9, vec![i; i as usize]));
+        }
+        assert_eq!(server.try_recv().unwrap(), None);
+        assert_eq!(
+            server.recv_timeout(Duration::from_millis(5)).unwrap_err(),
+            NetError::Timeout
+        );
+
         // Peer close surfaces as Disconnected after the buffer drains.
         server.send(Frame::new(5, vec![])).unwrap();
         server.close();
@@ -382,6 +420,26 @@ mod tests {
             5
         );
         assert_eq!(client.recv().unwrap_err(), NetError::Disconnected);
+
+        // A batch to the closed peer is a typed error, not a panic or a
+        // hang — more than the socket buffers hold, so the write must see
+        // the close — and the caller gets its buffer back empty.
+        let mut batch: Vec<Frame> = (0..64).map(|_| Frame::new(9, vec![0; 1 << 16])).collect();
+        let err = client.send_batch(&mut batch).unwrap_err();
+        assert!(
+            matches!(err, NetError::Disconnected | NetError::Io(_)),
+            "{err:?}"
+        );
+        assert!(batch.is_empty());
+
+        // The listener's accept is a timed wait, and a second peer still
+        // gets through afterwards.
+        assert!(matches!(
+            listener.accept_timeout(Duration::from_millis(5)),
+            Err(NetError::Timeout)
+        ));
+        let _again = transport.connect(&dial).unwrap();
+        listener.accept_timeout(Duration::from_secs(5)).unwrap();
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! A transport gives the runtime three things: `listen` (bind a named
 //! endpoint), `accept` (wait for a peer), and `connect` (dial one). Both
 //! sides then hold a [`Conn`] — a bidirectional, frame-oriented pipe with
-//! blocking, non-blocking, and bounded-wait receives. The serving runtime
+//! single and batched sends and blocking, non-blocking, and bounded-wait
+//! receives (every wait blocks on a condvar; none polls). The serving runtime
 //! is written against these traits only; whether frames cross a crossbeam
 //! channel, a Unix socket, or a TCP loopback is a construction-time choice.
 //!
@@ -17,15 +18,10 @@
 use crate::error::NetError;
 use crate::frame::Frame;
 use crate::wire::WireCodec;
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-/// How long `recv_timeout` sleeps between polls. The compat crossbeam
-/// channel has no native timed receive, so bounded waits poll; 50µs keeps
-/// worst-case added latency far below the runtime's virtual-time quanta.
-const POLL_INTERVAL: Duration = Duration::from_micros(50);
 
 /// One bidirectional frame pipe between two peers.
 ///
@@ -40,6 +36,16 @@ pub trait Conn: Send + Sync {
     /// [`NetError::Disconnected`] when the peer is gone; socket backends
     /// may surface other typed I/O failures.
     fn send(&self, frame: Frame) -> Result<(), NetError>;
+
+    /// Sends every frame of `frames` in order, as one write where the
+    /// backend can, and leaves `frames` empty (its capacity is the
+    /// caller's to reuse). An empty batch touches nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`Conn::send`]. A failed batch counts as unsent as a whole: the
+    /// connection is dead, and the peer may have seen any prefix of it.
+    fn send_batch(&self, frames: &mut Vec<Frame>) -> Result<(), NetError>;
 
     /// Blocks until a frame arrives.
     ///
@@ -63,18 +69,7 @@ pub trait Conn: Send + Sync {
     ///
     /// [`NetError::Timeout`] when the deadline passes, otherwise as
     /// [`Conn::recv`].
-    fn recv_timeout(&self, timeout: Duration) -> Result<Frame, NetError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(frame) = self.try_recv()? {
-                return Ok(frame);
-            }
-            if Instant::now() >= deadline {
-                return Err(NetError::Timeout);
-            }
-            std::thread::sleep(POLL_INTERVAL);
-        }
-    }
+    fn recv_timeout(&self, timeout: Duration) -> Result<Frame, NetError>;
 
     /// Tears the connection down; pending and future operations on either
     /// side fail with [`NetError::Disconnected`]. Idempotent.
@@ -206,19 +201,22 @@ impl ChannelConn {
     }
 }
 
-impl Conn for ChannelConn {
-    fn send(&self, frame: Frame) -> Result<(), NetError> {
+impl ChannelConn {
+    /// Queues `frames` on the peer under one lock and wakes it once.
+    fn push(&self, frames: impl IntoIterator<Item = Frame>) -> Result<(), NetError> {
         let mut tx = self.tx.lock();
         if !tx.sender_open || !tx.receiver_open {
             return Err(NetError::Disconnected);
         }
-        tx.queue.push_back(frame);
+        tx.queue.extend(frames);
         drop(tx);
         self.tx.cond.notify_all();
         Ok(())
     }
 
-    fn recv(&self) -> Result<Frame, NetError> {
+    /// Blocks on the pipe's condvar until a frame, a disconnect, or the
+    /// deadline (`None` waits forever).
+    fn pop(&self, deadline: Option<Instant>) -> Result<Frame, NetError> {
         let mut rx = self.rx.lock();
         loop {
             if let Some(frame) = rx.queue.pop_front() {
@@ -227,12 +225,43 @@ impl Conn for ChannelConn {
             if !rx.receiver_open || !rx.sender_open {
                 return Err(NetError::Disconnected);
             }
-            rx = self
-                .rx
-                .cond
-                .wait(rx)
-                .unwrap_or_else(PoisonError::into_inner);
+            rx = match deadline {
+                None => self
+                    .rx
+                    .cond
+                    .wait(rx)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Err(NetError::Timeout);
+                    }
+                    let waited = self.rx.cond.wait_timeout(rx, left);
+                    waited.unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
         }
+    }
+}
+
+impl Conn for ChannelConn {
+    fn send(&self, frame: Frame) -> Result<(), NetError> {
+        self.push([frame])
+    }
+
+    fn send_batch(&self, frames: &mut Vec<Frame>) -> Result<(), NetError> {
+        if frames.is_empty() {
+            return Ok(());
+        }
+        self.push(frames.drain(..))
+    }
+
+    fn recv(&self) -> Result<Frame, NetError> {
+        self.pop(None)
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> Result<Frame, NetError> {
+        self.pop(Some(Instant::now() + timeout))
     }
 
     fn try_recv(&self) -> Result<Option<Frame>, NetError> {
@@ -278,19 +307,7 @@ impl Listener for ChannelListener {
     }
 
     fn accept_timeout(&self, timeout: Duration) -> Result<Arc<dyn Conn>, NetError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.incoming.try_recv() {
-                Ok(c) => return Ok(c as Arc<dyn Conn>),
-                Err(TryRecvError::Disconnected) => return Err(NetError::Disconnected),
-                Err(TryRecvError::Empty) => {
-                    if Instant::now() >= deadline {
-                        return Err(NetError::Timeout);
-                    }
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-            }
-        }
+        Ok(self.incoming.recv_timeout(timeout)? as Arc<dyn Conn>)
     }
 
     fn local_addr(&self) -> String {
@@ -424,6 +441,38 @@ mod tests {
         drop(b);
         assert_eq!(a.recv().unwrap_err(), NetError::Disconnected);
         assert_eq!(a.send(Frame::new(1, vec![])), Err(NetError::Disconnected));
+    }
+
+    #[test]
+    fn batch_arrives_in_order_and_a_closed_peer_fails_it_whole() {
+        let (a, b) = ChannelConn::pair();
+        let mut frames: Vec<Frame> = (0..5u8).map(|i| Frame::new(i, vec![i])).collect();
+        let capacity = frames.capacity();
+        a.send_batch(&mut frames).unwrap();
+        assert!(frames.is_empty() && frames.capacity() == capacity);
+        for i in 0..5u8 {
+            assert_eq!(b.recv().unwrap(), Frame::new(i, vec![i]));
+        }
+        assert_eq!(b.try_recv().unwrap(), None);
+        b.close();
+        frames.extend((0..3u8).map(|i| Frame::new(i, vec![])));
+        assert_eq!(a.send_batch(&mut frames), Err(NetError::Disconnected));
+        assert!(frames.is_empty());
+    }
+
+    #[test]
+    fn recv_timeout_wakes_on_a_send_from_another_thread() {
+        let (a, b) = ChannelConn::pair();
+        let sender = std::thread::spawn(move || send_msg(b.as_ref(), &ShutdownMsg));
+        // Blocks on the pipe's condvar: the send wakes it long before the
+        // deadline, and the peer's drop afterwards reads as a disconnect.
+        let frame = a.recv_timeout(Duration::from_secs(30)).unwrap();
+        ShutdownMsg::from_frame(&frame).unwrap();
+        sender.join().unwrap().unwrap();
+        assert_eq!(
+            a.recv_timeout(Duration::from_secs(30)).unwrap_err(),
+            NetError::Disconnected
+        );
     }
 
     #[test]

@@ -9,14 +9,24 @@
 //!    batching/cost parameters.
 //! 2. [`DispatchMsg`] frames are batched opportunistically under the
 //!    max-batched-tokens limit, swept for expired deadlines (expired
-//!    entries complete as `Shed` without being paid for), "executed" by
-//!    sleeping the priced duration, and answered with [`CompletionMsg`]s.
-//! 3. A worker whose `alive` flag is lowered (in-process fault injection)
+//!    entries complete as `Shed` without being paid for) and "executed" by
+//!    booking the priced duration on a [`Pacer`]: the batch finishes at
+//!    `max(previous finish, now) + priced`, and the worker blocks only
+//!    when that runs more than a sleep granule ahead of the wall clock.
+//!    Each [`CompletionMsg`] carries the latency at the *paced* finish
+//!    instant, so a served job's latency is never below its priced
+//!    service, and priced time adds up exactly over a busy period instead
+//!    of gaining one timer floor per batch.
+//! 3. Replies are coalesced: the worker keeps serving for as long as it
+//!    finds frames queued and answers them with one [`Conn::send_batch`]
+//!    — when the queue runs dry, before it blocks on the pacer (nothing
+//!    finished waits out a sleep), or at [`MAX_COALESCED_REPLIES`].
+//! 4. A worker whose `alive` flag is lowered (in-process fault injection)
 //!    bounces every dispatch back as an [`OrphanMsg`] instead of serving
 //!    it — the scheduler re-dispatches; work is never dropped. Child
 //!    processes don't need the flag: their crash *is* the process kill,
 //!    and the parent re-issues whatever they never acknowledged.
-//! 4. A [`ShutdownMsg`] — or the peer disconnecting — ends the loop.
+//! 5. A [`ShutdownMsg`] — or the peer disconnecting — ends the loop.
 //!
 //! [`maybe_child_worker`] is the child-process entry point: binaries (and
 //! the integration test) call it first thing in `main`; when the
@@ -24,12 +34,12 @@
 //! connects back to the parent, serves until shutdown, and exits without
 //! ever returning to the caller.
 
+use crate::pacer::Pacer;
 use bat_net::{
-    CompletionMsg, Conn, DispatchMsg, HelloMsg, NetError, OrphanMsg, WireCodec, WireOutcome,
+    CompletionMsg, Conn, DispatchMsg, Frame, HelloMsg, NetError, OrphanMsg, WireCodec, WireOutcome,
     MSG_DISPATCH, MSG_HELLO, MSG_SHUTDOWN,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::thread;
 use std::time::{Duration, Instant};
 
 /// Environment variable carrying the parent's Unix-socket path; its
@@ -38,6 +48,10 @@ pub const CHILD_SOCKET_ENV: &str = "BAT_NET_WORKER_SOCKET";
 
 /// Environment variable carrying the worker index, for diagnostics.
 pub const CHILD_INDEX_ENV: &str = "BAT_NET_WORKER_INDEX";
+
+/// Replies held back for one write at most: past this a bigger batch saves
+/// no further system calls, it only delays the scheduler's credit.
+const MAX_COALESCED_REPLIES: usize = 64;
 
 /// Serves one worker's lifetime over `conn`.
 ///
@@ -65,100 +79,127 @@ pub fn run_net_worker(conn: &dyn Conn, alive: Option<&AtomicBool>) -> Result<(),
     let base = Instant::now();
     // The worker's virtual clock: the scheduler's clock at hello time plus
     // locally elapsed scaled time. Skew is one frame's delivery latency.
-    let vnow = move || hello.virtual_now + base.elapsed().as_secs_f64() / hello.scale;
+    let virtual_at = move |t: Instant| {
+        hello.virtual_now + t.saturating_duration_since(base).as_secs_f64() / hello.scale
+    };
     let is_killed = || alive.is_some_and(|a| !a.load(Ordering::Acquire));
+    // A peer that is gone reads as an empty queue here; the blocking
+    // receive below is what reports it.
+    let poll = || match conn.try_recv() {
+        Err(NetError::Disconnected) => Ok(None),
+        polled => polled,
+    };
+    let mut pacer = Pacer::new();
+    // Reused across iterations: the batch being formed and the replies not
+    // yet written.
+    let mut batch: Vec<DispatchMsg> = Vec::new();
+    let mut replies: Vec<Frame> = Vec::new();
 
     loop {
-        let frame = match conn.recv() {
-            Ok(frame) => frame,
+        // Idle: block for a frame, then serve for as long as more are
+        // found queued behind it.
+        let mut next = match conn.recv() {
+            Ok(frame) => Some(frame),
             Err(NetError::Disconnected) => return Ok(()),
             Err(e) => return Err(e),
         };
-        let first = match frame.msg_type {
-            MSG_SHUTDOWN => return Ok(()),
-            MSG_DISPATCH => DispatchMsg::from_frame(&frame)?,
-            other => return Err(NetError::UnknownMsgType(other)),
-        };
-        if is_killed() {
-            // Crashed (in-process injection): hand the job straight back.
-            conn.send(
-                OrphanMsg {
-                    worker: hello.worker,
-                    item: first,
-                }
-                .to_frame(),
-            )?;
-            continue;
-        }
-        // Opportunistic batching under max-batched-tokens.
-        let mut batch = vec![first];
-        let mut tokens = batch[0].suffix_tokens;
-        let mut shutdown_after_batch = false;
-        while tokens < hello.max_batch_tokens {
-            match conn.try_recv()? {
-                Some(f) if f.msg_type == MSG_DISPATCH => {
-                    let item = DispatchMsg::from_frame(&f)?;
-                    tokens += item.suffix_tokens;
-                    batch.push(item);
-                }
-                Some(f) if f.msg_type == MSG_SHUTDOWN => {
-                    shutdown_after_batch = true;
+        let mut backlogged = false;
+        let mut shutdown = false;
+        while let Some(frame) = next.take() {
+            let first = match frame.msg_type {
+                MSG_SHUTDOWN => {
+                    shutdown = true;
                     break;
                 }
-                Some(f) => return Err(NetError::UnknownMsgType(f.msg_type)),
-                None => break,
-            }
-        }
-        // Deadline sweep: expired entries are shed before the batch pays
-        // for them — serving dead work would only delay live work.
-        let sweep_now = vnow();
-        let mut served = Vec::with_capacity(batch.len());
-        for item in batch {
-            let expired = item
-                .deadline_rel
-                .is_some_and(|d| sweep_now - item.arrival_virtual > d);
-            if expired {
-                conn.send(
-                    CompletionMsg {
-                        worker: hello.worker,
-                        seq: item.seq,
-                        suffix_tokens: item.suffix_tokens,
-                        outcome: WireOutcome::Shed,
-                    }
-                    .to_frame(),
-                )?;
+                MSG_DISPATCH => DispatchMsg::from_frame(&frame)?,
+                other => return Err(NetError::UnknownMsgType(other)),
+            };
+            if is_killed() {
+                // Crashed (in-process injection): hand the job straight back.
+                let orphan = OrphanMsg {
+                    worker: hello.worker,
+                    item: first,
+                };
+                replies.push(orphan.to_frame());
             } else {
-                served.push(item);
-            }
-        }
-        if !served.is_empty() {
-            let service: f64 = (hello.batch_overhead
-                + served.iter().map(|j| j.service_virtual).sum::<f64>())
-                * hello.slowdown;
-            thread::sleep(Duration::from_secs_f64(service * hello.scale));
-            let now = vnow();
-            for job in served {
-                // A job can never complete before it arrived; clamp out
-                // cross-thread clock jitter.
-                let latency = (now - job.arrival_virtual).max(0.0);
-                conn.send(
-                    CompletionMsg {
-                        worker: hello.worker,
-                        seq: job.seq,
-                        suffix_tokens: job.suffix_tokens,
-                        outcome: WireOutcome::Completed {
+                // Opportunistic batching under max-batched-tokens.
+                batch.clear();
+                batch.push(first);
+                let mut tokens = first.suffix_tokens;
+                while tokens < hello.max_batch_tokens && !shutdown {
+                    match poll()? {
+                        Some(f) if f.msg_type == MSG_DISPATCH => {
+                            let item = DispatchMsg::from_frame(&f)?;
+                            tokens += item.suffix_tokens;
+                            batch.push(item);
+                        }
+                        Some(f) if f.msg_type == MSG_SHUTDOWN => shutdown = true,
+                        Some(f) => return Err(NetError::UnknownMsgType(f.msg_type)),
+                        None => break,
+                    }
+                }
+                // Deadline sweep: expired entries are shed before the batch
+                // pays for them — serving dead work would only delay live
+                // work.
+                let sweep_now = virtual_at(Instant::now());
+                batch.retain(|item| {
+                    let expired = item
+                        .deadline_rel
+                        .is_some_and(|d| sweep_now - item.arrival_virtual > d);
+                    if expired {
+                        replies.push(completion(&hello, item, WireOutcome::Shed));
+                    }
+                    !expired
+                });
+                if !batch.is_empty() {
+                    let service = (hello.batch_overhead
+                        + batch.iter().map(|j| j.service_virtual).sum::<f64>())
+                        * hello.slowdown;
+                    let finish =
+                        pacer.charge(Duration::from_secs_f64(service * hello.scale), backlogged);
+                    if pacer.is_ahead() {
+                        // Nothing that already finished waits out a sleep.
+                        conn.send_batch(&mut replies)?;
+                        pacer.catch_up();
+                    }
+                    let done = virtual_at(finish);
+                    for job in &batch {
+                        // Stamped at the paced finish, which a worker that
+                        // did not block has yet to reach: never below the
+                        // service the batch was priced at.
+                        let latency = (done - job.arrival_virtual).max(service);
+                        let outcome = WireOutcome::Completed {
                             latency_virtual: latency,
                             missed: job.deadline_rel.is_some_and(|d| latency > d),
-                        },
+                        };
+                        replies.push(completion(&hello, job, outcome));
                     }
-                    .to_frame(),
-                )?;
+                }
             }
+            if shutdown {
+                break;
+            }
+            if replies.len() >= MAX_COALESCED_REPLIES {
+                conn.send_batch(&mut replies)?;
+            }
+            next = poll()?;
+            backlogged = true;
         }
-        if shutdown_after_batch {
+        conn.send_batch(&mut replies)?;
+        if shutdown {
             return Ok(());
         }
     }
+}
+
+fn completion(hello: &HelloMsg, job: &DispatchMsg, outcome: WireOutcome) -> Frame {
+    CompletionMsg {
+        worker: hello.worker,
+        seq: job.seq,
+        suffix_tokens: job.suffix_tokens,
+        outcome,
+    }
+    .to_frame()
 }
 
 /// Child-process entry point. Call this first thing in `main` (and in the
@@ -199,6 +240,7 @@ pub fn maybe_child_worker() {
 mod tests {
     use super::*;
     use bat_net::{ChannelConn, ShutdownMsg};
+    use std::thread;
 
     fn hello(scale: f64, max_batch_tokens: u64) -> HelloMsg {
         HelloMsg {
@@ -239,6 +281,47 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2]);
         parent.send(ShutdownMsg.to_frame()).unwrap();
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn backlog_is_paced_in_aggregate_and_stamped_at_the_paced_finish() {
+        // 200 frames queued before the worker starts, each priced at 1
+        // virtual second = 1 µs of wall time: far below the sleep granule,
+        // so the worker mostly does not block — and still every latency is
+        // at least its priced service, latencies grow by a full service
+        // per frame (one busy period), and the replies keep frame order.
+        let (parent, worker) = ChannelConn::pair();
+        parent.send(hello(1e-6, 1).to_frame()).unwrap();
+        let service = 1.0;
+        for seq in 0..200u64 {
+            let dispatch = DispatchMsg {
+                seq,
+                arrival_virtual: 0.0,
+                suffix_tokens: 10,
+                service_virtual: service,
+                deadline_rel: None,
+            };
+            parent.send(dispatch.to_frame()).unwrap();
+        }
+        parent.send(ShutdownMsg.to_frame()).unwrap();
+        let handle = thread::spawn(move || run_net_worker(worker.as_ref(), None));
+        let mut last = 0.0;
+        for seq in 0..200u64 {
+            let c = CompletionMsg::from_frame(&parent.recv().unwrap()).unwrap();
+            assert_eq!(c.seq, seq);
+            let WireOutcome::Completed {
+                latency_virtual, ..
+            } = c.outcome
+            else {
+                panic!("frame {seq} was not served: {:?}", c.outcome);
+            };
+            assert!(
+                latency_virtual >= last + service * (1.0 - 1e-9),
+                "frame {seq}: latency {latency_virtual} after {last}"
+            );
+            last = latency_virtual;
+        }
         handle.join().unwrap().unwrap();
     }
 

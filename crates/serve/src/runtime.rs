@@ -25,23 +25,35 @@
 //! link's connection incarnation. A completion or orphan bounce retires
 //! the entry; a link going down requeues every entry of that incarnation
 //! for re-dispatch. Work is never dropped and never double-served.
+//!
+//! No thread here polls. Emulated time — the open-loop arrival schedule and
+//! the fault schedule — goes through [`crate::pacer`], which blocks only
+//! when it is more than a sleep granule ahead of the wall clock. Every
+//! other wait is wake-driven: the collector blocks in a timed receive on
+//! the event channel, and the scheduler's waits for dispatch credit, for a
+//! live worker and for the drained tail block on [`Progress`], which the
+//! collector and the fault supervisor notify. Each of those waits carries
+//! the [`WATCHDOG`] no-progress deadline, so a lost completion fails the
+//! run with the worker, incarnation and oldest un-acked sequence number in
+//! the message instead of hanging it.
 
 use crate::net_worker::{run_net_worker, CHILD_INDEX_ENV, CHILD_SOCKET_ENV};
+use crate::pacer;
 use bat_metrics::{BatchStats, Percentiles, SloStats};
 use bat_net::{
-    ChannelTransport, CompletionMsg, Conn, DispatchMsg, HelloMsg, Listener, OrphanMsg, ShutdownMsg,
-    TcpTransport, Transport, WireCodec, WireOutcome, MSG_COMPLETION, MSG_ORPHAN,
+    ChannelTransport, CompletionMsg, Conn, DispatchMsg, Frame, HelloMsg, Listener, OrphanMsg,
+    ShutdownMsg, TcpTransport, Transport, WireCodec, WireOutcome, MSG_COMPLETION, MSG_ORPHAN,
 };
 use bat_sim::{
     BatchScheduler, EngineConfig, FaultKind, OverloadController, RequestPlanner, RoundRecord,
     RunStats,
 };
 use bat_types::{BatError, Bytes, PrefixKind, RankRequest, RejectReason};
-use crossbeam::channel::{unbounded, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -105,6 +117,12 @@ impl Default for ServeOptions {
 /// connect back, and a restarted child to rejoin.
 const ACCEPT_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// How long a wait may see no progress — no frame retired, no membership
+/// change, and none left on the fault schedule — before the run fails.
+/// Far above anything a healthy run waits for: one frame's service on the
+/// wall clock, or [`ACCEPT_TIMEOUT`] while a child process respawns.
+const WATCHDOG: Duration = Duration::from_secs(30);
+
 /// Everything the parent tracks about one worker link.
 struct Link {
     /// Connection incarnation + current conn, swapped together under one
@@ -120,7 +138,7 @@ struct Link {
     /// Liveness, flipped by the fault supervisor (in-process: shared with
     /// the worker thread, which bounces work while false) and by the
     /// collector when a link drops unexpectedly.
-    alive: Arc<AtomicBool>,
+    alive: AtomicBool,
     /// Dispatched-but-unfinished frames, `seq → (incarnation, msg)`;
     /// requeued when incarnation `≤` a dead conn's.
     unacked: Mutex<HashMap<u64, (u64, DispatchMsg)>>,
@@ -134,7 +152,7 @@ impl Link {
             conn: Mutex::new((0, None)),
             queued: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
-            alive: Arc::new(AtomicBool::new(true)),
+            alive: AtomicBool::new(true),
             unacked: Mutex::new(HashMap::new()),
             child: Mutex::new(None),
         }
@@ -144,6 +162,176 @@ impl Link {
     fn current(&self) -> (u64, Option<Arc<dyn Conn>>) {
         let g = self.conn.lock();
         (g.0, g.1.clone())
+    }
+
+    /// Books `frames` dispatched frames carrying `tokens` suffix tokens.
+    fn charge(&self, frames: u64, tokens: u64) {
+        self.queued.fetch_add(tokens, Ordering::Relaxed);
+        self.inflight.fetch_add(frames, Ordering::AcqRel);
+    }
+
+    /// Releases one frame's credit and load weight.
+    fn release(&self, tokens: u64) {
+        self.queued.fetch_sub(tokens, Ordering::Relaxed);
+        self.inflight.fetch_sub(1, Ordering::AcqRel);
+    }
+
+    /// Sends `rounds` as one batched write (the batched path's dispatch).
+    /// Every frame is registered un-acknowledged and booked — here and in
+    /// the run's `outstanding` count — *before* the send, so a completion
+    /// can never race past its own bookkeeping. On a dead conn every frame
+    /// is rolled back one by one through [`Link::retire_round`] (a frame the
+    /// collector's `Down` already retired is not retired twice) and the
+    /// result is `false`.
+    fn send_rounds(
+        &self,
+        rounds: &[DispatchMsg],
+        outstanding: &AtomicU64,
+        frames: &mut Vec<Frame>,
+    ) -> bool {
+        let (inc, conn) = self.current();
+        self.unacked
+            .lock()
+            .extend(rounds.iter().map(|m| (m.seq, (inc, *m))));
+        let n = rounds.len() as u64;
+        self.charge(n, rounds.iter().map(|m| m.suffix_tokens).sum());
+        outstanding.fetch_add(n, Ordering::AcqRel);
+        frames.extend(rounds.iter().map(WireCodec::to_frame));
+        let sent = conn.is_some_and(|c| c.send_batch(frames).is_ok());
+        if !sent {
+            frames.clear();
+            for m in rounds {
+                self.retire_round(outstanding, m.seq);
+            }
+        }
+        sent
+    }
+
+    /// Retires one round frame of the batched path, exactly once: whoever
+    /// takes the un-acknowledged entry does the accounting.
+    fn retire_round(&self, outstanding: &AtomicU64, seq: u64) {
+        if let Some((_, msg)) = self.unacked.lock().remove(&seq) {
+            self.release(msg.suffix_tokens);
+            outstanding.fetch_sub(1, Ordering::Release);
+        }
+    }
+
+    /// Takes every un-acknowledged frame sent on `incarnation` or an
+    /// earlier conn out of the map; entries sent on a newer conn stay. If
+    /// `incarnation` is the current conn (an unexpected death, or a stream
+    /// error), dispatch to the link stops.
+    fn take_stranded(&self, incarnation: u64) -> Vec<DispatchMsg> {
+        if self.conn.lock().0 == incarnation {
+            self.alive.store(false, Ordering::Release);
+        }
+        let mut unacked = self.unacked.lock();
+        let seqs: Vec<u64> = unacked
+            .iter()
+            .filter(|(_, (inc, _))| *inc <= incarnation)
+            .map(|(&seq, _)| seq)
+            .collect();
+        seqs.iter()
+            .map(|seq| unacked.remove(seq).expect("seq just listed").1)
+            .collect()
+    }
+
+    /// Orderly end of the link: the worker gets the shutdown frame behind
+    /// whatever it still holds. A failed run (`abort`) closes the conn as
+    /// well, so the reader and an in-process worker unblock whatever state
+    /// they are in.
+    fn shut_down(&self, abort: bool) {
+        if let (_, Some(conn)) = self.current() {
+            let _ = conn.send(ShutdownMsg.to_frame());
+            if abort {
+                conn.close();
+            }
+        }
+    }
+}
+
+/// The wake-up edge from the threads that make progress — the collector
+/// retiring frames, the fault supervisor changing membership — to the
+/// scheduler's waits.
+struct Progress {
+    /// Threads blocked in [`Progress::wait`]. Notifiers take this lock
+    /// after their update and waiters check their condition under it, so a
+    /// wake-up cannot fall between the check and the block.
+    waiters: Mutex<usize>,
+    cond: Condvar,
+    /// True once every scheduled fault has been delivered (from the start
+    /// when there is no schedule): no membership change can end a wait any
+    /// more, so a wait that sees nothing move is stuck.
+    schedule_delivered: AtomicBool,
+    /// The no-progress deadline ([`WATCHDOG`] outside tests).
+    patience: Duration,
+}
+
+impl Progress {
+    fn new(schedule_delivered: bool, patience: Duration) -> Self {
+        Progress {
+            waiters: Mutex::new(0),
+            cond: Condvar::new(),
+            schedule_delivered: AtomicBool::new(schedule_delivered),
+            patience,
+        }
+    }
+
+    fn notify(&self) {
+        if *self.waiters.lock() > 0 {
+            self.cond.notify_all();
+        }
+    }
+
+    fn deliver_schedule(&self) {
+        self.schedule_delivered.store(true, Ordering::Release);
+        self.notify();
+    }
+
+    fn is_schedule_delivered(&self) -> bool {
+        self.schedule_delivered.load(Ordering::Acquire)
+    }
+
+    /// Blocks until `ready()` holds.
+    ///
+    /// # Panics
+    ///
+    /// When `patience` passes without a notify while no fault is left on
+    /// the schedule, with a report naming what was waited for and, per
+    /// worker, its incarnation and oldest un-acknowledged sequence number.
+    fn wait(
+        &self,
+        links: &[Link],
+        waiting_for: std::fmt::Arguments<'_>,
+        mut ready: impl FnMut() -> bool,
+    ) {
+        let mut waiters = self.waiters.lock();
+        while !ready() {
+            *waiters += 1;
+            let (guard, timeout) = self
+                .cond
+                .wait_timeout(waiters, self.patience)
+                .unwrap_or_else(PoisonError::into_inner);
+            waiters = guard;
+            *waiters -= 1;
+            if timeout.timed_out() && self.is_schedule_delivered() && !ready() {
+                let mut report = format!(
+                    "serve made no progress for {:?} waiting for {waiting_for}",
+                    self.patience
+                );
+                for (w, link) in links.iter().enumerate() {
+                    let unacked = link.unacked.lock();
+                    if let Some((seq, (inc, _))) = unacked.iter().min_by_key(|(&seq, _)| seq) {
+                        report += &format!(
+                            "; worker {w} (incarnation {inc}) holds {} un-acked frame(s), \
+                             oldest seq {seq}",
+                            unacked.len()
+                        );
+                    }
+                }
+                drop(waiters);
+                panic!("{report}");
+            }
+        }
     }
 }
 
@@ -159,6 +347,10 @@ enum Event {
     Down { worker: usize, incarnation: u64 },
     /// The scheduler refused a request at admission.
     Rejected(RejectReason),
+    /// The scheduler's last word, said before it releases the workers (so
+    /// the collector never takes an orderly disconnect for a death): the
+    /// run drained, or it is being torn down.
+    Finished,
 }
 
 /// Reads one connection until it dies, forwarding worker frames to the
@@ -217,145 +409,62 @@ fn next_run_tag() -> u64 {
     TAG.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Everything the physical fault supervisor needs to break — and mend —
-/// real workers while the planner prices the same schedule on nominal
-/// time. Shared between the per-request and the batched serve paths.
-struct SupervisorCtx<'a> {
-    schedule: bat_sim::FaultSchedule,
+/// One run's cluster: the bound endpoints, the worker links, and what the
+/// threads working on them share.
+struct Cluster {
+    transport: Arc<dyn Transport>,
+    /// Kept for the whole run so restarted child processes can rejoin.
+    listeners: Vec<Box<dyn Listener>>,
+    /// The address worker `w` dials.
+    dial: Vec<String>,
+    links: Vec<Link>,
+    /// Everything that changes per-link accounting funnels through this
+    /// one channel to the collector.
+    events: Sender<Event>,
+    progress: Progress,
+    /// Wall seconds per simulated second, and the wall instant of virtual
+    /// time zero.
     scale: f64,
     start: Instant,
-    links: &'a [Link],
-    listeners: &'a [Box<dyn Listener>],
-    processes: bool,
-    child_args: Vec<String>,
-    dial: Vec<String>,
-    events: Sender<Event>,
-    done: Arc<AtomicBool>,
 }
 
-/// Walks the fault schedule in scaled wall-clock time, making membership
-/// events physically real: crashes kill worker threads (liveness flag) or
-/// child processes (SIGKILL); drains stop new seating and let the worker
-/// finish what it holds before exiting; restarts and joins wire a fresh
-/// worker (thread flag flip, or a respawned child accepted on the same
-/// listener under a bumped link incarnation) back into the cluster. All
-/// *accounting* for these events lives in the planner and the batch
-/// machine, driven on nominal time — this thread only touches the world.
-fn spawn_fault_supervisor<'scope>(
-    scope: &'scope thread::Scope<'scope, '_>,
-    ctx: SupervisorCtx<'scope>,
-    hello: impl Fn(usize, f64) -> HelloMsg + Send + 'scope,
-) {
-    scope.spawn(move || {
-        let SupervisorCtx {
-            schedule,
-            scale,
-            start,
-            links,
-            listeners,
-            processes,
-            child_args,
-            dial,
-            events,
-            done,
-        } = ctx;
-        for event in schedule.events() {
-            let target = event.at_secs * scale;
-            loop {
-                let elapsed = start.elapsed().as_secs_f64();
-                if elapsed >= target {
-                    break;
-                }
-                thread::sleep(Duration::from_secs_f64((target - elapsed).min(0.002)));
-            }
-            match event.kind {
-                FaultKind::WorkerCrash(w) => {
-                    let link = &links[w.index()];
-                    link.alive.store(false, Ordering::Release);
-                    if processes {
-                        // Real crash: SIGKILL. The link's reader observes
-                        // the disconnect and the collector requeues
-                        // whatever the child never finished.
-                        if let Some(mut child) = link.child.lock().take() {
-                            let _ = child.kill();
-                            let _ = child.wait();
-                        }
-                    }
-                    // In-process workers bounce dispatches as orphans
-                    // while their flag is down.
-                }
-                FaultKind::WorkerDrain(w) => {
-                    // Planned departure: stop seating new work, then let
-                    // the worker finish what it already holds. A child
-                    // process gets the shutdown frame *behind* its queued
-                    // frames — it serves them, acks, and exits cleanly;
-                    // its conn closing then requeues anything it never
-                    // processed. In-process workers bounce dispatches
-                    // that race past the flag.
-                    let link = &links[w.index()];
-                    link.alive.store(false, Ordering::Release);
-                    if processes {
-                        if let (_, Some(conn)) = link.current() {
-                            let _ = conn.send(ShutdownMsg.to_frame());
-                        }
-                    }
-                }
-                FaultKind::WorkerRestart(w) | FaultKind::WorkerJoin(w) => {
-                    let w = w.index();
-                    let link = &links[w];
-                    if processes {
-                        // Planned scale-out (or a scheduled recovery):
-                        // spawn a fresh process, accept it on the same
-                        // listener, and swap the link to the new
-                        // incarnation.
-                        match spawn_child(&child_args, &dial[w], w) {
-                            Ok(child) => match listeners[w].accept_timeout(ACCEPT_TIMEOUT) {
-                                Ok(conn) => {
-                                    let vnow = start.elapsed().as_secs_f64() / scale;
-                                    if conn.send(hello(w, vnow).to_frame()).is_ok() {
-                                        let inc = {
-                                            let mut g = link.conn.lock();
-                                            g.0 += 1;
-                                            g.1 = Some(Arc::clone(&conn));
-                                            g.0
-                                        };
-                                        *link.child.lock() = Some(child);
-                                        link.alive.store(true, Ordering::Release);
-                                        let events = events.clone();
-                                        scope.spawn(move || {
-                                            run_reader(conn, w, inc, events);
-                                        });
-                                    }
-                                }
-                                Err(e) => {
-                                    eprintln!("worker {w} rejoin accept failed: {e}");
-                                }
-                            },
-                            Err(e) => {
-                                eprintln!("worker {w} respawn failed: {e}");
-                            }
-                        }
-                    } else {
-                        link.alive.store(true, Ordering::Release);
-                    }
-                }
-                // Link, partition and meta faults have no thread-level
-                // effect; the planner (which hosts the replicated meta
-                // group and the reachability matrix) prices/plans them on
-                // nominal time. Slowed links included: hedged pulls and
-                // backoff retries are planner decisions, not thread ones.
-                FaultKind::LinkDegrade { .. }
-                | FaultKind::LinkRestore
-                | FaultKind::MetaStall { .. }
-                | FaultKind::MetaCrash(_)
-                | FaultKind::MetaRestart(_)
-                | FaultKind::CutLink { .. }
-                | FaultKind::HealLink { .. }
-                | FaultKind::SlowLink { .. } => {}
+impl Cluster {
+    fn virtual_now(&self) -> f64 {
+        self.start.elapsed().as_secs_f64() / self.scale
+    }
+
+    /// The wall instant of virtual time `at_secs`.
+    fn wall(&self, at_secs: f64) -> Instant {
+        self.start + Duration::from_secs_f64(at_secs * self.scale)
+    }
+
+    /// Reaps child workers (they exited on shutdown; kill is a no-op
+    /// backstop for a child that somehow missed it).
+    fn reap(&self) {
+        for link in &self.links {
+            if let Some(mut child) = link.child.lock().take() {
+                let _ = child.kill();
+                let _ = child.wait();
             }
         }
-        done.store(true, Ordering::Release);
-    });
+    }
+}
+
+/// Ends a run when the scheduler's flow leaves it, normally or by panic:
+/// the collector is told first, then every worker (live or bounced-out)
+/// gets the shutdown frame — a dead child's send just fails. After a panic
+/// the conns are closed as well, so that every thread of the scope ends and
+/// the panic surfaces instead of a hang.
+struct Teardown<'a>(&'a Cluster);
+
+impl Drop for Teardown<'_> {
+    fn drop(&mut self) {
+        let _ = self.0.events.send(Event::Finished);
+        let abort = thread::panicking();
+        for link in &self.0.links {
+            link.shut_down(abort);
+        }
+    }
 }
 
 /// The threaded serving runtime.
@@ -469,12 +578,187 @@ impl ServeRuntime {
         }
     }
 
+    /// Binds every worker's endpoint and builds the run's [`Cluster`].
+    fn bind(&self) -> (Cluster, Receiver<Event>) {
+        let n_workers = self.cfg.cluster.num_nodes;
+        let transport = self.transport();
+        let run_tag = next_run_tag();
+        let listeners: Vec<Box<dyn Listener>> = (0..n_workers)
+            .map(|w| {
+                transport
+                    .listen(&self.listen_addr(run_tag, w))
+                    .expect("transport endpoint binds")
+            })
+            .collect();
+        let schedule_is_empty = self.cfg.faults.as_ref().is_none_or(|s| s.is_empty());
+        let (events, event_rx) = unbounded();
+        let cluster = Cluster {
+            transport,
+            dial: listeners.iter().map(|l| l.local_addr()).collect(),
+            listeners,
+            links: (0..n_workers).map(|_| Link::new()).collect(),
+            events,
+            progress: Progress::new(schedule_is_empty, WATCHDOG),
+            scale: self.opts.time_scale,
+            start: Instant::now(),
+        };
+        (cluster, event_rx)
+    }
+
+    /// Brings the cluster up inside `scope`: starts every worker — a child
+    /// process dialing back over UDS, or an in-process thread running the
+    /// identical loop over the configured transport — accepts it, sends the
+    /// `hello(worker, virtual_now)` handshake and attaches its reader; then
+    /// starts the fault supervisor if there is a schedule.
+    ///
+    /// The supervisor walks the fault schedule in scaled wall-clock time,
+    /// making membership events physically real: crashes kill worker
+    /// threads (liveness flag) or child processes (SIGKILL); drains stop new
+    /// seating and let the worker finish what it holds before exiting;
+    /// restarts and joins wire a fresh worker (thread flag flip, or a
+    /// respawned child accepted on the same listener under a bumped link
+    /// incarnation) back into the cluster. All *accounting* for these
+    /// events lives in the planner and the batch machine, driven on nominal
+    /// time — that thread only touches the world.
+    fn start<'scope>(
+        &'scope self,
+        scope: &'scope thread::Scope<'scope, '_>,
+        cluster: &'scope Cluster,
+        hello: impl Fn(usize, f64) -> HelloMsg + Copy + Send + 'scope,
+    ) {
+        for (w, link) in cluster.links.iter().enumerate() {
+            if self.opts.processes {
+                let child = spawn_child(&self.opts.child_args, &cluster.dial[w], w)
+                    .expect("child worker spawns");
+                *link.child.lock() = Some(child);
+            } else {
+                let addr = &cluster.dial[w];
+                let alive = &link.alive;
+                scope.spawn(move || match cluster.transport.connect(addr) {
+                    Ok(conn) => {
+                        if let Err(e) = run_net_worker(conn.as_ref(), Some(alive)) {
+                            eprintln!("worker {w}: {e}");
+                        }
+                    }
+                    Err(e) => eprintln!("worker {w}: connect {addr}: {e}"),
+                });
+            }
+        }
+        for (w, link) in cluster.links.iter().enumerate() {
+            let conn = cluster.listeners[w]
+                .accept_timeout(ACCEPT_TIMEOUT)
+                .expect("worker connects back during setup");
+            conn.send(hello(w, cluster.virtual_now()).to_frame())
+                .expect("worker accepts hello");
+            *link.conn.lock() = (0, Some(Arc::clone(&conn)));
+            let events = cluster.events.clone();
+            scope.spawn(move || run_reader(conn, w, 0, events));
+        }
+        let Some(schedule) = self.cfg.faults.clone() else {
+            return;
+        };
+        scope.spawn(move || {
+            for event in schedule.events() {
+                pacer::sleep_until(cluster.wall(event.at_secs));
+                match event.kind {
+                    FaultKind::WorkerCrash(w) => {
+                        let link = &cluster.links[w.index()];
+                        link.alive.store(false, Ordering::Release);
+                        if self.opts.processes {
+                            // Real crash: SIGKILL. The link's reader observes
+                            // the disconnect and the collector requeues
+                            // whatever the child never finished.
+                            if let Some(mut child) = link.child.lock().take() {
+                                let _ = child.kill();
+                                let _ = child.wait();
+                            }
+                        }
+                        // In-process workers bounce dispatches as orphans
+                        // while their flag is down.
+                    }
+                    FaultKind::WorkerDrain(w) => {
+                        // Planned departure: stop seating new work, then let
+                        // the worker finish what it already holds. A child
+                        // process gets the shutdown frame *behind* its queued
+                        // frames — it serves them, acks, and exits cleanly;
+                        // its conn closing then requeues anything it never
+                        // processed. In-process workers bounce dispatches
+                        // that race past the flag.
+                        let link = &cluster.links[w.index()];
+                        link.alive.store(false, Ordering::Release);
+                        if self.opts.processes {
+                            link.shut_down(false);
+                        }
+                    }
+                    FaultKind::WorkerRestart(w) | FaultKind::WorkerJoin(w) => {
+                        let w = w.index();
+                        let link = &cluster.links[w];
+                        if self.opts.processes {
+                            // Planned scale-out (or a scheduled recovery):
+                            // spawn a fresh process, accept it on the same
+                            // listener, and swap the link to the new
+                            // incarnation.
+                            match spawn_child(&self.opts.child_args, &cluster.dial[w], w) {
+                                Ok(child) => {
+                                    match cluster.listeners[w].accept_timeout(ACCEPT_TIMEOUT) {
+                                        Ok(conn) => {
+                                            let hello = hello(w, cluster.virtual_now());
+                                            if conn.send(hello.to_frame()).is_ok() {
+                                                let inc = {
+                                                    let mut g = link.conn.lock();
+                                                    g.0 += 1;
+                                                    g.1 = Some(Arc::clone(&conn));
+                                                    g.0
+                                                };
+                                                *link.child.lock() = Some(child);
+                                                link.alive.store(true, Ordering::Release);
+                                                let events = cluster.events.clone();
+                                                scope.spawn(move || {
+                                                    run_reader(conn, w, inc, events);
+                                                });
+                                            }
+                                        }
+                                        Err(e) => {
+                                            eprintln!("worker {w} rejoin accept failed: {e}");
+                                        }
+                                    }
+                                }
+                                Err(e) => {
+                                    eprintln!("worker {w} respawn failed: {e}");
+                                }
+                            }
+                        } else {
+                            link.alive.store(true, Ordering::Release);
+                        }
+                    }
+                    // Link, partition and meta faults have no thread-level
+                    // effect; the planner (which hosts the replicated meta
+                    // group and the reachability matrix) prices/plans them on
+                    // nominal time. Slowed links included: hedged pulls and
+                    // backoff retries are planner decisions, not thread ones.
+                    FaultKind::LinkDegrade { .. }
+                    | FaultKind::LinkRestore
+                    | FaultKind::MetaStall { .. }
+                    | FaultKind::MetaCrash(_)
+                    | FaultKind::MetaRestart(_)
+                    | FaultKind::CutLink { .. }
+                    | FaultKind::HealLink { .. }
+                    | FaultKind::SlowLink { .. } => {}
+                }
+                cluster.progress.notify();
+            }
+            cluster.progress.deliver_schedule();
+        });
+    }
+
     /// Serves a trace to completion and returns aggregate statistics.
     ///
     /// # Panics
     ///
-    /// Panics if the trace is not sorted by arrival time, or if a worker
-    /// fails to connect during setup.
+    /// Panics if the trace is not sorted by arrival time, if a worker
+    /// fails to connect during setup, or if the run makes no progress for
+    /// the watchdog interval (the message names each worker's incarnation
+    /// and oldest un-acknowledged frame).
     #[allow(clippy::too_many_lines)]
     pub fn serve(&self, trace: &[RankRequest]) -> RunStats {
         for w in trace.windows(2) {
@@ -487,37 +771,13 @@ impl ServeRuntime {
             return self.serve_batched(trace);
         }
         let n_workers = self.cfg.cluster.num_nodes;
-        let scale = self.opts.time_scale;
-        let schedule = self.cfg.faults.clone();
-
-        let planner = Mutex::new(RequestPlanner::from_config(&self.cfg));
-        let outstanding = Arc::new(AtomicU64::new(0));
-        // True once every scheduled fault has been delivered (immediately,
-        // when there is no schedule).
-        let supervisor_done = Arc::new(AtomicBool::new(
-            schedule.as_ref().is_none_or(|s| s.is_empty()),
-        ));
-
-        // Bind every worker's endpoint up front; listeners stay alive for
-        // the whole run so restarted child processes can rejoin.
-        let transport = self.transport();
-        let run_tag = next_run_tag();
-        let mut listeners: Vec<Box<dyn Listener>> = Vec::with_capacity(n_workers);
-        let mut dial_addrs: Vec<String> = Vec::with_capacity(n_workers);
-        for w in 0..n_workers {
-            let listener = transport
-                .listen(&self.listen_addr(run_tag, w))
-                .expect("transport endpoint binds");
-            dial_addrs.push(listener.local_addr());
-            listeners.push(listener);
-        }
-
-        let links: Vec<Link> = (0..n_workers).map(|_| Link::new()).collect();
-        let (event_tx, event_rx) = unbounded::<Event>();
+        let queue_depth = self.opts.queue_depth as u64;
+        let mut planner = RequestPlanner::from_config(&self.cfg);
+        let mut totals = SchedTotals::default();
+        let outstanding = AtomicU64::new(0);
+        let (cluster, event_rx) = self.bind();
+        let (links, progress) = (cluster.links.as_slice(), &cluster.progress);
         let (orphan_tx, orphan_rx) = unbounded::<DispatchMsg>();
-
-        let start = Instant::now();
-        let virtual_now = move || start.elapsed().as_secs_f64() / scale;
 
         // One straggler knob for both execution paths: explicit runtime
         // options win, otherwise the engine config's injection applies.
@@ -526,6 +786,7 @@ impl ServeRuntime {
             Some((idx, factor)) if idx == w => factor,
             _ => 1.0,
         };
+        let scale = cluster.scale;
         let max_batch_tokens = self.cfg.cluster.max_batched_tokens as u64;
         let batch_overhead = self.cfg.batch_overhead_secs;
         let hello = move |w: usize, vnow: f64| HelloMsg {
@@ -537,419 +798,312 @@ impl ServeRuntime {
             slowdown: straggler_factor(w),
         };
 
-        // Shared accounting filled by the scheduler thread.
-        let totals = Mutex::new(SchedTotals::default());
-
         let stats = thread::scope(|scope| {
-            // Start every worker: a child process dialing back over UDS,
-            // or an in-process thread running the identical loop over the
-            // configured transport.
-            for (w, link) in links.iter().enumerate() {
-                if self.opts.processes {
-                    let child = spawn_child(&self.opts.child_args, &dial_addrs[w], w)
-                        .expect("child worker spawns");
-                    *link.child.lock() = Some(child);
-                } else {
-                    let addr = dial_addrs[w].clone();
-                    let alive = Arc::clone(&link.alive);
-                    let transport = Arc::clone(&transport);
-                    scope.spawn(move || match transport.connect(&addr) {
-                        Ok(conn) => {
-                            if let Err(e) = run_net_worker(conn.as_ref(), Some(&alive)) {
-                                eprintln!("worker {w}: {e}");
-                            }
-                        }
-                        Err(e) => eprintln!("worker {w}: connect {addr}: {e}"),
-                    });
-                }
-            }
-            // Accept each worker, handshake, and attach its reader.
-            for (w, link) in links.iter().enumerate() {
-                let conn = listeners[w]
-                    .accept_timeout(ACCEPT_TIMEOUT)
-                    .expect("worker connects back during setup");
-                conn.send(hello(w, virtual_now()).to_frame())
-                    .expect("worker accepts hello");
-                *link.conn.lock() = (0, Some(Arc::clone(&conn)));
-                let events = event_tx.clone();
-                scope.spawn(move || run_reader(conn, w, 0, events));
-            }
+            self.start(scope, &cluster, hello);
 
-            // Fault supervisor: makes failures and membership events
-            // physically real — killing, draining, and respawning real
-            // workers — while the planner prices the same schedule on
-            // nominal request arrivals.
-            if let Some(schedule) = schedule.clone() {
-                spawn_fault_supervisor(
-                    scope,
-                    SupervisorCtx {
-                        schedule,
-                        scale,
-                        start,
-                        links: &links,
-                        listeners: &listeners,
-                        processes: self.opts.processes,
-                        child_args: self.opts.child_args.clone(),
-                        dial: dial_addrs.clone(),
-                        events: event_tx.clone(),
-                        done: Arc::clone(&supervisor_done),
-                    },
-                    hello,
-                );
-            }
-
-            // Scheduler thread: replay arrivals, plan, dispatch frames.
-            let planner_ref = &planner;
-            let totals_ref = &totals;
-            let links_ref = &links;
+            // Collector thread: the single writer for per-link retirement
+            // accounting. Exactly one terminal event per trace request
+            // arrives — served, shed, or rejected; faults re-route work,
+            // they never drop it. Its receive blocks without a deadline of
+            // its own: the scheduler's `Teardown` ends it on every path.
             let outstanding_ref = &outstanding;
-            let supervisor_done_ref = &supervisor_done;
-            let sched_events = event_tx.clone();
-            let queue_depth = self.opts.queue_depth as u64;
-            scope.spawn(move || {
-                let mut rotate = 0usize;
-                let mut next_seq = 0u64;
-                // The admission controller runs on *nominal* arrival times
-                // with planner cost estimates — identical inputs to the
-                // simulator's controller, so for the same trace + schedule
-                // the two paths reject the exact same requests.
-                let mut controller = self.cfg.slo.map(|c| {
-                    let cap = {
-                        let p = planner_ref.lock();
-                        (0..n_workers)
-                            .filter(|&i| p.is_worker_alive(i))
-                            .map(|i| 1.0 / straggler_factor(i))
-                            .sum()
-                    };
-                    OverloadController::new(c, cap)
-                });
-                // Least-loaded dispatch (§5.1 load balancing) over the
-                // currently-live workers. Ties rotate instead of always
-                // picking the lowest index, so an idle-but-slow worker does
-                // not swallow every tied dispatch. The loop re-selects when
-                // the chosen worker is out of credit (backpressure) or its
-                // link dies mid-send.
-                let dispatch = |item: DispatchMsg, rotate: &mut usize| {
-                    loop {
-                        let live: Vec<usize> = (0..n_workers)
-                            .filter(|&i| links_ref[i].alive.load(Ordering::Acquire))
-                            .collect();
-                        // A validated schedule never kills the whole
-                        // cluster for good; wait out the gap between a
-                        // crash and its scheduled restart.
-                        if live.is_empty() {
-                            thread::sleep(Duration::from_micros(200));
-                            continue;
-                        }
-                        // Snapshot every candidate's load once: the
-                        // collector decrements these atomics concurrently,
-                        // so re-reading them while filtering can leave no
-                        // candidate equal to a stale minimum.
-                        let loads: Vec<(usize, u64)> = live
-                            .iter()
-                            .map(|&i| (i, links_ref[i].queued.load(Ordering::Relaxed)))
-                            .collect();
-                        let min_load = loads
-                            .iter()
-                            .map(|&(_, load)| load)
-                            .min()
-                            .expect("at least one candidate");
-                        let tied: Vec<usize> = loads
-                            .iter()
-                            .filter(|&&(_, load)| load == min_load)
-                            .map(|&(i, _)| i)
-                            .collect();
-                        let w = tied[*rotate % tied.len()];
-                        let link = &links_ref[w];
-                        if link.inflight.load(Ordering::Acquire) >= queue_depth {
-                            // Out of credit: wait for completions to free
-                            // a slot (or for the liveness set to change).
-                            thread::sleep(Duration::from_micros(200));
-                            continue;
-                        }
-                        *rotate = rotate.wrapping_add(1);
-                        // Register BEFORE sending so a completion can
-                        // never race past its own bookkeeping; incarnation
-                        // and conn are read together so the entry's tag
-                        // always matches the conn the frame went to.
-                        let (inc, conn) = link.current();
-                        link.unacked.lock().insert(item.seq, (inc, item));
-                        link.queued.fetch_add(item.suffix_tokens, Ordering::Relaxed);
-                        link.inflight.fetch_add(1, Ordering::AcqRel);
-                        let sent = conn
-                            .as_ref()
-                            .is_some_and(|c| c.send(item.to_frame()).is_ok());
-                        if sent {
-                            return;
-                        }
-                        // The link died under us: roll back and re-select.
-                        link.unacked.lock().remove(&item.seq);
-                        link.queued.fetch_sub(item.suffix_tokens, Ordering::Relaxed);
-                        link.inflight.fetch_sub(1, Ordering::AcqRel);
-                        link.alive.store(false, Ordering::Release);
-                    }
+            let cluster_ref = &cluster;
+            let collector = scope.spawn(move || {
+                let mut latencies = Percentiles::new();
+                let mut completed = 0usize;
+                let mut slo = SloStats {
+                    submitted: trace.len() as u64,
+                    ..SloStats::default()
                 };
-                for req in trace {
-                    let arrival = req.arrival.as_secs();
-                    // Open-loop pacing in scaled time.
-                    loop {
-                        let now = virtual_now();
-                        if now >= arrival {
-                            break;
-                        }
-                        thread::sleep(Duration::from_secs_f64(
-                            ((arrival - now) * scale).min(0.005),
-                        ));
-                    }
-                    let now = virtual_now();
-                    // Plan on the *nominal* arrival time, never the jittery
-                    // virtual clock: the fault cursor then advances through
-                    // the same states as the simulator's, which is what
-                    // keeps the two paths' cache accounting identical.
-                    let admitted = {
-                        let mut p = planner_ref.lock();
-                        if let Some(ctl) = controller.as_mut() {
-                            // Admission sees the fault state planning would.
-                            p.advance_faults(arrival);
-                            ctl.set_capacity(
-                                (0..n_workers)
-                                    .filter(|&i| p.is_worker_alive(i))
-                                    .map(|i| 1.0 / straggler_factor(i))
-                                    .sum(),
-                            );
-                            let est = p.admission_estimate_secs(req);
-                            let decision = ctl.on_arrival(
-                                arrival,
-                                est,
-                                req.slo.deadline_secs,
-                                req.slo.priority,
-                            );
-                            match decision.into_result() {
-                                Ok(()) => {
-                                    p.set_brownout_rung(ctl.rung());
+                let mut terminal = 0usize;
+                // Virtual time of the last terminal event: the run's span
+                // ends there, not when the fault schedule runs out.
+                let mut drained_at = None;
+                for event in event_rx.iter() {
+                    match event {
+                        Event::Done(c) => {
+                            let link = &links[c.worker as usize];
+                            link.release(c.suffix_tokens);
+                            link.unacked.lock().remove(&c.seq);
+                            outstanding_ref.fetch_sub(1, Ordering::Release);
+                            terminal += 1;
+                            match c.outcome {
+                                WireOutcome::Completed {
+                                    latency_virtual,
+                                    missed,
+                                } => {
+                                    latencies.record(latency_virtual);
+                                    completed += 1;
+                                    slo.completed += 1;
+                                    if missed {
+                                        slo.deadline_misses += 1;
+                                    }
                                 }
-                                Err(BatError::Rejected { reason }) => {
-                                    drop(p);
-                                    assert!(
-                                        sched_events.send(Event::Rejected(reason)).is_ok(),
-                                        "collector outlives scheduler"
-                                    );
-                                    continue;
-                                }
-                                Err(_) => unreachable!("into_result only rejects"),
+                                WireOutcome::Shed => slo.shed_expired += 1,
+                                // Workers never reject; the scheduler does.
+                                WireOutcome::Rejected(reason) => count_reject(&mut slo, reason),
                             }
                         }
-                        let planned = p.plan(req, arrival);
-                        let price = p.price(&planned);
-                        (planned, price)
-                    };
-                    let (planned, price) = admitted;
-                    {
-                        let mut t = totals_ref.lock();
-                        t.accepted += 1;
-                        t.total_tokens += req.total_tokens() as u64;
-                        t.reused_tokens += planned.reused_tokens();
-                        t.computed_tokens += planned.suffix_tokens;
-                        t.remote_bytes += planned.remote_bytes;
-                        t.compute_secs += price.0;
-                        t.load_secs += price.1;
-                        t.net_secs += price.2;
-                        if self.cfg.caching {
-                            match planned.prefix {
-                                bat_types::PrefixKind::User => t.up_requests += 1,
-                                bat_types::PrefixKind::Item => t.ip_requests += 1,
+                        Event::Orphan(o) => {
+                            let link = &links[o.worker as usize];
+                            link.release(o.item.suffix_tokens);
+                            link.unacked.lock().remove(&o.item.seq);
+                            let _ = orphan_tx.send(o.item);
+                        }
+                        Event::Down {
+                            worker,
+                            incarnation,
+                        } => {
+                            // Requeue everything the dead conn never
+                            // finished.
+                            let link = &links[worker];
+                            for item in link.take_stranded(incarnation) {
+                                link.release(item.suffix_tokens);
+                                let _ = orphan_tx.send(item);
                             }
                         }
+                        Event::Rejected(reason) => {
+                            terminal += 1;
+                            count_reject(&mut slo, reason);
+                        }
+                        Event::Finished => break,
                     }
-                    outstanding_ref.fetch_add(1, Ordering::AcqRel);
-                    let seq = next_seq;
-                    next_seq += 1;
-                    dispatch(
-                        DispatchMsg {
-                            seq,
-                            arrival_virtual: now,
-                            suffix_tokens: planned.suffix_tokens,
-                            service_virtual: price.0 + price.1 + price.2,
-                            deadline_rel: if controller.is_some() {
-                                req.slo.deadline_secs
-                            } else {
-                                None
-                            },
-                        },
-                        &mut rotate,
-                    );
-                    // Re-dispatch anything bounced or requeued off a dead
-                    // worker.
-                    while let Ok(item) = orphan_rx.try_recv() {
-                        dispatch(item, &mut rotate);
+                    if terminal == trace.len() {
+                        drained_at.get_or_insert_with(|| cluster_ref.virtual_now());
                     }
+                    progress.notify();
                 }
-                // Post-trace drain: keep re-dispatching orphans until every
-                // dispatched job has completed and every scheduled fault
-                // has been delivered. Requests are never dropped, even when
-                // the last arrivals landed on a worker that then died.
-                loop {
-                    while let Ok(item) = orphan_rx.try_recv() {
-                        dispatch(item, &mut rotate);
-                    }
-                    if outstanding_ref.load(Ordering::Acquire) == 0
-                        && supervisor_done_ref.load(Ordering::Acquire)
-                    {
-                        break;
-                    }
-                    thread::sleep(Duration::from_micros(500));
-                }
-                // Orderly shutdown: every worker (live or bounced-out)
-                // gets the frame; a dead child's send just fails.
-                for link in links_ref {
-                    if let (_, Some(conn)) = link.current() {
-                        let _ = conn.send(ShutdownMsg.to_frame());
-                    }
-                }
+                let drained_at = drained_at.unwrap_or_else(|| cluster_ref.virtual_now());
+                (latencies, completed, slo, drained_at)
             });
 
-            // Collector: the scope's main flow, and the single writer for
-            // per-link retirement accounting. Exactly one terminal event
-            // per trace request arrives — served, shed, or rejected;
-            // faults re-route work, they never drop it — so count them out
-            // rather than waiting for channel disconnect.
-            let mut latencies = Percentiles::new();
-            let mut completed = 0usize;
-            let mut slo = SloStats {
-                submitted: trace.len() as u64,
-                ..SloStats::default()
+            // Scheduler, on the scope's own flow: replay arrivals, plan,
+            // dispatch frames.
+            let teardown = Teardown(&cluster);
+            let mut rotate = 0usize;
+            let mut next_seq = 0u64;
+            // The admission controller runs on *nominal* arrival times
+            // with planner cost estimates — identical inputs to the
+            // simulator's controller, so for the same trace + schedule
+            // the two paths reject the exact same requests.
+            let mut controller = self.cfg.slo.map(|c| {
+                let cap = (0..n_workers)
+                    .filter(|&i| planner.is_worker_alive(i))
+                    .map(|i| 1.0 / straggler_factor(i))
+                    .sum();
+                OverloadController::new(c, cap)
+            });
+            // Least-loaded dispatch (§5.1 load balancing) over the
+            // currently-live workers. Ties rotate instead of always
+            // picking the lowest index, so an idle-but-slow worker does
+            // not swallow every tied dispatch. The loop re-selects when
+            // the chosen worker is out of credit (backpressure) or its
+            // link dies mid-send.
+            let dispatch = |item: DispatchMsg, rotate: &mut usize| {
+                loop {
+                    let is_live = |link: &Link| link.alive.load(Ordering::Acquire);
+                    let live: Vec<usize> = (0..n_workers).filter(|&i| is_live(&links[i])).collect();
+                    // A validated schedule never kills the whole
+                    // cluster for good; wait out the gap between a
+                    // crash and its scheduled restart.
+                    if live.is_empty() {
+                        progress.wait(links, format_args!("a live worker"), || {
+                            links.iter().any(is_live)
+                        });
+                        continue;
+                    }
+                    // Snapshot every candidate's load once: the
+                    // collector decrements these atomics concurrently,
+                    // so re-reading them while filtering can leave no
+                    // candidate equal to a stale minimum.
+                    let loads: Vec<(usize, u64)> = live
+                        .iter()
+                        .map(|&i| (i, links[i].queued.load(Ordering::Relaxed)))
+                        .collect();
+                    let min_load = loads
+                        .iter()
+                        .map(|&(_, load)| load)
+                        .min()
+                        .expect("at least one candidate");
+                    let tied: Vec<usize> = loads
+                        .iter()
+                        .filter(|&&(_, load)| load == min_load)
+                        .map(|&(i, _)| i)
+                        .collect();
+                    let w = tied[*rotate % tied.len()];
+                    let link = &links[w];
+                    let has_credit = || link.inflight.load(Ordering::Acquire) < queue_depth;
+                    if !has_credit() {
+                        // Out of credit: wait for completions to free
+                        // a slot (or for the worker to leave the
+                        // liveness set), then select again.
+                        progress.wait(links, format_args!("credit on worker {w}"), || {
+                            has_credit() || !is_live(link)
+                        });
+                        continue;
+                    }
+                    *rotate = rotate.wrapping_add(1);
+                    // Register BEFORE sending so a completion can
+                    // never race past its own bookkeeping; incarnation
+                    // and conn are read together so the entry's tag
+                    // always matches the conn the frame went to.
+                    let (inc, conn) = link.current();
+                    link.unacked.lock().insert(item.seq, (inc, item));
+                    link.charge(1, item.suffix_tokens);
+                    let sent = conn
+                        .as_ref()
+                        .is_some_and(|c| c.send(item.to_frame()).is_ok());
+                    if sent {
+                        return;
+                    }
+                    // The link died under us: roll back — unless the
+                    // collector's `Down` already requeued the entry —
+                    // and re-select.
+                    link.alive.store(false, Ordering::Release);
+                    if link.unacked.lock().remove(&item.seq).is_none() {
+                        return;
+                    }
+                    link.release(item.suffix_tokens);
+                }
             };
-            let mut terminal = 0usize;
-            while terminal < trace.len() {
-                match event_rx.recv() {
-                    Ok(Event::Done(c)) => {
-                        let link = &links[c.worker as usize];
-                        link.queued.fetch_sub(c.suffix_tokens, Ordering::Relaxed);
-                        link.inflight.fetch_sub(1, Ordering::AcqRel);
-                        link.unacked.lock().remove(&c.seq);
-                        outstanding.fetch_sub(1, Ordering::Release);
-                        terminal += 1;
-                        match c.outcome {
-                            WireOutcome::Completed {
-                                latency_virtual,
-                                missed,
-                            } => {
-                                latencies.record(latency_virtual);
-                                completed += 1;
-                                slo.completed += 1;
-                                if missed {
-                                    slo.deadline_misses += 1;
-                                }
-                            }
-                            WireOutcome::Shed => slo.shed_expired += 1,
-                            // Workers never reject; the scheduler does.
-                            WireOutcome::Rejected(reason) => count_reject(&mut slo, reason),
+            for req in trace {
+                let arrival = req.arrival.as_secs();
+                // Open-loop pacing in scaled time.
+                pacer::sleep_until(cluster.wall(arrival));
+                let now = cluster.virtual_now();
+                // Plan on the *nominal* arrival time, never the jittery
+                // virtual clock: the fault cursor then advances through
+                // the same states as the simulator's, which is what
+                // keeps the two paths' cache accounting identical.
+                if let Some(ctl) = controller.as_mut() {
+                    // Admission sees the fault state planning would.
+                    planner.advance_faults(arrival);
+                    ctl.set_capacity(
+                        (0..n_workers)
+                            .filter(|&i| planner.is_worker_alive(i))
+                            .map(|i| 1.0 / straggler_factor(i))
+                            .sum(),
+                    );
+                    let est = planner.admission_estimate_secs(req);
+                    let decision =
+                        ctl.on_arrival(arrival, est, req.slo.deadline_secs, req.slo.priority);
+                    match decision.into_result() {
+                        Ok(()) => planner.set_brownout_rung(ctl.rung()),
+                        Err(BatError::Rejected { reason }) => {
+                            assert!(
+                                cluster.events.send(Event::Rejected(reason)).is_ok(),
+                                "collector outlives scheduler"
+                            );
+                            continue;
                         }
+                        Err(_) => unreachable!("into_result only rejects"),
                     }
-                    Ok(Event::Orphan(o)) => {
-                        let link = &links[o.worker as usize];
-                        link.queued
-                            .fetch_sub(o.item.suffix_tokens, Ordering::Relaxed);
-                        link.inflight.fetch_sub(1, Ordering::AcqRel);
-                        link.unacked.lock().remove(&o.item.seq);
-                        let _ = orphan_tx.send(o.item);
+                }
+                let planned = planner.plan(req, arrival);
+                let price = planner.price(&planned);
+                totals.accepted += 1;
+                totals.total_tokens += req.total_tokens() as u64;
+                totals.reused_tokens += planned.reused_tokens();
+                totals.computed_tokens += planned.suffix_tokens;
+                totals.remote_bytes += planned.remote_bytes;
+                totals.compute_secs += price.0;
+                totals.load_secs += price.1;
+                totals.net_secs += price.2;
+                if self.cfg.caching {
+                    match planned.prefix {
+                        PrefixKind::User => totals.up_requests += 1,
+                        PrefixKind::Item => totals.ip_requests += 1,
                     }
-                    Ok(Event::Down {
-                        worker,
-                        incarnation,
-                    }) => {
-                        let link = &links[worker];
-                        {
-                            let g = link.conn.lock();
-                            if g.0 == incarnation {
-                                // Unexpected death of the current conn
-                                // (child crash outside the schedule, or a
-                                // stream error): stop dispatching to it.
-                                link.alive.store(false, Ordering::Release);
-                            }
-                        }
-                        // Requeue everything sent on this (or an earlier)
-                        // incarnation; entries sent on a newer conn stay.
-                        let requeue: Vec<DispatchMsg> = {
-                            let mut un = link.unacked.lock();
-                            let seqs: Vec<u64> = un
-                                .iter()
-                                .filter(|(_, (inc, _))| *inc <= incarnation)
-                                .map(|(&seq, _)| seq)
-                                .collect();
-                            seqs.iter()
-                                .map(|seq| un.remove(seq).expect("seq just listed").1)
-                                .collect()
-                        };
-                        for item in requeue {
-                            link.queued.fetch_sub(item.suffix_tokens, Ordering::Relaxed);
-                            link.inflight.fetch_sub(1, Ordering::AcqRel);
-                            let _ = orphan_tx.send(item);
-                        }
-                    }
-                    Ok(Event::Rejected(reason)) => {
-                        terminal += 1;
-                        count_reject(&mut slo, reason);
-                    }
-                    Err(_) => break,
+                }
+                outstanding.fetch_add(1, Ordering::AcqRel);
+                let seq = next_seq;
+                next_seq += 1;
+                dispatch(
+                    DispatchMsg {
+                        seq,
+                        arrival_virtual: now,
+                        suffix_tokens: planned.suffix_tokens,
+                        service_virtual: price.0 + price.1 + price.2,
+                        deadline_rel: if controller.is_some() {
+                            req.slo.deadline_secs
+                        } else {
+                            None
+                        },
+                    },
+                    &mut rotate,
+                );
+                // Re-dispatch anything bounced or requeued off a dead
+                // worker.
+                while let Ok(item) = orphan_rx.try_recv() {
+                    dispatch(item, &mut rotate);
                 }
             }
-            let span = virtual_now() - trace.first().map_or(0.0, |r| r.arrival.as_secs());
-            let t = totals.lock();
+            // Post-trace drain: keep re-dispatching orphans until every
+            // dispatched job has completed and every scheduled fault
+            // has been delivered. Requests are never dropped, even when
+            // the last arrivals landed on a worker that then died.
+            let drained =
+                || outstanding.load(Ordering::Acquire) == 0 && progress.is_schedule_delivered();
+            loop {
+                while let Ok(item) = orphan_rx.try_recv() {
+                    dispatch(item, &mut rotate);
+                }
+                if drained() {
+                    break;
+                }
+                progress.wait(links, format_args!("the dispatched jobs to finish"), || {
+                    drained() || !orphan_rx.is_empty()
+                });
+            }
+            drop(teardown);
+
+            let (mut latencies, completed, mut slo, drained_at) =
+                collector.join().expect("collector thread panicked");
+            let span = drained_at - trace.first().map_or(0.0, |r| r.arrival.as_secs());
             let mut stats = RunStats::from_counters(
                 self.cfg.label.clone(),
                 completed,
                 span.max(1e-9),
-                t.total_tokens,
-                t.reused_tokens,
-                t.computed_tokens,
-                t.remote_bytes,
-                t.compute_secs,
-                t.net_secs,
-                t.load_secs,
-                t.up_requests,
-                t.ip_requests,
+                totals.total_tokens,
+                totals.reused_tokens,
+                totals.computed_tokens,
+                totals.remote_bytes,
+                totals.compute_secs,
+                totals.net_secs,
+                totals.load_secs,
+                totals.up_requests,
+                totals.ip_requests,
                 &mut latencies,
             );
             if self.cfg.slo.is_some() {
-                slo.accepted = t.accepted;
+                slo.accepted = totals.accepted;
                 stats.slo = slo;
             }
-            drop(t);
-            let mut planner = planner.lock();
             if let Some(report) = planner.finish_faults() {
                 stats.faults = report;
             }
             if let Some(tiers) = planner.tier_stats() {
                 stats.tiers = tiers;
             }
-            drop(planner);
             stats
         });
-        // Reap child workers (they exited on shutdown; kill is a no-op
-        // backstop for a child that somehow missed it).
-        for link in &links {
-            if let Some(mut child) = link.child.lock().take() {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-        }
+        cluster.reap();
         stats
     }
 
-    /// The continuous-batching serve path: the scheduler thread runs the
+    /// The continuous-batching serve path: the scheduler runs the
     /// same nominal-time [`BatchScheduler`] as the simulator's batched
     /// path — same admission sequence, same priced services, same round
     /// formation — and every [`RoundRecord`] it forms is then *physically*
     /// dispatched to the round's worker as one wire frame. The workers are
-    /// pure execution vehicles here (they sleep the round's priced service
+    /// pure execution vehicles here (they pace the round's priced service
     /// and ack it); the whole ledger — latencies, SLO counters, the batching
     /// stats — comes from the machine, so [`RunStats::digest`] is
     /// bit-identical to the simulator's for the same trace at any worker
     /// count.
     ///
     /// Fault and membership schedules run in two planes that never share
-    /// state: the *nominal* plane (this scheduler thread applies every
+    /// state: the *nominal* plane (the scheduler applies every
     /// crash/restart/drain/join to the machine at its scheduled nominal
     /// time, exactly as the simulator's event heap does, so seated chunks
     /// requeue through the machine's own migration path and the ledger
@@ -962,34 +1116,19 @@ impl ServeRuntime {
     #[allow(clippy::too_many_lines)]
     fn serve_batched(&self, trace: &[RankRequest]) -> RunStats {
         let n_workers = self.cfg.cluster.num_nodes;
-        let scale = self.opts.time_scale;
+        let queue_depth = self.opts.queue_depth as u64;
         let batching = self.cfg.batching.expect("batched path requires config");
-        let schedule = self.cfg.faults.clone();
-
-        let planner = Mutex::new(RequestPlanner::from_config(&self.cfg));
-        let outstanding = Arc::new(AtomicU64::new(0));
-        let sched_done = Arc::new(AtomicBool::new(false));
-        let supervisor_done = Arc::new(AtomicBool::new(
-            schedule.as_ref().is_none_or(|s| s.is_empty()),
-        ));
-        let ledger_out = Mutex::new(None::<BatchedLedger>);
-
-        let transport = self.transport();
-        let run_tag = next_run_tag();
-        let mut listeners: Vec<Box<dyn Listener>> = Vec::with_capacity(n_workers);
-        let mut dial_addrs: Vec<String> = Vec::with_capacity(n_workers);
-        for w in 0..n_workers {
-            let listener = transport
-                .listen(&self.listen_addr(run_tag, w))
-                .expect("transport endpoint binds");
-            dial_addrs.push(listener.local_addr());
-            listeners.push(listener);
-        }
-        let links: Vec<Link> = (0..n_workers).map(|_| Link::new()).collect();
-        let (event_tx, event_rx) = unbounded::<Event>();
-
-        let start = Instant::now();
-        let virtual_now = move || start.elapsed().as_secs_f64() / scale;
+        let have_faults = self.cfg.faults.is_some();
+        let fault_times: Vec<f64> = self
+            .cfg
+            .faults
+            .as_ref()
+            .map(|s| s.events().iter().map(|e| e.at_secs).collect())
+            .unwrap_or_default();
+        let mut planner = RequestPlanner::from_config(&self.cfg);
+        let outstanding = AtomicU64::new(0);
+        let (cluster, event_rx) = self.bind();
+        let (links, progress) = (cluster.links.as_slice(), &cluster.progress);
 
         // One straggler knob for both execution paths. The machine's round
         // services are already straggler-scaled, so the workers themselves
@@ -1002,6 +1141,7 @@ impl ServeRuntime {
                 _ => 1.0,
             })
             .collect();
+        let scale = cluster.scale;
         let hello = move |w: usize, vnow: f64| HelloMsg {
             worker: w as u32,
             scale,
@@ -1014,419 +1154,260 @@ impl ServeRuntime {
         };
 
         let stats = thread::scope(|scope| {
-            for (w, link) in links.iter().enumerate() {
-                if self.opts.processes {
-                    let child = spawn_child(&self.opts.child_args, &dial_addrs[w], w)
-                        .expect("child worker spawns");
-                    *link.child.lock() = Some(child);
-                } else {
-                    let addr = dial_addrs[w].clone();
-                    let alive = Arc::clone(&link.alive);
-                    let transport = Arc::clone(&transport);
-                    scope.spawn(move || match transport.connect(&addr) {
-                        Ok(conn) => {
-                            if let Err(e) = run_net_worker(conn.as_ref(), Some(&alive)) {
-                                eprintln!("worker {w}: {e}");
-                            }
-                        }
-                        Err(e) => eprintln!("worker {w}: connect {addr}: {e}"),
-                    });
-                }
-            }
-            for (w, link) in links.iter().enumerate() {
-                let conn = listeners[w]
-                    .accept_timeout(ACCEPT_TIMEOUT)
-                    .expect("worker connects back during setup");
-                conn.send(hello(w, virtual_now()).to_frame())
-                    .expect("worker accepts hello");
-                *link.conn.lock() = (0, Some(Arc::clone(&conn)));
-                let events = event_tx.clone();
-                scope.spawn(move || run_reader(conn, w, 0, events));
-            }
-
             // Physical fault plane: the same supervisor the per-request
             // path uses, handing rejoined children the batched hello.
-            if let Some(schedule) = schedule.clone() {
-                spawn_fault_supervisor(
-                    scope,
-                    SupervisorCtx {
-                        schedule,
-                        scale,
-                        start,
-                        links: &links,
-                        listeners: &listeners,
-                        processes: self.opts.processes,
-                        child_args: self.opts.child_args.clone(),
-                        dial: dial_addrs.clone(),
-                        events: event_tx.clone(),
-                        done: Arc::clone(&supervisor_done),
-                    },
-                    hello,
-                );
-            }
+            self.start(scope, &cluster, hello);
 
-            // Scheduler thread: replays arrivals on nominal time through
-            // the batch machine, dispatching each formed round as a frame.
-            let planner_ref = &planner;
-            let links_ref = &links;
+            // Collector thread: acks round frames so credit and the
+            // outstanding count drain. All statistics live in the
+            // machine's ledger; this loop is pure flow control — a frame
+            // stranded by a kill is retired here exactly once (its un-acked
+            // entry is the token: whoever removes it does the decrement),
+            // never re-dispatched, because the nominal machine has already
+            // reformed the cancelled round's chunks under fresh sequence
+            // numbers on the surviving workers. Its receive blocks without
+            // a deadline of its own: the scheduler's `Teardown` ends it on
+            // every path.
             let outstanding_ref = &outstanding;
-            let sched_done_ref = &sched_done;
-            let supervisor_done_ref = &supervisor_done;
-            let ledger_ref = &ledger_out;
-            let speeds_ref = &speeds;
-            let queue_depth = self.opts.queue_depth as u64;
-            let have_faults = schedule.is_some();
-            let fault_times: Vec<f64> = schedule
-                .as_ref()
-                .map(|s| s.events().iter().map(|e| e.at_secs).collect())
-                .unwrap_or_default();
             scope.spawn(move || {
-                let mut machine =
-                    BatchScheduler::new(batching, self.cfg.batch_overhead_secs, speeds_ref.clone());
-                // Physical dispatch of one formed round, under the same
-                // per-link inflight credit as the per-request path. The
-                // frame is registered un-acked *before* the send so a
-                // completion can never race past its own bookkeeping.
-                // Under a fault schedule a dead link is survivable: the
-                // frame is rolled back and simply not sent — the nominal
-                // machine independently cancels that round at the
-                // scheduled crash time and reforms its chunks on the
-                // survivors, so physical loss never touches the ledger.
-                let dispatch_round = |r: &RoundRecord| {
-                    let link = &links_ref[r.worker];
-                    while link.inflight.load(Ordering::Acquire) >= queue_depth {
-                        thread::sleep(Duration::from_micros(200));
+                for event in event_rx.iter() {
+                    match event {
+                        Event::Done(c) => {
+                            links[c.worker as usize].retire_round(outstanding_ref, c.seq);
+                        }
+                        Event::Orphan(o) => {
+                            // An in-process worker bounced a round frame
+                            // while its liveness flag was down mid-kill.
+                            assert!(
+                                have_faults,
+                                "worker {} bounced a round without a fault schedule",
+                                o.worker
+                            );
+                            links[o.worker as usize].retire_round(outstanding_ref, o.item.seq);
+                        }
+                        Event::Down {
+                            worker,
+                            incarnation,
+                        } => {
+                            // A scheduled kill (or a drained child
+                            // exiting): retire every frame the dead conn
+                            // never finished.
+                            assert!(
+                                have_faults,
+                                "worker {worker} link died without a fault schedule"
+                            );
+                            let link = &links[worker];
+                            for item in link.take_stranded(incarnation) {
+                                link.release(item.suffix_tokens);
+                                outstanding_ref.fetch_sub(1, Ordering::Release);
+                            }
+                        }
+                        Event::Rejected(_) => {
+                            unreachable!("the batched scheduler counts rejects locally")
+                        }
+                        Event::Finished => break,
                     }
-                    let msg = DispatchMsg {
+                    progress.notify();
+                }
+            });
+
+            // Scheduler, on the scope's own flow (its allocations — the
+            // machine's round and completion queues are the run's largest —
+            // then reuse the caller's heap every run): replays arrivals on
+            // nominal time through the batch machine, dispatching the
+            // rounds it forms.
+            let teardown = Teardown(&cluster);
+            let mut machine =
+                BatchScheduler::new(batching, self.cfg.batch_overhead_secs, speeds.clone());
+            // Physical dispatch of the rounds one machine step formed:
+            // each link's rounds go out in order as one batched write,
+            // under the same per-link inflight credit as the
+            // per-request path (a group larger than the credit left is
+            // sent in as many writes as it takes). Under a fault
+            // schedule a dead link is survivable: its rounds are rolled
+            // back and simply not sent. The nominal machine independently
+            // cancels those rounds at the scheduled crash time and reforms
+            // their chunks on the survivors, so physical loss never
+            // touches the ledger.
+            let mut groups: Vec<Vec<DispatchMsg>> = vec![Vec::new(); n_workers];
+            let mut frames: Vec<Frame> = Vec::new();
+            let mut dispatch_rounds = |rounds: Vec<RoundRecord>| {
+                for r in &rounds {
+                    groups[r.worker].push(DispatchMsg {
                         seq: r.seq,
                         arrival_virtual: r.start,
                         suffix_tokens: r.tokens,
                         service_virtual: r.service_secs,
                         deadline_rel: None,
-                    };
-                    let (inc, conn) = link.current();
-                    link.unacked.lock().insert(msg.seq, (inc, msg));
-                    link.queued.fetch_add(r.tokens, Ordering::Relaxed);
-                    link.inflight.fetch_add(1, Ordering::AcqRel);
-                    outstanding_ref.fetch_add(1, Ordering::AcqRel);
-                    let sent = conn
-                        .as_ref()
-                        .is_some_and(|c| c.send(msg.to_frame()).is_ok());
-                    if !sent {
-                        link.unacked.lock().remove(&msg.seq);
-                        link.queued.fetch_sub(r.tokens, Ordering::Relaxed);
-                        link.inflight.fetch_sub(1, Ordering::AcqRel);
-                        outstanding_ref.fetch_sub(1, Ordering::Release);
-                        assert!(
-                            have_faults,
-                            "worker {} link died without a fault schedule",
-                            r.worker
-                        );
-                    }
-                };
-
-                // Everything below mirrors the simulator's batched run
-                // statement-for-statement on nominal times; see
-                // `ServingEngine::run_batched`. Arrival times are rounded
-                // through the same nanosecond key so edge comparisons
-                // (item-refresh boundaries) land identically.
-                struct AdmittedJob {
-                    arrival_secs: f64,
-                    deadline: Option<f64>,
-                    compute: f64,
-                    load: f64,
-                    net: f64,
-                }
-                let mut admitted: Vec<Option<AdmittedJob>> =
-                    (0..trace.len()).map(|_| None).collect();
-                let mut ledger = BatchedLedger {
-                    first_arrival: f64::INFINITY,
-                    ..BatchedLedger::default()
-                };
-                let mut next_refresh = self.cfg.item_refresh_interval_secs.unwrap_or(0.0);
-                // Nominal fault plane: the cursor below walks the schedule
-                // exactly as the simulator's event heap does — every event
-                // whose nanosecond key is ≤ the next arrival's is applied
-                // first (fault events win key ties by sequence), at its own
-                // scheduled time, through the shared planner and machine.
-                let mut fault_cursor = 0usize;
-                let mut controller = self.cfg.slo.map(|c| {
-                    let p = planner_ref.lock();
-                    let cap = (0..n_workers)
-                        .filter(|&i| p.is_worker_alive(i))
-                        .map(|i| 1.0 / speeds_ref[i])
-                        .sum();
-                    OverloadController::new(c, cap)
-                });
-                for (idx, req) in trace.iter().enumerate() {
-                    let nominal = req.arrival.as_secs();
-                    // Open-loop pacing in scaled wall time: rounds form and
-                    // dispatch as their admitting arrivals come due, so the
-                    // physical run overlaps execution with the trace replay
-                    // instead of bursting everything at once.
-                    loop {
-                        let now = virtual_now();
-                        if now >= nominal {
-                            break;
-                        }
-                        thread::sleep(Duration::from_secs_f64(
-                            ((nominal - now) * scale).min(0.005),
-                        ));
-                    }
-                    while fault_cursor < fault_times.len()
-                        && (fault_times[fault_cursor] * 1e9) as u64 <= (nominal * 1e9) as u64
-                    {
-                        let at = fault_times[fault_cursor];
-                        fault_cursor += 1;
-                        let mut p = planner_ref.lock();
-                        for fault in p.advance_faults(at) {
-                            match fault {
-                                bat_sim::AppliedFault::Crashed(dead) => {
-                                    machine.crash(at, dead.index());
-                                }
-                                bat_sim::AppliedFault::Restarted(back, _) => {
-                                    machine.restart(at, back.index());
-                                }
-                                bat_sim::AppliedFault::Drained(leaving) => {
-                                    machine.drain(at, leaving.index());
-                                }
-                                bat_sim::AppliedFault::Joined(fresh, _) => {
-                                    machine.join(at, fresh.index());
-                                }
-                                _ => {}
-                            }
-                        }
-                        drop(p);
-                        // Requeued chunks may have formed fresh rounds on
-                        // the survivors; get them onto the wire.
-                        for r in machine.drain_rounds() {
-                            dispatch_round(&r);
-                        }
-                    }
-                    let rounded = ((nominal * 1e9) as u64) as f64 / 1e9;
-                    ledger.first_arrival = ledger.first_arrival.min(rounded);
-                    let mut p = planner_ref.lock();
-                    if let Some(interval) = self.cfg.item_refresh_interval_secs {
-                        if rounded >= next_refresh {
-                            p.refresh_item_replication(rounded);
-                            next_refresh = rounded + interval;
-                        }
-                    }
-                    if let Some(ctl) = controller.as_mut() {
-                        p.advance_faults(nominal);
-                        ctl.set_capacity(
-                            (0..n_workers)
-                                .filter(|&i| p.is_worker_alive(i))
-                                .map(|i| 1.0 / speeds_ref[i])
-                                .sum(),
-                        );
-                        machine.advance(nominal);
-                        ctl.set_slot_backlog(machine.outstanding_service_secs());
-                        ledger.slo.submitted += 1;
-                        let est = p.admission_estimate_secs(req);
-                        let decision =
-                            ctl.on_arrival(nominal, est, req.slo.deadline_secs, req.slo.priority);
-                        if let Err(BatError::Rejected { reason }) = decision.into_result() {
-                            count_reject(&mut ledger.slo, reason);
-                            continue;
-                        }
-                        ledger.slo.accepted += 1;
-                        p.set_brownout_rung(ctl.rung());
-                    }
-                    let planned = p.plan(req, nominal);
-                    let (c, l, t) = p.price(&planned);
-                    drop(p);
-                    ledger.total_tokens += req.total_tokens() as u64;
-                    ledger.reused_tokens += planned.reused_tokens();
-                    ledger.computed_tokens += planned.suffix_tokens;
-                    ledger.remote_bytes += planned.remote_bytes;
-                    if self.cfg.caching {
-                        match planned.prefix {
-                            PrefixKind::User => ledger.up_requests += 1,
-                            PrefixKind::Item => ledger.ip_requests += 1,
-                        }
-                    }
-                    let deadline = controller
-                        .is_some()
-                        .then(|| req.slo.absolute_deadline(nominal))
-                        .flatten();
-                    machine.admit(nominal, idx, planned.suffix_tokens, c + l + t, deadline);
-                    admitted[idx] = Some(AdmittedJob {
-                        arrival_secs: nominal,
-                        deadline,
-                        compute: c,
-                        load: l,
-                        net: t,
                     });
-                    for r in machine.drain_rounds() {
-                        dispatch_round(&r);
-                    }
                 }
-                // Events scheduled past the last arrival still reshape the
-                // membership before the machine runs dry (the simulator's
-                // heap pops them the same way).
-                while fault_cursor < fault_times.len() {
+                for (w, group) in groups.iter_mut().enumerate() {
+                    let link = &links[w];
+                    let mut rest = group.as_slice();
+                    while !rest.is_empty() {
+                        let credit =
+                            || queue_depth.saturating_sub(link.inflight.load(Ordering::Acquire));
+                        progress.wait(links, format_args!("credit on worker {w}"), || credit() > 0);
+                        let (batch, later) = rest.split_at(rest.len().min(credit() as usize));
+                        rest = later;
+                        let sent = link.send_rounds(batch, &outstanding, &mut frames);
+                        assert!(
+                            sent || have_faults,
+                            "worker {w} link died without a fault schedule"
+                        );
+                    }
+                    group.clear();
+                }
+            };
+            // Everything below mirrors the simulator's batched run
+            // statement-for-statement on nominal times; see
+            // `ServingEngine::run_batched`. Arrival times are rounded
+            // through the same nanosecond key so edge comparisons
+            // (item-refresh boundaries) land identically.
+            struct AdmittedJob {
+                arrival_secs: f64,
+                deadline: Option<f64>,
+                compute: f64,
+                load: f64,
+                net: f64,
+            }
+            let mut admitted: Vec<Option<AdmittedJob>> = (0..trace.len()).map(|_| None).collect();
+            let mut ledger = BatchedLedger {
+                first_arrival: f64::INFINITY,
+                ..BatchedLedger::default()
+            };
+            let mut next_refresh = self.cfg.item_refresh_interval_secs.unwrap_or(0.0);
+            // Nominal fault plane: the cursor below walks the schedule
+            // exactly as the simulator's event heap does — every event
+            // whose nanosecond key is ≤ the next arrival's is applied
+            // first (fault events win key ties by sequence), at its own
+            // scheduled time, through the shared planner and machine.
+            let mut fault_cursor = 0usize;
+            let mut controller = self.cfg.slo.map(|c| {
+                let cap = (0..n_workers)
+                    .filter(|&i| planner.is_worker_alive(i))
+                    .map(|i| 1.0 / speeds[i])
+                    .sum();
+                OverloadController::new(c, cap)
+            });
+            for (idx, req) in trace.iter().enumerate() {
+                let nominal = req.arrival.as_secs();
+                // Open-loop pacing in scaled wall time: rounds form and
+                // dispatch as their admitting arrivals come due, so the
+                // physical run overlaps execution with the trace replay
+                // instead of bursting everything at once.
+                pacer::sleep_until(cluster.wall(nominal));
+                while fault_cursor < fault_times.len()
+                    && (fault_times[fault_cursor] * 1e9) as u64 <= (nominal * 1e9) as u64
+                {
                     let at = fault_times[fault_cursor];
                     fault_cursor += 1;
-                    let mut p = planner_ref.lock();
-                    for fault in p.advance_faults(at) {
-                        match fault {
-                            bat_sim::AppliedFault::Crashed(dead) => {
-                                machine.crash(at, dead.index());
-                            }
-                            bat_sim::AppliedFault::Restarted(back, _) => {
-                                machine.restart(at, back.index());
-                            }
-                            bat_sim::AppliedFault::Drained(leaving) => {
-                                machine.drain(at, leaving.index());
-                            }
-                            bat_sim::AppliedFault::Joined(fresh, _) => {
-                                machine.join(at, fresh.index());
-                            }
-                            _ => {}
-                        }
-                    }
-                    drop(p);
-                    for r in machine.drain_rounds() {
-                        dispatch_round(&r);
+                    apply_membership(&mut planner, &mut machine, at);
+                    // Requeued chunks may have formed fresh rounds on
+                    // the survivors; get them onto the wire.
+                    dispatch_rounds(machine.drain_rounds());
+                }
+                let rounded = ((nominal * 1e9) as u64) as f64 / 1e9;
+                ledger.first_arrival = ledger.first_arrival.min(rounded);
+                if let Some(interval) = self.cfg.item_refresh_interval_secs {
+                    if rounded >= next_refresh {
+                        planner.refresh_item_replication(rounded);
+                        next_refresh = rounded + interval;
                     }
                 }
-                machine.finish();
-                for r in machine.drain_rounds() {
-                    dispatch_round(&r);
-                }
-                // Fold the terminal ledger in the machine's completion
-                // order — the same f64 fold order as the simulator, which
-                // is what keeps the digest bitwise equal.
-                for done in machine.drain_completions() {
-                    let job = admitted[done.idx]
-                        .as_ref()
-                        .expect("machine completions cover only admitted requests");
-                    ledger.latencies.record(done.at - job.arrival_secs);
-                    ledger.completed += 1;
-                    ledger.compute_secs += job.compute;
-                    ledger.load_secs += job.load;
-                    ledger.net_secs += job.net;
-                    if controller.is_some() {
-                        ledger.slo.completed += 1;
-                        if job.deadline.is_some_and(|d| done.at > d) {
-                            ledger.slo.deadline_misses += 1;
-                        }
+                if let Some(ctl) = controller.as_mut() {
+                    planner.advance_faults(nominal);
+                    ctl.set_capacity(
+                        (0..n_workers)
+                            .filter(|&i| planner.is_worker_alive(i))
+                            .map(|i| 1.0 / speeds[i])
+                            .sum(),
+                    );
+                    machine.advance(nominal);
+                    ctl.set_slot_backlog(machine.outstanding_service_secs());
+                    ledger.slo.submitted += 1;
+                    let est = planner.admission_estimate_secs(req);
+                    let decision =
+                        ctl.on_arrival(nominal, est, req.slo.deadline_secs, req.slo.priority);
+                    if let Err(BatError::Rejected { reason }) = decision.into_result() {
+                        count_reject(&mut ledger.slo, reason);
+                        continue;
                     }
-                    ledger.last_completion = ledger.last_completion.max(done.at);
+                    ledger.slo.accepted += 1;
+                    planner.set_brownout_rung(ctl.rung());
                 }
-                ledger.slo.shed_expired += machine.drain_sheds().len() as u64;
-                ledger.batching = machine.stats();
-                // Both engines derive the SLO-plane migration ledger from
-                // the same machine, so it is bit-identical by construction.
-                ledger.slo.migrated = ledger.batching.migrated_requests;
-                *ledger_ref.lock() = Some(ledger);
-                // Wait out the physical tail (and the supervisor, so a
-                // late respawned child still gets its shutdown frame),
-                // then release the cluster.
-                while outstanding_ref.load(Ordering::Acquire) > 0
-                    || !supervisor_done_ref.load(Ordering::Acquire)
-                {
-                    thread::sleep(Duration::from_micros(500));
-                }
-                sched_done_ref.store(true, Ordering::Release);
-                for link in links_ref {
-                    if let (_, Some(conn)) = link.current() {
-                        let _ = conn.send(ShutdownMsg.to_frame());
+                let planned = planner.plan(req, nominal);
+                let (c, l, t) = planner.price(&planned);
+                ledger.total_tokens += req.total_tokens() as u64;
+                ledger.reused_tokens += planned.reused_tokens();
+                ledger.computed_tokens += planned.suffix_tokens;
+                ledger.remote_bytes += planned.remote_bytes;
+                if self.cfg.caching {
+                    match planned.prefix {
+                        PrefixKind::User => ledger.up_requests += 1,
+                        PrefixKind::Item => ledger.ip_requests += 1,
                     }
                 }
-            });
-
-            // Collector: acks round frames so credit and the outstanding
-            // count drain. All statistics live in the machine's ledger;
-            // this loop is pure flow control — a frame stranded by a kill
-            // is retired here exactly once (its un-acked entry is the
-            // token: whoever removes it does the decrement), never
-            // re-dispatched, because the nominal machine has already
-            // reformed the cancelled round's chunks under fresh sequence
-            // numbers on the surviving workers.
-            loop {
-                match event_rx.try_recv() {
-                    Ok(Event::Done(c)) => {
-                        let link = &links[c.worker as usize];
-                        if link.unacked.lock().remove(&c.seq).is_some() {
-                            link.queued.fetch_sub(c.suffix_tokens, Ordering::Relaxed);
-                            link.inflight.fetch_sub(1, Ordering::AcqRel);
-                            outstanding.fetch_sub(1, Ordering::Release);
-                        }
-                    }
-                    Ok(Event::Orphan(o)) => {
-                        // An in-process worker bounced a round frame while
-                        // its liveness flag was down mid-kill.
-                        assert!(
-                            schedule.is_some(),
-                            "worker {} bounced a round without a fault schedule",
-                            o.worker
-                        );
-                        let link = &links[o.worker as usize];
-                        if link.unacked.lock().remove(&o.item.seq).is_some() {
-                            link.queued
-                                .fetch_sub(o.item.suffix_tokens, Ordering::Relaxed);
-                            link.inflight.fetch_sub(1, Ordering::AcqRel);
-                            outstanding.fetch_sub(1, Ordering::Release);
-                        }
-                    }
-                    Ok(Event::Down {
-                        worker,
-                        incarnation,
-                    }) => {
-                        // Reader death after shutdown is the orderly end;
-                        // mid-run it is a scheduled kill (or a drained
-                        // child exiting): retire every frame sent on this
-                        // or an earlier incarnation — entries sent on a
-                        // newer conn stay.
-                        if !sched_done.load(Ordering::Acquire) {
-                            assert!(
-                                schedule.is_some(),
-                                "worker {worker} link died without a fault schedule"
-                            );
-                        }
-                        let link = &links[worker];
-                        {
-                            let g = link.conn.lock();
-                            if g.0 == incarnation {
-                                link.alive.store(false, Ordering::Release);
-                            }
-                        }
-                        let dropped: Vec<DispatchMsg> = {
-                            let mut un = link.unacked.lock();
-                            let seqs: Vec<u64> = un
-                                .iter()
-                                .filter(|(_, (inc, _))| *inc <= incarnation)
-                                .map(|(&seq, _)| seq)
-                                .collect();
-                            seqs.iter()
-                                .map(|seq| un.remove(seq).expect("seq just listed").1)
-                                .collect()
-                        };
-                        for item in dropped {
-                            link.queued.fetch_sub(item.suffix_tokens, Ordering::Relaxed);
-                            link.inflight.fetch_sub(1, Ordering::AcqRel);
-                            outstanding.fetch_sub(1, Ordering::Release);
-                        }
-                    }
-                    Ok(Event::Rejected(_)) => {
-                        unreachable!("the batched scheduler counts rejects locally")
-                    }
-                    Err(TryRecvError::Empty) => {
-                        if sched_done.load(Ordering::Acquire) {
-                            break;
-                        }
-                        thread::sleep(Duration::from_micros(500));
-                    }
-                    Err(TryRecvError::Disconnected) => break,
-                }
+                let deadline = controller
+                    .is_some()
+                    .then(|| req.slo.absolute_deadline(nominal))
+                    .flatten();
+                machine.admit(nominal, idx, planned.suffix_tokens, c + l + t, deadline);
+                admitted[idx] = Some(AdmittedJob {
+                    arrival_secs: nominal,
+                    deadline,
+                    compute: c,
+                    load: l,
+                    net: t,
+                });
+                dispatch_rounds(machine.drain_rounds());
             }
+            // Events scheduled past the last arrival still reshape the
+            // membership before the machine runs dry (the simulator's
+            // heap pops them the same way).
+            while fault_cursor < fault_times.len() {
+                let at = fault_times[fault_cursor];
+                fault_cursor += 1;
+                apply_membership(&mut planner, &mut machine, at);
+                dispatch_rounds(machine.drain_rounds());
+            }
+            machine.finish();
+            dispatch_rounds(machine.drain_rounds());
+            // Fold the terminal ledger in the machine's completion
+            // order — the same f64 fold order as the simulator, which
+            // is what keeps the digest bitwise equal.
+            for done in machine.drain_completions() {
+                let job = admitted[done.idx]
+                    .as_ref()
+                    .expect("machine completions cover only admitted requests");
+                ledger.latencies.record(done.at - job.arrival_secs);
+                ledger.completed += 1;
+                ledger.compute_secs += job.compute;
+                ledger.load_secs += job.load;
+                ledger.net_secs += job.net;
+                if controller.is_some() {
+                    ledger.slo.completed += 1;
+                    if job.deadline.is_some_and(|d| done.at > d) {
+                        ledger.slo.deadline_misses += 1;
+                    }
+                }
+                ledger.last_completion = ledger.last_completion.max(done.at);
+            }
+            ledger.slo.shed_expired += machine.drain_sheds().len() as u64;
+            ledger.batching = machine.stats();
+            // Both engines derive the SLO-plane migration ledger from
+            // the same machine, so it is bit-identical by construction.
+            ledger.slo.migrated = ledger.batching.migrated_requests;
+            // Wait out the physical tail (and the supervisor, so a late
+            // respawned child still gets its shutdown frame), then release
+            // the cluster.
+            progress.wait(
+                links,
+                format_args!("the dispatched rounds to finish"),
+                || outstanding.load(Ordering::Acquire) == 0 && progress.is_schedule_delivered(),
+            );
+            drop(teardown);
 
-            let ledger = ledger_out
-                .lock()
-                .take()
-                .expect("scheduler thread fills the ledger");
             let mut latencies = ledger.latencies;
             let span = if ledger.completed == 0 {
                 0.0
@@ -1450,29 +1431,22 @@ impl ServeRuntime {
             );
             stats.slo = ledger.slo;
             stats.batching = ledger.batching;
-            let mut planner = planner.lock();
             if let Some(report) = planner.finish_faults() {
                 stats.faults = report;
             }
             if let Some(tiers) = planner.tier_stats() {
                 stats.tiers = tiers;
             }
-            drop(planner);
             stats
         });
-        for link in &links {
-            if let Some(mut child) = link.child.lock().take() {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-        }
+        cluster.reap();
         stats
     }
 }
 
-/// The batched path's whole accounting state, filled by the scheduler
-/// thread (which owns the machine) and read once by the collector when the
-/// run drains. Mirrors the counter set of the simulator's batched path.
+/// The batched path's whole accounting state, filled by the scheduler (which
+/// owns the machine). Mirrors the counter set of the simulator's batched
+/// path.
 #[derive(Debug, Default)]
 struct BatchedLedger {
     completed: usize,
@@ -1490,6 +1464,21 @@ struct BatchedLedger {
     ip_requests: usize,
     first_arrival: f64,
     last_completion: f64,
+}
+
+/// Applies the faults scheduled at nominal time `at` to the planner and the
+/// membership changes among them to the batch machine, as the simulator's
+/// event heap does.
+fn apply_membership(planner: &mut RequestPlanner, machine: &mut BatchScheduler, at: f64) {
+    for fault in planner.advance_faults(at) {
+        match fault {
+            bat_sim::AppliedFault::Crashed(dead) => machine.crash(at, dead.index()),
+            bat_sim::AppliedFault::Restarted(back, _) => machine.restart(at, back.index()),
+            bat_sim::AppliedFault::Drained(leaving) => machine.drain(at, leaving.index()),
+            bat_sim::AppliedFault::Joined(fresh, _) => machine.join(at, fresh.index()),
+            _ => {}
+        }
+    }
 }
 
 fn count_reject(slo: &mut SloStats, reason: RejectReason) {
@@ -1546,6 +1535,111 @@ mod tests {
             transport: kind,
             ..ServeOptions::default()
         }
+    }
+
+    fn round(seq: u64) -> DispatchMsg {
+        DispatchMsg {
+            seq,
+            arrival_virtual: 0.0,
+            suffix_tokens: 10,
+            service_virtual: 1e-3,
+            deadline_rel: None,
+        }
+    }
+
+    #[test]
+    fn failed_batch_rolls_every_frame_back_exactly_once() {
+        let link = Link::new();
+        let (ours, theirs) = bat_net::ChannelConn::pair();
+        *link.conn.lock() = (3, Some(ours as Arc<dyn Conn>));
+        let outstanding = AtomicU64::new(0);
+        let mut frames = Vec::new();
+        let counters = |link: &Link| {
+            (
+                link.unacked.lock().len(),
+                link.inflight.load(Ordering::Acquire),
+                link.queued.load(Ordering::Relaxed),
+                outstanding.load(Ordering::Acquire),
+            )
+        };
+
+        // A live peer: the batch is booked, arrives in order, and each
+        // frame retires once however often its ack is replayed.
+        let batch: Vec<DispatchMsg> = (0..4).map(round).collect();
+        assert!(link.send_rounds(&batch, &outstanding, &mut frames));
+        assert!(frames.is_empty());
+        assert_eq!(counters(&link), (4, 4, 40, 4));
+        for m in &batch {
+            assert_eq!(
+                DispatchMsg::from_frame(&theirs.recv().unwrap()).unwrap(),
+                *m
+            );
+            link.retire_round(&outstanding, m.seq);
+            link.retire_round(&outstanding, m.seq);
+        }
+        assert_eq!(counters(&link), (0, 0, 0, 0));
+
+        // The peer dies: the whole batch is rolled back, so neither the
+        // reader's `Down` nor a straggling ack finds anything to retire a
+        // second time.
+        drop(theirs);
+        let batch: Vec<DispatchMsg> = (4..9).map(round).collect();
+        assert!(!link.send_rounds(&batch, &outstanding, &mut frames));
+        assert!(frames.is_empty());
+        assert_eq!(counters(&link), (0, 0, 0, 0));
+        assert!(link.take_stranded(3).is_empty());
+        link.retire_round(&outstanding, 4);
+        assert_eq!(counters(&link), (0, 0, 0, 0));
+    }
+
+    #[test]
+    fn progress_wait_is_woken_by_a_notify() {
+        let progress = Progress::new(true, Duration::from_secs(30));
+        let flag = AtomicBool::new(false);
+        thread::scope(|scope| {
+            scope.spawn(|| {
+                flag.store(true, Ordering::Release);
+                progress.notify();
+            });
+            progress.wait(&[], format_args!("the flag"), || {
+                flag.load(Ordering::Acquire)
+            });
+        });
+    }
+
+    #[test]
+    fn stuck_wait_names_worker_incarnation_and_oldest_unacked_seq() {
+        let links = [Link::new(), Link::new()];
+        links[1]
+            .unacked
+            .lock()
+            .extend([(17, (2, round(17))), (23, (2, round(23)))]);
+        // While faults are still due a quiet wait is not stuck: the wait
+        // sits through two deadlines, and panics at the first one after the
+        // schedule has been delivered (here by its own third poll).
+        let progress = Progress::new(false, Duration::from_millis(10));
+        let mut polls = 0;
+        let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            progress.wait(&links, format_args!("credit on worker 1"), || {
+                polls += 1;
+                if polls == 3 {
+                    progress.schedule_delivered.store(true, Ordering::Release);
+                }
+                false
+            });
+        }))
+        .expect_err("a stuck wait must fail the run");
+        assert_eq!(polls, 4);
+        let report = report
+            .downcast_ref::<String>()
+            .expect("panics with a report");
+        assert!(
+            report.contains("waiting for credit on worker 1")
+                && report
+                    .contains("worker 1 (incarnation 2) holds 2 un-acked frame(s), oldest seq 17")
+                && !report.contains("worker 0"),
+            "{report}"
+        );
     }
 
     #[test]
@@ -1739,27 +1833,32 @@ mod tests {
     fn straggler_worker_is_routed_around() {
         let ds = DatasetConfig::games();
         let t = trace(&ds, 2.0, 60.0);
-        let healthy = ServeRuntime::new(config(SystemKind::Bat, &ds), ServeOptions::default())
-            .unwrap()
-            .serve(&t);
-        let degraded = ServeRuntime::new(
-            config(SystemKind::Bat, &ds),
-            ServeOptions {
-                straggler: Some((0, 5.0)),
+        // A job here is priced at 30–50 virtual ms. At the default scale
+        // that is 30–50 µs of wall time — less than the thread wake-ups a
+        // completion crosses on its way back to the dispatcher, so one
+        // late wake-up on a busy host sends a job to the slow worker and
+        // the comparison measures the host, not the routing. At 1e-1 a job
+        // outlasts them a hundredfold (and the healthy P90 lands within a
+        // percent of the simulator's).
+        let serve = |straggler| {
+            let opts = ServeOptions {
+                time_scale: 1e-1,
+                straggler,
                 ..ServeOptions::default()
-            },
-        )
-        .unwrap()
-        .serve(&t);
-        // No work is lost, and a 5x slowdown of one of two workers must not
-        // degrade tail latency by anything close to 5x (dispatch routes
-        // around it). Interpolated P90, not nearest-rank P99: the
-        // nearest-rank tail snapped to a single worst-case thread wakeup
-        // and flaked on loaded hosts, while the mean this test used to
-        // assert on hid genuine routing regressions. The interpolated
-        // estimate moves continuously with the sample values, so one
-        // jittery sample shifts it proportionally, not wholesale.
-        assert_eq!(degraded.completed, t.len());
+            };
+            let stats = ServeRuntime::new(config(SystemKind::Bat, &ds), opts)
+                .unwrap()
+                .serve(&t);
+            assert_eq!(stats.completed, t.len(), "no work is lost");
+            stats
+        };
+        let healthy = serve(None);
+        let degraded = serve(Some((0, 5.0)));
+        // A 5x slowdown of one of two workers must not degrade tail
+        // latency by anything close to 5x (dispatch routes around it).
+        // Interpolated P90, not nearest-rank P99: the nearest-rank tail
+        // snaps to a single worst-case sample, while the mean this test
+        // used to assert on hid genuine routing regressions.
         assert!(
             degraded.p90_latency_ms < healthy.p90_latency_ms * 4.0 + 2.0 * healthy.mean_latency_ms,
             "straggler p90 {} vs healthy p90 {} (mean {})",
