@@ -3,11 +3,9 @@
 //! Complements `batctl bench` (which emits the tracked JSON summary) with
 //! per-kernel timings under the criterion harness: the seed triple-loop
 //! matmul against the cache-blocked rewrite, the explicit-transpose path
-//! against `matmul_nt`, dense vs sparse-aware matrix–vector products, and
-//! the fused masked-softmax·V attention epilogue against its gather-based
-//! equivalent.
+//! against `matmul_nt`, and dense vs sparse-aware matrix–vector products.
+//! (The attention kernel's rows are `attend_group_*` in `batctl bench`.)
 
-use bat_tensor::ops::{fused_masked_softmax_av, stable_softmax_in_place};
 use bat_tensor::Matrix;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;
@@ -49,54 +47,5 @@ fn bench_vecmul(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_attention_epilogue(c: &mut Criterion) {
-    // One attention row: 256 keys, head_dim 64, every other key masked.
-    let n = 256;
-    let d = 64;
-    let values = mat(n, d, 5);
-    let scores: Vec<f32> = (0..n).map(|i| (i as f32 * 0.11).cos()).collect();
-    let allowed: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
-    let scale = 0.125f32;
-
-    let mut g = c.benchmark_group("attention_epilogue");
-    g.bench_function("gather_then_softmax_seed", |bch| {
-        bch.iter(|| {
-            // The seed's shape: gather allowed scores, softmax, then a
-            // weighted row accumulation over the gathered positions.
-            let mut gathered: Vec<f32> = Vec::with_capacity(n);
-            let mut idx: Vec<usize> = Vec::with_capacity(n);
-            for (i, (&s, &ok)) in scores.iter().zip(&allowed).enumerate() {
-                if ok {
-                    gathered.push(s * scale);
-                    idx.push(i);
-                }
-            }
-            stable_softmax_in_place(&mut gathered);
-            let mut out = vec![0.0f32; d];
-            for (w, &i) in gathered.iter().zip(&idx) {
-                for (o, v) in out.iter_mut().zip(values.row(i)) {
-                    *o += w * v;
-                }
-            }
-            black_box(out)
-        })
-    });
-    g.bench_function("fused", |bch| {
-        let mut scratch = vec![0.0f32; n];
-        bch.iter(|| {
-            scratch.copy_from_slice(&scores);
-            let mut out = vec![0.0f32; d];
-            fused_masked_softmax_av(&mut scratch, &allowed, scale, &values, &mut out);
-            black_box(out)
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_matmul,
-    bench_vecmul,
-    bench_attention_epilogue
-);
+criterion_group!(benches, bench_matmul, bench_vecmul);
 criterion_main!(benches);

@@ -23,7 +23,7 @@ use bat_serve::{Pacer, ServeOptions, ServeRuntime, TransportKind};
 use bat_sim::{EngineConfig, SystemKind};
 use bat_tensor::{
     active_simd_tier, axpy, dot_fast, fast_silu_mul_in_place, stable_softmax_fast_in_place,
-    ColBlock, Matrix, QuantKind, QuantizedColBlock, SplitCols,
+    ColBlock, GroupAttention, Matrix, QuantKind, QuantizedColBlock, Softmax, SplitCols,
 };
 use bat_types::{ClusterConfig, DatasetConfig, ModelConfig, PrefixKind};
 use bat_workload::{TraceGenerator, Workload};
@@ -75,7 +75,8 @@ pub struct PerfSummary {
     /// `true` iff every parallel run produced bit-identical results to the
     /// serial run (the execution layer's core contract).
     pub deterministic: bool,
-    /// Kernel-level measurements (matmul, fused attention epilogue).
+    /// Kernel-level measurements (matmul, quantization, group attention,
+    /// SIMD elementwise, batch formation).
     pub kernels: Vec<BenchResult>,
     /// End-to-end forward-pass measurements (proxy model, ranking prompt).
     pub forward: Vec<BenchResult>,
@@ -511,6 +512,66 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
         .find(|r| r.name == "dequant_then_attend_int8")
         .map(|r| r.secs)
         .unwrap_or(fused_secs);
+
+    // The group attention kernel on its own, at the `rank_warm` shapes: one
+    // User-as-prefix token row — all 12 query heads (two KV heads of six)
+    // over the 192 cached keys plus the token's own 2-key block — and a
+    // 192-token causal block (what `compute_kv` of a profile runs per
+    // layer). Same shapes in quick mode; they take micro- to milliseconds.
+    {
+        let (d, group, kv_heads, prefix) = (8, 6, 2, 192);
+        let mut rng = SmallRng::seed_from_u64(19);
+        let mut block = |cols: usize| {
+            let mut b = ColBlock::new(kv_heads * d);
+            for col in Matrix::random(cols, kv_heads * d, 1.0, &mut rng)
+                .as_slice()
+                .chunks_exact(kv_heads * d)
+            {
+                b.push_col(col);
+            }
+            b
+        };
+        let (k_pre, v_pre, k_suf, v_suf) = (block(prefix), block(prefix), block(8), block(8));
+        let q = Matrix::random(prefix, kv_heads * group * d, 1.0, &mut rng);
+        let mut out = vec![0.0f32; kv_heads * group * d];
+        let mut scratch = Vec::new();
+        let mut attend = |kv: &GroupAttention<'_>, t: usize, runs: &[std::ops::Range<usize>]| {
+            let heads = q.row(t).chunks_exact(group * d);
+            for (h, (q, out)) in heads.zip(out.chunks_exact_mut(group * d)).enumerate() {
+                kv.attend::<Softmax>(h, black_box(runs), q, &mut scratch, out);
+            }
+            black_box(&out);
+        };
+        let up_hit = GroupAttention {
+            keys: SplitCols::new(Some(&k_pre), &k_suf),
+            vals: SplitCols::new(Some(&v_pre), &v_suf),
+            head_dim: d,
+            scale: 1.0 / (d as f32).sqrt(),
+        };
+        let row_secs = time_best(
+            || attend(&up_hit, 0, &[0..prefix, prefix + 4..prefix + 6]),
+            q_samples,
+        );
+        kernels.push(BenchResult {
+            name: "attend_group_up_hit".into(),
+            threads: 1,
+            secs: row_secs,
+        });
+        let causal = GroupAttention {
+            keys: SplitCols::new(None, &k_pre),
+            vals: SplitCols::new(None, &v_pre),
+            ..up_hit
+        };
+        let block_secs = time_best(
+            || (0..prefix).for_each(|t| attend(&causal, t, std::slice::from_ref(&(0..t + 1)))),
+            q_samples,
+        );
+        kernels.push(BenchResult {
+            name: "attend_group_causal".into(),
+            threads: 1,
+            secs: block_secs,
+        });
+    }
 
     // Multiversioned elementwise kernels, labelled with the SIMD tier the
     // dispatchers actually selected on this machine (avx512 / avx2 / neon /

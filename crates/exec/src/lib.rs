@@ -161,7 +161,8 @@ where
 /// `k = block_count(n)`; like [`parallel_chunks`], callers must only write
 /// per-index state for results to be bit-identical across thread counts.
 /// Chunks that end up empty (one weight dwarfing the rest) are skipped,
-/// and a zero total weight falls back to the uniform count split.
+/// and a zero total weight falls back to the uniform count split (see
+/// `weighted_cuts`).
 pub fn parallel_weighted_chunks<F>(weights: &[u64], grain: usize, f: F)
 where
     F: Fn(usize, Range<usize>) + Sync,
@@ -175,19 +176,32 @@ where
         return;
     }
     let k = block_count(n);
-    let total: u128 = weights.iter().map(|&w| u128::from(w)).sum();
-    if total == 0 {
-        run_blocks(k, &|b| f(b, block_range(n, k, b)));
-        return;
-    }
-    // cuts[b] = first index whose prefix weight reaches b/k of the total;
-    // computed by one forward sweep, so cuts are monotone and partition
-    // 0..n exactly. `k <= MAX_THREADS * 4`, so the cuts live on the stack
-    // and a steady-state call never allocates.
+    let cuts = &weighted_cuts(weights, k);
+    run_blocks(k, &|b| {
+        let range = cuts[b]..cuts[b + 1];
+        if !range.is_empty() {
+            f(b, range);
+        }
+    });
+}
+
+/// The partition of [`parallel_weighted_chunks`]: chunk `b` of `k` is
+/// `cuts[b]..cuts[b + 1]`, where `cuts[b]` is the first index whose prefix
+/// weight reaches `b/k` of the total — one forward sweep, so the cuts are
+/// monotone and partition `0..weights.len()` exactly. A zero total weight
+/// gives the uniform count split. `k <= MAX_THREADS * 4`, so the cuts live
+/// on the stack and a steady-state call never allocates.
+fn weighted_cuts(weights: &[u64], k: usize) -> [usize; MAX_THREADS * 4 + 1] {
+    let n = weights.len();
     let mut cuts = [0usize; MAX_THREADS * 4 + 1];
+    let total: u128 = weights.iter().map(|&w| u128::from(w)).sum();
     let mut prefix: u128 = 0;
     let mut i = 0usize;
     for (b, cut) in cuts.iter_mut().enumerate().take(k).skip(1) {
+        if total == 0 {
+            *cut = block_range(n, k, b).start;
+            continue;
+        }
         let target = total * b as u128;
         while i < n && prefix * (k as u128) < target {
             prefix += u128::from(weights[i]);
@@ -196,13 +210,7 @@ where
         *cut = i;
     }
     cuts[k] = n;
-    let cuts = &cuts;
-    run_blocks(k, &|b| {
-        let range = cuts[b]..cuts[b + 1];
-        if !range.is_empty() {
-            f(b, range);
-        }
-    });
+    cuts
 }
 
 /// [`parallel_row_blocks`] with the rows split by cumulative *weight*
@@ -442,33 +450,34 @@ mod tests {
         set_threads(1);
     }
 
+    /// Checked on the pure `(weights, k) → cuts` function: the pool width
+    /// is process-global, so a test that reads it back races every other
+    /// test that sets it.
     #[test]
-    fn weighted_chunks_balance_skewed_weights() {
-        set_threads(4);
+    fn weighted_cuts_balance_skewed_weights() {
         // One 10_000-token prompt among 63 tiny ones: a count split gives
         // some chunk ~10k + neighbors; the weight split isolates it.
         let mut weights = vec![8u64; 64];
         weights[0] = 10_000;
         let total: u64 = weights.iter().sum();
         let max_w = *weights.iter().max().unwrap();
-        let chunk_loads = std::sync::Mutex::new(Vec::new());
-        parallel_weighted_chunks(&weights, 1, |_, range| {
-            let load: u64 = range.map(|i| weights[i]).sum();
-            chunk_loads.lock().unwrap().push(load);
-        });
-        let loads = chunk_loads.into_inner().unwrap();
-        let k = loads.len() as u64;
-        assert!(k > 1, "the split must actually split");
-        // Standard greedy bound: no chunk exceeds an even share plus one
-        // item (the indivisible unit).
-        for load in loads {
+        for k in [2usize, 8, 16] {
+            let cuts = weighted_cuts(&weights, k);
+            assert_eq!((cuts[0], cuts[k]), (0, weights.len()));
+            let loads: Vec<u64> = (0..k)
+                .map(|b| weights[cuts[b]..cuts[b + 1]].iter().sum())
+                .collect();
             assert!(
-                load <= total / k + max_w,
-                "chunk load {load} vs bound {} (total {total}, k {k})",
-                total / k + max_w
+                loads.iter().filter(|&&load| load > 0).count() > 1,
+                "the split must actually split"
             );
+            // Standard greedy bound: no chunk exceeds an even share plus
+            // one item (the indivisible unit).
+            for load in loads {
+                let bound = total / k as u64 + max_w;
+                assert!(load <= bound, "chunk load {load} vs bound {bound} (k {k})");
+            }
         }
-        set_threads(1);
     }
 
     #[test]

@@ -37,6 +37,7 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Locks a pool mutex, recovering from poisoning.
 ///
@@ -55,6 +56,15 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Hard cap on pool width; `BAT_THREADS` and [`set_threads`] clamp to it.
 pub const MAX_THREADS: usize = 64;
+
+/// How long a worker that found every deque empty keeps polling the queue
+/// count before it parks. A forward pass is dozens of parallel stages back
+/// to back with microseconds of serial work between them; a worker that
+/// parks the instant the queue runs dry makes each stage start with a futex
+/// wake of a halted core (tens of microseconds — more than a short stage
+/// saves by being split). One poll window is far below any idle period
+/// worth sleeping through, so an idle pool still costs nothing.
+const PARK_AFTER: Duration = Duration::from_micros(100);
 
 /// State shared by one parallel call: the block closure and its latch.
 struct CallCtx {
@@ -209,6 +219,15 @@ fn worker_loop(pool: &'static Shared, slot: usize) {
             run_task(task);
             continue;
         }
+        // Workers beyond the effective width (left over from a wider
+        // setting) get no tasks of their own and park at once.
+        let idle_since = Instant::now();
+        while slot < pool.effective.load(Ordering::Relaxed)
+            && pool.queued.load(Ordering::Acquire) == 0
+            && idle_since.elapsed() < PARK_AFTER
+        {
+            std::hint::spin_loop();
+        }
         let guard = relock(&pool.sleep);
         if pool.queued.load(Ordering::Acquire) == 0 {
             // Parking is cheap and wakeups are broadcast; spurious wakes
@@ -254,13 +273,18 @@ pub fn run_blocks(n_blocks: usize, f: &(dyn Fn(usize) + Sync)) {
     let active = eff.min(pool.deques.len());
     pool.live_slots
         .fetch_max(active.max(my_slot + 1), Ordering::AcqRel);
-    for b in 0..n_blocks {
-        let slot = (my_slot + b) % active;
-        relock(&pool.deques[slot]).push_back(Task {
-            ctx: &ctx as *const _,
-            block: b,
-        });
-        pool.queued.fetch_add(1, Ordering::AcqRel);
+    // Counted before they are pushed, so a polling worker starts looking
+    // while the deques fill; block `b` goes to deque `my_slot + b`
+    // (mod `active`), each deque locked once.
+    pool.queued.fetch_add(n_blocks, Ordering::AcqRel);
+    for first in 0..active.min(n_blocks) {
+        let mut deque = relock(&pool.deques[(my_slot + first) % active]);
+        for block in (first..n_blocks).step_by(active) {
+            deque.push_back(Task {
+                ctx: &ctx as *const _,
+                block,
+            });
+        }
     }
     {
         let _g = relock(&pool.sleep);

@@ -23,8 +23,8 @@ use crate::kv::KvSegment;
 use crate::prompt::TokenSeq;
 use crate::transformer::{norm_rows_into, ForwardOutput, ForwardWorkspace, MaskBuf};
 use bat_exec::with_thread_scratch;
-use bat_tensor::ops::{axpy, fast_silu, fast_silu_in_place, rms_norm_into};
-use bat_tensor::{Matrix, RopeTable, SplitCols};
+use bat_tensor::ops::{axpy, fast_silu_in_place, rms_norm_into};
+use bat_tensor::{GroupAttention, Matrix, RopeTable, Silu, SplitCols};
 use rand::{rngs::SmallRng, SeedableRng};
 
 /// Weights of one HSTU layer.
@@ -238,41 +238,42 @@ impl HstuModel {
             // Zero-copy split view over the packed [prefix ++ suffix]
             // blocks (HSTU is single-group: query_heads == kv_heads).
             let sl = &suffix_kv.layers[l];
-            let kview = SplitCols::new(prefix.map(|p| p.layers[l].keys()), sl.keys());
-            let vview = SplitCols::new(prefix.map(|p| p.layers[l].values()), sl.values());
+            let kv = GroupAttention {
+                keys: SplitCols::new(prefix.map(|p| p.layers[l].keys()), sl.keys()),
+                vals: SplitCols::new(prefix.map(|p| p.layers[l].values()), sl.values()),
+                head_dim: d,
+                scale,
+            };
             // SiLU attention over the token's allowed key runs + count
-            // normalization + elementwise gate, parallel over tokens (the
-            // softmax analogue is `attend_token` in [`crate::transformer`]).
+            // normalization + elementwise gate, parallel over tokens: the
+            // softmax model's kernel with a group of one and SiLU as the
+            // row weighting.
             act.reset(s_len, cfg.hidden_dim);
             let q_ro: &Matrix = q;
             let u_ro: &Matrix = up;
             let mask_ro: &MaskBuf = mask;
-            act.par_rows_mut_weighted(mask_ro.allowed(), |t, grow| {
-                let runs = mask_ro.runs(t);
-                let count = mask_ro.allowed()[t] as usize;
+            act.par_row_blocks_mut_weighted(mask_ro.allowed(), |first_row, block| {
                 with_thread_scratch(|scr: &mut HstuScratch| {
                     let HstuScratch { s, agg, normed } = scr;
-                    agg.clear();
-                    agg.resize(cfg.kv_dim(), 0.0);
-                    s.resize(count, 0.0);
-                    let heads = q_ro.row(t).chunks_exact(d).zip(agg.chunks_exact_mut(d));
-                    for (head, (qv, out)) in heads.enumerate() {
-                        s.fill(0.0);
-                        for (c, &qc) in qv.iter().enumerate() {
-                            kview.axpy_plane(head * d + c, runs, std::iter::once(qc), s);
+                    for (off, grow) in block.chunks_exact_mut(cfg.hidden_dim).enumerate() {
+                        let t = first_row + off;
+                        let runs = mask_ro.runs(t);
+                        agg.clear();
+                        agg.resize(cfg.kv_dim(), 0.0);
+                        let heads = q_ro.row(t).chunks_exact(d).zip(agg.chunks_exact_mut(d));
+                        for (head, (qv, out)) in heads.enumerate() {
+                            kv.attend::<Silu>(head, runs, qv, s, out);
                         }
-                        s.iter_mut().for_each(|x| *x = fast_silu(*x * scale));
-                        vview.rows_dot_acc(head * d, runs, s, out);
-                    }
-                    // Context-size normalization (HSTU's pointwise
-                    // aggregation).
-                    let inv = 1.0 / count.max(1) as f32;
-                    agg.iter_mut().for_each(|x| *x *= inv);
-                    normed.clear();
-                    normed.resize(agg.len(), 0.0);
-                    rms_norm_into(agg, &self.final_norm, 1e-6, normed);
-                    for (slot, (a, g)) in grow.iter_mut().zip(normed.iter().zip(u_ro.row(t))) {
-                        *slot = a * g;
+                        // Context-size normalization (HSTU's pointwise
+                        // aggregation).
+                        let inv = 1.0 / mask_ro.allowed()[t].max(1) as f32;
+                        agg.iter_mut().for_each(|x| *x *= inv);
+                        normed.clear();
+                        normed.resize(agg.len(), 0.0);
+                        rms_norm_into(agg, &self.final_norm, 1e-6, normed);
+                        for (slot, (a, g)) in grow.iter_mut().zip(normed.iter().zip(u_ro.row(t))) {
+                            *slot = a * g;
+                        }
                     }
                 });
             });
@@ -287,8 +288,8 @@ impl HstuModel {
     }
 }
 
-/// Thread-local scratch of the HSTU attention closure: compact SiLU score
-/// row, per-head aggregate, and its normalized copy. See
+/// Thread-local scratch of the HSTU attention closure: the kernel's
+/// compact score row, per-head aggregate, and its normalized copy. See
 /// [`bat_exec::with_thread_scratch`].
 #[derive(Default)]
 struct HstuScratch {

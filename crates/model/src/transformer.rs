@@ -12,10 +12,9 @@ use crate::prompt::{SegTag, TokenSeq};
 use crate::weights::Weights;
 use bat_exec::with_thread_scratch;
 use bat_tensor::ops::{
-    axpy, dot, fast_silu_mul_in_place, rms_norm, rms_norm_into, silu, stable_softmax_fast_in_place,
-    stable_softmax_in_place,
+    axpy, dot, fast_silu_mul_in_place, rms_norm, rms_norm_into, silu, stable_softmax_in_place,
 };
-use bat_tensor::{ColBlock, Matrix, RopeTable, SplitCols};
+use bat_tensor::{ColBlock, GroupAttention, Matrix, RopeTable, Softmax, SplitCols};
 use std::ops::Range;
 
 /// Result of a forward pass.
@@ -73,7 +72,7 @@ impl ForwardOutput {
 /// FFN activations, mask run lists, and the output itself — lives here and is
 /// re-shaped (capacity kept) instead of re-allocated. Keep one per worker
 /// and the steady-state forward performs **zero heap allocations** after
-/// the first call at a given shape; per-token attention scratch is
+/// the first call at a given shape; the attention kernel's score rows are
 /// thread-local via [`bat_exec::with_thread_scratch`], so pool workers
 /// (persistent daemon threads) warm theirs once.
 pub struct ForwardWorkspace {
@@ -194,9 +193,15 @@ impl GrModel {
     }
 
     /// Computes the KV segment of a standalone token block (offline item or
-    /// user prefix pre-computation, §5.2 Step 3).
+    /// user prefix pre-computation, §5.2 Step 3): [`GrModel::forward`]'s
+    /// `suffix_kv`, bit for bit, without the work only the read-out needs —
+    /// the last layer's keys and values depend on the hidden states that
+    /// enter it, so its attention and FFN, the final norm and the output
+    /// head are never run.
     pub fn compute_kv(&self, seq: &TokenSeq) -> KvSegment {
-        self.forward(seq, None).suffix_kv
+        let mut ws = ForwardWorkspace::new();
+        self.forward_impl(seq, None, &mut ws, Pass::KvOnly);
+        ws.out.suffix_kv
     }
 
     /// Runs the transformer over `suffix`, optionally splicing a cached
@@ -217,14 +222,17 @@ impl GrModel {
     /// blocks; and attention is **run-structured** — the bipartite mask is
     /// block-structured, so each token's allowed keys are a few contiguous
     /// runs, and it scores, softmaxes and accumulates over exactly those
-    /// runs through one kernel (see `attend_token`). Nothing is spent on a
-    /// masked key — no `-inf` lanes, no gathers — and a row's arithmetic
-    /// depends on its allowed keys alone, so an item block attends
-    /// bit-identically standalone and inside a full prompt. Rows run in
-    /// parallel, split by their allowed-key counts; every output slot is
-    /// written by exactly one task with fixed inner order, so logits are
-    /// **bit-identical for any thread count** — the property the
-    /// parallel-determinism suite pins.
+    /// runs, all query heads of a KV head in one
+    /// [`GroupAttention::attend`] call. Scores go into *compact* rows — one
+    /// slot per allowed key, nothing for masked ones — so nothing is spent
+    /// on a masked key (no `-inf` lanes, no gathers), and reduction order
+    /// is a function of the compact index alone: a row's arithmetic depends
+    /// on its allowed keys and nothing else, so an item block attends
+    /// bit-identically standalone and inside a full prompt, whatever the
+    /// prefix/suffix split. Rows run in parallel, split by their
+    /// allowed-key counts; every output slot is written by exactly one task
+    /// with fixed inner order, so logits are **bit-identical for any thread
+    /// count** — the property the parallel-determinism suite pins.
     ///
     /// # Panics
     ///
@@ -232,7 +240,7 @@ impl GrModel {
     /// or if the prefix segment's layer count does not match the model.
     pub fn forward(&self, suffix: &TokenSeq, prefix: Option<&KvSegment>) -> ForwardOutput {
         let mut ws = ForwardWorkspace::new();
-        self.forward_impl(suffix, prefix, &mut ws, false);
+        self.forward_impl(suffix, prefix, &mut ws, Pass::Full);
         ws.out
     }
 
@@ -247,7 +255,7 @@ impl GrModel {
         prefix: Option<&KvSegment>,
         ws: &'w mut ForwardWorkspace,
     ) -> &'w ForwardOutput {
-        self.forward_impl(suffix, prefix, ws, false);
+        self.forward_impl(suffix, prefix, ws, Pass::Full);
         &ws.out
     }
 
@@ -264,7 +272,7 @@ impl GrModel {
         prefix: Option<&KvSegment>,
     ) -> ForwardOutput {
         let mut ws = ForwardWorkspace::new();
-        self.forward_impl(suffix, prefix, &mut ws, true);
+        self.forward_impl(suffix, prefix, &mut ws, Pass::RepackBaseline);
         ws.out
     }
 
@@ -273,7 +281,7 @@ impl GrModel {
         suffix: &TokenSeq,
         prefix: Option<&KvSegment>,
         ws: &mut ForwardWorkspace,
-        repack: bool,
+        pass: Pass,
     ) {
         assert!(!suffix.is_empty(), "forward needs at least one token");
         let cfg = &self.weights.cfg;
@@ -341,19 +349,27 @@ impl GrModel {
             // Batched projections for every suffix token (they only depend
             // on the previous layer's hidden states), then RoPE per row.
             norm_rows_into(h, &lw.attn_norm, xn);
-            xn.matmul_into(&lw.wq, q);
-            xn.matmul_into(&lw.wk, k);
-            xn.matmul_into(&lw.wv, v);
-            for m in [&mut *q, &mut *k] {
+            let rope_rows = |m: &mut Matrix| {
                 m.par_rows_mut(|t, row| {
                     let pos = suffix.pos[t] as usize;
                     row.chunks_exact_mut(d)
                         .for_each(|head| self.rope.apply(head, pos));
                 });
-            }
+            };
+            xn.matmul_into(&lw.wk, k);
+            xn.matmul_into(&lw.wv, v);
+            rope_rows(k);
             for t in 0..s_len {
                 suffix_kv.layers[l].push(k.row(t), v.row(t));
             }
+            if pass == Pass::KvOnly && l + 1 == cfg.layers {
+                // Nothing past this point feeds a key or a value.
+                hidden_all.reset(0, cfg.hidden_dim);
+                logits.clear();
+                return;
+            }
+            xn.matmul_into(&lw.wq, q);
+            rope_rows(q);
 
             // Attention reads the cached prefix block and the just-pushed
             // suffix block through a zero-copy [`SplitCols`] view — the
@@ -364,7 +380,7 @@ impl GrModel {
             let q_ro: &Matrix = q;
             let mask_ro: &MaskBuf = mask;
             let (kcomb, vcomb);
-            let (kview, vview) = if repack {
+            let (keys, vals) = if pass == Pass::RepackBaseline {
                 // Replay the pre-change data movement faithfully: the old
                 // `pack_kv_transposed` walked the row-major segment token
                 // by token and scattered each row into the transposed
@@ -392,17 +408,28 @@ impl GrModel {
                     SplitCols::new(prefix.map(|p| p.layers[l].values()), sl.values()),
                 )
             };
-            attn.par_rows_mut_weighted(mask_ro.allowed(), |t, row| {
-                attend_token(
-                    q_ro.row(t),
-                    kview,
-                    vview,
-                    mask_ro.runs(t),
-                    group,
-                    d,
-                    scale,
-                    row,
-                );
+            let kv = GroupAttention {
+                keys,
+                vals,
+                head_dim: d,
+                scale,
+            };
+            let q_dim = cfg.q_dim();
+            // One scratch borrow per row block; each pool worker (a
+            // persistent daemon thread) warms its score rows once.
+            attn.par_row_blocks_mut_weighted(mask_ro.allowed(), |first_row, block| {
+                with_thread_scratch(|scores: &mut Vec<f32>| {
+                    for (off, row) in block.chunks_exact_mut(q_dim).enumerate() {
+                        let t = first_row + off;
+                        let runs = mask_ro.runs(t);
+                        let groups = q_ro.row(t).chunks_exact(group * d);
+                        for (kv_head, (q, out)) in
+                            groups.zip(row.chunks_exact_mut(group * d)).enumerate()
+                        {
+                            kv.attend::<Softmax>(kv_head, runs, q, scores, out);
+                        }
+                    }
+                })
             });
             attn.matmul_into(&lw.wo, o);
             let o_ro: &Matrix = o;
@@ -597,6 +624,18 @@ impl GrModel {
 
 use crate::prompt::allowed_tags as allowed;
 
+/// What one [`GrModel::forward_impl`] call is for.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    /// The serving forward: hidden states, suffix KV and logits.
+    Full,
+    /// [`Pass::Full`] over a per-layer repacked copy of the prefix (see
+    /// [`GrModel::forward_prefix_repack_baseline`]).
+    RepackBaseline,
+    /// The suffix KV alone (see [`GrModel::compute_kv`]).
+    KvOnly,
+}
+
 /// The bipartite mask of one forward, run-length encoded: per suffix token,
 /// the ascending virtual-column runs of `[prefix ++ suffix]` it may attend
 /// and their exact total. The mask is block-structured (causal ∧ the
@@ -678,58 +717,6 @@ impl MaskBuf {
 pub(crate) fn norm_rows_into(h: &Matrix, gain: &[f32], out: &mut Matrix) {
     out.reset(h.rows(), h.cols());
     out.par_rows_mut(|t, row| rms_norm_into(h.row(t), gain, 1e-6, row));
-}
-
-/// Softmax attention of **all** query heads for one token over its allowed
-/// key `runs`, reading the packed `[prefix ++ suffix]` keys/values through
-/// zero-copy [`SplitCols`] views. One path for every row: scores go into a
-/// *compact* row — one slot per allowed key, nothing for masked ones — so
-/// the softmax sees no `-inf` lane and P·V multiplies no dead weight. The
-/// `group` query heads sharing a KV head are scored together, each K plane
-/// swept for all of them while it is hot. Reduction order is a function of
-/// the compact index alone (see [`bat_tensor::packed`]), so a row's output
-/// is independent of the masked keys around its runs, of the prefix/suffix
-/// split, and of the thread count. The score rows are thread-local scratch
-/// via [`bat_exec::with_thread_scratch`], so each pool worker (a
-/// persistent daemon thread) warms its buffer once and every later token
-/// reuses it allocation-free.
-// Flat scalar/slice args: this sits inside the parallel per-token closure,
-// and bundling them into a struct would just move the construction cost
-// into the hot loop.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn attend_token(
-    q_row: &[f32],
-    keys: SplitCols<'_>,
-    vals: SplitCols<'_>,
-    runs: &[Range<usize>],
-    group: usize,
-    d: usize,
-    scale: f32,
-    out_row: &mut [f32],
-) {
-    let n: usize = runs.iter().map(Range::len).sum();
-    if n == 0 {
-        return; // fully-masked row: attention output stays zero
-    }
-    with_thread_scratch(|s: &mut Vec<f32>| {
-        s.resize(group * n, 0.0);
-        let heads = q_row
-            .chunks_exact(group * d)
-            .zip(out_row.chunks_exact_mut(group * d));
-        for (kh, (q_heads, out_heads)) in heads.enumerate() {
-            s.fill(0.0);
-            for c in 0..d {
-                // Component `c` of each of the group's query heads.
-                let qc = q_heads[c..].iter().step_by(d).copied();
-                keys.axpy_plane(kh * d + c, runs, qc, s);
-            }
-            for (sg, out) in s.chunks_exact_mut(n).zip(out_heads.chunks_exact_mut(d)) {
-                sg.iter_mut().for_each(|x| *x *= scale);
-                stable_softmax_fast_in_place(sg);
-                vals.rows_dot_acc(kh * d, runs, sg, out);
-            }
-        }
-    })
 }
 
 #[cfg(test)]

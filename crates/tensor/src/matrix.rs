@@ -396,14 +396,17 @@ impl Matrix {
         });
     }
 
-    /// [`Matrix::par_rows_mut`] for rows of unequal cost: `weights[row]` is
-    /// how many `cols`-wide steps the row takes (an attention row's allowed
-    /// key count), and the row blocks are balanced by weight, not by count.
+    /// [`Matrix::par_rows_mut`] for rows of unequal cost, handed out a
+    /// block at a time: `weights[row]` is how many `cols`-wide steps the row
+    /// takes (an attention row's allowed key count), the row blocks are
+    /// balanced by weight, not by count, and `f(first_row, block)` gets a
+    /// whole block of rows — so per-task set-up (borrowing thread-local
+    /// scratch) is paid once per block, not once per row.
     ///
     /// # Panics
     ///
     /// Panics if `weights.len() != self.rows()`.
-    pub fn par_rows_mut_weighted<F>(&mut self, weights: &[u64], f: F)
+    pub fn par_row_blocks_mut_weighted<F>(&mut self, weights: &[u64], f: F)
     where
         F: Fn(usize, &mut [f32]) + Sync,
     {
@@ -413,12 +416,7 @@ impl Matrix {
         }
         let cols = self.cols;
         let grain = par_grain(weights.iter().sum::<u64>() as usize * cols);
-        let body = |first_row: usize, block: &mut [f32]| {
-            for (off, row) in block.chunks_mut(cols).enumerate() {
-                f(first_row + off, row);
-            }
-        };
-        bat_exec::parallel_weighted_row_blocks(&mut self.data, cols, weights, grain, body);
+        bat_exec::parallel_weighted_row_blocks(&mut self.data, cols, weights, grain, f);
     }
 
     /// `out[c] += ⟨s, row c⟩` over the first `s.len()` columns of each of

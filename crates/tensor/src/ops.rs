@@ -1,7 +1,4 @@
-//! Elementwise and reduction kernels: softmax, RMSNorm, SiLU, and the
-//! fused masked-softmax·V attention epilogue.
-
-use crate::Matrix;
+//! Elementwise and reduction kernels: softmax, RMSNorm, SiLU, axpy and dot.
 
 /// Numerically-stable in-place softmax over `logits`.
 ///
@@ -151,14 +148,15 @@ fn lane_max(xs: &[f32]) -> f32 {
     m
 }
 
-/// Lane-parallel sum with the same fixed tree fold as [`lane_max`]. The
-/// association is a pure function of the slice length, so the result is
+/// Lane-parallel sum with the same fixed tree fold as [`lane_max`],
+/// continuing from the lane accumulators `acc` (which hold the `LANES`-chunks
+/// that precede `xs` in the row being summed; all zeros for a whole row).
+/// The association is a pure function of the row length, so the result is
 /// deterministic; it differs from a left-to-right `iter().sum()` by normal
 /// f32 reassociation error (≈ 1 ulp per lane), which the softmax tolerance
 /// tests cover.
 #[inline(always)]
-fn lane_sum(xs: &[f32]) -> f32 {
-    let mut acc = [0.0f32; LANES];
+fn lane_sum_from(mut acc: [f32; LANES], xs: &[f32]) -> f32 {
     let mut it = xs.chunks_exact(LANES);
     for p in &mut it {
         let p: &[f32; LANES] = p.try_into().unwrap();
@@ -166,11 +164,21 @@ fn lane_sum(xs: &[f32]) -> f32 {
             acc[l] += p[l];
         }
     }
-    let mut s = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+    let mut s = fold_tree(&acc);
     for &x in it.remainder() {
         s += x;
     }
     s
+}
+
+/// The fixed-tree fold of the lane accumulators. Out of line on purpose:
+/// inlined, the vectorizer works backwards from this tree and regroups the
+/// loop-carried accumulators of [`softmax_fast_given_max`] into four
+/// half-empty vectors fed through shuffles; behind a call they stay one
+/// eight-lane vector and the loop adds chunks to it as loaded.
+#[inline(never)]
+fn fold_tree(acc: &[f32; LANES]) -> f32 {
+    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
 }
 
 /// The widest SIMD tier the multiversioned kernels dispatch to on this
@@ -197,9 +205,8 @@ pub fn active_simd_tier() -> &'static str {
 }
 
 /// Numerically-stable in-place softmax using [`fast_exp`], structured as
-/// separate vectorizable passes (lane-folded max, exponentiate, lane-folded
-/// sum, scale by reciprocal), dispatched to an AVX2-compiled copy on
-/// capable CPUs. Semantics match [`stable_softmax_in_place`] up to the
+/// vectorizable passes (lane-folded max, then [`softmax_fast_given_max`]),
+/// dispatched to the widest SIMD tier the CPU has. Semantics match [`stable_softmax_in_place`] up to the
 /// approximation and reassociation error, with one defined edge: a logit
 /// more than [`SOFTMAX_CUTOFF`] below the row maximum (so also `-inf`, and
 /// NaN) gets weight exactly `0.0`. Every weight is therefore `0.0` or a
@@ -267,21 +274,52 @@ pub const SOFTMAX_CUTOFF: f32 = -64.0;
 #[inline(always)]
 fn softmax_fast_body(logits: &mut [f32]) {
     let max = lane_max(logits);
+    softmax_fast_given_max(logits, max);
+}
+
+/// The softmax of [`stable_softmax_fast_in_place`] for a row whose maximum
+/// is already known — the group attention kernel
+/// ([`crate::GroupAttention::attend`]) tracks it while it writes the scores
+/// — in two passes: exponentiate and sum together, then scale by the
+/// reciprocal. The exponentials are summed in [`lane_sum_from`]'s order
+/// chunk by chunk as they are produced, so the eight-lane add chain (one
+/// dependent add per chunk: latency-bound when it runs as a pass of its
+/// own) hides under the polynomial. `max` must be what `lane_max` returns
+/// for the row; the result is then bit-identical to the five-pass form on
+/// every tier. `#[inline(always)]` so it takes the vector width of the
+/// kernel it is cloned into.
+#[inline(always)]
+pub fn softmax_fast_given_max(logits: &mut [f32], max: f32) {
+    /// Elements exponentiated per step: two independent 512-bit chains.
+    const WIDE: usize = 4 * LANES;
     if max == f32::NEG_INFINITY {
         logits.iter_mut().for_each(|v| *v = 0.0);
         return;
     }
     // A select, not a branch: both arms are computed and blended, the same
     // on every SIMD tier. The comparison is false for NaN, so NaN → 0.0.
-    logits.iter_mut().for_each(|v| {
-        let x = *v - max;
-        *v = if x >= SOFTMAX_CUTOFF {
+    let weight = |v: f32| {
+        let x = v - max;
+        if x >= SOFTMAX_CUTOFF {
             fast_exp(x)
         } else {
             0.0
-        };
-    });
-    let sum = lane_sum(logits);
+        }
+    };
+    let mut acc = [0.0f32; LANES];
+    let mut wide = logits.chunks_exact_mut(WIDE);
+    for p in &mut wide {
+        let p: &mut [f32; WIDE] = p.try_into().unwrap();
+        p.iter_mut().for_each(|v| *v = weight(*v));
+        for chunk in p.chunks_exact(LANES) {
+            for l in 0..LANES {
+                acc[l] += chunk[l];
+            }
+        }
+    }
+    let rest = wide.into_remainder();
+    rest.iter_mut().for_each(|v| *v = weight(*v));
+    let sum = lane_sum_from(acc, rest);
     if sum > 0.0 {
         let inv = 1.0 / sum;
         logits.iter_mut().for_each(|v| *v *= inv);
@@ -334,7 +372,7 @@ unsafe fn fast_silu_in_place_neon(xs: &mut [f32]) {
 }
 
 #[inline(always)]
-fn fast_silu_in_place_body(xs: &mut [f32]) {
+pub(crate) fn fast_silu_in_place_body(xs: &mut [f32]) {
     for x in xs.iter_mut() {
         *x = fast_silu(*x);
     }
@@ -484,52 +522,6 @@ fn axpy_body(out: &mut [f32], scale: f32, v: &[f32]) {
     }
 }
 
-/// Fused masked-softmax · V attention epilogue.
-///
-/// Takes one query's raw score row (`scores[g] = q · k_g`, length
-/// `values.rows()`), applies `scale` and the bipartite `allowed` mask,
-/// softmax-normalizes in place, and accumulates the probability-weighted
-/// value rows into `out` — one pass, no gathered temporaries. Masked (and
-/// underflowed) positions carry exactly zero weight and are skipped in the
-/// accumulation, matching the seed's gather-then-softmax path bit-for-bit:
-/// the masked `exp` terms are exact zeros, and adding `0.0` to a finite
-/// partial sum is exact.
-///
-/// `scores` is clobbered (it holds the attention probabilities on return).
-/// `out` is accumulated into, not overwritten, so per-head slices of a
-/// wider aggregation buffer can be passed directly. A fully-masked row
-/// contributes nothing. `scores` may cover a causal *prefix* of the value
-/// rows (`scores.len() <= values.rows()`), so one packed K/V matrix serves
-/// every query position.
-///
-/// # Panics
-///
-/// Panics if `scores` and `allowed` disagree, if `scores` is longer than
-/// `values.rows()`, or if `out.len() != values.cols()`.
-pub fn fused_masked_softmax_av(
-    scores: &mut [f32],
-    allowed: &[bool],
-    scale: f32,
-    values: &Matrix,
-    out: &mut [f32],
-) {
-    assert_eq!(scores.len(), allowed.len(), "mask arity mismatch");
-    assert!(
-        scores.len() <= values.rows(),
-        "scores/values arity mismatch"
-    );
-    assert_eq!(out.len(), values.cols(), "output arity mismatch");
-    for (v, &ok) in scores.iter_mut().zip(allowed) {
-        *v = if ok { *v * scale } else { f32::NEG_INFINITY };
-    }
-    stable_softmax_in_place(scores);
-    for (g, &w) in scores.iter().enumerate() {
-        if w != 0.0 {
-            axpy(out, w, values.row(g));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,59 +573,6 @@ mod tests {
         let mut out = vec![1.0f32, 2.0];
         axpy(&mut out, 2.0, &[0.5, 0.5]);
         assert_eq!(out, vec![2.0, 3.0]);
-    }
-
-    #[test]
-    fn fused_softmax_av_matches_gathered_reference() {
-        // Reference: gather allowed scores, softmax the short vector, axpy.
-        let values = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[2.0, -1.0], &[0.5, 0.5]]);
-        let raw = [0.3f32, -1.2, 0.8, 2.0];
-        let allowed = [true, false, true, true];
-        let scale = 0.7;
-
-        let mut gathered: Vec<f32> = raw
-            .iter()
-            .zip(&allowed)
-            .filter(|(_, &ok)| ok)
-            .map(|(&s, _)| s * scale)
-            .collect();
-        stable_softmax_in_place(&mut gathered);
-        let mut want = vec![0.0f32; 2];
-        let mut gi = 0;
-        for (g, &ok) in allowed.iter().enumerate() {
-            if ok {
-                axpy(&mut want, gathered[gi], values.row(g));
-                gi += 1;
-            }
-        }
-
-        let mut scores = raw;
-        let mut got = vec![0.0f32; 2];
-        fused_masked_softmax_av(&mut scores, &allowed, scale, &values, &mut got);
-        for (w, g) in want.iter().zip(&got) {
-            assert!((w - g).abs() < 1e-6, "want {w}, got {g}");
-        }
-        assert_eq!(scores[1], 0.0, "masked slot must carry zero weight");
-    }
-
-    #[test]
-    fn fused_softmax_av_fully_masked_is_noop() {
-        let values = Matrix::identity(3);
-        let mut scores = [5.0f32, -2.0, 0.1];
-        let mut out = vec![7.0f32, 7.0, 7.0];
-        fused_masked_softmax_av(&mut scores, &[false, false, false], 1.0, &values, &mut out);
-        assert_eq!(out, vec![7.0, 7.0, 7.0]);
-        assert_eq!(scores, [0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn fused_softmax_av_accumulates_into_out() {
-        let values = Matrix::from_rows(&[&[2.0]]);
-        let mut scores = [1.0f32];
-        let mut out = vec![10.0f32];
-        fused_masked_softmax_av(&mut scores, &[true], 1.0, &values, &mut out);
-        // Single allowed position → weight 1.0 → out += 2.0.
-        assert!((out[0] - 12.0).abs() < 1e-6);
     }
 
     #[test]
@@ -693,7 +632,10 @@ mod tests {
             let serial_max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             assert_eq!(lane_max(&xs), serial_max, "max over {n}");
             let serial_sum: f32 = xs.iter().sum();
-            assert!((lane_sum(&xs) - serial_sum).abs() < 1e-3, "sum over {n}");
+            assert!(
+                (lane_sum_from([0.0; LANES], &xs) - serial_sum).abs() < 1e-3,
+                "sum over {n}"
+            );
         }
     }
 
@@ -767,7 +709,69 @@ mod tests {
         }
     }
 
+    /// The fast softmax as five separate passes — lane-folded max,
+    /// exponentiate, lane-folded sum of the stored weights, reciprocal
+    /// scale — the form [`softmax_fast_given_max`] fuses and must match
+    /// bit for bit.
+    fn softmax_five_pass(logits: &mut [f32]) {
+        let max = lane_max(logits);
+        if max == f32::NEG_INFINITY {
+            logits.iter_mut().for_each(|v| *v = 0.0);
+            return;
+        }
+        for v in logits.iter_mut() {
+            let x = *v - max;
+            *v = if x >= SOFTMAX_CUTOFF {
+                fast_exp(x)
+            } else {
+                0.0
+            };
+        }
+        let mut acc = [0.0f32; LANES];
+        let mut chunks = logits.chunks_exact(LANES);
+        for p in &mut chunks {
+            for l in 0..LANES {
+                acc[l] += p[l];
+            }
+        }
+        let mut sum =
+            ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+        for &x in chunks.remainder() {
+            sum += x;
+        }
+        if sum > 0.0 {
+            let inv = 1.0 / sum;
+            logits.iter_mut().for_each(|v| *v *= inv);
+        }
+    }
+
     proptest! {
+        /// Exponentiating and summing in one pass moves no bit: for rows
+        /// of every length class (shorter than a lane chunk, between the
+        /// chunk sizes, long) with the edge values mixed in, the fused
+        /// softmax equals the five-pass form.
+        #[test]
+        fn fused_softmax_bit_matches_five_passes(
+            row in proptest::collection::vec((0u8..12, -90.0f32..90.0), 0..200),
+        ) {
+            let mut fused: Vec<f32> = row
+                .iter()
+                .map(|&(kind, x)| match kind {
+                    0 => f32::NEG_INFINITY,
+                    1 => f32::INFINITY,
+                    2 => f32::NAN,
+                    3 => -1e30,
+                    _ => x,
+                })
+                .collect();
+            let mut passes = fused.clone();
+            stable_softmax_fast_in_place(&mut fused);
+            softmax_five_pass(&mut passes);
+            for (f, p) in fused.iter().zip(&passes) {
+                prop_assert_eq!(f.to_bits(), p.to_bits());
+            }
+        }
+
         /// Whatever tier the host dispatches to, the fast softmax is
         /// bit-identical to the baseline body for arbitrary rows.
         #[test]

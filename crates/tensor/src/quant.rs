@@ -489,7 +489,7 @@ mod tests {
                     view.axpy_plane(
                         rows - 1,
                         std::slice::from_ref(&(0..window)),
-                        std::iter::once(0.37),
+                        0.37,
                         &mut want,
                     );
                     for (g, w) in got.iter().zip(&want) {

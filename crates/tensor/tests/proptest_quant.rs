@@ -81,7 +81,7 @@ proptest! {
             view.axpy_plane(
                 plane,
                 std::slice::from_ref(&(0..window)),
-                std::iter::once(coeff),
+                coeff,
                 &mut want,
             );
             for (g, w) in got.iter().zip(&want) {
