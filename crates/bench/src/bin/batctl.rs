@@ -46,29 +46,65 @@ use bat_sim::breakdown_by_prefix;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut map = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            let value = args
-                .get(i + 1)
-                .filter(|v| !v.starts_with("--"))
-                .cloned()
-                .unwrap_or_else(|| "true".to_owned());
-            let consumed = if value == "true" && args.get(i + 1).is_none_or(|v| v.starts_with("--"))
-            {
-                1
-            } else {
-                2
-            };
-            map.insert(key.to_owned(), value);
-            i += consumed;
-        } else {
-            i += 1;
+/// A command line the chosen subcommand does not accept.
+#[derive(Debug, PartialEq)]
+enum FlagError {
+    /// `--flag` is not one of the subcommand's `legal` flags.
+    Unknown {
+        flag: String,
+        legal: &'static [&'static str],
+    },
+    /// A bare word that is not the value of any flag.
+    StrayArgument {
+        arg: String,
+        legal: &'static [&'static str],
+    },
+}
+
+impl std::fmt::Display for FlagError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (what, legal) = match self {
+            FlagError::Unknown { flag, legal } => (format!("unknown flag --{flag}"), legal),
+            FlagError::StrayArgument { arg, legal } => (format!("stray argument '{arg}'"), legal),
+        };
+        write!(f, "{what}; legal flags:")?;
+        for flag in legal.iter().chain(&GLOBAL_FLAGS) {
+            write!(f, " --{flag}")?;
         }
+        Ok(())
     }
-    map
+}
+
+/// Flags every subcommand accepts.
+const GLOBAL_FLAGS: [&str; 1] = ["threads"];
+
+/// Parses `--key [value]` pairs (a flag followed by another flag, or by
+/// nothing, is a boolean `true`), accepting only `legal` and global flags.
+fn parse_flags(
+    args: &[String],
+    legal: &'static [&'static str],
+) -> Result<HashMap<String, String>, FlagError> {
+    let mut map = HashMap::new();
+    let mut args = args.iter().peekable();
+    while let Some(arg) = args.next() {
+        let Some(key) = arg.strip_prefix("--") else {
+            return Err(FlagError::StrayArgument {
+                arg: arg.clone(),
+                legal,
+            });
+        };
+        if !legal.contains(&key) && !GLOBAL_FLAGS.contains(&key) {
+            return Err(FlagError::Unknown {
+                flag: key.to_owned(),
+                legal,
+            });
+        }
+        let value = args
+            .next_if(|v| !v.starts_with("--"))
+            .map_or_else(|| "true".to_owned(), String::clone);
+        map.insert(key.to_owned(), value);
+    }
+    Ok(map)
 }
 
 fn dataset(name: &str) -> Result<DatasetConfig, String> {
@@ -1027,10 +1063,36 @@ fn cmd_join(flags: &HashMap<String, String>) -> Result<(), String> {
     )
 }
 
-const USAGE: &str =
-    "usage: batctl <compare|accuracy|plan|trace|info|breakdown|faults|overload|meta|net|bench|tiers|drain|join> [--flags]
-run `batctl <command>` with no flags for defaults; see crate docs for details
-global: --threads N sizes the bat-exec worker pool";
+type Command = fn(&HashMap<String, String>) -> Result<(), String>;
+
+/// Every subcommand: its name, its entry point and the flags it reads.
+#[rustfmt::skip]
+const COMMANDS: [(&str, Command, &[&str]); 14] = [
+    ("compare", cmd_compare, &["dataset", "model", "nodes", "duration", "rate", "seed", "systems"]),
+    ("accuracy", cmd_accuracy, &["seed", "users", "biased", "pic"]),
+    ("plan", cmd_plan, &["dataset", "model", "gbps", "nodes"]),
+    ("trace", cmd_trace, &["dataset", "duration", "rate", "seed", "out"]),
+    ("info", cmd_info, &["trace"]),
+    ("breakdown", cmd_breakdown, &["dataset", "model", "duration", "rate"]),
+    ("faults", cmd_faults, &["dataset", "model", "nodes", "duration", "rate", "seed", "crash", "at", "down", "crashes"]),
+    ("overload", cmd_overload, &["dataset", "model", "nodes", "duration", "rate", "seed", "burst", "deadline", "slow", "straggle"]),
+    ("meta", cmd_meta, &["dataset", "model", "nodes", "duration", "rate", "seed", "replicas", "at", "down"]),
+    ("net", cmd_net, &["dataset", "model", "nodes", "duration", "rate", "seed", "transport", "processes", "scale"]),
+    ("bench", cmd_bench, &["quick", "out", "check"]),
+    ("tiers", cmd_tiers, &["dataset", "model", "nodes", "duration", "rate", "hot-mb", "cold-mb", "format", "split"]),
+    ("drain", cmd_drain, &["worker", "at", "dataset", "model", "nodes", "duration", "rate", "seed", "processes", "scale"]),
+    ("join", cmd_join, &["worker", "leave", "at", "dataset", "model", "nodes", "duration", "rate", "seed", "processes", "scale"]),
+];
+
+fn usage() -> String {
+    let names: Vec<&str> = COMMANDS.iter().map(|(name, ..)| *name).collect();
+    format!(
+        "usage: batctl <{}> [--flags]\n\
+         run `batctl <command>` with no flags for defaults; see crate docs for details\n\
+         global: --threads N sizes the bat-exec worker pool",
+        names.join("|")
+    )
+}
 
 fn main() -> ExitCode {
     // `batctl net --processes` re-executes this binary as a socket worker;
@@ -1038,10 +1100,20 @@ fn main() -> ExitCode {
     bat::maybe_child_worker();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let flags = parse_flags(&args[1..]);
+    let Some((_, run, legal)) = COMMANDS.iter().find(|(name, ..)| name == cmd) else {
+        eprintln!("batctl: unknown command '{cmd}'\n{}", usage());
+        return ExitCode::FAILURE;
+    };
+    let flags = match parse_flags(&args[1..], legal) {
+        Ok(flags) => flags,
+        Err(e) => {
+            eprintln!("batctl {cmd}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     if let Some(n) = flags.get("threads") {
         match n.parse::<usize>() {
             Ok(n) if n >= 1 => bat::exec::set_threads(n),
@@ -1051,28 +1123,78 @@ fn main() -> ExitCode {
             }
         }
     }
-    let result = match cmd.as_str() {
-        "compare" => cmd_compare(&flags),
-        "accuracy" => cmd_accuracy(&flags),
-        "plan" => cmd_plan(&flags),
-        "trace" => cmd_trace(&flags),
-        "info" => cmd_info(&flags),
-        "breakdown" => cmd_breakdown(&flags),
-        "faults" => cmd_faults(&flags),
-        "overload" => cmd_overload(&flags),
-        "meta" => cmd_meta(&flags),
-        "net" => cmd_net(&flags),
-        "bench" => cmd_bench(&flags),
-        "tiers" => cmd_tiers(&flags),
-        "drain" => cmd_drain(&flags),
-        "join" => cmd_join(&flags),
-        other => Err(format!("unknown command '{other}'\n{USAGE}")),
-    };
-    match result {
+    match run(&flags) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("batctl: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
+    fn legal(cmd: &str) -> &'static [&'static str] {
+        COMMANDS
+            .iter()
+            .find(|(name, ..)| *name == cmd)
+            .expect("known command")
+            .2
+    }
+
+    #[test]
+    fn a_typoed_flag_is_an_error_naming_the_legal_ones() {
+        let err = parse_flags(&args("--rate 80 --theads 4"), legal("compare")).unwrap_err();
+        assert_eq!(
+            err,
+            FlagError::Unknown {
+                flag: "theads".to_owned(),
+                legal: legal("compare"),
+            }
+        );
+        let message = err.to_string();
+        assert!(message.contains("--theads"), "{message}");
+        assert!(message.contains("--threads"), "{message}");
+        assert!(message.contains("--systems"), "{message}");
+    }
+
+    #[test]
+    fn a_flag_of_another_subcommand_is_rejected() {
+        assert!(parse_flags(&args("--transport uds"), legal("net")).is_ok());
+        assert!(matches!(
+            parse_flags(&args("--transport uds"), legal("compare")),
+            Err(FlagError::Unknown { .. })
+        ));
+    }
+
+    #[test]
+    fn a_stray_positional_is_rejected() {
+        assert_eq!(
+            parse_flags(&args("books --rate 80"), legal("compare")),
+            Err(FlagError::StrayArgument {
+                arg: "books".to_owned(),
+                legal: legal("compare"),
+            })
+        );
+        // A second bare word cannot be the value of the same flag.
+        assert!(matches!(
+            parse_flags(&args("--rate 80 90"), legal("compare")),
+            Err(FlagError::StrayArgument { .. })
+        ));
+    }
+
+    #[test]
+    fn values_booleans_and_negative_numbers_parse() {
+        let flags = parse_flags(&args("--processes --scale 1e-3 --seed -1"), legal("net")).unwrap();
+        assert_eq!(flags["processes"], "true");
+        assert_eq!(flags["scale"], "1e-3");
+        assert_eq!(flags["seed"], "-1");
+        assert!(parse_flags(&[], legal("info")).unwrap().is_empty());
     }
 }

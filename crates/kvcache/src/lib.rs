@@ -20,8 +20,7 @@
 //! * [`tiered::TieredKvCache`] — the DRAM + cold-storage hierarchy the
 //!   paper's §3.3.2 footnote defers to future work, keyed by [`meta::CacheKey`]
 //!   with a class-partitioned cold tier and a decision digest (the serve-side
-//!   `bat-tiers` pool embeds it, so oracle and pool agree by construction),
-//!   plus the user-only [`tiered::TieredUserCache`] façade;
+//!   `bat-tiers` pool embeds it, so oracle and pool agree by construction);
 //! * [`segments::SegmentStore`] — materialized packed [`bat_model::KvSegment`]s
 //!   charged to a [`pool::PagedPool`] at their packed-layout resident size,
 //!   so cached prefixes are stored in exactly the form forwards consume.
@@ -39,7 +38,5 @@ pub use lru::LruIndex;
 pub use meta::{meta_digest, meta_time_ms, CacheKey, LocalMetaIndex, MetaIndex};
 pub use pool::PagedPool;
 pub use segments::SegmentStore;
-pub use tiered::{
-    EntryClass, TierCounters, TierHit, TieredConfig, TieredKvCache, TieredKvConfig, TieredUserCache,
-};
+pub use tiered::{EntryClass, TierCounters, TierHit, TieredKvCache, TieredKvConfig};
 pub use user_cache::{AdmitOutcome, UserCache, UserCacheConfig};

@@ -10,27 +10,23 @@
 //! classic inclusive-on-demotion two-level cache.
 //!
 //! [`TieredKvCache`] is the decision core: it is keyed by [`CacheKey`], so
-//! user **and** item entries share one pool and one bookkeeping discipline
-//! (the old `TieredUserCache` only modelled user entries, leaving item KV
-//! outside tier accounting entirely), with the cold tier's budget split
-//! per entry class so a partitioning controller can re-divide it online.
+//! user **and** item entries share one pool and one bookkeeping discipline,
+//! with the cold tier's budget split per entry class so a partitioning
+//! controller can re-divide it online (a zero item budget gives a
+//! user-only hierarchy).
 //! Every decision — hit, miss, admit, demotion, eviction, budget change —
 //! is folded into an FNV-1a [`TieredKvCache::digest`]; the serve-side
 //! `TieredKvPool` (crate `bat-tiers`) embeds this exact type for its
 //! decisions, so oracle-vs-pool agreement is byte-for-byte by construction
 //! and checked end-to-end by comparing digests.
 //!
-//! [`TieredUserCache`] remains as the user-only façade over the core
-//! (item budget pinned to zero), preserving the original API for the
-//! `ablation_tiered_cache` harness and older callers.
-//!
 //! The cold tier trades capacity for load latency — whether the trade wins
 //! depends on the workload's reuse-distance distribution, which is exactly
-//! what the `ablation_tiered_cache` and `ablation_tiers` harnesses measure.
+//! what the `ablation_tiers` harness measures.
 
 use crate::lru::LruIndex;
 use crate::meta::CacheKey;
-use bat_types::{Bytes, UserId};
+use bat_types::Bytes;
 use std::collections::HashMap;
 
 /// Which tier served a lookup.
@@ -68,15 +64,6 @@ impl EntryClass {
             EntryClass::Item => 1,
         }
     }
-}
-
-/// Configuration of the two-tier user-prefix cache (legacy façade).
-#[derive(Debug, Clone)]
-pub struct TieredConfig {
-    /// DRAM tier capacity.
-    pub dram_capacity: Bytes,
-    /// Cold tier capacity (0 disables the cold tier).
-    pub cold_capacity: Bytes,
 }
 
 /// Configuration of the generalized two-tier cache.
@@ -476,75 +463,10 @@ impl TieredKvCache {
     }
 }
 
-/// A two-tier LRU user-prefix cache: the user-only façade over
-/// [`TieredKvCache`] (item budget pinned to zero), preserving the original
-/// API. Kept as the entry point for user-granularity studies and the
-/// `ablation_tiered_cache` harness.
-#[derive(Debug, Clone)]
-pub struct TieredUserCache {
-    inner: TieredKvCache,
-}
-
-impl TieredUserCache {
-    /// Creates an empty two-tier cache.
-    pub fn new(cfg: TieredConfig) -> Self {
-        TieredUserCache {
-            inner: TieredKvCache::new(TieredKvConfig {
-                dram_capacity: cfg.dram_capacity,
-                cold_user_budget: cfg.cold_capacity,
-                cold_item_budget: Bytes::ZERO,
-            }),
-        }
-    }
-
-    /// Bytes resident in DRAM.
-    pub fn dram_used(&self) -> Bytes {
-        self.inner.dram_used()
-    }
-
-    /// Bytes resident in the cold tier.
-    pub fn cold_used(&self) -> Bytes {
-        self.inner.cold_used()
-    }
-
-    /// Entries across both tiers.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether both tiers are empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Looks up `user`; a cold hit promotes the entry to DRAM (demoting
-    /// DRAM victims to the cold tier). Returns the entry size and the tier
-    /// that served it.
-    pub fn lookup(&mut self, user: UserId) -> Option<(Bytes, TierHit)> {
-        self.inner.lookup(CacheKey::User(user))
-    }
-
-    /// Admits a freshly computed entry into DRAM (LRU discipline), demoting
-    /// DRAM victims to the cold tier. Entries larger than DRAM are not
-    /// cached at all.
-    pub fn admit(&mut self, user: UserId, bytes: Bytes) {
-        self.inner.admit(CacheKey::User(user), bytes)
-    }
-
-    /// The underlying generalized cache (decision counters and digest).
-    pub fn core(&self) -> &TieredKvCache {
-        &self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bat_types::ItemId;
-
-    fn uid(i: u64) -> UserId {
-        UserId::new(i)
-    }
+    use bat_types::{ItemId, UserId};
 
     fn ikey(i: u64) -> CacheKey {
         CacheKey::Item(ItemId::new(i))
@@ -554,11 +476,9 @@ mod tests {
         CacheKey::User(UserId::new(i))
     }
 
-    fn cache(dram: u64, cold: u64) -> TieredUserCache {
-        TieredUserCache::new(TieredConfig {
-            dram_capacity: Bytes::new(dram),
-            cold_capacity: Bytes::new(cold),
-        })
+    /// A user-only hierarchy: the whole cold tier is the user budget.
+    fn cache(dram: u64, cold: u64) -> TieredKvCache {
+        kv_cache(dram, cold, 0)
     }
 
     fn kv_cache(dram: u64, user: u64, item: u64) -> TieredKvCache {
@@ -572,17 +492,17 @@ mod tests {
     #[test]
     fn dram_hit_then_demotion_then_cold_hit() {
         let mut c = cache(100, 200);
-        c.admit(uid(1), Bytes::new(100));
-        assert_eq!(c.lookup(uid(1)), Some((Bytes::new(100), TierHit::Dram)));
+        c.admit(ukey(1), Bytes::new(100));
+        assert_eq!(c.lookup(ukey(1)), Some((Bytes::new(100), TierHit::Dram)));
         // Admitting user 2 evicts user 1 to the cold tier.
-        c.admit(uid(2), Bytes::new(100));
+        c.admit(ukey(2), Bytes::new(100));
         assert_eq!(c.dram_used(), Bytes::new(100));
         assert_eq!(c.cold_used(), Bytes::new(100));
         // Cold hit promotes user 1 back, demoting user 2.
-        assert_eq!(c.lookup(uid(1)), Some((Bytes::new(100), TierHit::Cold)));
-        assert_eq!(c.lookup(uid(1)), Some((Bytes::new(100), TierHit::Dram)));
-        assert_eq!(c.lookup(uid(2)), Some((Bytes::new(100), TierHit::Cold)));
-        let n = c.core().counters();
+        assert_eq!(c.lookup(ukey(1)), Some((Bytes::new(100), TierHit::Cold)));
+        assert_eq!(c.lookup(ukey(1)), Some((Bytes::new(100), TierHit::Dram)));
+        assert_eq!(c.lookup(ukey(2)), Some((Bytes::new(100), TierHit::Cold)));
+        let n = c.counters();
         assert_eq!((n.hot_hits, n.cold_hits, n.promotions), (2, 2, 2));
         assert_eq!(n.demotions, 3);
     }
@@ -590,53 +510,53 @@ mod tests {
     #[test]
     fn cold_tier_disabled_drops_evictions() {
         let mut c = cache(100, 0);
-        c.admit(uid(1), Bytes::new(100));
-        c.admit(uid(2), Bytes::new(100));
-        assert_eq!(c.lookup(uid(1)), None, "no cold tier: eviction is final");
+        c.admit(ukey(1), Bytes::new(100));
+        c.admit(ukey(2), Bytes::new(100));
+        assert_eq!(c.lookup(ukey(1)), None, "no cold tier: eviction is final");
         assert_eq!(c.len(), 1);
-        assert_eq!(c.core().counters().cold_evictions, 1);
+        assert_eq!(c.counters().cold_evictions, 1);
     }
 
     #[test]
     fn cold_tier_evicts_lru_when_full() {
         let mut c = cache(100, 100);
         for i in 1..=3 {
-            c.admit(uid(i), Bytes::new(100));
+            c.admit(ukey(i), Bytes::new(100));
         }
         // Users 1 and 2 were demoted in order; cold holds only user 2.
-        assert_eq!(c.lookup(uid(1)), None);
-        assert_eq!(c.lookup(uid(2)), Some((Bytes::new(100), TierHit::Cold)));
+        assert_eq!(c.lookup(ukey(1)), None);
+        assert_eq!(c.lookup(ukey(2)), Some((Bytes::new(100), TierHit::Cold)));
     }
 
     #[test]
     fn oversized_entries_are_not_cached() {
         let mut c = cache(100, 100);
-        c.admit(uid(1), Bytes::new(500));
+        c.admit(ukey(1), Bytes::new(500));
         assert!(c.is_empty());
-        assert_eq!(c.lookup(uid(1)), None);
+        assert_eq!(c.lookup(ukey(1)), None);
     }
 
     #[test]
     fn accounting_stays_within_capacities() {
         let mut c = cache(250, 400);
         for i in 0..50u64 {
-            c.admit(uid(i % 13), Bytes::new(40 + (i % 5) * 30));
-            let _ = c.lookup(uid(i % 7));
+            c.admit(ukey(i % 13), Bytes::new(40 + (i % 5) * 30));
+            let _ = c.lookup(ukey(i % 7));
             assert!(c.dram_used() <= Bytes::new(250));
             assert!(c.cold_used() <= Bytes::new(400));
-            c.core().check_invariants();
+            c.check_invariants();
         }
-        let n = c.core().counters();
+        let n = c.counters();
         assert_eq!(n.hot_hits + n.cold_hits + n.misses, 50);
     }
 
     #[test]
     fn admit_replaces_cold_resident() {
         let mut c = cache(100, 100);
-        c.admit(uid(1), Bytes::new(100));
-        c.admit(uid(2), Bytes::new(100)); // demotes 1
-        c.admit(uid(1), Bytes::new(80)); // fresh recompute replaces cold copy
-        assert_eq!(c.lookup(uid(1)), Some((Bytes::new(80), TierHit::Dram)));
+        c.admit(ukey(1), Bytes::new(100));
+        c.admit(ukey(2), Bytes::new(100)); // demotes 1
+        c.admit(ukey(1), Bytes::new(80)); // fresh recompute replaces cold copy
+        assert_eq!(c.lookup(ukey(1)), Some((Bytes::new(80), TierHit::Dram)));
     }
 
     #[test]
@@ -721,19 +641,19 @@ mod tests {
     }
 
     #[test]
-    fn facade_matches_core_driven_with_user_keys() {
-        // The façade is the oracle for user-only workloads: driving the
-        // generalized core with the same user keys must produce the same
-        // decisions, digest included.
-        let mut facade = cache(250, 400);
-        let mut core = kv_cache(250, 400, 0);
+    fn user_only_decisions_ignore_the_item_budget() {
+        // A zero item budget is what makes the hierarchy user-only; for a
+        // user-only key stream the item budget is dead weight either way —
+        // same decisions, digest included.
+        let mut user_only = cache(250, 400);
+        let mut shared = kv_cache(250, 400, 300);
         for i in 0..60u64 {
             let (u, b) = (i % 11, Bytes::new(30 + (i % 7) * 25));
-            facade.admit(uid(u), b);
-            core.admit(ukey(u), b);
-            assert_eq!(facade.lookup(uid(i % 5)), core.lookup(ukey(i % 5)));
+            user_only.admit(ukey(u), b);
+            shared.admit(ukey(u), b);
+            assert_eq!(user_only.lookup(ukey(i % 5)), shared.lookup(ukey(i % 5)));
         }
-        assert_eq!(facade.core().digest(), core.digest());
-        assert_eq!(facade.core().counters(), core.counters());
+        assert_eq!(user_only.digest(), shared.digest());
+        assert_eq!(user_only.counters(), shared.counters());
     }
 }

@@ -21,4 +21,6 @@ pub use policy::{
     CacheAgnosticPolicy, DegradedModePolicy, HotnessAwarePolicy, OraclePolicy, PromptPolicy,
     StaticPolicy,
 };
-pub use slots::{BatchCompletion, BatchScheduler, BatchShed, BatchingConfig, RoundRecord};
+pub use slots::{
+    time_key, BatchCompletion, BatchScheduler, BatchShed, BatchingConfig, RoundRecord,
+};

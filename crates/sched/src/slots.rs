@@ -192,9 +192,11 @@ pub struct BatchScheduler {
     rounds: Vec<RoundRecord>,
 }
 
-/// Nominal seconds → integer event key, the simulator's convention.
+/// Nominal seconds → the integer nanosecond key every event of a run is
+/// ordered by (this machine's round finishes, the engines' arrivals and
+/// faults). Instants with equal keys are simultaneous.
 #[inline]
-fn time_key(t: f64) -> u64 {
+pub fn time_key(t: f64) -> u64 {
     (t * 1e9) as u64
 }
 
@@ -290,6 +292,14 @@ impl BatchScheduler {
     /// runtime dispatches each as one physical worker task.
     pub fn drain_rounds(&mut self) -> Vec<RoundRecord> {
         std::mem::take(&mut self.rounds)
+    }
+
+    /// [`BatchScheduler::drain_rounds`] into a caller-owned buffer (cleared
+    /// first): the two vectors trade places, so a caller draining after
+    /// every step allocates nothing.
+    pub fn drain_rounds_into(&mut self, out: &mut Vec<RoundRecord>) {
+        out.clear();
+        std::mem::swap(&mut self.rounds, out);
     }
 
     /// Advances nominal time to `now`, retiring every round that finishes

@@ -39,16 +39,14 @@
 
 use crate::net_worker::{run_net_worker, CHILD_INDEX_ENV, CHILD_SOCKET_ENV};
 use crate::pacer;
-use bat_metrics::{BatchStats, Percentiles, SloStats};
 use bat_net::{
     ChannelTransport, CompletionMsg, Conn, DispatchMsg, Frame, HelloMsg, Listener, OrphanMsg,
     ShutdownMsg, TcpTransport, Transport, WireCodec, WireOutcome, MSG_COMPLETION, MSG_ORPHAN,
 };
 use bat_sim::{
-    BatchScheduler, EngineConfig, FaultKind, OverloadController, RequestPlanner, RoundRecord,
-    RunStats,
+    EngineConfig, FaultKind, FrontEnd, Outcomes, RequestPlanner, RoundRecord, RunStats, SlotDriver,
 };
-use bat_types::{BatError, Bytes, PrefixKind, RankRequest, RejectReason};
+use bat_types::{BatError, RankRequest};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -345,8 +343,6 @@ enum Event {
     Orphan(OrphanMsg),
     /// A link's connection died; requeue that incarnation's unacked work.
     Down { worker: usize, incarnation: u64 },
-    /// The scheduler refused a request at admission.
-    Rejected(RejectReason),
     /// The scheduler's last word, said before it releases the workers (so
     /// the collector never takes an orderly disconnect for a death): the
     /// run drained, or it is being torn down.
@@ -422,6 +418,9 @@ struct Cluster {
     /// one channel to the collector.
     events: Sender<Event>,
     progress: Progress,
+    /// Frames dispatched and not yet retired, over all links: the run has
+    /// drained when this is zero.
+    outstanding: AtomicU64,
     /// Wall seconds per simulated second, and the wall instant of virtual
     /// time zero.
     scale: f64,
@@ -599,6 +598,7 @@ impl ServeRuntime {
             links: (0..n_workers).map(|_| Link::new()).collect(),
             events,
             progress: Progress::new(schedule_is_empty, WATCHDOG),
+            outstanding: AtomicU64::new(0),
             scale: self.opts.time_scale,
             start: Instant::now(),
         };
@@ -753,13 +753,18 @@ impl ServeRuntime {
 
     /// Serves a trace to completion and returns aggregate statistics.
     ///
+    /// Every arrival goes through the [`FrontEnd`] the simulator uses, so
+    /// planner-side statistics equal the simulator's. Under
+    /// [`EngineConfig::batching`] the whole nominal plane is the shared
+    /// [`SlotDriver`]; otherwise jobs are dispatched one by one to the
+    /// least-loaded worker.
+    ///
     /// # Panics
     ///
     /// Panics if the trace is not sorted by arrival time, if a worker
     /// fails to connect during setup, or if the run makes no progress for
     /// the watchdog interval (the message names each worker's incarnation
     /// and oldest un-acknowledged frame).
-    #[allow(clippy::too_many_lines)]
     pub fn serve(&self, trace: &[RankRequest]) -> RunStats {
         for w in trace.windows(2) {
             assert!(
@@ -767,751 +772,380 @@ impl ServeRuntime {
                 "trace must be sorted by arrival"
             );
         }
-        if self.cfg.batching.is_some() {
-            return self.serve_batched(trace);
-        }
-        let n_workers = self.cfg.cluster.num_nodes;
-        let queue_depth = self.opts.queue_depth as u64;
         let mut planner = RequestPlanner::from_config(&self.cfg);
-        let mut totals = SchedTotals::default();
-        let outstanding = AtomicU64::new(0);
-        let (cluster, event_rx) = self.bind();
-        let (links, progress) = (cluster.links.as_slice(), &cluster.progress);
-        let (orphan_tx, orphan_rx) = unbounded::<DispatchMsg>();
-
         // One straggler knob for both execution paths: explicit runtime
         // options win, otherwise the engine config's injection applies.
         let straggler = self.opts.straggler.or(self.cfg.straggler);
-        let straggler_factor = move |w: usize| match straggler {
-            Some((idx, factor)) if idx == w => factor,
-            _ => 1.0,
-        };
+        let front = FrontEnd::new(&self.cfg, &mut planner, straggler);
+        let (cluster, event_rx) = self.bind();
+
         let scale = cluster.scale;
+        let batching = self.cfg.batching;
         let max_batch_tokens = self.cfg.cluster.max_batched_tokens as u64;
         let batch_overhead = self.cfg.batch_overhead_secs;
+        let speeds = front.speeds().to_vec();
+        let speeds = &speeds;
+        // Under batching one frame is one round: the machine forms rounds
+        // and prices them straggler-scaled, so the worker never re-fuses
+        // frames and runs at unit speed with no overhead of its own — the
+        // frame's `service_virtual` is the whole truth.
         let hello = move |w: usize, vnow: f64| HelloMsg {
             worker: w as u32,
             scale,
             virtual_now: vnow,
-            max_batch_tokens,
-            batch_overhead,
-            slowdown: straggler_factor(w),
+            max_batch_tokens: batching.map_or(max_batch_tokens, |_| 1),
+            batch_overhead: batching.map_or(batch_overhead, |_| 0.0),
+            slowdown: batching.map_or(speeds[w], |_| 1.0),
         };
 
         let stats = thread::scope(|scope| {
             self.start(scope, &cluster, hello);
-
-            // Collector thread: the single writer for per-link retirement
-            // accounting. Exactly one terminal event per trace request
-            // arrives — served, shed, or rejected; faults re-route work,
-            // they never drop it. Its receive blocks without a deadline of
-            // its own: the scheduler's `Teardown` ends it on every path.
-            let outstanding_ref = &outstanding;
-            let cluster_ref = &cluster;
-            let collector = scope.spawn(move || {
-                let mut latencies = Percentiles::new();
-                let mut completed = 0usize;
-                let mut slo = SloStats {
-                    submitted: trace.len() as u64,
-                    ..SloStats::default()
-                };
-                let mut terminal = 0usize;
-                // Virtual time of the last terminal event: the run's span
-                // ends there, not when the fault schedule runs out.
-                let mut drained_at = None;
-                for event in event_rx.iter() {
-                    match event {
-                        Event::Done(c) => {
-                            let link = &links[c.worker as usize];
-                            link.release(c.suffix_tokens);
-                            link.unacked.lock().remove(&c.seq);
-                            outstanding_ref.fetch_sub(1, Ordering::Release);
-                            terminal += 1;
-                            match c.outcome {
-                                WireOutcome::Completed {
-                                    latency_virtual,
-                                    missed,
-                                } => {
-                                    latencies.record(latency_virtual);
-                                    completed += 1;
-                                    slo.completed += 1;
-                                    if missed {
-                                        slo.deadline_misses += 1;
-                                    }
-                                }
-                                WireOutcome::Shed => slo.shed_expired += 1,
-                                // Workers never reject; the scheduler does.
-                                WireOutcome::Rejected(reason) => count_reject(&mut slo, reason),
-                            }
-                        }
-                        Event::Orphan(o) => {
-                            let link = &links[o.worker as usize];
-                            link.release(o.item.suffix_tokens);
-                            link.unacked.lock().remove(&o.item.seq);
-                            let _ = orphan_tx.send(o.item);
-                        }
-                        Event::Down {
-                            worker,
-                            incarnation,
-                        } => {
-                            // Requeue everything the dead conn never
-                            // finished.
-                            let link = &links[worker];
-                            for item in link.take_stranded(incarnation) {
-                                link.release(item.suffix_tokens);
-                                let _ = orphan_tx.send(item);
-                            }
-                        }
-                        Event::Rejected(reason) => {
-                            terminal += 1;
-                            count_reject(&mut slo, reason);
-                        }
-                        Event::Finished => break,
-                    }
-                    if terminal == trace.len() {
-                        drained_at.get_or_insert_with(|| cluster_ref.virtual_now());
-                    }
-                    progress.notify();
+            match batching {
+                Some(batching) => {
+                    let driver = SlotDriver::new(front, batching);
+                    self.serve_slots(scope, &cluster, event_rx, driver, trace)
                 }
-                let drained_at = drained_at.unwrap_or_else(|| cluster_ref.virtual_now());
-                (latencies, completed, slo, drained_at)
-            });
-
-            // Scheduler, on the scope's own flow: replay arrivals, plan,
-            // dispatch frames.
-            let teardown = Teardown(&cluster);
-            let mut rotate = 0usize;
-            let mut next_seq = 0u64;
-            // The admission controller runs on *nominal* arrival times
-            // with planner cost estimates — identical inputs to the
-            // simulator's controller, so for the same trace + schedule
-            // the two paths reject the exact same requests.
-            let mut controller = self.cfg.slo.map(|c| {
-                let cap = (0..n_workers)
-                    .filter(|&i| planner.is_worker_alive(i))
-                    .map(|i| 1.0 / straggler_factor(i))
-                    .sum();
-                OverloadController::new(c, cap)
-            });
-            // Least-loaded dispatch (§5.1 load balancing) over the
-            // currently-live workers. Ties rotate instead of always
-            // picking the lowest index, so an idle-but-slow worker does
-            // not swallow every tied dispatch. The loop re-selects when
-            // the chosen worker is out of credit (backpressure) or its
-            // link dies mid-send.
-            let dispatch = |item: DispatchMsg, rotate: &mut usize| {
-                loop {
-                    let is_live = |link: &Link| link.alive.load(Ordering::Acquire);
-                    let live: Vec<usize> = (0..n_workers).filter(|&i| is_live(&links[i])).collect();
-                    // A validated schedule never kills the whole
-                    // cluster for good; wait out the gap between a
-                    // crash and its scheduled restart.
-                    if live.is_empty() {
-                        progress.wait(links, format_args!("a live worker"), || {
-                            links.iter().any(is_live)
-                        });
-                        continue;
-                    }
-                    // Snapshot every candidate's load once: the
-                    // collector decrements these atomics concurrently,
-                    // so re-reading them while filtering can leave no
-                    // candidate equal to a stale minimum.
-                    let loads: Vec<(usize, u64)> = live
-                        .iter()
-                        .map(|&i| (i, links[i].queued.load(Ordering::Relaxed)))
-                        .collect();
-                    let min_load = loads
-                        .iter()
-                        .map(|&(_, load)| load)
-                        .min()
-                        .expect("at least one candidate");
-                    let tied: Vec<usize> = loads
-                        .iter()
-                        .filter(|&&(_, load)| load == min_load)
-                        .map(|&(i, _)| i)
-                        .collect();
-                    let w = tied[*rotate % tied.len()];
-                    let link = &links[w];
-                    let has_credit = || link.inflight.load(Ordering::Acquire) < queue_depth;
-                    if !has_credit() {
-                        // Out of credit: wait for completions to free
-                        // a slot (or for the worker to leave the
-                        // liveness set), then select again.
-                        progress.wait(links, format_args!("credit on worker {w}"), || {
-                            has_credit() || !is_live(link)
-                        });
-                        continue;
-                    }
-                    *rotate = rotate.wrapping_add(1);
-                    // Register BEFORE sending so a completion can
-                    // never race past its own bookkeeping; incarnation
-                    // and conn are read together so the entry's tag
-                    // always matches the conn the frame went to.
-                    let (inc, conn) = link.current();
-                    link.unacked.lock().insert(item.seq, (inc, item));
-                    link.charge(1, item.suffix_tokens);
-                    let sent = conn
-                        .as_ref()
-                        .is_some_and(|c| c.send(item.to_frame()).is_ok());
-                    if sent {
-                        return;
-                    }
-                    // The link died under us: roll back — unless the
-                    // collector's `Down` already requeued the entry —
-                    // and re-select.
-                    link.alive.store(false, Ordering::Release);
-                    if link.unacked.lock().remove(&item.seq).is_none() {
-                        return;
-                    }
-                    link.release(item.suffix_tokens);
-                }
-            };
-            for req in trace {
-                let arrival = req.arrival.as_secs();
-                // Open-loop pacing in scaled time.
-                pacer::sleep_until(cluster.wall(arrival));
-                let now = cluster.virtual_now();
-                // Plan on the *nominal* arrival time, never the jittery
-                // virtual clock: the fault cursor then advances through
-                // the same states as the simulator's, which is what
-                // keeps the two paths' cache accounting identical.
-                if let Some(ctl) = controller.as_mut() {
-                    // Admission sees the fault state planning would.
-                    planner.advance_faults(arrival);
-                    ctl.set_capacity(
-                        (0..n_workers)
-                            .filter(|&i| planner.is_worker_alive(i))
-                            .map(|i| 1.0 / straggler_factor(i))
-                            .sum(),
-                    );
-                    let est = planner.admission_estimate_secs(req);
-                    let decision =
-                        ctl.on_arrival(arrival, est, req.slo.deadline_secs, req.slo.priority);
-                    match decision.into_result() {
-                        Ok(()) => planner.set_brownout_rung(ctl.rung()),
-                        Err(BatError::Rejected { reason }) => {
-                            assert!(
-                                cluster.events.send(Event::Rejected(reason)).is_ok(),
-                                "collector outlives scheduler"
-                            );
-                            continue;
-                        }
-                        Err(_) => unreachable!("into_result only rejects"),
-                    }
-                }
-                let planned = planner.plan(req, arrival);
-                let price = planner.price(&planned);
-                totals.accepted += 1;
-                totals.total_tokens += req.total_tokens() as u64;
-                totals.reused_tokens += planned.reused_tokens();
-                totals.computed_tokens += planned.suffix_tokens;
-                totals.remote_bytes += planned.remote_bytes;
-                totals.compute_secs += price.0;
-                totals.load_secs += price.1;
-                totals.net_secs += price.2;
-                if self.cfg.caching {
-                    match planned.prefix {
-                        PrefixKind::User => totals.up_requests += 1,
-                        PrefixKind::Item => totals.ip_requests += 1,
-                    }
-                }
-                outstanding.fetch_add(1, Ordering::AcqRel);
-                let seq = next_seq;
-                next_seq += 1;
-                dispatch(
-                    DispatchMsg {
-                        seq,
-                        arrival_virtual: now,
-                        suffix_tokens: planned.suffix_tokens,
-                        service_virtual: price.0 + price.1 + price.2,
-                        deadline_rel: if controller.is_some() {
-                            req.slo.deadline_secs
-                        } else {
-                            None
-                        },
-                    },
-                    &mut rotate,
-                );
-                // Re-dispatch anything bounced or requeued off a dead
-                // worker.
-                while let Ok(item) = orphan_rx.try_recv() {
-                    dispatch(item, &mut rotate);
-                }
+                None => self.serve_dispatch(scope, &cluster, event_rx, front, trace),
             }
-            // Post-trace drain: keep re-dispatching orphans until every
-            // dispatched job has completed and every scheduled fault
-            // has been delivered. Requests are never dropped, even when
-            // the last arrivals landed on a worker that then died.
-            let drained =
-                || outstanding.load(Ordering::Acquire) == 0 && progress.is_schedule_delivered();
-            loop {
-                while let Ok(item) = orphan_rx.try_recv() {
-                    dispatch(item, &mut rotate);
-                }
-                if drained() {
-                    break;
-                }
-                progress.wait(links, format_args!("the dispatched jobs to finish"), || {
-                    drained() || !orphan_rx.is_empty()
-                });
-            }
-            drop(teardown);
-
-            let (mut latencies, completed, mut slo, drained_at) =
-                collector.join().expect("collector thread panicked");
-            let span = drained_at - trace.first().map_or(0.0, |r| r.arrival.as_secs());
-            let mut stats = RunStats::from_counters(
-                self.cfg.label.clone(),
-                completed,
-                span.max(1e-9),
-                totals.total_tokens,
-                totals.reused_tokens,
-                totals.computed_tokens,
-                totals.remote_bytes,
-                totals.compute_secs,
-                totals.net_secs,
-                totals.load_secs,
-                totals.up_requests,
-                totals.ip_requests,
-                &mut latencies,
-            );
-            if self.cfg.slo.is_some() {
-                slo.accepted = totals.accepted;
-                stats.slo = slo;
-            }
-            if let Some(report) = planner.finish_faults() {
-                stats.faults = report;
-            }
-            if let Some(tiers) = planner.tier_stats() {
-                stats.tiers = tiers;
-            }
-            stats
         });
         cluster.reap();
         stats
     }
 
-    /// The continuous-batching serve path: the scheduler runs the
-    /// same nominal-time [`BatchScheduler`] as the simulator's batched
-    /// path — same admission sequence, same priced services, same round
-    /// formation — and every [`RoundRecord`] it forms is then *physically*
-    /// dispatched to the round's worker as one wire frame. The workers are
-    /// pure execution vehicles here (they pace the round's priced service
-    /// and ack it); the whole ledger — latencies, SLO counters, the batching
-    /// stats — comes from the machine, so [`RunStats::digest`] is
-    /// bit-identical to the simulator's for the same trace at any worker
-    /// count.
-    ///
-    /// Fault and membership schedules run in two planes that never share
-    /// state: the *nominal* plane (the scheduler applies every
-    /// crash/restart/drain/join to the machine at its scheduled nominal
-    /// time, exactly as the simulator's event heap does, so seated chunks
-    /// requeue through the machine's own migration path and the ledger
-    /// stays bit-identical), and the *physical* plane (the shared fault
-    /// supervisor kills, drains, and respawns the real workers). A round
-    /// frame lost to a physical kill is simply dropped after its link dies
-    /// — the machine has already cancelled that round by generation
-    /// fencing and reformed its chunks into fresh rounds on survivors, so
-    /// no frame is ever double-counted.
-    #[allow(clippy::too_many_lines)]
-    fn serve_batched(&self, trace: &[RankRequest]) -> RunStats {
+    /// The per-request serve path: each admitted job is priced at plan
+    /// time and dispatched as one frame to the least-loaded live worker;
+    /// work stranded on a dead worker is re-dispatched, never dropped.
+    fn serve_dispatch<'scope>(
+        &self,
+        scope: &'scope thread::Scope<'scope, '_>,
+        cluster: &'scope Cluster,
+        event_rx: Receiver<Event>,
+        mut front: FrontEnd<'_>,
+        trace: &[RankRequest],
+    ) -> RunStats {
         let n_workers = self.cfg.cluster.num_nodes;
         let queue_depth = self.opts.queue_depth as u64;
-        let batching = self.cfg.batching.expect("batched path requires config");
-        let have_faults = self.cfg.faults.is_some();
-        let fault_times: Vec<f64> = self
-            .cfg
-            .faults
-            .as_ref()
-            .map(|s| s.events().iter().map(|e| e.at_secs).collect())
-            .unwrap_or_default();
-        let mut planner = RequestPlanner::from_config(&self.cfg);
-        let outstanding = AtomicU64::new(0);
-        let (cluster, event_rx) = self.bind();
         let (links, progress) = (cluster.links.as_slice(), &cluster.progress);
+        let outstanding = &cluster.outstanding;
+        let (orphan_tx, orphan_rx) = unbounded::<DispatchMsg>();
+        let collector = scope.spawn(move || collect_jobs(&event_rx, cluster, &orphan_tx));
 
-        // One straggler knob for both execution paths. The machine's round
-        // services are already straggler-scaled, so the workers themselves
-        // run at unit speed with zero extra overhead: the frame's
-        // `service_virtual` is the whole truth.
-        let straggler = self.opts.straggler.or(self.cfg.straggler);
-        let speeds: Vec<f64> = (0..n_workers)
-            .map(|i| match straggler {
-                Some((w, f)) if w == i => f,
-                _ => 1.0,
-            })
-            .collect();
-        let scale = cluster.scale;
-        let hello = move |w: usize, vnow: f64| HelloMsg {
-            worker: w as u32,
-            scale,
-            virtual_now: vnow,
-            // One frame per round: rounds are formed by the machine, never
-            // re-fused opportunistically by the worker loop.
-            max_batch_tokens: 1,
-            batch_overhead: 0.0,
-            slowdown: 1.0,
-        };
-
-        let stats = thread::scope(|scope| {
-            // Physical fault plane: the same supervisor the per-request
-            // path uses, handing rejoined children the batched hello.
-            self.start(scope, &cluster, hello);
-
-            // Collector thread: acks round frames so credit and the
-            // outstanding count drain. All statistics live in the
-            // machine's ledger; this loop is pure flow control — a frame
-            // stranded by a kill is retired here exactly once (its un-acked
-            // entry is the token: whoever removes it does the decrement),
-            // never re-dispatched, because the nominal machine has already
-            // reformed the cancelled round's chunks under fresh sequence
-            // numbers on the surviving workers. Its receive blocks without
-            // a deadline of its own: the scheduler's `Teardown` ends it on
-            // every path.
-            let outstanding_ref = &outstanding;
-            scope.spawn(move || {
-                for event in event_rx.iter() {
-                    match event {
-                        Event::Done(c) => {
-                            links[c.worker as usize].retire_round(outstanding_ref, c.seq);
-                        }
-                        Event::Orphan(o) => {
-                            // An in-process worker bounced a round frame
-                            // while its liveness flag was down mid-kill.
-                            assert!(
-                                have_faults,
-                                "worker {} bounced a round without a fault schedule",
-                                o.worker
-                            );
-                            links[o.worker as usize].retire_round(outstanding_ref, o.item.seq);
-                        }
-                        Event::Down {
-                            worker,
-                            incarnation,
-                        } => {
-                            // A scheduled kill (or a drained child
-                            // exiting): retire every frame the dead conn
-                            // never finished.
-                            assert!(
-                                have_faults,
-                                "worker {worker} link died without a fault schedule"
-                            );
-                            let link = &links[worker];
-                            for item in link.take_stranded(incarnation) {
-                                link.release(item.suffix_tokens);
-                                outstanding_ref.fetch_sub(1, Ordering::Release);
-                            }
-                        }
-                        Event::Rejected(_) => {
-                            unreachable!("the batched scheduler counts rejects locally")
-                        }
-                        Event::Finished => break,
-                    }
-                    progress.notify();
-                }
-            });
-
-            // Scheduler, on the scope's own flow (its allocations — the
-            // machine's round and completion queues are the run's largest —
-            // then reuse the caller's heap every run): replays arrivals on
-            // nominal time through the batch machine, dispatching the
-            // rounds it forms.
-            let teardown = Teardown(&cluster);
-            let mut machine =
-                BatchScheduler::new(batching, self.cfg.batch_overhead_secs, speeds.clone());
-            // Physical dispatch of the rounds one machine step formed:
-            // each link's rounds go out in order as one batched write,
-            // under the same per-link inflight credit as the
-            // per-request path (a group larger than the credit left is
-            // sent in as many writes as it takes). Under a fault
-            // schedule a dead link is survivable: its rounds are rolled
-            // back and simply not sent. The nominal machine independently
-            // cancels those rounds at the scheduled crash time and reforms
-            // their chunks on the survivors, so physical loss never
-            // touches the ledger.
-            let mut groups: Vec<Vec<DispatchMsg>> = vec![Vec::new(); n_workers];
-            let mut frames: Vec<Frame> = Vec::new();
-            let mut dispatch_rounds = |rounds: Vec<RoundRecord>| {
-                for r in &rounds {
-                    groups[r.worker].push(DispatchMsg {
-                        seq: r.seq,
-                        arrival_virtual: r.start,
-                        suffix_tokens: r.tokens,
-                        service_virtual: r.service_secs,
-                        deadline_rel: None,
+        let teardown = Teardown(cluster);
+        let mut rotate = 0usize;
+        // Least-loaded dispatch (§5.1 load balancing) over the
+        // currently-live workers. Ties rotate instead of always
+        // picking the lowest index, so an idle-but-slow worker does
+        // not swallow every tied dispatch. The loop re-selects when
+        // the chosen worker is out of credit (backpressure) or its
+        // link dies mid-send.
+        let mut dispatch = |item: DispatchMsg| {
+            loop {
+                let is_live = |link: &Link| link.alive.load(Ordering::Acquire);
+                let live: Vec<usize> = (0..n_workers).filter(|&i| is_live(&links[i])).collect();
+                // A validated schedule never kills the whole
+                // cluster for good; wait out the gap between a
+                // crash and its scheduled restart.
+                if live.is_empty() {
+                    progress.wait(links, format_args!("a live worker"), || {
+                        links.iter().any(is_live)
                     });
+                    continue;
                 }
-                for (w, group) in groups.iter_mut().enumerate() {
-                    let link = &links[w];
-                    let mut rest = group.as_slice();
-                    while !rest.is_empty() {
-                        let credit =
-                            || queue_depth.saturating_sub(link.inflight.load(Ordering::Acquire));
-                        progress.wait(links, format_args!("credit on worker {w}"), || credit() > 0);
-                        let (batch, later) = rest.split_at(rest.len().min(credit() as usize));
-                        rest = later;
-                        let sent = link.send_rounds(batch, &outstanding, &mut frames);
-                        assert!(
-                            sent || have_faults,
-                            "worker {w} link died without a fault schedule"
-                        );
-                    }
-                    group.clear();
+                // Snapshot every candidate's load once: the
+                // collector decrements these atomics concurrently,
+                // so re-reading them while filtering can leave no
+                // candidate equal to a stale minimum.
+                let loads: Vec<(usize, u64)> = live
+                    .iter()
+                    .map(|&i| (i, links[i].queued.load(Ordering::Relaxed)))
+                    .collect();
+                let min_load = loads
+                    .iter()
+                    .map(|&(_, load)| load)
+                    .min()
+                    .expect("at least one candidate");
+                let tied: Vec<usize> = loads
+                    .iter()
+                    .filter(|&&(_, load)| load == min_load)
+                    .map(|&(i, _)| i)
+                    .collect();
+                let w = tied[rotate % tied.len()];
+                let link = &links[w];
+                let has_credit = || link.inflight.load(Ordering::Acquire) < queue_depth;
+                if !has_credit() {
+                    // Out of credit: wait for completions to free
+                    // a slot (or for the worker to leave the
+                    // liveness set), then select again.
+                    progress.wait(links, format_args!("credit on worker {w}"), || {
+                        has_credit() || !is_live(link)
+                    });
+                    continue;
                 }
-            };
-            // Everything below mirrors the simulator's batched run
-            // statement-for-statement on nominal times; see
-            // `ServingEngine::run_batched`. Arrival times are rounded
-            // through the same nanosecond key so edge comparisons
-            // (item-refresh boundaries) land identically.
-            struct AdmittedJob {
-                arrival_secs: f64,
-                deadline: Option<f64>,
-                compute: f64,
-                load: f64,
-                net: f64,
-            }
-            let mut admitted: Vec<Option<AdmittedJob>> = (0..trace.len()).map(|_| None).collect();
-            let mut ledger = BatchedLedger {
-                first_arrival: f64::INFINITY,
-                ..BatchedLedger::default()
-            };
-            let mut next_refresh = self.cfg.item_refresh_interval_secs.unwrap_or(0.0);
-            // Nominal fault plane: the cursor below walks the schedule
-            // exactly as the simulator's event heap does — every event
-            // whose nanosecond key is ≤ the next arrival's is applied
-            // first (fault events win key ties by sequence), at its own
-            // scheduled time, through the shared planner and machine.
-            let mut fault_cursor = 0usize;
-            let mut controller = self.cfg.slo.map(|c| {
-                let cap = (0..n_workers)
-                    .filter(|&i| planner.is_worker_alive(i))
-                    .map(|i| 1.0 / speeds[i])
-                    .sum();
-                OverloadController::new(c, cap)
-            });
-            for (idx, req) in trace.iter().enumerate() {
-                let nominal = req.arrival.as_secs();
-                // Open-loop pacing in scaled wall time: rounds form and
-                // dispatch as their admitting arrivals come due, so the
-                // physical run overlaps execution with the trace replay
-                // instead of bursting everything at once.
-                pacer::sleep_until(cluster.wall(nominal));
-                while fault_cursor < fault_times.len()
-                    && (fault_times[fault_cursor] * 1e9) as u64 <= (nominal * 1e9) as u64
-                {
-                    let at = fault_times[fault_cursor];
-                    fault_cursor += 1;
-                    apply_membership(&mut planner, &mut machine, at);
-                    // Requeued chunks may have formed fresh rounds on
-                    // the survivors; get them onto the wire.
-                    dispatch_rounds(machine.drain_rounds());
-                }
-                let rounded = ((nominal * 1e9) as u64) as f64 / 1e9;
-                ledger.first_arrival = ledger.first_arrival.min(rounded);
-                if let Some(interval) = self.cfg.item_refresh_interval_secs {
-                    if rounded >= next_refresh {
-                        planner.refresh_item_replication(rounded);
-                        next_refresh = rounded + interval;
-                    }
-                }
-                if let Some(ctl) = controller.as_mut() {
-                    planner.advance_faults(nominal);
-                    ctl.set_capacity(
-                        (0..n_workers)
-                            .filter(|&i| planner.is_worker_alive(i))
-                            .map(|i| 1.0 / speeds[i])
-                            .sum(),
-                    );
-                    machine.advance(nominal);
-                    ctl.set_slot_backlog(machine.outstanding_service_secs());
-                    ledger.slo.submitted += 1;
-                    let est = planner.admission_estimate_secs(req);
-                    let decision =
-                        ctl.on_arrival(nominal, est, req.slo.deadline_secs, req.slo.priority);
-                    if let Err(BatError::Rejected { reason }) = decision.into_result() {
-                        count_reject(&mut ledger.slo, reason);
-                        continue;
-                    }
-                    ledger.slo.accepted += 1;
-                    planner.set_brownout_rung(ctl.rung());
-                }
-                let planned = planner.plan(req, nominal);
-                let (c, l, t) = planner.price(&planned);
-                ledger.total_tokens += req.total_tokens() as u64;
-                ledger.reused_tokens += planned.reused_tokens();
-                ledger.computed_tokens += planned.suffix_tokens;
-                ledger.remote_bytes += planned.remote_bytes;
-                if self.cfg.caching {
-                    match planned.prefix {
-                        PrefixKind::User => ledger.up_requests += 1,
-                        PrefixKind::Item => ledger.ip_requests += 1,
-                    }
-                }
-                let deadline = controller
-                    .is_some()
-                    .then(|| req.slo.absolute_deadline(nominal))
-                    .flatten();
-                machine.admit(nominal, idx, planned.suffix_tokens, c + l + t, deadline);
-                admitted[idx] = Some(AdmittedJob {
-                    arrival_secs: nominal,
-                    deadline,
-                    compute: c,
-                    load: l,
-                    net: t,
-                });
-                dispatch_rounds(machine.drain_rounds());
-            }
-            // Events scheduled past the last arrival still reshape the
-            // membership before the machine runs dry (the simulator's
-            // heap pops them the same way).
-            while fault_cursor < fault_times.len() {
-                let at = fault_times[fault_cursor];
-                fault_cursor += 1;
-                apply_membership(&mut planner, &mut machine, at);
-                dispatch_rounds(machine.drain_rounds());
-            }
-            machine.finish();
-            dispatch_rounds(machine.drain_rounds());
-            // Fold the terminal ledger in the machine's completion
-            // order — the same f64 fold order as the simulator, which
-            // is what keeps the digest bitwise equal.
-            for done in machine.drain_completions() {
-                let job = admitted[done.idx]
+                rotate = rotate.wrapping_add(1);
+                // Register BEFORE sending so a completion can
+                // never race past its own bookkeeping; incarnation
+                // and conn are read together so the entry's tag
+                // always matches the conn the frame went to.
+                let (inc, conn) = link.current();
+                link.unacked.lock().insert(item.seq, (inc, item));
+                link.charge(1, item.suffix_tokens);
+                let sent = conn
                     .as_ref()
-                    .expect("machine completions cover only admitted requests");
-                ledger.latencies.record(done.at - job.arrival_secs);
-                ledger.completed += 1;
-                ledger.compute_secs += job.compute;
-                ledger.load_secs += job.load;
-                ledger.net_secs += job.net;
-                if controller.is_some() {
-                    ledger.slo.completed += 1;
-                    if job.deadline.is_some_and(|d| done.at > d) {
-                        ledger.slo.deadline_misses += 1;
-                    }
+                    .is_some_and(|c| c.send(item.to_frame()).is_ok());
+                if sent {
+                    return;
                 }
-                ledger.last_completion = ledger.last_completion.max(done.at);
+                // The link died under us: roll back — unless the
+                // collector's `Down` already requeued the entry —
+                // and re-select.
+                link.alive.store(false, Ordering::Release);
+                if link.unacked.lock().remove(&item.seq).is_none() {
+                    return;
+                }
+                link.release(item.suffix_tokens);
             }
-            ledger.slo.shed_expired += machine.drain_sheds().len() as u64;
-            ledger.batching = machine.stats();
-            // Both engines derive the SLO-plane migration ledger from
-            // the same machine, so it is bit-identical by construction.
-            ledger.slo.migrated = ledger.batching.migrated_requests;
-            // Wait out the physical tail (and the supervisor, so a late
-            // respawned child still gets its shutdown frame), then release
-            // the cluster.
-            progress.wait(
-                links,
-                format_args!("the dispatched rounds to finish"),
-                || outstanding.load(Ordering::Acquire) == 0 && progress.is_schedule_delivered(),
-            );
-            drop(teardown);
-
-            let mut latencies = ledger.latencies;
-            let span = if ledger.completed == 0 {
-                0.0
-            } else {
-                (ledger.last_completion - ledger.first_arrival).max(1e-9)
+        };
+        for (idx, req) in trace.iter().enumerate() {
+            let arrival = req.arrival.as_secs();
+            // Open-loop pacing in scaled time.
+            pacer::sleep_until(cluster.wall(arrival));
+            let now = cluster.virtual_now();
+            // Plan on the *nominal* arrival time, never the jittery
+            // virtual clock: the fault cursor then advances through
+            // the same states as the simulator's, which is what
+            // keeps the two paths' cache accounting identical.
+            let Ok(job) = front.arrive(req, idx, arrival, None) else {
+                continue;
             };
-            let mut stats = RunStats::from_counters(
-                self.cfg.label.clone(),
-                ledger.completed,
-                span,
-                ledger.total_tokens,
-                ledger.reused_tokens,
-                ledger.computed_tokens,
-                ledger.remote_bytes,
-                ledger.compute_secs,
-                ledger.net_secs,
-                ledger.load_secs,
-                ledger.up_requests,
-                ledger.ip_requests,
-                &mut latencies,
-            );
-            stats.slo = ledger.slo;
-            stats.batching = ledger.batching;
-            if let Some(report) = planner.finish_faults() {
-                stats.faults = report;
+            let (c, l, t) = front.planner().price(&job.plan);
+            front.ledger.charge(c, l, t);
+            outstanding.fetch_add(1, Ordering::AcqRel);
+            dispatch(DispatchMsg {
+                seq: idx as u64,
+                arrival_virtual: now,
+                suffix_tokens: job.plan.suffix_tokens,
+                service_virtual: c + l + t,
+                deadline_rel: job.deadline.and(req.slo.deadline_secs),
+            });
+            // Re-dispatch anything bounced or requeued off a dead
+            // worker.
+            while let Ok(item) = orphan_rx.try_recv() {
+                dispatch(item);
             }
-            if let Some(tiers) = planner.tier_stats() {
-                stats.tiers = tiers;
+        }
+        // Post-trace drain: keep re-dispatching orphans until every
+        // dispatched job has completed and every scheduled fault
+        // has been delivered. Requests are never dropped, even when
+        // the last arrivals landed on a worker that then died.
+        let drained =
+            || outstanding.load(Ordering::Acquire) == 0 && progress.is_schedule_delivered();
+        loop {
+            while let Ok(item) = orphan_rx.try_recv() {
+                dispatch(item);
             }
-            stats
-        });
-        cluster.reap();
+            if drained() {
+                break;
+            }
+            progress.wait(links, format_args!("the dispatched jobs to finish"), || {
+                drained() || !orphan_rx.is_empty()
+            });
+        }
+        drop(teardown);
+        let outcomes = collector.join().expect("collector thread panicked");
+        front.finish(outcomes, None)
+    }
+
+    /// The continuous-batching serve path. The nominal plane — admission,
+    /// planning, the batch machine, the fault schedule's effect on
+    /// membership, the whole ledger — is the [`SlotDriver`] the simulator
+    /// runs, so [`RunStats::digest`] is bit-identical to the simulator's
+    /// for the same trace at any worker count. This function is the
+    /// physical plane only: it paces arrivals on the wall clock, puts every
+    /// round the driver forms on the wire to the round's worker under
+    /// per-link credit (workers pace the round's priced service and ack
+    /// it), and waits out the tail.
+    ///
+    /// The two planes never share state. A round frame lost to a physical
+    /// kill is simply dropped after its link dies: the machine has already
+    /// cancelled that round at the scheduled crash time by generation
+    /// fencing and reformed its chunks into fresh rounds on the survivors,
+    /// so physical loss never touches the ledger.
+    fn serve_slots<'scope>(
+        &self,
+        scope: &'scope thread::Scope<'scope, '_>,
+        cluster: &'scope Cluster,
+        event_rx: Receiver<Event>,
+        driver: SlotDriver<'_>,
+        trace: &[RankRequest],
+    ) -> RunStats {
+        let queue_depth = self.opts.queue_depth as u64;
+        let have_faults = self.cfg.faults.is_some();
+        let (links, progress) = (cluster.links.as_slice(), &cluster.progress);
+        let outstanding = &cluster.outstanding;
+        scope.spawn(move || ack_rounds(&event_rx, cluster, have_faults));
+
+        let teardown = Teardown(cluster);
+        // Each link's rounds go out in order as one batched write, under
+        // the same per-link inflight credit as the per-request path (a
+        // group larger than the credit left is sent in as many writes as
+        // it takes). Under a fault schedule a dead link is survivable: its
+        // rounds are rolled back and simply not sent.
+        let mut groups: Vec<Vec<DispatchMsg>> = vec![Vec::new(); links.len()];
+        let mut frames: Vec<Frame> = Vec::new();
+        let dispatch_rounds = |rounds: &[RoundRecord]| {
+            for r in rounds {
+                groups[r.worker].push(DispatchMsg {
+                    seq: r.seq,
+                    arrival_virtual: r.start,
+                    suffix_tokens: r.tokens,
+                    service_virtual: r.service_secs,
+                    deadline_rel: None,
+                });
+            }
+            for (w, group) in groups.iter_mut().enumerate() {
+                let link = &links[w];
+                let mut rest = group.as_slice();
+                while !rest.is_empty() {
+                    let credit =
+                        || queue_depth.saturating_sub(link.inflight.load(Ordering::Acquire));
+                    progress.wait(links, format_args!("credit on worker {w}"), || credit() > 0);
+                    let (batch, later) = rest.split_at(rest.len().min(credit() as usize));
+                    rest = later;
+                    let sent = link.send_rounds(batch, outstanding, &mut frames);
+                    assert!(
+                        sent || have_faults,
+                        "worker {w} link died without a fault schedule"
+                    );
+                }
+                group.clear();
+            }
+        };
+        // Open-loop pacing in scaled wall time: rounds form and dispatch
+        // as their admitting arrivals come due, so the physical run
+        // overlaps execution with the trace replay.
+        let pace = |nominal: f64| pacer::sleep_until(cluster.wall(nominal));
+        let (stats, _) = driver.run(trace, pace, dispatch_rounds);
+        // Wait out the physical tail (and the supervisor, so a late
+        // respawned child still gets its shutdown frame), then release
+        // the cluster.
+        progress.wait(
+            links,
+            format_args!("the dispatched rounds to finish"),
+            || outstanding.load(Ordering::Acquire) == 0 && progress.is_schedule_delivered(),
+        );
+        drop(teardown);
         stats
     }
 }
 
-/// The batched path's whole accounting state, filled by the scheduler (which
-/// owns the machine). Mirrors the counter set of the simulator's batched
-/// path.
-#[derive(Debug, Default)]
-struct BatchedLedger {
-    completed: usize,
-    latencies: Percentiles,
-    slo: SloStats,
-    batching: BatchStats,
-    total_tokens: u64,
-    reused_tokens: u64,
-    computed_tokens: u64,
-    remote_bytes: Bytes,
-    compute_secs: f64,
-    net_secs: f64,
-    load_secs: f64,
-    up_requests: usize,
-    ip_requests: usize,
-    first_arrival: f64,
-    last_completion: f64,
-}
-
-/// Applies the faults scheduled at nominal time `at` to the planner and the
-/// membership changes among them to the batch machine, as the simulator's
-/// event heap does.
-fn apply_membership(planner: &mut RequestPlanner, machine: &mut BatchScheduler, at: f64) {
-    for fault in planner.advance_faults(at) {
-        match fault {
-            bat_sim::AppliedFault::Crashed(dead) => machine.crash(at, dead.index()),
-            bat_sim::AppliedFault::Restarted(back, _) => machine.restart(at, back.index()),
-            bat_sim::AppliedFault::Drained(leaving) => machine.drain(at, leaving.index()),
-            bat_sim::AppliedFault::Joined(fresh, _) => machine.join(at, fresh.index()),
-            _ => {}
+/// The per-request path's collector: the single writer for per-link
+/// retirement accounting and for the run's terminal [`Outcomes`]. Exactly
+/// one terminal frame per dispatched job arrives — served or shed; faults
+/// re-route work, they never drop it. Its receive blocks without a deadline
+/// of its own: the scheduler's [`Teardown`] ends it on every path.
+fn collect_jobs(
+    events: &Receiver<Event>,
+    cluster: &Cluster,
+    orphans: &Sender<DispatchMsg>,
+) -> Outcomes {
+    let outstanding = &cluster.outstanding;
+    let mut outcomes = Outcomes::default();
+    for event in events.iter() {
+        match event {
+            Event::Done(c) => {
+                let link = &cluster.links[c.worker as usize];
+                link.release(c.suffix_tokens);
+                let sent = link.unacked.lock().remove(&c.seq);
+                outstanding.fetch_sub(1, Ordering::Release);
+                match c.outcome {
+                    WireOutcome::Completed {
+                        latency_virtual,
+                        missed,
+                    } => {
+                        let arrived = sent.map_or(0.0, |(_, msg)| msg.arrival_virtual);
+                        outcomes.complete(latency_virtual, arrived + latency_virtual, missed);
+                    }
+                    WireOutcome::Shed => outcomes.shed(1),
+                    WireOutcome::Rejected(reason) => {
+                        unreachable!("worker {} rejected a job ({reason:?})", c.worker)
+                    }
+                }
+            }
+            Event::Orphan(o) => {
+                let link = &cluster.links[o.worker as usize];
+                link.release(o.item.suffix_tokens);
+                link.unacked.lock().remove(&o.item.seq);
+                let _ = orphans.send(o.item);
+            }
+            Event::Down {
+                worker,
+                incarnation,
+            } => {
+                // Requeue everything the dead conn never finished.
+                let link = &cluster.links[worker];
+                for item in link.take_stranded(incarnation) {
+                    link.release(item.suffix_tokens);
+                    let _ = orphans.send(item);
+                }
+            }
+            Event::Finished => break,
         }
+        cluster.progress.notify();
     }
+    outcomes
 }
 
-fn count_reject(slo: &mut SloStats, reason: RejectReason) {
-    match reason {
-        RejectReason::QueueFull => slo.rejected_queue_full += 1,
-        RejectReason::DeadlineInfeasible => slo.rejected_infeasible += 1,
-        RejectReason::BrownoutShed => slo.rejected_brownout += 1,
+/// The batched path's collector: acks round frames so credit and the
+/// outstanding count drain. All statistics live in the driver's ledger;
+/// this loop is pure flow control — a frame stranded by a kill is retired
+/// here exactly once (its un-acked entry is the token: whoever removes it
+/// does the decrement), never re-dispatched, because the nominal machine
+/// has already reformed the cancelled round's chunks under fresh sequence
+/// numbers on the surviving workers.
+fn ack_rounds(events: &Receiver<Event>, cluster: &Cluster, have_faults: bool) {
+    let outstanding = &cluster.outstanding;
+    for event in events.iter() {
+        match event {
+            Event::Done(c) => {
+                cluster.links[c.worker as usize].retire_round(outstanding, c.seq);
+            }
+            Event::Orphan(o) => {
+                // An in-process worker bounced a round frame while its
+                // liveness flag was down mid-kill.
+                assert!(
+                    have_faults,
+                    "worker {} bounced a round without a fault schedule",
+                    o.worker
+                );
+                cluster.links[o.worker as usize].retire_round(outstanding, o.item.seq);
+            }
+            Event::Down {
+                worker,
+                incarnation,
+            } => {
+                // A scheduled kill (or a drained child exiting): retire
+                // every frame the dead conn never finished.
+                assert!(
+                    have_faults,
+                    "worker {worker} link died without a fault schedule"
+                );
+                let link = &cluster.links[worker];
+                for item in link.take_stranded(incarnation) {
+                    link.release(item.suffix_tokens);
+                    outstanding.fetch_sub(1, Ordering::Release);
+                }
+            }
+            Event::Finished => break,
+        }
+        cluster.progress.notify();
     }
-}
-
-#[derive(Debug, Default)]
-struct SchedTotals {
-    total_tokens: u64,
-    reused_tokens: u64,
-    computed_tokens: u64,
-    remote_bytes: Bytes,
-    compute_secs: f64,
-    net_secs: f64,
-    load_secs: f64,
-    up_requests: usize,
-    ip_requests: usize,
-    /// Requests admitted past the overload controller (all of them when
-    /// the control plane is off). Counted at the admission point so the
-    /// conservation law `accepted == completed + shed` is a real check,
-    /// not an identity.
-    accepted: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bat_sim::{ServingEngine, SystemKind};
-    use bat_types::{ClusterConfig, DatasetConfig, ModelConfig};
+    use bat_types::{Bytes, ClusterConfig, DatasetConfig, ModelConfig};
     use bat_workload::{TraceGenerator, Workload};
 
     fn small_cluster() -> ClusterConfig {
@@ -1709,6 +1343,33 @@ mod tests {
         // static UP policy reuse depends only on LRU residency → exact.
         assert_eq!(rt_stats.reused_tokens, sim_stats.reused_tokens);
         assert_eq!(rt_stats.up_requests, sim_stats.up_requests);
+    }
+
+    #[test]
+    fn item_refresh_interval_is_honoured_like_the_simulator() {
+        // The background hot-item re-replication moves items between the
+        // replicated and the sharded area, which changes what a request
+        // reuses locally and pulls remotely. Low load, so no job waits in
+        // a queue and both engines price in arrival order.
+        let ds = DatasetConfig {
+            num_users: 300,
+            ..DatasetConfig::games()
+        };
+        let t = trace(&ds, 4.0, 20.0);
+        let mut cfg = config(SystemKind::Bat, &ds);
+        cfg.track_item_hotness = true;
+        cfg.item_refresh_interval_secs = Some(0.5);
+        let sim_stats = ServingEngine::new(cfg.clone()).unwrap().run(&t);
+        let rt_stats = ServeRuntime::new(cfg.clone(), ServeOptions::default())
+            .unwrap()
+            .serve(&t);
+        assert_eq!(rt_stats.reused_tokens, sim_stats.reused_tokens);
+        assert_eq!(rt_stats.remote_bytes, sim_stats.remote_bytes);
+        assert_eq!(rt_stats.digest(), sim_stats.digest());
+        // And the refresh is not a no-op on this trace.
+        cfg.item_refresh_interval_secs = None;
+        let unrefreshed = ServingEngine::new(cfg).unwrap().run(&t);
+        assert_ne!(unrefreshed.digest(), sim_stats.digest());
     }
 
     #[test]

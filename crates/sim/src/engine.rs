@@ -18,16 +18,12 @@
 //! KV write-back happens off the critical path (§5.1) and is not charged.
 
 use crate::compute::ComputeModel;
+use crate::driver::{Admitted, FrontEnd, Outcomes, SlotDriver};
 use crate::planner::RequestPlanner;
 use crate::stats::RunStats;
-use bat_metrics::{Percentiles, SloStats};
 use bat_placement::{compute_replication_ratio, HrcsParams, ItemPlacementPlan, PlacementStrategy};
-use bat_sched::BatchFormer;
-use bat_sched::OverloadController;
-use bat_types::RejectReason;
-use bat_types::{
-    BatError, Bytes, ClusterConfig, DatasetConfig, ModelConfig, PrefixKind, RankRequest,
-};
+use bat_sched::{time_key, BatchFormer};
+use bat_types::{BatError, Bytes, ClusterConfig, DatasetConfig, ModelConfig, RankRequest};
 use bat_workload::ZipfLaw;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -353,29 +349,11 @@ impl EngineConfig {
     }
 }
 
-/// One unit of scheduled work.
-#[derive(Debug, Clone)]
-struct Job {
-    idx: usize,
-    prefix: PrefixKind,
-    suffix_tokens: u64,
-    context_tokens: u64,
-    local_load: Bytes,
-    remote: Bytes,
-    arrival_secs: f64,
-    /// Absolute completion deadline; `None` when the request is
-    /// best-effort or the control plane is off.
-    deadline: Option<f64>,
-    /// Slow-link network extras the planner charged (hedge residue and
-    /// backoff delays), seconds.
-    net_extra: f64,
-}
-
 #[derive(Debug, Default)]
 struct WorkerState {
-    queue: VecDeque<Job>,
+    queue: VecDeque<Admitted>,
     queued_tokens: u64,
-    inflight: Vec<Job>,
+    inflight: Vec<Admitted>,
     inflight_tokens: u64,
     busy: bool,
     /// Bumped when the worker crashes, so in-flight `Done` events from the
@@ -441,7 +419,10 @@ impl ServingEngine {
         std::mem::take(&mut self.records)
     }
 
-    /// Runs the engine over an arrival-ordered trace, to completion.
+    /// Runs the engine over an arrival-ordered trace, to completion: through
+    /// the [`SlotDriver`] under [`EngineConfig::batching`], otherwise
+    /// through per-worker FIFO queues batched under max-batched-tokens.
+    /// Either way every arrival goes through the shared [`FrontEnd`].
     ///
     /// # Panics
     ///
@@ -453,211 +434,104 @@ impl ServingEngine {
                 "trace must be sorted by arrival"
             );
         }
-        if self.cfg.batching.is_some() {
-            return self.run_batched(trace);
-        }
-        self.records.clear();
-        let n_workers = self.cfg.cluster.num_nodes;
-        let mut workers: Vec<WorkerState> =
-            (0..n_workers).map(|_| WorkerState::default()).collect();
+        let front = FrontEnd::new(&self.cfg, &mut self.planner, self.cfg.straggler);
+        let (stats, records) = match self.cfg.batching {
+            // The machine runs on nominal times and priced services only,
+            // so the threaded runtime (driving the identical driver with
+            // physical hooks) produces a bit-identical ledger.
+            Some(batching) => SlotDriver::new(front, batching).run(trace, |_| {}, |_| {}),
+            None => Dispatch::new(front, &self.batcher, &self.cfg).run(trace),
+        };
+        self.records = records;
+        stats
+    }
+}
 
-        // Event queue keyed by (time, sequence) for determinism.
-        let mut events: BinaryHeap<Reverse<(u64, u64, EventKind)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let to_key = |t: f64| -> u64 { (t * 1e9) as u64 };
+/// The per-request executor: per-worker FIFO queues, monolithic batches
+/// formed under max-batched-tokens, one `(time, sequence)` event heap.
+struct Dispatch<'a> {
+    front: FrontEnd<'a>,
+    batcher: &'a BatchFormer,
+    cfg: &'a EngineConfig,
+    workers: Vec<WorkerState>,
+    /// Event queue keyed by (time, sequence) for determinism.
+    events: BinaryHeap<Reverse<(u64, u64, EventKind)>>,
+    seq: u64,
+    outcomes: Outcomes,
+}
+
+impl<'a> Dispatch<'a> {
+    fn new(front: FrontEnd<'a>, batcher: &'a BatchFormer, cfg: &'a EngineConfig) -> Self {
+        Dispatch {
+            front,
+            batcher,
+            cfg,
+            workers: (0..cfg.cluster.num_nodes)
+                .map(|_| WorkerState::default())
+                .collect(),
+            events: BinaryHeap::new(),
+            seq: 0,
+            outcomes: Outcomes::default(),
+        }
+    }
+
+    fn push(&mut self, at: f64, kind: EventKind) {
+        self.events.push(Reverse((time_key(at), self.seq, kind)));
+        self.seq += 1;
+    }
+
+    fn run(mut self, trace: &[RankRequest]) -> (RunStats, Vec<crate::stats::RequestRecord>) {
         // Fault events go in first so a fault at the same instant as an
         // arrival is applied before the arrival is planned (matching the
         // cursor's `at_secs <= now` semantics).
         if let Some(schedule) = &self.cfg.faults {
             for (idx, ev) in schedule.events().iter().enumerate() {
-                events.push(Reverse((to_key(ev.at_secs), seq, EventKind::Fault { idx })));
-                seq += 1;
+                self.push(ev.at_secs, EventKind::Fault { idx });
             }
         }
         for (idx, req) in trace.iter().enumerate() {
-            events.push(Reverse((
-                to_key(req.arrival.as_secs()),
-                seq,
-                EventKind::Arrive { idx },
-            )));
-            seq += 1;
+            self.push(req.arrival.as_secs(), EventKind::Arrive { idx });
         }
-
-        let mut latencies = Percentiles::new();
-        let mut total_tokens = 0u64;
-        let mut reused_tokens = 0u64;
-        let mut computed_tokens = 0u64;
-        let mut remote_bytes = Bytes::ZERO;
-        let mut compute_secs = 0.0f64;
-        let mut net_secs = 0.0f64;
-        let mut load_secs = 0.0f64;
-        let mut up_requests = 0usize;
-        let mut ip_requests = 0usize;
-        let mut completed = 0usize;
-        let mut first_arrival = f64::INFINITY;
-        let mut last_completion = 0.0f64;
-        let mut next_refresh = self.cfg.item_refresh_interval_secs.unwrap_or(0.0);
-        let mut slo = SloStats::default();
-        // The controller drains on nominal arrival times and plans with the
-        // planner's cost estimates, so the threaded runtime (which builds
-        // the identical controller) makes bit-identical admission decisions.
-        let mut controller = self
-            .cfg
-            .slo
-            .map(|c| OverloadController::new(c, self.live_capacity(n_workers)));
-
-        while let Some(Reverse((tkey, _, ev))) = events.pop() {
+        let mut records = Vec::new();
+        while let Some(Reverse((tkey, _, ev))) = self.events.pop() {
             let now = tkey as f64 / 1e9;
             match ev {
                 EventKind::Arrive { idx } => {
                     let req = &trace[idx];
-                    first_arrival = first_arrival.min(now);
-                    if let Some(interval) = self.cfg.item_refresh_interval_secs {
-                        if now >= next_refresh {
-                            self.planner.refresh_item_replication(now);
-                            next_refresh = now + interval;
-                        }
-                    }
                     // Plan on the *nominal* arrival time, not the quantized
                     // heap key: the threaded runtime plans on the same
                     // nominal instants, so fault cursors in both paths
                     // advance through identical states.
                     let nominal = req.arrival.as_secs();
-                    if let Some(ctl) = controller.as_mut() {
-                        // Admission sees the fault state planning would: a
-                        // rejected request must leave the planner exactly as
-                        // if it never arrived, minus the fault advance that
-                        // nominal time forces anyway.
-                        self.planner.advance_faults(nominal);
-                        ctl.set_capacity(self.live_capacity(n_workers));
-                        slo.submitted += 1;
-                        let est = self.planner.admission_estimate_secs(req);
-                        let decision =
-                            ctl.on_arrival(nominal, est, req.slo.deadline_secs, req.slo.priority);
-                        if let Err(BatError::Rejected { reason }) = decision.into_result() {
-                            match reason {
-                                RejectReason::QueueFull => slo.rejected_queue_full += 1,
-                                RejectReason::DeadlineInfeasible => slo.rejected_infeasible += 1,
-                                RejectReason::BrownoutShed => slo.rejected_brownout += 1,
-                            }
-                            continue;
-                        }
-                        slo.accepted += 1;
-                        self.planner.set_brownout_rung(ctl.rung());
-                    }
-                    let planned = self.planner.plan(req, nominal);
-                    let job = Job {
-                        idx,
-                        prefix: planned.prefix,
-                        suffix_tokens: planned.suffix_tokens,
-                        context_tokens: planned.context_tokens,
-                        local_load: planned.local_load,
-                        remote: planned.remote_bytes,
-                        arrival_secs: now,
-                        deadline: controller
-                            .is_some()
-                            .then(|| req.slo.absolute_deadline(nominal))
-                            .flatten(),
-                        net_extra: planned.net_extra_secs,
-                    };
-                    total_tokens += req.total_tokens() as u64;
-                    reused_tokens += planned.reused_tokens();
-                    computed_tokens += job.suffix_tokens;
-                    remote_bytes += job.remote;
-                    if self.cfg.caching {
-                        match planned.prefix {
-                            PrefixKind::User => up_requests += 1,
-                            PrefixKind::Item => ip_requests += 1,
-                        }
-                    }
-                    // Load balancing: least outstanding work — queued plus
-                    // in-flight tokens (§5.1) — among *live* workers only
-                    // (degraded membership excludes crashed ones).
-                    let w = (0..n_workers)
-                        .filter(|&i| self.planner.is_worker_alive(i))
-                        .min_by_key(|&i| workers[i].queued_tokens + workers[i].inflight_tokens)
-                        .expect("schedule guarantees at least one live worker");
-                    workers[w].queued_tokens += job.suffix_tokens;
-                    workers[w].queue.push_back(job);
-                    if !workers[w].busy {
-                        if let Some(service) = self.start_batch(
-                            &mut workers[w],
-                            w,
-                            now,
-                            &mut slo,
-                            &mut compute_secs,
-                            &mut net_secs,
-                            &mut load_secs,
-                        ) {
-                            let gen = workers[w].gen;
-                            events.push(Reverse((
-                                to_key(now + service),
-                                seq,
-                                EventKind::Done { worker: w, gen },
-                            )));
-                            seq += 1;
-                        }
+                    if let Ok(mut job) = self.front.arrive(req, idx, nominal, None) {
+                        // Latency is measured on the heap's clock.
+                        job.arrival_secs = now;
+                        self.enqueue(job, now);
                     }
                 }
                 EventKind::Done { worker, gen } => {
-                    if workers[worker].gen != gen {
+                    if self.workers[worker].gen != gen {
                         // Completion from a pre-crash incarnation: the jobs
                         // were already rerouted when the worker died.
                         continue;
                     }
-                    let w = &mut workers[worker];
+                    let w = &mut self.workers[worker];
                     for job in w.inflight.drain(..) {
-                        latencies.record(now - job.arrival_secs);
-                        completed += 1;
-                        if controller.is_some() {
-                            slo.completed += 1;
-                            if job.deadline.is_some_and(|d| now > d) {
-                                slo.deadline_misses += 1;
-                            }
-                        }
-                        last_completion = last_completion.max(now);
+                        let missed = job.deadline.is_some_and(|d| now > d);
+                        self.outcomes.complete(now - job.arrival_secs, now, missed);
                         if self.cfg.record_requests {
-                            self.records.push(crate::stats::RequestRecord {
-                                id: trace[job.idx].id,
-                                arrival_secs: job.arrival_secs,
-                                completion_secs: now,
-                                prefix: job.prefix,
-                                reused_tokens: job.context_tokens - job.suffix_tokens,
-                                computed_tokens: job.suffix_tokens,
-                                remote_bytes: job.remote,
-                            });
+                            records.push(job.record(trace[job.idx].id, now));
                         }
                     }
                     w.inflight_tokens = 0;
                     w.busy = false;
-                    if !w.queue.is_empty() {
-                        if let Some(service) = self.start_batch(
-                            &mut workers[worker],
-                            worker,
-                            now,
-                            &mut slo,
-                            &mut compute_secs,
-                            &mut net_secs,
-                            &mut load_secs,
-                        ) {
-                            events.push(Reverse((
-                                to_key(now + service),
-                                seq,
-                                EventKind::Done { worker, gen },
-                            )));
-                            seq += 1;
-                        }
-                    }
+                    self.start_batch(worker, now);
                 }
                 EventKind::Fault { idx } => {
-                    let at = self
-                        .cfg
-                        .faults
-                        .as_ref()
-                        .expect("fault event requires a schedule")
-                        .events()[idx]
-                        .at_secs;
-                    for fault in self.planner.advance_faults(at) {
+                    let schedule = self.cfg.faults.as_ref();
+                    let at =
+                        schedule.expect("fault event requires a schedule").events()[idx].at_secs;
+                    for fault in self.front.planner().advance_faults(at) {
                         let (d, graceful) = match fault {
                             bat_faults::AppliedFault::Crashed(dead) => (dead.index(), false),
                             bat_faults::AppliedFault::Drained(gone) => (gone.index(), true),
@@ -674,404 +548,94 @@ impl ServingEngine {
                         // graceful — the batch in flight completes (its
                         // generation is not bumped, so the Done event
                         // still lands); only queued work migrates.
-                        let orphans: Vec<Job> = {
-                            let w = &mut workers[d];
-                            let o: Vec<Job> = w.queue.drain(..).collect();
-                            w.queued_tokens = 0;
-                            if graceful {
-                                o
-                            } else {
-                                let mut o = o;
-                                o.append(&mut w.inflight);
-                                w.inflight_tokens = 0;
-                                w.busy = false;
-                                w.gen += 1;
-                                o
-                            }
-                        };
+                        let w = &mut self.workers[d];
+                        let mut orphans: Vec<Admitted> = w.queue.drain(..).collect();
+                        w.queued_tokens = 0;
+                        if !graceful {
+                            orphans.append(&mut w.inflight);
+                            w.inflight_tokens = 0;
+                            w.busy = false;
+                            w.gen += 1;
+                        }
                         for job in orphans {
-                            let target = (0..n_workers)
-                                .filter(|&i| self.planner.is_worker_alive(i))
-                                .min_by_key(|&i| {
-                                    workers[i].queued_tokens + workers[i].inflight_tokens
-                                })
-                                .expect("schedule guarantees at least one live worker");
-                            workers[target].queued_tokens += job.suffix_tokens;
-                            workers[target].queue.push_back(job);
-                            if !workers[target].busy {
-                                if let Some(service) = self.start_batch(
-                                    &mut workers[target],
-                                    target,
-                                    now,
-                                    &mut slo,
-                                    &mut compute_secs,
-                                    &mut net_secs,
-                                    &mut load_secs,
-                                ) {
-                                    let gen = workers[target].gen;
-                                    events.push(Reverse((
-                                        to_key(now + service),
-                                        seq,
-                                        EventKind::Done {
-                                            worker: target,
-                                            gen,
-                                        },
-                                    )));
-                                    seq += 1;
-                                }
-                            }
+                            self.enqueue(job, now);
                         }
                     }
                 }
             }
         }
-
-        let span = if completed == 0 {
-            0.0
-        } else {
-            (last_completion - first_arrival).max(1e-9)
-        };
-        let mut stats = RunStats::from_counters(
-            self.cfg.label.clone(),
-            completed,
-            span,
-            total_tokens,
-            reused_tokens,
-            computed_tokens,
-            remote_bytes,
-            compute_secs,
-            net_secs,
-            load_secs,
-            up_requests,
-            ip_requests,
-            &mut latencies,
-        );
-        stats.slo = slo;
-        if let Some(report) = self.planner.finish_faults() {
-            stats.faults = report;
-        }
-        if let Some(tiers) = self.planner.tier_stats() {
-            stats.tiers = tiers;
-        }
-        stats
+        (self.front.finish(self.outcomes, None), records)
     }
 
-    /// The continuous-batching run path: arrivals and faults stream through
-    /// the same `(time, sequence)` heap as [`ServingEngine::run`], but all
-    /// dispatch goes through one cluster-wide [`bat_sched::BatchScheduler`]
-    /// instead of per-worker FIFOs + monolithic batches. The machine runs
-    /// on nominal times and priced services only, so the threaded runtime
-    /// (driving the identical machine) produces a bit-identical ledger.
-    fn run_batched(&mut self, trace: &[RankRequest]) -> RunStats {
-        let batching = self.cfg.batching.expect("batched path requires config");
-        self.records.clear();
-        let n_workers = self.cfg.cluster.num_nodes;
-        let speeds: Vec<f64> = (0..n_workers).map(|i| self.straggler_factor(i)).collect();
-        let mut machine =
-            bat_sched::BatchScheduler::new(batching, self.cfg.batch_overhead_secs, speeds);
-
-        let mut events: BinaryHeap<Reverse<(u64, u64, EventKind)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let to_key = |t: f64| -> u64 { (t * 1e9) as u64 };
-        if let Some(schedule) = &self.cfg.faults {
-            for (idx, ev) in schedule.events().iter().enumerate() {
-                events.push(Reverse((to_key(ev.at_secs), seq, EventKind::Fault { idx })));
-                seq += 1;
-            }
-        }
-        for (idx, req) in trace.iter().enumerate() {
-            events.push(Reverse((
-                to_key(req.arrival.as_secs()),
-                seq,
-                EventKind::Arrive { idx },
-            )));
-            seq += 1;
-        }
-
-        // Per-request pricing and plan metadata, kept until the machine
-        // reports the terminal outcome. Compute/load/net seconds are folded
-        // into the counters at *completion* (matching the per-request path,
-        // where shed work is never priced into the totals).
-        struct AdmittedJob {
-            prefix: PrefixKind,
-            suffix_tokens: u64,
-            context_tokens: u64,
-            remote: Bytes,
-            arrival_secs: f64,
-            deadline: Option<f64>,
-            compute: f64,
-            load: f64,
-            net: f64,
-        }
-        let mut admitted: Vec<Option<AdmittedJob>> = (0..trace.len()).map(|_| None).collect();
-
-        let mut latencies = Percentiles::new();
-        let mut total_tokens = 0u64;
-        let mut reused_tokens = 0u64;
-        let mut computed_tokens = 0u64;
-        let mut remote_bytes = Bytes::ZERO;
-        let mut compute_secs = 0.0f64;
-        let mut net_secs = 0.0f64;
-        let mut load_secs = 0.0f64;
-        let mut up_requests = 0usize;
-        let mut ip_requests = 0usize;
-        let mut first_arrival = f64::INFINITY;
-        let mut next_refresh = self.cfg.item_refresh_interval_secs.unwrap_or(0.0);
-        let mut slo = SloStats::default();
-        let mut controller = self
-            .cfg
-            .slo
-            .map(|c| OverloadController::new(c, self.live_capacity(n_workers)));
-
-        while let Some(Reverse((tkey, _, ev))) = events.pop() {
-            let now = tkey as f64 / 1e9;
-            match ev {
-                EventKind::Arrive { idx } => {
-                    let req = &trace[idx];
-                    first_arrival = first_arrival.min(now);
-                    if let Some(interval) = self.cfg.item_refresh_interval_secs {
-                        if now >= next_refresh {
-                            self.planner.refresh_item_replication(now);
-                            next_refresh = now + interval;
-                        }
-                    }
-                    let nominal = req.arrival.as_secs();
-                    if let Some(ctl) = controller.as_mut() {
-                        self.planner.advance_faults(nominal);
-                        ctl.set_capacity(self.live_capacity(n_workers));
-                        // Slot occupancy floors the analytic backlog: work
-                        // seated or queued in the machine is drain the
-                        // controller's leaky bucket cannot see on its own.
-                        machine.advance(nominal);
-                        ctl.set_slot_backlog(machine.outstanding_service_secs());
-                        slo.submitted += 1;
-                        let est = self.planner.admission_estimate_secs(req);
-                        let decision =
-                            ctl.on_arrival(nominal, est, req.slo.deadline_secs, req.slo.priority);
-                        if let Err(BatError::Rejected { reason }) = decision.into_result() {
-                            match reason {
-                                RejectReason::QueueFull => slo.rejected_queue_full += 1,
-                                RejectReason::DeadlineInfeasible => slo.rejected_infeasible += 1,
-                                RejectReason::BrownoutShed => slo.rejected_brownout += 1,
-                            }
-                            continue;
-                        }
-                        slo.accepted += 1;
-                        self.planner.set_brownout_rung(ctl.rung());
-                    }
-                    let planned = self.planner.plan(req, nominal);
-                    let (c, l, t) = self.planner.price(&planned);
-                    total_tokens += req.total_tokens() as u64;
-                    reused_tokens += planned.reused_tokens();
-                    computed_tokens += planned.suffix_tokens;
-                    remote_bytes += planned.remote_bytes;
-                    if self.cfg.caching {
-                        match planned.prefix {
-                            PrefixKind::User => up_requests += 1,
-                            PrefixKind::Item => ip_requests += 1,
-                        }
-                    }
-                    let deadline = controller
-                        .is_some()
-                        .then(|| req.slo.absolute_deadline(nominal))
-                        .flatten();
-                    machine.admit(nominal, idx, planned.suffix_tokens, c + l + t, deadline);
-                    admitted[idx] = Some(AdmittedJob {
-                        prefix: planned.prefix,
-                        suffix_tokens: planned.suffix_tokens,
-                        context_tokens: planned.context_tokens,
-                        remote: planned.remote_bytes,
-                        arrival_secs: nominal,
-                        deadline,
-                        compute: c,
-                        load: l,
-                        net: t,
-                    });
-                }
-                EventKind::Done { .. } => {
-                    unreachable!("batched runs keep completions inside the machine")
-                }
-                EventKind::Fault { idx } => {
-                    let at = self
-                        .cfg
-                        .faults
-                        .as_ref()
-                        .expect("fault event requires a schedule")
-                        .events()[idx]
-                        .at_secs;
-                    for fault in self.planner.advance_faults(at) {
-                        match fault {
-                            bat_faults::AppliedFault::Crashed(dead) => {
-                                // Seated work re-queues at the global FIFO's
-                                // front; cache accounting already happened in
-                                // advance_faults. No request is dropped.
-                                machine.crash(at, dead.index());
-                            }
-                            bat_faults::AppliedFault::Restarted(back, _) => {
-                                machine.restart(at, back.index());
-                            }
-                            bat_faults::AppliedFault::Drained(leaving) => {
-                                // Planned departure: the in-flight round
-                                // completes, then remaining seated work
-                                // migrates to the queue front.
-                                machine.drain(at, leaving.index());
-                            }
-                            bat_faults::AppliedFault::Joined(fresh, _) => {
-                                machine.join(at, fresh.index());
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-            }
-        }
-
-        machine.finish();
-        let mut completed = 0usize;
-        let mut last_completion = 0.0f64;
-        for done in machine.drain_completions() {
-            let job = admitted[done.idx]
-                .as_ref()
-                .expect("machine completions cover only admitted requests");
-            latencies.record(done.at - job.arrival_secs);
-            completed += 1;
-            compute_secs += job.compute;
-            load_secs += job.load;
-            net_secs += job.net;
-            if controller.is_some() {
-                slo.completed += 1;
-                if job.deadline.is_some_and(|d| done.at > d) {
-                    slo.deadline_misses += 1;
-                }
-            }
-            last_completion = last_completion.max(done.at);
-            if self.cfg.record_requests {
-                self.records.push(crate::stats::RequestRecord {
-                    id: trace[done.idx].id,
-                    arrival_secs: job.arrival_secs,
-                    completion_secs: done.at,
-                    prefix: job.prefix,
-                    reused_tokens: job.context_tokens - job.suffix_tokens,
-                    computed_tokens: job.suffix_tokens,
-                    remote_bytes: job.remote,
-                });
-            }
-        }
-        slo.shed_expired += machine.drain_sheds().len() as u64;
-
-        let span = if completed == 0 {
-            0.0
-        } else {
-            (last_completion - first_arrival).max(1e-9)
-        };
-        let mut stats = RunStats::from_counters(
-            self.cfg.label.clone(),
-            completed,
-            span,
-            total_tokens,
-            reused_tokens,
-            computed_tokens,
-            remote_bytes,
-            compute_secs,
-            net_secs,
-            load_secs,
-            up_requests,
-            ip_requests,
-            &mut latencies,
-        );
-        stats.slo = slo;
-        stats.batching = machine.stats();
-        // Both engines derive the SLO-plane migration ledger from the same
-        // machine, so it is bit-identical by construction.
-        stats.slo.migrated = stats.batching.migrated_requests;
-        if let Some(report) = self.planner.finish_faults() {
-            stats.faults = report;
-        }
-        if let Some(tiers) = self.planner.tier_stats() {
-            stats.tiers = tiers;
-        }
-        stats
-    }
-
-    /// Live drain capacity in worker-equivalents: each live worker
-    /// contributes `1 / slowdown`, so a 5x straggler counts as 0.2 workers.
-    fn live_capacity(&self, n_workers: usize) -> f64 {
-        (0..n_workers)
-            .filter(|&i| self.planner.is_worker_alive(i))
-            .map(|i| 1.0 / self.straggler_factor(i))
-            .sum()
-    }
-
-    /// The service-time multiplier of worker `i` (1.0 unless it is the
-    /// configured straggler).
-    fn straggler_factor(&self, i: usize) -> f64 {
-        match self.cfg.straggler {
-            Some((w, f)) if w == i => f,
-            _ => 1.0,
+    /// Queues `job` on the least-loaded worker — queued plus in-flight
+    /// tokens (§5.1) — among *live* workers only (degraded membership
+    /// excludes crashed ones), and starts a batch there if it is idle.
+    fn enqueue(&mut self, job: Admitted, now: f64) {
+        let planner = self.front.planner();
+        let w = (0..self.workers.len())
+            .filter(|&i| planner.is_worker_alive(i))
+            .min_by_key(|&i| self.workers[i].queued_tokens + self.workers[i].inflight_tokens)
+            .expect("schedule guarantees at least one live worker");
+        self.workers[w].queued_tokens += job.plan.suffix_tokens;
+        self.workers[w].queue.push_back(job);
+        if !self.workers[w].busy {
+            self.start_batch(w, now);
         }
     }
 
-    /// Dequeues one batch on `w` (index `widx`) at time `now` and returns
-    /// its service time, or `None` when the deadline sweep emptied the
-    /// queue and no batch was started.
-    #[allow(clippy::too_many_arguments)]
-    fn start_batch(
-        &mut self,
-        w: &mut WorkerState,
-        widx: usize,
-        now: f64,
-        slo: &mut SloStats,
-        compute_secs: &mut f64,
-        net_secs: &mut f64,
-        load_secs: &mut f64,
-    ) -> Option<f64> {
+    /// Dequeues one batch on idle worker `widx` at time `now` and schedules
+    /// its `Done`; does nothing when the queue is empty, or the deadline
+    /// sweep emptied it.
+    fn start_batch(&mut self, widx: usize, now: f64) {
+        let w = &mut self.workers[widx];
         // Deadline sweep before forming the batch: an expired entry is shed
         // (`BatError::DeadlineExceeded` is its terminal outcome in the
         // threaded runtime) — serving dead work would only delay live work.
         let before = w.queue.len();
         w.queue.retain(|job| !job.deadline.is_some_and(|d| now > d));
         if w.queue.len() != before {
-            slo.shed_expired += (before - w.queue.len()) as u64;
-            w.queued_tokens = w.queue.iter().map(|j| j.suffix_tokens).sum();
+            self.outcomes.shed((before - w.queue.len()) as u64);
+            w.queued_tokens = w.queue.iter().map(|j| j.plan.suffix_tokens).sum();
         }
         if w.queue.is_empty() {
-            return None;
+            return;
         }
         let tokens: Vec<u32> = w
             .queue
             .iter()
-            .map(|j| j.suffix_tokens.min(u32::MAX as u64) as u32)
+            .map(|j| j.plan.suffix_tokens.min(u32::MAX as u64) as u32)
             .collect();
         let n = self.batcher.take_batch(&tokens).max(1);
         let mut service = self.cfg.batch_overhead_secs;
         for _ in 0..n {
             let job = w.queue.pop_front().expect("batch within queue bounds");
-            w.queued_tokens -= job.suffix_tokens;
-            w.inflight_tokens += job.suffix_tokens;
+            w.queued_tokens -= job.plan.suffix_tokens;
+            w.inflight_tokens += job.plan.suffix_tokens;
             // Priced through the planner so a degraded link (fault
             // schedule) inflates the network component; the job's own
             // slow-link extras (hedge residue, backoff) ride on top.
-            let (c, l, t) = self.planner.price_components(
-                job.suffix_tokens,
-                job.context_tokens,
-                job.local_load,
-                job.remote,
+            let (c, l, t) = self.front.planner().price_components(
+                job.plan.suffix_tokens,
+                job.plan.context_tokens,
+                job.plan.local_load,
+                job.plan.remote_bytes,
             );
-            let t = t + job.net_extra;
-            *compute_secs += c;
-            *load_secs += l;
-            *net_secs += t;
+            let t = t + job.plan.net_extra_secs;
+            self.front.ledger.charge(c, l, t);
             service += c + l + t;
             w.inflight.push(job);
         }
         w.busy = true;
-        Some(service * self.straggler_factor(widx))
+        let gen = w.gen;
+        let service = service * self.front.speeds()[widx];
+        self.push(now + service, EventKind::Done { worker: widx, gen });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bat_metrics::SloStats;
     use bat_workload::{TraceGenerator, Workload};
 
     fn small_cluster() -> ClusterConfig {
@@ -1296,30 +860,34 @@ mod tests {
             num_users: 300,
             ..DatasetConfig::games()
         };
-        let mut cfg = EngineConfig::for_system(
-            SystemKind::Bat,
-            ModelConfig::qwen2_1_5b(),
-            small_cluster(),
-            &ds,
-        );
-        cfg.record_requests = true;
         let t = trace(&ds, 4.0, 20.0);
-        let mut engine = ServingEngine::new(cfg).unwrap();
-        let stats = engine.run(&t);
-        let records = engine.take_records();
-        assert_eq!(records.len(), stats.completed);
-        // Records agree with the aggregate counters exactly.
-        let reused: u64 = records.iter().map(|r| r.reused_tokens).sum();
-        let computed: u64 = records.iter().map(|r| r.computed_tokens).sum();
-        assert_eq!(reused, stats.reused_tokens);
-        assert_eq!(computed, stats.computed_tokens);
-        for r in &records {
-            assert!(r.completion_secs >= r.arrival_secs);
+        // Per-request dispatch, then the slot driver's record path.
+        for batching in [None, Some(bat_sched::BatchingConfig::default())] {
+            let mut cfg = EngineConfig::for_system(
+                SystemKind::Bat,
+                ModelConfig::qwen2_1_5b(),
+                small_cluster(),
+                &ds,
+            )
+            .with_batching(batching);
+            cfg.record_requests = true;
+            let mut engine = ServingEngine::new(cfg).unwrap();
+            let stats = engine.run(&t);
+            let records = engine.take_records();
+            assert_eq!(records.len(), stats.completed);
+            // Records agree with the aggregate counters exactly.
+            let reused: u64 = records.iter().map(|r| r.reused_tokens).sum();
+            let computed: u64 = records.iter().map(|r| r.computed_tokens).sum();
+            assert_eq!(reused, stats.reused_tokens);
+            assert_eq!(computed, stats.computed_tokens);
+            for r in &records {
+                assert!(r.completion_secs >= r.arrival_secs);
+            }
+            // take_records drains.
+            assert!(engine.take_records().is_empty());
+            let rows = crate::stats::breakdown_by_prefix(&records);
+            assert!(!rows.is_empty());
         }
-        // take_records drains.
-        assert!(engine.take_records().is_empty());
-        let rows = crate::stats::breakdown_by_prefix(&records);
-        assert!(!rows.is_empty());
     }
 
     mod properties {

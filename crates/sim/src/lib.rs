@@ -28,6 +28,7 @@
 //! ```
 
 pub mod compute;
+pub mod driver;
 pub mod engine;
 pub mod planner;
 pub mod stats;
@@ -40,6 +41,7 @@ pub use bat_sched::{
 };
 pub use bat_tiers::{ColdFormat, SplitPolicy, TieredKvPool, TiersConfig};
 pub use compute::ComputeModel;
+pub use driver::{Admitted, FrontEnd, Ledger, Outcomes, SlotDriver};
 pub use engine::{AdmissionKind, EngineConfig, PolicyKind, ServingEngine, SystemKind};
 pub use planner::{MetaBackend, PlannedJob, RequestPlanner};
 pub use stats::{breakdown_by_prefix, RequestRecord, RunStats};

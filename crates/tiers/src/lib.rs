@@ -88,8 +88,8 @@ pub enum SplitPolicy {
     Adaptive,
     /// Fixed user share in `[0, 1]` (0.5 = the static 50/50 baseline).
     Static(f64),
-    /// Entire cold budget to user entries — the old `TieredUserCache`
-    /// behaviour, where item KV bypassed tier bookkeeping.
+    /// Entire cold budget to user entries: item KV bypasses the cold
+    /// tier.
     AllUser,
 }
 
