@@ -1,9 +1,9 @@
-//! Kernel microbenchmarks: seed vs blocked/fused implementations.
+//! Kernel microbenchmarks.
 //!
 //! Complements `batctl bench` (which emits the tracked JSON summary) with
-//! per-kernel timings under the criterion harness: the seed triple-loop
-//! matmul against the cache-blocked rewrite, the explicit-transpose path
-//! against `matmul_nt`, and dense vs sparse-aware matrix–vector products.
+//! per-kernel timings under the criterion harness: the register-blocked
+//! matmul, `matmul_nt` over a pre-transposed operand, and dense vs
+//! sparse-aware matrix–vector products.
 //! (The attention kernel's rows are `attend_group_*` in `batctl bench`.)
 
 use bat_tensor::Matrix;
@@ -22,9 +22,6 @@ fn bench_matmul(c: &mut Criterion) {
     let bt = b.transpose();
     let mut g = c.benchmark_group("matmul_128");
     g.sample_size(20);
-    g.bench_function("naive_seed", |bch| {
-        bch.iter(|| black_box(black_box(&a).matmul_naive(&b)))
-    });
     g.bench_function("blocked", |bch| {
         bch.iter(|| black_box(black_box(&a).matmul(&b)))
     });

@@ -708,6 +708,8 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
         let base = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
         let base: bat_bench::perf::PerfSummary =
             serde_json::from_str(&base).map_err(|e| format!("parse {path}: {e}"))?;
+        bat_bench::perf::comparable(&summary, &base)
+            .map_err(|e| format!("perf gate: cannot check against {path}: {e}"))?;
         let bad = bat_bench::perf::regressions(&summary, &base, 0.25);
         if bad.is_empty() {
             eprintln!("perf gate: no entry regressed >25% vs {path}");

@@ -1,15 +1,16 @@
 //! Tracked wall-clock perf baseline for the execution layer and the
 //! serving data plane.
 //!
-//! Measures the reproduction's own kernels — the seed implementations
-//! ([`Matrix::matmul_naive`], [`GrModel::forward_reference`]) against the
-//! blocked/fused/parallel rewrites ([`Matrix::matmul`],
-//! [`GrModel::forward`]) — and checks the determinism contract (parallel
-//! runs bit-identical to serial). Under them sit the `serve` rows: one
-//! saturation drain of the threaded runtime per transport, and the
-//! worker pacer's overshoot. `batctl bench` prints the summary as JSON
-//! and the committed `BENCH_KERNELS.json` at the repo root records the
-//! before/after numbers for regression tracking.
+//! Measures the reproduction's own kernels ([`Matrix::matmul`] at the
+//! ranking forward's shapes, the group attention kernel, the elementwise
+//! passes) and forwards ([`GrModel::forward`]), and checks the determinism
+//! contract (parallel runs bit-identical to serial). Under them sit the
+//! `serve` rows: one saturation drain of the threaded runtime per
+//! transport, and the worker pacer's overshoot. `batctl bench` prints the
+//! summary as JSON and the committed `BENCH_KERNELS.json` at the repo root
+//! records the numbers for regression tracking, stamped with the numerics
+//! [`EPOCH`] and the SIMD tier they were measured under: timings (and
+//! output bits) are only comparable within one of each.
 //!
 //! Methodology: minimum wall-clock time over a fixed number of samples
 //! (min is robust to scheduler noise on shared machines), one warmup run
@@ -23,7 +24,8 @@ use bat_serve::{Pacer, ServeOptions, ServeRuntime, TransportKind};
 use bat_sim::{EngineConfig, SystemKind};
 use bat_tensor::{
     active_simd_tier, axpy, dot_fast, fast_silu_mul_in_place, stable_softmax_fast_in_place,
-    ColBlock, GroupAttention, Matrix, QuantKind, QuantizedColBlock, Softmax, SplitCols,
+    stage_is_pooled, ColBlock, GroupAttention, Matrix, QuantKind, QuantizedColBlock, Softmax,
+    SplitCols,
 };
 use bat_types::{ClusterConfig, DatasetConfig, ModelConfig, PrefixKind};
 use bat_workload::{TraceGenerator, Workload};
@@ -49,22 +51,41 @@ pub struct BenchResult {
     pub secs: f64,
 }
 
-/// Headline before/after ratio.
+/// A ratio a test gates on.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Speedup {
-    /// What is being compared, e.g. `"forward"`.
+    /// What is being compared, e.g. `"cold_attend_fused"`.
     pub name: String,
-    /// Seed (serial reference) seconds.
+    /// Seconds of the path the kernel replaces.
     pub before_secs: f64,
-    /// Rewritten kernel seconds at the fastest measured width.
+    /// Seconds of the kernel.
     pub after_secs: f64,
     /// `before / after`.
     pub speedup: f64,
 }
 
+/// The arithmetic the kernels are written in. A change to what any kernel
+/// computes — not merely how fast — starts a new epoch: rows recorded under
+/// another one time different arithmetic, and bits are only pinned within
+/// one. `fma-1`: fused multiply-adds throughout, the register-blocked GEMM,
+/// the degree-6 softmax `exp` (DESIGN §5d has the contract).
+pub const EPOCH: &str = "fma-1";
+
 /// Everything `batctl bench` reports.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PerfSummary {
+    /// The numerics [`EPOCH`] of the build that produced the summary (empty
+    /// for one recorded before epochs were named).
+    #[serde(default)]
+    pub epoch: String,
+    /// The SIMD tier the kernels dispatched to
+    /// ([`bat_tensor::active_simd_tier`]).
+    #[serde(default)]
+    pub simd_tier: String,
+    /// The CPU's model name as the OS reports it, for the reader: box
+    /// drift is the first thing to rule out when a row moves.
+    #[serde(default)]
+    pub cpu: String,
     /// Hardware parallelism visible to the process.
     pub nproc: usize,
     /// Pool widths timed: the requested widths that fit in `nproc`. A pool
@@ -83,8 +104,19 @@ pub struct PerfSummary {
     /// Serving data-plane measurements (see [`serve_rows`]).
     #[serde(default)]
     pub serve: Vec<BenchResult>,
-    /// Before/after headline ratios.
+    /// The ratios a test gates on (`cold_attend_fused`).
     pub speedups: Vec<Speedup>,
+}
+
+/// The CPU's model name, from `/proc/cpuinfo` where there is one.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            let line = info.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split_once(':')?.1.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into())
 }
 
 /// Best-of-`samples` wall-clock seconds for one call of `f`, after one
@@ -187,11 +219,20 @@ fn rank_warm_scenario() -> (GrModel, [(KvSegment, TokenSeq); 2]) {
 }
 
 /// Checks the determinism contract: matmul and forward at each width in
-/// `widths` are bit-identical to the serial run.
+/// `widths` are bit-identical to the serial run. The shapes (a 130 × 96 ×
+/// 112 product, a 350-token cold forward) put the product and every stage
+/// of the forward on the pool — anything smaller runs inline at every
+/// width and the check would compare the serial code to itself.
 fn check_determinism(widths: &[usize]) -> bool {
-    let a = random_matrix(64, 48, 3);
-    let b = random_matrix(48, 56, 4);
-    let (model, seq) = forward_scenario(20);
+    let a = random_matrix(130, 96, 3);
+    let b = random_matrix(96, 112, 4);
+    let (model, seq) = forward_scenario(150);
+    let stages = model.stage_work(&seq, None);
+    assert!(
+        stage_is_pooled(a.rows() * a.cols() * b.cols())
+            && stages.iter().all(|&(_, work)| stage_is_pooled(work)),
+        "determinism check shapes fell below the pool threshold: {stages:?}"
+    );
     exec::set_threads(1);
     let gold_mm = a.matmul(&b);
     let gold_fwd = model.forward(&seq, None);
@@ -307,41 +348,69 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
     let mut kernels = Vec::new();
     let mut forward = Vec::new();
 
-    // Seed kernels are serial by construction: one "before" measurement.
-    exec::set_threads(1);
-    let naive_secs = time_best(|| drop(black_box(black_box(&a).matmul_naive(&b))), samples);
-    kernels.push(BenchResult {
-        name: "matmul_naive_seed".into(),
-        threads: 1,
-        secs: naive_secs,
-    });
-    let fwd_ref_secs = time_best(
-        || drop(black_box(model.forward_reference(black_box(&seq), None))),
-        samples,
-    );
-    forward.push(BenchResult {
-        name: "forward_reference_seed".into(),
-        threads: 1,
-        secs: fwd_ref_secs,
-    });
+    // The GEMM at the `rank_warm` forward's four shapes: 132 suffix rows
+    // through gate|up, down, Q / O, and K|V.
+    let gemm_shapes = [(132, 96, 512), (132, 256, 96), (132, 96, 96), (132, 96, 32)];
+    let gemm_operands: Vec<(Matrix, Matrix)> = gemm_shapes
+        .iter()
+        .map(|&(n, k, m)| (random_matrix(n, k, 31), random_matrix(k, m, 32)))
+        .collect();
+    let mut gemm_out = Matrix::zeros(0, 0);
+    // Tens of microseconds a call: many samples where calls are cheap, few
+    // in quick mode (the suite's own tests run it unoptimized).
+    let micro_samples = if quick { samples } else { samples * 40 };
 
-    let mut best_mm = f64::INFINITY;
-    let mut best_fwd = f64::INFINITY;
     for &w in thread_counts {
         set_width(w);
+        if w > 1 {
+            // What handing a stage to the pool costs when the stage itself
+            // is free — the number `bat_tensor`'s `PAR_MACS` threshold is
+            // derived from, with the `gemm_*` rate below. The median, not
+            // the best: the best (≈ 0.6 µs) is the rare dispatch a spinning
+            // worker catches at once, and a threshold has to repay the
+            // usual one.
+            let mut dispatches: Vec<f64> = (0..micro_samples * 10)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    exec::parallel_chunks(4 * w, 1, |rows| {
+                        black_box(rows);
+                    });
+                    t0.elapsed().as_secs_f64()
+                })
+                .collect();
+            dispatches.sort_by(f64::total_cmp);
+            kernels.push(BenchResult {
+                name: "pool_dispatch".into(),
+                threads: w,
+                secs: dispatches[dispatches.len() / 2],
+            });
+        }
         let mm = time_best(|| drop(black_box(black_box(&a).matmul(&b))), samples);
         kernels.push(BenchResult {
             name: "matmul_blocked".into(),
             threads: w,
             secs: mm,
         });
-        best_mm = best_mm.min(mm);
         let nt = time_best(|| drop(black_box(black_box(&a).matmul_nt(&bt))), samples);
         kernels.push(BenchResult {
             name: "matmul_nt_blocked".into(),
             threads: w,
             secs: nt,
         });
+        for (&(n, k, m), (lhs, rhs)) in gemm_shapes.iter().zip(&gemm_operands) {
+            let secs = time_best(
+                || {
+                    black_box(lhs).matmul_into(black_box(rhs), &mut gemm_out);
+                    black_box(&gemm_out);
+                },
+                micro_samples,
+            );
+            kernels.push(BenchResult {
+                name: format!("gemm_{n}x{k}x{m}"),
+                threads: w,
+                secs,
+            });
+        }
         let fwd = time_best(
             || drop(black_box(model.forward(black_box(&seq), None))),
             samples,
@@ -351,7 +420,6 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
             threads: w,
             secs: fwd,
         });
-        best_fwd = best_fwd.min(fwd);
     }
 
     // Prefix-heavy scenario: long cached user prefix + cached candidate
@@ -359,9 +427,10 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
     // data movement (fresh workspace + per-layer repack of the whole
     // prefix); `forward_packed_prefix` is the canonical path (reused
     // workspace, zero-copy splice of the stored packed planes). The calls
-    // are sub-millisecond, so they get more samples.
+    // are sub-millisecond, so they get more samples (not in quick mode: the
+    // suite's own tests run it unoptimized, where a forward takes seconds).
     let (user_tokens, p_candidates) = if quick { (256, 20) } else { (2048, 100) };
-    let p_samples = samples * 8;
+    let p_samples = if quick { samples } else { samples * 8 };
     let (p_model, p_head, p_tail) = prefix_heavy_scenario(user_tokens, p_candidates);
     exec::set_threads(1);
     let p_kv: KvSegment = p_model.compute_kv(&p_head);
@@ -379,7 +448,6 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
         threads: 1,
         secs: repack_secs,
     });
-    let mut best_packed = f64::INFINITY;
     let mut ws = ForwardWorkspace::new();
     for &w in thread_counts {
         set_width(w);
@@ -398,7 +466,6 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
             threads: w,
             secs: packed,
         });
-        best_packed = best_packed.min(packed);
     }
 
     // The repo benchmark's `rank_warm` request, one forward per prefix kind
@@ -672,34 +739,17 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
     let deterministic = check_determinism(widths);
     exec::set_threads(restore);
 
-    let speedups = vec![
-        Speedup {
-            name: "matmul".into(),
-            before_secs: naive_secs,
-            after_secs: best_mm,
-            speedup: naive_secs / best_mm,
-        },
-        Speedup {
-            name: "forward".into(),
-            before_secs: fwd_ref_secs,
-            after_secs: best_fwd,
-            speedup: fwd_ref_secs / best_fwd,
-        },
-        Speedup {
-            name: "forward_prefix".into(),
-            before_secs: repack_secs,
-            after_secs: best_packed,
-            speedup: repack_secs / best_packed,
-        },
-        Speedup {
-            name: "cold_attend_fused".into(),
-            before_secs: materialized_int8,
-            after_secs: fused_secs,
-            speedup: materialized_int8 / fused_secs,
-        },
-    ];
+    let speedups = vec![Speedup {
+        name: "cold_attend_fused".into(),
+        before_secs: materialized_int8,
+        after_secs: fused_secs,
+        speedup: materialized_int8 / fused_secs,
+    }];
 
     PerfSummary {
+        epoch: EPOCH.into(),
+        simd_tier: tier.into(),
+        cpu: cpu_model(),
         nproc,
         thread_counts: thread_counts.to_vec(),
         deterministic,
@@ -717,6 +767,56 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
 /// any forward-pass entry.
 const GATE_ABS_SLACK_SECS: f64 = 0.0005;
 
+/// Why a run cannot be gated against a baseline at all: they time different
+/// arithmetic, or the same arithmetic at a different vector width, and a
+/// row-by-row comparison would print a wall of regressions (or of wins) that
+/// mean nothing. The fix is a baseline recorded under the run's own epoch
+/// and tier (`--out`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BaselineMismatch {
+    /// What differs: `"numerics epoch"` or `"SIMD tier"`.
+    pub what: &'static str,
+    /// The run's value.
+    pub run: String,
+    /// The baseline's value (an empty epoch predates epochs).
+    pub baseline: String,
+}
+
+impl std::fmt::Display for BaselineMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let BaselineMismatch {
+            what,
+            run,
+            baseline,
+        } = self;
+        write!(
+            f,
+            "this run's {what} is \"{run}\" but the baseline was recorded under \"{baseline}\": \
+             their rows are not comparable (record a baseline for this {what} with --out)"
+        )
+    }
+}
+
+impl std::error::Error for BaselineMismatch {}
+
+/// Checks that `fresh` and `baseline` time the same arithmetic at the same
+/// vector width — what [`regressions`] takes for granted.
+pub fn comparable(fresh: &PerfSummary, baseline: &PerfSummary) -> Result<(), BaselineMismatch> {
+    for (what, run, base) in [
+        ("numerics epoch", &fresh.epoch, &baseline.epoch),
+        ("SIMD tier", &fresh.simd_tier, &baseline.simd_tier),
+    ] {
+        if run != base {
+            return Err(BaselineMismatch {
+                what,
+                run: run.clone(),
+                baseline: base.clone(),
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Compares a fresh summary against a committed baseline (the parsed
 /// `BENCH_KERNELS.json`), returning one line per kernel/forward entry that
 /// regressed by more than `tolerance` (fractional, e.g. `0.25` for the CI
@@ -727,9 +827,8 @@ const GATE_ABS_SLACK_SECS: f64 = 0.0005;
 /// regenerating `BENCH_KERNELS.json`, so it would never be gated (and the
 /// renamed-away baseline row would keep reporting "not measured" forever).
 /// Both directions fail the gate; the fix is to re-run with `--out`. Only
-/// meaningful when both runs used the same problem sizes (same `quick`
-/// flag), the same architecture (SIMD rows are named by detected tier),
-/// and overlapping thread widths.
+/// meaningful when the two are [`comparable`] and both runs used the same
+/// problem sizes (same `quick` flag) and overlapping thread widths.
 pub fn regressions(fresh: &PerfSummary, baseline: &PerfSummary, tolerance: f64) -> Vec<String> {
     fn rows(s: &PerfSummary) -> Vec<&BenchResult> {
         s.kernels.iter().chain(&s.forward).chain(&s.serve).collect()
@@ -786,21 +885,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_suite_is_deterministic_and_faster_than_seed() {
+    fn quick_suite_is_deterministic_and_the_fused_cold_attend_wins() {
         let summary = run(true, &[1, 2]);
         assert!(summary.deterministic, "parallel runs must be bit-identical");
-        assert_eq!(summary.speedups.len(), 4);
-        for s in &summary.speedups {
-            assert!(s.before_secs > 0.0 && s.after_secs > 0.0);
-            // The blocked/fused kernels must not regress below the seed,
-            // and the packed splice must not regress below repacking.
-            assert!(
-                s.speedup > 1.0,
-                "{} regressed: {:.2}x vs seed",
-                s.name,
-                s.speedup
-            );
+        assert_eq!((summary.epoch.as_str(), summary.speedups.len()), (EPOCH, 1));
+        assert_eq!(summary.simd_tier, active_simd_tier());
+        let fused = &summary.speedups[0];
+        assert!(fused.before_secs > 0.0 && fused.after_secs > 0.0);
+        // Attending the quantized planes in place must not lose to
+        // materializing an f32 copy first.
+        assert!(
+            fused.speedup > 1.0,
+            "{} regressed: {:.2}x",
+            fused.name,
+            fused.speedup
+        );
+        for shape in [
+            "gemm_132x96x512",
+            "gemm_132x256x96",
+            "gemm_132x96x96",
+            "gemm_132x96x32",
+        ] {
+            assert!(summary.kernels.iter().any(|r| r.name == shape), "{shape}");
         }
+        let dispatch = summary.kernels.iter().filter(|r| r.name == "pool_dispatch");
+        assert!(dispatch.into_iter().all(|r| r.threads > 1));
     }
 
     #[test]
@@ -827,6 +936,9 @@ mod tests {
             secs,
         };
         let baseline = PerfSummary {
+            epoch: EPOCH.into(),
+            simd_tier: "avx512".into(),
+            cpu: "test".into(),
             nproc: 1,
             thread_counts: vec![1, 4],
             deterministic: true,
@@ -840,7 +952,29 @@ mod tests {
             speedups: vec![],
         };
         let mut fresh = baseline.clone();
+        assert_eq!(comparable(&fresh, &baseline), Ok(()));
         assert!(regressions(&fresh, &baseline, 0.25).is_empty());
+        // Another epoch or SIMD tier is refused outright, naming both sides
+        // — a baseline that predates epochs reads as the empty epoch.
+        fresh.epoch = String::new();
+        let refused = comparable(&baseline, &fresh).unwrap_err();
+        assert_eq!(
+            (
+                refused.what,
+                refused.run.as_str(),
+                refused.baseline.as_str()
+            ),
+            ("numerics epoch", EPOCH, "")
+        );
+        assert!(refused.to_string().contains("\"fma-1\"") && refused.to_string().contains("\"\""));
+        fresh.epoch = EPOCH.into();
+        fresh.simd_tier = "avx2".into();
+        let refused = comparable(&fresh, &baseline).unwrap_err().to_string();
+        assert!(
+            refused.contains("\"avx2\"") && refused.contains("\"avx512\""),
+            "{refused}"
+        );
+        fresh.simd_tier = "avx512".into();
         // 20% slower passes the 25% gate; 40% slower fails.
         fresh.forward[0].secs = 0.012;
         assert!(regressions(&fresh, &baseline, 0.25).is_empty());

@@ -254,21 +254,31 @@ pub fn parallel_weighted_row_blocks<T, F>(
 /// parallel. Each row belongs to exactly one block, so per-row outputs are
 /// schedule-independent; `f` must compute rows independently of the block
 /// decomposition for results to be bit-identical across thread counts.
+/// Every block but the last starts and ends on a multiple of `align_rows`
+/// (a kernel that works in tiles of that many rows then meets a partial
+/// tile once per call, not once per block); pass `1` for rows that stand
+/// alone.
 ///
 /// Serial (one inline `f(0, data)` call) when `n_rows < grain_rows` or one
 /// thread is effective.
 ///
 /// # Panics
 ///
-/// Panics if `row_len == 0` or `data.len()` is not a multiple of `row_len`.
-pub fn parallel_row_blocks<T, F>(data: &mut [T], row_len: usize, grain_rows: usize, f: F)
-where
+/// Panics if `row_len == 0`, `align_rows == 0`, or `data.len()` is not a
+/// multiple of `row_len`.
+pub fn parallel_row_blocks<T, F>(
+    data: &mut [T],
+    row_len: usize,
+    grain_rows: usize,
+    align_rows: usize,
+    f: F,
+) where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(
-        row_len > 0,
-        "parallel_row_blocks needs a positive row length"
+        row_len > 0 && align_rows > 0,
+        "parallel_row_blocks needs a positive row length and alignment"
     );
     assert_eq!(
         data.len() % row_len,
@@ -284,12 +294,15 @@ where
         f(0, data);
         return;
     }
-    let blocks = block_count(n_rows);
+    let units = n_rows.div_ceil(align_rows);
+    let blocks = block_count(units);
     let ptr = SendPtr(data.as_mut_ptr());
     run_blocks(blocks, &|b| {
-        let rows = block_range(n_rows, blocks, b);
-        // SAFETY: block ranges partition 0..n_rows, so the row slices are
-        // disjoint; the buffer outlives run_blocks.
+        let units = block_range(units, blocks, b);
+        let rows = units.start * align_rows..(units.end * align_rows).min(n_rows);
+        // SAFETY: the unit ranges partition 0..units, so the row ranges
+        // partition 0..n_rows and the row slices are disjoint; the buffer
+        // outlives run_blocks.
         let slice = unsafe { ptr.slice_rows(rows.start * row_len, rows.len() * row_len) };
         f(rows.start, slice);
     });
@@ -506,16 +519,22 @@ mod tests {
             set_threads(t);
             let rows = 37;
             let row_len = 5;
-            let mut buf = vec![0u32; rows * row_len];
-            parallel_row_blocks(&mut buf, row_len, 1, |first_row, block| {
-                for (off, row) in block.chunks_mut(row_len).enumerate() {
-                    for (c, slot) in row.iter_mut().enumerate() {
-                        *slot += ((first_row + off) * row_len + c) as u32;
+            for align in [1, 4, 40] {
+                let mut buf = vec![0u32; rows * row_len];
+                parallel_row_blocks(&mut buf, row_len, 1, align, |first_row, block| {
+                    // Only the block that holds the last rows may be ragged.
+                    assert_eq!(first_row % align, 0);
+                    let n = block.len() / row_len;
+                    assert!(n % align == 0 || first_row + n == rows);
+                    for (off, row) in block.chunks_mut(row_len).enumerate() {
+                        for (c, slot) in row.iter_mut().enumerate() {
+                            *slot += ((first_row + off) * row_len + c) as u32;
+                        }
                     }
-                }
-            });
-            let want: Vec<u32> = (0..(rows * row_len) as u32).collect();
-            assert_eq!(buf, want, "{t} threads");
+                });
+                let want: Vec<u32> = (0..(rows * row_len) as u32).collect();
+                assert_eq!(buf, want, "{t} threads, alignment {align}");
+            }
         }
         set_threads(1);
     }

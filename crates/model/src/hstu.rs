@@ -21,7 +21,7 @@
 use crate::config::GrModelConfig;
 use crate::kv::KvSegment;
 use crate::prompt::TokenSeq;
-use crate::transformer::{norm_rows_into, ForwardOutput, ForwardWorkspace, MaskBuf};
+use crate::transformer::{allowed_keys, norm_rows_into, ForwardOutput, ForwardWorkspace, MaskBuf};
 use bat_exec::with_thread_scratch;
 use bat_tensor::ops::{axpy, fast_silu_in_place, rms_norm_into};
 use bat_tensor::{GroupAttention, Matrix, RopeTable, Silu, SplitCols};
@@ -64,8 +64,8 @@ pub struct HstuModel {
     layers: Vec<HstuLayer>,
     final_norm: Vec<f32>,
     rope: RopeTable,
-    /// Transposed embedding (`hidden × vocab`) for the axpy-form tied
-    /// output head, mirroring [`crate::GrModel`].
+    /// Transposed embedding (`hidden × vocab`) for the tied output head,
+    /// mirroring [`crate::GrModel`].
     embedding_t: Matrix,
 }
 
@@ -122,7 +122,7 @@ impl HstuModel {
     /// Runs the HSTU stack over `suffix`, optionally splicing a cached
     /// prefix KV segment, mirroring [`crate::GrModel::forward`] — including
     /// its batched, parallel execution: per-layer projections are one
-    /// axpy-form `X·W` product each, and attention runs over each token's
+    /// `X·W` product each, and attention runs over each token's
     /// allowed key runs only (SiLU weights in a compact score row,
     /// normalized by the allowed count), parallel over tokens with
     /// bit-identical results for any thread count.
@@ -148,6 +148,28 @@ impl HstuModel {
     ) -> &'w ForwardOutput {
         self.forward_impl(suffix, prefix, ws);
         ws.output()
+    }
+
+    /// [`crate::GrModel::stage_work`] for the HSTU layer's stages.
+    #[doc(hidden)]
+    pub fn stage_work(
+        &self,
+        suffix: &TokenSeq,
+        prefix: Option<&KvSegment>,
+    ) -> [(&'static str, usize); 6] {
+        let lw = &self.layers[0];
+        let product = |w: &Matrix| suffix.len() * w.rows() * w.cols();
+        [
+            ("Q", product(&lw.wq)),
+            ("K", product(&lw.wk)),
+            ("V", product(&lw.wv)),
+            ("U", product(&lw.wu)),
+            (
+                "attention",
+                allowed_keys(suffix, prefix) * self.cfg.hidden_dim,
+            ),
+            ("O", product(&lw.wo)),
+        ]
     }
 
     fn forward_impl(
@@ -225,11 +247,7 @@ impl HstuModel {
                 m.par_rows_mut(|_, row| fast_silu_in_place(row));
             }
             for m in [&mut *q, &mut *k] {
-                m.par_rows_mut(|t, row| {
-                    let pos = suffix.pos[t] as usize;
-                    row.chunks_exact_mut(d)
-                        .for_each(|head| self.rope.apply(head, pos));
-                });
+                m.par_rows_mut(|t, row| self.rope.apply_heads(row, suffix.pos[t] as usize));
             }
             for t in 0..s_len {
                 suffix_kv.layers[l].push(k.row(t), v.row(t));
@@ -413,12 +431,30 @@ mod tests {
         assert!(max_diff(&[scores[2], scores[0], scores[1]], &scores_p) < 1e-4);
     }
 
-    /// The parallel HSTU forward is bit-identical to its serial run.
+    /// The parallel HSTU forward is bit-identical to its serial run, at a
+    /// shape whose every stage is big enough to go through the pool.
     #[test]
     fn hstu_forward_bit_identical_across_thread_counts() {
-        let model = HstuModel::random(hstu_cfg(), 37);
-        let (u, i, s) = parts();
-        let seq = PromptLayout::new(MaskScheme::Bipartite).build(PrefixKind::Item, &u, &i, &s);
+        let cfg = GrModelConfig {
+            kv_heads: 12,
+            layers: 2,
+            ..GrModelConfig::qwen2_1_5b_proxy(512)
+        };
+        let model = HstuModel::random(cfg, 37);
+        let user: Vec<u32> = (0..130).collect();
+        let items: Vec<Vec<u32>> = (0..20).map(|i| vec![200 + i, 300 + i]).collect();
+        let seq = PromptLayout::new(MaskScheme::Bipartite).build(
+            PrefixKind::Item,
+            &user,
+            &items,
+            &[500, 501],
+        );
+        for (stage, work) in model.stage_work(&seq, None) {
+            assert!(
+                bat_tensor::stage_is_pooled(work),
+                "{stage} would run inline"
+            );
+        }
         bat_exec::set_threads(1);
         let gold = model.forward(&seq, None);
         for t in [2, 4, 8] {

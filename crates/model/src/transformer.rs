@@ -70,10 +70,13 @@ impl ForwardOutput {
 /// Reusable scratch for [`GrModel::forward_with`] (and the HSTU twin): every
 /// intermediate of the forward pass — norms, projections, attention rows,
 /// FFN activations, mask run lists, and the output itself — lives here and is
-/// re-shaped (capacity kept) instead of re-allocated. Keep one per worker
-/// and the steady-state forward performs **zero heap allocations** after
-/// the first call at a given shape; the attention kernel's score rows are
-/// thread-local via [`bat_exec::with_thread_scratch`], so pool workers
+/// re-shaped (capacity kept) instead of re-allocated. [`GrModel`] keeps each
+/// token's key and value side by side in `k` and its gate and up
+/// activations side by side in `act` (one packed product each); `v` and
+/// `up` are the HSTU model's, which projects them separately. Keep one per
+/// worker and the steady-state forward performs **zero heap allocations**
+/// after the first call at a given shape; the attention kernel's score rows
+/// are thread-local via [`bat_exec::with_thread_scratch`], so pool workers
 /// (persistent daemon threads) warm theirs once.
 pub struct ForwardWorkspace {
     pub(crate) tags: Vec<SegTag>,
@@ -146,50 +149,94 @@ impl Default for ForwardWorkspace {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GrModel {
-    weights: Weights,
-    rope: RopeTable,
+    cfg: GrModelConfig,
+    /// Token embedding table, `vocab × hidden`.
+    embedding: Matrix,
     /// Transposed embedding table (`hidden × vocab`), packed once at
-    /// construction so the tied output head is a single axpy-form
-    /// [`Matrix::vecmul`] over hidden rows instead of a per-vocab-row dot.
+    /// construction so the tied output head is a single
+    /// [`Matrix::vecmul`] instead of a per-vocab-row dot.
     embedding_t: Matrix,
-    /// Per-layer flag: the FFN is structurally zero (any of gate/up/down is
-    /// an all-zero matrix, so the FFN output is exactly zero — true for the
-    /// analytic routed construction) and the whole block can be skipped.
-    ffn_zero: Vec<bool>,
+    layers: Vec<Layer>,
+    /// Final RMSNorm gain.
+    final_norm: Vec<f32>,
+    rope: RopeTable,
+}
+
+/// One layer's [`crate::weights::LayerWeights`] in the layout the forward
+/// reads, built once in [`GrModel::new`]: projections that read the same
+/// input are packed side by side and run as one product — fewer, fatter
+/// stages for the pool, one pass over the activations. A column of a packed
+/// product has the bits of the unpacked one (an output element's arithmetic
+/// does not depend on its neighbours).
+#[derive(Debug, Clone)]
+struct Layer {
+    attn_norm: Vec<f32>,
+    wq: Matrix,
+    /// `wk|wv`, `hidden × 2·kv_dim`.
+    wkv: Matrix,
+    wo: Matrix,
+    ffn_norm: Vec<f32>,
+    /// `w_gate|w_up`, `hidden × 2·ffn_dim`.
+    w_gate_up: Matrix,
+    w_down: Matrix,
+    /// The FFN is structurally zero (any of gate/up/down is an all-zero
+    /// matrix, so the FFN output is exactly zero — true for the analytic
+    /// routed construction) and the whole block can be skipped.
+    ffn_zero: bool,
+}
+
+/// `[a | b]`: the two matrices' rows side by side.
+fn side_by_side(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), a.cols() + b.cols());
+    for r in 0..a.rows() {
+        let (left, right) = out.row_mut(r).split_at_mut(a.cols());
+        left.copy_from_slice(a.row(r));
+        right.copy_from_slice(b.row(r));
+    }
+    out
 }
 
 impl GrModel {
     /// Wraps weights into a runnable model, precomputing the RoPE table,
-    /// the transposed embedding for the tied output head, and the
-    /// structural FFN-zero flags.
+    /// the transposed embedding for the tied output head, the structural
+    /// FFN-zero flags and the packed projections.
     ///
-    /// Projection weights are *not* repacked: they are stored `in × out`
-    /// row-major, which is exactly the layout the axpy-form
-    /// [`Matrix::matmul`] kernel wants for `X·W` — batching removed the
-    /// transposes instead of hiding them.
+    /// Projection weights are stored `in × out` row-major, which is exactly
+    /// the layout [`Matrix::matmul`] wants for `X·W` — no transpose exists
+    /// anywhere on the forward path.
     pub fn new(weights: Weights) -> Self {
-        let rope = RopeTable::new(
-            weights.cfg.head_dim,
-            weights.cfg.max_positions,
-            weights.cfg.rope_base,
-        );
-        let embedding_t = weights.embedding.transpose();
-        let ffn_zero = weights
-            .layers
-            .iter()
-            .map(|lw| lw.w_gate.is_zero() || lw.w_up.is_zero() || lw.w_down.is_zero())
+        let Weights {
+            cfg,
+            embedding,
+            layers,
+            final_norm,
+        } = weights;
+        let layers = layers
+            .into_iter()
+            .map(|lw| Layer {
+                ffn_zero: lw.w_gate.is_zero() || lw.w_up.is_zero() || lw.w_down.is_zero(),
+                wkv: side_by_side(&lw.wk, &lw.wv),
+                w_gate_up: side_by_side(&lw.w_gate, &lw.w_up),
+                attn_norm: lw.attn_norm,
+                wq: lw.wq,
+                wo: lw.wo,
+                ffn_norm: lw.ffn_norm,
+                w_down: lw.w_down,
+            })
             .collect();
         GrModel {
-            weights,
-            rope,
-            embedding_t,
-            ffn_zero,
+            rope: RopeTable::new(cfg.head_dim, cfg.max_positions, cfg.rope_base),
+            embedding_t: embedding.transpose(),
+            cfg,
+            embedding,
+            layers,
+            final_norm,
         }
     }
 
     /// The architecture configuration.
     pub fn config(&self) -> &GrModelConfig {
-        &self.weights.cfg
+        &self.cfg
     }
 
     /// Computes the KV segment of a standalone token block (offline item or
@@ -215,14 +262,13 @@ impl GrModel {
     ///
     /// # Execution
     ///
-    /// The pass is batched and parallel: per layer, projections for all
-    /// suffix tokens run as one axpy-form `X·W` [`Matrix::matmul`] (weights
-    /// are stored `in × out`, so no transpose exists anywhere on this
-    /// path); keys/values are appended per layer to packed plane-major
-    /// blocks; and attention is **run-structured** — the bipartite mask is
-    /// block-structured, so each token's allowed keys are a few contiguous
-    /// runs, and it scores, softmaxes and accumulates over exactly those
-    /// runs, all query heads of a KV head in one
+    /// The pass is batched and parallel: per layer, the projections of all
+    /// suffix tokens run as five `X·W` [`Matrix::matmul`]s (K|V, Q, O,
+    /// gate|up, down); keys/values are appended per layer to packed
+    /// plane-major blocks; and attention is **run-structured** — the
+    /// bipartite mask is block-structured, so each token's allowed keys are
+    /// a few contiguous runs, and it scores, softmaxes and accumulates over
+    /// exactly those runs, all query heads of a KV head in one
     /// [`GroupAttention::attend`] call. Scores go into *compact* rows — one
     /// slot per allowed key, nothing for masked ones — so nothing is spent
     /// on a masked key (no `-inf` lanes, no gathers), and reduction order
@@ -284,7 +330,7 @@ impl GrModel {
         pass: Pass,
     ) {
         assert!(!suffix.is_empty(), "forward needs at least one token");
-        let cfg = &self.weights.cfg;
+        let cfg = &self.cfg;
         if let Some(p) = prefix {
             assert_eq!(p.layers.len(), cfg.layers, "prefix layer count mismatch");
         }
@@ -302,13 +348,12 @@ impl GrModel {
             h,
             xn,
             q,
-            k,
-            v,
+            k: kv_rows,
             attn,
             o,
             act,
-            up,
             out,
+            ..
         } = ws;
         let ForwardOutput {
             hidden_all,
@@ -333,7 +378,7 @@ impl GrModel {
         h.reset(s_len, cfg.hidden_dim);
         for (t, &tok) in suffix.tokens.iter().enumerate() {
             h.row_mut(t)
-                .copy_from_slice(self.weights.embedding.row(tok as usize));
+                .copy_from_slice(self.embedding.row(tok as usize));
         }
 
         suffix_kv.reset_for(cfg.layers, kv_dim);
@@ -344,23 +389,18 @@ impl GrModel {
         }
 
         for l in 0..cfg.layers {
-            let lw = &self.weights.layers[l];
+            let lw = &self.layers[l];
 
             // Batched projections for every suffix token (they only depend
-            // on the previous layer's hidden states), then RoPE per row.
+            // on the previous layer's hidden states), then RoPE per row:
+            // over the key half of a K|V row, over the whole query row.
             norm_rows_into(h, &lw.attn_norm, xn);
-            let rope_rows = |m: &mut Matrix| {
-                m.par_rows_mut(|t, row| {
-                    let pos = suffix.pos[t] as usize;
-                    row.chunks_exact_mut(d)
-                        .for_each(|head| self.rope.apply(head, pos));
-                });
-            };
-            xn.matmul_into(&lw.wk, k);
-            xn.matmul_into(&lw.wv, v);
-            rope_rows(k);
+            let pos = |t: usize| suffix.pos[t] as usize;
+            xn.matmul_into(&lw.wkv, kv_rows);
+            kv_rows.par_rows_mut(|t, row| self.rope.apply_heads(&mut row[..kv_dim], pos(t)));
             for t in 0..s_len {
-                suffix_kv.layers[l].push(k.row(t), v.row(t));
+                let (key, value) = kv_rows.row(t).split_at(kv_dim);
+                suffix_kv.layers[l].push(key, value);
             }
             if pass == Pass::KvOnly && l + 1 == cfg.layers {
                 // Nothing past this point feeds a key or a value.
@@ -369,7 +409,7 @@ impl GrModel {
                 return;
             }
             xn.matmul_into(&lw.wq, q);
-            rope_rows(q);
+            q.par_rows_mut(|t, row| self.rope.apply_heads(row, pos(t)));
 
             // Attention reads the cached prefix block and the just-pushed
             // suffix block through a zero-copy [`SplitCols`] view — the
@@ -435,30 +475,57 @@ impl GrModel {
             let o_ro: &Matrix = o;
             h.par_rows_mut(|t, row| axpy(row, 1.0, o_ro.row(t)));
 
-            // SwiGLU FFN, batched; skipped when structurally zero.
-            if !self.ffn_zero[l] {
+            // SwiGLU FFN, batched; skipped when structurally zero. The
+            // activations overwrite the gate half of each gate|up row, which
+            // the down projection then reads in place.
+            if !lw.ffn_zero {
                 norm_rows_into(h, &lw.ffn_norm, xn);
-                xn.matmul_into(&lw.w_gate, act);
-                xn.matmul_into(&lw.w_up, up);
-                let up_ro: &Matrix = up;
-                act.par_rows_mut(|t, row| fast_silu_mul_in_place(row, up_ro.row(t)));
-                act.matmul_into(&lw.w_down, o);
+                xn.matmul_into(&lw.w_gate_up, act);
+                act.par_rows_mut(|_, row| {
+                    let (gate, up) = row.split_at_mut(cfg.ffn_dim);
+                    fast_silu_mul_in_place(gate, up);
+                });
+                act.matmul_leading_cols_into(&lw.w_down, o);
                 let o_ro: &Matrix = o;
                 h.par_rows_mut(|t, row| axpy(row, 1.0, o_ro.row(t)));
             }
         }
 
-        norm_rows_into(h, &self.weights.final_norm, hidden_all);
-        // Tied output head: logit_i = ⟨E[i], h⟩, computed axpy-form over
-        // the pre-transposed embedding so the whole vocab vectorizes.
+        norm_rows_into(h, &self.final_norm, hidden_all);
+        // Tied output head: logit_i = ⟨E[i], h⟩, as one row times the
+        // pre-transposed embedding so the whole vocab vectorizes.
         self.embedding_t
             .vecmul_into(hidden_all.row(s_len - 1), logits);
     }
 
-    /// The seed's serial per-token forward pass, kept verbatim as the
-    /// honest before/after baseline for the perf suite and as the oracle
-    /// the batched [`GrModel::forward`] is equivalence-tested against. Not
-    /// a production path.
+    /// The size of each stage one layer of `forward(suffix, prefix)` may
+    /// hand to the pool, by name — the multiply-add counts `Matrix` gates a
+    /// dispatch on. A test that compares thread counts asserts
+    /// [`bat_tensor::stage_is_pooled`] on these: below the threshold every
+    /// width runs the same inline code and the comparison is vacuous.
+    #[doc(hidden)]
+    pub fn stage_work(
+        &self,
+        suffix: &TokenSeq,
+        prefix: Option<&KvSegment>,
+    ) -> [(&'static str, usize); 6] {
+        let lw = &self.layers[0];
+        let product = |w: &Matrix| suffix.len() * w.rows() * w.cols();
+        [
+            ("K|V", product(&lw.wkv)),
+            ("Q", product(&lw.wq)),
+            ("attention", allowed_keys(suffix, prefix) * self.cfg.q_dim()),
+            ("O", product(&lw.wo)),
+            ("gate|up", product(&lw.w_gate_up)),
+            ("down", product(&lw.w_down)),
+        ]
+    }
+
+    /// The seed's serial per-token forward pass, kept as the oracle the
+    /// batched [`GrModel::forward`] is equivalence-tested against: one token
+    /// at a time, separate multiplies and adds, libm `exp`. (It reads K|V
+    /// and gate|up from the packed matrices — a column's arithmetic is the
+    /// unpacked one's.) Not a production path.
     #[doc(hidden)]
     pub fn forward_reference(
         &self,
@@ -466,7 +533,7 @@ impl GrModel {
         prefix: Option<&KvSegment>,
     ) -> ForwardOutput {
         assert!(!suffix.is_empty(), "forward needs at least one token");
-        let cfg = &self.weights.cfg;
+        let cfg = &self.cfg;
         if let Some(p) = prefix {
             assert_eq!(p.layers.len(), cfg.layers, "prefix layer count mismatch");
         }
@@ -484,7 +551,7 @@ impl GrModel {
         let mut h: Vec<Vec<f32>> = suffix
             .tokens
             .iter()
-            .map(|&t| self.weights.embedding.row(t as usize).to_vec())
+            .map(|&t| self.embedding.row(t as usize).to_vec())
             .collect();
 
         let mut suffix_kv = KvSegment::empty(cfg.layers, cfg.kv_dim());
@@ -494,13 +561,13 @@ impl GrModel {
         let scale = 1.0 / (cfg.head_dim as f32).sqrt();
         let group = cfg.gqa_group();
 
-        for (l, lw) in self.weights.layers.iter().enumerate() {
+        for (l, lw) in self.layers.iter().enumerate() {
             let mut qs: Vec<Vec<f32>> = Vec::with_capacity(s_len);
             for (t, ht) in h.iter().enumerate() {
                 let xn = rms_norm(ht, &lw.attn_norm, 1e-6);
                 let mut q = lw.wq.vecmul_sparse(&xn);
-                let mut k = lw.wk.vecmul_sparse(&xn);
-                let v = lw.wv.vecmul_sparse(&xn);
+                let mut k = lw.wkv.vecmul_sparse(&xn);
+                let v = k.split_off(cfg.kv_dim());
                 let pos = suffix.pos[t] as usize;
                 for qh in 0..cfg.query_heads {
                     self.rope
@@ -557,9 +624,9 @@ impl GrModel {
                 }
 
                 let xn2 = rms_norm(&h[t], &lw.ffn_norm, 1e-6);
-                let gate = lw.w_gate.vecmul_sparse(&xn2);
-                let up = lw.w_up.vecmul_sparse(&xn2);
-                let act: Vec<f32> = gate.iter().zip(&up).map(|(&g, &u)| silu(g) * u).collect();
+                let gate_up = lw.w_gate_up.vecmul_sparse(&xn2);
+                let (gate, up) = gate_up.split_at(cfg.ffn_dim);
+                let act: Vec<f32> = gate.iter().zip(up).map(|(&g, &u)| silu(g) * u).collect();
                 let down = lw.w_down.vecmul_sparse(&act);
                 for (a, b) in h[t].iter_mut().zip(&down) {
                     *a += b;
@@ -569,11 +636,11 @@ impl GrModel {
 
         let mut hidden_all = Matrix::zeros(s_len, cfg.hidden_dim);
         for (t, ht) in h.iter().enumerate() {
-            rms_norm_into(ht, &self.weights.final_norm, 1e-6, hidden_all.row_mut(t));
+            rms_norm_into(ht, &self.final_norm, 1e-6, hidden_all.row_mut(t));
         }
         let hidden_last = hidden_all.row(s_len - 1);
         let logits: Vec<f32> = (0..cfg.vocab_size)
-            .map(|i| dot(self.weights.embedding.row(i), hidden_last))
+            .map(|i| dot(self.embedding.row(i), hidden_last))
             .collect();
 
         ForwardOutput {
@@ -606,7 +673,7 @@ impl GrModel {
                 let i = i as usize;
                 assert!(i < candidate_tokens.len(), "discriminant beyond candidates");
                 scores[i] = dot(
-                    self.weights.embedding.row(candidate_tokens[i] as usize),
+                    self.embedding.row(candidate_tokens[i] as usize),
                     out.hidden(t),
                 );
                 found += 1;
@@ -710,6 +777,19 @@ impl MaskBuf {
     pub(crate) fn allowed(&self) -> &[u64] {
         &self.allowed
     }
+}
+
+/// Allowed keys of `forward(suffix, prefix)`'s attention stage, summed over
+/// the suffix rows.
+pub(crate) fn allowed_keys(suffix: &TokenSeq, prefix: Option<&KvSegment>) -> usize {
+    let prefix_tags = prefix.map_or(&[][..], |p| &p.segs);
+    let mut mask = MaskBuf::default();
+    mask.build(
+        suffix.scheme,
+        &[prefix_tags, &suffix.segs].concat(),
+        prefix_tags.len(),
+    );
+    mask.allowed().iter().sum::<u64>() as usize
 }
 
 /// RMS-normalizes every row of `h` with `gain` into `out`, reusing `out`'s
@@ -978,12 +1058,25 @@ mod tests {
     }
 
     /// The parallel forward must be bit-identical to its own serial run —
-    /// the determinism contract of the execution layer.
+    /// the determinism contract of the execution layer — at a shape whose
+    /// every stage is big enough to go through the pool.
     #[test]
     fn forward_is_bit_identical_across_thread_counts() {
-        let model = tiny_model(31);
-        let (u, i, s) = parts();
-        let seq = PromptLayout::new(MaskScheme::Bipartite).build(PrefixKind::Item, &u, &i, &s);
+        let model = GrModel::new(Weights::random(GrModelConfig::qwen2_1_5b_proxy(512), 31));
+        let user: Vec<u32> = (0..200).collect();
+        let items: Vec<Vec<u32>> = (0..75).map(|i| vec![200 + i, 300 + i]).collect();
+        let seq = PromptLayout::new(MaskScheme::Bipartite).build(
+            PrefixKind::Item,
+            &user,
+            &items,
+            &[500, 501],
+        );
+        for (stage, work) in model.stage_work(&seq, None) {
+            assert!(
+                bat_tensor::stage_is_pooled(work),
+                "{stage} would run inline"
+            );
+        }
         bat_exec::set_threads(1);
         let gold = model.forward(&seq, None);
         for t in [2, 4, 8] {
@@ -1005,7 +1098,7 @@ mod tests {
     #[test]
     fn ffn_zero_flags_follow_weight_structure() {
         let random = tiny_model(1);
-        assert!(random.ffn_zero.iter().all(|&z| !z));
+        assert!(random.layers.iter().all(|l| !l.ffn_zero));
         let cfg = GrModelConfig {
             query_heads: 2,
             kv_heads: 2,
@@ -1017,7 +1110,7 @@ mod tests {
         let mut marker = vec![0.0f32; 32];
         marker[0] = 1.0;
         let routed = GrModel::new(Weights::routed(cfg, emb, &marker, 0.5, 0.5));
-        assert!(routed.ffn_zero.iter().all(|&z| z));
+        assert!(routed.layers.iter().all(|l| l.ffn_zero));
     }
 
     /// A reused workspace must not leak state between calls: running a

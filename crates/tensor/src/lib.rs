@@ -6,12 +6,14 @@
 //! position encoding the paper adjusts in §4.2), and the run-structured
 //! group attention kernel over packed KV ([`GroupAttention`]). Everything
 //! is portable f32 from scratch — no BLAS, no SIMD intrinsics — but the hot
-//! kernels are written for
-//! throughput: [`Matrix::matmul_nt`] streams a transposed-packed operand
-//! through a branch-free 4-wide-unrolled dot product with cache tiling, and
-//! output row blocks run in parallel on [`bat_exec`]'s work-stealing pool.
-//! Every kernel is deterministic: results are bit-identical for any thread
-//! count (see `bat_exec`'s crate docs for the contract).
+//! kernels are written for throughput: plain-Rust bodies in fused
+//! multiply-adds ([`f32::mul_add`]), multiversioned per SIMD tier (AVX-512,
+//! AVX2+FMA, NEON; see `simd.rs`), with [`Matrix::matmul`] a register-blocked
+//! GEMM whose output row blocks run in parallel on [`bat_exec`]'s
+//! work-stealing pool. Every kernel is deterministic: results are
+//! bit-identical for any thread count and any tier (DESIGN §5d has the
+//! numerics contract — what is an identity, what is a bound, and what is not
+//! promised across commits).
 //!
 //! # Example
 //!
@@ -28,11 +30,12 @@ pub mod ops;
 pub mod packed;
 pub mod quant;
 pub mod rope;
+mod simd;
 
-pub use matrix::Matrix;
+pub use matrix::{stage_is_pooled, Matrix};
 pub use ops::{
     active_simd_tier, axpy, dot, dot_fast, fast_exp, fast_silu, fast_silu_in_place,
-    fast_silu_mul_in_place, rms_norm, rms_norm_into, silu, softmax_fast_given_max,
+    fast_silu_mul_in_place, rms_norm, rms_norm_into, silu, softmax_exp_sum,
     stable_softmax_fast_in_place, stable_softmax_in_place,
 };
 pub use packed::{ColBlock, GroupAttention, RowWeights, Silu, Softmax, SplitCols};

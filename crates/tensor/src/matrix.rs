@@ -1,6 +1,68 @@
-//! A row-major `f32` matrix.
+//! A row-major `f32` matrix and the GEMM microkernel.
 
+use crate::simd::{tiered, Tier};
 use rand::Rng;
+use std::ops::{Deref, DerefMut};
+
+/// `f32` storage whose first element sits on a 64-byte boundary, so a
+/// matrix whose row length is a multiple of 16 has every row on a cache
+/// line and the GEMM microkernel's 64-byte loads of the right operand never
+/// straddle two (a straddling load costs two cache accesses; measured, the
+/// kernel runs a quarter slower over `malloc`'s 16-byte alignment).
+struct AlignedBuf {
+    /// `len + PAD` floats, or more after shrinking.
+    raw: Vec<f32>,
+    /// Offset of the first aligned element in `raw`.
+    off: usize,
+    len: usize,
+}
+
+impl AlignedBuf {
+    /// Floats of slack that let any `Vec<f32>` reach a 64-byte boundary.
+    const PAD: usize = 15;
+
+    fn zeros(len: usize) -> Self {
+        let raw = vec![0.0; len + Self::PAD];
+        // `align_offset` may decline (it returns `usize::MAX`); unaligned
+        // storage is slower, never wrong.
+        let off = match raw.as_ptr().align_offset(64) {
+            off if off <= Self::PAD => off,
+            _ => 0,
+        };
+        AlignedBuf { raw, off, len }
+    }
+
+    fn from_slice(xs: &[f32]) -> Self {
+        let mut buf = Self::zeros(xs.len());
+        buf.copy_from_slice(xs);
+        buf
+    }
+
+    /// Sets the length to `len`, keeping the allocation when it is large
+    /// enough. The contents are unspecified (stale or zero).
+    fn resize_for_overwrite(&mut self, len: usize) {
+        if self.off + len <= self.raw.len() {
+            self.len = len;
+        } else {
+            *self = Self::zeros(len);
+        }
+    }
+}
+
+impl Deref for AlignedBuf {
+    type Target = [f32];
+    #[inline]
+    fn deref(&self) -> &[f32] {
+        &self.raw[self.off..self.off + self.len]
+    }
+}
+
+impl DerefMut for AlignedBuf {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [f32] {
+        &mut self.raw[self.off..self.off + self.len]
+    }
+}
 
 /// A dense row-major matrix of `f32` values.
 ///
@@ -10,11 +72,36 @@ use rand::Rng;
 /// let m = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
 /// assert_eq!(m.get(1, 1), 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
-    data: Vec<f32>,
+    data: AlignedBuf,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: AlignedBuf::from_slice(&self.data),
+        }
+    }
+}
+
+impl PartialEq for Matrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows && self.cols == other.cols && *self.data == *other.data
+    }
+}
+
+impl std::fmt::Debug for Matrix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Matrix")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("data", &&*self.data)
+            .finish()
+    }
 }
 
 impl Matrix {
@@ -23,7 +110,7 @@ impl Matrix {
         Matrix {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
+            data: AlignedBuf::zeros(rows * cols),
         }
     }
 
@@ -42,18 +129,13 @@ impl Matrix {
     ///
     /// Panics if rows have inconsistent lengths.
     pub fn from_rows(rows: &[&[f32]]) -> Self {
-        let r = rows.len();
         let c = rows.first().map_or(0, |row| row.len());
-        let mut data = Vec::with_capacity(r * c);
-        for row in rows {
+        let mut m = Self::zeros(rows.len(), c);
+        for (r, row) in rows.iter().enumerate() {
             assert_eq!(row.len(), c, "ragged rows in Matrix::from_rows");
-            data.extend_from_slice(row);
+            m.row_mut(r).copy_from_slice(row);
         }
-        Matrix {
-            rows: r,
-            cols: c,
-            data,
-        }
+        m
     }
 
     /// Creates a matrix from a flat row-major vector.
@@ -63,16 +145,21 @@ impl Matrix {
     /// Panics if `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), rows * cols, "data length mismatch");
-        Matrix { rows, cols, data }
+        Matrix {
+            rows,
+            cols,
+            data: AlignedBuf::from_slice(&data),
+        }
     }
 
     /// Creates a matrix with entries drawn i.i.d. from
     /// `Uniform(-scale, scale)`; used for seeded weight initialization.
     pub fn random<R: Rng>(rows: usize, cols: usize, scale: f32, rng: &mut R) -> Self {
-        let data = (0..rows * cols)
-            .map(|_| rng.gen_range(-scale..scale))
-            .collect();
-        Matrix { rows, cols, data }
+        let mut m = Self::zeros(rows, cols);
+        for x in m.data.iter_mut() {
+            *x = rng.gen_range(-scale..scale);
+        }
+        m
     }
 
     /// Number of rows.
@@ -130,25 +217,30 @@ impl Matrix {
     /// a scratch matrix `reset` each layer/request stops allocating once it
     /// has seen its steady-state shape.
     pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.reshape_for_overwrite(rows, cols);
+        self.data.fill(0.0);
+    }
+
+    /// [`Matrix::reset`] without the zero fill, for a caller that writes
+    /// every entry: the contents are unspecified.
+    fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
-        self.data.clear();
-        self.data.resize(rows * cols, 0.0);
+        self.data.resize_for_overwrite(rows * cols);
     }
 
     /// Matrix product `self × rhs`.
     ///
-    /// This is the workhorse kernel of the batched forward pass. It is an
-    /// *axpy-form* product: for each output row the `k` loop walks rows of
-    /// `rhs` (both operands stream contiguously, no transposition or
-    /// packing), folding four rhs rows into the accumulator per pass so
-    /// each output load/store is amortized over four multiply-adds — the
-    /// same fold as [`Matrix::vecmul`], which measures ~1.6× the
-    /// column-at-a-time naive loop. The `j` loop is element-wise
-    /// independent, so the compiler vectorizes it without reassociating
-    /// any sum. Output row blocks run in parallel on [`bat_exec`]; each
-    /// row is written by exactly one task in a fixed fold order, so the
-    /// result is bit-identical for any thread count.
+    /// The workhorse kernel of the batched forward pass: a register-blocked
+    /// GEMM (see [`gemm_body`]). Output row blocks run in parallel on
+    /// [`bat_exec`]; every output element is one chain of fused
+    /// multiply-adds, `acc = fma(a[r][k], b[k][c], acc)` from `0.0` in
+    /// ascending `k`, written once by exactly one task. The result is
+    /// therefore bit-identical for any thread count, any SIMD tier and any
+    /// position of a row inside a row block — and within
+    /// `k · 2⁻²⁴ · Σ_k |a[r][k] · b[k][c]|` of the exact product (each
+    /// fused step rounds once; a test checks the bound against an `f64`
+    /// accumulation).
     ///
     /// # Panics
     ///
@@ -160,9 +252,8 @@ impl Matrix {
     }
 
     /// [`Matrix::matmul`] writing into a caller-owned output matrix, which
-    /// is resized (capacity kept) and zeroed — the zero-allocation twin the
-    /// forward workspace reuses across layers and requests. Same kernel,
-    /// same fold order, bit-identical results.
+    /// is resized (capacity kept) — the zero-allocation twin the forward
+    /// workspace reuses across layers and requests. Same kernel, same bits.
     ///
     /// # Panics
     ///
@@ -173,40 +264,46 @@ impl Matrix {
             "matmul shape mismatch: {}x{} × {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let (n, k, m) = (self.rows, self.cols, rhs.cols);
-        out.reset(n, m);
-        if n == 0 || m == 0 || k == 0 {
+        self.matmul_with_grain(rhs, out, par_grain(self.rows * rhs.rows * rhs.cols));
+    }
+
+    /// [`Matrix::matmul_into`] of `self`'s leading `rhs.rows()` columns:
+    /// the left operand is a column prefix of a wider matrix, read in place
+    /// (the SwiGLU activations sit in the gate half of the packed gate|up
+    /// product). Same kernel, same bits as over a copy of those columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() < rhs.rows()`.
+    pub fn matmul_leading_cols_into(&self, rhs: &Matrix, out: &mut Matrix) {
+        assert!(
+            self.cols >= rhs.rows,
+            "matmul shape mismatch: {} leading columns of {}x{} × {}x{}",
+            rhs.rows,
+            self.rows,
+            self.cols,
+            rhs.rows,
+            rhs.cols
+        );
+        self.matmul_with_grain(rhs, out, par_grain(self.rows * rhs.rows * rhs.cols));
+    }
+
+    /// The product of `self`'s leading `rhs.rows()` columns with `rhs`,
+    /// with the row grain given: `1` sends row blocks to the pool whatever
+    /// the size (tests force it on products far below [`par_grain`]'s
+    /// threshold).
+    fn matmul_with_grain(&self, rhs: &Matrix, out: &mut Matrix, grain: usize) {
+        let (n, lda, m) = (self.rows, self.cols, rhs.cols);
+        out.reshape_for_overwrite(n, m);
+        if n == 0 || m == 0 {
             return;
         }
-        let grain_rows = par_grain(n * m * k);
-        bat_exec::parallel_row_blocks(&mut out.data, m, grain_rows, |first_row, block| {
-            let n_block = block.len() / m;
-            // Quad-block the output rows: four rows share every rhs-row
-            // load, so the streamed operand's cache traffic drops 4× (the
-            // single-row fold re-reads the whole rhs per output row, which
-            // makes the kernel L2-bandwidth-bound at these shapes). Each
-            // row's accumulation chain is unchanged, so a row computes the
-            // same bits whether it lands in a quad or the tail — block
-            // boundaries (which move with the thread count) cannot change
-            // results.
-            let mut r = 0;
-            while r + 4 <= n_block {
-                fold_rows_into_x4(
-                    &mut block[r * m..(r + 4) * m],
-                    [
-                        self.row(first_row + r),
-                        self.row(first_row + r + 1),
-                        self.row(first_row + r + 2),
-                        self.row(first_row + r + 3),
-                    ],
-                    rhs,
-                );
-                r += 4;
-            }
-            while r < n_block {
-                fold_rows_into(&mut block[r * m..(r + 1) * m], self.row(first_row + r), rhs);
-                r += 1;
-            }
+        let tier = Tier::best();
+        // Row blocks are whole tiles (but for the matrix's last rows): a
+        // block that ended mid-tile would run its odd rows through the
+        // single-row tile, at a fraction of the speed.
+        bat_exec::parallel_row_blocks(&mut out.data, m, grain, TILE_ROWS, |first_row, block| {
+            gemm(tier, &self.data[first_row * lda..], lda, rhs, block);
         });
     }
 
@@ -223,11 +320,11 @@ impl Matrix {
     /// blocks are computed in parallel on [`bat_exec`]. Every output
     /// element is one fixed-order dot product written by exactly one task,
     /// so the result is bit-identical for any thread count. For an
-    /// untransposed right operand, [`Matrix::matmul`]'s axpy kernel is
-    /// faster — dot-form products pay a horizontal reduction per element —
-    /// so above a size threshold this un-packs `rhs` and delegates to it
-    /// (the copy amortizes; the threshold depends only on the shapes, so
-    /// results stay deterministic).
+    /// untransposed right operand, [`Matrix::matmul`]'s kernel is faster —
+    /// dot-form products pay a horizontal reduction per element — so above
+    /// a size threshold this un-packs `rhs` and delegates to it (the copy
+    /// amortizes; the threshold depends only on the shapes, so results stay
+    /// deterministic).
     ///
     /// # Panics
     ///
@@ -240,7 +337,7 @@ impl Matrix {
         );
         let (n, k, m) = (self.rows, self.cols, rhs.rows);
         // Past this many multiply-adds the O(m·k) un-packing copy is noise
-        // next to the O(n·m·k) kernel and the axpy form's throughput wins.
+        // next to the O(n·m·k) kernel and the GEMM's throughput wins.
         const NT_UNPACK_MACS: usize = 64 * 1024;
         if n * m * k >= NT_UNPACK_MACS {
             return self.matmul(&rhs.transpose());
@@ -252,8 +349,9 @@ impl Matrix {
         // Rows-per-tile of the packed operand kept hot in L1 across output
         // rows; 16 rows × 256 columns of f32 is 16 KiB.
         const J_TILE: usize = 16;
+        let tier = Tier::best();
         let grain_rows = par_grain(n * m * k);
-        bat_exec::parallel_row_blocks(&mut out.data, m, grain_rows, |first_row, block| {
+        bat_exec::parallel_row_blocks(&mut out.data, m, grain_rows, 1, |first_row, block| {
             let n_block = block.len() / m;
             for j0 in (0..m).step_by(J_TILE) {
                 let j1 = (j0 + J_TILE).min(m);
@@ -265,6 +363,7 @@ impl Matrix {
                     let mut j = j0;
                     while j + 2 <= j1 {
                         out_row[j..j + 2].copy_from_slice(&dot_unrolled_x2(
+                            tier,
                             a_row,
                             rhs.row(j),
                             rhs.row(j + 1),
@@ -272,7 +371,7 @@ impl Matrix {
                         j += 2;
                     }
                     if j < j1 {
-                        out_row[j] = dot_unrolled(a_row, rhs.row(j));
+                        out_row[j] = dot_unrolled(tier, a_row, rhs.row(j));
                     }
                 }
             }
@@ -281,14 +380,10 @@ impl Matrix {
     }
 
     /// `vec × self` where `vec` has length `self.rows()`; returns a vector of
-    /// length `self.cols()`. This is the hot path of the per-token forward
-    /// pass (hidden-state row times weight matrix).
-    ///
-    /// Dense kernel: four input rows are folded into the accumulator per
-    /// pass with no per-element zero test (the seed's skip branch
-    /// mispredicts on dense data and defeats pipelining). Accumulation
-    /// order per output column is the plain ascending-`k` order, so results
-    /// match the naive loop bit-for-bit on inputs without `-0.0` rows. For
+    /// length `self.cols()` — the tied output head (last hidden row times
+    /// the transposed embedding). It is the one-row case of
+    /// [`Matrix::matmul`], through the same microkernel: a row has the same
+    /// bits computed here, alone, or inside any row block of a product. For
     /// operands that are *provably* mostly zero, use
     /// [`Matrix::vecmul_sparse`].
     ///
@@ -301,17 +396,16 @@ impl Matrix {
         out
     }
 
-    /// [`Matrix::vecmul`] writing into a caller-owned vector (cleared,
-    /// resized keeping capacity). Same kernel, bit-identical results.
+    /// [`Matrix::vecmul`] writing into a caller-owned vector (resized
+    /// keeping capacity). Same kernel, bit-identical results.
     ///
     /// # Panics
     ///
     /// Panics if `vec.len() != self.rows()`.
     pub fn vecmul_into(&self, vec: &[f32], out: &mut Vec<f32>) {
         assert_eq!(vec.len(), self.rows, "vecmul shape mismatch");
-        out.clear();
         out.resize(self.cols, 0.0);
-        fold_rows_into(out, vec, self);
+        gemm(Tier::best(), vec, self.rows, self, out);
     }
 
     /// Sparse-aware `vec × self`: skips rows whose coefficient is exactly
@@ -333,33 +427,6 @@ impl Matrix {
             }
             for (o, &b) in out.iter_mut().zip(self.row(k)) {
                 *o += a * b;
-            }
-        }
-        out
-    }
-
-    /// The seed's scalar matmul (zero-skip branch, no packing, serial).
-    /// Kept as the honest before/after baseline for the perf suite and as
-    /// the reference oracle in equivalence tests — not a production path.
-    #[doc(hidden)]
-    pub fn matmul_naive(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul shape mismatch: {}x{} × {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
-                if a == 0.0 {
-                    continue;
-                }
-                let rhs_row = rhs.row(k);
-                let out_row = out.row_mut(i);
-                for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                    *o += a * b;
-                }
             }
         }
         out
@@ -389,7 +456,7 @@ impl Matrix {
         }
         let cols = self.cols;
         let grain = par_grain(self.data.len());
-        bat_exec::parallel_row_blocks(&mut self.data, cols, grain, |first_row, block| {
+        bat_exec::parallel_row_blocks(&mut self.data, cols, grain, 1, |first_row, block| {
             for (off, row) in block.chunks_mut(cols).enumerate() {
                 f(first_row + off, row);
             }
@@ -419,43 +486,6 @@ impl Matrix {
         bat_exec::parallel_weighted_row_blocks(&mut self.data, cols, weights, grain, f);
     }
 
-    /// `out[c] += ⟨s, row c⟩` over the first `s.len()` columns of each of
-    /// the first `out.len()` rows — the attention value accumulation over a
-    /// transposed-packed value matrix (`out` is one head's output slice,
-    /// `s` the attention weights over a causal window).
-    ///
-    /// Four rows are reduced per pass sharing each `s` load, every row
-    /// carrying its own lane accumulators, so the adds form `4 × LANES`
-    /// independent chains — one [`crate::ops::dot_fast`] per row is
-    /// *latency*-bound on a single 8-lane chain (~3× slower measured).
-    /// Each row still folds in exactly [`fold_lanes`] order, so the result
-    /// is bit-identical to calling [`dot_unrolled`] row by row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() > self.rows()` or `s.len() > self.cols()`.
-    pub fn rows_dot_acc(&self, s: &[f32], out: &mut [f32]) {
-        assert!(out.len() <= self.rows, "rows_dot_acc row overrun");
-        assert!(s.len() <= self.cols, "rows_dot_acc column overrun");
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: AVX-512F support was just verified at runtime.
-                return unsafe { rows_dot_acc_avx512(self, s, out) };
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 support was just verified at runtime.
-                return unsafe { rows_dot_acc_avx2(self, s, out) };
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            // SAFETY: NEON support was just verified at runtime.
-            return unsafe { rows_dot_acc_neon(self, s, out) };
-        }
-        rows_dot_acc_body(self, s, out)
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -475,7 +505,7 @@ impl Matrix {
         Some(
             self.data
                 .iter()
-                .zip(&other.data)
+                .zip(other.data.iter())
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0f32, f32::max),
         )
@@ -484,363 +514,224 @@ impl Matrix {
 
 /// Row grain for a data-parallel stage of `work` multiply-adds (or element
 /// visits): `1` — farm rows out to the pool — once the stage is big enough
-/// to repay a pool dispatch (~10 µs at two threads), else `usize::MAX` —
-/// run inline. A pure function of the shapes, never the thread count, and
-/// every stage it gates computes rows independently, so it moves speed
-/// only.
+/// to repay a pool dispatch, else `usize::MAX` — run inline. A pure
+/// function of the shapes, never the thread count, and every stage it
+/// gates computes rows independently, so it moves speed only.
+///
+/// The threshold is the two measured numbers it trades off, multiplied. A
+/// dispatch at two threads costs ≈ 4 µs while the pool's workers are still
+/// polling for work and ≈ 10 µs once they have parked (`pool_dispatch` in
+/// `BENCH_KERNELS.json` is the median of back-to-back dispatches); the GEMM
+/// runs ≈ 55 G multiply-adds/s on one core (the `gemm_*` rows: 100–130
+/// GFLOP/s); and splitting a stage over two threads saves half its serial
+/// time. A stage therefore breaks even between 2 × 4 µs × 55 G/s = 0.45 M
+/// and 2 × 10 µs × 55 G/s = 1.1 M multiply-adds, and measured, the
+/// 132 × 96 × 32 K|V projection (0.4 M, 6.4 µs) gains nothing from the pool
+/// while 132 × 96 × 96 (1.2 M, 17 µs) gains 6 µs. All of this is from runs
+/// in which the worker took its share of the blocks; a `batctl bench` run
+/// whose `pool_dispatch` reads under 1 µs is one in which it took none
+/// (EXPERIMENTS.md, PR 17, has the two states), and its two-thread rows say
+/// nothing about the threshold.
 #[inline]
 pub(crate) fn par_grain(work: usize) -> usize {
-    const PAR_MACS: usize = 32 * 1024;
-    if work >= PAR_MACS {
+    if stage_is_pooled(work) {
         1
     } else {
         usize::MAX
     }
 }
 
-/// `out[c] += Σ_k coeffs[k] · rhs[k][c]`: the shared axpy inner kernel of
-/// [`Matrix::matmul`] and [`Matrix::vecmul`]. Four input rows are folded
-/// into the accumulator per pass with no per-element zero test (the seed's
-/// skip branch mispredicts on dense data and defeats pipelining); the adds
-/// per output column are left-to-right, identical association to
-/// accumulating the rows one at a time, so results match the naive loop
-/// bit-for-bit on inputs without `-0.0` rows.
+/// Whether a stage of `work` multiply-adds (or element visits) is farmed out
+/// to the pool — `par_grain`'s threshold. Public so that a test comparing
+/// thread counts can assert its shapes reach the pool at all: below the
+/// threshold every width runs the same inline code and the comparison says
+/// nothing.
+#[inline]
+pub fn stage_is_pooled(work: usize) -> bool {
+    const PAR_MACS: usize = 1 << 20;
+    work >= PAR_MACS
+}
+
+/// Rows per register tile of the GEMM microkernel.
+const TILE_ROWS: usize = 4;
+
+tiered! {
+    /// `out = a × rhs` for the `out.len() / rhs.cols` rows of `a` (row-major
+    /// with stride `lda`, of which the first `rhs.rows` columns are read):
+    /// [`gemm_body`] over a 4 × 64 tile on AVX-512 and a 4 × 16 tile
+    /// elsewhere.
+    fn gemm(a: &[f32], lda: usize, rhs: &Matrix, out: &mut [f32]) = gemm_wide, gemm_narrow
+}
+
+/// Sixteen 16-lane accumulators of AVX-512's thirty-two registers.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[inline(always)]
+fn gemm_wide(a: &[f32], lda: usize, rhs: &Matrix, out: &mut [f32]) {
+    gemm_body::<64, 32, 16>(a, lda, rhs, out)
+}
+
+/// Eight 8-lane accumulators of AVX2's sixteen registers (sixteen 4-lane
+/// ones of NEON's thirty-two).
+#[inline(always)]
+fn gemm_narrow(a: &[f32], lda: usize, rhs: &Matrix, out: &mut [f32]) {
+    gemm_body::<16, 8, 4>(a, lda, rhs, out)
+}
+
+/// The register-blocked GEMM: the output is cut into tiles of
+/// [`TILE_ROWS`] rows × `W0` columns (then one column tile each of `W1` and
+/// `W2`, then single columns; leftover rows one at a time), and a tile's
+/// accumulators stay in registers for the whole `k` loop — each step loads
+/// one `rhs` row segment and one scalar per tile row, and issues one fused
+/// multiply-add per accumulator; the tile is stored once at the end.
+/// Column tiles are the outer loop, so the `rhs` panel a tile column reads
+/// (`k × W0` floats) stays in cache across the row tiles.
 ///
-/// Dispatches to the widest SIMD-compiled copy of the same body the
-/// running CPU supports — AVX-512F, then AVX2 on x86-64 (whose baseline is
-/// SSE2, i.e. 4-wide vectors), NEON on aarch64. Every copy performs the
-/// *same* multiplies and adds in the same order — no FMA contraction, no
-/// reassociation — so the dispatch affects speed only and results stay
-/// bit-identical across CPUs and architectures.
-#[inline]
-fn fold_rows_into(out: &mut [f32], coeffs: &[f32], rhs: &Matrix) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: AVX-512F support was just verified at runtime.
-            return unsafe { fold_rows_into_avx512(out, coeffs, rhs) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            return unsafe { fold_rows_into_avx2(out, coeffs, rhs) };
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: NEON support was just verified at runtime.
-        return unsafe { fold_rows_into_neon(out, coeffs, rhs) };
-    }
-    fold_rows_into_body(out, coeffs, rhs)
-}
-
-/// The [`fold_rows_into`] body compiled with AVX-512F enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn fold_rows_into_avx512(out: &mut [f32], coeffs: &[f32], rhs: &Matrix) {
-    fold_rows_into_body(out, coeffs, rhs)
-}
-
-/// The [`fold_rows_into`] body compiled with NEON enabled (aarch64).
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn fold_rows_into_neon(out: &mut [f32], coeffs: &[f32], rhs: &Matrix) {
-    fold_rows_into_body(out, coeffs, rhs)
-}
-
-/// The [`fold_rows_into`] body compiled with AVX2 enabled. `#[inline
-/// (always)]` on the body guarantees it is cloned into this function (a
-/// non-inlined call would be codegen'd at the crate's SSE2 baseline and
-/// the wider registers would never materialize).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn fold_rows_into_avx2(out: &mut [f32], coeffs: &[f32], rhs: &Matrix) {
-    fold_rows_into_body(out, coeffs, rhs)
-}
-
+/// Every output element is the chain `acc = fma(a[r][k], b[k][c], acc)` from
+/// `0.0` in ascending `k` whatever tile it falls in, so the tile shape — a
+/// per-tier choice — and a row's position among the rows move speed only.
 #[inline(always)]
-fn fold_rows_into_body(out: &mut [f32], coeffs: &[f32], rhs: &Matrix) {
-    let cols = rhs.cols;
-    let out = &mut out[..cols];
-    let mut k = 0;
-    // Eight rows per pass: each output load/store is amortized over eight
-    // multiply-adds (the fold is load-port-bound, so fewer accumulator
-    // round-trips per MAC is the lever). The sum per output column is
-    // still evaluated left-to-right, identical association to folding the
-    // rows one at a time, so shrinking or growing the fold width never
-    // changes a single bit.
-    while k + 8 <= coeffs.len() {
-        let (a0, a1, a2, a3) = (coeffs[k], coeffs[k + 1], coeffs[k + 2], coeffs[k + 3]);
-        let (a4, a5, a6, a7) = (coeffs[k + 4], coeffs[k + 5], coeffs[k + 6], coeffs[k + 7]);
-        let r0 = &rhs.row(k)[..cols];
-        let r1 = &rhs.row(k + 1)[..cols];
-        let r2 = &rhs.row(k + 2)[..cols];
-        let r3 = &rhs.row(k + 3)[..cols];
-        let r4 = &rhs.row(k + 4)[..cols];
-        let r5 = &rhs.row(k + 5)[..cols];
-        let r6 = &rhs.row(k + 6)[..cols];
-        let r7 = &rhs.row(k + 7)[..cols];
-        for c in 0..cols {
-            out[c] = out[c]
-                + a0 * r0[c]
-                + a1 * r1[c]
-                + a2 * r2[c]
-                + a3 * r3[c]
-                + a4 * r4[c]
-                + a5 * r5[c]
-                + a6 * r6[c]
-                + a7 * r7[c];
-        }
-        k += 8;
+fn gemm_body<const W0: usize, const W1: usize, const W2: usize>(
+    a: &[f32],
+    lda: usize,
+    rhs: &Matrix,
+    out: &mut [f32],
+) {
+    let m = rhs.cols;
+    let mut c0 = 0;
+    while c0 + W0 <= m {
+        gemm_tile_column::<W0>(a, lda, rhs, c0, out);
+        c0 += W0;
     }
-    while k + 4 <= coeffs.len() {
-        let (a0, a1, a2, a3) = (coeffs[k], coeffs[k + 1], coeffs[k + 2], coeffs[k + 3]);
-        let r0 = &rhs.row(k)[..cols];
-        let r1 = &rhs.row(k + 1)[..cols];
-        let r2 = &rhs.row(k + 2)[..cols];
-        let r3 = &rhs.row(k + 3)[..cols];
-        for c in 0..cols {
-            out[c] = out[c] + a0 * r0[c] + a1 * r1[c] + a2 * r2[c] + a3 * r3[c];
-        }
-        k += 4;
+    if c0 + W1 <= m {
+        gemm_tile_column::<W1>(a, lda, rhs, c0, out);
+        c0 += W1;
     }
-    while k < coeffs.len() {
-        let a = coeffs[k];
-        for (o, &b) in out.iter_mut().zip(rhs.row(k)) {
-            *o += a * b;
-        }
-        k += 1;
+    if c0 + W2 <= m {
+        gemm_tile_column::<W2>(a, lda, rhs, c0, out);
+        c0 += W2;
+    }
+    while c0 < m {
+        gemm_tile_column::<1>(a, lda, rhs, c0, out);
+        c0 += 1;
     }
 }
 
-/// Folds `rhs` into **four** contiguous output rows in one pass:
-/// `out4[r][c] += Σ_k coeffs[r][k] · rhs[k][c]` for `r in 0..4`, where
-/// `out4` is four back-to-back rows of `rhs.cols` elements. Every rhs row
-/// loaded is applied to all four outputs, so the streamed operand's cache
-/// traffic is a quarter of running [`fold_rows_into`] four times — the
-/// lever for large matmuls whose rhs lives in L2 while four output rows
-/// stay L1-resident. Each output column's sum is still evaluated
-/// left-to-right over `k`, the same association as the single-row fold,
-/// so a row produces identical bits through either kernel.
-#[inline]
-fn fold_rows_into_x4(out4: &mut [f32], coeffs: [&[f32]; 4], rhs: &Matrix) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: AVX-512F support was just verified at runtime.
-            return unsafe { fold_rows_into_x4_avx512(out4, coeffs, rhs) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            return unsafe { fold_rows_into_x4_avx2(out4, coeffs, rhs) };
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: NEON support was just verified at runtime.
-        return unsafe { fold_rows_into_x4_neon(out4, coeffs, rhs) };
-    }
-    fold_rows_into_x4_body(out4, coeffs, rhs)
-}
-
-/// [`fold_rows_into_x4`]'s body compiled with AVX-512F enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn fold_rows_into_x4_avx512(out4: &mut [f32], coeffs: [&[f32]; 4], rhs: &Matrix) {
-    fold_rows_into_x4_body(out4, coeffs, rhs)
-}
-
-/// [`fold_rows_into_x4`]'s body compiled with NEON enabled (aarch64).
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn fold_rows_into_x4_neon(out4: &mut [f32], coeffs: [&[f32]; 4], rhs: &Matrix) {
-    fold_rows_into_x4_body(out4, coeffs, rhs)
-}
-
-/// [`fold_rows_into_x4`]'s body compiled with AVX2 enabled (see
-/// [`fold_rows_into_avx2`] for why the body must be `#[inline(always)]`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn fold_rows_into_x4_avx2(out4: &mut [f32], coeffs: [&[f32]; 4], rhs: &Matrix) {
-    fold_rows_into_x4_body(out4, coeffs, rhs)
-}
-
+/// Columns `c0..c0 + W` of every output row.
 #[inline(always)]
-fn fold_rows_into_x4_body(out4: &mut [f32], coeffs: [&[f32]; 4], rhs: &Matrix) {
-    let cols = rhs.cols;
-    let klen = coeffs[0].len();
-    let [c0, c1, c2, c3] = coeffs;
-    let (o01, o23) = out4[..4 * cols].split_at_mut(2 * cols);
-    let (o0, o1) = o01.split_at_mut(cols);
-    let (o2, o3) = o23.split_at_mut(cols);
-    let mut k = 0;
-    // Two rhs rows per pass: 4 accumulator vectors + 2 rhs vectors + 8
-    // broadcast scalars stays inside the 16 ymm registers; deeper k would
-    // spill. Adds per output column are left-to-right, so pass depth never
-    // changes a bit.
-    while k + 2 <= klen {
-        let r0 = &rhs.row(k)[..cols];
-        let r1 = &rhs.row(k + 1)[..cols];
-        let (a00, a01) = (c0[k], c0[k + 1]);
-        let (a10, a11) = (c1[k], c1[k + 1]);
-        let (a20, a21) = (c2[k], c2[k + 1]);
-        let (a30, a31) = (c3[k], c3[k + 1]);
-        for c in 0..cols {
-            let b0 = r0[c];
-            let b1 = r1[c];
-            o0[c] = o0[c] + a00 * b0 + a01 * b1;
-            o1[c] = o1[c] + a10 * b0 + a11 * b1;
-            o2[c] = o2[c] + a20 * b0 + a21 * b1;
-            o3[c] = o3[c] + a30 * b0 + a31 * b1;
-        }
-        k += 2;
+fn gemm_tile_column<const W: usize>(
+    a: &[f32],
+    lda: usize,
+    rhs: &Matrix,
+    c0: usize,
+    out: &mut [f32],
+) {
+    let m = rhs.cols;
+    let n = out.len() / m;
+    let mut r = 0;
+    while r + TILE_ROWS <= n {
+        gemm_tile::<TILE_ROWS, W>(&a[r * lda..], lda, rhs, c0, &mut out[r * m..]);
+        r += TILE_ROWS;
     }
-    if k < klen {
-        let r0 = &rhs.row(k)[..cols];
-        let (a0, a1, a2, a3) = (c0[k], c1[k], c2[k], c3[k]);
-        for c in 0..cols {
-            let b0 = r0[c];
-            o0[c] += a0 * b0;
-            o1[c] += a1 * b0;
-            o2[c] += a2 * b0;
-            o3[c] += a3 * b0;
-        }
+    while r < n {
+        gemm_tile::<1, W>(&a[r * lda..], lda, rhs, c0, &mut out[r * m..]);
+        r += 1;
     }
 }
 
-/// [`Matrix::rows_dot_acc`]'s body compiled with AVX2 enabled (see
-/// [`fold_rows_into_avx2`] for why the body must be `#[inline(always)]`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn rows_dot_acc_avx2(m: &Matrix, s: &[f32], out: &mut [f32]) {
-    rows_dot_acc_body(m, s, out)
-}
-
-/// [`Matrix::rows_dot_acc`]'s body compiled with AVX-512F enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn rows_dot_acc_avx512(m: &Matrix, s: &[f32], out: &mut [f32]) {
-    rows_dot_acc_body(m, s, out)
-}
-
-/// [`Matrix::rows_dot_acc`]'s body compiled with NEON enabled (aarch64).
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn rows_dot_acc_neon(m: &Matrix, s: &[f32], out: &mut [f32]) {
-    rows_dot_acc_body(m, s, out)
-}
-
+/// One `R × W` register tile: rows `0..R` of `a` (stride `lda`) against
+/// columns `c0..c0 + W` of `rhs`, into rows `0..R` of `out` (stride
+/// `rhs.cols`).
 #[inline(always)]
-fn rows_dot_acc_body(m: &Matrix, s: &[f32], out: &mut [f32]) {
-    let n = s.len();
-    let main = n / LANES * LANES;
-    let mut c = 0;
-    while c + 4 <= out.len() {
-        let r0 = &m.row(c)[..n];
-        let r1 = &m.row(c + 1)[..n];
-        let r2 = &m.row(c + 2)[..n];
-        let r3 = &m.row(c + 3)[..n];
-        let mut a0 = [0.0f32; LANES];
-        let mut a1 = [0.0f32; LANES];
-        let mut a2 = [0.0f32; LANES];
-        let mut a3 = [0.0f32; LANES];
-        for i in (0..main).step_by(LANES) {
-            let ps: &[f32; LANES] = s[i..i + LANES].try_into().unwrap();
-            let p0: &[f32; LANES] = r0[i..i + LANES].try_into().unwrap();
-            let p1: &[f32; LANES] = r1[i..i + LANES].try_into().unwrap();
-            let p2: &[f32; LANES] = r2[i..i + LANES].try_into().unwrap();
-            let p3: &[f32; LANES] = r3[i..i + LANES].try_into().unwrap();
-            for l in 0..LANES {
-                a0[l] += ps[l] * p0[l];
-                a1[l] += ps[l] * p1[l];
-                a2[l] += ps[l] * p2[l];
-                a3[l] += ps[l] * p3[l];
+fn gemm_tile<const R: usize, const W: usize>(
+    a: &[f32],
+    lda: usize,
+    rhs: &Matrix,
+    c0: usize,
+    out: &mut [f32],
+) {
+    let (k, m) = (rhs.rows, rhs.cols);
+    let b: &[f32] = &rhs.data;
+    let mut rows: [&[f32]; R] = [&[]; R];
+    for (r, row) in rows.iter_mut().enumerate() {
+        *row = &a[r * lda..][..k];
+    }
+    let mut acc = [[0.0f32; W]; R];
+    for kk in 0..k {
+        // By value: the segment is loaded once per step and shared by the
+        // tile's rows (through a reference the compiler re-reads it from
+        // memory in every multiply-add, and the loads become the limit).
+        let b_seg: [f32; W] = b[kk * m + c0..][..W].try_into().expect("a W-long slice");
+        for r in 0..R {
+            let a_rk = rows[r][kk];
+            for c in 0..W {
+                acc[r][c] = a_rk.mul_add(b_seg[c], acc[r][c]);
             }
         }
-        let st = &s[main..];
-        out[c] += fold_lanes(a0, st, &r0[main..]);
-        out[c + 1] += fold_lanes(a1, st, &r1[main..]);
-        out[c + 2] += fold_lanes(a2, st, &r2[main..]);
-        out[c + 3] += fold_lanes(a3, st, &r3[main..]);
-        c += 4;
     }
-    while c < out.len() {
-        out[c] += dot_unrolled_body(s, &m.row(c)[..n]);
-        c += 1;
+    for (r, acc) in acc.iter().enumerate() {
+        out[r * m + c0..][..W].copy_from_slice(acc);
     }
 }
 
-/// SIMD lane width of the dot kernels. Eight independent f32 accumulator
-/// lanes map onto one AVX/NEON-pair vector register, and because each lane
-/// is its own addition chain the compiler can vectorize the loop without
-/// reassociating any sum.
-pub(crate) const LANES: usize = 8;
+/// Lane count of the dot kernels: sixteen independent f32 accumulator
+/// lanes — one AVX-512 register, two AVX2 ones, four NEON ones. Each lane
+/// is its own chain of fused multiply-adds, so the compiler vectorizes the
+/// loop without reassociating any sum.
+pub(crate) const LANES: usize = 16;
 
-/// Fixed-order horizontal reduction of the lane accumulators plus the
-/// ascending scalar tail — a pure function of the length, so every dot
-/// kernel below is deterministic regardless of where it runs.
-#[inline]
+/// Fixed-order horizontal reduction of the lane accumulators — a halving
+/// tree, `lane[l] += lane[l + width]` for widths 8, 4, 2, 1 — then the
+/// ascending tail, `sum = fma(a, b, sum)`: a pure function of the length,
+/// so every dot kernel below is deterministic regardless of where it runs.
+#[inline(always)]
 pub(crate) fn fold_lanes(acc: [f32; LANES], a_tail: &[f32], b_tail: &[f32]) -> f32 {
-    let mut sum = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+    fold_tail(halve(acc), a_tail, b_tail)
+}
+
+/// The halving tree of [`fold_lanes`] on its own (the softmax sums its
+/// weights through it).
+#[inline(always)]
+pub(crate) fn halve(mut acc: [f32; LANES]) -> f32 {
+    let mut width = LANES / 2;
+    while width > 0 {
+        for l in 0..width {
+            acc[l] += acc[l + width];
+        }
+        width /= 2;
+    }
+    acc[0]
+}
+
+#[inline(always)]
+fn fold_tail(mut sum: f32, a_tail: &[f32], b_tail: &[f32]) -> f32 {
     for (x, y) in a_tail.iter().zip(b_tail) {
-        sum += x * y;
+        sum = x.mul_add(*y, sum);
     }
     sum
 }
 
-/// Lane-accumulated dot product (vectorizable, deterministic). Dispatches
-/// to an AVX2 copy of the same body on capable CPUs — identical arithmetic
-/// in identical order, so the result is bit-identical either way. Exposed
-/// to `bat-model` (as `ops::dot_fast`) for the attention value
-/// accumulation, where the strict serial chain of [`crate::ops::dot`]
-/// cannot vectorize.
-#[inline]
-pub(crate) fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
-    // Below ~4 chunks the wide clones' call overhead outweighs their
-    // registers; the inlined baseline body is the same arithmetic in the
-    // same order, so the cutoff never changes a result bit.
-    #[cfg(target_arch = "x86_64")]
-    if a.len() >= 4 * LANES {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: AVX-512F support was just verified at runtime.
-            return unsafe { dot_unrolled_avx512(a, b) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            return unsafe { dot_unrolled_avx2(a, b) };
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    if a.len() >= 4 * LANES && std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: NEON support was just verified at runtime.
-        return unsafe { dot_unrolled_neon(a, b) };
-    }
-    dot_unrolled_body(a, b)
+/// [`halve`] behind a call, for a kernel whose accumulators are a single
+/// loop-carried array (the dots below): inlined, the vectorizer works
+/// backwards from the tree and regroups the accumulators into eight 2-lane
+/// vectors; behind a call they stay one sixteen-lane vector and the loop
+/// adds chunks to it as loaded. Additions only, so it needs no SIMD tier of
+/// its own to round the same.
+#[inline(never)]
+fn halve_out_of_line(acc: &[f32; LANES]) -> f32 {
+    halve(*acc)
 }
 
-/// [`dot_unrolled`]'s body compiled with AVX-512F enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn dot_unrolled_avx512(a: &[f32], b: &[f32]) -> f32 {
-    dot_unrolled_body(a, b)
-}
-
-/// [`dot_unrolled`]'s body compiled with NEON enabled (aarch64).
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn dot_unrolled_neon(a: &[f32], b: &[f32]) -> f32 {
-    dot_unrolled_body(a, b)
-}
-
-/// [`dot_unrolled`]'s body compiled with AVX2 enabled (see
-/// [`fold_rows_into_avx2`] for why the body must be `#[inline(always)]`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_unrolled_avx2(a: &[f32], b: &[f32]) -> f32 {
-    dot_unrolled_body(a, b)
+tiered! {
+    /// Lane-accumulated dot product (vectorizable, deterministic): lane
+    /// `i % LANES` takes `acc = fma(a[i], b[i], acc)` over the whole
+    /// [`LANES`]-chunks, then [`fold_lanes`]. Exposed to `bat-model` (as
+    /// `ops::dot_fast`) where the strict serial chain of [`crate::ops::dot`]
+    /// cannot vectorize.
+    pub(crate) fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 = dot_unrolled_body
 }
 
 #[inline(always)]
-fn dot_unrolled_body(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn dot_unrolled_body(a: &[f32], b: &[f32]) -> f32 {
     let mut acc = [0.0f32; LANES];
     let mut ca = a.chunks_exact(LANES);
     let mut cb = b.chunks_exact(LANES);
@@ -848,60 +739,19 @@ fn dot_unrolled_body(a: &[f32], b: &[f32]) -> f32 {
         let pa: &[f32; LANES] = pa.try_into().unwrap();
         let pb: &[f32; LANES] = pb.try_into().unwrap();
         for l in 0..LANES {
-            acc[l] += pa[l] * pb[l];
+            acc[l] = pa[l].mul_add(pb[l], acc[l]);
         }
     }
-    fold_lanes(acc, ca.remainder(), cb.remainder())
+    fold_tail(halve_out_of_line(&acc), ca.remainder(), cb.remainder())
 }
 
-/// Two lane-accumulated dot products of `a` against `b0`/`b1` in one pass:
-/// the register-blocked heart of [`Matrix::matmul_nt`]. Sharing each `a`
-/// chunk across two packed rows halves the load traffic per multiply; two
-/// blocks (4 lane arrays + 3 operand chunks) is as far as blocking goes
-/// before the accumulators spill out of a 16-register SIMD file. Each
-/// output reduces in exactly [`fold_lanes`] order, so the result is
-/// bit-identical to two separate [`dot_unrolled`] calls.
-#[inline]
-fn dot_unrolled_x2(a: &[f32], b0: &[f32], b1: &[f32]) -> [f32; 2] {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: AVX-512F support was just verified at runtime.
-            return unsafe { dot_unrolled_x2_avx512(a, b0, b1) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            return unsafe { dot_unrolled_x2_avx2(a, b0, b1) };
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: NEON support was just verified at runtime.
-        return unsafe { dot_unrolled_x2_neon(a, b0, b1) };
-    }
-    dot_unrolled_x2_body(a, b0, b1)
-}
-
-/// [`dot_unrolled_x2`]'s body compiled with AVX-512F enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn dot_unrolled_x2_avx512(a: &[f32], b0: &[f32], b1: &[f32]) -> [f32; 2] {
-    dot_unrolled_x2_body(a, b0, b1)
-}
-
-/// [`dot_unrolled_x2`]'s body compiled with NEON enabled (aarch64).
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn dot_unrolled_x2_neon(a: &[f32], b0: &[f32], b1: &[f32]) -> [f32; 2] {
-    dot_unrolled_x2_body(a, b0, b1)
-}
-
-/// [`dot_unrolled_x2`]'s body compiled with AVX2 enabled (see
-/// [`fold_rows_into_avx2`] for why the body must be `#[inline(always)]`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_unrolled_x2_avx2(a: &[f32], b0: &[f32], b1: &[f32]) -> [f32; 2] {
-    dot_unrolled_x2_body(a, b0, b1)
+tiered! {
+    /// Two lane-accumulated dot products of `a` against `b0`/`b1` in one
+    /// pass: the register-blocked heart of [`Matrix::matmul_nt`]. Sharing
+    /// each `a` chunk across two packed rows halves the load traffic per
+    /// multiply. Each output reduces in exactly [`fold_lanes`] order, so the
+    /// result is bit-identical to two separate [`dot_unrolled`] calls.
+    fn dot_unrolled_x2(a: &[f32], b0: &[f32], b1: &[f32]) -> [f32; 2] = dot_unrolled_x2_body
 }
 
 #[inline(always)]
@@ -919,14 +769,14 @@ fn dot_unrolled_x2_body(a: &[f32], b0: &[f32], b1: &[f32]) -> [f32; 2] {
         let p0: &[f32; LANES] = b0[i..i + LANES].try_into().unwrap();
         let p1: &[f32; LANES] = b1[i..i + LANES].try_into().unwrap();
         for l in 0..LANES {
-            acc0[l] += pa[l] * p0[l];
-            acc1[l] += pa[l] * p1[l];
+            acc0[l] = pa[l].mul_add(p0[l], acc0[l]);
+            acc1[l] = pa[l].mul_add(p1[l], acc1[l]);
         }
     }
     let at = &a[main..];
     [
-        fold_lanes(acc0, at, &b0[main..]),
-        fold_lanes(acc1, at, &b1[main..]),
+        fold_tail(halve_out_of_line(&acc0), at, &b0[main..]),
+        fold_tail(halve_out_of_line(&acc1), at, &b1[main..]),
     ]
 }
 
@@ -934,7 +784,26 @@ fn dot_unrolled_x2_body(a: &[f32], b0: &[f32], b1: &[f32]) -> [f32; 2] {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::{rngs::SmallRng, SeedableRng};
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn storage_is_cache_line_aligned_and_survives_reshapes() {
+        let mut m = Matrix::zeros(3, 5);
+        assert_eq!(m.as_slice().as_ptr() as usize % 64, 0);
+        m.reset(40, 40);
+        assert_eq!(m.as_slice().as_ptr() as usize % 64, 0);
+        assert!(m.is_zero());
+        m.set(39, 39, 1.0);
+        m.reset(2, 2);
+        assert_eq!(m.as_slice(), &[0.0; 4]);
+        let c = m.clone();
+        assert_eq!(c.as_slice().as_ptr() as usize % 64, 0);
+        assert_eq!(c, m);
+    }
 
     #[test]
     fn identity_is_neutral() {
@@ -951,15 +820,24 @@ mod tests {
     }
 
     #[test]
-    fn vecmul_matches_matmul() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let w = Matrix::random(5, 3, 1.0, &mut rng);
-        let v = vec![0.3, -0.2, 1.0, 0.5, -0.7];
-        let via_mat = Matrix::from_vec(1, 5, v.clone()).matmul(&w);
-        let via_vec = w.vecmul(&v);
-        for (a, b) in via_mat.row(0).iter().zip(&via_vec) {
-            assert!((a - b).abs() < 1e-6);
-        }
+    fn leading_columns_product_bit_matches_the_product_of_a_copy() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let wide = Matrix::random(9, 31, 1.0, &mut rng);
+        let b = Matrix::random(13, 21, 1.0, &mut rng);
+        let rows: Vec<&[f32]> = (0..9).map(|r| &wide.row(r)[..13]).collect();
+        let mut got = Matrix::zeros(0, 0);
+        wide.matmul_leading_cols_into(&b, &mut got);
+        assert_eq!(
+            bits(got.as_slice()),
+            bits(Matrix::from_rows(&rows).matmul(&b).as_slice())
+        );
+    }
+
+    #[test]
+    fn empty_inner_dimension_gives_zeros() {
+        let mut out = Matrix::from_rows(&[&[7.0, 7.0], &[7.0, 7.0]]);
+        Matrix::zeros(2, 0).matmul_into(&Matrix::zeros(0, 2), &mut out);
+        assert_eq!(out, Matrix::zeros(2, 2));
     }
 
     #[test]
@@ -988,20 +866,60 @@ mod tests {
     #[test]
     fn matmul_is_bit_identical_across_thread_counts() {
         let mut rng = SmallRng::seed_from_u64(7);
-        // Big enough to clear the parallel threshold (96³ ≈ 885k MACs).
-        let a = Matrix::random(96, 96, 1.0, &mut rng);
-        let b = Matrix::random(96, 96, 1.0, &mut rng);
+        // Big enough to clear the parallel threshold (130 · 96 · 112 ≈ 1.4 M
+        // MACs), with rows and columns that leave ragged tiles.
+        let a = Matrix::random(130, 96, 1.0, &mut rng);
+        let b = Matrix::random(96, 112, 1.0, &mut rng);
+        assert!(stage_is_pooled(130 * 96 * 112));
         bat_exec::set_threads(1);
         let gold = a.matmul(&b);
         for t in [2, 4, 8] {
             bat_exec::set_threads(t);
             let got = a.matmul(&b);
-            assert!(
-                gold.as_slice()
-                    .iter()
-                    .zip(got.as_slice())
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+            assert_eq!(
+                bits(gold.as_slice()),
+                bits(got.as_slice()),
                 "{t} threads diverged from serial"
+            );
+        }
+        bat_exec::set_threads(1);
+    }
+
+    /// The two row maps hand every row to exactly one task under its own
+    /// index, on a matrix big enough that they do go through the pool.
+    #[test]
+    fn row_maps_are_bit_identical_across_thread_counts() {
+        let (rows, cols) = (1030, 1024);
+        assert!(stage_is_pooled(rows * cols));
+        let mut rng = SmallRng::seed_from_u64(11);
+        let src = Matrix::random(rows, cols, 1.0, &mut rng);
+        let map = |t: usize, row: &mut [f32]| {
+            for (c, x) in row.iter_mut().enumerate() {
+                *x = x.mul_add(t as f32, c as f32);
+            }
+        };
+        let mut gold = src.clone();
+        for t in 0..rows {
+            map(t, gold.row_mut(t));
+        }
+        let weights: Vec<u64> = (0..rows as u64).map(|r| 1 + r % 7).collect();
+        for t in [1, 2, 4, 8] {
+            bat_exec::set_threads(t);
+            let mut by_row = src.clone();
+            by_row.par_rows_mut(map);
+            assert!(
+                bits(by_row.as_slice()) == bits(gold.as_slice()),
+                "par_rows_mut @ {t} threads"
+            );
+            let mut by_block = src.clone();
+            by_block.par_row_blocks_mut_weighted(&weights, |first_row, block| {
+                for (off, row) in block.chunks_exact_mut(cols).enumerate() {
+                    map(first_row + off, row);
+                }
+            });
+            assert!(
+                bits(by_block.as_slice()) == bits(gold.as_slice()),
+                "par_row_blocks_mut_weighted @ {t} threads"
             );
         }
         bat_exec::set_threads(1);
@@ -1010,8 +928,8 @@ mod tests {
     #[test]
     fn matmul_nt_agrees_with_matmul_of_the_transpose() {
         let mut rng = SmallRng::seed_from_u64(11);
-        // Small product: the dot-form kernel, vs matmul's axpy form —
-        // different (each fixed) associations, so compare with tolerance.
+        // Small product: the dot-form kernel, vs matmul's chain per element
+        // — different (each fixed) associations, so compare with tolerance.
         let a = Matrix::random(9, 17, 1.0, &mut rng);
         let b = Matrix::random(13, 17, 1.0, &mut rng);
         let diff = a.matmul_nt(&b).max_abs_diff(&a.matmul(&b.transpose()));
@@ -1031,169 +949,34 @@ mod tests {
         let _ = a.matmul_nt(&b);
     }
 
-    /// The AVX2-dispatched kernels must be bit-identical to the baseline
-    /// bodies: the wider registers change speed, never arithmetic. This
-    /// guards against a toolchain someday enabling FMA contraction (which
-    /// would silently change results between CPUs).
+    /// Every SIMD tier this CPU has runs the same arithmetic as the
+    /// portable body — each a different register tile of the same
+    /// per-element chain of fused multiply-adds (the dispatchers only ever
+    /// pick the widest tier, so the others need this pin of their own).
+    /// Shapes leave every kind of ragged tile: 61 columns = 32 + 16 + 13
+    /// singles on AVX-512, 29 rows = 7 tiles + 1.
     #[test]
-    fn simd_dispatch_is_bit_identical_to_baseline() {
-        let mut rng = SmallRng::seed_from_u64(23);
-        let w = Matrix::random(37, 53, 1.0, &mut rng);
-        let v: Vec<f32> = (0..37).map(|i| (i as f32 * 0.73).sin()).collect();
-        let mut dispatched = vec![0.0f32; 53];
-        fold_rows_into(&mut dispatched, &v, &w);
-        let mut baseline = vec![0.0f32; 53];
-        fold_rows_into_body(&mut baseline, &v, &w);
-        assert!(dispatched
-            .iter()
-            .zip(&baseline)
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
-
-        let a: Vec<f32> = (0..61).map(|i| (i as f32 * 0.31).cos()).collect();
-        let b: Vec<f32> = (0..61).map(|i| (i as f32 * 0.17).sin()).collect();
-        assert_eq!(
-            dot_unrolled(&a, &b).to_bits(),
-            dot_unrolled_body(&a, &b).to_bits()
-        );
-        let c: Vec<f32> = (0..61).map(|i| (i as f32 * 0.11).cos()).collect();
-        let x2 = dot_unrolled_x2(&a, &b, &c);
-        let x2b = dot_unrolled_x2_body(&a, &b, &c);
-        assert_eq!(x2[0].to_bits(), x2b[0].to_bits());
-        assert_eq!(x2[1].to_bits(), x2b[1].to_bits());
-
-        let cf: Vec<Vec<f32>> = (0..4)
-            .map(|r| {
-                (0..37)
-                    .map(|i| ((r * 37 + i) as f32 * 0.41).sin())
-                    .collect()
-            })
-            .collect();
-        let coeffs = [&cf[0][..], &cf[1][..], &cf[2][..], &cf[3][..]];
-        let mut disp4 = vec![0.25f32; 4 * 53];
-        fold_rows_into_x4(&mut disp4, coeffs, &w);
-        let mut base4 = vec![0.25f32; 4 * 53];
-        fold_rows_into_x4_body(&mut base4, coeffs, &w);
-        assert!(disp4
-            .iter()
-            .zip(&base4)
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
-    }
-
-    /// Pins each per-architecture clone against the baseline body
-    /// *directly*: the public dispatchers prefer the widest tier the host
-    /// has, so on an AVX-512 machine the AVX2 clones would otherwise go
-    /// untested (and vice versa on older hosts). Every tier that exists on
-    /// this CPU must be bit-identical — the tier changes speed, never bits.
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn every_x86_tier_is_bit_identical_to_baseline() {
+    fn every_tier_is_bit_identical_to_baseline() {
         let mut rng = SmallRng::seed_from_u64(41);
-        let w = Matrix::random(29, 61, 1.0, &mut rng);
-        let v: Vec<f32> = (0..29).map(|i| (i as f32 * 0.61).sin()).collect();
-        let a: Vec<f32> = (0..77).map(|i| (i as f32 * 0.19).cos()).collect();
-        let b: Vec<f32> = (0..77).map(|i| (i as f32 * 0.43).sin()).collect();
-        let c: Vec<f32> = (0..77).map(|i| (i as f32 * 0.29).cos()).collect();
-        let cf: Vec<Vec<f32>> = (0..4)
-            .map(|r| {
-                (0..29)
-                    .map(|i| ((r * 29 + i) as f32 * 0.53).sin())
-                    .collect()
-            })
-            .collect();
-        let coeffs = [&cf[0][..], &cf[1][..], &cf[2][..], &cf[3][..]];
-
-        let mut fold_gold = vec![0.125f32; 61];
-        fold_rows_into_body(&mut fold_gold, &v, &w);
-        let dot_gold = dot_unrolled_body(&a, &b).to_bits();
-        let x2_gold = dot_unrolled_x2_body(&a, &b, &c);
-        let mut x4_gold = vec![0.5f32; 4 * 61];
-        fold_rows_into_x4_body(&mut x4_gold, coeffs, &w);
-        let mut acc_gold = vec![0.25f32; 8];
-        rows_dot_acc_body(&w.transpose(), &v[..20], &mut acc_gold);
-
-        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            let mut fold = vec![0.125f32; 61];
-            // SAFETY: AVX-512F support was just verified at runtime.
-            unsafe {
-                fold_rows_into_avx512(&mut fold, &v, &w);
-                assert_eq!(dot_unrolled_avx512(&a, &b).to_bits(), dot_gold);
-                let x2 = dot_unrolled_x2_avx512(&a, &b, &c);
-                assert_eq!(x2[0].to_bits(), x2_gold[0].to_bits());
-                assert_eq!(x2[1].to_bits(), x2_gold[1].to_bits());
-                let mut x4 = vec![0.5f32; 4 * 61];
-                fold_rows_into_x4_avx512(&mut x4, coeffs, &w);
-                assert_eq!(bits(&x4), bits(&x4_gold));
-                let mut acc = vec![0.25f32; 8];
-                rows_dot_acc_avx512(&w.transpose(), &v[..20], &mut acc);
-                assert_eq!(bits(&acc), bits(&acc_gold));
-            }
-            assert_eq!(bits(&fold), bits(&fold_gold), "avx512f fold");
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            let mut fold = vec![0.125f32; 61];
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe {
-                fold_rows_into_avx2(&mut fold, &v, &w);
-                assert_eq!(dot_unrolled_avx2(&a, &b).to_bits(), dot_gold);
-                let x2 = dot_unrolled_x2_avx2(&a, &b, &c);
-                assert_eq!(x2[0].to_bits(), x2_gold[0].to_bits());
-                assert_eq!(x2[1].to_bits(), x2_gold[1].to_bits());
-                let mut x4 = vec![0.5f32; 4 * 61];
-                fold_rows_into_x4_avx2(&mut x4, coeffs, &w);
-                assert_eq!(bits(&x4), bits(&x4_gold));
-                let mut acc = vec![0.25f32; 8];
-                rows_dot_acc_avx2(&w.transpose(), &v[..20], &mut acc);
-                assert_eq!(bits(&acc), bits(&acc_gold));
-            }
-            assert_eq!(bits(&fold), bits(&fold_gold), "avx2 fold");
-        }
-    }
-
-    /// The quad-row fold is the single-row fold applied to four rows: same
-    /// left-to-right association per output column, so identical bits —
-    /// which is what lets [`Matrix::matmul`] split a row block into quads
-    /// plus a single-row tail without the boundary position (a function of
-    /// the thread count) affecting results. Odd inner dimension exercises
-    /// the depth-1 remainder pass.
-    #[test]
-    fn fold_rows_into_x4_matches_single_row_folds() {
-        let mut rng = SmallRng::seed_from_u64(31);
-        for (k, cols) in [(96usize, 256usize), (17, 41)] {
-            let w = Matrix::random(k, cols, 1.0, &mut rng);
-            let cf: Vec<Vec<f32>> = (0..4)
-                .map(|r| (0..k).map(|i| ((r * k + i) as f32 * 0.23).cos()).collect())
-                .collect();
-            let mut quad = vec![0.5f32; 4 * cols];
-            fold_rows_into_x4(&mut quad, [&cf[0], &cf[1], &cf[2], &cf[3]], &w);
-            for r in 0..4 {
-                let mut single = vec![0.5f32; cols];
-                fold_rows_into(&mut single, &cf[r], &w);
-                assert!(
-                    quad[r * cols..(r + 1) * cols]
-                        .iter()
-                        .zip(&single)
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "row {r} of k={k} cols={cols}"
-                );
-            }
-        }
-    }
-
-    /// The blocked multi-dot accumulates exactly one [`dot_unrolled`] per
-    /// row (bit-identical: same per-row lane fold), over a column prefix.
-    #[test]
-    fn rows_dot_acc_matches_per_row_dots() {
-        let mut rng = SmallRng::seed_from_u64(29);
-        for (rows, cols, window, outs) in [(8usize, 250usize, 250usize, 8usize), (7, 64, 41, 5)] {
-            let m = Matrix::random(rows, cols, 1.0, &mut rng);
-            let s: Vec<f32> = (0..window).map(|i| (i as f32 * 0.19).sin()).collect();
-            let mut got = vec![0.5f32; outs];
-            m.rows_dot_acc(&s, &mut got);
-            for (c, g) in got.iter().enumerate() {
-                let want = 0.5 + dot_unrolled(&s, &m.row(c)[..window]);
-                assert_eq!(g.to_bits(), want.to_bits(), "row {c} of {rows}x{cols}");
-            }
+        let a = Matrix::random(29, 37, 1.0, &mut rng);
+        let w = Matrix::random(37, 61, 1.0, &mut rng);
+        let wide = Matrix::random(37, 150, 1.0, &mut rng);
+        let x: Vec<f32> = (0..77).map(|i| (i as f32 * 0.19).cos()).collect();
+        let y: Vec<f32> = (0..77).map(|i| (i as f32 * 0.43).sin()).collect();
+        let z: Vec<f32> = (0..77).map(|i| (i as f32 * 0.29).cos()).collect();
+        let run = |tier: Tier| {
+            let mut out = vec![f32::NAN; 29 * 61];
+            gemm(tier, a.as_slice(), 37, &w, &mut out);
+            let mut out_wide = vec![f32::NAN; 29 * 150];
+            gemm(tier, a.as_slice(), 37, &wide, &mut out_wide);
+            out.extend(out_wide);
+            out.push(dot_unrolled(tier, &x, &y));
+            out.extend(dot_unrolled_x2(tier, &x, &y, &z));
+            bits(&out)
+        };
+        let gold = run(Tier::SCALAR);
+        for tier in Tier::available() {
+            assert_eq!(run(tier), gold, "{}", tier.name());
         }
     }
 
@@ -1206,13 +989,69 @@ mod tests {
     }
 
     proptest! {
-        /// The packed/unrolled kernel agrees with the seed scalar kernel.
+        /// The product against an `f64` accumulation of the same operands:
+        /// every fused step rounds its running sum once, so an element is
+        /// within `k · 2⁻²⁴ · Σ|aᵢ·bᵢ|` of exact — the bound
+        /// [`Matrix::matmul`] documents.
         #[test]
-        fn matmul_matches_naive(seed in 0u64..500, n in 1usize..9, m in 1usize..9, k in 1usize..9) {
+        fn matmul_matches_naive(seed in 0u64..500, n in 1usize..9, k in 1usize..40, m in 1usize..9) {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let a = Matrix::random(n, m, 1.0, &mut rng);
-            let b = Matrix::random(m, k, 1.0, &mut rng);
-            prop_assert!(a.matmul(&b).max_abs_diff(&a.matmul_naive(&b)).unwrap() < 1e-5);
+            let a = Matrix::random(n, k, 1.0, &mut rng);
+            let b = Matrix::random(k, m, 1.0, &mut rng);
+            let got = a.matmul(&b);
+            for r in 0..n {
+                for c in 0..m {
+                    let terms = (0..k).map(|i| f64::from(a.get(r, i)) * f64::from(b.get(i, c)));
+                    let exact: f64 = terms.clone().sum();
+                    let abs_sum: f64 = terms.map(f64::abs).sum();
+                    let bound = k as f64 * 2f64.powi(-24) * abs_sum;
+                    prop_assert!(
+                        (f64::from(got.get(r, c)) - exact).abs() <= bound,
+                        "[{}][{}]: {} vs {} (bound {})", r, c, got.get(r, c), exact, bound
+                    );
+                }
+            }
+        }
+
+        /// Row `r` of `A·B` has the same bits computed alone (`1 × k`),
+        /// through `vecmul`, inside any block of consecutive rows — which is
+        /// all a pool task ever computes — and through the pool at any
+        /// width: its place among the tiles cannot matter.
+        #[test]
+        fn a_row_has_the_same_bits_wherever_it_is_computed(
+            seed in 0u64..u64::MAX,
+            n in 1usize..41,
+            k in 1usize..41,
+            m in 1usize..41,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let a = Matrix::random(n, k, 1.0, &mut rng);
+            let b = Matrix::random(k, m, 1.0, &mut rng);
+            bat_exec::set_threads(1);
+            let whole = a.matmul(&b);
+            for r in 0..n {
+                let alone = Matrix::from_rows(&[a.row(r)]).matmul(&b);
+                prop_assert_eq!(bits(alone.as_slice()), bits(whole.row(r)), "row {} alone", r);
+                prop_assert_eq!(bits(&b.vecmul(a.row(r))), bits(whole.row(r)), "row {} vecmul", r);
+            }
+            for _ in 0..4 {
+                let first = rng.gen_range(0..n);
+                let rows = rng.gen_range(1..n - first + 1);
+                let block: Vec<&[f32]> = (first..first + rows).map(|r| a.row(r)).collect();
+                let got = Matrix::from_rows(&block).matmul(&b);
+                prop_assert_eq!(
+                    bits(got.as_slice()),
+                    bits(&whole.as_slice()[first * m..(first + rows) * m]),
+                    "rows {}..{}", first, first + rows
+                );
+            }
+            for width in [1, 2, 4, 8] {
+                bat_exec::set_threads(width);
+                let mut pooled = Matrix::zeros(0, 0);
+                a.matmul_with_grain(&b, &mut pooled, 1);
+                prop_assert_eq!(bits(pooled.as_slice()), bits(whole.as_slice()), "width {}", width);
+            }
+            bat_exec::set_threads(1);
         }
 
         /// Dense and sparse-aware vecmul agree, including with exact zeros
@@ -1258,19 +1097,19 @@ mod tests {
         }
 
         /// Whatever SIMD tier the host dispatches to, dot results are
-        /// bit-identical to the baseline body for arbitrary inputs and
-        /// lengths (including the tier cutoffs and lane remainders).
+        /// bit-identical to the portable body for arbitrary inputs and
+        /// lengths (including lane remainders).
         #[test]
         fn dot_dispatch_is_bit_identical_for_any_input(
             xs in proptest::collection::vec(-1e3f32..1e3, 1..200),
         ) {
             let ys: Vec<f32> = xs.iter().rev().map(|x| x * 0.5 + 1.0).collect();
             prop_assert_eq!(
-                dot_unrolled(&xs, &ys).to_bits(),
-                dot_unrolled_body(&xs, &ys).to_bits()
+                dot_unrolled(Tier::best(), &xs, &ys).to_bits(),
+                dot_unrolled(Tier::SCALAR, &xs, &ys).to_bits()
             );
-            let x2 = dot_unrolled_x2(&xs, &ys, &xs);
-            let x2b = dot_unrolled_x2_body(&xs, &ys, &xs);
+            let x2 = dot_unrolled_x2(Tier::best(), &xs, &ys, &xs);
+            let x2b = dot_unrolled_x2(Tier::SCALAR, &xs, &ys, &xs);
             prop_assert_eq!(x2[0].to_bits(), x2b[0].to_bits());
             prop_assert_eq!(x2[1].to_bits(), x2b[1].to_bits());
         }

@@ -1,4 +1,11 @@
 //! Elementwise and reduction kernels: softmax, RMSNorm, SiLU, axpy and dot.
+//!
+//! The `fast_*` kernels and [`axpy`] / [`dot_fast`] / [`rms_norm_into`] are
+//! multiversioned (see [`crate::simd`]) and written in fused multiply-adds,
+//! so they compute the same bits on every SIMD tier.
+
+use crate::matrix::{dot_unrolled, dot_unrolled_body, halve, LANES};
+use crate::simd::{tiered, Tier};
 
 /// Numerically-stable in-place softmax over `logits`.
 ///
@@ -44,8 +51,10 @@ pub fn rms_norm(x: &[f32], gain: &[f32], eps: f32) -> Vec<f32> {
 }
 
 /// [`rms_norm`] writing into a caller-owned slice — the zero-allocation
-/// twin the forward workspace uses per row. Same arithmetic in the same
-/// order, so results are bit-identical.
+/// twin the forward workspace uses per row. The sum of squares is the
+/// lane-accumulated `dot_fast(x, x)` (a serial chain of dependent adds was
+/// a fifteenth of a ranking forward), so results are deterministic and the
+/// same on every tier.
 ///
 /// # Panics
 ///
@@ -53,7 +62,16 @@ pub fn rms_norm(x: &[f32], gain: &[f32], eps: f32) -> Vec<f32> {
 pub fn rms_norm_into(x: &[f32], gain: &[f32], eps: f32, out: &mut [f32]) {
     assert_eq!(x.len(), gain.len(), "rms_norm arity mismatch");
     assert_eq!(x.len(), out.len(), "rms_norm output arity mismatch");
-    let ms = x.iter().map(|v| v * v).sum::<f32>() / x.len().max(1) as f32;
+    rms_norm_tiered(Tier::best(), x, gain, eps, out)
+}
+
+tiered! {
+    fn rms_norm_tiered(x: &[f32], gain: &[f32], eps: f32, out: &mut [f32]) = rms_norm_body
+}
+
+#[inline(always)]
+fn rms_norm_body(x: &[f32], gain: &[f32], eps: f32, out: &mut [f32]) {
+    let ms = dot_unrolled_body(x, x) / x.len().max(1) as f32;
     let inv = 1.0 / (ms + eps).sqrt();
     for ((o, v), g) in out.iter_mut().zip(x).zip(gain) {
         *o = v * inv * g;
@@ -66,70 +84,79 @@ pub fn silu(x: f32) -> f32 {
     x / (1.0 + (-x).exp())
 }
 
-/// Polynomial `exp` approximation (relative error ≲ 2⁻²¹, i.e. well under
-/// f32 test tolerances), written so LLVM can autovectorize loops over it:
-/// range reduction uses the add-magic-constant rounding trick instead of
-/// `floor` (a libm call on baseline x86-64), the 2ᵏ reconstruction is pure
-/// integer bit math on the magic-shifted float itself — no float→int cast
-/// anywhere (Rust's casts saturate, which LLVM vectorizes as an expensive
-/// compare/select chain; dodging the cast roughly tripled the softmax
-/// exp-pass throughput) — and the polynomial is a chain of mul/adds.
+/// `exp(x)` for `x ∈ [-86, 88]`, within [`EXP_MAX_ULPS`] ulps of the
+/// correctly rounded value (a test sweeps `[-64, 0]` every 2⁻¹² against
+/// `f64::exp`); outside that range the result is meaningless. Written so
+/// LLVM vectorizes loops over it — no `floor` (a libm call on baseline
+/// x86-64) and no float→int cast (Rust's casts saturate, an expensive
+/// compare/select chain) — and in fused multiply-adds throughout:
 ///
-/// The batched forward paths spend most of their non-matmul time in
-/// softmax/SiLU exponentials; swapping libm's scalar `exp` (~15 ns) for
-/// this (~1 ns vectorized) is a headline kernel win. Inputs below ≈ -87
-/// clamp to `exp(-87) ≈ 1.6e-38` rather than exactly 0. That is barely
-/// above `f32::MIN_POSITIVE`: any later scale by a factor below 1 lands in
-/// the subnormal range, where x86 takes a microcode assist per operand.
-/// [`stable_softmax_fast_in_place`] therefore cuts such inputs to an exact
-/// `0.0` before they reach this function.
-#[inline]
-// The digits are Cephes' exact hi/lo split of ln 2 and minimax
-// coefficients; "rounding" them as clippy suggests would change the split.
+/// * `k = round(x / ln 2)` by the add-magic-constant trick;
+/// * `r = x − k·ln 2` in two fused steps over Cephes' hi/lo split of
+///   `ln 2`, so `|r| ≤ ln 2 / 2` carries no reduction error to speak of;
+/// * `exp(r)` as a degree-6 minimax polynomial in Horner form
+///   (approximation error 2⁻²⁸, one degree below the Cephes polynomial this
+///   replaces: the fused steps round half as often, which pays for it);
+/// * `· 2ᵏ` as an integer add of `k` to the exponent field, read straight
+///   off the magic-shifted float's low mantissa bits. The result must be a
+///   normal number, which is what bounds the range below.
+#[inline(always)]
+// The digits are Cephes' exact hi/lo split of ln 2 and the fitted minimax
+// coefficients; "rounding" them as clippy suggests would change them.
 #[allow(clippy::excessive_precision)]
-pub fn fast_exp(x: f32) -> f32 {
+fn exp_core(x: f32) -> f32 {
     const LOG2E: f32 = std::f32::consts::LOG2_E;
     const LN2_HI: f32 = 0.693_359_375;
     const LN2_LO: f32 = -2.121_944_4e-4;
     // 1.5·2²³: adding it forces round-to-nearest-integer in the mantissa.
     const MAGIC: f32 = 12_582_912.0;
-    let x = x.clamp(-87.0, 88.0);
-    let t = x * LOG2E + MAGIC; // mantissa now holds 2²² + round(x / ln 2)
+    let t = x.mul_add(LOG2E, MAGIC); // mantissa now holds 2²² + round(x / ln 2)
     let k = t - MAGIC; // round(x / ln 2), exact integer as a float
-    let r = x - k * LN2_HI - k * LN2_LO; // |r| ≤ ln2/2 in extended precision
-                                         // Degree-5 minimax polynomial for exp(r) on [-ln2/2, ln2/2] (Cephes).
-    let mut p = 1.987_569_2e-4f32;
-    p = p * r + 1.398_199_9e-3;
-    p = p * r + 8.333_452e-3;
-    p = p * r + 4.166_579_6e-2;
-    p = p * r + 1.666_666_6e-1;
-    p = p * r + 5.000_000_1e-1;
-    let y = p * r * r + r + 1.0;
-    // 2ᵏ straight from `t`'s bits: its low mantissa bits are 2²² + k, so
-    // subtracting (2²² − 127) leaves k + 127 in the low bits and the shift
-    // pushes everything else out of the word. k ∈ [-126, 127] post-clamp.
-    let two_k = f32::from_bits(t.to_bits().wrapping_sub((1 << 22) - 127) << 23);
-    y * two_k
+    let r = k.mul_add(-LN2_LO, k.mul_add(-LN2_HI, x));
+    let mut p = 1.381_453_9e-3f32;
+    p = p.mul_add(r, 8.368_745_4e-3);
+    p = p.mul_add(r, 4.166_838_9e-2);
+    p = p.mul_add(r, 1.666_652_1e-1);
+    p = p.mul_add(r, 4.999_999_4e-1);
+    p = p.mul_add(r, 1.0);
+    let y = p.mul_add(r, 1.0);
+    // `t`'s mantissa is 2²² + k and 2²² is a multiple of 2⁹, so the shift
+    // leaves k mod 2⁹ in the sign and exponent bits: adding it to `y`'s
+    // bits (mod 2³²) adds k to `y`'s exponent.
+    f32::from_bits(y.to_bits().wrapping_add(t.to_bits() << 23))
+}
+
+/// Stated accuracy of [`fast_exp`] and of the softmax weights, in units in
+/// the last place of the correctly rounded `exp`.
+pub const EXP_MAX_ULPS: u32 = 1;
+
+/// Polynomial `exp` approximation, within [`EXP_MAX_ULPS`] ulps over
+/// `[-86, 88]` and clamped to that range outside it, so `exp(-∞)` is
+/// `e⁻⁸⁶ ≈ 4.5e-38` rather than 0 and nothing overflows. That is barely
+/// above `f32::MIN_POSITIVE`: any later scale by a factor below 1 lands in
+/// the subnormal range, where x86 takes a microcode assist per operand —
+/// the softmax therefore cuts such inputs to an exact `0.0` itself (see
+/// [`SOFTMAX_CUTOFF`]) and never clamps.
+///
+/// `#[inline(always)]`, like everything built on `mul_add`: inside a SIMD
+/// tier clone it becomes that tier's vector FMAs; called from code compiled
+/// at the baseline it is correct but each `mul_add` is a libm call.
+#[inline(always)]
+pub fn fast_exp(x: f32) -> f32 {
+    exp_core(x.clamp(-86.0, 88.0))
 }
 
 /// SiLU via [`fast_exp`] — the activation kernel of the batched forward.
-#[inline]
+#[inline(always)]
 pub fn fast_silu(x: f32) -> f32 {
     x / (1.0 + fast_exp(-x))
 }
 
-/// SIMD lane width of the reduction kernels below: eight independent f32
-/// accumulator lanes fill one AVX register (two SSE registers), and because
-/// each lane is its own chain the compiler vectorizes without
-/// reassociating anything the contract cares about.
-const LANES: usize = 8;
-
-/// Lane-parallel maximum. `max` is exact and order-independent (for the
-/// non-NaN inputs the softmax shift sees), but the lane layout is fixed
-/// anyway: 8 parallel chains, a fixed tree fold, then the ascending tail.
-/// A plain `fold(NEG_INFINITY, f32::max)` is a serial dependency chain the
-/// compiler cannot widen — on a 250-long attention row that chain was
-/// roughly a third of the whole softmax cost.
+/// Lane-parallel maximum: [`LANES`] parallel chains over the whole chunks,
+/// a halving fold, then the ascending tail. `max` is exact and
+/// order-independent (for the non-NaN inputs the softmax shift sees); a
+/// plain `fold(NEG_INFINITY, f32::max)` is a serial dependency chain the
+/// compiler cannot widen.
 #[inline(always)]
 fn lane_max(xs: &[f32]) -> f32 {
     let mut acc = [f32::NEG_INFINITY; LANES];
@@ -140,128 +167,46 @@ fn lane_max(xs: &[f32]) -> f32 {
             acc[l] = acc[l].max(p[l]);
         }
     }
-    let mut m = (acc[0].max(acc[1]).max(acc[2].max(acc[3])))
-        .max(acc[4].max(acc[5]).max(acc[6].max(acc[7])));
+    let mut width = LANES / 2;
+    while width > 0 {
+        for l in 0..width {
+            acc[l] = acc[l].max(acc[l + width]);
+        }
+        width /= 2;
+    }
+    let mut m = acc[0];
     for &x in it.remainder() {
         m = m.max(x);
     }
     m
 }
 
-/// Lane-parallel sum with the same fixed tree fold as [`lane_max`],
-/// continuing from the lane accumulators `acc` (which hold the `LANES`-chunks
-/// that precede `xs` in the row being summed; all zeros for a whole row).
-/// The association is a pure function of the row length, so the result is
-/// deterministic; it differs from a left-to-right `iter().sum()` by normal
-/// f32 reassociation error (≈ 1 ulp per lane), which the softmax tolerance
-/// tests cover.
-#[inline(always)]
-fn lane_sum_from(mut acc: [f32; LANES], xs: &[f32]) -> f32 {
-    let mut it = xs.chunks_exact(LANES);
-    for p in &mut it {
-        let p: &[f32; LANES] = p.try_into().unwrap();
-        for l in 0..LANES {
-            acc[l] += p[l];
-        }
-    }
-    let mut s = fold_tree(&acc);
-    for &x in it.remainder() {
-        s += x;
-    }
-    s
-}
-
-/// The fixed-tree fold of the lane accumulators. Out of line on purpose:
-/// inlined, the vectorizer works backwards from this tree and regroups the
-/// loop-carried accumulators of [`softmax_fast_given_max`] into four
-/// half-empty vectors fed through shuffles; behind a call they stay one
-/// eight-lane vector and the loop adds chunks to it as loaded.
-#[inline(never)]
-fn fold_tree(acc: &[f32; LANES]) -> f32 {
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-}
-
 /// The widest SIMD tier the multiversioned kernels dispatch to on this
-/// machine: `"avx512"`, `"avx2"`, `"neon"`, or `"scalar"`. Mirrors the
-/// detection order of every dispatch site in this module and in
-/// [`crate::Matrix`], so bench rows and logs can be labelled with the tier
-/// that actually ran. The tier affects speed only — all tiers are
-/// bit-identical by construction.
+/// machine: `"avx512"`, `"avx2"` (with FMA; an AVX2 CPU without it runs the
+/// portable bodies), `"neon"`, or `"scalar"` — so bench rows and logs can be
+/// labelled with the tier that actually ran. The tier affects speed only —
+/// all tiers are bit-identical by construction.
 pub fn active_simd_tier() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return "avx512";
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return "avx2";
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        return "neon";
-    }
-    "scalar"
+    Tier::best().name()
 }
 
-/// Numerically-stable in-place softmax using [`fast_exp`], structured as
-/// vectorizable passes (lane-folded max, then [`softmax_fast_given_max`]),
-/// dispatched to the widest SIMD tier the CPU has. Semantics match [`stable_softmax_in_place`] up to the
-/// approximation and reassociation error, with one defined edge: a logit
-/// more than [`SOFTMAX_CUTOFF`] below the row maximum (so also `-inf`, and
-/// NaN) gets weight exactly `0.0`. Every weight is therefore `0.0` or a
-/// normal number — never subnormal, never NaN — and a row sums to 1 or,
-/// when no logit is finite (fully masked, or a `+inf` present), is all
-/// zeros. Every pass runs in a fixed order that depends only on the slice
-/// length, so results are deterministic.
+/// Numerically-stable in-place softmax using the fast `exp`, dispatched to
+/// the widest SIMD tier the CPU has: lane-folded max, [`softmax_exp_sum`],
+/// then one multiply by the reciprocal of the sum. Semantics match
+/// [`stable_softmax_in_place`] up to the approximation and reassociation
+/// error, with one defined edge: a logit more than [`SOFTMAX_CUTOFF`] below
+/// the row maximum (so also `-inf`, and NaN) gets weight exactly `0.0`.
+/// Every weight is therefore `0.0` or a normal number — never subnormal,
+/// never NaN — and a row sums to 1 or, when no logit is finite (fully
+/// masked, or a `+inf` present), is all zeros. Every pass runs in a fixed
+/// order that depends only on the slice length, so results are
+/// deterministic.
 pub fn stable_softmax_fast_in_place(logits: &mut [f32]) {
-    if logits.is_empty() {
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: AVX-512F support was just verified at runtime.
-            return unsafe { softmax_fast_avx512(logits) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            return unsafe { softmax_fast_avx2(logits) };
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: NEON support was just verified at runtime.
-        return unsafe { softmax_fast_neon(logits) };
-    }
-    softmax_fast_body(logits)
+    softmax_fast(Tier::best(), logits)
 }
 
-/// [`stable_softmax_fast_in_place`]'s body compiled with AVX-512F enabled —
-/// the widest x86 tier; same arithmetic in the same order as the baseline
-/// body, so results are bit-identical (the tier affects speed only).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn softmax_fast_avx512(logits: &mut [f32]) {
-    softmax_fast_body(logits)
-}
-
-/// [`stable_softmax_fast_in_place`]'s body compiled with AVX2 enabled; the
-/// `#[inline(always)]` body is cloned in so the 8-wide registers apply.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn softmax_fast_avx2(logits: &mut [f32]) {
-    softmax_fast_body(logits)
-}
-
-/// [`stable_softmax_fast_in_place`]'s body compiled with NEON enabled
-/// (aarch64). NEON is baseline on aarch64, but the explicit tier keeps the
-/// dispatch table uniform across architectures and survives a no-default
-/// target spec.
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn softmax_fast_neon(logits: &mut [f32]) {
-    softmax_fast_body(logits)
+tiered! {
+    fn softmax_fast(logits: &mut [f32]) = softmax_fast_body
 }
 
 /// Shifted logits below this get softmax weight exactly `0.0`.
@@ -274,101 +219,129 @@ pub const SOFTMAX_CUTOFF: f32 = -64.0;
 #[inline(always)]
 fn softmax_fast_body(logits: &mut [f32]) {
     let max = lane_max(logits);
-    softmax_fast_given_max(logits, max);
-}
-
-/// The softmax of [`stable_softmax_fast_in_place`] for a row whose maximum
-/// is already known — the group attention kernel
-/// ([`crate::GroupAttention::attend`]) tracks it while it writes the scores
-/// — in two passes: exponentiate and sum together, then scale by the
-/// reciprocal. The exponentials are summed in [`lane_sum_from`]'s order
-/// chunk by chunk as they are produced, so the eight-lane add chain (one
-/// dependent add per chunk: latency-bound when it runs as a pass of its
-/// own) hides under the polynomial. `max` must be what `lane_max` returns
-/// for the row; the result is then bit-identical to the five-pass form on
-/// every tier. `#[inline(always)]` so it takes the vector width of the
-/// kernel it is cloned into.
-#[inline(always)]
-pub fn softmax_fast_given_max(logits: &mut [f32], max: f32) {
-    /// Elements exponentiated per step: two independent 512-bit chains.
-    const WIDE: usize = 4 * LANES;
-    if max == f32::NEG_INFINITY {
-        logits.iter_mut().for_each(|v| *v = 0.0);
-        return;
-    }
-    // A select, not a branch: both arms are computed and blended, the same
-    // on every SIMD tier. The comparison is false for NaN, so NaN → 0.0.
-    let weight = |v: f32| {
-        let x = v - max;
-        if x >= SOFTMAX_CUTOFF {
-            fast_exp(x)
-        } else {
-            0.0
-        }
-    };
-    let mut acc = [0.0f32; LANES];
-    let mut wide = logits.chunks_exact_mut(WIDE);
-    for p in &mut wide {
-        let p: &mut [f32; WIDE] = p.try_into().unwrap();
-        p.iter_mut().for_each(|v| *v = weight(*v));
-        for chunk in p.chunks_exact(LANES) {
-            for l in 0..LANES {
-                acc[l] += chunk[l];
-            }
-        }
-    }
-    let rest = wide.into_remainder();
-    rest.iter_mut().for_each(|v| *v = weight(*v));
-    let sum = lane_sum_from(acc, rest);
+    let sum = softmax_exp_sum(logits, max);
     if sum > 0.0 {
         let inv = 1.0 / sum;
         logits.iter_mut().for_each(|v| *v *= inv);
     }
 }
 
-/// Elementwise `xs[i] ← fast_silu(xs[i])`, multiversioned like
-/// [`fast_silu_mul_in_place`] so the [`fast_exp`] chain vectorizes at the
-/// caller's full register width (HSTU's gated projections map SiLU over
-/// four matrices per layer).
+/// One unnormalised softmax weight: `exp(v − shift)`, or exactly `0.0`
+/// below the cut-off. A select, not a branch: both arms are computed and
+/// blended, the same on every SIMD tier. The comparison is false for NaN, so
+/// NaN → `0.0`; where it is true `v − shift ∈ [-64, 0]`, inside
+/// `exp_core`'s range with no clamp.
+#[inline(always)]
+fn softmax_weight(v: f32, shift: f32) -> f32 {
+    let x = v - shift;
+    if x >= SOFTMAX_CUTOFF {
+        exp_core(x)
+    } else {
+        0.0
+    }
+}
+
+/// What to subtract from a row whose maximum is `max`: `max`, or `+inf`
+/// for a row with no finite entry to take a maximum over (`max = -inf`),
+/// which sends every entry below the cut-off — the row becomes all zeros
+/// with no branch.
+#[inline(always)]
+fn softmax_shift(max: f32) -> f32 {
+    if max == f32::NEG_INFINITY {
+        f32::INFINITY
+    } else {
+        max
+    }
+}
+
+/// One [`LANES`]-chunk of softmax weights, in place and into the lane sums.
+#[inline(always)]
+fn exp_sum_chunk(chunk: &mut [f32; LANES], shift: f32, acc: &mut [f32; LANES]) {
+    for l in 0..LANES {
+        chunk[l] = softmax_weight(chunk[l], shift);
+        acc[l] += chunk[l];
+    }
+}
+
+/// Turns a row of logits whose maximum `max` is already known into
+/// unnormalised softmax weights `exp(v − max)` (see [`SOFTMAX_CUTOFF`] for
+/// the zeros) and returns their sum. Dividing by it is left to the caller,
+/// who may have fewer numbers to scale than the row has weights (attention
+/// scales a head's `head_dim` outputs).
+///
+/// The sum is taken lane-wise as the weights are produced — weight `i` into
+/// lane `i % LANES`, then a halving fold — so the one dependent add per
+/// chunk hides under the polynomial, and its order is a function of the row
+/// length alone. `max` must be the row's maximum over its non-NaN entries
+/// (`-inf` when it has none: the row becomes all zeros). `#[inline(always)]`
+/// so it takes the vector width of the kernel it is cloned into.
+#[inline(always)]
+pub fn softmax_exp_sum(logits: &mut [f32], max: f32) -> f32 {
+    let shift = softmax_shift(max);
+    let mut acc = [0.0f32; LANES];
+    let mut chunks = logits.chunks_exact_mut(LANES);
+    for chunk in &mut chunks {
+        exp_sum_chunk(chunk.try_into().unwrap(), shift, &mut acc);
+    }
+    // The ragged end as one more chunk, padded with logits that weigh 0.0
+    // (adding `0.0` to a lane that started at `+0.0` and only ever took
+    // non-negative terms changes no bit): one vector pass, not fifteen
+    // scalar ones.
+    let rest = chunks.into_remainder();
+    if !rest.is_empty() {
+        let mut chunk = [f32::NEG_INFINITY; LANES];
+        chunk[..rest.len()].copy_from_slice(rest);
+        exp_sum_chunk(&mut chunk, shift, &mut acc);
+        rest.copy_from_slice(&chunk[..rest.len()]);
+    }
+    halve(acc)
+}
+
+/// [`softmax_exp_sum`] of `H` rows held back to back in `rows`, each padded
+/// to the same whole number of [`LANES`]-chunks with `-inf` (a padding
+/// logit weighs `0.0` and adds `0.0` to its lane, so a row's weights and sum
+/// have the bits of [`softmax_exp_sum`] over the unpadded row). The rows go
+/// through chunk by chunk *together*: `H` independent polynomial chains in
+/// flight hide each other's latency, which a short row on its own cannot —
+/// the group attention kernel's rows are a few hundred keys long.
+///
+/// # Panics
+///
+/// Panics if `rows.len()` is not `H` whole-chunk rows.
+#[inline(always)]
+pub fn softmax_exp_sum_rows<const H: usize>(rows: &mut [f32], max: [f32; H]) -> [f32; H] {
+    let stride = rows.len() / H;
+    assert!(
+        stride.is_multiple_of(LANES) && stride * H == rows.len(),
+        "rows must be padded to whole chunks"
+    );
+    let mut shift = max;
+    for shift in &mut shift {
+        *shift = softmax_shift(*shift);
+    }
+    let mut acc = [[0.0f32; LANES]; H];
+    for at in (0..stride).step_by(LANES) {
+        for h in 0..H {
+            let chunk = &mut rows[h * stride + at..][..LANES];
+            exp_sum_chunk(chunk.try_into().unwrap(), shift[h], &mut acc[h]);
+        }
+    }
+    let mut sums = [0.0f32; H];
+    for (sum, acc) in sums.iter_mut().zip(acc) {
+        *sum = halve(acc);
+    }
+    sums
+}
+
+/// Elementwise `xs[i] ← fast_silu(xs[i])`, multiversioned so the
+/// [`fast_exp`] chain vectorizes at the CPU's full register width (HSTU's
+/// gated projections map SiLU over four matrices per layer).
 pub fn fast_silu_in_place(xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: AVX-512F support was just verified at runtime.
-            return unsafe { fast_silu_in_place_avx512(xs) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            return unsafe { fast_silu_in_place_avx2(xs) };
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: NEON support was just verified at runtime.
-        return unsafe { fast_silu_in_place_neon(xs) };
-    }
-    fast_silu_in_place_body(xs)
+    fast_silu_tiered(Tier::best(), xs)
 }
 
-/// [`fast_silu_in_place`]'s body compiled with AVX-512F enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn fast_silu_in_place_avx512(xs: &mut [f32]) {
-    fast_silu_in_place_body(xs)
-}
-
-/// [`fast_silu_in_place`]'s body compiled with AVX2 enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn fast_silu_in_place_avx2(xs: &mut [f32]) {
-    fast_silu_in_place_body(xs)
-}
-
-/// [`fast_silu_in_place`]'s body compiled with NEON enabled (aarch64).
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn fast_silu_in_place_neon(xs: &mut [f32]) {
-    fast_silu_in_place_body(xs)
+tiered! {
+    fn fast_silu_tiered(xs: &mut [f32]) = fast_silu_in_place_body
 }
 
 #[inline(always)]
@@ -380,53 +353,19 @@ pub(crate) fn fast_silu_in_place_body(xs: &mut [f32]) {
 
 /// Fused SwiGLU gate: `acts[i] ← fast_silu(acts[i]) · ups[i]`, the
 /// elementwise epilogue between the FFN's gate/up projections and its down
-/// projection. One multiversioned pass (AVX2 when available) keeps the
-/// [`fast_exp`] chain in vector registers; calling [`fast_silu`] from a
-/// scalar `zip` loop in the model crate left it at the SSE2 baseline.
+/// projection, in one multiversioned pass that keeps the [`fast_exp`] chain
+/// in vector registers.
 ///
 /// # Panics
 ///
 /// Panics if lengths differ.
 pub fn fast_silu_mul_in_place(acts: &mut [f32], ups: &[f32]) {
     assert_eq!(acts.len(), ups.len(), "silu gate arity mismatch");
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: AVX-512F support was just verified at runtime.
-            return unsafe { fast_silu_mul_avx512(acts, ups) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            return unsafe { fast_silu_mul_avx2(acts, ups) };
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: NEON support was just verified at runtime.
-        return unsafe { fast_silu_mul_neon(acts, ups) };
-    }
-    fast_silu_mul_body(acts, ups)
+    fast_silu_mul(Tier::best(), acts, ups)
 }
 
-/// [`fast_silu_mul_in_place`]'s body compiled with AVX-512F enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn fast_silu_mul_avx512(acts: &mut [f32], ups: &[f32]) {
-    fast_silu_mul_body(acts, ups)
-}
-
-/// [`fast_silu_mul_in_place`]'s body compiled with AVX2 enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn fast_silu_mul_avx2(acts: &mut [f32], ups: &[f32]) {
-    fast_silu_mul_body(acts, ups)
-}
-
-/// [`fast_silu_mul_in_place`]'s body compiled with NEON enabled (aarch64).
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn fast_silu_mul_neon(acts: &mut [f32], ups: &[f32]) {
-    fast_silu_mul_body(acts, ups)
+tiered! {
+    fn fast_silu_mul(acts: &mut [f32], ups: &[f32]) = fast_silu_mul_body
 }
 
 #[inline(always)]
@@ -447,12 +386,11 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Lane-accumulated dot product: eight independent accumulation chains
-/// folded in a fixed tree order (deterministic — the association depends
-/// only on the length), dispatched to an AVX2-compiled copy on capable
-/// CPUs. Use in hot loops where [`dot`]'s strict left-to-right chain
-/// (which the compiler must not reassociate, so it cannot vectorize)
-/// would serialize — e.g. the attention value accumulation.
+/// Lane-accumulated dot product: sixteen independent chains of fused
+/// multiply-adds folded in a fixed tree order (deterministic — the
+/// association depends only on the length), multiversioned. Use in hot
+/// loops where [`dot`]'s strict left-to-right chain (which the compiler
+/// must not reassociate, so it cannot vectorize) would serialize.
 ///
 /// # Panics
 ///
@@ -460,12 +398,10 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 #[inline]
 pub fn dot_fast(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot arity mismatch");
-    crate::matrix::dot_unrolled(a, b)
+    dot_unrolled(Tier::best(), a, b)
 }
 
-/// `out += scale * v` elementwise. Element-independent, so the loop
-/// vectorizes as-is; the AVX2 dispatch only widens the registers
-/// (identical arithmetic, bit-identical results).
+/// `out[i] = fma(scale, v[i], out[i])` elementwise, multiversioned.
 ///
 /// # Panics
 ///
@@ -473,52 +409,17 @@ pub fn dot_fast(a: &[f32], b: &[f32]) -> f32 {
 #[inline]
 pub fn axpy(out: &mut [f32], scale: f32, v: &[f32]) {
     assert_eq!(out.len(), v.len(), "axpy arity mismatch");
-    // Below ~4 vectors the wide clones' call overhead outweighs their
-    // registers; every path is the same arithmetic in the same order.
-    #[cfg(target_arch = "x86_64")]
-    if out.len() >= 32 {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: AVX-512F support was just verified at runtime.
-            return unsafe { axpy_avx512(out, scale, v) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            return unsafe { axpy_avx2(out, scale, v) };
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    if out.len() >= 32 && std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: NEON support was just verified at runtime.
-        return unsafe { axpy_neon(out, scale, v) };
-    }
-    axpy_body(out, scale, v)
+    axpy_tiered(Tier::best(), out, scale, v)
 }
 
-/// [`axpy`]'s body compiled with AVX-512F enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn axpy_avx512(out: &mut [f32], scale: f32, v: &[f32]) {
-    axpy_body(out, scale, v)
-}
-
-/// [`axpy`]'s body compiled with AVX2 enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn axpy_avx2(out: &mut [f32], scale: f32, v: &[f32]) {
-    axpy_body(out, scale, v)
-}
-
-/// [`axpy`]'s body compiled with NEON enabled (aarch64).
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn axpy_neon(out: &mut [f32], scale: f32, v: &[f32]) {
-    axpy_body(out, scale, v)
+tiered! {
+    fn axpy_tiered(out: &mut [f32], scale: f32, v: &[f32]) = axpy_body
 }
 
 #[inline(always)]
 fn axpy_body(out: &mut [f32], scale: f32, v: &[f32]) {
     for (o, &x) in out.iter_mut().zip(v) {
-        *o += scale * x;
+        *o = scale.mul_add(x, *o);
     }
 }
 
@@ -575,21 +476,65 @@ mod tests {
         assert_eq!(out, vec![2.0, 3.0]);
     }
 
+    /// Distance in units in the last place between `got` and the correctly
+    /// rounded `f32` of `want`.
+    fn ulps(got: f32, want: f64) -> u32 {
+        got.to_bits().abs_diff((want as f32).to_bits())
+    }
+
     #[test]
     fn fast_exp_tracks_libm_exp() {
-        let mut x = -20.0f32;
-        while x <= 20.0 {
-            let want = x.exp();
+        let mut x = -86.0f32;
+        while x <= 88.0 {
             let got = fast_exp(x);
             assert!(
-                (got - want).abs() <= want * 3e-7 + 1e-30,
-                "fast_exp({x}) = {got}, libm = {want}"
+                ulps(got, f64::from(x).exp()) <= EXP_MAX_ULPS,
+                "fast_exp({x}) = {got}, exp = {}",
+                f64::from(x).exp()
             );
             x += 0.0137;
         }
         assert_eq!(fast_exp(0.0), 1.0);
         assert!(fast_exp(f32::NEG_INFINITY) < 1e-36);
+        assert!(
+            fast_exp(f32::NEG_INFINITY).is_normal(),
+            "clamped, not flushed"
+        );
         assert!(fast_exp(1000.0).is_finite(), "clamped, not overflowed");
+    }
+
+    /// The softmax's `exp` over the whole range the cut-off select can hand
+    /// it, densely: every multiple of 2⁻¹² in `[-64, 0]` and the values
+    /// either side of each binade edge, against `f64::exp`. The bound is
+    /// the one [`EXP_MAX_ULPS`] states.
+    #[test]
+    fn softmax_exp_is_within_the_stated_ulps_over_its_whole_range() {
+        let mut worst = 0;
+        let mut check = |x: f32| {
+            assert!((-64.0..=0.0).contains(&x));
+            let got = exp_core(x);
+            let err = ulps(got, f64::from(x).exp());
+            assert!(
+                err <= EXP_MAX_ULPS,
+                "exp({x}) = {got}, exact {}: {err} ulps",
+                f64::from(x).exp()
+            );
+            worst = worst.max(err);
+        };
+        for i in 0..=(64 << 12) {
+            check(-(i as f32) / 4096.0);
+        }
+        for e in -20..=6 {
+            let edge = -(2.0f32.powi(e));
+            check(edge);
+            check(f32::from_bits(edge.to_bits() - 1));
+            if edge > -64.0 {
+                check(f32::from_bits(edge.to_bits() + 1));
+            }
+        }
+        check(-0.0);
+        check(-f32::MIN_POSITIVE);
+        assert!(worst >= 1, "an ulp bound of 0 would be a stronger claim");
     }
 
     #[test]
@@ -626,16 +571,11 @@ mod tests {
     }
 
     #[test]
-    fn lane_reductions_match_serial_folds() {
-        for n in [0usize, 1, 7, 8, 9, 63, 250] {
+    fn lane_max_matches_the_serial_fold() {
+        for n in [0usize, 1, 7, 8, 9, 16, 17, 63, 250] {
             let xs: Vec<f32> = (0..n).map(|i| ((i * 37) % 23) as f32 * 0.7 - 5.0).collect();
             let serial_max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             assert_eq!(lane_max(&xs), serial_max, "max over {n}");
-            let serial_sum: f32 = xs.iter().sum();
-            assert!(
-                (lane_sum_from([0.0; LANES], &xs) - serial_sum).abs() < 1e-3,
-                "sum over {n}"
-            );
         }
     }
 
@@ -659,60 +599,41 @@ mod tests {
         assert!(v[1] == 0.0 && (v[0] - 0.5).abs() < 1e-6);
     }
 
-    /// Pins the elementwise kernels' per-architecture clones directly
-    /// against the baseline bodies: the public dispatchers prefer the
-    /// widest tier, so the narrower clones need their own coverage. Every
-    /// tier present on this CPU must be bit-identical.
-    #[cfg(target_arch = "x86_64")]
+    /// Pins every SIMD tier of the elementwise kernels this CPU has against
+    /// the portable bodies: the public dispatchers prefer the widest tier,
+    /// so the narrower clones need their own coverage. Lengths that are no
+    /// multiple of any vector width leave every kind of remainder.
     #[test]
-    fn every_x86_tier_is_bit_identical_to_baseline() {
+    fn every_tier_is_bit_identical_to_baseline() {
         let src: Vec<f32> = (0..131).map(|i| (i as f32 * 0.37).sin() * 9.0).collect();
         let ups: Vec<f32> = (0..131).map(|i| (i as f32 * 0.23).cos()).collect();
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-
-        let mut soft_gold = src.clone();
-        softmax_fast_body(&mut soft_gold);
-        let mut silu_gold = src.clone();
-        fast_silu_in_place_body(&mut silu_gold);
-        let mut gate_gold = src.clone();
-        fast_silu_mul_body(&mut gate_gold, &ups);
-        let mut axpy_gold = ups.clone();
-        axpy_body(&mut axpy_gold, 1.7, &src);
-
-        if std::arch::is_x86_feature_detected!("avx512f") {
+        let run = |tier: Tier| {
             let (mut s, mut g, mut m, mut a) = (src.clone(), src.clone(), src.clone(), ups.clone());
-            // SAFETY: AVX-512F support was just verified at runtime.
-            unsafe {
-                softmax_fast_avx512(&mut s);
-                fast_silu_in_place_avx512(&mut g);
-                fast_silu_mul_avx512(&mut m, &ups);
-                axpy_avx512(&mut a, 1.7, &src);
+            let mut n = vec![0.0f32; src.len()];
+            softmax_fast(tier, &mut s);
+            fast_silu_tiered(tier, &mut g);
+            fast_silu_mul(tier, &mut m, &ups);
+            axpy_tiered(tier, &mut a, 1.7, &src);
+            rms_norm_tiered(tier, &src, &ups, 1e-6, &mut n);
+            [bits(&s), bits(&g), bits(&m), bits(&a), bits(&n)]
+        };
+        let gold = run(Tier::SCALAR);
+        for tier in Tier::available() {
+            let got = run(tier);
+            for (kernel, (got, gold)) in ["softmax", "silu", "silu-mul", "axpy", "rms-norm"]
+                .iter()
+                .zip(got.iter().zip(&gold))
+            {
+                assert_eq!(got, gold, "{} {kernel}", tier.name());
             }
-            assert_eq!(bits(&s), bits(&soft_gold), "avx512f softmax");
-            assert_eq!(bits(&g), bits(&silu_gold), "avx512f silu");
-            assert_eq!(bits(&m), bits(&gate_gold), "avx512f silu-mul");
-            assert_eq!(bits(&a), bits(&axpy_gold), "avx512f axpy");
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            let (mut s, mut g, mut m, mut a) = (src.clone(), src.clone(), src.clone(), ups.clone());
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe {
-                softmax_fast_avx2(&mut s);
-                fast_silu_in_place_avx2(&mut g);
-                fast_silu_mul_avx2(&mut m, &ups);
-                axpy_avx2(&mut a, 1.7, &src);
-            }
-            assert_eq!(bits(&s), bits(&soft_gold), "avx2 softmax");
-            assert_eq!(bits(&g), bits(&silu_gold), "avx2 silu");
-            assert_eq!(bits(&m), bits(&gate_gold), "avx2 silu-mul");
-            assert_eq!(bits(&a), bits(&axpy_gold), "avx2 axpy");
         }
     }
 
     /// The fast softmax as five separate passes — lane-folded max,
-    /// exponentiate, lane-folded sum of the stored weights, reciprocal
-    /// scale — the form [`softmax_fast_given_max`] fuses and must match
-    /// bit for bit.
+    /// exponentiate, lane-wise sum of the stored weights (weight `i` into
+    /// lane `i % LANES`, halving fold), reciprocal, scale — the form
+    /// [`softmax_exp_sum`] fuses and must match bit for bit.
     fn softmax_five_pass(logits: &mut [f32]) {
         let max = lane_max(logits);
         if max == f32::NEG_INFINITY {
@@ -722,25 +643,24 @@ mod tests {
         for v in logits.iter_mut() {
             let x = *v - max;
             *v = if x >= SOFTMAX_CUTOFF {
-                fast_exp(x)
+                exp_core(x)
             } else {
                 0.0
             };
         }
         let mut acc = [0.0f32; LANES];
-        let mut chunks = logits.chunks_exact(LANES);
-        for p in &mut chunks {
-            for l in 0..LANES {
-                acc[l] += p[l];
+        for (i, w) in logits.iter().enumerate() {
+            acc[i % LANES] += w;
+        }
+        let mut width = LANES / 2;
+        while width > 0 {
+            for l in 0..width {
+                acc[l] += acc[l + width];
             }
+            width /= 2;
         }
-        let mut sum =
-            ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-        for &x in chunks.remainder() {
-            sum += x;
-        }
-        if sum > 0.0 {
-            let inv = 1.0 / sum;
+        if acc[0] > 0.0 {
+            let inv = 1.0 / acc[0];
             logits.iter_mut().for_each(|v| *v *= inv);
         }
     }
@@ -773,7 +693,7 @@ mod tests {
         }
 
         /// Whatever tier the host dispatches to, the fast softmax is
-        /// bit-identical to the baseline body for arbitrary rows.
+        /// bit-identical to the portable body for arbitrary rows.
         #[test]
         fn softmax_dispatch_is_bit_identical(
             xs in proptest::collection::vec(-40.0f32..40.0, 1..180),
@@ -781,7 +701,7 @@ mod tests {
             let mut dispatched = xs.clone();
             stable_softmax_fast_in_place(&mut dispatched);
             let mut baseline = xs;
-            softmax_fast_body(&mut baseline);
+            softmax_fast(Tier::SCALAR, &mut baseline);
             for (d, b) in dispatched.iter().zip(&baseline) {
                 prop_assert_eq!(d.to_bits(), b.to_bits());
             }

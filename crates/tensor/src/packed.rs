@@ -30,7 +30,8 @@
 //! tile instead of once per head (see [`GroupAttention::attend`]).
 
 use crate::matrix::{fold_lanes, LANES};
-use crate::ops::{axpy, fast_silu_in_place_body, softmax_fast_given_max};
+use crate::ops::{axpy, fast_silu_in_place_body, softmax_exp_sum_rows};
+use crate::simd::{tiered, Tier};
 use std::ops::Range;
 
 /// A `rows × len` block stored plane-major with column-append support.
@@ -340,9 +341,9 @@ impl<'a> SplitCols<'a> {
         ]
     }
 
-    /// `out[j] += coeff · plane(r)[col(j)]`, where `col` walks the virtual
-    /// columns of `runs` (ascending, disjoint half-open ranges) in order
-    /// and `j` is the *compact* index — the position among the run
+    /// `out[j] = fma(coeff, plane(r)[col(j)], out[j])`, where `col` walks the
+    /// virtual columns of `runs` (ascending, disjoint half-open ranges) in
+    /// order and `j` is the *compact* index — the position among the run
     /// columns. The row-level definition of the attention score
     /// accumulation: `axpy` is element-wise, so running it per contiguous
     /// piece is the same arithmetic as one sweep over a gathered copy.
@@ -368,11 +369,11 @@ impl<'a> SplitCols<'a> {
     /// `out[c] += ⟨s, plane(row0 + c)[runs]⟩` with `s` indexed compactly
     /// (see [`SplitCols::axpy_plane`]) — the row-level definition of the
     /// attention value accumulation over exactly the keys a mask row
-    /// allows. Bit-identical to
-    /// [`crate::Matrix::rows_dot_acc`] over a contiguous gathered copy of
-    /// the run columns: lanes, fixed-tree fold and ascending scalar tail
-    /// are all assigned by compact index, so the result does not depend on
-    /// where the runs lie or where the prefix/suffix split falls.
+    /// allows. Bit-identical to [`crate::ops::dot_fast`] of `s` with a
+    /// contiguous gathered copy of each plane's run columns: lanes,
+    /// fixed-tree fold and ascending scalar tail are all assigned by
+    /// compact index, so the result does not depend on where the runs lie
+    /// or where the prefix/suffix split falls.
     ///
     /// # Panics
     ///
@@ -385,65 +386,18 @@ impl<'a> SplitCols<'a> {
             s.len(),
             "rows_dot_acc runs/weights length mismatch"
         );
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: AVX-512F support was just verified at runtime.
-                return unsafe { runs_dot_acc_avx512(*self, row0, runs, s, out) };
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 support was just verified at runtime.
-                return unsafe { runs_dot_acc_avx2(*self, row0, runs, s, out) };
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            // SAFETY: NEON support was just verified at runtime.
-            return unsafe { runs_dot_acc_neon(*self, row0, runs, s, out) };
-        }
-        runs_dot_acc_body(*self, row0, runs, s, out)
+        runs_dot_acc(Tier::best(), *self, row0, runs, s, out)
     }
 }
 
-/// [`SplitCols::rows_dot_acc`]'s body compiled with AVX-512F enabled (see
-/// `matrix::fold_rows_into_avx2` for why the body must be
-/// `#[inline(always)]`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn runs_dot_acc_avx512(
-    v: SplitCols<'_>,
-    row0: usize,
-    runs: &[Range<usize>],
-    s: &[f32],
-    out: &mut [f32],
-) {
-    runs_dot_acc_body(v, row0, runs, s, out)
-}
-
-/// [`SplitCols::rows_dot_acc`]'s body compiled with AVX2 enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn runs_dot_acc_avx2(
-    v: SplitCols<'_>,
-    row0: usize,
-    runs: &[Range<usize>],
-    s: &[f32],
-    out: &mut [f32],
-) {
-    runs_dot_acc_body(v, row0, runs, s, out)
-}
-
-/// [`SplitCols::rows_dot_acc`]'s body compiled with NEON enabled (aarch64).
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn runs_dot_acc_neon(
-    v: SplitCols<'_>,
-    row0: usize,
-    runs: &[Range<usize>],
-    s: &[f32],
-    out: &mut [f32],
-) {
-    runs_dot_acc_body(v, row0, runs, s, out)
+tiered! {
+    fn runs_dot_acc(
+        v: SplitCols<'_>,
+        row0: usize,
+        runs: &[Range<usize>],
+        s: &[f32],
+        out: &mut [f32],
+    ) = runs_dot_acc_body
 }
 
 /// One score row, four planes per pass: the `H = 1` case of the tile the
@@ -456,22 +410,24 @@ fn runs_dot_acc_body(
     s: &[f32],
     out: &mut [f32],
 ) {
-    rows_dot_acc_tile::<1, 4>(v, row0, runs, [s], out);
+    rows_dot_acc_tile::<1, 4>(v, row0, runs, [s], &[1.0], out);
 }
 
-/// `out[h · d + c] += ⟨s[h], plane(row0 + c)[runs]⟩` for `H` compact score
-/// rows against the same `d = out.len() / H` planes, `P` planes per pass:
-/// each plane chunk is loaded once for all `H` rows and each score chunk
-/// once for all `P` planes. Every `(row, plane)` pair keeps its own lane
-/// accumulators, so no sum is reassociated and the tile shape moves speed
-/// only; `H × P = 8` accumulators is what a 16-register SIMD file holds
-/// next to the operand chunks.
+/// `out[h · d + c] = fma(⟨s[h], plane(row0 + c)[runs]⟩, factor[h],
+/// out[h · d + c])` for `H` compact score rows against the same
+/// `d = out.len() / H` planes, `P` planes per pass: each plane chunk is
+/// loaded once for all `H` rows and each score chunk once for all `P`
+/// planes. Every `(row, plane)` pair keeps its own lane accumulators, so no
+/// sum is reassociated and the tile shape — a per-tier choice: `H × P`
+/// sixteen-lane accumulators must fit the register file next to the
+/// operand chunks — moves speed only.
 #[inline(always)]
 fn rows_dot_acc_tile<const H: usize, const P: usize>(
     v: SplitCols<'_>,
     row0: usize,
     runs: &[Range<usize>],
     s: [&[f32]; H],
+    factor: &[f32],
     out: &mut [f32],
 ) {
     let d = out.len() / H;
@@ -480,7 +436,8 @@ fn rows_dot_acc_tile<const H: usize, const P: usize>(
         let sums = runs_dot::<H, P>(v, row0 + c, runs, s);
         for h in 0..H {
             for p in 0..P {
-                out[h * d + c + p] += sums[h][p];
+                let o = &mut out[h * d + c + p];
+                *o = sums[h][p].mul_add(factor[h], *o);
             }
         }
         c += P;
@@ -488,18 +445,20 @@ fn rows_dot_acc_tile<const H: usize, const P: usize>(
     while c < d {
         let sums = runs_dot::<H, 1>(v, row0 + c, runs, s);
         for h in 0..H {
-            out[h * d + c] += sums[h][0];
+            let o = &mut out[h * d + c];
+            *o = sums[h][0].mul_add(factor[h], *o);
         }
         c += 1;
     }
 }
 
 /// `⟨s[h], plane(row + p)[runs]⟩` for `H` score rows × `P` planes at once,
-/// with the exact grouping of `matrix::dot_unrolled_body` over the compact
+/// with the exact grouping of `matrix::dot_unrolled` over the compact
 /// index `i`: column `i` below `main` accumulates into lane `i % LANES` of
-/// its `(row, plane)` pair — whole chunks through [`lanes_acc`], the ragged
-/// ends of a piece lane by lane, which is the same per-lane order — and the
-/// last `n % LANES` columns are added after the fixed-tree fold, ascending.
+/// its `(row, plane)` pair by a fused multiply-add — whole chunks through
+/// [`lanes_acc`], the ragged ends of a piece lane by lane, which is the
+/// same operation in the same per-lane order — and the last `n % LANES`
+/// columns are added after the fixed-tree fold, ascending.
 #[inline(always)]
 fn runs_dot<const H: usize, const P: usize>(
     v: SplitCols<'_>,
@@ -565,14 +524,16 @@ fn lane_wise<const H: usize, const P: usize>(
     for t in ts {
         for h in 0..H {
             for p in 0..P {
-                acc[h][p][(i + t) % LANES] += s[h][i + t] * src[p][t];
+                let lane = &mut acc[h][p][(i + t) % LANES];
+                *lane = s[h][i + t].mul_add(src[p][t], *lane);
             }
         }
     }
 }
 
-/// `acc[h][p][l] += s[h][t + l] · src[p][t + l]` a `LANES`-chunk at a time,
-/// over operands that all have length `len`, a multiple of `LANES`.
+/// `acc[h][p][l] = fma(s[h][t + l], src[p][t + l], acc[h][p][l])` a
+/// `LANES`-chunk at a time, over operands that all have length `len`, a
+/// multiple of `LANES`.
 #[inline(always)]
 fn lanes_acc<const H: usize, const P: usize>(
     acc: &mut [[[f32; LANES]; P]; H],
@@ -588,10 +549,10 @@ fn lanes_acc<const H: usize, const P: usize>(
     for plane in &mut src {
         *plane = &plane[..len];
     }
-    const ZERO: &[f32; LANES] = &[0.0; LANES];
     let mut a = *acc;
     for t in (0..len / LANES).map(|k| k * LANES) {
-        let (mut ps, mut pv) = ([ZERO; H], [ZERO; P]);
+        // Chunks by value: each is loaded once and shared by the tile.
+        let (mut ps, mut pv) = ([[0.0f32; LANES]; H], [[0.0f32; LANES]; P]);
         for h in 0..H {
             ps[h] = s[h][t..t + LANES].try_into().unwrap();
         }
@@ -601,7 +562,7 @@ fn lanes_acc<const H: usize, const P: usize>(
         for h in 0..H {
             for p in 0..P {
                 for l in 0..LANES {
-                    a[h][p][l] += ps[h][l] * pv[p][l];
+                    a[h][p][l] = ps[h][l].mul_add(pv[p][l], a[h][p][l]);
                 }
             }
         }
@@ -609,38 +570,51 @@ fn lanes_acc<const H: usize, const P: usize>(
     *acc = a;
 }
 
-/// Keys per pass of the score kernel: one 512-bit vector of f32, two
-/// 256-bit ones. The score accumulation is element-wise, so the width moves
-/// speed only.
-const KEYS: usize = 16;
+/// Keys per chunk of the score kernel: one 512-bit vector of f32, two
+/// 256-bit ones. The score accumulation is element-wise, so neither this
+/// width nor how many chunks a pass takes can change a bit.
+const KEYS: usize = LANES;
 
-/// How a compact row of scaled scores becomes attention weights. A type,
+/// How the compact rows of scaled scores become attention weights. A type,
 /// not a closure: the `#[inline(always)]` method is cloned into each SIMD
 /// tier of the kernel with the tier's vector width, where a closure's call
 /// may be left out of line at the baseline width.
 pub trait RowWeights {
-    /// Turns `scores` into weights in place; `max` is the row's maximum.
-    fn weigh(scores: &mut [f32], max: f32);
+    /// Turns the `H` score rows held back to back in `rows` into weights in
+    /// place — `max[h]` is row `h`'s maximum — and returns the factor each
+    /// row's weighted value sum is still to be multiplied by. Every row is
+    /// padded to the same whole number of [`LANES`]-chunks with `-inf`;
+    /// what the padding becomes is never read.
+    fn weigh<const H: usize>(rows: &mut [f32], max: [f32; H]) -> [f32; H];
 }
 
-/// Softmax attention: [`softmax_fast_given_max`].
+/// Softmax attention: the weights are [`softmax_exp_sum_rows`]'
+/// unnormalised exponentials and the factor is the reciprocal of their sum,
+/// so the division touches a head's `head_dim` outputs instead of its `n`
+/// weights.
 pub struct Softmax;
 
 impl RowWeights for Softmax {
     #[inline(always)]
-    fn weigh(scores: &mut [f32], max: f32) {
-        softmax_fast_given_max(scores, max);
+    fn weigh<const H: usize>(rows: &mut [f32], max: [f32; H]) -> [f32; H] {
+        let mut factor = softmax_exp_sum_rows(rows, max);
+        for f in &mut factor {
+            // No weight survived (no finite score): the output is all zeros.
+            *f = if *f > 0.0 { 1.0 / *f } else { 0.0 };
+        }
+        factor
     }
 }
 
 /// HSTU's pointwise attention: SiLU of each score
-/// ([`crate::ops::fast_silu`]).
+/// ([`crate::ops::fast_silu`]), no normalisation.
 pub struct Silu;
 
 impl RowWeights for Silu {
     #[inline(always)]
-    fn weigh(scores: &mut [f32], _max: f32) {
-        fast_silu_in_place_body(scores);
+    fn weigh<const H: usize>(rows: &mut [f32], _max: [f32; H]) -> [f32; H] {
+        fast_silu_in_place_body(rows);
+        [1.0; H]
     }
 }
 
@@ -649,7 +623,7 @@ impl RowWeights for Silu {
 /// [`GroupAttention::attend`] is the attention of one token row for all
 /// query heads that share a KV head — the fused form of the row-level
 /// composition `axpy_plane` per K plane → `*= scale` → weigh →
-/// `rows_dot_acc`, and bit-identical to it.
+/// `rows_dot_acc` → `× factor`, and bit-identical to it.
 #[derive(Clone, Copy)]
 pub struct GroupAttention<'a> {
     /// Packed keys, `kv_heads × head_dim` planes.
@@ -667,25 +641,33 @@ impl GroupAttention<'_> {
     /// that share KV head `kv_head`, over the allowed key `runs` of one
     /// token row, accumulated into `out` (one `head_dim` slice per head).
     ///
-    /// Heads go through in register tiles of 4, 2 and 1; per tile:
+    /// Heads go through in register tiles of 6, 4, 2 and 1; per tile:
     ///
-    /// 1. **Scores.** Each run piece is walked in [`KEYS`]-key chunks. The
-    ///    `head_dim` K-plane chunks are loaded once and every head of the
-    ///    tile accumulates `Σ_c q[c]·K[c][j]` (from `0.0`, ascending `c`,
-    ///    separate multiply and add) in registers, multiplies by `scale`,
-    ///    stores the score once and keeps a running maximum (a maximum does
-    ///    not depend on the order it is taken in).
-    /// 2. **Weights.** `W::weigh(row, max)` turns each compact score row
-    ///    into attention weights in place ([`Softmax`], [`Silu`]).
-    /// 3. **P·V.** Each 8-key V chunk is loaded once and applied to the lane
-    ///    accumulators of every head of the tile, in the compact-index lane
-    ///    order of [`SplitCols::rows_dot_acc`].
+    /// 1. **Scores.** Each run piece is walked in [`KEYS`]-key chunks (two
+    ///    at a time on AVX-512, sharing each `q` broadcast). The `head_dim`
+    ///    K-plane chunks are loaded once and every head of the tile
+    ///    accumulates `acc = fma(q[c], K[c][j], acc)` (from `0.0`, ascending
+    ///    `c`) in registers, multiplies by `scale`, stores the score once
+    ///    and keeps a running maximum (a maximum does not depend on the
+    ///    order it is taken in). The ragged end of a piece runs the same
+    ///    chain key by key.
+    /// 2. **Weights.** `W::weigh` turns the tile's compact score rows into
+    ///    attention weights in place ([`Softmax`], [`Silu`]), all rows in
+    ///    step, and gives the factor each row's output is still owed.
+    /// 3. **P·V.** Each 16-key V chunk is loaded once and applied by fused
+    ///    multiply-adds to the lane accumulators of (up to four of) the
+    ///    tile's heads, in the compact-index lane order of
+    ///    [`SplitCols::rows_dot_acc`]; a head's folded sums times its factor
+    ///    are added to `out`.
     ///
     /// Per-row arithmetic is that of the row-level composition, operation
-    /// for operation, so the result is bit-identical to it on every SIMD
-    /// tier; the tile sizes move speed only. `scratch` holds the tile's
-    /// compact rows (`4 × n` floats at most, grown on demand and never
-    /// shrunk); a row with no allowed key leaves `out` untouched.
+    /// for operation, and every operation is correctly rounded, so the
+    /// result is bit-identical to it on every SIMD tier and does not depend
+    /// on how the allowed keys are cut into runs or blocks; the tile sizes
+    /// move speed only. `scratch` holds the tile's compact rows, each padded
+    /// to whole chunks and cache-line aligned (`6 × (n + 15) + 15` floats at
+    /// most, grown on demand and never shrunk); a row with no allowed key
+    /// leaves `out` untouched.
     ///
     /// # Panics
     ///
@@ -706,73 +688,56 @@ impl GroupAttention<'_> {
             (kv_head + 1) * d <= self.keys.rows().min(self.vals.rows()),
             "KV head overruns the packed planes"
         );
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: AVX-512F support was just verified at runtime.
-                return unsafe { attend_avx512::<W>(self, kv_head, runs, q, scratch, out) };
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 support was just verified at runtime.
-                return unsafe { attend_avx2::<W>(self, kv_head, runs, q, scratch, out) };
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            // SAFETY: NEON support was just verified at runtime.
-            return unsafe { attend_neon::<W>(self, kv_head, runs, q, scratch, out) };
-        }
-        attend_body::<W>(self, kv_head, runs, q, scratch, out)
+        attend_tiered::<W>(Tier::best(), self, kv_head, runs, q, scratch, out)
     }
 }
 
-/// [`GroupAttention::attend`]'s body compiled with AVX-512F enabled (see
-/// `matrix::fold_rows_into_avx2` for why the body must be
-/// `#[inline(always)]`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn attend_avx512<W: RowWeights>(
-    ga: &GroupAttention<'_>,
-    kv_head: usize,
-    runs: &[Range<usize>],
-    q: &[f32],
-    scratch: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    attend_body::<W>(ga, kv_head, runs, q, scratch, out)
+tiered! {
+    fn attend_tiered<W: RowWeights>(
+        ga: &GroupAttention<'_>,
+        kv_head: usize,
+        runs: &[Range<usize>],
+        q: &[f32],
+        scratch: &mut Vec<f32>,
+        out: &mut [f32],
+    ) = attend_wide, attend_narrow
 }
 
-/// [`GroupAttention::attend`]'s body compiled with AVX2 enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn attend_avx2<W: RowWeights>(
-    ga: &GroupAttention<'_>,
-    kv_head: usize,
-    runs: &[Range<usize>],
-    q: &[f32],
-    scratch: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    attend_body::<W>(ga, kv_head, runs, q, scratch, out)
-}
-
-/// [`GroupAttention::attend`]'s body compiled with NEON enabled (aarch64).
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn attend_neon<W: RowWeights>(
-    ga: &GroupAttention<'_>,
-    kv_head: usize,
-    runs: &[Range<usize>],
-    q: &[f32],
-    scratch: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    attend_body::<W>(ga, kv_head, runs, q, scratch, out)
-}
-
-/// The descending head-tile ladder over one group: 4, 2, 1.
+/// Thirty-two registers: score passes of two key chunks (twelve
+/// accumulators for six heads) and P·V tiles of sixteen accumulators.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 #[inline(always)]
-fn attend_body<W: RowWeights>(
+fn attend_wide<W: RowWeights>(
+    ga: &GroupAttention<'_>,
+    kv_head: usize,
+    runs: &[Range<usize>],
+    q: &[f32],
+    scratch: &mut Vec<f32>,
+    out: &mut [f32],
+) {
+    attend_body::<W, 2, 4, 4, 4>(ga, kv_head, runs, q, scratch, out)
+}
+
+/// Sixteen registers of half the width (a sixteen-lane accumulator is two
+/// of them): one key chunk per score pass, P·V tiles of four accumulators.
+#[inline(always)]
+fn attend_narrow<W: RowWeights>(
+    ga: &GroupAttention<'_>,
+    kv_head: usize,
+    runs: &[Range<usize>],
+    q: &[f32],
+    scratch: &mut Vec<f32>,
+    out: &mut [f32],
+) {
+    attend_body::<W, 1, 1, 2, 4>(ga, kv_head, runs, q, scratch, out)
+}
+
+/// The descending head-tile ladder over one group: 6 (Qwen2's group, in
+/// one pass over the keys), 4, 2, 1 heads, with `C` key chunks per score
+/// pass and `P4` / `P2` / `P1` value planes per P·V pass over four, two and
+/// one heads.
+#[inline(always)]
+fn attend_body<W: RowWeights, const C: usize, const P4: usize, const P2: usize, const P1: usize>(
     ga: &GroupAttention<'_>,
     kv_head: usize,
     runs: &[Range<usize>],
@@ -786,71 +751,89 @@ fn attend_body<W: RowWeights>(
     }
     let d = ga.head_dim;
     let group = q.len() / d;
-    let rows = group.min(4) * n;
-    if scratch.len() < rows {
-        scratch.resize(rows, 0.0);
+    // Rows of whole chunks on cache lines: the weighting runs whole chunks
+    // only and no row load straddles two lines.
+    let stride = n.next_multiple_of(LANES);
+    let rows = group.min(6) * stride;
+    if scratch.len() < rows + LANES {
+        scratch.resize(rows + LANES, 0.0);
     }
+    let aligned = scratch.as_ptr().align_offset(64).min(LANES);
+    let s = &mut scratch[aligned..aligned + rows];
     let row0 = kv_head * d;
     let mut g = 0;
-    while group - g >= 4 {
+    while group - g >= 6 {
+        let heads = g * d..(g + 6) * d;
+        let (q, s, out) = (&q[heads.clone()], &mut s[..6 * stride], &mut out[heads]);
+        let factor = weights_tile::<6, C, W>(ga, row0, runs, q, s, n);
+        let (s4, s2) = s.split_at(4 * stride);
+        let (out4, out2) = out.split_at_mut(4 * d);
+        values_tile::<4, P4>(ga, row0, runs, s4, n, &factor[..4], out4);
+        values_tile::<2, P2>(ga, row0, runs, s2, n, &factor[4..], out2);
+        g += 6;
+    }
+    if group - g >= 4 {
         let heads = g * d..(g + 4) * d;
-        attend_tile::<4, 2, W>(
-            ga,
-            row0,
-            runs,
-            &q[heads.clone()],
-            &mut scratch[..4 * n],
-            &mut out[heads],
-        );
+        let (q, s, out) = (&q[heads.clone()], &mut s[..4 * stride], &mut out[heads]);
+        let factor = weights_tile::<4, C, W>(ga, row0, runs, q, s, n);
+        values_tile::<4, P4>(ga, row0, runs, s, n, &factor, out);
         g += 4;
     }
     if group - g >= 2 {
         let heads = g * d..(g + 2) * d;
-        attend_tile::<2, 4, W>(
-            ga,
-            row0,
-            runs,
-            &q[heads.clone()],
-            &mut scratch[..2 * n],
-            &mut out[heads],
-        );
+        let (q, s, out) = (&q[heads.clone()], &mut s[..2 * stride], &mut out[heads]);
+        let factor = weights_tile::<2, C, W>(ga, row0, runs, q, s, n);
+        values_tile::<2, P2>(ga, row0, runs, s, n, &factor, out);
         g += 2;
     }
     if group > g {
         let heads = g * d..(g + 1) * d;
-        attend_tile::<1, 4, W>(
-            ga,
-            row0,
-            runs,
-            &q[heads.clone()],
-            &mut scratch[..n],
-            &mut out[heads],
-        );
+        let (q, s, out) = (&q[heads.clone()], &mut s[..stride], &mut out[heads]);
+        let factor = weights_tile::<1, C, W>(ga, row0, runs, q, s, n);
+        values_tile::<1, P1>(ga, row0, runs, s, n, &factor, out);
     }
 }
 
-/// One register tile of [`GroupAttention::attend`]: `H` heads (`q`, `out`
-/// and the compact rows `s` hold `H` slices back to back), `P` value planes
-/// per P·V pass.
+/// Steps 1 and 2 of [`GroupAttention::attend`] for one tile of `H` heads
+/// (`q` holds their queries back to back): the compact weight rows, `n`
+/// weights each at the rows' common stride, into `s`, and each row's output
+/// factor. `C` key chunks go through per score pass.
 #[inline(always)]
-fn attend_tile<const H: usize, const P: usize, W: RowWeights>(
+fn weights_tile<const H: usize, const C: usize, W: RowWeights>(
     ga: &GroupAttention<'_>,
     row0: usize,
     runs: &[Range<usize>],
     q: &[f32],
     s: &mut [f32],
+    n: usize,
+) -> [f32; H] {
+    let stride = s.len() / H;
+    let max = score_tile::<H, C>(ga, row0, runs, q, s, stride);
+    for row in s.chunks_exact_mut(stride) {
+        row[n..].fill(f32::NEG_INFINITY);
+    }
+    W::weigh(s, max)
+}
+
+/// Step 3 of [`GroupAttention::attend`] for `H` heads: their weight rows
+/// (`n` weights each at the rows' common stride in `s`) against the value
+/// planes, `P` planes per pass, times `factor`, into `out`.
+#[inline(always)]
+fn values_tile<const H: usize, const P: usize>(
+    ga: &GroupAttention<'_>,
+    row0: usize,
+    runs: &[Range<usize>],
+    s: &[f32],
+    n: usize,
+    factor: &[f32],
     out: &mut [f32],
 ) {
-    let n = s.len() / H;
-    let max = score_tile::<H>(ga, row0, runs, q, s);
-    for (row, max) in s.chunks_exact_mut(n).zip(max) {
-        W::weigh(row, max);
-    }
+    let stride = s.len() / H;
     let mut rows: [&[f32]; H] = [&[]; H];
     for h in 0..H {
-        rows[h] = &s[h * n..(h + 1) * n];
+        rows[h] = &s[h * stride..][..n];
     }
-    rows_dot_acc_tile::<H, P>(ga.vals, row0, runs, rows, out);
+    rows_dot_acc_tile::<H, P>(ga.vals, row0, runs, rows, factor, out);
 }
 
 /// The larger of a running maximum `m` (never NaN) and `x`, or `m` when `x`
@@ -866,23 +849,25 @@ fn max_skip_nan(m: f32, x: f32) -> f32 {
     }
 }
 
-/// Scaled scores of `H` heads over `runs` into the compact rows `s`, and
-/// each row's maximum over its non-NaN scores (`-inf` when it has none).
-// `c` walks the K planes and every head's coefficients in step.
-#[allow(clippy::needless_range_loop)]
+/// Scaled scores of `H` heads over `runs` into the compact rows `s` (row
+/// `h` starts at `h * n`), and each row's maximum over its non-NaN scores
+/// (`-inf` when it has none).
+/// A piece goes through in passes of `C` key chunks, then single chunks,
+/// then key by key: a key's score is the same chain of fused multiply-adds
+/// in all three, so where a piece starts and ends cannot change it.
 #[inline(always)]
-fn score_tile<const H: usize>(
+fn score_tile<const H: usize, const C: usize>(
     ga: &GroupAttention<'_>,
     row0: usize,
     runs: &[Range<usize>],
     q: &[f32],
     s: &mut [f32],
+    n: usize,
 ) -> [f32; H] {
     let d = ga.head_dim;
-    let n = s.len() / H;
     let mut heads: [&[f32]; H] = [&[]; H];
     for h in 0..H {
-        heads[h] = &q[h * d..(h + 1) * d];
+        heads[h] = &q[h * d..][..d];
     }
     let mut max = [[f32::NEG_INFINITY; KEYS]; H];
     let mut at = 0;
@@ -890,35 +875,38 @@ fn score_tile<const H: usize>(
         // Component `c` of key `cols.start + j` sits at `base + c * cap + j`.
         let (cap, base) = (block.cap, row0 * block.cap + cols.start);
         let mut j = 0;
+        while j + C * KEYS <= cols.len() {
+            score_chunks::<H, C>(
+                &block.data[base + j..],
+                cap,
+                &heads,
+                ga.scale,
+                s,
+                n,
+                at + j,
+                &mut max,
+            );
+            j += C * KEYS;
+        }
         while j + KEYS <= cols.len() {
-            let mut acc = [[0.0f32; KEYS]; H];
-            for c in 0..d {
-                let k: &[f32; KEYS] = block.data[base + c * cap + j..][..KEYS]
-                    .try_into()
-                    .expect("a KEYS-long slice");
-                for h in 0..H {
-                    let qc = heads[h][c];
-                    for l in 0..KEYS {
-                        acc[h][l] += qc * k[l];
-                    }
-                }
-            }
-            for h in 0..H {
-                let dst = &mut s[h * n + at + j..][..KEYS];
-                for l in 0..KEYS {
-                    let score = acc[h][l] * ga.scale;
-                    dst[l] = score;
-                    max[h][l] = max_skip_nan(max[h][l], score);
-                }
-            }
+            score_chunks::<H, 1>(
+                &block.data[base + j..],
+                cap,
+                &heads,
+                ga.scale,
+                s,
+                n,
+                at + j,
+                &mut max,
+            );
             j += KEYS;
         }
-        // The ragged end of the piece, key by key: same sum, one lane.
+        // The ragged end of the piece, key by key: same chain, one lane.
         while j < cols.len() {
             for h in 0..H {
                 let mut acc = 0.0f32;
-                for c in 0..d {
-                    acc += heads[h][c] * block.data[base + c * cap + j];
+                for (c, qc) in heads[h].iter().enumerate() {
+                    acc = qc.mul_add(block.data[base + c * cap + j], acc);
                 }
                 let score = acc * ga.scale;
                 s[h * n + at + j] = score;
@@ -945,10 +933,60 @@ fn score_tile<const H: usize>(
     row_max
 }
 
+/// `C` chunks of [`KEYS`] keys for `H` heads: `keys[c * cap + j]` is
+/// component `c` of the pass's key `j`; the scores go to
+/// `s[h * n + at ..][..C * KEYS]` and into the running lane maxima.
+// `c` walks the K planes and every head's coefficients in step.
+#[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
+#[inline(always)]
+fn score_chunks<const H: usize, const C: usize>(
+    keys: &[f32],
+    cap: usize,
+    heads: &[&[f32]; H],
+    scale: f32,
+    s: &mut [f32],
+    n: usize,
+    at: usize,
+    max: &mut [[f32; KEYS]; H],
+) {
+    let d = heads[0].len();
+    let mut acc = [[[0.0f32; KEYS]; C]; H];
+    for c in 0..d {
+        // By value: each K chunk is loaded once and shared by the heads,
+        // each `q[c]` broadcast once and shared by the chunks.
+        let plane = &keys[c * cap..][..C * KEYS];
+        let mut k = [[0.0f32; KEYS]; C];
+        for (i, k) in k.iter_mut().enumerate() {
+            *k = plane[i * KEYS..(i + 1) * KEYS]
+                .try_into()
+                .expect("a KEYS-long slice");
+        }
+        for h in 0..H {
+            let qc = heads[h][c];
+            for i in 0..C {
+                for l in 0..KEYS {
+                    acc[h][i][l] = qc.mul_add(k[i][l], acc[h][i][l]);
+                }
+            }
+        }
+    }
+    for h in 0..H {
+        for i in 0..C {
+            let dst = &mut s[h * n + at + i * KEYS..][..KEYS];
+            for l in 0..KEYS {
+                let score = acc[h][i][l] * scale;
+                dst[l] = score;
+                max[h][l] = max_skip_nan(max[h][l], score);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::stable_softmax_fast_in_place;
+    use crate::ops::{dot_fast, fast_silu_in_place, softmax_exp_sum};
+    use crate::quant::{QuantKind, QuantizedColBlock};
     use crate::Matrix;
     use proptest::prelude::*;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -1085,9 +1123,10 @@ mod tests {
     }
 
     /// The run kernels must be bit-identical to the contiguous kernels
-    /// over a gathered copy of the run columns, for every split point and
-    /// run layout — chunk-aligned splits, runs straddling the split, runs
-    /// shorter than a chunk, empty runs, and the full causal window.
+    /// (`dot_fast` per plane, `axpy`) over a gathered copy of the run
+    /// columns, for every split point and run layout — chunk-aligned
+    /// splits, runs straddling the split, runs shorter than a chunk, empty
+    /// runs, and the full causal window.
     #[test]
     fn run_kernels_bit_match_contiguous_gather() {
         let mut rng = SmallRng::seed_from_u64(42);
@@ -1095,6 +1134,7 @@ mod tests {
             (8usize, 0usize, 5usize),
             (8, 3, 1),
             (8, 8, 8),
+            (8, 16, 16),
             (8, 13, 29),
             (16, 48, 200),
             (6, 17, 7),
@@ -1113,11 +1153,10 @@ mod tests {
                     .map(|_| rng.gen_range(-1.0..1.0))
                     .collect();
                 let mut got = vec![0.1f32; rows];
-                let mut want = vec![0.1f32; rows];
                 view.rows_dot_acc(0, &runs, &s, &mut got);
-                packed.rows_dot_acc(&s, &mut want);
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(g.to_bits(), w.to_bits(), "rows_dot_acc {runs:?}");
+                for (c, g) in got.iter().enumerate() {
+                    let want = 0.1 + dot_fast(&s, packed.row(c));
+                    assert_eq!(g.to_bits(), want.to_bits(), "rows_dot_acc {runs:?}");
                 }
                 let mut got = vec![0.25f32; s.len()];
                 let mut want = got.clone();
@@ -1129,41 +1168,56 @@ mod tests {
     }
 
     /// Every SIMD tier present on this CPU runs the same arithmetic as the
-    /// baseline body (the dispatcher only ever picks the widest).
-    #[cfg(target_arch = "x86_64")]
+    /// portable body (the dispatcher only ever picks the widest).
     #[test]
-    fn every_x86_tier_of_rows_dot_acc_is_bit_identical() {
+    fn every_tier_of_rows_dot_acc_is_bit_identical() {
         let mut rng = SmallRng::seed_from_u64(45);
         let pre = random_block(7, 21, &mut rng);
         let suf = random_block(7, 38, &mut rng);
         let view = SplitCols::new(Some(&pre), &suf);
         let runs = [2..19, 20..23, 30..59];
         let s: Vec<f32> = (0..49).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut gold = vec![0.0f32; 7];
-        runs_dot_acc_body(view, 0, &runs, &s, &mut gold);
-        if std::arch::is_x86_feature_detected!("avx512f") {
+        let run = |tier: Tier| {
             let mut got = vec![0.0f32; 7];
-            // SAFETY: AVX-512F support was just verified at runtime.
-            unsafe { runs_dot_acc_avx512(view, 0, &runs, &s, &mut got) };
-            assert_eq!(bits(&got), bits(&gold), "avx512f");
+            runs_dot_acc(tier, view, 0, &runs, &s, &mut got);
+            bits(&got)
+        };
+        let gold = run(Tier::SCALAR);
+        for tier in Tier::available() {
+            assert_eq!(run(tier), gold, "{}", tier.name());
         }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            let mut got = vec![0.0f32; 7];
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { runs_dot_acc_avx2(view, 0, &runs, &s, &mut got) };
-            assert_eq!(bits(&got), bits(&gold), "avx2");
+    }
+
+    /// A weighting at row level, through the public single-row kernels:
+    /// weights in place, output factor returned.
+    type RowWeigh = fn(&mut [f32], f32) -> f32;
+
+    fn softmax_row(s: &mut [f32], max: f32) -> f32 {
+        let sum = softmax_exp_sum(s, max);
+        if sum > 0.0 {
+            1.0 / sum
+        } else {
+            0.0
         }
+    }
+
+    fn silu_row(s: &mut [f32], _max: f32) -> f32 {
+        fast_silu_in_place(s);
+        1.0
     }
 
     /// The row-level composition the group kernel must reproduce bit for
     /// bit: per head, `axpy_plane` per K plane from a zeroed row, `*=
-    /// scale`, softmax, `rows_dot_acc` — every step through its own public
-    /// dispatcher. Returns the heads' weight rows back to back.
+    /// scale`, the weighting over the row's maximum, `rows_dot_acc` from
+    /// zero, and one fused multiply-add of each sum and the head's factor
+    /// into the output — every step through its own public dispatcher, on
+    /// unpadded rows. Returns the heads' weight rows back to back.
     fn attend_per_head(
         kv: &GroupAttention<'_>,
         kv_head: usize,
         runs: &[Range<usize>],
         q: &[f32],
+        weigh: RowWeigh,
         out: &mut [f32],
     ) -> Vec<f32> {
         let d = kv.head_dim;
@@ -1178,18 +1232,59 @@ mod tests {
                 kv.keys.axpy_plane(kv_head * d + c, runs, qc, &mut s);
             }
             s.iter_mut().for_each(|x| *x *= kv.scale);
-            stable_softmax_fast_in_place(&mut s);
-            kv.vals.rows_dot_acc(kv_head * d, runs, &s, out);
+            let max = s.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let factor = weigh(&mut s, max);
+            let mut sums = vec![0.0f32; d];
+            kv.vals.rows_dot_acc(kv_head * d, runs, &s, &mut sums);
+            for (o, sum) in out.iter_mut().zip(sums) {
+                *o = sum.mul_add(factor, *o);
+            }
             weights.extend_from_slice(&s);
         }
         weights
+    }
+
+    /// The `n` weights of each of the last tile's `heads` rows as the kernel
+    /// left them in its scratch, back to back (the kernel pads each row to
+    /// whole chunks and starts the first on a cache line).
+    fn scratch_rows(scratch: &[f32], heads: usize, n: usize) -> Vec<f32> {
+        let aligned = scratch.as_ptr().align_offset(64).min(LANES);
+        let stride = n.next_multiple_of(LANES);
+        (0..heads)
+            .flat_map(|h| scratch[aligned + h * stride..][..n].to_vec())
+            .collect()
+    }
+
+    /// Columns `cols` of `block` as a block of their own.
+    fn sub_block(block: &ColBlock, cols: Range<usize>) -> ColBlock {
+        let mut b = ColBlock::new(block.rows());
+        for j in cols {
+            b.push_col(&block.col(j));
+        }
+        b
+    }
+
+    /// `runs` cut into more runs that cover the same columns: each run is
+    /// split at random points, so neighbours touch.
+    fn fragment(runs: &[Range<usize>], rng: &mut SmallRng) -> Vec<Range<usize>> {
+        let mut out = Vec::new();
+        for run in runs {
+            let mut at = run.start;
+            while at < run.end {
+                let end = rng.gen_range(at + 1..run.end + 1);
+                out.push(at..end);
+                at = end;
+            }
+        }
+        out
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The group kernel is the per-head composition, bit for bit: any
-        /// group size the tile ladder splits differently (1, 2, 6 → 4 + 2),
+        /// group size the tile ladder splits differently (1, 2, 6, 7 → 6 + 1,
+        /// 13 → 6 + 6 + 1),
         /// both head widths, either KV head, with and without a prefix,
         /// over rows shorter than a lane chunk, rows that are no multiple
         /// of the score chunk, runs straddling the split, single-key
@@ -1197,7 +1292,7 @@ mod tests {
         #[test]
         fn group_kernel_bit_matches_the_per_head_composition(seed in 0u64..u64::MAX) {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let group = [1usize, 2, 6][rng.gen_range(0..3)];
+            let group = [1usize, 2, 6, 7, 13][rng.gen_range(0..5)];
             let d = [8usize, 16][rng.gen_range(0..2)];
             let p_cols = [0usize, 0, 3, 8, 13, 40][rng.gen_range(0..6)];
             let s_cols = [1usize, 2, 5, 7, 16, 29, 61][rng.gen_range(0..7)];
@@ -1228,19 +1323,115 @@ mod tests {
                 let mut got = vec![0.1f32; group * d];
                 let mut want = got.clone();
                 kv.attend::<Softmax>(kv_head, &runs, &q, &mut scratch, &mut got);
-                attend_per_head(&kv, kv_head, &runs, &q, &mut want);
+                attend_per_head(&kv, kv_head, &runs, &q, softmax_row, &mut want);
                 prop_assert_eq!(
-                    bits(&got), bits(&want), "group {} d {} runs {:?}", group, d, runs
+                    bits(&got), bits(&want), "softmax group {} d {} runs {:?}", group, d, runs
                 );
+                kv.attend::<Silu>(kv_head, &runs, &q, &mut scratch, &mut got);
+                attend_per_head(&kv, kv_head, &runs, &q, silu_row, &mut want);
+                prop_assert_eq!(
+                    bits(&got), bits(&want), "silu group {} d {} runs {:?}", group, d, runs
+                );
+            }
+        }
+
+        /// The new arithmetic's limit, pinned: attention over a fixed set
+        /// of keys gives the same bits wherever the prefix/suffix split
+        /// falls — every point `0..=n`, an empty block on either side
+        /// included — and however the set is cut into runs, for both
+        /// weightings, over f32 keys and values and over ones that went
+        /// through either quantized format. (A kernel that fused only its
+        /// whole-chunk loops fails this: the split decides which keys land
+        /// in a whole chunk.) Over the whole window of a quantized block the
+        /// same bits also come out of the dequant-fused row kernels.
+        #[test]
+        fn attention_does_not_depend_on_the_split_or_the_run_fragmentation(
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (d, group, kv_heads) = ([8usize, 16][rng.gen_range(0..2)], 6, 2);
+            let n = rng.gen_range(1..70);
+            let kv_head = rng.gen_range(0..kv_heads);
+            let q: Vec<f32> = (0..group * d).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let scale = 1.0 / (d as f32).sqrt();
+            let whole_window: Vec<Range<usize>> = std::iter::once(0..n).collect();
+            let run_sets = [random_runs(n, &mut rng), whole_window.clone()];
+            for kind in [None, Some(QuantKind::Int8), Some(QuantKind::F16)] {
+                let mut stored = || {
+                    let block = random_block(kv_heads * d, n, &mut rng);
+                    let quantized = kind.map(|kind| QuantizedColBlock::quantize(&block, kind));
+                    let block = quantized.as_ref().map_or(block, QuantizedColBlock::dequantize);
+                    (block, quantized)
+                };
+                let ((keys, q_keys), (vals, q_vals)) = (stored(), stored());
+                let whole = GroupAttention {
+                    keys: SplitCols::new(None, &keys),
+                    vals: SplitCols::new(None, &vals),
+                    head_dim: d,
+                    scale,
+                };
+                let both = |kv: &GroupAttention<'_>, runs: &[Range<usize>]| {
+                    let (mut scratch, mut out) = (Vec::new(), vec![0.1f32; 2 * group * d]);
+                    let (soft, silu) = out.split_at_mut(group * d);
+                    kv.attend::<Softmax>(kv_head, runs, &q, &mut scratch, soft);
+                    kv.attend::<Silu>(kv_head, runs, &q, &mut scratch, silu);
+                    bits(&out)
+                };
+                for runs in &run_sets {
+                    let gold = both(&whole, runs);
+                    for split in 0..=n {
+                        let blocks = [
+                            sub_block(&keys, 0..split),
+                            sub_block(&keys, split..n),
+                            sub_block(&vals, 0..split),
+                            sub_block(&vals, split..n),
+                        ];
+                        let kv = GroupAttention {
+                            keys: SplitCols::new(Some(&blocks[0]), &blocks[1]),
+                            vals: SplitCols::new(Some(&blocks[2]), &blocks[3]),
+                            ..whole
+                        };
+                        let runs = if split % 2 == 0 {
+                            runs.clone()
+                        } else {
+                            fragment(runs, &mut rng)
+                        };
+                        prop_assert_eq!(
+                            both(&kv, &runs), gold.clone(), "{:?} split {} runs {:?}", kind, split, runs
+                        );
+                    }
+                    if let (Some(q_keys), Some(q_vals), true) =
+                        (&q_keys, &q_vals, *runs == whole_window)
+                    {
+                        let mut fused = vec![0.1f32; group * d];
+                        for (qh, out) in q.chunks_exact(d).zip(fused.chunks_exact_mut(d)) {
+                            let mut s = vec![0.0f32; n];
+                            for (c, &qc) in qh.iter().enumerate() {
+                                q_keys.axpy_plane(kv_head * d + c, n, qc, &mut s);
+                            }
+                            s.iter_mut().for_each(|x| *x *= scale);
+                            let max = s.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                            let factor = softmax_row(&mut s, max);
+                            let mut sums = vec![0.0f32; d];
+                            q_vals.rows_dot_acc(kv_head * d, &s, &mut sums);
+                            for (o, sum) in out.iter_mut().zip(sums) {
+                                *o = sum.mul_add(factor, *o);
+                            }
+                        }
+                        prop_assert_eq!(
+                            bits(&fused), gold[..group * d].to_vec(), "dequant-fused {:?}", kind
+                        );
+                    }
+                }
             }
         }
 
         /// PR 12's softmax edge rows through the fused path: whatever mix
         /// of ordinary, hugely negative, infinite and NaN scores a row
         /// holds — fully masked rows and a single live lane included —
-        /// every weight the kernel leaves in its scratch is `0.0` or a
-        /// normal number, the same bits the row-level composition yields,
-        /// and the output is never NaN.
+        /// every (unnormalised) weight the kernel leaves in its scratch is
+        /// `0.0` or a normal number, the same bits the row-level composition
+        /// yields, and the output is never NaN.
         #[test]
         fn group_kernel_weights_are_zero_or_normal(
             row in proptest::collection::vec((0u8..8, -90.0f32..90.0), 1..200),
@@ -1276,8 +1467,8 @@ mod tests {
             let (mut scratch, mut got) = (Vec::new(), vec![0.0f32; 2 * d]);
             kv.attend::<Softmax>(0, runs, &q, &mut scratch, &mut got);
             let mut want = vec![0.0f32; 2 * d];
-            let weights = attend_per_head(&kv, 0, runs, &q, &mut want);
-            prop_assert_eq!(bits(&scratch[..2 * row.len()]), bits(&weights));
+            let weights = attend_per_head(&kv, 0, runs, &q, softmax_row, &mut want);
+            prop_assert_eq!(bits(&scratch_rows(&scratch, 2, row.len())), bits(&weights));
             prop_assert!(weights.iter().all(|w| *w == 0.0 || w.is_normal()), "{:?}", weights);
             prop_assert_eq!(bits(&got), bits(&want));
             prop_assert!(got.iter().all(|x| !x.is_nan()));
@@ -1285,13 +1476,14 @@ mod tests {
     }
 
     /// Every SIMD tier of the group kernel present on this CPU runs the
-    /// same arithmetic as the baseline body (the dispatcher only ever
-    /// picks the widest): outputs and the weights left in the scratch.
+    /// same arithmetic as the portable body (the dispatcher only ever
+    /// picks the widest) — each over its own tile shapes: outputs and the
+    /// weights left in the scratch, for both weightings.
     #[test]
     fn every_tier_of_the_group_kernel_is_bit_identical() {
         let mut rng = SmallRng::seed_from_u64(46);
-        let (d, group) = (8, 6);
-        let blocks: Vec<ColBlock> = [21, 21, 38, 38]
+        let (d, group) = (8, 7);
+        let blocks: Vec<ColBlock> = [21, 21, 70, 70]
             .iter()
             .map(|&cols| random_block(2 * d, cols, &mut rng))
             .collect();
@@ -1301,39 +1493,28 @@ mod tests {
             head_dim: d,
             scale: 0.35,
         };
-        let runs = [2..19, 20..23, 30..59];
+        let runs = [2..19, 20..23, 30..91];
         let q: Vec<f32> = (0..group * d).map(|_| rng.gen_range(-2.0..2.0)).collect();
-        type Tier = unsafe fn(
-            &GroupAttention<'_>,
-            usize,
-            &[Range<usize>],
-            &[f32],
-            &mut Vec<f32>,
-            &mut [f32],
-        );
         let run = |tier: Tier| {
-            let (mut scratch, mut out) = (Vec::new(), vec![0.0f32; group * d]);
-            // SAFETY: only tiers whose feature was detected are passed in.
-            unsafe { tier(&kv, 1, &runs, &q, &mut scratch, &mut out) };
-            (bits(&out), bits(&scratch))
+            let (mut scratch, mut out) = (Vec::new(), vec![0.0f32; 2 * group * d]);
+            let (soft, silu) = out.split_at_mut(group * d);
+            // The scratch holds the last tile: head 7 of 7, 81 keys.
+            attend_tiered::<Softmax>(tier, &kv, 1, &runs, &q, &mut scratch, soft);
+            let soft_weights = bits(&scratch_rows(&scratch, 1, 81));
+            attend_tiered::<Silu>(tier, &kv, 1, &runs, &q, &mut scratch, silu);
+            (
+                bits(&out),
+                soft_weights,
+                bits(&scratch_rows(&scratch, 1, 81)),
+            )
         };
-        let gold = run(attend_body::<Softmax>);
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                assert_eq!(run(attend_avx512::<Softmax>), gold, "avx512f");
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                assert_eq!(run(attend_avx2::<Softmax>), gold, "avx2");
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            assert_eq!(run(attend_neon::<Softmax>), gold, "neon");
+        let gold = run(Tier::SCALAR);
+        for tier in Tier::available() {
+            assert_eq!(run(tier), gold, "{}", tier.name());
         }
         let mut dispatched = vec![0.0f32; group * d];
         kv.attend::<Softmax>(1, &runs, &q, &mut Vec::new(), &mut dispatched);
-        assert_eq!(bits(&dispatched), gold.0, "dispatcher");
+        assert_eq!(bits(&dispatched), gold.0[..group * d], "dispatcher");
     }
 
     #[test]
@@ -1347,7 +1528,7 @@ mod tests {
         let mut got = vec![0.0f32; 4];
         view.rows_dot_acc(4, std::slice::from_ref(&(0..19)), &s, &mut got);
         for (c, g) in got.iter().enumerate() {
-            let want = crate::ops::dot_fast(&s, flat.row(4 + c));
+            let want = dot_fast(&s, flat.row(4 + c));
             assert_eq!(g.to_bits(), want.to_bits());
         }
     }

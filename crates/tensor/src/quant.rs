@@ -17,16 +17,19 @@
 //! The attend kernels ([`QuantizedColBlock::rows_dot_acc`],
 //! [`QuantizedColBlock::axpy_plane`]) read the quantized planes *directly*
 //! and are **bit-identical** to dequantizing the whole block first and
-//! attending over the f32 copy: dequantization is element-wise and the
-//! kernels replicate [`crate::matrix`]'s exact `LANES`-chunk grouping —
-//! each chunk is dequantized into a stack temporary, accumulated with the
-//! same per-lane products, folded with the same fixed tree, and finished
-//! with the same ascending scalar tail. A cold hit therefore attends
+//! attending over the f32 copy: dequantization is element-wise (`lo + q ·
+//! scale` as a separate multiply and add — it defines a stored value, the
+//! same wherever it is read) and the kernels replicate [`crate::matrix`]'s
+//! exact `LANES`-chunk grouping — each chunk is dequantized into a stack
+//! temporary, accumulated with the same per-lane fused multiply-adds, folded
+//! with the same fixed tree, and finished with the same ascending scalar
+//! tail. A cold hit therefore attends
 //! without ever materializing an f32 copy of the segment, and loses no
 //! accuracy beyond the storage quantization itself.
 
 use crate::matrix::{fold_lanes, LANES};
 use crate::packed::ColBlock;
+use crate::simd::{tiered, Tier};
 
 /// Converts an `f32` to IEEE-754 half precision (round-to-nearest-even)
 /// and back — the storage precision of the paper's KV cache ("We use FP16
@@ -292,7 +295,7 @@ impl QuantizedColBlock {
 
     /// Dequantized element at plane `r`, column `j` — the exact value the
     /// fused kernels read, and the exact value [`Self::dequantize`] writes.
-    #[inline]
+    #[inline(always)]
     pub fn at(&self, r: usize, j: usize) -> f32 {
         debug_assert!(r < self.rows && j < self.len, "index out of range");
         match &self.payload {
@@ -342,8 +345,8 @@ impl QuantizedColBlock {
     /// `s.len()` columns — the dequant-fused twin of
     /// [`crate::packed::SplitCols::rows_dot_acc`] over the single run
     /// `0..s.len()`, bit-identical to running that kernel on
-    /// [`Self::dequantize`]'s output: per row, the same `LANES`-chunk
-    /// products in the same order, the same fixed-tree fold, the same
+    /// [`Self::dequantize`]'s output: per row, the same `LANES`-chunk fused
+    /// multiply-adds in the same order, the same fixed-tree fold, the same
     /// ascending scalar tail.
     ///
     /// # Panics
@@ -352,47 +355,67 @@ impl QuantizedColBlock {
     pub fn rows_dot_acc(&self, row0: usize, s: &[f32], out: &mut [f32]) {
         assert!(row0 + out.len() <= self.rows, "rows_dot_acc row overrun");
         assert!(s.len() <= self.len, "rows_dot_acc column overrun");
-        let main = s.len() / LANES * LANES;
-        // Four rows per pass, like the f32 kernel: four independent lane
-        // accumulators hide the add latency a single row's chain is bound
-        // by. Each row's own arithmetic is unchanged by the grouping.
-        for (q, quad) in out.chunks_mut(4).enumerate() {
-            let r0 = row0 + 4 * q;
-            let mut acc = [[0.0f32; LANES]; 4];
-            let mut buf = [[0.0f32; LANES]; 4];
-            for i in (0..main).step_by(LANES) {
-                let ps: &[f32; LANES] = s[i..i + LANES].try_into().unwrap();
-                for k in 0..quad.len() {
-                    self.dequant_chunk(r0 + k, i, &mut buf[k]);
-                    for l in 0..LANES {
-                        acc[k][l] += ps[l] * buf[k][l];
-                    }
-                }
-            }
-            for (k, slot) in quad.iter_mut().enumerate() {
-                let mut sum = fold_lanes(acc[k], &[], &[]);
-                for (j, &sj) in s.iter().enumerate().skip(main) {
-                    sum += sj * self.at(r0 + k, j);
-                }
-                *slot += sum;
-            }
-        }
+        quant_rows_dot_acc(Tier::best(), self, row0, s, out)
     }
 
-    /// `out[j] += coeff · dequantized plane(r)[j]` over the first `window`
-    /// columns — the dequant-fused twin of
+    /// `out[j] = fma(coeff, dequantized plane(r)[j], out[j])` over the first
+    /// `window` columns — the dequant-fused twin of
     /// [`crate::packed::SplitCols::axpy_plane`] over the single run
-    /// `0..window`. `axpy` is element-wise,
-    /// so fusing the per-element dequantization cannot change a bit.
+    /// `0..window`. `axpy` is element-wise, so fusing the per-element
+    /// dequantization cannot change a bit.
     ///
     /// # Panics
     ///
     /// Panics if `window > self.len()` or `out.len() < window`.
     pub fn axpy_plane(&self, r: usize, window: usize, coeff: f32, out: &mut [f32]) {
         assert!(window <= self.len, "axpy_plane window overrun");
-        for (j, o) in out.iter_mut().take(window).enumerate() {
-            *o += coeff * self.at(r, j);
+        quant_axpy_plane(Tier::best(), self, r, coeff, &mut out[..window])
+    }
+}
+
+tiered! {
+    fn quant_rows_dot_acc(q: &QuantizedColBlock, row0: usize, s: &[f32], out: &mut [f32])
+        = quant_rows_dot_acc_body
+}
+
+#[inline(always)]
+fn quant_rows_dot_acc_body(q: &QuantizedColBlock, row0: usize, s: &[f32], out: &mut [f32]) {
+    let main = s.len() / LANES * LANES;
+    // Four rows per pass, like the f32 kernel: four independent lane
+    // accumulators hide the latency a single row's chain is bound by. Each
+    // row's own arithmetic is unchanged by the grouping.
+    for (quad_index, quad) in out.chunks_mut(4).enumerate() {
+        let r0 = row0 + 4 * quad_index;
+        let mut acc = [[0.0f32; LANES]; 4];
+        let mut buf = [[0.0f32; LANES]; 4];
+        for i in (0..main).step_by(LANES) {
+            let ps: [f32; LANES] = s[i..i + LANES].try_into().unwrap();
+            for k in 0..quad.len() {
+                q.dequant_chunk(r0 + k, i, &mut buf[k]);
+                for l in 0..LANES {
+                    acc[k][l] = ps[l].mul_add(buf[k][l], acc[k][l]);
+                }
+            }
         }
+        for (k, slot) in quad.iter_mut().enumerate() {
+            let mut tail = [0.0f32; LANES];
+            for (j, t) in (main..s.len()).zip(&mut tail) {
+                *t = q.at(r0 + k, j);
+            }
+            *slot += fold_lanes(acc[k], &s[main..], &tail);
+        }
+    }
+}
+
+tiered! {
+    fn quant_axpy_plane(q: &QuantizedColBlock, r: usize, coeff: f32, out: &mut [f32])
+        = quant_axpy_plane_body
+}
+
+#[inline(always)]
+fn quant_axpy_plane_body(q: &QuantizedColBlock, r: usize, coeff: f32, out: &mut [f32]) {
+    for (j, o) in out.iter_mut().enumerate() {
+        *o = coeff.mul_add(q.at(r, j), *o);
     }
 }
 

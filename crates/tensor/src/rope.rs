@@ -9,6 +9,8 @@
 //!
 //! The table is precomputed per `(position, dim)` for speed and determinism.
 
+use crate::simd::{tiered, Tier};
+
 /// Precomputed RoPE sine/cosine table.
 ///
 /// ```
@@ -80,18 +82,41 @@ impl RopeTable {
     /// Panics if `vec.len() != head_dim` or `position >= max_positions`.
     pub fn apply(&self, vec: &mut [f32], position: usize) {
         assert_eq!(vec.len(), self.head_dim, "RoPE dim mismatch");
+        self.apply_heads(vec, position);
+    }
+
+    /// Rotates every head of `row` (whole heads of length `head_dim`, back
+    /// to back — a token's query or key row) in place for the given
+    /// position ID, in one multiversioned pass: `(a, b) ← (a·c − b·s,
+    /// a·s + b·c)` with the second product of each fused into the sum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not whole heads or `position >= max_positions`.
+    pub fn apply_heads(&self, row: &mut [f32], position: usize) {
+        assert_eq!(row.len() % self.head_dim, 0, "RoPE dim mismatch");
         assert!(
             position < self.max_positions,
             "position {position} out of RoPE table range {}",
             self.max_positions
         );
         let half = self.head_dim / 2;
-        let off = position * half;
-        for i in 0..half {
-            let (c, s) = (self.cos[off + i], self.sin[off + i]);
-            let (a, b) = (vec[2 * i], vec[2 * i + 1]);
-            vec[2 * i] = a * c - b * s;
-            vec[2 * i + 1] = a * s + b * c;
+        let at = position * half..(position + 1) * half;
+        rotate(Tier::best(), &self.cos[at.clone()], &self.sin[at], row);
+    }
+}
+
+tiered! {
+    fn rotate(cos: &[f32], sin: &[f32], row: &mut [f32]) = rotate_body
+}
+
+#[inline(always)]
+fn rotate_body(cos: &[f32], sin: &[f32], row: &mut [f32]) {
+    for head in row.chunks_exact_mut(2 * cos.len()) {
+        for ((pair, &c), &s) in head.chunks_exact_mut(2).zip(cos).zip(sin) {
+            let (a, b) = (pair[0], pair[1]);
+            pair[0] = a.mul_add(c, -(b * s));
+            pair[1] = a.mul_add(s, b * c);
         }
     }
 }

@@ -73,15 +73,33 @@ fn assert_tail_bits_eq(cached: &ForwardOutput, cold: &ForwardOutput, what: &str)
     }
 }
 
+/// The Item-as-prefix cache contents: each item's segment computed
+/// standalone (tagged `Item(0)`), concatenated, and re-tagged with the
+/// item's index in this candidate list.
+fn standalone_item_prefix(model: &GrModel, layout: &PromptLayout, items: &[Vec<u32>]) -> KvSegment {
+    let cached: Vec<KvSegment> = items
+        .iter()
+        .map(|item| model.compute_kv(&layout.item_standalone(0, item, 0)))
+        .collect();
+    let mut prefix = KvSegment::concat(&cached.iter().collect::<Vec<_>>());
+    let item_len = items[0].len();
+    for (g, tag) in prefix.segs.iter_mut().enumerate() {
+        *tag = SegTag::Item((g / item_len) as u32);
+    }
+    prefix
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Cached-prefix forwards are bit-identical to the cold monolithic
     /// forward: behind a prefix cut at an arbitrary token (either scheme),
     /// and — the Item-as-prefix serving path — behind item segments that
-    /// were each computed standalone and concatenated, at every thread
-    /// count. (The per-tier pin tests in `bat-tensor` extend this across
-    /// scalar / AVX2 / AVX-512 / NEON: every tier is the same arithmetic.)
+    /// were each computed standalone and concatenated. (These shapes run
+    /// inline at any thread count; the ranking-sized test below repeats
+    /// both on the pool. The per-tier pin tests in `bat-tensor` extend this
+    /// across scalar / AVX2 / AVX-512 / NEON: every tier is the same
+    /// arithmetic.)
     #[test]
     fn cached_prefix_forward_is_bit_identical_to_cold_forward(
         user_len in 1usize..9,
@@ -112,21 +130,10 @@ proptest! {
         let layout = PromptLayout::new(MaskScheme::Bipartite);
         let seq = layout.build(PrefixKind::Item, &user, &items, &instr);
         let cold = model.forward(&seq, None);
-        let cached: Vec<KvSegment> = items
-            .iter()
-            .map(|item| model.compute_kv(&layout.item_standalone(0, item, 0)))
-            .collect();
-        let mut prefix = KvSegment::concat(&cached.iter().collect::<Vec<_>>());
-        for (g, tag) in prefix.segs.iter_mut().enumerate() {
-            *tag = SegTag::Item((g / item_len) as u32);
-        }
+        let prefix = standalone_item_prefix(&model, &layout, &items);
         let (_, tail) = seq.split_at(prefix.len());
-        for threads in [1usize, 2, 4, 8] {
-            set_threads(threads);
-            let hit = model.forward(&tail, Some(&prefix));
-            assert_tail_bits_eq(&hit, &cold, "item-as-prefix hit");
-        }
-        set_threads(1);
+        let hit = model.forward(&tail, Some(&prefix));
+        assert_tail_bits_eq(&hit, &cold, "item-as-prefix hit");
     }
 
     /// Packed-prefix forward ≡ the pre-change repack forward bitwise, and
@@ -178,38 +185,51 @@ proptest! {
 }
 
 /// The packed-prefix forward is bit-identical across thread counts — the
-/// determinism contract extends to the zero-copy splicing path.
+/// determinism contract extends to the zero-copy splicing path — and, at
+/// every count, to the tail of the cold serial forward, behind a cached
+/// user profile and behind standalone item segments alike. The prompt is
+/// ranking-sized so that the stages do go through the pool; the proptests
+/// above run shapes far below the dispatch threshold, where every thread
+/// count executes the same inline code.
 #[test]
 fn packed_prefix_forward_deterministic_across_threads() {
-    let model = GrModel::new(Weights::random(GrModelConfig::small(96), 17));
-    let (user, items, instr) = build_parts(8, 6, 3);
+    let cfg = GrModelConfig {
+        layers: 2,
+        ..GrModelConfig::qwen2_1_5b_proxy(512)
+    };
+    let model = GrModel::new(Weights::random(cfg, 17));
+    let (user, items, instr) = build_parts(200, 85, 2);
+    let layout = PromptLayout::new(MaskScheme::Bipartite);
     for kind in [PrefixKind::User, PrefixKind::Item] {
-        let seq = PromptLayout::new(MaskScheme::Bipartite).build(kind, &user, &items, &instr);
-        let prefix_len = match kind {
-            PrefixKind::User => user.len(),
-            PrefixKind::Item => items.iter().map(Vec::len).sum(),
+        let seq = layout.build(kind, &user, &items, &instr);
+        let prefix_kv = || match kind {
+            PrefixKind::User => model.compute_kv(&seq.split_at(user.len()).0),
+            PrefixKind::Item => standalone_item_prefix(&model, &layout, &items),
         };
-        let (head, tail) = seq.split_at(prefix_len);
 
         set_threads(1);
-        let kv = model.compute_kv(&head);
+        let cold = model.forward(&seq, None);
+        let kv = prefix_kv();
+        let (_, tail) = seq.split_at(kv.len());
         let serial = model.forward(&tail, Some(&kv));
+        // Every stage but the narrow K|V projection, which a tail of ~170
+        // rows runs inline (`integration_parallel_determinism` has it on
+        // the pool, in a cold forward).
+        for (stage, work) in model.stage_work(&tail, Some(&kv)) {
+            assert!(
+                stage == "K|V" || bat_tensor::stage_is_pooled(work),
+                "{kind}: {stage} ({work} multiply-adds) would run inline"
+            );
+        }
         for n in [2usize, 4, 8] {
             set_threads(n);
-            let par = model.forward(&tail, Some(&model.compute_kv(&head)));
+            let par = model.forward(&tail, Some(&prefix_kv()));
             assert_eq!(
                 bits(&serial.logits),
                 bits(&par.logits),
                 "{kind} logits diverged at {n} threads"
             );
-            assert_eq!(
-                &serial.hidden_all, &par.hidden_all,
-                "{kind} hidden states diverged at {n} threads"
-            );
-            assert_eq!(
-                &serial.suffix_kv, &par.suffix_kv,
-                "{kind} suffix KV diverged at {n} threads"
-            );
+            assert_tail_bits_eq(&par, &cold, &format!("{kind} hit at {n} threads"));
         }
         set_threads(1);
     }

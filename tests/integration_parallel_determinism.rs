@@ -53,21 +53,37 @@ fn build_parts(
     (user, items, vec![120, 121])
 }
 
+/// Fails unless every stage of `forward(suffix, prefix)` — bar those named
+/// in `inline` — is big enough to be handed to the pool. Below the dispatch
+/// threshold every thread count runs the same inline code, and a
+/// comparison across counts would say nothing.
+fn assert_stages_pooled(stages: [(&'static str, usize); 6], inline: &[&str], what: &str) {
+    for (stage, work) in stages {
+        assert!(
+            inline.contains(&stage) || bat_tensor::stage_is_pooled(work),
+            "{what}: {stage} ({work} multiply-adds) would run inline"
+        );
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(2))]
 
     /// Parallel `GrModel::forward` is bit-identical to serial for both
     /// prefix orderings (UP and IP), across random prompt shapes, with and
-    /// without a cached prefix.
+    /// without a cached prefix. The shapes are ranking-sized so that the
+    /// stages do go through the pool: all of them in the cold forward, all
+    /// but the narrow K|V projection behind a cached prefix.
     #[test]
     fn gr_forward_is_bit_identical_across_thread_counts(
         seed in 0u64..500,
-        user_len in 2usize..10,
-        n_items in 2usize..8,
-        item_len in 1usize..4,
+        user_len in 180usize..220,
+        n_items in 82usize..100,
+        item_len in 2usize..4,
     ) {
         let (user, items, instr) = build_parts(user_len, n_items, item_len);
-        let model = GrModel::new(Weights::random(GrModelConfig::small(128), seed));
+        let cfg = GrModelConfig { layers: 2, ..GrModelConfig::qwen2_1_5b_proxy(512) };
+        let model = GrModel::new(Weights::random(cfg, seed));
         let layout = PromptLayout::new(MaskScheme::Bipartite);
         for prefix_kind in [PrefixKind::User, PrefixKind::Item] {
             let seq = layout.build(prefix_kind, &user, &items, &instr);
@@ -81,6 +97,8 @@ proptest! {
             let serial_full = model.forward(&seq, None);
             let serial_kv = model.compute_kv(&head);
             let serial_cached = model.forward(&tail, Some(&serial_kv));
+            assert_stages_pooled(model.stage_work(&seq, None), &[], "cold");
+            assert_stages_pooled(model.stage_work(&tail, Some(&serial_kv)), &["K|V"], "cached");
 
             for n in THREAD_COUNTS {
                 set_threads(n);
@@ -111,16 +129,17 @@ proptest! {
 /// bit-identical to serial on both mask schemes.
 #[test]
 fn hstu_forward_is_bit_identical_across_thread_counts() {
-    let (user, items, instr) = build_parts(6, 5, 2);
+    let (user, items, instr) = build_parts(130, 20, 2);
     // HSTU's pointwise unit needs matched query/KV heads (no GQA).
     let cfg = GrModelConfig {
-        query_heads: 2,
-        kv_heads: 2,
-        ..GrModelConfig::tiny(128)
+        kv_heads: 12,
+        layers: 2,
+        ..GrModelConfig::qwen2_1_5b_proxy(512)
     };
     let model = HstuModel::random(cfg, 17);
     for scheme in [MaskScheme::NaiveCausal, MaskScheme::Bipartite] {
         let seq = PromptLayout::new(scheme).build(PrefixKind::User, &user, &items, &instr);
+        assert_stages_pooled(model.stage_work(&seq, None), &[], "HSTU");
         set_threads(1);
         let serial = model.forward(&seq, None);
         for n in THREAD_COUNTS {
@@ -136,18 +155,27 @@ fn hstu_forward_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// The parallel per-candidate scoring path used by the Table 3 accuracy
-/// pipeline returns bit-identical candidate scores at every thread count.
+/// The Table 3 accuracy pipeline scores users in parallel (one forward per
+/// pool task, as `SemanticWorld::eval_ranks` does) and gets bit-identical
+/// candidate scores at every thread count.
 #[test]
 fn semantic_scoring_is_bit_identical_across_thread_counts() {
     let world = SemanticWorld::generate(SemanticConfig::test_world());
-    let task = world.task(0);
+    let score_users = || {
+        bat::exec::parallel_map_indexed(8, 1, |u| {
+            world.score(&world.task(u), PrefixKind::Item, MaskScheme::Bipartite)
+        })
+        .concat()
+    };
     set_threads(1);
-    let serial = world.score(&task, PrefixKind::Item, MaskScheme::Bipartite);
+    let serial = score_users();
     for n in THREAD_COUNTS {
         set_threads(n);
-        let par = world.score(&task, PrefixKind::Item, MaskScheme::Bipartite);
-        assert_bits_eq(&par, &serial, &format!("candidate scores @ {n} threads"));
+        assert_bits_eq(
+            &score_users(),
+            &serial,
+            &format!("candidate scores @ {n} threads"),
+        );
     }
     set_threads(1);
 }
