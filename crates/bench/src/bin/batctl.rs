@@ -17,6 +17,7 @@
 //! batctl net      --dataset games --duration 10 --rate 60 \
 //!                 [--transport channel|uds|tcp] [--processes] [--scale 1e-3]
 //! batctl bench    [--quick] [--threads 4] [--out BENCH_KERNELS.json] [--check BENCH_KERNELS.json]
+//!                 | --stages [--threads 2]
 //! batctl tiers    --dataset games --duration 20 --rate 40 \
 //!                 [--hot-mb 200 --cold-mb 400] [--format f32|f16|int8] \
 //!                 [--split adaptive|static:0.5|all-user]
@@ -687,6 +688,29 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
     // records both the serial rewrite and the scaled pool.
     let top = flag_usize(flags, "threads", 4)?.max(1);
     let widths = if top == 1 { vec![1] } else { vec![1, top] };
+    if flags.contains_key("stages") {
+        // Where the ranking forwards' time goes, instead of the suite.
+        let rows = bat_bench::perf::stage_profile(&widths, if quick { 20 } else { 300 });
+        let Some(first) = rows.first() else {
+            return Err("no pool width fits this machine".into());
+        };
+        let mut header = vec!["forward", "threads", "wall µs"];
+        header.extend(first.stages.iter().map(|(name, _)| name.as_str()));
+        let table: Vec<Vec<String>> = rows
+            .iter()
+            .map(|row| {
+                let mut line = vec![
+                    row.scenario.clone(),
+                    row.threads.to_string(),
+                    f1(row.wall_us),
+                ];
+                line.extend(row.stages.iter().map(|&(_, us)| f1(us)));
+                line
+            })
+            .collect();
+        print_table(&header, &table);
+        return Ok(());
+    }
     let summary = bat_bench::perf::run(quick, &widths);
     if !summary.thread_counts.contains(&top) {
         eprintln!(
@@ -1080,7 +1104,7 @@ const COMMANDS: [(&str, Command, &[&str]); 14] = [
     ("overload", cmd_overload, &["dataset", "model", "nodes", "duration", "rate", "seed", "burst", "deadline", "slow", "straggle"]),
     ("meta", cmd_meta, &["dataset", "model", "nodes", "duration", "rate", "seed", "replicas", "at", "down"]),
     ("net", cmd_net, &["dataset", "model", "nodes", "duration", "rate", "seed", "transport", "processes", "scale"]),
-    ("bench", cmd_bench, &["quick", "out", "check"]),
+    ("bench", cmd_bench, &["quick", "out", "check", "stages"]),
     ("tiers", cmd_tiers, &["dataset", "model", "nodes", "duration", "rate", "hot-mb", "cold-mb", "format", "split"]),
     ("drain", cmd_drain, &["worker", "at", "dataset", "model", "nodes", "duration", "rate", "seed", "processes", "scale"]),
     ("join", cmd_join, &["worker", "leave", "at", "dataset", "model", "nodes", "duration", "rate", "seed", "processes", "scale"]),

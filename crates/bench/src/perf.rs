@@ -187,17 +187,18 @@ fn prefix_heavy_scenario(user_tokens: usize, candidates: usize) -> (GrModel, Tok
     (model, head, tail)
 }
 
+/// A cached prefix and the suffix left to compute behind it.
+type Hit = (KvSegment, TokenSeq);
+
 /// The `rank_warm` request shape of the repo benchmark (`benchmark/`): a
-/// 192-token user profile, 50 two-token candidates and a 32-token
-/// instruction block. Returns the model and, for each prefix kind, the
-/// cached prefix and the suffix left to compute: User-as-prefix splices
-/// the cached profile and computes items + instructions; Item-as-prefix
-/// splices the 50 item segments — each computed standalone — and computes
-/// profile + instructions.
-fn rank_warm_scenario() -> (GrModel, [(KvSegment, TokenSeq); 2]) {
-    let model = GrModel::new(Weights::random(GrModelConfig::qwen2_1_5b_proxy(4256), 11));
+/// `profile`-token user profile, 50 two-token candidates and a 32-token
+/// instruction block, as the two hits `model` can serve it by:
+/// User-as-prefix splices the cached profile and computes items +
+/// instructions; Item-as-prefix splices the 50 item segments — each computed
+/// standalone — and computes profile + instructions.
+fn rank_warm_hits(model: &GrModel, profile: u32) -> [Hit; 2] {
     let layout = PromptLayout::new(MaskScheme::Bipartite);
-    let user: Vec<u32> = (0..192).map(|i| i * 37 % 4256).collect();
+    let user: Vec<u32> = (0..profile).map(|i| i * 37 % 4256).collect();
     let items: Vec<Vec<u32>> = (0..50).map(|i| vec![i, 4000 + i]).collect();
     let instr: Vec<u32> = (0..32).map(|i| 4100 + i).collect();
 
@@ -215,7 +216,24 @@ fn rank_warm_scenario() -> (GrModel, [(KvSegment, TokenSeq); 2]) {
         *tag = SegTag::Item(g as u32 / 2);
     }
     let (_, ip_tail) = ip.split_at(ip_kv.len());
-    (model, [(up_kv, up_tail), (ip_kv, ip_tail)])
+    [(up_kv, up_tail), (ip_kv, ip_tail)]
+}
+
+/// The model and the forwards behind the `forward_*_hit*` rows and the stage
+/// profile: both hits behind a 192-token profile (the data set's mean, and
+/// a whole number of the kernels' sixteen-key chunks) and the
+/// User-as-prefix hit behind one of 183 — no row's key run is whole chunks,
+/// as for fifteen profiles in sixteen.
+fn rank_warm_cases() -> (GrModel, [(&'static str, Hit); 3]) {
+    let model = GrModel::new(Weights::random(GrModelConfig::qwen2_1_5b_proxy(4256), 11));
+    let [up, ip] = rank_warm_hits(&model, 192);
+    let [up_ragged, _] = rank_warm_hits(&model, 183);
+    let cases = [
+        ("forward_up_hit", up),
+        ("forward_ip_hit", ip),
+        ("forward_up_hit_ragged", up_ragged),
+    ];
+    (model, cases)
 }
 
 /// Checks the determinism contract: matmul and forward at each width in
@@ -327,6 +345,62 @@ fn serve_rows(quick: bool, samples: u32) -> Vec<BenchResult> {
     rows
 }
 
+/// One scenario of [`stage_profile`] at one pool width.
+#[derive(Debug, Clone)]
+pub struct StageRow {
+    /// The forward timed: a `forward` row name of [`PerfSummary`].
+    pub scenario: String,
+    /// Pool width.
+    pub threads: usize,
+    /// Mean wall-clock microseconds per forward.
+    pub wall_us: f64,
+    /// Mean microseconds per forward in each [`bat_model::Stage`], by name:
+    /// thread time for the stages inside the pooled one, so at `threads`
+    /// threads `threads × RowsWall − (Q + … + Down)` is what they idled.
+    pub stages: Vec<(String, f64)>,
+}
+
+/// Where a `rank_warm` forward spends its time, by stage
+/// ([`ForwardWorkspace::profile_stages`]): the three hits of the `forward`
+/// rows, each the mean of `forwards` runs at every width in `widths` the
+/// machine has cores for.
+pub fn stage_profile(widths: &[usize], forwards: u32) -> Vec<StageRow> {
+    let restore = exec::threads();
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (model, cases) = rank_warm_cases();
+    let mut rows = Vec::new();
+    for &w in widths.iter().filter(|&&w| w <= nproc) {
+        set_width(w);
+        for (name, (kv, tail)) in &cases {
+            let mut ws = ForwardWorkspace::new();
+            for _ in 0..forwards.div_ceil(10) {
+                black_box(model.forward_with(tail, Some(kv), &mut ws));
+            }
+            ws.profile_stages();
+            let t0 = Instant::now();
+            for _ in 0..forwards {
+                black_box(model.forward_with(black_box(tail), Some(kv), &mut ws));
+            }
+            let wall_us = t0.elapsed().as_secs_f64() * 1e6 / f64::from(forwards);
+            let stages = ws.stage_profile().expect("profiling was switched on");
+            rows.push(StageRow {
+                scenario: (*name).into(),
+                threads: w,
+                wall_us,
+                stages: stages
+                    .iter()
+                    .map(|(stage, time)| {
+                        let us = time.as_secs_f64() * 1e6 / f64::from(forwards);
+                        (format!("{stage:?}"), us)
+                    })
+                    .collect(),
+            });
+        }
+    }
+    exec::set_threads(restore);
+    rows
+}
+
 /// Runs the full suite at each width in `widths` that fits the machine
 /// (see [`PerfSummary::thread_counts`]); determinism is still checked at
 /// every requested width, since that is a correctness property.
@@ -423,31 +497,17 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
     }
 
     // Prefix-heavy scenario: long cached user prefix + cached candidate
-    // blocks, two-token suffix. `forward_prefix_repack` is the pre-change
-    // data movement (fresh workspace + per-layer repack of the whole
-    // prefix); `forward_packed_prefix` is the canonical path (reused
-    // workspace, zero-copy splice of the stored packed planes). The calls
-    // are sub-millisecond, so they get more samples (not in quick mode: the
-    // suite's own tests run it unoptimized, where a forward takes seconds).
+    // blocks, two-token suffix, through a reused workspace and the zero-copy
+    // splice of the stored packed planes (`forward_packed_prefix`; the
+    // repack-per-layer data movement it replaced last read 0.816 ms against
+    // 0.260 ms — EXPERIMENTS.md, PR 22). The calls are sub-millisecond, so
+    // they get more samples (not in quick mode: the suite's own tests run it
+    // unoptimized, where a forward takes seconds).
     let (user_tokens, p_candidates) = if quick { (256, 20) } else { (2048, 100) };
     let p_samples = if quick { samples } else { samples * 8 };
     let (p_model, p_head, p_tail) = prefix_heavy_scenario(user_tokens, p_candidates);
     exec::set_threads(1);
     let p_kv: KvSegment = p_model.compute_kv(&p_head);
-    let repack_secs = time_best(
-        || {
-            drop(black_box(p_model.forward_prefix_repack_baseline(
-                black_box(&p_tail),
-                Some(black_box(&p_kv)),
-            )));
-        },
-        p_samples,
-    );
-    forward.push(BenchResult {
-        name: "forward_prefix_repack".into(),
-        threads: 1,
-        secs: repack_secs,
-    });
     let mut ws = ForwardWorkspace::new();
     for &w in thread_counts {
         set_width(w);
@@ -472,10 +532,10 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
     // through a reused workspace — the rows behind its
     // `model.forward_up_hit` / `model.forward_ip_hit` spans. Same shape in
     // quick mode: it is the shape that matters, and it takes milliseconds.
-    let (r_model, r_cases) = rank_warm_scenario();
+    let (r_model, r_cases) = rank_warm_cases();
     for &w in thread_counts {
         set_width(w);
-        for (name, (kv, tail)) in ["forward_up_hit", "forward_ip_hit"].iter().zip(&r_cases) {
+        for (name, (kv, tail)) in &r_cases {
             let secs = time_best(
                 || {
                     black_box(r_model.forward_with(black_box(tail), Some(black_box(kv)), &mut ws));
@@ -582,7 +642,7 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
 
     // The group attention kernel on its own, at the `rank_warm` shapes: one
     // User-as-prefix token row — all 12 query heads (two KV heads of six)
-    // over the 192 cached keys plus the token's own 2-key block — and a
+    // over the cached keys plus the token's own 2-key block — and a
     // 192-token causal block (what `compute_kv` of a profile runs per
     // layer). Same shapes in quick mode; they take micro- to milliseconds.
     {
@@ -615,15 +675,24 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
             head_dim: d,
             scale: 1.0 / (d as f32).sqrt(),
         };
-        let row_secs = time_best(
-            || attend(&up_hit, 0, &[0..prefix, prefix + 4..prefix + 6]),
-            q_samples,
-        );
-        kernels.push(BenchResult {
-            name: "attend_group_up_hit".into(),
-            threads: 1,
-            secs: row_secs,
-        });
+        // The same row over 191 cached keys — a ragged run, as fifteen
+        // profile lengths in sixteen give — and an item row on its own two
+        // keys (an item segment's `compute_kv`): nearly all fixed cost.
+        for (name, runs) in [
+            ("attend_group_up_hit", [0..prefix, prefix + 4..prefix + 6]),
+            (
+                "attend_group_up_hit_ragged",
+                [0..prefix - 1, prefix + 4..prefix + 6],
+            ),
+            ("attend_group_row_2key", [0..0, prefix + 4..prefix + 6]),
+        ] {
+            let secs = time_best(|| attend(&up_hit, 0, &runs), q_samples);
+            kernels.push(BenchResult {
+                name: name.into(),
+                threads: 1,
+                secs,
+            });
+        }
         let causal = GroupAttention {
             keys: SplitCols::new(None, &k_pre),
             vals: SplitCols::new(None, &v_pre),

@@ -176,7 +176,7 @@ where
         return;
     }
     let k = block_count(n);
-    let cuts = &weighted_cuts(weights, k);
+    let cuts = &weighted_cuts(weights, k, 1);
     run_blocks(k, &|b| {
         let range = cuts[b]..cuts[b + 1];
         if !range.is_empty() {
@@ -187,11 +187,12 @@ where
 
 /// The partition of [`parallel_weighted_chunks`]: chunk `b` of `k` is
 /// `cuts[b]..cuts[b + 1]`, where `cuts[b]` is the first index whose prefix
-/// weight reaches `b/k` of the total — one forward sweep, so the cuts are
-/// monotone and partition `0..weights.len()` exactly. A zero total weight
-/// gives the uniform count split. `k <= MAX_THREADS * 4`, so the cuts live
-/// on the stack and a steady-state call never allocates.
-fn weighted_cuts(weights: &[u64], k: usize) -> [usize; MAX_THREADS * 4 + 1] {
+/// weight reaches `b/k` of the total, rounded to the nearest multiple of
+/// `align` — one forward sweep, so the cuts are monotone and partition
+/// `0..weights.len()` exactly. A zero total weight gives the uniform count
+/// split. `k <= MAX_THREADS * 4`, so the cuts live on the stack and a
+/// steady-state call never allocates.
+fn weighted_cuts(weights: &[u64], k: usize, align: usize) -> [usize; MAX_THREADS * 4 + 1] {
     let n = weights.len();
     let mut cuts = [0usize; MAX_THREADS * 4 + 1];
     let total: u128 = weights.iter().map(|&w| u128::from(w)).sum();
@@ -200,17 +201,33 @@ fn weighted_cuts(weights: &[u64], k: usize) -> [usize; MAX_THREADS * 4 + 1] {
     for (b, cut) in cuts.iter_mut().enumerate().take(k).skip(1) {
         if total == 0 {
             *cut = block_range(n, k, b).start;
-            continue;
+        } else {
+            let target = total * b as u128;
+            while i < n && prefix * (k as u128) < target {
+                prefix += u128::from(weights[i]);
+                i += 1;
+            }
+            *cut = i;
         }
-        let target = total * b as u128;
-        while i < n && prefix * (k as u128) < target {
-            prefix += u128::from(weights[i]);
-            i += 1;
-        }
-        *cut = i;
+        *cut = ((*cut + align / 2) / align * align).min(n);
     }
     cuts[k] = n;
     cuts
+}
+
+/// The row blocks [`parallel_weighted_row_bands`] hands out for `weights`
+/// at `threads` effective threads, empty ones left out: a pure function, so
+/// a test can assert where a stage is cut without racing the process-wide
+/// thread count.
+pub fn weighted_row_blocks(
+    weights: &[u64],
+    align_rows: usize,
+    threads: usize,
+) -> Vec<Range<usize>> {
+    let k = weights.len().min(threads.clamp(1, MAX_THREADS) * 4);
+    let cuts = weighted_cuts(weights, k, align_rows.max(1));
+    let blocks = (0..k).map(|b| cuts[b]..cuts[b + 1]);
+    blocks.filter(|rows| !rows.is_empty()).collect()
 }
 
 /// [`parallel_row_blocks`] with the rows split by cumulative *weight*
@@ -233,19 +250,69 @@ pub fn parallel_weighted_row_blocks<T, F>(
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    assert_eq!(
-        data.len(),
-        weights.len() * row_len,
-        "buffer length {} is not {} rows of {row_len}",
-        data.len(),
-        weights.len()
+    parallel_weighted_row_bands(
+        [(data, row_len)],
+        weights,
+        grain_rows,
+        1,
+        |rows, [block]| f(rows.start, block),
     );
-    let ptr = SendPtr(data.as_mut_ptr());
-    parallel_weighted_chunks(weights, grain_rows, |_, rows| {
-        // SAFETY: the chunks partition 0..weights.len(), so the row slices
-        // are disjoint and in bounds; the buffer outlives the call.
-        let slice = unsafe { ptr.slice_rows(rows.start * row_len, rows.len() * row_len) };
-        f(rows.start, slice);
+}
+
+/// [`parallel_weighted_row_blocks`] over `N` equally tall row-major buffers
+/// at once — `bands[i]` is a buffer and its row length — for a stage that
+/// carries a block of rows through several matrices: `f(rows, slices)` gets
+/// rows `rows` of every buffer, in order. Every cut falls on a multiple of
+/// `align_rows` (see [`parallel_row_blocks`]); the blocks are those of
+/// [`weighted_row_blocks`].
+///
+/// # Panics
+///
+/// Panics if a row length or `align_rows` is zero, or a buffer is not
+/// `weights.len()` rows.
+pub fn parallel_weighted_row_bands<T, F, const N: usize>(
+    bands: [(&mut [T], usize); N],
+    weights: &[u64],
+    grain_rows: usize,
+    align_rows: usize,
+    f: F,
+) where
+    T: Send,
+    F: Fn(Range<usize>, [&mut [T]; N]) + Sync,
+{
+    assert!(align_rows > 0, "row alignment must be positive");
+    let n = weights.len();
+    let bands = bands.map(|(data, row_len)| {
+        assert!(
+            row_len > 0 && data.len() == n * row_len,
+            "buffer length {} is not {n} rows of {row_len}",
+            data.len()
+        );
+        (SendPtr(data.as_mut_ptr()), row_len)
+    });
+    let lend = |rows: Range<usize>| {
+        // SAFETY: the ranges this is called with partition `0..n` (one
+        // call for all of it, or the cuts of one `weighted_cuts`), so no row
+        // is lent twice: the slices of one buffer are disjoint and in
+        // bounds, and those of different buffers come from different `&mut`
+        // borrows, all of which outlive the call.
+        let slices = bands
+            .each_ref()
+            .map(|(ptr, len)| unsafe { ptr.slice_rows(rows.start * len, rows.len() * len) });
+        f(rows, slices);
+    };
+    if n == 0 {
+        return;
+    }
+    if threads() <= 1 || n < grain_rows.max(2) {
+        return lend(0..n);
+    }
+    let k = block_count(n);
+    let cuts = &weighted_cuts(weights, k, align_rows);
+    run_blocks(k, &|b| {
+        if cuts[b] < cuts[b + 1] {
+            lend(cuts[b]..cuts[b + 1]);
+        }
     });
 }
 
@@ -475,7 +542,7 @@ mod tests {
         let total: u64 = weights.iter().sum();
         let max_w = *weights.iter().max().unwrap();
         for k in [2usize, 8, 16] {
-            let cuts = weighted_cuts(&weights, k);
+            let cuts = weighted_cuts(&weights, k, 1);
             assert_eq!((cuts[0], cuts[k]), (0, weights.len()));
             let loads: Vec<u64> = (0..k)
                 .map(|b| weights[cuts[b]..cuts[b + 1]].iter().sum())
@@ -557,6 +624,54 @@ mod tests {
             assert_eq!(buf, want, "{t} threads");
         }
         set_threads(1);
+    }
+
+    /// Several buffers of different widths go through in step: every row of
+    /// each is lent exactly once, every cut is on the alignment, and the
+    /// blocks are the ones `weighted_row_blocks` names for that width.
+    #[test]
+    fn weighted_row_bands_lend_every_row_of_every_buffer_once() {
+        let weights: Vec<u64> = (0..41).map(|i| 1 + (i * 29) % 17).collect();
+        for t in [1, 2, 4, 8] {
+            set_threads(t);
+            for align in [1, 4] {
+                let (mut a, mut b) = (vec![0u32; 41 * 3], vec![0u32; 41 * 5]);
+                let seen = std::sync::Mutex::new(Vec::new());
+                let bands = [(&mut a[..], 3), (&mut b[..], 5)];
+                parallel_weighted_row_bands(bands, &weights, 1, align, |rows, [a, b]| {
+                    assert_eq!((a.len(), b.len()), (rows.len() * 3, rows.len() * 5));
+                    assert!(rows.start % align == 0 && (rows.end % align == 0 || rows.end == 41));
+                    for (off, r) in rows.clone().enumerate() {
+                        a[off * 3..][..3]
+                            .iter_mut()
+                            .for_each(|x| *x += r as u32 + 1);
+                        b[off * 5..][..5]
+                            .iter_mut()
+                            .for_each(|x| *x += r as u32 + 1);
+                    }
+                    seen.lock().unwrap().push(rows);
+                });
+                assert!(a
+                    .chunks(3)
+                    .enumerate()
+                    .all(|(r, row)| row == [r as u32 + 1; 3]));
+                assert!(b
+                    .chunks(5)
+                    .enumerate()
+                    .all(|(r, row)| row == [r as u32 + 1; 5]));
+                // The pool width is process-global and other tests set it:
+                // compare with the pure function only where one block ran.
+                let mut seen = seen.into_inner().unwrap();
+                seen.sort_by_key(|rows| rows.start);
+                if seen.len() > 1 {
+                    let widths = [1, 2, 4, 8].map(|w| weighted_row_blocks(&weights, align, w));
+                    assert!(widths.contains(&seen), "{seen:?} @ {t} threads");
+                }
+            }
+        }
+        set_threads(1);
+        assert_eq!(weighted_row_blocks(&[], 4, 2), Vec::<Range<usize>>::new());
+        assert_eq!(weighted_row_blocks(&[1; 8], 4, 1), vec![0..4, 4..8]);
     }
 
     #[test]

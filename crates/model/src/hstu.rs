@@ -20,8 +20,9 @@
 
 use crate::config::GrModelConfig;
 use crate::kv::KvSegment;
+use crate::mask::{allowed_keys, MaskBuf};
 use crate::prompt::TokenSeq;
-use crate::transformer::{allowed_keys, norm_rows_into, ForwardOutput, ForwardWorkspace, MaskBuf};
+use crate::transformer::{norm_rows_into, ForwardOutput, ForwardWorkspace};
 use bat_exec::with_thread_scratch;
 use bat_tensor::ops::{axpy, fast_silu_in_place, rms_norm_into};
 use bat_tensor::{GroupAttention, Matrix, RopeTable, Silu, SplitCols};
@@ -219,7 +220,7 @@ impl HstuModel {
                 suffix.segs[g - p_len]
             }
         }));
-        mask.build(suffix.scheme, tags, p_len);
+        mask.build(suffix.scheme, tags, p_len, 0);
 
         h.reset(s_len, cfg.hidden_dim);
         for (t, &tok) in suffix.tokens.iter().enumerate() {

@@ -26,7 +26,9 @@
 pub mod config;
 pub mod hstu;
 pub mod kv;
+mod mask;
 pub mod pic;
+pub mod profile;
 pub mod prompt;
 pub mod semantic;
 pub mod transformer;
@@ -35,6 +37,7 @@ pub mod weights;
 pub use config::GrModelConfig;
 pub use hstu::HstuModel;
 pub use kv::{KvSegment, LayerKv};
+pub use profile::Stage;
 pub use prompt::{MaskScheme, PromptLayout, SegTag, TokenSeq};
 pub use transformer::{ForwardOutput, ForwardWorkspace, GrModel};
 pub use weights::Weights;

@@ -1,0 +1,112 @@
+//! The bipartite attention mask of one forward, as per-row key runs.
+
+use crate::kv::KvSegment;
+use crate::prompt::{allowed_tags as allowed, SegTag, TokenSeq};
+use std::ops::Range;
+
+/// The bipartite mask of one forward, run-length encoded: per suffix token,
+/// the ascending virtual-column runs of `[prefix ++ suffix]` it may attend
+/// and their exact total. The mask is block-structured (causal ∧ the
+/// tag-pair rule of [`crate::prompt::allowed_tags`]), so the tags are cut
+/// into maximal same-tag blocks once and each row tests blocks, not keys:
+/// O(rows × blocks) to build and a handful of runs per row to store.
+/// Masks depend only on tags and the scheme, never on the layer or head,
+/// so each forward builds them exactly once — in place, keeping capacity,
+/// so a warmed workspace rebuilds them without allocating.
+#[derive(Default)]
+pub(crate) struct MaskBuf {
+    /// Maximal same-tag blocks of the combined tags (build scratch).
+    blocks: Vec<(SegTag, Range<usize>)>,
+    runs: Vec<Range<usize>>,
+    /// `runs[off[t]..off[t + 1]]` are suffix token `t`'s runs.
+    off: Vec<usize>,
+    /// Allowed-key count per suffix token (the runs' total length).
+    allowed: Vec<u64>,
+    /// Per suffix token, what its second stage of a layer costs, in keys:
+    /// its allowed keys plus the constant `build` was given.
+    weights: Vec<u64>,
+}
+
+impl MaskBuf {
+    /// Encodes the mask rows of the suffix tokens `tags[p_len..]`; a row's
+    /// weight is its allowed keys plus `row_weight`.
+    pub(crate) fn build(
+        &mut self,
+        scheme: crate::prompt::MaskScheme,
+        tags: &[SegTag],
+        p_len: usize,
+        row_weight: u64,
+    ) {
+        self.blocks.clear();
+        self.runs.clear();
+        self.off.clear();
+        self.allowed.clear();
+        self.weights.clear();
+        for (g, &tag) in tags.iter().enumerate() {
+            match self.blocks.last_mut() {
+                Some((last, r)) if *last == tag => r.end = g + 1,
+                _ => self.blocks.push((tag, g..g + 1)),
+            }
+        }
+        self.off.push(0);
+        for (g_q, &tq) in tags.iter().enumerate().skip(p_len) {
+            let first = self.runs.len();
+            let mut count = 0;
+            for (tag, block) in &self.blocks {
+                if block.start > g_q {
+                    break;
+                }
+                if !allowed(scheme, tq, *tag) {
+                    continue;
+                }
+                let end = block.end.min(g_q + 1); // causal cut
+                count += end - block.start;
+                match self.runs[first..].last_mut() {
+                    Some(run) if run.end == block.start => run.end = end,
+                    _ => self.runs.push(block.start..end),
+                }
+            }
+            self.off.push(self.runs.len());
+            self.allowed.push(count as u64);
+            self.weights.push(count as u64 + row_weight);
+        }
+    }
+
+    /// The mask of `forward(suffix, prefix)`.
+    pub(crate) fn of(suffix: &TokenSeq, prefix: Option<&KvSegment>, row_weight: u64) -> Self {
+        let prefix_tags = prefix.map_or(&[][..], |p| &p.segs);
+        let mut mask = MaskBuf::default();
+        mask.build(
+            suffix.scheme,
+            &[prefix_tags, &suffix.segs].concat(),
+            prefix_tags.len(),
+            row_weight,
+        );
+        mask
+    }
+
+    /// Allowed key runs of suffix token `t`: ascending, disjoint, and
+    /// non-adjacent.
+    #[inline]
+    pub(crate) fn runs(&self, t: usize) -> &[Range<usize>] {
+        &self.runs[self.off[t]..self.off[t + 1]]
+    }
+
+    /// Allowed-key count of every suffix token.
+    #[inline]
+    pub(crate) fn allowed(&self) -> &[u64] {
+        &self.allowed
+    }
+
+    /// Every suffix token's weight (see [`MaskBuf::build`]).
+    #[inline]
+    pub(crate) fn weights(&self) -> &[u64] {
+        &self.weights
+    }
+}
+
+/// Allowed keys of `forward(suffix, prefix)`'s attention stage, summed over
+/// the suffix rows.
+pub(crate) fn allowed_keys(suffix: &TokenSeq, prefix: Option<&KvSegment>) -> usize {
+    MaskBuf::of(suffix, prefix, 0).allowed().iter().sum::<u64>() as usize
+}

@@ -1,0 +1,88 @@
+//! An opt-in clock on the stages of a [`crate::GrModel`] forward.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
+
+/// Where a [`crate::GrModel`] forward spends its time. A layer is two stages:
+/// [`Stage::KvRows`] on the calling thread (or its own dispatches), then one
+/// pool dispatch in which every block of rows runs [`Stage::Q`] to
+/// [`Stage::Down`] on one thread — those six are thread time, summed over
+/// the blocks, and [`Stage::RowsWall`] is the caller's wall time for the
+/// dispatch, so `threads × RowsWall − Σ` is what the threads idled.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stage {
+    /// Tags, mask runs, embeddings.
+    Setup,
+    /// Norm, K|V product, RoPE and the push into the packed blocks.
+    KvRows,
+    /// Q product and RoPE.
+    Q,
+    /// Group attention.
+    Attention,
+    /// Output product and residual.
+    Wo,
+    /// Norm and gate|up product.
+    GateUp,
+    /// SiLU · up.
+    Silu,
+    /// Down product and residual.
+    Down,
+    /// Wall time of the dispatches that ran `Q` to `Down`.
+    RowsWall,
+    /// Final norm and output head.
+    ReadOut,
+}
+
+impl Stage {
+    /// Every stage, in forward order.
+    pub const ALL: [Stage; 10] = [
+        Stage::Setup,
+        Stage::KvRows,
+        Stage::Q,
+        Stage::Attention,
+        Stage::Wo,
+        Stage::GateUp,
+        Stage::Silu,
+        Stage::Down,
+        Stage::RowsWall,
+        Stage::ReadOut,
+    ];
+}
+
+/// Nanoseconds per [`Stage`]; atomics because the row blocks of one forward
+/// add to it from several threads.
+#[derive(Default)]
+pub(crate) struct StageProfile {
+    ns: [AtomicU64; Stage::ALL.len()],
+}
+
+impl StageProfile {
+    /// The time booked on each stage so far.
+    pub(crate) fn read(&self) -> [(Stage, Duration); Stage::ALL.len()] {
+        Stage::ALL.map(|stage| {
+            let ns = self.ns[stage as usize].load(Ordering::Relaxed);
+            (stage, Duration::from_nanos(ns))
+        })
+    }
+}
+
+/// The running clock of one thread's walk through the stages: `lap(stage)`
+/// books the time since the last lap. Without a profile it holds no clock
+/// and a lap is one untaken branch.
+pub(crate) struct Laps<'a>(Option<(&'a StageProfile, Instant)>);
+
+impl<'a> Laps<'a> {
+    pub(crate) fn start(profile: Option<&'a StageProfile>) -> Self {
+        Laps(profile.map(|profile| (profile, Instant::now())))
+    }
+
+    #[inline]
+    pub(crate) fn lap(&mut self, stage: Stage) {
+        if let Some((profile, last)) = &mut self.0 {
+            let now = Instant::now();
+            let ns = now.duration_since(*last).as_nanos() as u64;
+            profile.ns[stage as usize].fetch_add(ns, Ordering::Relaxed);
+            *last = now;
+        }
+    }
+}

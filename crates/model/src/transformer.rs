@@ -8,14 +8,19 @@
 
 use crate::config::GrModelConfig;
 use crate::kv::KvSegment;
+use crate::mask::{allowed_keys, MaskBuf};
+use crate::profile::{Laps, Stage, StageProfile};
 use crate::prompt::{SegTag, TokenSeq};
 use crate::weights::Weights;
-use bat_exec::with_thread_scratch;
+use bat_exec::{parallel_weighted_row_bands, with_thread_scratch};
 use bat_tensor::ops::{
     axpy, dot, fast_silu_mul_in_place, rms_norm, rms_norm_into, silu, stable_softmax_in_place,
 };
-use bat_tensor::{ColBlock, GroupAttention, Matrix, RopeTable, Softmax, SplitCols};
+use bat_tensor::{
+    matmul_rows, stage_is_pooled, GroupAttention, Matrix, RopeTable, Softmax, SplitCols, TILE_ROWS,
+};
 use std::ops::Range;
+use std::time::Duration;
 
 /// Result of a forward pass.
 #[derive(Debug, Clone)]
@@ -91,6 +96,7 @@ pub struct ForwardWorkspace {
     pub(crate) act: Matrix,
     pub(crate) up: Matrix,
     pub(crate) out: ForwardOutput,
+    profile: Option<Box<StageProfile>>,
 }
 
 impl ForwardWorkspace {
@@ -98,6 +104,7 @@ impl ForwardWorkspace {
     pub fn new() -> Self {
         let m = || Matrix::zeros(0, 0);
         ForwardWorkspace {
+            profile: None,
             tags: Vec::new(),
             mask: MaskBuf::default(),
             h: m(),
@@ -121,6 +128,19 @@ impl ForwardWorkspace {
     /// The last forward's output.
     pub fn output(&self) -> &ForwardOutput {
         &self.out
+    }
+
+    /// Starts (or restarts from zero) timing [`GrModel`] forwards through
+    /// this workspace by stage; [`ForwardWorkspace::stage_profile`] reads the
+    /// totals. Off — one untaken branch per stage — until this is called.
+    pub fn profile_stages(&mut self) {
+        self.profile = Some(Box::default());
+    }
+
+    /// Time per [`Stage`] since [`ForwardWorkspace::profile_stages`], summed
+    /// over forwards and, inside the pooled stage, over threads.
+    pub fn stage_profile(&self) -> Option<[(Stage, Duration); Stage::ALL.len()]> {
+        self.profile.as_deref().map(StageProfile::read)
     }
 }
 
@@ -245,10 +265,29 @@ impl GrModel {
     /// the last layer's keys and values depend on the hidden states that
     /// enter it, so its attention and FFN, the final norm and the output
     /// head are never run.
+    ///
+    /// A short block (an item is a few tokens) runs in a workspace its
+    /// thread keeps — a fresh one, a dozen matrices and a mask, costs more
+    /// than such a block's forward — and gets the compacting clone of the
+    /// segment; a long one builds its own rather than leave megabytes idle
+    /// on the thread.
     pub fn compute_kv(&self, seq: &TokenSeq) -> KvSegment {
-        let mut ws = ForwardWorkspace::new();
+        /// Longest block whose workspace (≈ 6 KB a row at the proxy shape)
+        /// stays with the thread.
+        const KEPT_ROWS: usize = 32;
+        if seq.len() > KEPT_ROWS {
+            let mut ws = ForwardWorkspace::new();
+            self.forward_impl(seq, None, &mut ws, Pass::KvOnly);
+            return ws.out.suffix_kv;
+        }
+        // Taken out while in use, not borrowed: a pooled stage runs other
+        // tasks on this thread while it waits, and one may be a `compute_kv`.
+        type Slot = Option<Box<ForwardWorkspace>>;
+        let mut ws = with_thread_scratch(|slot: &mut Slot| slot.take()).unwrap_or_default();
         self.forward_impl(seq, None, &mut ws, Pass::KvOnly);
-        ws.out.suffix_kv
+        let kv = ws.out.suffix_kv.clone();
+        with_thread_scratch(|slot: &mut Slot| *slot = Some(ws));
+        kv
     }
 
     /// Runs the transformer over `suffix`, optionally splicing a cached
@@ -262,23 +301,22 @@ impl GrModel {
     ///
     /// # Execution
     ///
-    /// The pass is batched and parallel: per layer, the projections of all
-    /// suffix tokens run as five `X·W` [`Matrix::matmul`]s (K|V, Q, O,
-    /// gate|up, down); keys/values are appended per layer to packed
-    /// plane-major blocks; and attention is **run-structured** — the
-    /// bipartite mask is block-structured, so each token's allowed keys are
-    /// a few contiguous runs, and it scores, softmaxes and accumulates over
-    /// exactly those runs, all query heads of a KV head in one
-    /// [`GroupAttention::attend`] call. Scores go into *compact* rows — one
-    /// slot per allowed key, nothing for masked ones — so nothing is spent
-    /// on a masked key (no `-inf` lanes, no gathers), and reduction order
-    /// is a function of the compact index alone: a row's arithmetic depends
-    /// on its allowed keys and nothing else, so an item block attends
+    /// A layer is two stages (DESIGN §5d). The first computes the keys and
+    /// values of all suffix tokens (norm, one K|V product, RoPE) and appends
+    /// them to the layer's packed plane-major blocks. From there a suffix
+    /// row depends on nothing but its own activations and the KV, so the
+    /// second is **one** pool dispatch over blocks of rows, each block taking
+    /// its rows from the query projection to the FFN residual on one thread
+    /// ([`GrModel::layer_rows`]). Attention is **run-structured**: the
+    /// bipartite mask is block-structured, so a token's allowed keys are a
+    /// few contiguous runs, and [`GroupAttention::attend`] scores, softmaxes
+    /// and accumulates over exactly those, in *compact* rows whose reduction
+    /// order is a function of the compact index alone — a row's arithmetic
+    /// depends on its allowed keys and nothing else, so an item block attends
     /// bit-identically standalone and inside a full prompt, whatever the
-    /// prefix/suffix split. Rows run in parallel, split by their
-    /// allowed-key counts; every output slot is written by exactly one task
-    /// with fixed inner order, so logits are **bit-identical for any thread
-    /// count** — the property the parallel-determinism suite pins.
+    /// prefix/suffix split. The blocks are cut by the rows' work; a row has
+    /// the same bits whichever block computes it, so logits are
+    /// **bit-identical for any thread count**.
     ///
     /// # Panics
     ///
@@ -305,23 +343,6 @@ impl GrModel {
         &ws.out
     }
 
-    /// The pre-packed-layout data movement, kept as the honest "before"
-    /// baseline for the perf suite: per layer, the whole cached prefix is
-    /// copied together with the suffix into one contiguous block before
-    /// attention — what every forward used to pay per request when
-    /// segments were stored row-major. Bit-identical to
-    /// [`GrModel::forward`]; not a production path.
-    #[doc(hidden)]
-    pub fn forward_prefix_repack_baseline(
-        &self,
-        suffix: &TokenSeq,
-        prefix: Option<&KvSegment>,
-    ) -> ForwardOutput {
-        let mut ws = ForwardWorkspace::new();
-        self.forward_impl(suffix, prefix, &mut ws, Pass::RepackBaseline);
-        ws.out
-    }
-
     fn forward_impl(
         &self,
         suffix: &TokenSeq,
@@ -336,10 +357,6 @@ impl GrModel {
         }
         let p_len = prefix.map_or(0, KvSegment::len);
         let s_len = suffix.len();
-        let g_len = p_len + s_len;
-        let d = cfg.head_dim;
-        let group = cfg.gqa_group();
-        let scale = 1.0 / (d as f32).sqrt();
         let kv_dim = cfg.kv_dim();
 
         let ForwardWorkspace {
@@ -353,6 +370,7 @@ impl GrModel {
             o,
             act,
             out,
+            profile,
             ..
         } = ws;
         let ForwardOutput {
@@ -360,22 +378,24 @@ impl GrModel {
             suffix_kv,
             logits,
         } = out;
+        let profile = profile.as_deref();
+        let mut laps = Laps::start(profile);
 
         // Combined tags over [prefix ++ suffix] and each suffix token's
         // allowed key runs. Tags and scheme are layer- and head-independent,
         // so these are computed exactly once per forward.
         tags.clear();
-        tags.extend((0..g_len).map(|g| {
-            if g < p_len {
-                prefix.unwrap().segs[g]
-            } else {
-                suffix.segs[g - p_len]
-            }
-        }));
-        mask.build(suffix.scheme, tags, p_len);
+        tags.extend(prefix.map_or(&[][..], |p| &p.segs));
+        tags.extend_from_slice(&suffix.segs);
+        mask.build(suffix.scheme, tags, p_len, self.row_weight());
 
-        // Hidden states of suffix tokens as one s_len × hidden matrix.
-        h.reset(s_len, cfg.hidden_dim);
+        // The scratch matrices the row blocks share, each written before it
+        // is read; `h` starts as the suffix tokens' embeddings.
+        let (hidden, q_dim) = (cfg.hidden_dim, cfg.q_dim());
+        let widths = [hidden, hidden, q_dim, q_dim, hidden, 2 * cfg.ffn_dim];
+        for (m, cols) in [&mut *h, xn, q, attn, o, act].into_iter().zip(widths) {
+            m.reshape_for_overwrite(s_len, cols);
+        }
         for (t, &tok) in suffix.tokens.iter().enumerate() {
             h.row_mut(t)
                 .copy_from_slice(self.embedding.row(tok as usize));
@@ -387,108 +407,57 @@ impl GrModel {
         for lkv in suffix_kv.layers.iter_mut() {
             lkv.reserve(s_len);
         }
+        laps.lap(Stage::Setup);
 
-        for l in 0..cfg.layers {
-            let lw = &self.layers[l];
-
-            // Batched projections for every suffix token (they only depend
-            // on the previous layer's hidden states), then RoPE per row:
-            // over the key half of a K|V row, over the whole query row.
+        let rows_work =
+            mask.allowed().iter().sum::<u64>() as usize * q_dim + s_len * self.row_products();
+        let grain = if stage_is_pooled(rows_work) {
+            1
+        } else {
+            usize::MAX
+        };
+        for (l, lw) in self.layers.iter().enumerate() {
+            // Keys and values of every suffix token: they only depend on the
+            // previous layer's hidden states, and every row of the second
+            // stage may read any of them.
             norm_rows_into(h, &lw.attn_norm, xn);
-            let pos = |t: usize| suffix.pos[t] as usize;
             xn.matmul_into(&lw.wkv, kv_rows);
-            kv_rows.par_rows_mut(|t, row| self.rope.apply_heads(&mut row[..kv_dim], pos(t)));
+            kv_rows.par_rows_mut(|t, row| {
+                self.rope
+                    .apply_heads(&mut row[..kv_dim], suffix.pos[t] as usize)
+            });
             for t in 0..s_len {
                 let (key, value) = kv_rows.row(t).split_at(kv_dim);
                 suffix_kv.layers[l].push(key, value);
             }
+            laps.lap(Stage::KvRows);
             if pass == Pass::KvOnly && l + 1 == cfg.layers {
                 // Nothing past this point feeds a key or a value.
                 hidden_all.reset(0, cfg.hidden_dim);
                 logits.clear();
                 return;
             }
-            xn.matmul_into(&lw.wq, q);
-            q.par_rows_mut(|t, row| self.rope.apply_heads(row, pos(t)));
 
             // Attention reads the cached prefix block and the just-pushed
             // suffix block through a zero-copy [`SplitCols`] view — the
             // canonical packed layout means nothing is gathered or repacked
             // per request — over each token's allowed key runs.
             let sl = &suffix_kv.layers[l];
-            attn.reset(s_len, cfg.q_dim());
-            let q_ro: &Matrix = q;
-            let mask_ro: &MaskBuf = mask;
-            let (kcomb, vcomb);
-            let (keys, vals) = if pass == Pass::RepackBaseline {
-                // Replay the pre-change data movement faithfully: the old
-                // `pack_kv_transposed` walked the row-major segment token
-                // by token and scattered each row into the transposed
-                // planes — one strided write per element, fresh blocks per
-                // layer per request. A plane-level memcpy would understate
-                // that cost, so the baseline packs column-wise too.
-                let repacked = |pre: Option<&ColBlock>, suf: &ColBlock| {
-                    let src = SplitCols::new(pre, suf);
-                    let mut comb = ColBlock::with_capacity(kv_dim, g_len);
-                    let mut colbuf = vec![0.0f32; kv_dim];
-                    for j in 0..g_len {
-                        for (r, c) in colbuf.iter_mut().enumerate() {
-                            *c = src.at(r, j);
-                        }
-                        comb.push_col(&colbuf);
-                    }
-                    comb
-                };
-                kcomb = repacked(prefix.map(|p| p.layers[l].keys()), sl.keys());
-                vcomb = repacked(prefix.map(|p| p.layers[l].values()), sl.values());
-                (SplitCols::new(None, &kcomb), SplitCols::new(None, &vcomb))
-            } else {
-                (
-                    SplitCols::new(prefix.map(|p| p.layers[l].keys()), sl.keys()),
-                    SplitCols::new(prefix.map(|p| p.layers[l].values()), sl.values()),
-                )
-            };
             let kv = GroupAttention {
-                keys,
-                vals,
-                head_dim: d,
-                scale,
+                keys: SplitCols::new(prefix.map(|p| p.layers[l].keys()), sl.keys()),
+                vals: SplitCols::new(prefix.map(|p| p.layers[l].values()), sl.values()),
+                head_dim: cfg.head_dim,
+                scale: 1.0 / (cfg.head_dim as f32).sqrt(),
             };
-            let q_dim = cfg.q_dim();
-            // One scratch borrow per row block; each pool worker (a
-            // persistent daemon thread) warms its score rows once.
-            attn.par_row_blocks_mut_weighted(mask_ro.allowed(), |first_row, block| {
-                with_thread_scratch(|scores: &mut Vec<f32>| {
-                    for (off, row) in block.chunks_exact_mut(q_dim).enumerate() {
-                        let t = first_row + off;
-                        let runs = mask_ro.runs(t);
-                        let groups = q_ro.row(t).chunks_exact(group * d);
-                        for (kv_head, (q, out)) in
-                            groups.zip(row.chunks_exact_mut(group * d)).enumerate()
-                        {
-                            kv.attend::<Softmax>(kv_head, runs, q, scores, out);
-                        }
-                    }
-                })
+            let mask = &*mask;
+            let bands = [&mut *h, xn, q, attn, o, act].map(|m| {
+                let cols = m.cols();
+                (m.as_mut_slice(), cols)
             });
-            attn.matmul_into(&lw.wo, o);
-            let o_ro: &Matrix = o;
-            h.par_rows_mut(|t, row| axpy(row, 1.0, o_ro.row(t)));
-
-            // SwiGLU FFN, batched; skipped when structurally zero. The
-            // activations overwrite the gate half of each gate|up row, which
-            // the down projection then reads in place.
-            if !lw.ffn_zero {
-                norm_rows_into(h, &lw.ffn_norm, xn);
-                xn.matmul_into(&lw.w_gate_up, act);
-                act.par_rows_mut(|_, row| {
-                    let (gate, up) = row.split_at_mut(cfg.ffn_dim);
-                    fast_silu_mul_in_place(gate, up);
-                });
-                act.matmul_leading_cols_into(&lw.w_down, o);
-                let o_ro: &Matrix = o;
-                h.par_rows_mut(|t, row| axpy(row, 1.0, o_ro.row(t)));
-            }
+            parallel_weighted_row_bands(bands, mask.weights(), grain, TILE_ROWS, |rows, block| {
+                self.layer_rows(lw, &kv, mask, &suffix.pos, rows, block, profile)
+            });
+            laps.lap(Stage::RowsWall);
         }
 
         norm_rows_into(h, &self.final_norm, hidden_all);
@@ -496,11 +465,108 @@ impl GrModel {
         // pre-transposed embedding so the whole vocab vectorizes.
         self.embedding_t
             .vecmul_into(hidden_all.row(s_len - 1), logits);
+        laps.lap(Stage::ReadOut);
     }
 
-    /// The size of each stage one layer of `forward(suffix, prefix)` may
-    /// hand to the pool, by name — the multiply-add counts `Matrix` gates a
-    /// dispatch on. A test that compares thread counts asserts
+    /// The second stage of a layer for suffix rows `rows`, whose rows of the
+    /// workspace matrices `h, xn, q, attn, o, act` are `block`: everything
+    /// from the query projection to the FFN residual, on the calling
+    /// thread. Per row this is the arithmetic of the stage order a single
+    /// block over all rows runs — the products give a row the same bits in
+    /// any block, and everything else is row by row.
+    #[allow(clippy::too_many_arguments)]
+    fn layer_rows(
+        &self,
+        lw: &Layer,
+        kv: &GroupAttention<'_>,
+        mask: &MaskBuf,
+        pos: &[u32],
+        rows: Range<usize>,
+        block: [&mut [f32]; 6],
+        profile: Option<&StageProfile>,
+    ) {
+        let cfg = &self.cfg;
+        let (hidden, q_dim, ffn) = (cfg.hidden_dim, cfg.q_dim(), cfg.ffn_dim);
+        let tile = cfg.gqa_group() * cfg.head_dim;
+        let [h, xn, q, attn, o, act] = block;
+        let mut laps = Laps::start(profile);
+
+        matmul_rows(xn, hidden, &lw.wq, q);
+        for (t, row) in rows.clone().zip(q.chunks_exact_mut(q_dim)) {
+            self.rope.apply_heads(row, pos[t] as usize);
+        }
+        laps.lap(Stage::Q);
+
+        attn.fill(0.0);
+        // One scratch borrow per row block; each pool worker (a persistent
+        // daemon thread) warms its score rows once.
+        with_thread_scratch(|scores: &mut Vec<f32>| {
+            let rows = rows
+                .clone()
+                .zip(q.chunks_exact(q_dim).zip(attn.chunks_exact_mut(q_dim)));
+            for (t, (q, out)) in rows {
+                let groups = q.chunks_exact(tile).zip(out.chunks_exact_mut(tile));
+                for (kv_head, (q, out)) in groups.enumerate() {
+                    kv.attend::<Softmax>(kv_head, mask.runs(t), q, scores, out);
+                }
+            }
+        });
+        laps.lap(Stage::Attention);
+
+        matmul_rows(attn, q_dim, &lw.wo, o);
+        axpy(h, 1.0, o);
+        laps.lap(Stage::Wo);
+
+        // SwiGLU FFN; skipped when structurally zero. The activations
+        // overwrite the gate half of each gate|up row, which the down
+        // projection then reads in place.
+        if lw.ffn_zero {
+            return;
+        }
+        for (x, out) in h.chunks_exact(hidden).zip(xn.chunks_exact_mut(hidden)) {
+            rms_norm_into(x, &lw.ffn_norm, 1e-6, out);
+        }
+        matmul_rows(xn, hidden, &lw.w_gate_up, act);
+        laps.lap(Stage::GateUp);
+        for row in act.chunks_exact_mut(2 * ffn) {
+            let (gate, up) = row.split_at_mut(ffn);
+            fast_silu_mul_in_place(gate, up);
+        }
+        laps.lap(Stage::Silu);
+        matmul_rows(act, 2 * ffn, &lw.w_down, o);
+        axpy(h, 1.0, o);
+        laps.lap(Stage::Down);
+    }
+
+    /// Multiply-adds of the four products one suffix row goes through in the
+    /// second stage of a layer (Q, output, gate|up, down).
+    fn row_products(&self) -> usize {
+        let lw = &self.layers[0];
+        [&lw.wq, &lw.wo, &lw.w_gate_up, &lw.w_down]
+            .iter()
+            .map(|w| w.rows() * w.cols())
+            .sum()
+    }
+
+    /// What a suffix row's second stage costs beyond its allowed keys, in
+    /// keys: the unit the stage's row blocks are balanced in. From the two
+    /// rates of the one-thread stage profile at the ranking shape (`batctl
+    /// bench --stages`; EXPERIMENTS.md, PR 22): a row pays ≈ 8.1 ns per
+    /// allowed key — `q_dim` = 96 multiply-adds each for the score and for
+    /// P·V, ≈ 24 G/s — on top of ≈ 0.9 µs however few keys it has (≈ 57
+    /// keys per KV head), and ≈ 1.7 µs for the 92 k multiply-adds of its four
+    /// products with their norms and activations, ≈ 54 G/s: 2.3 times the
+    /// attention's rate. So an item row of 194 keys weighs 516 and an
+    /// instruction row of 309 weighs 631, as they cost 4.2 and 5.1 µs. Like
+    /// the dispatch threshold, it moves speed only.
+    fn row_weight(&self) -> u64 {
+        let product_keys = 10 * self.row_products() / (46 * self.cfg.q_dim());
+        (product_keys + 57 * self.cfg.kv_heads) as u64
+    }
+
+    /// The two stages of one layer of `forward(suffix, prefix)` by name,
+    /// with the multiply-add count the pool dispatch of each is gated on. A
+    /// test that compares thread counts asserts
     /// [`bat_tensor::stage_is_pooled`] on these: below the threshold every
     /// width runs the same inline code and the comparison is vacuous.
     #[doc(hidden)]
@@ -508,17 +574,27 @@ impl GrModel {
         &self,
         suffix: &TokenSeq,
         prefix: Option<&KvSegment>,
-    ) -> [(&'static str, usize); 6] {
-        let lw = &self.layers[0];
-        let product = |w: &Matrix| suffix.len() * w.rows() * w.cols();
+    ) -> [(&'static str, usize); 2] {
+        let wkv = &self.layers[0].wkv;
+        let rows =
+            allowed_keys(suffix, prefix) * self.cfg.q_dim() + suffix.len() * self.row_products();
         [
-            ("K|V", product(&lw.wkv)),
-            ("Q", product(&lw.wq)),
-            ("attention", allowed_keys(suffix, prefix) * self.cfg.q_dim()),
-            ("O", product(&lw.wo)),
-            ("gate|up", product(&lw.w_gate_up)),
-            ("down", product(&lw.w_down)),
+            ("K|V", suffix.len() * wkv.rows() * wkv.cols()),
+            ("rows", rows),
         ]
+    }
+
+    /// The row blocks the second stage of `forward(suffix, prefix)` is cut
+    /// into at `threads` threads, for a test to assert where the cuts fall.
+    #[doc(hidden)]
+    pub fn stage_blocks(
+        &self,
+        suffix: &TokenSeq,
+        prefix: Option<&KvSegment>,
+        threads: usize,
+    ) -> Vec<Range<usize>> {
+        let mask = MaskBuf::of(suffix, prefix, self.row_weight());
+        bat_exec::weighted_row_blocks(mask.weights(), TILE_ROWS, threads)
     }
 
     /// The seed's serial per-token forward pass, kept as the oracle the
@@ -696,100 +772,8 @@ use crate::prompt::allowed_tags as allowed;
 enum Pass {
     /// The serving forward: hidden states, suffix KV and logits.
     Full,
-    /// [`Pass::Full`] over a per-layer repacked copy of the prefix (see
-    /// [`GrModel::forward_prefix_repack_baseline`]).
-    RepackBaseline,
     /// The suffix KV alone (see [`GrModel::compute_kv`]).
     KvOnly,
-}
-
-/// The bipartite mask of one forward, run-length encoded: per suffix token,
-/// the ascending virtual-column runs of `[prefix ++ suffix]` it may attend
-/// and their exact total. The mask is block-structured (causal ∧ the
-/// tag-pair rule of [`crate::prompt::allowed_tags`]), so the tags are cut
-/// into maximal same-tag blocks once and each row tests blocks, not keys:
-/// O(rows × blocks) to build and a handful of runs per row to store.
-/// Masks depend only on tags and the scheme, never on the layer or head,
-/// so each forward builds them exactly once — in place, keeping capacity,
-/// so a warmed workspace rebuilds them without allocating.
-#[derive(Default)]
-pub(crate) struct MaskBuf {
-    /// Maximal same-tag blocks of the combined tags (build scratch).
-    blocks: Vec<(SegTag, Range<usize>)>,
-    runs: Vec<Range<usize>>,
-    /// `runs[off[t]..off[t + 1]]` are suffix token `t`'s runs.
-    off: Vec<usize>,
-    /// Allowed-key count per suffix token (the runs' total length), as the
-    /// weights the attention stage is partitioned by.
-    allowed: Vec<u64>,
-}
-
-impl MaskBuf {
-    /// Encodes the mask rows of the suffix tokens `tags[p_len..]`.
-    pub(crate) fn build(
-        &mut self,
-        scheme: crate::prompt::MaskScheme,
-        tags: &[SegTag],
-        p_len: usize,
-    ) {
-        self.blocks.clear();
-        self.runs.clear();
-        self.off.clear();
-        self.allowed.clear();
-        for (g, &tag) in tags.iter().enumerate() {
-            match self.blocks.last_mut() {
-                Some((last, r)) if *last == tag => r.end = g + 1,
-                _ => self.blocks.push((tag, g..g + 1)),
-            }
-        }
-        self.off.push(0);
-        for (g_q, &tq) in tags.iter().enumerate().skip(p_len) {
-            let first = self.runs.len();
-            let mut count = 0;
-            for (tag, block) in &self.blocks {
-                if block.start > g_q {
-                    break;
-                }
-                if !allowed(scheme, tq, *tag) {
-                    continue;
-                }
-                let end = block.end.min(g_q + 1); // causal cut
-                count += end - block.start;
-                match self.runs[first..].last_mut() {
-                    Some(run) if run.end == block.start => run.end = end,
-                    _ => self.runs.push(block.start..end),
-                }
-            }
-            self.off.push(self.runs.len());
-            self.allowed.push(count as u64);
-        }
-    }
-
-    /// Allowed key runs of suffix token `t`: ascending, disjoint, and
-    /// non-adjacent.
-    #[inline]
-    pub(crate) fn runs(&self, t: usize) -> &[Range<usize>] {
-        &self.runs[self.off[t]..self.off[t + 1]]
-    }
-
-    /// Allowed-key count of every suffix token.
-    #[inline]
-    pub(crate) fn allowed(&self) -> &[u64] {
-        &self.allowed
-    }
-}
-
-/// Allowed keys of `forward(suffix, prefix)`'s attention stage, summed over
-/// the suffix rows.
-pub(crate) fn allowed_keys(suffix: &TokenSeq, prefix: Option<&KvSegment>) -> usize {
-    let prefix_tags = prefix.map_or(&[][..], |p| &p.segs);
-    let mut mask = MaskBuf::default();
-    mask.build(
-        suffix.scheme,
-        &[prefix_tags, &suffix.segs].concat(),
-        prefix_tags.len(),
-    );
-    mask.allowed().iter().sum::<u64>() as usize
 }
 
 /// RMS-normalizes every row of `h` with `gain` into `out`, reusing `out`'s
@@ -925,7 +909,7 @@ mod tests {
             for seq in &seqs {
                 for p_len in [0, 1, seq.len() / 2, seq.len() - 1] {
                     let mut mask = MaskBuf::default();
-                    mask.build(scheme, &seq.segs, p_len);
+                    mask.build(scheme, &seq.segs, p_len, 0);
                     for t in 0..seq.len() - p_len {
                         let want: Vec<usize> = (0..seq.len())
                             .filter(|&k| seq.allowed(p_len + t, k))
@@ -1059,27 +1043,37 @@ mod tests {
 
     /// The parallel forward must be bit-identical to its own serial run —
     /// the determinism contract of the execution layer — at a shape whose
-    /// every stage is big enough to go through the pool.
+    /// stages go through the pool, cut so that at every width some block
+    /// starts strictly inside the item rows and some strictly inside the
+    /// instruction rows: rows of each kind are computed in blocks that
+    /// differ from width to width.
     #[test]
     fn forward_is_bit_identical_across_thread_counts() {
         let model = GrModel::new(Weights::random(GrModelConfig::qwen2_1_5b_proxy(512), 31));
         let user: Vec<u32> = (0..200).collect();
         let items: Vec<Vec<u32>> = (0..75).map(|i| vec![200 + i, 300 + i]).collect();
-        let seq = PromptLayout::new(MaskScheme::Bipartite).build(
-            PrefixKind::Item,
-            &user,
-            &items,
-            &[500, 501],
-        );
+        let instr: Vec<u32> = (400..480).collect();
+        let seq =
+            PromptLayout::new(MaskScheme::Bipartite).build(PrefixKind::Item, &user, &items, &instr);
         for (stage, work) in model.stage_work(&seq, None) {
             assert!(
                 bat_tensor::stage_is_pooled(work),
                 "{stage} would run inline"
             );
         }
+        let (item_rows, instr_rows) = (0..150, 350..430);
         bat_exec::set_threads(1);
         let gold = model.forward(&seq, None);
         for t in [2, 4, 8] {
+            let blocks = model.stage_blocks(&seq, None, t);
+            for rows in [&item_rows, &instr_rows] {
+                assert!(
+                    blocks
+                        .iter()
+                        .any(|b| rows.start < b.start && b.start < rows.end),
+                    "{t} threads: no block starts inside rows {rows:?}: {blocks:?}"
+                );
+            }
             bat_exec::set_threads(t);
             let got = model.forward(&seq, None);
             assert!(
@@ -1147,34 +1141,6 @@ mod tests {
             .zip(&gold_cached.logits)
             .all(|(a, b)| a.to_bits() == b.to_bits()));
         assert_eq!(got_cached.hidden_all, gold_cached.hidden_all);
-    }
-
-    /// The zero-copy split-view forward must be bit-identical to the
-    /// repack-per-layer baseline (the old data movement) for both prefix
-    /// orderings — the guarantee that made the packed layout a pure win.
-    #[test]
-    fn packed_forward_bit_matches_repack_baseline() {
-        let model = tiny_model(41);
-        let (u, i, s) = parts();
-        let layout = PromptLayout::new(MaskScheme::Bipartite);
-        for kind in [PrefixKind::User, PrefixKind::Item] {
-            let seq = layout.build(kind, &u, &i, &s);
-            let prefix_len = match kind {
-                PrefixKind::User => u.len(),
-                PrefixKind::Item => i.iter().map(Vec::len).sum(),
-            };
-            let (head, tail) = seq.split_at(prefix_len);
-            let kv = model.compute_kv(&head);
-            let packed = model.forward(&tail, Some(&kv));
-            let repacked = model.forward_prefix_repack_baseline(&tail, Some(&kv));
-            assert!(packed
-                .logits
-                .iter()
-                .zip(&repacked.logits)
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
-            assert_eq!(packed.hidden_all, repacked.hidden_all);
-            assert_eq!(packed.suffix_kv, repacked.suffix_kv);
-        }
     }
 
     #[test]

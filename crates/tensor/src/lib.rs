@@ -32,7 +32,7 @@ pub mod quant;
 pub mod rope;
 mod simd;
 
-pub use matrix::{stage_is_pooled, Matrix};
+pub use matrix::{matmul_rows, stage_is_pooled, Matrix, TILE_ROWS};
 pub use ops::{
     active_simd_tier, axpy, dot, dot_fast, fast_exp, fast_silu, fast_silu_in_place,
     fast_silu_mul_in_place, rms_norm, rms_norm_into, silu, softmax_exp_sum,

@@ -212,6 +212,14 @@ impl Matrix {
         &self.data
     }
 
+    /// The underlying row-major buffer, mutably: what a stage that carries
+    /// row blocks through several matrices hands to
+    /// [`bat_exec::parallel_weighted_row_bands`].
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+
     /// Reshapes to `rows × cols` and zeroes every entry, keeping the
     /// backing allocation when it is large enough. The workspace primitive:
     /// a scratch matrix `reset` each layer/request stops allocating once it
@@ -223,7 +231,7 @@ impl Matrix {
 
     /// [`Matrix::reset`] without the zero fill, for a caller that writes
     /// every entry: the contents are unspecified.
-    fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
+    pub fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
         self.data.resize_for_overwrite(rows * cols);
@@ -525,9 +533,17 @@ impl Matrix {
 /// runs ≈ 55 G multiply-adds/s on one core (the `gemm_*` rows: 100–130
 /// GFLOP/s); and splitting a stage over two threads saves half its serial
 /// time. A stage therefore breaks even between 2 × 4 µs × 55 G/s = 0.45 M
-/// and 2 × 10 µs × 55 G/s = 1.1 M multiply-adds, and measured, the
-/// 132 × 96 × 32 K|V projection (0.4 M, 6.4 µs) gains nothing from the pool
-/// while 132 × 96 × 96 (1.2 M, 17 µs) gains 6 µs. All of this is from runs
+/// and 2 × 10 µs × 55 G/s = 1.1 M multiply-adds — *if its operands are
+/// where it runs*. They were not, for a stage of a layer's own: the 132 ×
+/// 96 × 96 Q and output products (1.2 M, 17 µs) cleared the threshold and,
+/// dispatched alone, cost 120 and 84 µs per forward at two threads against
+/// 81 and 79 at one, because each read rows the other core had just
+/// written. What a ranking forward hands the pool now is a layer's whole
+/// row stage (`bat-model`; 15 M multiply-adds, ≈ 600 µs), whose blocks own
+/// their rows from the query projection to the FFN residual; the
+/// threshold's remaining customers are stand-alone products and row maps
+/// (the K|V projection of a long cold prompt, `Matrix::matmul` in tests and
+/// benches), where the break-even above does hold. All of this is from runs
 /// in which the worker took its share of the blocks; a `batctl bench` run
 /// whose `pool_dispatch` reads under 1 µs is one in which it took none
 /// (EXPERIMENTS.md, PR 17, has the two states), and its two-thread rows say
@@ -552,8 +568,35 @@ pub fn stage_is_pooled(work: usize) -> bool {
     work >= PAR_MACS
 }
 
-/// Rows per register tile of the GEMM microkernel.
-const TILE_ROWS: usize = 4;
+/// Rows per register tile of the GEMM microkernel: a stage that cuts a
+/// matrix into row blocks of its own cuts on multiples of this, so that only
+/// the matrix's last rows meet the single-row tile.
+pub const TILE_ROWS: usize = 4;
+
+/// `out = a × rhs` for the `out.len() / rhs.cols()` rows held in `a`
+/// (row-major with stride `lda`, of which the leading `rhs.rows()` columns
+/// are read), on the calling thread: [`Matrix::matmul`]'s kernel for a
+/// caller that owns a block of rows and parallelises across blocks itself.
+/// A row has the bits it has in any other product.
+///
+/// # Panics
+///
+/// Panics if `out` is not whole rows, `lda < rhs.rows()`, or `a` is shorter
+/// than the rows read.
+pub fn matmul_rows(a: &[f32], lda: usize, rhs: &Matrix, out: &mut [f32]) {
+    let (k, m) = (rhs.rows, rhs.cols);
+    if m == 0 || out.is_empty() {
+        return;
+    }
+    let n = out.len() / m;
+    assert!(
+        out.len() == n * m && lda >= k && a.len() >= (n - 1) * lda + k,
+        "matmul_rows shape mismatch: {} floats at stride {lda} × {k}x{m} into {}",
+        a.len(),
+        out.len()
+    );
+    gemm(Tier::best(), a, lda, rhs, out);
+}
 
 tiered! {
     /// `out = a × rhs` for the `out.len() / rhs.cols` rows of `a` (row-major

@@ -18,18 +18,20 @@
 //! those columns **bit-for-bit** — `axpy` is element-wise, so sweeping it
 //! piece by piece cannot change a bit, and the dot kernel replicates
 //! [`crate::matrix`]'s exact `LANES`-chunk grouping over the compact index:
-//! whole chunks stream from the block that owns them, the ragged ends of a
-//! piece go lane by lane, and the scalar tail walks ascending compact
-//! indices. A row's result therefore depends on its allowed keys alone: not
-//! on the masked columns between them, nor on where the prefix/suffix split
-//! falls.
+//! a chunk that lies inside one piece streams from the block that owns it,
+//! one whose columns straddle pieces is first copied together (a copy of
+//! exactly its columns — the column after a run may be a masked key, and a
+//! block has no slack to over-read into) and then takes the same step, and
+//! the tail walks ascending compact indices. A row's result therefore
+//! depends on its allowed keys alone: not on the masked columns between
+//! them, nor on where the prefix/suffix split falls.
 //!
 //! [`GroupAttention`] is what the forward runs: the same per-row arithmetic
 //! for all query heads that share a KV head in one kernel, with the score
 //! accumulation held in registers and each K/V chunk loaded once per head
 //! tile instead of once per head (see [`GroupAttention::attend`]).
 
-use crate::matrix::{fold_lanes, LANES};
+use crate::matrix::{halve, LANES};
 use crate::ops::{axpy, fast_silu_in_place_body, softmax_exp_sum_rows};
 use crate::simd::{tiered, Tier};
 use std::ops::Range;
@@ -275,6 +277,24 @@ impl std::fmt::Debug for ColBlock {
     }
 }
 
+/// `for_pieces!(view, runs, |block, cols| { … })` runs the body for every
+/// non-empty piece ([`SplitCols::pieces`]) of every run, in compact order.
+/// Plain loops: in a kernel past the inliner's budget the `next` of
+/// `runs.iter().flat_map(…).flatten()` stays a call, once per piece, with
+/// every vector register spilled around it.
+macro_rules! for_pieces {
+    ($view:expr, $runs:expr, |$block:ident, $cols:ident| $body:block) => {
+        for run in $runs {
+            let pieces = $view.pieces(run);
+            for piece in 0..2 {
+                if let Some(($block, $cols)) = &pieces[piece] {
+                    $body
+                }
+            }
+        }
+    };
+}
+
 /// Zero-copy view over `[prefix ++ suffix]` packed column blocks.
 ///
 /// The cached prefix (if any) and the freshly-computed suffix stay in their
@@ -321,8 +341,7 @@ impl<'a> SplitCols<'a> {
     /// its columns in the prefix block, then its columns in the suffix
     /// block, each with the block that owns them and in block-local
     /// indices — `None` for an empty piece, on which the kernels make no
-    /// call. (An array per run, not one iterator over all runs: a
-    /// `flat_map` chain is not inlined into the SIMD-tier clones.)
+    /// call. The kernels walk them through [`for_pieces`].
     ///
     /// # Panics
     ///
@@ -359,11 +378,11 @@ impl<'a> SplitCols<'a> {
             "axpy_plane runs/output length mismatch"
         );
         let mut at = 0;
-        for (block, cols) in runs.iter().flat_map(|run| self.pieces(run)).flatten() {
-            let src = &block.plane(r)[cols];
+        for_pieces!(self, runs, |block, cols| {
+            let src = &block.plane(r)[cols.clone()];
             axpy(&mut out[at..at + src.len()], coeff, src);
             at += src.len();
-        }
+        });
     }
 
     /// `out[c] += ⟨s, plane(row0 + c)[runs]⟩` with `s` indexed compactly
@@ -455,10 +474,12 @@ fn rows_dot_acc_tile<const H: usize, const P: usize>(
 /// `⟨s[h], plane(row + p)[runs]⟩` for `H` score rows × `P` planes at once,
 /// with the exact grouping of `matrix::dot_unrolled` over the compact
 /// index `i`: column `i` below `main` accumulates into lane `i % LANES` of
-/// its `(row, plane)` pair by a fused multiply-add — whole chunks through
-/// [`lanes_acc`], the ragged ends of a piece lane by lane, which is the
-/// same operation in the same per-lane order — and the last `n % LANES`
-/// columns are added after the fixed-tree fold, ascending.
+/// its `(row, plane)` pair by a fused multiply-add, a whole compact chunk
+/// per step — straight from the block when one piece holds the chunk
+/// ([`lanes_acc`]), copied together first when its columns straddle pieces,
+/// which is the same operation on the same operands — and the last
+/// `n % LANES` columns are added after the fixed-tree fold, ascending, all
+/// `P` planes of a row in step.
 #[inline(always)]
 fn runs_dot<const H: usize, const P: usize>(
     v: SplitCols<'_>,
@@ -469,66 +490,73 @@ fn runs_dot<const H: usize, const P: usize>(
     let n = s[0].len();
     let main = n / LANES * LANES;
     let mut acc = [[[0.0f32; LANES]; P]; H];
-    let mut tail = [[0.0f32; LANES]; P];
+    // The chunk being copied together, and the tail as `[column][plane]`.
+    let mut split = [[0.0f32; LANES]; P];
+    let mut tail = [[0.0f32; P]; LANES];
     let mut i = 0;
-    for (block, cols) in runs.iter().flat_map(|run| v.pieces(run)).flatten() {
+    for_pieces!(v, runs, |block, cols| {
         let len = cols.len();
-        // Plain loops over the tile's arrays here and below, not
-        // `array::map`: its closures are not reliably inlined into the
-        // SIMD-tier clones, and an out-of-line call runs at baseline width.
+        // Plain loops over the tile's arrays, not `array::map`: its closures
+        // are not reliably inlined, and a call runs at baseline width.
         let mut src: [&[f32]; P] = [&[]; P];
         for (p, plane) in src.iter_mut().enumerate() {
             *plane = &block.plane(row + p)[cols.clone()];
         }
-        let m = len.min(main.saturating_sub(i));
-        let head = (i.wrapping_neg() % LANES).min(m);
-        let full = (m - head) / LANES * LANES;
-        // Ragged head, whole chunks, ragged rest: ascending compact index
-        // within every lane.
-        lane_wise(&mut acc, &s, &src, i, 0..head);
-        let (mut s_full, mut v_full) = (s, src);
-        for row in &mut s_full {
-            *row = &row[i + head..i + head + full];
+        // The piece's columns below `main`: the end of a chunk an earlier
+        // piece began, whole chunks, the start of one it cannot finish.
+        let below = len.min(main - i.min(main));
+        let lane = i % LANES;
+        let head = ((LANES - lane) % LANES).min(below);
+        let (cap, from) = (block.cap, &block.data[row * block.cap + cols.start..]);
+        if head > 0 {
+            copy_part(&mut split.as_flattened_mut()[lane..], from, cap, P, head);
         }
-        for plane in &mut v_full {
-            *plane = &plane[head..head + full];
+        if head > 0 && lane + head == LANES {
+            let mut ps = [[0.0f32; LANES]; H];
+            for h in 0..H {
+                ps[h] = s[h][i + head - LANES..i + head].try_into().unwrap();
+            }
+            chunk_acc(&mut acc, ps, split);
         }
-        lanes_acc(&mut acc, &s_full, &v_full, full);
-        lane_wise(&mut acc, &s, &src, i, head + full..m);
-        for t in m..len {
+        let rest = (below - head) % LANES;
+        let whole = below - head - rest;
+        let (mut s_whole, mut v_whole) = (s, src);
+        for row in &mut s_whole {
+            *row = &row[i + head..i + head + whole];
+        }
+        for plane in &mut v_whole {
+            *plane = &plane[head..head + whole];
+        }
+        lanes_acc(&mut acc, &s_whole, &v_whole, whole);
+        if rest > 0 {
+            let chunk = split.as_flattened_mut();
+            copy_part(chunk, &from[below - rest..], cap, P, rest);
+        }
+        for t in below..len {
             for p in 0..P {
-                tail[p][i + t - main] = src[p][t];
+                tail[i + t - main][p] = src[p][t];
             }
         }
         i += len;
-    }
+    });
+    // A fence: without it the vectorizer regroups the sixteen-lane
+    // accumulators of the loop above into four-plane vectors, one per lane.
+    let acc = std::hint::black_box(acc);
     let mut sums = [[0.0f32; P]; H];
     for h in 0..H {
         for p in 0..P {
-            sums[h][p] = fold_lanes(acc[h][p], &s[h][main..], &tail[p]);
+            sums[h][p] = halve(acc[h][p]);
         }
     }
-    sums
-}
-
-/// Columns `ts` of a piece that starts at compact index `i`, one at a time
-/// into the lane each belongs to.
-#[inline(always)]
-fn lane_wise<const H: usize, const P: usize>(
-    acc: &mut [[[f32; LANES]; P]; H],
-    s: &[&[f32]; H],
-    src: &[&[f32]; P],
-    i: usize,
-    ts: Range<usize>,
-) {
-    for t in ts {
+    for (t, column) in tail.iter().enumerate().take(n - main) {
         for h in 0..H {
+            let weight = s[h][main + t];
             for p in 0..P {
-                let lane = &mut acc[h][p][(i + t) % LANES];
-                *lane = s[h][i + t].mul_add(src[p][t], *lane);
+                sums[h][p] = weight.mul_add(column[p], sums[h][p]);
             }
         }
     }
+    sums
 }
 
 /// `acc[h][p][l] = fma(s[h][t + l], src[p][t + l], acc[h][p][l])` a
@@ -551,7 +579,6 @@ fn lanes_acc<const H: usize, const P: usize>(
     }
     let mut a = *acc;
     for t in (0..len / LANES).map(|k| k * LANES) {
-        // Chunks by value: each is loaded once and shared by the tile.
         let (mut ps, mut pv) = ([[0.0f32; LANES]; H], [[0.0f32; LANES]; P]);
         for h in 0..H {
             ps[h] = s[h][t..t + LANES].try_into().unwrap();
@@ -559,15 +586,57 @@ fn lanes_acc<const H: usize, const P: usize>(
         for p in 0..P {
             pv[p] = src[p][t..t + LANES].try_into().unwrap();
         }
-        for h in 0..H {
-            for p in 0..P {
-                for l in 0..LANES {
-                    a[h][p][l] = ps[h][l].mul_add(pv[p][l], a[h][p][l]);
-                }
+        chunk_acc(&mut a, ps, pv);
+    }
+    *acc = a;
+}
+
+/// `dst[p * LANES + k] = src[p * stride + k]` for `k < part < LANES` in each
+/// of `planes` planes, as fixed-size copies picked by the bits of `part`: a
+/// `copy_from_slice` of run-time length is a call to `memcpy`, and a call
+/// inside a kernel spills every accumulator register around it.
+#[inline(always)]
+fn copy_part(dst: &mut [f32], src: &[f32], stride: usize, planes: usize, part: usize) {
+    #[inline(always)]
+    fn fixed<const N: usize>(dst: &mut [f32], src: &[f32], stride: usize, planes: usize) {
+        for p in 0..planes {
+            let columns: [f32; N] = src[p * stride..][..N].try_into().unwrap();
+            dst[p * LANES..][..N].copy_from_slice(&columns);
+        }
+    }
+    let mut at = 0;
+    if part & 8 != 0 {
+        fixed::<8>(dst, src, stride, planes);
+        at = 8;
+    }
+    if part & 4 != 0 {
+        fixed::<4>(&mut dst[at..], &src[at..], stride, planes);
+        at += 4;
+    }
+    if part & 2 != 0 {
+        fixed::<2>(&mut dst[at..], &src[at..], stride, planes);
+        at += 2;
+    }
+    if part & 1 != 0 {
+        fixed::<1>(&mut dst[at..], &src[at..], stride, planes);
+    }
+}
+
+/// One compact chunk into the lane accumulators. The chunks come by value:
+/// each is loaded once and shared by the tile.
+#[inline(always)]
+fn chunk_acc<const H: usize, const P: usize>(
+    acc: &mut [[[f32; LANES]; P]; H],
+    ps: [[f32; LANES]; H],
+    pv: [[f32; LANES]; P],
+) {
+    for h in 0..H {
+        for p in 0..P {
+            for l in 0..LANES {
+                acc[h][p][l] = ps[h][l].mul_add(pv[p][l], acc[h][p][l]);
             }
         }
     }
-    *acc = a;
 }
 
 /// Keys per chunk of the score kernel: one 512-bit vector of f32, two
@@ -641,16 +710,18 @@ impl GroupAttention<'_> {
     /// that share KV head `kv_head`, over the allowed key `runs` of one
     /// token row, accumulated into `out` (one `head_dim` slice per head).
     ///
-    /// Heads go through in register tiles of 6, 4, 2 and 1; per tile:
+    /// Heads go through in tiles of 6, 4, 2 and 1; per tile:
     ///
-    /// 1. **Scores.** Each run piece is walked in [`KEYS`]-key chunks (two
-    ///    at a time on AVX-512, sharing each `q` broadcast). The `head_dim`
-    ///    K-plane chunks are loaded once and every head of the tile
-    ///    accumulates `acc = fma(q[c], K[c][j], acc)` (from `0.0`, ascending
-    ///    `c`) in registers, multiplies by `scale`, stores the score once
-    ///    and keeps a running maximum (a maximum does not depend on the
-    ///    order it is taken in). The ragged end of a piece runs the same
-    ///    chain key by key.
+    /// 1. **Scores.** The allowed keys are walked in compact [`KEYS`]-key
+    ///    chunks (two at a time on AVX-512 where a piece holds both, sharing
+    ///    each `q` broadcast). The `head_dim` K-plane chunks are loaded once
+    ///    and every head of the tile accumulates `acc = fma(q[c], K[c][j],
+    ///    acc)` (from `0.0`, ascending `c`) in registers, multiplies by
+    ///    `scale`, stores the score once and keeps a running maximum (a
+    ///    maximum does not depend on the order it is taken in). A chunk
+    ///    whose keys straddle pieces, and the row's ragged end, is copied
+    ///    together first and runs the same pass — a key's score is its own
+    ///    lane's chain — with the lanes past the row's end stored as `-inf`.
     /// 2. **Weights.** `W::weigh` turns the tile's compact score rows into
     ///    attention weights in place ([`Softmax`], [`Silu`]), all rows in
     ///    step, and gives the factor each row's output is still owed.
@@ -665,9 +736,10 @@ impl GroupAttention<'_> {
     /// result is bit-identical to it on every SIMD tier and does not depend
     /// on how the allowed keys are cut into runs or blocks; the tile sizes
     /// move speed only. `scratch` holds the tile's compact rows, each padded
-    /// to whole chunks and cache-line aligned (`6 × (n + 15) + 15` floats at
-    /// most, grown on demand and never shrunk); a row with no allowed key
-    /// leaves `out` untouched.
+    /// to whole chunks and cache-line aligned, and one copied-together key
+    /// chunk (`6 × (n + 15) + 16 × head_dim + 15` floats at most, grown on
+    /// demand and never shrunk); a row with no allowed key leaves `out`
+    /// untouched.
     ///
     /// # Panics
     ///
@@ -688,56 +760,16 @@ impl GroupAttention<'_> {
             (kv_head + 1) * d <= self.keys.rows().min(self.vals.rows()),
             "KV head overruns the packed planes"
         );
-        attend_tiered::<W>(Tier::best(), self, kv_head, runs, q, scratch, out)
+        attend_tiles::<W>(Tier::best(), self, kv_head, runs, q, scratch, out)
     }
 }
 
-tiered! {
-    fn attend_tiered<W: RowWeights>(
-        ga: &GroupAttention<'_>,
-        kv_head: usize,
-        runs: &[Range<usize>],
-        q: &[f32],
-        scratch: &mut Vec<f32>,
-        out: &mut [f32],
-    ) = attend_wide, attend_narrow
-}
-
-/// Thirty-two registers: score passes of two key chunks (twelve
-/// accumulators for six heads) and P·V tiles of sixteen accumulators.
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-#[inline(always)]
-fn attend_wide<W: RowWeights>(
-    ga: &GroupAttention<'_>,
-    kv_head: usize,
-    runs: &[Range<usize>],
-    q: &[f32],
-    scratch: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    attend_body::<W, 2, 4, 4, 4>(ga, kv_head, runs, q, scratch, out)
-}
-
-/// Sixteen registers of half the width (a sixteen-lane accumulator is two
-/// of them): one key chunk per score pass, P·V tiles of four accumulators.
-#[inline(always)]
-fn attend_narrow<W: RowWeights>(
-    ga: &GroupAttention<'_>,
-    kv_head: usize,
-    runs: &[Range<usize>],
-    q: &[f32],
-    scratch: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    attend_body::<W, 1, 1, 2, 4>(ga, kv_head, runs, q, scratch, out)
-}
-
-/// The descending head-tile ladder over one group: 6 (Qwen2's group, in
-/// one pass over the keys), 4, 2, 1 heads, with `C` key chunks per score
-/// pass and `P4` / `P2` / `P1` value planes per P·V pass over four, two and
-/// one heads.
-#[inline(always)]
-fn attend_body<W: RowWeights, const C: usize, const P4: usize, const P2: usize, const P1: usize>(
+/// The descending head-tile ladder over one group — 6 (Qwen2's group, in
+/// one pass over the keys), 4, 2, 1 heads — in plain code: the arithmetic
+/// is in the two tile kernels, each a function of its own per tier, so that
+/// each keeps its accumulator tile in registers whatever the other does.
+fn attend_tiles<W: RowWeights>(
+    tier: Tier,
     ga: &GroupAttention<'_>,
     kv_head: usize,
     runs: &[Range<usize>],
@@ -755,85 +787,127 @@ fn attend_body<W: RowWeights, const C: usize, const P4: usize, const P2: usize, 
     // only and no row load straddles two lines.
     let stride = n.next_multiple_of(LANES);
     let rows = group.min(6) * stride;
-    if scratch.len() < rows + LANES {
-        scratch.resize(rows + LANES, 0.0);
+    if scratch.len() < rows + d * KEYS + LANES {
+        scratch.resize(rows + d * KEYS + LANES, 0.0);
     }
     let aligned = scratch.as_ptr().align_offset(64).min(LANES);
-    let s = &mut scratch[aligned..aligned + rows];
+    let (s, split) = scratch[aligned..aligned + rows + d * KEYS].split_at_mut(rows);
     let row0 = kv_head * d;
     let mut g = 0;
-    while group - g >= 6 {
-        let heads = g * d..(g + 6) * d;
-        let (q, s, out) = (&q[heads.clone()], &mut s[..6 * stride], &mut out[heads]);
-        let factor = weights_tile::<6, C, W>(ga, row0, runs, q, s, n);
-        let (s4, s2) = s.split_at(4 * stride);
-        let (out4, out2) = out.split_at_mut(4 * d);
-        values_tile::<4, P4>(ga, row0, runs, s4, n, &factor[..4], out4);
-        values_tile::<2, P2>(ga, row0, runs, s2, n, &factor[4..], out2);
-        g += 6;
-    }
-    if group - g >= 4 {
-        let heads = g * d..(g + 4) * d;
-        let (q, s, out) = (&q[heads.clone()], &mut s[..4 * stride], &mut out[heads]);
-        let factor = weights_tile::<4, C, W>(ga, row0, runs, q, s, n);
-        values_tile::<4, P4>(ga, row0, runs, s, n, &factor, out);
-        g += 4;
-    }
-    if group - g >= 2 {
-        let heads = g * d..(g + 2) * d;
-        let (q, s, out) = (&q[heads.clone()], &mut s[..2 * stride], &mut out[heads]);
-        let factor = weights_tile::<2, C, W>(ga, row0, runs, q, s, n);
-        values_tile::<2, P2>(ga, row0, runs, s, n, &factor, out);
-        g += 2;
-    }
-    if group > g {
-        let heads = g * d..(g + 1) * d;
-        let (q, s, out) = (&q[heads.clone()], &mut s[..stride], &mut out[heads]);
-        let factor = weights_tile::<1, C, W>(ga, row0, runs, q, s, n);
-        values_tile::<1, P1>(ga, row0, runs, s, n, &factor, out);
+    while g < group {
+        let heads = match group - g {
+            6.. => 6,
+            4 | 5 => 4,
+            2 | 3 => 2,
+            _ => 1,
+        };
+        let tile = g * d..(g + heads) * d;
+        let (q, s, out) = (&q[tile.clone()], &mut s[..heads * stride], &mut out[tile]);
+        match heads {
+            6 => head_tile::<W, 6>(tier, ga, row0, runs, q, s, split, out),
+            4 => head_tile::<W, 4>(tier, ga, row0, runs, q, s, split, out),
+            2 => head_tile::<W, 2>(tier, ga, row0, runs, q, s, split, out),
+            _ => head_tile::<W, 1>(tier, ga, row0, runs, q, s, split, out),
+        }
+        g += heads;
     }
 }
 
-/// Steps 1 and 2 of [`GroupAttention::attend`] for one tile of `H` heads
-/// (`q` holds their queries back to back): the compact weight rows, `n`
-/// weights each at the rows' common stride, into `s`, and each row's output
-/// factor. `C` key chunks go through per score pass.
-#[inline(always)]
-fn weights_tile<const H: usize, const C: usize, W: RowWeights>(
+/// One tile of `H` heads: their weights in one pass over the keys, then
+/// P·V for at most four of them at a time.
+#[allow(clippy::too_many_arguments)]
+fn head_tile<W: RowWeights, const H: usize>(
+    tier: Tier,
     ga: &GroupAttention<'_>,
     row0: usize,
     runs: &[Range<usize>],
     q: &[f32],
     s: &mut [f32],
-    n: usize,
-) -> [f32; H] {
-    let stride = s.len() / H;
-    let max = score_tile::<H, C>(ga, row0, runs, q, s, stride);
-    for row in s.chunks_exact_mut(stride) {
-        row[n..].fill(f32::NEG_INFINITY);
+    split: &mut [f32],
+    out: &mut [f32],
+) {
+    let (d, stride) = (ga.head_dim, s.len() / H);
+    let factor = weights_tile::<W, H>(tier, ga, row0, runs, q, s, split);
+    if H == 6 {
+        let ((s4, s2), (out4, out2)) = (s.split_at(4 * stride), out.split_at_mut(4 * d));
+        values_tile::<4>(tier, ga, row0, runs, s4, &factor[..4], out4);
+        values_tile::<2>(tier, ga, row0, runs, s2, &factor[4..], out2);
+    } else {
+        values_tile::<H>(tier, ga, row0, runs, s, &factor, out);
     }
+}
+
+tiered! {
+    /// Steps 1 and 2 of [`GroupAttention::attend`] for one tile of `H` heads
+    /// (`q` holds their queries back to back): the compact weight rows, at
+    /// the rows' common stride — the allowed-key count rounded up to whole
+    /// chunks — into `s`, and each row's output factor. `split` is room for
+    /// one copied-together chunk of the KV head's planes.
+    fn weights_tile[W: RowWeights, const H: usize][W, H](
+        ga: &GroupAttention<'_>,
+        row0: usize,
+        runs: &[Range<usize>],
+        q: &[f32],
+        s: &mut [f32],
+        split: &mut [f32],
+    ) -> [f32; H] = weights_body[wide]
+}
+
+/// Thirty-two registers take score passes of two key chunks (twelve
+/// accumulators for six heads); sixteen of half the width, one chunk.
+#[inline(always)]
+fn weights_body<W: RowWeights, const H: usize, const WIDE: bool>(
+    ga: &GroupAttention<'_>,
+    row0: usize,
+    runs: &[Range<usize>],
+    q: &[f32],
+    s: &mut [f32],
+    split: &mut [f32],
+) -> [f32; H] {
+    let max = match WIDE {
+        true => score_tile::<H, 2>(ga, row0, runs, q, s, split),
+        false => score_tile::<H, 1>(ga, row0, runs, q, s, split),
+    };
     W::weigh(s, max)
 }
 
-/// Step 3 of [`GroupAttention::attend`] for `H` heads: their weight rows
-/// (`n` weights each at the rows' common stride in `s`) against the value
-/// planes, `P` planes per pass, times `factor`, into `out`.
+tiered! {
+    /// Step 3 of [`GroupAttention::attend`] for `H` heads: their weight rows
+    /// (one weight per allowed key, at the rows' common stride in `s`)
+    /// against the value planes, times `factor`, into `out`.
+    fn values_tile[const H: usize][H](
+        ga: &GroupAttention<'_>,
+        row0: usize,
+        runs: &[Range<usize>],
+        s: &[f32],
+        factor: &[f32],
+        out: &mut [f32],
+    ) = values_body[wide]
+}
+
+/// Four planes go through per pass where there are thirty-two registers
+/// (sixteen accumulators for four heads); sixteen of half the width — a
+/// sixteen-lane accumulator is two of them — hold four accumulators, so
+/// `4 / H` planes.
 #[inline(always)]
-fn values_tile<const H: usize, const P: usize>(
+fn values_body<const H: usize, const WIDE: bool>(
     ga: &GroupAttention<'_>,
     row0: usize,
     runs: &[Range<usize>],
     s: &[f32],
-    n: usize,
     factor: &[f32],
     out: &mut [f32],
 ) {
-    let stride = s.len() / H;
+    let (stride, n) = (s.len() / H, runs.iter().map(Range::len).sum());
     let mut rows: [&[f32]; H] = [&[]; H];
     for h in 0..H {
         rows[h] = &s[h * stride..][..n];
     }
-    rows_dot_acc_tile::<H, P>(ga.vals, row0, runs, rows, factor, out);
+    match (WIDE, H) {
+        (false, 4) => rows_dot_acc_tile::<H, 1>(ga.vals, row0, runs, rows, factor, out),
+        (false, 2) => rows_dot_acc_tile::<H, 2>(ga.vals, row0, runs, rows, factor, out),
+        _ => rows_dot_acc_tile::<H, 4>(ga.vals, row0, runs, rows, factor, out),
+    }
 }
 
 /// The larger of a running maximum `m` (never NaN) and `x`, or `m` when `x`
@@ -849,12 +923,14 @@ fn max_skip_nan(m: f32, x: f32) -> f32 {
     }
 }
 
-/// Scaled scores of `H` heads over `runs` into the compact rows `s` (row
-/// `h` starts at `h * n`), and each row's maximum over its non-NaN scores
-/// (`-inf` when it has none).
-/// A piece goes through in passes of `C` key chunks, then single chunks,
-/// then key by key: a key's score is the same chain of fused multiply-adds
-/// in all three, so where a piece starts and ends cannot change it.
+/// Scaled scores of `H` heads over `runs` into the compact rows `s` (`H`
+/// rows of whole chunks, back to back), `-inf` past a row's last key, and
+/// each row's maximum over its non-NaN scores (`-inf` when it has none).
+/// The keys go through in compact chunks: `C` at a time, then one, straight
+/// from the block where a piece holds the chunk, through `split` — its
+/// columns copied together, plane by plane — where it does not. A key's
+/// score is the same chain of fused multiply-adds in every lane of every
+/// pass, so where a piece starts and ends cannot change it.
 #[inline(always)]
 fn score_tile<const H: usize, const C: usize>(
     ga: &GroupAttention<'_>,
@@ -862,60 +938,55 @@ fn score_tile<const H: usize, const C: usize>(
     runs: &[Range<usize>],
     q: &[f32],
     s: &mut [f32],
-    n: usize,
+    split: &mut [f32],
 ) -> [f32; H] {
-    let d = ga.head_dim;
+    let (d, stride) = (ga.head_dim, s.len() / H);
+    let n: usize = runs.iter().map(Range::len).sum();
     let mut heads: [&[f32]; H] = [&[]; H];
     for h in 0..H {
         heads[h] = &q[h * d..][..d];
     }
     let mut max = [[f32::NEG_INFINITY; KEYS]; H];
-    let mut at = 0;
-    for (block, cols) in runs.iter().flat_map(|run| ga.keys.pieces(run)).flatten() {
+    // The compact chunks that lie inside one piece, straight from its block.
+    let mut at = 0usize;
+    for_pieces!(ga.keys, runs, |block, cols| {
         // Component `c` of key `cols.start + j` sits at `base + c * cap + j`.
-        let (cap, base) = (block.cap, row0 * block.cap + cols.start);
-        let mut j = 0;
-        while j + C * KEYS <= cols.len() {
-            score_chunks::<H, C>(
-                &block.data[base + j..],
-                cap,
-                &heads,
-                ga.scale,
-                s,
-                n,
-                at + j,
-                &mut max,
-            );
+        let (cap, base, len) = (block.cap, row0 * block.cap + cols.start, cols.len());
+        let mut j = (at.wrapping_neg() % KEYS).min(len);
+        while len - j >= C * KEYS {
+            let (keys, first) = (&block.data[base + j..], at + j);
+            score_chunks::<H, C, false>(keys, cap, &heads, ga.scale, s, stride, first, 0, &mut max);
             j += C * KEYS;
         }
-        while j + KEYS <= cols.len() {
-            score_chunks::<H, 1>(
-                &block.data[base + j..],
-                cap,
-                &heads,
-                ga.scale,
-                s,
-                n,
-                at + j,
-                &mut max,
-            );
+        while len - j >= KEYS {
+            let (keys, first) = (&block.data[base + j..], at + j);
+            score_chunks::<H, 1, false>(keys, cap, &heads, ga.scale, s, stride, first, 0, &mut max);
             j += KEYS;
         }
-        // The ragged end of the piece, key by key: same chain, one lane.
-        while j < cols.len() {
-            for h in 0..H {
-                let mut acc = 0.0f32;
-                for (c, qc) in heads[h].iter().enumerate() {
-                    acc = qc.mul_add(block.data[base + c * cap + j], acc);
-                }
-                let score = acc * ga.scale;
-                s[h * n + at + j] = score;
-                max[h][0] = max_skip_nan(max[h][0], score);
+        at += len;
+    });
+    // The others — a piece's columns before its first whole chunk and after
+    // its last — copied together and scored once the chunk is whole or the
+    // row ends inside it (its last lanes then hold stale columns, no keys).
+    let mut at = 0usize;
+    for_pieces!(ga.keys, runs, |block, cols| {
+        let (cap, base, len) = (block.cap, row0 * block.cap + cols.start, cols.len());
+        let head = (at.wrapping_neg() % KEYS).min(len);
+        let rest = (len - head) % KEYS;
+        for (j, part) in [(0, head), (len - rest, rest)] {
+            let lane = (at + j) % KEYS;
+            if part > 0 {
+                copy_part(&mut split[lane..], &block.data[base + j..], cap, d, part);
             }
-            j += 1;
+            if part > 0 && (lane + part == KEYS || at + j + part == n) {
+                let (first, valid) = (at + j - lane, lane + part);
+                score_chunks::<H, 1, true>(
+                    split, KEYS, &heads, ga.scale, s, stride, first, valid, &mut max,
+                );
+            }
         }
-        at += cols.len();
-    }
+        at += len;
+    });
     // Halving fold: four dependent steps per row, not `KEYS`.
     let mut width = KEYS / 2;
     while width > 0 {
@@ -935,18 +1006,22 @@ fn score_tile<const H: usize, const C: usize>(
 
 /// `C` chunks of [`KEYS`] keys for `H` heads: `keys[c * cap + j]` is
 /// component `c` of the pass's key `j`; the scores go to
-/// `s[h * n + at ..][..C * KEYS]` and into the running lane maxima.
+/// `s[h * stride + at ..][..C * KEYS]` and into the running lane maxima. In a
+/// `RAGGED` pass only the first `valid` lanes hold keys and the others score
+/// `-inf` (a constant, not an argument, for the whole passes: the select
+/// costs them their straight-line epilogue).
 // `c` walks the K planes and every head's coefficients in step.
 #[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
 #[inline(always)]
-fn score_chunks<const H: usize, const C: usize>(
+fn score_chunks<const H: usize, const C: usize, const RAGGED: bool>(
     keys: &[f32],
     cap: usize,
     heads: &[&[f32]; H],
     scale: f32,
     s: &mut [f32],
-    n: usize,
+    stride: usize,
     at: usize,
+    valid: usize,
     max: &mut [[f32; KEYS]; H],
 ) {
     let d = heads[0].len();
@@ -971,14 +1046,29 @@ fn score_chunks<const H: usize, const C: usize>(
         }
     }
     for h in 0..H {
+        // A sixteen-lane operation per loop, each on values of its own: left
+        // in one loop the vectorizer cut the lanes into odd pieces.
+        let mut lane_max = max[h];
         for i in 0..C {
-            let dst = &mut s[h * n + at + i * KEYS..][..KEYS];
+            let mut scores = [0.0f32; KEYS];
             for l in 0..KEYS {
-                let score = acc[h][i][l] * scale;
-                dst[l] = score;
-                max[h][l] = max_skip_nan(max[h][l], score);
+                scores[l] = acc[h][i][l] * scale;
+            }
+            if RAGGED {
+                // A select on the lane number compiles to a branch a lane;
+                // a mask of bits to a vector compare and a blend.
+                for l in 0..KEYS {
+                    let keep = u32::from(l < valid).wrapping_neg();
+                    let kept = scores[l].to_bits() & keep;
+                    scores[l] = f32::from_bits(kept | f32::NEG_INFINITY.to_bits() & !keep);
+                }
+            }
+            s[h * stride + at + i * KEYS..][..KEYS].copy_from_slice(&scores);
+            for l in 0..KEYS {
+                lane_max[l] = max_skip_nan(lane_max[l], scores[l]);
             }
         }
+        max[h] = lane_max;
     }
 }
 
@@ -990,6 +1080,7 @@ mod tests {
     use crate::Matrix;
     use proptest::prelude::*;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
+    use std::slice::from_ref;
 
     fn bits(xs: &[f32]) -> Vec<u32> {
         xs.iter().map(|x| x.to_bits()).collect()
@@ -1475,6 +1566,87 @@ mod tests {
         }
     }
 
+    /// The ragged paths, exhaustively: every run length `n` in 1..=80, cut
+    /// between the prefix and the suffix block at every point `0..=n`,
+    /// followed by a private run of 0..=3 keys, both weightings — against
+    /// the row-level composition over a clean, contiguous copy of the
+    /// allowed keys. Every column physically next to a run is a masked key
+    /// that holds NaN, an infinity or 1e38 — and a run that ends where its
+    /// block does is followed in memory by the next plane's first column,
+    /// one of those — so a chunk that was copied together from more than
+    /// its columns, a lane past a row's end that was read as a key, or one
+    /// that reached the running maximum, changes the output or makes it
+    /// NaN. (Release builds: the kernels' chunk paths are what the
+    /// vectorizer makes of them.)
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "exhaustive sweep; run with --release")]
+    fn ragged_runs_beside_poisoned_neighbours_bit_match_the_row_level_composition() {
+        const POISON: [f32; 4] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e38];
+        let (d, group, kv_heads) = (8, 6, 2);
+        let mut rng = SmallRng::seed_from_u64(22);
+        let pool = [(); 2].map(|()| random_block(kv_heads * d, 84, &mut rng));
+        let q: Vec<f32> = (0..group * d).map(|_| rng.gen_range(-2.0..2.0)).collect();
+        let mut scratch = Vec::new();
+        for n in 1..=80 {
+            for (split, private) in (0..=n).flat_map(|split| (0..=3).map(move |p| (split, p))) {
+                // Per pool (keys, values): the poisoned prefix and suffix
+                // blocks, and the allowed columns alone.
+                let blocks = pool.each_ref().map(|pool| {
+                    let mut built = [(); 3].map(|()| ColBlock::new(kv_heads * d));
+                    let [pre, suf, clean] = &mut built;
+                    let poison = |block: &mut ColBlock| {
+                        let at = block.len();
+                        let col: Vec<f32> =
+                            (0..kv_heads * d).map(|r| POISON[(r + at) % 4]).collect();
+                        block.push_col(&col);
+                    };
+                    poison(pre);
+                    for j in 0..n + private {
+                        if j == n {
+                            poison(suf);
+                        }
+                        let col = pool.col(j);
+                        if j < split { &mut *pre } else { &mut *suf }.push_col(&col);
+                        clean.push_col(&col);
+                    }
+                    poison(suf);
+                    built
+                });
+                let [keys, vals] = &blocks;
+                let kv = GroupAttention {
+                    keys: SplitCols::new(Some(&keys[0]), &keys[1]),
+                    vals: SplitCols::new(Some(&vals[0]), &vals[1]),
+                    head_dim: d,
+                    scale: 1.0 / (d as f32).sqrt(),
+                };
+                let clean = GroupAttention {
+                    keys: SplitCols::new(None, &keys[2]),
+                    vals: SplitCols::new(None, &vals[2]),
+                    ..kv
+                };
+                let runs = [1..1 + n, n + 2..n + 2 + private];
+                let all = 0..n + private;
+                let kv_head = (n + split + private) % kv_heads;
+                for (weigh, name) in [(softmax_row as RowWeigh, "softmax"), (silu_row, "silu")] {
+                    let mut got = vec![0.1f32; group * d];
+                    let mut want = got.clone();
+                    if name == "softmax" {
+                        kv.attend::<Softmax>(kv_head, &runs, &q, &mut scratch, &mut got);
+                    } else {
+                        kv.attend::<Silu>(kv_head, &runs, &q, &mut scratch, &mut got);
+                    }
+                    attend_per_head(&clean, kv_head, from_ref(&all), &q, weigh, &mut want);
+                    assert!(want.iter().all(|x| x.is_finite()));
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{name}: {n} keys cut at {split}, {private} private"
+                    );
+                }
+            }
+        }
+    }
+
     /// Every SIMD tier of the group kernel present on this CPU runs the
     /// same arithmetic as the portable body (the dispatcher only ever
     /// picks the widest) — each over its own tile shapes: outputs and the
@@ -1499,9 +1671,9 @@ mod tests {
             let (mut scratch, mut out) = (Vec::new(), vec![0.0f32; 2 * group * d]);
             let (soft, silu) = out.split_at_mut(group * d);
             // The scratch holds the last tile: head 7 of 7, 81 keys.
-            attend_tiered::<Softmax>(tier, &kv, 1, &runs, &q, &mut scratch, soft);
+            attend_tiles::<Softmax>(tier, &kv, 1, &runs, &q, &mut scratch, soft);
             let soft_weights = bits(&scratch_rows(&scratch, 1, 81));
-            attend_tiered::<Silu>(tier, &kv, 1, &runs, &q, &mut scratch, silu);
+            attend_tiles::<Silu>(tier, &kv, 1, &runs, &q, &mut scratch, silu);
             (
                 bits(&out),
                 soft_weights,

@@ -95,62 +95,85 @@ impl Tier {
 /// Declares `fn name(tier, args…)` that runs an `#[inline(always)]` body
 /// compiled for `tier`: `wide` on AVX-512 (thirty-two 16-lane registers),
 /// `narrow` — the same arithmetic over a smaller register tile — on every
-/// other tier; `= body` uses one body for all. A body must be
-/// `#[inline(always)]` along with everything it calls: an out-of-line
-/// callee is compiled at the crate's baseline features, where the wide
-/// registers never materialise and `mul_add` is a libm call.
+/// other tier; `= body` uses one body for all, and `= body[wide]` one body
+/// whose last generic parameter, a `const WIDE: bool`, says which register
+/// file it is being compiled for. A body must be `#[inline(always)]` along
+/// with everything it calls: an out-of-line callee is compiled at the
+/// crate's baseline features, where the wide registers never materialise
+/// and `mul_add` is a libm call. A generic kernel lists its parameters
+/// twice, as declared and as passed on:
+/// `fn name[W: Bound, const H: usize][W, H](args…)`.
 macro_rules! tiered {
     (
         $(#[$meta:meta])*
-        $vis:vis fn $name:ident $(<$g:ident: $bound:path>)? ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
+        $vis:vis fn $name:ident $([$($decl:tt)*][$($pass:tt)*])? ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
         = $body:ident
     ) => {
         tiered! {
             $(#[$meta])*
-            $vis fn $name $(<$g: $bound>)? ($($arg: $ty),*) $(-> $ret)? = $body, $body
+            $vis fn $name $([$($decl)*][$($pass)*])? ($($arg: $ty),*) $(-> $ret)? = $body, $body
         }
     };
     (
         $(#[$meta:meta])*
-        $vis:vis fn $name:ident $(<$g:ident: $bound:path>)? ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
+        $vis:vis fn $name:ident $([$($decl:tt)*][$($pass:tt)*])? ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
         = $wide:ident, $narrow:ident
+    ) => {
+        tiered! {
+            @clones [$(#[$meta])*] [$vis] $name [$($($decl)*)?] [$($($pass)*)?] ($($arg: $ty),*) [$($ret)?]
+            $wide [$($($pass)*)?], $narrow [$($($pass)*)?]
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis fn $name:ident [$($decl:tt)*][$($pass:tt)*] ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
+        = $body:ident[wide]
+    ) => {
+        tiered! {
+            @clones [$(#[$meta])*] [$vis] $name [$($decl)*] [$($pass)*] ($($arg: $ty),*) [$($ret)?]
+            $body [$($pass)*, true], $body [$($pass)*, false]
+        }
+    };
+    (
+        @clones [$(#[$meta:meta])*] [$vis:vis] $name:ident [$($decl:tt)*] [$($pass:tt)*] ($($arg:ident: $ty:ty),*) [$($ret:ty)?]
+        $wide:ident [$($wide_pass:tt)*], $narrow:ident [$($narrow_pass:tt)*]
     ) => {
         $(#[$meta])*
         #[inline]
-        $vis fn $name $(<$g: $bound>)? (tier: $crate::simd::Tier, $($arg: $ty),*) $(-> $ret)? {
+        $vis fn $name <$($decl)*> (tier: $crate::simd::Tier, $($arg: $ty),*) $(-> $ret)? {
             #[cfg(target_arch = "x86_64")]
             {
                 #[target_feature(enable = "avx512f,avx2,fma")]
-                unsafe fn avx512 $(<$g: $bound>)? ($($arg: $ty),*) $(-> $ret)? {
-                    $wide $(::<$g>)? ($($arg),*)
+                unsafe fn avx512 <$($decl)*> ($($arg: $ty),*) $(-> $ret)? {
+                    $wide::<$($wide_pass)*>($($arg),*)
                 }
                 #[target_feature(enable = "avx2,fma")]
-                unsafe fn avx2 $(<$g: $bound>)? ($($arg: $ty),*) $(-> $ret)? {
-                    $narrow $(::<$g>)? ($($arg),*)
+                unsafe fn avx2 <$($decl)*> ($($arg: $ty),*) $(-> $ret)? {
+                    $narrow::<$($narrow_pass)*>($($arg),*)
                 }
                 match tier.kind() {
                     // SAFETY: a `Tier` of this kind only exists if the CPU
                     // was detected to support AVX-512F, AVX2 and FMA.
-                    $crate::simd::Kind::Avx512 => return unsafe { avx512 $(::<$g>)? ($($arg),*) },
+                    $crate::simd::Kind::Avx512 => return unsafe { avx512::<$($pass)*>($($arg),*) },
                     // SAFETY: as above, for AVX2 and FMA.
-                    $crate::simd::Kind::Avx2 => return unsafe { avx2 $(::<$g>)? ($($arg),*) },
+                    $crate::simd::Kind::Avx2 => return unsafe { avx2::<$($pass)*>($($arg),*) },
                     $crate::simd::Kind::Scalar => {}
                 }
             }
             #[cfg(target_arch = "aarch64")]
             {
                 #[target_feature(enable = "neon")]
-                unsafe fn neon $(<$g: $bound>)? ($($arg: $ty),*) $(-> $ret)? {
-                    $narrow $(::<$g>)? ($($arg),*)
+                unsafe fn neon <$($decl)*> ($($arg: $ty),*) $(-> $ret)? {
+                    $narrow::<$($narrow_pass)*>($($arg),*)
                 }
                 if tier.kind() == $crate::simd::Kind::Neon {
                     // SAFETY: a `Tier` of this kind only exists if the CPU
                     // was detected to support NEON.
-                    return unsafe { neon $(::<$g>)? ($($arg),*) };
+                    return unsafe { neon::<$($pass)*>($($arg),*) };
                 }
             }
             let _ = tier;
-            $narrow $(::<$g>)? ($($arg),*)
+            $narrow::<$($narrow_pass)*>($($arg),*)
         }
     };
 }

@@ -16,9 +16,10 @@
 
 use bat::exec::set_threads;
 use bat::{
-    GrModel, GrModelConfig, HstuModel, MaskScheme, PrefixKind, PromptLayout, SemanticConfig,
-    SemanticWorld, ServeOptions, ServeRuntime, Weights,
+    GrModel, GrModelConfig, HstuModel, KvSegment, MaskScheme, PrefixKind, PromptLayout,
+    SemanticConfig, SemanticWorld, ServeOptions, ServeRuntime, Weights,
 };
+use bat_model::{SegTag, TokenSeq};
 use bat_sim::{EngineConfig, RunStats, ServingEngine, SystemKind};
 use bat_types::{Bytes, ClusterConfig, DatasetConfig, ModelConfig};
 use bat_workload::{TraceGenerator, Workload};
@@ -50,18 +51,49 @@ fn build_parts(
                 .collect()
         })
         .collect();
-    (user, items, vec![120, 121])
+    (user, items, (400..496).collect())
 }
 
-/// Fails unless every stage of `forward(suffix, prefix)` — bar those named
-/// in `inline` — is big enough to be handed to the pool. Below the dispatch
-/// threshold every thread count runs the same inline code, and a
-/// comparison across counts would say nothing.
-fn assert_stages_pooled(stages: [(&'static str, usize); 6], inline: &[&str], what: &str) {
+/// Fails unless every stage of a forward — bar those named in `inline` — is
+/// big enough to be handed to the pool. Below the dispatch threshold every
+/// thread count runs the same inline code, and a comparison across counts
+/// would say nothing.
+fn assert_stages_pooled<const N: usize>(
+    stages: [(&'static str, usize); N],
+    inline: &[&str],
+    what: &str,
+) {
     for (stage, work) in stages {
         assert!(
             inline.contains(&stage) || bat_tensor::stage_is_pooled(work),
             "{what}: {stage} ({work} multiply-adds) would run inline"
+        );
+    }
+}
+
+/// Fails unless, at `threads` threads, the row stage of
+/// `model.forward(suffix, prefix)` is cut so that some block starts strictly
+/// inside the suffix's item rows (where it has any) and some strictly inside
+/// its instruction rows: rows of each kind then sit in blocks that differ
+/// from one thread count to the next.
+fn assert_rows_are_cut(
+    model: &GrModel,
+    suffix: &TokenSeq,
+    prefix: Option<&KvSegment>,
+    threads: usize,
+    what: &str,
+) {
+    let blocks = model.stage_blocks(suffix, prefix, threads);
+    for tag in [SegTag::Item(0), SegTag::Instr] {
+        let same = |t: &SegTag| std::mem::discriminant(t) == std::mem::discriminant(&tag);
+        let Some(first) = suffix.segs.iter().position(same) else {
+            continue;
+        };
+        let last = suffix.segs.iter().rposition(same).unwrap();
+        assert!(
+            blocks.iter().any(|b| first < b.start && b.start <= last),
+            "{what} @ {threads} threads: no block starts inside the {tag:?} rows \
+             {first}..={last}: {blocks:?}"
         );
     }
 }
@@ -101,6 +133,8 @@ proptest! {
             assert_stages_pooled(model.stage_work(&tail, Some(&serial_kv)), &["K|V"], "cached");
 
             for n in THREAD_COUNTS {
+                assert_rows_are_cut(&model, &seq, None, n, "cold");
+                assert_rows_are_cut(&model, &tail, Some(&serial_kv), n, "cached");
                 set_threads(n);
                 let par_full = model.forward(&seq, None);
                 assert_bits_eq(
