@@ -18,7 +18,7 @@
 
 use bat::exec;
 use bat_model::prompt::{MaskScheme, PromptLayout, SegTag, TokenSeq};
-use bat_model::{ForwardWorkspace, GrModel, GrModelConfig, KvSegment, Weights};
+use bat_model::{ForwardWorkspace, GrModel, GrModelConfig, KvSegment, Stage, Weights};
 use bat_sched::{BatchScheduler, BatchingConfig};
 use bat_serve::{Pacer, ServeOptions, ServeRuntime, TransportKind};
 use bat_sim::{EngineConfig, SystemKind};
@@ -190,6 +190,11 @@ fn prefix_heavy_scenario(user_tokens: usize, candidates: usize) -> (GrModel, Tok
 /// A cached prefix and the suffix left to compute behind it.
 type Hit = (KvSegment, TokenSeq);
 
+/// The tokens of a `rank_warm` user profile of `len` tokens.
+fn rank_warm_profile(len: u32) -> Vec<u32> {
+    (0..len).map(|i| i * 37 % 4256).collect()
+}
+
 /// The `rank_warm` request shape of the repo benchmark (`benchmark/`): a
 /// `profile`-token user profile, 50 two-token candidates and a 32-token
 /// instruction block, as the two hits `model` can serve it by:
@@ -198,7 +203,7 @@ type Hit = (KvSegment, TokenSeq);
 /// standalone — and computes profile + instructions.
 fn rank_warm_hits(model: &GrModel, profile: u32) -> [Hit; 2] {
     let layout = PromptLayout::new(MaskScheme::Bipartite);
-    let user: Vec<u32> = (0..profile).map(|i| i * 37 % 4256).collect();
+    let user = rank_warm_profile(profile);
     let items: Vec<Vec<u32>> = (0..50).map(|i| vec![i, 4000 + i]).collect();
     let instr: Vec<u32> = (0..32).map(|i| 4100 + i).collect();
 
@@ -239,8 +244,9 @@ fn rank_warm_cases() -> (GrModel, [(&'static str, Hit); 3]) {
 /// Checks the determinism contract: matmul and forward at each width in
 /// `widths` are bit-identical to the serial run. The shapes (a 130 × 96 ×
 /// 112 product, a 350-token cold forward) put the product and every stage
-/// of the forward on the pool — anything smaller runs inline at every
-/// width and the check would compare the serial code to itself.
+/// of the forward on the pool (bar the last layer's, which finishes one
+/// read-out row) — anything smaller runs inline at every width and the
+/// check would compare the serial code to itself.
 fn check_determinism(widths: &[usize]) -> bool {
     let a = random_matrix(130, 96, 3);
     let b = random_matrix(96, 112, 4);
@@ -248,7 +254,9 @@ fn check_determinism(widths: &[usize]) -> bool {
     let stages = model.stage_work(&seq, None);
     assert!(
         stage_is_pooled(a.rows() * a.cols() * b.cols())
-            && stages.iter().all(|&(_, work)| stage_is_pooled(work)),
+            && stages
+                .iter()
+                .all(|&(stage, work)| stage == "read-out rows" || stage_is_pooled(work)),
         "determinism check shapes fell below the pool threshold: {stages:?}"
     );
     exec::set_threads(1);
@@ -265,9 +273,9 @@ fn check_determinism(widths: &[usize]) -> bool {
             .zip(gold_mm.as_slice())
             .all(|(x, y)| x.to_bits() == y.to_bits());
         ok &= fwd
-            .logits
+            .logits()
             .iter()
-            .zip(&gold_fwd.logits)
+            .zip(&gold_fwd.logits())
             .all(|(x, y)| x.to_bits() == y.to_bits());
     }
     ok
@@ -356,18 +364,23 @@ pub struct StageRow {
     pub wall_us: f64,
     /// Mean microseconds per forward in each [`bat_model::Stage`], by name:
     /// thread time for the stages inside the pooled one, so at `threads`
-    /// threads `threads × RowsWall − (Q + … + Down)` is what they idled.
+    /// threads `threads × (RowsWall + LastRowsWall) − (Q + … + Down)` is
+    /// what they idled. `ReadOut` includes scoring the 50 candidates.
     pub stages: Vec<(String, f64)>,
 }
 
 /// Where a `rank_warm` forward spends its time, by stage
 /// ([`ForwardWorkspace::profile_stages`]): the three hits of the `forward`
 /// rows, each the mean of `forwards` runs at every width in `widths` the
-/// machine has cores for.
+/// machine has cores for. Each forward is followed by the read it serves —
+/// [`bat_model::ForwardOutput::candidate_scores`] over the 50 candidates —
+/// booked on `ReadOut` beside the forward's own final norm.
 pub fn stage_profile(widths: &[usize], forwards: u32) -> Vec<StageRow> {
     let restore = exec::threads();
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let (model, cases) = rank_warm_cases();
+    // Identifier tokens of the 50 candidates `rank_warm_hits` builds.
+    let ids: Vec<u32> = (0..50).collect();
     let mut rows = Vec::new();
     for &w in widths.iter().filter(|&&w| w <= nproc) {
         set_width(w);
@@ -377,9 +390,13 @@ pub fn stage_profile(widths: &[usize], forwards: u32) -> Vec<StageRow> {
                 black_box(model.forward_with(tail, Some(kv), &mut ws));
             }
             ws.profile_stages();
+            let mut scoring = Duration::ZERO;
             let t0 = Instant::now();
             for _ in 0..forwards {
-                black_box(model.forward_with(black_box(tail), Some(kv), &mut ws));
+                let out = model.forward_with(black_box(tail), Some(kv), &mut ws);
+                let t1 = Instant::now();
+                black_box(out.candidate_scores(black_box(&ids)));
+                scoring += t1.elapsed();
             }
             let wall_us = t0.elapsed().as_secs_f64() * 1e6 / f64::from(forwards);
             let stages = ws.stage_profile().expect("profiling was switched on");
@@ -389,7 +406,10 @@ pub fn stage_profile(widths: &[usize], forwards: u32) -> Vec<StageRow> {
                 wall_us,
                 stages: stages
                     .iter()
-                    .map(|(stage, time)| {
+                    .map(|&(stage, mut time)| {
+                        if stage == Stage::ReadOut {
+                            time += scoring;
+                        }
                         let us = time.as_secs_f64() * 1e6 / f64::from(forwards);
                         (format!("{stage:?}"), us)
                     })
@@ -532,9 +552,21 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
     // through a reused workspace — the rows behind its
     // `model.forward_up_hit` / `model.forward_ip_hit` spans. Same shape in
     // quick mode: it is the shape that matters, and it takes milliseconds.
+    // `compute_kv_user` is the miss beside them: the 192-token profile's
+    // segment, a forward that reads out nothing.
     let (r_model, r_cases) = rank_warm_cases();
+    let profile = PromptLayout::new(MaskScheme::Bipartite).user_standalone(&rank_warm_profile(192));
     for &w in thread_counts {
         set_width(w);
+        let secs = time_best(
+            || drop(black_box(r_model.compute_kv(black_box(&profile)))),
+            p_samples,
+        );
+        forward.push(BenchResult {
+            name: "compute_kv_user".into(),
+            threads: w,
+            secs,
+        });
         for (name, (kv, tail)) in &r_cases {
             let secs = time_best(
                 || {

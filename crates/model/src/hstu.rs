@@ -20,13 +20,15 @@
 
 use crate::config::GrModelConfig;
 use crate::kv::KvSegment;
-use crate::mask::{allowed_keys, MaskBuf};
+use crate::mask::{read_out_rows, runs, MaskBuf};
 use crate::prompt::TokenSeq;
-use crate::transformer::{norm_rows_into, ForwardOutput, ForwardWorkspace};
+use crate::transformer::{norm_rows_into, run_rows, ForwardOutput, ForwardWorkspace};
 use bat_exec::with_thread_scratch;
 use bat_tensor::ops::{axpy, fast_silu_in_place, rms_norm_into};
-use bat_tensor::{GroupAttention, Matrix, RopeTable, Silu, SplitCols};
+use bat_tensor::{matmul_rows, GroupAttention, Matrix, RopeTable, Silu, SplitCols};
 use rand::{rngs::SmallRng, SeedableRng};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Weights of one HSTU layer.
 #[derive(Debug, Clone)]
@@ -56,18 +58,15 @@ pub struct HstuLayer {
 /// let layout = PromptLayout::new(MaskScheme::Bipartite);
 /// let seq = layout.build(PrefixKind::Item, &[40], &[vec![0], vec![1]], &[60]);
 /// let out = model.forward(&seq, None);
-/// assert!(out.logits.iter().all(|v| v.is_finite()));
+/// assert!(out.logits().iter().all(|v| v.is_finite()));
 /// ```
 #[derive(Debug, Clone)]
 pub struct HstuModel {
     cfg: GrModelConfig,
-    embedding: Matrix,
+    embedding: Arc<Matrix>,
     layers: Vec<HstuLayer>,
     final_norm: Vec<f32>,
     rope: RopeTable,
-    /// Transposed embedding (`hidden × vocab`) for the tied output head,
-    /// mirroring [`crate::GrModel`].
-    embedding_t: Matrix,
 }
 
 impl HstuModel {
@@ -97,15 +96,13 @@ impl HstuModel {
             })
             .collect();
         let rope = RopeTable::new(cfg.head_dim, cfg.max_positions, cfg.rope_base);
-        let embedding = Matrix::random(cfg.vocab_size, h, 1.0, &mut rng);
-        let embedding_t = embedding.transpose();
+        let embedding = Arc::new(Matrix::random(cfg.vocab_size, h, 1.0, &mut rng));
         HstuModel {
             embedding,
             layers,
             final_norm: vec![1.0; h],
             rope,
             cfg,
-            embedding_t,
         }
     }
 
@@ -126,7 +123,8 @@ impl HstuModel {
     /// `X·W` product each, and attention runs over each token's
     /// allowed key runs only (SiLU weights in a compact score row,
     /// normalized by the allowed count), parallel over tokens with
-    /// bit-identical results for any thread count.
+    /// bit-identical results for any thread count — and its read-out: the
+    /// last layer finishes the read-out rows ([`ForwardOutput`]) alone.
     ///
     /// # Panics
     ///
@@ -151,6 +149,12 @@ impl HstuModel {
         ws.output()
     }
 
+    /// Multiply-adds of the attention and output product of rows `run`.
+    fn rows_work(&self, mask: &MaskBuf, run: &Range<usize>) -> usize {
+        let keys = mask.allowed()[run.clone()].iter().sum::<u64>() as usize;
+        (keys + run.len() * self.cfg.hidden_dim) * self.cfg.hidden_dim
+    }
+
     /// [`crate::GrModel::stage_work`] for the HSTU layer's stages.
     #[doc(hidden)]
     pub fn stage_work(
@@ -160,16 +164,16 @@ impl HstuModel {
     ) -> [(&'static str, usize); 6] {
         let lw = &self.layers[0];
         let product = |w: &Matrix| suffix.len() * w.rows() * w.cols();
+        let mask = MaskBuf::of(suffix, prefix, 0);
+        let read_out: Vec<usize> = read_out_rows(&suffix.segs).collect();
+        let widest = runs(&read_out).map(|run| self.rows_work(&mask, &run)).max();
         [
             ("Q", product(&lw.wq)),
             ("K", product(&lw.wk)),
             ("V", product(&lw.wv)),
             ("U", product(&lw.wu)),
-            (
-                "attention",
-                allowed_keys(suffix, prefix) * self.cfg.hidden_dim,
-            ),
-            ("O", product(&lw.wo)),
+            ("rows", self.rows_work(&mask, &(0..suffix.len()))),
+            ("read-out rows", widest.unwrap_or(0)),
         ]
     }
 
@@ -186,8 +190,7 @@ impl HstuModel {
         }
         let p_len = prefix.map_or(0, KvSegment::len);
         let s_len = suffix.len();
-        let g_len = p_len + s_len;
-        let d = cfg.head_dim;
+        let (d, hidden) = (cfg.head_dim, cfg.hidden_dim);
         let scale = 1.0 / (d as f32).sqrt();
 
         // Workspace mapping: `act` holds the gated unit output and `up`
@@ -206,23 +209,18 @@ impl HstuModel {
             out,
             ..
         } = ws;
-        let ForwardOutput {
-            hidden_all,
-            suffix_kv,
-            logits,
-        } = out;
+        out.rows.clear();
+        out.rows.extend(read_out_rows(&suffix.segs));
+        let (read_out, suffix_kv) = (&out.rows, &mut out.suffix_kv);
 
         tags.clear();
-        tags.extend((0..g_len).map(|g| {
-            if g < p_len {
-                prefix.unwrap().segs[g]
-            } else {
-                suffix.segs[g - p_len]
-            }
-        }));
+        tags.extend(prefix.map_or(&[][..], |p| &p.segs));
+        tags.extend_from_slice(&suffix.segs);
         mask.build(suffix.scheme, tags, p_len, 0);
 
-        h.reset(s_len, cfg.hidden_dim);
+        h.reset(s_len, hidden);
+        act.reshape_for_overwrite(s_len, hidden);
+        o.reshape_for_overwrite(s_len, hidden);
         for (t, &tok) in suffix.tokens.iter().enumerate() {
             h.row_mut(t)
                 .copy_from_slice(self.embedding.row(tok as usize));
@@ -234,9 +232,7 @@ impl HstuModel {
             lkv.reserve(s_len);
         }
 
-        for l in 0..cfg.layers {
-            let lw = &self.layers[l];
-
+        for (l, lw) in self.layers.iter().enumerate() {
             // Batched SiLU-gated projections for every suffix token, then
             // RoPE per row (SiLU first, as in the per-token formulation).
             norm_rows_into(h, &lw.norm, xn);
@@ -264,18 +260,15 @@ impl HstuModel {
                 scale,
             };
             // SiLU attention over the token's allowed key runs + count
-            // normalization + elementwise gate, parallel over tokens: the
-            // softmax model's kernel with a group of one and SiLU as the
-            // row weighting.
-            act.reset(s_len, cfg.hidden_dim);
-            let q_ro: &Matrix = q;
-            let u_ro: &Matrix = up;
-            let mask_ro: &MaskBuf = mask;
-            act.par_row_blocks_mut_weighted(mask_ro.allowed(), |first_row, block| {
+            // normalization + elementwise gate — the softmax model's kernel
+            // with a group of one and SiLU as the row weighting — then the
+            // output product and the residual, a block of rows per task: of
+            // every row, or past the last layer of the read-out rows alone.
+            let (q_ro, u_ro, mask_ro) = (&*q, &*up, &*mask);
+            let rows_of = |rows: Range<usize>, [act, o, h]: [&mut [f32]; 3]| {
                 with_thread_scratch(|scr: &mut HstuScratch| {
                     let HstuScratch { s, agg, normed } = scr;
-                    for (off, grow) in block.chunks_exact_mut(cfg.hidden_dim).enumerate() {
-                        let t = first_row + off;
+                    for (t, grow) in rows.zip(act.chunks_exact_mut(hidden)) {
                         let runs = mask_ro.runs(t);
                         agg.clear();
                         agg.resize(cfg.kv_dim(), 0.0);
@@ -283,8 +276,7 @@ impl HstuModel {
                         for (head, (qv, out)) in heads.enumerate() {
                             kv.attend::<Silu>(head, runs, qv, s, out);
                         }
-                        // Context-size normalization (HSTU's pointwise
-                        // aggregation).
+                        // HSTU's pointwise aggregation: context-size normalization.
                         let inv = 1.0 / mask_ro.allowed()[t].max(1) as f32;
                         agg.iter_mut().for_each(|x| *x *= inv);
                         normed.clear();
@@ -295,15 +287,20 @@ impl HstuModel {
                         }
                     }
                 });
-            });
-            act.matmul_into(&lw.wo, o);
-            let o_ro: &Matrix = o;
-            h.par_rows_mut(|t, row| axpy(row, 1.0, o_ro.row(t)));
+                matmul_rows(act, hidden, &lw.wo, o);
+                axpy(h, 1.0, o);
+            };
+            let mut rows_stage = |run: Range<usize>| {
+                let work = self.rows_work(mask_ro, &run);
+                run_rows([&mut *act, o, h], run, mask_ro.allowed(), work, rows_of);
+            };
+            if l + 1 < cfg.layers {
+                rows_stage(0..s_len);
+            } else {
+                runs(read_out).for_each(rows_stage);
+            }
         }
-
-        norm_rows_into(h, &self.final_norm, hidden_all);
-        self.embedding_t
-            .vecmul_into(hidden_all.row(s_len - 1), logits);
+        out.read_out(h, &self.final_norm, &self.embedding);
     }
 }
 
@@ -339,6 +336,10 @@ mod tests {
         )
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     fn max_diff(a: &[f32], b: &[f32]) -> f32 {
         a.iter()
             .zip(b)
@@ -352,7 +353,7 @@ mod tests {
         let (u, i, s) = parts();
         let seq = PromptLayout::new(MaskScheme::Bipartite).build(PrefixKind::Item, &u, &i, &s);
         let out = model.forward(&seq, None);
-        assert!(out.logits.iter().all(|v| v.is_finite()));
+        assert!(out.logits().iter().all(|v| v.is_finite()));
         let scores = out.candidate_scores(&[0, 1, 2]);
         assert!((scores.iter().sum::<f32>() - 1.0).abs() < 1e-5);
     }
@@ -373,7 +374,7 @@ mod tests {
             let (head, tail) = seq.split_at(prefix_len);
             let cached = model.forward(&tail, Some(&model.compute_kv(&head)));
             assert!(
-                max_diff(&full.logits, &cached.logits) < 1e-3,
+                max_diff(&full.logits(), &cached.logits()) < 1e-3,
                 "{kind}: HSTU cached forward must equal recomputation"
             );
         }
@@ -433,7 +434,8 @@ mod tests {
     }
 
     /// The parallel HSTU forward is bit-identical to its serial run, at a
-    /// shape whose every stage is big enough to go through the pool.
+    /// shape whose every stage is big enough to go through the pool — the
+    /// last layer's too, whose rows are the 60 discriminants.
     #[test]
     fn hstu_forward_bit_identical_across_thread_counts() {
         let cfg = GrModelConfig {
@@ -443,12 +445,14 @@ mod tests {
         };
         let model = HstuModel::random(cfg, 37);
         let user: Vec<u32> = (0..130).collect();
-        let items: Vec<Vec<u32>> = (0..20).map(|i| vec![200 + i, 300 + i]).collect();
-        let seq = PromptLayout::new(MaskScheme::Bipartite).build(
+        let items: Vec<Vec<u32>> = (0..60).map(|i| vec![200 + i, 300 + i]).collect();
+        let discs: Vec<u32> = (400..460).collect();
+        let seq = PromptLayout::new(MaskScheme::Bipartite).build_per_item_discriminants(
             PrefixKind::Item,
             &user,
             &items,
             &[500, 501],
+            &discs,
         );
         for (stage, work) in model.stage_work(&seq, None) {
             assert!(
@@ -456,20 +460,42 @@ mod tests {
                 "{stage} would run inline"
             );
         }
+        let disc_rows = seq.len() - discs.len()..seq.len();
         bat_exec::set_threads(1);
         let gold = model.forward(&seq, None);
         for t in [2, 4, 8] {
             bat_exec::set_threads(t);
             let got = model.forward(&seq, None);
-            assert!(
-                gold.logits
-                    .iter()
-                    .zip(&got.logits)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "{t} threads: HSTU logits diverged from serial"
-            );
+            assert_eq!(bits(&gold.logits()), bits(&got.logits()), "{t} threads");
+            for row in disc_rows.clone() {
+                assert_eq!(bits(gold.hidden(row)), bits(got.hidden(row)), "row {row}");
+            }
         }
         bat_exec::set_threads(1);
+    }
+
+    /// The read-out contract is the softmax model's: a read-out row of the
+    /// forward whose last layer ran nothing else has the bits of the
+    /// one-row forward behind the cached rest.
+    #[test]
+    fn a_read_out_row_is_the_one_row_forward_behind_the_cached_rest() {
+        let model = HstuModel::random(hstu_cfg(), 29);
+        let (u, i, s) = parts();
+        for scheme in [MaskScheme::Bipartite, MaskScheme::NaiveCausal] {
+            let seq = PromptLayout::new(scheme).build_per_item_discriminants(
+                PrefixKind::User,
+                &u,
+                &i,
+                &s,
+                &[5, 6, 7],
+            );
+            let pruned = model.forward(&seq, None);
+            for t in seq.len() - 3..seq.len() {
+                let (head, tail) = seq.split_at(t);
+                let alone = model.forward(&tail.split_at(1).0, Some(&model.compute_kv(&head)));
+                assert_eq!(bits(pruned.hidden(t)), bits(alone.hidden_last()), "row {t}");
+            }
+        }
     }
 
     #[test]

@@ -183,15 +183,19 @@ impl KvSegment {
         self.segs.is_empty()
     }
 
-    /// Concatenates segments in order into a single context segment.
+    /// Concatenates segments in order into one context segment, packed exactly.
     ///
     /// # Panics
     ///
     /// Panics if segments disagree on layer count or KV width.
     pub fn concat(parts: &[&KvSegment]) -> KvSegment {
         assert!(!parts.is_empty(), "concat needs at least one segment");
-        let mut out = parts[0].clone();
-        for part in &parts[1..] {
+        let layers = &parts[0].layers;
+        let mut out = KvSegment::empty(layers.len(), layers.first().map_or(0, |l| l.kv_dim));
+        // One reservation a layer: fifty parts grown by doubling repack six times.
+        let total = parts.iter().map(|part| part.len()).sum();
+        out.layers.iter_mut().for_each(|l| l.reserve(total));
+        for part in parts {
             assert_eq!(out.layers.len(), part.layers.len(), "layer count mismatch");
             for (dst, src) in out.layers.iter_mut().zip(&part.layers) {
                 dst.extend(src);
@@ -347,6 +351,48 @@ mod tests {
         assert_eq!(c.len(), 3);
         assert_eq!(c.layers[0].key(1), &[2.0, 2.0]);
         assert_eq!(c.layers[0].value(2), &[30.0, 30.0]);
+    }
+
+    /// `concat` is the clone-and-extend it replaced, column for column, and
+    /// packs exactly — a part's spare capacity (a workspace's segment has
+    /// some) does not reach the result, so `packed_bytes` is the content's.
+    #[test]
+    fn concat_equals_extending_one_part_at_a_time_and_packs_exactly() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(5);
+        for case in 0..40 {
+            let (layers, kv_dim) = (rng.gen_range(1..4), rng.gen_range(1..6));
+            let parts: Vec<KvSegment> = (0..rng.gen_range(1..8))
+                .map(|_| {
+                    let mut part = KvSegment::empty(layers, kv_dim);
+                    if case % 2 == 0 {
+                        part.layers.iter_mut().for_each(|l| l.reserve(9));
+                    }
+                    for t in 0..rng.gen_range(0..5u32) {
+                        for l in &mut part.layers {
+                            let col: Vec<f32> = (0..2 * kv_dim).map(|_| rng.gen()).collect();
+                            l.push(&col[..kv_dim], &col[kv_dim..]);
+                        }
+                        part.segs.push(SegTag::Item(t));
+                        part.pos.push(t);
+                    }
+                    part
+                })
+                .collect();
+            let mut want = parts[0].clone();
+            for part in &parts[1..] {
+                for (dst, src) in want.layers.iter_mut().zip(&part.layers) {
+                    dst.extend(src);
+                }
+                want.segs.extend_from_slice(&part.segs);
+                want.pos.extend_from_slice(&part.pos);
+            }
+            let got = KvSegment::concat(&parts.iter().collect::<Vec<_>>());
+            assert_eq!(got, want, "case {case}");
+            let exact = got.len() * (layers * 2 * kv_dim * 4 + 4 + std::mem::size_of::<SegTag>());
+            assert_eq!(got.packed_bytes(), exact, "case {case}");
+            assert_eq!(got.clone().packed_bytes(), exact, "case {case}");
+        }
     }
 
     #[test]

@@ -105,8 +105,16 @@ impl MaskBuf {
     }
 }
 
-/// Allowed keys of `forward(suffix, prefix)`'s attention stage, summed over
-/// the suffix rows.
-pub(crate) fn allowed_keys(suffix: &TokenSeq, prefix: Option<&KvSegment>) -> usize {
-    MaskBuf::of(suffix, prefix, 0).allowed().iter().sum::<u64>() as usize
+/// The suffix rows a forward's read-out consumes, ascending: the last token
+/// (the §4.2 discriminant) and every [`SegTag::Disc`] token. A pure function
+/// of the tags, like the mask (no tags, no rows: a forward asked for K|V
+/// only); the last layer finishes these rows alone — nothing reads the rest.
+pub(crate) fn read_out_rows(segs: &[SegTag]) -> impl Iterator<Item = usize> + '_ {
+    (0..segs.len()).filter(|&t| t + 1 == segs.len() || matches!(segs[t], SegTag::Disc(_)))
+}
+
+/// Ascending `rows` as maximal runs of consecutive rows.
+pub(crate) fn runs(rows: &[usize]) -> impl Iterator<Item = Range<usize>> + '_ {
+    let consecutive = rows.chunk_by(|a, b| a + 1 == *b);
+    consecutive.map(|run| run[0]..run[run.len() - 1] + 1)
 }

@@ -162,7 +162,7 @@ mod tests {
         let seq = layout.build(PrefixKind::Item, &u, &i, &s);
         let plain = m.forward(&seq, None);
         let pic = forward_ip_with_pic(&m, &u, &i, &s, PicConfig::new(0.0));
-        assert!(max_diff(&plain.logits, &pic.logits) < 1e-3);
+        assert!(max_diff(&plain.logits(), &pic.logits()) < 1e-3);
     }
 
     #[test]

@@ -8,7 +8,8 @@ use std::time::{Duration, Instant};
 /// pool dispatch in which every block of rows runs [`Stage::Q`] to
 /// [`Stage::Down`] on one thread — those six are thread time, summed over
 /// the blocks, and [`Stage::RowsWall`] is the caller's wall time for the
-/// dispatch, so `threads × RowsWall − Σ` is what the threads idled.
+/// dispatch ([`Stage::LastRowsWall`] in the last layer, of the read-out rows
+/// alone), so `threads × (RowsWall + LastRowsWall) − Σ` is their idle time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
     /// Tags, mask runs, embeddings.
@@ -27,15 +28,17 @@ pub enum Stage {
     Silu,
     /// Down product and residual.
     Down,
-    /// Wall time of the dispatches that ran `Q` to `Down`.
+    /// Wall time of the dispatches that ran `Q` to `Down`, bar the last's.
     RowsWall,
-    /// Final norm and output head.
+    /// Wall time of `Q` to `Down` over the last layer's read-out rows.
+    LastRowsWall,
+    /// Final norm of the read-out rows.
     ReadOut,
 }
 
 impl Stage {
     /// Every stage, in forward order.
-    pub const ALL: [Stage; 10] = [
+    pub const ALL: [Stage; 11] = [
         Stage::Setup,
         Stage::KvRows,
         Stage::Q,
@@ -45,6 +48,7 @@ impl Stage {
         Stage::Silu,
         Stage::Down,
         Stage::RowsWall,
+        Stage::LastRowsWall,
         Stage::ReadOut,
     ];
 }

@@ -8,7 +8,7 @@
 
 use crate::config::GrModelConfig;
 use crate::kv::KvSegment;
-use crate::mask::{allowed_keys, MaskBuf};
+use crate::mask::{read_out_rows, runs, MaskBuf};
 use crate::profile::{Laps, Stage, StageProfile};
 use crate::prompt::{SegTag, TokenSeq};
 use crate::weights::Weights;
@@ -20,53 +20,95 @@ use bat_tensor::{
     matmul_rows, stage_is_pooled, GroupAttention, Matrix, RopeTable, Softmax, SplitCols, TILE_ROWS,
 };
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Duration;
 
-/// Result of a forward pass.
+/// Result of a forward pass: what ranking reads of it, and the suffix KV.
+///
+/// Ranking reads the final hidden state of the suffix's **read-out rows** —
+/// its last token (the §4.2 discriminant) and every [`SegTag::Disc`] token —
+/// and no other. Every layer but the last runs every row (a row's hidden
+/// state feeds the next layer's keys and values, so `suffix_kv` is complete);
+/// the last layer and the final norm run the read-out rows alone, bit for bit
+/// as a forward that finished every row would.
 #[derive(Debug, Clone)]
 pub struct ForwardOutput {
-    /// Final (RMS-normalized) hidden states of **all** suffix tokens as one
-    /// contiguous `s_len × hidden` matrix; read rows via
-    /// [`ForwardOutput::hidden`] / [`ForwardOutput::hidden_last`]. The
-    /// multi-discriminant extension reads per-item scores from these.
-    pub hidden_all: Matrix,
+    /// Final (RMS-normalized) hidden states of the read-out rows, in order.
+    hidden: Matrix,
+    /// Which suffix rows those are, ascending.
+    pub(crate) rows: Vec<usize>,
+    /// `hidden`'s last row as a `hidden × 1` matrix: the head's right operand.
+    head: Matrix,
+    /// The model's embedding table (`vocab × hidden`): a handle, not a copy.
+    embedding: Arc<Matrix>,
     /// KV cache of the suffix tokens in the canonical transposed-packed
     /// layout, ready to be stored for reuse.
     pub suffix_kv: KvSegment,
-    /// Vocabulary logits of the last token (tied output head).
-    pub logits: Vec<f32>,
 }
+
+const READ_OUT_RULE: &str =
+    "only read-out rows have a final hidden state: the last suffix token and every Disc token";
 
 impl ForwardOutput {
     /// An empty output placeholder (workspace initial state).
     pub fn empty() -> Self {
         ForwardOutput {
-            hidden_all: Matrix::zeros(0, 0),
+            hidden: Matrix::zeros(0, 0),
+            rows: Vec::new(),
+            head: Matrix::zeros(0, 0),
+            embedding: Arc::new(Matrix::zeros(0, 0)),
             suffix_kv: KvSegment::empty(0, 0),
-            logits: Vec::new(),
         }
     }
 
-    /// Final hidden state of suffix token `t` (a row view, no copy).
-    #[inline]
+    /// Final hidden state of read-out row `t` (a view); panics for any other.
     pub fn hidden(&self, t: usize) -> &[f32] {
-        self.hidden_all.row(t)
+        let i = self.rows.binary_search(&t);
+        let i = i.unwrap_or_else(|_| panic!("hidden({t}): {READ_OUT_RULE}"));
+        self.hidden.row(i)
     }
 
-    /// Final hidden state of the last suffix token — the discriminant token
-    /// of the single-discriminant ranking prompt (§4.2).
-    #[inline]
+    /// Final hidden state of the last suffix token, the §4.2 discriminant.
     pub fn hidden_last(&self) -> &[f32] {
-        self.hidden_all.row(self.hidden_all.rows() - 1)
+        self.hidden(*self.rows.last().expect(READ_OUT_RULE))
+    }
+
+    /// Ends a forward whose last layer left the read-out rows in `h`: their
+    /// final norm, the head's operand, and the handle to `embedding`.
+    pub(crate) fn read_out(&mut self, h: &Matrix, gain: &[f32], embedding: &Arc<Matrix>) {
+        self.hidden.reshape_for_overwrite(self.rows.len(), h.cols());
+        for (i, &t) in self.rows.iter().enumerate() {
+            rms_norm_into(h.row(t), gain, 1e-6, self.hidden.row_mut(i));
+        }
+        let last = self.rows.len().checked_sub(1);
+        let last = last.map_or(&[][..], |i| self.hidden.row(i));
+        self.head.reshape_for_overwrite(last.len(), 1);
+        self.head.as_mut_slice().copy_from_slice(last);
+        self.embedding = Arc::clone(embedding);
+    }
+
+    /// The tied output head over the embedding rows in `rows`: `⟨E_i,
+    /// hidden_last⟩` each, as a GEMM element's chain — `acc = fma(E_i[k], h[k],
+    /// acc)` from `0.0`, ascending `k` — so a logit has the same bits alone.
+    fn head_product(&self, rows: &[f32]) -> Vec<f32> {
+        assert!(self.head.rows() > 0, "output head: {READ_OUT_RULE}");
+        let mut logits = vec![0.0; rows.len() / self.head.rows()];
+        matmul_rows(rows, self.head.rows(), &self.head, &mut logits);
+        logits
+    }
+
+    /// Vocabulary logits of the last token (tied output head), for the tests
+    /// and tools that compare them; serving asks for `candidate_scores`.
+    pub fn logits(&self) -> Vec<f32> {
+        self.head_product(self.embedding.as_slice())
     }
 
     /// The paper's relevance scores (§2.2): softmax over the logits of the
-    /// candidate identifier tokens `v_i`, in candidate order.
+    /// candidate identifier tokens `v_i`, in candidate order — no other logit.
     pub fn candidate_scores(&self, candidate_tokens: &[u32]) -> Vec<f32> {
-        let mut s: Vec<f32> = candidate_tokens
-            .iter()
-            .map(|&t| self.logits[t as usize])
-            .collect();
+        let row = |&t: &u32| self.embedding.row(t as usize);
+        let rows: Vec<&[f32]> = candidate_tokens.iter().map(row).collect();
+        let mut s = self.head_product(&rows.concat());
         stable_softmax_in_place(&mut s);
         s
     }
@@ -170,12 +212,8 @@ impl Default for ForwardWorkspace {
 #[derive(Debug, Clone)]
 pub struct GrModel {
     cfg: GrModelConfig,
-    /// Token embedding table, `vocab × hidden`.
-    embedding: Matrix,
-    /// Transposed embedding table (`hidden × vocab`), packed once at
-    /// construction so the tied output head is a single
-    /// [`Matrix::vecmul`] instead of a per-vocab-row dot.
-    embedding_t: Matrix,
+    /// Token embedding table, `vocab × hidden`, shared with every output.
+    embedding: Arc<Matrix>,
     layers: Vec<Layer>,
     /// Final RMSNorm gain.
     final_norm: Vec<f32>,
@@ -217,9 +255,8 @@ fn side_by_side(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 impl GrModel {
-    /// Wraps weights into a runnable model, precomputing the RoPE table,
-    /// the transposed embedding for the tied output head, the structural
-    /// FFN-zero flags and the packed projections.
+    /// Wraps weights into a runnable model, precomputing the RoPE table, the
+    /// structural FFN-zero flags and the packed projections.
     ///
     /// Projection weights are stored `in × out` row-major, which is exactly
     /// the layout [`Matrix::matmul`] wants for `X·W` — no transpose exists
@@ -246,9 +283,8 @@ impl GrModel {
             .collect();
         GrModel {
             rope: RopeTable::new(cfg.head_dim, cfg.max_positions, cfg.rope_base),
-            embedding_t: embedding.transpose(),
             cfg,
-            embedding,
+            embedding: Arc::new(embedding),
             layers,
             final_norm,
         }
@@ -261,10 +297,9 @@ impl GrModel {
 
     /// Computes the KV segment of a standalone token block (offline item or
     /// user prefix pre-computation, §5.2 Step 3): [`GrModel::forward`]'s
-    /// `suffix_kv`, bit for bit, without the work only the read-out needs —
-    /// the last layer's keys and values depend on the hidden states that
-    /// enter it, so its attention and FFN, the final norm and the output
-    /// head are never run.
+    /// `suffix_kv`, bit for bit, as the forward that reads out no row — the
+    /// last layer's keys and values depend on the hidden states that enter
+    /// it, so its attention and FFN and the final norm have nothing to run.
     ///
     /// A short block (an item is a few tokens) runs in a workspace its
     /// thread keeps — a fresh one, a dozen matrices and a mask, costs more
@@ -277,14 +312,14 @@ impl GrModel {
         const KEPT_ROWS: usize = 32;
         if seq.len() > KEPT_ROWS {
             let mut ws = ForwardWorkspace::new();
-            self.forward_impl(seq, None, &mut ws, Pass::KvOnly);
+            self.forward_impl(seq, None, &mut ws, &[]);
             return ws.out.suffix_kv;
         }
         // Taken out while in use, not borrowed: a pooled stage runs other
         // tasks on this thread while it waits, and one may be a `compute_kv`.
         type Slot = Option<Box<ForwardWorkspace>>;
         let mut ws = with_thread_scratch(|slot: &mut Slot| slot.take()).unwrap_or_default();
-        self.forward_impl(seq, None, &mut ws, Pass::KvOnly);
+        self.forward_impl(seq, None, &mut ws, &[]);
         let kv = ws.out.suffix_kv.clone();
         with_thread_scratch(|slot: &mut Slot| *slot = Some(ws));
         kv
@@ -307,7 +342,8 @@ impl GrModel {
     /// row depends on nothing but its own activations and the KV, so the
     /// second is **one** pool dispatch over blocks of rows, each block taking
     /// its rows from the query projection to the FFN residual on one thread
-    /// ([`GrModel::layer_rows`]). Attention is **run-structured**: the
+    /// ([`GrModel::layer_rows`]) — in the last layer the read-out rows
+    /// ([`ForwardOutput`]) alone. Attention is **run-structured**: the
     /// bipartite mask is block-structured, so a token's allowed keys are a
     /// few contiguous runs, and [`GroupAttention::attend`] scores, softmaxes
     /// and accumulates over exactly those, in *compact* rows whose reduction
@@ -324,7 +360,7 @@ impl GrModel {
     /// or if the prefix segment's layer count does not match the model.
     pub fn forward(&self, suffix: &TokenSeq, prefix: Option<&KvSegment>) -> ForwardOutput {
         let mut ws = ForwardWorkspace::new();
-        self.forward_impl(suffix, prefix, &mut ws, Pass::Full);
+        self.forward_impl(suffix, prefix, &mut ws, &suffix.segs);
         ws.out
     }
 
@@ -339,16 +375,17 @@ impl GrModel {
         prefix: Option<&KvSegment>,
         ws: &'w mut ForwardWorkspace,
     ) -> &'w ForwardOutput {
-        self.forward_impl(suffix, prefix, ws, Pass::Full);
+        self.forward_impl(suffix, prefix, ws, &suffix.segs);
         &ws.out
     }
 
+    /// `read`: the tags the read-out rows come from — the suffix's, or none.
     fn forward_impl(
         &self,
         suffix: &TokenSeq,
         prefix: Option<&KvSegment>,
         ws: &mut ForwardWorkspace,
-        pass: Pass,
+        read: &[SegTag],
     ) {
         assert!(!suffix.is_empty(), "forward needs at least one token");
         let cfg = &self.cfg;
@@ -373,11 +410,9 @@ impl GrModel {
             profile,
             ..
         } = ws;
-        let ForwardOutput {
-            hidden_all,
-            suffix_kv,
-            logits,
-        } = out;
+        out.rows.clear();
+        out.rows.extend(read_out_rows(read));
+        let (read_out, suffix_kv) = (&out.rows, &mut out.suffix_kv);
         let profile = profile.as_deref();
         let mut laps = Laps::start(profile);
 
@@ -409,13 +444,6 @@ impl GrModel {
         }
         laps.lap(Stage::Setup);
 
-        let rows_work =
-            mask.allowed().iter().sum::<u64>() as usize * q_dim + s_len * self.row_products();
-        let grain = if stage_is_pooled(rows_work) {
-            1
-        } else {
-            usize::MAX
-        };
         for (l, lw) in self.layers.iter().enumerate() {
             // Keys and values of every suffix token: they only depend on the
             // previous layer's hidden states, and every row of the second
@@ -431,12 +459,6 @@ impl GrModel {
                 suffix_kv.layers[l].push(key, value);
             }
             laps.lap(Stage::KvRows);
-            if pass == Pass::KvOnly && l + 1 == cfg.layers {
-                // Nothing past this point feeds a key or a value.
-                hidden_all.reset(0, cfg.hidden_dim);
-                logits.clear();
-                return;
-            }
 
             // Attention reads the cached prefix block and the just-pushed
             // suffix block through a zero-copy [`SplitCols`] view — the
@@ -450,21 +472,23 @@ impl GrModel {
                 scale: 1.0 / (cfg.head_dim as f32).sqrt(),
             };
             let mask = &*mask;
-            let bands = [&mut *h, xn, q, attn, o, act].map(|m| {
-                let cols = m.cols();
-                (m.as_mut_slice(), cols)
-            });
-            parallel_weighted_row_bands(bands, mask.weights(), grain, TILE_ROWS, |rows, block| {
-                self.layer_rows(lw, &kv, mask, &suffix.pos, rows, block, profile)
-            });
-            laps.lap(Stage::RowsWall);
+            let mut rows_stage = |run: Range<usize>| {
+                let work = self.rows_work(mask, &run);
+                let mats = [&mut *h, xn, q, attn, o, act];
+                run_rows(mats, run, mask.weights(), work, |rows, block| {
+                    self.layer_rows(lw, &kv, mask, &suffix.pos, rows, block, profile)
+                });
+            };
+            // Every row feeds the next layer's K|V; past the last, few are read.
+            if l + 1 < cfg.layers {
+                rows_stage(0..s_len);
+                laps.lap(Stage::RowsWall);
+            } else {
+                runs(read_out).for_each(rows_stage);
+                laps.lap(Stage::LastRowsWall);
+            }
         }
-
-        norm_rows_into(h, &self.final_norm, hidden_all);
-        // Tied output head: logit_i = ⟨E[i], h⟩, as one row times the
-        // pre-transposed embedding so the whole vocab vectorizes.
-        self.embedding_t
-            .vecmul_into(hidden_all.row(s_len - 1), logits);
+        out.read_out(h, &self.final_norm, &self.embedding);
         laps.lap(Stage::ReadOut);
     }
 
@@ -564,37 +588,55 @@ impl GrModel {
         (product_keys + 57 * self.cfg.kv_heads) as u64
     }
 
-    /// The two stages of one layer of `forward(suffix, prefix)` by name,
-    /// with the multiply-add count the pool dispatch of each is gated on. A
-    /// test that compares thread counts asserts
-    /// [`bat_tensor::stage_is_pooled`] on these: below the threshold every
-    /// width runs the same inline code and the comparison is vacuous.
+    /// Multiply-adds of a layer's second stage over suffix rows `run`.
+    fn rows_work(&self, mask: &MaskBuf, run: &Range<usize>) -> usize {
+        let keys = mask.allowed()[run.clone()].iter().sum::<u64>() as usize;
+        keys * self.cfg.q_dim() + run.len() * self.row_products()
+    }
+
+    /// The stages of `forward(suffix, prefix)` by name — a layer's two and the
+    /// last layer's second (its widest dispatch) — with the multiply-add count
+    /// the pool dispatch of each is gated on. A test that compares thread
+    /// counts asserts [`bat_tensor::stage_is_pooled`] on these: below the
+    /// threshold every width runs the same inline code, a vacuous comparison.
     #[doc(hidden)]
     pub fn stage_work(
         &self,
         suffix: &TokenSeq,
         prefix: Option<&KvSegment>,
-    ) -> [(&'static str, usize); 2] {
+    ) -> [(&'static str, usize); 3] {
         let wkv = &self.layers[0].wkv;
-        let rows =
-            allowed_keys(suffix, prefix) * self.cfg.q_dim() + suffix.len() * self.row_products();
+        let mask = MaskBuf::of(suffix, prefix, 0);
+        let read_out: Vec<usize> = read_out_rows(&suffix.segs).collect();
+        let widest = runs(&read_out).map(|run| self.rows_work(&mask, &run)).max();
         [
             ("K|V", suffix.len() * wkv.rows() * wkv.cols()),
-            ("rows", rows),
+            ("rows", self.rows_work(&mask, &(0..suffix.len()))),
+            ("read-out rows", widest.unwrap_or(0)),
         ]
     }
 
     /// The row blocks the second stage of `forward(suffix, prefix)` is cut
-    /// into at `threads` threads, for a test to assert where the cuts fall.
+    /// into at `threads` threads when pooled — in every layer but the last,
+    /// and in the last — for a test to assert where the cuts fall.
     #[doc(hidden)]
     pub fn stage_blocks(
         &self,
         suffix: &TokenSeq,
         prefix: Option<&KvSegment>,
         threads: usize,
-    ) -> Vec<Range<usize>> {
+    ) -> [Vec<Range<usize>>; 2] {
         let mask = MaskBuf::of(suffix, prefix, self.row_weight());
-        bat_exec::weighted_row_blocks(mask.weights(), TILE_ROWS, threads)
+        let read_out: Vec<usize> = read_out_rows(&suffix.segs).collect();
+        let cut = |run: Range<usize>| {
+            let weights = &mask.weights()[run.clone()];
+            let blocks = bat_exec::weighted_row_blocks(weights, TILE_ROWS, threads);
+            blocks
+                .into_iter()
+                .map(move |b| run.start + b.start..run.start + b.end)
+        };
+        let full = cut(0..suffix.len()).collect();
+        [full, runs(&read_out).flat_map(cut).collect()]
     }
 
     /// The seed's serial per-token forward pass, kept as the oracle the
@@ -710,20 +752,13 @@ impl GrModel {
             }
         }
 
-        let mut hidden_all = Matrix::zeros(s_len, cfg.hidden_dim);
-        for (t, ht) in h.iter().enumerate() {
-            rms_norm_into(ht, &self.final_norm, 1e-6, hidden_all.row_mut(t));
-        }
-        let hidden_last = hidden_all.row(s_len - 1);
-        let logits: Vec<f32> = (0..cfg.vocab_size)
-            .map(|i| dot(self.embedding.row(i), hidden_last))
-            .collect();
-
-        ForwardOutput {
-            hidden_all,
-            suffix_kv,
-            logits,
-        }
+        // Every row ran every layer; the output keeps the read-out rows.
+        let rows: Vec<&[f32]> = h.iter().map(Vec::as_slice).collect();
+        let mut out = ForwardOutput::empty();
+        out.rows.extend(read_out_rows(&suffix.segs));
+        out.suffix_kv = suffix_kv;
+        out.read_out(&Matrix::from_rows(&rows), &self.final_norm, &self.embedding);
+        out
     }
 
     /// The multi-discriminant read-out (§4.2's "one discriminant token per
@@ -767,13 +802,25 @@ impl GrModel {
 
 use crate::prompt::allowed_tags as allowed;
 
-/// What one [`GrModel::forward_impl`] call is for.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Pass {
-    /// The serving forward: hidden states, suffix KV and logits.
-    Full,
-    /// The suffix KV alone (see [`GrModel::compute_kv`]).
-    KvOnly,
+/// A layer's row stage over suffix rows `run`: `f(rows, block)` for blocks
+/// of them (`block`: the rows' slices of `mats`), cut by `weights` on the
+/// pool if `work` multiply-adds repay a dispatch, else one inline call.
+pub(crate) fn run_rows<const N: usize>(
+    mats: [&mut Matrix; N],
+    run: Range<usize>,
+    weights: &[u64],
+    work: usize,
+    f: impl Fn(Range<usize>, [&mut [f32]; N]) + Sync,
+) {
+    let grain = if stage_is_pooled(work) { 1 } else { usize::MAX };
+    let bands = mats.map(|m| {
+        let c = m.cols();
+        (&mut m.as_mut_slice()[run.start * c..run.end * c], c)
+    });
+    let weights = &weights[run.clone()];
+    parallel_weighted_row_bands(bands, weights, grain, TILE_ROWS, |rows, block| {
+        f(run.start + rows.start..run.start + rows.end, block)
+    });
 }
 
 /// RMS-normalizes every row of `h` with `gain` into `out`, reusing `out`'s
@@ -788,6 +835,7 @@ mod tests {
     use super::*;
     use crate::prompt::{MaskScheme, PromptLayout};
     use bat_types::PrefixKind;
+    use proptest::prelude::*;
 
     fn tiny_model(seed: u64) -> GrModel {
         GrModel::new(Weights::random(GrModelConfig::tiny(64), seed))
@@ -818,8 +866,8 @@ mod tests {
         let (u, i, s) = parts();
         let seq = PromptLayout::new(MaskScheme::Bipartite).build(PrefixKind::User, &u, &i, &s);
         let out = model.forward(&seq, None);
-        assert_eq!(out.logits.len(), 64);
-        assert!(out.logits.iter().all(|v| v.is_finite()));
+        assert_eq!(out.logits().len(), 64);
+        assert!(out.logits().iter().all(|v| v.is_finite()));
         let scores = out.candidate_scores(&[0, 1, 2, 3]);
         assert!((scores.iter().sum::<f32>() - 1.0).abs() < 1e-5);
     }
@@ -840,7 +888,7 @@ mod tests {
         let cached = model.forward(&rest, Some(&prefix_kv));
 
         assert!(max_diff(full.hidden_last(), cached.hidden_last()) < 1e-4);
-        assert!(max_diff(&full.logits, &cached.logits) < 1e-3);
+        assert!(max_diff(&full.logits(), &cached.logits()) < 1e-3);
     }
 
     /// Same identity in the Item-as-prefix ordering, with the item block as
@@ -859,7 +907,7 @@ mod tests {
         let cached = model.forward(&rest, Some(&prefix_kv));
 
         assert!(max_diff(full.hidden_last(), cached.hidden_last()) < 1e-4);
-        assert!(max_diff(&full.logits, &cached.logits) < 1e-3);
+        assert!(max_diff(&full.logits(), &cached.logits()) < 1e-3);
     }
 
     /// §4.2/§4.3: under the bipartite scheme, an item's KV computed
@@ -1020,7 +1068,7 @@ mod tests {
             let new = model.forward(&seq, None);
             let old = model.forward_reference(&seq, None);
             assert!(
-                max_diff(&new.logits, &old.logits) < 1e-3,
+                max_diff(&new.logits(), &old.logits()) < 1e-3,
                 "{kind}: batched forward diverged from the seed oracle"
             );
             assert!(max_diff(new.hidden_last(), old.hidden_last()) < 1e-4);
@@ -1035,7 +1083,7 @@ mod tests {
             let new_c = model.forward(&tail, Some(&kv));
             let old_c = model.forward_reference(&tail, Some(&kv));
             assert!(
-                max_diff(&new_c.logits, &old_c.logits) < 1e-3,
+                max_diff(&new_c.logits(), &old_c.logits()) < 1e-3,
                 "{kind}: cached batched forward diverged from the seed oracle"
             );
         }
@@ -1046,27 +1094,42 @@ mod tests {
     /// stages go through the pool, cut so that at every width some block
     /// starts strictly inside the item rows and some strictly inside the
     /// instruction rows: rows of each kind are computed in blocks that
-    /// differ from width to width.
+    /// differ from width to width. One discriminant per item makes the last
+    /// layer's read-out rows many, so that its pruned row stage is pooled
+    /// and cut too.
     #[test]
     fn forward_is_bit_identical_across_thread_counts() {
         let model = GrModel::new(Weights::random(GrModelConfig::qwen2_1_5b_proxy(512), 31));
         let user: Vec<u32> = (0..200).collect();
         let items: Vec<Vec<u32>> = (0..75).map(|i| vec![200 + i, 300 + i]).collect();
         let instr: Vec<u32> = (400..480).collect();
-        let seq =
-            PromptLayout::new(MaskScheme::Bipartite).build(PrefixKind::Item, &user, &items, &instr);
+        let discs: Vec<u32> = (100..175).collect();
+        let ids: Vec<u32> = (200..275).collect();
+        let seq = PromptLayout::new(MaskScheme::Bipartite).build_per_item_discriminants(
+            PrefixKind::Item,
+            &user,
+            &items,
+            &instr,
+            &discs,
+        );
         for (stage, work) in model.stage_work(&seq, None) {
             assert!(
                 bat_tensor::stage_is_pooled(work),
                 "{stage} would run inline"
             );
         }
-        let (item_rows, instr_rows) = (0..150, 350..430);
+        let (item_rows, instr_rows, disc_rows) = (0..150, 350..430, 430..505);
         bat_exec::set_threads(1);
         let gold = model.forward(&seq, None);
+        let gold_scores = model.candidate_scores_per_discriminant(&seq, &gold, &ids);
         for t in [2, 4, 8] {
-            let blocks = model.stage_blocks(&seq, None, t);
-            for rows in [&item_rows, &instr_rows] {
+            let [blocks, last_blocks] = model.stage_blocks(&seq, None, t);
+            let cuts = [
+                (&blocks, &item_rows),
+                (&blocks, &instr_rows),
+                (&last_blocks, &disc_rows),
+            ];
+            for (blocks, rows) in cuts {
                 assert!(
                     blocks
                         .iter()
@@ -1074,17 +1137,91 @@ mod tests {
                     "{t} threads: no block starts inside rows {rows:?}: {blocks:?}"
                 );
             }
+            assert_eq!(last_blocks[0].start, disc_rows.start);
             bat_exec::set_threads(t);
             let got = model.forward(&seq, None);
-            assert!(
-                gold.logits
-                    .iter()
-                    .zip(&got.logits)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "{t} threads: logits diverged from serial"
-            );
+            assert_eq!(bits(&gold.logits()), bits(&got.logits()), "{t} threads");
+            for row in disc_rows.clone() {
+                assert_eq!(bits(gold.hidden(row)), bits(got.hidden(row)), "row {row}");
+            }
+            let scores = model.candidate_scores_per_discriminant(&seq, &got, &ids);
+            assert_eq!(bits(&gold_scores), bits(&scores), "{t} threads");
         }
         bat_exec::set_threads(1);
+    }
+
+    /// One row of the one-token forward of `seq[t]` behind the KV of
+    /// `seq[..t]`: every row of that suffix is a read-out row, so every
+    /// layer runs its whole row stage.
+    fn one_row_forward(model: &GrModel, seq: &TokenSeq, t: usize) -> ForwardOutput {
+        let (head, tail) = seq.split_at(t);
+        let (token, _) = tail.split_at(1);
+        let kv = (t > 0).then(|| model.compute_kv(&head));
+        model.forward(&token, kv.as_ref())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The oracle of the pruned last layer, by "cached ≡ cold at any
+        /// split": a read-out row of the forward that leaves every other row
+        /// unfinished has the bits of the one-row forward behind the cached
+        /// rest, which prunes nothing. Both schemes, both prefix kinds, the
+        /// single discriminant and one per item.
+        #[test]
+        fn a_read_out_row_is_the_one_row_forward_behind_the_cached_rest(
+            user in proptest::collection::vec(0u32..64, 1..9),
+            items in proptest::collection::vec(proptest::collection::vec(0u32..64, 1..4), 1..6),
+            instr in proptest::collection::vec(0u32..64, 1..4),
+            seed in 0u64..u64::MAX,
+            naive in proptest::bool::ANY,
+            user_first in proptest::bool::ANY,
+        ) {
+            let model = tiny_model(seed);
+            let scheme = if naive { MaskScheme::NaiveCausal } else { MaskScheme::Bipartite };
+            let kind = if user_first { PrefixKind::User } else { PrefixKind::Item };
+            let layout = PromptLayout::new(scheme);
+            let ids: Vec<u32> = items.iter().map(|item| item[0]).collect();
+
+            let seq = layout.build(kind, &user, &items, &instr);
+            let pruned = model.forward(&seq, None);
+            let alone = one_row_forward(&model, &seq, seq.len() - 1);
+            prop_assert_eq!(bits(pruned.hidden_last()), bits(alone.hidden_last()));
+            prop_assert_eq!(bits(&pruned.logits()), bits(&alone.logits()));
+            let scores = pruned.candidate_scores(&ids);
+            prop_assert_eq!(bits(&scores), bits(&alone.candidate_scores(&ids)));
+            // The candidates' logits are the whole vocabulary's, token by token.
+            let logits = pruned.logits();
+            let mut picked: Vec<f32> = ids.iter().map(|&t| logits[t as usize]).collect();
+            stable_softmax_in_place(&mut picked);
+            prop_assert_eq!(bits(&scores), bits(&picked));
+            // And the keys and values are those of the forward asked for nothing else.
+            prop_assert_eq!(&model.compute_kv(&seq), &pruned.suffix_kv);
+
+            let discs: Vec<u32> = (0..items.len() as u32).collect();
+            let seq = layout.build_per_item_discriminants(kind, &user, &items, &instr, &discs);
+            let pruned = model.forward(&seq, None);
+            let mut alone_scores = vec![0.0; ids.len()];
+            for (i, t) in (seq.len() - ids.len()..seq.len()).enumerate() {
+                let alone = one_row_forward(&model, &seq, t);
+                prop_assert_eq!(bits(pruned.hidden(t)), bits(alone.hidden_last()), "Disc({})", i);
+                alone_scores[i] = dot(model.embedding.row(ids[i] as usize), alone.hidden_last());
+            }
+            stable_softmax_in_place(&mut alone_scores);
+            let scores = model.candidate_scores_per_discriminant(&seq, &pruned, &ids);
+            prop_assert_eq!(bits(&scores), bits(&alone_scores));
+        }
+    }
+
+    /// Rows the last layer did not finish have no final hidden state.
+    #[test]
+    #[should_panic(expected = "only read-out rows have a final hidden state")]
+    fn hidden_of_a_row_that_is_not_read_out_panics() {
+        let model = tiny_model(3);
+        let (u, i, s) = parts();
+        let seq = PromptLayout::new(MaskScheme::Bipartite).build(PrefixKind::User, &u, &i, &s);
+        let out = model.forward(&seq, None);
+        let _ = out.hidden(seq.len() - 2);
     }
 
     /// The routed construction has an all-zero FFN, so the structural-skip
@@ -1126,21 +1263,21 @@ mod tests {
         // Interleave differently-shaped calls through one workspace.
         let _ = model.forward_with(&tail, Some(&kv), &mut ws);
         let got_full = model.forward_with(&seq, None, &mut ws);
-        assert_eq!(got_full.logits.len(), gold_full.logits.len());
+        assert_eq!(got_full.logits().len(), gold_full.logits().len());
         assert!(got_full
-            .logits
+            .logits()
             .iter()
-            .zip(&gold_full.logits)
+            .zip(&gold_full.logits())
             .all(|(a, b)| a.to_bits() == b.to_bits()));
         assert_eq!(got_full.suffix_kv, gold_full.suffix_kv);
 
         let got_cached = model.forward_with(&tail, Some(&kv), &mut ws);
         assert!(got_cached
-            .logits
+            .logits()
             .iter()
-            .zip(&gold_cached.logits)
+            .zip(&gold_cached.logits())
             .all(|(a, b)| a.to_bits() == b.to_bits()));
-        assert_eq!(got_cached.hidden_all, gold_cached.hidden_all);
+        assert_eq!(got_cached.hidden, gold_cached.hidden);
     }
 
     #[test]
@@ -1151,7 +1288,7 @@ mod tests {
         for cfg in [GrModelConfig::tiny(64), GrModelConfig::small(64)] {
             let model = GrModel::new(Weights::random(cfg, 5));
             let out = model.forward(&seq, None);
-            assert!(out.logits.iter().all(|v| v.is_finite()));
+            assert!(out.logits().iter().all(|v| v.is_finite()));
         }
     }
 }

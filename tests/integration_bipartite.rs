@@ -46,7 +46,7 @@ fn prefix_cache_identity_across_configs() {
             let (head, tail) = seq.split_at(prefix_len);
             let cached = model.forward(&tail, Some(&model.compute_kv(&head)));
             assert!(
-                max_diff(&full.logits, &cached.logits) < 1e-3,
+                max_diff(&full.logits(), &cached.logits()) < 1e-3,
                 "{prefix_kind}: cached forward must equal recomputation"
             );
         }
@@ -72,13 +72,13 @@ fn item_prefix_shared_across_users() {
     // User A and user B both splice the same segment.
     let full_a = model.forward(&seq_a, None);
     let cached_a = model.forward(&tail_a, Some(&shared_kv));
-    assert!(max_diff(&full_a.logits, &cached_a.logits) < 1e-3);
+    assert!(max_diff(&full_a.logits(), &cached_a.logits()) < 1e-3);
 
     let seq_b = layout.build(PrefixKind::Item, &user_b, &items, &instr);
     let (_, tail_b) = seq_b.split_at(item_block_len);
     let full_b = model.forward(&seq_b, None);
     let cached_b = model.forward(&tail_b, Some(&shared_kv));
-    assert!(max_diff(&full_b.logits, &cached_b.logits) < 1e-3);
+    assert!(max_diff(&full_b.logits(), &cached_b.logits()) < 1e-3);
 }
 
 /// Under the *naive* scheme the same sharing is lossy — the §3.3 argument
@@ -150,7 +150,7 @@ proptest! {
         prop_assume!(prefix_len > 0 && prefix_len < seq.len());
         let (head, tail) = seq.split_at(prefix_len);
         let cached = model.forward(&tail, Some(&model.compute_kv(&head)));
-        prop_assert!(max_diff(&full.logits, &cached.logits) < 2e-3);
+        prop_assert!(max_diff(&full.logits(), &cached.logits()) < 2e-3);
     }
 
     /// Permuting candidate items permutes candidate scores identically

@@ -74,8 +74,9 @@ fn assert_stages_pooled<const N: usize>(
 /// Fails unless, at `threads` threads, the row stage of
 /// `model.forward(suffix, prefix)` is cut so that some block starts strictly
 /// inside the suffix's item rows (where it has any) and some strictly inside
-/// its instruction rows: rows of each kind then sit in blocks that differ
-/// from one thread count to the next.
+/// its instruction rows — and the last layer's, which runs the read-out rows
+/// alone, strictly inside the discriminant rows: rows of each kind then sit
+/// in blocks that differ from one thread count to the next.
 fn assert_rows_are_cut(
     model: &GrModel,
     suffix: &TokenSeq,
@@ -83,8 +84,12 @@ fn assert_rows_are_cut(
     threads: usize,
     what: &str,
 ) {
-    let blocks = model.stage_blocks(suffix, prefix, threads);
-    for tag in [SegTag::Item(0), SegTag::Instr] {
+    let [blocks, last_blocks] = model.stage_blocks(suffix, prefix, threads);
+    for (tag, blocks) in [
+        (SegTag::Item(0), &blocks),
+        (SegTag::Instr, &blocks),
+        (SegTag::Disc(0), &last_blocks),
+    ] {
         let same = |t: &SegTag| std::mem::discriminant(t) == std::mem::discriminant(&tag);
         let Some(first) = suffix.segs.iter().position(same) else {
             continue;
@@ -105,7 +110,9 @@ proptest! {
     /// prefix orderings (UP and IP), across random prompt shapes, with and
     /// without a cached prefix. The shapes are ranking-sized so that the
     /// stages do go through the pool: all of them in the cold forward, all
-    /// but the narrow K|V projection behind a cached prefix.
+    /// but the narrow K|V projection behind a cached prefix — the last
+    /// layer's too, which finishes the read-out rows alone: the prompt has
+    /// one discriminant per item, so those are 82 rows or more.
     #[test]
     fn gr_forward_is_bit_identical_across_thread_counts(
         seed in 0u64..500,
@@ -117,8 +124,11 @@ proptest! {
         let cfg = GrModelConfig { layers: 2, ..GrModelConfig::qwen2_1_5b_proxy(512) };
         let model = GrModel::new(Weights::random(cfg, seed));
         let layout = PromptLayout::new(MaskScheme::Bipartite);
+        let discs: Vec<u32> = (300..300 + n_items as u32).collect();
+        let ids: Vec<u32> = items.iter().map(|item| item[0]).collect();
         for prefix_kind in [PrefixKind::User, PrefixKind::Item] {
-            let seq = layout.build(prefix_kind, &user, &items, &instr);
+            let seq =
+                layout.build_per_item_discriminants(prefix_kind, &user, &items, &instr, &discs);
             let prefix_len = match prefix_kind {
                 PrefixKind::User => user.len(),
                 PrefixKind::Item => items.iter().map(Vec::len).sum(),
@@ -138,21 +148,28 @@ proptest! {
                 set_threads(n);
                 let par_full = model.forward(&seq, None);
                 assert_bits_eq(
-                    &par_full.logits,
-                    &serial_full.logits,
+                    &par_full.logits(),
+                    &serial_full.logits(),
                     &format!("{prefix_kind} full logits @ {n} threads"),
                 );
                 assert_bits_eq(
-                    par_full.hidden_last(),
-                    serial_full.hidden_last(),
-                    &format!("{prefix_kind} hidden @ {n} threads"),
+                    &model.candidate_scores_per_discriminant(&seq, &par_full, &ids),
+                    &model.candidate_scores_per_discriminant(&seq, &serial_full, &ids),
+                    &format!("{prefix_kind} per-discriminant scores @ {n} threads"),
                 );
                 let par_cached = model.forward(&tail, Some(&model.compute_kv(&head)));
                 assert_bits_eq(
-                    &par_cached.logits,
-                    &serial_cached.logits,
+                    &par_cached.logits(),
+                    &serial_cached.logits(),
                     &format!("{prefix_kind} cached logits @ {n} threads"),
                 );
+                for t in tail.len() - n_items..tail.len() {
+                    assert_bits_eq(
+                        par_cached.hidden(t),
+                        serial_full.hidden(prefix_len + t),
+                        &format!("{prefix_kind} discriminant row {t} @ {n} threads"),
+                    );
+                }
             }
             set_threads(1);
         }
@@ -160,10 +177,12 @@ proptest! {
 }
 
 /// Parallel `HstuModel::forward` (the pointwise-attention baseline) is
-/// bit-identical to serial on both mask schemes.
+/// bit-identical to serial on both mask schemes, the last layer's read-out
+/// rows — one discriminant per item — included.
 #[test]
 fn hstu_forward_is_bit_identical_across_thread_counts() {
-    let (user, items, instr) = build_parts(130, 20, 2);
+    let (user, items, instr) = build_parts(130, 60, 2);
+    let discs: Vec<u32> = (300..360).collect();
     // HSTU's pointwise unit needs matched query/KV heads (no GQA).
     let cfg = GrModelConfig {
         kv_heads: 12,
@@ -172,7 +191,13 @@ fn hstu_forward_is_bit_identical_across_thread_counts() {
     };
     let model = HstuModel::random(cfg, 17);
     for scheme in [MaskScheme::NaiveCausal, MaskScheme::Bipartite] {
-        let seq = PromptLayout::new(scheme).build(PrefixKind::User, &user, &items, &instr);
+        let seq = PromptLayout::new(scheme).build_per_item_discriminants(
+            PrefixKind::User,
+            &user,
+            &items,
+            &instr,
+            &discs,
+        );
         assert_stages_pooled(model.stage_work(&seq, None), &[], "HSTU");
         set_threads(1);
         let serial = model.forward(&seq, None);
@@ -180,10 +205,17 @@ fn hstu_forward_is_bit_identical_across_thread_counts() {
             set_threads(n);
             let par = model.forward(&seq, None);
             assert_bits_eq(
-                &par.logits,
-                &serial.logits,
+                &par.logits(),
+                &serial.logits(),
                 &format!("HSTU {scheme:?} logits @ {n} threads"),
             );
+            for t in seq.len() - discs.len()..seq.len() {
+                assert_bits_eq(
+                    par.hidden(t),
+                    serial.hidden(t),
+                    &format!("HSTU {scheme:?} discriminant row {t} @ {n} threads"),
+                );
+            }
         }
         set_threads(1);
     }

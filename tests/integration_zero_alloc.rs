@@ -1,8 +1,9 @@
 //! Pins the zero-allocation steady state: after one warmup call, a
 //! same-shaped [`bat::GrModel::forward_with`] through a reused
 //! [`bat::ForwardWorkspace`] must not touch the heap at all. Every scratch
-//! buffer — workspace matrices, mask run lists, suffix KV planes, attention
-//! score scratch — is pre-sized and reused in place.
+//! buffer — workspace matrices, mask run lists, the read-out rows, suffix KV
+//! planes, attention score scratch — is pre-sized and reused in place, and
+//! the output's handle to the embedding table is a counter, not a copy.
 //!
 //! The whole binary holds exactly one `#[test]` so no concurrent test can
 //! allocate while the counting window is open.
@@ -67,10 +68,7 @@ fn steady_state_forward_makes_zero_allocations() {
     // same-shaped calls (the second proves shapes have settled).
     let mut ws = ForwardWorkspace::new();
     model.forward_with(&tail, Some(&prefix), &mut ws);
-    let warm_logits = model
-        .forward_with(&tail, Some(&prefix), &mut ws)
-        .logits
-        .clone();
+    let warm_logits = model.forward_with(&tail, Some(&prefix), &mut ws).logits();
 
     // Counting window: one more same-shaped forward.
     HEAP_OPS.store(0, Ordering::SeqCst);
@@ -85,5 +83,5 @@ fn steady_state_forward_makes_zero_allocations() {
     );
     // And it was a real forward: outputs match the warmup pass bitwise.
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-    assert_eq!(bits(&warm_logits), bits(&ws.output().logits));
+    assert_eq!(bits(&warm_logits), bits(&ws.output().logits()));
 }
