@@ -18,7 +18,7 @@
 
 use bat::exec;
 use bat_model::prompt::{MaskScheme, PromptLayout, SegTag, TokenSeq};
-use bat_model::{ForwardWorkspace, GrModel, GrModelConfig, KvSegment, Stage, Weights};
+use bat_model::{ForwardWorkspace, GrModel, GrModelConfig, HstuModel, KvSegment, Stage, Weights};
 use bat_sched::{BatchScheduler, BatchingConfig};
 use bat_serve::{Pacer, ServeOptions, ServeRuntime, TransportKind};
 use bat_sim::{EngineConfig, SystemKind};
@@ -195,6 +195,13 @@ fn rank_warm_profile(len: u32) -> Vec<u32> {
     (0..len).map(|i| i * 37 % 4256).collect()
 }
 
+/// The 50 two-token candidates and the 32-token instruction block of a
+/// `rank_warm` request.
+fn rank_warm_items_instr() -> (Vec<Vec<u32>>, Vec<u32>) {
+    let items = (0..50).map(|i| vec![i, 4000 + i]).collect();
+    (items, (0..32).map(|i| 4100 + i).collect())
+}
+
 /// The `rank_warm` request shape of the repo benchmark (`benchmark/`): a
 /// `profile`-token user profile, 50 two-token candidates and a 32-token
 /// instruction block, as the two hits `model` can serve it by:
@@ -204,8 +211,7 @@ fn rank_warm_profile(len: u32) -> Vec<u32> {
 fn rank_warm_hits(model: &GrModel, profile: u32) -> [Hit; 2] {
     let layout = PromptLayout::new(MaskScheme::Bipartite);
     let user = rank_warm_profile(profile);
-    let items: Vec<Vec<u32>> = (0..50).map(|i| vec![i, 4000 + i]).collect();
-    let instr: Vec<u32> = (0..32).map(|i| 4100 + i).collect();
+    let (items, instr) = rank_warm_items_instr();
 
     let up = layout.build(PrefixKind::User, &user, &items, &instr);
     let (up_head, up_tail) = up.split_at(user.len());
@@ -580,6 +586,35 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
                 secs,
             });
         }
+    }
+
+    // The same request cold and Item-as-prefix (324 tokens) through the
+    // HSTU-style model at matched heads: the pointwise unit's row.
+    let hstu_cfg = GrModelConfig {
+        kv_heads: 12,
+        ..GrModelConfig::qwen2_1_5b_proxy(4256)
+    };
+    let hstu = HstuModel::random(hstu_cfg, 11);
+    let (items, instr) = rank_warm_items_instr();
+    let cold = PromptLayout::new(MaskScheme::Bipartite).build(
+        PrefixKind::Item,
+        &rank_warm_profile(192),
+        &items,
+        &instr,
+    );
+    for &w in thread_counts {
+        set_width(w);
+        let secs = time_best(
+            || {
+                black_box(hstu.forward_with(black_box(&cold), None, &mut ws));
+            },
+            p_samples,
+        );
+        forward.push(BenchResult {
+            name: "forward_hstu".into(),
+            threads: w,
+            secs,
+        });
     }
 
     // Cold-tier quantization kernels (serial: per-segment work the tiered

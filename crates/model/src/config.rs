@@ -112,11 +112,16 @@ impl GrModelConfig {
     ///
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.vocab_size == 0 {
-            return Err("vocab_size must be positive".into());
-        }
-        if self.layers == 0 {
-            return Err("layers must be positive".into());
+        let positive = [
+            ("vocab_size", self.vocab_size),
+            ("layers", self.layers),
+            ("hidden_dim", self.hidden_dim),
+            ("query_heads", self.query_heads),
+            ("head_dim", self.head_dim),
+            ("max_positions", self.max_positions),
+        ];
+        if let Some((field, _)) = positive.iter().find(|(_, value)| *value == 0) {
+            return Err(format!("{field} must be positive"));
         }
         if self.kv_heads == 0 || !self.query_heads.is_multiple_of(self.kv_heads) {
             return Err(format!(
@@ -126,9 +131,6 @@ impl GrModelConfig {
         }
         if !self.head_dim.is_multiple_of(2) {
             return Err("head_dim must be even for RoPE".into());
-        }
-        if self.max_positions == 0 {
-            return Err("max_positions must be positive".into());
         }
         Ok(())
     }
@@ -173,14 +175,20 @@ mod tests {
 
     #[test]
     fn validation_rejects_zero_fields() {
-        for f in ["vocab", "layers", "maxpos"] {
+        type Zero = fn(&mut GrModelConfig);
+        let zeroed: [(&str, Zero); 6] = [
+            ("vocab_size", |c| c.vocab_size = 0),
+            ("layers", |c| c.layers = 0),
+            ("max_positions", |c| c.max_positions = 0),
+            ("query_heads", |c| c.query_heads = 0),
+            ("head_dim", |c| c.head_dim = 0),
+            ("hidden_dim", |c| c.hidden_dim = 0),
+        ];
+        for (field, zero) in zeroed {
             let mut cfg = GrModelConfig::tiny(100);
-            match f {
-                "vocab" => cfg.vocab_size = 0,
-                "layers" => cfg.layers = 0,
-                _ => cfg.max_positions = 0,
-            }
-            assert!(cfg.validate().is_err(), "{f} should be rejected");
+            zero(&mut cfg);
+            let err = cfg.validate().expect_err(field);
+            assert!(err.contains(field), "{field} rejected unnamed: {err}");
         }
     }
 }

@@ -5,9 +5,9 @@
 //! attention weights normalized by context size instead of softmax, and an
 //! elementwise gate on the aggregated value. The paper argues Bipartite
 //! Attention carries over because HSTU shares the same causal-attention
-//! formulation; this module substantiates that claim with a runnable
-//! HSTU-style model over the **same** prompt-layout, mask and KV-segment
-//! machinery as the LLM-style [`crate::GrModel`]:
+//! formulation; here that is literal: an [`HstuModel`] **is** a
+//! [`GrModel`] whose layers carry the pointwise unit, run by the same
+//! forward over the same prompt-layout, mask and KV-segment machinery:
 //!
 //! * the layer is `y = W_O(norm(A·V) ⊙ U)` with
 //!   `A_ij = SiLU(⟨q_i, k_j⟩/√d) / |allowed(i)|` over the bipartite mask;
@@ -16,19 +16,12 @@
 //!   relative mechanism already used throughout this workspace);
 //! * item KV entries are context-independent under the bipartite scheme,
 //!   and prefix-cached forwards equal recomputation — the same structural
-//!   properties, verified by the same kind of tests.
+//!   properties, verified by the same tests through the same lines.
 
 use crate::config::GrModelConfig;
-use crate::kv::KvSegment;
-use crate::mask::{read_out_rows, runs, MaskBuf};
-use crate::prompt::TokenSeq;
-use crate::transformer::{norm_rows_into, run_rows, ForwardOutput, ForwardWorkspace};
-use bat_exec::with_thread_scratch;
-use bat_tensor::ops::{axpy, fast_silu_in_place, rms_norm_into};
-use bat_tensor::{matmul_rows, GroupAttention, Matrix, RopeTable, Silu, SplitCols};
+use crate::transformer::{side_by_side, GrModel, Layer, Unit};
+use bat_tensor::Matrix;
 use rand::{rngs::SmallRng, SeedableRng};
-use std::ops::Range;
-use std::sync::Arc;
 
 /// Weights of one HSTU layer.
 #[derive(Debug, Clone)]
@@ -45,9 +38,12 @@ pub struct HstuLayer {
     pub wk: Matrix,
     /// Output projection, `hidden × hidden`.
     pub wo: Matrix,
+    /// RMSNorm gain on the aggregate `A·V` before the gate.
+    pub unit_norm: Vec<f32>,
 }
 
-/// An HSTU-style GR model sharing the workspace's prompt machinery.
+/// An HSTU-style GR model: its weights, packed into a [`GrModel`] whose
+/// every method it lends out.
 ///
 /// ```
 /// use bat_model::{GrModelConfig, HstuModel, MaskScheme, PromptLayout};
@@ -61,27 +57,50 @@ pub struct HstuLayer {
 /// assert!(out.logits().iter().all(|v| v.is_finite()));
 /// ```
 #[derive(Debug, Clone)]
-pub struct HstuModel {
-    cfg: GrModelConfig,
-    embedding: Arc<Matrix>,
-    layers: Vec<HstuLayer>,
-    final_norm: Vec<f32>,
-    rope: RopeTable,
-}
+pub struct HstuModel(GrModel);
 
 impl HstuModel {
-    /// Random (seeded) initialization.
+    /// Packs HSTU weights into the layout the shared forward reads.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` fails [`GrModelConfig::validate`] or uses GQA
-    /// (`query_heads != kv_heads`; HSTU's pointwise unit is single-group).
-    pub fn random(cfg: GrModelConfig, seed: u64) -> Self {
+    /// Panics if `cfg` fails [`GrModelConfig::validate`], uses GQA
+    /// (`query_heads != kv_heads`; HSTU's pointwise unit is single-group),
+    /// or has `q_dim() != hidden_dim` (the unit gates the `q_dim`-wide
+    /// aggregate with the `hidden`-wide `U`).
+    pub fn new(
+        cfg: GrModelConfig,
+        embedding: Matrix,
+        layers: Vec<HstuLayer>,
+        final_norm: Vec<f32>,
+    ) -> Self {
         cfg.validate().expect("invalid model config");
         assert_eq!(
             cfg.query_heads, cfg.kv_heads,
             "HSTU unit uses matched query/key heads"
         );
+        assert_eq!(
+            cfg.q_dim(),
+            cfg.hidden_dim,
+            "HSTU unit gates the attention aggregate with U: q_dim must equal hidden_dim"
+        );
+        let pack = |lw: HstuLayer| Layer {
+            attn_norm: lw.norm,
+            wq: side_by_side(&lw.wq, &lw.wu),
+            wkv: side_by_side(&lw.wk, &lw.wv),
+            wo: lw.wo,
+            unit: Unit::Pointwise { norm: lw.unit_norm },
+        };
+        let layers = layers.into_iter().map(pack).collect();
+        HstuModel(GrModel::from_layers(cfg, embedding, layers, final_norm))
+    }
+
+    /// Random (seeded) initialization.
+    ///
+    /// # Panics
+    ///
+    /// As [`HstuModel::new`].
+    pub fn random(cfg: GrModelConfig, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
         let h = cfg.hidden_dim;
         let scale = (1.0 / h as f32).sqrt();
@@ -93,225 +112,20 @@ impl HstuModel {
                 wq: Matrix::random(h, cfg.q_dim(), scale, &mut rng),
                 wk: Matrix::random(h, cfg.kv_dim(), scale, &mut rng),
                 wo: Matrix::random(h, h, scale, &mut rng),
+                unit_norm: vec![1.0; h],
             })
             .collect();
-        let rope = RopeTable::new(cfg.head_dim, cfg.max_positions, cfg.rope_base);
-        let embedding = Arc::new(Matrix::random(cfg.vocab_size, h, 1.0, &mut rng));
-        HstuModel {
-            embedding,
-            layers,
-            final_norm: vec![1.0; h],
-            rope,
-            cfg,
-        }
-    }
-
-    /// The architecture configuration.
-    pub fn config(&self) -> &GrModelConfig {
-        &self.cfg
-    }
-
-    /// Computes the KV segment of a standalone block (item/user prefix
-    /// pre-computation), exactly like [`crate::GrModel::compute_kv`].
-    pub fn compute_kv(&self, seq: &TokenSeq) -> KvSegment {
-        self.forward(seq, None).suffix_kv
-    }
-
-    /// Runs the HSTU stack over `suffix`, optionally splicing a cached
-    /// prefix KV segment, mirroring [`crate::GrModel::forward`] — including
-    /// its batched, parallel execution: per-layer projections are one
-    /// `X·W` product each, and attention runs over each token's
-    /// allowed key runs only (SiLU weights in a compact score row,
-    /// normalized by the allowed count), parallel over tokens with
-    /// bit-identical results for any thread count — and its read-out: the
-    /// last layer finishes the read-out rows ([`ForwardOutput`]) alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `suffix` is empty or the prefix layer count mismatches.
-    pub fn forward(&self, suffix: &TokenSeq, prefix: Option<&KvSegment>) -> ForwardOutput {
-        let mut ws = ForwardWorkspace::new();
-        self.forward_impl(suffix, prefix, &mut ws);
-        ws.into_output()
-    }
-
-    /// [`HstuModel::forward`] into a caller-owned workspace, mirroring
-    /// [`crate::GrModel::forward_with`]: a warmed workspace makes the
-    /// steady-state HSTU forward allocation-free, with bit-identical
-    /// results.
-    pub fn forward_with<'w>(
-        &self,
-        suffix: &TokenSeq,
-        prefix: Option<&KvSegment>,
-        ws: &'w mut ForwardWorkspace,
-    ) -> &'w ForwardOutput {
-        self.forward_impl(suffix, prefix, ws);
-        ws.output()
-    }
-
-    /// Multiply-adds of the attention and output product of rows `run`.
-    fn rows_work(&self, mask: &MaskBuf, run: &Range<usize>) -> usize {
-        let keys = mask.allowed()[run.clone()].iter().sum::<u64>() as usize;
-        (keys + run.len() * self.cfg.hidden_dim) * self.cfg.hidden_dim
-    }
-
-    /// [`crate::GrModel::stage_work`] for the HSTU layer's stages.
-    #[doc(hidden)]
-    pub fn stage_work(
-        &self,
-        suffix: &TokenSeq,
-        prefix: Option<&KvSegment>,
-    ) -> [(&'static str, usize); 6] {
-        let lw = &self.layers[0];
-        let product = |w: &Matrix| suffix.len() * w.rows() * w.cols();
-        let mask = MaskBuf::of(suffix, prefix, 0);
-        let read_out: Vec<usize> = read_out_rows(&suffix.segs).collect();
-        let widest = runs(&read_out).map(|run| self.rows_work(&mask, &run)).max();
-        [
-            ("Q", product(&lw.wq)),
-            ("K", product(&lw.wk)),
-            ("V", product(&lw.wv)),
-            ("U", product(&lw.wu)),
-            ("rows", self.rows_work(&mask, &(0..suffix.len()))),
-            ("read-out rows", widest.unwrap_or(0)),
-        ]
-    }
-
-    fn forward_impl(
-        &self,
-        suffix: &TokenSeq,
-        prefix: Option<&KvSegment>,
-        ws: &mut ForwardWorkspace,
-    ) {
-        assert!(!suffix.is_empty(), "forward needs at least one token");
-        let cfg = &self.cfg;
-        if let Some(p) = prefix {
-            assert_eq!(p.layers.len(), cfg.layers, "prefix layer count mismatch");
-        }
-        let p_len = prefix.map_or(0, KvSegment::len);
-        let s_len = suffix.len();
-        let (d, hidden) = (cfg.head_dim, cfg.hidden_dim);
-        let scale = 1.0 / (d as f32).sqrt();
-
-        // Workspace mapping: `act` holds the gated unit output and `up`
-        // the elementwise gate `U` (the FFN slots, unused by HSTU).
-        let ForwardWorkspace {
-            tags,
-            mask,
-            h,
-            xn,
-            q,
-            k,
-            v,
-            o,
-            act,
-            up,
-            out,
-            ..
-        } = ws;
-        out.rows.clear();
-        out.rows.extend(read_out_rows(&suffix.segs));
-        let (read_out, suffix_kv) = (&out.rows, &mut out.suffix_kv);
-
-        tags.clear();
-        tags.extend(prefix.map_or(&[][..], |p| &p.segs));
-        tags.extend_from_slice(&suffix.segs);
-        mask.build(suffix.scheme, tags, p_len, 0);
-
-        h.reset(s_len, hidden);
-        act.reshape_for_overwrite(s_len, hidden);
-        o.reshape_for_overwrite(s_len, hidden);
-        for (t, &tok) in suffix.tokens.iter().enumerate() {
-            h.row_mut(t)
-                .copy_from_slice(self.embedding.row(tok as usize));
-        }
-        suffix_kv.reset_for(cfg.layers, cfg.kv_dim());
-        suffix_kv.segs.extend_from_slice(&suffix.segs);
-        suffix_kv.pos.extend_from_slice(&suffix.pos);
-        for lkv in suffix_kv.layers.iter_mut() {
-            lkv.reserve(s_len);
-        }
-
-        for (l, lw) in self.layers.iter().enumerate() {
-            // Batched SiLU-gated projections for every suffix token, then
-            // RoPE per row (SiLU first, as in the per-token formulation).
-            norm_rows_into(h, &lw.norm, xn);
-            xn.matmul_into(&lw.wq, q);
-            xn.matmul_into(&lw.wk, k);
-            xn.matmul_into(&lw.wv, v);
-            xn.matmul_into(&lw.wu, up);
-            for m in [&mut *q, &mut *k, &mut *v, &mut *up] {
-                m.par_rows_mut(|_, row| fast_silu_in_place(row));
-            }
-            for m in [&mut *q, &mut *k] {
-                m.par_rows_mut(|t, row| self.rope.apply_heads(row, suffix.pos[t] as usize));
-            }
-            for t in 0..s_len {
-                suffix_kv.layers[l].push(k.row(t), v.row(t));
-            }
-
-            // Zero-copy split view over the packed [prefix ++ suffix]
-            // blocks (HSTU is single-group: query_heads == kv_heads).
-            let sl = &suffix_kv.layers[l];
-            let kv = GroupAttention {
-                keys: SplitCols::new(prefix.map(|p| p.layers[l].keys()), sl.keys()),
-                vals: SplitCols::new(prefix.map(|p| p.layers[l].values()), sl.values()),
-                head_dim: d,
-                scale,
-            };
-            // SiLU attention over the token's allowed key runs + count
-            // normalization + elementwise gate — the softmax model's kernel
-            // with a group of one and SiLU as the row weighting — then the
-            // output product and the residual, a block of rows per task: of
-            // every row, or past the last layer of the read-out rows alone.
-            let (q_ro, u_ro, mask_ro) = (&*q, &*up, &*mask);
-            let rows_of = |rows: Range<usize>, [act, o, h]: [&mut [f32]; 3]| {
-                with_thread_scratch(|scr: &mut HstuScratch| {
-                    let HstuScratch { s, agg, normed } = scr;
-                    for (t, grow) in rows.zip(act.chunks_exact_mut(hidden)) {
-                        let runs = mask_ro.runs(t);
-                        agg.clear();
-                        agg.resize(cfg.kv_dim(), 0.0);
-                        let heads = q_ro.row(t).chunks_exact(d).zip(agg.chunks_exact_mut(d));
-                        for (head, (qv, out)) in heads.enumerate() {
-                            kv.attend::<Silu>(head, runs, qv, s, out);
-                        }
-                        // HSTU's pointwise aggregation: context-size normalization.
-                        let inv = 1.0 / mask_ro.allowed()[t].max(1) as f32;
-                        agg.iter_mut().for_each(|x| *x *= inv);
-                        normed.clear();
-                        normed.resize(agg.len(), 0.0);
-                        rms_norm_into(agg, &self.final_norm, 1e-6, normed);
-                        for (slot, (a, g)) in grow.iter_mut().zip(normed.iter().zip(u_ro.row(t))) {
-                            *slot = a * g;
-                        }
-                    }
-                });
-                matmul_rows(act, hidden, &lw.wo, o);
-                axpy(h, 1.0, o);
-            };
-            let mut rows_stage = |run: Range<usize>| {
-                let work = self.rows_work(mask_ro, &run);
-                run_rows([&mut *act, o, h], run, mask_ro.allowed(), work, rows_of);
-            };
-            if l + 1 < cfg.layers {
-                rows_stage(0..s_len);
-            } else {
-                runs(read_out).for_each(rows_stage);
-            }
-        }
-        out.read_out(h, &self.final_norm, &self.embedding);
+        let embedding = Matrix::random(cfg.vocab_size, h, 1.0, &mut rng);
+        Self::new(cfg, embedding, layers, vec![1.0; h])
     }
 }
 
-/// Thread-local scratch of the HSTU attention closure: the kernel's
-/// compact score row, per-head aggregate, and its normalized copy. See
-/// [`bat_exec::with_thread_scratch`].
-#[derive(Default)]
-struct HstuScratch {
-    s: Vec<f32>,
-    agg: Vec<f32>,
-    normed: Vec<f32>,
+impl std::ops::Deref for HstuModel {
+    type Target = GrModel;
+
+    fn deref(&self) -> &GrModel {
+        &self.0
+    }
 }
 
 #[cfg(test)]
@@ -358,7 +172,8 @@ mod tests {
         assert!((scores.iter().sum::<f32>() - 1.0).abs() < 1e-5);
     }
 
-    /// The §3.2 prefix-cache identity holds for the HSTU block too.
+    /// The §3.2 prefix-cache identity holds for the HSTU block too — bit
+    /// for bit, wherever the prompt is split.
     #[test]
     fn prefix_cached_forward_equals_recompute() {
         let model = HstuModel::random(hstu_cfg(), 11);
@@ -367,16 +182,15 @@ mod tests {
         for kind in [PrefixKind::User, PrefixKind::Item] {
             let seq = layout.build(kind, &u, &i, &s);
             let full = model.forward(&seq, None);
-            let prefix_len = match kind {
-                PrefixKind::User => u.len(),
-                PrefixKind::Item => i.iter().map(Vec::len).sum(),
-            };
-            let (head, tail) = seq.split_at(prefix_len);
-            let cached = model.forward(&tail, Some(&model.compute_kv(&head)));
-            assert!(
-                max_diff(&full.logits(), &cached.logits()) < 1e-3,
-                "{kind}: HSTU cached forward must equal recomputation"
-            );
+            for split in 1..seq.len() {
+                let (head, tail) = seq.split_at(split);
+                let cached = model.forward(&tail, Some(&model.compute_kv(&head)));
+                assert_eq!(
+                    bits(&full.logits()),
+                    bits(&cached.logits()),
+                    "{kind} split at {split}: HSTU cached forward must equal recomputation"
+                );
+            }
         }
     }
 
@@ -502,5 +316,17 @@ mod tests {
     #[should_panic(expected = "matched query/key heads")]
     fn gqa_rejected() {
         let _ = HstuModel::random(GrModelConfig::tiny(32), 1); // 4 q heads, 2 kv
+    }
+
+    /// A shape whose aggregate `U` cannot gate is refused where the model is
+    /// built, not by a norm's arity check inside a pool worker.
+    #[test]
+    #[should_panic(expected = "q_dim must equal hidden_dim")]
+    fn aggregate_wider_than_the_gate_rejected() {
+        let cfg = GrModelConfig {
+            kv_heads: 8,
+            ..GrModelConfig::small(64) // 8 × 16 = 128 query columns, hidden 64
+        };
+        let _ = HstuModel::random(cfg, 1);
     }
 }

@@ -3,7 +3,9 @@
 //! This crate implements the paper's §4 from scratch:
 //!
 //! * a complete decoder-only transformer (RMSNorm → GQA attention with RoPE →
-//!   SwiGLU FFN, residual connections, tied output head) in portable `f32`;
+//!   SwiGLU FFN, residual connections, tied output head) in portable `f32`,
+//!   whose layer can carry HSTU's pointwise unit instead ([`hstu`]): one
+//!   forward runs both;
 //! * **prompt layouts** for *User-as-prefix* (UP) and *Item-as-prefix* (IP)
 //!   orderings, including the paper's co-designed attention masks (no
 //!   cross-item attention) and position-ID assignment (every item restarts

@@ -10,13 +10,15 @@ use std::time::{Duration, Instant};
 /// the blocks, and [`Stage::RowsWall`] is the caller's wall time for the
 /// dispatch ([`Stage::LastRowsWall`] in the last layer, of the read-out rows
 /// alone), so `threads × (RowsWall + LastRowsWall) − Σ` is their idle time.
+/// A layer with the HSTU pointwise unit ends at [`Stage::Wo`], which then
+/// holds its norm and gate too: `GateUp`, `Silu` and `Down` read zero.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
     /// Tags, mask runs, embeddings.
     Setup,
     /// Norm, K|V product, RoPE and the push into the packed blocks.
     KvRows,
-    /// Q product and RoPE.
+    /// Q product (Q|U and SiLU for the pointwise unit) and RoPE.
     Q,
     /// Group attention.
     Attention,

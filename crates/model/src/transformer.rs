@@ -14,10 +14,12 @@ use crate::prompt::{SegTag, TokenSeq};
 use crate::weights::Weights;
 use bat_exec::{parallel_weighted_row_bands, with_thread_scratch};
 use bat_tensor::ops::{
-    axpy, dot, fast_silu_mul_in_place, rms_norm, rms_norm_into, silu, stable_softmax_in_place,
+    axpy, dot, fast_silu_in_place, fast_silu_mul_in_place, rms_norm, rms_norm_into, silu,
+    stable_softmax_in_place,
 };
 use bat_tensor::{
-    matmul_rows, stage_is_pooled, GroupAttention, Matrix, RopeTable, Softmax, SplitCols, TILE_ROWS,
+    matmul_rows, stage_is_pooled, GroupAttention, Matrix, RopeTable, Silu, Softmax, SplitCols,
+    TILE_ROWS,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -36,7 +38,7 @@ pub struct ForwardOutput {
     /// Final (RMS-normalized) hidden states of the read-out rows, in order.
     hidden: Matrix,
     /// Which suffix rows those are, ascending.
-    pub(crate) rows: Vec<usize>,
+    rows: Vec<usize>,
     /// `hidden`'s last row as a `hidden × 1` matrix: the head's right operand.
     head: Matrix,
     /// The model's embedding table (`vocab × hidden`): a handle, not a copy.
@@ -75,7 +77,7 @@ impl ForwardOutput {
 
     /// Ends a forward whose last layer left the read-out rows in `h`: their
     /// final norm, the head's operand, and the handle to `embedding`.
-    pub(crate) fn read_out(&mut self, h: &Matrix, gain: &[f32], embedding: &Arc<Matrix>) {
+    fn read_out(&mut self, h: &Matrix, gain: &[f32], embedding: &Arc<Matrix>) {
         self.hidden.reshape_for_overwrite(self.rows.len(), h.cols());
         for (i, &t) in self.rows.iter().enumerate() {
             rms_norm_into(h.row(t), gain, 1e-6, self.hidden.row_mut(i));
@@ -114,30 +116,28 @@ impl ForwardOutput {
     }
 }
 
-/// Reusable scratch for [`GrModel::forward_with`] (and the HSTU twin): every
-/// intermediate of the forward pass — norms, projections, attention rows,
-/// FFN activations, mask run lists, and the output itself — lives here and is
-/// re-shaped (capacity kept) instead of re-allocated. [`GrModel`] keeps each
-/// token's key and value side by side in `k` and its gate and up
-/// activations side by side in `act` (one packed product each); `v` and
-/// `up` are the HSTU model's, which projects them separately. Keep one per
-/// worker and the steady-state forward performs **zero heap allocations**
-/// after the first call at a given shape; the attention kernel's score rows
-/// are thread-local via [`bat_exec::with_thread_scratch`], so pool workers
-/// (persistent daemon threads) warm theirs once.
+/// Reusable scratch for [`GrModel::forward_with`]: every intermediate of the
+/// forward pass — norms, projections, attention rows, unit activations, mask
+/// run lists, and the output itself — lives here and is re-shaped (capacity
+/// kept) instead of re-allocated. Each token's key and value sit side by
+/// side in `k`, one packed product; `q` and `act` are as wide as the layers'
+/// unit makes them (`q`, or `q|u`; `gate|up`, or the gated aggregate).
+/// Keep one per worker and the steady-state forward performs **zero heap
+/// allocations** after the first call at a given shape; the attention
+/// kernel's score rows are thread-local via
+/// [`bat_exec::with_thread_scratch`], so pool workers (persistent daemon
+/// threads) warm theirs once.
 pub struct ForwardWorkspace {
-    pub(crate) tags: Vec<SegTag>,
-    pub(crate) mask: MaskBuf,
-    pub(crate) h: Matrix,
-    pub(crate) xn: Matrix,
-    pub(crate) q: Matrix,
-    pub(crate) k: Matrix,
-    pub(crate) v: Matrix,
-    pub(crate) attn: Matrix,
-    pub(crate) o: Matrix,
-    pub(crate) act: Matrix,
-    pub(crate) up: Matrix,
-    pub(crate) out: ForwardOutput,
+    tags: Vec<SegTag>,
+    mask: MaskBuf,
+    h: Matrix,
+    xn: Matrix,
+    q: Matrix,
+    k: Matrix,
+    attn: Matrix,
+    o: Matrix,
+    act: Matrix,
+    out: ForwardOutput,
     profile: Option<Box<StageProfile>>,
 }
 
@@ -153,18 +153,11 @@ impl ForwardWorkspace {
             xn: m(),
             q: m(),
             k: m(),
-            v: m(),
             attn: m(),
             o: m(),
             act: m(),
-            up: m(),
             out: ForwardOutput::empty(),
         }
-    }
-
-    /// Consumes the workspace, yielding the last forward's output.
-    pub fn into_output(self) -> ForwardOutput {
-        self.out
     }
 
     /// The last forward's output.
@@ -220,31 +213,47 @@ pub struct GrModel {
     rope: RopeTable,
 }
 
-/// One layer's [`crate::weights::LayerWeights`] in the layout the forward
-/// reads, built once in [`GrModel::new`]: projections that read the same
-/// input are packed side by side and run as one product — fewer, fatter
-/// stages for the pool, one pass over the activations. A column of a packed
-/// product has the bits of the unpacked one (an output element's arithmetic
-/// does not depend on its neighbours).
+/// One layer's weights in the layout the forward reads, built once with the
+/// model: projections that read the same input are packed side by side and
+/// run as one product — fewer, fatter stages for the pool, one pass over the
+/// activations. A column of a packed product has the bits of the unpacked
+/// one (an output element's arithmetic does not depend on its neighbours).
+/// Every layer of a model has the same kind of [`Unit`].
 #[derive(Debug, Clone)]
-struct Layer {
-    attn_norm: Vec<f32>,
-    wq: Matrix,
+pub(crate) struct Layer {
+    pub(crate) attn_norm: Vec<f32>,
+    /// `hidden × q_dim`; with the pointwise unit `wq|wu`, `hidden × (q_dim +
+    /// hidden)`: the elementwise gate `U` beside the query.
+    pub(crate) wq: Matrix,
     /// `wk|wv`, `hidden × 2·kv_dim`.
-    wkv: Matrix,
-    wo: Matrix,
-    ffn_norm: Vec<f32>,
-    /// `w_gate|w_up`, `hidden × 2·ffn_dim`.
-    w_gate_up: Matrix,
-    w_down: Matrix,
-    /// The FFN is structurally zero (any of gate/up/down is an all-zero
-    /// matrix, so the FFN output is exactly zero — true for the analytic
-    /// routed construction) and the whole block can be skipped.
-    ffn_zero: bool,
+    pub(crate) wkv: Matrix,
+    pub(crate) wo: Matrix,
+    pub(crate) unit: Unit,
+}
+
+/// What a layer does around its attention: the one thing that tells the
+/// LLM-style transformer from the HSTU-style model ([`crate::hstu`]).
+#[derive(Debug, Clone)]
+pub(crate) enum Unit {
+    /// Softmax attention, `WO`, residual, then the SwiGLU FFN and its residual.
+    Swiglu {
+        ffn_norm: Vec<f32>,
+        /// `w_gate|w_up`, `hidden × 2·ffn_dim`.
+        w_gate_up: Matrix,
+        w_down: Matrix,
+        /// The FFN is structurally zero (any of gate/up/down is an all-zero
+        /// matrix, so the FFN output is exactly zero — true for the analytic
+        /// routed construction) and the whole block can be skipped.
+        ffn_zero: bool,
+    },
+    /// HSTU's pointwise aggregated attention: SiLU on every projection,
+    /// `A_ij = SiLU(⟨q_i, k_j⟩/√d) / |allowed(i)|` in place of softmax, and
+    /// `WO(norm(A·V) ⊙ U)` with gain `norm` into the residual; no FFN.
+    Pointwise { norm: Vec<f32> },
 }
 
 /// `[a | b]`: the two matrices' rows side by side.
-fn side_by_side(a: &Matrix, b: &Matrix) -> Matrix {
+pub(crate) fn side_by_side(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(a.rows(), a.cols() + b.cols());
     for r in 0..a.rows() {
         let (left, right) = out.row_mut(r).split_at_mut(a.cols());
@@ -271,16 +280,28 @@ impl GrModel {
         let layers = layers
             .into_iter()
             .map(|lw| Layer {
-                ffn_zero: lw.w_gate.is_zero() || lw.w_up.is_zero() || lw.w_down.is_zero(),
                 wkv: side_by_side(&lw.wk, &lw.wv),
-                w_gate_up: side_by_side(&lw.w_gate, &lw.w_up),
                 attn_norm: lw.attn_norm,
                 wq: lw.wq,
                 wo: lw.wo,
-                ffn_norm: lw.ffn_norm,
-                w_down: lw.w_down,
+                unit: Unit::Swiglu {
+                    ffn_zero: lw.w_gate.is_zero() || lw.w_up.is_zero() || lw.w_down.is_zero(),
+                    w_gate_up: side_by_side(&lw.w_gate, &lw.w_up),
+                    ffn_norm: lw.ffn_norm,
+                    w_down: lw.w_down,
+                },
             })
             .collect();
+        Self::from_layers(cfg, embedding, layers, final_norm)
+    }
+
+    /// A model over layers already in the forward's layout.
+    pub(crate) fn from_layers(
+        cfg: GrModelConfig,
+        embedding: Matrix,
+        layers: Vec<Layer>,
+        final_norm: Vec<f32>,
+    ) -> Self {
         GrModel {
             rope: RopeTable::new(cfg.head_dim, cfg.max_positions, cfg.rope_base),
             cfg,
@@ -341,8 +362,8 @@ impl GrModel {
     /// them to the layer's packed plane-major blocks. From there a suffix
     /// row depends on nothing but its own activations and the KV, so the
     /// second is **one** pool dispatch over blocks of rows, each block taking
-    /// its rows from the query projection to the FFN residual on one thread
-    /// ([`GrModel::layer_rows`]) — in the last layer the read-out rows
+    /// its rows from the query projection to the unit's last residual on one
+    /// thread ([`GrModel::layer_rows`]) — in the last layer the read-out rows
     /// ([`ForwardOutput`]) alone. Attention is **run-structured**: the
     /// bipartite mask is block-structured, so a token's allowed keys are a
     /// few contiguous runs, and [`GroupAttention::attend`] scores, softmaxes
@@ -427,7 +448,12 @@ impl GrModel {
         // The scratch matrices the row blocks share, each written before it
         // is read; `h` starts as the suffix tokens' embeddings.
         let (hidden, q_dim) = (cfg.hidden_dim, cfg.q_dim());
-        let widths = [hidden, hidden, q_dim, q_dim, hidden, 2 * cfg.ffn_dim];
+        let first = &self.layers[0];
+        let act_cols = match &first.unit {
+            Unit::Swiglu { w_gate_up, .. } => w_gate_up.cols(),
+            Unit::Pointwise { .. } => hidden,
+        };
+        let widths = [hidden, hidden, first.wq.cols(), q_dim, hidden, act_cols];
         for (m, cols) in [&mut *h, xn, q, attn, o, act].into_iter().zip(widths) {
             m.reshape_for_overwrite(s_len, cols);
         }
@@ -450,7 +476,11 @@ impl GrModel {
             // stage may read any of them.
             norm_rows_into(h, &lw.attn_norm, xn);
             xn.matmul_into(&lw.wkv, kv_rows);
+            let pointwise = matches!(lw.unit, Unit::Pointwise { .. });
             kv_rows.par_rows_mut(|t, row| {
+                if pointwise {
+                    fast_silu_in_place(row);
+                }
                 self.rope
                     .apply_heads(&mut row[..kv_dim], suffix.pos[t] as usize)
             });
@@ -494,7 +524,7 @@ impl GrModel {
 
     /// The second stage of a layer for suffix rows `rows`, whose rows of the
     /// workspace matrices `h, xn, q, attn, o, act` are `block`: everything
-    /// from the query projection to the FFN residual, on the calling
+    /// from the query projection to the unit's last residual, on the calling
     /// thread. Per row this is the arithmetic of the stage order a single
     /// block over all rows runs — the products give a row the same bits in
     /// any block, and everything else is row by row.
@@ -515,9 +545,15 @@ impl GrModel {
         let [h, xn, q, attn, o, act] = block;
         let mut laps = Laps::start(profile);
 
+        // A `q` row is the query, then whatever the unit packed beside it.
+        let q_cols = lw.wq.cols();
+        let pointwise = matches!(lw.unit, Unit::Pointwise { .. });
         matmul_rows(xn, hidden, &lw.wq, q);
-        for (t, row) in rows.clone().zip(q.chunks_exact_mut(q_dim)) {
-            self.rope.apply_heads(row, pos[t] as usize);
+        for (t, row) in rows.clone().zip(q.chunks_exact_mut(q_cols)) {
+            if pointwise {
+                fast_silu_in_place(row);
+            }
+            self.rope.apply_heads(&mut row[..q_dim], pos[t] as usize);
         }
         laps.lap(Stage::Q);
 
@@ -527,49 +563,89 @@ impl GrModel {
         with_thread_scratch(|scores: &mut Vec<f32>| {
             let rows = rows
                 .clone()
-                .zip(q.chunks_exact(q_dim).zip(attn.chunks_exact_mut(q_dim)));
+                .zip(q.chunks_exact(q_cols).zip(attn.chunks_exact_mut(q_dim)));
             for (t, (q, out)) in rows {
-                let groups = q.chunks_exact(tile).zip(out.chunks_exact_mut(tile));
+                let groups = q[..q_dim]
+                    .chunks_exact(tile)
+                    .zip(out.chunks_exact_mut(tile));
                 for (kv_head, (q, out)) in groups.enumerate() {
-                    kv.attend::<Softmax>(kv_head, mask.runs(t), q, scores, out);
+                    match lw.unit {
+                        Unit::Swiglu { .. } => {
+                            kv.attend::<Softmax>(kv_head, mask.runs(t), q, scores, out)
+                        }
+                        Unit::Pointwise { .. } => {
+                            kv.attend::<Silu>(kv_head, mask.runs(t), q, scores, out)
+                        }
+                    }
                 }
             }
         });
         laps.lap(Stage::Attention);
 
-        matmul_rows(attn, q_dim, &lw.wo, o);
-        axpy(h, 1.0, o);
-        laps.lap(Stage::Wo);
+        match &lw.unit {
+            Unit::Swiglu {
+                ffn_norm,
+                w_gate_up,
+                w_down,
+                ffn_zero,
+            } => {
+                matmul_rows(attn, q_dim, &lw.wo, o);
+                axpy(h, 1.0, o);
+                laps.lap(Stage::Wo);
 
-        // SwiGLU FFN; skipped when structurally zero. The activations
-        // overwrite the gate half of each gate|up row, which the down
-        // projection then reads in place.
-        if lw.ffn_zero {
-            return;
+                // SwiGLU FFN; skipped when structurally zero. The activations
+                // overwrite the gate half of each gate|up row, which the down
+                // projection then reads in place.
+                if *ffn_zero {
+                    return;
+                }
+                for (x, out) in h.chunks_exact(hidden).zip(xn.chunks_exact_mut(hidden)) {
+                    rms_norm_into(x, ffn_norm, 1e-6, out);
+                }
+                matmul_rows(xn, hidden, w_gate_up, act);
+                laps.lap(Stage::GateUp);
+                for row in act.chunks_exact_mut(2 * ffn) {
+                    let (gate, up) = row.split_at_mut(ffn);
+                    fast_silu_mul_in_place(gate, up);
+                }
+                laps.lap(Stage::Silu);
+                matmul_rows(act, 2 * ffn, w_down, o);
+                axpy(h, 1.0, o);
+                laps.lap(Stage::Down);
+            }
+            Unit::Pointwise { norm } => {
+                // The aggregate over the context size, normed and gated by
+                // `U` (the tail of the row's `q`) into `act`, is what `WO` reads.
+                let gated = attn
+                    .chunks_exact_mut(q_dim)
+                    .zip(act.chunks_exact_mut(hidden));
+                for (t, (qu, (agg, gated))) in rows.zip(q.chunks_exact(q_cols).zip(gated)) {
+                    let inv = 1.0 / mask.allowed()[t].max(1) as f32;
+                    agg.iter_mut().for_each(|x| *x *= inv);
+                    rms_norm_into(agg, norm, 1e-6, gated);
+                    for (g, u) in gated.iter_mut().zip(&qu[q_dim..]) {
+                        *g *= u;
+                    }
+                }
+                matmul_rows(act, hidden, &lw.wo, o);
+                axpy(h, 1.0, o);
+                laps.lap(Stage::Wo);
+            }
         }
-        for (x, out) in h.chunks_exact(hidden).zip(xn.chunks_exact_mut(hidden)) {
-            rms_norm_into(x, &lw.ffn_norm, 1e-6, out);
-        }
-        matmul_rows(xn, hidden, &lw.w_gate_up, act);
-        laps.lap(Stage::GateUp);
-        for row in act.chunks_exact_mut(2 * ffn) {
-            let (gate, up) = row.split_at_mut(ffn);
-            fast_silu_mul_in_place(gate, up);
-        }
-        laps.lap(Stage::Silu);
-        matmul_rows(act, 2 * ffn, &lw.w_down, o);
-        axpy(h, 1.0, o);
-        laps.lap(Stage::Down);
     }
 
-    /// Multiply-adds of the four products one suffix row goes through in the
-    /// second stage of a layer (Q, output, gate|up, down).
+    /// Multiply-adds of the products one suffix row goes through in the
+    /// second stage of a layer: Q (or Q|U), output, and the unit's own.
     fn row_products(&self) -> usize {
         let lw = &self.layers[0];
-        [&lw.wq, &lw.wo, &lw.w_gate_up, &lw.w_down]
-            .iter()
-            .map(|w| w.rows() * w.cols())
-            .sum()
+        let size = |w: &Matrix| w.rows() * w.cols();
+        let unit = match &lw.unit {
+            Unit::Swiglu {
+                w_gate_up, w_down, ..
+            } => size(w_gate_up) + size(w_down),
+            Unit::Pointwise { .. } => 0,
+        };
+        size(&lw.wq) + size(&lw.wo) + unit
     }
 
     /// What a suffix row's second stage costs beyond its allowed keys, in
@@ -581,8 +657,9 @@ impl GrModel {
     /// keys per KV head), and ≈ 1.7 µs for the 92 k multiply-adds of its four
     /// products with their norms and activations, ≈ 54 G/s: 2.3 times the
     /// attention's rate. So an item row of 194 keys weighs 516 and an
-    /// instruction row of 309 weighs 631, as they cost 4.2 and 5.1 µs. Like
-    /// the dispatch threshold, it moves speed only.
+    /// instruction row of 309 weighs 631, as they cost 4.2 and 5.1 µs. The
+    /// 57 keys and the 2.3 were fitted on the SwiGLU unit; the pointwise unit
+    /// borrows them, and like the dispatch threshold they move speed only.
     fn row_weight(&self) -> u64 {
         let product_keys = 10 * self.row_products() / (46 * self.cfg.q_dim());
         (product_keys + 57 * self.cfg.kv_heads) as u64
@@ -641,9 +718,9 @@ impl GrModel {
 
     /// The seed's serial per-token forward pass, kept as the oracle the
     /// batched [`GrModel::forward`] is equivalence-tested against: one token
-    /// at a time, separate multiplies and adds, libm `exp`. (It reads K|V
-    /// and gate|up from the packed matrices — a column's arithmetic is the
-    /// unpacked one's.) Not a production path.
+    /// at a time, separate multiplies and adds, libm `exp`, for either
+    /// unit. (It reads the packed matrices — a column's arithmetic is
+    /// the unpacked one's.) Not a production path.
     #[doc(hidden)]
     pub fn forward_reference(
         &self,
@@ -685,6 +762,9 @@ impl GrModel {
                 let xn = rms_norm(ht, &lw.attn_norm, 1e-6);
                 let mut q = lw.wq.vecmul_sparse(&xn);
                 let mut k = lw.wkv.vecmul_sparse(&xn);
+                if let Unit::Pointwise { .. } = lw.unit {
+                    q.iter_mut().chain(&mut k).for_each(|x| *x = silu(*x));
+                }
                 let v = k.split_off(cfg.kv_dim());
                 let pos = suffix.pos[t] as usize;
                 for qh in 0..cfg.query_heads {
@@ -721,7 +801,13 @@ impl GrModel {
                         idx.push(g_k);
                         logits.push(dot(q_slice, ks) * scale);
                     }
-                    stable_softmax_in_place(&mut logits);
+                    match lw.unit {
+                        Unit::Swiglu { .. } => stable_softmax_in_place(&mut logits),
+                        Unit::Pointwise { .. } => {
+                            let n = logits.len() as f32;
+                            logits.iter_mut().for_each(|s| *s = silu(*s) / n);
+                        }
+                    }
                     let out = &mut attn_out[qh * cfg.head_dim..(qh + 1) * cfg.head_dim];
                     for (w, &g_k) in logits.iter().zip(&idx) {
                         if *w == 0.0 {
@@ -736,16 +822,30 @@ impl GrModel {
                         axpy(out, *w, vs);
                     }
                 }
+                if let Unit::Pointwise { norm } = &lw.unit {
+                    attn_out = rms_norm(&attn_out, norm, 1e-6);
+                    let u = &q[cfg.q_dim()..];
+                    attn_out.iter_mut().zip(u).for_each(|(a, u)| *a *= u);
+                }
                 let proj = lw.wo.vecmul_sparse(&attn_out);
                 for (a, b) in h[t].iter_mut().zip(&proj) {
                     *a += b;
                 }
 
-                let xn2 = rms_norm(&h[t], &lw.ffn_norm, 1e-6);
-                let gate_up = lw.w_gate_up.vecmul_sparse(&xn2);
+                let Unit::Swiglu {
+                    ffn_norm,
+                    w_gate_up,
+                    w_down,
+                    ..
+                } = &lw.unit
+                else {
+                    continue;
+                };
+                let xn2 = rms_norm(&h[t], ffn_norm, 1e-6);
+                let gate_up = w_gate_up.vecmul_sparse(&xn2);
                 let (gate, up) = gate_up.split_at(cfg.ffn_dim);
                 let act: Vec<f32> = gate.iter().zip(up).map(|(&g, &u)| silu(g) * u).collect();
-                let down = lw.w_down.vecmul_sparse(&act);
+                let down = w_down.vecmul_sparse(&act);
                 for (a, b) in h[t].iter_mut().zip(&down) {
                     *a += b;
                 }
@@ -805,7 +905,7 @@ use crate::prompt::allowed_tags as allowed;
 /// A layer's row stage over suffix rows `run`: `f(rows, block)` for blocks
 /// of them (`block`: the rows' slices of `mats`), cut by `weights` on the
 /// pool if `work` multiply-adds repay a dispatch, else one inline call.
-pub(crate) fn run_rows<const N: usize>(
+fn run_rows<const N: usize>(
     mats: [&mut Matrix; N],
     run: Range<usize>,
     weights: &[u64],
@@ -825,7 +925,7 @@ pub(crate) fn run_rows<const N: usize>(
 
 /// RMS-normalizes every row of `h` with `gain` into `out`, reusing `out`'s
 /// storage.
-pub(crate) fn norm_rows_into(h: &Matrix, gain: &[f32], out: &mut Matrix) {
+fn norm_rows_into(h: &Matrix, gain: &[f32], out: &mut Matrix) {
     out.reset(h.rows(), h.cols());
     out.par_rows_mut(|t, row| rms_norm_into(h.row(t), gain, 1e-6, row));
 }
@@ -839,6 +939,16 @@ mod tests {
 
     fn tiny_model(seed: u64) -> GrModel {
         GrModel::new(Weights::random(GrModelConfig::tiny(64), seed))
+    }
+
+    /// One model of each [`Unit`], for the tests that hold for any layer.
+    fn both_units(seed: u64) -> [(&'static str, GrModel); 2] {
+        let matched = GrModelConfig {
+            query_heads: 2,
+            ..GrModelConfig::tiny(64)
+        };
+        let hstu = crate::HstuModel::random(matched, seed);
+        [("swiglu", tiny_model(seed)), ("pointwise", (*hstu).clone())]
     }
 
     fn parts() -> (Vec<u32>, Vec<Vec<u32>>, Vec<u32>) {
@@ -1056,36 +1166,39 @@ mod tests {
     }
 
     /// The batched/parallel forward agrees with the seed's serial
-    /// per-token oracle for both prefix orderings, with and without a
-    /// spliced prefix cache.
+    /// per-token oracle for both units, both schemes and both prefix
+    /// orderings, with and without a spliced prefix cache.
     #[test]
     fn batched_forward_matches_reference_oracle() {
-        let model = tiny_model(29);
         let (u, i, s) = parts();
-        let layout = PromptLayout::new(MaskScheme::Bipartite);
-        for kind in [PrefixKind::User, PrefixKind::Item] {
-            let seq = layout.build(kind, &u, &i, &s);
-            let new = model.forward(&seq, None);
-            let old = model.forward_reference(&seq, None);
-            assert!(
-                max_diff(&new.logits(), &old.logits()) < 1e-3,
-                "{kind}: batched forward diverged from the seed oracle"
-            );
-            assert!(max_diff(new.hidden_last(), old.hidden_last()) < 1e-4);
-            assert!(new.suffix_kv.max_abs_diff(&old.suffix_kv).unwrap() < 1e-5);
+        let schemes = [MaskScheme::Bipartite, MaskScheme::NaiveCausal];
+        let kinds = [PrefixKind::User, PrefixKind::Item];
+        for (unit, model) in both_units(29) {
+            for (scheme, kind) in schemes.iter().flat_map(|s| kinds.map(|k| (*s, k))) {
+                let seq = PromptLayout::new(scheme).build(kind, &u, &i, &s);
+                let new = model.forward(&seq, None);
+                let old = model.forward_reference(&seq, None);
+                assert!(
+                    max_diff(&new.logits(), &old.logits()) < 1e-3,
+                    "{unit} {scheme:?} {kind}: batched forward diverged from the seed oracle"
+                );
+                assert!(max_diff(new.hidden_last(), old.hidden_last()) < 1e-4);
+                assert!(new.suffix_kv.max_abs_diff(&old.suffix_kv).unwrap() < 1e-5);
 
-            let prefix_len = match kind {
-                PrefixKind::User => u.len(),
-                PrefixKind::Item => i.iter().map(Vec::len).sum(),
-            };
-            let (head, tail) = seq.split_at(prefix_len);
-            let kv = model.compute_kv(&head);
-            let new_c = model.forward(&tail, Some(&kv));
-            let old_c = model.forward_reference(&tail, Some(&kv));
-            assert!(
-                max_diff(&new_c.logits(), &old_c.logits()) < 1e-3,
-                "{kind}: cached batched forward diverged from the seed oracle"
-            );
+                let prefix_len = match kind {
+                    PrefixKind::User => u.len(),
+                    PrefixKind::Item => i.iter().map(Vec::len).sum(),
+                };
+                let (head, tail) = seq.split_at(prefix_len);
+                let kv = model.compute_kv(&head);
+                let new_c = model.forward(&tail, Some(&kv));
+                let old_c = model.forward_reference(&tail, Some(&kv));
+                assert!(
+                    max_diff(&new_c.logits(), &old_c.logits()) < 1e-3,
+                    "{unit} {scheme:?} {kind}: cached batched forward diverged from the seed oracle"
+                );
+                assert!(max_diff(new_c.hidden_last(), old_c.hidden_last()) < 1e-4);
+            }
         }
     }
 
@@ -1228,8 +1341,9 @@ mod tests {
     /// flag must be set there and clear for random weights.
     #[test]
     fn ffn_zero_flags_follow_weight_structure() {
+        let zero = |l: &Layer| matches!(l.unit, Unit::Swiglu { ffn_zero: true, .. });
         let random = tiny_model(1);
-        assert!(random.layers.iter().all(|l| !l.ffn_zero));
+        assert!(!random.layers.iter().any(zero));
         let cfg = GrModelConfig {
             query_heads: 2,
             kv_heads: 2,
@@ -1241,7 +1355,7 @@ mod tests {
         let mut marker = vec![0.0f32; 32];
         marker[0] = 1.0;
         let routed = GrModel::new(Weights::routed(cfg, emb, &marker, 0.5, 0.5));
-        assert!(routed.layers.iter().all(|l| l.ffn_zero));
+        assert!(routed.layers.iter().all(zero));
     }
 
     /// A reused workspace must not leak state between calls: running a
@@ -1249,35 +1363,35 @@ mod tests {
     /// including through a cached-prefix splice.
     #[test]
     fn forward_with_reused_workspace_is_bit_identical() {
-        let model = tiny_model(37);
         let (u, i, s) = parts();
         let layout = PromptLayout::new(MaskScheme::Bipartite);
         let seq = layout.build(PrefixKind::User, &u, &i, &s);
         let (head, tail) = seq.split_at(u.len());
-        let kv = model.compute_kv(&head);
-
-        let gold_full = model.forward(&seq, None);
-        let gold_cached = model.forward(&tail, Some(&kv));
-
+        // One workspace for both models: the units shape `q` and `act` differently.
         let mut ws = ForwardWorkspace::new();
-        // Interleave differently-shaped calls through one workspace.
-        let _ = model.forward_with(&tail, Some(&kv), &mut ws);
-        let got_full = model.forward_with(&seq, None, &mut ws);
-        assert_eq!(got_full.logits().len(), gold_full.logits().len());
-        assert!(got_full
-            .logits()
-            .iter()
-            .zip(&gold_full.logits())
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-        assert_eq!(got_full.suffix_kv, gold_full.suffix_kv);
+        for (unit, model) in both_units(37) {
+            let kv = model.compute_kv(&head);
+            let gold_full = model.forward(&seq, None);
+            let gold_cached = model.forward(&tail, Some(&kv));
 
-        let got_cached = model.forward_with(&tail, Some(&kv), &mut ws);
-        assert!(got_cached
-            .logits()
-            .iter()
-            .zip(&gold_cached.logits())
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-        assert_eq!(got_cached.hidden, gold_cached.hidden);
+            // Interleave differently-shaped calls through the workspace.
+            let _ = model.forward_with(&tail, Some(&kv), &mut ws);
+            let got_full = model.forward_with(&seq, None, &mut ws);
+            assert_eq!(
+                bits(&got_full.logits()),
+                bits(&gold_full.logits()),
+                "{unit}"
+            );
+            assert_eq!(got_full.suffix_kv, gold_full.suffix_kv, "{unit}");
+
+            let got_cached = model.forward_with(&tail, Some(&kv), &mut ws);
+            assert_eq!(
+                bits(&got_cached.logits()),
+                bits(&gold_cached.logits()),
+                "{unit}"
+            );
+            assert_eq!(got_cached.hidden, gold_cached.hidden, "{unit}");
+        }
     }
 
     #[test]
