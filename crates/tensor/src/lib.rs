@@ -5,12 +5,21 @@
 //! normalization, rotary position embeddings (RoPE, [Su et al. 2024], the
 //! position encoding the paper adjusts in §4.2), and the run-structured
 //! group attention kernel over packed KV ([`GroupAttention`]). Everything
-//! is portable f32 from scratch — no BLAS, no SIMD intrinsics — but the hot
-//! kernels are written for throughput: plain-Rust bodies in fused
-//! multiply-adds ([`f32::mul_add`]), multiversioned per SIMD tier (AVX-512,
-//! AVX2+FMA, NEON; see `simd.rs`), with [`Matrix::matmul`] a register-blocked
-//! GEMM whose output row blocks run in parallel on [`bat_exec`]'s
-//! work-stealing pool. Every kernel is deterministic: results are
+//! is portable f32 from scratch — no BLAS — and the hot kernels are written
+//! for throughput: plain-Rust bodies in fused multiply-adds
+//! ([`f32::mul_add`]), multiversioned per SIMD tier (AVX-512, AVX2+FMA, NEON;
+//! see `simd.rs`), with [`Matrix::matmul`] a register-blocked GEMM whose
+//! output row blocks run in parallel on [`bat_exec`]'s work-stealing pool.
+//!
+//! No SIMD intrinsics, with one exception: the group attention kernel's
+//! horizontal folds in its AVX-512 clone are transposing networks written
+//! with `std::arch` (`fold.rs`), sixteen accumulators folded in fifteen
+//! vector additions — the same additions, in the same order, as the portable
+//! halving fold they replace. Portable Rust could not say this: every
+//! formulation tried either went back to LLVM's own extract tree or became
+//! gathers and scatters, and was no faster (EXPERIMENTS.md, PR 25). A source
+//! scan (`tests/intrinsics_in_one_place.rs`) keeps every intrinsic in that
+//! one file. Every kernel is deterministic: results are
 //! bit-identical for any thread count and any tier (DESIGN §5d has the
 //! numerics contract — what is an identity, what is a bound, and what is not
 //! promised across commits).
@@ -25,6 +34,8 @@
 //! assert_eq!(a.matmul(&b), a);
 //! ```
 
+#[cfg(target_arch = "x86_64")]
+mod fold;
 pub mod matrix;
 pub mod ops;
 pub mod packed;

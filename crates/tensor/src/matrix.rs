@@ -745,6 +745,22 @@ pub(crate) fn halve(mut acc: [f32; LANES]) -> f32 {
     acc[0]
 }
 
+/// [`halve`] of each row — through one fold network (`fold.rs`) in a body
+/// compiled for AVX-512 (`WIDE`), which only `tiered!`'s AVX-512 clone is.
+#[inline(always)]
+pub(crate) fn halve_rows<const H: usize, const WIDE: bool>(rows: &[[f32; LANES]; H]) -> [f32; H] {
+    #[cfg(target_arch = "x86_64")]
+    if WIDE {
+        // SAFETY: a `WIDE` body runs only where AVX-512F was detected.
+        return unsafe { crate::fold::fold_rows::<H, false>(rows) };
+    }
+    let mut sums = [0.0f32; H];
+    for (sum, row) in sums.iter_mut().zip(rows) {
+        *sum = halve(*row);
+    }
+    sums
+}
+
 #[inline(always)]
 fn fold_tail(mut sum: f32, a_tail: &[f32], b_tail: &[f32]) -> f32 {
     for (x, y) in a_tail.iter().zip(b_tail) {

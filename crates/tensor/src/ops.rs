@@ -4,7 +4,7 @@
 //! multiversioned (see [`crate::simd`]) and written in fused multiply-adds,
 //! so they compute the same bits on every SIMD tier.
 
-use crate::matrix::{dot_unrolled, dot_unrolled_body, halve, LANES};
+use crate::matrix::{dot_unrolled, dot_unrolled_body, halve, halve_rows, LANES};
 use crate::simd::{tiered, Tier};
 
 /// Numerically-stable in-place softmax over `logits`.
@@ -303,13 +303,17 @@ pub fn softmax_exp_sum(logits: &mut [f32], max: f32) -> f32 {
 /// have the bits of [`softmax_exp_sum`] over the unpadded row). The rows go
 /// through chunk by chunk *together*: `H` independent polynomial chains in
 /// flight hide each other's latency, which a short row on its own cannot —
-/// the group attention kernel's rows are a few hundred keys long.
+/// the group attention kernel's rows are a few hundred keys long. The `H`
+/// lane sums fold through [`halve_rows`] (one network when `WIDE`).
 ///
 /// # Panics
 ///
 /// Panics if `rows.len()` is not `H` whole-chunk rows.
 #[inline(always)]
-pub fn softmax_exp_sum_rows<const H: usize>(rows: &mut [f32], max: [f32; H]) -> [f32; H] {
+pub(crate) fn softmax_exp_sum_rows<const H: usize, const WIDE: bool>(
+    rows: &mut [f32],
+    max: [f32; H],
+) -> [f32; H] {
     let stride = rows.len() / H;
     assert!(
         stride.is_multiple_of(LANES) && stride * H == rows.len(),
@@ -326,11 +330,7 @@ pub fn softmax_exp_sum_rows<const H: usize>(rows: &mut [f32], max: [f32; H]) -> 
             exp_sum_chunk(chunk.try_into().unwrap(), shift[h], &mut acc[h]);
         }
     }
-    let mut sums = [0.0f32; H];
-    for (sum, acc) in sums.iter_mut().zip(acc) {
-        *sum = halve(acc);
-    }
-    sums
+    halve_rows::<H, WIDE>(&acc)
 }
 
 /// Elementwise `xs[i] ← fast_silu(xs[i])`, multiversioned so the

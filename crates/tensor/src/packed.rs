@@ -461,6 +461,22 @@ fn rows_dot_acc_tile<const H: usize, const P: usize>(
         }
         c += P;
     }
+    single_planes(v, row0, runs, s, factor, out, c);
+}
+
+/// Planes `c ..` of [`rows_dot_acc_tile`] one at a time: a head dimension
+/// that is no multiple of the tile's planes.
+#[inline(always)]
+fn single_planes<const H: usize>(
+    v: SplitCols<'_>,
+    row0: usize,
+    runs: &[Range<usize>],
+    s: [&[f32]; H],
+    factor: &[f32],
+    out: &mut [f32],
+    mut c: usize,
+) {
+    let d = out.len() / H;
     while c < d {
         let sums = runs_dot::<H, 1>(v, row0 + c, runs, s);
         for h in 0..H {
@@ -471,15 +487,121 @@ fn rows_dot_acc_tile<const H: usize, const P: usize>(
     }
 }
 
+/// P·V for `H` heads (a tile of the ladder, six included) in the AVX-512
+/// clone, eight planes at a time: the block's tail columns are gathered
+/// once, and each pair of heads — sixteen accumulators, eight planes each —
+/// folds through one network (`fold.rs`), which then adds the tail columns
+/// and updates `out` in registers. The accumulators come from two passes of
+/// an `H × 4` tile, which the vectorizer keeps sixteen lanes wide: the even
+/// planes, then the odd ones. Each pass takes its rows through the first
+/// three levels of their pair's network at once — one register per pair
+/// crosses the next pass, where sixteen accumulators would — and the last
+/// level joins the two. A row with no whole chunk has no accumulation pass
+/// and nothing to fold: its sums start at `+0.0`, which is what sixteen
+/// `+0.0` lanes fold to. A head dimension that is no multiple of eight ends
+/// one plane at a time.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn rows_dot_acc_wide<const H: usize>(
+    v: SplitCols<'_>,
+    row0: usize,
+    runs: &[Range<usize>],
+    s: [&[f32]; H],
+    factor: &[f32],
+    out: &mut [f32],
+) {
+    const ZERO: [[f32; LANES]; 4] = [[0.0; LANES]; 4];
+    let (d, n) = (out.len() / H, s[0].len());
+    let main = n / LANES * LANES;
+    let mut c = 0;
+    while c + 8 <= d {
+        let row = row0 + c;
+        // Each pair's network after its first three levels, per pass.
+        let mut halves = [[[0.0f32; LANES]; 2]; 3];
+        if main > 0 {
+            for (g, plane) in [row, row + 1].into_iter().enumerate() {
+                let acc = runs_acc::<H, 4>(v, plane, 2, runs, s);
+                for (pair, heads) in halves.iter_mut().zip(acc.chunks(2)) {
+                    let rows = [&heads[0], heads.get(1).unwrap_or(&ZERO)];
+                    // SAFETY: a `WIDE` body runs only where AVX-512F was
+                    // detected.
+                    pair[g] = unsafe { crate::fold::pair_pass(rows) };
+                }
+            }
+        }
+        let tail = tail_starts(v, row, runs, main);
+        // SAFETY: a `WIDE` body runs only where AVX-512F was detected.
+        let columns = unsafe { crate::fold::gather_columns(&tail[..n - main]) };
+        let mut h = 0;
+        while h < H {
+            let heads = (H - h).min(2);
+            let (first, second) = out.split_at_mut((h + 1) * d);
+            let chunks: [&mut [f32]; 2] = [
+                &mut first[h * d + c..][..8],
+                if heads == 2 {
+                    &mut second[c..][..8]
+                } else {
+                    &mut []
+                },
+            ];
+            let last = h + heads - 1;
+            let weights = [&s[h][main..n], &s[last][main..n]];
+            let halves = (main > 0).then_some(&halves[h / 2]);
+            let columns = &columns[..n - main];
+            // SAFETY: a `WIDE` body runs only where AVX-512F was detected.
+            unsafe {
+                crate::fold::values_fold(
+                    halves,
+                    columns,
+                    weights,
+                    [factor[h], factor[last]],
+                    chunks,
+                )
+            };
+            h += heads;
+        }
+        c += 8;
+    }
+    single_planes(v, row0, runs, s, factor, out, c);
+}
+
+/// `N` of a tile's weight rows as an array.
+#[inline(always)]
+fn head_rows<'s, const N: usize>(s: &[&'s [f32]]) -> [&'s [f32]; N] {
+    s[..N].try_into().expect("N weight rows")
+}
+
+/// Where each column of `runs` from compact index `main` on — the last
+/// `n % LANES` — starts: its plane `row` and everything after it in its
+/// block, and the block's plane stride; plane `row + p` of tail column `t`
+/// is `starts[t].0[p · starts[t].1]`. The entries past the tail are empty.
+/// The one place both P·V paths find their tail: [`runs_dot`] reads it a
+/// float at a time, the AVX-512 path a gather per column.
+#[inline(always)]
+fn tail_starts<'v>(
+    v: SplitCols<'v>,
+    row: usize,
+    runs: &[Range<usize>],
+    main: usize,
+) -> [(&'v [f32], usize); LANES] {
+    let mut starts: [(&[f32], usize); LANES] = [(&[], 0); LANES];
+    let mut i = 0;
+    for_pieces!(v, runs, |block, cols| {
+        let len = cols.len();
+        let base = row * block.cap + cols.start;
+        for j in main.clamp(i, i + len) - i..len {
+            starts[i + j - main] = (&block.data[base + j..], block.cap);
+        }
+        i += len;
+    });
+    starts
+}
+
 /// `⟨s[h], plane(row + p)[runs]⟩` for `H` score rows × `P` planes at once,
 /// with the exact grouping of `matrix::dot_unrolled` over the compact
-/// index `i`: column `i` below `main` accumulates into lane `i % LANES` of
-/// its `(row, plane)` pair by a fused multiply-add, a whole compact chunk
-/// per step — straight from the block when one piece holds the chunk
-/// ([`lanes_acc`]), copied together first when its columns straddle pieces,
-/// which is the same operation on the same operands — and the last
-/// `n % LANES` columns are added after the fixed-tree fold, ascending, all
-/// `P` planes of a row in step.
+/// index `i`: [`runs_acc`]'s lane accumulators, the fixed-tree fold, then
+/// the last `n % LANES` columns ascending ([`tail_starts`]), all `P` planes
+/// of a row in step.
 #[inline(always)]
 fn runs_dot<const H: usize, const P: usize>(
     v: SplitCols<'_>,
@@ -489,10 +611,48 @@ fn runs_dot<const H: usize, const P: usize>(
 ) -> [[f32; P]; H] {
     let n = s[0].len();
     let main = n / LANES * LANES;
+    let acc = runs_acc::<H, P>(v, row, 1, runs, s);
+    // A fence: without it the vectorizer regroups the sixteen-lane
+    // accumulators of the accumulation loop into four-plane vectors, one per
+    // lane, to feed the folds below.
+    let acc = std::hint::black_box(acc);
+    let mut sums = [[0.0f32; P]; H];
+    for h in 0..H {
+        for p in 0..P {
+            sums[h][p] = halve(acc[h][p]);
+        }
+    }
+    let tail = tail_starts(v, row, runs, main);
+    for (t, &(column, stride)) in tail[..n - main].iter().enumerate() {
+        for h in 0..H {
+            let weight = s[h][main + t];
+            for p in 0..P {
+                sums[h][p] = weight.mul_add(column[p * stride], sums[h][p]);
+            }
+        }
+    }
+    sums
+}
+
+/// The lane accumulators of [`runs_dot`]: column `i` below `main` (the
+/// whole chunks) accumulates into lane `i % LANES` of its `(row, plane)`
+/// pair by a fused multiply-add, a whole compact chunk per step — straight
+/// from the block when one piece holds the chunk ([`lanes_acc`]), copied
+/// together first when its columns straddle pieces, which is the same
+/// operation on the same operands. The planes are `row + p · step`.
+#[inline(always)]
+fn runs_acc<const H: usize, const P: usize>(
+    v: SplitCols<'_>,
+    row: usize,
+    step: usize,
+    runs: &[Range<usize>],
+    s: [&[f32]; H],
+) -> [[[f32; LANES]; P]; H] {
+    let n = s[0].len();
+    let main = n / LANES * LANES;
     let mut acc = [[[0.0f32; LANES]; P]; H];
-    // The chunk being copied together, and the tail as `[column][plane]`.
+    // The chunk being copied together.
     let mut split = [[0.0f32; LANES]; P];
-    let mut tail = [[0.0f32; P]; LANES];
     let mut i = 0;
     for_pieces!(v, runs, |block, cols| {
         let len = cols.len();
@@ -500,14 +660,17 @@ fn runs_dot<const H: usize, const P: usize>(
         // are not reliably inlined, and a call runs at baseline width.
         let mut src: [&[f32]; P] = [&[]; P];
         for (p, plane) in src.iter_mut().enumerate() {
-            *plane = &block.plane(row + p)[cols.clone()];
+            *plane = &block.plane(row + p * step)[cols.clone()];
         }
         // The piece's columns below `main`: the end of a chunk an earlier
         // piece began, whole chunks, the start of one it cannot finish.
         let below = len.min(main - i.min(main));
         let lane = i % LANES;
         let head = ((LANES - lane) % LANES).min(below);
-        let (cap, from) = (block.cap, &block.data[row * block.cap + cols.start..]);
+        let (cap, from) = (
+            block.cap * step,
+            &block.data[row * block.cap + cols.start..],
+        );
         if head > 0 {
             copy_part(&mut split.as_flattened_mut()[lane..], from, cap, P, head);
         }
@@ -532,31 +695,9 @@ fn runs_dot<const H: usize, const P: usize>(
             let chunk = split.as_flattened_mut();
             copy_part(chunk, &from[below - rest..], cap, P, rest);
         }
-        for t in below..len {
-            for p in 0..P {
-                tail[i + t - main][p] = src[p][t];
-            }
-        }
         i += len;
     });
-    // A fence: without it the vectorizer regroups the sixteen-lane
-    // accumulators of the loop above into four-plane vectors, one per lane.
-    let acc = std::hint::black_box(acc);
-    let mut sums = [[0.0f32; P]; H];
-    for h in 0..H {
-        for p in 0..P {
-            sums[h][p] = halve(acc[h][p]);
-        }
-    }
-    for (t, column) in tail.iter().enumerate().take(n - main) {
-        for h in 0..H {
-            let weight = s[h][main + t];
-            for p in 0..P {
-                sums[h][p] = weight.mul_add(column[p], sums[h][p]);
-            }
-        }
-    }
-    sums
+    acc
 }
 
 /// `acc[h][p][l] = fma(s[h][t + l], src[p][t + l], acc[h][p][l])` a
@@ -644,10 +785,46 @@ fn chunk_acc<const H: usize, const P: usize>(
 /// width nor how many chunks a pass takes can change a bit.
 const KEYS: usize = LANES;
 
+mod sealed {
+    /// What a call of [`RowWeights::weigh_in`](super::RowWeights::weigh_in)
+    /// shows: that it comes from one of this crate's kernel bodies. Its
+    /// `WIDE` arm runs AVX-512 instructions, which only a body `tiered!`
+    /// compiled for an AVX-512 machine may reach; no other crate can name or
+    /// make this value, so none can call that arm (a bound `W: RowWeights`
+    /// would otherwise let it) or override the method.
+    pub struct InKernel(pub(super) ());
+}
+
+use sealed::InKernel;
+
 /// How the compact rows of scaled scores become attention weights. A type,
 /// not a closure: the `#[inline(always)]` method is cloned into each SIMD
 /// tier of the kernel with the tier's vector width, where a closure's call
 /// may be left out of line at the baseline width.
+///
+/// Another crate may implement it, and the kernel then calls its `weigh` in
+/// every tier:
+///
+/// ```
+/// use bat_tensor::RowWeights;
+/// struct Uniform;
+/// impl RowWeights for Uniform {
+///     fn weigh<const H: usize>(rows: &mut [f32], _max: [f32; H]) -> [f32; H] {
+///         rows.fill(1.0);
+///         [1.0; H]
+///     }
+/// }
+/// ```
+///
+/// but it cannot reach a weighting's AVX-512 arm, which only the kernel's
+/// AVX-512 clone may run:
+///
+/// ```compile_fail
+/// use bat_tensor::RowWeights;
+/// fn wide<W: RowWeights>(rows: &mut [f32]) -> [f32; 4] {
+///     W::weigh_in::<4, true>(rows, [0.0; 4], bat_tensor::packed::sealed::InKernel(()))
+/// }
+/// ```
 pub trait RowWeights {
     /// Turns the `H` score rows held back to back in `rows` into weights in
     /// place — `max[h]` is row `h`'s maximum — and returns the factor each
@@ -655,6 +832,19 @@ pub trait RowWeights {
     /// padded to the same whole number of [`LANES`]-chunks with `-inf`;
     /// what the padding becomes is never read.
     fn weigh<const H: usize>(rows: &mut [f32], max: [f32; H]) -> [f32; H];
+
+    /// [`Self::weigh`] as the kernel calls it: `WIDE` is the kernel body's,
+    /// true only in its AVX-512 clone, where lane sums may fold through a
+    /// network. Same bits either way.
+    #[doc(hidden)]
+    #[inline(always)]
+    fn weigh_in<const H: usize, const WIDE: bool>(
+        rows: &mut [f32],
+        max: [f32; H],
+        _: InKernel,
+    ) -> [f32; H] {
+        Self::weigh::<H>(rows, max)
+    }
 }
 
 /// Softmax attention: the weights are [`softmax_exp_sum_rows`]'
@@ -666,7 +856,16 @@ pub struct Softmax;
 impl RowWeights for Softmax {
     #[inline(always)]
     fn weigh<const H: usize>(rows: &mut [f32], max: [f32; H]) -> [f32; H] {
-        let mut factor = softmax_exp_sum_rows(rows, max);
+        Self::weigh_in::<H, false>(rows, max, InKernel(()))
+    }
+
+    #[inline(always)]
+    fn weigh_in<const H: usize, const WIDE: bool>(
+        rows: &mut [f32],
+        max: [f32; H],
+        _: InKernel,
+    ) -> [f32; H] {
+        let mut factor = softmax_exp_sum_rows::<H, WIDE>(rows, max);
         for f in &mut factor {
             // No weight survived (no finite score): the output is all zeros.
             *f = if *f > 0.0 { 1.0 / *f } else { 0.0 };
@@ -726,10 +925,11 @@ impl GroupAttention<'_> {
     ///    attention weights in place ([`Softmax`], [`Silu`]), all rows in
     ///    step, and gives the factor each row's output is still owed.
     /// 3. **P·V.** Each 16-key V chunk is loaded once and applied by fused
-    ///    multiply-adds to the lane accumulators of (up to four of) the
-    ///    tile's heads, in the compact-index lane order of
-    ///    [`SplitCols::rows_dot_acc`]; a head's folded sums times its factor
-    ///    are added to `out`.
+    ///    multiply-adds to the lane accumulators of the tile's heads, in the
+    ///    compact-index lane order of [`SplitCols::rows_dot_acc`]; a head's
+    ///    folded sums times its factor are added to `out`. On AVX-512 the
+    ///    folds — these and the maxima and softmax sums of steps 1 and 2 —
+    ///    are networks that make the same additions (`fold.rs`).
     ///
     /// Per-row arithmetic is that of the row-level composition, operation
     /// for operation, and every operation is correctly rounded, so the
@@ -814,7 +1014,7 @@ fn attend_tiles<W: RowWeights>(
 }
 
 /// One tile of `H` heads: their weights in one pass over the keys, then
-/// P·V for at most four of them at a time.
+/// their P·V.
 #[allow(clippy::too_many_arguments)]
 fn head_tile<W: RowWeights, const H: usize>(
     tier: Tier,
@@ -826,15 +1026,8 @@ fn head_tile<W: RowWeights, const H: usize>(
     split: &mut [f32],
     out: &mut [f32],
 ) {
-    let (d, stride) = (ga.head_dim, s.len() / H);
     let factor = weights_tile::<W, H>(tier, ga, row0, runs, q, s, split);
-    if H == 6 {
-        let ((s4, s2), (out4, out2)) = (s.split_at(4 * stride), out.split_at_mut(4 * d));
-        values_tile::<4>(tier, ga, row0, runs, s4, &factor[..4], out4);
-        values_tile::<2>(tier, ga, row0, runs, s2, &factor[4..], out2);
-    } else {
-        values_tile::<H>(tier, ga, row0, runs, s, &factor, out);
-    }
+    values_tile::<H>(tier, ga, row0, runs, s, &factor, out);
 }
 
 tiered! {
@@ -865,10 +1058,10 @@ fn weights_body<W: RowWeights, const H: usize, const WIDE: bool>(
     split: &mut [f32],
 ) -> [f32; H] {
     let max = match WIDE {
-        true => score_tile::<H, 2>(ga, row0, runs, q, s, split),
-        false => score_tile::<H, 1>(ga, row0, runs, q, s, split),
+        true => score_tile::<H, 2, WIDE>(ga, row0, runs, q, s, split),
+        false => score_tile::<H, 1, WIDE>(ga, row0, runs, q, s, split),
     };
-    W::weigh(s, max)
+    W::weigh_in::<H, WIDE>(s, max, InKernel(()))
 }
 
 tiered! {
@@ -888,7 +1081,7 @@ tiered! {
 /// Four planes go through per pass where there are thirty-two registers
 /// (sixteen accumulators for four heads); sixteen of half the width — a
 /// sixteen-lane accumulator is two of them — hold four accumulators, so
-/// `4 / H` planes.
+/// `4 / H` planes. Six heads go as four, then two.
 #[inline(always)]
 fn values_body<const H: usize, const WIDE: bool>(
     ga: &GroupAttention<'_>,
@@ -903,10 +1096,21 @@ fn values_body<const H: usize, const WIDE: bool>(
     for h in 0..H {
         rows[h] = &s[h * stride..][..n];
     }
+    #[cfg(target_arch = "x86_64")]
+    if WIDE {
+        return rows_dot_acc_wide(ga.vals, row0, runs, rows, factor, out);
+    }
+    let v = ga.vals;
     match (WIDE, H) {
-        (false, 4) => rows_dot_acc_tile::<H, 1>(ga.vals, row0, runs, rows, factor, out),
-        (false, 2) => rows_dot_acc_tile::<H, 2>(ga.vals, row0, runs, rows, factor, out),
-        _ => rows_dot_acc_tile::<H, 4>(ga.vals, row0, runs, rows, factor, out),
+        (false, 4) => rows_dot_acc_tile::<H, 1>(v, row0, runs, rows, factor, out),
+        (false, 2) => rows_dot_acc_tile::<H, 2>(v, row0, runs, rows, factor, out),
+        (false, 6) => {
+            let ((s4, s2), d) = (rows.split_at(4), out.len() / H);
+            let (out4, out2) = out.split_at_mut(4 * d);
+            rows_dot_acc_tile::<4, 1>(v, row0, runs, head_rows(s4), &factor[..4], out4);
+            rows_dot_acc_tile::<2, 2>(v, row0, runs, head_rows(s2), &factor[4..], out2);
+        }
+        _ => rows_dot_acc_tile::<H, 4>(v, row0, runs, rows, factor, out),
     }
 }
 
@@ -923,6 +1127,34 @@ fn max_skip_nan(m: f32, x: f32) -> f32 {
     }
 }
 
+/// Each row's maximum by the halving tree of [`max_skip_nan`] — through one
+/// fold network (`fold.rs`) in a body compiled for AVX-512 (`WIDE`), which
+/// only `tiered!`'s AVX-512 clone is. No lane is NaN (the running maxima
+/// skip it), so on a tie of two zeros the lower lane's sign is kept.
+#[inline(always)]
+fn max_rows<const H: usize, const WIDE: bool>(rows: &[[f32; LANES]; H]) -> [f32; H] {
+    #[cfg(target_arch = "x86_64")]
+    if WIDE {
+        // SAFETY: a `WIDE` body runs only where AVX-512F was detected.
+        return unsafe { crate::fold::fold_rows::<H, true>(rows) };
+    }
+    let mut rows = *rows;
+    let mut width = LANES / 2;
+    while width > 0 {
+        for row in &mut rows {
+            for l in 0..width {
+                row[l] = max_skip_nan(row[l], row[l + width]);
+            }
+        }
+        width /= 2;
+    }
+    let mut max = [0.0f32; H];
+    for (max, lanes) in max.iter_mut().zip(&rows) {
+        *max = lanes[0];
+    }
+    max
+}
+
 /// Scaled scores of `H` heads over `runs` into the compact rows `s` (`H`
 /// rows of whole chunks, back to back), `-inf` past a row's last key, and
 /// each row's maximum over its non-NaN scores (`-inf` when it has none).
@@ -932,7 +1164,7 @@ fn max_skip_nan(m: f32, x: f32) -> f32 {
 /// score is the same chain of fused multiply-adds in every lane of every
 /// pass, so where a piece starts and ends cannot change it.
 #[inline(always)]
-fn score_tile<const H: usize, const C: usize>(
+fn score_tile<const H: usize, const C: usize, const WIDE: bool>(
     ga: &GroupAttention<'_>,
     row0: usize,
     runs: &[Range<usize>],
@@ -988,20 +1220,7 @@ fn score_tile<const H: usize, const C: usize>(
         at += len;
     });
     // Halving fold: four dependent steps per row, not `KEYS`.
-    let mut width = KEYS / 2;
-    while width > 0 {
-        for row in &mut max {
-            for l in 0..width {
-                row[l] = max_skip_nan(row[l], row[l + width]);
-            }
-        }
-        width /= 2;
-    }
-    let mut row_max = [0.0f32; H];
-    for (row_max, lanes) in row_max.iter_mut().zip(&max) {
-        *row_max = lanes[0];
-    }
-    row_max
+    max_rows::<H, WIDE>(&max)
 }
 
 /// `C` chunks of [`KEYS`] keys for `H` heads: `keys[c * cap + j]` is
@@ -1075,6 +1294,7 @@ fn score_chunks<const H: usize, const C: usize, const RAGGED: bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::halve_rows;
     use crate::ops::{dot_fast, fast_silu_in_place, softmax_exp_sum};
     use crate::quant::{QuantKind, QuantizedColBlock};
     use crate::Matrix;
@@ -1687,6 +1907,179 @@ mod tests {
         let mut dispatched = vec![0.0f32; group * d];
         kv.attend::<Softmax>(1, &runs, &q, &mut Vec::new(), &mut dispatched);
         assert_eq!(bits(&dispatched), gold.0[..group * d], "dispatcher");
+    }
+
+    tiered! {
+        /// The two row folds as the group kernel's bodies reach them: a
+        /// fold network in the AVX-512 clone, `halve` (and the max tree)
+        /// elsewhere.
+        fn folds[const N: usize][N](rows: &[[f32; LANES]; N]) -> [[f32; N]; 2] = folds_body[wide]
+    }
+
+    #[inline(always)]
+    fn folds_body<const N: usize, const WIDE: bool>(rows: &[[f32; LANES]; N]) -> [[f32; N]; 2] {
+        [halve_rows::<N, WIDE>(rows), max_rows::<N, WIDE>(rows)]
+    }
+
+    /// The halving tree of `max_skip_nan`, one row at a time.
+    fn max_tree(mut row: [f32; LANES]) -> f32 {
+        let mut width = LANES / 2;
+        while width > 0 {
+            for l in 0..width {
+                row[l] = max_skip_nan(row[l], row[l + width]);
+            }
+            width /= 2;
+        }
+        row[0]
+    }
+
+    /// Sixteen-row tiles that catch a network adding or comparing the wrong
+    /// lanes, or the right lanes in the wrong order.
+    fn fold_tiles(rng: &mut SmallRng) -> Vec<[[f32; LANES]; LANES]> {
+        let mut rows = Vec::new();
+        // Signed zeros: a maximum over zeros is the lowest lane's (the tree
+        // keeps its lower operand on a tie), so where the one `-0.0` or the
+        // one `+0.0` sits decides the sign; a sum of zeros is `-0.0` only
+        // if every lane is.
+        for l in 0..LANES {
+            let mut minus = [0.0f32; LANES];
+            minus[l] = -0.0;
+            let mut plus = [-0.0f32; LANES];
+            plus[l] = 0.0;
+            rows.extend([minus, plus]);
+        }
+        rows.push([-0.0; LANES]);
+        rows.extend(
+            (0..14).map(|_| [(); LANES].map(|()| if rng.gen_bool(0.5) { 0.0 } else { -0.0 })),
+        );
+        // Cancellation: `1e8 + 1` rounds back to `1e8`, so the sum of `1e8,
+        // 1, -1e8` is 0 or 1 by which pair the tree adds first. Each lane
+        // pair of each level gets the big term and the one, the cancelling
+        // term a lane elsewhere.
+        for width in [8, 4, 2, 1] {
+            for l in 0..width {
+                let mut row = [0.0f32; LANES];
+                row[l] = 1e8;
+                row[l + width] = 1.0;
+                row[(l + width + 1) % LANES] -= 1e8;
+                rows.push(row);
+                row.swap(l, l + width);
+                rows.push(row);
+            }
+        }
+        // Infinities (and, in the add network, `inf - inf`), subnormals.
+        let mut edges = [0.0f32; LANES];
+        edges[3] = f32::INFINITY;
+        rows.push(edges);
+        edges[12] = f32::NEG_INFINITY;
+        rows.push(edges);
+        rows.extend((0..16).map(|_| {
+            [(); LANES].map(|()| {
+                let tiny = f32::from_bits(rng.gen_range(1..0x0080_0000));
+                if rng.gen_bool(0.5) {
+                    -tiny
+                } else {
+                    tiny
+                }
+            })
+        }));
+        // Random tiles, magnitudes far apart.
+        rows.extend((0..64).map(|_| {
+            [(); LANES].map(|()| rng.gen_range(-1.0f32..1.0) * 10f32.powi(rng.gen_range(-6..7)))
+        }));
+        rows.chunks(LANES)
+            .map(|tile| {
+                let mut full = [[0.0f32; LANES]; LANES];
+                full[..tile.len()].copy_from_slice(tile);
+                full
+            })
+            .collect()
+    }
+
+    /// A fold network is sixteen `halve`s — or sixteen max trees — bit for
+    /// bit, on every tier, at the full width and at the six rows of a head
+    /// tile.
+    #[test]
+    fn fold_networks_bit_match_halve() {
+        let mut rng = SmallRng::seed_from_u64(25);
+        for tile in fold_tiles(&mut rng) {
+            let sums: Vec<u32> = tile.iter().map(|row| halve(*row).to_bits()).collect();
+            let maxima: Vec<u32> = tile.iter().map(|row| max_tree(*row).to_bits()).collect();
+            let six: &[[f32; LANES]; 6] = tile[..6].try_into().unwrap();
+            for tier in Tier::available() {
+                let [got_sums, got_maxima] = folds(tier, &tile);
+                assert_eq!(bits(&got_sums), sums, "{} sums of {tile:?}", tier.name());
+                // No running maximum is ever NaN.
+                if tile.iter().flatten().all(|x| !x.is_nan()) {
+                    assert_eq!(
+                        bits(&got_maxima),
+                        maxima,
+                        "{} maxima of {tile:?}",
+                        tier.name()
+                    );
+                }
+                let [six_sums, six_maxima] = folds(tier, six);
+                assert_eq!(bits(&six_sums), sums[..6], "{} six sums", tier.name());
+                assert_eq!(bits(&six_maxima), maxima[..6], "{} six maxima", tier.name());
+            }
+        }
+    }
+
+    /// A row with fewer than sixteen allowed keys skips the accumulation
+    /// pass and the fold in the AVX-512 clone; on every tier, every `n` in
+    /// `0..=16`, both weightings, tiles of six and of one head and both head
+    /// widths, its output is the row-level composition's, which accumulates
+    /// and folds.
+    #[test]
+    fn short_rows_bit_match_accumulate_then_fold() {
+        let mut rng = SmallRng::seed_from_u64(26);
+        for (d, group) in [(8, 7), (16, 6)] {
+            let blocks = [(); 4].map(|()| random_block(2 * d, 20, &mut rng));
+            let q: Vec<f32> = (0..group * d).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            for n in 0..=16usize {
+                // The keys cut between the blocks, and a masked key between.
+                let runs = [0..n / 2, n / 2 + 1..n + 1];
+                let split = 3.min(n);
+                let pieces = [
+                    sub_block(&blocks[0], 0..split),
+                    sub_block(&blocks[0], split..n + 1),
+                    sub_block(&blocks[1], 0..split),
+                    sub_block(&blocks[1], split..n + 1),
+                ];
+                let kv = GroupAttention {
+                    keys: SplitCols::new(Some(&pieces[0]), &pieces[1]),
+                    vals: SplitCols::new(Some(&pieces[2]), &pieces[3]),
+                    head_dim: d,
+                    scale: 0.4,
+                };
+                for (weigh, name) in [(softmax_row as RowWeigh, "softmax"), (silu_row, "silu")] {
+                    let mut want = vec![0.3f32; group * d];
+                    attend_per_head(&kv, 1, &runs, &q, weigh, &mut want);
+                    for tier in Tier::available() {
+                        let (mut scratch, mut got) = (Vec::new(), vec![0.3f32; group * d]);
+                        if name == "softmax" {
+                            attend_tiles::<Softmax>(
+                                tier,
+                                &kv,
+                                1,
+                                &runs,
+                                &q,
+                                &mut scratch,
+                                &mut got,
+                            );
+                        } else {
+                            attend_tiles::<Silu>(tier, &kv, 1, &runs, &q, &mut scratch, &mut got);
+                        }
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "{} {name} d {d} n {n}",
+                            tier.name()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
