@@ -3,17 +3,15 @@
 //! These complement the figure harnesses (which measure *simulated* serving
 //! performance) by measuring the *actual* cost of the reproduction's own
 //! kernels: the transformer forward pass with and without prefix caching,
-//! the per-request planner, the batch former, workload sampling, the
-//! frequency estimator, placement lookups and user-cache admission.
+//! the per-request planner, workload sampling, the frequency estimator,
+//! placement lookups and user-cache admission.
 
 use bat_model::prompt::{MaskScheme, PromptLayout};
 use bat_model::{GrModel, GrModelConfig, HstuModel, Weights};
 use bat_placement::{ItemPlacementPlan, PlacementStrategy};
-use bat_sched::BatchFormer;
 use bat_sim::{EngineConfig, RequestPlanner, SystemKind};
 use bat_types::{
-    Bytes, ClusterConfig, DatasetConfig, ItemId, ModelConfig, PrefixKind, RequestId, SimTime,
-    UserId, WorkerId,
+    Bytes, ClusterConfig, DatasetConfig, ItemId, ModelConfig, PrefixKind, SimTime, UserId, WorkerId,
 };
 use bat_workload::{TraceGenerator, Workload, ZipfLaw};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -86,20 +84,6 @@ fn bench_planner(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-}
-
-fn bench_batching(c: &mut Criterion) {
-    let queue: Vec<(RequestId, u32)> = (0..1024)
-        .map(|i| (RequestId::new(i), 200 + (i as u32 * 37) % 3000))
-        .collect();
-    let mut g = c.benchmark_group("batch_former");
-    for budget in [2000u32, 4000, 8000] {
-        g.bench_function(format!("max_tokens_{budget}"), |b| {
-            let former = BatchFormer::new(budget);
-            b.iter(|| black_box(former.form(black_box(&queue))))
-        });
-    }
-    g.finish();
 }
 
 fn bench_workload(c: &mut Criterion) {
@@ -200,7 +184,6 @@ criterion_group!(
     benches,
     bench_forward,
     bench_planner,
-    bench_batching,
     bench_workload,
     bench_cache,
     bench_placement,

@@ -925,7 +925,7 @@ fn cmd_net(flags: &HashMap<String, String>) -> Result<(), String> {
     if oracle.digest() != stats.digest() {
         return Err(format!(
             "digest mismatch between channel oracle and {mode}: a codec, framing, \
-             ordering, or re-dispatch bug is changing planner-visible counts"
+             ordering, or retirement bug is changing planner-visible counts"
         ));
     }
     Ok(())

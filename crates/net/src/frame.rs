@@ -5,7 +5,7 @@
 //! ```text
 //!  offset  size  field
 //!       0     4  magic        0xBA7C0DE5, little-endian
-//!       4     1  version      protocol version (currently 1)
+//!       4     1  version      protocol version (currently 2)
 //!       5     1  msg_type     message vocabulary tag (see `messages`)
 //!       6     2  reserved     must be zero
 //!       8     4  payload_len  little-endian byte count of the payload
@@ -26,8 +26,9 @@ use std::io::{Read, Write};
 pub const MAGIC: u32 = 0xBA7C_0DE5;
 
 /// Current protocol version. Bump on any incompatible header or codec
-/// change; peers reject mismatches with [`NetError::BadVersion`].
-pub const VERSION: u8 = 1;
+/// change; peers reject mismatches with [`NetError::BadVersion`]. Version 2
+/// dropped [`crate::HelloMsg`]'s batching and cost parameters.
+pub const VERSION: u8 = 2;
 
 /// Encoded header size in bytes.
 pub const HEADER_LEN: usize = 16;

@@ -3,8 +3,8 @@
 //!
 //! | tag | message | direction | role |
 //! |-----|---------|-----------|------|
-//! | 1 | [`HelloMsg`] | scheduler → worker | handshake: clock base + batch params |
-//! | 2 | [`DispatchMsg`] | scheduler → worker | one priced RankRequest job |
+//! | 1 | [`HelloMsg`] | scheduler → worker | handshake: index + clock base |
+//! | 2 | [`DispatchMsg`] | scheduler → worker | one priced job (a round) |
 //! | 3 | [`CompletionMsg`] | worker → scheduler | terminal outcome of a job |
 //! | 4 | [`OrphanMsg`] | worker → scheduler | job bounced off a killed worker |
 //! | 5 | [`ShutdownMsg`] | scheduler → worker | drain and exit |
@@ -46,8 +46,9 @@ pub const MSG_KV_SEGMENT: u8 = 9;
 
 /// Handshake sent by the scheduler as the first frame on every worker
 /// connection (and again after a worker rejoins). Carries everything one
-/// worker incarnation needs: its index, the virtual-clock base at send
-/// time, and the batching/cost parameters.
+/// worker incarnation needs: its index and the virtual-clock base at send
+/// time. Every later frame is a fully priced job, so the worker has no
+/// batching or cost parameters of its own.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HelloMsg {
     /// The worker's index in the cluster.
@@ -57,12 +58,6 @@ pub struct HelloMsg {
     /// Virtual time at the moment the scheduler sent this hello; the
     /// worker's clock base.
     pub virtual_now: f64,
-    /// Opportunistic-batching token ceiling.
-    pub max_batch_tokens: u64,
-    /// Fixed per-batch overhead, virtual seconds.
-    pub batch_overhead: f64,
-    /// Straggler slowdown factor for this worker (1 = nominal).
-    pub slowdown: f64,
 }
 
 impl WireCodec for HelloMsg {
@@ -72,9 +67,6 @@ impl WireCodec for HelloMsg {
         put_u32(buf, self.worker);
         put_f64(buf, self.scale);
         put_f64(buf, self.virtual_now);
-        put_u64(buf, self.max_batch_tokens);
-        put_f64(buf, self.batch_overhead);
-        put_f64(buf, self.slowdown);
     }
 
     fn decode_payload(r: &mut WireReader<'_>) -> Result<Self, NetError> {
@@ -82,9 +74,6 @@ impl WireCodec for HelloMsg {
             worker: r.u32()?,
             scale: r.f64()?,
             virtual_now: r.f64()?,
-            max_batch_tokens: r.u64()?,
-            batch_overhead: r.f64()?,
-            slowdown: r.f64()?,
         })
     }
 }
@@ -92,14 +81,14 @@ impl WireCodec for HelloMsg {
 /// One dispatched job: the priced durations and accounting the worker
 /// needs, in virtual seconds. `seq` is the scheduler's per-run dispatch
 /// sequence number; completions and orphans echo it so the scheduler can
-/// retire the in-flight entry (and re-issue it if the worker dies).
+/// retire the in-flight entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DispatchMsg {
     /// Scheduler-assigned dispatch sequence number.
     pub seq: u64,
     /// Virtual arrival time at the scheduler.
     pub arrival_virtual: f64,
-    /// Suffix tokens this job computes (the load-balancing weight).
+    /// Suffix tokens this job computes.
     pub suffix_tokens: u64,
     /// Priced service duration, virtual seconds.
     pub service_virtual: f64,
@@ -171,8 +160,7 @@ pub struct CompletionMsg {
     pub worker: u32,
     /// Echo of the dispatch sequence number.
     pub seq: u64,
-    /// Echo of the job's token weight, so the scheduler can release the
-    /// worker's queued-token account without a lookup.
+    /// Echo of the job's suffix tokens.
     pub suffix_tokens: u64,
     /// What happened.
     pub outcome: WireOutcome,
@@ -224,8 +212,9 @@ impl WireCodec for CompletionMsg {
     }
 }
 
-/// A job handed back unserved by a worker that observed its own kill flag:
-/// the scheduler re-dispatches it to a live worker. Work is never dropped.
+/// A job handed back unserved by a worker that observed its own kill flag.
+/// The scheduler's batch machine has already re-seated that work on a live
+/// worker, so the scheduler only retires the frame. Work is never dropped.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OrphanMsg {
     /// Index of the (dead) worker bouncing the job.
@@ -719,14 +708,34 @@ mod tests {
     }
 
     #[test]
+    fn hello_is_index_scale_and_clock_base() {
+        let hello = HelloMsg {
+            worker: 3,
+            scale: 1e-3,
+            virtual_now: 0.25,
+        };
+        let frame = hello.to_frame();
+        let mut layout = 3u32.to_le_bytes().to_vec();
+        layout.extend(1e-3f64.to_bits().to_le_bytes());
+        layout.extend(0.25f64.to_bits().to_le_bytes());
+        assert_eq!(frame.payload, layout);
+        roundtrip(&hello);
+        // A version-1 hello carried the batching parameters behind these
+        // twenty bytes; they are trailing garbage now.
+        let mut v1 = frame;
+        v1.payload.extend([0u8; 24]);
+        assert!(matches!(
+            HelloMsg::from_frame(&v1),
+            Err(NetError::Decode(_))
+        ));
+    }
+
+    #[test]
     fn every_message_type_roundtrips() {
         roundtrip(&HelloMsg {
             worker: 3,
             scale: 1e-3,
             virtual_now: 0.25,
-            max_batch_tokens: 8192,
-            batch_overhead: 0.004,
-            slowdown: 5.0,
         });
         roundtrip(&DispatchMsg {
             seq: 42,

@@ -167,9 +167,6 @@ proptest! {
             worker: rng.next_u64() as u32,
             scale: any_f64(&mut rng),
             virtual_now: any_f64(&mut rng),
-            max_batch_tokens: rng.next_u64(),
-            batch_overhead: any_f64(&mut rng),
-            slowdown: any_f64(&mut rng),
         });
     }
 

@@ -1,12 +1,7 @@
 //! Continuous cross-request batching: a slot-based, nominal-time batch
-//! scheduler shared verbatim by `bat-sim` and `bat-serve`.
-//!
-//! The PR-2 batch former ([`crate::BatchFormer`]) fuses work *within* one
-//! worker's arrival-time queue: a request is pinned to a worker when it
-//! arrives, and a fused batch runs to completion monolithically. Between
-//! request boundaries the pool drains and the SIMD kernels starve. This
-//! module replaces that with iteration-level scheduling in the style of
-//! vLLM / xGR:
+//! scheduler shared verbatim by `bat-sim` and `bat-serve`, and the one
+//! executor behind every serving run. Iteration-level scheduling in the
+//! style of vLLM / xGR:
 //!
 //! * Every worker owns a fixed number of **seats**
 //!   ([`BatchingConfig::slots_per_worker`]). A seated request contributes
@@ -18,25 +13,29 @@
 //!   the global queue *at that same round boundary* — the worker never
 //!   idles between requests while work is pending, and load imbalance
 //!   cannot strand work behind a busy worker.
+//! * Seats fill only while the round's tokens fit the round budget
+//!   ([`BatchScheduler::with_round_budget`], §5.1's max-batched-tokens); a
+//!   head that does not fit waits for the next boundary, and a round of one
+//!   request may exceed the budget. Per-request batching is the point
+//!   [`BatchingConfig::PER_REQUEST`] of this machine (see [`crate::batch`]).
 //! * Chunks inherit their request's `SloBudget`: a request whose deadline
 //!   expires while waiting in the global queue is shed at the next seating
-//!   attempt, exactly like the PR-5 queue sweep, so the conservation law
-//!   `submitted == completed + shed + rejected` carries over unchanged.
+//!   attempt, so the conservation law `submitted == completed + shed +
+//!   rejected` holds.
 //!
 //! **Determinism rule.** The scheduler is a pure state machine over
 //! *nominal* times: admissions carry trace arrival timestamps, round
 //! finish times are computed from priced service costs, and the internal
-//! event heap is keyed on `(nanoseconds, worker, generation)` exactly like
-//! the simulator's heap. Neither engine feeds it a wall-clock reading, so
-//! the simulator and the threaded runtime form bit-identical batches — the
-//! round/chunk/refill counters are folded into `RunStats::digest` and
-//! pinned across engines and thread counts by the integration suite.
+//! event heap is keyed on `(nanoseconds, worker, generation)`. Neither
+//! engine feeds it a wall-clock reading, so the simulator and the threaded
+//! runtime form bit-identical batches — the round/chunk/refill counters are
+//! folded into `RunStats::digest` and pinned across engines and thread
+//! counts by the integration suite.
 //!
-//! Round service is priced like the engine's monolithic batches: each
-//! chunk costs its request's priced service scaled by the chunk's token
-//! share, and a round costs `(batch_overhead + Σ chunk costs) ×
-//! straggler_factor(worker)` — so continuous batching amortizes the fixed
-//! overhead over every seated request instead of paying it per request.
+//! Each chunk costs its request's priced service scaled by the chunk's
+//! token share, and a round costs `(batch_overhead + Σ chunk costs) ×
+//! straggler_factor(worker)` — so batching amortizes the fixed overhead
+//! over every seated request instead of paying it per request.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -178,6 +177,8 @@ struct WorkerSlots {
 pub struct BatchScheduler {
     cfg: BatchingConfig,
     batch_overhead_secs: f64,
+    /// Tokens a round of two or more requests may carry.
+    round_budget: u64,
     /// Per-worker service multiplier (1.0 nominal, >1 for stragglers).
     speeds: Vec<f64>,
     now: f64,
@@ -203,7 +204,8 @@ pub fn time_key(t: f64) -> u64 {
 impl BatchScheduler {
     /// A scheduler over `speeds.len()` live workers, each seat-limited by
     /// `cfg`, pricing every round under `batch_overhead_secs` and the
-    /// worker's straggler multiplier.
+    /// worker's straggler multiplier. Rounds are not token-limited until
+    /// [`BatchScheduler::with_round_budget`] sets a budget.
     ///
     /// # Panics
     ///
@@ -225,6 +227,7 @@ impl BatchScheduler {
         BatchScheduler {
             cfg,
             batch_overhead_secs,
+            round_budget: u64::MAX,
             speeds,
             now: 0.0,
             pending: VecDeque::new(),
@@ -236,6 +239,19 @@ impl BatchScheduler {
             sheds: Vec::new(),
             rounds: Vec::new(),
         }
+    }
+
+    /// Caps every round at `tokens` tokens (§5.1's max-batched-tokens): a
+    /// seat fills only if the round still fits, and a request that does not
+    /// fit even alone runs in a round of its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tokens` is zero.
+    pub fn with_round_budget(mut self, tokens: u64) -> Self {
+        assert!(tokens > 0, "token budget must be positive");
+        self.round_budget = tokens;
+        self
     }
 
     /// The configuration the scheduler runs under.
@@ -539,12 +555,15 @@ impl BatchScheduler {
     }
 
     /// Fills worker `w`'s free seats from the global FIFO at nominal time
-    /// `now`, shedding queue-expired requests on the way (the PR-5 sweep,
-    /// applied at seating time). `at_boundary` marks refills that happen
-    /// at a round boundary — the continuous-batching events the ledger
-    /// counts (a seat handed to a fresh request on an idle worker is a
-    /// cold start, not a refill).
+    /// `now` while the round fits the budget, shedding queue-expired
+    /// requests on the way (the deadline sweep, applied at seating time).
+    /// `at_boundary` marks refills that happen at a round boundary — the
+    /// continuous-batching events the ledger counts (a seat handed to a
+    /// fresh request on an idle worker is a cold start, not a refill).
     fn fill_seats(&mut self, w: usize, now: f64, at_boundary: bool) {
+        let chunk_tokens = self.cfg.chunk_tokens;
+        let next_chunk = |r: &SlotReq| r.remaining_tokens().min(chunk_tokens);
+        let mut tokens: u64 = self.workers[w].seated.iter().map(next_chunk).sum();
         while self.workers[w].seated.len() < self.cfg.slots_per_worker {
             let Some(req) = self.pending.pop_front() else {
                 break;
@@ -558,6 +577,15 @@ impl BatchScheduler {
                     continue;
                 }
             }
+            let chunk = next_chunk(&req);
+            if !self.workers[w].seated.is_empty()
+                && tokens.saturating_add(chunk) > self.round_budget
+            {
+                // FIFO: the head waits for the next boundary.
+                self.pending.push_front(req);
+                break;
+            }
+            tokens = tokens.saturating_add(chunk);
             // Idle-gap attribution: the worker could have run this request
             // from the moment both it and the request were free. With
             // boundary refills and idle seating both immediate this is

@@ -5,26 +5,26 @@
 //! processes — mirroring Figure 3's deployment:
 //!
 //! * the **scheduler**, on the caller's thread, replays the trace
-//!   open-loop, drives the shared [`bat_sim::RequestPlanner`] (policy
-//!   decision + cache transactions) and
-//!   dispatches jobs to the least-loaded worker as [`bat_net`] frames over
-//!   a pluggable [`bat_net::Transport`] (in-process channels, Unix domain
+//!   open-loop through the simulator's own [`bat_sim::SlotDriver`]
+//!   (admission, the shared [`bat_sim::RequestPlanner`]'s policy decision
+//!   and cache transactions, the batch machine) and puts every round it
+//!   forms on the wire to that round's worker as a [`bat_net`] frame over a
+//!   pluggable [`bat_net::Transport`] (in-process channels, Unix domain
 //!   sockets, or TCP — see [`TransportKind`]);
 //! * one **inference worker per node** — a thread or a child process —
-//!   runs [`run_net_worker`]: it batches opportunistically under the
-//!   max-batched-tokens limit and "executes" each batch by booking the
-//!   cost model's duration (scaled by [`ServeOptions::time_scale`] so tests
-//!   run in milliseconds) on a [`Pacer`], which keeps the worker on the
-//!   wall clock without a sleep per batch;
-//! * the **collector** thread aggregates completions into the same
-//!   [`bat_sim::RunStats`] the simulator emits.
+//!   runs [`run_net_worker`]: it "executes" each round by booking its
+//!   priced duration (scaled by [`ServeOptions::time_scale`] so tests run
+//!   in milliseconds) on a [`Pacer`], which keeps the worker on the wall
+//!   clock without a sleep per round;
+//! * the **collector** thread acks the rounds, returning dispatch credit.
 //!
-//! Because both stacks share the planner, their cache behavior (hit rates,
-//! prefix decisions, computed tokens) is identical by construction — and
-//! identical across transports, which the integration suite pins with
-//! [`bat_sim::RunStats::digest`]. The runtime additionally validates the
-//! concurrency architecture: credit backpressure, exactly-once re-dispatch
-//! across worker kills, shared meta-service locking, orderly shutdown.
+//! Because both stacks run one driver on nominal time, their
+//! [`bat_sim::RunStats`] are identical by construction — and identical
+//! across transports, which the integration suite pins with
+//! [`bat_sim::RunStats::digest`] and whole-value equality. The runtime
+//! additionally validates the concurrency architecture: credit
+//! backpressure, exactly-once retirement across worker kills, shared
+//! meta-service locking, orderly shutdown.
 
 pub mod net_worker;
 pub mod pacer;

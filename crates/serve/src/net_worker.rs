@@ -4,28 +4,28 @@
 //! [`Conn`] — in-process channel, in-process socket, or a socket from a
 //! child OS process. The loop speaks the bat-net vocabulary:
 //!
-//! 1. First frame in is a [`HelloMsg`]: worker index, the scheduler's
-//!    virtual clock at send time (the worker's clock base), and the
-//!    batching/cost parameters.
-//! 2. [`DispatchMsg`] frames are batched opportunistically under the
-//!    max-batched-tokens limit, swept for expired deadlines (expired
-//!    entries complete as `Shed` without being paid for) and "executed" by
-//!    booking the priced duration on a [`Pacer`]: the batch finishes at
-//!    `max(previous finish, now) + priced`, and the worker blocks only
-//!    when that runs more than a sleep granule ahead of the wall clock.
-//!    Each [`CompletionMsg`] carries the latency at the *paced* finish
-//!    instant, so a served job's latency is never below its priced
-//!    service, and priced time adds up exactly over a busy period instead
-//!    of gaining one timer floor per batch.
+//! 1. First frame in is a [`HelloMsg`]: worker index and the scheduler's
+//!    virtual clock at send time (the worker's clock base).
+//! 2. Every [`DispatchMsg`] is one round the scheduler's batch machine
+//!    formed, seated and priced — batching, overhead, straggler scaling and
+//!    deadline sheds all happened there. The worker "executes" it by booking
+//!    the priced duration on a [`Pacer`]: the round finishes at
+//!    `max(previous finish, now) + priced`, and the worker blocks only when
+//!    that runs more than a sleep granule ahead of the wall clock. Each
+//!    [`CompletionMsg`] carries the latency at the *paced* finish instant,
+//!    so a round's latency is never below its priced service, and priced
+//!    time adds up exactly over a busy period instead of gaining one timer
+//!    floor per round.
 //! 3. Replies are coalesced: the worker keeps serving for as long as it
 //!    finds frames queued and answers them with one [`Conn::send_batch`]
 //!    — when the queue runs dry, before it blocks on the pacer (nothing
 //!    finished waits out a sleep), or at [`MAX_COALESCED_REPLIES`].
 //! 4. A worker whose `alive` flag is lowered (in-process fault injection)
 //!    bounces every dispatch back as an [`OrphanMsg`] instead of serving
-//!    it — the scheduler re-dispatches; work is never dropped. Child
-//!    processes don't need the flag: their crash *is* the process kill,
-//!    and the parent re-issues whatever they never acknowledged.
+//!    it — the scheduler's machine has already re-seated that work on a
+//!    survivor. Child processes don't need the flag: their crash *is* the
+//!    process kill, and the parent retires whatever they never
+//!    acknowledged.
 //! 5. A [`ShutdownMsg`] — or the peer disconnecting — ends the loop.
 //!
 //! [`maybe_child_worker`] is the child-process entry point: binaries (and
@@ -90,9 +90,7 @@ pub fn run_net_worker(conn: &dyn Conn, alive: Option<&AtomicBool>) -> Result<(),
         polled => polled,
     };
     let mut pacer = Pacer::new();
-    // Reused across iterations: the batch being formed and the replies not
-    // yet written.
-    let mut batch: Vec<DispatchMsg> = Vec::new();
+    // Replies not yet written, reused across iterations.
     let mut replies: Vec<Frame> = Vec::new();
 
     loop {
@@ -104,12 +102,11 @@ pub fn run_net_worker(conn: &dyn Conn, alive: Option<&AtomicBool>) -> Result<(),
             Err(e) => return Err(e),
         };
         let mut backlogged = false;
-        let mut shutdown = false;
         while let Some(frame) = next.take() {
-            let first = match frame.msg_type {
+            let job = match frame.msg_type {
                 MSG_SHUTDOWN => {
-                    shutdown = true;
-                    break;
+                    conn.send_batch(&mut replies)?;
+                    return Ok(());
                 }
                 MSG_DISPATCH => DispatchMsg::from_frame(&frame)?,
                 other => return Err(NetError::UnknownMsgType(other)),
@@ -118,66 +115,26 @@ pub fn run_net_worker(conn: &dyn Conn, alive: Option<&AtomicBool>) -> Result<(),
                 // Crashed (in-process injection): hand the job straight back.
                 let orphan = OrphanMsg {
                     worker: hello.worker,
-                    item: first,
+                    item: job,
                 };
                 replies.push(orphan.to_frame());
             } else {
-                // Opportunistic batching under max-batched-tokens.
-                batch.clear();
-                batch.push(first);
-                let mut tokens = first.suffix_tokens;
-                while tokens < hello.max_batch_tokens && !shutdown {
-                    match poll()? {
-                        Some(f) if f.msg_type == MSG_DISPATCH => {
-                            let item = DispatchMsg::from_frame(&f)?;
-                            tokens += item.suffix_tokens;
-                            batch.push(item);
-                        }
-                        Some(f) if f.msg_type == MSG_SHUTDOWN => shutdown = true,
-                        Some(f) => return Err(NetError::UnknownMsgType(f.msg_type)),
-                        None => break,
-                    }
+                let service = job.service_virtual;
+                let finish =
+                    pacer.charge(Duration::from_secs_f64(service * hello.scale), backlogged);
+                if pacer.is_ahead() {
+                    // Nothing that already finished waits out a sleep.
+                    conn.send_batch(&mut replies)?;
+                    pacer.catch_up();
                 }
-                // Deadline sweep: expired entries are shed before the batch
-                // pays for them — serving dead work would only delay live
-                // work.
-                let sweep_now = virtual_at(Instant::now());
-                batch.retain(|item| {
-                    let expired = item
-                        .deadline_rel
-                        .is_some_and(|d| sweep_now - item.arrival_virtual > d);
-                    if expired {
-                        replies.push(completion(&hello, item, WireOutcome::Shed));
-                    }
-                    !expired
-                });
-                if !batch.is_empty() {
-                    let service = (hello.batch_overhead
-                        + batch.iter().map(|j| j.service_virtual).sum::<f64>())
-                        * hello.slowdown;
-                    let finish =
-                        pacer.charge(Duration::from_secs_f64(service * hello.scale), backlogged);
-                    if pacer.is_ahead() {
-                        // Nothing that already finished waits out a sleep.
-                        conn.send_batch(&mut replies)?;
-                        pacer.catch_up();
-                    }
-                    let done = virtual_at(finish);
-                    for job in &batch {
-                        // Stamped at the paced finish, which a worker that
-                        // did not block has yet to reach: never below the
-                        // service the batch was priced at.
-                        let latency = (done - job.arrival_virtual).max(service);
-                        let outcome = WireOutcome::Completed {
-                            latency_virtual: latency,
-                            missed: job.deadline_rel.is_some_and(|d| latency > d),
-                        };
-                        replies.push(completion(&hello, job, outcome));
-                    }
-                }
-            }
-            if shutdown {
-                break;
+                // Stamped at the paced finish, which a worker that did not
+                // block has yet to reach: never below the priced service.
+                let latency = (virtual_at(finish) - job.arrival_virtual).max(service);
+                let outcome = WireOutcome::Completed {
+                    latency_virtual: latency,
+                    missed: job.deadline_rel.is_some_and(|d| latency > d),
+                };
+                replies.push(completion(&hello, &job, outcome));
             }
             if replies.len() >= MAX_COALESCED_REPLIES {
                 conn.send_batch(&mut replies)?;
@@ -186,9 +143,6 @@ pub fn run_net_worker(conn: &dyn Conn, alive: Option<&AtomicBool>) -> Result<(),
             backlogged = true;
         }
         conn.send_batch(&mut replies)?;
-        if shutdown {
-            return Ok(());
-        }
     }
 }
 
@@ -242,14 +196,11 @@ mod tests {
     use bat_net::{ChannelConn, ShutdownMsg};
     use std::thread;
 
-    fn hello(scale: f64, max_batch_tokens: u64) -> HelloMsg {
+    fn hello(scale: f64) -> HelloMsg {
         HelloMsg {
             worker: 0,
             scale,
             virtual_now: 0.0,
-            max_batch_tokens,
-            batch_overhead: 0.0,
-            slowdown: 1.0,
         }
     }
 
@@ -257,7 +208,7 @@ mod tests {
     fn serves_dispatches_until_shutdown() {
         let (parent, worker) = ChannelConn::pair();
         let handle = thread::spawn(move || run_net_worker(worker.as_ref(), None));
-        parent.send(hello(1e-4, 1000).to_frame()).unwrap();
+        parent.send(hello(1e-4).to_frame()).unwrap();
         for seq in 0..3u64 {
             parent
                 .send(
@@ -292,7 +243,7 @@ mod tests {
         // at least its priced service, latencies grow by a full service
         // per frame (one busy period), and the replies keep frame order.
         let (parent, worker) = ChannelConn::pair();
-        parent.send(hello(1e-6, 1).to_frame()).unwrap();
+        parent.send(hello(1e-6).to_frame()).unwrap();
         let service = 1.0;
         for seq in 0..200u64 {
             let dispatch = DispatchMsg {
@@ -331,7 +282,7 @@ mod tests {
         let alive = std::sync::Arc::new(AtomicBool::new(false));
         let flag = std::sync::Arc::clone(&alive);
         let handle = thread::spawn(move || run_net_worker(worker.as_ref(), Some(&flag)));
-        parent.send(hello(1e-4, 1000).to_frame()).unwrap();
+        parent.send(hello(1e-4).to_frame()).unwrap();
         let d = DispatchMsg {
             seq: 9,
             arrival_virtual: 0.5,
@@ -348,39 +299,6 @@ mod tests {
         let c = CompletionMsg::from_frame(&parent.recv().unwrap()).unwrap();
         assert_eq!(c.seq, 9);
         parent.send(ShutdownMsg.to_frame()).unwrap();
-        handle.join().unwrap().unwrap();
-    }
-
-    #[test]
-    fn expired_deadlines_are_shed() {
-        let (parent, worker) = ChannelConn::pair();
-        let handle = thread::spawn(move || run_net_worker(worker.as_ref(), None));
-        // Clock base 10.0: a job that arrived at 0.0 with a 1-second
-        // deadline is already expired on receipt.
-        parent
-            .send(
-                HelloMsg {
-                    virtual_now: 10.0,
-                    ..hello(1e-4, 1000)
-                }
-                .to_frame(),
-            )
-            .unwrap();
-        parent
-            .send(
-                DispatchMsg {
-                    seq: 1,
-                    arrival_virtual: 0.0,
-                    suffix_tokens: 10,
-                    service_virtual: 0.001,
-                    deadline_rel: Some(1.0),
-                }
-                .to_frame(),
-            )
-            .unwrap();
-        let c = CompletionMsg::from_frame(&parent.recv().unwrap()).unwrap();
-        assert_eq!(c.outcome, WireOutcome::Shed);
-        parent.close();
         handle.join().unwrap().unwrap();
     }
 

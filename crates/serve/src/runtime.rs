@@ -13,39 +13,39 @@
 //!   connected over Unix domain sockets: a worker crash is a process
 //!   kill, and a rejoin is a fresh process accepted on the same listener.
 //!
-//! The scheduler plans on *nominal* arrival times with the shared
-//! [`bat_sim::RequestPlanner`], so every planner-side statistic —
-//! token accounting, admission decisions, the fault report — is identical
-//! across backends for the same seeded trace; the integration suite pins
-//! [`RunStats::digest`] equality between the channel oracle and each
-//! socket path, including under worker-kill fault schedules.
+//! The scheduler runs the simulator's [`SlotDriver`] on *nominal* arrival
+//! times, so every statistic — token accounting, admission decisions,
+//! batches, latencies, the fault report — is identical across backends and
+//! to the simulator for the same seeded trace; the integration suite pins
+//! [`RunStats`] equality between the simulator, the channel oracle and
+//! each socket path, including under worker-kill fault schedules.
 //!
-//! Exactly-once delivery across crashes: the parent records every
-//! dispatched frame in a per-link un-acknowledged map tagged with the
-//! link's connection incarnation. A completion or orphan bounce retires
-//! the entry; a link going down requeues every entry of that incarnation
-//! for re-dispatch. Work is never dropped and never double-served.
+//! The physical plane retires every frame exactly once: the parent records
+//! each dispatched round in a per-link un-acknowledged map tagged with the
+//! link's connection incarnation, and a completion, an orphan bounce or the
+//! link going down retires the entry. Nothing is re-dispatched — the
+//! nominal machine already reformed a killed worker's chunks into fresh
+//! rounds on the survivors — so work is never dropped and never
+//! double-served.
 //!
 //! No thread here polls. Emulated time — the open-loop arrival schedule and
 //! the fault schedule — goes through [`crate::pacer`], which blocks only
 //! when it is more than a sleep granule ahead of the wall clock. Every
-//! other wait is wake-driven: the collector blocks in a timed receive on
-//! the event channel, and the scheduler's waits for dispatch credit, for a
-//! live worker and for the drained tail block on [`Progress`], which the
-//! collector and the fault supervisor notify. Each of those waits carries
-//! the [`WATCHDOG`] no-progress deadline, so a lost completion fails the
-//! run with the worker, incarnation and oldest un-acked sequence number in
-//! the message instead of hanging it.
+//! other wait is wake-driven: the collector blocks in a receive on the
+//! event channel, and the scheduler's waits for dispatch credit and for the
+//! drained tail block on [`Progress`], which the collector and the fault
+//! supervisor notify. Each of those waits carries the [`WATCHDOG`]
+//! no-progress deadline, so a lost completion fails the run with the
+//! worker, incarnation and oldest un-acked sequence number in the message
+//! instead of hanging it.
 
 use crate::net_worker::{run_net_worker, CHILD_INDEX_ENV, CHILD_SOCKET_ENV};
 use crate::pacer;
 use bat_net::{
     ChannelTransport, CompletionMsg, Conn, DispatchMsg, Frame, HelloMsg, Listener, OrphanMsg,
-    ShutdownMsg, TcpTransport, Transport, WireCodec, WireOutcome, MSG_COMPLETION, MSG_ORPHAN,
+    ShutdownMsg, TcpTransport, Transport, WireCodec, MSG_COMPLETION, MSG_ORPHAN,
 };
-use bat_sim::{
-    EngineConfig, FaultKind, FrontEnd, Outcomes, RequestPlanner, RoundRecord, RunStats, SlotDriver,
-};
+use bat_sim::{EngineConfig, FaultKind, RequestPlanner, RoundRecord, RunStats, SlotDriver};
 use bat_types::{BatError, RankRequest};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -76,14 +76,8 @@ pub struct ServeOptions {
     /// overhead); `1.0` runs in real time.
     pub time_scale: f64,
     /// Per-worker dispatch credit: the scheduler stops sending to a worker
-    /// holding this many unfinished jobs (backpressure).
+    /// holding this many unfinished round frames (backpressure).
     pub queue_depth: usize,
-    /// Failure injection: slow worker `index` down by `factor` (a GPU
-    /// throttling or a noisy neighbor). The least-loaded dispatcher must
-    /// route around it without dropping work. When `None`, the engine
-    /// config's [`EngineConfig::straggler`] applies instead, so one config
-    /// drives both execution paths.
-    pub straggler: Option<(usize, f64)>,
     /// Which backend carries the frames.
     pub transport: TransportKind,
     /// Run each worker as a child OS process connected over a Unix domain
@@ -103,7 +97,6 @@ impl Default for ServeOptions {
         ServeOptions {
             time_scale: 1e-3,
             queue_depth: 1024,
-            straggler: None,
             transport: TransportKind::Channel,
             processes: false,
             child_args: Vec::new(),
@@ -127,10 +120,7 @@ struct Link {
     /// lock so an un-acknowledged entry is always tagged with the
     /// incarnation of the conn its frame was actually sent on.
     conn: Mutex<(u64, Option<Arc<dyn Conn>>)>,
-    /// Suffix tokens dispatched but not yet finished — the least-loaded
-    /// dispatch weight.
-    queued: AtomicU64,
-    /// Jobs dispatched but not yet finished on this link (backpressure
+    /// Frames dispatched but not yet retired on this link (backpressure
     /// credit).
     inflight: AtomicU64,
     /// Liveness, flipped by the fault supervisor (in-process: shared with
@@ -138,7 +128,7 @@ struct Link {
     /// collector when a link drops unexpectedly.
     alive: AtomicBool,
     /// Dispatched-but-unfinished frames, `seq → (incarnation, msg)`;
-    /// requeued when incarnation `≤` a dead conn's.
+    /// retired when incarnation `≤` a dead conn's.
     unacked: Mutex<HashMap<u64, (u64, DispatchMsg)>>,
     /// The worker's OS process, in `processes` mode.
     child: Mutex<Option<std::process::Child>>,
@@ -148,7 +138,6 @@ impl Link {
     fn new() -> Self {
         Link {
             conn: Mutex::new((0, None)),
-            queued: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
             alive: AtomicBool::new(true),
             unacked: Mutex::new(HashMap::new()),
@@ -162,25 +151,12 @@ impl Link {
         (g.0, g.1.clone())
     }
 
-    /// Books `frames` dispatched frames carrying `tokens` suffix tokens.
-    fn charge(&self, frames: u64, tokens: u64) {
-        self.queued.fetch_add(tokens, Ordering::Relaxed);
-        self.inflight.fetch_add(frames, Ordering::AcqRel);
-    }
-
-    /// Releases one frame's credit and load weight.
-    fn release(&self, tokens: u64) {
-        self.queued.fetch_sub(tokens, Ordering::Relaxed);
-        self.inflight.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    /// Sends `rounds` as one batched write (the batched path's dispatch).
-    /// Every frame is registered un-acknowledged and booked — here and in
-    /// the run's `outstanding` count — *before* the send, so a completion
-    /// can never race past its own bookkeeping. On a dead conn every frame
-    /// is rolled back one by one through [`Link::retire_round`] (a frame the
-    /// collector's `Down` already retired is not retired twice) and the
-    /// result is `false`.
+    /// Sends `rounds` as one batched write. Every frame is registered
+    /// un-acknowledged and booked — here and in the run's `outstanding`
+    /// count — *before* the send, so a completion can never race past its
+    /// own bookkeeping. On a dead conn every frame is rolled back one by one
+    /// through [`Link::retire_round`] (a frame the collector's `Down` already
+    /// retired is not retired twice) and the result is `false`.
     fn send_rounds(
         &self,
         rounds: &[DispatchMsg],
@@ -192,7 +168,7 @@ impl Link {
             .lock()
             .extend(rounds.iter().map(|m| (m.seq, (inc, *m))));
         let n = rounds.len() as u64;
-        self.charge(n, rounds.iter().map(|m| m.suffix_tokens).sum());
+        self.inflight.fetch_add(n, Ordering::AcqRel);
         outstanding.fetch_add(n, Ordering::AcqRel);
         frames.extend(rounds.iter().map(WireCodec::to_frame));
         let sent = conn.is_some_and(|c| c.send_batch(frames).is_ok());
@@ -205,32 +181,29 @@ impl Link {
         sent
     }
 
-    /// Retires one round frame of the batched path, exactly once: whoever
-    /// takes the un-acknowledged entry does the accounting.
+    /// Retires one round frame, exactly once: whoever takes the
+    /// un-acknowledged entry does the accounting.
     fn retire_round(&self, outstanding: &AtomicU64, seq: u64) {
-        if let Some((_, msg)) = self.unacked.lock().remove(&seq) {
-            self.release(msg.suffix_tokens);
+        if self.unacked.lock().remove(&seq).is_some() {
+            self.inflight.fetch_sub(1, Ordering::AcqRel);
             outstanding.fetch_sub(1, Ordering::Release);
         }
     }
 
-    /// Takes every un-acknowledged frame sent on `incarnation` or an
-    /// earlier conn out of the map; entries sent on a newer conn stay. If
-    /// `incarnation` is the current conn (an unexpected death, or a stream
-    /// error), dispatch to the link stops.
-    fn take_stranded(&self, incarnation: u64) -> Vec<DispatchMsg> {
+    /// Retires every un-acknowledged frame sent on `incarnation` or an
+    /// earlier conn; entries sent on a newer conn stay. If `incarnation` is
+    /// the current conn (an unexpected death, or a stream error), dispatch
+    /// to the link stops.
+    fn retire_stranded(&self, outstanding: &AtomicU64, incarnation: u64) {
         if self.conn.lock().0 == incarnation {
             self.alive.store(false, Ordering::Release);
         }
         let mut unacked = self.unacked.lock();
-        let seqs: Vec<u64> = unacked
-            .iter()
-            .filter(|(_, (inc, _))| *inc <= incarnation)
-            .map(|(&seq, _)| seq)
-            .collect();
-        seqs.iter()
-            .map(|seq| unacked.remove(seq).expect("seq just listed").1)
-            .collect()
+        let before = unacked.len();
+        unacked.retain(|_, (inc, _)| *inc > incarnation);
+        let n = (before - unacked.len()) as u64;
+        self.inflight.fetch_sub(n, Ordering::AcqRel);
+        outstanding.fetch_sub(n, Ordering::Release);
     }
 
     /// Orderly end of the link: the worker gets the shutdown frame behind
@@ -337,11 +310,11 @@ impl Progress {
 /// accounting funnels through this one channel, so the collector is the
 /// single writer for retirement bookkeeping.
 enum Event {
-    /// A worker finished (served or shed) a job.
+    /// A worker finished a round.
     Done(CompletionMsg),
-    /// A crashed in-process worker bounced a job back unserved.
+    /// A crashed in-process worker bounced a round back unserved.
     Orphan(OrphanMsg),
-    /// A link's connection died; requeue that incarnation's unacked work.
+    /// A link's connection died; retire that incarnation's unacked rounds.
     Down { worker: usize, incarnation: u64 },
     /// The scheduler's last word, said before it releases the workers (so
     /// the collector never takes an orderly disconnect for a death): the
@@ -370,7 +343,7 @@ fn run_reader(conn: Arc<dyn Conn>, worker: usize, incarnation: u64, events: Send
             }
             Err(_) => {
                 // Disconnect or protocol violation: either way this conn
-                // is done; the collector requeues its unfinished work.
+                // is done; the collector retires its unfinished rounds.
                 let _ = events.send(Event::Down {
                     worker,
                     incarnation,
@@ -430,6 +403,15 @@ struct Cluster {
 impl Cluster {
     fn virtual_now(&self) -> f64 {
         self.start.elapsed().as_secs_f64() / self.scale
+    }
+
+    /// The handshake for worker `w`: its clock base is the virtual now.
+    fn hello(&self, w: usize) -> HelloMsg {
+        HelloMsg {
+            worker: w as u32,
+            scale: self.scale,
+            virtual_now: self.virtual_now(),
+        }
     }
 
     /// The wall instant of virtual time `at_secs`.
@@ -498,9 +480,9 @@ impl ServeRuntime {
     ///
     /// # Errors
     ///
-    /// Propagates [`EngineConfig::validate`] failures, and rejects
-    /// non-positive time scales, zero queue depths, out-of-range straggler
-    /// options, and transport combinations this platform cannot run
+    /// Propagates [`EngineConfig::validate`] failures (a straggler is
+    /// [`EngineConfig::straggler`]), and rejects non-positive time scales,
+    /// zero queue depths, and transport combinations this platform cannot run
     /// (`processes` without [`TransportKind::Uds`]; any socket backend
     /// requirement the OS lacks).
     pub fn new(cfg: EngineConfig, opts: ServeOptions) -> Result<Self, BatError> {
@@ -516,19 +498,6 @@ impl ServeRuntime {
             return Err(BatError::InvalidConfig(
                 "queue_depth (per-worker dispatch credits) must be ≥ 1; got 0".to_owned(),
             ));
-        }
-        if let Some((w, factor)) = opts.straggler {
-            if w >= cfg.cluster.num_nodes {
-                return Err(BatError::InvalidConfig(format!(
-                    "straggler worker index must be < cluster.num_nodes ({}); got {w}",
-                    cfg.cluster.num_nodes
-                )));
-            }
-            if factor < 1.0 || !factor.is_finite() {
-                return Err(BatError::InvalidConfig(format!(
-                    "straggler slowdown factor must be finite and ≥ 1.0; got {factor}"
-                )));
-            }
         }
         if opts.processes && opts.transport != TransportKind::Uds {
             return Err(BatError::InvalidConfig(format!(
@@ -608,7 +577,7 @@ impl ServeRuntime {
     /// Brings the cluster up inside `scope`: starts every worker — a child
     /// process dialing back over UDS, or an in-process thread running the
     /// identical loop over the configured transport — accepts it, sends the
-    /// `hello(worker, virtual_now)` handshake and attaches its reader; then
+    /// [`HelloMsg`] handshake and attaches its reader; then
     /// starts the fault supervisor if there is a schedule.
     ///
     /// The supervisor walks the fault schedule in scaled wall-clock time,
@@ -624,7 +593,6 @@ impl ServeRuntime {
         &'scope self,
         scope: &'scope thread::Scope<'scope, '_>,
         cluster: &'scope Cluster,
-        hello: impl Fn(usize, f64) -> HelloMsg + Copy + Send + 'scope,
     ) {
         for (w, link) in cluster.links.iter().enumerate() {
             if self.opts.processes {
@@ -648,7 +616,7 @@ impl ServeRuntime {
             let conn = cluster.listeners[w]
                 .accept_timeout(ACCEPT_TIMEOUT)
                 .expect("worker connects back during setup");
-            conn.send(hello(w, cluster.virtual_now()).to_frame())
+            conn.send(cluster.hello(w).to_frame())
                 .expect("worker accepts hello");
             *link.conn.lock() = (0, Some(Arc::clone(&conn)));
             let events = cluster.events.clone();
@@ -666,7 +634,7 @@ impl ServeRuntime {
                         link.alive.store(false, Ordering::Release);
                         if self.opts.processes {
                             // Real crash: SIGKILL. The link's reader observes
-                            // the disconnect and the collector requeues
+                            // the disconnect and the collector retires
                             // whatever the child never finished.
                             if let Some(mut child) = link.child.lock().take() {
                                 let _ = child.kill();
@@ -681,7 +649,7 @@ impl ServeRuntime {
                         // the worker finish what it already holds. A child
                         // process gets the shutdown frame *behind* its queued
                         // frames — it serves them, acks, and exits cleanly;
-                        // its conn closing then requeues anything it never
+                        // its conn closing then retires anything it never
                         // processed. In-process workers bounce dispatches
                         // that race past the flag.
                         let link = &cluster.links[w.index()];
@@ -702,8 +670,7 @@ impl ServeRuntime {
                                 Ok(child) => {
                                     match cluster.listeners[w].accept_timeout(ACCEPT_TIMEOUT) {
                                         Ok(conn) => {
-                                            let hello = hello(w, cluster.virtual_now());
-                                            if conn.send(hello.to_frame()).is_ok() {
+                                            if conn.send(cluster.hello(w).to_frame()).is_ok() {
                                                 let inc = {
                                                     let mut g = link.conn.lock();
                                                     g.0 += 1;
@@ -753,11 +720,21 @@ impl ServeRuntime {
 
     /// Serves a trace to completion and returns aggregate statistics.
     ///
-    /// Every arrival goes through the [`FrontEnd`] the simulator uses, so
-    /// planner-side statistics equal the simulator's. Under
-    /// [`EngineConfig::batching`] the whole nominal plane is the shared
-    /// [`SlotDriver`]; otherwise jobs are dispatched one by one to the
-    /// least-loaded worker.
+    /// The whole nominal plane — admission, planning, the batch machine,
+    /// the fault schedule's effect on membership, the whole ledger — is the
+    /// [`SlotDriver`] the simulator runs, so the returned [`RunStats`] —
+    /// digest, latencies, sheds — is bit-identical to the simulator's for
+    /// the same trace at any worker count, transport and fault schedule. This function is the physical
+    /// plane only: it paces arrivals on the wall clock, puts every round the
+    /// driver forms on the wire to the round's worker under per-link credit
+    /// (workers pace the round's priced service and ack it), and waits out
+    /// the tail.
+    ///
+    /// The two planes never share state. A round frame lost to a physical
+    /// kill is simply retired after its link dies: the machine has already
+    /// cancelled that round at the scheduled crash time by generation
+    /// fencing and reformed its chunks into fresh rounds on the survivors,
+    /// so physical loss never touches the ledger.
     ///
     /// # Panics
     ///
@@ -773,335 +750,82 @@ impl ServeRuntime {
             );
         }
         let mut planner = RequestPlanner::from_config(&self.cfg);
-        // One straggler knob for both execution paths: explicit runtime
-        // options win, otherwise the engine config's injection applies.
-        let straggler = self.opts.straggler.or(self.cfg.straggler);
-        let front = FrontEnd::new(&self.cfg, &mut planner, straggler);
+        let driver = SlotDriver::new(&self.cfg, &mut planner);
         let (cluster, event_rx) = self.bind();
-
-        let scale = cluster.scale;
-        let batching = self.cfg.batching;
-        let max_batch_tokens = self.cfg.cluster.max_batched_tokens as u64;
-        let batch_overhead = self.cfg.batch_overhead_secs;
-        let speeds = front.speeds().to_vec();
-        let speeds = &speeds;
-        // Under batching one frame is one round: the machine forms rounds
-        // and prices them straggler-scaled, so the worker never re-fuses
-        // frames and runs at unit speed with no overhead of its own — the
-        // frame's `service_virtual` is the whole truth.
-        let hello = move |w: usize, vnow: f64| HelloMsg {
-            worker: w as u32,
-            scale,
-            virtual_now: vnow,
-            max_batch_tokens: batching.map_or(max_batch_tokens, |_| 1),
-            batch_overhead: batching.map_or(batch_overhead, |_| 0.0),
-            slowdown: batching.map_or(speeds[w], |_| 1.0),
-        };
-
-        let stats = thread::scope(|scope| {
-            self.start(scope, &cluster, hello);
-            match batching {
-                Some(batching) => {
-                    let driver = SlotDriver::new(front, batching);
-                    self.serve_slots(scope, &cluster, event_rx, driver, trace)
-                }
-                None => self.serve_dispatch(scope, &cluster, event_rx, front, trace),
-            }
-        });
-        cluster.reap();
-        stats
-    }
-
-    /// The per-request serve path: each admitted job is priced at plan
-    /// time and dispatched as one frame to the least-loaded live worker;
-    /// work stranded on a dead worker is re-dispatched, never dropped.
-    fn serve_dispatch<'scope>(
-        &self,
-        scope: &'scope thread::Scope<'scope, '_>,
-        cluster: &'scope Cluster,
-        event_rx: Receiver<Event>,
-        mut front: FrontEnd<'_>,
-        trace: &[RankRequest],
-    ) -> RunStats {
-        let n_workers = self.cfg.cluster.num_nodes;
-        let queue_depth = self.opts.queue_depth as u64;
-        let (links, progress) = (cluster.links.as_slice(), &cluster.progress);
-        let outstanding = &cluster.outstanding;
-        let (orphan_tx, orphan_rx) = unbounded::<DispatchMsg>();
-        let collector = scope.spawn(move || collect_jobs(&event_rx, cluster, &orphan_tx));
-
-        let teardown = Teardown(cluster);
-        let mut rotate = 0usize;
-        // Least-loaded dispatch (§5.1 load balancing) over the
-        // currently-live workers. Ties rotate instead of always
-        // picking the lowest index, so an idle-but-slow worker does
-        // not swallow every tied dispatch. The loop re-selects when
-        // the chosen worker is out of credit (backpressure) or its
-        // link dies mid-send.
-        let mut dispatch = |item: DispatchMsg| {
-            loop {
-                let is_live = |link: &Link| link.alive.load(Ordering::Acquire);
-                let live: Vec<usize> = (0..n_workers).filter(|&i| is_live(&links[i])).collect();
-                // A validated schedule never kills the whole
-                // cluster for good; wait out the gap between a
-                // crash and its scheduled restart.
-                if live.is_empty() {
-                    progress.wait(links, format_args!("a live worker"), || {
-                        links.iter().any(is_live)
-                    });
-                    continue;
-                }
-                // Snapshot every candidate's load once: the
-                // collector decrements these atomics concurrently,
-                // so re-reading them while filtering can leave no
-                // candidate equal to a stale minimum.
-                let loads: Vec<(usize, u64)> = live
-                    .iter()
-                    .map(|&i| (i, links[i].queued.load(Ordering::Relaxed)))
-                    .collect();
-                let min_load = loads
-                    .iter()
-                    .map(|&(_, load)| load)
-                    .min()
-                    .expect("at least one candidate");
-                let tied: Vec<usize> = loads
-                    .iter()
-                    .filter(|&&(_, load)| load == min_load)
-                    .map(|&(i, _)| i)
-                    .collect();
-                let w = tied[rotate % tied.len()];
-                let link = &links[w];
-                let has_credit = || link.inflight.load(Ordering::Acquire) < queue_depth;
-                if !has_credit() {
-                    // Out of credit: wait for completions to free
-                    // a slot (or for the worker to leave the
-                    // liveness set), then select again.
-                    progress.wait(links, format_args!("credit on worker {w}"), || {
-                        has_credit() || !is_live(link)
-                    });
-                    continue;
-                }
-                rotate = rotate.wrapping_add(1);
-                // Register BEFORE sending so a completion can
-                // never race past its own bookkeeping; incarnation
-                // and conn are read together so the entry's tag
-                // always matches the conn the frame went to.
-                let (inc, conn) = link.current();
-                link.unacked.lock().insert(item.seq, (inc, item));
-                link.charge(1, item.suffix_tokens);
-                let sent = conn
-                    .as_ref()
-                    .is_some_and(|c| c.send(item.to_frame()).is_ok());
-                if sent {
-                    return;
-                }
-                // The link died under us: roll back — unless the
-                // collector's `Down` already requeued the entry —
-                // and re-select.
-                link.alive.store(false, Ordering::Release);
-                if link.unacked.lock().remove(&item.seq).is_none() {
-                    return;
-                }
-                link.release(item.suffix_tokens);
-            }
-        };
-        for (idx, req) in trace.iter().enumerate() {
-            let arrival = req.arrival.as_secs();
-            // Open-loop pacing in scaled time.
-            pacer::sleep_until(cluster.wall(arrival));
-            let now = cluster.virtual_now();
-            // Plan on the *nominal* arrival time, never the jittery
-            // virtual clock: the fault cursor then advances through
-            // the same states as the simulator's, which is what
-            // keeps the two paths' cache accounting identical.
-            let Ok(job) = front.arrive(req, idx, arrival, None) else {
-                continue;
-            };
-            let (c, l, t) = front.planner().price(&job.plan);
-            front.ledger.charge(c, l, t);
-            outstanding.fetch_add(1, Ordering::AcqRel);
-            dispatch(DispatchMsg {
-                seq: idx as u64,
-                arrival_virtual: now,
-                suffix_tokens: job.plan.suffix_tokens,
-                service_virtual: c + l + t,
-                deadline_rel: job.deadline.and(req.slo.deadline_secs),
-            });
-            // Re-dispatch anything bounced or requeued off a dead
-            // worker.
-            while let Ok(item) = orphan_rx.try_recv() {
-                dispatch(item);
-            }
-        }
-        // Post-trace drain: keep re-dispatching orphans until every
-        // dispatched job has completed and every scheduled fault
-        // has been delivered. Requests are never dropped, even when
-        // the last arrivals landed on a worker that then died.
-        let drained =
-            || outstanding.load(Ordering::Acquire) == 0 && progress.is_schedule_delivered();
-        loop {
-            while let Ok(item) = orphan_rx.try_recv() {
-                dispatch(item);
-            }
-            if drained() {
-                break;
-            }
-            progress.wait(links, format_args!("the dispatched jobs to finish"), || {
-                drained() || !orphan_rx.is_empty()
-            });
-        }
-        drop(teardown);
-        let outcomes = collector.join().expect("collector thread panicked");
-        front.finish(outcomes, None)
-    }
-
-    /// The continuous-batching serve path. The nominal plane — admission,
-    /// planning, the batch machine, the fault schedule's effect on
-    /// membership, the whole ledger — is the [`SlotDriver`] the simulator
-    /// runs, so [`RunStats::digest`] is bit-identical to the simulator's
-    /// for the same trace at any worker count. This function is the
-    /// physical plane only: it paces arrivals on the wall clock, puts every
-    /// round the driver forms on the wire to the round's worker under
-    /// per-link credit (workers pace the round's priced service and ack
-    /// it), and waits out the tail.
-    ///
-    /// The two planes never share state. A round frame lost to a physical
-    /// kill is simply dropped after its link dies: the machine has already
-    /// cancelled that round at the scheduled crash time by generation
-    /// fencing and reformed its chunks into fresh rounds on the survivors,
-    /// so physical loss never touches the ledger.
-    fn serve_slots<'scope>(
-        &self,
-        scope: &'scope thread::Scope<'scope, '_>,
-        cluster: &'scope Cluster,
-        event_rx: Receiver<Event>,
-        driver: SlotDriver<'_>,
-        trace: &[RankRequest],
-    ) -> RunStats {
+        let cluster = &cluster;
         let queue_depth = self.opts.queue_depth as u64;
         let have_faults = self.cfg.faults.is_some();
         let (links, progress) = (cluster.links.as_slice(), &cluster.progress);
         let outstanding = &cluster.outstanding;
-        scope.spawn(move || ack_rounds(&event_rx, cluster, have_faults));
 
-        let teardown = Teardown(cluster);
-        // Each link's rounds go out in order as one batched write, under
-        // the same per-link inflight credit as the per-request path (a
-        // group larger than the credit left is sent in as many writes as
-        // it takes). Under a fault schedule a dead link is survivable: its
-        // rounds are rolled back and simply not sent.
-        let mut groups: Vec<Vec<DispatchMsg>> = vec![Vec::new(); links.len()];
-        let mut frames: Vec<Frame> = Vec::new();
-        let dispatch_rounds = |rounds: &[RoundRecord]| {
-            for r in rounds {
-                groups[r.worker].push(DispatchMsg {
-                    seq: r.seq,
-                    arrival_virtual: r.start,
-                    suffix_tokens: r.tokens,
-                    service_virtual: r.service_secs,
-                    deadline_rel: None,
-                });
-            }
-            for (w, group) in groups.iter_mut().enumerate() {
-                let link = &links[w];
-                let mut rest = group.as_slice();
-                while !rest.is_empty() {
-                    let credit =
-                        || queue_depth.saturating_sub(link.inflight.load(Ordering::Acquire));
-                    progress.wait(links, format_args!("credit on worker {w}"), || credit() > 0);
-                    let (batch, later) = rest.split_at(rest.len().min(credit() as usize));
-                    rest = later;
-                    let sent = link.send_rounds(batch, outstanding, &mut frames);
-                    assert!(
-                        sent || have_faults,
-                        "worker {w} link died without a fault schedule"
-                    );
+        let stats = thread::scope(|scope| {
+            self.start(scope, cluster);
+            scope.spawn(move || ack_rounds(&event_rx, cluster, have_faults));
+            let teardown = Teardown(cluster);
+            // Each link's rounds go out in order as one batched write under
+            // per-link inflight credit (a group larger than the credit left
+            // is sent in as many writes as it takes). Under a fault schedule
+            // a dead link is survivable: its rounds are rolled back and
+            // simply not sent.
+            let mut groups: Vec<Vec<DispatchMsg>> = vec![Vec::new(); links.len()];
+            let mut frames: Vec<Frame> = Vec::new();
+            let dispatch_rounds = |rounds: &[RoundRecord]| {
+                for r in rounds {
+                    groups[r.worker].push(DispatchMsg {
+                        seq: r.seq,
+                        arrival_virtual: r.start,
+                        suffix_tokens: r.tokens,
+                        service_virtual: r.service_secs,
+                        deadline_rel: None,
+                    });
                 }
-                group.clear();
-            }
-        };
-        // Open-loop pacing in scaled wall time: rounds form and dispatch
-        // as their admitting arrivals come due, so the physical run
-        // overlaps execution with the trace replay.
-        let pace = |nominal: f64| pacer::sleep_until(cluster.wall(nominal));
-        let (stats, _) = driver.run(trace, pace, dispatch_rounds);
-        // Wait out the physical tail (and the supervisor, so a late
-        // respawned child still gets its shutdown frame), then release
-        // the cluster.
-        progress.wait(
-            links,
-            format_args!("the dispatched rounds to finish"),
-            || outstanding.load(Ordering::Acquire) == 0 && progress.is_schedule_delivered(),
-        );
-        drop(teardown);
+                for (w, group) in groups.iter_mut().enumerate() {
+                    let link = &links[w];
+                    let mut rest = group.as_slice();
+                    while !rest.is_empty() {
+                        let credit =
+                            || queue_depth.saturating_sub(link.inflight.load(Ordering::Acquire));
+                        progress.wait(links, format_args!("credit on worker {w}"), || credit() > 0);
+                        let (batch, later) = rest.split_at(rest.len().min(credit() as usize));
+                        rest = later;
+                        let sent = link.send_rounds(batch, outstanding, &mut frames);
+                        assert!(
+                            sent || have_faults,
+                            "worker {w} link died without a fault schedule"
+                        );
+                    }
+                    group.clear();
+                }
+            };
+            // Open-loop pacing in scaled wall time: rounds form and dispatch
+            // as their admitting arrivals come due, so the physical run
+            // overlaps execution with the trace replay.
+            let pace = |nominal: f64| pacer::sleep_until(cluster.wall(nominal));
+            let (stats, _) = driver.run(trace, pace, dispatch_rounds);
+            // Wait out the physical tail (and the supervisor, so a late
+            // respawned child still gets its shutdown frame), then release
+            // the cluster.
+            progress.wait(
+                links,
+                format_args!("the dispatched rounds to finish"),
+                || outstanding.load(Ordering::Acquire) == 0 && progress.is_schedule_delivered(),
+            );
+            drop(teardown);
+            stats
+        });
+        cluster.reap();
         stats
     }
 }
 
-/// The per-request path's collector: the single writer for per-link
-/// retirement accounting and for the run's terminal [`Outcomes`]. Exactly
-/// one terminal frame per dispatched job arrives — served or shed; faults
-/// re-route work, they never drop it. Its receive blocks without a deadline
-/// of its own: the scheduler's [`Teardown`] ends it on every path.
-fn collect_jobs(
-    events: &Receiver<Event>,
-    cluster: &Cluster,
-    orphans: &Sender<DispatchMsg>,
-) -> Outcomes {
-    let outstanding = &cluster.outstanding;
-    let mut outcomes = Outcomes::default();
-    for event in events.iter() {
-        match event {
-            Event::Done(c) => {
-                let link = &cluster.links[c.worker as usize];
-                link.release(c.suffix_tokens);
-                let sent = link.unacked.lock().remove(&c.seq);
-                outstanding.fetch_sub(1, Ordering::Release);
-                match c.outcome {
-                    WireOutcome::Completed {
-                        latency_virtual,
-                        missed,
-                    } => {
-                        let arrived = sent.map_or(0.0, |(_, msg)| msg.arrival_virtual);
-                        outcomes.complete(latency_virtual, arrived + latency_virtual, missed);
-                    }
-                    WireOutcome::Shed => outcomes.shed(1),
-                    WireOutcome::Rejected(reason) => {
-                        unreachable!("worker {} rejected a job ({reason:?})", c.worker)
-                    }
-                }
-            }
-            Event::Orphan(o) => {
-                let link = &cluster.links[o.worker as usize];
-                link.release(o.item.suffix_tokens);
-                link.unacked.lock().remove(&o.item.seq);
-                let _ = orphans.send(o.item);
-            }
-            Event::Down {
-                worker,
-                incarnation,
-            } => {
-                // Requeue everything the dead conn never finished.
-                let link = &cluster.links[worker];
-                for item in link.take_stranded(incarnation) {
-                    link.release(item.suffix_tokens);
-                    let _ = orphans.send(item);
-                }
-            }
-            Event::Finished => break,
-        }
-        cluster.progress.notify();
-    }
-    outcomes
-}
-
-/// The batched path's collector: acks round frames so credit and the
-/// outstanding count drain. All statistics live in the driver's ledger;
-/// this loop is pure flow control — a frame stranded by a kill is retired
-/// here exactly once (its un-acked entry is the token: whoever removes it
-/// does the decrement), never re-dispatched, because the nominal machine
-/// has already reformed the cancelled round's chunks under fresh sequence
-/// numbers on the surviving workers.
+/// The collector: acks round frames so credit and the outstanding count
+/// drain. All statistics live in the driver's ledger; this loop is pure
+/// flow control — a frame stranded by a kill is retired here exactly once
+/// (its un-acked entry is the token: whoever removes it does the
+/// decrement), never re-dispatched, because the nominal machine has already
+/// reformed the cancelled round's chunks under fresh sequence numbers on
+/// the surviving workers. Its receive blocks without a deadline of its own:
+/// the scheduler's [`Teardown`] ends it on every path.
 fn ack_rounds(events: &Receiver<Event>, cluster: &Cluster, have_faults: bool) {
     let outstanding = &cluster.outstanding;
     for event in events.iter() {
@@ -1129,11 +853,7 @@ fn ack_rounds(events: &Receiver<Event>, cluster: &Cluster, have_faults: bool) {
                     have_faults,
                     "worker {worker} link died without a fault schedule"
                 );
-                let link = &cluster.links[worker];
-                for item in link.take_stranded(incarnation) {
-                    link.release(item.suffix_tokens);
-                    outstanding.fetch_sub(1, Ordering::Release);
-                }
+                cluster.links[worker].retire_stranded(outstanding, incarnation);
             }
             Event::Finished => break,
         }
@@ -1192,7 +912,6 @@ mod tests {
             (
                 link.unacked.lock().len(),
                 link.inflight.load(Ordering::Acquire),
-                link.queued.load(Ordering::Relaxed),
                 outstanding.load(Ordering::Acquire),
             )
         };
@@ -1202,7 +921,7 @@ mod tests {
         let batch: Vec<DispatchMsg> = (0..4).map(round).collect();
         assert!(link.send_rounds(&batch, &outstanding, &mut frames));
         assert!(frames.is_empty());
-        assert_eq!(counters(&link), (4, 4, 40, 4));
+        assert_eq!(counters(&link), (4, 4, 4));
         for m in &batch {
             assert_eq!(
                 DispatchMsg::from_frame(&theirs.recv().unwrap()).unwrap(),
@@ -1211,7 +930,7 @@ mod tests {
             link.retire_round(&outstanding, m.seq);
             link.retire_round(&outstanding, m.seq);
         }
-        assert_eq!(counters(&link), (0, 0, 0, 0));
+        assert_eq!(counters(&link), (0, 0, 0));
 
         // The peer dies: the whole batch is rolled back, so neither the
         // reader's `Down` nor a straggling ack finds anything to retire a
@@ -1220,10 +939,10 @@ mod tests {
         let batch: Vec<DispatchMsg> = (4..9).map(round).collect();
         assert!(!link.send_rounds(&batch, &outstanding, &mut frames));
         assert!(frames.is_empty());
-        assert_eq!(counters(&link), (0, 0, 0, 0));
-        assert!(link.take_stranded(3).is_empty());
+        assert_eq!(counters(&link), (0, 0, 0));
+        link.retire_stranded(&outstanding, 3);
         link.retire_round(&outstanding, 4);
-        assert_eq!(counters(&link), (0, 0, 0, 0));
+        assert_eq!(counters(&link), (0, 0, 0));
     }
 
     #[test]
@@ -1321,13 +1040,13 @@ mod tests {
         .unwrap()
         .serve(&t);
         assert_eq!(channel.digest(), uds.digest());
-        assert_eq!(channel.completed, uds.completed);
+        assert_eq!(channel, uds);
     }
 
     #[test]
     fn cache_accounting_matches_simulator() {
-        // Same planner, same trace, same arrival order → identical token
-        // accounting between the threaded runtime and the DES.
+        // Same driver, same trace → the threaded runtime's run is the
+        // DES's, token accounting, latencies and all.
         let ds = DatasetConfig {
             num_users: 300,
             ..DatasetConfig::games()
@@ -1338,19 +1057,15 @@ mod tests {
         let rt = ServeRuntime::new(config(SystemKind::UserPrefix, &ds), ServeOptions::default())
             .unwrap();
         let rt_stats = rt.serve(&t);
-        assert_eq!(rt_stats.total_tokens, sim_stats.total_tokens);
-        // Frequency estimates see slightly different clocks, but with the
-        // static UP policy reuse depends only on LRU residency → exact.
         assert_eq!(rt_stats.reused_tokens, sim_stats.reused_tokens);
-        assert_eq!(rt_stats.up_requests, sim_stats.up_requests);
+        assert_eq!(rt_stats, sim_stats);
     }
 
     #[test]
     fn item_refresh_interval_is_honoured_like_the_simulator() {
         // The background hot-item re-replication moves items between the
         // replicated and the sharded area, which changes what a request
-        // reuses locally and pulls remotely. Low load, so no job waits in
-        // a queue and both engines price in arrival order.
+        // reuses locally and pulls remotely.
         let ds = DatasetConfig {
             num_users: 300,
             ..DatasetConfig::games()
@@ -1363,9 +1078,8 @@ mod tests {
         let rt_stats = ServeRuntime::new(cfg.clone(), ServeOptions::default())
             .unwrap()
             .serve(&t);
-        assert_eq!(rt_stats.reused_tokens, sim_stats.reused_tokens);
         assert_eq!(rt_stats.remote_bytes, sim_stats.remote_bytes);
-        assert_eq!(rt_stats.digest(), sim_stats.digest());
+        assert_eq!(rt_stats, sim_stats);
         // And the refresh is not a no-op on this trace.
         cfg.item_refresh_interval_secs = None;
         let unrefreshed = ServingEngine::new(cfg).unwrap().run(&t);
@@ -1412,10 +1126,10 @@ mod tests {
     #[test]
     fn cache_accounting_matches_simulator_under_faults() {
         // The same fault schedule drives both engines through identical
-        // planner states (the fault cursor advances on nominal arrival
-        // times in both), so cache accounting — and the fault report
-        // itself — must agree bit-for-bit even though this runtime kills
-        // and respawns real workers while the DES only reshuffles a heap.
+        // planner and machine states (the fault cursor advances on nominal
+        // time in both), so the run — cache accounting, the fault report
+        // itself, latencies — must agree bit-for-bit even though this
+        // runtime kills and respawns real workers.
         let ds = DatasetConfig {
             num_users: 300,
             ..DatasetConfig::games()
@@ -1431,11 +1145,9 @@ mod tests {
             .unwrap()
             .serve(&t);
         assert_eq!(rt_stats.completed, t.len(), "faults must never drop work");
-        assert_eq!(rt_stats.total_tokens, sim_stats.total_tokens);
-        assert_eq!(rt_stats.reused_tokens, sim_stats.reused_tokens);
-        assert_eq!(rt_stats.up_requests, sim_stats.up_requests);
         assert_eq!(rt_stats.faults, sim_stats.faults);
         assert!(!rt_stats.faults.is_quiet(), "the crash must be observed");
+        assert_eq!(rt_stats, sim_stats);
     }
 
     #[test]
@@ -1494,22 +1206,17 @@ mod tests {
     fn straggler_worker_is_routed_around() {
         let ds = DatasetConfig::games();
         let t = trace(&ds, 2.0, 60.0);
-        // Under the slot scheduler a run's latencies are the nominal ones
-        // the rounds were priced and paced at — virtual time, the same on
-        // an idle host and a loaded one — while the rounds themselves still
-        // cross the transport and are waited out by the workers' pacers.
-        // (The per-request path stamps a latency at the wall-clock instant
-        // its pacer finished, and two runs' P90s then compare the host's
-        // load during each; that comparison failed a build that touched no
-        // serving code.)
+        // A run's latencies are the nominal ones the rounds were priced and
+        // paced at — virtual time, the same on an idle host and a loaded
+        // one — while the rounds themselves still cross the transport and
+        // are waited out by the workers' pacers.
         let serve = |straggler| {
             let cfg = config(SystemKind::Bat, &ds)
-                .with_batching(Some(bat_sim::BatchingConfig::default()));
-            let opts = ServeOptions {
-                straggler,
-                ..ServeOptions::default()
-            };
-            let stats = ServeRuntime::new(cfg, opts).unwrap().serve(&t);
+                .with_batching(Some(bat_sim::BatchingConfig::default()))
+                .with_straggler(straggler);
+            let stats = ServeRuntime::new(cfg, ServeOptions::default())
+                .unwrap()
+                .serve(&t);
             assert_eq!(stats.completed, t.len(), "no work is lost");
             stats
         };
@@ -1541,22 +1248,16 @@ mod tests {
     #[test]
     fn straggler_options_are_validated() {
         let ds = DatasetConfig::games();
-        assert!(ServeRuntime::new(
-            config(SystemKind::Bat, &ds),
-            ServeOptions {
-                straggler: Some((99, 2.0)),
-                ..ServeOptions::default()
-            }
-        )
-        .is_err());
-        assert!(ServeRuntime::new(
-            config(SystemKind::Bat, &ds),
-            ServeOptions {
-                straggler: Some((0, 0.5)),
-                ..ServeOptions::default()
-            }
-        )
-        .is_err());
+        for straggler in [(99, 2.0), (0, 0.5)] {
+            let cfg = config(SystemKind::Bat, &ds).with_straggler(Some(straggler));
+            assert!(
+                matches!(
+                    ServeRuntime::new(cfg, ServeOptions::default()),
+                    Err(BatError::InvalidConfig(_))
+                ),
+                "straggler {straggler:?} must be a typed error"
+            );
+        }
     }
 
     #[test]
@@ -1650,7 +1351,7 @@ mod tests {
     fn batched_runtime_matches_simulator_digest() {
         // The threaded runtime drives the identical nominal-time batch
         // machine, so its whole stats digest — batching ledger included —
-        // must be bitwise equal to the simulator's batched path.
+        // must be bitwise equal to the simulator's.
         let ds = DatasetConfig {
             num_users: 300,
             ..DatasetConfig::games()

@@ -1,6 +1,7 @@
-//! Cross-engine integration test for continuous batching: the threaded
-//! serve runtime and the discrete-event simulator must form bitwise
-//! identical batches on the same trace at every worker count.
+//! Cross-engine integration test for batching: the threaded serve runtime
+//! and the discrete-event simulator must form bitwise identical batches on
+//! the same trace at every worker count, for continuous batching and for
+//! per-request batching alike (both are the one slot machine).
 //!
 //! Batch formation runs on nominal arrival times and priced services in
 //! both engines, so slot seating, chunk retirement, round fusion — and
@@ -38,17 +39,24 @@ fn trace(ds: &DatasetConfig, secs: f64, rate: f64) -> Vec<RankRequest> {
     g.generate(secs, rate)
 }
 
-fn batched_config(ds: &DatasetConfig, nodes: usize) -> EngineConfig {
+/// Eight seats of 512-token chunks: every short-prompt request fits one.
+const CONTINUOUS: BatchingConfig = BatchingConfig {
+    slots_per_worker: 8,
+    chunk_tokens: 512,
+};
+
+fn config(ds: &DatasetConfig, nodes: usize, batching: Option<BatchingConfig>) -> EngineConfig {
     EngineConfig::for_system(
         SystemKind::Bat,
         ModelConfig::qwen2_1_5b(),
         cluster(nodes),
         ds,
     )
-    .with_batching(Some(BatchingConfig {
-        slots_per_worker: 8,
-        chunk_tokens: 512,
-    }))
+    .with_batching(batching)
+}
+
+fn batched_config(ds: &DatasetConfig, nodes: usize) -> EngineConfig {
+    config(ds, nodes, Some(CONTINUOUS))
 }
 
 #[test]
@@ -114,29 +122,29 @@ fn kill_schedule_digest_matches_simulator_across_worker_counts() {
     // the fault-free parity test above.
     let ds = short_prompt_dataset();
     let t = trace(&ds, 2.0, 150.0);
-    for nodes in [2usize, 4, 8] {
-        let schedule = FaultSchedule::random(17, nodes, 2.0, 1);
-        assert!(!schedule.is_empty(), "seed 17 must schedule a crash");
-        let cfg = batched_config(&ds, nodes).with_faults(Some(schedule));
-        let sim = ServingEngine::new(cfg.clone()).unwrap().run(&t);
-        let rt = ServeRuntime::new(cfg, ServeOptions::default())
-            .unwrap()
-            .serve(&t);
-        assert_eq!(
-            rt.completed,
-            t.len(),
-            "a crash must never drop work at {nodes} workers"
-        );
-        assert!(!sim.faults.is_quiet(), "the crash must be observed");
-        assert_eq!(
-            sim.batching, rt.batching,
-            "batching ledger diverged under kill at {nodes} workers"
-        );
-        assert_eq!(
-            sim.digest(),
-            rt.digest(),
-            "stats digest diverged under kill at {nodes} workers"
-        );
+    for batching in [None, Some(CONTINUOUS)] {
+        for nodes in [2usize, 4, 8] {
+            let schedule = FaultSchedule::random(17, nodes, 2.0, 1);
+            assert!(!schedule.is_empty(), "seed 17 must schedule a crash");
+            let cfg = config(&ds, nodes, batching).with_faults(Some(schedule));
+            let sim = ServingEngine::new(cfg.clone()).unwrap().run(&t);
+            let rt = ServeRuntime::new(cfg, ServeOptions::default())
+                .unwrap()
+                .serve(&t);
+            let at = format!("{nodes} workers, batching {batching:?}");
+            assert_eq!(rt.completed, t.len(), "a crash dropped work at {at}");
+            assert!(!sim.faults.is_quiet(), "the crash must be observed");
+            assert_eq!(
+                sim.batching, rt.batching,
+                "batching ledger diverged under kill at {at}"
+            );
+            assert_eq!(
+                sim.digest(),
+                rt.digest(),
+                "stats digest diverged under kill at {at}"
+            );
+            assert_eq!(sim, rt, "latencies diverged under kill at {at}");
+        }
     }
 }
 
@@ -146,45 +154,44 @@ fn chaos_membership_schedules_match_simulator() {
     // seeded schedules mixing planned drain/join with crash/restart, on
     // top of an SLO controller so the *extended* conservation law
     // (submitted == completed + shed + rejected, with `migrated` a pure
-    // movement ledger) is checked under churn, not just at steady state.
+    // movement ledger) is checked under churn, not just at steady state —
+    // each under per-request and continuous batching.
     let ds = short_prompt_dataset();
     let mut g = TraceGenerator::new(Workload::new(ds.clone(), 11), 12);
     g.set_slo(SloBudget::with_deadline(0.2));
     let t = g.generate(2.0, 150.0);
     let mut membership_events = 0;
-    for seed in [3u64, 5, 9] {
+    for (seed, batching) in [3u64, 5, 9]
+        .into_iter()
+        .flat_map(|seed| [(seed, None), (seed, Some(CONTINUOUS))])
+    {
         let schedule = FaultSchedule::random_membership(seed, 4, 2.0, 2);
         membership_events += schedule.events().len();
-        let cfg = batched_config(&ds, 4)
+        let cfg = config(&ds, 4, batching)
             .with_slo(Some(OverloadConfig::default()))
             .with_faults(Some(schedule));
         let sim = ServingEngine::new(cfg.clone()).unwrap().run(&t);
         let rt = ServeRuntime::new(cfg, ServeOptions::default())
             .unwrap()
             .serve(&t);
-        assert_eq!(rt.slo.submitted, t.len() as u64, "seed {seed}");
+        let at = format!("seed {seed}, batching {batching:?}");
+        assert_eq!(rt.slo.submitted, t.len() as u64, "{at}");
         assert!(
             rt.slo.conserved(),
-            "seed {seed}: submitted != completed + shed + rejected"
+            "{at}: submitted != completed + shed + rejected"
         );
         assert!(
             rt.batching.migrated_tokens >= rt.batching.migrated_requests,
-            "seed {seed}: a migrated chunk carries at least one token"
+            "{at}: a migrated chunk carries at least one token"
         );
         assert_eq!(
             rt.slo.migrated, rt.batching.migrated_requests,
-            "seed {seed}: the SLO migration ledger mirrors the machine"
+            "{at}: the SLO migration ledger mirrors the machine"
         );
-        assert_eq!(sim.slo, rt.slo, "seed {seed}: SLO ledger diverged");
-        assert_eq!(
-            sim.batching, rt.batching,
-            "seed {seed}: batching ledger diverged"
-        );
-        assert_eq!(
-            sim.digest(),
-            rt.digest(),
-            "seed {seed}: stats digest diverged"
-        );
+        assert_eq!(sim.slo, rt.slo, "{at}: SLO ledger diverged");
+        assert_eq!(sim.batching, rt.batching, "{at}: batching ledger diverged");
+        assert_eq!(sim.digest(), rt.digest(), "{at}: stats digest diverged");
+        assert_eq!(sim, rt, "{at}: latencies diverged");
     }
     assert!(
         membership_events > 0,

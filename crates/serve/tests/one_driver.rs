@@ -1,11 +1,11 @@
-//! Every entry path — the simulator's two runs, the runtime's two serves —
-//! admits through `bat_sim::driver`'s front end and closes its run there,
-//! and both slot paths are its slot driver. A second scheduler, overload
-//! controller, admission estimate or stats epilogue in `bat-sim` or
-//! `bat-serve` is a hand-copied serving loop growing back, so this test
-//! reads the sources and fails on one.
+//! Every entry path — the simulator's run, the runtime's serve — admits
+//! through `bat_sim::driver`'s front end, executes on its slot driver and
+//! closes its run there. A second scheduler, overload controller, admission
+//! estimate, stats epilogue or event heap in `bat-sim` or `bat-serve` is a
+//! hand-copied serving loop growing back, so this test reads the sources
+//! and fails on one.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Calls only the driver may make, once each.
 const DRIVER_ONLY: [&str; 4] = [
@@ -18,32 +18,74 @@ const DRIVER_ONLY: [&str; 4] = [
 /// The one file allowed to make them.
 const DRIVER: &str = "driver.rs";
 
+/// The entry paths: each builds the slot driver exactly once.
+const ENTRY_PATHS: [&str; 2] = ["engine.rs", "runtime.rs"];
+
+/// Names of the deleted per-request executors, which no file under
+/// `crates/` may mention again.
+const GONE: [&str; 3] = ["BatchFormer", "fn serve_dispatch", "fn collect_jobs"];
+
+/// The `.rs` files under `dir`, recursively.
+fn sources(dir: &Path) -> Vec<PathBuf> {
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("directory lists") {
+        let path = entry.expect("directory entry reads").path();
+        if path.is_dir() {
+            found.extend(sources(&path));
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            found.push(path);
+        }
+    }
+    found
+}
+
+/// `(line number, code)` of a source outside its trailing `#[cfg(test)]`
+/// module (unit tests may build whatever they compare against), with
+/// comments cut off (comments may name calls).
+fn code_lines(path: &Path) -> Vec<(usize, String)> {
+    let source = std::fs::read_to_string(path).expect("source file reads");
+    source
+        .lines()
+        .take_while(|line| line.trim() != "#[cfg(test)]")
+        .map(|line| line.split("//").next().unwrap_or("").to_owned())
+        .enumerate()
+        .map(|(i, line)| (i + 1, line))
+        .collect()
+}
+
+fn crates_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .expect("crates/")
+        .to_path_buf()
+}
+
 #[test]
 fn only_the_driver_builds_a_serving_loop() {
-    let crates = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .expect("crates/");
+    let crates = crates_dir();
     let mut sites: Vec<Vec<String>> = vec![Vec::new(); DRIVER_ONLY.len()];
+    let mut drivers: Vec<Vec<String>> = vec![Vec::new(); ENTRY_PATHS.len()];
+    let mut strays = Vec::new();
     let mut scanned = 0;
     for dir in [crates.join("sim/src"), crates.join("serve/src")] {
-        for entry in std::fs::read_dir(&dir).expect("source directory lists") {
-            let path = entry.expect("directory entry reads").path();
-            if path.extension().is_none_or(|ext| ext != "rs") {
-                continue;
-            }
+        for path in sources(&dir) {
             scanned += 1;
-            let source = std::fs::read_to_string(&path).expect("source file reads");
-            // Unit tests sit in a trailing `#[cfg(test)]` module and may
-            // build whatever they compare against; comments may name calls.
-            let code = source
-                .lines()
-                .take_while(|line| line.trim() != "#[cfg(test)]")
-                .map(|line| line.split("//").next().unwrap_or(""));
-            for (i, line) in code.enumerate() {
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            for (i, line) in code_lines(&path) {
+                let site = format!("{}:{i}", path.display());
                 for (call, found) in DRIVER_ONLY.iter().zip(&mut sites) {
                     if line.contains(call) {
-                        found.push(format!("{}:{}", path.display(), i + 1));
+                        found.push(site.clone());
                     }
+                }
+                if line.contains("SlotDriver::new(") {
+                    match ENTRY_PATHS.iter().position(|&p| p == name) {
+                        Some(k) => drivers[k].push(site.clone()),
+                        None => strays.push(format!("{site} builds a slot driver")),
+                    }
+                }
+                if line.contains("BinaryHeap") {
+                    strays.push(format!("{site} holds an event heap"));
                 }
             }
         }
@@ -56,4 +98,41 @@ fn only_the_driver_builds_a_serving_loop() {
              serving path goes through its front end and slot driver); found at {found:?}"
         );
     }
+    for (entry, found) in ENTRY_PATHS.iter().zip(&drivers) {
+        assert!(
+            found.len() == 1,
+            "{entry} must build the slot driver exactly once outside tests; found at {found:?}"
+        );
+    }
+    assert!(
+        strays.is_empty(),
+        "the slot machine is the only executor: its event heap lives in bat-sched \
+         and only the entry paths build its driver; found {strays:?}"
+    );
+}
+
+#[test]
+fn the_per_request_executors_stay_deleted() {
+    let this_file = Path::new(file!())
+        .file_name()
+        .expect("this test has a file name");
+    let mut found = Vec::new();
+    for path in sources(&crates_dir()) {
+        if path.file_name() == Some(this_file) {
+            continue;
+        }
+        let source = std::fs::read_to_string(&path).expect("source file reads");
+        for (i, line) in source.lines().enumerate() {
+            for name in GONE {
+                if line.contains(name) {
+                    found.push(format!("{}:{}: `{name}`", path.display(), i + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "per-request batching is the slot machine's `BatchingConfig::PER_REQUEST`; \
+         a second executor is growing back at {found:?}"
+    );
 }

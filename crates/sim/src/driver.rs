@@ -3,19 +3,19 @@
 //! §5.1 has a single scheduler in front of the inference workers. This
 //! module is that scheduler for every entry path of the repo:
 //!
-//! * [`FrontEnd`] is what happens to a request when it arrives — item
+//! * `FrontEnd` is what happens to a request when it arrives — item
 //!   refresh, admission, brownout rung, plan, token accounting — and what a
-//!   finished run reports ([`FrontEnd::finish`]). The simulator's event
-//!   loop, the threaded runtime's per-request scheduler and the slot driver
-//!   all call the same [`FrontEnd::arrive`], so an engine cannot honour a
-//!   configuration knob the others ignore.
-//! * [`SlotDriver`] is the continuous-batching run: it owns the front end,
-//!   the [`BatchScheduler`], the nominal fault cursor and the admitted-job
-//!   table, and walks a sorted trace on *nominal* time. Callers supply what
-//!   is physical through two hooks: `before_arrival` (the runtime paces the
+//!   finished run reports.
+//! * [`SlotDriver`] is the run, and the only executor: it owns the front
+//!   end, the [`BatchScheduler`], the nominal fault cursor and the
+//!   admitted-job table, and walks a sorted trace on *nominal* time. Under
+//!   [`EngineConfig::batching`] the machine runs that slot configuration;
+//!   without it, per-request batching ([`BatchingConfig::PER_REQUEST`]).
+//!   Every round fits `cluster.max_batched_tokens`. Callers supply what is
+//!   physical through two hooks: `before_arrival` (the runtime paces the
 //!   wall clock there; the simulator does nothing) and `on_rounds` (the
 //!   runtime puts each formed round on the wire). The ledger never sees the
-//!   hooks, which is why simulator and runtime digests are equal bitwise.
+//!   hooks, which is why simulator and runtime statistics are equal bitwise.
 
 use crate::engine::EngineConfig;
 use crate::planner::{PlannedJob, RequestPlanner};
@@ -27,21 +27,12 @@ use bat_types::{BatError, Bytes, PrefixKind, RankRequest, RejectReason, RequestI
 
 /// The arrival-side counters of a run.
 ///
-/// Priced seconds enter only through [`Ledger::charge`], and *when* a path
-/// calls it is part of that path's pinned behaviour — the sums are f64
-/// folds, and a path that charges before its shed point prices shed work:
-///
-/// * the simulator's per-request engine charges at **batch start**, from
-///   [`RequestPlanner::price_components`] under the link factor of that
-///   instant plus the job's own network extras; work swept from a queue is
-///   never charged;
-/// * the runtime's per-request scheduler charges at **plan time** (the
-///   price rides the dispatch frame), so work a worker later sheds is
-///   charged;
-/// * both slot paths charge at **completion**, in the machine's completion
-///   order; shed work is never charged.
+/// Priced seconds enter only through `Ledger::charge`, at **completion**:
+/// the driver folds each served request's plan-time price in the machine's
+/// completion order, so the f64 sums are the same in every engine and shed
+/// work is never charged.
 #[derive(Debug, Default)]
-pub struct Ledger {
+struct Ledger {
     total_tokens: u64,
     reused_tokens: u64,
     computed_tokens: u64,
@@ -58,18 +49,17 @@ pub struct Ledger {
 
 impl Ledger {
     /// Folds one job's priced `(compute, load, net)` seconds into the run.
-    pub fn charge(&mut self, compute: f64, load: f64, net: f64) {
+    fn charge(&mut self, compute: f64, load: f64, net: f64) {
         self.compute_secs += compute;
         self.load_secs += load;
         self.net_secs += net;
     }
 }
 
-/// Terminal outcomes of admitted requests, folded wherever they surface:
-/// the simulator's `Done` events, the slot machine's completion list, the
-/// runtime's collector thread.
+/// Terminal outcomes of admitted requests, folded from the slot machine's
+/// completion and shed lists.
 #[derive(Debug, Default)]
-pub struct Outcomes {
+struct Outcomes {
     latencies: Percentiles,
     completed: usize,
     deadline_misses: u64,
@@ -79,7 +69,7 @@ pub struct Outcomes {
 
 impl Outcomes {
     /// One request served, `latency` seconds after it arrived, at time `at`.
-    pub fn complete(&mut self, latency: f64, at: f64, missed_deadline: bool) {
+    fn complete(&mut self, latency: f64, at: f64, missed_deadline: bool) {
         self.latencies.record(latency);
         self.completed += 1;
         self.deadline_misses += u64::from(missed_deadline);
@@ -88,28 +78,26 @@ impl Outcomes {
 
     /// `n` admitted requests swept unserved (deadline expired in a queue, or
     /// no live worker left to run them).
-    pub fn shed(&mut self, n: u64) {
+    fn shed(&mut self, n: u64) {
         self.shed += n;
     }
 }
 
-/// A request past admission: its plan and where it stands in the trace.
+/// A request past admission: its plan, arrival and deadline.
 #[derive(Debug)]
-pub struct Admitted {
-    /// Index of the request in the trace.
-    pub idx: usize,
+struct Admitted {
     /// The planner's decision.
-    pub plan: PlannedJob,
+    plan: PlannedJob,
     /// Arrival the request's latency is measured from, seconds.
-    pub arrival_secs: f64,
+    arrival_secs: f64,
     /// Absolute completion deadline; `None` when the request is best-effort
     /// or the control plane is off.
-    pub deadline: Option<f64>,
+    deadline: Option<f64>,
 }
 
 impl Admitted {
     /// The telemetry record of this request completing at `completion_secs`.
-    pub fn record(&self, id: RequestId, completion_secs: f64) -> RequestRecord {
+    fn record(&self, id: RequestId, completion_secs: f64) -> RequestRecord {
         RequestRecord {
             id,
             arrival_secs: self.arrival_secs,
@@ -133,7 +121,7 @@ fn live_capacity(planner: &RequestPlanner, speeds: &[f64]) -> f64 {
 
 /// The request front end: planner, optional overload controller, per-worker
 /// speeds and the counter ledger.
-pub struct FrontEnd<'a> {
+struct FrontEnd<'a> {
     cfg: &'a EngineConfig,
     planner: &'a mut RequestPlanner,
     /// Built on nominal arrival times and planner cost estimates only, so
@@ -142,20 +130,15 @@ pub struct FrontEnd<'a> {
     /// Service-time multiplier per worker (1.0 unless it is the straggler).
     speeds: Vec<f64>,
     next_refresh: f64,
-    /// The run's counters; see [`Ledger`] for who charges when.
-    pub ledger: Ledger,
+    ledger: Ledger,
 }
 
 impl<'a> FrontEnd<'a> {
-    /// A front end for one run of `cfg` over `planner`, with worker
-    /// `straggler.0` slowed down `straggler.1` times.
-    pub fn new(
-        cfg: &'a EngineConfig,
-        planner: &'a mut RequestPlanner,
-        straggler: Option<(usize, f64)>,
-    ) -> Self {
+    /// A front end for one run of `cfg` over `planner`, with the
+    /// configuration's straggler ([`EngineConfig::straggler`]) slowed down.
+    fn new(cfg: &'a EngineConfig, planner: &'a mut RequestPlanner) -> Self {
         let speeds: Vec<f64> = (0..cfg.cluster.num_nodes)
-            .map(|i| match straggler {
+            .map(|i| match cfg.straggler {
                 Some((w, factor)) if w == i => factor,
                 _ => 1.0,
             })
@@ -173,39 +156,24 @@ impl<'a> FrontEnd<'a> {
         }
     }
 
-    /// The planner, for what an executor does between arrivals: applying a
-    /// fault at its own instant, asking who is alive, pricing a batch.
-    pub fn planner(&mut self) -> &mut RequestPlanner {
-        self.planner
-    }
-
-    /// Service-time multiplier of each worker.
-    pub fn speeds(&self) -> &[f64] {
-        &self.speeds
-    }
-
-    /// One request arrives at `nominal` seconds: faults due by then are in
-    /// effect, the item refresh runs if its interval has passed, the
-    /// overload controller admits or rejects (seeing the slot machine's
-    /// backlog when there is one), and an admitted request is planned on
-    /// the controller's brownout rung and counted.
+    /// One request arrives at `nominal` seconds, after the caller applied
+    /// the faults due by then: the item refresh runs if its interval has
+    /// passed, the overload controller admits or rejects (seeing the slot
+    /// machine's backlog), and an admitted request is planned on the
+    /// controller's brownout rung and counted.
     ///
     /// # Errors
     ///
     /// The reason the controller refused the request; the planner is left
     /// as if it had never arrived.
-    pub fn arrive(
+    fn arrive(
         &mut self,
         req: &RankRequest,
-        idx: usize,
         nominal: f64,
-        slots: Option<&mut BatchScheduler>,
+        slots: &mut BatchScheduler,
     ) -> Result<Admitted, RejectReason> {
-        // Idempotent where the caller already applied the due faults one by
-        // one; the per-request runtime applies them only here.
-        self.planner.advance_faults(nominal);
         // The refresh boundary is compared on the nanosecond-rounded clock
-        // of the simulator's event heap.
+        // every event of a run is ordered by.
         let rounded = time_key(nominal) as f64 / 1e9;
         self.ledger.first_arrival.get_or_insert(rounded);
         if let Some(interval) = self.cfg.item_refresh_interval_secs {
@@ -216,13 +184,11 @@ impl<'a> FrontEnd<'a> {
         }
         if let Some(ctl) = &mut self.controller {
             ctl.set_capacity(live_capacity(self.planner, &self.speeds));
-            if let Some(machine) = slots {
-                // Slot occupancy floors the analytic backlog: work seated
-                // or queued in the machine is drain the controller's leaky
-                // bucket cannot see on its own.
-                machine.advance(nominal);
-                ctl.set_slot_backlog(machine.outstanding_service_secs());
-            }
+            // Slot occupancy floors the analytic backlog: work seated or
+            // queued in the machine is drain the controller's leaky bucket
+            // cannot see on its own.
+            slots.advance(nominal);
+            ctl.set_slot_backlog(slots.outstanding_service_secs());
             let slo = &mut self.ledger.slo;
             slo.submitted += 1;
             let est = self.planner.admission_estimate_secs(req);
@@ -251,7 +217,6 @@ impl<'a> FrontEnd<'a> {
             }
         }
         Ok(Admitted {
-            idx,
             plan,
             arrival_secs: nominal,
             deadline: self
@@ -262,9 +227,9 @@ impl<'a> FrontEnd<'a> {
     }
 
     /// Closes the run: the ledger, the terminal `outcomes`, the slot
-    /// machine's ledger if one ran, and the planner's fault and tier
-    /// reports become the run's statistics.
-    pub fn finish(self, mut outcomes: Outcomes, batching: Option<BatchStats>) -> RunStats {
+    /// machine's ledger and the planner's fault and tier reports become the
+    /// run's statistics.
+    fn finish(self, mut outcomes: Outcomes, batching: BatchStats) -> RunStats {
         let ledger = self.ledger;
         let span = match ledger.first_arrival {
             Some(first) if outcomes.completed > 0 => (outcomes.last_completion - first).max(1e-9),
@@ -291,11 +256,9 @@ impl<'a> FrontEnd<'a> {
             stats.slo.completed = outcomes.completed as u64;
             stats.slo.deadline_misses = outcomes.deadline_misses;
         }
-        if let Some(batching) = batching {
-            stats.batching = batching;
-            // The SLO plane's migration ledger is the machine's.
-            stats.slo.migrated = batching.migrated_requests;
-        }
+        stats.batching = batching;
+        // The SLO plane's migration ledger is the machine's.
+        stats.slo.migrated = batching.migrated_requests;
         if let Some(report) = self.planner.finish_faults() {
             stats.faults = report;
         }
@@ -309,7 +272,7 @@ impl<'a> FrontEnd<'a> {
 /// A job's priced `(compute, load, net)` seconds.
 type Price = (f64, f64, f64);
 
-/// The continuous-batching run on nominal time; see the module docs.
+/// The serving run on nominal time; see the module docs.
 pub struct SlotDriver<'a> {
     front: FrontEnd<'a>,
     machine: BatchScheduler,
@@ -323,14 +286,17 @@ pub struct SlotDriver<'a> {
 }
 
 impl<'a> SlotDriver<'a> {
-    /// A driver seating `batching.slots_per_worker` requests per worker of
-    /// the front end's cluster.
-    pub fn new(front: FrontEnd<'a>, batching: BatchingConfig) -> Self {
+    /// A driver for one run of `cfg` over `planner`: the configuration's
+    /// slot discipline, or per-request batching without one, under its
+    /// max-batched-tokens.
+    pub fn new(cfg: &'a EngineConfig, planner: &'a mut RequestPlanner) -> Self {
+        let front = FrontEnd::new(cfg, planner);
         let machine = BatchScheduler::new(
-            batching,
-            front.cfg.batch_overhead_secs,
+            cfg.batching.unwrap_or(BatchingConfig::PER_REQUEST),
+            cfg.batch_overhead_secs,
             front.speeds.clone(),
-        );
+        )
+        .with_round_budget(u64::from(cfg.cluster.max_batched_tokens));
         SlotDriver {
             front,
             machine,
@@ -386,10 +352,7 @@ impl<'a> SlotDriver<'a> {
     fn step(&mut self, idx: usize, req: &RankRequest, on_rounds: &mut impl FnMut(&[RoundRecord])) {
         let nominal = req.arrival.as_secs();
         self.apply_faults(time_key(nominal), on_rounds);
-        let Ok(job) = self
-            .front
-            .arrive(req, idx, nominal, Some(&mut self.machine))
-        else {
+        let Ok(job) = self.front.arrive(req, nominal, &mut self.machine) else {
             return;
         };
         let (c, l, t) = self.front.planner.price(&job.plan);
@@ -432,7 +395,7 @@ impl<'a> SlotDriver<'a> {
             }
         }
         outcomes.shed(self.machine.drain_sheds().len() as u64);
-        let stats = self.front.finish(outcomes, Some(self.machine.stats()));
+        let stats = self.front.finish(outcomes, self.machine.stats());
         (stats, records)
     }
 
@@ -503,12 +466,11 @@ mod tests {
             ],
         )
         .unwrap();
-        let cfg = config(&ds).with_faults(Some(schedule));
+        let cfg = config(&ds)
+            .with_faults(Some(schedule))
+            .with_batching(Some(BatchingConfig::default()));
         let mut planner = RequestPlanner::from_config(&cfg);
-        let driver = SlotDriver::new(
-            FrontEnd::new(&cfg, &mut planner, None),
-            BatchingConfig::default(),
-        );
+        let driver = SlotDriver::new(&cfg, &mut planner);
         let mut rounds = Vec::new();
         let (stats, _) = driver.run(&requests, |_| {}, |r| rounds.extend_from_slice(r));
         // Planned after the crash: the request's first round is on the
@@ -526,15 +488,12 @@ mod tests {
     fn on_rounds_sees_every_round_once_in_order_and_empties_the_log() {
         let ds = DatasetConfig::games();
         let requests = trace(&ds, 2.0, 60.0);
-        let cfg = config(&ds);
+        let cfg = config(&ds).with_batching(Some(BatchingConfig {
+            slots_per_worker: 4,
+            chunk_tokens: 256,
+        }));
         let mut planner = RequestPlanner::from_config(&cfg);
-        let mut driver = SlotDriver::new(
-            FrontEnd::new(&cfg, &mut planner, None),
-            BatchingConfig {
-                slots_per_worker: 4,
-                chunk_tokens: 256,
-            },
-        );
+        let mut driver = SlotDriver::new(&cfg, &mut planner);
         let mut seen: Vec<RoundRecord> = Vec::new();
         let mut on_rounds = |r: &[RoundRecord]| {
             assert!(!r.is_empty(), "the hook is not called for nothing");

@@ -2,10 +2,10 @@
 //!
 //! One engine instance simulates the full BAT deployment of Figure 3: a
 //! centralized hotness-aware prompt scheduler, `N` inference workers (one
-//! per node, FIFO prefill queues batched under max-batched-tokens), `N`
-//! cache workers whose memory is split between a statically-placed item
-//! region and a pooled user region, and the cache meta service (user-cache
-//! index + frequency estimates).
+//! per node, fed FIFO rounds under max-batched-tokens from one global
+//! queue), `N` cache workers whose memory is split between a
+//! statically-placed item region and a pooled user region, and the cache
+//! meta service (user-cache index + frequency estimates).
 //!
 //! What is modeled analytically: GPU kernel time, PCIe loads, network
 //! transfers ([`crate::compute`]). What runs for real: every scheduling
@@ -18,15 +18,12 @@
 //! KV write-back happens off the critical path (§5.1) and is not charged.
 
 use crate::compute::ComputeModel;
-use crate::driver::{Admitted, FrontEnd, Outcomes, SlotDriver};
+use crate::driver::SlotDriver;
 use crate::planner::RequestPlanner;
 use crate::stats::RunStats;
 use bat_placement::{compute_replication_ratio, HrcsParams, ItemPlacementPlan, PlacementStrategy};
-use bat_sched::{time_key, BatchFormer};
 use bat_types::{BatError, Bytes, ClusterConfig, DatasetConfig, ModelConfig, RankRequest};
 use bat_workload::ZipfLaw;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
 
 /// The four systems compared throughout §6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -108,8 +105,9 @@ pub struct EngineConfig {
     /// (requires `track_item_hotness`). `None` disables refresh.
     pub item_refresh_interval_secs: Option<f64>,
     /// Fault schedule injected into the run; `None` means nothing fails.
-    /// The simulator replays it as heap events, the threaded runtime as
-    /// real worker shutdown/respawn — cache accounting stays identical.
+    /// Both engines apply it on nominal time through the shared driver, and
+    /// the threaded runtime also kills and respawns real workers — the
+    /// ledger stays identical.
     pub faults: Option<bat_faults::FaultSchedule>,
     /// Replicas of the cache-meta service's state machine. `0` runs the
     /// single-node [`bat_kvcache::LocalMetaIndex`] instead of the
@@ -131,10 +129,11 @@ pub struct EngineConfig {
     /// keeps the flat single-tier cache and is byte-identical to before
     /// the pool existed.
     pub tiers: Option<bat_tiers::TiersConfig>,
-    /// Continuous cross-request batching: replaces the per-worker FIFO +
-    /// monolithic batches with the slot-based chunked scheduler
-    /// ([`bat_sched::BatchScheduler`]). `None` (the default) keeps the
-    /// PR-2 batch former path bit-identical to before.
+    /// Continuous cross-request batching: the slot configuration of the
+    /// [`bat_sched::BatchScheduler`] every run executes on (seats per worker,
+    /// tokens per chunk). `None` (the default) is §5.1's per-request
+    /// batching, [`bat_sched::BatchingConfig::PER_REQUEST`]: whole requests
+    /// seated FIFO under `cluster.max_batched_tokens`.
     pub batching: Option<bat_sched::BatchingConfig>,
 }
 
@@ -246,7 +245,8 @@ impl EngineConfig {
     }
 
     /// Enables slot-based continuous cross-request batching (or reverts to
-    /// the per-request batch former with `None`).
+    /// per-request batching with `None`). Either way every round fits
+    /// `cluster.max_batched_tokens`.
     pub fn with_batching(mut self, batching: Option<bat_sched::BatchingConfig>) -> Self {
         self.batching = batching;
         self
@@ -290,6 +290,11 @@ impl EngineConfig {
         if !self.caching && self.placement.is_some() {
             return Err(BatError::InvalidConfig(
                 "item placement configured but caching disabled".to_owned(),
+            ));
+        }
+        if self.cluster.max_batched_tokens == 0 {
+            return Err(BatError::InvalidConfig(
+                "cluster max_batched_tokens must be >= 1".to_owned(),
             ));
         }
         if self.freq_window_secs <= 0.0 {
@@ -349,33 +354,10 @@ impl EngineConfig {
     }
 }
 
-#[derive(Debug, Default)]
-struct WorkerState {
-    queue: VecDeque<Admitted>,
-    queued_tokens: u64,
-    inflight: Vec<Admitted>,
-    inflight_tokens: u64,
-    busy: bool,
-    /// Bumped when the worker crashes, so in-flight `Done` events from the
-    /// pre-crash incarnation are recognized as stale and dropped.
-    gen: u64,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum EventKind {
-    /// Batch completion on worker `w`, valid only for its generation `gen`.
-    Done { worker: usize, gen: u64 },
-    /// Arrival of request `idx` in the trace.
-    Arrive { idx: usize },
-    /// Scheduled fault event `idx` fires.
-    Fault { idx: usize },
-}
-
 /// The serving engine.
 pub struct ServingEngine {
     cfg: EngineConfig,
     planner: RequestPlanner,
-    batcher: BatchFormer,
     records: Vec<crate::stats::RequestRecord>,
 }
 
@@ -388,10 +370,8 @@ impl ServingEngine {
     pub fn new(cfg: EngineConfig) -> Result<Self, BatError> {
         cfg.validate()?;
         let planner = RequestPlanner::from_config(&cfg);
-        let batcher = BatchFormer::new(cfg.cluster.max_batched_tokens);
         Ok(ServingEngine {
             planner,
-            batcher,
             cfg,
             records: Vec::new(),
         })
@@ -419,10 +399,10 @@ impl ServingEngine {
         std::mem::take(&mut self.records)
     }
 
-    /// Runs the engine over an arrival-ordered trace, to completion: through
-    /// the [`SlotDriver`] under [`EngineConfig::batching`], otherwise
-    /// through per-worker FIFO queues batched under max-batched-tokens.
-    /// Either way every arrival goes through the shared [`FrontEnd`].
+    /// Runs the engine over an arrival-ordered trace, to completion, through
+    /// the shared [`SlotDriver`]. The machine runs on nominal times and
+    /// priced services only, so the threaded runtime (driving the identical
+    /// driver with physical hooks) produces a bit-identical ledger.
     ///
     /// # Panics
     ///
@@ -434,201 +414,10 @@ impl ServingEngine {
                 "trace must be sorted by arrival"
             );
         }
-        let front = FrontEnd::new(&self.cfg, &mut self.planner, self.cfg.straggler);
-        let (stats, records) = match self.cfg.batching {
-            // The machine runs on nominal times and priced services only,
-            // so the threaded runtime (driving the identical driver with
-            // physical hooks) produces a bit-identical ledger.
-            Some(batching) => SlotDriver::new(front, batching).run(trace, |_| {}, |_| {}),
-            None => Dispatch::new(front, &self.batcher, &self.cfg).run(trace),
-        };
+        let (stats, records) =
+            SlotDriver::new(&self.cfg, &mut self.planner).run(trace, |_| {}, |_| {});
         self.records = records;
         stats
-    }
-}
-
-/// The per-request executor: per-worker FIFO queues, monolithic batches
-/// formed under max-batched-tokens, one `(time, sequence)` event heap.
-struct Dispatch<'a> {
-    front: FrontEnd<'a>,
-    batcher: &'a BatchFormer,
-    cfg: &'a EngineConfig,
-    workers: Vec<WorkerState>,
-    /// Event queue keyed by (time, sequence) for determinism.
-    events: BinaryHeap<Reverse<(u64, u64, EventKind)>>,
-    seq: u64,
-    outcomes: Outcomes,
-}
-
-impl<'a> Dispatch<'a> {
-    fn new(front: FrontEnd<'a>, batcher: &'a BatchFormer, cfg: &'a EngineConfig) -> Self {
-        Dispatch {
-            front,
-            batcher,
-            cfg,
-            workers: (0..cfg.cluster.num_nodes)
-                .map(|_| WorkerState::default())
-                .collect(),
-            events: BinaryHeap::new(),
-            seq: 0,
-            outcomes: Outcomes::default(),
-        }
-    }
-
-    fn push(&mut self, at: f64, kind: EventKind) {
-        self.events.push(Reverse((time_key(at), self.seq, kind)));
-        self.seq += 1;
-    }
-
-    fn run(mut self, trace: &[RankRequest]) -> (RunStats, Vec<crate::stats::RequestRecord>) {
-        // Fault events go in first so a fault at the same instant as an
-        // arrival is applied before the arrival is planned (matching the
-        // cursor's `at_secs <= now` semantics).
-        if let Some(schedule) = &self.cfg.faults {
-            for (idx, ev) in schedule.events().iter().enumerate() {
-                self.push(ev.at_secs, EventKind::Fault { idx });
-            }
-        }
-        for (idx, req) in trace.iter().enumerate() {
-            self.push(req.arrival.as_secs(), EventKind::Arrive { idx });
-        }
-        let mut records = Vec::new();
-        while let Some(Reverse((tkey, _, ev))) = self.events.pop() {
-            let now = tkey as f64 / 1e9;
-            match ev {
-                EventKind::Arrive { idx } => {
-                    let req = &trace[idx];
-                    // Plan on the *nominal* arrival time, not the quantized
-                    // heap key: the threaded runtime plans on the same
-                    // nominal instants, so fault cursors in both paths
-                    // advance through identical states.
-                    let nominal = req.arrival.as_secs();
-                    if let Ok(mut job) = self.front.arrive(req, idx, nominal, None) {
-                        // Latency is measured on the heap's clock.
-                        job.arrival_secs = now;
-                        self.enqueue(job, now);
-                    }
-                }
-                EventKind::Done { worker, gen } => {
-                    if self.workers[worker].gen != gen {
-                        // Completion from a pre-crash incarnation: the jobs
-                        // were already rerouted when the worker died.
-                        continue;
-                    }
-                    let w = &mut self.workers[worker];
-                    for job in w.inflight.drain(..) {
-                        let missed = job.deadline.is_some_and(|d| now > d);
-                        self.outcomes.complete(now - job.arrival_secs, now, missed);
-                        if self.cfg.record_requests {
-                            records.push(job.record(trace[job.idx].id, now));
-                        }
-                    }
-                    w.inflight_tokens = 0;
-                    w.busy = false;
-                    self.start_batch(worker, now);
-                }
-                EventKind::Fault { idx } => {
-                    let schedule = self.cfg.faults.as_ref();
-                    let at =
-                        schedule.expect("fault event requires a schedule").events()[idx].at_secs;
-                    for fault in self.front.planner().advance_faults(at) {
-                        let (d, graceful) = match fault {
-                            bat_faults::AppliedFault::Crashed(dead) => (dead.index(), false),
-                            bat_faults::AppliedFault::Drained(gone) => (gone.index(), true),
-                            // Restart/join: the planner marks the worker
-                            // alive again and the dispatcher resumes
-                            // routing to its (empty) queue — no worker
-                            // state to repair.
-                            _ => continue,
-                        };
-                        // Everything queued (and, on a crash, running) on
-                        // the departed worker is handed back to the
-                        // scheduler and redispatched to a survivor:
-                        // requests are never dropped. A planned drain is
-                        // graceful — the batch in flight completes (its
-                        // generation is not bumped, so the Done event
-                        // still lands); only queued work migrates.
-                        let w = &mut self.workers[d];
-                        let mut orphans: Vec<Admitted> = w.queue.drain(..).collect();
-                        w.queued_tokens = 0;
-                        if !graceful {
-                            orphans.append(&mut w.inflight);
-                            w.inflight_tokens = 0;
-                            w.busy = false;
-                            w.gen += 1;
-                        }
-                        for job in orphans {
-                            self.enqueue(job, now);
-                        }
-                    }
-                }
-            }
-        }
-        (self.front.finish(self.outcomes, None), records)
-    }
-
-    /// Queues `job` on the least-loaded worker — queued plus in-flight
-    /// tokens (§5.1) — among *live* workers only (degraded membership
-    /// excludes crashed ones), and starts a batch there if it is idle.
-    fn enqueue(&mut self, job: Admitted, now: f64) {
-        let planner = self.front.planner();
-        let w = (0..self.workers.len())
-            .filter(|&i| planner.is_worker_alive(i))
-            .min_by_key(|&i| self.workers[i].queued_tokens + self.workers[i].inflight_tokens)
-            .expect("schedule guarantees at least one live worker");
-        self.workers[w].queued_tokens += job.plan.suffix_tokens;
-        self.workers[w].queue.push_back(job);
-        if !self.workers[w].busy {
-            self.start_batch(w, now);
-        }
-    }
-
-    /// Dequeues one batch on idle worker `widx` at time `now` and schedules
-    /// its `Done`; does nothing when the queue is empty, or the deadline
-    /// sweep emptied it.
-    fn start_batch(&mut self, widx: usize, now: f64) {
-        let w = &mut self.workers[widx];
-        // Deadline sweep before forming the batch: an expired entry is shed
-        // (`BatError::DeadlineExceeded` is its terminal outcome in the
-        // threaded runtime) — serving dead work would only delay live work.
-        let before = w.queue.len();
-        w.queue.retain(|job| !job.deadline.is_some_and(|d| now > d));
-        if w.queue.len() != before {
-            self.outcomes.shed((before - w.queue.len()) as u64);
-            w.queued_tokens = w.queue.iter().map(|j| j.plan.suffix_tokens).sum();
-        }
-        if w.queue.is_empty() {
-            return;
-        }
-        let tokens: Vec<u32> = w
-            .queue
-            .iter()
-            .map(|j| j.plan.suffix_tokens.min(u32::MAX as u64) as u32)
-            .collect();
-        let n = self.batcher.take_batch(&tokens).max(1);
-        let mut service = self.cfg.batch_overhead_secs;
-        for _ in 0..n {
-            let job = w.queue.pop_front().expect("batch within queue bounds");
-            w.queued_tokens -= job.plan.suffix_tokens;
-            w.inflight_tokens += job.plan.suffix_tokens;
-            // Priced through the planner so a degraded link (fault
-            // schedule) inflates the network component; the job's own
-            // slow-link extras (hedge residue, backoff) ride on top.
-            let (c, l, t) = self.front.planner().price_components(
-                job.plan.suffix_tokens,
-                job.plan.context_tokens,
-                job.plan.local_load,
-                job.plan.remote_bytes,
-            );
-            let t = t + job.plan.net_extra_secs;
-            self.front.ledger.charge(c, l, t);
-            service += c + l + t;
-            w.inflight.push(job);
-        }
-        w.busy = true;
-        let gen = w.gen;
-        let service = service * self.front.speeds()[widx];
-        self.push(now + service, EventKind::Done { worker: widx, gen });
     }
 }
 
@@ -861,7 +650,7 @@ mod tests {
             ..DatasetConfig::games()
         };
         let t = trace(&ds, 4.0, 20.0);
-        // Per-request dispatch, then the slot driver's record path.
+        // The per-request point, then a chunked one.
         for batching in [None, Some(bat_sched::BatchingConfig::default())] {
             let mut cfg = EngineConfig::for_system(
                 SystemKind::Bat,
@@ -1009,6 +798,12 @@ mod tests {
             small_cluster(),
             &ds,
         );
+        let mut no_budget = cfg.clone();
+        no_budget.cluster.max_batched_tokens = 0;
+        assert!(matches!(
+            ServingEngine::new(no_budget),
+            Err(BatError::InvalidConfig(_))
+        ));
         cfg.caching = false;
         assert!(matches!(cfg.validate(), Err(BatError::InvalidConfig(_))));
     }
@@ -1113,13 +908,6 @@ mod tests {
     }
 
     #[test]
-    fn per_request_runs_keep_the_batching_ledger_quiet() {
-        let ds = DatasetConfig::games();
-        let stats = run_system(SystemKind::Bat, &ds, 2.0, 10.0);
-        assert_eq!(stats.batching, bat_metrics::BatchStats::default());
-    }
-
-    #[test]
     fn continuous_batching_beats_per_request_dispatch_under_load() {
         // Per-request baseline: max_batched_tokens = 1 forces one batch
         // overhead per request. Continuous batching amortizes it across
@@ -1135,12 +923,17 @@ mod tests {
             ..DatasetConfig::games()
         };
         let t = trace(&ds, 1.0, 2000.0);
-        let mut cluster = small_cluster();
-        cluster.max_batched_tokens = 1;
-        let base_cfg =
-            EngineConfig::for_system(SystemKind::Bat, ModelConfig::qwen2_1_5b(), cluster, &ds);
-        let base = ServingEngine::new(base_cfg.clone()).unwrap().run(&t);
-        let cont_cfg = base_cfg.with_batching(Some(bat_sched::BatchingConfig {
+        let config = |cluster| {
+            EngineConfig::for_system(SystemKind::Bat, ModelConfig::qwen2_1_5b(), cluster, &ds)
+        };
+        let mut one_token = small_cluster();
+        one_token.max_batched_tokens = 1;
+        let base = ServingEngine::new(config(one_token)).unwrap().run(&t);
+        assert_eq!(
+            base.batching.rounds, base.batching.chunks,
+            "a one-token budget is one request per round"
+        );
+        let cont_cfg = config(small_cluster()).with_batching(Some(bat_sched::BatchingConfig {
             slots_per_worker: 8,
             chunk_tokens: 512,
         }));

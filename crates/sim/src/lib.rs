@@ -3,9 +3,9 @@
 //! GPUs, PCIe links and the inter-node network are replaced by analytic
 //! cost models ([`compute`]); everything else — the scheduler's prefix
 //! decisions, the user-cache admission/eviction churn, the item placement
-//! and its network transfers, per-worker FIFO queues with
-//! max-batched-tokens batching — runs for real, event by event
-//! ([`engine`]). This is the substrate behind Figures 5–11 and Table 4.
+//! and its network transfers, one global FIFO seated into rounds under
+//! max-batched-tokens — runs for real, event by event ([`driver`]). This is
+//! the substrate behind Figures 5–11 and Table 4.
 //!
 //! # Example
 //!
@@ -41,7 +41,7 @@ pub use bat_sched::{
 };
 pub use bat_tiers::{ColdFormat, SplitPolicy, TieredKvPool, TiersConfig};
 pub use compute::ComputeModel;
-pub use driver::{Admitted, FrontEnd, Ledger, Outcomes, SlotDriver};
+pub use driver::SlotDriver;
 pub use engine::{AdmissionKind, EngineConfig, PolicyKind, ServingEngine, SystemKind};
 pub use planner::{MetaBackend, PlannedJob, RequestPlanner};
 pub use stats::{breakdown_by_prefix, RequestRecord, RunStats};

@@ -1105,29 +1105,12 @@ impl RequestPlanner {
     /// job's per-pull slow-link extras (post-hedge inflation and backoff
     /// delays).
     pub fn price(&self, job: &PlannedJob) -> (f64, f64, f64) {
-        let (c, l, n) = self.price_components(
-            job.suffix_tokens,
-            job.context_tokens,
-            job.local_load,
-            job.remote_bytes,
-        );
-        (c, l, n + job.net_extra_secs)
-    }
-
-    /// [`Self::price`] from raw components (the simulator prices batches
-    /// from its own job records).
-    pub fn price_components(
-        &self,
-        suffix_tokens: u64,
-        context_tokens: u64,
-        local_load: Bytes,
-        remote_bytes: Bytes,
-    ) -> (f64, f64, f64) {
         let link = self.faults.as_ref().map_or(1.0, |fs| fs.view.link_factor());
         (
-            self.compute.prefill_secs(suffix_tokens, context_tokens),
-            self.compute.kv_load_secs(local_load),
-            self.compute.net_transfer_secs(remote_bytes) * link,
+            self.compute
+                .prefill_secs(job.suffix_tokens, job.context_tokens),
+            self.compute.kv_load_secs(job.local_load),
+            self.compute.net_transfer_secs(job.remote_bytes) * link + job.net_extra_secs,
         )
     }
 }

@@ -159,15 +159,15 @@ impl RunStats {
     /// A deterministic digest over every planner-side field: the system
     /// label, completion and token accounting, priced cost sums (as exact
     /// f64 bit patterns), cache split, admission counters, and the fault
-    /// report. Wall-clock observations — span, latency percentiles, and
-    /// the deadline-miss/shed split (which depends on when a sweep ran) —
-    /// are excluded.
+    /// report. Span, latency percentiles and the deadline-miss/shed split
+    /// are left out; they are nominal as well, and the integration suite
+    /// compares whole [`RunStats`] values across engines.
     ///
     /// Two runs of the same seeded trace and fault schedule must produce
     /// equal digests **regardless of transport**: in-process channels,
     /// Unix sockets, TCP, or child-process workers. The serving runtime's
-    /// integration suite pins this; a codec or re-dispatch bug that
-    /// changes any planner-visible count breaks it loudly.
+    /// integration suite pins this; a codec or retirement bug that changes
+    /// any planner-visible count breaks it loudly.
     pub fn digest(&self) -> u64 {
         // FNV-1a via the shared bat_types::fnv module: tiny,
         // dependency-free, and plenty for an equality pin (this is not a

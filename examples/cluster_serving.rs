@@ -3,9 +3,9 @@
 //! Runs the full BAT pipeline — scheduler thread, per-node inference-worker
 //! threads, shared cache meta service — over a live trace, with GPU kernel
 //! time simulated by the cost model (time-scaled so the demo finishes in
-//! seconds). Then cross-checks the cache accounting against the
-//! discrete-event simulator: both stacks drive the same request planner, so
-//! token accounting matches exactly.
+//! seconds). Then cross-checks the run against the discrete-event
+//! simulator: both stacks drive the same serving driver on nominal time, so
+//! every statistic — token accounting, latencies — matches exactly.
 //!
 //! Run with:
 //! ```text
@@ -52,7 +52,12 @@ fn main() {
         "\ntoken accounting: runtime reused {} vs simulator {} ({} total)",
         live.reused_tokens, sim.reused_tokens, sim.total_tokens
     );
-    let drift = (live.reused_tokens as f64 - sim.reused_tokens as f64).abs()
-        / sim.total_tokens.max(1) as f64;
-    println!("relative drift: {drift:.5} (clock jitter only; 0 for static policies)");
+    assert_eq!(
+        live, sim,
+        "one driver: the runtime's run is the simulator's"
+    );
+    println!(
+        "runtime and simulator agree bit for bit (digest {:016x})",
+        sim.digest()
+    );
 }

@@ -112,9 +112,9 @@ fn overloaded_sim_is_bit_identical_across_thread_counts() {
     assert!(stats.faults.slow_links > 0, "the SlowLink must register");
 }
 
-/// The threaded runtime's admission decisions ride nominal arrival times,
-/// so its accept/reject split matches the simulator exactly; wall-clock
-/// sweeps may differ, but the conservation law never breaks.
+/// The threaded runtime drives the simulator's nominal-time driver, so its
+/// accept/reject split, its sheds and every other counter match the
+/// simulator exactly, and the conservation law never breaks.
 #[test]
 fn serve_matches_sim_admission_and_conserves() {
     let ds = DatasetConfig::games();
@@ -140,6 +140,9 @@ fn serve_matches_sim_admission_and_conserves() {
         live.slo
     );
     assert_eq!(live.slo.accepted, sim.slo.accepted);
+    assert_eq!(live.slo, sim.slo);
+    assert_eq!(live.digest(), sim.digest(), "stats digest diverged");
+    assert_eq!(live, sim, "latencies and sheds are nominal too");
 }
 
 /// The controller's typed errors at the facade level: every shed point

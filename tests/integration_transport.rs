@@ -4,13 +4,14 @@
 //! threads, TCP loopback, or Unix sockets to **child OS processes** — and
 //! no matter whether workers crash and rejoin along the way.
 //!
-//! The pin is [`RunStats::digest`]: an FNV-64 over every planner-side
+//! The pin is [`RunStats::digest`] — an FNV-64 over every planner-side
 //! field (token accounting, cache split, priced cost sums, admission
-//! counters, the fault report). Wall-clock observations are excluded; the
-//! planner runs on nominal arrival times, so any divergence between
-//! backends means a codec, framing, ordering, or re-dispatch bug — the
-//! exact classes of bug a byte-level transport can introduce and the
-//! channel oracle cannot.
+//! counters, the fault report) — and then the whole [`RunStats`]: every
+//! engine runs the simulator's driver on nominal time, latencies included,
+//! so any divergence between backends means a codec, framing, ordering, or
+//! retirement bug — the exact classes of bug a byte-level transport can
+//! introduce and the channel oracle cannot. Under faults and the SLO
+//! control plane the oracle is the simulator itself.
 //!
 //! Child-process mechanics: `--processes` re-executes the current binary
 //! (this test binary) with `[test_name, "--exact", ...]`; the re-entered
@@ -21,8 +22,9 @@
 //! listener.
 
 use bat::{
-    Bytes, ClusterConfig, DatasetConfig, EngineConfig, FaultSchedule, ModelConfig, RankRequest,
-    RunStats, ServeOptions, ServeRuntime, SystemKind, TransportKind, WorkerId,
+    Bytes, ClusterConfig, DatasetConfig, EngineConfig, FaultSchedule, ModelConfig, OverloadConfig,
+    RankRequest, RunStats, ServeOptions, ServeRuntime, ServingEngine, SloBudget, SystemKind,
+    TransportKind, WorkerId,
 };
 use bat_workload::{TraceGenerator, Workload};
 
@@ -59,6 +61,17 @@ fn kill_schedule() -> FaultSchedule {
     FaultSchedule::single_crash(2, WorkerId::new(1), 1.0, 2.5).unwrap()
 }
 
+/// The kill schedule under the SLO control plane, and a trace whose every
+/// request carries a deadline.
+fn faulted(ds: &DatasetConfig) -> (EngineConfig, Vec<RankRequest>) {
+    let cfg = config(ds)
+        .with_faults(Some(kill_schedule()))
+        .with_slo(Some(OverloadConfig::default()));
+    let mut g = TraceGenerator::new(Workload::new(ds.clone(), 31), 32);
+    g.set_slo(SloBudget::with_deadline(0.3));
+    (cfg, g.generate(4.0, 40.0))
+}
+
 fn run(
     cfg: EngineConfig,
     t: &[RankRequest],
@@ -84,32 +97,13 @@ fn run(
     ServeRuntime::new(cfg, opts).unwrap().serve(t)
 }
 
-fn assert_same_digest(oracle: &RunStats, candidate: &RunStats, what: &str) {
-    // Field-level asserts first: a digest mismatch alone says nothing
-    // about *which* counter diverged.
-    assert_eq!(candidate.completed, oracle.completed, "{what}: completed");
-    assert_eq!(
-        candidate.total_tokens, oracle.total_tokens,
-        "{what}: total_tokens"
-    );
-    assert_eq!(
-        candidate.reused_tokens, oracle.reused_tokens,
-        "{what}: reused_tokens"
-    );
-    assert_eq!(
-        candidate.computed_tokens, oracle.computed_tokens,
-        "{what}: computed_tokens"
-    );
-    assert_eq!(
-        candidate.remote_bytes, oracle.remote_bytes,
-        "{what}: remote_bytes"
-    );
-    assert_eq!(candidate.faults, oracle.faults, "{what}: fault report");
+fn assert_same_run(oracle: &RunStats, candidate: &RunStats, what: &str) {
     assert_eq!(
         candidate.digest(),
         oracle.digest(),
         "{what}: full planner digest"
     );
+    assert_eq!(candidate, oracle, "{what}");
 }
 
 #[test]
@@ -121,24 +115,26 @@ fn socket_backends_match_channel_oracle() {
     assert_eq!(oracle.completed, t.len());
 
     let uds = run(config(&ds), &t, TransportKind::Uds, false, "");
-    assert_same_digest(&oracle, &uds, "uds threads");
+    assert_same_run(&oracle, &uds, "uds threads");
 
     let tcp = run(config(&ds), &t, TransportKind::Tcp, false, "");
-    assert_same_digest(&oracle, &tcp, "tcp threads");
+    assert_same_run(&oracle, &tcp, "tcp threads");
 }
 
 #[test]
 fn uds_matches_channel_under_worker_kill() {
     bat::maybe_child_worker();
     let ds = dataset();
-    let t = trace(&ds, 4.0, 40.0);
-    let cfg = || config(&ds).with_faults(Some(kill_schedule()));
-    let oracle = run(cfg(), &t, TransportKind::Channel, false, "");
-    assert_eq!(oracle.completed, t.len(), "faults must never drop work");
-    assert!(!oracle.faults.is_quiet(), "the crash must be observed");
+    let (cfg, t) = faulted(&ds);
+    let sim = ServingEngine::new(cfg.clone()).unwrap().run(&t);
+    assert_eq!(sim.slo.submitted, t.len() as u64);
+    assert!(sim.slo.conserved(), "faults must never lose work");
+    assert!(!sim.faults.is_quiet(), "the crash must be observed");
 
-    let uds = run(cfg(), &t, TransportKind::Uds, false, "");
-    assert_same_digest(&oracle, &uds, "uds threads under worker kill");
+    let channel = run(cfg.clone(), &t, TransportKind::Channel, false, "");
+    assert_same_run(&sim, &channel, "channel threads under worker kill");
+    let uds = run(cfg, &t, TransportKind::Uds, false, "");
+    assert_same_run(&sim, &uds, "uds threads under worker kill");
 }
 
 #[test]
@@ -155,35 +151,33 @@ fn child_processes_match_channel_oracle() {
         "child_processes_match_channel_oracle",
     );
     assert_eq!(procs.completed, t.len());
-    assert_same_digest(&oracle, &procs, "uds child processes");
+    assert_same_run(&oracle, &procs, "uds child processes");
 }
 
 #[test]
 fn child_processes_survive_sigkill_and_match_oracle() {
     bat::maybe_child_worker();
     let ds = dataset();
-    let t = trace(&ds, 4.0, 40.0);
-    let cfg = || config(&ds).with_faults(Some(kill_schedule()));
-    let oracle = run(cfg(), &t, TransportKind::Channel, false, "");
-    assert_eq!(oracle.completed, t.len());
+    let (cfg, t) = faulted(&ds);
+    let sim = ServingEngine::new(cfg.clone()).unwrap().run(&t);
 
-    // The crash here is a real SIGKILL of a real OS process; everything
-    // the dead worker never acknowledged is re-dispatched, and the
-    // restart is a fresh process rejoining over the same listener.
+    // The crash here is a real SIGKILL of a real OS process; every frame
+    // the dead worker never acknowledged is retired (the machine already
+    // re-seated its work), and the restart is a fresh process rejoining
+    // over the same listener.
     let procs = run(
-        cfg(),
+        cfg,
         &t,
         TransportKind::Uds,
         true,
         "child_processes_survive_sigkill_and_match_oracle",
     );
-    assert_eq!(
-        procs.completed,
-        t.len(),
+    assert!(
+        procs.slo.conserved(),
         "a SIGKILLed worker must not lose work"
     );
     assert!(!procs.faults.is_quiet());
-    assert_same_digest(&oracle, &procs, "uds child processes under SIGKILL");
+    assert_same_run(&sim, &procs, "uds child processes under SIGKILL");
 }
 
 #[test]
@@ -196,24 +190,5 @@ fn repeated_runs_are_reproducible() {
     let a = run(config(&ds), &t, TransportKind::Channel, false, "");
     let b = run(config(&ds), &t, TransportKind::Channel, false, "");
     assert_eq!(a.digest(), b.digest());
-    assert_eq!(a, b.clone_with_span(&a));
-}
-
-/// `RunStats` equality is bitwise including wall-clock fields; helper to
-/// compare everything except the fields documented as nondeterministic.
-trait CloneWithSpan {
-    fn clone_with_span(&self, from: &RunStats) -> RunStats;
-}
-
-impl CloneWithSpan for RunStats {
-    fn clone_with_span(&self, from: &RunStats) -> RunStats {
-        RunStats {
-            span_secs: from.span_secs,
-            mean_latency_ms: from.mean_latency_ms,
-            p50_latency_ms: from.p50_latency_ms,
-            p90_latency_ms: from.p90_latency_ms,
-            p99_latency_ms: from.p99_latency_ms,
-            ..self.clone()
-        }
-    }
+    assert_eq!(a, b);
 }
