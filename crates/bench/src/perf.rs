@@ -17,6 +17,8 @@
 //! per measurement, `std::hint::black_box` around inputs and outputs.
 
 use bat::exec;
+use bat::meta::{MetaClient, MetaCommand};
+use bat_kvcache::CacheKey;
 use bat_model::prompt::{MaskScheme, PromptLayout, SegTag, TokenSeq};
 use bat_model::{ForwardWorkspace, GrModel, GrModelConfig, HstuModel, KvSegment, Stage, Weights};
 use bat_sched::{BatchScheduler, BatchingConfig};
@@ -27,7 +29,7 @@ use bat_tensor::{
     stage_is_pooled, ColBlock, GroupAttention, Matrix, QuantKind, QuantizedColBlock, Softmax,
     SplitCols,
 };
-use bat_types::{ClusterConfig, DatasetConfig, ModelConfig, PrefixKind};
+use bat_types::{ClusterConfig, DatasetConfig, ModelConfig, PrefixKind, UserId};
 use bat_workload::{TraceGenerator, Workload};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -97,7 +99,7 @@ pub struct PerfSummary {
     /// serial run (the execution layer's core contract).
     pub deterministic: bool,
     /// Kernel-level measurements (matmul, quantization, group attention,
-    /// SIMD elementwise, batch formation).
+    /// SIMD elementwise, batch formation, meta commits).
     pub kernels: Vec<BenchResult>,
     /// End-to-end forward-pass measurements (proxy model, ranking prompt).
     pub forward: Vec<BenchResult>,
@@ -357,6 +359,51 @@ fn serve_rows(quick: bool, samples: u32) -> Vec<BenchResult> {
         secs: pacing_secs,
     });
     rows
+}
+
+/// Submits per timed call of a `meta_commit_*` row.
+const META_COMMITS: u32 = 10_000;
+
+/// `meta_commit_512` / `_5k` / `_50k` — [`MetaClient::submit`] of a
+/// `HotnessDelta` on a three-replica meta group whose hotness table holds
+/// that many keys: seconds for [`META_COMMITS`] submits, so `secs × 100` is
+/// µs per submit (a batch that long is what lets the gate's absolute slack
+/// see a 0.1 µs commit double). The planner commits on every request, so a
+/// commit whose cost grows with the table makes every plan cost O(users);
+/// the three rows read alike when it does not.
+fn meta_rows(samples: u32) -> Vec<BenchResult> {
+    let submit = |client: &mut MetaClient, i: u64, keys: u64| {
+        let key = CacheKey::User(UserId::new(i % keys));
+        black_box(client.submit(MetaCommand::HotnessDelta { key, at_ms: i }, i as f64 * 1e-3));
+    };
+    [
+        ("meta_commit_512", 512),
+        ("meta_commit_5k", 5_000),
+        ("meta_commit_50k", 50_000),
+    ]
+    .into_iter()
+    .map(|(name, keys)| {
+        let mut client = MetaClient::new(3, 401, 2);
+        for i in 0..keys {
+            submit(&mut client, i, keys);
+        }
+        let mut i = keys;
+        let secs = time_best(
+            || {
+                for _ in 0..META_COMMITS {
+                    submit(&mut client, i, keys);
+                    i += 1;
+                }
+            },
+            samples,
+        );
+        BenchResult {
+            name: name.into(),
+            threads: 1,
+            secs,
+        }
+    })
+    .collect()
 }
 
 /// One scenario of [`stage_profile`] at one pool width.
@@ -869,6 +916,7 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
         threads: 1,
         secs: round_secs,
     });
+    kernels.extend(meta_rows(samples));
 
     let serve = serve_rows(quick, samples);
 
@@ -1041,6 +1089,9 @@ mod tests {
             "gemm_132x256x96",
             "gemm_132x96x96",
             "gemm_132x96x32",
+            "meta_commit_512",
+            "meta_commit_5k",
+            "meta_commit_50k",
         ] {
             assert!(summary.kernels.iter().any(|r| r.name == shape), "{shape}");
         }

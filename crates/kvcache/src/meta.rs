@@ -172,7 +172,9 @@ pub fn meta_digest<'a>(
 
 /// Single-node, in-process meta index: the behaviour every replicated
 /// implementation must reproduce. Deterministic by construction (BTreeMap
-/// ordering, millisecond-quantized timestamps).
+/// ordering, millisecond-quantized timestamps). `bat-meta`'s replicas hold
+/// one of these as their state machine, so its reads are inherent: a
+/// replica's state answers them without [`MetaIndex`] in scope.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LocalMetaIndex {
     index: BTreeMap<CacheKey, u64>,
@@ -180,10 +182,64 @@ pub struct LocalMetaIndex {
     view_epoch: u64,
 }
 
+/// Whether `key` is a user entry the static partition
+/// (`user % num_workers`) places on `worker_index`.
+fn in_partition(key: &CacheKey, worker_index: usize, num_workers: usize) -> bool {
+    key.as_user()
+        .is_some_and(|u| u.as_u64() % num_workers as u64 == worker_index as u64)
+}
+
 impl LocalMetaIndex {
     /// An empty index at view epoch 0.
     pub fn new() -> Self {
         LocalMetaIndex::default()
+    }
+
+    /// One more access to `key` at millisecond trace time `at_ms` (see
+    /// [`meta_time_ms`]).
+    pub fn touch_ms(&mut self, key: CacheKey, at_ms: u64) {
+        let slot = self.hotness.entry(key).or_insert((0, 0));
+        slot.0 += 1;
+        slot.1 = at_ms;
+    }
+
+    /// How many entries [`MetaIndex::drop_user_partition`] would drop for
+    /// `worker_index` of `num_workers`, without dropping them.
+    pub fn partition_entries(&self, worker_index: usize, num_workers: usize) -> u64 {
+        self.index
+            .keys()
+            .filter(|k| in_partition(k, worker_index, num_workers))
+            .count() as u64
+    }
+
+    /// Whether `key` is indexed.
+    pub fn contains(&self, key: CacheKey) -> bool {
+        self.index.contains_key(&key)
+    }
+
+    /// Number of indexed entries.
+    pub fn num_entries(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Total bytes the indexed entries hold.
+    pub fn bytes_indexed(&self) -> u64 {
+        self.index.values().sum()
+    }
+
+    /// Membership epoch of the view this index reflects.
+    pub fn view_epoch(&self) -> u64 {
+        self.view_epoch
+    }
+
+    /// Access count recorded for `key` (0 if never touched).
+    pub fn hotness_count(&self, key: CacheKey) -> u64 {
+        self.hotness.get(&key).map_or(0, |(c, _)| *c)
+    }
+
+    /// [`meta_digest`] over the whole index.
+    pub fn digest(&self) -> u64 {
+        meta_digest(self.index.iter(), self.hotness.iter(), self.view_epoch)
     }
 }
 
@@ -197,27 +253,15 @@ impl MetaIndex for LocalMetaIndex {
     }
 
     fn touch(&mut self, key: CacheKey, now: f64) {
-        let at = meta_time_ms(now);
-        let slot = self.hotness.entry(key).or_insert((0, 0));
-        slot.0 += 1;
-        slot.1 = at;
+        self.touch_ms(key, meta_time_ms(now));
     }
 
     fn drop_user_partition(&mut self, worker_index: usize, num_workers: usize, _now: f64) -> u64 {
-        let victims: Vec<CacheKey> = self
-            .index
-            .keys()
-            .filter(|k| {
-                k.as_user()
-                    .is_some_and(|u| u.as_u64() % num_workers as u64 == worker_index as u64)
-            })
-            .copied()
-            .collect();
-        for k in &victims {
-            self.index.remove(k);
-        }
+        let dropped = self.partition_entries(worker_index, num_workers);
+        self.index
+            .retain(|k, _| !in_partition(k, worker_index, num_workers));
         self.view_epoch += 1;
-        victims.len() as u64
+        dropped
     }
 
     fn note_worker_restart(&mut self, _worker_index: usize, _now: f64) {
@@ -225,27 +269,27 @@ impl MetaIndex for LocalMetaIndex {
     }
 
     fn contains(&self, key: CacheKey) -> bool {
-        self.index.contains_key(&key)
+        LocalMetaIndex::contains(self, key)
     }
 
     fn num_entries(&self) -> usize {
-        self.index.len()
+        LocalMetaIndex::num_entries(self)
     }
 
     fn bytes_indexed(&self) -> u64 {
-        self.index.values().sum()
+        LocalMetaIndex::bytes_indexed(self)
     }
 
     fn view_epoch(&self) -> u64 {
-        self.view_epoch
+        LocalMetaIndex::view_epoch(self)
     }
 
     fn hotness_count(&self, key: CacheKey) -> u64 {
-        self.hotness.get(&key).map_or(0, |(c, _)| *c)
+        LocalMetaIndex::hotness_count(self, key)
     }
 
     fn digest(&self) -> u64 {
-        meta_digest(self.index.iter(), self.hotness.iter(), self.view_epoch)
+        LocalMetaIndex::digest(self)
     }
 }
 

@@ -1,5 +1,5 @@
 //! The replicated meta group: seeded-tick leader election, majority-commit
-//! log replication, epoch fencing, and snapshot + log-replay catch-up.
+//! log replication, epoch fencing, and install or log-replay catch-up.
 //!
 //! The protocol is a deliberately deterministic Raft-style core. Time is a
 //! logical tick counter derived from *nominal trace time* (never
@@ -12,6 +12,11 @@
 //! rejects the write before it reaches the log, so stale-epoch commands are
 //! never applied anywhere.
 //!
+//! The group owns the replicas' states: replicas that have applied the same
+//! commands point at one, so a commit is applied once per distinct state
+//! and compaction copies nothing. A replica that falls behind the others
+//! takes its own copy; one that catches up shares the leader's again.
+//!
 //! Every source of nondeterminism is pinned: election timeouts come from a
 //! splitmix64 hash of `(seed, node, epoch)`, ties break in node-id order,
 //! and the state machine itself ([`crate::MetaState`]) is pure. Two runs
@@ -21,7 +26,7 @@
 //! testable as an equality of final run statistics.
 
 use crate::command::MetaCommand;
-use crate::state::{MetaSnapshot, MetaState};
+use crate::state::{Apply, MetaState};
 use std::fmt;
 
 /// Logical tick length in seconds of nominal trace time.
@@ -33,8 +38,9 @@ pub const HEARTBEAT_TICKS: u64 = 5;
 pub const ELECTION_MIN_TICKS: u64 = 10;
 /// Width of the randomized election-timeout window, ticks.
 pub const ELECTION_SPREAD_TICKS: u64 = 10;
-/// A replica compacts its log into a snapshot once it holds this many
-/// entries; rejoining followers then catch up via snapshot + suffix replay.
+/// A replica compacts its log once it holds this many entries; a follower
+/// that falls behind the compacted prefix then catches up by install (it
+/// takes the leader's prefix, log and state) instead of by suffix replay.
 pub const COMPACT_TRIGGER: usize = 64;
 /// Upper bound on ticks [`MetaGroup::ensure_leader`] will drive waiting for
 /// an election to conclude; exceeding it means the group lost quorum, which
@@ -119,9 +125,10 @@ pub struct GroupStats {
     pub committed: u64,
     /// Stale-epoch appends rejected by fencing.
     pub fenced_appends: u64,
-    /// Snapshot installs performed to catch followers up.
+    /// Installs of the leader's compacted prefix (a snapshot) performed to
+    /// catch followers up.
     pub snapshot_installs: u64,
-    /// Log entries replayed on top of installed snapshots.
+    /// Log entries installs handed over on top of the prefix.
     pub replayed_entries: u64,
 }
 
@@ -133,41 +140,40 @@ struct MetaNode {
     isolated: bool,
     believes_leader: bool,
     epoch: u64,
-    /// Compacted prefix of the log, baked into `snap`.
-    snap: MetaSnapshot,
-    /// Live log suffix; global index of `log[0]` is `snap.applied_len`.
+    /// Length of the compacted log prefix: the global index of `log[0]`.
+    base_len: usize,
+    /// Live log suffix.
     log: Vec<LogEntry>,
-    /// Global count of commands applied to `state`.
+    /// Global count of commands applied to the replica's state.
     applied: usize,
-    state: MetaState,
+    /// The replica's slot in [`MetaGroup`]'s `states`.
+    state: usize,
     last_heartbeat_tick: u64,
     timeout_ticks: u64,
 }
 
 impl MetaNode {
-    fn fresh(tick: u64) -> Self {
+    fn fresh(tick: u64, state: usize) -> Self {
         MetaNode {
             alive: true,
             isolated: false,
             believes_leader: false,
             epoch: 0,
-            snap: MetaSnapshot::default(),
+            base_len: 0,
             log: Vec::new(),
             applied: 0,
-            state: MetaState::new(),
+            state,
             last_heartbeat_tick: tick,
             timeout_ticks: ELECTION_MIN_TICKS,
         }
     }
 
-    fn log_base(&self) -> usize {
-        self.snap.applied_len
-    }
-
-    /// Compacts the log into the snapshot once it grows past the trigger.
+    /// Compacts the log once it grows past the trigger. The state is the
+    /// fold of the compacted prefix and the log, so compaction only moves
+    /// the base: nothing is copied.
     fn maybe_compact(&mut self) {
         if self.log.len() >= COMPACT_TRIGGER {
-            self.snap = self.state.snapshot(self.applied);
+            self.base_len = self.applied;
             self.log.clear();
         }
     }
@@ -178,6 +184,10 @@ impl MetaNode {
 pub struct MetaGroup {
     seed: u64,
     nodes: Vec<MetaNode>,
+    /// One slot per replica. Replicas that have applied the same commands
+    /// point at one slot, so a commit is applied once per distinct state;
+    /// a slot no replica points at is empty.
+    states: Vec<MetaState>,
     leader: Option<usize>,
     tick: u64,
     stats: GroupStats,
@@ -190,7 +200,8 @@ impl MetaGroup {
         assert!(num_nodes >= 1, "meta group needs at least one replica");
         let mut g = MetaGroup {
             seed,
-            nodes: (0..num_nodes).map(|_| MetaNode::fresh(0)).collect(),
+            nodes: (0..num_nodes).map(|_| MetaNode::fresh(0, 0)).collect(),
+            states: vec![MetaState::new(); num_nodes],
             leader: None,
             tick: 0,
             stats: GroupStats::default(),
@@ -249,7 +260,49 @@ impl MetaGroup {
 
     /// Direct read of replica `m`'s applied state (test introspection).
     pub fn state_of(&self, m: usize) -> &MetaState {
-        &self.nodes[m].state
+        &self.states[self.nodes[m].state]
+    }
+
+    /// Replicas holding state slot `s`.
+    fn holders(&self, s: usize) -> usize {
+        self.nodes.iter().filter(|n| n.state == s).count()
+    }
+
+    /// A slot no replica holds. There are as many slots as replicas, so one
+    /// exists whenever some replica shares its slot.
+    fn free_slot(&self) -> usize {
+        (0..self.states.len())
+            .find(|&s| self.holders(s) == 0)
+            .expect("a replica shares its slot")
+    }
+
+    /// Points replica `m` at slot `s`, emptying the slot it leaves if that
+    /// one has no other holder.
+    fn rebind(&mut self, m: usize, s: usize) {
+        let left = std::mem::replace(&mut self.nodes[m].state, s);
+        if self.holders(left) == 0 {
+            self.states[left] = MetaState::new();
+        }
+    }
+
+    /// Gives replica `m` its own copy of a slot it shares. O(table): reached
+    /// only when a replica parts from the ones it shared with — a crash, an
+    /// isolation, a catch-up.
+    fn split(&mut self, m: usize) {
+        let copy = self.free_slot();
+        self.states[copy] = self.state_of(m).clone();
+        self.nodes[m].state = copy;
+    }
+
+    /// Whether replica `m` shares its slot with another replica.
+    fn shares(&self, m: usize) -> bool {
+        self.holders(self.nodes[m].state) > 1
+    }
+
+    /// Whether replica `m` takes part in a round led by `via`: `via` itself
+    /// and every peer it exchanges messages with.
+    fn in_round(&self, via: usize, m: usize) -> bool {
+        m == via || (self.nodes[m].alive && !self.nodes[m].isolated && !self.nodes[via].isolated)
     }
 
     /// Runs `f` over the freshest committed state reachable: the leader's
@@ -265,7 +318,7 @@ impl MetaGroup {
                     .max_by_key(|&m| (self.nodes[m].applied, usize::MAX - m))
             })
             .expect("validated schedules keep a meta quorum alive");
-        f(&self.nodes[m].state)
+        f(self.state_of(m))
     }
 
     /// Advances logical time to nominal trace time `now`, running
@@ -353,36 +406,45 @@ impl MetaGroup {
 
     /// Brings follower `m` up to the leader `l`'s committed state: a
     /// follower that fell behind the leader's compacted log base installs
-    /// the leader's snapshot and replays the log suffix on top; one that is
-    /// merely short appends and applies the missing suffix.
+    /// the leader's compacted prefix and log; one that is merely short
+    /// appends and applies the missing suffix.
     fn catch_up(&mut self, l: usize, m: usize) {
         self.nodes[m].epoch = self.nodes[l].epoch;
         if self.nodes[m].applied >= self.nodes[l].applied {
             return;
         }
-        if self.nodes[m].applied < self.nodes[l].log_base() {
-            // Too far behind for the live log: snapshot + log replay.
-            let snap = self.nodes[l].snap.clone();
-            let suffix = self.nodes[l].log.clone();
-            let n = &mut self.nodes[m];
-            n.state = MetaState::restore(&snap);
-            n.snap = snap;
-            n.log = suffix;
-            let state = &mut n.state;
-            for e in &n.log {
-                state.apply(&e.cmd);
-            }
-            n.applied = n.snap.applied_len + n.log.len();
+        if self.nodes[m].applied < self.nodes[l].base_len {
+            // Too far behind for the live log: install. The leader's state
+            // is its compacted prefix with its log replayed on top, which is
+            // what the install rebuilds — so the follower shares it.
+            let MetaNode {
+                base_len,
+                ref log,
+                applied,
+                state,
+                ..
+            } = self.nodes[l];
+            let log = log.clone();
             self.stats.snapshot_installs += 1;
-            self.stats.replayed_entries += self.nodes[m].log.len() as u64;
-        } else {
-            let from = self.nodes[m].applied - self.nodes[l].log_base();
-            let missing: Vec<LogEntry> = self.nodes[l].log[from..].to_vec();
+            self.stats.replayed_entries += log.len() as u64;
             let n = &mut self.nodes[m];
-            for e in missing {
-                n.state.apply(&e.cmd);
-                n.log.push(e);
-                n.applied += 1;
+            (n.base_len, n.log, n.applied) = (base_len, log, applied);
+            self.rebind(m, state);
+        } else {
+            // Applied to the follower's own state, which rejoins the
+            // leader's once the two are equal.
+            if self.shares(m) {
+                self.split(m);
+            }
+            let from = self.nodes[m].applied - self.nodes[l].base_len;
+            for i in from..self.nodes[l].log.len() {
+                let e = self.nodes[l].log[i];
+                self.states[self.nodes[m].state].apply(&e.cmd);
+                self.nodes[m].log.push(e);
+                self.nodes[m].applied += 1;
+            }
+            if self.state_of(m) == self.state_of(l) {
+                self.rebind(m, self.nodes[l].state);
             }
         }
         self.nodes[m].maybe_compact();
@@ -445,17 +507,10 @@ impl MetaGroup {
             });
         }
         let epoch = self.nodes[via].epoch;
-        let peers: Vec<usize> = (0..self.nodes.len())
-            .filter(|&m| {
-                m != via
-                    && self.nodes[m].alive
-                    && !self.nodes[m].isolated
-                    && !self.nodes[via].isolated
-            })
-            .collect();
+        let n = self.nodes.len();
         // Epoch fencing: any reachable replica at a strictly higher epoch
         // proves `via` was deposed. Reject before touching any log.
-        if let Some(&w) = peers.iter().find(|&&m| self.nodes[m].epoch > epoch) {
+        if let Some(w) = (0..n).find(|&m| self.in_round(via, m) && self.nodes[m].epoch > epoch) {
             let current_epoch = self.nodes[w].epoch;
             self.nodes[via].believes_leader = false;
             self.nodes[via].epoch = current_epoch;
@@ -468,21 +523,40 @@ impl MetaGroup {
                 current_epoch,
             });
         }
-        if 1 + peers.len() < self.quorum() {
+        if (0..n).filter(|&m| self.in_round(via, m)).count() < self.quorum() {
             return Err(MetaError::NoQuorum);
         }
         // Catch every reachable follower up, then replicate the new entry.
-        for &m in &peers {
-            self.catch_up(via, m);
+        for m in 0..n {
+            if m != via && self.in_round(via, m) {
+                self.catch_up(via, m);
+            }
+        }
+        // A replica outside the round must not see the entry through a
+        // state it shares with one inside: it takes its own copy first.
+        for m in 0..n {
+            let s = self.nodes[m].state;
+            if !self.in_round(via, m)
+                && (0..n).any(|x| self.in_round(via, x) && self.nodes[x].state == s)
+            {
+                self.split(m);
+            }
         }
         let entry = LogEntry { epoch, cmd: *cmd };
         let index = self.nodes[via].applied;
-        for &m in peers.iter().chain(std::iter::once(&via)) {
-            let n = &mut self.nodes[m];
-            n.log.push(entry);
-            n.state.apply(cmd);
-            n.applied += 1;
-            n.maybe_compact();
+        for m in 0..n {
+            if !self.in_round(via, m) {
+                continue;
+            }
+            // Each distinct state applies the command once.
+            let s = self.nodes[m].state;
+            if !(0..m).any(|x| self.in_round(via, x) && self.nodes[x].state == s) {
+                self.states[s].apply(cmd);
+            }
+            let node = &mut self.nodes[m];
+            node.log.push(entry);
+            node.applied += 1;
+            node.maybe_compact();
         }
         self.stats.committed += 1;
         Ok(Receipt { epoch, index })
@@ -520,10 +594,16 @@ impl MetaGroup {
     }
 
     /// Rejoins replica `m` empty at epoch 0; the next heartbeat or commit
-    /// catches it up via snapshot + log replay.
+    /// catches it up by install or suffix replay.
     pub fn restart(&mut self, m: usize) {
         assert!(!self.nodes[m].alive, "meta replica {m} restarted while up");
-        self.nodes[m] = MetaNode::fresh(self.tick);
+        let empty = if self.shares(m) {
+            self.free_slot()
+        } else {
+            self.nodes[m].state
+        };
+        self.states[empty] = MetaState::new();
+        self.nodes[m] = MetaNode::fresh(self.tick, empty);
         self.nodes[m].timeout_ticks = self.timeout_for(m, 0);
     }
 
@@ -554,7 +634,7 @@ impl MetaGroup {
                         .max()
                         .unwrap_or(0)
             })
-            .map(|m| self.nodes[m].state.digest());
+            .map(|m| self.state_of(m).digest());
         let Some(first) = digests.next() else {
             return true;
         };
@@ -702,6 +782,71 @@ mod tests {
     }
 
     #[test]
+    fn lockstep_replicas_share_one_state_until_one_falls_behind() {
+        let mut g = MetaGroup::new(3, 5);
+        for i in 0..(COMPACT_TRIGGER as u64 + 10) {
+            g.submit(&reg(i)).unwrap();
+        }
+        assert_eq!(
+            g.holders(g.nodes[0].state),
+            3,
+            "one state for three replicas"
+        );
+        let victim = (g.leader().unwrap() + 1) % 3;
+        let entries = COMPACT_TRIGGER + 10;
+        // Down and back before the next commit: the restart empties a
+        // state of its own, not the one it shared.
+        g.crash(victim);
+        g.restart(victim);
+        assert_eq!(g.state_of(victim).num_entries(), 0);
+        assert_eq!(g.read(|s| s.num_entries()), entries);
+        g.submit(&reg(10_000)).unwrap();
+        assert_eq!(g.stats().snapshot_installs, 1);
+        assert_eq!(
+            g.holders(g.nodes[0].state),
+            3,
+            "the install shares the leader's state"
+        );
+        // A dead replica keeps the state it died with: it takes a copy
+        // before the next commit reaches the one it shared.
+        g.crash(victim);
+        g.submit(&reg(10_001)).unwrap();
+        assert_eq!(g.state_of(victim).num_entries(), entries + 1);
+        assert_eq!(g.read(|s| s.num_entries()), entries + 2);
+        g.restart(victim);
+        g.submit(&reg(10_002)).unwrap();
+        assert_eq!(g.stats().snapshot_installs, 2);
+        assert_eq!(g.holders(g.nodes[victim].state), 3);
+        let empty = g.states.iter().filter(|s| **s == MetaState::new());
+        assert_eq!(empty.count(), 2, "slots no replica holds are emptied");
+    }
+
+    #[test]
+    fn a_lagging_replica_that_shares_a_state_catches_up_on_its_own_copy() {
+        let touch = |i: u64| MetaCommand::HotnessDelta {
+            key: UserId::new(i).into(),
+            at_ms: i,
+        };
+        // Three restarts before the first commit leave replicas 0–2 on
+        // three empty states of their own and 3, 4 on the one they began
+        // with; cut off, 3 and 4 miss the first commit together.
+        let mut g = MetaGroup::new(5, 3);
+        for m in 0..3 {
+            g.crash(m);
+            g.restart(m);
+        }
+        g.isolate(3);
+        g.isolate(4);
+        g.submit(&touch(1)).unwrap();
+        assert_eq!(g.nodes[3].state, g.nodes[4].state);
+        g.reconnect(3);
+        g.reconnect(4);
+        g.submit(&touch(2)).unwrap();
+        assert!(g.replicas_agree(), "each laggard replayed the entry once");
+        assert_eq!(g.state_of(4).hotness_count(UserId::new(1).into()), 1);
+    }
+
+    #[test]
     fn force_election_moves_leadership_to_an_allowed_replica() {
         let mut g = MetaGroup::new(3, 2);
         g.submit(&reg(1)).unwrap();
@@ -737,5 +882,155 @@ mod tests {
         g.crash(l);
         g.crash((l + 1) % 3);
         assert_eq!(g.submit(&reg(2)).unwrap_err(), MetaError::NoQuorum);
+    }
+}
+
+#[cfg(test)]
+mod oracle_tests {
+    //! The group against a single-node oracle under random fault schedules.
+
+    use super::*;
+    use crate::command::ViewChange;
+    use bat_kvcache::CacheKey;
+    use bat_types::{ItemId, UserId};
+    use proptest::prelude::*;
+
+    /// One step: an action `(kind, replica, dt, election mask)`, then a
+    /// burst of commands `(kind, key, value)`.
+    type Step = (u8, usize, f64, u8, Vec<(u8, u64, u64)>);
+
+    fn command((kind, key, val): (u8, u64, u64)) -> MetaCommand {
+        let key: CacheKey = if key < 24 {
+            UserId::new(key).into()
+        } else {
+            ItemId::new(key - 24).into()
+        };
+        match kind {
+            0..=3 => MetaCommand::RegisterEntry { key, bytes: val },
+            4 | 5 => MetaCommand::Evict { key },
+            6..=8 => MetaCommand::HotnessDelta { key, at_ms: val },
+            _ if val % 2 == 0 => MetaCommand::View(ViewChange::WorkerCrashed {
+                worker: (val / 2 % 4) as usize,
+                num_workers: 4,
+            }),
+            _ => MetaCommand::View(ViewChange::WorkerRestarted { worker: 0 }),
+        }
+    }
+
+    fn connected(g: &MetaGroup, m: usize) -> bool {
+        g.nodes[m].alive && !g.nodes[m].isolated
+    }
+
+    /// Whether a quorum and a caught-up replica stay connected once `m`
+    /// crashes or is cut off — what a validated schedule guarantees.
+    fn may_leave(g: &MetaGroup, m: usize, commits: usize) -> bool {
+        let stays = |x: usize| x != m && connected(g, x);
+        (0..g.num_nodes()).filter(|&x| stays(x)).count() >= g.quorum()
+            && (0..g.num_nodes()).any(|x| stays(x) && g.nodes[x].applied == commits)
+    }
+
+    /// Whether one more connected replica may lag. A replica that lost its
+    /// log can only win an election on the votes of others that lag too,
+    /// so fewer than a quorum may: no committed entry is then lost, which a
+    /// validated schedule guarantees by restarting one replica at a time.
+    fn may_lag(g: &MetaGroup, commits: usize) -> bool {
+        let lagging =
+            (0..g.num_nodes()).filter(|&x| connected(g, x) && g.nodes[x].applied < commits);
+        lagging.count() + 1 < g.quorum()
+    }
+
+    /// Every connected replica at the highest `applied` holds the oracle's
+    /// state, and a slot no replica holds has been emptied.
+    fn check(g: &MetaGroup, oracle: &MetaState, commits: usize) -> Result<(), TestCaseError> {
+        let n = g.num_nodes();
+        let top = (0..n)
+            .filter(|&m| connected(g, m))
+            .map(|m| g.nodes[m].applied)
+            .max();
+        prop_assert_eq!(top, Some(commits));
+        for m in (0..n).filter(|&m| connected(g, m) && g.nodes[m].applied == commits) {
+            prop_assert_eq!(g.state_of(m).digest(), oracle.digest(), "replica {}", m);
+        }
+        prop_assert!(g.replicas_agree());
+        for s in (0..n).filter(|&s| g.holders(s) == 0) {
+            prop_assert!(g.states[s] == MetaState::new(), "slot {} kept a state", s);
+        }
+        Ok(())
+    }
+
+    fn run(n: usize, seed: u64, steps: Vec<Step>) -> Result<(), TestCaseError> {
+        let mut g = MetaGroup::new(n, seed);
+        let mut oracle = MetaState::new();
+        let (mut commits, mut now, mut restarted) = (0usize, 0.0, None);
+        for (action, node, dt, mask, burst) in steps {
+            let m = node % n;
+            match action {
+                0 if g.nodes[m].alive && may_leave(&g, m, commits) => g.crash(m),
+                1 if !g.nodes[m].alive && may_lag(&g, commits) => {
+                    g.restart(m);
+                    restarted = Some(m);
+                }
+                2 if connected(&g, m) && may_leave(&g, m, commits) => g.isolate(m),
+                3 if g.nodes[m].isolated && may_lag(&g, commits) => g.reconnect(m),
+                4 => {
+                    g.force_election(|x| mask >> x & 1 == 1);
+                }
+                _ => {
+                    now += dt;
+                    g.advance_to(now);
+                }
+            }
+            if commits > 0 {
+                check(&g, &oracle, commits)?;
+            }
+            for draw in burst {
+                let cmd = command(draw);
+                let r = g
+                    .submit(&cmd)
+                    .map_err(|e| TestCaseError::fail(e.to_string()))?;
+                prop_assert_eq!(r.index, commits);
+                oracle.apply(&cmd);
+                commits += 1;
+                check(&g, &oracle, commits)?;
+                // Lockstep replicas share one state.
+                let l = g.leader().expect("a commit has a leader");
+                for x in (0..n).filter(|&x| connected(&g, x)) {
+                    prop_assert_eq!(g.nodes[x].state, g.nodes[l].state, "replica {}", x);
+                }
+                // A restarted replica converges on the next commit.
+                if let Some(m) = restarted.take().filter(|&m| connected(&g, m)) {
+                    prop_assert_eq!(g.nodes[m].applied, commits);
+                }
+            }
+        }
+        prop_assert!(commits >= 200, "only {} commits", commits);
+        Ok(())
+    }
+
+    fn steps() -> impl Strategy<Value = Vec<Step>> {
+        proptest::collection::vec(
+            (
+                0u8..6,
+                0usize..5,
+                0.0f64..0.6,
+                0u8..32,
+                proptest::collection::vec((0u8..10, 0u64..30, 0u64..500), 0..7),
+            ),
+            80..100,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn three_replicas_match_a_local_meta_index(seed in 0u64..1000, steps in steps()) {
+            run(3, seed, steps)?;
+        }
+
+        #[test]
+        fn five_replicas_match_a_local_meta_index(seed in 0u64..1000, steps in steps()) {
+            run(5, seed, steps)?;
+        }
     }
 }

@@ -8,11 +8,13 @@
 //! * [`MetaCommand`] — the replicated command log's vocabulary
 //!   (RegisterEntry / Evict / HotnessDelta / ViewChange);
 //! * [`MetaState`] — the index + hotness table + view epoch as a pure,
-//!   deterministic state machine, snapshottable as [`MetaSnapshot`];
+//!   deterministic state machine: the single-node
+//!   [`bat_kvcache::LocalMetaIndex`], which committed commands drive;
 //! * [`MetaGroup`] — leader/follower replication: seeded-tick leader
 //!   election with randomized-by-seed timeouts, majority-commit append,
-//!   epoch fencing against deposed leaders, and snapshot + log-replay
-//!   catch-up for rejoining replicas;
+//!   epoch fencing against deposed leaders, and install or log-replay
+//!   catch-up for rejoining replicas. Replicas that have applied the same
+//!   commands share one state, so a commit is applied once;
 //! * [`MetaClient`] — the retry/redirect handle that `bat-sim` and
 //!   `bat-serve` use in place of direct meta access; it implements
 //!   [`bat_kvcache::MetaIndex`], so the planner cannot tell (and must not
@@ -34,4 +36,4 @@ pub use group::{
     GroupStats, LogEntry, MetaError, MetaGroup, Receipt, COMPACT_TRIGGER, ELECTION_MIN_TICKS,
     ELECTION_SPREAD_TICKS, HEARTBEAT_TICKS, TICK_SECS,
 };
-pub use state::{HotnessRow, MetaSnapshot, MetaState};
+pub use state::MetaState;

@@ -1,171 +1,39 @@
 //! The deterministic state machine every meta replica hosts.
 
 use crate::command::{MetaCommand, ViewChange};
-use bat_kvcache::{meta_digest, CacheKey};
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use bat_kvcache::{LocalMetaIndex, MetaIndex};
 
-/// The cache-meta index + hotness table + replicated view epoch, as one
-/// deterministic state machine. Replicas apply the same committed command
-/// sequence and must end bit-identical; [`MetaState::digest`] is how tests
-/// and the group check that they do.
-///
-/// Semantically this mirrors [`bat_kvcache::LocalMetaIndex`] exactly — the
-/// planner's cross-checks rely on the replicated index never diverging from
-/// what a single-node meta service would have recorded.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetaState {
-    index: BTreeMap<CacheKey, u64>,
-    hotness: BTreeMap<CacheKey, (u64, u64)>,
-    view_epoch: u64,
-}
+/// The cache-meta index + hotness table + replicated view epoch: a replica's
+/// state *is* the single-node [`LocalMetaIndex`], driven by committed
+/// commands instead of direct calls. Replicated ≡ local therefore holds by
+/// construction, and [`LocalMetaIndex::digest`] is how tests and the group
+/// check that replicas agree.
+pub type MetaState = LocalMetaIndex;
 
-/// One row of a snapshot's hotness table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HotnessRow {
-    /// The entry's identity.
-    pub key: CacheKey,
-    /// Accesses recorded.
-    pub count: u64,
-    /// Last access, milliseconds of trace time.
-    pub last_ms: u64,
-}
-
-/// Serializable image of a [`MetaState`] at a commit point, installed into
-/// rejoining replicas before they replay the log suffix. Stored as sorted
-/// vectors (the JSON shim has no map-with-struct-key support, and sorted
-/// vectors make snapshot bytes canonical).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct MetaSnapshot {
-    /// `(key, bytes)` pairs of the index, key-ascending.
-    pub index: Vec<(CacheKey, u64)>,
-    /// Rows of the hotness table, key-ascending.
-    pub hotness: Vec<HotnessRow>,
-    /// Replicated membership epoch at the snapshot point.
-    pub view_epoch: u64,
-    /// Log index the snapshot covers: entries `< applied_len` are baked in.
-    pub applied_len: usize,
-}
-
-impl MetaState {
-    /// An empty state at view epoch 0.
-    pub fn new() -> Self {
-        MetaState::default()
-    }
-
+/// Applying a committed command to a replica's state.
+pub(crate) trait Apply {
     /// Applies one committed command. Deterministic: no randomness, no
     /// wall-clock, no iteration over unordered containers.
-    pub fn apply(&mut self, cmd: &MetaCommand) {
+    fn apply(&mut self, cmd: &MetaCommand);
+}
+
+impl Apply for MetaState {
+    fn apply(&mut self, cmd: &MetaCommand) {
+        // The single-node index ignores the trace time of every mutation
+        // but a touch, whose time the command carries already quantized.
         match *cmd {
-            MetaCommand::RegisterEntry { key, bytes } => {
-                self.index.insert(key, bytes);
-            }
-            MetaCommand::Evict { key } => {
-                self.index.remove(&key);
-            }
-            MetaCommand::HotnessDelta { key, at_ms } => {
-                let slot = self.hotness.entry(key).or_insert((0, 0));
-                slot.0 += 1;
-                slot.1 = at_ms;
-            }
+            MetaCommand::RegisterEntry { key, bytes } => self.register(key, bytes, 0.0),
+            MetaCommand::Evict { key } => self.evict(key, 0.0),
+            MetaCommand::HotnessDelta { key, at_ms } => self.touch_ms(key, at_ms),
             MetaCommand::View(ViewChange::WorkerCrashed {
                 worker,
                 num_workers,
             }) => {
-                let victims: Vec<CacheKey> = self
-                    .index
-                    .keys()
-                    .filter(|k| {
-                        k.as_user()
-                            .is_some_and(|u| u.as_u64() % num_workers as u64 == worker as u64)
-                    })
-                    .copied()
-                    .collect();
-                for k in &victims {
-                    self.index.remove(k);
-                }
-                self.view_epoch += 1;
+                self.drop_user_partition(worker, num_workers, 0.0);
             }
-            MetaCommand::View(ViewChange::WorkerRestarted { .. }) => {
-                self.view_epoch += 1;
+            MetaCommand::View(ViewChange::WorkerRestarted { worker }) => {
+                self.note_worker_restart(worker, 0.0)
             }
-        }
-    }
-
-    /// How many index entries a `WorkerCrashed` view change would drop —
-    /// what [`MetaState::apply`] is about to invalidate. The client reports
-    /// this so the planner can cross-check the replicated invalidation
-    /// against the local cache's.
-    pub fn partition_entries(&self, worker: usize, num_workers: usize) -> u64 {
-        self.index
-            .keys()
-            .filter(|k| {
-                k.as_user()
-                    .is_some_and(|u| u.as_u64() % num_workers as u64 == worker as u64)
-            })
-            .count() as u64
-    }
-
-    /// Whether `key` is indexed.
-    pub fn contains(&self, key: CacheKey) -> bool {
-        self.index.contains_key(&key)
-    }
-
-    /// Number of indexed entries.
-    pub fn num_entries(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Total bytes the indexed entries hold.
-    pub fn bytes_indexed(&self) -> u64 {
-        self.index.values().sum()
-    }
-
-    /// Replicated membership epoch.
-    pub fn view_epoch(&self) -> u64 {
-        self.view_epoch
-    }
-
-    /// Access count recorded for `key` (0 if never touched).
-    pub fn hotness_count(&self, key: CacheKey) -> u64 {
-        self.hotness.get(&key).map_or(0, |(c, _)| *c)
-    }
-
-    /// Order-independent digest over the full state, comparable with
-    /// [`bat_kvcache::MetaIndex::digest`] on a local index holding the same
-    /// contents.
-    pub fn digest(&self) -> u64 {
-        meta_digest(self.index.iter(), self.hotness.iter(), self.view_epoch)
-    }
-
-    /// Captures a snapshot covering the first `applied_len` log entries.
-    pub fn snapshot(&self, applied_len: usize) -> MetaSnapshot {
-        MetaSnapshot {
-            index: self.index.iter().map(|(k, b)| (*k, *b)).collect(),
-            hotness: self
-                .hotness
-                .iter()
-                .map(|(k, (c, t))| HotnessRow {
-                    key: *k,
-                    count: *c,
-                    last_ms: *t,
-                })
-                .collect(),
-            view_epoch: self.view_epoch,
-            applied_len,
-        }
-    }
-
-    /// Rebuilds the state a snapshot captured.
-    pub fn restore(snap: &MetaSnapshot) -> Self {
-        MetaState {
-            index: snap.index.iter().copied().collect(),
-            hotness: snap
-                .hotness
-                .iter()
-                .map(|r| (r.key, (r.count, r.last_ms)))
-                .collect(),
-            view_epoch: snap.view_epoch,
         }
     }
 }
@@ -173,7 +41,7 @@ impl MetaState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bat_kvcache::{LocalMetaIndex, MetaIndex};
+    use bat_kvcache::CacheKey;
     use bat_types::{ItemId, UserId};
 
     fn u(i: u64) -> CacheKey {
@@ -255,30 +123,11 @@ mod tests {
         }
         assert_eq!(s.partition_entries(0, 4), 2); // users 0, 4
         assert_eq!(s.num_entries(), 8, "counting does not drop");
-    }
-
-    #[test]
-    fn snapshot_round_trips_bit_identically() {
-        let mut s = MetaState::new();
-        s.apply(&MetaCommand::RegisterEntry {
-            key: u(2),
-            bytes: 77,
-        });
-        s.apply(&MetaCommand::HotnessDelta {
-            key: u(2),
-            at_ms: 31,
-        });
-        s.apply(&MetaCommand::View(ViewChange::WorkerRestarted {
-            worker: 0,
-        }));
-        let snap = s.snapshot(3);
-        assert_eq!(snap.applied_len, 3);
-
-        // Through serde and back: snapshots travel as bytes.
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: MetaSnapshot = serde_json::from_str(&json).unwrap();
-        let restored = MetaState::restore(&back);
-        assert_eq!(restored, s);
-        assert_eq!(restored.digest(), s.digest());
+        assert_eq!(
+            s.drop_user_partition(0, 4, 0.0),
+            2,
+            "dropping reuses the count"
+        );
+        assert_eq!(s.num_entries(), 6);
     }
 }
