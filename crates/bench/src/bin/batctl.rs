@@ -1,6 +1,7 @@
 //! `batctl` — command-line front-end for the BAT reproduction.
 //!
 //! ```text
+//! batctl run      <experiment>|all [--quick] [--alpha-sweep]
 //! batctl compare  --dataset books --model qwen2-1.5b --nodes 4 \
 //!                 --duration 60 --rate 150 [--systems re,up,ip,bat]
 //! batctl accuracy [--seed 7] [--users 40] [--biased] [--pic 0.15]
@@ -27,25 +28,31 @@
 //!                 --duration 20 --rate 60 --nodes 2 [--processes]
 //! ```
 //!
+//! `batctl run` regenerates the paper's tables and figures and the repo's
+//! ablations: each experiment prints its tables, writes
+//! `results/<experiment>.json`, and exits 1 naming every gate that failed
+//! (`bat_bench::EXPERIMENTS` lists them). `faults`, `overload`, `meta`,
+//! `net`, `tiers`, `drain` and `join` run an experiment's scenario on the
+//! flags given (`bat_bench::scenarios`).
+//!
 //! The global `--threads N` flag sizes the `bat-exec` worker pool for any
 //! command (results are bit-identical at every width by construction).
-//!
-//! Everything is offline and deterministic; see `README.md` for the
-//! figure-regeneration harnesses.
+//! Everything is offline and deterministic.
 
-use bat::experiment::{accuracy_rows, compare_systems, ComparisonSpec};
+use bat::experiment::{accuracy_rows, compare_systems};
 use bat::{
-    BatchingConfig, Bytes, ClusterConfig, ColdFormat, ComputeModel, DatasetConfig, EngineConfig,
-    FaultEvent, FaultKind, FaultSchedule, ItemPlacementPlan, ModelConfig, OverloadConfig,
-    PlacementStrategy, PrefixKind, Priority, SemanticConfig, ServeOptions, ServeRuntime,
-    ServingEngine, SloBudget, SplitPolicy, SystemKind, TiersConfig, TraceGenerator, TransportKind,
-    WorkerId, Workload, ZipfLaw,
+    hrcs_params, hrcs_plan, BatchingConfig, Bytes, ClusterConfig, ColdFormat, DatasetConfig,
+    EngineConfig, FaultEvent, FaultKind, FaultSchedule, ModelConfig, PrefixKind, SemanticConfig,
+    ServeOptions, ServingEngine, SplitPolicy, SystemKind, TiersConfig, TraceGenerator,
+    TransportKind, WorkerId, Workload,
 };
-use bat_bench::{f1, f3, print_table};
-use bat_placement::{compute_replication_ratio, HrcsParams};
+use bat_bench::scenarios::{self, Overload};
+use bat_bench::{cells, f1, f3, Report, RunArgs, EXPERIMENTS};
 use bat_sim::breakdown_by_prefix;
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 /// A command line the chosen subcommand does not accept.
 #[derive(Debug, PartialEq)]
@@ -79,12 +86,11 @@ impl std::fmt::Display for FlagError {
 /// Flags every subcommand accepts.
 const GLOBAL_FLAGS: [&str; 1] = ["threads"];
 
+type Flags = HashMap<String, String>;
+
 /// Parses `--key [value]` pairs (a flag followed by another flag, or by
 /// nothing, is a boolean `true`), accepting only `legal` and global flags.
-fn parse_flags(
-    args: &[String],
-    legal: &'static [&'static str],
-) -> Result<HashMap<String, String>, FlagError> {
+fn parse_flags(args: &[String], legal: &'static [&'static str]) -> Result<Flags, FlagError> {
     let mut map = HashMap::new();
     let mut args = args.iter().peekable();
     while let Some(arg) = args.next() {
@@ -108,20 +114,34 @@ fn parse_flags(
     Ok(map)
 }
 
-fn dataset(name: &str) -> Result<DatasetConfig, String> {
-    match name.to_lowercase().as_str() {
+/// `--key`'s value as a `T`, or `default` when the flag is absent; a value
+/// that does not parse is an error naming the flag.
+fn flag<T: FromStr>(flags: &Flags, key: &str, default: T) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    flags.get(key).map_or(Ok(default), |v| {
+        v.parse().map_err(|e| format!("bad --{key} '{v}': {e}"))
+    })
+}
+
+fn dataset(flags: &Flags, default: &str) -> Result<DatasetConfig, String> {
+    match flags
+        .get("dataset")
+        .map_or(default, String::as_str)
+        .to_lowercase()
+        .as_str()
+    {
         "games" => Ok(DatasetConfig::games()),
         "beauty" => Ok(DatasetConfig::beauty()),
         "books" => Ok(DatasetConfig::books()),
         "industry" => Ok(DatasetConfig::industry()),
         other => {
             if let Some(items) = other.strip_prefix("industry-") {
-                let n = parse_count(items)?;
-                return Ok(DatasetConfig::industry_x(n));
+                return Ok(DatasetConfig::industry_x(parse_count(items)?));
             }
             if let Some(items) = other.strip_prefix("books-") {
-                let n = parse_count(items)?;
-                return Ok(DatasetConfig::books_x(n));
+                return Ok(DatasetConfig::books_x(parse_count(items)?));
             }
             Err(format!(
                 "unknown dataset '{other}' (games|beauty|books|industry[-N])"
@@ -141,8 +161,13 @@ fn parse_count(s: &str) -> Result<u64, String> {
         .map_err(|e| format!("bad count '{s}': {e}"))
 }
 
-fn model(name: &str) -> Result<ModelConfig, String> {
-    match name.to_lowercase().as_str() {
+fn model(flags: &Flags) -> Result<ModelConfig, String> {
+    match flags
+        .get("model")
+        .map_or("qwen2-1.5b", String::as_str)
+        .to_lowercase()
+        .as_str()
+    {
         "qwen2-1.5b" | "qwen" => Ok(ModelConfig::qwen2_1_5b()),
         "qwen2-7b" => Ok(ModelConfig::qwen2_7b()),
         "llama3-1b" | "llama" => Ok(ModelConfig::llama3_1b()),
@@ -152,27 +177,30 @@ fn model(name: &str) -> Result<ModelConfig, String> {
     }
 }
 
-fn flag_f64(flags: &HashMap<String, String>, key: &str, default: f64) -> Result<f64, String> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|e| format!("bad --{key}: {e}")),
-    }
+/// BAT with `--model` on `nodes` nodes of the 4-node A100 testbed.
+fn bat_config(flags: &Flags, nodes: usize, ds: &DatasetConfig) -> Result<EngineConfig, String> {
+    let cluster = ClusterConfig::a100_4node().with_nodes(nodes);
+    Ok(EngineConfig::for_system(
+        SystemKind::Bat,
+        model(flags)?,
+        cluster,
+        ds,
+    ))
 }
 
-fn flag_usize(flags: &HashMap<String, String>, key: &str, default: usize) -> Result<usize, String> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|e| format!("bad --{key}: {e}")),
-    }
+/// The seeded trace `trace`, `faults`, `meta`, `drain` and `join` replay
+/// (the one `compare`'s `ComparisonSpec::trace` generates).
+fn trace_of(ds: &DatasetConfig, seed: u64, duration: f64, rate: f64) -> Vec<bat::RankRequest> {
+    scenarios::trace(ds, (seed, seed ^ 0xbadc0ffe), duration, rate)
 }
 
-fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
-    let ds = dataset(flags.get("dataset").map_or("games", String::as_str))?;
-    let model = model(flags.get("model").map_or("qwen2-1.5b", String::as_str))?;
-    let nodes = flag_usize(flags, "nodes", 4)?;
-    let duration = flag_f64(flags, "duration", 60.0)?;
-    let rate = flag_f64(flags, "rate", 100.0)?;
-    let seed = flag_f64(flags, "seed", 1.0)? as u64;
+fn cmd_compare(flags: &Flags) -> Result<(), String> {
+    let ds = dataset(flags, "games")?;
+    let model = model(flags)?;
+    let nodes = flag(flags, "nodes", 4)?;
+    let duration = flag(flags, "duration", 60.0)?;
+    let rate = flag(flags, "rate", 100.0)?;
+    let seed = flag(flags, "seed", 1)?;
     let systems: Vec<SystemKind> = flags
         .get("systems")
         .map_or("re,up,ip,bat", String::as_str)
@@ -186,14 +214,8 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
         })
         .collect::<Result<_, _>>()?;
 
-    let spec = ComparisonSpec {
-        model,
-        cluster: ClusterConfig::a100_4node().with_nodes(nodes),
-        dataset: ds.clone(),
-        duration_secs: duration,
-        offered_rate: rate,
-        seed,
-    };
+    let cluster = ClusterConfig::a100_4node().with_nodes(nodes);
+    let spec = scenarios::spec(&model, &cluster, &ds, (duration, rate), seed);
     let stats = compare_systems(&spec, &systems);
     println!(
         "{} on {} nodes, {duration:.0}s at {rate:.0} req/s:",
@@ -202,73 +224,52 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
     let rows: Vec<Vec<String>> = stats
         .iter()
         .map(|s| {
-            vec![
-                s.system.clone(),
+            cells![
+                s.system,
                 f1(s.qps()),
                 f3(s.hit_rate()),
                 f3(s.computation_savings()),
-                f1(s.p99_latency_ms),
+                f1(s.p99_latency_ms)
             ]
         })
         .collect();
-    print_table(&["System", "QPS", "HitRate", "Savings", "P99 (ms)"], &rows);
-    Ok(())
+    let mut report = Report::default();
+    report.table(&["System", "QPS", "HitRate", "Savings", "P99 (ms)"], &rows);
+    report.finish()
 }
 
-fn cmd_accuracy(flags: &HashMap<String, String>) -> Result<(), String> {
-    let seed = flag_f64(flags, "seed", 7.0)? as u64;
-    let users = flag_usize(flags, "users", 40)?;
+fn cmd_accuracy(flags: &Flags) -> Result<(), String> {
+    let seed = flag(flags, "seed", 7)?;
+    let users = flag(flags, "users", 40)?;
     let mut cfg = SemanticConfig::table3_world(seed);
     if flags.contains_key("biased") {
         cfg = cfg.order_biased();
     }
-    let pic = match flags.get("pic") {
-        None => None,
-        Some(v) => Some(v.parse::<f32>().map_err(|e| format!("bad --pic: {e}"))?),
-    };
-    let rows = accuracy_rows(cfg, users, pic);
-    let table: Vec<Vec<String>> = rows
+    let pic = flags
+        .get("pic")
+        .map(|_| flag(flags, "pic", 0.0f32))
+        .transpose()?;
+    let table: Vec<Vec<String>> = accuracy_rows(cfg, users, pic)
         .iter()
         .map(|r| {
             let m = r.metrics.table3_row();
-            vec![r.strategy.clone(), f3(m[0]), f3(m[1]), f3(m[2]), f3(m[3])]
+            cells![r.strategy, f3(m[0]), f3(m[1]), f3(m[2]), f3(m[3])]
         })
         .collect();
-    print_table(&["Strategy", "R@10", "MRR@10", "NDCG@10", "R@5"], &table);
-    Ok(())
+    let mut report = Report::default();
+    report.table(&["Strategy", "R@10", "MRR@10", "NDCG@10", "R@5"], &table);
+    report.finish()
 }
 
-fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), String> {
-    let ds = dataset(flags.get("dataset").map_or("industry", String::as_str))?;
-    let nodes = flag_usize(flags, "nodes", 4)?;
-    let gbps = flag_f64(flags, "gbps", 100.0)?;
-    let model = model(flags.get("model").map_or("qwen2-1.5b", String::as_str))?;
+fn cmd_plan(flags: &Flags) -> Result<(), String> {
+    let ds = dataset(flags, "industry")?;
+    let nodes = flag(flags, "nodes", 4)?;
+    let gbps = flag(flags, "gbps", 100.0)?;
+    let model = model(flags)?;
     let mut cluster = ClusterConfig::a100_4node().with_nodes(nodes);
     cluster.node = cluster.node.with_network_gbps(gbps);
-    let compute = ComputeModel::new(model.clone(), cluster.node.clone());
-    let law = ZipfLaw::new(ds.num_items, ds.item_zipf_exponent);
-    let params = HrcsParams {
-        bandwidth_tokens_per_sec: compute.net_tokens_per_sec(),
-        prefill_time_secs: compute.prefill_estimate_secs(
-            ds.avg_user_tokens as u64,
-            ds.avg_prompt_item_tokens() as u64,
-        ),
-        alpha: cluster.alpha,
-        candidates_per_request: ds.candidates_per_request,
-        avg_item_tokens: ds.avg_item_tokens as f64,
-        num_workers: nodes,
-    };
-    let r = compute_replication_ratio(&params, &law);
-    let plan = ItemPlacementPlan::new(
-        PlacementStrategy::Hrcs,
-        ds.num_items,
-        nodes,
-        r,
-        model.kv_bytes(ds.avg_item_tokens as u64),
-    )
-    .fit_to_capacity(bat::Bytes::new(
-        cluster.node.kv_cache_capacity.as_u64() * 4 / 5,
-    ));
+    let params = hrcs_params(&model, &cluster, &ds);
+    let plan = hrcs_plan(&model, &cluster, &ds);
     println!(
         "HRCS plan for {} on {nodes} nodes at {gbps:.0}Gbps:",
         ds.name
@@ -285,20 +286,19 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_trace(flags: &HashMap<String, String>) -> Result<(), String> {
-    let ds = dataset(flags.get("dataset").map_or("games", String::as_str))?;
-    let duration = flag_f64(flags, "duration", 30.0)?;
-    let rate = flag_f64(flags, "rate", 50.0)?;
-    let seed = flag_f64(flags, "seed", 1.0)? as u64;
+fn cmd_trace(flags: &Flags) -> Result<(), String> {
+    let ds = dataset(flags, "games")?;
+    let duration = flag(flags, "duration", 30.0)?;
+    let rate = flag(flags, "rate", 50.0)?;
+    let seed = flag(flags, "seed", 1)?;
     let out = flags.get("out").ok_or("missing --out FILE")?;
-    let mut gen = TraceGenerator::new(Workload::new(ds, seed), seed ^ 0xbadc0ffe);
-    let trace = gen.generate(duration, rate);
+    let trace = trace_of(&ds, seed, duration, rate);
     bat_workload::save_trace(out, &trace).map_err(|e| e.to_string())?;
     println!("wrote {} requests to {out}", trace.len());
     Ok(())
 }
 
-fn cmd_info(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_info(flags: &Flags) -> Result<(), String> {
     let path = flags.get("trace").ok_or("missing --trace FILE")?;
     let trace = bat_workload::load_trace(path).map_err(|e| e.to_string())?;
     let users: std::collections::HashSet<_> = trace.iter().map(|r| r.user).collect();
@@ -313,16 +313,13 @@ fn cmd_info(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_breakdown(flags: &HashMap<String, String>) -> Result<(), String> {
-    let ds = dataset(flags.get("dataset").map_or("industry", String::as_str))?;
-    let duration = flag_f64(flags, "duration", 30.0)?;
-    let rate = flag_f64(flags, "rate", 80.0)?;
-    let model = model(flags.get("model").map_or("qwen2-1.5b", String::as_str))?;
-    let cluster = ClusterConfig::a100_4node();
-    let mut cfg = EngineConfig::for_system(SystemKind::Bat, model, cluster, &ds);
+fn cmd_breakdown(flags: &Flags) -> Result<(), String> {
+    let ds = dataset(flags, "industry")?;
+    let duration = flag(flags, "duration", 30.0)?;
+    let rate = flag(flags, "rate", 80.0)?;
+    let mut cfg = bat_config(flags, 4, &ds)?;
     cfg.record_requests = true;
-    let mut gen = TraceGenerator::new(Workload::new(ds.clone(), 1), 2);
-    let trace = gen.generate(duration, rate);
+    let trace = TraceGenerator::new(Workload::new(ds.clone(), 1), 2).generate(duration, rate);
     let mut engine = ServingEngine::new(cfg).map_err(|e| e.to_string())?;
     let stats = engine.run(&trace);
     let records = engine.take_records();
@@ -335,358 +332,95 @@ fn cmd_breakdown(flags: &HashMap<String, String>) -> Result<(), String> {
     let rows: Vec<Vec<String>> = breakdown_by_prefix(&records)
         .into_iter()
         .map(|(kind, n, reuse, p99)| {
-            vec![
-                match kind {
-                    PrefixKind::User => "User-as-prefix".to_owned(),
-                    PrefixKind::Item => "Item-as-prefix".to_owned(),
-                },
-                n.to_string(),
-                f3(reuse),
-                f1(p99),
-            ]
+            let prefix = match kind {
+                PrefixKind::User => "User-as-prefix",
+                PrefixKind::Item => "Item-as-prefix",
+            };
+            cells![prefix, n, f3(reuse), f1(p99)]
         })
         .collect();
-    print_table(&["Prefix", "Requests", "Mean reuse", "P99 (ms)"], &rows);
-    Ok(())
+    let mut report = Report::default();
+    report.table(&["Prefix", "Requests", "Mean reuse", "P99 (ms)"], &rows);
+    report.finish()
 }
 
-fn cmd_faults(flags: &HashMap<String, String>) -> Result<(), String> {
-    let ds = dataset(flags.get("dataset").map_or("games", String::as_str))?;
-    let duration = flag_f64(flags, "duration", 60.0)?;
-    let rate = flag_f64(flags, "rate", 120.0)?;
-    let seed = flag_f64(flags, "seed", 1.0)? as u64;
-    let nodes = flag_usize(flags, "nodes", 4)?;
-    let model = model(flags.get("model").map_or("qwen2-1.5b", String::as_str))?;
-    let cluster = ClusterConfig::a100_4node().with_nodes(nodes);
+fn cmd_faults(flags: &Flags) -> Result<(), String> {
+    let ds = dataset(flags, "games")?;
+    let duration = flag(flags, "duration", 60.0)?;
+    let rate = flag(flags, "rate", 120.0)?;
+    let seed = flag(flags, "seed", 1)?;
+    let nodes = flag(flags, "nodes", 4)?;
+    let base = bat_config(flags, nodes, &ds)?;
 
     // Either the canonical kill-one-worker schedule (--crash W [--down S])
     // or a seeded random one (--crashes N).
-    let schedule = if let Some(w) = flags.get("crash") {
-        let w: usize = w.parse().map_err(|e| format!("bad --crash: {e}"))?;
-        let crash_at = flag_f64(flags, "at", duration / 3.0)?;
-        let down = flag_f64(flags, "down", duration / 6.0)?;
-        FaultSchedule::single_crash(nodes, WorkerId::new(w as u64), crash_at, crash_at + down)
+    let schedule = if flags.contains_key("crash") {
+        let w = flag(flags, "crash", 0)?;
+        let crash_at = flag(flags, "at", duration / 3.0)?;
+        let down = flag(flags, "down", duration / 6.0)?;
+        FaultSchedule::single_crash(nodes, WorkerId::new(w), crash_at, crash_at + down)
             .map_err(|e| e.to_string())?
     } else {
-        let crashes = flag_usize(flags, "crashes", 2)?;
+        let crashes = flag(flags, "crashes", 2)?;
         FaultSchedule::random(seed, nodes, duration, crashes)
     };
-
-    let mut gen = TraceGenerator::new(Workload::new(ds.clone(), seed), seed ^ 0xbadc0ffe);
-    let trace = gen.generate(duration, rate);
-    let cfg = EngineConfig::for_system(SystemKind::Bat, model, cluster, &ds)
-        .with_faults(Some(schedule.clone()));
-    let mut engine = ServingEngine::new(cfg).map_err(|e| e.to_string())?;
-    let stats = engine.run(&trace);
-    let r = &stats.faults;
-
-    println!(
-        "{} on {nodes} nodes, {} requests over {duration:.0}s under {} fault events:",
-        ds.name,
-        trace.len(),
-        schedule.events().len()
-    );
-    for e in schedule.events() {
-        println!("  t={:6.1}s  {:?}", e.at_secs, e.kind);
-    }
-    println!(
-        "\ncompleted {}/{} (faults never drop requests)",
-        stats.completed,
-        trace.len()
-    );
-    let rows = vec![
-        vec!["hit rate (whole run)".to_owned(), f3(stats.hit_rate())],
-        vec![
-            "pre-fault steady hit rate".to_owned(),
-            f3(r.pre_fault_hit_rate),
-        ],
-        vec![
-            "min hit rate after fault".to_owned(),
-            f3(r.min_hit_rate_after_fault),
-        ],
-        vec!["hit-rate dip".to_owned(), f3(r.hit_rate_dip)],
-        vec!["time to recover (s)".to_owned(), f1(r.time_to_recover_secs)],
-        vec![
-            "entries invalidated".to_owned(),
-            r.invalidated_entries.to_string(),
-        ],
-        vec![
-            "replica hits during outage".to_owned(),
-            r.replica_hits_during_outage.to_string(),
-        ],
-        vec![
-            "recompute fallbacks".to_owned(),
-            r.recompute_fallbacks.to_string(),
-        ],
-        vec![
-            "stall-forced recomputes".to_owned(),
-            r.stall_forced_recomputes.to_string(),
-        ],
-        vec![
-            "items re-warmed on restart".to_owned(),
-            r.rewarmed_items.to_string(),
-        ],
-    ];
-    print_table(&["Degradation / recovery", "Value"], &rows);
-    if r.time_to_recover_secs < 0.0 && r.crashes > 0 {
-        println!("\n(hit rate had not recovered to steady state by end of trace)");
-    }
-    Ok(())
+    let trace = trace_of(&ds, seed, duration, rate);
+    let mut report = Report::default();
+    report.line(format_args!(
+        "{} over {duration:.0}s at {rate:.0} req/s:",
+        ds.name
+    ));
+    scenarios::faults(&mut report, base, schedule, &trace, None)?;
+    report.finish()
 }
 
-fn cmd_overload(flags: &HashMap<String, String>) -> Result<(), String> {
-    let ds = dataset(flags.get("dataset").map_or("books", String::as_str))?;
-    let segment = flag_f64(flags, "duration", 10.0)?;
-    let rate = flag_f64(flags, "rate", 300.0)?;
-    let burst = flag_f64(flags, "burst", 3.0)?;
-    let deadline = flag_f64(flags, "deadline", 1.0)?;
-    let slow = flag_f64(flags, "slow", 150.0)?;
-    let straggle = flag_f64(flags, "straggle", 5.0)?;
-    let seed = flag_f64(flags, "seed", 7.0)? as u64;
-    let nodes = flag_usize(flags, "nodes", 4)?;
-    let model = model(flags.get("model").map_or("qwen2-1.5b", String::as_str))?;
-    let cluster = ClusterConfig::a100_4node().with_nodes(nodes);
+fn cmd_overload(flags: &Flags) -> Result<(), String> {
+    let ds = dataset(flags, "books")?;
+    let knobs = Overload {
+        segment: flag(flags, "duration", 10.0)?,
+        rate: flag(flags, "rate", 300.0)?,
+        burst: flag(flags, "burst", 3.0)?,
+        deadline: flag(flags, "deadline", 1.0)?,
+        slow: flag(flags, "slow", 150.0)?,
+        straggle: flag(flags, "straggle", 5.0)?,
+    };
+    let seed = flag(flags, "seed", 7)?;
+    let nodes = flag(flags, "nodes", 4)?;
     if nodes < 2 {
         return Err("overload needs at least 2 nodes (the slow link has two ends)".into());
     }
-
-    // Steady / burst / recovery segments on one resumable timeline; the
-    // burst is best-effort (Priority::Low) so the brownout ladder has a
-    // class to shed first.
-    let mut gen = TraceGenerator::new(Workload::new(ds.clone(), seed), seed ^ 0xbadc0ffe);
-    gen.set_slo(SloBudget::with_deadline(deadline).at_priority(Priority::Normal));
-    let mut trace = gen.generate(segment, rate);
-    gen.set_slo(SloBudget::with_deadline(deadline).at_priority(Priority::Low));
-    trace.extend(gen.generate(segment, burst * rate));
-    gen.set_slo(SloBudget::with_deadline(deadline).at_priority(Priority::Normal));
-    trace.extend(gen.generate(segment, rate));
-
-    // The compound fault: worker 1 straggles and sits behind a near-outage
-    // link for the burst plus half the recovery; worker 0 crashes early in
-    // recovery and rejoins cold, so hot replicated pulls must hedge.
-    let slow_link = |at_secs, factor| FaultEvent {
-        at_secs,
-        kind: FaultKind::SlowLink {
-            a: WorkerId::new(0),
-            b: WorkerId::new(1),
-            factor,
-        },
-    };
-    let schedule = FaultSchedule::new(
-        nodes,
-        vec![
-            slow_link(segment, slow),
-            FaultEvent {
-                at_secs: 2.05 * segment,
-                kind: FaultKind::WorkerCrash(WorkerId::new(0)),
-            },
-            FaultEvent {
-                at_secs: 2.1 * segment,
-                kind: FaultKind::WorkerRestart(WorkerId::new(0)),
-            },
-            slow_link(2.5 * segment, 1.0),
-        ],
-    )
-    .map_err(|e| e.to_string())?;
-
-    let base = EngineConfig::for_system(SystemKind::Bat, model, cluster, &ds)
-        .with_slo(Some(OverloadConfig::default()));
-    let faulted_cfg = base
-        .clone()
-        .with_straggler(Some((1, straggle)))
-        .with_faults(Some(schedule));
-    let healthy = ServingEngine::new(base)
-        .map_err(|e| e.to_string())?
-        .run(&trace);
-    let faulted = ServingEngine::new(faulted_cfg)
-        .map_err(|e| e.to_string())?
-        .run(&trace);
-    let s = &faulted.slo;
-    let h = &healthy.slo;
-    let r = &faulted.faults;
-
-    println!(
-        "{} on {nodes} nodes: {} requests over {:.0}s, {burst:.0}x burst in [{segment:.0}s, {:.0}s), deadline {deadline}s",
-        ds.name,
-        trace.len(),
-        3.0 * segment,
-        2.0 * segment,
-    );
-    println!(
-        "faults: worker 1 straggles {straggle}x, link 0\u{2013}1 at {slow}x through [{segment:.0}s, {:.0}s), worker 0 crash/rejoin at {:.0}s/{:.0}s",
-        2.5 * segment,
-        2.05 * segment,
-        2.1 * segment,
-    );
-    let count_rows: [(&str, u64, u64); 8] = [
-        ("submitted", s.submitted, h.submitted),
-        ("accepted", s.accepted, h.accepted),
-        (
-            "rejected: queue full",
-            s.rejected_queue_full,
-            h.rejected_queue_full,
-        ),
-        (
-            "rejected: deadline infeasible",
-            s.rejected_infeasible,
-            h.rejected_infeasible,
-        ),
-        (
-            "rejected: brownout shed",
-            s.rejected_brownout,
-            h.rejected_brownout,
-        ),
-        (
-            "shed after admission (expired)",
-            s.shed_expired,
-            h.shed_expired,
-        ),
-        ("completed", s.completed, h.completed),
-        ("deadline misses", s.deadline_misses, h.deadline_misses),
-    ];
-    let mut rows: Vec<Vec<String>> = count_rows
-        .iter()
-        .map(|(name, f, n)| vec![(*name).to_owned(), f.to_string(), n.to_string()])
-        .collect();
-    rows.push(vec![
-        "goodput ratio".to_owned(),
-        f3(s.goodput_ratio()),
-        f3(h.goodput_ratio()),
-    ]);
-    rows.push(vec![
-        "P90 latency (ms)".to_owned(),
-        f1(faulted.p90_latency_ms),
-        f1(healthy.p90_latency_ms),
-    ]);
-    print_table(&["Metric", "faulted", "no fault"], &rows);
-
-    let mech = vec![
-        vec![
-            "max brownout rung".to_owned(),
-            r.max_brownout_rung.to_string(),
-        ],
-        vec![
-            "rung transitions".to_owned(),
-            r.brownout_transitions.to_string(),
-        ],
-        vec![
-            "suspended refreshes (rung 1)".to_owned(),
-            r.suspended_refreshes.to_string(),
-        ],
-        vec![
-            "brownout recomputes (rung 2)".to_owned(),
-            r.brownout_recomputes.to_string(),
-        ],
-        vec!["hedged pulls".to_owned(), r.hedged_pulls.to_string()],
-        vec!["hedge wins".to_owned(), r.hedge_wins.to_string()],
-        vec!["backoff retries".to_owned(), r.backoff_retries.to_string()],
-    ];
-    println!("\nControl-plane mechanisms (faulted run):");
-    print_table(&["Mechanism", "count"], &mech);
-
-    let ratio = if h.goodput() == 0 {
-        1.0
-    } else {
-        s.goodput() as f64 / h.goodput() as f64
-    };
-    println!(
-        "\nconservation: faulted {} / no-fault {} | goodput vs no-fault: {}",
-        if s.conserved() { "yes" } else { "VIOLATED" },
-        if h.conserved() { "yes" } else { "VIOLATED" },
-        f3(ratio),
-    );
-    if !(s.conserved() && h.conserved()) {
-        return Err("conservation law violated".into());
-    }
-    Ok(())
+    let base = bat_config(flags, nodes, &ds)?;
+    let mut report = Report::default();
+    report.line(format_args!("{}:", ds.name));
+    scenarios::overload(&mut report, base, &ds, (seed, seed ^ 0xbadc0ffe), &knobs)?;
+    report.finish()
 }
 
-fn cmd_meta(flags: &HashMap<String, String>) -> Result<(), String> {
-    let ds = dataset(flags.get("dataset").map_or("games", String::as_str))?;
-    let duration = flag_f64(flags, "duration", 30.0)?;
-    let rate = flag_f64(flags, "rate", 60.0)?;
-    let seed = flag_f64(flags, "seed", 1.0)? as u64;
-    let nodes = flag_usize(flags, "nodes", 2)?;
-    let model = model(flags.get("model").map_or("qwen2-1.5b", String::as_str))?;
-    let cluster = ClusterConfig::a100_4node().with_nodes(nodes);
-
-    let cfg = EngineConfig::for_system(SystemKind::Bat, model, cluster, &ds);
-    let replicas = flag_usize(flags, "replicas", cfg.meta_replicas)?;
-    let crash_at = flag_f64(flags, "at", duration / 3.0)?;
-    let down = flag_f64(flags, "down", duration / 6.0)?;
-    let mut cfg = cfg;
-    cfg.meta_replicas = replicas;
-
-    // Probe the seeded group to learn which replica wins the first election,
-    // then schedule its crash — the worst case for the meta service.
-    let leader = bat::meta::MetaGroup::new(cfg.meta_replicas, cfg.meta_seed)
-        .ensure_leader()
-        .map_err(|e| format!("meta group cannot elect: {e}"))?;
-    let schedule =
-        FaultSchedule::single_meta_crash(nodes, replicas, leader, crash_at, crash_at + down)
-            .map_err(|e| e.to_string())?;
-
-    let mut gen = TraceGenerator::new(Workload::new(ds.clone(), seed), seed ^ 0xbadc0ffe);
-    let trace = gen.generate(duration, rate);
-    let baseline = ServingEngine::new(cfg.clone())
-        .map_err(|e| e.to_string())?
-        .run(&trace);
-    let faulted = ServingEngine::new(cfg.with_faults(Some(schedule)))
-        .map_err(|e| e.to_string())?
-        .run(&trace);
-    let r = &faulted.faults;
-
-    println!(
-        "{} on {nodes} nodes, {replicas}-replica meta group, {} requests over {duration:.0}s:",
-        ds.name,
-        trace.len()
-    );
-    println!(
-        "leader (replica {leader}) killed at t={crash_at:.1}s, respawned at t={:.1}s",
-        crash_at + down
-    );
-    println!(
-        "\ncompleted {}/{} (meta failover never drops requests)",
-        faulted.completed,
-        trace.len()
-    );
-    let rows = vec![
-        vec!["meta crashes".to_owned(), r.meta_crashes.to_string()],
-        vec!["meta restarts".to_owned(), r.meta_restarts.to_string()],
-        vec!["elections".to_owned(), r.meta_elections.to_string()],
-        vec!["final epoch".to_owned(), r.meta_final_epoch.to_string()],
-        vec![
-            "fenced appends".to_owned(),
-            r.meta_fenced_appends.to_string(),
-        ],
-        vec![
-            "snapshot installs".to_owned(),
-            r.meta_snapshot_installs.to_string(),
-        ],
-        vec![
-            "client-forced elections".to_owned(),
-            r.meta_unreachable_leader_elections.to_string(),
-        ],
-    ];
-    print_table(&["Meta replication", "Value"], &rows);
-
-    let mut zeroed = faulted.clone();
-    zeroed.faults = bat::FaultReport::default();
-    let mut base = baseline;
-    base.faults = bat::FaultReport::default();
-    if zeroed == base {
-        println!("\nserving stats bitwise-identical to the fault-free run: yes");
-        Ok(())
-    } else {
-        Err("serving stats diverged from the fault-free run".into())
-    }
+fn cmd_meta(flags: &Flags) -> Result<(), String> {
+    let ds = dataset(flags, "games")?;
+    let duration = flag(flags, "duration", 30.0)?;
+    let rate = flag(flags, "rate", 60.0)?;
+    let seed = flag(flags, "seed", 1)?;
+    let nodes = flag(flags, "nodes", 2)?;
+    let mut base = bat_config(flags, nodes, &ds)?;
+    base.meta_replicas = flag(flags, "replicas", base.meta_replicas)?;
+    let crash_at = flag(flags, "at", duration / 3.0)?;
+    let down = flag(flags, "down", duration / 6.0)?;
+    let trace = trace_of(&ds, seed, duration, rate);
+    let mut report = Report::default();
+    report.line(format_args!(
+        "{} over {duration:.0}s at {rate:.0} req/s:",
+        ds.name
+    ));
+    scenarios::meta_failover(&mut report, base, &trace, (crash_at, crash_at + down), None)?;
+    report.finish()
 }
 
-fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_bench(flags: &Flags) -> Result<(), String> {
     let quick = flags.contains_key("quick");
     // Measure at 1 thread and at --threads (default 4): the summary then
     // records both the serial rewrite and the scaled pool.
-    let top = flag_usize(flags, "threads", 4)?.max(1);
+    let top = flag(flags, "threads", 4usize)?.max(1);
     let widths = if top == 1 { vec![1] } else { vec![1, top] };
     if flags.contains_key("stages") {
         // Where the ranking forwards' time goes, instead of the suite.
@@ -699,17 +433,14 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
         let table: Vec<Vec<String>> = rows
             .iter()
             .map(|row| {
-                let mut line = vec![
-                    row.scenario.clone(),
-                    row.threads.to_string(),
-                    f1(row.wall_us),
-                ];
+                let mut line = cells![row.scenario, row.threads, f1(row.wall_us)];
                 line.extend(row.stages.iter().map(|&(_, us)| f1(us)));
                 line
             })
             .collect();
-        print_table(&header, &table);
-        return Ok(());
+        let mut report = Report::default();
+        report.table(&header, &table);
+        return report.finish();
     }
     let summary = bat_bench::perf::run(quick, &widths);
     if !summary.thread_counts.contains(&top) {
@@ -779,69 +510,25 @@ fn split_policy(name: &str) -> Result<SplitPolicy, String> {
     }
 }
 
-fn cmd_tiers(flags: &HashMap<String, String>) -> Result<(), String> {
-    let ds = dataset(flags.get("dataset").map_or("games", String::as_str))?;
-    let model = model(flags.get("model").map_or("qwen2-1.5b", String::as_str))?;
-    let duration = flag_f64(flags, "duration", 20.0)?;
-    let rate = flag_f64(flags, "rate", 40.0)?;
-    let nodes = flag_usize(flags, "nodes", 2)?;
-    let hot = Bytes::from_mb(flag_f64(flags, "hot-mb", 200.0)? as u64);
-    let cold = Bytes::from_mb(flag_f64(flags, "cold-mb", 400.0)? as u64);
+fn cmd_tiers(flags: &Flags) -> Result<(), String> {
+    let ds = dataset(flags, "games")?;
+    let duration = flag(flags, "duration", 20.0)?;
+    let rate = flag(flags, "rate", 40.0)?;
+    let nodes = flag(flags, "nodes", 2)?;
+    let hot = Bytes::from_mb(flag(flags, "hot-mb", 200)?);
+    let cold = Bytes::from_mb(flag(flags, "cold-mb", 400)?);
     let format = cold_format(flags.get("format").map_or("int8", String::as_str))?;
     let split = split_policy(flags.get("split").map_or("adaptive", String::as_str))?;
-
-    let cluster = ClusterConfig::a100_4node().with_nodes(nodes);
-    let mut gen = TraceGenerator::new(Workload::new(ds.clone(), 11), 12);
-    let trace = gen.generate(duration, rate);
-    let base = EngineConfig::for_system(SystemKind::Bat, model, cluster, &ds)
-        .with_user_cache_capacity(hot);
     let tiers = TiersConfig::new(cold).with_format(format).with_split(split);
     tiers.validate()?;
 
     // Same trace, same hot budget: the only difference is the cold tier.
-    let flat = ServingEngine::new(base.clone())
-        .map_err(|e| e.to_string())?
-        .run(&trace);
-    let tiered = ServingEngine::new(base.with_tiers(Some(tiers)))
-        .map_err(|e| e.to_string())?
-        .run(&trace);
-
-    println!(
-        "{} x{} requests, hot {hot} fixed, cold {cold} {format:?} {split:?}",
-        ds.name,
-        trace.len(),
-    );
-    let row = |label: &str, s: &bat::RunStats| {
-        vec![
-            label.to_owned(),
-            f3(s.hit_rate()),
-            s.tiers.cold_hits.to_string(),
-            s.tiers.demotions.to_string(),
-            s.tiers.cold_evictions.to_string(),
-            f1(s.qps()),
-            f1(s.p99_latency_ms),
-        ]
-    };
-    print_table(
-        &[
-            "Cache",
-            "Hit rate",
-            "Cold hits",
-            "Demotions",
-            "Cold evict",
-            "Goodput",
-            "p99 (ms)",
-        ],
-        &[row("flat", &flat), row("tiered", &tiered)],
-    );
-    println!(
-        "tier ledger: occupancy {} / {} cold bytes, budgets user {} item {}",
-        tiered.tiers.cold_occupancy_bytes,
-        cold.as_u64(),
-        tiered.tiers.user_budget_bytes,
-        tiered.tiers.item_budget_bytes,
-    );
-    Ok(())
+    let base = bat_config(flags, nodes, &ds)?.with_user_cache_capacity(hot);
+    let tiered = format!("cold {format:?} {split:?}");
+    let rows = [("flat", None), (tiered.as_str(), Some(tiers))];
+    let mut report = Report::default();
+    scenarios::tiers(&mut report, &base, &ds, (duration, rate), cold, &rows)?;
+    report.finish()
 }
 
 fn transport_kind(name: &str) -> Result<TransportKind, String> {
@@ -853,136 +540,60 @@ fn transport_kind(name: &str) -> Result<TransportKind, String> {
     }
 }
 
-fn cmd_net(flags: &HashMap<String, String>) -> Result<(), String> {
-    let ds = dataset(flags.get("dataset").map_or("games", String::as_str))?;
-    let duration = flag_f64(flags, "duration", 10.0)?;
-    let rate = flag_f64(flags, "rate", 60.0)?;
-    let seed = flag_f64(flags, "seed", 7.0)? as u64;
-    let nodes = flag_usize(flags, "nodes", 2)?;
-    let scale = flag_f64(flags, "scale", 1e-3)?;
-    let model = model(flags.get("model").map_or("qwen2-1.5b", String::as_str))?;
+fn cmd_net(flags: &Flags) -> Result<(), String> {
+    let ds = dataset(flags, "games")?;
+    let duration = flag(flags, "duration", 10.0)?;
+    let rate = flag(flags, "rate", 60.0)?;
+    let seed = flag(flags, "seed", 7)?;
+    let nodes = flag(flags, "nodes", 2)?;
+    let scale = flag(flags, "scale", 1e-3)?;
     let kind = transport_kind(flags.get("transport").map_or("uds", String::as_str))?;
-    let processes = flags.get("processes").is_some();
-    let cluster = ClusterConfig::a100_4node().with_nodes(nodes);
-
-    let mut gen = TraceGenerator::new(Workload::new(ds.clone(), seed), seed ^ 0x5eed);
-    let trace = gen.generate(duration, rate);
-    let cfg = || EngineConfig::for_system(SystemKind::Bat, model.clone(), cluster.clone(), &ds);
-    let serve = |kind: TransportKind, processes: bool| -> Result<bat::RunStats, String> {
-        let opts = ServeOptions {
-            time_scale: scale,
-            transport: kind,
-            processes,
-            // The child re-executes batctl; maybe_child_worker() diverts
-            // it into the worker loop before argument parsing runs, so no
-            // arguments are needed.
-            child_args: Vec::new(),
-            ..ServeOptions::default()
-        };
-        Ok(ServeRuntime::new(cfg(), opts)
-            .map_err(|e| e.to_string())?
-            .serve(&trace))
+    let cfg = bat_config(flags, nodes, &ds)?;
+    let trace = scenarios::trace(&ds, (seed, seed ^ 0x5eed), duration, rate);
+    // The channel oracle, then the requested backend: same trace, same
+    // planner, so the digests must match bit for bit.
+    let backends = match kind {
+        TransportKind::Channel => vec![],
+        kind => vec![(kind, flags.contains_key("processes"))],
     };
-
-    // The channel oracle first, then the requested backend: same trace,
-    // same planner, so the digests must match bit for bit.
-    let oracle = serve(TransportKind::Channel, false)?;
-    let mode = match (kind, processes) {
-        (TransportKind::Channel, _) => "channel threads".to_owned(),
-        (k, false) => format!("{k:?} threads").to_lowercase(),
-        (k, true) => format!("{k:?} child processes").to_lowercase(),
-    };
-    let stats = if kind == TransportKind::Channel {
-        oracle.clone()
-    } else {
-        serve(kind, processes)?
-    };
-
-    println!(
-        "{} on {nodes} nodes over {mode}: {} requests in {duration:.0}s at {rate:.0} qps",
+    let mut report = Report::default();
+    report.line(format_args!(
+        "{} on {nodes} nodes: {} requests in {duration:.0}s at {rate:.0} qps",
         ds.name,
         trace.len(),
-    );
-    println!(
-        "  completed {}  hit-rate {:.3}  p99 {:.1} ms  digest {:016x}",
-        stats.completed,
-        stats.hit_rate(),
-        stats.p99_latency_ms,
-        stats.digest(),
-    );
-    if kind == TransportKind::Channel {
-        return Ok(());
-    }
-    println!(
-        "  channel oracle digest {:016x}: {}",
-        oracle.digest(),
-        if oracle.digest() == stats.digest() {
-            "MATCH (transport is invisible to planner-side stats)"
-        } else {
-            "MISMATCH"
-        },
-    );
-    if oracle.digest() != stats.digest() {
-        return Err(format!(
-            "digest mismatch between channel oracle and {mode}: a codec, framing, \
-             ordering, or retirement bug is changing planner-visible counts"
-        ));
-    }
-    Ok(())
+    ));
+    scenarios::transports(&mut report, &cfg, &trace, scale, &backends)?;
+    report.finish()
 }
 
-/// Shared harness behind `batctl drain` and `batctl join`: one batched
-/// serve under the given membership schedule, with the discrete-event
-/// simulator as the ledger oracle. `--processes` injects the events
-/// against real child OS processes over Unix sockets — a drain delivers
-/// a shutdown frame behind the worker's in-flight frames, a join
-/// fork/execs a fresh child that rejoins over the same listener.
-fn run_membership(
-    flags: &HashMap<String, String>,
-    events: Vec<FaultEvent>,
-    headline: &str,
-) -> Result<(), String> {
-    let ds = dataset(flags.get("dataset").map_or("games", String::as_str))?;
-    let duration = flag_f64(flags, "duration", 20.0)?;
-    let rate = flag_f64(flags, "rate", 60.0)?;
-    let seed = flag_f64(flags, "seed", 1.0)? as u64;
-    let nodes = flag_usize(flags, "nodes", 2)?;
-    let scale = flag_f64(flags, "scale", 1e-3)?;
+/// `batctl drain` and `batctl join`: one batched serve under the given
+/// membership events, with the discrete-event simulator as the ledger
+/// oracle. `--processes` injects the events against real child OS
+/// processes over Unix sockets — a drain delivers a shutdown frame behind
+/// the worker's in-flight frames, a join fork/execs a fresh child that
+/// rejoins over the same listener.
+fn run_membership(flags: &Flags, events: Vec<FaultEvent>) -> Result<(), String> {
+    let ds = dataset(flags, "games")?;
+    let duration = flag(flags, "duration", 20.0)?;
+    let rate = flag(flags, "rate", 60.0)?;
+    let seed = flag(flags, "seed", 1)?;
+    let nodes = flag(flags, "nodes", 2)?;
     let processes = flags.contains_key("processes");
-    let model = model(flags.get("model").map_or("qwen2-1.5b", String::as_str))?;
-    let cluster = ClusterConfig::a100_4node().with_nodes(nodes);
-
-    let schedule = FaultSchedule::new(nodes, events).map_err(|e| e.to_string())?;
-    let mut gen = TraceGenerator::new(Workload::new(ds.clone(), seed), seed ^ 0xbadc0ffe);
-    let trace = gen.generate(duration, rate);
-    let cfg = || {
-        EngineConfig::for_system(SystemKind::Bat, model.clone(), cluster.clone(), &ds)
-            .with_batching(Some(BatchingConfig::default()))
-            .with_faults(Some(schedule.clone()))
-    };
-
-    let sim = ServingEngine::new(cfg())
-        .map_err(|e| e.to_string())?
-        .run(&trace);
     let opts = ServeOptions {
-        time_scale: scale,
+        time_scale: flag(flags, "scale", 1e-3)?,
         transport: if processes {
             TransportKind::Uds
         } else {
             TransportKind::Channel
         },
         processes,
-        // A child re-executes batctl; maybe_child_worker() diverts it
-        // before argument parsing, so no child arguments are needed.
-        child_args: Vec::new(),
         ..ServeOptions::default()
     };
-    let stats = ServeRuntime::new(cfg(), opts)
-        .map_err(|e| e.to_string())?
-        .serve(&trace);
-    let b = &stats.batching;
-
-    println!(
+    let base = bat_config(flags, nodes, &ds)?.with_batching(Some(BatchingConfig::default()));
+    let schedule = FaultSchedule::new(nodes, events).map_err(|e| e.to_string())?;
+    let trace = trace_of(&ds, seed, duration, rate);
+    let mut report = Report::default();
+    report.line(format_args!(
         "{} on {nodes} nodes, {} requests over {duration:.0}s at {rate:.0} qps ({}):",
         ds.name,
         trace.len(),
@@ -991,107 +602,53 @@ fn run_membership(
         } else {
             "channel threads"
         },
-    );
-    println!("{headline}");
-    for e in schedule.events() {
-        println!("  t={:6.1}s  {:?}", e.at_secs, e.kind);
-    }
-    println!(
-        "\ncompleted {}/{} (membership churn never drops requests)",
-        stats.completed,
-        trace.len()
-    );
-    let rows = vec![
-        vec!["rounds".to_owned(), b.rounds.to_string()],
-        vec!["chunks".to_owned(), b.chunks.to_string()],
-        vec!["drains".to_owned(), b.drains.to_string()],
-        vec!["joins".to_owned(), b.joins.to_string()],
-        vec![
-            "migrated requests".to_owned(),
-            b.migrated_requests.to_string(),
-        ],
-        vec!["migrated tokens".to_owned(), b.migrated_tokens.to_string()],
-        vec!["batched tokens".to_owned(), b.batched_tokens.to_string()],
-    ];
-    print_table(&["Membership ledger", "Value"], &rows);
-
-    println!(
-        "\nsimulator oracle digest {:016x} / serve digest {:016x}: {}",
-        sim.digest(),
-        stats.digest(),
-        if sim.digest() == stats.digest() {
-            "MATCH"
-        } else {
-            "MISMATCH"
-        },
-    );
-    if stats.completed != trace.len() {
-        return Err(format!(
-            "membership churn dropped {} requests",
-            trace.len() - stats.completed
-        ));
-    }
-    if sim.digest() != stats.digest() {
-        return Err(
-            "digest mismatch between simulator oracle and serve: the migration \
-             path is losing or double-counting chunks"
-                .into(),
-        );
-    }
-    Ok(())
+    ));
+    scenarios::membership(&mut report, base, schedule, &trace, opts)?;
+    report.finish()
 }
 
-fn cmd_drain(flags: &HashMap<String, String>) -> Result<(), String> {
-    let duration = flag_f64(flags, "duration", 20.0)?;
-    let w = flag_usize(flags, "worker", 1)?;
-    let at = flag_f64(flags, "at", duration / 3.0)?;
+fn cmd_drain(flags: &Flags) -> Result<(), String> {
+    let duration = flag(flags, "duration", 20.0)?;
+    let w = WorkerId::new(flag(flags, "worker", 1)?);
+    let at = flag(flags, "at", duration / 3.0)?;
+    // The worker's in-flight round finishes; its seated-but-unstarted
+    // chunks migrate to the survivors.
     let events = vec![FaultEvent {
         at_secs: at,
-        kind: FaultKind::WorkerDrain(WorkerId::new(w as u64)),
+        kind: FaultKind::WorkerDrain(w),
     }];
-    run_membership(
-        flags,
-        events,
-        &format!(
-            "worker {w} drains at t={at:.1}s: its in-flight round finishes, \
-             seated-but-unstarted chunks migrate to the survivors"
-        ),
-    )
+    run_membership(flags, events)
 }
 
-fn cmd_join(flags: &HashMap<String, String>) -> Result<(), String> {
-    let duration = flag_f64(flags, "duration", 20.0)?;
-    let w = flag_usize(flags, "worker", 1)?;
-    let leave = flag_f64(flags, "leave", duration / 4.0)?;
-    let at = flag_f64(flags, "at", duration / 2.0)?;
+fn cmd_join(flags: &Flags) -> Result<(), String> {
+    let duration = flag(flags, "duration", 20.0)?;
+    let w = WorkerId::new(flag(flags, "worker", 1)?);
+    let leave = flag(flags, "leave", duration / 4.0)?;
+    let at = flag(flags, "at", duration / 2.0)?;
     if at <= leave {
         return Err(format!(
             "join at t={at} must come after the drain at t={leave}"
         ));
     }
+    // The worker drains, then a fresh incarnation joins, re-planned into
+    // the slot map mid-run.
     let events = vec![
         FaultEvent {
             at_secs: leave,
-            kind: FaultKind::WorkerDrain(WorkerId::new(w as u64)),
+            kind: FaultKind::WorkerDrain(w),
         },
         FaultEvent {
             at_secs: at,
-            kind: FaultKind::WorkerJoin(WorkerId::new(w as u64)),
+            kind: FaultKind::WorkerJoin(w),
         },
     ];
-    run_membership(
-        flags,
-        events,
-        &format!(
-            "worker {w} drains at t={leave:.1}s and a fresh incarnation \
-             joins at t={at:.1}s, re-planned into the slot map mid-run"
-        ),
-    )
+    run_membership(flags, events)
 }
 
-type Command = fn(&HashMap<String, String>) -> Result<(), String>;
+type Command = fn(&Flags) -> Result<(), String>;
 
-/// Every subcommand: its name, its entry point and the flags it reads.
+/// Every subcommand but `run`: its name, its entry point and the flags it
+/// reads.
 #[rustfmt::skip]
 const COMMANDS: [(&str, Command, &[&str]); 14] = [
     ("compare", cmd_compare, &["dataset", "model", "nodes", "duration", "rate", "seed", "systems"]),
@@ -1113,43 +670,90 @@ const COMMANDS: [(&str, Command, &[&str]); 14] = [
 fn usage() -> String {
     let names: Vec<&str> = COMMANDS.iter().map(|(name, ..)| *name).collect();
     format!(
-        "usage: batctl <{}> [--flags]\n\
+        "usage: batctl <run|{}> [--flags]\n\
          run `batctl <command>` with no flags for defaults; see crate docs for details\n\
          global: --threads N sizes the bat-exec worker pool",
         names.join("|")
     )
 }
 
+/// `batctl run <experiment>|all [--quick]`: runs experiment rows (all of
+/// them, in order, for `all`), each printing its report and writing its
+/// artifact; fails naming every gate that failed.
+fn cmd_run(args: &[String]) -> Result<(), String> {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    let usage = || format!("usage: batctl run <{}|all> [--quick]", names.join("|"));
+    let Some((name, rest)) = args.split_first() else {
+        return Err(usage());
+    };
+    let (rows, legal) = if name == "all" {
+        (EXPERIMENTS.iter().collect(), &["quick"][..])
+    } else {
+        let Some(row) = EXPERIMENTS.iter().find(|e| e.name == name) else {
+            return Err(format!("unknown experiment '{name}'\n{}", usage()));
+        };
+        (vec![row], row.flags)
+    };
+    let flags = parse_flags(rest, legal).map_err(|e| format!("run {name}: {e}"))?;
+    if let Some((key, value)) = flags.iter().find(|(k, v)| *k != "threads" && *v != "true") {
+        return Err(format!("run {name}: --{key} takes no value, got '{value}'"));
+    }
+    set_threads(&flags)?;
+    let args = RunArgs {
+        quick: flags.contains_key("quick"),
+        alpha_sweep: flags.contains_key("alpha-sweep"),
+    };
+    let mut failed = Vec::new();
+    for row in &rows {
+        if rows.len() > 1 {
+            println!("===== {} =====", row.name);
+        }
+        failed.extend(bat_bench::run(row, &args).err());
+    }
+    if failed.is_empty() {
+        Ok(())
+    } else {
+        Err(failed.join("\n"))
+    }
+}
+
+/// Applies the global `--threads N` to the `bat-exec` pool.
+fn set_threads(flags: &Flags) -> Result<(), String> {
+    match flags.get("threads").map(|n| n.parse::<usize>()) {
+        None => Ok(()),
+        Some(Ok(n)) if n >= 1 => {
+            bat::exec::set_threads(n);
+            Ok(())
+        }
+        Some(_) => Err(format!(
+            "bad --threads '{}' (want a positive integer)",
+            flags["threads"]
+        )),
+    }
+}
+
+fn dispatch(args: &[String]) -> Result<(), String> {
+    let Some(cmd) = args.first() else {
+        return Err(usage());
+    };
+    if cmd == "run" {
+        return cmd_run(&args[1..]);
+    }
+    let Some((_, run, legal)) = COMMANDS.iter().find(|(name, ..)| name == cmd) else {
+        return Err(format!("unknown command '{cmd}'\n{}", usage()));
+    };
+    let flags = parse_flags(&args[1..], legal).map_err(|e| format!("{cmd}: {e}"))?;
+    set_threads(&flags)?;
+    run(&flags)
+}
+
 fn main() -> ExitCode {
-    // `batctl net --processes` re-executes this binary as a socket worker;
-    // the env-var check must run before anything else touches the process.
+    // `--processes` runs (`net`, `drain`, `join` and two experiments)
+    // re-execute this binary as a socket worker; the env-var check must run
+    // before anything else touches the process.
     bat::maybe_child_worker();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        eprintln!("{}", usage());
-        return ExitCode::FAILURE;
-    };
-    let Some((_, run, legal)) = COMMANDS.iter().find(|(name, ..)| name == cmd) else {
-        eprintln!("batctl: unknown command '{cmd}'\n{}", usage());
-        return ExitCode::FAILURE;
-    };
-    let flags = match parse_flags(&args[1..], legal) {
-        Ok(flags) => flags,
-        Err(e) => {
-            eprintln!("batctl {cmd}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(n) = flags.get("threads") {
-        match n.parse::<usize>() {
-            Ok(n) if n >= 1 => bat::exec::set_threads(n),
-            _ => {
-                eprintln!("batctl: bad --threads '{n}' (want a positive integer)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    match run(&flags) {
+    match dispatch(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("batctl: {e}");
@@ -1222,5 +826,36 @@ mod tests {
         assert_eq!(flags["scale"], "1e-3");
         assert_eq!(flags["seed"], "-1");
         assert!(parse_flags(&[], legal("info")).unwrap().is_empty());
+    }
+
+    #[test]
+    fn an_experiment_row_rejects_a_typo_instead_of_running_full_scale() {
+        let err = dispatch(&args("run fig8_scheduling --qiuck")).unwrap_err();
+        assert!(err.contains("--qiuck") && err.contains("--quick"), "{err}");
+        let err = dispatch(&args("run all --alpha-sweep")).unwrap_err();
+        assert!(err.contains("--alpha-sweep"), "{err}");
+        let err = dispatch(&args("run fig8_scheduling --quick yes")).unwrap_err();
+        assert!(err.contains("--quick"), "{err}");
+        let err = dispatch(&args("run fig99")).unwrap_err();
+        assert!(
+            err.contains("fig99") && err.contains("fig8_scheduling"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn seeds_and_megabytes_are_integers() {
+        for line in [
+            "compare --seed -1",
+            "compare --seed 2.9",
+            "tiers --hot-mb 1.5",
+        ] {
+            let err = dispatch(&args(line)).unwrap_err();
+            let name = line.split_whitespace().nth(1).unwrap();
+            assert!(err.contains(name), "{line}: {err}");
+        }
+        let flags = parse_flags(&args("--seed 2"), legal("compare")).unwrap();
+        assert_eq!(flag(&flags, "seed", 1u64), Ok(2));
+        assert_eq!(flag(&flags, "rate", 1.5f64), Ok(1.5));
     }
 }

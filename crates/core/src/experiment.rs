@@ -1,5 +1,5 @@
 //! High-level experiment drivers shared by the examples and the
-//! figure-regeneration harnesses.
+//! experiments of `batctl run`.
 
 use bat_metrics::RankingMetrics;
 use bat_model::semantic::{SemanticConfig, SemanticWorld};

@@ -72,6 +72,46 @@ pub enum AdmissionKind {
     HotnessAware,
 }
 
+/// Algorithm 1's inputs for `ds` served by `model` on `cluster`: the
+/// network's KV-token bandwidth against the estimated prefill time of an
+/// average prompt, and the cluster's tolerance `alpha`.
+pub fn hrcs_params(model: &ModelConfig, cluster: &ClusterConfig, ds: &DatasetConfig) -> HrcsParams {
+    let compute = ComputeModel::new(model.clone(), cluster.node.clone());
+    HrcsParams {
+        bandwidth_tokens_per_sec: compute.net_tokens_per_sec(),
+        prefill_time_secs: compute.prefill_estimate_secs(
+            ds.avg_user_tokens as u64,
+            ds.avg_prompt_item_tokens() as u64,
+        ),
+        alpha: cluster.alpha,
+        candidates_per_request: ds.candidates_per_request,
+        avg_item_tokens: ds.avg_item_tokens as f64,
+        num_workers: cluster.num_nodes,
+    }
+}
+
+/// The HRCS item placement the paper's systems run (§5.1 "Offline
+/// Initialization"): Algorithm 1 picks the replication ratio, and the item
+/// region may take at most 80% of each node's budget — some user region
+/// must survive (§6.2's Industry discussion notes the user cache gets
+/// whatever the item cache leaves).
+pub fn hrcs_plan(
+    model: &ModelConfig,
+    cluster: &ClusterConfig,
+    ds: &DatasetConfig,
+) -> ItemPlacementPlan {
+    let law = ZipfLaw::new(ds.num_items, ds.item_zipf_exponent);
+    let r = compute_replication_ratio(&hrcs_params(model, cluster, ds), &law);
+    ItemPlacementPlan::new(
+        PlacementStrategy::Hrcs,
+        ds.num_items,
+        cluster.num_nodes,
+        r,
+        model.kv_bytes(ds.avg_item_tokens as u64),
+    )
+    .fit_to_capacity(Bytes::new(cluster.node.kv_cache_capacity.as_u64() * 4 / 5))
+}
+
 /// Full engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -148,36 +188,8 @@ impl EngineConfig {
         cluster: ClusterConfig,
         ds: &DatasetConfig,
     ) -> Self {
-        let compute = ComputeModel::new(model.clone(), cluster.node.clone());
         let needs_items = matches!(kind, SystemKind::ItemPrefix | SystemKind::Bat);
-        let placement = needs_items.then(|| {
-            let law = ZipfLaw::new(ds.num_items, ds.item_zipf_exponent);
-            let params = HrcsParams {
-                bandwidth_tokens_per_sec: compute.net_tokens_per_sec(),
-                prefill_time_secs: compute.prefill_estimate_secs(
-                    ds.avg_user_tokens as u64,
-                    ds.avg_prompt_item_tokens() as u64,
-                ),
-                alpha: cluster.alpha,
-                candidates_per_request: ds.candidates_per_request,
-                avg_item_tokens: ds.avg_item_tokens as f64,
-                num_workers: cluster.num_nodes,
-            };
-            let r = compute_replication_ratio(&params, &law);
-            let avg_item_kv = model.kv_bytes(ds.avg_item_tokens as u64);
-            // The item region may take at most 80% of each node's budget —
-            // some user region must survive (§6.2's Industry discussion
-            // notes the user cache gets whatever the item cache leaves).
-            let item_cap = Bytes::new(cluster.node.kv_cache_capacity.as_u64() * 4 / 5);
-            ItemPlacementPlan::new(
-                PlacementStrategy::Hrcs,
-                ds.num_items,
-                cluster.num_nodes,
-                r,
-                avg_item_kv,
-            )
-            .fit_to_capacity(item_cap)
-        });
+        let placement = needs_items.then(|| hrcs_plan(&model, &cluster, ds));
         let per_node_items = placement
             .as_ref()
             .map_or(Bytes::ZERO, ItemPlacementPlan::per_worker_bytes);

@@ -42,6 +42,8 @@ pub use bat_sched::{
 pub use bat_tiers::{ColdFormat, SplitPolicy, TieredKvPool, TiersConfig};
 pub use compute::ComputeModel;
 pub use driver::SlotDriver;
-pub use engine::{AdmissionKind, EngineConfig, PolicyKind, ServingEngine, SystemKind};
+pub use engine::{
+    hrcs_params, hrcs_plan, AdmissionKind, EngineConfig, PolicyKind, ServingEngine, SystemKind,
+};
 pub use planner::{MetaBackend, PlannedJob, RequestPlanner};
 pub use stats::{breakdown_by_prefix, RequestRecord, RunStats};

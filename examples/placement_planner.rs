@@ -11,40 +11,15 @@
 //! cargo run --release -p bat --example placement_planner
 //! ```
 
-use bat::{
-    ClusterConfig, ComputeModel, DatasetConfig, ItemPlacementPlan, ModelConfig, PlacementStrategy,
-    ZipfLaw,
-};
-use bat_placement::{compute_replication_ratio, HrcsParams};
-use bat_types::Bytes;
+use bat::{hrcs_params, hrcs_plan, ClusterConfig, DatasetConfig, ModelConfig, ZipfLaw};
 
 fn plan_for(cluster: &ClusterConfig, label: &str) {
     let model = ModelConfig::qwen2_1_5b();
     let ds = DatasetConfig::industry();
-    let compute = ComputeModel::new(model.clone(), cluster.node.clone());
     let law = ZipfLaw::new(ds.num_items, ds.item_zipf_exponent);
-
-    let params = HrcsParams {
-        bandwidth_tokens_per_sec: compute.net_tokens_per_sec(),
-        prefill_time_secs: compute.prefill_estimate_secs(
-            ds.avg_user_tokens as u64,
-            ds.avg_prompt_item_tokens() as u64,
-        ),
-        alpha: cluster.alpha,
-        candidates_per_request: ds.candidates_per_request,
-        avg_item_tokens: ds.avg_item_tokens as f64,
-        num_workers: cluster.num_nodes,
-    };
-    let r = compute_replication_ratio(&params, &law);
-
-    let plan = ItemPlacementPlan::new(
-        PlacementStrategy::Hrcs,
-        ds.num_items,
-        cluster.num_nodes,
-        r,
-        model.kv_bytes(ds.avg_item_tokens as u64),
-    )
-    .fit_to_capacity(Bytes::new(cluster.node.kv_cache_capacity.as_u64() * 4 / 5));
+    // Algorithm 1's inputs, and the capped plan it yields.
+    let params = hrcs_params(&model, cluster, &ds);
+    let plan = hrcs_plan(&model, cluster, &ds);
 
     let user_region = cluster
         .node
