@@ -23,7 +23,7 @@ use bat_model::prompt::{MaskScheme, PromptLayout, SegTag, TokenSeq};
 use bat_model::{ForwardWorkspace, GrModel, GrModelConfig, HstuModel, KvSegment, Stage, Weights};
 use bat_sched::{BatchScheduler, BatchingConfig};
 use bat_serve::{Pacer, ServeOptions, ServeRuntime, TransportKind};
-use bat_sim::{EngineConfig, SystemKind};
+use bat_sim::{EngineConfig, ServingEngine, SystemKind};
 use bat_tensor::{
     active_simd_tier, axpy, dot_fast, fast_silu_mul_in_place, stable_softmax_fast_in_place,
     stage_is_pooled, ColBlock, GroupAttention, Matrix, QuantKind, QuantizedColBlock, Softmax,
@@ -103,7 +103,8 @@ pub struct PerfSummary {
     pub kernels: Vec<BenchResult>,
     /// End-to-end forward-pass measurements (proxy model, ranking prompt).
     pub forward: Vec<BenchResult>,
-    /// Serving data-plane measurements (see [`serve_rows`]).
+    /// Serving-path measurements: the data plane ([`serve_rows`]) and the
+    /// simulator's sweep ([`sim_sweep_row`]).
     #[serde(default)]
     pub serve: Vec<BenchResult>,
     /// The ratios a test gates on (`cold_attend_fused`).
@@ -359,6 +360,48 @@ fn serve_rows(quick: bool, samples: u32) -> Vec<BenchResult> {
         secs: pacing_secs,
     });
     rows
+}
+
+/// `sim_sweep` — seconds for the eight `ServingEngine::new` + `run`s (RE,
+/// UP, IP, BAT, each per-request and with [`BatchingConfig::default`]) of
+/// a fixed, overloaded Books trace on two nodes: 15 000 requests (300 when
+/// `quick`), the sweep of the repo benchmark's `sim_replay`. The planner and
+/// the slot machine are most of it; no threads, sockets or sleeps.
+fn sim_sweep_row(quick: bool, samples: u32) -> BenchResult {
+    let ds = DatasetConfig::books();
+    let (requests, secs) = if quick { (300, 10.0) } else { (15_000, 200.0) };
+    let mut trace = TraceGenerator::new(Workload::new(ds.clone(), 7), 11).generate(secs, 300.0);
+    assert!(trace.len() >= requests, "trace generator fell short");
+    trace.truncate(requests);
+    let mut cfgs = Vec::new();
+    for kind in [
+        SystemKind::Recompute,
+        SystemKind::UserPrefix,
+        SystemKind::ItemPrefix,
+        SystemKind::Bat,
+    ] {
+        for batching in [None, Some(BatchingConfig::default())] {
+            let cluster = ClusterConfig::a100_4node().with_nodes(2);
+            cfgs.push(
+                EngineConfig::for_system(kind, ModelConfig::qwen2_1_5b(), cluster, &ds)
+                    .with_batching(batching),
+            );
+        }
+    }
+    let secs = time_best(
+        || {
+            for cfg in &cfgs {
+                let mut engine = ServingEngine::new(cfg.clone()).expect("preset config validates");
+                black_box(engine.run(black_box(&trace)));
+            }
+        },
+        samples,
+    );
+    BenchResult {
+        name: "sim_sweep".into(),
+        threads: 1,
+        secs,
+    }
 }
 
 /// Submits per timed call of a `meta_commit_*` row.
@@ -895,18 +938,24 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
 
     // Continuous-batching round formation: the slot scheduler's pure
     // control-plane cost of admitting a burst of multi-chunk requests and
-    // retiring every round. This is the per-request overhead the batched
-    // serve path adds on top of the kernels above.
-    let batch_reqs = if quick { 64 } else { 512 };
+    // retiring every round, drained as the serving driver drains it — into
+    // one reused buffer after every admission, then the tail one finish
+    // event at a time. This is the per-request overhead the batched serve
+    // path adds on top of the kernels above. The full size is long enough
+    // (≈ 2 ms) that the gate's absolute slack cannot hide the row doubling.
+    let batch_reqs = if quick { 64 } else { 8_192 };
+    let mut rounds = Vec::new();
     let round_secs = time_best(
         || {
             let mut m = BatchScheduler::new(BatchingConfig::default(), 1e-4, vec![1.0; 4]);
             for i in 0..batch_reqs {
                 m.admit(i as f64 * 1e-3, i, 1024, 4e-3, None);
-                black_box(m.drain_rounds());
+                m.drain_rounds_into(&mut rounds);
             }
-            m.finish();
-            black_box(m.drain_rounds());
+            while m.retire_next() {
+                m.drain_rounds_into(&mut rounds);
+            }
+            black_box(&rounds);
             black_box(m.drain_completions());
         },
         samples,
@@ -918,7 +967,8 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
     });
     kernels.extend(meta_rows(samples));
 
-    let serve = serve_rows(quick, samples);
+    let mut serve = serve_rows(quick, samples);
+    serve.push(sim_sweep_row(quick, samples));
 
     let deterministic = check_determinism(widths);
     exec::set_threads(restore);

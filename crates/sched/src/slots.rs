@@ -36,6 +36,18 @@
 //! token share, and a round costs `(batch_overhead + Σ chunk costs) ×
 //! straggler_factor(worker)` — so batching amortizes the fixed overhead
 //! over every seated request instead of paying it per request.
+//!
+//! **Constant space.** A round costs O(seats) and, once the buffers have
+//! grown, no heap traffic. A round in flight stores no chunk list: nothing
+//! seats or unseats on its worker until it retires, so retirement
+//! recomputes each chunk from the seats and retires them in place. The
+//! [`RoundRecord::requests`] vectors are recycled:
+//! [`BatchScheduler::drain_rounds_into`] takes back the vectors of the
+//! records it clears, and the next rounds reuse them
+//! ([`BatchScheduler::drain_rounds`] hands its vectors out for good). Past the last arrival, [`BatchScheduler::retire_next`] retires one
+//! finish event at a time, so a caller can drain the tail as it forms
+//! instead of holding [`BatchScheduler::finish`]'s whole log;
+//! `tests/rounds_allocate_nothing.rs` pins zero allocations per round.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -150,12 +162,15 @@ impl SlotReq {
     }
 }
 
-/// A round in flight on one worker.
-#[derive(Debug, Clone)]
+/// A round in flight on one worker. Its chunks are not stored: nothing
+/// seats or unseats on a worker while its round is in flight, so
+/// retirement recomputes each chunk from the seats. `seats` and `tokens`
+/// check that in debug builds.
+#[derive(Debug, Clone, Copy)]
 struct InflightRound {
     finish: f64,
-    /// Chunk sizes, parallel to the worker's seat order at round start.
-    chunks: Vec<u64>,
+    seats: usize,
+    tokens: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -191,6 +206,12 @@ pub struct BatchScheduler {
     completions: Vec<BatchCompletion>,
     sheds: Vec<BatchShed>,
     rounds: Vec<RoundRecord>,
+    /// Cleared `RoundRecord::requests` vectors that
+    /// [`BatchScheduler::drain_rounds_into`] took back, reused by the next
+    /// rounds.
+    spare_requests: Vec<Vec<usize>>,
+    /// Requests seated over all workers (`peak_seated`'s running count).
+    seated_total: usize,
 }
 
 /// Nominal seconds → the integer nanosecond key every event of a run is
@@ -238,6 +259,8 @@ impl BatchScheduler {
             completions: Vec::new(),
             sheds: Vec::new(),
             rounds: Vec::new(),
+            spare_requests: Vec::new(),
+            seated_total: 0,
         }
     }
 
@@ -310,12 +333,23 @@ impl BatchScheduler {
         std::mem::take(&mut self.rounds)
     }
 
-    /// [`BatchScheduler::drain_rounds`] into a caller-owned buffer (cleared
-    /// first): the two vectors trade places, so a caller draining after
-    /// every step allocates nothing.
+    /// [`BatchScheduler::drain_rounds`] into a caller-owned buffer: the
+    /// records `out` still holds give their `requests` vectors back to the
+    /// machine, and the two buffers trade places. A caller that drains
+    /// after every step into the same buffer allocates nothing once the
+    /// buffers have grown to the most rounds one step forms.
     pub fn drain_rounds_into(&mut self, out: &mut Vec<RoundRecord>) {
-        out.clear();
+        self.spare_requests.extend(out.drain(..).map(|round| {
+            let mut requests = round.requests;
+            requests.clear();
+            requests
+        }));
         std::mem::swap(&mut self.rounds, out);
+    }
+
+    /// Rounds started since the last drain.
+    pub fn undrained_rounds(&self) -> usize {
+        self.rounds.len()
     }
 
     /// Advances nominal time to `now`, retiring every round that finishes
@@ -387,6 +421,7 @@ impl BatchScheduler {
         worker.draining = false;
         worker.gen += 1;
         worker.inflight = None;
+        self.seated_total -= worker.seated.len();
         for req in worker.seated.drain(..).rev() {
             let mut req = req;
             req.queued_at = now;
@@ -461,6 +496,7 @@ impl BatchScheduler {
         worker.alive = false;
         worker.draining = false;
         worker.gen += 1;
+        self.seated_total -= worker.seated.len();
         for req in worker.seated.drain(..).rev() {
             let mut req = req;
             req.queued_at = at;
@@ -471,6 +507,20 @@ impl BatchScheduler {
         self.seat_idle_workers();
     }
 
+    /// Pops the earliest finish event and retires its round — completions,
+    /// refills at that boundary, and the successor round it starts — or
+    /// drops it if a crash cancelled the round. Returns `false`, changing
+    /// nothing, once no event is left. A caller that wants the tail's
+    /// rounds as they form (rather than [`BatchScheduler::finish`]'s all at
+    /// once) calls this in a loop and drains between calls.
+    pub fn retire_next(&mut self) -> bool {
+        let Some(Reverse((_, w, gen))) = self.events.pop() else {
+            return false;
+        };
+        self.process_finish(w, gen);
+        true
+    }
+
     /// Runs the machine dry: retires every outstanding round (seating and
     /// starting successors as seats free up) until no work remains. If
     /// requests are still queued with no live worker to run them, they are
@@ -478,9 +528,7 @@ impl BatchScheduler {
     /// cluster provably cannot serve them). Returns the nominal time of
     /// the last processed event.
     pub fn finish(&mut self) -> f64 {
-        while let Some(Reverse((_, w, gen))) = self.events.pop() {
-            self.process_finish(w, gen);
-        }
+        while self.retire_next() {}
         if self.alive_workers() == 0 {
             let now = self.now;
             while let Some(req) = self.pending.pop_front() {
@@ -501,27 +549,30 @@ impl BatchScheduler {
     fn retire_round(&mut self, w: usize, round: InflightRound) {
         let finish = round.finish;
         self.now = self.now.max(finish);
-        self.stats.rounds += 1;
-        let mut still_seated = Vec::with_capacity(self.workers[w].seated.len());
-        for (mut req, chunk) in self.workers[w]
-            .seated
-            .drain(..)
-            .zip(round.chunks.iter().copied())
-        {
+        let chunk_tokens = self.cfg.chunk_tokens;
+        let worker = &mut self.workers[w];
+        debug_assert_eq!(worker.seated.len(), round.seats, "seats moved mid-round");
+        let completions = &mut self.completions;
+        let mut tokens = 0;
+        worker.seated.retain_mut(|req| {
+            let chunk = req.remaining_tokens().min(chunk_tokens);
+            tokens += chunk;
             req.done_tokens += chunk;
-            self.stats.chunks += 1;
-            self.stats.batched_tokens += chunk;
-            if req.remaining_tokens() == 0 {
-                self.completions.push(BatchCompletion {
+            let done = req.remaining_tokens() == 0;
+            if done {
+                completions.push(BatchCompletion {
                     idx: req.idx,
                     at: finish,
                 });
-            } else {
-                still_seated.push(req);
             }
-        }
-        self.workers[w].seated = still_seated;
-        self.workers[w].last_finish = finish;
+            !done
+        });
+        debug_assert_eq!(tokens, round.tokens, "chunks moved mid-round");
+        self.seated_total -= round.seats - worker.seated.len();
+        worker.last_finish = finish;
+        self.stats.rounds += 1;
+        self.stats.chunks += round.seats as u64;
+        self.stats.batched_tokens += tokens;
         if self.workers[w].draining {
             // Planned departure: the round that was in flight when the
             // drain landed has now retired; migrate what remains instead
@@ -602,14 +653,12 @@ impl BatchScheduler {
                 }
             }
             self.workers[w].seated.push(req);
+            self.seated_total += 1;
             if at_boundary {
                 self.stats.seat_refills += 1;
             }
         }
-        let seated_total: usize = self.workers.iter().map(|ws| ws.seated.len()).sum();
-        if seated_total > self.stats.peak_seated {
-            self.stats.peak_seated = seated_total;
-        }
+        self.stats.peak_seated = self.stats.peak_seated.max(self.seated_total);
     }
 
     /// Mean priced chunk service on worker `w`'s current seats (straggler
@@ -629,26 +678,32 @@ impl BatchScheduler {
 
     /// Starts the next round on worker `w` at nominal time `start` if any
     /// request is seated: one chunk per seat, one shared batch overhead,
-    /// straggler-scaled.
+    /// straggler-scaled. The round's `requests` vector comes from the
+    /// spares [`BatchScheduler::drain_rounds_into`] returned, if any.
     fn start_round(&mut self, w: usize, start: f64) {
-        if self.workers[w].seated.is_empty() || self.workers[w].inflight.is_some() {
+        let worker = &self.workers[w];
+        if worker.seated.is_empty() || worker.inflight.is_some() {
             return;
         }
-        let mut chunks = Vec::with_capacity(self.workers[w].seated.len());
+        let seats = worker.seated.len();
+        let mut requests = self.spare_requests.pop().unwrap_or_default();
+        requests.reserve(seats);
         let mut tokens = 0u64;
         let mut service = self.batch_overhead_secs;
-        let mut requests = Vec::with_capacity(self.workers[w].seated.len());
-        for req in &self.workers[w].seated {
+        for req in &worker.seated {
             let chunk = req.remaining_tokens().min(self.cfg.chunk_tokens);
             service += req.chunk_service(chunk);
             tokens += chunk;
-            chunks.push(chunk);
             requests.push(req.idx);
         }
         let service = service * self.speeds[w];
         let finish = start + service;
-        let gen = self.workers[w].gen;
-        self.workers[w].inflight = Some(InflightRound { finish, chunks });
+        let gen = worker.gen;
+        self.workers[w].inflight = Some(InflightRound {
+            finish,
+            seats,
+            tokens,
+        });
         self.events.push(Reverse((time_key(finish), w, gen)));
         self.rounds.push(RoundRecord {
             seq: self.round_seq,

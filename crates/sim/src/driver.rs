@@ -14,8 +14,10 @@
 //!   Every round fits `cluster.max_batched_tokens`. Callers supply what is
 //!   physical through two hooks: `before_arrival` (the runtime paces the
 //!   wall clock there; the simulator does nothing) and `on_rounds` (the
-//!   runtime puts each formed round on the wire). The ledger never sees the
-//!   hooks, which is why simulator and runtime statistics are equal bitwise.
+//!   runtime puts each formed round on the wire; the tail after the last
+//!   arrival comes in bounded batches while the machine is still forming
+//!   it). The ledger never sees the hooks, which is why simulator and
+//!   runtime statistics are equal bitwise.
 
 use crate::engine::EngineConfig;
 use crate::planner::{PlannedJob, RequestPlanner};
@@ -272,6 +274,16 @@ impl<'a> FrontEnd<'a> {
 /// A job's priced `(compute, load, net)` seconds.
 type Price = (f64, f64, f64);
 
+/// The most rounds one `on_rounds` call receives. Past the last arrival the
+/// machine forms the whole overloaded tail with nothing to interleave, and
+/// the driver hands it over whenever this many rounds are pending, so the
+/// round log stays this size instead of the tail's (187 k rounds on the
+/// benchmark's `sim_replay` trace). It is not 1 because the runtime turns
+/// each call into one write per link: a write per round cost `serve_slots`
+/// about a third of its throughput, while 64 and 1 024 rounds a call both
+/// beat handing over the whole tail (EXPERIMENTS.md has the table).
+const ROUND_BATCH: usize = 1024;
+
 /// The serving run on nominal time; see the module docs.
 pub struct SlotDriver<'a> {
     front: FrontEnd<'a>,
@@ -306,12 +318,12 @@ impl<'a> SlotDriver<'a> {
         }
     }
 
-    /// Hands the rounds formed since the last call to `on_rounds`, leaving
-    /// the machine's round log empty.
+    /// Hands the rounds formed since the last call to `on_rounds`, at most
+    /// [`ROUND_BATCH`] a call, leaving the machine's round log empty.
     fn emit_rounds(&mut self, on_rounds: &mut impl FnMut(&[RoundRecord])) {
         self.machine.drain_rounds_into(&mut self.rounds);
-        if !self.rounds.is_empty() {
-            on_rounds(&self.rounds);
+        for batch in self.rounds.chunks(ROUND_BATCH) {
+            on_rounds(batch);
         }
     }
 
@@ -368,16 +380,24 @@ impl<'a> SlotDriver<'a> {
     }
 
     /// Runs the machine dry — faults scheduled past the last arrival still
-    /// reshape the membership first — and folds the terminal ledger in the
-    /// machine's completion order.
-    fn finish(
-        mut self,
-        trace: &[RankRequest],
-        on_rounds: &mut impl FnMut(&[RoundRecord]),
-    ) -> (RunStats, Vec<RequestRecord>) {
+    /// reshape the membership first — one finish event at a time, handing
+    /// the tail to `on_rounds` in batches of [`ROUND_BATCH`] rounds as it
+    /// forms.
+    fn drain_tail(&mut self, on_rounds: &mut impl FnMut(&[RoundRecord])) {
         self.apply_faults(u64::MAX, on_rounds);
+        while self.machine.retire_next() {
+            if self.machine.undrained_rounds() >= ROUND_BATCH {
+                self.emit_rounds(on_rounds);
+            }
+        }
+        // No event is left: this is only the dead-cluster shed.
         self.machine.finish();
         self.emit_rounds(on_rounds);
+    }
+
+    /// Folds the terminal ledger of a drained machine in its completion
+    /// order.
+    fn finish(mut self, trace: &[RankRequest]) -> (RunStats, Vec<RequestRecord>) {
         let mut outcomes = Outcomes::default();
         let mut records = Vec::new();
         for done in self.machine.drain_completions() {
@@ -401,9 +421,10 @@ impl<'a> SlotDriver<'a> {
 
     /// Serves an arrival-sorted `trace` to completion. `before_arrival` is
     /// called with each request's nominal arrival before anything due then
-    /// is processed; `on_rounds` with the rounds each step formed, in `seq`
-    /// order, every round exactly once. Returns the run's statistics and —
-    /// under [`EngineConfig::record_requests`] — its per-request telemetry.
+    /// is processed; `on_rounds` with the rounds each step formed and then
+    /// with the tail in batches of at most [`ROUND_BATCH`], in `seq` order,
+    /// every round exactly once. Returns the run's statistics and — under
+    /// [`EngineConfig::record_requests`] — its per-request telemetry.
     pub fn run(
         mut self,
         trace: &[RankRequest],
@@ -415,7 +436,8 @@ impl<'a> SlotDriver<'a> {
             before_arrival(req.arrival.as_secs());
             self.step(idx, req, &mut on_rounds);
         }
-        self.finish(trace, &mut on_rounds)
+        self.drain_tail(&mut on_rounds);
+        self.finish(trace)
     }
 }
 
@@ -484,14 +506,36 @@ mod tests {
         assert_eq!((stats.faults.drains, stats.batching.drains), (1, 1));
     }
 
+    /// Games on two nodes at more than they serve, in 8-token chunks: the
+    /// rounds formed after the last arrival (≈ 6 200) outnumber
+    /// [`ROUND_BATCH`] several times over.
+    fn overloaded_tail() -> (EngineConfig, Vec<RankRequest>) {
+        let ds = DatasetConfig::games();
+        let requests = trace(&ds, 2.0, 300.0);
+        let mut cfg = config(&ds).with_batching(Some(BatchingConfig {
+            slots_per_worker: 4,
+            chunk_tokens: 8,
+        }));
+        cfg.record_requests = true;
+        (cfg, requests)
+    }
+
+    /// Steps every arrival of `requests`, handing the rounds to `on_rounds`.
+    fn step_all(
+        driver: &mut SlotDriver<'_>,
+        requests: &[RankRequest],
+        on_rounds: &mut impl FnMut(&[RoundRecord]),
+    ) {
+        driver.admitted.resize_with(requests.len(), || None);
+        for (idx, req) in requests.iter().enumerate() {
+            driver.step(idx, req, on_rounds);
+            assert!(driver.machine.drain_rounds().is_empty(), "step {idx}");
+        }
+    }
+
     #[test]
     fn on_rounds_sees_every_round_once_in_order_and_empties_the_log() {
-        let ds = DatasetConfig::games();
-        let requests = trace(&ds, 2.0, 60.0);
-        let cfg = config(&ds).with_batching(Some(BatchingConfig {
-            slots_per_worker: 4,
-            chunk_tokens: 256,
-        }));
+        let (cfg, requests) = overloaded_tail();
         let mut planner = RequestPlanner::from_config(&cfg);
         let mut driver = SlotDriver::new(&cfg, &mut planner);
         let mut seen: Vec<RoundRecord> = Vec::new();
@@ -499,16 +543,51 @@ mod tests {
             assert!(!r.is_empty(), "the hook is not called for nothing");
             seen.extend_from_slice(r);
         };
-        driver.admitted.resize_with(requests.len(), || None);
-        for (idx, req) in requests.iter().enumerate() {
-            driver.step(idx, req, &mut on_rounds);
-            assert!(driver.machine.drain_rounds().is_empty(), "step {idx}");
-        }
-        let (stats, _) = driver.finish(&requests, &mut on_rounds);
+        step_all(&mut driver, &requests, &mut on_rounds);
+        driver.drain_tail(&mut on_rounds);
+        assert!(driver.machine.drain_rounds().is_empty(), "tail");
+        let (stats, _) = driver.finish(&requests);
         assert_eq!(stats.completed, requests.len());
         assert_eq!(seen.len() as u64, stats.batching.rounds);
         assert!(seen.iter().map(|r| r.seq).eq(0..seen.len() as u64));
         let tokens: u64 = seen.iter().map(|r| r.tokens).sum();
         assert_eq!(tokens, stats.batching.batched_tokens);
+    }
+
+    #[test]
+    fn the_tail_streams_in_bounded_batches_of_what_finish_forms() {
+        let (cfg, requests) = overloaded_tail();
+        // One run per tail: streamed by the driver, or formed whole by the
+        // machine's `finish` as one log. Each returns the tail's rounds as
+        // `on_rounds` received them, and the run's results.
+        let run = |streamed: bool| {
+            let mut planner = RequestPlanner::from_config(&cfg);
+            let mut driver = SlotDriver::new(&cfg, &mut planner);
+            step_all(&mut driver, &requests, &mut |_| {});
+            let mut calls: Vec<Vec<RoundRecord>> = Vec::new();
+            if streamed {
+                driver.drain_tail(&mut |r| calls.push(r.to_vec()));
+                // The driver's buffer and the machine's log trade places at
+                // every hand-over, so each has held the log: one batch,
+                // never the tail.
+                assert!(driver.rounds.capacity() <= 2 * ROUND_BATCH);
+            } else {
+                driver.machine.finish();
+                calls.push(driver.machine.drain_rounds());
+            }
+            (calls, driver.finish(&requests))
+        };
+        let (streamed, streamed_run) = run(true);
+        let (whole, whole_run) = run(false);
+        let whole = whole.concat();
+        assert!(
+            whole.len() > 4 * ROUND_BATCH,
+            "the tail forms only {} rounds",
+            whole.len()
+        );
+        assert!(streamed.iter().all(|r| r.len() <= ROUND_BATCH));
+        assert_eq!(streamed.concat(), whole);
+        assert_eq!(streamed_run, whole_run);
+        assert_eq!(streamed_run.1.len(), requests.len());
     }
 }
