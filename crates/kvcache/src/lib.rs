@@ -17,20 +17,19 @@
 //!   the cache meta service, and [`meta::MetaIndex`] — the meta service's
 //!   behavioural contract, implemented locally here
 //!   ([`meta::LocalMetaIndex`]) and as a replicated group in `bat-meta`;
-//! * [`tiered::TieredKvCache`] — the DRAM + cold-storage hierarchy the
-//!   paper's §3.3.2 footnote defers to future work, keyed by [`meta::CacheKey`]
-//!   with a class-partitioned cold tier and a decision digest (the serve-side
-//!   `bat-tiers` pool embeds it, so oracle and pool agree by construction);
 //! * [`segments::SegmentStore`] — materialized packed [`bat_model::KvSegment`]s
 //!   charged to a [`pool::PagedPool`] at their packed-layout resident size,
 //!   so cached prefixes are stored in exactly the form forwards consume.
+//!
+//! The quantized cold tier behind these hot regions (§3.3.2's deferred
+//! storage tier) is `bat-tiers`' `TieredKvPool`, which builds on
+//! [`lru::LruIndex`], [`meta::CacheKey`] and [`hotness::FreqEstimator`].
 
 pub mod hotness;
 pub mod lru;
 pub mod meta;
 pub mod pool;
 pub mod segments;
-pub mod tiered;
 pub mod user_cache;
 
 pub use hotness::FreqEstimator;
@@ -38,5 +37,4 @@ pub use lru::LruIndex;
 pub use meta::{meta_digest, meta_time_ms, CacheKey, LocalMetaIndex, MetaIndex};
 pub use pool::PagedPool;
 pub use segments::SegmentStore;
-pub use tiered::{EntryClass, TierCounters, TierHit, TieredKvCache, TieredKvConfig};
 pub use user_cache::{AdmitOutcome, UserCache, UserCacheConfig};

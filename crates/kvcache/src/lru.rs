@@ -53,11 +53,6 @@ impl<K: Hash + Eq + Clone> LruIndex<K> {
         Some(key)
     }
 
-    /// Peeks at the least-recently-used key without removing it.
-    pub fn peek_lru(&self) -> Option<&K> {
-        self.order.values().next()
-    }
-
     /// Removes a specific key; returns whether it was present.
     pub fn remove(&mut self, key: &K) -> bool {
         match self.stamps.remove(key) {
@@ -82,11 +77,6 @@ impl<K: Hash + Eq + Clone> LruIndex<K> {
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
         self.stamps.is_empty()
-    }
-
-    /// Iterates over keys from least- to most-recently used.
-    pub fn iter_lru_order(&self) -> impl Iterator<Item = &K> {
-        self.order.values()
     }
 }
 
@@ -122,24 +112,6 @@ mod tests {
         assert!(lru.remove(&"x"));
         assert!(!lru.remove(&"x"));
         assert_eq!(lru.pop_lru(), Some("y"));
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let mut lru = LruIndex::new();
-        lru.touch(7);
-        assert_eq!(lru.peek_lru(), Some(&7));
-        assert_eq!(lru.len(), 1);
-    }
-
-    #[test]
-    fn iter_order_matches_pop_order() {
-        let mut lru = LruIndex::new();
-        for k in [5, 3, 9, 3] {
-            lru.touch(k);
-        }
-        let order: Vec<i32> = lru.iter_lru_order().copied().collect();
-        assert_eq!(order, vec![5, 9, 3]);
     }
 
     proptest! {

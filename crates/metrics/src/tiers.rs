@@ -2,11 +2,9 @@
 //! occupancy, and the adaptive user/item budget split.
 //!
 //! [`TierStats`] is the tiered KV pool's ledger, the tier-side analogue of
-//! [`crate::SloStats`]. Its lookup conservation law — every tier lookup is
-//! a hot hit, a cold hit, or a miss, exactly once — is what the sim/serve
-//! equivalence tests assert: the serve-side pool and the simulation oracle
-//! must produce not just the same totals but the same decision sequence
-//! (checked separately via the pool's decision digest).
+//! [`crate::SloStats`]. It rides in `RunStats`, so the sim/serve
+//! equivalence tests, which compare `RunStats::digest`, cover it: the
+//! runtime's pool and the simulator's must end a run with the same ledger.
 
 use serde::{Deserialize, Serialize};
 
@@ -72,29 +70,16 @@ impl TierStats {
         }
     }
 
-    /// The lookup conservation law: hot + cold + miss == lookups (trivially
-    /// true by construction here, but asserted after serde decodes and
-    /// cross-process merges where a field could have been dropped).
+    /// The ledger's invariants: no more promotions than cold hits (a
+    /// promotion completes a cold hit), and no more cold bytes resident
+    /// than the two classes' budgets hold. Asserted after serde decodes,
+    /// where a field could have been dropped or swapped.
     pub fn conserved(&self) -> bool {
-        self.hot_hits + self.cold_hits + self.misses == self.lookups()
-            && self.cold_hits >= self.promotions
-    }
-
-    /// Folds another ledger into this one: counters add, occupancy and
-    /// budget snapshots take the other side's values (the merge order is
-    /// oldest → newest, so the last snapshot wins).
-    pub fn merge(&mut self, other: &TierStats) {
-        self.hot_hits += other.hot_hits;
-        self.cold_hits += other.cold_hits;
-        self.misses += other.misses;
-        self.promotions += other.promotions;
-        self.demotions += other.demotions;
-        self.cold_evictions += other.cold_evictions;
-        self.brownout_cold_serves += other.brownout_cold_serves;
-        self.hot_occupancy_bytes = other.hot_occupancy_bytes;
-        self.cold_occupancy_bytes = other.cold_occupancy_bytes;
-        self.user_budget_bytes = other.user_budget_bytes;
-        self.item_budget_bytes = other.item_budget_bytes;
+        self.promotions <= self.cold_hits
+            && self
+                .user_budget_bytes
+                .checked_add(self.item_budget_bytes)
+                .is_some_and(|budget| self.cold_occupancy_bytes <= budget)
     }
 }
 
@@ -111,31 +96,33 @@ mod tests {
     }
 
     #[test]
-    fn rates_and_merge() {
-        let mut a = TierStats {
+    fn rates_and_conservation() {
+        let t = TierStats {
             hot_hits: 6,
             cold_hits: 2,
             misses: 2,
             promotions: 2,
             demotions: 3,
-            hot_occupancy_bytes: 100,
+            cold_occupancy_bytes: 100,
+            user_budget_bytes: 60,
+            item_budget_bytes: 40,
             ..TierStats::default()
         };
-        assert_eq!(a.lookups(), 10);
-        assert!((a.hit_rate() - 0.8).abs() < 1e-12);
-        assert_eq!(a.cold_hit_share(), 0.25);
-        let b = TierStats {
-            hot_hits: 4,
-            misses: 1,
-            hot_occupancy_bytes: 40,
-            user_budget_bytes: 7,
-            ..TierStats::default()
+        assert_eq!(t.lookups(), 10);
+        assert!((t.hit_rate() - 0.8).abs() < 1e-12);
+        assert_eq!(t.cold_hit_share(), 0.25);
+        assert!(t.conserved());
+        let over_promoted = TierStats { promotions: 3, ..t };
+        assert!(!over_promoted.conserved());
+        let over_budget = TierStats {
+            cold_occupancy_bytes: 101,
+            ..t
         };
-        a.merge(&b);
-        assert_eq!(a.hot_hits, 10);
-        assert_eq!(a.lookups(), 15);
-        assert_eq!(a.hot_occupancy_bytes, 40, "snapshot takes the newer value");
-        assert_eq!(a.user_budget_bytes, 7);
-        assert!(a.conserved());
+        assert!(!over_budget.conserved());
+        let overflowing = TierStats {
+            user_budget_bytes: u64::MAX,
+            ..t
+        };
+        assert!(!overflowing.conserved());
     }
 }

@@ -175,8 +175,9 @@ proptest! {
 
     #[test]
     fn tier_derived_metrics_survive_the_roundtrip(seed in 0u64..u64::MAX) {
-        // Bound the counters so the lookup sums cannot overflow u64, and
-        // keep promotions ≤ cold_hits so `conserved()` holds by design.
+        // Bound the counters and budgets so the lookup and budget sums
+        // cannot overflow u64, and keep promotions ≤ cold_hits and cold
+        // occupancy ≤ the budgets so `conserved()` holds by design.
         let mut rng = TestRng::from_seed(seed);
         let mut stats = any_tier_stats(&mut rng);
         for f in [
@@ -186,14 +187,14 @@ proptest! {
             &mut stats.demotions,
             &mut stats.cold_evictions,
             &mut stats.brownout_cold_serves,
+            &mut stats.user_budget_bytes,
+            &mut stats.item_budget_bytes,
         ] {
             *f %= 1 << 40;
         }
-        stats.promotions = if stats.cold_hits == 0 {
-            0
-        } else {
-            rng.next_u64() % (stats.cold_hits + 1)
-        };
+        stats.promotions = rng.next_u64() % (stats.cold_hits + 1);
+        stats.cold_occupancy_bytes =
+            rng.next_u64() % (stats.user_budget_bytes + stats.item_budget_bytes + 1);
         let back: TierStats =
             serde_json::from_str(&serde_json::to_string(&stats).unwrap()).unwrap();
         prop_assert_eq!(back.lookups(), stats.lookups());

@@ -309,10 +309,11 @@ impl EngineConfig {
                 "cluster max_batched_tokens must be >= 1".to_owned(),
             ));
         }
-        if self.freq_window_secs <= 0.0 {
-            return Err(BatError::InvalidConfig(
-                "frequency window must be positive".to_owned(),
-            ));
+        if !(self.freq_window_secs.is_finite() && self.freq_window_secs > 0.0) {
+            return Err(BatError::InvalidConfig(format!(
+                "freq_window_secs must be finite and positive, got {}",
+                self.freq_window_secs
+            )));
         }
         if self.item_refresh_interval_secs.is_some() && !self.track_item_hotness {
             return Err(BatError::InvalidConfig(
@@ -816,6 +817,20 @@ mod tests {
             ServingEngine::new(no_budget),
             Err(BatError::InvalidConfig(_))
         ));
+        // A bad estimator window is a typed error naming the field, never
+        // the estimator's assert — in the engine's config and the pool's.
+        let mut nan_window = cfg.clone();
+        nan_window.freq_window_secs = f64::NAN;
+        let mut zero_tier_window = bat_tiers::TiersConfig::new(Bytes::from_mb(400));
+        zero_tier_window.freq_window_secs = 0.0;
+        for bad in [nan_window, cfg.clone().with_tiers(Some(zero_tier_window))] {
+            match ServingEngine::new(bad) {
+                Err(BatError::InvalidConfig(msg)) => {
+                    assert!(msg.contains("freq_window_secs"), "{msg}")
+                }
+                other => panic!("expected InvalidConfig, got {:?}", other.err()),
+            }
+        }
         cfg.caching = false;
         assert!(matches!(cfg.validate(), Err(BatError::InvalidConfig(_))));
     }

@@ -280,9 +280,8 @@ pub struct RequestPlanner {
     brownout_rung: u8,
     /// The tiered KV pool: a quantized cold tier behind the hot cache
     /// regions. `None` keeps the flat cache, byte-identical to before.
-    /// Decisions are driven on nominal arrival times through the same
-    /// accounting core as the simulation oracle, so sim and serve pools
-    /// agree on every hit/miss/demotion bitwise.
+    /// Decisions are driven on nominal arrival times, so the simulator's
+    /// and the runtime's planners take the same ones bitwise.
     tiers: Option<TieredKvPool>,
 }
 
@@ -366,11 +365,6 @@ impl RequestPlanner {
     /// The tiered pool's ledger, `None` when the pool is disabled.
     pub fn tier_stats(&self) -> Option<bat_metrics::TierStats> {
         self.tiers.as_ref().map(TieredKvPool::stats)
-    }
-
-    /// The tiered pool itself (tests, oracle digest comparison).
-    pub fn tiers(&self) -> Option<&TieredKvPool> {
-        self.tiers.as_ref()
     }
 
     /// Moves the planner onto a brownout ladder rung. Rung transitions are
@@ -462,24 +456,22 @@ impl RequestPlanner {
             return Vec::new();
         }
         let mut applied: Vec<(f64, AppliedFault)> = Vec::new();
-        {
-            let fs = self.faults.as_mut().expect("checked above");
-            fs.cursor
-                .advance_to(now, &mut fs.view, |e, a| applied.push((e.at_secs, a)));
-        }
+        let fs = self.faults.as_mut().expect("checked above");
+        fs.cursor
+            .advance_to(now, &mut fs.view, |e, a| applied.push((e.at_secs, a)));
+        let report = &mut fs.report;
         let mut membership_changed = false;
         let mut reach_changed = false;
         for &(at, a) in &applied {
             match a {
-                AppliedFault::Crashed(w) => {
-                    // The meta service invalidates every user entry the dead
+                AppliedFault::Crashed(w) | AppliedFault::Drained(w) => {
+                    // The meta service invalidates every user entry the
                     // worker held; those users miss and re-admit elsewhere.
-                    let n = self
-                        .faults
-                        .as_ref()
-                        .expect("checked above")
-                        .view
-                        .num_workers();
+                    // A drain is graceful for *work* (queued chunks migrate)
+                    // but the process still exits, so its cache partition
+                    // leaves with it — counted apart so reports distinguish
+                    // planned scale-in.
+                    let n = fs.view.num_workers();
                     let (entries, bytes) = self.user_cache.invalidate_partition(w.index(), n);
                     if let Some(pool) = &mut self.tiers {
                         // The hot copies died with the worker; the cold tier
@@ -495,61 +487,25 @@ impl RequestPlanner {
                             "meta service and user cache disagree on worker {w}'s partition"
                         );
                     }
-                    let fs = self.faults.as_mut().expect("checked above");
-                    fs.report.crashes += 1;
-                    fs.report.invalidated_entries += entries;
-                    fs.report.invalidated_bytes += bytes.as_u64();
+                    match a {
+                        AppliedFault::Crashed(_) => report.crashes += 1,
+                        _ => report.drains += 1,
+                    }
+                    report.invalidated_entries += entries;
+                    report.invalidated_bytes += bytes.as_u64();
                     membership_changed = true;
                     reach_changed = true;
                 }
-                AppliedFault::Drained(w) => {
-                    // A drain is graceful for *work* (queued chunks migrate)
-                    // but the process still exits, so its cache partition
-                    // leaves with it — same invalidation as a crash, counted
-                    // separately so reports distinguish planned scale-in.
-                    let n = self
-                        .faults
-                        .as_ref()
-                        .expect("checked above")
-                        .view
-                        .num_workers();
-                    let (entries, bytes) = self.user_cache.invalidate_partition(w.index(), n);
-                    if let Some(pool) = &mut self.tiers {
-                        pool.forget_hot_partition(w.index(), n);
-                    }
-                    if let Some(meta) = &mut self.meta {
-                        let dropped = meta.as_index_mut().drop_user_partition(w.index(), n, at);
-                        debug_assert_eq!(
-                            dropped, entries,
-                            "meta service and user cache disagree on worker {w}'s partition"
-                        );
-                    }
-                    let fs = self.faults.as_mut().expect("checked above");
-                    fs.report.drains += 1;
-                    fs.report.invalidated_entries += entries;
-                    fs.report.invalidated_bytes += bytes.as_u64();
-                    membership_changed = true;
-                    reach_changed = true;
-                }
-                AppliedFault::Joined(w, _incarnation) => {
+                AppliedFault::Restarted(w, _) | AppliedFault::Joined(w, _) => {
                     if let Some(meta) = &mut self.meta {
                         meta.as_index_mut().note_worker_restart(w.index(), at);
                     }
-                    let fs = self.faults.as_mut().expect("checked above");
-                    fs.report.joins += 1;
-                    // The joined worker is a fresh process: empty until the
-                    // re-warm stream completes, exactly like a restart.
-                    fs.rewarm_ready_at[w.index()] = at + fs.rewarm_secs;
-                    membership_changed = true;
-                    reach_changed = true;
-                }
-                AppliedFault::Restarted(w, _incarnation) => {
-                    if let Some(meta) = &mut self.meta {
-                        meta.as_index_mut().note_worker_restart(w.index(), at);
+                    match a {
+                        AppliedFault::Restarted(..) => report.restarts += 1,
+                        _ => report.joins += 1,
                     }
-                    let fs = self.faults.as_mut().expect("checked above");
-                    fs.report.restarts += 1;
-                    // The worker rejoins empty: it serves nothing until the
+                    // The worker (a restarted one, or a fresh process in a
+                    // joined slot) is empty: it serves nothing until the
                     // re-warm stream completes (settle_rewarms).
                     fs.rewarm_ready_at[w.index()] = at + fs.rewarm_secs;
                     membership_changed = true;
@@ -557,46 +513,24 @@ impl RequestPlanner {
                 }
                 AppliedFault::LinkFactor(factor) => {
                     if factor > 1.0 {
-                        self.faults
-                            .as_mut()
-                            .expect("checked above")
-                            .report
-                            .link_degrades += 1;
+                        report.link_degrades += 1;
                     }
                 }
-                AppliedFault::MetaStalledUntil(_) => {
-                    self.faults
-                        .as_mut()
-                        .expect("checked above")
-                        .report
-                        .meta_stalls += 1;
-                }
+                AppliedFault::MetaStalledUntil(_) => report.meta_stalls += 1,
                 AppliedFault::MetaCrashed(m) => {
-                    self.faults
-                        .as_mut()
-                        .expect("checked above")
-                        .report
-                        .meta_crashes += 1;
+                    report.meta_crashes += 1;
                     if let Some(MetaBackend::Replicated(client)) = &mut self.meta {
                         client.crash_replica(m, at);
                     }
                 }
                 AppliedFault::MetaRestarted(m) => {
-                    self.faults
-                        .as_mut()
-                        .expect("checked above")
-                        .report
-                        .meta_restarts += 1;
+                    report.meta_restarts += 1;
                     if let Some(MetaBackend::Replicated(client)) = &mut self.meta {
                         client.restart_replica(m, at);
                     }
                 }
                 AppliedFault::LinkCut(..) => {
-                    self.faults
-                        .as_mut()
-                        .expect("checked above")
-                        .report
-                        .link_partitions += 1;
+                    report.link_partitions += 1;
                     reach_changed = true;
                 }
                 AppliedFault::LinkHealed(..) => {
@@ -606,11 +540,7 @@ impl RequestPlanner {
                     // The pair stays reachable; only the pull latency model
                     // changes, so no membership or reach rebuild is needed.
                     if factor > 1.0 {
-                        self.faults
-                            .as_mut()
-                            .expect("checked above")
-                            .report
-                            .slow_links += 1;
+                        report.slow_links += 1;
                     }
                 }
             }
@@ -941,16 +871,38 @@ impl RequestPlanner {
                 }
                 if let Some(plan) = &self.placement {
                     let mut reused = 0u64;
-                    if let Some(fs) = self.faults.as_mut() {
-                        // Membership- and warmth-aware lookups. With every
-                        // worker warm this reduces to the fault-free path.
-                        for (i, &item) in req.candidates.iter().enumerate() {
-                            let tokens = req.candidate_tokens[i] as u64;
-                            let bytes = self.compute.kv_bytes(tokens);
-                            match fs.locate(plan, item) {
+                    // Without faults, locations are owner-relative to the
+                    // worker the request will land on; worker 0 is
+                    // representative because sharding is round-robin.
+                    let local = WorkerId::new(0);
+                    for (i, &item) in req.candidates.iter().enumerate() {
+                        let tokens = req.candidate_tokens[i] as u64;
+                        let bytes = self.compute.kv_bytes(tokens);
+                        // Each arm either serves the item from a hot copy
+                        // and moves on, or says whether its recompute is a
+                        // fault fallback (else the item is uncached).
+                        let unreachable = match self.faults.as_mut() {
+                            None => match plan.locate(item, local) {
+                                ItemLocation::LocalReplica | ItemLocation::LocalShard => {
+                                    reused += tokens;
+                                    job.local_load += bytes;
+                                    continue;
+                                }
+                                ItemLocation::Remote(_) => {
+                                    reused += tokens;
+                                    job.remote_bytes += bytes;
+                                    continue;
+                                }
+                                ItemLocation::Uncached => false,
+                            },
+                            // Membership- and warmth-aware lookups. With
+                            // every worker warm this reduces to the
+                            // fault-free path.
+                            Some(fs) => match fs.locate(plan, item) {
                                 FaultedLocation::LocalHit => {
                                     reused += tokens;
                                     job.local_load += bytes;
+                                    continue;
                                 }
                                 FaultedLocation::RemoteHit {
                                     from_replica,
@@ -981,7 +933,6 @@ impl RequestPlanner {
                                     if from_replica {
                                         fs.report.replica_hits_during_outage += 1;
                                     }
-                                    let local = WorkerId::new(0);
                                     let f1 = fs.view.link_slow_factor(local, holder);
                                     if f1 > 1.0 {
                                         let transfer = self.compute.net_transfer_secs(bytes);
@@ -1016,80 +967,30 @@ impl RequestPlanner {
                                             }
                                         }
                                     }
+                                    continue;
                                 }
-                                FaultedLocation::Recompute => {
-                                    // The entry is unreachable in the hot
-                                    // placement, but the cold tier is
-                                    // durable local storage: serve from it
-                                    // if resident, else recompute and
-                                    // write the result back cold so later
-                                    // accesses during the outage hit.
-                                    let mut served = false;
-                                    if let Some(pool) = &mut self.tiers {
-                                        if let Some(cold) =
-                                            pool.cold_lookup(item.into(), bytes, now)
-                                        {
-                                            reused += tokens;
-                                            job.net_extra_secs += pool.cold_load_secs(cold);
-                                            served = true;
-                                        } else {
-                                            pool.demote(item.into(), bytes, now);
-                                        }
-                                    }
-                                    if !served {
-                                        fs.report.recompute_fallbacks += 1;
-                                    }
-                                }
-                                FaultedLocation::Uncached => {
-                                    // Outside the hot corpus: the cold tier
-                                    // extends coverage — serve a resident
-                                    // copy, or write back the recompute.
-                                    if let Some(pool) = &mut self.tiers {
-                                        if let Some(cold) =
-                                            pool.cold_lookup(item.into(), bytes, now)
-                                        {
-                                            reused += tokens;
-                                            job.net_extra_secs += pool.cold_load_secs(cold);
-                                        } else {
-                                            pool.demote(item.into(), bytes, now);
-                                        }
-                                    }
-                                }
+                                FaultedLocation::Recompute => true,
+                                FaultedLocation::Uncached => false,
+                            },
+                        };
+                        // The one cold path for an item no hot copy serves:
+                        // the cold tier is durable local storage, so serve a
+                        // resident copy from it, else recompute and write
+                        // the result back cold so later accesses hit.
+                        let cold_secs = self.tiers.as_mut().and_then(|pool| {
+                            let served = pool.cold_lookup(item.into(), bytes, now);
+                            if served.is_none() {
+                                pool.demote(item.into(), bytes, now);
                             }
-                        }
-                    } else {
-                        // Affinity view: locations are owner-relative to the
-                        // worker the request will land on; worker 0 is
-                        // representative because sharding is round-robin.
-                        let local = WorkerId::new(0);
-                        for (i, &item) in req.candidates.iter().enumerate() {
-                            let tokens = req.candidate_tokens[i] as u64;
-                            let bytes = self.compute.kv_bytes(tokens);
-                            match plan.locate(item, local) {
-                                ItemLocation::LocalReplica | ItemLocation::LocalShard => {
-                                    reused += tokens;
-                                    job.local_load += bytes;
-                                }
-                                ItemLocation::Remote(_) => {
-                                    reused += tokens;
-                                    job.remote_bytes += bytes;
-                                }
-                                ItemLocation::Uncached => {
-                                    // Outside the hot corpus: the cold tier
-                                    // extends coverage — serve a resident
-                                    // copy, or write back the recompute.
-                                    if let Some(pool) = &mut self.tiers {
-                                        if let Some(cold) =
-                                            pool.cold_lookup(item.into(), bytes, now)
-                                        {
-                                            reused += tokens;
-                                            job.net_extra_secs += pool.cold_load_secs(cold);
-                                        } else {
-                                            pool.demote(item.into(), bytes, now);
-                                        }
-                                    }
-                                }
+                            served.map(|cold| pool.cold_load_secs(cold))
+                        });
+                        match (cold_secs, self.faults.as_mut()) {
+                            (Some(secs), _) => {
+                                reused += tokens;
+                                job.net_extra_secs += secs;
                             }
+                            (None, Some(fs)) if unreachable => fs.report.recompute_fallbacks += 1,
+                            (None, _) => {}
                         }
                     }
                     job.suffix_tokens = total - reused;

@@ -23,18 +23,17 @@
 //!   of budget toward the class whose recent misses-per-budget-byte (the
 //!   marginal hit-rate gain of growing it) is higher.
 //!
-//! Every decision the pool takes is routed through an embedded
-//! [`bat_kvcache::TieredKvCache`] — the same accounting core the
-//! simulation oracle uses — so the sim-side and serve-side pools agree on
-//! every hit/miss/demotion decision byte-for-byte by construction, and
-//! the agreement is checkable end-to-end by comparing
-//! [`TieredKvPool::digest`]s. All state advances on *nominal* trace time
-//! (the planner's clock), never wall-clock, preserving the repo's
-//! bitwise sim/serve equivalence across thread counts.
+//! The pool lives inside the shared `RequestPlanner` and advances on
+//! *nominal* trace time (the planner's clock), never wall-clock, so the
+//! simulator and the runtime take the same decisions at any thread count;
+//! their `RunStats` digests, which cover the pool's [`TierStats`], pin
+//! that. [`TieredKvPool::digest`] folds every decision in order, so two
+//! pools fed the same calls agree on it whether or not they carry payloads.
 
-use bat_kvcache::{CacheKey, EntryClass, FreqEstimator, TieredKvCache, TieredKvConfig};
+use bat_kvcache::{CacheKey, FreqEstimator, LruIndex};
 use bat_metrics::TierStats;
 use bat_tensor::{ColBlock, QuantKind, QuantizedColBlock};
+use bat_types::fnv::Fnv64;
 use bat_types::Bytes;
 use std::collections::HashMap;
 
@@ -148,8 +147,20 @@ impl TiersConfig {
         self
     }
 
-    /// Validates ranges; returns a message for the first violation.
+    /// Validates ranges; returns a message naming the first bad field.
     pub fn validate(&self) -> Result<(), String> {
+        if !(self.freq_window_secs.is_finite() && self.freq_window_secs > 0.0) {
+            return Err(format!(
+                "freq_window_secs must be finite and positive, got {}",
+                self.freq_window_secs
+            ));
+        }
+        if !(self.cold_admit_min_per_window.is_finite() && self.cold_admit_min_per_window >= 0.0) {
+            return Err(format!(
+                "cold_admit_min_per_window must be finite and >= 0, got {}",
+                self.cold_admit_min_per_window
+            ));
+        }
         if !(self.cold_read_bandwidth.is_finite() && self.cold_read_bandwidth > 0.0) {
             return Err("cold_read_bandwidth must be finite and positive".into());
         }
@@ -168,6 +179,27 @@ impl TiersConfig {
             return Err("rebalance_interval_secs must be finite and positive".into());
         }
         Ok(())
+    }
+}
+
+/// Entry class a [`CacheKey`] belongs to — the axis the cold budget is
+/// partitioned along.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EntryClass {
+    /// User-prefix entries.
+    User,
+    /// Item-prefix entries.
+    Item,
+}
+
+impl EntryClass {
+    /// The class of a cache key.
+    pub fn of(key: CacheKey) -> EntryClass {
+        if key.is_user() {
+            EntryClass::User
+        } else {
+            EntryClass::Item
+        }
     }
 }
 
@@ -254,22 +286,46 @@ impl PartitionController {
     }
 }
 
+/// One class's share of the cold tier: its entries, recency order and
+/// budget.
+#[derive(Debug, Clone)]
+struct ColdRegion {
+    map: HashMap<CacheKey, Bytes>,
+    lru: LruIndex<CacheKey>,
+    used: Bytes,
+    budget: Bytes,
+}
+
+/// The `[user, item]` cold budgets for a user `share` of `total`.
+fn split(total: Bytes, share: f64) -> [Bytes; 2] {
+    let user = (total.as_u64() as f64 * share).round() as u64;
+    [Bytes::new(user), Bytes::new(total.as_u64() - user)]
+}
+
 /// The tiered KV pool: the quantized cold tier behind the planner's hot
 /// cache regions, with per-class budgets and an optional payload store.
 ///
-/// Accounting (which entries are where, who gets evicted) lives in the
-/// embedded [`TieredKvCache`]; this type layers the quantized byte
-/// charging, the hotness-gated cold admission, the partition controller,
-/// and — when [`TieredKvPool::demote_with_payload`] is used — real
+/// The hot tier lives outside the pool (the planner's `UserCache` and item
+/// placement); the pool mirrors only the sizes of hot residents, so that a
+/// hot eviction can be demoted at the size it was admitted with. The cold
+/// tier is two LRU regions, one per [`EntryClass`], each under its own
+/// byte budget. On top sit the quantized byte charging, the hotness-gated
+/// cold admission, the partition controller, and — when
+/// [`TieredKvPool::demote_with_payload`] is used — real
 /// [`QuantizedColBlock`] payloads that cold hits can attend over without
 /// dequantizing.
 #[derive(Debug, Clone)]
 pub struct TieredKvPool {
     cfg: TiersConfig,
-    core: TieredKvCache,
+    /// Indexed by `EntryClass as usize`.
+    regions: [ColdRegion; 2],
+    /// The ledger's counters; [`Self::stats`] fills in its byte snapshots.
+    counters: TierStats,
+    digest: Fnv64,
     hotness: FreqEstimator<CacheKey>,
     controller: PartitionController,
-    brownout_cold_serves: u64,
+    /// Quantized blocks of cold-resident entries (a subset of the regions'
+    /// keys: every path that releases an entry drops its payload).
     payloads: HashMap<CacheKey, QuantizedColBlock>,
     /// Full (f32) sizes of entries resident in the *external* hot region,
     /// registered at admission — an evicted victim's size is no longer
@@ -280,60 +336,42 @@ pub struct TieredKvPool {
 }
 
 impl TieredKvPool {
-    /// A pool whose hot tier is managed externally (the planner's
-    /// `UserCache` / item placement): only the cold side of the embedded
-    /// core is used.
+    /// An empty pool behind an externally managed hot tier.
     pub fn new(cfg: TiersConfig) -> Self {
         let user_share = match cfg.split {
             SplitPolicy::Adaptive => 0.5,
             SplitPolicy::Static(s) => s,
             SplitPolicy::AllUser => 1.0,
         };
-        let total = cfg.cold_capacity.as_u64();
-        let user_budget = (total as f64 * user_share).round() as u64;
-        let core = TieredKvCache::new(TieredKvConfig {
-            // The hot tier lives outside the pool; the core's DRAM side
-            // stays empty and only its cold regions are exercised.
-            dram_capacity: Bytes::ZERO,
-            cold_user_budget: Bytes::new(user_budget),
-            cold_item_budget: Bytes::new(total - user_budget),
+        let regions = split(cfg.cold_capacity, user_share).map(|budget| ColdRegion {
+            map: HashMap::new(),
+            lru: LruIndex::new(),
+            used: Bytes::ZERO,
+            budget,
         });
         TieredKvPool {
+            regions,
+            counters: TierStats::default(),
+            digest: Fnv64::new(),
             hotness: FreqEstimator::new(cfg.freq_window_secs),
             controller: PartitionController::new(user_share),
-            brownout_cold_serves: 0,
             payloads: HashMap::new(),
             hot_sizes: HashMap::new(),
             hot_registered: Bytes::ZERO,
-            core,
             cfg,
         }
     }
 
-    /// The pool's configuration.
-    pub fn config(&self) -> &TiersConfig {
-        &self.cfg
-    }
-
-    /// The embedded decision core (tests, invariant checks).
-    pub fn core(&self) -> &TieredKvCache {
-        &self.core
-    }
-
-    /// The decision digest: FNV-1a over every decision the pool has taken.
+    /// FNV-1a over every decision the pool has taken, in order: two pools
+    /// fed the same calls hold the same digest, and any divergence in a
+    /// hit, miss, demotion, eviction or budget change shows up in it.
     pub fn digest(&self) -> u64 {
-        self.core.digest()
+        self.digest.finish()
     }
 
     /// The partition controller (current split inspection).
     pub fn controller(&self) -> &PartitionController {
         &self.controller
-    }
-
-    /// Cold-resident bytes for a hot footprint of `full` under the pool's
-    /// format.
-    pub fn cold_bytes(&self, full: Bytes) -> Bytes {
-        self.cfg.format.cold_bytes(full)
     }
 
     /// Seconds to stream `bytes` from cold storage.
@@ -345,7 +383,8 @@ impl TieredKvPool {
     /// ledger's lookup stream complete and the key's hotness fresh.
     pub fn note_hot_hit(&mut self, key: CacheKey, bytes: Bytes, now: f64) {
         self.hotness.record(key, now);
-        self.core.note_hot_hit(key, bytes);
+        self.counters.hot_hits += 1;
+        self.fold(8, key, 1, bytes);
         self.tick(now);
     }
 
@@ -363,13 +402,11 @@ impl TieredKvPool {
     /// registered with. Unregistered victims are ignored (the hot region
     /// predates the pool, or the entry was invalidated).
     pub fn demote_hot(&mut self, key: CacheKey, now: f64) -> bool {
-        match self.hot_sizes.remove(&key) {
-            Some(bytes) => {
-                self.hot_registered -= bytes;
-                self.demote_inner(key, bytes, now, None)
-            }
-            None => false,
-        }
+        let Some(bytes) = self.hot_sizes.remove(&key) else {
+            return false;
+        };
+        self.hot_registered -= bytes;
+        self.demote_inner(key, bytes, now, None)
     }
 
     /// Drops hot-size registrations for user entries of a crashed worker's
@@ -398,9 +435,21 @@ impl TieredKvPool {
     /// weight misses in the controller's marginal-gain windows.
     pub fn cold_lookup(&mut self, key: CacheKey, full_bytes: Bytes, now: f64) -> Option<Bytes> {
         self.hotness.record(key, now);
-        let served = self.core.cold_serve(key);
-        self.controller
-            .record(EntryClass::of(key), served.is_some(), full_bytes);
+        let class = EntryClass::of(key);
+        let region = &mut self.regions[class as usize];
+        let served = region.map.get(&key).copied();
+        match served {
+            Some(bytes) => {
+                region.lru.touch(key);
+                self.counters.cold_hits += 1;
+                self.fold(4, key, 1, bytes);
+            }
+            None => {
+                self.counters.misses += 1;
+                self.fold(4, key, 0, Bytes::ZERO);
+            }
+        }
+        self.controller.record(class, served.is_some(), full_bytes);
         self.tick(now);
         served
     }
@@ -410,10 +459,16 @@ impl TieredKvPool {
     /// actually admitted the entry; a rejected admission leaves the entry
     /// cold and this is simply not called.
     pub fn promote(&mut self, key: CacheKey) -> Option<Bytes> {
-        let freed = self.core.promote_external(key);
+        let freed = self.release(key);
         if freed.is_some() {
-            self.payloads.remove(&key);
+            self.counters.promotions += 1;
         }
+        self.fold(
+            9,
+            key,
+            u8::from(freed.is_some()),
+            freed.unwrap_or(Bytes::ZERO),
+        );
         freed
     }
 
@@ -445,32 +500,41 @@ impl TieredKvPool {
         now: f64,
         block: Option<&ColBlock>,
     ) -> bool {
+        let bytes = self.cfg.format.cold_bytes(full_bytes);
+        self.counters.demotions += 1;
         if self.cfg.cold_admit_min_per_window > 0.0
             && self.hotness.per_window(&key, now) < self.cfg.cold_admit_min_per_window
         {
-            self.core.drop_demotion(key, self.cold_bytes(full_bytes));
+            self.counters.cold_evictions += 1;
+            self.fold(10, key, 0, bytes);
             return false;
         }
-        let (entered, victims) = self.core.demote_external(key, self.cold_bytes(full_bytes));
-        for victim in victims {
-            self.payloads.remove(&victim);
+        let class = EntryClass::of(key) as usize;
+        if bytes > self.regions[class].budget {
+            // Class region disabled or too small: the entry is dropped.
+            self.counters.cold_evictions += 1;
+            self.fold(6, key, 0, bytes);
+            return false;
         }
-        if entered {
-            if let (Some(block), Some(kind)) = (block, self.cfg.format.quant_kind()) {
-                self.payloads
-                    .insert(key, QuantizedColBlock::quantize(block, kind));
-            }
-        } else {
-            self.payloads.remove(&key);
+        self.fold(6, key, 1, bytes);
+        // A newer copy supersedes a resident one.
+        self.release(key);
+        self.evict_to_fit(class, bytes, 1);
+        let region = &mut self.regions[class];
+        region.map.insert(key, bytes);
+        region.used += bytes;
+        region.lru.touch(key);
+        if let (Some(block), Some(kind)) = (block, self.cfg.format.quant_kind()) {
+            self.payloads
+                .insert(key, QuantizedColBlock::quantize(block, kind));
         }
-        entered
+        true
     }
 
     /// The stored quantized payload of a cold-resident entry, for the
     /// dequant-fused attend path. `None` for accounting-only entries, the
     /// f32 control format, or keys no longer cold-resident.
     pub fn payload(&self, key: CacheKey) -> Option<&QuantizedColBlock> {
-        self.core.cold_peek(key)?;
         self.payloads.get(&key)
     }
 
@@ -485,53 +549,79 @@ impl TieredKvPool {
     ) -> Option<Bytes> {
         let served = self.cold_lookup(key, full_bytes, now);
         if served.is_some() {
-            self.brownout_cold_serves += 1;
+            self.counters.brownout_cold_serves += 1;
         }
         served
     }
 
     /// Advances the partition controller to `now`, applying a rebalance if
-    /// one is due. Called implicitly by every lookup/hit note; exposed for
-    /// idle-time advancement.
+    /// one is due: shrinking a class evicts its LRU tail. Called implicitly
+    /// by every lookup/hit note; exposed for idle-time advancement.
     pub fn tick(&mut self, now: f64) {
         if !matches!(self.cfg.split, SplitPolicy::Adaptive) {
             return;
         }
-        let budgets = [
-            self.core.cold_budget(EntryClass::User),
-            self.core.cold_budget(EntryClass::Item),
-        ];
+        let budgets = self.regions.each_ref().map(|r| r.budget);
         if let Some(share) = self.controller.maybe_rebalance(now, &self.cfg, budgets) {
-            let total = self.cfg.cold_capacity.as_u64();
-            let user = (total as f64 * share).round() as u64;
-            let victims = self
-                .core
-                .set_cold_budgets(Bytes::new(user), Bytes::new(total - user));
-            for victim in victims {
-                self.payloads.remove(&victim);
+            let budgets = split(self.cfg.cold_capacity, share);
+            self.digest.write_u8(5);
+            for budget in budgets {
+                self.digest.write_u64(budget.as_u64());
+            }
+            for (class, budget) in budgets.into_iter().enumerate() {
+                self.regions[class].budget = budget;
+                self.evict_to_fit(class, Bytes::ZERO, 2);
             }
         }
     }
 
     /// The pool's ledger in the shared metrics schema.
     pub fn stats(&self) -> TierStats {
-        let c = self.core.counters();
+        let [user, item] = &self.regions;
         TierStats {
-            hot_hits: c.hot_hits,
-            cold_hits: c.cold_hits,
-            misses: c.misses,
-            promotions: c.promotions,
-            demotions: c.demotions,
-            cold_evictions: c.cold_evictions,
-            brownout_cold_serves: self.brownout_cold_serves,
-            // In planner mode the hot tier is external (registered sizes);
-            // in standalone mode it is the core's DRAM side. Exactly one
-            // of the two is nonzero.
-            hot_occupancy_bytes: (self.core.dram_used() + self.hot_registered).as_u64(),
-            cold_occupancy_bytes: self.core.cold_used().as_u64(),
-            user_budget_bytes: self.core.cold_budget(EntryClass::User).as_u64(),
-            item_budget_bytes: self.core.cold_budget(EntryClass::Item).as_u64(),
+            hot_occupancy_bytes: self.hot_registered.as_u64(),
+            cold_occupancy_bytes: (user.used + item.used).as_u64(),
+            user_budget_bytes: user.budget.as_u64(),
+            item_budget_bytes: item.budget.as_u64(),
+            ..self.counters
         }
+    }
+
+    /// Removes `key`'s cold copy and payload, returning its cold size.
+    fn release(&mut self, key: CacheKey) -> Option<Bytes> {
+        let region = &mut self.regions[EntryClass::of(key) as usize];
+        let bytes = region.map.remove(&key)?;
+        region.used -= bytes;
+        region.lru.remove(&key);
+        self.payloads.remove(&key);
+        Some(bytes)
+    }
+
+    /// Evicts `class`'s least-recently-used entries until `incoming` more
+    /// bytes fit its budget; each eviction is folded with `outcome` (1:
+    /// room for a demotion, 2: a budget shrink).
+    fn evict_to_fit(&mut self, class: usize, incoming: Bytes, outcome: u8) {
+        while self.regions[class].used + incoming > self.regions[class].budget {
+            let victim = self.regions[class]
+                .lru
+                .pop_lru()
+                .expect("cold used > 0 implies an entry");
+            let bytes = self.release(victim).expect("lru tracks entries");
+            self.counters.cold_evictions += 1;
+            self.fold(7, victim, outcome, bytes);
+        }
+    }
+
+    fn fold(&mut self, op: u8, key: CacheKey, outcome: u8, bytes: Bytes) {
+        let (class, id) = match key {
+            CacheKey::User(u) => (0, u.as_u64()),
+            CacheKey::Item(i) => (1, i.as_u64()),
+        };
+        self.digest.write_u8(op);
+        self.digest.write_u8(class);
+        self.digest.write_u64(id);
+        self.digest.write_u8(outcome);
+        self.digest.write_u64(bytes.as_u64());
     }
 }
 
@@ -539,6 +629,7 @@ impl TieredKvPool {
 mod tests {
     use super::*;
     use bat_types::{ItemId, UserId};
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     fn ukey(i: u64) -> CacheKey {
         CacheKey::User(UserId::new(i))
@@ -554,6 +645,41 @@ mod tests {
                 .with_split(split)
                 .with_format(format),
         )
+    }
+
+    fn hit(p: &mut TieredKvPool, key: CacheKey, now: f64) -> bool {
+        p.cold_lookup(key, Bytes::new(100), now).is_some()
+    }
+
+    /// What must hold after any call: each region's bytes are the sum of
+    /// its entries and within its budget, recency tracks exactly the
+    /// entries, payloads belong to resident entries, the budgets add up to
+    /// the capacity, and the ledger is conserved.
+    fn assert_accounting(p: &TieredKvPool) {
+        for r in &p.regions {
+            let sum: u64 = r.map.values().map(|b| b.as_u64()).sum();
+            assert_eq!(sum, r.used.as_u64(), "cold accounting drift");
+            assert!(r.used <= r.budget, "cold region over budget");
+            assert_eq!(r.lru.len(), r.map.len(), "recency drift");
+        }
+        for key in p.payloads.keys() {
+            assert!(
+                p.regions[EntryClass::of(*key) as usize]
+                    .map
+                    .contains_key(key),
+                "payload outlived its entry"
+            );
+        }
+        let s = p.stats();
+        assert_eq!(
+            s.user_budget_bytes + s.item_budget_bytes,
+            p.cfg.cold_capacity.as_u64()
+        );
+        assert_eq!(
+            s.hot_occupancy_bytes,
+            p.hot_sizes.values().map(|b| b.as_u64()).sum()
+        );
+        assert!(s.conserved(), "{s:?}");
     }
 
     #[test]
@@ -587,13 +713,90 @@ mod tests {
         assert!(p.demote(ukey(1), Bytes::new(100), 0.0));
         assert_eq!(p.cold_lookup(ikey(1), Bytes::new(100), 1.0), None);
         assert!(p.cold_lookup(ukey(1), Bytes::new(100), 1.0).is_some());
+        assert_eq!(p.stats().cold_evictions, 1, "the dropped demotion");
+    }
+
+    #[test]
+    fn zero_cold_capacity_drops_every_demotion() {
+        let mut p = pool(0, SplitPolicy::Static(0.5), ColdFormat::F32);
+        for key in [ukey(1), ikey(1)] {
+            assert!(!p.demote(key, Bytes::new(100), 0.0));
+            assert!(!hit(&mut p, key, 1.0), "no cold tier: eviction is final");
+        }
+        let s = p.stats();
+        assert_eq!((s.demotions, s.cold_evictions), (2, 2));
+        assert_eq!(s.cold_occupancy_bytes, 0);
+        assert_accounting(&p);
+    }
+
+    #[test]
+    fn item_demotions_respect_a_small_item_budget() {
+        // 200 bytes for users, 50 for items: a 100-byte item is dropped, a
+        // 50-byte one lands, and user demotions use their own region.
+        let mut p = pool(250, SplitPolicy::Static(0.8), ColdFormat::F32);
+        assert!(!p.demote(ikey(1), Bytes::new(100), 0.0));
+        assert!(p.demote(ikey(2), Bytes::new(50), 0.0));
+        assert!(p.demote(ukey(1), Bytes::new(100), 0.0));
+        assert!(p.demote(ukey(2), Bytes::new(100), 0.0));
+        assert!(!hit(&mut p, ikey(1), 1.0));
+        assert!(p.cold_lookup(ikey(2), Bytes::new(50), 1.0).is_some());
+        assert!(hit(&mut p, ukey(1), 1.0) && hit(&mut p, ukey(2), 1.0));
+        assert_eq!(p.stats().cold_evictions, 1);
+        assert_accounting(&p);
+    }
+
+    #[test]
+    fn classes_keep_separate_cold_budgets() {
+        let mut p = pool(200, SplitPolicy::Static(0.5), ColdFormat::F32);
+        assert!(p.demote(ukey(1), Bytes::new(100), 0.0));
+        assert!(p.demote(ikey(1), Bytes::new(100), 0.0));
+        // The user region is full: user 2 evicts user 1, not the item.
+        assert!(p.demote(ukey(2), Bytes::new(100), 0.0));
+        assert!(!hit(&mut p, ukey(1), 1.0));
+        assert!(hit(&mut p, ukey(2), 1.0));
+        assert!(hit(&mut p, ikey(1), 1.0));
+        assert_accounting(&p);
+    }
+
+    #[test]
+    fn cold_tier_evicts_lru_when_full() {
+        let mut p = pool(200, SplitPolicy::AllUser, ColdFormat::F32);
+        p.demote(ukey(1), Bytes::new(100), 0.0);
+        p.demote(ukey(2), Bytes::new(100), 0.0);
+        // Demoting user 3 evicts user 1, the least recently used.
+        p.demote(ukey(3), Bytes::new(100), 0.0);
+        assert!(!hit(&mut p, ukey(1), 1.0));
+        // A hit refreshes recency: user 2 now outlives user 3.
+        assert!(hit(&mut p, ukey(2), 1.0));
+        p.demote(ukey(4), Bytes::new(100), 1.0);
+        assert!(!hit(&mut p, ukey(3), 2.0));
+        assert!(hit(&mut p, ukey(2), 2.0));
+        assert!(hit(&mut p, ukey(4), 2.0));
+        assert_eq!(p.stats().cold_evictions, 2);
+    }
+
+    #[test]
+    fn cold_lookup_serves_without_promoting() {
+        let mut p = pool(1000, SplitPolicy::AllUser, ColdFormat::F32);
+        p.demote(ukey(1), Bytes::new(100), 0.0);
+        assert!(hit(&mut p, ukey(1), 1.0));
+        assert!(hit(&mut p, ukey(1), 2.0), "still cold after a hit");
+        let s = p.stats();
+        assert_eq!(
+            (s.cold_hits, s.promotions, s.cold_occupancy_bytes),
+            (2, 0, 100)
+        );
+        // Promotion is the hot region's call, and releases the cold copy.
+        assert_eq!(p.promote(ukey(1)), Some(Bytes::new(100)));
+        assert!(!hit(&mut p, ukey(1), 3.0));
+        let s = p.stats();
+        assert_eq!((s.promotions, s.cold_occupancy_bytes, s.misses), (1, 0, 1));
     }
 
     #[test]
     fn static_split_divides_the_budget() {
-        let p = pool(1000, SplitPolicy::Static(0.3), ColdFormat::F32);
-        assert_eq!(p.core().cold_budget(EntryClass::User), Bytes::new(300));
-        assert_eq!(p.core().cold_budget(EntryClass::Item), Bytes::new(700));
+        let s = pool(1000, SplitPolicy::Static(0.3), ColdFormat::F32).stats();
+        assert_eq!((s.user_budget_bytes, s.item_budget_bytes), (300, 700));
     }
 
     #[test]
@@ -606,16 +809,40 @@ mod tests {
         }
         // Crossing the next interval boundary applies the rebalance.
         p.tick(12.0);
-        let user_budget = p.core().cold_budget(EntryClass::User);
+        let s = p.stats();
         assert!(
-            user_budget < Bytes::new(500),
-            "item misses should pull budget from the user class, got {user_budget}"
+            s.user_budget_bytes < 500,
+            "item misses should pull budget from the user class, got {}",
+            s.user_budget_bytes
         );
         assert_eq!(
-            user_budget + p.core().cold_budget(EntryClass::Item),
-            Bytes::new(1000),
+            s.user_budget_bytes + s.item_budget_bytes,
+            1000,
             "budget is conserved"
         );
+    }
+
+    #[test]
+    fn budget_shrink_evicts_lru_entries_of_that_class() {
+        let mut p = pool(1000, SplitPolicy::Adaptive, ColdFormat::F32);
+        for u in 1..=5 {
+            p.demote(ukey(u), Bytes::new(100), 0.0);
+        }
+        p.demote(ikey(1), Bytes::new(100), 0.0);
+        // Arm the schedule, then a window of item misses moves 100 bytes of
+        // budget to items: the user region (500 of 500) sheds user 1, its
+        // least recently used entry, and the item region keeps its entry.
+        p.tick(0.0);
+        for t in 2..10 {
+            p.cold_lookup(ikey(t), Bytes::new(100), 1.0);
+        }
+        p.tick(5.0);
+        let s = p.stats();
+        assert_eq!((s.user_budget_bytes, s.cold_evictions), (400, 1));
+        assert!(!hit(&mut p, ukey(1), 6.0));
+        assert!((2..=5).all(|u| hit(&mut p, ukey(u), 6.0)));
+        assert!(hit(&mut p, ikey(1), 6.0));
+        assert_accounting(&p);
     }
 
     #[test]
@@ -680,7 +907,8 @@ mod tests {
         assert!(p.cold_lookup(ukey(3), Bytes::new(1000), 3.0).is_some());
         p.promote(ukey(3));
         assert!(p.payload(ukey(3)).is_none());
-        assert_eq!(p.core().cold_peek(ukey(3)), None);
+        assert_eq!(p.stats().cold_occupancy_bytes, 250, "only user 2 is left");
+        assert_accounting(&p);
     }
 
     #[test]
@@ -703,6 +931,107 @@ mod tests {
         }
         assert_eq!(a.digest(), b.digest(), "payloads must not change decisions");
         assert_eq!(a.stats(), b.stats());
+    }
+
+    #[test]
+    fn digest_tracks_the_decision_sequence() {
+        let drive = |ops: &[(u64, u64)]| {
+            let mut p = pool(200, SplitPolicy::AllUser, ColdFormat::F32);
+            for (i, &(u, b)) in ops.iter().enumerate() {
+                p.demote(ukey(u), Bytes::new(b), i as f64);
+                p.cold_lookup(ukey(u % 3), Bytes::new(b), i as f64);
+            }
+            p.digest()
+        };
+        let ops: Vec<(u64, u64)> = (0..20).map(|i| (i % 5, 40 + (i % 3) * 30)).collect();
+        assert_eq!(drive(&ops), drive(&ops), "same sequence, same digest");
+        let mut other = ops.clone();
+        other[7].1 += 10; // one different demotion size
+        assert_ne!(drive(&ops), drive(&other), "divergence shows up");
+    }
+
+    #[test]
+    fn user_only_decisions_ignore_the_item_budget() {
+        // Equal user budgets, different item budgets: a user-only key
+        // stream takes the same decisions, digest included.
+        let mut narrow = pool(500, SplitPolicy::Static(0.8), ColdFormat::F32);
+        let mut wide = pool(1000, SplitPolicy::Static(0.4), ColdFormat::F32);
+        for i in 0..60u64 {
+            let (u, b, now) = (i % 11, Bytes::new(30 + (i % 7) * 25), i as f64);
+            assert_eq!(narrow.demote(ukey(u), b, now), wide.demote(ukey(u), b, now));
+            assert_eq!(
+                narrow.cold_lookup(ukey(i % 5), b, now),
+                wide.cold_lookup(ukey(i % 5), b, now)
+            );
+        }
+        assert_eq!(narrow.digest(), wide.digest());
+        let (n, w) = (narrow.stats(), wide.stats());
+        assert_eq!(
+            (n.cold_hits, n.misses, n.cold_evictions),
+            (w.cold_hits, w.misses, w.cold_evictions)
+        );
+        assert_eq!(n.cold_occupancy_bytes, w.cold_occupancy_bytes);
+    }
+
+    #[test]
+    fn accounting_holds_after_every_operation() {
+        // Every public call, in random order, on a pool whose budgets move
+        // (adaptive split, short rebalance interval) and whose demotions
+        // are hotness-gated and sometimes re-demote a resident entry.
+        let mut block = ColBlock::new(2);
+        block.push_col(&[1.0, -1.0]);
+        for seed in 0..8 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut cfg = TiersConfig::new(Bytes::new(1200)).with_format(ColdFormat::Int8);
+            cfg.rebalance_interval_secs = 0.5;
+            cfg.cold_admit_min_per_window = if seed % 2 == 0 { 0.0 } else { 0.05 };
+            let mut p = TieredKvPool::new(cfg);
+            let mut lookups = 0;
+            for step in 0..400 {
+                let now = step as f64 * 0.01;
+                let key = if rng.gen_bool(0.5) {
+                    ukey(rng.gen_range(0..12))
+                } else {
+                    ikey(rng.gen_range(0..12))
+                };
+                let full = Bytes::new(rng.gen_range(1..9) * 100);
+                match rng.gen_range(0..9) {
+                    0 => drop(p.demote(key, full, now)),
+                    1 => drop(p.demote_with_payload(key, full, now, &block)),
+                    2 => {
+                        p.cold_lookup(key, full, now);
+                        lookups += 1;
+                    }
+                    // A promotion completes a cold hit the hot region took.
+                    3 | 4 => {
+                        if p.cold_lookup(key, full, now).is_some() {
+                            p.promote(key);
+                        }
+                        lookups += 1;
+                    }
+                    5 => {
+                        p.note_hot_hit(key, full, now);
+                        lookups += 1;
+                    }
+                    6 => p.register_hot(key, full),
+                    7 => drop(p.demote_hot(key, now)),
+                    _ => {
+                        p.brownout_cold_serve(key, full, now);
+                        lookups += 1;
+                    }
+                }
+                if step % 97 == 0 {
+                    p.forget_hot_partition(step % 2, 2);
+                }
+                assert_accounting(&p);
+                assert_eq!(p.stats().lookups(), lookups);
+            }
+            let s = p.stats();
+            assert!(
+                s.cold_hits > 0 && s.promotions > 0 && s.cold_evictions > 0,
+                "{s:?}"
+            );
+        }
     }
 
     #[test]
@@ -729,8 +1058,20 @@ mod tests {
         let mut bad = ok.clone();
         bad.min_share = 0.5;
         assert!(bad.validate().is_err());
-        let mut bad = ok;
+        let mut bad = ok.clone();
         bad.cold_read_bandwidth = 0.0;
         assert!(bad.validate().is_err());
+        for window in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut bad = ok.clone();
+            bad.freq_window_secs = window;
+            let err = bad.validate().expect_err("bad window accepted");
+            assert!(err.contains("freq_window_secs"), "{err}");
+        }
+        for floor in [-0.5, f64::NAN, f64::INFINITY] {
+            let mut bad = ok.clone();
+            bad.cold_admit_min_per_window = floor;
+            let err = bad.validate().expect_err("bad admission floor accepted");
+            assert!(err.contains("cold_admit_min_per_window"), "{err}");
+        }
     }
 }
