@@ -404,6 +404,7 @@ fn cmd_meta(flags: &Flags) -> Result<(), String> {
     let nodes = flag(flags, "nodes", 2)?;
     let mut base = bat_config(flags, nodes, &ds)?;
     base.meta_replicas = flag(flags, "replicas", base.meta_replicas)?;
+    base.validate().map_err(|e| e.to_string())?;
     let crash_at = flag(flags, "at", duration / 3.0)?;
     let down = flag(flags, "down", duration / 6.0)?;
     let trace = trace_of(&ds, seed, duration, rate);

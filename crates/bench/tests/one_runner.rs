@@ -5,7 +5,11 @@
 //! per-experiment binary growing back, so this test reads the sources and
 //! fails on one.
 
-use std::path::{Path, PathBuf};
+#[path = "../../../tests/support/source_scan.rs"]
+mod source_scan;
+
+use source_scan::{code_lines, sources};
+use std::path::Path;
 
 /// What may appear only so often outside tests: `(code, allowed count)`,
 /// `None` meaning "at least once, and only in the runner".
@@ -19,20 +23,6 @@ const SCANNED: [(&str, Option<usize>); 4] = [
 /// The file that runs every experiment row and writes its artifact.
 const RUNNER: &str = "lib.rs";
 
-/// The `.rs` files under `dir`, recursively.
-fn sources(dir: &Path) -> Vec<PathBuf> {
-    let mut found = Vec::new();
-    for entry in std::fs::read_dir(dir).expect("directory lists") {
-        let path = entry.expect("directory entry reads").path();
-        if path.is_dir() {
-            found.extend(sources(&path));
-        } else if path.extension().is_some_and(|ext| ext == "rs") {
-            found.push(path);
-        }
-    }
-    found
-}
-
 #[test]
 fn batctl_is_the_one_experiment_runner() {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
@@ -41,17 +31,10 @@ fn batctl_is_the_one_experiment_runner() {
     assert!(files.len() >= 5, "scanned only {files:?}");
     for path in &files {
         let name = path.strip_prefix(&src).expect("under src/").display();
-        let source = std::fs::read_to_string(path).expect("source file reads");
-        // Unit tests sit in a trailing `#[cfg(test)]` module and may build
-        // whatever they check; comments may name calls.
-        let code = source
-            .lines()
-            .take_while(|line| line.trim() != "#[cfg(test)]")
-            .map(|line| line.split("//").next().unwrap_or(""));
-        for (i, line) in code.enumerate() {
+        for (i, line) in code_lines(path) {
             for ((needle, _), found) in SCANNED.iter().zip(&mut sites) {
                 if line.contains(needle) {
-                    found.push(format!("{name}:{}", i + 1));
+                    found.push(format!("{name}:{i}"));
                 }
             }
         }

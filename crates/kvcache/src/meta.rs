@@ -97,11 +97,11 @@ pub fn meta_time_ms(now_secs: f64) -> u64 {
 /// of which KV entries exist (with their sizes) plus the hotness table and
 /// the membership epoch of the view the index was built against.
 ///
-/// Two implementations exist: [`LocalMetaIndex`] (single in-process node,
-/// the seed behaviour) and `bat-meta`'s replicated client, which commits
-/// every mutation through a leader-based command log. The planner drives
-/// whichever it holds through this trait, so serving decisions cannot
-/// depend on which one is wired in.
+/// Two implementations exist: [`LocalMetaIndex`] (single in-process node:
+/// a replica's state, and the tests' oracle) and `bat-meta`'s replicated
+/// client, which commits every mutation through a leader-based command log.
+/// The planner drives the client through this trait, and the two agree on
+/// every command sequence.
 pub trait MetaIndex {
     /// Records that `key` now exists in the pool with `bytes` resident.
     fn register(&mut self, key: CacheKey, bytes: u64, now: f64);

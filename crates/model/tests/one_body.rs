@@ -4,6 +4,10 @@
 //! (HSTU was one until PR 24), so this test reads the sources and fails on
 //! one.
 
+#[path = "../../../tests/support/source_scan.rs"]
+mod source_scan;
+
+use source_scan::{code_lines, sources};
 use std::path::Path;
 
 /// What only the one body may do.
@@ -22,23 +26,12 @@ fn only_the_transformer_runs_a_forward() {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
     let mut sites: Vec<Vec<String>> = vec![Vec::new(); BODY_ONLY.len()];
     let mut scanned = 0;
-    for entry in std::fs::read_dir(&src).expect("source directory lists") {
-        let path = entry.expect("directory entry reads").path();
-        if path.extension().is_none_or(|ext| ext != "rs") {
-            continue;
-        }
+    for path in sources(&src) {
         scanned += 1;
-        let source = std::fs::read_to_string(&path).expect("source file reads");
-        // Unit tests sit in a trailing `#[cfg(test)]` module and may build
-        // whatever they compare against; comments may name calls.
-        let code = source
-            .lines()
-            .take_while(|line| line.trim() != "#[cfg(test)]")
-            .map(|line| line.split("//").next().unwrap_or(""));
-        for (i, line) in code.enumerate() {
+        for (i, line) in code_lines(&path) {
             for (call, found) in BODY_ONLY.iter().zip(&mut sites) {
                 if line.contains(call) {
-                    found.push(format!("{}:{}", path.display(), i + 1));
+                    found.push(format!("{}:{i}", path.display()));
                 }
             }
         }

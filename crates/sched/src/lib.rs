@@ -16,8 +16,7 @@ pub mod slots;
 
 pub use overload::{AdmitDecision, OverloadConfig, OverloadController};
 pub use policy::{
-    CacheAgnosticPolicy, DegradedModePolicy, HotnessAwarePolicy, OraclePolicy, PromptPolicy,
-    StaticPolicy,
+    CacheAgnosticPolicy, HotnessAwarePolicy, OraclePolicy, PromptPolicy, StaticPolicy,
 };
 pub use slots::{
     time_key, BatchCompletion, BatchScheduler, BatchShed, BatchingConfig, RoundRecord,

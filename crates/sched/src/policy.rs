@@ -23,21 +23,11 @@ pub trait PromptPolicy: Send {
     /// Chooses the prompt prefix for `req` at time `now`.
     fn decide(&self, req: &RankRequest, user_cache: &mut UserCache, now: f64) -> PrefixKind;
 
-    /// Short display name for experiment tables.
-    fn name(&self) -> &'static str;
-
     /// Degraded-mode hook (fault recovery): the fraction of the item pool
-    /// currently reachable, in `[0, 1]`. The serving engine calls this on
-    /// every cluster-membership change; policies that account for item
-    /// availability ([`DegradedModePolicy`]) react, the rest ignore it.
-    fn set_item_availability(&self, _frac: f64) {}
-
-    /// Meta-service hook: the replicated view epoch the availability signal
-    /// was computed at. Placement reads flow through the cache-meta client,
-    /// and the epoch stamps *which* membership view the policy is acting
-    /// on — a fenced (stale-epoch) signal must never overwrite a newer one.
-    /// Policies that don't track membership ignore it.
-    fn set_view_epoch(&self, _epoch: u64) {}
+    /// currently reachable, in `[0, 1]`. The planner calls this on every
+    /// change of warm membership; policies that account for item
+    /// availability ([`HotnessAwarePolicy`]) react, the rest ignore it.
+    fn set_item_availability(&mut self, _frac: f64) {}
 }
 
 /// Always the same prefix: the UP and IP baselines of §6.1.
@@ -47,13 +37,6 @@ pub struct StaticPolicy(pub PrefixKind);
 impl PromptPolicy for StaticPolicy {
     fn decide(&self, _req: &RankRequest, _cache: &mut UserCache, _now: f64) -> PrefixKind {
         self.0
-    }
-
-    fn name(&self) -> &'static str {
-        match self.0 {
-            PrefixKind::User => "UP",
-            PrefixKind::Item => "IP",
-        }
     }
 }
 
@@ -70,10 +53,6 @@ impl PromptPolicy for CacheAgnosticPolicy {
             PrefixKind::Item
         }
     }
-
-    fn name(&self) -> &'static str {
-        "cache-agnostic"
-    }
 }
 
 /// BAT's hotness-aware policy (§5.3).
@@ -87,25 +66,37 @@ impl PromptPolicy for CacheAgnosticPolicy {
 /// hotter than the coldest residents (`f_u > min_{p∈C_u} f_p`). This is
 /// the paper's rule with the miss-side opportunity cost made explicit
 /// ("maximize access frequency per unit of cache space", §5.3).
+///
+/// When cache workers are down, part of the item pool is unreachable: an IP
+/// request then reuses only the *available* fraction of its item tokens, so
+/// the foregone reuse shrinks to `availability · τ_i` and User-as-prefix
+/// becomes correspondingly more attractive. On a healthy cluster the
+/// availability is 1.0 and the multiply is exact.
 #[derive(Debug, Clone, Copy)]
 pub struct HotnessAwarePolicy {
     /// KV bytes per token of the served model, used to size the incoming
     /// user entry against free cache space.
     pub kv_bytes_per_token: u64,
+    /// Reachable fraction of the item pool, in `[0, 1]`; set through
+    /// [`PromptPolicy::set_item_availability`].
+    item_availability: f64,
 }
 
 impl HotnessAwarePolicy {
     /// Creates the policy for a model storing `kv_bytes_per_token` per
-    /// token.
+    /// token, at full item availability.
     pub fn new(kv_bytes_per_token: u64) -> Self {
-        HotnessAwarePolicy { kv_bytes_per_token }
+        HotnessAwarePolicy {
+            kv_bytes_per_token,
+            item_availability: 1.0,
+        }
     }
 }
 
 impl PromptPolicy for HotnessAwarePolicy {
     fn decide(&self, req: &RankRequest, user_cache: &mut UserCache, now: f64) -> PrefixKind {
         let tau_u = req.user_tokens as f64;
-        let tau_i = req.item_tokens() as f64;
+        let tau_i = req.item_tokens() as f64 * self.item_availability;
         if tau_u < tau_i {
             return PrefixKind::Item;
         }
@@ -137,100 +128,8 @@ impl PromptPolicy for HotnessAwarePolicy {
         }
     }
 
-    fn name(&self) -> &'static str {
-        "hotness-aware"
-    }
-}
-
-/// [`HotnessAwarePolicy`] adjusted for a degraded item pool (fault
-/// recovery).
-///
-/// The hotness-aware rule weighs the item reuse foregone on a UP miss
-/// (`τ_i`) against the user's predicted repeats. When cache workers are
-/// down, part of the item pool is unreachable: an IP request would reuse
-/// only the *available* fraction of its item tokens, so the foregone reuse
-/// shrinks to `availability · τ_i` and User-as-prefix becomes
-/// correspondingly more attractive. At full availability this is exactly
-/// the base rule.
-#[derive(Debug)]
-pub struct DegradedModePolicy {
-    inner: HotnessAwarePolicy,
-    /// Reachable fraction of the item pool, updated by the engine on every
-    /// membership change. `Cell`: policies are consulted through a shared
-    /// reference, and the planner is externally synchronized (the threaded
-    /// runtime locks it).
-    item_availability: std::cell::Cell<f64>,
-    /// Replicated view epoch the availability signal was computed at; a
-    /// stale-epoch update is rejected (the meta service fences deposed
-    /// leaders the same way).
-    view_epoch: std::cell::Cell<u64>,
-}
-
-impl DegradedModePolicy {
-    /// Wraps the base hotness-aware rule at full availability.
-    pub fn new(inner: HotnessAwarePolicy) -> Self {
-        DegradedModePolicy {
-            inner,
-            item_availability: std::cell::Cell::new(1.0),
-            view_epoch: std::cell::Cell::new(0),
-        }
-    }
-
-    /// The current reachable fraction of the item pool.
-    pub fn item_availability(&self) -> f64 {
-        self.item_availability.get()
-    }
-
-    /// The replicated view epoch the current availability was computed at.
-    pub fn view_epoch(&self) -> u64 {
-        self.view_epoch.get()
-    }
-}
-
-impl PromptPolicy for DegradedModePolicy {
-    fn decide(&self, req: &RankRequest, user_cache: &mut UserCache, now: f64) -> PrefixKind {
-        let tau_u = req.user_tokens as f64;
-        let tau_i = req.item_tokens() as f64 * self.item_availability.get();
-        if tau_u < tau_i {
-            return PrefixKind::Item;
-        }
-        if user_cache.contains(req.user) {
-            return PrefixKind::User;
-        }
-        let f_u = user_cache.freq_per_window(req.user, now);
-        if f_u * tau_u <= tau_i {
-            return PrefixKind::Item;
-        }
-        let entry = bat_types::Bytes::new(req.user_tokens as u64 * self.inner.kv_bytes_per_token);
-        if user_cache.capacity().saturating_sub(user_cache.used()) >= entry {
-            return PrefixKind::User;
-        }
-        match user_cache.min_cached_freq(now) {
-            None => PrefixKind::User,
-            Some((_, min_f)) => {
-                if f_u > min_f {
-                    PrefixKind::User
-                } else {
-                    PrefixKind::Item
-                }
-            }
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "hotness-aware-degraded"
-    }
-
-    fn set_item_availability(&self, frac: f64) {
-        self.item_availability.set(frac.clamp(0.0, 1.0));
-    }
-
-    fn set_view_epoch(&self, epoch: u64) {
-        // Monotone: a fenced writer replaying an old membership view must
-        // not roll the recorded epoch back.
-        if epoch >= self.view_epoch.get() {
-            self.view_epoch.set(epoch);
-        }
+    fn set_item_availability(&mut self, frac: f64) {
+        self.item_availability = frac.clamp(0.0, 1.0);
     }
 }
 
@@ -318,10 +217,6 @@ impl PromptPolicy for OraclePolicy {
             }
         }
     }
-
-    fn name(&self) -> &'static str {
-        "oracle"
-    }
 }
 
 #[cfg(test)]
@@ -364,8 +259,6 @@ mod tests {
             StaticPolicy(PrefixKind::Item).decide(&r, &mut c, 0.0),
             PrefixKind::Item
         );
-        assert_eq!(StaticPolicy(PrefixKind::User).name(), "UP");
-        assert_eq!(StaticPolicy(PrefixKind::Item).name(), "IP");
     }
 
     #[test]
@@ -474,7 +367,6 @@ mod tests {
         );
         assert_eq!(oracle.decide(&returning, &mut c, 0.0), PrefixKind::User);
         assert_eq!(oracle.decide(&oneshot, &mut c, 0.5), PrefixKind::Item);
-        assert_eq!(oracle.name(), "oracle");
     }
 
     #[test]
@@ -485,8 +377,8 @@ mod tests {
         for t in 0..5 {
             c.record_access(UserId::new(7), t as f64 * 10.0);
         }
-        let policy = DegradedModePolicy::new(HotnessAwarePolicy::new(1));
-        assert_eq!(policy.item_availability(), 1.0);
+        let mut policy = HotnessAwarePolicy::new(1);
+        assert_eq!(policy.item_availability, 1.0);
         assert_eq!(policy.decide(&r, &mut c, 50.0), PrefixKind::Item);
         // Half the item pool dies: the foregone item reuse halves and the
         // same request flips to User-as-prefix.
@@ -496,21 +388,6 @@ mod tests {
         policy.set_item_availability(1.0);
         assert_eq!(policy.decide(&r, &mut c, 50.0), PrefixKind::Item);
         StaticPolicy(PrefixKind::Item).set_item_availability(0.0);
-    }
-
-    #[test]
-    fn degraded_mode_view_epoch_is_monotone() {
-        let policy = DegradedModePolicy::new(HotnessAwarePolicy::new(1));
-        assert_eq!(policy.view_epoch(), 0);
-        policy.set_view_epoch(3);
-        assert_eq!(policy.view_epoch(), 3);
-        // A fenced stale writer cannot roll the epoch back.
-        policy.set_view_epoch(1);
-        assert_eq!(policy.view_epoch(), 3);
-        policy.set_view_epoch(4);
-        assert_eq!(policy.view_epoch(), 4);
-        // Epoch-less policies ignore the hook entirely.
-        StaticPolicy(PrefixKind::User).set_view_epoch(9);
     }
 
     #[test]

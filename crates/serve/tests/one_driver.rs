@@ -5,7 +5,11 @@
 //! hand-copied serving loop growing back, so this test reads the sources
 //! and fails on one.
 
-use std::path::{Path, PathBuf};
+#[path = "../../../tests/support/source_scan.rs"]
+mod source_scan;
+
+use source_scan::{code_lines, repo_root, sources};
+use std::path::Path;
 
 /// Calls only the driver may make, once each.
 const DRIVER_ONLY: [&str; 4] = [
@@ -25,44 +29,9 @@ const ENTRY_PATHS: [&str; 2] = ["engine.rs", "runtime.rs"];
 /// `crates/` may mention again.
 const GONE: [&str; 3] = ["BatchFormer", "fn serve_dispatch", "fn collect_jobs"];
 
-/// The `.rs` files under `dir`, recursively.
-fn sources(dir: &Path) -> Vec<PathBuf> {
-    let mut found = Vec::new();
-    for entry in std::fs::read_dir(dir).expect("directory lists") {
-        let path = entry.expect("directory entry reads").path();
-        if path.is_dir() {
-            found.extend(sources(&path));
-        } else if path.extension().is_some_and(|ext| ext == "rs") {
-            found.push(path);
-        }
-    }
-    found
-}
-
-/// `(line number, code)` of a source outside its trailing `#[cfg(test)]`
-/// module (unit tests may build whatever they compare against), with
-/// comments cut off (comments may name calls).
-fn code_lines(path: &Path) -> Vec<(usize, String)> {
-    let source = std::fs::read_to_string(path).expect("source file reads");
-    source
-        .lines()
-        .take_while(|line| line.trim() != "#[cfg(test)]")
-        .map(|line| line.split("//").next().unwrap_or("").to_owned())
-        .enumerate()
-        .map(|(i, line)| (i + 1, line))
-        .collect()
-}
-
-fn crates_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .expect("crates/")
-        .to_path_buf()
-}
-
 #[test]
 fn only_the_driver_builds_a_serving_loop() {
-    let crates = crates_dir();
+    let crates = repo_root().join("crates");
     let mut sites: Vec<Vec<String>> = vec![Vec::new(); DRIVER_ONLY.len()];
     let mut drivers: Vec<Vec<String>> = vec![Vec::new(); ENTRY_PATHS.len()];
     let mut strays = Vec::new();
@@ -117,7 +86,7 @@ fn the_per_request_executors_stay_deleted() {
         .file_name()
         .expect("this test has a file name");
     let mut found = Vec::new();
-    for path in sources(&crates_dir()) {
+    for path in sources(&repo_root().join("crates")) {
         if path.file_name() == Some(this_file) {
             continue;
         }

@@ -7,8 +7,8 @@
 //!   refresh, admission, brownout rung, plan, token accounting — and what a
 //!   finished run reports.
 //! * [`SlotDriver`] is the run, and the only executor: it owns the front
-//!   end, the [`BatchScheduler`], the nominal fault cursor and the
-//!   admitted-job table, and walks a sorted trace on *nominal* time. Under
+//!   end, the [`BatchScheduler`] and the admitted-job table, and walks the
+//!   planner's fault schedule and a sorted trace on *nominal* time. Under
 //!   [`EngineConfig::batching`] the machine runs that slot configuration;
 //!   without it, per-request batching ([`BatchingConfig::PER_REQUEST`]).
 //!   Every round fits `cluster.max_batched_tokens`. Callers supply what is
@@ -261,8 +261,8 @@ impl<'a> FrontEnd<'a> {
         stats.batching = batching;
         // The SLO plane's migration ledger is the machine's.
         stats.slo.migrated = batching.migrated_requests;
-        if let Some(report) = self.planner.finish_faults() {
-            stats.faults = report;
+        if self.cfg.faults.is_some() {
+            stats.faults = self.planner.finish_faults();
         }
         if let Some(tiers) = self.planner.tier_stats() {
             stats.tiers = tiers;
@@ -288,8 +288,6 @@ const ROUND_BATCH: usize = 1024;
 pub struct SlotDriver<'a> {
     front: FrontEnd<'a>,
     machine: BatchScheduler,
-    /// Next unapplied event of the fault schedule.
-    fault_cursor: usize,
     /// Plan and price of every admitted request, by trace index, until the
     /// machine reports its terminal outcome.
     admitted: Vec<Option<(Admitted, Price)>>,
@@ -312,7 +310,6 @@ impl<'a> SlotDriver<'a> {
         SlotDriver {
             front,
             machine,
-            fault_cursor: 0,
             admitted: Vec::new(),
             rounds: Vec::new(),
         }
@@ -332,16 +329,11 @@ impl<'a> SlotDriver<'a> {
     /// membership changes — to the machine. Seated work requeued off a
     /// departed worker may form fresh rounds on the survivors.
     fn apply_faults(&mut self, through: u64, on_rounds: &mut impl FnMut(&[RoundRecord])) {
-        let cfg = self.front.cfg;
-        let Some(schedule) = &cfg.faults else {
-            return;
-        };
-        while let Some(event) = schedule.events().get(self.fault_cursor) {
-            let at = event.at_secs;
+        while let Some(at) = self.front.planner.next_fault_at() {
             if time_key(at) > through {
                 break;
             }
-            self.fault_cursor += 1;
+            // Same-instant siblings fire with the first, in schedule order.
             for fault in self.front.planner.advance_faults(at) {
                 match fault {
                     // Seated work re-queues at the global FIFO's front;

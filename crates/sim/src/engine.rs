@@ -144,15 +144,16 @@ pub struct EngineConfig {
     /// Interval of the background hot-item re-replication, seconds
     /// (requires `track_item_hotness`). `None` disables refresh.
     pub item_refresh_interval_secs: Option<f64>,
-    /// Fault schedule injected into the run; `None` means nothing fails.
-    /// Both engines apply it on nominal time through the shared driver, and
-    /// the threaded runtime also kills and respawns real workers — the
-    /// ledger stays identical.
+    /// Fault schedule injected into the run. `None` plans exactly as the
+    /// empty schedule does (nothing fails) and leaves `RunStats::faults` at
+    /// its default. Both engines apply it on nominal time through the
+    /// shared driver, and the threaded runtime also kills and respawns real
+    /// workers — the ledger stays identical.
     pub faults: Option<bat_faults::FaultSchedule>,
-    /// Replicas of the cache-meta service's state machine. `0` runs the
-    /// single-node [`bat_kvcache::LocalMetaIndex`] instead of the
-    /// replicated group — required to be the schedule's `meta_nodes()`
-    /// whenever the fault schedule carries meta-replica events.
+    /// Replicas of the cache-meta service's state machine, at least 1 (a
+    /// one-replica group is the single-node service) — required to be the
+    /// schedule's `meta_nodes()` whenever the fault schedule carries
+    /// meta-replica events.
     pub meta_replicas: usize,
     /// Seed of the meta group's randomized-by-seed election timeouts.
     pub meta_seed: u64,
@@ -314,6 +315,11 @@ impl EngineConfig {
                 "freq_window_secs must be finite and positive, got {}",
                 self.freq_window_secs
             )));
+        }
+        if self.meta_replicas == 0 {
+            return Err(BatError::InvalidConfig(
+                "meta_replicas must be >= 1 (the meta service is a replicated group)".to_owned(),
+            ));
         }
         if self.item_refresh_interval_secs.is_some() && !self.track_item_hotness {
             return Err(BatError::InvalidConfig(
@@ -817,17 +823,25 @@ mod tests {
             ServingEngine::new(no_budget),
             Err(BatError::InvalidConfig(_))
         ));
-        // A bad estimator window is a typed error naming the field, never
-        // the estimator's assert — in the engine's config and the pool's.
+        // A bad estimator window or an empty meta group is a typed error
+        // naming the field, never an assert deeper down — in the engine's
+        // config and the pool's.
         let mut nan_window = cfg.clone();
         nan_window.freq_window_secs = f64::NAN;
         let mut zero_tier_window = bat_tiers::TiersConfig::new(Bytes::from_mb(400));
         zero_tier_window.freq_window_secs = 0.0;
-        for bad in [nan_window, cfg.clone().with_tiers(Some(zero_tier_window))] {
+        let mut no_meta = cfg.clone();
+        no_meta.meta_replicas = 0;
+        for (bad, field) in [
+            (nan_window, "freq_window_secs"),
+            (
+                cfg.clone().with_tiers(Some(zero_tier_window)),
+                "freq_window_secs",
+            ),
+            (no_meta, "meta_replicas"),
+        ] {
             match ServingEngine::new(bad) {
-                Err(BatError::InvalidConfig(msg)) => {
-                    assert!(msg.contains("freq_window_secs"), "{msg}")
-                }
+                Err(BatError::InvalidConfig(msg)) => assert!(msg.contains(field), "{msg}"),
                 other => panic!("expected InvalidConfig, got {:?}", other.err()),
             }
         }

@@ -45,5 +45,5 @@ pub use driver::SlotDriver;
 pub use engine::{
     hrcs_params, hrcs_plan, AdmissionKind, EngineConfig, PolicyKind, ServingEngine, SystemKind,
 };
-pub use planner::{MetaBackend, PlannedJob, RequestPlanner};
+pub use planner::{PlannedJob, RequestPlanner};
 pub use stats::{breakdown_by_prefix, RequestRecord, RunStats};

@@ -10,23 +10,26 @@
 
 use crate::compute::ComputeModel;
 use crate::engine::{AdmissionKind, EngineConfig, PolicyKind};
-use bat_faults::{AppliedFault, ClusterView, FaultCursor, FaultReport};
-use bat_kvcache::{AdmitOutcome, LocalMetaIndex, MetaIndex, UserCache, UserCacheConfig};
+use bat_faults::{AppliedFault, ClusterView, FaultCursor, FaultReport, FaultSchedule};
+use bat_kvcache::{AdmitOutcome, MetaIndex, UserCache, UserCacheConfig};
 use bat_meta::MetaClient;
 use bat_placement::{DegradedLocation, DegradedPlacement, ItemLocation, ItemPlacementPlan};
 use bat_sched::{
-    CacheAgnosticPolicy, DegradedModePolicy, HotnessAwarePolicy, PromptPolicy, StaticPolicy,
+    CacheAgnosticPolicy, HotnessAwarePolicy, OverloadConfig, PromptPolicy, StaticPolicy,
 };
 use bat_tiers::TieredKvPool;
 use bat_types::{Bytes, ItemId, PrefixKind, RankRequest, WorkerId};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 /// Width of the windowed hit-rate buckets behind the availability curve.
 const FAULT_WINDOW_SECS: f64 = 0.5;
 /// Recovery means the windowed hit rate is back within this absolute
 /// tolerance of the pre-fault steady state.
 const RECOVERY_TOLERANCE: f64 = 0.05;
+/// The worker every request is planned from. Sharding is round-robin, so
+/// worker 0 is representative of any affinity worker.
+const AFFINITY: WorkerId = WorkerId::new(0);
 
 /// The planned compute job for one request.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,8 +59,8 @@ impl PlannedJob {
     }
 }
 
-/// Where an item lookup lands when a fault schedule is active.
-enum FaultedLocation {
+/// Where an item lookup lands under the current membership and warmth.
+enum Lookup {
     /// Served from the request's (live, warm) affinity worker.
     LocalHit,
     /// Served from another live, warm worker over the network.
@@ -74,21 +77,38 @@ enum FaultedLocation {
     },
     /// Entry unreachable under the current membership: recompute.
     Recompute,
-    /// Outside the cached corpus (same as the fault-free case).
+    /// Outside the cached corpus: recompute, and not a fault fallback.
     Uncached,
 }
 
-/// All planner-side fault machinery, present only when the engine config
-/// carries a [`bat_faults::FaultSchedule`].
+impl Lookup {
+    /// A hit on `holder`'s shard copy: local on the affinity worker, a pull
+    /// from anywhere else.
+    fn shard_hit(holder: WorkerId) -> Self {
+        if holder == AFFINITY {
+            Lookup::LocalHit
+        } else {
+            Lookup::RemoteHit {
+                from_replica: false,
+                holder,
+                alt: None,
+            }
+        }
+    }
+}
+
+/// The planner's view of the cluster: membership, warmth, links and the
+/// fault ledger. A run without a schedule carries the empty one — every
+/// worker alive and warm, every link intact — so nothing in here fires and
+/// every lookup is the placement plan's own answer.
 ///
-/// Everything in here advances on *nominal* trace time (request arrivals and
+/// Everything in here advances on *nominal* time (request arrivals and
 /// scheduled fault instants), never on wall-clock readings, so `bat-sim` and
 /// `bat-serve` walk through identical states for the same trace + schedule.
 struct FaultState {
     cursor: FaultCursor,
     view: ClusterView,
     report: FaultReport,
-    first_crash_at: Option<f64>,
     /// Per worker: the incarnation whose cache contents are warm. A
     /// restarted worker carries a newer incarnation until its re-warm
     /// completes, and serves nothing in between.
@@ -103,100 +123,125 @@ struct FaultState {
     degraded: Option<DegradedPlacement>,
     /// Adopted entries already recomputed once and written back.
     warmed_adopted: HashSet<u64>,
-    /// Windowed (reused, total) token counts keyed by time bucket.
-    buckets: BTreeMap<u64, (u64, u64)>,
-    bucket_secs: f64,
+    /// Windowed (reused, total) token counts, one per
+    /// [`FAULT_WINDOW_SECS`] bucket from time 0.
+    buckets: Vec<(u64, u64)>,
     /// Jitter source for backoff-retried pulls. Drawn only when a pull
     /// actually crosses a slowed link, in arrival order, so runs without
-    /// `SlowLink` events never touch it and stay bit-identical to before.
+    /// `SlowLink` events never touch it.
     retry_rng: SmallRng,
     /// Base backoff delay for retried pulls, seconds.
     retry_backoff_secs: f64,
+    /// Per worker, [`FaultState::derive_reach`] as of the last change to
+    /// membership, warmth or links ([`FaultState::refresh_reach`]).
+    reach: Vec<(bool, bool)>,
 }
 
 impl FaultState {
-    /// Whether worker `w` is alive *and* its cache contents are warm.
-    fn is_warm(&self, w: usize) -> bool {
-        let id = WorkerId::new(w as u64);
-        self.view.is_alive(id) && self.warm_incarnation[w] == self.view.incarnation(id)
-    }
-
-    /// Whether a remote KV pull from worker `w` can reach the request's
-    /// affinity worker (worker 0) under the current partition view. When
-    /// the affinity worker itself is down the request is served from some
-    /// other node we don't model, so partition gating only applies while
-    /// worker 0 is up.
-    fn pull_reachable(&self, w: WorkerId) -> bool {
-        let local = WorkerId::new(0);
-        !self.view.is_alive(local) || self.view.reachable(local, w)
-    }
-
-    /// Item lookup under the current membership and warmth. Mirrors
-    /// [`ItemPlacementPlan::locate`] with affinity worker 0 when everyone is
-    /// warm, and degrades per the re-plan otherwise.
-    fn locate(&mut self, plan: &ItemPlacementPlan, item: ItemId) -> FaultedLocation {
-        let id = item.as_u64();
-        if id >= plan.cached_items() {
-            return FaultedLocation::Uncached;
+    /// Every worker of `schedule` alive and warm, no event applied yet.
+    fn new(
+        schedule: FaultSchedule,
+        rewarm_secs: f64,
+        per_worker_budget: Bytes,
+        slo: OverloadConfig,
+    ) -> Self {
+        let n = schedule.num_workers();
+        FaultState {
+            cursor: FaultCursor::new(schedule),
+            view: ClusterView::new(n),
+            report: FaultReport::default(),
+            warm_incarnation: vec![0; n],
+            rewarm_ready_at: vec![f64::NEG_INFINITY; n],
+            rewarm_secs,
+            per_worker_budget,
+            degraded: None,
+            warmed_adopted: HashSet::new(),
+            buckets: Vec::new(),
+            retry_rng: SmallRng::seed_from_u64(slo.retry_seed),
+            retry_backoff_secs: slo.retry_backoff_secs,
+            reach: vec![(true, true); n],
         }
-        let n = plan.num_workers();
-        if plan.is_replicated(item) {
-            if self.is_warm(0) {
-                return FaultedLocation::LocalHit;
-            }
-            // The affinity worker's copy is gone; replication means any
-            // surviving warm worker can serve the hot item — but a remote
-            // pull only works if the requester can actually reach that
-            // worker under the current partition view. Skip cut-off
-            // holders and fall back to the next reachable one; remember a
-            // second reachable holder as the hedge target.
-            let mut skipped_unreachable = false;
-            let mut holder: Option<WorkerId> = None;
-            let mut alt: Option<WorkerId> = None;
-            for w in 0..n {
-                if !self.is_warm(w) {
-                    continue;
+    }
+
+    /// Worker `w`'s `(warm, reachable)`: alive with its cache contents warm,
+    /// and a remote KV pull from it can reach the [`AFFINITY`] worker under
+    /// the current partition view. When the affinity worker itself is down
+    /// the request is served from some other node we don't model, so
+    /// partition gating only applies while it is up.
+    fn derive_reach(&self, w: usize) -> (bool, bool) {
+        let (view, id) = (&self.view, WorkerId::new(w as u64));
+        let warm = view.is_alive(id) && self.warm_incarnation[w] == view.incarnation(id);
+        let reachable = !view.is_alive(AFFINITY) || view.reachable(AFFINITY, id);
+        (warm, reachable)
+    }
+
+    /// Re-derives every worker's reach after faults fired or warmth changed.
+    fn refresh_reach(&mut self) {
+        self.reach = (0..self.view.num_workers())
+            .map(|w| self.derive_reach(w))
+            .collect();
+    }
+
+    /// Worker `w`'s cached reach; `locate` reads it for every candidate.
+    #[inline]
+    fn reach(&self, w: WorkerId) -> (bool, bool) {
+        let reach = self.reach[w.index()];
+        debug_assert_eq!(reach, self.derive_reach(w.index()), "stale reach of {w}");
+        reach
+    }
+
+    /// Item lookup for a request on the [`AFFINITY`] worker: where the
+    /// placement plan puts `item`, degraded by warmth, reachability and
+    /// adoption.
+    #[inline]
+    fn locate(&mut self, plan: &ItemPlacementPlan, item: ItemId) -> Lookup {
+        let owner = match plan.locate(item, AFFINITY) {
+            ItemLocation::Uncached => return Lookup::Uncached,
+            ItemLocation::LocalShard => AFFINITY,
+            ItemLocation::Remote(owner) => owner,
+            ItemLocation::LocalReplica => {
+                if self.reach(AFFINITY).0 {
+                    return Lookup::LocalHit;
                 }
-                let id = WorkerId::new(w as u64);
-                if self.pull_reachable(id) {
-                    if holder.is_none() {
-                        holder = Some(id);
-                    } else {
-                        alt = Some(id);
-                        break;
+                // The affinity worker's copy is gone; any surviving warm
+                // worker can serve the replicated item if the requester can
+                // reach it under the current partition view. Skip cut-off
+                // holders; remember a second reachable one as hedge target.
+                let mut skipped_unreachable = false;
+                let mut holder: Option<WorkerId> = None;
+                let mut alt: Option<WorkerId> = None;
+                for w in 0..plan.num_workers() {
+                    let id = WorkerId::new(w as u64);
+                    match self.reach(id) {
+                        (true, true) if holder.is_none() => holder = Some(id),
+                        (true, true) => {
+                            alt = Some(id);
+                            break;
+                        }
+                        (true, false) if holder.is_none() => skipped_unreachable = true,
+                        _ => {}
                     }
-                } else if holder.is_none() {
-                    skipped_unreachable = true;
                 }
-            }
-            if skipped_unreachable {
-                self.report.unreachable_kv_fallbacks += 1;
-            }
-            return match holder {
-                Some(h) => FaultedLocation::RemoteHit {
-                    from_replica: true,
-                    holder: h,
-                    alt,
-                },
-                None => FaultedLocation::Recompute,
-            };
-        }
-        let owner = (id % n as u64) as usize;
-        if self.is_warm(owner) {
-            if owner == 0 {
-                return FaultedLocation::LocalHit;
-            }
-            if self.pull_reachable(WorkerId::new(owner as u64)) {
-                return FaultedLocation::RemoteHit {
-                    from_replica: false,
-                    holder: WorkerId::new(owner as u64),
-                    alt: None,
+                if skipped_unreachable {
+                    self.report.unreachable_kv_fallbacks += 1;
+                }
+                return match holder {
+                    Some(h) => Lookup::RemoteHit {
+                        from_replica: true,
+                        holder: h,
+                        alt,
+                    },
+                    None => Lookup::Recompute,
                 };
             }
+        };
+        match self.reach(owner) {
+            (true, true) => return Lookup::shard_hit(owner),
             // The owner is warm but cut off by a partition: same degraded
             // path as a dead owner — an adopter may hold the entry, and
             // recompute covers the rest.
-            self.report.unreachable_kv_fallbacks += 1;
+            (true, false) => self.report.unreachable_kv_fallbacks += 1,
+            (false, _) => {}
         }
         // Cold-shard miss: the owner is dead, not yet re-warmed, or
         // unreachable. A live worker may have adopted the entry; adopted
@@ -205,17 +250,10 @@ impl FaultState {
         // later hit) also requires the adopter to be reachable.
         if let Some(d) = &self.degraded {
             if let DegradedLocation::Adopted(target) = d.locate(item) {
-                if self.pull_reachable(target) {
+                let id = item.as_u64();
+                if self.reach(target).1 {
                     if self.warmed_adopted.contains(&id) {
-                        return if target.index() == 0 {
-                            FaultedLocation::LocalHit
-                        } else {
-                            FaultedLocation::RemoteHit {
-                                from_replica: false,
-                                holder: target,
-                                alt: None,
-                            }
-                        };
+                        return Lookup::shard_hit(target);
                     }
                     self.warmed_adopted.insert(id);
                 } else {
@@ -223,37 +261,7 @@ impl FaultState {
                 }
             }
         }
-        FaultedLocation::Recompute
-    }
-}
-
-/// The cache-meta service behind the planner: either the single-node
-/// reference index or the replicated group's client. Both implement
-/// [`bat_kvcache::MetaIndex`], and the planner mirrors every cache
-/// mutation through whichever backend is configured — so the replicated
-/// index provably never diverges from what a local meta service records
-/// ([`MetaIndex::digest`] is comparable across the two).
-pub enum MetaBackend {
-    /// Single-node meta service (`meta_replicas == 0`).
-    Local(LocalMetaIndex),
-    /// Leader/follower replicated group behind the retry/redirect client.
-    Replicated(MetaClient),
-}
-
-impl MetaBackend {
-    /// The backend as the common meta-index interface.
-    pub fn as_index(&self) -> &dyn MetaIndex {
-        match self {
-            MetaBackend::Local(m) => m,
-            MetaBackend::Replicated(c) => c,
-        }
-    }
-
-    fn as_index_mut(&mut self) -> &mut dyn MetaIndex {
-        match self {
-            MetaBackend::Local(m) => m,
-            MetaBackend::Replicated(c) => c,
-        }
+        Lookup::Recompute
     }
 }
 
@@ -265,14 +273,16 @@ pub struct RequestPlanner {
     placement: Option<ItemPlacementPlan>,
     admission: AdmissionKind,
     caching: bool,
-    /// The cache-meta service; `None` only when caching is disabled (RE has
-    /// no cache state to index).
-    meta: Option<MetaBackend>,
+    /// The replicated cache-meta service; `None` only when caching is
+    /// disabled (RE has no cache state to index). The planner mirrors every
+    /// cache mutation through it.
+    meta: Option<MetaClient>,
     /// Item access-frequency estimator for the §5.2 Step 3 background
     /// refresh; populated only when tracking is enabled.
-    item_freq: Option<bat_kvcache::FreqEstimator<bat_types::ItemId>>,
-    /// Fault-schedule machinery; `None` for fault-free runs.
-    faults: Option<FaultState>,
+    item_freq: Option<bat_kvcache::FreqEstimator<ItemId>>,
+    /// Membership, warmth and the fault ledger; the empty schedule when the
+    /// configuration has none.
+    faults: FaultState,
     /// Current brownout ladder rung (0 = healthy). Set by the engine's
     /// overload controller before each plan; rung 1 suspends background
     /// replication refresh, rung 2 degrades cold remote pulls to recompute
@@ -300,51 +310,22 @@ impl RequestPlanner {
             PolicyKind::StaticItem => Box::new(StaticPolicy(PrefixKind::Item)),
             PolicyKind::CacheAgnostic => Box::new(CacheAgnosticPolicy),
             PolicyKind::HotnessAware => {
-                let base = HotnessAwarePolicy::new(cfg.model.kv_bytes_per_token());
-                if cfg.faults.is_some() {
-                    // Under a fault schedule the hotness rule must discount
-                    // τ_i by the reachable item fraction (degraded mode).
-                    Box::new(DegradedModePolicy::new(base))
-                } else {
-                    Box::new(base)
-                }
+                Box::new(HotnessAwarePolicy::new(cfg.model.kv_bytes_per_token()))
             }
         };
-        let faults = cfg.faults.as_ref().map(|schedule| {
-            let n = schedule.num_workers();
-            // Re-warming a returned worker streams its item region back
-            // over the pool interconnect.
-            let rewarm_secs = cfg.placement.as_ref().map_or(0.0, |plan| {
-                compute.net_transfer_secs(plan.per_worker_bytes())
-            });
-            FaultState {
-                first_crash_at: schedule.first_crash_at(),
-                cursor: FaultCursor::new(schedule.clone()),
-                view: ClusterView::new(n),
-                report: FaultReport::default(),
-                warm_incarnation: vec![0; n],
-                rewarm_ready_at: vec![f64::NEG_INFINITY; n],
-                rewarm_secs,
-                per_worker_budget: Bytes::new(cfg.cluster.node.kv_cache_capacity.as_u64() * 4 / 5),
-                degraded: None,
-                warmed_adopted: HashSet::new(),
-                buckets: BTreeMap::new(),
-                bucket_secs: FAULT_WINDOW_SECS,
-                retry_rng: SmallRng::seed_from_u64(cfg.slo.unwrap_or_default().retry_seed),
-                retry_backoff_secs: cfg.slo.unwrap_or_default().retry_backoff_secs,
-            }
+        // Re-warming a returned worker streams its item region back over
+        // the pool interconnect.
+        let rewarm_secs = cfg.placement.as_ref().map_or(0.0, |plan| {
+            compute.net_transfer_secs(plan.per_worker_bytes())
         });
-        let meta = cfg.caching.then(|| {
-            if cfg.meta_replicas == 0 {
-                MetaBackend::Local(LocalMetaIndex::new())
-            } else {
-                MetaBackend::Replicated(MetaClient::new(
-                    cfg.meta_replicas,
-                    cfg.meta_seed,
-                    cfg.cluster.num_nodes,
-                ))
-            }
-        });
+        let faults = FaultState::new(
+            cfg.faults
+                .clone()
+                .unwrap_or_else(|| FaultSchedule::none(cfg.cluster.num_nodes)),
+            rewarm_secs,
+            Bytes::new(cfg.cluster.node.kv_cache_capacity.as_u64() * 4 / 5),
+            cfg.slo.unwrap_or_default(),
+        );
         RequestPlanner {
             compute,
             user_cache,
@@ -352,7 +333,9 @@ impl RequestPlanner {
             placement: cfg.placement.clone(),
             admission: cfg.admission,
             caching: cfg.caching,
-            meta,
+            meta: cfg
+                .caching
+                .then(|| MetaClient::new(cfg.meta_replicas, cfg.meta_seed, cfg.cluster.num_nodes)),
             item_freq: cfg
                 .track_item_hotness
                 .then(|| bat_kvcache::FreqEstimator::new(cfg.freq_window_secs)),
@@ -374,10 +357,9 @@ impl RequestPlanner {
         if rung == self.brownout_rung {
             return;
         }
-        if let Some(fs) = self.faults.as_mut() {
-            fs.report.brownout_transitions += 1;
-            fs.report.max_brownout_rung = fs.report.max_brownout_rung.max(rung);
-        }
+        let report = &mut self.faults.report;
+        report.brownout_transitions += 1;
+        report.max_brownout_rung = report.max_brownout_rung.max(rung);
         self.brownout_rung = rung;
     }
 
@@ -403,9 +385,7 @@ impl RequestPlanner {
             // Brownout rung 1: background replication churn is the first
             // thing to go under pressure — re-warms still settle (they free
             // capacity), but the hotness-driven refresh is deferred.
-            if let Some(fs) = self.faults.as_mut() {
-                fs.report.suspended_refreshes += 1;
-            }
+            self.faults.report.suspended_refreshes += 1;
             return;
         }
         let (Some(freq), Some(plan)) = (&self.item_freq, &mut self.placement) else {
@@ -415,7 +395,7 @@ impl RequestPlanner {
         if cap == 0 {
             return;
         }
-        let mut rates: Vec<(bat_types::ItemId, f64)> = freq
+        let mut rates: Vec<(ItemId, f64)> = freq
             .iter_keys()
             .map(|&item| (item, freq.rate(&item, now)))
             .collect();
@@ -430,19 +410,22 @@ impl RequestPlanner {
         // Hottest observed items first; any leftover area capacity keeps the
         // offline plan's rank-prefix members (unobserved ≠ cold — the
         // offline CDF put them there for a reason).
-        let mut members: Vec<bat_types::ItemId> =
-            rates.into_iter().take(cap).map(|(i, _)| i).collect();
-        let chosen: std::collections::HashSet<bat_types::ItemId> =
-            members.iter().copied().collect();
+        let mut members: Vec<ItemId> = rates.into_iter().take(cap).map(|(i, _)| i).collect();
+        let chosen: HashSet<ItemId> = members.iter().copied().collect();
         let mut fill = 0u64;
         while members.len() < cap && fill < plan.num_items() {
-            let candidate = bat_types::ItemId::new(fill);
+            let candidate = ItemId::new(fill);
             if !chosen.contains(&candidate) {
                 members.push(candidate);
             }
             fill += 1;
         }
         plan.refresh_replicated(members);
+    }
+
+    /// Time of the next scheduled fault not yet applied, if any.
+    pub fn next_fault_at(&self) -> Option<f64> {
+        self.faults.cursor.next_at()
     }
 
     /// Applies every scheduled fault with `at_secs <= now`, returning what
@@ -452,13 +435,13 @@ impl RequestPlanner {
     /// call it directly when a fault instant needs side effects (rerouting
     /// queued work, killing a thread) beyond cache accounting.
     pub fn advance_faults(&mut self, now: f64) -> Vec<AppliedFault> {
-        if self.faults.is_none() {
-            return Vec::new();
-        }
         let mut applied: Vec<(f64, AppliedFault)> = Vec::new();
-        let fs = self.faults.as_mut().expect("checked above");
+        let fs = &mut self.faults;
         fs.cursor
             .advance_to(now, &mut fs.view, |e, a| applied.push((e.at_secs, a)));
+        if !applied.is_empty() {
+            fs.refresh_reach();
+        }
         let report = &mut fs.report;
         let mut membership_changed = false;
         let mut reach_changed = false;
@@ -481,7 +464,7 @@ impl RequestPlanner {
                     if let Some(meta) = &mut self.meta {
                         // The replicated index drops the same partition; the
                         // counts must agree or the mirror has diverged.
-                        let dropped = meta.as_index_mut().drop_user_partition(w.index(), n, at);
+                        let dropped = meta.drop_user_partition(w.index(), n, at);
                         debug_assert_eq!(
                             dropped, entries,
                             "meta service and user cache disagree on worker {w}'s partition"
@@ -498,7 +481,7 @@ impl RequestPlanner {
                 }
                 AppliedFault::Restarted(w, _) | AppliedFault::Joined(w, _) => {
                     if let Some(meta) = &mut self.meta {
-                        meta.as_index_mut().note_worker_restart(w.index(), at);
+                        meta.note_worker_restart(w.index(), at);
                     }
                     match a {
                         AppliedFault::Restarted(..) => report.restarts += 1,
@@ -519,13 +502,13 @@ impl RequestPlanner {
                 AppliedFault::MetaStalledUntil(_) => report.meta_stalls += 1,
                 AppliedFault::MetaCrashed(m) => {
                     report.meta_crashes += 1;
-                    if let Some(MetaBackend::Replicated(client)) = &mut self.meta {
+                    if let Some(client) = &mut self.meta {
                         client.crash_replica(m, at);
                     }
                 }
                 AppliedFault::MetaRestarted(m) => {
                     report.meta_restarts += 1;
-                    if let Some(MetaBackend::Replicated(client)) = &mut self.meta {
+                    if let Some(client) = &mut self.meta {
                         client.restart_replica(m, at);
                     }
                 }
@@ -545,8 +528,13 @@ impl RequestPlanner {
                 }
             }
         }
-        if reach_changed {
-            self.update_meta_reachability();
+        if let (true, Some(client)) = (reach_changed, &mut self.meta) {
+            // A leader behind a cut link is as good as down: the client
+            // forces an election among the replicas it can still reach.
+            let view = &self.faults.view;
+            client.update_reachability(|from, to| {
+                view.reachable(WorkerId::new(from as u64), WorkerId::new(to as u64))
+            });
         }
         if membership_changed {
             self.rebuild_degraded();
@@ -555,52 +543,26 @@ impl RequestPlanner {
         applied.into_iter().map(|(_, a)| a).collect()
     }
 
-    /// Recomputes which meta replicas the client can reach over the worker
-    /// fabric, from the current membership + link-cut matrix. A leader
-    /// behind a cut link is as good as down: the client will force an
-    /// election among the replicas it can still reach.
-    fn update_meta_reachability(&mut self) {
-        let Some(MetaBackend::Replicated(client)) = &mut self.meta else {
-            return;
-        };
-        let Some(fs) = &self.faults else {
-            return;
-        };
-        let view = &fs.view;
-        client.update_reachability(|from, to| {
-            view.reachable(WorkerId::new(from as u64), WorkerId::new(to as u64))
-        });
-    }
-
     /// Rebuilds the membership-aware re-plan after an epoch change and
     /// refreshes the policy's degraded-mode availability signal.
     fn rebuild_degraded(&mut self) {
-        if let Some(fs) = self.faults.as_mut() {
-            fs.warmed_adopted.clear();
-            fs.degraded = if fs.view.n_alive() < fs.view.num_workers() {
-                self.placement.as_ref().map(|plan| {
-                    DegradedPlacement::new(plan, fs.view.alive_mask(), fs.per_worker_budget)
-                })
-            } else {
-                None
-            };
-        }
+        let fs = &mut self.faults;
+        fs.warmed_adopted.clear();
+        fs.degraded = if fs.view.n_alive() < fs.view.num_workers() {
+            self.placement.as_ref().map(|plan| {
+                DegradedPlacement::new(plan, fs.view.alive_mask(), fs.per_worker_budget)
+            })
+        } else {
+            None
+        };
         let frac = self.item_availability();
         self.policy.set_item_availability(frac);
-        // Stamp the availability signal with the meta service's replicated
-        // view epoch: placement reads flow through the client, and the
-        // policy records which membership view it is acting on.
-        if let Some(meta) = &self.meta {
-            self.policy.set_view_epoch(meta.as_index().view_epoch());
-        }
     }
 
     /// Completes any due re-warms: a restarted worker becomes warm once its
     /// item region has streamed back over the interconnect.
     fn settle_rewarms(&mut self, now: f64) {
-        let Some(fs) = self.faults.as_mut() else {
-            return;
-        };
+        let fs = &mut self.faults;
         let mut any = false;
         for w in 0..fs.view.num_workers() {
             let id = WorkerId::new(w as u64);
@@ -618,6 +580,7 @@ impl RequestPlanner {
             }
         }
         if any {
+            self.faults.refresh_reach();
             let frac = self.item_availability();
             self.policy.set_item_availability(frac);
         }
@@ -625,117 +588,71 @@ impl RequestPlanner {
 
     /// Fraction of the cached item corpus currently reachable: replicated
     /// items survive while any warm worker does, sharded items in
-    /// proportion to warm membership. 1.0 without faults or placement.
-    pub fn item_availability(&self) -> f64 {
-        let (Some(fs), Some(plan)) = (&self.faults, &self.placement) else {
+    /// proportion to warm membership. 1.0 without placement.
+    fn item_availability(&self) -> f64 {
+        let Some(plan) = self.placement.as_ref().filter(|p| p.cached_items() > 0) else {
             return 1.0;
         };
-        let n = plan.num_workers();
-        let n_warm = (0..n).filter(|&w| fs.is_warm(w)).count();
-        let cached = plan.cached_items();
-        if cached == 0 {
-            return 1.0;
-        }
+        let (n, cached) = (plan.num_workers(), plan.cached_items());
+        let n_warm = (0..n).filter(|&w| self.faults.derive_reach(w).0).count();
         let repl = plan.replicated_items() as f64;
         let sharded = (cached - plan.replicated_items()) as f64;
         let repl_avail = if n_warm > 0 { repl } else { 0.0 };
         ((repl_avail + sharded * n_warm as f64 / n as f64) / cached as f64).clamp(0.0, 1.0)
     }
 
-    /// The fault subsystem's membership view, if a schedule is active.
-    pub fn cluster_view(&self) -> Option<&ClusterView> {
-        self.faults.as_ref().map(|fs| &fs.view)
-    }
-
-    /// Whether `worker` can accept dispatches under the current membership
-    /// (always true without a fault schedule).
+    /// Whether `worker` can accept dispatches under the current membership.
     pub fn is_worker_alive(&self, worker: usize) -> bool {
-        self.faults
-            .as_ref()
-            .is_none_or(|fs| fs.view.is_alive(WorkerId::new(worker as u64)))
+        self.faults.view.is_alive(WorkerId::new(worker as u64))
     }
 
     /// The windowed hit-rate timeline `(window_end_secs, hit_rate)` the
     /// fault report's recovery metrics derive from (the availability curve).
-    /// Empty without a fault schedule.
     pub fn fault_timeline(&self) -> Vec<(f64, f64)> {
         self.faults
-            .as_ref()
-            .map(|fs| {
-                fs.buckets
-                    .iter()
-                    .filter(|(_, (_, total))| *total > 0)
-                    .map(|(&b, &(reused, total))| {
-                        (
-                            (b + 1) as f64 * fs.bucket_secs,
-                            reused as f64 / total as f64,
-                        )
-                    })
-                    .collect()
+            .buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, total))| *total > 0)
+            .map(|(b, &(reused, total))| {
+                (
+                    (b + 1) as f64 * FAULT_WINDOW_SECS,
+                    reused as f64 / total as f64,
+                )
             })
-            .unwrap_or_default()
+            .collect()
     }
 
     /// Applies any still-pending fault events and returns the finalized
-    /// [`FaultReport`] with recovery metrics computed from the hit-rate
-    /// timeline. `None` when the planner runs without a fault schedule.
-    pub fn finish_faults(&mut self) -> Option<FaultReport> {
-        self.faults.as_ref()?;
+    /// [`FaultReport`], with the meta group's consensus counters and the
+    /// recovery metrics computed from the hit-rate timeline.
+    pub fn finish_faults(&mut self) -> FaultReport {
         self.advance_faults(f64::INFINITY);
-        // Fold the replicated meta service's consensus counters into the
-        // report. Elections and epochs are driven by logical ticks off
-        // nominal trace time, so both execution paths land on identical
-        // numbers.
-        if let Some(MetaBackend::Replicated(client)) = &self.meta {
+        let mut report = self.faults.report.clone();
+        // Elections and epochs are driven by logical ticks off nominal
+        // trace time, so both execution paths land on identical numbers.
+        if let Some(client) = &self.meta {
             let group = client.group().stats();
-            let fs = self.faults.as_mut().expect("checked above");
-            fs.report.meta_elections = group.elections;
-            fs.report.meta_final_epoch = client.group().epoch();
-            fs.report.meta_fenced_appends = group.fenced_appends;
-            fs.report.meta_snapshot_installs = group.snapshot_installs;
-            fs.report.meta_unreachable_leader_elections = client.stats().forced_elections;
+            report.meta_elections = group.elections;
+            report.meta_final_epoch = client.group().epoch();
+            report.meta_fenced_appends = group.fenced_appends;
+            report.meta_snapshot_installs = group.snapshot_installs;
+            report.meta_unreachable_leader_elections = client.stats().forced_elections;
         }
-        let timeline = self.fault_timeline();
-        let fs = self.faults.as_mut().expect("checked above");
-        let mut report = fs.report.clone();
-        report.compute_recovery(&timeline, fs.first_crash_at, RECOVERY_TOLERANCE);
-        Some(report)
+        let first_crash_at = self.faults.cursor.schedule().first_crash_at();
+        report.compute_recovery(&self.fault_timeline(), first_crash_at, RECOVERY_TOLERANCE);
+        report
     }
 
     /// Records one planned request into the windowed hit-rate timeline.
     fn record_fault_window(&mut self, now: f64, reused: u64, total: u64) {
-        let Some(fs) = self.faults.as_mut() else {
-            return;
-        };
-        let bucket = (now.max(0.0) / fs.bucket_secs) as u64;
-        let entry = fs.buckets.entry(bucket).or_insert((0, 0));
-        entry.0 += reused;
-        entry.1 += total;
-    }
-
-    /// The cost model the planner prices jobs with.
-    pub fn compute(&self) -> &ComputeModel {
-        &self.compute
-    }
-
-    /// Read access to the user cache (tests, reporting).
-    pub fn user_cache(&self) -> &UserCache {
-        &self.user_cache
-    }
-
-    /// The cache-meta service backend (`None` only when caching is
-    /// disabled).
-    pub fn meta(&self) -> Option<&MetaBackend> {
-        self.meta.as_ref()
-    }
-
-    /// The replicated meta client, when the planner runs one
-    /// (`meta_replicas > 0`).
-    pub fn meta_client(&self) -> Option<&MetaClient> {
-        match &self.meta {
-            Some(MetaBackend::Replicated(c)) => Some(c),
-            _ => None,
+        let bucket = (now.max(0.0) / FAULT_WINDOW_SECS) as usize;
+        let buckets = &mut self.faults.buckets;
+        if bucket >= buckets.len() {
+            buckets.resize(bucket + 1, (0, 0));
         }
+        buckets[bucket].0 += reused;
+        buckets[bucket].1 += total;
     }
 
     /// Replaces the prefix-selection policy (e.g. with the clairvoyant
@@ -769,13 +686,8 @@ impl RequestPlanner {
         // A stalled meta service answers no lookups: the request cannot
         // locate any cached prefix and recomputes everything. Accesses are
         // not recorded either — the stalled service is the frequency book.
-        if self
-            .faults
-            .as_ref()
-            .is_some_and(|fs| fs.view.meta_stalled(now))
-        {
-            let fs = self.faults.as_mut().expect("checked above");
-            fs.report.stall_forced_recomputes += 1;
+        if self.faults.view.meta_stalled(now) {
+            self.faults.report.stall_forced_recomputes += 1;
             job.prefix = PrefixKind::Item;
             self.record_fault_window(now, 0, total);
             return job;
@@ -785,7 +697,7 @@ impl RequestPlanner {
         if let Some(meta) = &mut self.meta {
             // The meta service is the frequency book: every access lands in
             // its replicated hotness table.
-            meta.as_index_mut().touch(req.user.into(), now);
+            meta.touch(req.user.into(), now);
         }
         job.prefix = kind;
         match kind {
@@ -821,18 +733,17 @@ impl RequestPlanner {
                         }
                     };
                     if let AdmitOutcome::Admitted { evicted } = outcome {
+                        let resident = self
+                            .user_cache
+                            .entry_bytes(req.user)
+                            .expect("entry was just admitted");
                         if let Some(meta) = &mut self.meta {
                             // Mirror the admission churn into the meta index:
                             // evictions unregister, the new resident registers
                             // its page-rounded footprint.
-                            let meta = meta.as_index_mut();
                             for victim in &evicted {
                                 meta.evict((*victim).into(), now);
                             }
-                            let resident = self
-                                .user_cache
-                                .entry_bytes(req.user)
-                                .expect("entry was just admitted");
                             meta.register(req.user.into(), resident.as_u64(), now);
                         }
                         if let Some(pool) = &mut self.tiers {
@@ -845,10 +756,6 @@ impl RequestPlanner {
                             if cold_hit {
                                 pool.promote(req.user.into());
                             }
-                            let resident = self
-                                .user_cache
-                                .entry_bytes(req.user)
-                                .expect("entry was just admitted");
                             pool.register_hot(req.user.into(), resident);
                         }
                     } else if let Some(pool) = &mut self.tiers {
@@ -871,107 +778,84 @@ impl RequestPlanner {
                 }
                 if let Some(plan) = &self.placement {
                     let mut reused = 0u64;
-                    // Without faults, locations are owner-relative to the
-                    // worker the request will land on; worker 0 is
-                    // representative because sharding is round-robin.
-                    let local = WorkerId::new(0);
+                    let fs = &mut self.faults;
                     for (i, &item) in req.candidates.iter().enumerate() {
                         let tokens = req.candidate_tokens[i] as u64;
                         let bytes = self.compute.kv_bytes(tokens);
                         // Each arm either serves the item from a hot copy
                         // and moves on, or says whether its recompute is a
                         // fault fallback (else the item is uncached).
-                        let unreachable = match self.faults.as_mut() {
-                            None => match plan.locate(item, local) {
-                                ItemLocation::LocalReplica | ItemLocation::LocalShard => {
-                                    reused += tokens;
-                                    job.local_load += bytes;
-                                    continue;
-                                }
-                                ItemLocation::Remote(_) => {
-                                    reused += tokens;
-                                    job.remote_bytes += bytes;
-                                    continue;
-                                }
-                                ItemLocation::Uncached => false,
-                            },
-                            // Membership- and warmth-aware lookups. With
-                            // every worker warm this reduces to the
-                            // fault-free path.
-                            Some(fs) => match fs.locate(plan, item) {
-                                FaultedLocation::LocalHit => {
-                                    reused += tokens;
-                                    job.local_load += bytes;
-                                    continue;
-                                }
-                                FaultedLocation::RemoteHit {
-                                    from_replica,
-                                    holder,
-                                    alt,
-                                } => {
-                                    if !from_replica && self.brownout_rung >= 2 {
-                                        // Brownout rung 2: a cold sharded
-                                        // pull is cheaper to recompute than
-                                        // to fetch while the fabric is the
-                                        // bottleneck — unless the tiered
-                                        // pool holds a local cold copy,
-                                        // which costs no fabric at all.
-                                        if let Some(pool) = &mut self.tiers {
-                                            if let Some(cold) =
-                                                pool.brownout_cold_serve(item.into(), bytes, now)
-                                            {
-                                                reused += tokens;
-                                                job.net_extra_secs += pool.cold_load_secs(cold);
-                                                continue;
-                                            }
+                        let unreachable = match fs.locate(plan, item) {
+                            Lookup::LocalHit => {
+                                reused += tokens;
+                                job.local_load += bytes;
+                                continue;
+                            }
+                            Lookup::RemoteHit {
+                                from_replica,
+                                holder,
+                                alt,
+                            } => {
+                                if !from_replica && self.brownout_rung >= 2 {
+                                    // Brownout rung 2: a cold sharded pull is
+                                    // cheaper to recompute than to fetch
+                                    // while the fabric is the bottleneck —
+                                    // unless the tiered pool holds a local
+                                    // cold copy, which costs no fabric at all.
+                                    if let Some(pool) = &mut self.tiers {
+                                        if let Some(cold) =
+                                            pool.brownout_cold_serve(item.into(), bytes, now)
+                                        {
+                                            reused += tokens;
+                                            job.net_extra_secs += pool.cold_load_secs(cold);
+                                            continue;
                                         }
-                                        fs.report.brownout_recomputes += 1;
-                                        continue;
                                     }
-                                    reused += tokens;
-                                    job.remote_bytes += bytes;
-                                    if from_replica {
-                                        fs.report.replica_hits_during_outage += 1;
-                                    }
-                                    let f1 = fs.view.link_slow_factor(local, holder);
-                                    if f1 > 1.0 {
-                                        let transfer = self.compute.net_transfer_secs(bytes);
-                                        if let Some(alt_w) = alt {
-                                            // Hedge: dual-issue against the
-                                            // alternate replica holder; the
-                                            // first response wins, so the
-                                            // effective slowdown is the min
-                                            // of the two link factors.
-                                            fs.report.hedged_pulls += 1;
-                                            let f2 = fs.view.link_slow_factor(local, alt_w);
-                                            if f2 < f1 {
-                                                fs.report.hedge_wins += 1;
-                                            }
-                                            job.net_extra_secs += transfer * (f1.min(f2) - 1.0);
+                                    fs.report.brownout_recomputes += 1;
+                                    continue;
+                                }
+                                reused += tokens;
+                                job.remote_bytes += bytes;
+                                if from_replica {
+                                    fs.report.replica_hits_during_outage += 1;
+                                }
+                                let f1 = fs.view.link_slow_factor(AFFINITY, holder);
+                                if f1 > 1.0 {
+                                    let transfer = self.compute.net_transfer_secs(bytes);
+                                    if let Some(alt_w) = alt {
+                                        // Hedge: dual-issue against the
+                                        // alternate replica holder; the first
+                                        // response wins, so the effective
+                                        // slowdown is the min of the two
+                                        // link factors.
+                                        fs.report.hedged_pulls += 1;
+                                        let f2 = fs.view.link_slow_factor(AFFINITY, alt_w);
+                                        if f2 < f1 {
+                                            fs.report.hedge_wins += 1;
+                                        }
+                                        job.net_extra_secs += transfer * (f1.min(f2) - 1.0);
+                                    } else {
+                                        // Single-holder pull: retry with
+                                        // seeded jittered backoff when
+                                        // waiting out a transient beats
+                                        // enduring the slow link, bounded by
+                                        // the deadline slack.
+                                        let jitter = fs.retry_rng.gen::<f64>();
+                                        let backoff = fs.retry_backoff_secs * (1.0 + jitter);
+                                        let slow_extra = transfer * (f1 - 1.0);
+                                        let slack = req.slo.deadline_secs.unwrap_or(f64::INFINITY);
+                                        if backoff < slow_extra && backoff + transfer <= slack {
+                                            fs.report.backoff_retries += 1;
+                                            job.net_extra_secs += backoff;
                                         } else {
-                                            // Single-holder pull: retry with
-                                            // seeded jittered backoff when
-                                            // waiting out a transient beats
-                                            // enduring the slow link, bounded
-                                            // by the deadline slack.
-                                            let jitter = fs.retry_rng.gen::<f64>();
-                                            let backoff = fs.retry_backoff_secs * (1.0 + jitter);
-                                            let slow_extra = transfer * (f1 - 1.0);
-                                            let slack =
-                                                req.slo.deadline_secs.unwrap_or(f64::INFINITY);
-                                            if backoff < slow_extra && backoff + transfer <= slack {
-                                                fs.report.backoff_retries += 1;
-                                                job.net_extra_secs += backoff;
-                                            } else {
-                                                job.net_extra_secs += slow_extra;
-                                            }
+                                            job.net_extra_secs += slow_extra;
                                         }
                                     }
-                                    continue;
                                 }
-                                FaultedLocation::Recompute => true,
-                                FaultedLocation::Uncached => false,
-                            },
+                                continue;
+                            }
+                            Lookup::Recompute => true,
+                            Lookup::Uncached => false,
                         };
                         // The one cold path for an item no hot copy serves:
                         // the cold tier is durable local storage, so serve a
@@ -984,13 +868,11 @@ impl RequestPlanner {
                             }
                             served.map(|cold| pool.cold_load_secs(cold))
                         });
-                        match (cold_secs, self.faults.as_mut()) {
-                            (Some(secs), _) => {
-                                reused += tokens;
-                                job.net_extra_secs += secs;
-                            }
-                            (None, Some(fs)) if unreachable => fs.report.recompute_fallbacks += 1,
-                            (None, _) => {}
+                        if let Some(secs) = cold_secs {
+                            reused += tokens;
+                            job.net_extra_secs += secs;
+                        } else if unreachable {
+                            fs.report.recompute_fallbacks += 1;
                         }
                     }
                     job.suffix_tokens = total - reused;
@@ -1006,12 +888,12 @@ impl RequestPlanner {
     /// job's per-pull slow-link extras (post-hedge inflation and backoff
     /// delays).
     pub fn price(&self, job: &PlannedJob) -> (f64, f64, f64) {
-        let link = self.faults.as_ref().map_or(1.0, |fs| fs.view.link_factor());
         (
             self.compute
                 .prefill_secs(job.suffix_tokens, job.context_tokens),
             self.compute.kv_load_secs(job.local_load),
-            self.compute.net_transfer_secs(job.remote_bytes) * link + job.net_extra_secs,
+            self.compute.net_transfer_secs(job.remote_bytes) * self.faults.view.link_factor()
+                + job.net_extra_secs,
         )
     }
 }
@@ -1020,6 +902,7 @@ impl RequestPlanner {
 mod tests {
     use super::*;
     use crate::engine::{EngineConfig, SystemKind};
+    use bat_placement::PlacementStrategy;
     use bat_types::{
         ClusterConfig, DatasetConfig, ItemId, ModelConfig, RequestId, SimTime, UserId,
     };
@@ -1102,7 +985,7 @@ mod tests {
             for i in 0..4 {
                 let _ = p.plan(&resident, i as f64 * 5.0 + user as f64);
             }
-            assert!(p.user_cache().contains(resident.user));
+            assert!(p.user_cache.contains(resident.user));
         }
 
         // A first-time user has a zero pre-access frequency estimate: it
@@ -1152,50 +1035,66 @@ mod tests {
     }
 
     fn fault_state(n: usize) -> FaultState {
-        let schedule = bat_faults::FaultSchedule::new(n, vec![]).expect("empty schedule is valid");
-        FaultState {
-            first_crash_at: None,
-            cursor: FaultCursor::new(schedule),
-            view: ClusterView::new(n),
-            report: FaultReport::default(),
-            warm_incarnation: vec![0; n],
-            rewarm_ready_at: vec![f64::NEG_INFINITY; n],
-            rewarm_secs: 0.0,
-            per_worker_budget: Bytes::new(u64::MAX / 2),
-            degraded: None,
-            warmed_adopted: HashSet::new(),
-            buckets: BTreeMap::new(),
-            bucket_secs: FAULT_WINDOW_SECS,
-            retry_rng: SmallRng::seed_from_u64(0x510_B0FF),
-            retry_backoff_secs: 0.002,
-        }
+        FaultState::new(
+            FaultSchedule::none(n),
+            0.0,
+            Bytes::new(u64::MAX / 2),
+            OverloadConfig::default(),
+        )
     }
 
-    fn cut(view: &mut ClusterView, a: u64, b: u64) {
-        view.apply(&bat_faults::FaultEvent {
-            at_secs: 0.0,
-            kind: bat_faults::FaultKind::CutLink {
-                a: WorkerId::new(a),
-                b: WorkerId::new(b),
-            },
-        });
+    /// Applies `kind` straight to the view, as the cursor would.
+    fn apply(fs: &mut FaultState, at_secs: f64, kind: bat_faults::FaultKind) {
+        fs.view.apply(&bat_faults::FaultEvent { at_secs, kind });
+        fs.refresh_reach();
+    }
+
+    fn cut(fs: &mut FaultState, a: u64, b: u64) {
+        let (a, b) = (WorkerId::new(a), WorkerId::new(b));
+        apply(fs, 0.0, bat_faults::FaultKind::CutLink { a, b });
+    }
+
+    #[test]
+    fn a_warm_cluster_locates_every_item_where_the_plan_puts_it() {
+        // Capped corpus: 50 replicated items plus 200 sharded ones fit, the
+        // rest of the 1 000 is uncached. The refresh then replicates ids
+        // from beyond the cap, which only the replicated area can serve.
+        let plan = ItemPlacementPlan::new(PlacementStrategy::Hrcs, 1000, 4, 0.05, 1 << 20);
+        let mut plan = plan.fit_to_capacity(Bytes::new(100 << 20));
+        assert!(plan.cached_items() < plan.num_items());
+        plan.refresh_replicated((900..950).map(ItemId::new));
+        let mut fs = fault_state(4);
+        for id in 0..plan.num_items() {
+            let item = ItemId::new(id);
+            let located = match fs.locate(&plan, item) {
+                Lookup::LocalHit => None,
+                Lookup::RemoteHit { holder, .. } => Some(ItemLocation::Remote(holder)),
+                Lookup::Recompute => panic!("item {id}: a warm cluster recomputes nothing"),
+                Lookup::Uncached => Some(ItemLocation::Uncached),
+            };
+            let planned = match plan.locate(item, AFFINITY) {
+                ItemLocation::LocalReplica | ItemLocation::LocalShard => None,
+                other => Some(other),
+            };
+            assert_eq!(located, planned, "item {id}");
+        }
+        assert_eq!(fs.report, FaultReport::default());
     }
 
     #[test]
     fn replicated_lookup_skips_unreachable_holders() {
-        use bat_placement::PlacementStrategy;
         let plan = ItemPlacementPlan::new(PlacementStrategy::Hrcs, 1000, 4, 0.1, 1 << 20);
         let mut fs = fault_state(4);
         // Affinity worker 0 is alive but its cache is cold (e.g. pending
         // re-warm), so the replicated hit must come from another holder.
         fs.warm_incarnation[0] = u64::MAX;
-        cut(&mut fs.view, 0, 1);
-        cut(&mut fs.view, 0, 2);
+        cut(&mut fs, 0, 1);
+        cut(&mut fs, 0, 2);
         let hot = ItemId::new(5);
         assert!(plan.is_replicated(hot));
         assert!(matches!(
             fs.locate(&plan, hot),
-            FaultedLocation::RemoteHit {
+            Lookup::RemoteHit {
                 from_replica: true,
                 ..
             }
@@ -1205,27 +1104,26 @@ mod tests {
             "workers 1 and 2 were warm but cut off; worker 3 served"
         );
         // Cutting the last link leaves no reachable holder: recompute.
-        cut(&mut fs.view, 0, 3);
-        assert!(matches!(fs.locate(&plan, hot), FaultedLocation::Recompute));
+        cut(&mut fs, 0, 3);
+        assert!(matches!(fs.locate(&plan, hot), Lookup::Recompute));
         assert_eq!(fs.report.unreachable_kv_fallbacks, 2);
     }
 
     #[test]
     fn sharded_lookup_respects_partition() {
-        use bat_placement::PlacementStrategy;
         let plan = ItemPlacementPlan::new(PlacementStrategy::HashShard, 1000, 4, 0.0, 1 << 20);
         let mut fs = fault_state(4);
         let item = ItemId::new(9); // owner = 9 % 4 = 1
         assert!(matches!(
             fs.locate(&plan, item),
-            FaultedLocation::RemoteHit {
+            Lookup::RemoteHit {
                 from_replica: false,
                 ..
             }
         ));
-        cut(&mut fs.view, 0, 1);
+        cut(&mut fs, 0, 1);
         assert!(
-            matches!(fs.locate(&plan, item), FaultedLocation::Recompute),
+            matches!(fs.locate(&plan, item), Lookup::Recompute),
             "a warm owner behind a cut link must not serve a remote hit"
         );
         assert_eq!(fs.report.unreachable_kv_fallbacks, 1);
@@ -1233,14 +1131,14 @@ mod tests {
 
     #[test]
     fn adoption_waits_for_reachable_adopter() {
-        use bat_placement::PlacementStrategy;
         let plan = ItemPlacementPlan::new(PlacementStrategy::HashShard, 1000, 4, 0.0, 1 << 20);
         let mut fs = fault_state(4);
         // Crash the owner of item 9 (worker 1) and re-plan around it.
-        fs.view.apply(&bat_faults::FaultEvent {
-            at_secs: 0.0,
-            kind: bat_faults::FaultKind::WorkerCrash(WorkerId::new(1)),
-        });
+        apply(
+            &mut fs,
+            0.0,
+            bat_faults::FaultKind::WorkerCrash(WorkerId::new(1)),
+        );
         let alive = fs.view.alive_mask().to_vec();
         fs.degraded = Some(DegradedPlacement::new(
             &plan,
@@ -1255,26 +1153,25 @@ mod tests {
         if target.index() != 0 {
             // While the adopter is cut off, every access recomputes and the
             // write-back is withheld (it could not reach the adopter).
-            cut(&mut fs.view, 0, target.as_u64());
-            assert!(matches!(fs.locate(&plan, item), FaultedLocation::Recompute));
-            assert!(matches!(fs.locate(&plan, item), FaultedLocation::Recompute));
+            cut(&mut fs, 0, target.as_u64());
+            assert!(matches!(fs.locate(&plan, item), Lookup::Recompute));
+            assert!(matches!(fs.locate(&plan, item), Lookup::Recompute));
             assert!(!fs.warmed_adopted.contains(&item.as_u64()));
             assert_eq!(fs.report.unreachable_kv_fallbacks, 2);
             // Heal the link: the first access warms the adopter, the next
             // one hits it remotely.
-            fs.view.apply(&bat_faults::FaultEvent {
-                at_secs: 1.0,
-                kind: bat_faults::FaultKind::HealLink {
-                    a: WorkerId::new(0),
-                    b: target,
-                },
-            });
+            let a = WorkerId::new(0);
+            apply(
+                &mut fs,
+                1.0,
+                bat_faults::FaultKind::HealLink { a, b: target },
+            );
         }
-        assert!(matches!(fs.locate(&plan, item), FaultedLocation::Recompute));
+        assert!(matches!(fs.locate(&plan, item), Lookup::Recompute));
         assert!(fs.warmed_adopted.contains(&item.as_u64()));
         assert!(!matches!(
             fs.locate(&plan, item),
-            FaultedLocation::Recompute | FaultedLocation::Uncached
+            Lookup::Recompute | Lookup::Uncached
         ));
     }
 
@@ -1288,7 +1185,7 @@ mod tests {
         assert_eq!(l, 0.0);
         assert_eq!(n, 0.0);
         let direct = p
-            .compute()
+            .compute
             .prefill_secs(job.suffix_tokens, job.context_tokens);
         assert_eq!(c, direct);
     }
@@ -1335,14 +1232,12 @@ mod tests {
         // Cold affinity worker (re-warm pending indefinitely): the replicated
         // hits must be served remotely, and holder order makes worker 1 (slow
         // link) primary, worker 2 the hedge target.
-        {
-            let fs = p.faults.as_mut().unwrap();
-            fs.warm_incarnation[0] = u64::MAX;
-            fs.rewarm_ready_at[0] = f64::INFINITY;
-        }
+        p.faults.warm_incarnation[0] = u64::MAX;
+        p.faults.rewarm_ready_at[0] = f64::INFINITY;
+        p.faults.refresh_reach();
         let r = req(1, 1500);
         let job = p.plan(&r, 0.0);
-        let report = &p.faults.as_ref().unwrap().report;
+        let report = &p.faults.report;
         assert_eq!(report.hedged_pulls, 100, "every replicated pull hedged");
         assert_eq!(
             report.hedge_wins, 100,
@@ -1363,11 +1258,11 @@ mod tests {
         p.advance_faults(0.0);
         let r = sharded_req();
         let job = p.plan(&r, 0.0);
-        {
-            let report = &p.faults.as_ref().unwrap().report;
-            assert_eq!(report.backoff_retries, 100);
-            assert_eq!(report.hedged_pulls, 0, "single holder has no hedge target");
-        }
+        assert_eq!(p.faults.report.backoff_retries, 100);
+        assert_eq!(
+            p.faults.report.hedged_pulls, 0,
+            "single holder has no hedge target"
+        );
         assert!(job.net_extra_secs > 0.0);
         let (_, _, n) = p.price(&job);
         assert!(
@@ -1390,8 +1285,7 @@ mod tests {
         // the slow link rather than burn the budget waiting to retry.
         r.slo = bat_types::SloBudget::with_deadline(1e-3);
         let job = p.plan(&r, 0.0);
-        let report = &p.faults.as_ref().unwrap().report;
-        assert_eq!(report.backoff_retries, 0);
+        assert_eq!(p.faults.report.backoff_retries, 0);
         assert!(
             job.net_extra_secs > 1.0,
             "enduring a 1e6x slowdown is expensive: {}",
@@ -1405,10 +1299,19 @@ mod tests {
         p.set_brownout_rung(2);
         let r = sharded_req();
         let job = p.plan(&r, 0.0);
-        let report = &p.faults.as_ref().unwrap().report;
+        let report = &p.faults.report;
         assert_eq!(report.brownout_recomputes, 100);
         assert_eq!(report.brownout_transitions, 1);
         assert_eq!(report.max_brownout_rung, 2);
+        assert_eq!(job.remote_bytes, Bytes::ZERO);
+        assert_eq!(job.reused_tokens(), 0, "cold pulls degraded to recompute");
+    }
+
+    #[test]
+    fn brownout_rung_two_needs_no_fault_schedule() {
+        let mut p = planner(SystemKind::ItemPrefix);
+        p.set_brownout_rung(2);
+        let job = p.plan(&sharded_req(), 0.0);
         assert_eq!(job.remote_bytes, Bytes::ZERO);
         assert_eq!(job.reused_tokens(), 0, "cold pulls degraded to recompute");
     }
@@ -1418,11 +1321,11 @@ mod tests {
         let mut p = faulted_planner(SystemKind::ItemPrefix, vec![]);
         p.set_brownout_rung(1);
         p.refresh_item_replication(1.0);
-        assert_eq!(p.faults.as_ref().unwrap().report.suspended_refreshes, 1);
+        assert_eq!(p.faults.report.suspended_refreshes, 1);
         // Stepping back down resumes the background refresh.
         p.set_brownout_rung(0);
         p.refresh_item_replication(2.0);
-        let report = &p.faults.as_ref().unwrap().report;
+        let report = &p.faults.report;
         assert_eq!(report.suspended_refreshes, 1);
         assert_eq!(report.max_brownout_rung, 1);
         assert_eq!(report.brownout_transitions, 2);
