@@ -1,41 +1,42 @@
 //! Real socket backends: Unix domain sockets and loopback TCP.
 //!
 //! Both speak the versioned length-prefixed frame protocol from
-//! [`crate::frame`]. A [`SocketConn`] owns a detached *pump* thread that
-//! blocks in `read_frame` and feeds decoded frames into an internal
-//! crossbeam channel; `recv`/`try_recv`/`recv_timeout` then drain that
-//! channel. This keeps the receive API uniform with the channel backend
-//! and — more importantly — makes `try_recv` safe: a non-blocking read
-//! directly off a socket could return mid-frame and desynchronize the
-//! stream, but the pump always consumes whole frames.
+//! [`crate::frame`]. A [`SocketConn`] is read in place by the one thread
+//! that receives on it: `recv` blocks in `read_frame` on the connection's
+//! read buffer, and `try_recv` hands out a frame only when the whole frame
+//! — header and payload — already sits in that buffer, so it makes no
+//! system call and can never leave the stream split mid-frame.
 //!
-//! When the pump hits an error it parks the typed [`NetError`] and drops
-//! its sender; receivers drain any buffered frames first, then surface
-//! that error — so a peer that sends five frames and crashes still
-//! delivers all five.
+//! The first receive error is parked and returned by every later receive.
+//! The kernel delivers a socket's queued bytes before its end of stream, so
+//! a peer that sends five frames and crashes still delivers all five.
 //!
 //! The send side buffers: [`Conn::send_batch`] encodes every frame of a
 //! batch into the connection's `BufWriter` under one writer lock and
 //! flushes once, so a batch that fits the buffer costs one `write` call.
 //!
-//! A [`SocketListener`] accepts the same way a conn receives: a pump thread
-//! blocks in `accept` and queues wrapped connections, so a bounded-wait
-//! accept is a timed channel receive, not a non-blocking poll.
+//! A [`SocketListener`] accepts through a pump thread that blocks in
+//! `accept` and queues wrapped connections, so a bounded-wait accept is a
+//! timed channel receive, not a non-blocking poll.
 
 use crate::error::NetError;
-use crate::frame::{read_frame, write_frame, Frame};
+use crate::frame::{decode_frame, read_frame, write_frame, Frame};
 use crate::transport::{Conn, Listener, Transport};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, TryRecvError};
-use std::io::{BufReader, BufWriter, Read, Write};
+use crossbeam::channel::{unbounded, Receiver};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::Duration;
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Bytes a [`SocketConn`] reads ahead per system call: a 1 024-round
+/// dispatch batch (≈ 54 KB) arrives in one read.
+const READ_BUFFER: usize = 64 << 10;
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -56,8 +57,8 @@ impl Stream {
     }
 
     fn shutdown(&self) {
-        // Best-effort: unblocks the pump thread's read; an already-dead
-        // socket is fine.
+        // Best-effort: unblocks a receive blocked in a read; an
+        // already-dead socket is fine.
         let _ = match self {
             Stream::Tcp(s) => s.shutdown(Shutdown::Both),
             #[cfg(unix)]
@@ -94,66 +95,38 @@ impl Write for Stream {
     }
 }
 
-/// A [`Conn`] over a real OS socket with a pump-thread receive path.
+/// A [`Conn`] over a real OS socket, read in place by its receiver.
 pub struct SocketConn {
     writer: Mutex<BufWriter<Stream>>,
-    /// A second handle to the same socket, kept for `close` to shut the
-    /// stream down and unblock the pump.
+    /// The read buffer, and the error that ended the stream once one has.
+    reader: Mutex<(BufReader<Stream>, Option<NetError>)>,
+    /// A third handle to the same socket, kept for `close` to shut the
+    /// stream down without waiting for either lock.
     raw: Stream,
-    incoming: Receiver<Frame>,
-    /// The typed error that ended the pump, once it has.
-    fate: Arc<Mutex<Option<NetError>>>,
 }
 
 impl SocketConn {
-    fn spawn(stream: Stream) -> Result<Arc<SocketConn>, NetError> {
+    fn wrap(stream: Stream) -> Result<Arc<SocketConn>, NetError> {
         if let Stream::Tcp(tcp) = &stream {
             tcp.set_nodelay(true).ok();
         }
-        let reader_stream = stream.try_clone()?;
-        let writer_stream = stream.try_clone()?;
-        let (tx, rx) = unbounded();
-        let fate = Arc::new(Mutex::new(None));
-        let pump_fate = Arc::clone(&fate);
-        // Detached on purpose: the pump exits when the socket dies or is
-        // shut down by `close`, and holds no resources beyond the fd clone.
-        std::thread::spawn(move || {
-            let mut reader = BufReader::new(reader_stream);
-            loop {
-                match read_frame(&mut reader) {
-                    Ok(frame) => {
-                        if tx.send(frame).is_err() {
-                            break; // conn dropped; nobody is listening
-                        }
-                    }
-                    Err(e) => {
-                        *lock(&pump_fate) = Some(e);
-                        break; // tx drops here; receivers see the fate
-                    }
-                }
-            }
-        });
+        let reader = BufReader::with_capacity(READ_BUFFER, stream.try_clone()?);
         Ok(Arc::new(SocketConn {
-            writer: Mutex::new(BufWriter::new(writer_stream)),
+            writer: Mutex::new(BufWriter::new(stream.try_clone()?)),
+            reader: Mutex::new((reader, None)),
             raw: stream,
-            incoming: rx,
-            fate,
         }))
     }
 
     /// Wraps an accepted or dialed TCP stream.
     pub fn from_tcp(stream: TcpStream) -> Result<Arc<SocketConn>, NetError> {
-        Self::spawn(Stream::Tcp(stream))
+        Self::wrap(Stream::Tcp(stream))
     }
 
     /// Wraps an accepted or dialed Unix-domain stream.
     #[cfg(unix)]
     pub fn from_unix(stream: UnixStream) -> Result<Arc<SocketConn>, NetError> {
-        Self::spawn(Stream::Unix(stream))
-    }
-
-    fn fate(&self) -> NetError {
-        lock(&self.fate).clone().unwrap_or(NetError::Disconnected)
+        Self::wrap(Stream::Unix(stream))
     }
 
     /// Writes `frames` under one writer lock and flushes once.
@@ -170,6 +143,11 @@ impl SocketConn {
     }
 }
 
+/// Parks the first error a receive hits, so every later receive returns it.
+fn park(fate: &mut Option<NetError>, e: NetError) -> NetError {
+    fate.get_or_insert(e).clone()
+}
+
 impl Conn for SocketConn {
     fn send(&self, frame: Frame) -> Result<(), NetError> {
         self.write_all(&[frame])
@@ -182,21 +160,32 @@ impl Conn for SocketConn {
     }
 
     fn recv(&self) -> Result<Frame, NetError> {
-        self.incoming.recv().map_err(|_| self.fate())
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Frame, NetError> {
-        self.incoming.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => NetError::Timeout,
-            RecvTimeoutError::Disconnected => self.fate(),
-        })
+        let mut guard = lock(&self.reader);
+        let (reader, fate) = &mut *guard;
+        if let Some(e) = fate {
+            return Err(e.clone());
+        }
+        read_frame(reader).map_err(|e| park(fate, e))
     }
 
     fn try_recv(&self) -> Result<Option<Frame>, NetError> {
-        match self.incoming.try_recv() {
-            Ok(frame) => Ok(Some(frame)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(self.fate()),
+        let mut guard = match self.reader.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return Ok(None),
+        };
+        let (reader, fate) = &mut *guard;
+        if let Some(e) = fate {
+            return Err(e.clone());
+        }
+        match decode_frame(reader.buffer()) {
+            Ok((frame, used)) => {
+                reader.consume(used);
+                Ok(Some(frame))
+            }
+            // The rest of the next frame has not been read off the socket.
+            Err(NetError::Truncated { .. }) => Ok(None),
+            Err(e) => Err(park(fate, e)),
         }
     }
 
@@ -240,7 +229,7 @@ impl SocketListener {
             if pump_closed.load(Ordering::Acquire) {
                 break;
             }
-            let conn = stream.map_err(NetError::from).and_then(SocketConn::spawn);
+            let conn = stream.map_err(NetError::from).and_then(SocketConn::wrap);
             let last = conn.is_err();
             if tx.send(conn).is_err() || last {
                 break;
@@ -358,7 +347,8 @@ impl Transport for UdsTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::{CompletionMsg, DispatchMsg, WireOutcome};
+    use crate::frame::{encode_frame, HEADER_LEN};
+    use crate::messages::{CompletionMsg, DispatchMsg, KvSegmentMsg, WireOutcome};
     use crate::wire::WireCodec;
 
     fn exercise(transport: &dyn Transport, addr: &str) {
@@ -375,8 +365,7 @@ mod tests {
             deadline_rel: Some(0.25),
         };
         client.send(d.to_frame()).unwrap();
-        let got =
-            DispatchMsg::from_frame(&server.recv_timeout(Duration::from_secs(5)).unwrap()).unwrap();
+        let got = DispatchMsg::from_frame(&server.recv().unwrap()).unwrap();
         assert_eq!(got, d);
 
         let c = CompletionMsg {
@@ -389,8 +378,7 @@ mod tests {
             },
         };
         server.send(c.to_frame()).unwrap();
-        let got = CompletionMsg::from_frame(&client.recv_timeout(Duration::from_secs(5)).unwrap())
-            .unwrap();
+        let got = CompletionMsg::from_frame(&client.recv().unwrap()).unwrap();
         assert_eq!(got, c);
 
         // A batch is one flush; its frames arrive whole and in order.
@@ -400,25 +388,15 @@ mod tests {
         client.send_batch(&mut batch).unwrap();
         assert!(batch.is_empty());
         for i in 0..40u8 {
-            let frame = server.recv_timeout(Duration::from_secs(5)).unwrap();
+            let frame = server.recv().unwrap();
             assert_eq!(frame, Frame::new(9, vec![i; i as usize]));
         }
         assert_eq!(server.try_recv().unwrap(), None);
-        assert_eq!(
-            server.recv_timeout(Duration::from_millis(5)).unwrap_err(),
-            NetError::Timeout
-        );
 
         // Peer close surfaces as Disconnected after the buffer drains.
         server.send(Frame::new(5, vec![])).unwrap();
         server.close();
-        assert_eq!(
-            client
-                .recv_timeout(Duration::from_secs(5))
-                .unwrap()
-                .msg_type,
-            5
-        );
+        assert_eq!(client.recv().unwrap().msg_type, 5);
         assert_eq!(client.recv().unwrap_err(), NetError::Disconnected);
 
         // A batch to the closed peer is a typed error, not a panic or a
@@ -468,12 +446,108 @@ mod tests {
             a.send(Frame::new(9, vec![i; i as usize])).unwrap();
         }
         for i in 0..50u8 {
-            let f = b.recv_timeout(Duration::from_secs(5)).unwrap();
+            let f = b.recv().unwrap();
             assert_eq!(f.payload, vec![i; i as usize]);
         }
         assert_eq!(b.try_recv().unwrap(), None);
         drop(a);
         assert_eq!(b.recv().unwrap_err(), NetError::Disconnected);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn try_recv_never_returns_a_partial_frame() {
+        // A frame written in three pieces: `recv` of a leading frame lands
+        // the first piece in the read buffer, and `try_recv` must neither
+        // return nor consume it wherever the cut falls (inside the header,
+        // right after it, inside the payload), nor read the later pieces
+        // off the socket; `recv` then returns the frame whole.
+        let (mut raw, theirs) = UnixStream::pair().unwrap();
+        let conn = SocketConn::from_unix(theirs).unwrap();
+        let lead = Frame::new(1, vec![1; 3]);
+        let frame = Frame::new(9, (0..=200u8).collect());
+        let bytes = encode_frame(&frame);
+        for cut in [5, HEADER_LEN, bytes.len() - 1] {
+            let (first, rest) = bytes.split_at(cut);
+            let (second, third) = rest.split_at(rest.len() / 2);
+            raw.write_all(&[encode_frame(&lead).as_slice(), first].concat())
+                .unwrap();
+            assert_eq!(conn.recv().unwrap(), lead);
+            assert_eq!(conn.try_recv().unwrap(), None, "cut at {cut}");
+            raw.write_all(second).unwrap();
+            assert_eq!(conn.try_recv().unwrap(), None, "cut at {cut}");
+            raw.write_all(third).unwrap();
+            assert_eq!(conn.recv().unwrap(), frame, "cut at {cut}");
+        }
+        // Once the whole frame sits behind the leader, `try_recv` hands it
+        // out exactly, and then has nothing.
+        raw.write_all(&[encode_frame(&lead), bytes].concat())
+            .unwrap();
+        assert_eq!(conn.recv().unwrap(), lead);
+        assert_eq!(conn.try_recv().unwrap(), Some(frame));
+        assert_eq!(conn.try_recv().unwrap(), None);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn frames_larger_than_the_read_buffer_arrive_whole() {
+        let (a, b) = UnixStream::pair().unwrap();
+        let (a, b) = (
+            SocketConn::from_unix(a).unwrap(),
+            SocketConn::from_unix(b).unwrap(),
+        );
+        let segments: Vec<KvSegmentMsg> = (0..4u32)
+            .map(|layer| {
+                let (rows, cols) = (256u32, 70 + 30 * layer);
+                KvSegmentMsg {
+                    key: bat_kvcache::CacheKey::Item(bat_types::ItemId::new(7)),
+                    layer,
+                    rows,
+                    cols,
+                    planes: (0..rows * cols).map(|i| (i ^ layer) as f32 * 0.5).collect(),
+                }
+            })
+            .collect();
+        assert!(segments[0].to_frame().wire_len() > READ_BUFFER);
+        let sent = segments.clone();
+        // More than the socket buffers hold: the writer needs the reader.
+        let writer = std::thread::spawn(move || {
+            for segment in &sent {
+                a.send(segment.to_frame()).unwrap();
+            }
+            a.send(Frame::new(5, vec![5])).unwrap();
+        });
+        for segment in &segments {
+            assert_eq!(
+                KvSegmentMsg::from_frame(&b.recv().unwrap()).unwrap(),
+                *segment
+            );
+        }
+        assert_eq!(b.recv().unwrap(), Frame::new(5, vec![5]));
+        writer.join().unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn close_unblocks_a_blocked_recv() {
+        let (a, b) = UnixStream::pair().unwrap();
+        let (_a, b) = (
+            SocketConn::from_unix(a).unwrap(),
+            SocketConn::from_unix(b).unwrap(),
+        );
+        let (entered, entering) = crossbeam::channel::bounded(1);
+        std::thread::scope(|scope| {
+            let blocked = scope.spawn(|| {
+                entered.send(()).unwrap();
+                b.recv()
+            });
+            entering.recv().unwrap();
+            // The peer is alive and silent: only the close can end it.
+            b.close();
+            assert_eq!(blocked.join().unwrap(), Err(NetError::Disconnected));
+        });
+        assert_eq!(b.recv(), Err(NetError::Disconnected));
+        assert_eq!(b.try_recv(), Err(NetError::Disconnected));
     }
 
     #[test]
@@ -486,7 +560,7 @@ mod tests {
             .unwrap();
         raw.flush().unwrap();
         drop(raw);
-        let err = server.recv_timeout(Duration::from_secs(5)).unwrap_err();
+        let err = server.recv().unwrap_err();
         assert!(
             matches!(err, NetError::BadMagic { .. }),
             "expected BadMagic, got {err:?}"

@@ -4,10 +4,11 @@
 //! A transport gives the runtime three things: `listen` (bind a named
 //! endpoint), `accept` (wait for a peer), and `connect` (dial one). Both
 //! sides then hold a [`Conn`] — a bidirectional, frame-oriented pipe with
-//! single and batched sends and blocking, non-blocking, and bounded-wait
-//! receives (every wait blocks on a condvar; none polls). The serving runtime
-//! is written against these traits only; whether frames cross a crossbeam
-//! channel, a Unix socket, or a TCP loopback is a construction-time choice.
+//! single and batched sends and blocking and non-blocking receives (a
+//! blocking receive waits on a condvar or in a read; none polls). The
+//! serving runtime is written against these traits only; whether frames
+//! cross a crossbeam channel, a Unix socket, or a TCP loopback is a
+//! construction-time choice.
 //!
 //! `ChannelTransport` is the reference backend: frames move through
 //! in-process crossbeam channels with no byte serialization, so it is
@@ -21,7 +22,7 @@ use crate::wire::WireCodec;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One bidirectional frame pipe between two peers.
 ///
@@ -56,20 +57,14 @@ pub trait Conn: Send + Sync {
     fn recv(&self) -> Result<Frame, NetError>;
 
     /// Returns a frame if one is already buffered, `Ok(None)` otherwise.
+    /// Never blocks, and never waits for the rest of a frame.
     ///
     /// # Errors
     ///
     /// [`NetError::Disconnected`] (or the stream's fatal error) once the
-    /// buffer is drained and the peer is gone.
+    /// buffer is drained and the end of the stream has been seen — a socket
+    /// sees it only in a [`Conn::recv`].
     fn try_recv(&self) -> Result<Option<Frame>, NetError>;
-
-    /// Waits up to `timeout` for a frame.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Timeout`] when the deadline passes, otherwise as
-    /// [`Conn::recv`].
-    fn recv_timeout(&self, timeout: Duration) -> Result<Frame, NetError>;
 
     /// Tears the connection down; pending and future operations on either
     /// side fail with [`NetError::Disconnected`]. Idempotent.
@@ -213,35 +208,6 @@ impl ChannelConn {
         self.tx.cond.notify_all();
         Ok(())
     }
-
-    /// Blocks on the pipe's condvar until a frame, a disconnect, or the
-    /// deadline (`None` waits forever).
-    fn pop(&self, deadline: Option<Instant>) -> Result<Frame, NetError> {
-        let mut rx = self.rx.lock();
-        loop {
-            if let Some(frame) = rx.queue.pop_front() {
-                return Ok(frame);
-            }
-            if !rx.receiver_open || !rx.sender_open {
-                return Err(NetError::Disconnected);
-            }
-            rx = match deadline {
-                None => self
-                    .rx
-                    .cond
-                    .wait(rx)
-                    .unwrap_or_else(PoisonError::into_inner),
-                Some(deadline) => {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return Err(NetError::Timeout);
-                    }
-                    let waited = self.rx.cond.wait_timeout(rx, left);
-                    waited.unwrap_or_else(PoisonError::into_inner).0
-                }
-            };
-        }
-    }
 }
 
 impl Conn for ChannelConn {
@@ -256,12 +222,22 @@ impl Conn for ChannelConn {
         self.push(frames.drain(..))
     }
 
+    /// Blocks on the pipe's condvar until a frame or a disconnect.
     fn recv(&self) -> Result<Frame, NetError> {
-        self.pop(None)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Frame, NetError> {
-        self.pop(Some(Instant::now() + timeout))
+        let mut rx = self.rx.lock();
+        loop {
+            if let Some(frame) = rx.queue.pop_front() {
+                return Ok(frame);
+            }
+            if !rx.receiver_open || !rx.sender_open {
+                return Err(NetError::Disconnected);
+            }
+            rx = self
+                .rx
+                .cond
+                .wait(rx)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
     }
 
     fn try_recv(&self) -> Result<Option<Frame>, NetError> {
@@ -461,29 +437,23 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_wakes_on_a_send_from_another_thread() {
+    fn recv_wakes_on_a_send_from_another_thread() {
         let (a, b) = ChannelConn::pair();
         let sender = std::thread::spawn(move || send_msg(b.as_ref(), &ShutdownMsg));
-        // Blocks on the pipe's condvar: the send wakes it long before the
-        // deadline, and the peer's drop afterwards reads as a disconnect.
-        let frame = a.recv_timeout(Duration::from_secs(30)).unwrap();
+        // Blocks on the pipe's condvar until the send wakes it; the peer's
+        // drop afterwards reads as a disconnect.
+        let frame = a.recv().unwrap();
         ShutdownMsg::from_frame(&frame).unwrap();
         sender.join().unwrap().unwrap();
-        assert_eq!(
-            a.recv_timeout(Duration::from_secs(30)).unwrap_err(),
-            NetError::Disconnected
-        );
+        assert_eq!(a.recv().unwrap_err(), NetError::Disconnected);
     }
 
     #[test]
-    fn recv_timeout_times_out_then_delivers() {
+    fn try_recv_is_none_then_recv_delivers() {
         let (a, b) = ChannelConn::pair();
-        assert_eq!(
-            a.recv_timeout(Duration::from_millis(5)).unwrap_err(),
-            NetError::Timeout
-        );
+        assert_eq!(a.try_recv().unwrap(), None);
         send_msg(b.as_ref(), &ShutdownMsg).unwrap();
-        let frame = a.recv_timeout(Duration::from_millis(200)).unwrap();
+        let frame = a.recv().unwrap();
         ShutdownMsg::from_frame(&frame).unwrap();
     }
 

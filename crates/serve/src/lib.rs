@@ -16,7 +16,8 @@
 //!   priced duration (scaled by [`ServeOptions::time_scale`] so tests run
 //!   in milliseconds) on a [`Pacer`], which keeps the worker on the wall
 //!   clock without a sleep per round;
-//! * the **collector** thread acks the rounds, returning dispatch credit.
+//! * one **reader** per worker link receives the worker's acks and retires
+//!   the rounds, returning dispatch credit.
 //!
 //! Because both stacks run one driver on nominal time, their
 //! [`bat_sim::RunStats`] are identical by construction — and identical

@@ -16,10 +16,12 @@
 //!    so a round's latency is never below its priced service, and priced
 //!    time adds up exactly over a busy period instead of gaining one timer
 //!    floor per round.
-//! 3. Replies are coalesced: the worker keeps serving for as long as it
-//!    finds frames queued and answers them with one [`Conn::send_batch`]
-//!    — when the queue runs dry, before it blocks on the pacer (nothing
-//!    finished waits out a sleep), or at [`MAX_COALESCED_REPLIES`].
+//! 3. Replies are coalesced: after each blocking receive the worker keeps
+//!    serving the frames [`Conn::try_recv`] still finds whole in the read
+//!    buffer (on a socket, whatever that receive's one read brought in)
+//!    and answers them with one [`Conn::send_batch`] — when the buffer
+//!    runs dry, before it blocks on the pacer (nothing finished waits out
+//!    a sleep), or at [`MAX_COALESCED_REPLIES`].
 //! 4. A worker whose `alive` flag is lowered (in-process fault injection)
 //!    bounces every dispatch back as an [`OrphanMsg`] instead of serving
 //!    it — the scheduler's machine has already re-seated that work on a

@@ -1,6 +1,6 @@
 //! Threaded serving runtime over the pluggable transport layer.
 //!
-//! The scheduler, workers, and collector are wired through [`bat_net`]'s
+//! The scheduler, workers, and link readers are wired through [`bat_net`]'s
 //! [`Transport`] trait: every dispatch, completion, orphan bounce, and
 //! shutdown crosses a [`Conn`] as an encoded frame. The backend is a
 //! construction-time choice ([`TransportKind`]):
@@ -22,8 +22,9 @@
 //!
 //! The physical plane retires every frame exactly once: the parent records
 //! each dispatched round in a per-link un-acknowledged map tagged with the
-//! link's connection incarnation, and a completion, an orphan bounce or the
-//! link going down retires the entry. Nothing is re-dispatched — the
+//! link's connection incarnation, and the link's reader — the one thread
+//! that receives on its conn — retires the entry on a completion, an orphan
+//! bounce or the conn going down. Nothing is re-dispatched — the
 //! nominal machine already reformed a killed worker's chunks into fresh
 //! rounds on the survivors — so work is never dropped and never
 //! double-served.
@@ -31,10 +32,10 @@
 //! No thread here polls. Emulated time — the open-loop arrival schedule and
 //! the fault schedule — goes through [`crate::pacer`], which blocks only
 //! when it is more than a sleep granule ahead of the wall clock. Every
-//! other wait is wake-driven: the collector blocks in a receive on the
-//! event channel, and the scheduler's waits for dispatch credit and for the
-//! drained tail block on [`Progress`], which the collector and the fault
-//! supervisor notify. Each of those waits carries the [`WATCHDOG`]
+//! other wait is wake-driven: each link's reader blocks in a receive on its
+//! conn, and the scheduler's waits for dispatch credit and for the drained
+//! tail block on [`Progress`], which the readers and the fault supervisor
+//! notify. Each of those waits carries the [`WATCHDOG`]
 //! no-progress deadline, so a lost completion fails the run with the
 //! worker, incarnation and oldest un-acked sequence number in the message
 //! instead of hanging it.
@@ -42,12 +43,11 @@
 use crate::net_worker::{run_net_worker, CHILD_INDEX_ENV, CHILD_SOCKET_ENV};
 use crate::pacer;
 use bat_net::{
-    ChannelTransport, CompletionMsg, Conn, DispatchMsg, Frame, HelloMsg, Listener, OrphanMsg,
-    ShutdownMsg, TcpTransport, Transport, WireCodec, MSG_COMPLETION, MSG_ORPHAN,
+    ChannelTransport, CompletionMsg, Conn, DispatchMsg, Frame, HelloMsg, Listener, NetError,
+    OrphanMsg, ShutdownMsg, TcpTransport, Transport, WireCodec, MSG_COMPLETION, MSG_ORPHAN,
 };
 use bat_sim::{EngineConfig, FaultKind, RequestPlanner, RoundRecord, RunStats, SlotDriver};
 use bat_types::{BatError, RankRequest};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -125,7 +125,7 @@ struct Link {
     inflight: AtomicU64,
     /// Liveness, flipped by the fault supervisor (in-process: shared with
     /// the worker thread, which bounces work while false) and by the
-    /// collector when a link drops unexpectedly.
+    /// reader when a link drops unexpectedly.
     alive: AtomicBool,
     /// Dispatched-but-unfinished frames, `seq → (incarnation, msg)`;
     /// retired when incarnation `≤` a dead conn's.
@@ -155,8 +155,8 @@ impl Link {
     /// un-acknowledged and booked — here and in the run's `outstanding`
     /// count — *before* the send, so a completion can never race past its
     /// own bookkeeping. On a dead conn every frame is rolled back one by one
-    /// through [`Link::retire_round`] (a frame the collector's `Down` already
-    /// retired is not retired twice) and the result is `false`.
+    /// through [`Link::retire_round`] (a frame the reader already retired
+    /// with its dead conn is not retired twice) and the result is `false`.
     fn send_rounds(
         &self,
         rounds: &[DispatchMsg],
@@ -220,7 +220,7 @@ impl Link {
     }
 }
 
-/// The wake-up edge from the threads that make progress — the collector
+/// The wake-up edge from the threads that make progress — the readers
 /// retiring frames, the fault supervisor changing membership — to the
 /// scheduler's waits.
 struct Progress {
@@ -306,51 +306,49 @@ impl Progress {
     }
 }
 
-/// What the collector consumes: everything that changes per-link
-/// accounting funnels through this one channel, so the collector is the
-/// single writer for retirement bookkeeping.
-enum Event {
-    /// A worker finished a round.
-    Done(CompletionMsg),
-    /// A crashed in-process worker bounced a round back unserved.
-    Orphan(OrphanMsg),
-    /// A link's connection died; retire that incarnation's unacked rounds.
-    Down { worker: usize, incarnation: u64 },
-    /// The scheduler's last word, said before it releases the workers (so
-    /// the collector never takes an orderly disconnect for a death): the
-    /// run drained, or it is being torn down.
-    Finished,
-}
-
-/// Reads one connection until it dies, forwarding worker frames to the
-/// collector. Stream order guarantees completions sent before a crash are
-/// processed before the crash's `Down`.
-fn run_reader(conn: Arc<dyn Conn>, worker: usize, incarnation: u64, events: Sender<Event>) {
+/// Reads one worker conn until it dies, retiring each round the worker
+/// answers — a completion, or an orphan an in-process worker bounced while
+/// its liveness flag was down — and, when the conn dies, every round still
+/// un-acknowledged on its incarnation. A frame stranded by a kill is retired
+/// exactly once (its un-acked entry is the token: whoever removes it does
+/// the decrement) and never re-dispatched: the nominal machine has already
+/// reformed the cancelled round's chunks under fresh sequence numbers on
+/// the surviving workers. Stream order puts the completions a worker sent
+/// before it died ahead of its death.
+///
+/// # Panics
+///
+/// Without a fault schedule, on a bounced round or on a conn that dies
+/// before the scheduler's [`Teardown`] — naming the conn's error.
+fn run_reader(conn: Arc<dyn Conn>, w: usize, incarnation: u64, cluster: &Cluster) {
+    let (link, outstanding) = (&cluster.links[w], &cluster.outstanding);
     loop {
-        let event = match conn.recv() {
-            Ok(frame) => match frame.msg_type {
-                MSG_COMPLETION => CompletionMsg::from_frame(&frame).map(Event::Done),
-                MSG_ORPHAN => OrphanMsg::from_frame(&frame).map(Event::Orphan),
-                other => Err(bat_net::NetError::UnknownMsgType(other)),
-            },
-            Err(e) => Err(e),
-        };
-        match event {
-            Ok(event) => {
-                if events.send(event).is_err() {
-                    return;
-                }
+        let seq = conn.recv().and_then(|frame| match frame.msg_type {
+            MSG_COMPLETION => CompletionMsg::from_frame(&frame).map(|c| c.seq),
+            MSG_ORPHAN => {
+                assert!(
+                    cluster.have_faults,
+                    "worker {w} bounced a round without a fault schedule"
+                );
+                OrphanMsg::from_frame(&frame).map(|o| o.item.seq)
             }
-            Err(_) => {
-                // Disconnect or protocol violation: either way this conn
-                // is done; the collector retires its unfinished rounds.
-                let _ = events.send(Event::Down {
-                    worker,
-                    incarnation,
-                });
+            other => Err(NetError::UnknownMsgType(other)),
+        });
+        match seq {
+            Ok(seq) => link.retire_round(outstanding, seq),
+            Err(e) => {
+                // A scheduled kill, a drained child exiting, or the orderly
+                // end of the run; anything else is a bug in the plane.
+                assert!(
+                    cluster.have_faults || cluster.finished.load(Ordering::Acquire),
+                    "worker {w} link died without a fault schedule: {e:?}"
+                );
+                link.retire_stranded(outstanding, incarnation);
+                cluster.progress.notify();
                 return;
             }
         }
+        cluster.progress.notify();
     }
 }
 
@@ -387,9 +385,12 @@ struct Cluster {
     /// The address worker `w` dials.
     dial: Vec<String>,
     links: Vec<Link>,
-    /// Everything that changes per-link accounting funnels through this
-    /// one channel to the collector.
-    events: Sender<Event>,
+    /// Whether the run has a fault schedule: without one, a dead link or a
+    /// bounced round is a bug.
+    have_faults: bool,
+    /// Raised by [`Teardown`] before it releases the workers, so a reader
+    /// does not take an orderly disconnect for a death.
+    finished: AtomicBool,
     progress: Progress,
     /// Frames dispatched and not yet retired, over all links: the run has
     /// drained when this is zero.
@@ -432,7 +433,7 @@ impl Cluster {
 }
 
 /// Ends a run when the scheduler's flow leaves it, normally or by panic:
-/// the collector is told first, then every worker (live or bounced-out)
+/// the readers are told first, then every worker (live or bounced-out)
 /// gets the shutdown frame — a dead child's send just fails. After a panic
 /// the conns are closed as well, so that every thread of the scope ends and
 /// the panic surfaces instead of a hang.
@@ -440,7 +441,7 @@ struct Teardown<'a>(&'a Cluster);
 
 impl Drop for Teardown<'_> {
     fn drop(&mut self) {
-        let _ = self.0.events.send(Event::Finished);
+        self.0.finished.store(true, Ordering::Release);
         let abort = thread::panicking();
         for link in &self.0.links {
             link.shut_down(abort);
@@ -547,7 +548,7 @@ impl ServeRuntime {
     }
 
     /// Binds every worker's endpoint and builds the run's [`Cluster`].
-    fn bind(&self) -> (Cluster, Receiver<Event>) {
+    fn bind(&self) -> Cluster {
         let n_workers = self.cfg.cluster.num_nodes;
         let transport = self.transport();
         let run_tag = next_run_tag();
@@ -559,19 +560,18 @@ impl ServeRuntime {
             })
             .collect();
         let schedule_is_empty = self.cfg.faults.as_ref().is_none_or(|s| s.is_empty());
-        let (events, event_rx) = unbounded();
-        let cluster = Cluster {
+        Cluster {
             transport,
             dial: listeners.iter().map(|l| l.local_addr()).collect(),
             listeners,
             links: (0..n_workers).map(|_| Link::new()).collect(),
-            events,
+            have_faults: self.cfg.faults.is_some(),
+            finished: AtomicBool::new(false),
             progress: Progress::new(schedule_is_empty, WATCHDOG),
             outstanding: AtomicU64::new(0),
             scale: self.opts.time_scale,
             start: Instant::now(),
-        };
-        (cluster, event_rx)
+        }
     }
 
     /// Brings the cluster up inside `scope`: starts every worker — a child
@@ -619,8 +619,7 @@ impl ServeRuntime {
             conn.send(cluster.hello(w).to_frame())
                 .expect("worker accepts hello");
             *link.conn.lock() = (0, Some(Arc::clone(&conn)));
-            let events = cluster.events.clone();
-            scope.spawn(move || run_reader(conn, w, 0, events));
+            scope.spawn(move || run_reader(conn, w, 0, cluster));
         }
         let Some(schedule) = self.cfg.faults.clone() else {
             return;
@@ -634,8 +633,8 @@ impl ServeRuntime {
                         link.alive.store(false, Ordering::Release);
                         if self.opts.processes {
                             // Real crash: SIGKILL. The link's reader observes
-                            // the disconnect and the collector retires
-                            // whatever the child never finished.
+                            // the disconnect and retires whatever the child
+                            // never finished.
                             if let Some(mut child) = link.child.lock().take() {
                                 let _ = child.kill();
                                 let _ = child.wait();
@@ -679,9 +678,8 @@ impl ServeRuntime {
                                                 };
                                                 *link.child.lock() = Some(child);
                                                 link.alive.store(true, Ordering::Release);
-                                                let events = cluster.events.clone();
                                                 scope.spawn(move || {
-                                                    run_reader(conn, w, inc, events);
+                                                    run_reader(conn, w, inc, cluster);
                                                 });
                                             }
                                         }
@@ -751,16 +749,13 @@ impl ServeRuntime {
         }
         let mut planner = RequestPlanner::from_config(&self.cfg);
         let driver = SlotDriver::new(&self.cfg, &mut planner);
-        let (cluster, event_rx) = self.bind();
-        let cluster = &cluster;
+        let cluster = &self.bind();
         let queue_depth = self.opts.queue_depth as u64;
-        let have_faults = self.cfg.faults.is_some();
         let (links, progress) = (cluster.links.as_slice(), &cluster.progress);
         let outstanding = &cluster.outstanding;
 
         let stats = thread::scope(|scope| {
             self.start(scope, cluster);
-            scope.spawn(move || ack_rounds(&event_rx, cluster, have_faults));
             let teardown = Teardown(cluster);
             // Each link's rounds go out in order as one batched write under
             // per-link inflight credit (a group larger than the credit left
@@ -790,7 +785,7 @@ impl ServeRuntime {
                         rest = later;
                         let sent = link.send_rounds(batch, outstanding, &mut frames);
                         assert!(
-                            sent || have_faults,
+                            sent || cluster.have_faults,
                             "worker {w} link died without a fault schedule"
                         );
                     }
@@ -815,49 +810,6 @@ impl ServeRuntime {
         });
         cluster.reap();
         stats
-    }
-}
-
-/// The collector: acks round frames so credit and the outstanding count
-/// drain. All statistics live in the driver's ledger; this loop is pure
-/// flow control — a frame stranded by a kill is retired here exactly once
-/// (its un-acked entry is the token: whoever removes it does the
-/// decrement), never re-dispatched, because the nominal machine has already
-/// reformed the cancelled round's chunks under fresh sequence numbers on
-/// the surviving workers. Its receive blocks without a deadline of its own:
-/// the scheduler's [`Teardown`] ends it on every path.
-fn ack_rounds(events: &Receiver<Event>, cluster: &Cluster, have_faults: bool) {
-    let outstanding = &cluster.outstanding;
-    for event in events.iter() {
-        match event {
-            Event::Done(c) => {
-                cluster.links[c.worker as usize].retire_round(outstanding, c.seq);
-            }
-            Event::Orphan(o) => {
-                // An in-process worker bounced a round frame while its
-                // liveness flag was down mid-kill.
-                assert!(
-                    have_faults,
-                    "worker {} bounced a round without a fault schedule",
-                    o.worker
-                );
-                cluster.links[o.worker as usize].retire_round(outstanding, o.item.seq);
-            }
-            Event::Down {
-                worker,
-                incarnation,
-            } => {
-                // A scheduled kill (or a drained child exiting): retire
-                // every frame the dead conn never finished.
-                assert!(
-                    have_faults,
-                    "worker {worker} link died without a fault schedule"
-                );
-                cluster.links[worker].retire_stranded(outstanding, incarnation);
-            }
-            Event::Finished => break,
-        }
-        cluster.progress.notify();
     }
 }
 
@@ -991,6 +943,29 @@ mod tests {
                 && report
                     .contains("worker 1 (incarnation 2) holds 2 un-acked frame(s), oldest seq 17")
                 && !report.contains("worker 0"),
+            "{report}"
+        );
+    }
+
+    #[test]
+    fn a_link_that_dies_without_a_schedule_names_its_error() {
+        // A frame type no worker sends kills the conn; in a run without a
+        // fault schedule that is a bug, and the reader says which error.
+        let ds = DatasetConfig::games();
+        let cluster = ServeRuntime::new(config(SystemKind::Bat, &ds), ServeOptions::default())
+            .unwrap()
+            .bind();
+        let (ours, theirs) = bat_net::ChannelConn::pair();
+        theirs.send(Frame::new(200, vec![])).unwrap();
+        let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_reader(ours, 1, 0, &cluster);
+        }))
+        .expect_err("a dead link without a schedule must fail the run");
+        let report = report
+            .downcast_ref::<String>()
+            .expect("panics with a report");
+        assert!(
+            report.contains("worker 1 link died") && report.contains("UnknownMsgType(200)"),
             "{report}"
         );
     }
