@@ -3,17 +3,13 @@
 use crate::scenarios::{self, goodput_vs, Overload};
 use crate::{cells, f1, f3, Report, RunArgs};
 use bat::experiment::{compare_systems, saturation_offered_rate};
-use bat::meta::{MetaCommand, MetaGroup};
 use bat::{
     BatchingConfig, Bytes, ClusterConfig, DatasetConfig, EngineConfig, FaultEvent, FaultKind,
     FaultSchedule, ItemId, ItemPlacementPlan, ModelConfig, OraclePolicy, OverloadConfig,
     PlacementStrategy, PolicyKind, RunStats, ServeOptions, ServingEngine, SloBudget, SystemKind,
     TiersConfig, TraceGenerator, TransportKind, WorkerId, Workload,
 };
-use bat_net::{
-    recv_msg, send_msg, ChannelConn, Conn, KvSegmentMsg, MetaCmdMsg, MetaRespMsg, Transport,
-    WireCodec,
-};
+use bat_net::{recv_msg, send_msg, ChannelConn, Conn, KvSegmentMsg, Transport, WireCodec};
 use bat_tensor::ColBlock;
 use serde_json::json;
 use std::sync::Arc;
@@ -399,7 +395,7 @@ pub fn ablation_overload(args: &RunArgs) -> Report {
 }
 
 /// Transport ablation: what does moving frames through real sockets cost,
-/// and does it change anything it must not? Three sections:
+/// and does it change anything it must not? Two sections:
 ///
 /// 1. **Determinism gate** — the same seeded trace served over every
 ///    backend (in-process channels, UDS threads, TCP threads, and UDS
@@ -409,10 +405,6 @@ pub fn ablation_overload(args: &RunArgs) -> Report {
 ///    frames pumped through a UDS socket pair and through the channel
 ///    backend, versus pure encode/decode. Separates codec cost from
 ///    kernel-crossing cost.
-/// 3. **Meta echo** — [`MetaCmdMsg`]/[`MetaRespMsg`] round trips against a
-///    real replicated [`MetaGroup`] behind a socket: every committed
-///    receipt must come back `(epoch, index)`-identical to what a local
-///    in-process `submit` would have returned.
 pub fn ablation_transport(args: &RunArgs) -> Report {
     let ds = DatasetConfig {
         num_users: 300,
@@ -441,7 +433,6 @@ pub fn ablation_transport(args: &RunArgs) -> Report {
     scenarios::transports(&mut r, &cfg, &trace, time_scale, &backends)
         .expect("preset options validate");
     kv_throughput(&mut r, args);
-    meta_echo(&mut r, args);
     r
 }
 
@@ -531,75 +522,6 @@ fn kv_throughput(r: &mut Report, args: &RunArgs) {
         "every kv segment decodes whole",
         channel.1 == sent && uds.1 == sent,
     );
-}
-
-fn meta_echo(r: &mut Report, args: &RunArgs) {
-    let n = args.scale(5_000, 500);
-    let replicas = 3;
-    // The wire client and the local oracle drive two identical groups;
-    // every receipt that crosses the socket must match the local one.
-    let mut local = MetaGroup::new(replicas, 11);
-    let mut remote = MetaGroup::new(replicas, 11);
-    local.ensure_leader().expect("fresh group elects");
-    remote.ensure_leader().expect("fresh group elects");
-
-    let t = bat_net::TcpTransport::new();
-    let listener = t.listen("127.0.0.1:0").expect("tcp binds");
-    let client = t.connect(&listener.local_addr()).expect("tcp dials");
-    let server = listener
-        .accept_timeout(Duration::from_secs(5))
-        .expect("tcp accepts");
-
-    let server_thread = std::thread::spawn(move || {
-        let mut committed = 0u64;
-        while let Ok(cmd) = recv_msg::<MetaCmdMsg>(server.as_ref()) {
-            let result = remote.try_append_via(cmd.via as usize, &cmd.cmd);
-            committed += u64::from(result.is_ok());
-            let resp = MetaRespMsg {
-                seq: cmd.seq,
-                result: result.into(),
-            };
-            send_msg(server.as_ref(), &resp).expect("response sends");
-        }
-        (remote, committed)
-    });
-
-    let start = Instant::now();
-    let mut mismatches = 0usize;
-    for seq in 0..n as u64 {
-        let cmd = MetaCommand::RegisterEntry {
-            key: bat_kvcache::CacheKey::Item(ItemId::new(seq)),
-            bytes: 4096 + seq,
-        };
-        let via = (seq % replicas as u64) as u32;
-        send_msg(client.as_ref(), &MetaCmdMsg { seq, via, cmd }).expect("command sends");
-        let resp: MetaRespMsg = recv_msg(client.as_ref()).expect("response arrives");
-        // Responses come back in order, each the local group's receipt.
-        let in_order = resp.seq == seq;
-        let wire: Result<_, _> = resp.result.into();
-        if !in_order || wire != local.try_append_via(via as usize, &cmd) {
-            mismatches += 1;
-        }
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    client.close();
-    let (remote, committed) = server_thread.join().expect("server thread");
-
-    r.line(format_args!(
-        "\nmeta echo over tcp: {n} commands, {replicas}-replica group"
-    ));
-    r.table(
-        &["metric", "value"],
-        &[
-            cells!["round trips/s", f1(n as f64 / elapsed)],
-            cells!["committed", committed],
-            cells!["receipt mismatches vs local", mismatches],
-            cells!["final epoch", remote.epoch()],
-            cells!["replicas agree", remote.replicas_agree()],
-        ],
-    );
-    r.gate("wire receipts match local receipts", mismatches == 0);
-    r.gate("the remote group's replicas agree", remote.replicas_agree());
 }
 
 /// Tiered KV pool ablation: flat cache vs quantized cold tier at an equal

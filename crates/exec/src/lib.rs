@@ -149,49 +149,15 @@ where
     run_blocks(blocks, &|b| f(block_range(n, blocks, b)));
 }
 
-/// Runs `f(chunk_index, range)` over a weight-balanced contiguous
-/// partition of `0..weights.len()`. Where [`parallel_chunks`] splits by
-/// *count*, this splits by cumulative *weight*: chunk `b` covers the
-/// indices whose prefix weight falls in the `b`-th of `k` equal weight
-/// spans, so a batch of variable-length sequences (a continuous-batching
-/// round's chunks, keyed by token count) spreads evenly instead of one
-/// task inheriting every long prompt.
-///
-/// The partition is a pure function of `(weights, k)` with
-/// `k = block_count(n)`; like [`parallel_chunks`], callers must only write
-/// per-index state for results to be bit-identical across thread counts.
-/// Chunks that end up empty (one weight dwarfing the rest) are skipped,
-/// and a zero total weight falls back to the uniform count split (see
-/// `weighted_cuts`).
-pub fn parallel_weighted_chunks<F>(weights: &[u64], grain: usize, f: F)
-where
-    F: Fn(usize, Range<usize>) + Sync,
-{
-    let n = weights.len();
-    if n == 0 {
-        return;
-    }
-    if threads() <= 1 || n < grain.max(2) {
-        f(0, 0..n);
-        return;
-    }
-    let k = block_count(n);
-    let cuts = &weighted_cuts(weights, k, 1);
-    run_blocks(k, &|b| {
-        let range = cuts[b]..cuts[b + 1];
-        if !range.is_empty() {
-            f(b, range);
-        }
-    });
-}
-
-/// The partition of [`parallel_weighted_chunks`]: chunk `b` of `k` is
-/// `cuts[b]..cuts[b + 1]`, where `cuts[b]` is the first index whose prefix
-/// weight reaches `b/k` of the total, rounded to the nearest multiple of
-/// `align` — one forward sweep, so the cuts are monotone and partition
-/// `0..weights.len()` exactly. A zero total weight gives the uniform count
-/// split. `k <= MAX_THREADS * 4`, so the cuts live on the stack and a
-/// steady-state call never allocates.
+/// The weight-balanced partition of [`parallel_weighted_row_bands`]: where
+/// [`parallel_chunks`] splits by *count*, this splits by cumulative
+/// *weight*, so a block of long rows does not inherit every expensive
+/// row. Chunk `b` of `k` is `cuts[b]..cuts[b + 1]`, where `cuts[b]` is the
+/// first index whose prefix weight reaches `b/k` of the total, rounded to
+/// the nearest multiple of `align` — one forward sweep, so the cuts are
+/// monotone and partition `0..weights.len()` exactly. A zero total weight
+/// gives the uniform count split. `k <= MAX_THREADS * 4`, so the cuts live
+/// on the stack and a steady-state call never allocates.
 fn weighted_cuts(weights: &[u64], k: usize, align: usize) -> [usize; MAX_THREADS * 4 + 1] {
     let n = weights.len();
     let mut cuts = [0usize; MAX_THREADS * 4 + 1];
@@ -230,41 +196,18 @@ pub fn weighted_row_blocks(
     blocks.filter(|rows| !rows.is_empty()).collect()
 }
 
-/// [`parallel_row_blocks`] with the rows split by cumulative *weight*
-/// instead of count (see [`parallel_weighted_chunks`]): `weights[r]` is row
-/// `r`'s cost, e.g. an attention row's exact allowed-key count, so a block
-/// of short item rows and a block of long instruction rows carry the same
-/// work. Row `r` is still handed to exactly one `f(first_row, rows_slice)`
-/// call, so per-row results are schedule-independent.
-///
-/// # Panics
-///
-/// Panics if `data.len() != weights.len() * row_len`.
-pub fn parallel_weighted_row_blocks<T, F>(
-    data: &mut [T],
-    row_len: usize,
-    weights: &[u64],
-    grain_rows: usize,
-    f: F,
-) where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    parallel_weighted_row_bands(
-        [(data, row_len)],
-        weights,
-        grain_rows,
-        1,
-        |rows, [block]| f(rows.start, block),
-    );
-}
-
-/// [`parallel_weighted_row_blocks`] over `N` equally tall row-major buffers
-/// at once — `bands[i]` is a buffer and its row length — for a stage that
-/// carries a block of rows through several matrices: `f(rows, slices)` gets
-/// rows `rows` of every buffer, in order. Every cut falls on a multiple of
-/// `align_rows` (see [`parallel_row_blocks`]); the blocks are those of
-/// [`weighted_row_blocks`].
+/// [`parallel_row_blocks`] over `N` equally tall row-major buffers at once,
+/// with the rows split by cumulative *weight* instead of count:
+/// `weights[r]` is row `r`'s cost, e.g. an attention row's exact
+/// allowed-key count, so a block of short item rows and a block of long
+/// instruction rows carry the same work. `bands[i]` is a buffer and its row
+/// length — for a stage that carries a block of rows through several
+/// matrices: `f(rows, slices)` gets rows `rows` of every buffer, in order,
+/// and each row goes to exactly one call, so per-row results are
+/// schedule-independent. Every cut falls on a multiple of `align_rows` (see
+/// [`parallel_row_blocks`]); the blocks are those of
+/// [`weighted_row_blocks`], and a zero total weight falls back to the
+/// uniform count split.
 ///
 /// # Panics
 ///
@@ -513,19 +456,11 @@ mod tests {
         for t in [1, 2, 4, 8] {
             set_threads(t);
             let weights: Vec<u64> = (0..157).map(|i| (i * 37) % 113).collect();
-            let hits: Vec<std::sync::atomic::AtomicU32> = (0..weights.len())
-                .map(|_| std::sync::atomic::AtomicU32::new(0))
-                .collect();
-            parallel_weighted_chunks(&weights, 1, |_, range| {
-                for i in range {
-                    hits[i].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
+            let mut hits = vec![0u32; weights.len()];
+            parallel_weighted_row_bands([(&mut hits[..], 1)], &weights, 1, 1, |_, [block]| {
+                block.iter_mut().for_each(|h| *h += 1);
             });
-            assert!(
-                hits.iter()
-                    .all(|h| h.load(std::sync::atomic::Ordering::Relaxed) == 1),
-                "{t} threads"
-            );
+            assert!(hits.iter().all(|&h| h == 1), "{t} threads");
         }
         set_threads(1);
     }
@@ -565,18 +500,15 @@ mod tests {
         set_threads(4);
         // All-zero weights fall back to the uniform split; empty input is
         // a no-op.
-        let hits: Vec<std::sync::atomic::AtomicU32> = (0..17)
-            .map(|_| std::sync::atomic::AtomicU32::new(0))
-            .collect();
-        parallel_weighted_chunks(&[0u64; 17], 1, |_, range| {
-            for i in range {
-                hits[i].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
+        let mut hits = [0u32; 17];
+        parallel_weighted_row_bands([(&mut hits[..], 1)], &[0u64; 17], 1, 1, |_, [block]| {
+            block.iter_mut().for_each(|h| *h += 1);
         });
-        assert!(hits
-            .iter()
-            .all(|h| h.load(std::sync::atomic::Ordering::Relaxed) == 1));
-        parallel_weighted_chunks(&[], 1, |_, _| panic!("must not run"));
+        assert_eq!(hits, [1; 17]);
+        let mut empty: [u32; 0] = [];
+        parallel_weighted_row_bands([(&mut empty[..], 1)], &[], 1, 1, |_, _| {
+            panic!("must not run")
+        });
         set_threads(1);
     }
 
@@ -613,13 +545,19 @@ mod tests {
             let row_len = 3;
             let weights: Vec<u64> = (0..41).map(|i| 1 + (i * 29) % 17).collect();
             let mut buf = vec![0u32; weights.len() * row_len];
-            parallel_weighted_row_blocks(&mut buf, row_len, &weights, 1, |first_row, block| {
-                for (off, row) in block.chunks_mut(row_len).enumerate() {
-                    for (c, slot) in row.iter_mut().enumerate() {
-                        *slot += ((first_row + off) * row_len + c) as u32;
+            parallel_weighted_row_bands(
+                [(&mut buf[..], row_len)],
+                &weights,
+                1,
+                1,
+                |rows, [block]| {
+                    for (off, row) in block.chunks_mut(row_len).enumerate() {
+                        for (c, slot) in row.iter_mut().enumerate() {
+                            *slot += ((rows.start + off) * row_len + c) as u32;
+                        }
                     }
-                }
-            });
+                },
+            );
             let want: Vec<u32> = (0..buf.len() as u32).collect();
             assert_eq!(buf, want, "{t} threads");
         }

@@ -51,11 +51,6 @@ impl FaultCursor {
             self.next += 1;
         }
     }
-
-    /// True once every event has been applied.
-    pub fn exhausted(&self) -> bool {
-        self.next >= self.schedule.events().len()
-    }
 }
 
 #[cfg(test)]
@@ -87,7 +82,7 @@ mod tests {
         cursor.advance_to(1e9, &mut view, |e, _| fired.push(e.at_secs));
         assert_eq!(fired, vec![10.0, 20.0]);
         assert!(view.is_alive(WorkerId::new(2)));
-        assert!(cursor.exhausted());
+        assert_eq!(cursor.next_at(), None);
     }
 
     #[test]

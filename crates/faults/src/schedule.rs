@@ -574,22 +574,6 @@ impl FaultSchedule {
         })
     }
 
-    /// Time of the first scheduled meta-replica crash, if any.
-    pub fn first_meta_crash_at(&self) -> Option<f64> {
-        self.events
-            .iter()
-            .find(|e| matches!(e.kind, FaultKind::MetaCrash(_)))
-            .map(|e| e.at_secs)
-    }
-
-    /// True when the schedule contains planned membership events (drains or
-    /// joins) as opposed to pure faults.
-    pub fn has_membership_events(&self) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e.kind, FaultKind::WorkerDrain(_) | FaultKind::WorkerJoin(_)))
-    }
-
     /// True when no events are scheduled.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
@@ -761,7 +745,8 @@ mod tests {
         let ok = FaultSchedule::single_meta_crash(4, 3, 0, 10.0, 30.0).unwrap();
         assert_eq!(ok.meta_nodes(), 3);
         assert!(ok.has_meta_events());
-        assert_eq!(ok.first_meta_crash_at(), Some(10.0));
+        assert_eq!(ok.events()[0].kind, FaultKind::MetaCrash(0));
+        assert_eq!(ok.events()[0].at_secs, 10.0);
         assert_eq!(
             ok.first_crash_at(),
             None,
@@ -829,7 +814,8 @@ mod tests {
     fn drain_join_validates_membership() {
         let s = FaultSchedule::drain_join(4, w(1), 10.0, 30.0).unwrap();
         assert_eq!(s.events().len(), 2);
-        assert!(s.has_membership_events());
+        assert_eq!(s.events()[0].kind, FaultKind::WorkerDrain(w(1)));
+        assert_eq!(s.events()[1].kind, FaultKind::WorkerJoin(w(1)));
         assert_eq!(s.first_crash_at(), None, "drains are planned, not crashes");
         assert!(FaultSchedule::drain_join(4, w(1), 30.0, 30.0).is_err());
 
@@ -898,7 +884,10 @@ mod tests {
             let b = FaultSchedule::random_membership(seed, 4, 600.0, 3);
             assert_eq!(a, b, "seed {seed}");
             FaultSchedule::new(4, a.events().to_vec()).unwrap();
-            saw_planned |= a.has_membership_events();
+            saw_planned |= a
+                .events()
+                .iter()
+                .any(|e| matches!(e.kind, FaultKind::WorkerDrain(_) | FaultKind::WorkerJoin(_)));
         }
         assert!(saw_planned, "50 seeds must produce at least one drain/join");
     }

@@ -83,12 +83,6 @@ impl<K: Hash + Eq + Clone> FreqEstimator<K> {
         self.rate(key, now) * self.window_secs
     }
 
-    /// Drops a key's statistics (e.g. after cache eviction the paper keeps
-    /// stats in the meta service, so calling this is optional).
-    pub fn forget(&mut self, key: &K) {
-        self.state.remove(key);
-    }
-
     /// Iterates over the tracked keys (the background item refresh ranks
     /// them by current rate).
     pub fn iter_keys(&self) -> impl Iterator<Item = &K> {
@@ -154,16 +148,6 @@ mod tests {
     fn unknown_key_rates_zero() {
         let est: FreqEstimator<&str> = FreqEstimator::new(10.0);
         assert_eq!(est.rate(&"nobody", 5.0), 0.0);
-    }
-
-    #[test]
-    fn forget_removes_state() {
-        let mut est = FreqEstimator::new(10.0);
-        est.record(1, 0.0);
-        assert_eq!(est.len(), 1);
-        est.forget(&1);
-        assert!(est.is_empty());
-        assert_eq!(est.rate(&1, 1.0), 0.0);
     }
 
     #[test]

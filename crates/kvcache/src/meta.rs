@@ -31,11 +31,6 @@ impl CacheKey {
         matches!(self, CacheKey::User(_))
     }
 
-    /// Whether this is an item-prefix entry.
-    pub fn is_item(self) -> bool {
-        matches!(self, CacheKey::Item(_))
-    }
-
     /// The user id, for user-prefix entries.
     pub fn as_user(self) -> Option<UserId> {
         match self {
@@ -301,8 +296,8 @@ mod tests {
     fn key_kinds() {
         let u: CacheKey = UserId::new(1).into();
         let i: CacheKey = ItemId::new(1).into();
-        assert!(u.is_user() && !u.is_item());
-        assert!(i.is_item() && !i.is_user());
+        assert!(u.is_user());
+        assert!(!i.is_user());
         assert_ne!(u, i, "user and item entries never collide");
         assert_eq!(u.as_user(), Some(UserId::new(1)));
         assert_eq!(i.as_user(), None);

@@ -58,24 +58,17 @@ pub enum AdmitOutcome {
     Rejected,
 }
 
-impl AdmitOutcome {
-    /// Whether the entry was admitted.
-    pub fn is_admitted(&self) -> bool {
-        matches!(self, AdmitOutcome::Admitted { .. })
-    }
-}
-
 /// The user-prefix cache region.
 ///
 /// ```
-/// use bat_kvcache::{UserCache, UserCacheConfig};
+/// use bat_kvcache::{AdmitOutcome, UserCache, UserCacheConfig};
 /// use bat_types::{Bytes, UserId};
 ///
 /// let mut cache = UserCache::new(UserCacheConfig::default());
 /// let user = UserId::new(7);
 /// cache.record_access(user, 0.0);
 /// assert!(cache.lookup(user, 0.0).is_none(), "not yet admitted");
-/// assert!(cache.admit_lru(user, Bytes::from_mb(29)).is_admitted());
+/// assert_ne!(cache.admit_lru(user, Bytes::from_mb(29)), AdmitOutcome::Rejected);
 /// assert!(cache.lookup(user, 1.0).is_some());
 /// ```
 #[derive(Debug, Clone)]
@@ -365,8 +358,8 @@ mod tests {
     #[test]
     fn lru_admission_evicts_in_recency_order() {
         let mut c = cache(100);
-        assert!(c.admit_lru(uid(1), Bytes::new(40)).is_admitted());
-        assert!(c.admit_lru(uid(2), Bytes::new(40)).is_admitted());
+        assert_ne!(c.admit_lru(uid(1), Bytes::new(40)), AdmitOutcome::Rejected);
+        assert_ne!(c.admit_lru(uid(2), Bytes::new(40)), AdmitOutcome::Rejected);
         // Touch user 1 so user 2 becomes LRU.
         c.lookup(uid(1), 0.0);
         match c.admit_lru(uid(3), Bytes::new(40)) {
@@ -391,9 +384,10 @@ mod tests {
         let mut c = cache(100);
         // Cold user: one access long ago.
         c.record_access(uid(1), 0.0);
-        assert!(c
-            .admit_if_hotter(uid(1), Bytes::new(100), 0.0)
-            .is_admitted());
+        assert_ne!(
+            c.admit_if_hotter(uid(1), Bytes::new(100), 0.0),
+            AdmitOutcome::Rejected
+        );
         // Hot user: many recent accesses.
         for t in 0..20 {
             c.record_access(uid(2), 500.0 + t as f64);
@@ -411,9 +405,10 @@ mod tests {
         for t in 0..20 {
             c.record_access(uid(1), t as f64);
         }
-        assert!(c
-            .admit_if_hotter(uid(1), Bytes::new(100), 20.0)
-            .is_admitted());
+        assert_ne!(
+            c.admit_if_hotter(uid(1), Bytes::new(100), 20.0),
+            AdmitOutcome::Rejected
+        );
         // Newcomer with a single access is colder than the resident.
         c.record_access(uid(2), 21.0);
         assert_eq!(
@@ -436,8 +431,8 @@ mod tests {
     #[test]
     fn readmission_is_idempotent() {
         let mut c = cache(100);
-        assert!(c.admit_lru(uid(1), Bytes::new(50)).is_admitted());
-        assert!(c.admit_lru(uid(1), Bytes::new(50)).is_admitted());
+        assert_ne!(c.admit_lru(uid(1), Bytes::new(50)), AdmitOutcome::Rejected);
+        assert_ne!(c.admit_lru(uid(1), Bytes::new(50)), AdmitOutcome::Rejected);
         assert_eq!(c.len(), 1);
         assert_eq!(c.used(), Bytes::new(50));
     }
@@ -477,7 +472,7 @@ mod tests {
             page_bytes: 16,
         });
         // 17 bytes occupies two 16-byte pages.
-        assert!(c.admit_lru(uid(1), Bytes::new(17)).is_admitted());
+        assert_ne!(c.admit_lru(uid(1), Bytes::new(17)), AdmitOutcome::Rejected);
         assert_eq!(c.used(), Bytes::new(32));
         assert_eq!(c.lookup(uid(1), 0.0), Some(Bytes::new(32)));
         // A 97-byte entry needs 7 pages = 112 > 100: rejected outright.
@@ -505,7 +500,7 @@ mod tests {
     fn partition_invalidation_drops_exactly_the_dead_workers_users() {
         let mut c = cache(10_000);
         for i in 0..20u64 {
-            assert!(c.admit_lru(uid(i), Bytes::new(10)).is_admitted());
+            assert_ne!(c.admit_lru(uid(i), Bytes::new(10)), AdmitOutcome::Rejected);
         }
         // Worker 1 of 4 dies: users 1, 5, 9, 13, 17 are unreachable.
         let (entries, bytes) = c.invalidate_partition(1, 4);

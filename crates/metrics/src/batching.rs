@@ -53,17 +53,6 @@ pub struct BatchStats {
     pub joins: u64,
 }
 
-impl BatchStats {
-    /// Mean chunks fused per round; 0 for an empty (or disabled) run.
-    pub fn mean_round_width(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.chunks as f64 / self.rounds as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,17 +61,6 @@ mod tests {
     fn default_is_all_zero() {
         let b = BatchStats::default();
         assert_eq!(b.rounds, 0);
-        assert_eq!(b.mean_round_width(), 0.0);
-    }
-
-    #[test]
-    fn round_width_is_chunks_per_round() {
-        let b = BatchStats {
-            rounds: 4,
-            chunks: 10,
-            ..BatchStats::default()
-        };
-        assert!((b.mean_round_width() - 2.5).abs() < 1e-12);
     }
 
     #[test]

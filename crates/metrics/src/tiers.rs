@@ -61,15 +61,6 @@ impl TierStats {
         }
     }
 
-    /// Fraction of hits that had to come from the cold tier.
-    pub fn cold_hit_share(&self) -> f64 {
-        if self.hits() == 0 {
-            0.0
-        } else {
-            self.cold_hits as f64 / self.hits() as f64
-        }
-    }
-
     /// The ledger's invariants: no more promotions than cold hits (a
     /// promotion completes a cold hit), and no more cold bytes resident
     /// than the two classes' budgets hold. Asserted after serde decodes,
@@ -92,7 +83,6 @@ mod tests {
         let t = TierStats::default();
         assert!(t.conserved());
         assert_eq!(t.hit_rate(), 0.0);
-        assert_eq!(t.cold_hit_share(), 0.0);
     }
 
     #[test]
@@ -110,7 +100,6 @@ mod tests {
         };
         assert_eq!(t.lookups(), 10);
         assert!((t.hit_rate() - 0.8).abs() < 1e-12);
-        assert_eq!(t.cold_hit_share(), 0.25);
         assert!(t.conserved());
         let over_promoted = TierStats { promotions: 3, ..t };
         assert!(!over_promoted.conserved());

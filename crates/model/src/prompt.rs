@@ -99,13 +99,6 @@ impl TokenSeq {
         k <= q && allowed_tags(self.scheme, self.segs[q], self.segs[k])
     }
 
-    /// Dense `len × len` mask matrix (row = query, col = key).
-    pub fn mask_matrix(&self) -> Vec<Vec<bool>> {
-        (0..self.len())
-            .map(|q| (0..self.len()).map(|k| self.allowed(q, k)).collect())
-            .collect()
-    }
-
     /// Splits off the leading `n` tokens as a prefix sequence, returning
     /// `(prefix, suffix)`.
     ///
@@ -127,11 +120,6 @@ impl TokenSeq {
             scheme: self.scheme,
         };
         (head, tail)
-    }
-
-    /// Number of leading tokens whose block tag satisfies `pred`.
-    pub fn leading_block_len(&self, pred: impl Fn(SegTag) -> bool) -> usize {
-        self.segs.iter().take_while(|&&s| pred(s)).count()
     }
 }
 
@@ -435,9 +423,12 @@ mod tests {
     fn leading_block_len_counts_prefix() {
         let (u, i, s) = sample_parts();
         let ip = PromptLayout::new(MaskScheme::Bipartite).build(PrefixKind::Item, &u, &i, &s);
-        assert_eq!(ip.leading_block_len(|t| matches!(t, SegTag::Item(_))), 6);
+        let leading = |seq: &TokenSeq, tag: fn(&SegTag) -> bool| {
+            seq.segs.iter().take_while(|s| tag(s)).count()
+        };
+        assert_eq!(leading(&ip, |t| matches!(t, SegTag::Item(_))), 6);
         let up = PromptLayout::new(MaskScheme::Bipartite).build(PrefixKind::User, &u, &i, &s);
-        assert_eq!(up.leading_block_len(|t| t == SegTag::User), 3);
+        assert_eq!(leading(&up, |t| *t == SegTag::User), 3);
     }
 
     #[test]

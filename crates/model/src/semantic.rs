@@ -327,31 +327,6 @@ impl SemanticWorld {
         out.candidate_scores(&id_tokens)
     }
 
-    /// Scores a task with the multi-discriminant layout (§4.2's "one
-    /// discriminant token per item"): every candidate is read out from its
-    /// own discriminant token instead of a single shared one.
-    pub fn score_multi_disc(&self, task: &RankingTask, prefix: PrefixKind) -> Vec<f32> {
-        let user = self.user_tokens(task.user);
-        let items: Vec<Vec<u32>> = task
-            .candidates
-            .iter()
-            .map(|&i| self.item_tokens(i))
-            .collect();
-        // Each discriminant is the marker token (the read-out head).
-        let disc = vec![self.cfg.vocab_size() as u32 - 1; items.len()];
-        let seq = self.layout.build_per_item_discriminants(
-            prefix,
-            &user,
-            &items,
-            &self.instr_tokens(),
-            &disc,
-        );
-        let out = self.model.forward(&seq, None);
-        let id_tokens: Vec<u32> = task.candidates.iter().map(|&i| i as u32).collect();
-        self.model
-            .candidate_scores_per_discriminant(&seq, &out, &id_tokens)
-    }
-
     /// Scores a task under IP with a PIC repair pass of the given fraction.
     pub fn score_with_pic(&self, task: &RankingTask, fraction: f32) -> Vec<f32> {
         let user = self.user_tokens(task.user);
@@ -501,16 +476,37 @@ mod tests {
         assert_eq!(rank_of(&[0.4, 0.4], 0), 0);
     }
 
+    /// The truth's rank in each of the first `n` tasks under UP with the
+    /// multi-discriminant layout (§4.2's "one discriminant token per
+    /// item"): every candidate is read out from its own discriminant token,
+    /// the marker, instead of a single shared one.
+    fn multi_disc_ranks(w: &SemanticWorld, n: usize) -> Vec<usize> {
+        (0..n)
+            .map(|u| {
+                let task = w.task(u);
+                let items: Vec<Vec<u32>> =
+                    task.candidates.iter().map(|&i| w.item_tokens(i)).collect();
+                let disc = vec![w.cfg.vocab_size() as u32 - 1; items.len()];
+                let user = w.user_tokens(task.user);
+                let seq = w.layout.build_per_item_discriminants(
+                    PrefixKind::User,
+                    &user,
+                    &items,
+                    &w.instr_tokens(),
+                    &disc,
+                );
+                let out = w.model.forward(&seq, None);
+                let ids: Vec<u32> = task.candidates.iter().map(|&i| i as u32).collect();
+                let scores = w.model.candidate_scores_per_discriminant(&seq, &out, &ids);
+                rank_of(&scores, task.truth_pos)
+            })
+            .collect()
+    }
+
     #[test]
     fn multi_discriminant_ranks_better_than_chance() {
         let w = world();
-        let ranks: Vec<usize> = (0..20)
-            .map(|u| {
-                let task = w.task(u);
-                let scores = w.score_multi_disc(&task, PrefixKind::User);
-                rank_of(&scores, task.truth_pos)
-            })
-            .collect();
+        let ranks = multi_disc_ranks(&w, 20);
         let mean: f64 = ranks.iter().map(|&r| r as f64).sum::<f64>() / ranks.len() as f64;
         assert!(
             mean < 6.0,
@@ -524,12 +520,7 @@ mod tests {
         let hit =
             |ranks: &[usize]| ranks.iter().filter(|&&r| r < 10).count() as f64 / ranks.len() as f64;
         let single = w.eval_ranks(PrefixKind::User, MaskScheme::Bipartite, 20);
-        let multi: Vec<usize> = (0..20)
-            .map(|u| {
-                let task = w.task(u);
-                rank_of(&w.score_multi_disc(&task, PrefixKind::User), task.truth_pos)
-            })
-            .collect();
+        let multi = multi_disc_ranks(&w, 20);
         let (h1, h2) = (hit(&single), hit(&multi));
         assert!((h1 - h2).abs() < 0.35, "single {h1} vs multi {h2} diverged");
     }

@@ -27,8 +27,9 @@ pub const MAGIC: u32 = 0xBA7C_0DE5;
 
 /// Current protocol version. Bump on any incompatible header or codec
 /// change; peers reject mismatches with [`NetError::BadVersion`]. Version 2
-/// dropped [`crate::HelloMsg`]'s batching and cost parameters.
-pub const VERSION: u8 = 2;
+/// dropped [`crate::HelloMsg`]'s batching and cost parameters. Version 3
+/// retired tags 6–8 (the meta command, meta response and fault event).
+pub const VERSION: u8 = 3;
 
 /// Encoded header size in bytes.
 pub const HEADER_LEN: usize = 16;
@@ -273,12 +274,14 @@ mod tests {
 
     #[test]
     fn bad_version_is_typed() {
-        let mut bytes = encode_frame(&Frame::new(1, vec![9]));
-        bytes[4] = VERSION + 1;
-        assert_eq!(
-            decode_frame(&bytes).unwrap_err(),
-            NetError::BadVersion { found: VERSION + 1 }
-        );
+        for found in [2, VERSION + 1] {
+            let mut bytes = encode_frame(&Frame::new(1, vec![9]));
+            bytes[4] = found;
+            assert_eq!(
+                decode_frame(&bytes).unwrap_err(),
+                NetError::BadVersion { found }
+            );
+        }
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! # bat-net — the pluggable transport layer
 //!
-//! Everything the serving runtime sends between its scheduler, workers,
-//! and meta group crosses one seam: the [`Transport`] trait. This crate
-//! owns that seam and both sides of it:
+//! Everything the serving runtime sends between its scheduler and workers
+//! crosses one seam: the [`Transport`] trait. This crate owns that seam and
+//! both sides of it:
 //!
 //! - **Frame protocol** ([`frame`]): versioned length-prefixed binary
 //!   frames — magic, version, message type, payload length, header CRC —
 //!   with typed [`NetError`]s for every way bytes can go wrong.
 //! - **Message vocabulary** ([`messages`]): hand-rolled bitwise-exact
-//!   codecs for dispatch, completion, orphan, hello, shutdown, meta
-//!   command/response, fault events, and plane-major packed-KV segments.
+//!   codecs for hello, dispatch, completion, orphan, shutdown, and
+//!   plane-major packed-KV segments.
 //! - **Backends**: [`ChannelTransport`] moves frames over in-process
 //!   crossbeam channels (the deterministic oracle); [`UdsTransport`] and
 //!   [`TcpTransport`] move the same frames over real OS sockets.
@@ -37,10 +37,8 @@ pub use frame::{
     MAGIC, MAX_PAYLOAD, VERSION,
 };
 pub use messages::{
-    CompletionMsg, DispatchMsg, FaultEventMsg, HelloMsg, KvSegmentMsg, MetaCmdMsg, MetaRespMsg,
-    MetaWireResult, OrphanMsg, ShutdownMsg, WireOutcome, MSG_COMPLETION, MSG_DISPATCH,
-    MSG_FAULT_EVENT, MSG_HELLO, MSG_KV_SEGMENT, MSG_META_CMD, MSG_META_RESP, MSG_ORPHAN,
-    MSG_SHUTDOWN,
+    CompletionMsg, DispatchMsg, HelloMsg, KvSegmentMsg, OrphanMsg, ShutdownMsg, WireOutcome,
+    MSG_COMPLETION, MSG_DISPATCH, MSG_HELLO, MSG_KV_SEGMENT, MSG_ORPHAN, MSG_SHUTDOWN,
 };
 #[cfg(unix)]
 pub use socket::UdsTransport;

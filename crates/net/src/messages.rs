@@ -8,9 +8,6 @@
 //! | 3 | [`CompletionMsg`] | worker → scheduler | terminal outcome of a job |
 //! | 4 | [`OrphanMsg`] | worker → scheduler | job bounced off a killed worker |
 //! | 5 | [`ShutdownMsg`] | scheduler → worker | drain and exit |
-//! | 6 | [`MetaCmdMsg`] | client → meta host | replicated meta-log command |
-//! | 7 | [`MetaRespMsg`] | meta host → client | commit receipt or typed refusal |
-//! | 8 | [`FaultEventMsg`] | supervisor → peers | scheduled fault notification |
 //! | 9 | [`KvSegmentMsg`] | worker ↔ worker | one packed KV layer, plane-major |
 //!
 //! Codecs are deliberately explicit (no serde): the byte layout *is* the
@@ -19,11 +16,9 @@
 
 use crate::error::NetError;
 use crate::wire::{put_bool, put_f64, put_opt_f64, put_u32, put_u64, WireCodec, WireReader};
-use bat_faults::{FaultEvent, FaultKind};
 use bat_kvcache::CacheKey;
-use bat_meta::{MetaCommand, MetaError, Receipt, ViewChange};
 use bat_tensor::ColBlock;
-use bat_types::{ItemId, RejectReason, UserId, WorkerId};
+use bat_types::{ItemId, RejectReason, UserId};
 
 /// Frame tag of [`HelloMsg`].
 pub const MSG_HELLO: u8 = 1;
@@ -35,12 +30,6 @@ pub const MSG_COMPLETION: u8 = 3;
 pub const MSG_ORPHAN: u8 = 4;
 /// Frame tag of [`ShutdownMsg`].
 pub const MSG_SHUTDOWN: u8 = 5;
-/// Frame tag of [`MetaCmdMsg`].
-pub const MSG_META_CMD: u8 = 6;
-/// Frame tag of [`MetaRespMsg`].
-pub const MSG_META_RESP: u8 = 7;
-/// Frame tag of [`FaultEventMsg`].
-pub const MSG_FAULT_EVENT: u8 = 8;
 /// Frame tag of [`KvSegmentMsg`].
 pub const MSG_KV_SEGMENT: u8 = 9;
 
@@ -274,344 +263,6 @@ fn get_cache_key(r: &mut WireReader<'_>) -> Result<CacheKey, NetError> {
     }
 }
 
-/// One command submitted to the replicated cache-meta group over the wire.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MetaCmdMsg {
-    /// Client-assigned request sequence number, echoed by the response.
-    pub seq: u64,
-    /// Replica the client is contacting (for redirect bookkeeping).
-    pub via: u32,
-    /// The replicated state-machine command.
-    pub cmd: MetaCommand,
-}
-
-impl WireCodec for MetaCmdMsg {
-    const MSG_TYPE: u8 = MSG_META_CMD;
-
-    fn encode_payload(&self, buf: &mut Vec<u8>) {
-        put_u64(buf, self.seq);
-        put_u32(buf, self.via);
-        match self.cmd {
-            MetaCommand::RegisterEntry { key, bytes } => {
-                buf.push(0);
-                put_cache_key(buf, key);
-                put_u64(buf, bytes);
-            }
-            MetaCommand::Evict { key } => {
-                buf.push(1);
-                put_cache_key(buf, key);
-            }
-            MetaCommand::HotnessDelta { key, at_ms } => {
-                buf.push(2);
-                put_cache_key(buf, key);
-                put_u64(buf, at_ms);
-            }
-            MetaCommand::View(ViewChange::WorkerCrashed {
-                worker,
-                num_workers,
-            }) => {
-                buf.push(3);
-                put_u64(buf, worker as u64);
-                put_u64(buf, num_workers as u64);
-            }
-            MetaCommand::View(ViewChange::WorkerRestarted { worker }) => {
-                buf.push(4);
-                put_u64(buf, worker as u64);
-            }
-        }
-    }
-
-    fn decode_payload(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        let seq = r.u64()?;
-        let via = r.u32()?;
-        let cmd = match r.u8()? {
-            0 => MetaCommand::RegisterEntry {
-                key: get_cache_key(r)?,
-                bytes: r.u64()?,
-            },
-            1 => MetaCommand::Evict {
-                key: get_cache_key(r)?,
-            },
-            2 => MetaCommand::HotnessDelta {
-                key: get_cache_key(r)?,
-                at_ms: r.u64()?,
-            },
-            3 => MetaCommand::View(ViewChange::WorkerCrashed {
-                worker: r.u64()? as usize,
-                num_workers: r.u64()? as usize,
-            }),
-            4 => MetaCommand::View(ViewChange::WorkerRestarted {
-                worker: r.u64()? as usize,
-            }),
-            other => return Err(NetError::Decode(format!("meta command tag {other}"))),
-        };
-        Ok(MetaCmdMsg { seq, via, cmd })
-    }
-}
-
-/// Wire form of a meta submission's result: either a commit
-/// [`Receipt`] or a typed [`MetaError`] refusal.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MetaWireResult {
-    /// The command committed at this epoch and log index.
-    Committed {
-        /// Epoch the entry committed under.
-        epoch: u64,
-        /// Global log index of the committed entry.
-        index: u64,
-    },
-    /// Not enough live replicas acknowledged.
-    NoQuorum,
-    /// The contacted replica is down.
-    NodeDown(u32),
-    /// The contacted replica is a follower.
-    NotLeader {
-        /// The leader to redirect to, when one is known.
-        current: Option<u32>,
-    },
-    /// Epoch fencing rejected a deposed leader's write.
-    Fenced {
-        /// The deposed leader's stale epoch.
-        stale_epoch: u64,
-        /// The higher epoch that fenced it.
-        current_epoch: u64,
-    },
-}
-
-impl From<Result<Receipt, MetaError>> for MetaWireResult {
-    fn from(r: Result<Receipt, MetaError>) -> Self {
-        match r {
-            Ok(receipt) => MetaWireResult::Committed {
-                epoch: receipt.epoch,
-                index: receipt.index as u64,
-            },
-            Err(MetaError::NoQuorum) => MetaWireResult::NoQuorum,
-            Err(MetaError::NodeDown(m)) => MetaWireResult::NodeDown(m as u32),
-            Err(MetaError::NotLeader { current }) => MetaWireResult::NotLeader {
-                current: current.map(|c| c as u32),
-            },
-            Err(MetaError::Fenced {
-                stale_epoch,
-                current_epoch,
-            }) => MetaWireResult::Fenced {
-                stale_epoch,
-                current_epoch,
-            },
-        }
-    }
-}
-
-impl From<MetaWireResult> for Result<Receipt, MetaError> {
-    fn from(w: MetaWireResult) -> Self {
-        match w {
-            MetaWireResult::Committed { epoch, index } => Ok(Receipt {
-                epoch,
-                index: index as usize,
-            }),
-            MetaWireResult::NoQuorum => Err(MetaError::NoQuorum),
-            MetaWireResult::NodeDown(m) => Err(MetaError::NodeDown(m as usize)),
-            MetaWireResult::NotLeader { current } => Err(MetaError::NotLeader {
-                current: current.map(|c| c as usize),
-            }),
-            MetaWireResult::Fenced {
-                stale_epoch,
-                current_epoch,
-            } => Err(MetaError::Fenced {
-                stale_epoch,
-                current_epoch,
-            }),
-        }
-    }
-}
-
-/// Response to one [`MetaCmdMsg`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MetaRespMsg {
-    /// Echo of the request sequence number.
-    pub seq: u64,
-    /// Commit receipt or typed refusal.
-    pub result: MetaWireResult,
-}
-
-impl WireCodec for MetaRespMsg {
-    const MSG_TYPE: u8 = MSG_META_RESP;
-
-    fn encode_payload(&self, buf: &mut Vec<u8>) {
-        put_u64(buf, self.seq);
-        match self.result {
-            MetaWireResult::Committed { epoch, index } => {
-                buf.push(0);
-                put_u64(buf, epoch);
-                put_u64(buf, index);
-            }
-            MetaWireResult::NoQuorum => buf.push(1),
-            MetaWireResult::NodeDown(m) => {
-                buf.push(2);
-                put_u32(buf, m);
-            }
-            MetaWireResult::NotLeader { current } => {
-                buf.push(3);
-                match current {
-                    Some(c) => {
-                        put_bool(buf, true);
-                        put_u32(buf, c);
-                    }
-                    None => put_bool(buf, false),
-                }
-            }
-            MetaWireResult::Fenced {
-                stale_epoch,
-                current_epoch,
-            } => {
-                buf.push(4);
-                put_u64(buf, stale_epoch);
-                put_u64(buf, current_epoch);
-            }
-        }
-    }
-
-    fn decode_payload(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        let seq = r.u64()?;
-        let result = match r.u8()? {
-            0 => MetaWireResult::Committed {
-                epoch: r.u64()?,
-                index: r.u64()?,
-            },
-            1 => MetaWireResult::NoQuorum,
-            2 => MetaWireResult::NodeDown(r.u32()?),
-            3 => MetaWireResult::NotLeader {
-                current: if r.bool()? { Some(r.u32()?) } else { None },
-            },
-            4 => MetaWireResult::Fenced {
-                stale_epoch: r.u64()?,
-                current_epoch: r.u64()?,
-            },
-            other => return Err(NetError::Decode(format!("meta result tag {other}"))),
-        };
-        Ok(MetaRespMsg { seq, result })
-    }
-}
-
-/// A scheduled fault event, as the fault supervisor would broadcast it to
-/// remote peers (the sim and thread runtimes consume schedules in-process;
-/// multi-node deployments ship them as frames).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultEventMsg {
-    /// When the fault fires, trace seconds.
-    pub at_secs: f64,
-    /// What happens.
-    pub kind: FaultKind,
-}
-
-impl From<FaultEvent> for FaultEventMsg {
-    fn from(e: FaultEvent) -> Self {
-        FaultEventMsg {
-            at_secs: e.at_secs,
-            kind: e.kind,
-        }
-    }
-}
-
-impl From<FaultEventMsg> for FaultEvent {
-    fn from(m: FaultEventMsg) -> Self {
-        FaultEvent {
-            at_secs: m.at_secs,
-            kind: m.kind,
-        }
-    }
-}
-
-impl WireCodec for FaultEventMsg {
-    const MSG_TYPE: u8 = MSG_FAULT_EVENT;
-
-    fn encode_payload(&self, buf: &mut Vec<u8>) {
-        put_f64(buf, self.at_secs);
-        match self.kind {
-            FaultKind::WorkerCrash(w) => {
-                buf.push(0);
-                put_u64(buf, w.as_u64());
-            }
-            FaultKind::WorkerRestart(w) => {
-                buf.push(1);
-                put_u64(buf, w.as_u64());
-            }
-            FaultKind::LinkDegrade { factor } => {
-                buf.push(2);
-                put_f64(buf, factor);
-            }
-            FaultKind::LinkRestore => buf.push(3),
-            FaultKind::MetaStall { duration_secs } => {
-                buf.push(4);
-                put_f64(buf, duration_secs);
-            }
-            FaultKind::MetaCrash(m) => {
-                buf.push(5);
-                put_u64(buf, m as u64);
-            }
-            FaultKind::MetaRestart(m) => {
-                buf.push(6);
-                put_u64(buf, m as u64);
-            }
-            FaultKind::CutLink { a, b } => {
-                buf.push(7);
-                put_u64(buf, a.as_u64());
-                put_u64(buf, b.as_u64());
-            }
-            FaultKind::HealLink { a, b } => {
-                buf.push(8);
-                put_u64(buf, a.as_u64());
-                put_u64(buf, b.as_u64());
-            }
-            FaultKind::SlowLink { a, b, factor } => {
-                buf.push(9);
-                put_u64(buf, a.as_u64());
-                put_u64(buf, b.as_u64());
-                put_f64(buf, factor);
-            }
-            FaultKind::WorkerDrain(w) => {
-                buf.push(10);
-                put_u64(buf, w.as_u64());
-            }
-            FaultKind::WorkerJoin(w) => {
-                buf.push(11);
-                put_u64(buf, w.as_u64());
-            }
-        }
-    }
-
-    fn decode_payload(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        let at_secs = r.f64()?;
-        let kind = match r.u8()? {
-            0 => FaultKind::WorkerCrash(WorkerId::new(r.u64()?)),
-            1 => FaultKind::WorkerRestart(WorkerId::new(r.u64()?)),
-            2 => FaultKind::LinkDegrade { factor: r.f64()? },
-            3 => FaultKind::LinkRestore,
-            4 => FaultKind::MetaStall {
-                duration_secs: r.f64()?,
-            },
-            5 => FaultKind::MetaCrash(r.u64()? as usize),
-            6 => FaultKind::MetaRestart(r.u64()? as usize),
-            7 => FaultKind::CutLink {
-                a: WorkerId::new(r.u64()?),
-                b: WorkerId::new(r.u64()?),
-            },
-            8 => FaultKind::HealLink {
-                a: WorkerId::new(r.u64()?),
-                b: WorkerId::new(r.u64()?),
-            },
-            9 => FaultKind::SlowLink {
-                a: WorkerId::new(r.u64()?),
-                b: WorkerId::new(r.u64()?),
-                factor: r.f64()?,
-            },
-            10 => FaultKind::WorkerDrain(WorkerId::new(r.u64()?)),
-            11 => FaultKind::WorkerJoin(WorkerId::new(r.u64()?)),
-            other => return Err(NetError::Decode(format!("fault kind tag {other}"))),
-        };
-        Ok(FaultEventMsg { at_secs, kind })
-    }
-}
-
 /// One packed KV layer on the wire: the cache entry's identity plus its
 /// transposed-packed [`ColBlock`], written **plane-major** — plane 0's
 /// columns contiguously, then plane 1's, and so on. This mirrors the
@@ -698,7 +349,7 @@ impl WireCodec for KvSegmentMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{decode_frame, encode_frame};
+    use crate::frame::{decode_frame, encode_frame, Frame};
 
     fn roundtrip<M: WireCodec + PartialEq + std::fmt::Debug>(msg: &M) {
         let frame = msg.to_frame();
@@ -770,37 +421,6 @@ mod tests {
             },
         });
         roundtrip(&ShutdownMsg);
-        roundtrip(&MetaCmdMsg {
-            seq: 5,
-            via: 1,
-            cmd: MetaCommand::RegisterEntry {
-                key: CacheKey::User(UserId::new(77)),
-                bytes: 4096,
-            },
-        });
-        roundtrip(&MetaRespMsg {
-            seq: 5,
-            result: MetaWireResult::Fenced {
-                stale_epoch: 2,
-                current_epoch: 4,
-            },
-        });
-        roundtrip(&FaultEventMsg {
-            at_secs: 12.5,
-            kind: FaultKind::SlowLink {
-                a: WorkerId::new(0),
-                b: WorkerId::new(3),
-                factor: 150.0,
-            },
-        });
-        roundtrip(&FaultEventMsg {
-            at_secs: 20.0,
-            kind: FaultKind::WorkerDrain(WorkerId::new(2)),
-        });
-        roundtrip(&FaultEventMsg {
-            at_secs: 25.0,
-            kind: FaultKind::WorkerJoin(WorkerId::new(2)),
-        });
         let mut block = ColBlock::new(4);
         for j in 0..6 {
             let col: Vec<f32> = (0..4).map(|r| (r * 10 + j) as f32).collect();
@@ -829,35 +449,24 @@ mod tests {
     }
 
     #[test]
-    fn meta_result_converts_both_ways() {
-        let cases: Vec<Result<Receipt, MetaError>> = vec![
-            Ok(Receipt {
-                epoch: 3,
-                index: 17,
-            }),
-            Err(MetaError::NoQuorum),
-            Err(MetaError::NodeDown(2)),
-            Err(MetaError::NotLeader { current: Some(1) }),
-            Err(MetaError::NotLeader { current: None }),
-            Err(MetaError::Fenced {
-                stale_epoch: 1,
-                current_epoch: 2,
-            }),
-        ];
-        for case in cases {
-            let wire: MetaWireResult = case.into();
-            let back: Result<Receipt, MetaError> = wire.into();
-            assert_eq!(back, case);
-        }
-    }
-
-    #[test]
     fn wrong_tag_and_bad_payload_are_typed_errors() {
         let frame = ShutdownMsg.to_frame();
         assert!(matches!(
             DispatchMsg::from_frame(&frame),
             Err(NetError::UnknownMsgType(MSG_SHUTDOWN))
         ));
+        // Tags 6–8 (meta command, meta response, fault event) are retired:
+        // no decoder takes them.
+        for tag in 6..=8 {
+            let frame = Frame::new(tag, vec![0; 24]);
+            let unknown = |r: Result<(), NetError>| r == Err(NetError::UnknownMsgType(tag));
+            assert!(unknown(HelloMsg::from_frame(&frame).map(drop)));
+            assert!(unknown(DispatchMsg::from_frame(&frame).map(drop)));
+            assert!(unknown(CompletionMsg::from_frame(&frame).map(drop)));
+            assert!(unknown(OrphanMsg::from_frame(&frame).map(drop)));
+            assert!(unknown(ShutdownMsg::from_frame(&frame).map(drop)));
+            assert!(unknown(KvSegmentMsg::from_frame(&frame).map(drop)));
+        }
         // Truncated dispatch payload.
         let mut frame = DispatchMsg {
             seq: 1,

@@ -50,16 +50,6 @@ impl<'a> WireReader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Reads a little-endian `u16`.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Truncated`] when the payload is exhausted.
-    pub fn u16(&mut self) -> Result<u16, NetError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
     /// Reads a little-endian `u32`.
     ///
     /// # Errors
@@ -90,15 +80,6 @@ impl<'a> WireReader<'a> {
     /// [`NetError::Truncated`] when the payload is exhausted.
     pub fn f64(&mut self) -> Result<f64, NetError> {
         Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads an `f32` from its IEEE bit pattern.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Truncated`] when the payload is exhausted.
-    pub fn f32(&mut self) -> Result<f32, NetError> {
-        Ok(f32::from_bits(self.u32()?))
     }
 
     /// Reads a `bool` encoded as exactly 0 or 1.
@@ -163,11 +144,6 @@ impl<'a> WireReader<'a> {
     }
 }
 
-/// Appends a `u16` little-endian.
-pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Appends a `u32` little-endian.
 pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -181,11 +157,6 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
 /// Appends an `f64` as its IEEE bit pattern.
 pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
     put_u64(buf, v.to_bits());
-}
-
-/// Appends an `f32` as its IEEE bit pattern.
-pub fn put_f32(buf: &mut Vec<u8>, v: f32) {
-    put_u32(buf, v.to_bits());
 }
 
 /// Appends a `bool` as one byte.
@@ -258,7 +229,7 @@ mod tests {
         put_opt_f64(&mut buf, None);
         put_opt_f64(&mut buf, Some(1.5e-300));
         put_bool(&mut buf, true);
-        put_f32(&mut buf, f32::MIN_POSITIVE / 2.0); // subnormal
+        put_u32(&mut buf, (f32::MIN_POSITIVE / 2.0).to_bits()); // subnormal
         let mut r = WireReader::new(&buf);
         assert_eq!(r.u64().unwrap(), u64::MAX - 3);
         assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
@@ -266,7 +237,9 @@ mod tests {
         assert_eq!(r.opt_f64().unwrap(), None);
         assert_eq!(r.opt_f64().unwrap(), Some(1.5e-300));
         assert!(r.bool().unwrap());
-        assert_eq!(r.f32().unwrap(), f32::MIN_POSITIVE / 2.0);
+        let mut planes = Vec::new();
+        r.f32_slice(1, &mut planes).unwrap();
+        assert_eq!(planes, [f32::MIN_POSITIVE / 2.0]);
         r.finish().unwrap();
     }
 

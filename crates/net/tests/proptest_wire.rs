@@ -6,19 +6,17 @@
 //!    instance encoded to bytes and decoded back compares equal (bitwise
 //!    for floats: the codecs ship IEEE bit patterns, so NaNs and -0.0
 //!    survive).
-//! 2. **Hostile bytes** — truncating an encoded frame at any cut, or
-//!    flipping any byte, must yield a typed [`NetError`], never a panic
-//!    and never a silently-wrong message of the same type.
+//! 2. **Hostile bytes** — truncating an encoded frame at any cut, flipping
+//!    any byte, or handing any decoder an arbitrary payload under its own
+//!    tag must yield a typed [`NetError`], never a panic and never a
+//!    silently-wrong message of the same type.
 
-use bat_faults::FaultKind;
 use bat_kvcache::CacheKey;
-use bat_meta::{MetaCommand, ViewChange};
 use bat_net::{
-    decode_frame, encode_frame, CompletionMsg, DispatchMsg, FaultEventMsg, HelloMsg, KvSegmentMsg,
-    MetaCmdMsg, MetaRespMsg, MetaWireResult, NetError, OrphanMsg, ShutdownMsg, WireCodec,
-    WireOutcome,
+    decode_frame, encode_frame, CompletionMsg, DispatchMsg, Frame, HelloMsg, KvSegmentMsg,
+    NetError, OrphanMsg, ShutdownMsg, WireCodec, WireOutcome,
 };
-use bat_types::{ItemId, RejectReason, UserId, WorkerId};
+use bat_types::{ItemId, RejectReason, UserId};
 use proptest::prelude::*;
 use proptest::TestRng;
 
@@ -69,77 +67,43 @@ fn any_outcome(rng: &mut TestRng) -> WireOutcome {
     }
 }
 
-fn any_fault_kind(rng: &mut TestRng) -> FaultKind {
-    let w = |rng: &mut TestRng| WorkerId::new(rng.next_u64() % 64);
-    match rng.next_u64() % 10 {
-        0 => FaultKind::WorkerCrash(w(rng)),
-        1 => FaultKind::WorkerRestart(w(rng)),
-        2 => FaultKind::LinkDegrade {
-            factor: any_f64(rng),
-        },
-        3 => FaultKind::LinkRestore,
-        4 => FaultKind::MetaStall {
-            duration_secs: any_f64(rng),
-        },
-        5 => FaultKind::MetaCrash((rng.next_u64() % 7) as usize),
-        6 => FaultKind::MetaRestart((rng.next_u64() % 7) as usize),
-        7 => FaultKind::CutLink {
-            a: w(rng),
-            b: w(rng),
-        },
-        8 => FaultKind::HealLink {
-            a: w(rng),
-            b: w(rng),
-        },
-        _ => FaultKind::SlowLink {
-            a: w(rng),
-            b: w(rng),
-            factor: any_f64(rng),
-        },
+/// Decodes `payload` as an `M` frame: a message or a payload error, since
+/// the tag is `M`'s own.
+fn decode_soup<M: WireCodec>(payload: &[u8]) {
+    match M::from_frame(&Frame::new(M::MSG_TYPE, payload.to_vec())) {
+        Ok(_) | Err(NetError::Truncated { .. } | NetError::Decode(_)) => {}
+        Err(other) => panic!("tag {}: unexpected error {other:?}", M::MSG_TYPE),
     }
 }
 
-fn any_meta_cmd(rng: &mut TestRng) -> MetaCommand {
-    match rng.next_u64() % 5 {
-        0 => MetaCommand::RegisterEntry {
-            key: any_key(rng),
-            bytes: rng.next_u64(),
-        },
-        1 => MetaCommand::Evict { key: any_key(rng) },
-        2 => MetaCommand::HotnessDelta {
-            key: any_key(rng),
-            at_ms: rng.next_u64(),
-        },
-        3 => MetaCommand::View(ViewChange::WorkerCrashed {
-            worker: (rng.next_u64() % 64) as usize,
-            num_workers: (rng.next_u64() % 64) as usize,
-        }),
-        _ => MetaCommand::View(ViewChange::WorkerRestarted {
-            worker: (rng.next_u64() % 64) as usize,
-        }),
+/// A [`KvSegmentMsg`] payload: an item key, layer 0, the claimed shape,
+/// then `planes` bytes.
+fn kv_segment_payload(rows: u32, cols: u32, planes: usize) -> Vec<u8> {
+    let mut payload = vec![1];
+    payload.extend(7u64.to_le_bytes());
+    for word in [0, rows, cols] {
+        payload.extend(word.to_le_bytes());
     }
+    payload.resize(payload.len() + planes, 0);
+    payload
 }
 
-fn any_meta_result(rng: &mut TestRng) -> MetaWireResult {
-    match rng.next_u64() % 5 {
-        0 => MetaWireResult::Committed {
-            epoch: rng.next_u64(),
-            index: rng.next_u64(),
-        },
-        1 => MetaWireResult::NoQuorum,
-        2 => MetaWireResult::NodeDown(rng.next_u64() as u32),
-        3 => MetaWireResult::NotLeader {
-            current: if rng.next_u64().is_multiple_of(2) {
-                Some(rng.next_u64() as u32)
-            } else {
-                None
-            },
-        },
-        _ => MetaWireResult::Fenced {
-            stale_epoch: rng.next_u64(),
-            current_epoch: rng.next_u64(),
-        },
-    }
+#[test]
+fn kv_segment_shape_past_its_payload_is_typed() {
+    // 2^16 × 2^16 = 2^32 values claimed over 16 bytes.
+    let claims_2_32 = kv_segment_payload(1 << 16, 1 << 16, 16);
+    let frame = Frame::new(KvSegmentMsg::MSG_TYPE, claims_2_32);
+    assert!(matches!(
+        KvSegmentMsg::from_frame(&frame),
+        Err(NetError::Truncated { .. })
+    ));
+    // rows × cols × 4 bytes overflows usize.
+    let overflows = kv_segment_payload(u32::MAX, u32::MAX, 16);
+    let frame = Frame::new(KvSegmentMsg::MSG_TYPE, overflows);
+    assert!(matches!(
+        KvSegmentMsg::from_frame(&frame),
+        Err(NetError::Decode(_))
+    ));
 }
 
 /// Bitwise equality for messages whose floats may be NaN: compare the
@@ -202,34 +166,6 @@ proptest! {
     }
 
     #[test]
-    fn meta_cmd_roundtrips(seed in 0u64..u64::MAX) {
-        let mut rng = TestRng::from_seed(seed);
-        assert_roundtrip(&MetaCmdMsg {
-            seq: rng.next_u64(),
-            via: rng.next_u64() as u32,
-            cmd: any_meta_cmd(&mut rng),
-        });
-    }
-
-    #[test]
-    fn meta_resp_roundtrips(seed in 0u64..u64::MAX) {
-        let mut rng = TestRng::from_seed(seed);
-        assert_roundtrip(&MetaRespMsg {
-            seq: rng.next_u64(),
-            result: any_meta_result(&mut rng),
-        });
-    }
-
-    #[test]
-    fn fault_event_roundtrips(seed in 0u64..u64::MAX) {
-        let mut rng = TestRng::from_seed(seed);
-        assert_roundtrip(&FaultEventMsg {
-            at_secs: any_f64(&mut rng),
-            kind: any_fault_kind(&mut rng),
-        });
-    }
-
-    #[test]
     fn kv_segment_roundtrips(seed in 0u64..u64::MAX) {
         let mut rng = TestRng::from_seed(seed);
         let rows = (rng.next_u64() % 8 + 1) as u32;
@@ -289,6 +225,21 @@ proptest! {
                 Err(other) => panic!("byte {i}: unexpected error {other:?}"),
             }
         }
+    }
+
+    /// An arbitrary payload under each decoder's own tag is a message or a
+    /// typed error.
+    #[test]
+    fn arbitrary_payloads_never_panic(seed in 0u64..u64::MAX) {
+        let mut rng = TestRng::from_seed(seed);
+        let n = (rng.next_u64() % 513) as usize;
+        let soup: Vec<u8> = (0..n).map(|_| rng.next_u64() as u8).collect();
+        decode_soup::<HelloMsg>(&soup);
+        decode_soup::<DispatchMsg>(&soup);
+        decode_soup::<CompletionMsg>(&soup);
+        decode_soup::<OrphanMsg>(&soup);
+        decode_soup::<ShutdownMsg>(&soup);
+        decode_soup::<KvSegmentMsg>(&soup);
     }
 
     /// A random byte soup fed to the stream reader is a typed error.

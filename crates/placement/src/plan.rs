@@ -32,13 +32,6 @@ pub enum ItemLocation {
     Uncached,
 }
 
-impl ItemLocation {
-    /// Whether the entry can be read without touching the network.
-    pub fn is_local(self) -> bool {
-        matches!(self, ItemLocation::LocalReplica | ItemLocation::LocalShard)
-    }
-}
-
 /// A materialized placement over `num_items` items and `num_workers`
 /// workers. Items with ID `< replicated_items` are replicated; items with
 /// ID in `[replicated_items, cached_items)` are sharded round-robin; items
@@ -125,12 +118,6 @@ impl ItemPlacementPlan {
         let set: std::collections::HashSet<u64> =
             ids.into_iter().take(cap).map(|i| i.as_u64()).collect();
         self.replicated_override = Some(set);
-    }
-
-    /// Whether a background refresh has replaced the default (rank-prefix)
-    /// replicated membership.
-    pub fn has_refresh_override(&self) -> bool {
-        self.replicated_override.is_some()
     }
 
     /// The strategy this plan realizes.
@@ -350,7 +337,10 @@ mod tests {
             let item = ItemId::new(id);
             let mut local_count = 0;
             for w in 0..4u64 {
-                if plan.locate(item, WorkerId::new(w)).is_local() {
+                if matches!(
+                    plan.locate(item, WorkerId::new(w)),
+                    ItemLocation::LocalReplica | ItemLocation::LocalShard
+                ) {
                     local_count += 1;
                 }
             }
@@ -371,7 +361,6 @@ mod tests {
         );
         // A burst hotspot: items 90..100 replace the rank head.
         plan.refresh_replicated((90..100).map(ItemId::new));
-        assert!(plan.has_refresh_override());
         assert_eq!(
             plan.locate(ItemId::new(95), WorkerId::new(0)),
             ItemLocation::LocalReplica

@@ -138,20 +138,6 @@ impl Matrix {
         m
     }
 
-    /// Creates a matrix from a flat row-major vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
-        assert_eq!(data.len(), rows * cols, "data length mismatch");
-        Matrix {
-            rows,
-            cols,
-            data: AlignedBuf::from_slice(&data),
-        }
-    }
-
     /// Creates a matrix with entries drawn i.i.d. from
     /// `Uniform(-scale, scale)`; used for seeded weight initialization.
     pub fn random<R: Rng>(rows: usize, cols: usize, scale: f32, rng: &mut R) -> Self {
@@ -275,31 +261,9 @@ impl Matrix {
         self.matmul_with_grain(rhs, out, par_grain(self.rows * rhs.rows * rhs.cols));
     }
 
-    /// [`Matrix::matmul_into`] of `self`'s leading `rhs.rows()` columns:
-    /// the left operand is a column prefix of a wider matrix, read in place
-    /// (the SwiGLU activations sit in the gate half of the packed gate|up
-    /// product). Same kernel, same bits as over a copy of those columns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() < rhs.rows()`.
-    pub fn matmul_leading_cols_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert!(
-            self.cols >= rhs.rows,
-            "matmul shape mismatch: {} leading columns of {}x{} × {}x{}",
-            rhs.rows,
-            self.rows,
-            self.cols,
-            rhs.rows,
-            rhs.cols
-        );
-        self.matmul_with_grain(rhs, out, par_grain(self.rows * rhs.rows * rhs.cols));
-    }
-
-    /// The product of `self`'s leading `rhs.rows()` columns with `rhs`,
-    /// with the row grain given: `1` sends row blocks to the pool whatever
-    /// the size (tests force it on products far below [`par_grain`]'s
-    /// threshold).
+    /// The product `self × rhs`, with the row grain given: `1` sends row
+    /// blocks to the pool whatever the size (tests force it on products far
+    /// below [`par_grain`]'s threshold).
     fn matmul_with_grain(&self, rhs: &Matrix, out: &mut Matrix, grain: usize) {
         let (n, lda, m) = (self.rows, self.cols, rhs.cols);
         out.reshape_for_overwrite(n, m);
@@ -469,29 +433,6 @@ impl Matrix {
                 f(first_row + off, row);
             }
         });
-    }
-
-    /// [`Matrix::par_rows_mut`] for rows of unequal cost, handed out a
-    /// block at a time: `weights[row]` is how many `cols`-wide steps the row
-    /// takes (an attention row's allowed key count), the row blocks are
-    /// balanced by weight, not by count, and `f(first_row, block)` gets a
-    /// whole block of rows — so per-task set-up (borrowing thread-local
-    /// scratch) is paid once per block, not once per row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights.len() != self.rows()`.
-    pub fn par_row_blocks_mut_weighted<F>(&mut self, weights: &[u64], f: F)
-    where
-        F: Fn(usize, &mut [f32]) + Sync,
-    {
-        assert_eq!(weights.len(), self.rows, "one weight per row");
-        if self.rows == 0 || self.cols == 0 {
-            return;
-        }
-        let cols = self.cols;
-        let grain = par_grain(weights.iter().sum::<u64>() as usize * cols);
-        bat_exec::parallel_weighted_row_blocks(&mut self.data, cols, weights, grain, f);
     }
 
     /// Transposed copy.
@@ -879,20 +820,6 @@ mod tests {
     }
 
     #[test]
-    fn leading_columns_product_bit_matches_the_product_of_a_copy() {
-        let mut rng = SmallRng::seed_from_u64(5);
-        let wide = Matrix::random(9, 31, 1.0, &mut rng);
-        let b = Matrix::random(13, 21, 1.0, &mut rng);
-        let rows: Vec<&[f32]> = (0..9).map(|r| &wide.row(r)[..13]).collect();
-        let mut got = Matrix::zeros(0, 0);
-        wide.matmul_leading_cols_into(&b, &mut got);
-        assert_eq!(
-            bits(got.as_slice()),
-            bits(Matrix::from_rows(&rows).matmul(&b).as_slice())
-        );
-    }
-
-    #[test]
     fn empty_inner_dimension_gives_zeros() {
         let mut out = Matrix::from_rows(&[&[7.0, 7.0], &[7.0, 7.0]]);
         Matrix::zeros(2, 0).matmul_into(&Matrix::zeros(0, 2), &mut out);
@@ -944,8 +871,8 @@ mod tests {
         bat_exec::set_threads(1);
     }
 
-    /// The two row maps hand every row to exactly one task under its own
-    /// index, on a matrix big enough that they do go through the pool.
+    /// The row map hands every row to exactly one task under its own index,
+    /// on a matrix big enough that it does go through the pool.
     #[test]
     fn row_maps_are_bit_identical_across_thread_counts() {
         let (rows, cols) = (1030, 1024);
@@ -961,7 +888,6 @@ mod tests {
         for t in 0..rows {
             map(t, gold.row_mut(t));
         }
-        let weights: Vec<u64> = (0..rows as u64).map(|r| 1 + r % 7).collect();
         for t in [1, 2, 4, 8] {
             bat_exec::set_threads(t);
             let mut by_row = src.clone();
@@ -969,16 +895,6 @@ mod tests {
             assert!(
                 bits(by_row.as_slice()) == bits(gold.as_slice()),
                 "par_rows_mut @ {t} threads"
-            );
-            let mut by_block = src.clone();
-            by_block.par_row_blocks_mut_weighted(&weights, |first_row, block| {
-                for (off, row) in block.chunks_exact_mut(cols).enumerate() {
-                    map(first_row + off, row);
-                }
-            });
-            assert!(
-                bits(by_block.as_slice()) == bits(gold.as_slice()),
-                "par_row_blocks_mut_weighted @ {t} threads"
             );
         }
         bat_exec::set_threads(1);

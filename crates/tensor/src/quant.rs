@@ -123,24 +123,6 @@ pub enum QuantKind {
     F16,
 }
 
-impl QuantKind {
-    /// Payload bytes per stored element.
-    pub fn bytes_per_element(self) -> usize {
-        match self {
-            QuantKind::Int8 => 1,
-            QuantKind::F16 => 2,
-        }
-    }
-
-    /// Cold-tier footprint as a fraction of the f32 hot-tier footprint
-    /// (payload only; the int8 per-plane parameters are amortized over the
-    /// plane length and ignored here). This is the ratio the tiered pool's
-    /// capacity accounting uses when charging a demoted entry.
-    pub fn compression_ratio(self) -> f64 {
-        self.bytes_per_element() as f64 / std::mem::size_of::<f32>() as f64
-    }
-}
-
 /// Quantized payload, plane-major with stride `len` (exactly packed).
 #[derive(Debug, Clone, PartialEq)]
 enum Payload {
@@ -536,7 +518,5 @@ mod tests {
             "{}",
             i8.resident_bytes()
         );
-        assert_eq!(QuantKind::Int8.compression_ratio(), 0.25);
-        assert_eq!(QuantKind::F16.compression_ratio(), 0.5);
     }
 }

@@ -65,12 +65,6 @@ impl NodeConfig {
         self.network_bandwidth = gbps * 1e9 / 8.0;
         self
     }
-
-    /// Overrides the KV cache capacity.
-    pub fn with_kv_capacity(mut self, capacity: Bytes) -> Self {
-        self.kv_cache_capacity = capacity;
-        self
-    }
 }
 
 /// A homogeneous cluster of [`NodeConfig`] nodes.
@@ -114,11 +108,6 @@ impl ClusterConfig {
         self.num_nodes = n;
         self
     }
-
-    /// Total KV cache capacity across all cache workers.
-    pub fn total_kv_capacity(&self) -> Bytes {
-        self.node.kv_cache_capacity * self.num_nodes as u64
-    }
 }
 
 #[cfg(test)]
@@ -130,11 +119,11 @@ mod tests {
         let c = ClusterConfig::a100_4node();
         assert_eq!(c.num_nodes, 4);
         assert!(c.node.effective_flops() > 1e14);
-        assert_eq!(c.total_kv_capacity(), Bytes::from_gb(600));
+        assert_eq!(c.node.kv_cache_capacity * 4, Bytes::from_gb(600));
 
         let p = ClusterConfig::h20_16node();
         assert_eq!(p.num_nodes, 16);
-        assert_eq!(p.total_kv_capacity(), Bytes::from_gb(6400));
+        assert_eq!(p.node.kv_cache_capacity * 16, Bytes::from_gb(6400));
     }
 
     #[test]

@@ -50,13 +50,6 @@ impl Fnv64 {
         Fnv64(OFFSET)
     }
 
-    /// Resumes a hasher from a previously `finish`ed state — the running
-    /// hash is the whole state, so `Fnv64::resume(h.finish()) == h`.
-    #[inline]
-    pub const fn resume(state: u64) -> Self {
-        Fnv64(state)
-    }
-
     /// Folds one byte.
     #[inline]
     pub fn write_u8(&mut self, byte: u8) {
@@ -97,17 +90,15 @@ impl Fnv64 {
     }
 }
 
-/// One-shot FNV-1a 64-bit hash of a byte slice.
-#[inline]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(bytes);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        let mut h = Fnv64::new();
+        h.write(bytes);
+        h.finish()
+    }
 
     /// Published FNV-1a 64-bit test vectors (Noll's reference list). A
     /// wrong prime or a missed xor/multiply swap (FNV-1 vs FNV-1a) fails
@@ -128,17 +119,6 @@ mod tests {
         h.write(b"foo");
         h.write(b"bar");
         assert_eq!(h.finish(), fnv1a(b"foobar"));
-    }
-
-    #[test]
-    fn resume_round_trips() {
-        let mut h = Fnv64::new();
-        h.write(b"prefix");
-        let saved = h.finish();
-        h.write_u64(7);
-        let mut r = Fnv64::resume(saved);
-        r.write_u64(7);
-        assert_eq!(h.finish(), r.finish());
     }
 
     #[test]

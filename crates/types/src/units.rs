@@ -45,12 +45,6 @@ impl Bytes {
         self.0
     }
 
-    /// Returns the value in decimal gigabytes.
-    #[inline]
-    pub fn as_gb(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// Saturating subtraction: never underflows below zero.
     #[inline]
     pub const fn saturating_sub(self, rhs: Bytes) -> Bytes {
@@ -143,22 +137,10 @@ impl SimTime {
         SimTime(secs)
     }
 
-    /// Creates a time point from milliseconds.
-    #[inline]
-    pub fn from_millis(ms: f64) -> Self {
-        Self::from_secs(ms / 1e3)
-    }
-
     /// Returns the time in seconds.
     #[inline]
     pub const fn as_secs(self) -> f64 {
         self.0
-    }
-
-    /// Returns the time in milliseconds.
-    #[inline]
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
     }
 
     /// Advances this time point by a duration in seconds.
@@ -241,9 +223,8 @@ mod tests {
         let t0 = SimTime::ZERO;
         let t1 = t0.advance(1.5);
         assert!(t1 > t0);
-        assert_eq!(t1.as_millis(), 1500.0);
+        assert_eq!(t1.as_secs(), 1.5);
         assert!((t1 - t0 - 1.5).abs() < 1e-12);
-        assert_eq!(SimTime::from_millis(250.0).as_secs(), 0.25);
     }
 
     #[test]

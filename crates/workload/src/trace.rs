@@ -64,17 +64,6 @@ impl TraceGenerator {
         self.now
     }
 
-    /// Builds the next request at an explicit arrival time (clock must not
-    /// go backwards), sampling the user from the activity law.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` precedes the current clock.
-    pub fn request_at(&mut self, at: f64) -> RankRequest {
-        let user = self.workload.sample_user(self.rng.gen::<f64>());
-        self.request_for(user, at)
-    }
-
     /// Builds the next request for a *given* user at an explicit arrival
     /// time (session replay drives this).
     ///
@@ -347,8 +336,8 @@ mod tests {
     #[should_panic(expected = "monotone")]
     fn clock_cannot_go_backwards() {
         let mut g = gen();
-        g.request_at(5.0);
-        g.request_at(4.0);
+        g.request_for(UserId::new(0), 5.0);
+        g.request_for(UserId::new(0), 4.0);
     }
 
     #[test]

@@ -112,12 +112,6 @@ impl Workload {
         UserId::new(self.user_law.sample_rank(u) - 1)
     }
 
-    /// Samples one item access from the popularity law. Item ID 0 is the
-    /// hottest (before any hotspot shift).
-    pub fn sample_item(&self, u: f64) -> ItemId {
-        self.sample_item_at(u, 0.0)
-    }
-
     /// Samples one item access at trace time `at_secs`, applying the
     /// hotspot shift if one is configured and active.
     pub fn sample_item_at(&self, u: f64, at_secs: f64) -> ItemId {
@@ -166,12 +160,6 @@ impl Workload {
             }
         }
         out
-    }
-
-    /// Average tokens of an item block with `c` candidates (used by
-    /// Algorithm 1's `c × τ_i` term).
-    pub fn avg_item_block_tokens(&self) -> TokenCount {
-        self.ds.avg_prompt_item_tokens()
     }
 }
 
