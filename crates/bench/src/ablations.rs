@@ -2,7 +2,7 @@
 
 use crate::scenarios::{self, goodput_vs, Overload};
 use crate::{cells, f1, f3, Report, RunArgs};
-use bat::experiment::{compare_systems, saturation_offered_rate};
+use bat::experiment::{compare_systems, saturation_offered_rate, trace};
 use bat::{
     BatchingConfig, Bytes, ClusterConfig, DatasetConfig, EngineConfig, FaultEvent, FaultKind,
     FaultSchedule, ItemId, ItemPlacementPlan, ModelConfig, OraclePolicy, OverloadConfig,
@@ -50,8 +50,9 @@ pub fn ablation_scheduling(args: &RunArgs) -> Report {
     let model = ModelConfig::qwen2_1_5b();
     let ds = DatasetConfig::books();
     let duration = args.scale(1200.0, 60.0);
-    let spec = scenarios::saturated(&model, &ClusterConfig::a100_4node(), &ds, duration, 21);
-    let trace = spec.trace();
+    let cluster = ClusterConfig::a100_4node();
+    let rate = saturation_offered_rate(&model, &cluster, &ds, 3.0);
+    let trace = scenarios::spec(&model, &cluster, &ds, (duration, rate), 21).trace();
     let base = bat_on(4, &ds);
     let run = |cfg: EngineConfig, oracle: bool| {
         let mut engine = ServingEngine::new(cfg).expect("config valid");
@@ -236,7 +237,7 @@ pub fn ablation_hotspot_refresh(args: &RunArgs) -> Report {
 pub fn ablation_fault_recovery(args: &RunArgs) -> Report {
     let duration = args.scale(300.0, 30.0);
     let ds = DatasetConfig::games();
-    let trace = scenarios::trace(&ds, (7, 9), duration, 150.0);
+    let trace = trace(&ds, (7, 9), duration, 150.0);
     let (crash_at, restart_at) = (duration / 3.0, duration / 2.0);
     let schedule = FaultSchedule::single_crash(4, WorkerId::new(1), crash_at, restart_at)
         .expect("restart follows crash");
@@ -298,7 +299,7 @@ pub fn ablation_fault_recovery(args: &RunArgs) -> Report {
 pub fn ablation_meta_failover(args: &RunArgs) -> Report {
     let duration = args.scale(120.0, 12.0);
     let ds = DatasetConfig::games();
-    let trace = scenarios::trace(&ds, (7, 9), duration, args.scale(80.0, 60.0));
+    let trace = trace(&ds, (7, 9), duration, args.scale(80.0, 60.0));
     let base = bat_on(2, &ds);
     let replicas = base.meta_replicas;
     let (crash_at, restart_at) = (duration / 3.0, duration / 2.0);
@@ -411,7 +412,7 @@ pub fn ablation_transport(args: &RunArgs) -> Report {
         ..DatasetConfig::games()
     };
     let (duration, rate) = (args.scale(20.0, 4.0), args.scale(60.0, 40.0));
-    let trace = scenarios::trace(&ds, (41, 42), duration, rate);
+    let trace = trace(&ds, (41, 42), duration, rate);
     let mut cluster = ClusterConfig::a100_4node().with_nodes(2);
     cluster.node.kv_cache_capacity = Bytes::from_gb(20);
     let cfg = EngineConfig::for_system(

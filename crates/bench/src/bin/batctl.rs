@@ -39,12 +39,11 @@
 //! command (results are bit-identical at every width by construction).
 //! Everything is offline and deterministic.
 
-use bat::experiment::{accuracy_rows, compare_systems};
+use bat::experiment::{accuracy_rows, compare_systems, trace, ComparisonSpec};
 use bat::{
     hrcs_params, hrcs_plan, BatchingConfig, Bytes, ClusterConfig, ColdFormat, DatasetConfig,
     EngineConfig, FaultEvent, FaultKind, FaultSchedule, ModelConfig, PrefixKind, SemanticConfig,
-    ServeOptions, ServingEngine, SplitPolicy, SystemKind, TiersConfig, TraceGenerator,
-    TransportKind, WorkerId, Workload,
+    ServeOptions, ServingEngine, SplitPolicy, SystemKind, TiersConfig, TransportKind, WorkerId,
 };
 use bat_bench::scenarios::{self, Overload};
 use bat_bench::{cells, f1, f3, Report, RunArgs, EXPERIMENTS};
@@ -177,29 +176,43 @@ fn model(flags: &Flags) -> Result<ModelConfig, String> {
     }
 }
 
-/// BAT with `--model` on `nodes` nodes of the 4-node A100 testbed.
+/// `--key`'s value (default `default`), checked positive and finite: a
+/// duration, rate or bandwidth the libraries assert on.
+fn positive(flags: &Flags, key: &str, default: f64) -> Result<f64, String> {
+    match flag(flags, key, default)? {
+        v if v > 0.0 && v.is_finite() => Ok(v),
+        _ => Err(format!(
+            "bad --{key} '{}': want a positive number",
+            flags[key]
+        )),
+    }
+}
+
+/// `--nodes` (default `nodes`, at least one) of the 4-node A100 testbed.
+fn cluster(flags: &Flags, nodes: usize) -> Result<ClusterConfig, String> {
+    match flag(flags, "nodes", nodes)? {
+        0 => Err("bad --nodes '0': want at least one node".into()),
+        n => Ok(ClusterConfig::a100_4node().with_nodes(n)),
+    }
+}
+
+/// BAT with `--model` on [`cluster`].
 fn bat_config(flags: &Flags, nodes: usize, ds: &DatasetConfig) -> Result<EngineConfig, String> {
-    let cluster = ClusterConfig::a100_4node().with_nodes(nodes);
+    let (model, cluster) = (model(flags)?, cluster(flags, nodes)?);
     Ok(EngineConfig::for_system(
         SystemKind::Bat,
-        model(flags)?,
+        model,
         cluster,
         ds,
     ))
 }
 
-/// The seeded trace `trace`, `faults`, `meta`, `drain` and `join` replay
-/// (the one `compare`'s `ComparisonSpec::trace` generates).
-fn trace_of(ds: &DatasetConfig, seed: u64, duration: f64, rate: f64) -> Vec<bat::RankRequest> {
-    scenarios::trace(ds, (seed, seed ^ 0xbadc0ffe), duration, rate)
-}
-
 fn cmd_compare(flags: &Flags) -> Result<(), String> {
     let ds = dataset(flags, "games")?;
     let model = model(flags)?;
-    let nodes = flag(flags, "nodes", 4)?;
-    let duration = flag(flags, "duration", 60.0)?;
-    let rate = flag(flags, "rate", 100.0)?;
+    let cluster = cluster(flags, 4)?;
+    let duration = positive(flags, "duration", 60.0)?;
+    let rate = positive(flags, "rate", 100.0)?;
     let seed = flag(flags, "seed", 1)?;
     let systems: Vec<SystemKind> = flags
         .get("systems")
@@ -214,12 +227,11 @@ fn cmd_compare(flags: &Flags) -> Result<(), String> {
         })
         .collect::<Result<_, _>>()?;
 
-    let cluster = ClusterConfig::a100_4node().with_nodes(nodes);
     let spec = scenarios::spec(&model, &cluster, &ds, (duration, rate), seed);
     let stats = compare_systems(&spec, &systems);
     println!(
         "{} on {} nodes, {duration:.0}s at {rate:.0} req/s:",
-        ds.name, nodes
+        ds.name, cluster.num_nodes
     );
     let rows: Vec<Vec<String>> = stats
         .iter()
@@ -263,11 +275,11 @@ fn cmd_accuracy(flags: &Flags) -> Result<(), String> {
 
 fn cmd_plan(flags: &Flags) -> Result<(), String> {
     let ds = dataset(flags, "industry")?;
-    let nodes = flag(flags, "nodes", 4)?;
-    let gbps = flag(flags, "gbps", 100.0)?;
+    let mut cluster = cluster(flags, 4)?;
+    let gbps = positive(flags, "gbps", 100.0)?;
     let model = model(flags)?;
-    let mut cluster = ClusterConfig::a100_4node().with_nodes(nodes);
     cluster.node = cluster.node.with_network_gbps(gbps);
+    let nodes = cluster.num_nodes;
     let params = hrcs_params(&model, &cluster, &ds);
     let plan = hrcs_plan(&model, &cluster, &ds);
     println!(
@@ -288,11 +300,11 @@ fn cmd_plan(flags: &Flags) -> Result<(), String> {
 
 fn cmd_trace(flags: &Flags) -> Result<(), String> {
     let ds = dataset(flags, "games")?;
-    let duration = flag(flags, "duration", 30.0)?;
-    let rate = flag(flags, "rate", 50.0)?;
+    let duration = positive(flags, "duration", 30.0)?;
+    let rate = positive(flags, "rate", 50.0)?;
     let seed = flag(flags, "seed", 1)?;
     let out = flags.get("out").ok_or("missing --out FILE")?;
-    let trace = trace_of(&ds, seed, duration, rate);
+    let trace = trace(&ds, ComparisonSpec::seeds(seed), duration, rate);
     bat_workload::save_trace(out, &trace).map_err(|e| e.to_string())?;
     println!("wrote {} requests to {out}", trace.len());
     Ok(())
@@ -300,7 +312,7 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
 
 fn cmd_info(flags: &Flags) -> Result<(), String> {
     let path = flags.get("trace").ok_or("missing --trace FILE")?;
-    let trace = bat_workload::load_trace(path).map_err(|e| e.to_string())?;
+    let trace = bat_workload::load_trace(path).map_err(|e| format!("read {path}: {e}"))?;
     let users: std::collections::HashSet<_> = trace.iter().map(|r| r.user).collect();
     let tokens: u64 = trace.iter().map(|r| r.total_tokens() as u64).sum();
     let span = trace
@@ -315,11 +327,11 @@ fn cmd_info(flags: &Flags) -> Result<(), String> {
 
 fn cmd_breakdown(flags: &Flags) -> Result<(), String> {
     let ds = dataset(flags, "industry")?;
-    let duration = flag(flags, "duration", 30.0)?;
-    let rate = flag(flags, "rate", 80.0)?;
+    let duration = positive(flags, "duration", 30.0)?;
+    let rate = positive(flags, "rate", 80.0)?;
     let mut cfg = bat_config(flags, 4, &ds)?;
     cfg.record_requests = true;
-    let trace = TraceGenerator::new(Workload::new(ds.clone(), 1), 2).generate(duration, rate);
+    let trace = trace(&ds, (1, 2), duration, rate);
     let mut engine = ServingEngine::new(cfg).map_err(|e| e.to_string())?;
     let stats = engine.run(&trace);
     let records = engine.take_records();
@@ -346,11 +358,11 @@ fn cmd_breakdown(flags: &Flags) -> Result<(), String> {
 
 fn cmd_faults(flags: &Flags) -> Result<(), String> {
     let ds = dataset(flags, "games")?;
-    let duration = flag(flags, "duration", 60.0)?;
-    let rate = flag(flags, "rate", 120.0)?;
+    let duration = positive(flags, "duration", 60.0)?;
+    let rate = positive(flags, "rate", 120.0)?;
     let seed = flag(flags, "seed", 1)?;
-    let nodes = flag(flags, "nodes", 4)?;
-    let base = bat_config(flags, nodes, &ds)?;
+    let base = bat_config(flags, 4, &ds)?;
+    let nodes = base.cluster.num_nodes;
 
     // Either the canonical kill-one-worker schedule (--crash W [--down S])
     // or a seeded random one (--crashes N).
@@ -364,7 +376,7 @@ fn cmd_faults(flags: &Flags) -> Result<(), String> {
         let crashes = flag(flags, "crashes", 2)?;
         FaultSchedule::random(seed, nodes, duration, crashes)
     };
-    let trace = trace_of(&ds, seed, duration, rate);
+    let trace = trace(&ds, ComparisonSpec::seeds(seed), duration, rate);
     let mut report = Report::default();
     report.line(format_args!(
         "{} over {duration:.0}s at {rate:.0} req/s:",
@@ -377,37 +389,35 @@ fn cmd_faults(flags: &Flags) -> Result<(), String> {
 fn cmd_overload(flags: &Flags) -> Result<(), String> {
     let ds = dataset(flags, "books")?;
     let knobs = Overload {
-        segment: flag(flags, "duration", 10.0)?,
-        rate: flag(flags, "rate", 300.0)?,
+        segment: positive(flags, "duration", 10.0)?,
+        rate: positive(flags, "rate", 300.0)?,
         burst: flag(flags, "burst", 3.0)?,
         deadline: flag(flags, "deadline", 1.0)?,
         slow: flag(flags, "slow", 150.0)?,
         straggle: flag(flags, "straggle", 5.0)?,
     };
     let seed = flag(flags, "seed", 7)?;
-    let nodes = flag(flags, "nodes", 4)?;
-    if nodes < 2 {
+    let base = bat_config(flags, 4, &ds)?;
+    if base.cluster.num_nodes < 2 {
         return Err("overload needs at least 2 nodes (the slow link has two ends)".into());
     }
-    let base = bat_config(flags, nodes, &ds)?;
     let mut report = Report::default();
     report.line(format_args!("{}:", ds.name));
-    scenarios::overload(&mut report, base, &ds, (seed, seed ^ 0xbadc0ffe), &knobs)?;
+    scenarios::overload(&mut report, base, &ds, ComparisonSpec::seeds(seed), &knobs)?;
     report.finish()
 }
 
 fn cmd_meta(flags: &Flags) -> Result<(), String> {
     let ds = dataset(flags, "games")?;
-    let duration = flag(flags, "duration", 30.0)?;
-    let rate = flag(flags, "rate", 60.0)?;
+    let duration = positive(flags, "duration", 30.0)?;
+    let rate = positive(flags, "rate", 60.0)?;
     let seed = flag(flags, "seed", 1)?;
-    let nodes = flag(flags, "nodes", 2)?;
-    let mut base = bat_config(flags, nodes, &ds)?;
+    let mut base = bat_config(flags, 2, &ds)?;
     base.meta_replicas = flag(flags, "replicas", base.meta_replicas)?;
     base.validate().map_err(|e| e.to_string())?;
     let crash_at = flag(flags, "at", duration / 3.0)?;
     let down = flag(flags, "down", duration / 6.0)?;
-    let trace = trace_of(&ds, seed, duration, rate);
+    let trace = trace(&ds, ComparisonSpec::seeds(seed), duration, rate);
     let mut report = Report::default();
     report.line(format_args!(
         "{} over {duration:.0}s at {rate:.0} req/s:",
@@ -513,9 +523,8 @@ fn split_policy(name: &str) -> Result<SplitPolicy, String> {
 
 fn cmd_tiers(flags: &Flags) -> Result<(), String> {
     let ds = dataset(flags, "games")?;
-    let duration = flag(flags, "duration", 20.0)?;
-    let rate = flag(flags, "rate", 40.0)?;
-    let nodes = flag(flags, "nodes", 2)?;
+    let duration = positive(flags, "duration", 20.0)?;
+    let rate = positive(flags, "rate", 40.0)?;
     let hot = Bytes::from_mb(flag(flags, "hot-mb", 200)?);
     let cold = Bytes::from_mb(flag(flags, "cold-mb", 400)?);
     let format = cold_format(flags.get("format").map_or("int8", String::as_str))?;
@@ -524,7 +533,7 @@ fn cmd_tiers(flags: &Flags) -> Result<(), String> {
     tiers.validate()?;
 
     // Same trace, same hot budget: the only difference is the cold tier.
-    let base = bat_config(flags, nodes, &ds)?.with_user_cache_capacity(hot);
+    let base = bat_config(flags, 2, &ds)?.with_user_cache_capacity(hot);
     let tiered = format!("cold {format:?} {split:?}");
     let rows = [("flat", None), (tiered.as_str(), Some(tiers))];
     let mut report = Report::default();
@@ -543,14 +552,14 @@ fn transport_kind(name: &str) -> Result<TransportKind, String> {
 
 fn cmd_net(flags: &Flags) -> Result<(), String> {
     let ds = dataset(flags, "games")?;
-    let duration = flag(flags, "duration", 10.0)?;
-    let rate = flag(flags, "rate", 60.0)?;
+    let duration = positive(flags, "duration", 10.0)?;
+    let rate = positive(flags, "rate", 60.0)?;
     let seed = flag(flags, "seed", 7)?;
-    let nodes = flag(flags, "nodes", 2)?;
     let scale = flag(flags, "scale", 1e-3)?;
     let kind = transport_kind(flags.get("transport").map_or("uds", String::as_str))?;
-    let cfg = bat_config(flags, nodes, &ds)?;
-    let trace = scenarios::trace(&ds, (seed, seed ^ 0x5eed), duration, rate);
+    let cfg = bat_config(flags, 2, &ds)?;
+    let nodes = cfg.cluster.num_nodes;
+    let trace = trace(&ds, (seed, seed ^ 0x5eed), duration, rate);
     // The channel oracle, then the requested backend: same trace, same
     // planner, so the digests must match bit for bit.
     let backends = match kind {
@@ -575,10 +584,9 @@ fn cmd_net(flags: &Flags) -> Result<(), String> {
 /// rejoins over the same listener.
 fn run_membership(flags: &Flags, events: Vec<FaultEvent>) -> Result<(), String> {
     let ds = dataset(flags, "games")?;
-    let duration = flag(flags, "duration", 20.0)?;
-    let rate = flag(flags, "rate", 60.0)?;
+    let duration = positive(flags, "duration", 20.0)?;
+    let rate = positive(flags, "rate", 60.0)?;
     let seed = flag(flags, "seed", 1)?;
-    let nodes = flag(flags, "nodes", 2)?;
     let processes = flags.contains_key("processes");
     let opts = ServeOptions {
         time_scale: flag(flags, "scale", 1e-3)?,
@@ -590,9 +598,10 @@ fn run_membership(flags: &Flags, events: Vec<FaultEvent>) -> Result<(), String> 
         processes,
         ..ServeOptions::default()
     };
-    let base = bat_config(flags, nodes, &ds)?.with_batching(Some(BatchingConfig::default()));
+    let base = bat_config(flags, 2, &ds)?.with_batching(Some(BatchingConfig::default()));
+    let nodes = base.cluster.num_nodes;
     let schedule = FaultSchedule::new(nodes, events).map_err(|e| e.to_string())?;
-    let trace = trace_of(&ds, seed, duration, rate);
+    let trace = trace(&ds, ComparisonSpec::seeds(seed), duration, rate);
     let mut report = Report::default();
     report.line(format_args!(
         "{} on {nodes} nodes, {} requests over {duration:.0}s at {rate:.0} qps ({}):",
@@ -858,5 +867,25 @@ mod tests {
         let flags = parse_flags(&args("--seed 2"), legal("compare")).unwrap();
         assert_eq!(flag(&flags, "seed", 1u64), Ok(2));
         assert_eq!(flag(&flags, "rate", 1.5f64), Ok(1.5));
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_errors_naming_the_flag() {
+        for (line, named) in [
+            ("plan --nodes 0", "--nodes"),
+            ("compare --nodes 0", "--nodes"),
+            ("faults --nodes 0", "--nodes"),
+            ("compare --rate -5", "--rate"),
+            ("compare --rate nan", "--rate"),
+            ("breakdown --rate 0", "--rate"),
+            ("compare --duration -1", "--duration"),
+            ("trace --duration -1", "--duration"),
+            ("plan --gbps 0", "--gbps"),
+            ("plan --gbps -1", "--gbps"),
+            ("info --trace no/such/trace.jsonl", "no/such/trace.jsonl"),
+        ] {
+            let err = dispatch(&args(line)).unwrap_err();
+            assert!(err.contains(named), "{line}: {err}");
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! The paper's tables and figures (§6), one experiment each.
 
-use crate::scenarios::{saturated, spec};
+use crate::scenarios::{run, spec};
 use crate::{cells, f1, f3, Report, RunArgs};
-use bat::experiment::{accuracy_rows, compare_systems, run_config, saturation_offered_rate};
+use bat::experiment::{accuracy_rows, compare_systems, saturation_offered_rate};
 use bat::{
     hrcs_params, AdmissionKind, Bytes, ClusterConfig, ComputeModel, DatasetConfig, EngineConfig,
     ItemPlacementPlan, ModelConfig, NodeConfig, PlacementStrategy, PolicyKind, SemanticConfig,
@@ -452,7 +452,11 @@ pub fn fig5_6_throughput(args: &RunArgs) -> Report {
         })
         .collect();
     let cell_stats = bat::exec::parallel_map(&cells, 1, |(model, ds)| {
-        compare_systems(&saturated(model, &cluster, ds, duration, 1), &ALL_SYSTEMS)
+        let rate = saturation_offered_rate(model, &cluster, ds, 3.0);
+        compare_systems(
+            &spec(model, &cluster, ds, (duration, rate), 1),
+            &ALL_SYSTEMS,
+        )
     });
 
     let mut rows = Vec::new();
@@ -549,14 +553,15 @@ pub fn fig7_placement(args: &RunArgs) -> Report {
             ("BAT-Replicate", plan(PlacementStrategy::Replicate, 1.0)),
             ("BAT-Hash", plan(PlacementStrategy::HashShard, 0.0)),
         ];
-        let spec = saturated(&model, &cluster, &ds, duration, 7);
+        let rate = saturation_offered_rate(&model, &cluster, &ds, 3.0);
+        let trace = spec(&model, &cluster, &ds, (duration, rate), 7).trace();
         for (label, plan) in plans {
             let cfg = EngineConfig {
                 label: label.to_owned(),
                 ..EngineConfig::for_system(SystemKind::Bat, model.clone(), cluster.clone(), &ds)
             }
             .with_placement(Some(plan.clone()));
-            let stats = run_config(&spec, cfg).expect("fig7 plans fit the 150GB budget");
+            let stats = run(cfg, &trace).expect("fig7 plans fit the 150GB budget");
             rows.push(cells![
                 format!("{gbps:.0}Gbps"),
                 label,
@@ -620,7 +625,8 @@ pub fn fig8_scheduling(args: &RunArgs) -> Report {
     let model = ModelConfig::qwen2_1_5b();
     let cluster = ClusterConfig::a100_4node();
     let ds = DatasetConfig::books();
-    let spec = saturated(&model, &cluster, &ds, duration, 8);
+    let rate = saturation_offered_rate(&model, &cluster, &ds, 3.0);
+    let trace = spec(&model, &cluster, &ds, (duration, rate), 8).trace();
     let base = EngineConfig::for_system(SystemKind::Bat, model, cluster, &ds);
     let schedulers = [
         (
@@ -646,7 +652,7 @@ pub fn fig8_scheduling(args: &RunArgs) -> Report {
                 ..base.clone()
             }
             .with_user_cache_capacity(Bytes::from_gb(user_gb));
-            let stats = run_config(&spec, cfg).expect("config valid");
+            let stats = run(cfg, &trace).expect("config valid");
             let (qps, hit, up) = (stats.qps(), stats.hit_rate(), stats.up_share());
             rows.push(cells![
                 format!("{user_gb} GB"),
@@ -691,7 +697,8 @@ pub fn table4_ablation(args: &RunArgs) -> Report {
     let mut rows = Vec::new();
     let mut artifact = Vec::new();
     for ds in [DatasetConfig::books(), DatasetConfig::books_x(1_000_000)] {
-        let spec = saturated(&model, &cluster, &ds, duration, 4);
+        let rate = saturation_offered_rate(&model, &cluster, &ds, 3.0);
+        let trace = spec(&model, &cluster, &ds, (duration, rate), 4).trace();
         let abc = EngineConfig::for_system(SystemKind::Bat, model.clone(), cluster.clone(), &ds);
         // The no-B placement: Replicate if it fits the node budget, else the
         // paper's hash-sharding fallback.
@@ -744,7 +751,7 @@ pub fn table4_ablation(args: &RunArgs) -> Report {
         // the five fan out on the bat-exec pool; results come back in
         // variant order, keeping the table layout stable.
         let stats = bat::exec::parallel_map(&variants, 1, |(_, cfg)| {
-            run_config(&spec, cfg.clone()).expect("table4 configs validate")
+            run(cfg.clone(), &trace).expect("table4 configs validate")
         });
         for ((label, _), stats) in variants.iter().zip(&stats) {
             rows.push(cells![
@@ -850,8 +857,9 @@ pub fn fig10_corpus_scaling(args: &RunArgs) -> Report {
     let mut artifact = Vec::new();
     for &items in corpus_sizes {
         let ds = DatasetConfig::industry_x(items);
+        let rate = saturation_offered_rate(&model, &cluster, &ds, 3.0);
         let stats = compare_systems(
-            &saturated(&model, &cluster, &ds, duration, 10),
+            &spec(&model, &cluster, &ds, (duration, rate), 10),
             &ALL_SYSTEMS,
         );
         for s in &stats {
@@ -888,8 +896,9 @@ pub fn fig11_node_scaling(args: &RunArgs) -> Report {
     let mut qps_at_1 = 0.0f64;
     for n in [1usize, 2, 4, 8, 16] {
         let cluster = ClusterConfig::h20_16node().with_nodes(n);
+        let rate = saturation_offered_rate(&model, &cluster, &ds, 3.0);
         let stats = compare_systems(
-            &saturated(&model, &cluster, &ds, duration, 11),
+            &spec(&model, &cluster, &ds, (duration, rate), 11),
             &[SystemKind::Bat],
         );
         let s = &stats[0];

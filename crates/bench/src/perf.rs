@@ -12,9 +12,10 @@
 //! [`EPOCH`] and the SIMD tier they were measured under: timings (and
 //! output bits) are only comparable within one of each.
 //!
-//! Methodology: minimum wall-clock time over a fixed number of samples
-//! (min is robust to scheduler noise on shared machines), one warmup run
-//! per measurement, `std::hint::black_box` around inputs and outputs.
+//! Methodology: one table of rows built on the fixtures they share, each
+//! row the minimum wall-clock time over a fixed number of samples (min is
+//! robust to scheduler noise on shared machines) after one warmup run, with
+//! `std::hint::black_box` around inputs and outputs.
 
 use bat::exec;
 use bat::meta::{MetaClient, MetaCommand};
@@ -29,12 +30,12 @@ use bat_tensor::{
     stage_is_pooled, ColBlock, GroupAttention, Matrix, QuantKind, QuantizedColBlock, Softmax,
     SplitCols,
 };
-use bat_types::{ClusterConfig, DatasetConfig, ModelConfig, PrefixKind, UserId};
-use bat_workload::{TraceGenerator, Workload};
+use bat_types::{ClusterConfig, DatasetConfig, ModelConfig, PrefixKind, RankRequest, UserId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// A seeded random matrix (unit scale).
@@ -74,7 +75,7 @@ pub struct Speedup {
 pub const EPOCH: &str = "fma-1";
 
 /// Everything `batctl bench` reports.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PerfSummary {
     /// The numerics [`EPOCH`] of the build that produced the summary (empty
     /// for one recorded before epochs were named).
@@ -103,8 +104,8 @@ pub struct PerfSummary {
     pub kernels: Vec<BenchResult>,
     /// End-to-end forward-pass measurements (proxy model, ranking prompt).
     pub forward: Vec<BenchResult>,
-    /// Serving-path measurements: the data plane ([`serve_rows`]) and the
-    /// simulator's sweep ([`sim_sweep_row`]).
+    /// Serving-path measurements: the data plane's saturation drains and
+    /// pacer, and the simulator's sweep.
     #[serde(default)]
     pub serve: Vec<BenchResult>,
     /// The ratios a test gates on (`cold_attend_fused`).
@@ -120,19 +121,6 @@ fn cpu_model() -> String {
             Some(line.split_once(':')?.1.trim().to_string())
         })
         .unwrap_or_else(|| "unknown".into())
-}
-
-/// Best-of-`samples` wall-clock seconds for one call of `f`, after one
-/// warmup call.
-fn time_best<F: FnMut()>(mut f: F, samples: u32) -> f64 {
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..samples.max(1) {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
 }
 
 /// Sets the pool width and, above one thread, keeps the pool busy for a
@@ -151,77 +139,189 @@ fn set_width(w: usize) {
     }
 }
 
-/// The `bench_forward` scenario from the acceptance criteria: the
-/// Qwen2-1.5B-shaped proxy ranking a `candidates`-item prompt.
-fn forward_scenario(candidates: usize) -> (GrModel, TokenSeq) {
-    // Token ids used below: items i and 200+i, user 100.., instr 250/251.
-    let cfg = GrModelConfig::qwen2_1_5b_proxy(300 + candidates);
-    let model = GrModel::new(Weights::random(cfg, 11));
-    let user: Vec<u32> = (0..48).map(|i| 100 + i as u32).collect();
-    let items: Vec<Vec<u32>> = (0..candidates as u32).map(|i| vec![i, 200 + i]).collect();
-    let seq = PromptLayout::new(MaskScheme::Bipartite).build(
-        PrefixKind::Item,
-        &user,
-        &items,
-        &[250, 251],
-    );
-    (model, seq)
+/// Calls `f` at each width in `widths` that fits the machine, the pool set
+/// to it by [`set_width`], then restores the pool's width. Returns the
+/// widths `f` ran at.
+fn at_widths(widths: &[usize], mut f: impl FnMut(usize)) -> Vec<usize> {
+    let restore = exec::threads();
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let fit: Vec<usize> = widths.iter().copied().filter(|&w| w <= nproc).collect();
+    for &w in &fit {
+        set_width(w);
+        f(w);
+    }
+    exec::set_threads(restore);
+    fit
 }
 
-/// The prefix-heavy serving scenario: the same proxy model with a long
-/// cached user prefix *and* `candidates` cached item blocks, so the
-/// computed suffix is just the two instruction tokens — the steady state
-/// of a warm Bat worker, where per-request KV data movement (not FLOPs)
-/// used to dominate. Returns the model, the cached-head sequence, and the
-/// suffix to compute.
-fn prefix_heavy_scenario(user_tokens: usize, candidates: usize) -> (GrModel, TokenSeq, TokenSeq) {
-    let cfg = GrModelConfig::qwen2_1_5b_proxy(300 + candidates);
-    let model = GrModel::new(Weights::random(cfg, 13));
-    let user: Vec<u32> = (0..user_tokens).map(|i| 100 + (i % 100) as u32).collect();
-    let items: Vec<Vec<u32>> = (0..candidates as u32).map(|i| vec![i, 200 + i]).collect();
-    let seq = PromptLayout::new(MaskScheme::Bipartite).build(
-        PrefixKind::User,
-        &user,
-        &items,
-        &[250, 251],
-    );
-    let cached = seq.len() - 2;
-    let (head, tail) = seq.split_at(cached);
-    (model, head, tail)
+/// Seconds for one call of a row at a pool width, or `None` where the row
+/// does not apply (`pool_dispatch` at one thread).
+type Time<'a> = Box<dyn FnMut(usize) -> Option<f64> + 'a>;
+
+/// The list of [`PerfSummary`] a row lands in.
+type Section = fn(&mut PerfSummary) -> &mut Vec<BenchResult>;
+
+/// The suite: its rows in report order, grouped by the fixture they share,
+/// each group `(section, pooled, rows)`. A pooled group's work runs on the
+/// pool, so it is timed at every width and reported width by width; the
+/// others are timed once, at width 1.
+#[derive(Default)]
+struct Table<'a>(Vec<Group<'a>>);
+
+/// A [`Table`] group: its section, whether it is pooled, its named rows.
+type Group<'a> = (Section, bool, Vec<(String, Time<'a>)>);
+
+impl<'a> Table<'a> {
+    /// Starts a group.
+    fn group(&mut self, section: Section, pooled: bool) -> &mut Self {
+        self.0.push((section, pooled, Vec::new()));
+        self
+    }
+
+    /// Adds a row to the last group.
+    fn row(&mut self, name: impl Into<String>, time: Time<'a>) -> &mut Self {
+        let (_, _, rows) = self.0.last_mut().expect("a group was started");
+        rows.push((name.into(), time));
+        self
+    }
+
+    /// Times every row at each width in `widths` that fits the machine and
+    /// files the results in `summary`'s sections, in table order.
+    fn measure(mut self, widths: &[usize], summary: &mut PerfSummary) {
+        let mut measured = Vec::new();
+        summary.thread_counts = at_widths(widths, |w| {
+            for (g, (_, pooled, rows)) in self.0.iter_mut().enumerate() {
+                for (r, (_, time)) in rows.iter_mut().enumerate().filter(|_| *pooled || w == 1) {
+                    measured.extend(time(w).map(|secs| (g, w, r, secs)));
+                }
+            }
+        });
+        measured.sort_by_key(|&(g, w, r, _)| (g, w, r));
+        for (g, threads, r, secs) in measured {
+            let (section, _, rows) = &self.0[g];
+            let name = rows[r].0.clone();
+            section(summary).push(BenchResult {
+                name,
+                threads,
+                secs,
+            });
+        }
+    }
+}
+
+/// A row's time: best-of-`samples` wall-clock seconds for one call of `f`,
+/// its result dropped unread, after one warmup call (min is robust to
+/// scheduler noise).
+fn best<'a, R>(samples: u32, mut f: impl FnMut() -> R + 'a) -> Time<'a> {
+    Box::new(move |_| {
+        black_box(f());
+        let mut best = f64::INFINITY;
+        for _ in 0..samples.max(1) {
+            let t0 = Instant::now();
+            black_box(f());
+            best = best.min(t0.elapsed().as_secs_f64());
+        }
+        Some(best)
+    })
+}
+
+/// [`best`] of `f` on a fresh copy of `src` each call.
+fn in_place<'a>(samples: u32, src: &'a [f32], mut f: impl FnMut(&mut [f32]) + 'a) -> Time<'a> {
+    let mut buf = src.to_vec();
+    best(samples, move || {
+        buf.copy_from_slice(src);
+        f(black_box(&mut buf));
+        black_box(&buf);
+    })
+}
+
+/// [`best`] of `model` computing `tail` behind `kv` through its own reused
+/// workspace.
+fn forward_row<'a>(
+    samples: u32,
+    model: &'a GrModel,
+    tail: &'a TokenSeq,
+    kv: Option<&'a KvSegment>,
+) -> Time<'a> {
+    let mut ws = ForwardWorkspace::new();
+    best(samples, move || {
+        black_box(model.forward_with(black_box(tail), kv.map(black_box), &mut ws));
+    })
+}
+
+/// [`best`] of group attention over `kv` for each `(token row of q, key
+/// runs)` of `calls`, every query head (`chunk` query columns a KV head).
+fn attend_row<'a>(
+    samples: u32,
+    kv: &'a GroupAttention<'a>,
+    q: &'a Matrix,
+    chunk: usize,
+    calls: Vec<(usize, Vec<Range<usize>>)>,
+) -> Time<'a> {
+    let (mut out, mut scratch) = (vec![0.0f32; q.cols()], Vec::new());
+    best(samples, move || {
+        for (t, runs) in &calls {
+            let heads = q.row(*t).chunks_exact(chunk);
+            for (h, (q, out)) in heads.zip(out.chunks_exact_mut(chunk)).enumerate() {
+                kv.attend::<Softmax>(h, black_box(runs), q, &mut scratch, out);
+            }
+            black_box(&out);
+        }
+    })
+}
+
+/// A `height`-row block of `cols` seeded random columns.
+fn col_block(height: usize, cols: usize, rng: &mut SmallRng) -> ColBlock {
+    let mut block = ColBlock::new(height);
+    for col in Matrix::random(cols, height, 1.0, rng)
+        .as_slice()
+        .chunks_exact(height)
+    {
+        block.push_col(col);
+    }
+    block
+}
+
+/// The Qwen2-1.5B-shaped proxy (weight seed `seed`) and a bipartite
+/// `kind` prompt ranking `candidates` two-token items behind `user`, with a
+/// two-token instruction block: the scenario of the `forward_batched` and
+/// `forward_packed_prefix` rows and of the determinism check.
+fn proxy_prompt(kind: PrefixKind, user: &[u32], candidates: u32, seed: u64) -> (GrModel, TokenSeq) {
+    // Token ids: items i and 200+i, users from 100, instructions 250/251.
+    let cfg = GrModelConfig::qwen2_1_5b_proxy(300 + candidates as usize);
+    let items: Vec<Vec<u32>> = (0..candidates).map(|i| vec![i, 200 + i]).collect();
+    let seq = PromptLayout::new(MaskScheme::Bipartite).build(kind, user, &items, &[250, 251]);
+    (GrModel::new(Weights::random(cfg, seed)), seq)
 }
 
 /// A cached prefix and the suffix left to compute behind it.
 type Hit = (KvSegment, TokenSeq);
 
-/// The tokens of a `rank_warm` user profile of `len` tokens.
-fn rank_warm_profile(len: u32) -> Vec<u32> {
-    (0..len).map(|i| i * 37 % 4256).collect()
+/// The 50 two-token candidates of a `rank_warm` request.
+fn rank_warm_items() -> Vec<Vec<u32>> {
+    (0..50).map(|i| vec![i, 4000 + i]).collect()
 }
 
-/// The 50 two-token candidates and the 32-token instruction block of a
-/// `rank_warm` request.
-fn rank_warm_items_instr() -> (Vec<Vec<u32>>, Vec<u32>) {
-    let items = (0..50).map(|i| vec![i, 4000 + i]).collect();
-    (items, (0..32).map(|i| 4100 + i).collect())
+/// The `rank_warm` request of the repo benchmark (`benchmark/`) as a
+/// `kind` prompt: a `profile`-token user profile, the 50 candidates and a
+/// 32-token instruction block.
+fn rank_warm_prompt(kind: PrefixKind, profile: u32) -> TokenSeq {
+    let user: Vec<u32> = (0..profile).map(|i| i * 37 % 4256).collect();
+    let instr: Vec<u32> = (4100..4132).collect();
+    PromptLayout::new(MaskScheme::Bipartite).build(kind, &user, &rank_warm_items(), &instr)
 }
 
-/// The `rank_warm` request shape of the repo benchmark (`benchmark/`): a
-/// `profile`-token user profile, 50 two-token candidates and a 32-token
-/// instruction block, as the two hits `model` can serve it by:
-/// User-as-prefix splices the cached profile and computes items +
-/// instructions; Item-as-prefix splices the 50 item segments — each computed
-/// standalone — and computes profile + instructions.
+/// The two hits `model` can serve a `rank_warm` request by: User-as-prefix
+/// splices the cached profile and computes items + instructions;
+/// Item-as-prefix splices the 50 item segments — each computed standalone —
+/// and computes profile + instructions.
 fn rank_warm_hits(model: &GrModel, profile: u32) -> [Hit; 2] {
-    let layout = PromptLayout::new(MaskScheme::Bipartite);
-    let user = rank_warm_profile(profile);
-    let (items, instr) = rank_warm_items_instr();
-
-    let up = layout.build(PrefixKind::User, &user, &items, &instr);
-    let (up_head, up_tail) = up.split_at(user.len());
+    let up = rank_warm_prompt(PrefixKind::User, profile);
+    let (up_head, up_tail) = up.split_at(profile as usize);
     let up_kv = model.compute_kv(&up_head);
 
-    let ip = layout.build(PrefixKind::Item, &user, &items, &instr);
-    let cached: Vec<KvSegment> = items
+    let layout = PromptLayout::new(MaskScheme::Bipartite);
+    let cached: Vec<KvSegment> = rank_warm_items()
         .iter()
         .map(|item| model.compute_kv(&layout.item_standalone(0, item, 0)))
         .collect();
@@ -229,6 +329,7 @@ fn rank_warm_hits(model: &GrModel, profile: u32) -> [Hit; 2] {
     for (g, tag) in ip_kv.segs.iter_mut().enumerate() {
         *tag = SegTag::Item(g as u32 / 2);
     }
+    let ip = rank_warm_prompt(PrefixKind::Item, profile);
     let (_, ip_tail) = ip.split_at(ip_kv.len());
     [(up_kv, up_tail), (ip_kv, ip_tail)]
 }
@@ -259,7 +360,8 @@ fn rank_warm_cases() -> (GrModel, [(&'static str, Hit); 3]) {
 fn check_determinism(widths: &[usize]) -> bool {
     let a = random_matrix(130, 96, 3);
     let b = random_matrix(96, 112, 4);
-    let (model, seq) = forward_scenario(150);
+    let user: Vec<u32> = (100..148).collect();
+    let (model, seq) = proxy_prompt(PrefixKind::Item, &user, 150, 11);
     let stages = model.stage_work(&seq, None);
     assert!(
         stage_is_pooled(a.rows() * a.cols() * b.cols())
@@ -271,182 +373,46 @@ fn check_determinism(widths: &[usize]) -> bool {
     exec::set_threads(1);
     let gold_mm = a.matmul(&b);
     let gold_fwd = model.forward(&seq, None);
-    let mut ok = true;
-    for &w in widths {
+    let same = |x: &[f32], y: &[f32]| x.iter().zip(y).all(|(x, y)| x.to_bits() == y.to_bits());
+    widths.iter().all(|&w| {
         exec::set_threads(w);
-        let mm = a.matmul(&b);
-        let fwd = model.forward(&seq, None);
-        ok &= mm
-            .as_slice()
-            .iter()
-            .zip(gold_mm.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits());
-        ok &= fwd
-            .logits()
-            .iter()
-            .zip(&gold_fwd.logits())
-            .all(|(x, y)| x.to_bits() == y.to_bits());
-    }
-    ok
+        same(a.matmul(&b).as_slice(), gold_mm.as_slice())
+            & same(&model.forward(&seq, None).logits(), &gold_fwd.logits())
+    })
 }
 
-/// The serving data plane with compute ≈ 0, one row each:
-///
-/// * `serve_drain_channel` / `serve_drain_uds` — seconds for one
-///   `ServeRuntime::serve` saturation drain of a fixed Books trace (1 000
-///   requests; 100 when `quick`) through the slot scheduler at `time_scale`
-///   1e-6, over in-process channels and over Unix sockets: planner, slot
-///   machine, frame codec, transport, worker pacing and the wake-driven
-///   waits, with nothing to wait for but each other.
-/// * `worker_pacing_overshoot` — seconds a [`Pacer`] blocks for 10 000
-///   charges of 1 µs. The priced total is 0.010 s, so `secs / 0.010` is the
-///   overshoot: ≈ 1 when small charges share sleeps, ≈ 55 if each paid the
-///   timer floor.
-fn serve_rows(quick: bool, samples: u32) -> Vec<BenchResult> {
-    let mut ds = DatasetConfig::books();
-    let cfg = EngineConfig::for_system(
-        SystemKind::Bat,
-        ModelConfig::qwen2_1_5b(),
-        ClusterConfig::a100_4node().with_nodes(2),
-        &ds,
-    )
-    .with_batching(Some(BatchingConfig::default()));
-    // One request per session, as in the repo benchmark's `serve_slots`:
-    // the round count then barely moves with the seed.
-    ds.session_mean_requests = 1.0;
-    let requests = if quick { 100 } else { 1_000 };
-    let mut trace = TraceGenerator::new(Workload::new(ds, 7), 11).generate(5.0, 300.0);
+/// The `requests` first arrivals of a Books trace at 300 req/s (workload
+/// seed 7, trace seed 11) `secs` long, generated from `ds`.
+fn books_trace(ds: &DatasetConfig, secs: f64, requests: usize) -> Vec<RankRequest> {
+    let mut trace = bat::experiment::trace(ds, (7, 11), secs, 300.0);
     assert!(trace.len() >= requests, "trace generator fell short");
     trace.truncate(requests);
-
-    let mut rows = Vec::new();
-    let mut transports = vec![("serve_drain_channel", TransportKind::Channel)];
-    if cfg!(unix) {
-        transports.push(("serve_drain_uds", TransportKind::Uds));
-    }
-    for (name, transport) in transports {
-        let opts = ServeOptions {
-            time_scale: 1e-6,
-            transport,
-            ..ServeOptions::default()
-        };
-        let runtime = ServeRuntime::new(cfg.clone(), opts).expect("preset config validates");
-        let secs = time_best(
-            || {
-                black_box(runtime.serve(black_box(&trace)));
-            },
-            samples,
-        );
-        rows.push(BenchResult {
-            name: name.into(),
-            threads: 1,
-            secs,
-        });
-    }
-
-    let pacing_secs = time_best(
-        || {
-            let mut pacer = Pacer::new();
-            for _ in 0..10_000 {
-                black_box(pacer.charge(Duration::from_micros(1), true));
-                pacer.catch_up();
-            }
-        },
-        samples,
-    );
-    rows.push(BenchResult {
-        name: "worker_pacing_overshoot".into(),
-        threads: 1,
-        secs: pacing_secs,
-    });
-    rows
+    trace
 }
 
-/// `sim_sweep` — seconds for the eight `ServingEngine::new` + `run`s (RE,
-/// UP, IP, BAT, each per-request and with [`BatchingConfig::default`]) of
-/// a fixed, overloaded Books trace on two nodes: 15 000 requests (300 when
-/// `quick`), the sweep of the repo benchmark's `sim_replay`. The planner and
-/// the slot machine are most of it; no threads, sockets or sleeps.
-fn sim_sweep_row(quick: bool, samples: u32) -> BenchResult {
-    let ds = DatasetConfig::books();
-    let (requests, secs) = if quick { (300, 10.0) } else { (15_000, 200.0) };
-    let mut trace = TraceGenerator::new(Workload::new(ds.clone(), 7), 11).generate(secs, 300.0);
-    assert!(trace.len() >= requests, "trace generator fell short");
-    trace.truncate(requests);
-    let mut cfgs = Vec::new();
-    for kind in [
-        SystemKind::Recompute,
-        SystemKind::UserPrefix,
-        SystemKind::ItemPrefix,
-        SystemKind::Bat,
-    ] {
-        for batching in [None, Some(BatchingConfig::default())] {
-            let cluster = ClusterConfig::a100_4node().with_nodes(2);
-            cfgs.push(
-                EngineConfig::for_system(kind, ModelConfig::qwen2_1_5b(), cluster, &ds)
-                    .with_batching(batching),
-            );
-        }
-    }
-    let secs = time_best(
-        || {
-            for cfg in &cfgs {
-                let mut engine = ServingEngine::new(cfg.clone()).expect("preset config validates");
-                black_box(engine.run(black_box(&trace)));
-            }
-        },
-        samples,
-    );
-    BenchResult {
-        name: "sim_sweep".into(),
-        threads: 1,
-        secs,
-    }
-}
-
-/// Submits per timed call of a `meta_commit_*` row.
-const META_COMMITS: u32 = 10_000;
-
-/// `meta_commit_512` / `_5k` / `_50k` — [`MetaClient::submit`] of a
-/// `HotnessDelta` on a three-replica meta group whose hotness table holds
-/// that many keys: seconds for [`META_COMMITS`] submits, so `secs × 100` is
-/// µs per submit (a batch that long is what lets the gate's absolute slack
-/// see a 0.1 µs commit double). The planner commits on every request, so a
-/// commit whose cost grows with the table makes every plan cost O(users);
-/// the three rows read alike when it does not.
-fn meta_rows(samples: u32) -> Vec<BenchResult> {
-    let submit = |client: &mut MetaClient, i: u64, keys: u64| {
+/// `meta_commit_<keys>` — [`MetaClient::submit`] of a `HotnessDelta` on a
+/// three-replica meta group whose hotness table holds `keys` keys: seconds
+/// for 10 000 submits, so `secs × 100` is µs per submit (a batch that long
+/// is what lets the gate's absolute slack see a 0.1 µs commit double). The
+/// planner commits on every request, so a commit whose cost grows with the
+/// table makes every plan cost O(users); the three rows read alike when it
+/// does not.
+fn meta_row(samples: u32, keys: u64) -> Time<'static> {
+    let submit = move |client: &mut MetaClient, i: u64| {
         let key = CacheKey::User(UserId::new(i % keys));
         black_box(client.submit(MetaCommand::HotnessDelta { key, at_ms: i }, i as f64 * 1e-3));
     };
-    [
-        ("meta_commit_512", 512),
-        ("meta_commit_5k", 5_000),
-        ("meta_commit_50k", 50_000),
-    ]
-    .into_iter()
-    .map(|(name, keys)| {
-        let mut client = MetaClient::new(3, 401, 2);
-        for i in 0..keys {
-            submit(&mut client, i, keys);
-        }
-        let mut i = keys;
-        let secs = time_best(
-            || {
-                for _ in 0..META_COMMITS {
-                    submit(&mut client, i, keys);
-                    i += 1;
-                }
-            },
-            samples,
-        );
-        BenchResult {
-            name: name.into(),
-            threads: 1,
-            secs,
+    let mut client = MetaClient::new(3, 401, 2);
+    for i in 0..keys {
+        submit(&mut client, i);
+    }
+    let mut i = keys;
+    best(samples, move || {
+        for _ in 0..10_000 {
+            submit(&mut client, i);
+            i += 1;
         }
     })
-    .collect()
 }
 
 /// One scenario of [`stage_profile`] at one pool width.
@@ -472,14 +438,11 @@ pub struct StageRow {
 /// [`bat_model::ForwardOutput::candidate_scores`] over the 50 candidates —
 /// booked on `ReadOut` beside the forward's own final norm.
 pub fn stage_profile(widths: &[usize], forwards: u32) -> Vec<StageRow> {
-    let restore = exec::threads();
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let (model, cases) = rank_warm_cases();
     // Identifier tokens of the 50 candidates `rank_warm_hits` builds.
     let ids: Vec<u32> = (0..50).collect();
     let mut rows = Vec::new();
-    for &w in widths.iter().filter(|&&w| w <= nproc) {
-        set_width(w);
+    at_widths(widths, |w| {
         for (name, (kv, tail)) in &cases {
             let mut ws = ForwardWorkspace::new();
             for _ in 0..forwards.div_ceil(10) {
@@ -512,53 +475,164 @@ pub fn stage_profile(widths: &[usize], forwards: u32) -> Vec<StageRow> {
                     .collect(),
             });
         }
-    }
-    exec::set_threads(restore);
+    });
     rows
 }
 
-/// Runs the full suite at each width in `widths` that fits the machine
-/// (see [`PerfSummary::thread_counts`]); determinism is still checked at
-/// every requested width, since that is a correctness property.
+/// Runs the suite's row table at each width in `widths` (which starts at 1)
+/// that fits the machine (see [`PerfSummary::thread_counts`]); determinism
+/// is still checked at every requested width, since that is a correctness
+/// property.
 ///
 /// `quick` shrinks problem sizes and sample counts for CI smoke runs; the
 /// committed baseline uses the full sizes.
 pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
-    let restore = exec::threads();
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let thread_counts: Vec<usize> = widths.iter().copied().filter(|&w| w <= nproc).collect();
-    let thread_counts = &thread_counts[..];
+    assert_eq!(widths.first(), Some(&1), "serial rows are timed at width 1");
     let (mm_dim, samples, candidates) = if quick { (64, 3, 20) } else { (128, 5, 100) };
+    // Calls of microseconds to a millisecond get more samples, but not in
+    // quick mode: the suite's own tests run it unoptimized.
+    let micro_samples = if quick { samples } else { samples * 40 };
+    let p_samples = if quick { samples } else { samples * 8 };
+    let kernel_samples = samples * 8;
 
     let a = random_matrix(mm_dim, mm_dim, 1);
     let b = random_matrix(mm_dim, mm_dim, 2);
     let bt = b.transpose();
-    let (model, seq) = forward_scenario(candidates);
-
-    let mut kernels = Vec::new();
-    let mut forward = Vec::new();
-
     // The GEMM at the `rank_warm` forward's four shapes: 132 suffix rows
     // through gate|up, down, Q / O, and K|V.
-    let gemm_shapes = [(132, 96, 512), (132, 256, 96), (132, 96, 96), (132, 96, 32)];
-    let gemm_operands: Vec<(Matrix, Matrix)> = gemm_shapes
-        .iter()
-        .map(|&(n, k, m)| (random_matrix(n, k, 31), random_matrix(k, m, 32)))
-        .collect();
-    let mut gemm_out = Matrix::zeros(0, 0);
-    // Tens of microseconds a call: many samples where calls are cheap, few
-    // in quick mode (the suite's own tests run it unoptimized).
-    let micro_samples = if quick { samples } else { samples * 40 };
+    let gemms: Vec<(Matrix, Matrix)> =
+        [(132, 96, 512), (132, 256, 96), (132, 96, 96), (132, 96, 32)]
+            .iter()
+            .map(|&(n, k, m)| (random_matrix(n, k, 31), random_matrix(k, m, 32)))
+            .collect();
+    let user: Vec<u32> = (100..148).collect();
+    let (model, seq) = &proxy_prompt(PrefixKind::Item, &user, candidates, 11);
+    // A long cached user prefix and cached candidate blocks in front of a
+    // two-token suffix: the steady state of a warm BAT worker, where
+    // per-request KV data movement, not FLOPs, is the cost. The suffix reads
+    // the stored packed planes in place (EXPERIMENTS.md has the numbers).
+    let (user_tokens, p_candidates) = if quick { (256, 20) } else { (2048, 100) };
+    let user: Vec<u32> = (0..user_tokens).map(|i| 100 + i % 100).collect();
+    let (p_model, p_seq) = &proxy_prompt(PrefixKind::User, &user, p_candidates, 13);
+    let (p_head, p_tail) = &p_seq.split_at(p_seq.len() - 2);
+    let p_kv = &p_model.compute_kv(p_head);
+    // The repo benchmark's `rank_warm` request, one forward per prefix kind
+    // — the rows behind its `model.forward_up_hit` / `model.forward_ip_hit`
+    // spans — and the miss beside them, `compute_kv_user`: the 192-token
+    // profile's segment. Same shape in quick mode; it takes milliseconds.
+    let (r_model, r_cases) = &rank_warm_cases();
+    let (profile, _) = rank_warm_prompt(PrefixKind::User, 192).split_at(192);
+    // The same request cold and Item-as-prefix (324 tokens) through the
+    // HSTU-style model at matched heads: the pointwise unit's row.
+    let hstu_cfg = GrModelConfig {
+        kv_heads: 12,
+        ..GrModelConfig::qwen2_1_5b_proxy(4256)
+    };
+    let hstu = HstuModel::random(hstu_cfg, 11);
+    let cold = rank_warm_prompt(PrefixKind::Item, 192);
 
-    for &w in thread_counts {
-        set_width(w);
-        if w > 1 {
-            // What handing a stage to the pool costs when the stage itself
-            // is free — the number `bat_tensor`'s `PAR_MACS` threshold is
-            // derived from, with the `gemm_*` rate below. The median, not
-            // the best: the best (≈ 0.6 µs) is the rare dispatch a spinning
-            // worker catches at once, and a threshold has to repay the
-            // usual one.
+    // Cold-tier quantization kernels: per-segment work the tiered pool does
+    // on demotion and cold hits. The fused attend reads the quantized
+    // planes directly; its baseline materializes an f32 copy first and
+    // attends over that — same arithmetic, bit-identical result, extra
+    // allocation and memory traffic.
+    let (q_rows, q_cols) = if quick { (64, 256) } else { (128, 2048) };
+    let q_block = &col_block(q_rows, q_cols, &mut SmallRng::seed_from_u64(17));
+    let scores: &Vec<f32> = &(0..q_cols).map(|j| (j as f32 * 0.37).sin()).collect();
+    let zeros = &vec![0.0f32; q_rows];
+    let quantized = [(QuantKind::Int8, "int8"), (QuantKind::F16, "f16")]
+        .map(|(kind, label)| (kind, label, QuantizedColBlock::quantize(q_block, kind)));
+
+    // The group attention kernel on its own, at the `rank_warm` shapes: one
+    // User-as-prefix token row — all 12 query heads (two KV heads of six)
+    // over the cached keys plus the token's own 2-key block — and a
+    // 192-token causal block (what `compute_kv` of a profile runs per
+    // layer). Same shapes in quick mode; they take micro- to milliseconds.
+    let (d, group, kv_heads, prefix) = (8, 6, 2, 192);
+    let mut rng = SmallRng::seed_from_u64(19);
+    let [k_pre, v_pre, k_suf, v_suf] =
+        [prefix, prefix, 8, 8].map(|cols| col_block(kv_heads * d, cols, &mut rng));
+    let q = Matrix::random(prefix, kv_heads * group * d, 1.0, &mut rng);
+    let up_hit = GroupAttention {
+        keys: SplitCols::new(Some(&k_pre), &k_suf),
+        vals: SplitCols::new(Some(&v_pre), &v_suf),
+        head_dim: d,
+        scale: 1.0 / (d as f32).sqrt(),
+    };
+    let causal = GroupAttention {
+        keys: SplitCols::new(None, &k_pre),
+        vals: SplitCols::new(None, &v_pre),
+        ..up_hit
+    };
+
+    // Multiversioned elementwise kernels, labelled with the SIMD tier the
+    // dispatchers actually selected on this machine (avx512 / avx2 / neon /
+    // scalar) — so the committed baseline records which tier it measured
+    // and a tier silently falling back to scalar shows up as a regression.
+    // All tiers are bit-identical; only speed differs.
+    let tier = active_simd_tier();
+    let simd_len = if quick { 1536 } else { 8192 };
+    let mut rng = SmallRng::seed_from_u64(23);
+    let [src, ups] = [0, 1].map(|_| {
+        Matrix::random(1, simd_len, 1.0, &mut rng)
+            .as_slice()
+            .to_vec()
+    });
+    let (src, ups) = (&src, &ups);
+
+    // The repo benchmark's `sim_replay` sweep: the eight `ServingEngine::new`
+    // + `run`s (RE, UP, IP, BAT, each per-request and with
+    // `BatchingConfig::default`) of a fixed, overloaded Books trace on two
+    // nodes, 15 000 requests (300 when `quick`). The planner and the slot
+    // machine are most of it; no threads, sockets or sleeps.
+    let ds = DatasetConfig::books();
+    let (sim_secs, sim_requests) = if quick { (10.0, 300) } else { (200.0, 15_000) };
+    let sim_trace = &books_trace(&ds, sim_secs, sim_requests);
+    let mut sim_cfgs = Vec::new();
+    for kind in [
+        SystemKind::Recompute,
+        SystemKind::UserPrefix,
+        SystemKind::ItemPrefix,
+        SystemKind::Bat,
+    ] {
+        for batching in [None, Some(BatchingConfig::default())] {
+            let cluster = ClusterConfig::a100_4node().with_nodes(2);
+            sim_cfgs.push(
+                EngineConfig::for_system(kind, ModelConfig::qwen2_1_5b(), cluster, &ds)
+                    .with_batching(batching),
+            );
+        }
+    }
+    // The serving data plane with compute ≈ 0: seconds for one
+    // `ServeRuntime::serve` saturation drain of the sweep's last config
+    // (BAT, batched) over a fixed Books trace (1 000 requests; 100 when
+    // `quick`) at `time_scale` 1e-6, over in-process channels and over Unix
+    // sockets — planner, slot machine, frame codec, transport, worker
+    // pacing and the wake-driven waits, with nothing to wait for but each
+    // other. One request per session, as in the repo benchmark's
+    // `serve_slots`: the round count then barely moves with the seed.
+    let serve_cfg = sim_cfgs.last().expect("the sweep has configs");
+    let serve_ds = DatasetConfig {
+        session_mean_requests: 1.0,
+        ..ds.clone()
+    };
+    let serve_trace = &books_trace(&serve_ds, 5.0, if quick { 100 } else { 1_000 });
+
+    let mut summary = PerfSummary {
+        epoch: EPOCH.into(),
+        simd_tier: tier.into(),
+        cpu: cpu_model(),
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        ..PerfSummary::default()
+    };
+    let mut t = Table::default();
+    // What handing a stage to the pool costs when the stage itself is free
+    // — the number `bat_tensor`'s `PAR_MACS` threshold is derived from, with
+    // the `gemm_*` rate. The median, not the best: the best (≈ 0.6 µs) is
+    // the rare dispatch a spinning worker catches at once, and a threshold
+    // has to repay the usual one.
+    let dispatch = Box::new(|w: usize| {
+        (w > 1).then(|| {
             let mut dispatches: Vec<f64> = (0..micro_samples * 10)
                 .map(|_| {
                     let t0 = Instant::now();
@@ -569,373 +643,88 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
                 })
                 .collect();
             dispatches.sort_by(f64::total_cmp);
-            kernels.push(BenchResult {
-                name: "pool_dispatch".into(),
-                threads: w,
-                secs: dispatches[dispatches.len() / 2],
-            });
-        }
-        let mm = time_best(|| drop(black_box(black_box(&a).matmul(&b))), samples);
-        kernels.push(BenchResult {
-            name: "matmul_blocked".into(),
-            threads: w,
-            secs: mm,
-        });
-        let nt = time_best(|| drop(black_box(black_box(&a).matmul_nt(&bt))), samples);
-        kernels.push(BenchResult {
-            name: "matmul_nt_blocked".into(),
-            threads: w,
-            secs: nt,
-        });
-        for (&(n, k, m), (lhs, rhs)) in gemm_shapes.iter().zip(&gemm_operands) {
-            let secs = time_best(
-                || {
-                    black_box(lhs).matmul_into(black_box(rhs), &mut gemm_out);
-                    black_box(&gemm_out);
-                },
-                micro_samples,
+            dispatches[dispatches.len() / 2]
+        })
+    });
+    t.group(|s| &mut s.kernels, true)
+        .row("pool_dispatch", dispatch)
+        .row("matmul_blocked", best(samples, || black_box(&a).matmul(&b)))
+        .row(
+            "matmul_nt_blocked",
+            best(samples, || black_box(&a).matmul_nt(&bt)),
+        );
+    for (lhs, rhs) in &gemms {
+        let (n, k, m) = (lhs.rows(), lhs.cols(), rhs.cols());
+        let mut out = Matrix::zeros(0, 0);
+        t.row(
+            format!("gemm_{n}x{k}x{m}"),
+            best(micro_samples, move || {
+                black_box(lhs).matmul_into(black_box(rhs), &mut out);
+                black_box(&out);
+            }),
+        );
+    }
+
+    t.group(|s| &mut s.kernels, false);
+    for (kind, label, q) in &quantized {
+        let quantize = move || QuantizedColBlock::quantize(black_box(q_block), *kind);
+        let materialized = move |out: &mut [f32]| {
+            let full = black_box(q).dequantize();
+            let runs = 0..q_cols;
+            let runs = std::slice::from_ref(&runs);
+            SplitCols::new(None, &full).rows_dot_acc(0, runs, black_box(scores), out);
+        };
+        t.row(format!("quantize_{label}"), best(kernel_samples, quantize))
+            .row(
+                format!("dequantize_{label}"),
+                best(kernel_samples, move || black_box(q).dequantize()),
+            )
+            .row(
+                format!("dequant_fused_attend_{label}"),
+                in_place(kernel_samples, zeros, move |out| {
+                    black_box(q).rows_dot_acc(0, black_box(scores), out)
+                }),
+            )
+            .row(
+                format!("dequant_then_attend_{label}"),
+                in_place(kernel_samples, zeros, materialized),
             );
-            kernels.push(BenchResult {
-                name: format!("gemm_{n}x{k}x{m}"),
-                threads: w,
-                secs,
-            });
-        }
-        let fwd = time_best(
-            || drop(black_box(model.forward(black_box(&seq), None))),
-            samples,
-        );
-        forward.push(BenchResult {
-            name: "forward_batched".into(),
-            threads: w,
-            secs: fwd,
-        });
     }
-
-    // Prefix-heavy scenario: long cached user prefix + cached candidate
-    // blocks, two-token suffix, through a reused workspace and the zero-copy
-    // splice of the stored packed planes (`forward_packed_prefix`; the
-    // repack-per-layer data movement it replaced last read 0.816 ms against
-    // 0.260 ms — EXPERIMENTS.md, PR 22). The calls are sub-millisecond, so
-    // they get more samples (not in quick mode: the suite's own tests run it
-    // unoptimized, where a forward takes seconds).
-    let (user_tokens, p_candidates) = if quick { (256, 20) } else { (2048, 100) };
-    let p_samples = if quick { samples } else { samples * 8 };
-    let (p_model, p_head, p_tail) = prefix_heavy_scenario(user_tokens, p_candidates);
-    exec::set_threads(1);
-    let p_kv: KvSegment = p_model.compute_kv(&p_head);
-    let mut ws = ForwardWorkspace::new();
-    for &w in thread_counts {
-        set_width(w);
-        let packed = time_best(
-            || {
-                black_box(p_model.forward_with(
-                    black_box(&p_tail),
-                    Some(black_box(&p_kv)),
-                    &mut ws,
-                ));
-            },
-            p_samples,
-        );
-        forward.push(BenchResult {
-            name: "forward_packed_prefix".into(),
-            threads: w,
-            secs: packed,
-        });
+    // The same row over 191 cached keys — a ragged run, as fifteen profile
+    // lengths in sixteen give — and an item row on its own two keys (an
+    // item segment's `compute_kv`): nearly all fixed cost.
+    let chunk = group * d;
+    for (name, cached) in [
+        ("attend_group_up_hit", 0..prefix),
+        ("attend_group_up_hit_ragged", 0..prefix - 1),
+        ("attend_group_row_2key", 0..0),
+    ] {
+        let calls = vec![(0, vec![cached, prefix + 4..prefix + 6])];
+        t.row(name, attend_row(kernel_samples, &up_hit, &q, chunk, calls));
     }
-
-    // The repo benchmark's `rank_warm` request, one forward per prefix kind
-    // through a reused workspace — the rows behind its
-    // `model.forward_up_hit` / `model.forward_ip_hit` spans. Same shape in
-    // quick mode: it is the shape that matters, and it takes milliseconds.
-    // `compute_kv_user` is the miss beside them: the 192-token profile's
-    // segment, a forward that reads out nothing.
-    let (r_model, r_cases) = rank_warm_cases();
-    let profile = PromptLayout::new(MaskScheme::Bipartite).user_standalone(&rank_warm_profile(192));
-    for &w in thread_counts {
-        set_width(w);
-        let secs = time_best(
-            || drop(black_box(r_model.compute_kv(black_box(&profile)))),
-            p_samples,
-        );
-        forward.push(BenchResult {
-            name: "compute_kv_user".into(),
-            threads: w,
-            secs,
-        });
-        for (name, (kv, tail)) in &r_cases {
-            let secs = time_best(
-                || {
-                    black_box(r_model.forward_with(black_box(tail), Some(black_box(kv)), &mut ws));
-                },
-                p_samples,
-            );
-            forward.push(BenchResult {
-                name: (*name).into(),
-                threads: w,
-                secs,
-            });
-        }
-    }
-
-    // The same request cold and Item-as-prefix (324 tokens) through the
-    // HSTU-style model at matched heads: the pointwise unit's row.
-    let hstu_cfg = GrModelConfig {
-        kv_heads: 12,
-        ..GrModelConfig::qwen2_1_5b_proxy(4256)
-    };
-    let hstu = HstuModel::random(hstu_cfg, 11);
-    let (items, instr) = rank_warm_items_instr();
-    let cold = PromptLayout::new(MaskScheme::Bipartite).build(
-        PrefixKind::Item,
-        &rank_warm_profile(192),
-        &items,
-        &instr,
-    );
-    for &w in thread_counts {
-        set_width(w);
-        let secs = time_best(
-            || {
-                black_box(hstu.forward_with(black_box(&cold), None, &mut ws));
-            },
-            p_samples,
-        );
-        forward.push(BenchResult {
-            name: "forward_hstu".into(),
-            threads: w,
-            secs,
-        });
-    }
-
-    // Cold-tier quantization kernels (serial: per-segment work the tiered
-    // pool does on demotion and cold hits). The fused attend reads the
-    // quantized planes directly; its baseline materializes an f32 copy
-    // first and attends over that — same arithmetic, bit-identical result,
-    // extra allocation and memory traffic.
-    let (q_rows, q_cols) = if quick { (64, 256) } else { (128, 2048) };
-    let q_samples = samples * 8;
-    exec::set_threads(1);
-    let mut q_block = ColBlock::new(q_rows);
-    {
-        let mut rng = SmallRng::seed_from_u64(17);
-        let col: Vec<f32> = Matrix::random(q_rows, q_cols, 1.0, &mut rng)
-            .as_slice()
-            .to_vec();
-        for j in 0..q_cols {
-            let column: Vec<f32> = (0..q_rows).map(|r| col[r * q_cols + j]).collect();
-            q_block.push_col(&column);
-        }
-    }
-    let scores: Vec<f32> = (0..q_cols).map(|j| (j as f32 * 0.37).sin()).collect();
-    let mut attend_out = vec![0.0f32; q_rows];
-    let mut fused_secs = f64::INFINITY;
-    for kind in [QuantKind::Int8, QuantKind::F16] {
-        let label = match kind {
-            QuantKind::Int8 => "int8",
-            QuantKind::F16 => "f16",
-        };
-        let q_secs = time_best(
-            || {
-                drop(black_box(QuantizedColBlock::quantize(
-                    black_box(&q_block),
-                    kind,
-                )))
-            },
-            q_samples,
-        );
-        kernels.push(BenchResult {
-            name: format!("quantize_{label}"),
-            threads: 1,
-            secs: q_secs,
-        });
-        let q = QuantizedColBlock::quantize(&q_block, kind);
-        let dq_secs = time_best(|| drop(black_box(black_box(&q).dequantize())), q_samples);
-        kernels.push(BenchResult {
-            name: format!("dequantize_{label}"),
-            threads: 1,
-            secs: dq_secs,
-        });
-        let fused = time_best(
-            || {
-                attend_out.iter_mut().for_each(|v| *v = 0.0);
-                black_box(&q).rows_dot_acc(0, black_box(&scores), &mut attend_out);
-                black_box(&attend_out);
-            },
-            q_samples,
-        );
-        kernels.push(BenchResult {
-            name: format!("dequant_fused_attend_{label}"),
-            threads: 1,
-            secs: fused,
-        });
-        let materialized = time_best(
-            || {
-                attend_out.iter_mut().for_each(|v| *v = 0.0);
-                let full = black_box(&q).dequantize();
-                SplitCols::new(None, &full).rows_dot_acc(
-                    0,
-                    std::slice::from_ref(&(0..q_cols)),
-                    black_box(&scores),
-                    &mut attend_out,
-                );
-                black_box(&attend_out);
-            },
-            q_samples,
-        );
-        kernels.push(BenchResult {
-            name: format!("dequant_then_attend_{label}"),
-            threads: 1,
-            secs: materialized,
-        });
-        if kind == QuantKind::Int8 {
-            fused_secs = fused;
-        }
-    }
-    let materialized_int8 = kernels
-        .iter()
-        .find(|r| r.name == "dequant_then_attend_int8")
-        .map(|r| r.secs)
-        .unwrap_or(fused_secs);
-
-    // The group attention kernel on its own, at the `rank_warm` shapes: one
-    // User-as-prefix token row — all 12 query heads (two KV heads of six)
-    // over the cached keys plus the token's own 2-key block — and a
-    // 192-token causal block (what `compute_kv` of a profile runs per
-    // layer). Same shapes in quick mode; they take micro- to milliseconds.
-    {
-        let (d, group, kv_heads, prefix) = (8, 6, 2, 192);
-        let mut rng = SmallRng::seed_from_u64(19);
-        let mut block = |cols: usize| {
-            let mut b = ColBlock::new(kv_heads * d);
-            for col in Matrix::random(cols, kv_heads * d, 1.0, &mut rng)
-                .as_slice()
-                .chunks_exact(kv_heads * d)
-            {
-                b.push_col(col);
-            }
-            b
-        };
-        let (k_pre, v_pre, k_suf, v_suf) = (block(prefix), block(prefix), block(8), block(8));
-        let q = Matrix::random(prefix, kv_heads * group * d, 1.0, &mut rng);
-        let mut out = vec![0.0f32; kv_heads * group * d];
-        let mut scratch = Vec::new();
-        let mut attend = |kv: &GroupAttention<'_>, t: usize, runs: &[std::ops::Range<usize>]| {
-            let heads = q.row(t).chunks_exact(group * d);
-            for (h, (q, out)) in heads.zip(out.chunks_exact_mut(group * d)).enumerate() {
-                kv.attend::<Softmax>(h, black_box(runs), q, &mut scratch, out);
-            }
-            black_box(&out);
-        };
-        let up_hit = GroupAttention {
-            keys: SplitCols::new(Some(&k_pre), &k_suf),
-            vals: SplitCols::new(Some(&v_pre), &v_suf),
-            head_dim: d,
-            scale: 1.0 / (d as f32).sqrt(),
-        };
-        // The same row over 191 cached keys — a ragged run, as fifteen
-        // profile lengths in sixteen give — and an item row on its own two
-        // keys (an item segment's `compute_kv`): nearly all fixed cost.
-        for (name, runs) in [
-            ("attend_group_up_hit", [0..prefix, prefix + 4..prefix + 6]),
-            (
-                "attend_group_up_hit_ragged",
-                [0..prefix - 1, prefix + 4..prefix + 6],
-            ),
-            ("attend_group_row_2key", [0..0, prefix + 4..prefix + 6]),
-        ] {
-            let secs = time_best(|| attend(&up_hit, 0, &runs), q_samples);
-            kernels.push(BenchResult {
-                name: name.into(),
-                threads: 1,
-                secs,
-            });
-        }
-        let causal = GroupAttention {
-            keys: SplitCols::new(None, &k_pre),
-            vals: SplitCols::new(None, &v_pre),
-            ..up_hit
-        };
-        let block_secs = time_best(
-            || (0..prefix).for_each(|t| attend(&causal, t, std::slice::from_ref(&(0..t + 1)))),
-            q_samples,
-        );
-        kernels.push(BenchResult {
-            name: "attend_group_causal".into(),
-            threads: 1,
-            secs: block_secs,
-        });
-    }
-
-    // Multiversioned elementwise kernels, labelled with the SIMD tier the
-    // dispatchers actually selected on this machine (avx512 / avx2 / neon /
-    // scalar) — so the committed baseline records which tier it measured
-    // and a tier silently falling back to scalar shows up as a regression.
-    // All tiers are bit-identical; only speed differs.
-    let tier = active_simd_tier();
-    let simd_len = if quick { 1536 } else { 8192 };
-    let s_samples = samples * 8;
-    exec::set_threads(1);
-    {
-        let mut rng = SmallRng::seed_from_u64(23);
-        let src: Vec<f32> = Matrix::random(1, simd_len, 1.0, &mut rng)
-            .as_slice()
-            .to_vec();
-        let ups: Vec<f32> = Matrix::random(1, simd_len, 1.0, &mut rng)
-            .as_slice()
-            .to_vec();
-        let mut buf = src.clone();
-        let softmax_secs = time_best(
-            || {
-                buf.copy_from_slice(&src);
-                stable_softmax_fast_in_place(black_box(&mut buf));
-                black_box(&buf);
-            },
-            s_samples,
-        );
-        kernels.push(BenchResult {
-            name: format!("simd_softmax_{tier}"),
-            threads: 1,
-            secs: softmax_secs,
-        });
-        let silu_secs = time_best(
-            || {
-                buf.copy_from_slice(&src);
-                fast_silu_mul_in_place(black_box(&mut buf), black_box(&ups));
-                black_box(&buf);
-            },
-            s_samples,
-        );
-        kernels.push(BenchResult {
-            name: format!("simd_silu_mul_{tier}"),
-            threads: 1,
-            secs: silu_secs,
-        });
-        let axpy_secs = time_best(
-            || {
-                buf.copy_from_slice(&src);
-                axpy(black_box(&mut buf), 0.37, black_box(&ups));
-                black_box(&buf);
-            },
-            s_samples,
-        );
-        kernels.push(BenchResult {
-            name: format!("simd_axpy_{tier}"),
-            threads: 1,
-            secs: axpy_secs,
-        });
-        let dot_secs = time_best(
-            || {
-                black_box(dot_fast(black_box(&src), black_box(&ups)));
-            },
-            s_samples,
-        );
-        kernels.push(BenchResult {
-            name: format!("simd_dot_{tier}"),
-            threads: 1,
-            secs: dot_secs,
-        });
-    }
-
+    let calls = (0..prefix)
+        .map(|t| (t, std::iter::once(0..t + 1).collect()))
+        .collect();
+    let dot = || dot_fast(black_box(src), black_box(ups));
+    t.row(
+        "attend_group_causal",
+        attend_row(kernel_samples, &causal, &q, chunk, calls),
+    )
+    .row(
+        format!("simd_softmax_{tier}"),
+        in_place(kernel_samples, src, stable_softmax_fast_in_place),
+    )
+    .row(
+        format!("simd_silu_mul_{tier}"),
+        in_place(kernel_samples, src, |buf| {
+            fast_silu_mul_in_place(buf, black_box(ups))
+        }),
+    )
+    .row(
+        format!("simd_axpy_{tier}"),
+        in_place(kernel_samples, src, |buf| axpy(buf, 0.37, black_box(ups))),
+    )
+    .row(format!("simd_dot_{tier}"), best(kernel_samples, dot));
     // Continuous-batching round formation: the slot scheduler's pure
     // control-plane cost of admitting a burst of multi-chunk requests and
     // retiring every round, drained as the serving driver drains it — into
@@ -945,53 +734,95 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
     // (≈ 2 ms) that the gate's absolute slack cannot hide the row doubling.
     let batch_reqs = if quick { 64 } else { 8_192 };
     let mut rounds = Vec::new();
-    let round_secs = time_best(
-        || {
-            let mut m = BatchScheduler::new(BatchingConfig::default(), 1e-4, vec![1.0; 4]);
-            for i in 0..batch_reqs {
-                m.admit(i as f64 * 1e-3, i, 1024, 4e-3, None);
-                m.drain_rounds_into(&mut rounds);
-            }
-            while m.retire_next() {
-                m.drain_rounds_into(&mut rounds);
-            }
-            black_box(&rounds);
-            black_box(m.drain_completions());
-        },
-        samples,
-    );
-    kernels.push(BenchResult {
-        name: "batch_round_formation".into(),
-        threads: 1,
-        secs: round_secs,
+    let formation = best(samples, move || {
+        let mut m = BatchScheduler::new(BatchingConfig::default(), 1e-4, vec![1.0; 4]);
+        for i in 0..batch_reqs {
+            m.admit(i as f64 * 1e-3, i, 1024, 4e-3, None);
+            m.drain_rounds_into(&mut rounds);
+        }
+        while m.retire_next() {
+            m.drain_rounds_into(&mut rounds);
+        }
+        black_box(&rounds);
+        black_box(m.drain_completions());
     });
-    kernels.extend(meta_rows(samples));
+    t.row("batch_round_formation", formation)
+        .row("meta_commit_512", meta_row(samples, 512))
+        .row("meta_commit_5k", meta_row(samples, 5_000))
+        .row("meta_commit_50k", meta_row(samples, 50_000));
 
-    let mut serve = serve_rows(quick, samples);
-    serve.push(sim_sweep_row(quick, samples));
-
-    let deterministic = check_determinism(widths);
-    exec::set_threads(restore);
-
-    let speedups = vec![Speedup {
-        name: "cold_attend_fused".into(),
-        before_secs: materialized_int8,
-        after_secs: fused_secs,
-        speedup: materialized_int8 / fused_secs,
-    }];
-
-    PerfSummary {
-        epoch: EPOCH.into(),
-        simd_tier: tier.into(),
-        cpu: cpu_model(),
-        nproc,
-        thread_counts: thread_counts.to_vec(),
-        deterministic,
-        kernels,
-        forward,
-        serve,
-        speedups,
+    let forward = || model.forward(black_box(seq), None);
+    let user_kv = || r_model.compute_kv(black_box(&profile));
+    t.group(|s| &mut s.forward, true)
+        .row("forward_batched", best(samples, forward))
+        .group(|s| &mut s.forward, true)
+        .row(
+            "forward_packed_prefix",
+            forward_row(p_samples, p_model, p_tail, Some(p_kv)),
+        )
+        .group(|s| &mut s.forward, true)
+        .row("compute_kv_user", best(p_samples, user_kv));
+    for (name, (kv, tail)) in r_cases {
+        t.row(*name, forward_row(p_samples, r_model, tail, Some(kv)));
     }
+    t.group(|s| &mut s.forward, true)
+        .row("forward_hstu", forward_row(p_samples, &hstu, &cold, None));
+
+    t.group(|s| &mut s.serve, false);
+    let mut transports = vec![("serve_drain_channel", TransportKind::Channel)];
+    if cfg!(unix) {
+        transports.push(("serve_drain_uds", TransportKind::Uds));
+    }
+    for (name, transport) in transports {
+        let opts = ServeOptions {
+            time_scale: 1e-6,
+            transport,
+            ..ServeOptions::default()
+        };
+        let runtime = ServeRuntime::new(serve_cfg.clone(), opts).expect("preset config validates");
+        t.row(
+            name,
+            best(samples, move || runtime.serve(black_box(serve_trace))),
+        );
+    }
+    // Seconds a `Pacer` blocks for 10 000 charges of 1 µs. The priced total
+    // is 0.010 s, so `secs / 0.010` is the overshoot: ≈ 1 when small charges
+    // share sleeps, ≈ 55 if each paid the timer floor.
+    let pacing = || {
+        let mut pacer = Pacer::new();
+        for _ in 0..10_000 {
+            black_box(pacer.charge(Duration::from_micros(1), true));
+            pacer.catch_up();
+        }
+    };
+    let sweep = || {
+        for cfg in &sim_cfgs {
+            let mut engine = ServingEngine::new(cfg.clone()).expect("preset config validates");
+            black_box(engine.run(black_box(sim_trace)));
+        }
+    };
+    t.row("worker_pacing_overshoot", best(samples, pacing))
+        .row("sim_sweep", best(samples, sweep));
+
+    std::mem::take(&mut t).measure(widths, &mut summary);
+    let restore = exec::threads();
+    summary.deterministic = check_determinism(widths);
+    exec::set_threads(restore);
+    let secs = |name: &str| {
+        let row = summary.kernels.iter().find(|r| r.name == name);
+        row.expect("the int8 cold rows are in the table").secs
+    };
+    let (before_secs, after_secs) = (
+        secs("dequant_then_attend_int8"),
+        secs("dequant_fused_attend_int8"),
+    );
+    summary.speedups.push(Speedup {
+        name: "cold_attend_fused".into(),
+        before_secs,
+        after_secs,
+        speedup: before_secs / after_secs,
+    });
+    summary
 }
 
 /// Sub-millisecond entries jitter more than 25 % run to run on a shared
@@ -1117,10 +948,55 @@ pub fn regressions(fresh: &PerfSummary, baseline: &PerfSummary, tolerance: f64) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The quick suite at widths `[1, 2]`, run once for the tests that read
+    /// it.
+    fn quick_summary() -> &'static PerfSummary {
+        static SUMMARY: OnceLock<PerfSummary> = OnceLock::new();
+        SUMMARY.get_or_init(|| run(true, &[1, 2]))
+    }
+
+    /// `(section, name, threads)` of every row of `summary`, in order.
+    fn row_ids(summary: &PerfSummary) -> Vec<(&'static str, String, usize)> {
+        let sections = [
+            ("kernels", &summary.kernels),
+            ("forward", &summary.forward),
+            ("serve", &summary.serve),
+        ];
+        let ids = sections.into_iter().flat_map(|(section, rows)| {
+            rows.iter()
+                .map(move |r| (section, r.name.clone(), r.threads))
+        });
+        ids.collect()
+    }
+
+    #[test]
+    fn quick_suite_measures_the_baseline_rows_in_order() {
+        let summary = quick_summary();
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_KERNELS.json");
+        let text = std::fs::read_to_string(path).expect("BENCH_KERNELS.json reads");
+        let baseline: PerfSummary = serde_json::from_str(&text).expect("baseline parses");
+        // The `simd_*` rows are named after the tier they ran at.
+        let tier_suffix = format!("_{}", baseline.simd_tier);
+        let expected: Vec<_> = row_ids(&baseline)
+            .into_iter()
+            .filter(|(_, _, threads)| summary.thread_counts.contains(threads))
+            .map(
+                |(section, name, threads)| match name.strip_suffix(&tier_suffix) {
+                    Some(kernel) if name.starts_with("simd_") => {
+                        (section, format!("{kernel}_{}", summary.simd_tier), threads)
+                    }
+                    _ => (section, name, threads),
+                },
+            )
+            .collect();
+        assert_eq!(row_ids(summary), expected);
+    }
 
     #[test]
     fn quick_suite_is_deterministic_and_the_fused_cold_attend_wins() {
-        let summary = run(true, &[1, 2]);
+        let summary = quick_summary();
         assert!(summary.deterministic, "parallel runs must be bit-identical");
         assert_eq!((summary.epoch.as_str(), summary.speedups.len()), (EPOCH, 1));
         assert_eq!(summary.simd_tier, active_simd_tier());

@@ -1,11 +1,12 @@
 //! The scenarios a `batctl` subcommand and an experiment both run, and the
-//! small helpers (traces, comparison specs, one run) they share. The
-//! experiment passes its recorded constants and the subcommand its flags;
-//! each scenario prints into the caller's [`Report`] and records the gates
-//! that hold for any input. The caller adds its own.
+//! small helpers (a comparison spec, one run) they share; the seeded trace
+//! is [`bat::experiment::trace`]. The experiment passes its recorded
+//! constants and the subcommand its flags; each scenario prints into the
+//! caller's [`Report`] and records the gates that hold for any input. The
+//! caller adds its own.
 
 use crate::{cells, f1, f3, Report};
-use bat::experiment::{saturation_offered_rate, ComparisonSpec};
+use bat::experiment::{trace, ComparisonSpec};
 use bat::meta::MetaGroup;
 use bat::{
     Bytes, ClusterConfig, DatasetConfig, EngineConfig, FaultEvent, FaultKind, FaultReport,
@@ -14,14 +15,10 @@ use bat::{
     WorkerId, Workload,
 };
 
-/// `duration` seconds of arrivals at `rate` over `ds`, generated from
-/// `(workload seed, trace seed)`.
-pub fn trace(ds: &DatasetConfig, seeds: (u64, u64), duration: f64, rate: f64) -> Vec<RankRequest> {
-    TraceGenerator::new(Workload::new(ds.clone(), seeds.0), seeds.1).generate(duration, rate)
-}
-
 /// A comparison of `model` on `cluster` serving `ds` for `duration`
-/// seconds at `rate`, from trace `seed`.
+/// seconds at `rate` (for saturation throughput, a
+/// [`saturation_offered_rate`](bat::experiment::saturation_offered_rate)),
+/// from trace `seed`.
 pub fn spec(
     model: &ModelConfig,
     cluster: &ClusterConfig,
@@ -37,19 +34,6 @@ pub fn spec(
         offered_rate: rate,
         seed,
     }
-}
-
-/// [`spec`] at an offered rate 3× the cluster's recomputation capacity,
-/// so completion rate measures saturation throughput.
-pub fn saturated(
-    model: &ModelConfig,
-    cluster: &ClusterConfig,
-    ds: &DatasetConfig,
-    duration: f64,
-    seed: u64,
-) -> ComparisonSpec {
-    let rate = saturation_offered_rate(model, cluster, ds, 3.0);
-    spec(model, cluster, ds, (duration, rate), seed)
 }
 
 /// One simulator run of `trace`.

@@ -4,11 +4,14 @@
 //! child-worker entry or the old flag parser that ignored unknown flags is a
 //! per-experiment binary growing back, so this test reads the sources and
 //! fails on one.
+//!
+//! `batctl bench` is likewise the one timing harness: one table in
+//! `perf.rs`, with no criterion suite beside it.
 
 #[path = "../../../tests/support/source_scan.rs"]
 mod source_scan;
 
-use source_scan::{code_lines, sources};
+use source_scan::{code_lines, repo_root, sources};
 use std::path::Path;
 
 /// What may appear only so often outside tests: `(code, allowed count)`,
@@ -59,4 +62,49 @@ fn batctl_is_the_one_experiment_runner() {
         .map(|e| e.expect("directory entry reads").file_name())
         .collect();
     assert_eq!(bins, ["batctl.rs"], "src/bin holds batctl alone");
+}
+
+#[test]
+fn batctl_bench_is_the_one_timing_harness() {
+    let root = repo_root();
+    let mut manifests = vec![root.join("Cargo.toml"), root.join("benchmark/Cargo.toml")];
+    for dir in ["crates", "compat"] {
+        for entry in std::fs::read_dir(root.join(dir)).expect("directory lists") {
+            let krate = entry.expect("directory entry reads").path();
+            assert!(
+                !krate.join("benches").exists(),
+                "{} has a benches directory: time it as a `batctl bench` row",
+                krate.display()
+            );
+            manifests.push(krate.join("Cargo.toml"));
+        }
+    }
+    assert!(manifests.len() >= 20, "scanned only {manifests:?}");
+    for manifest in &manifests {
+        let text = std::fs::read_to_string(manifest).expect("manifest reads");
+        assert!(
+            !text.contains("criterion"),
+            "{} names criterion: time it as a `batctl bench` row",
+            manifest.display()
+        );
+    }
+
+    // One width loop calls `set_width`, and one loop writes every row.
+    let perf = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/perf.rs");
+    let lines = code_lines(&perf);
+    for (needle, definition) in [
+        ("set_width(", "fn set_width("),
+        ("BenchResult {", "struct "),
+    ] {
+        let sites: Vec<usize> = lines
+            .iter()
+            .filter(|(_, line)| line.contains(needle) && !line.contains(definition))
+            .map(|(i, _)| *i)
+            .collect();
+        assert_eq!(
+            sites.len(),
+            1,
+            "`{needle}` at perf.rs lines {sites:?}: the suite is one table timed by one loop"
+        );
+    }
 }

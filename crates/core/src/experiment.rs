@@ -5,7 +5,7 @@ use bat_metrics::RankingMetrics;
 use bat_model::semantic::{SemanticConfig, SemanticWorld};
 use bat_model::MaskScheme;
 use bat_sim::{ComputeModel, EngineConfig, RunStats, ServingEngine, SystemKind};
-use bat_types::{ClusterConfig, DatasetConfig, ModelConfig, PrefixKind};
+use bat_types::{ClusterConfig, DatasetConfig, ModelConfig, PrefixKind, RankRequest};
 use bat_workload::{TraceGenerator, Workload};
 
 /// Parameters of one serving comparison (a cell group of Figures 5/6).
@@ -28,14 +28,23 @@ pub struct ComparisonSpec {
 }
 
 impl ComparisonSpec {
-    /// Generates this spec's request trace (deterministic in `seed`).
-    pub fn trace(&self) -> Vec<bat_types::RankRequest> {
-        let mut g = TraceGenerator::new(
-            Workload::new(self.dataset.clone(), self.seed),
-            self.seed ^ 0xbadc0ffe,
-        );
-        g.generate(self.duration_secs, self.offered_rate)
+    /// The `(workload seed, trace seed)` a spec of `seed` generates its
+    /// trace from.
+    pub fn seeds(seed: u64) -> (u64, u64) {
+        (seed, seed ^ 0xbadc0ffe)
     }
+
+    /// Generates this spec's request trace (deterministic in `seed`).
+    pub fn trace(&self) -> Vec<RankRequest> {
+        let seeds = Self::seeds(self.seed);
+        trace(&self.dataset, seeds, self.duration_secs, self.offered_rate)
+    }
+}
+
+/// `duration` seconds of arrivals at `rate` over `ds`, generated from
+/// `(workload seed, trace seed)`.
+pub fn trace(ds: &DatasetConfig, seeds: (u64, u64), duration: f64, rate: f64) -> Vec<RankRequest> {
+    TraceGenerator::new(Workload::new(ds.clone(), seeds.0), seeds.1).generate(duration, rate)
 }
 
 /// Runs the same trace through each system's engine and returns their
@@ -57,17 +66,6 @@ pub fn compare_systems(spec: &ComparisonSpec, systems: &[SystemKind]) -> Vec<Run
         let mut engine = ServingEngine::new(cfg).expect("preset configs validate");
         engine.run(&trace)
     })
-}
-
-/// Runs one explicit engine configuration over the spec's trace (for the
-/// ablations of Figure 7/8 and Table 4).
-pub fn run_config(
-    spec: &ComparisonSpec,
-    cfg: EngineConfig,
-) -> Result<RunStats, bat_types::BatError> {
-    let trace = spec.trace();
-    let mut engine = ServingEngine::new(cfg)?;
-    Ok(engine.run(&trace))
 }
 
 /// An offered rate comfortably above the cluster's recomputation capacity,

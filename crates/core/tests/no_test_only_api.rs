@@ -1,12 +1,11 @@
 //! Every `pub fn` and `pub(crate) fn` in `crates/*/src` is called by the
-//! system: by non-test code under `crates/*/src`, `crates/*/benches`,
-//! `examples/` or `benchmark/src/`. A function that only tests call is API
-//! the system carries for nobody, so this test reads the sources and names
-//! each one. Benches count as callers because the tier-1 build does not
-//! compile them. Names match by word, so a function that shares its name
-//! with a called one counts as called, and so does one that only a listed
-//! test-facing function calls: the scan can miss an orphan, but it never
-//! flags a function the system calls.
+//! system: by non-test code under `crates/*/src`, `examples/` or
+//! `benchmark/src/`. A function that only tests call is API the system
+//! carries for nobody, so this test reads the sources and names each one.
+//! Names match by word, so a function that shares its name with a called
+//! one counts as called, and so does one that only a listed test-facing
+//! function calls: the scan can miss an orphan, but it never flags a
+//! function the system calls.
 
 #[path = "../../../tests/support/source_scan.rs"]
 mod source_scan;
@@ -18,7 +17,7 @@ use std::path::{Path, PathBuf};
 /// Functions kept for tests alone, each with why: oracles that tests
 /// compare against, and fixtures or observers that tests in other crates
 /// drive.
-const TEST_FACING: [(&str, &str); 16] = [
+const TEST_FACING: [(&str, &str); 19] = [
     (
         "assigned_items",
         "oracle: `DegradedPlacement`'s exact per-worker count, by scanning every item",
@@ -40,6 +39,10 @@ const TEST_FACING: [(&str, &str); 16] = [
         "oracle: the int8 quantizer's per-plane error bound the quantization tests check",
     ),
     (
+        "forward_reference",
+        "oracle: the unpacked forward `integration_packed_kv` and the transformer tests compare the packed one against",
+    ),
+    (
         "hidden_last",
         "observer: the last row's hidden state the packed-KV tests compare bitwise",
     ),
@@ -58,6 +61,10 @@ const TEST_FACING: [(&str, &str); 16] = [
     (
         "max_abs_diff",
         "oracle: the tolerance `Matrix` and `KvSegment` parity tests compare with",
+    ),
+    (
+        "quantize_fp16",
+        "oracle: §6.1's FP16 prefix storage, which `fp16_prefix_cache_barely_moves_scores` serves from",
     ),
     (
         "random_membership",
@@ -82,6 +89,10 @@ const TEST_FACING: [(&str, &str); 16] = [
     (
         "test_world",
         "fixture: `SemanticConfig::test_world`, the small world the accuracy tests rank in",
+    ),
+    (
+        "tiny",
+        "fixture: `GrModelConfig::tiny`, the model the doc examples and model tests build",
     ),
 ];
 
@@ -156,7 +167,6 @@ fn every_pub_fn_has_a_caller_outside_tests() {
     }
 
     let mut callers = src.clone();
-    callers.extend(crate_sources(&["benches"]));
     callers.extend(sources(&root.join("examples")));
     callers.extend(sources(&root.join("benchmark/src")));
     assert!(callers.len() >= 100, "scanned only {} files", callers.len());

@@ -70,7 +70,7 @@ impl GrModelConfig {
     }
 
     /// A Qwen2-1.5B-shaped proxy at laptop scale, used by the perf
-    /// baseline (`bench_forward`): it keeps Qwen2-1.5B's head layout
+    /// baseline (`batctl bench`'s `forward_*` rows): it keeps Qwen2-1.5B's head layout
     /// (12 query heads, 2 KV heads — the paper's serving model, Table 2)
     /// and its 1e6 RoPE base, with hidden/FFN widths scaled down ~16× so a
     /// 100-candidate ranking prompt is benchmarkable in scalar f32.

@@ -122,21 +122,12 @@ impl Workload {
         }
     }
 
-    /// Retrieves `c` *distinct* candidate items for one request, by repeated
-    /// popularity sampling (real-time retrieval is popularity-biased; §3.3's
-    /// point is precisely that candidate sets are dynamic and diverse).
+    /// Retrieves `c` *distinct* candidate items for one request at trace
+    /// time `at_secs` (hotspot-shift aware), by repeated popularity sampling
+    /// (real-time retrieval is popularity-biased; §3.3's point is precisely
+    /// that candidate sets are dynamic and diverse).
     ///
     /// `draw` supplies uniforms, e.g. from a seeded RNG.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` exceeds the corpus size.
-    pub fn retrieve_candidates(&self, c: usize, mut draw: impl FnMut() -> f64) -> Vec<ItemId> {
-        self.retrieve_candidates_at(c, 0.0, &mut draw)
-    }
-
-    /// [`Self::retrieve_candidates`] at trace time `at_secs` (hotspot-shift
-    /// aware).
     ///
     /// # Panics
     ///
@@ -226,7 +217,7 @@ mod tests {
     fn retrieval_yields_distinct_candidates() {
         let w = industry();
         let mut i = 0u64;
-        let cands = w.retrieve_candidates(100, || {
+        let cands = w.retrieve_candidates_at(100, 0.0, &mut || {
             i += 1;
             uniform01(7, i, 3)
         });
@@ -243,7 +234,7 @@ mod tests {
         let total = 2000;
         let head = w.item_law().ranks_for_mass(0.9);
         for _ in 0..20 {
-            let cands = w.retrieve_candidates(total / 20, || {
+            let cands = w.retrieve_candidates_at(total / 20, 0.0, &mut || {
                 i += 1;
                 uniform01(8, i, 4)
             });
@@ -257,7 +248,7 @@ mod tests {
     #[should_panic(expected = "more candidates than items")]
     fn retrieval_rejects_oversized_requests() {
         let w = Workload::new(DatasetConfig::games(), 1);
-        let _ = w.retrieve_candidates(9000, || 0.5);
+        let _ = w.retrieve_candidates_at(9000, 0.0, &mut || 0.5);
     }
 
     #[test]
