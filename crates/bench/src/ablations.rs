@@ -202,7 +202,6 @@ pub fn ablation_hotspot_refresh(args: &RunArgs) -> Report {
     ] {
         let cfg = EngineConfig {
             label: label.to_owned(),
-            track_item_hotness: refresh.is_some(),
             item_refresh_interval_secs: refresh,
             ..base.clone()
         };

@@ -18,19 +18,12 @@
 //!
 //! All primitives guarantee **bit-identical results for any thread count**:
 //! map outputs are written to disjoint slots by exactly one task each with
-//! a fixed internal loop order, and [`tree_reduce_f32`] combines fixed-size
-//! block partials in index order (the reduction tree depends on the block
-//! size, never on the thread count). This is the contract the sim-vs-serve
+//! a fixed internal loop order. This is the contract the sim-vs-serve
 //! parity and fault-determinism suites regression-test.
 //!
 //! ```
 //! let squares = bat_exec::parallel_map_indexed(8, 1, |i| i * i);
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-//!
-//! let sum = bat_exec::tree_reduce_f32(1000, 256, |range| {
-//!     range.map(|i| i as f32).sum()
-//! });
-//! assert_eq!(sum, 499_500.0);
 //! ```
 
 pub mod pool;
@@ -318,29 +311,6 @@ pub fn parallel_row_blocks<T, F>(
     });
 }
 
-/// Deterministic parallel sum: partials over **fixed-size** blocks of
-/// `block` indices (independent of thread count), combined serially in
-/// index order. Bit-identical for any thread count, including one.
-///
-/// # Panics
-///
-/// Panics if `block == 0`.
-pub fn tree_reduce_f32<F>(n: usize, block: usize, partial: F) -> f32
-where
-    F: Fn(Range<usize>) -> f32 + Sync,
-{
-    assert!(block > 0, "tree_reduce_f32 needs a positive block size");
-    if n == 0 {
-        return 0.0;
-    }
-    let n_blocks = n.div_ceil(block);
-    let partials = parallel_map_indexed(n_blocks, 2, |b| {
-        partial(b * block..((b + 1) * block).min(n))
-    });
-    // Fixed-order fold: the tree shape is (n, block), never thread count.
-    partials.into_iter().fold(0.0f32, |acc, p| acc + p)
-}
-
 /// Hands the calling thread its own lazily-created instance of `T` —
 /// per-thread workspace plumbing for kernels that run inside the pool's
 /// tasks. Pool workers are persistent daemon threads, so a scratch value
@@ -385,7 +355,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn map_preserves_order_at_any_width() {
@@ -616,27 +585,5 @@ mod tests {
     fn empty_inputs_are_noops() {
         assert!(parallel_map_indexed(0, 1, |i| i).is_empty());
         parallel_chunks(0, 1, |_| panic!("must not run"));
-        assert_eq!(tree_reduce_f32(0, 8, |_| panic!("must not run")), 0.0);
-    }
-
-    proptest! {
-        /// The reduction is bit-identical across thread counts because the
-        /// block decomposition is fixed.
-        #[test]
-        fn reduce_is_thread_count_invariant(
-            xs in proptest::collection::vec(-1e3f32..1e3, 1..500),
-            block in 1usize..64,
-        ) {
-            let gold = {
-                set_threads(1);
-                tree_reduce_f32(xs.len(), block, |r| r.map(|i| xs[i]).sum())
-            };
-            for t in [2usize, 4, 8] {
-                set_threads(t);
-                let got = tree_reduce_f32(xs.len(), block, |r| r.map(|i| xs[i]).sum());
-                prop_assert_eq!(got.to_bits(), gold.to_bits());
-            }
-            set_threads(1);
-        }
     }
 }

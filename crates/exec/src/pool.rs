@@ -19,11 +19,9 @@
 //! task writes only state that no other task of the same call touches
 //! (disjoint output blocks), and each block's internal loop order is fixed,
 //! so the value produced for a given input is bit-identical no matter how
-//! many threads run or which thread executes which block. Reductions go
-//! through [`tree_reduce_f32`](crate::tree_reduce_f32), which combines
-//! fixed-size block partials in index order — the tree shape depends on the
-//! *block size*, never on the thread count. At one effective thread every
-//! API degenerates to the plain serial loop over the same blocks.
+//! many threads run or which thread executes which block. At one effective
+//! thread every API degenerates to the plain serial loop over the same
+//! blocks.
 //!
 //! # Panics in tasks
 //!

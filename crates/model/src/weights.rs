@@ -231,14 +231,14 @@ mod tests {
         assert_eq!(w.layers[0].w_gate, Matrix::zeros(32, 64));
         // W_K collapses any vector onto the marker axis.
         let x: Vec<f32> = (0..32).map(|i| (i as f32 * 0.13).sin()).collect();
-        let k = w.layers[0].wk.vecmul(&x);
+        let k = Matrix::from_rows(&[&x]).matmul(&w.layers[0].wk);
         let proj: f32 = x.iter().zip(&marker).map(|(a, b)| a * b).sum();
-        for (i, &ki) in k.iter().enumerate() {
+        for (i, &ki) in k.as_slice().iter().enumerate() {
             assert!((ki - 0.5 * proj * marker[i]).abs() < 1e-5);
         }
         // W_V annihilates the marker direction.
-        let v = w.layers[0].wv.vecmul(&marker);
-        assert!(v.iter().all(|&x| x.abs() < 1e-5));
+        let v = Matrix::from_rows(&[&marker]).matmul(&w.layers[0].wv);
+        assert!(v.as_slice().iter().all(|&x| x.abs() < 1e-5));
     }
 
     #[test]

@@ -46,7 +46,9 @@ use bat_net::{
     ChannelTransport, CompletionMsg, Conn, DispatchMsg, Frame, HelloMsg, Listener, NetError,
     OrphanMsg, ShutdownMsg, TcpTransport, Transport, WireCodec, MSG_COMPLETION, MSG_ORPHAN,
 };
-use bat_sim::{EngineConfig, FaultKind, RequestPlanner, RoundRecord, RunStats, SlotDriver};
+use bat_sim::{
+    EngineConfig, FaultKind, FaultSchedule, RequestPlanner, RoundRecord, RunStats, SlotDriver,
+};
 use bat_types::{BatError, RankRequest};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -230,7 +232,7 @@ struct Progress {
     waiters: Mutex<usize>,
     cond: Condvar,
     /// True once every scheduled fault has been delivered (from the start
-    /// when there is no schedule): no membership change can end a wait any
+    /// when the schedule is empty): no membership change can end a wait any
     /// more, so a wait that sees nothing move is stuck.
     schedule_delivered: AtomicBool,
     /// The no-progress deadline ([`WATCHDOG`] outside tests).
@@ -318,7 +320,7 @@ impl Progress {
 ///
 /// # Panics
 ///
-/// Without a fault schedule, on a bounced round or on a conn that dies
+/// Without a fault event scheduled, on a bounced round or on a conn that dies
 /// before the scheduler's [`Teardown`] — naming the conn's error.
 fn run_reader(conn: Arc<dyn Conn>, w: usize, incarnation: u64, cluster: &Cluster) {
     let (link, outstanding) = (&cluster.links[w], &cluster.outstanding);
@@ -385,8 +387,8 @@ struct Cluster {
     /// The address worker `w` dials.
     dial: Vec<String>,
     links: Vec<Link>,
-    /// Whether the run has a fault schedule: without one, a dead link or a
-    /// bounced round is a bug.
+    /// Whether the run's fault schedule has any event: without one, a dead
+    /// link or a bounced round is a bug.
     have_faults: bool,
     /// Raised by [`Teardown`] before it releases the workers, so a reader
     /// does not take an orderly disconnect for a death.
@@ -559,15 +561,15 @@ impl ServeRuntime {
                     .expect("transport endpoint binds")
             })
             .collect();
-        let schedule_is_empty = self.cfg.faults.as_ref().is_none_or(|s| s.is_empty());
+        let have_faults = self.cfg.faults.as_ref().is_some_and(|s| !s.is_empty());
         Cluster {
             transport,
             dial: listeners.iter().map(|l| l.local_addr()).collect(),
             listeners,
             links: (0..n_workers).map(|_| Link::new()).collect(),
-            have_faults: self.cfg.faults.is_some(),
+            have_faults,
             finished: AtomicBool::new(false),
-            progress: Progress::new(schedule_is_empty, WATCHDOG),
+            progress: Progress::new(!have_faults, WATCHDOG),
             outstanding: AtomicU64::new(0),
             scale: self.opts.time_scale,
             start: Instant::now(),
@@ -578,7 +580,8 @@ impl ServeRuntime {
     /// process dialing back over UDS, or an in-process thread running the
     /// identical loop over the configured transport — accepts it, sends the
     /// [`HelloMsg`] handshake and attaches its reader; then
-    /// starts the fault supervisor if there is a schedule.
+    /// starts the fault supervisor on the schedule (the empty one when none
+    /// is configured).
     ///
     /// The supervisor walks the fault schedule in scaled wall-clock time,
     /// making membership events physically real: crashes kill worker
@@ -621,9 +624,8 @@ impl ServeRuntime {
             *link.conn.lock() = (0, Some(Arc::clone(&conn)));
             scope.spawn(move || run_reader(conn, w, 0, cluster));
         }
-        let Some(schedule) = self.cfg.faults.clone() else {
-            return;
-        };
+        let none = || FaultSchedule::none(self.cfg.cluster.num_nodes);
+        let schedule = self.cfg.faults.clone().unwrap_or_else(none);
         scope.spawn(move || {
             for event in schedule.events() {
                 pacer::sleep_until(cluster.wall(event.at_secs));
@@ -950,24 +952,30 @@ mod tests {
     #[test]
     fn a_link_that_dies_without_a_schedule_names_its_error() {
         // A frame type no worker sends kills the conn; in a run without a
-        // fault schedule that is a bug, and the reader says which error.
+        // fault schedule that is a bug, and the reader says which error. No
+        // schedule and the empty one are the same run.
         let ds = DatasetConfig::games();
-        let cluster = ServeRuntime::new(config(SystemKind::Bat, &ds), ServeOptions::default())
-            .unwrap()
-            .bind();
-        let (ours, theirs) = bat_net::ChannelConn::pair();
-        theirs.send(Frame::new(200, vec![])).unwrap();
-        let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_reader(ours, 1, 0, &cluster);
-        }))
-        .expect_err("a dead link without a schedule must fail the run");
-        let report = report
-            .downcast_ref::<String>()
-            .expect("panics with a report");
-        assert!(
-            report.contains("worker 1 link died") && report.contains("UnknownMsgType(200)"),
-            "{report}"
-        );
+        let cfg = config(SystemKind::Bat, &ds);
+        let empty = FaultSchedule::none(cfg.cluster.num_nodes);
+        for faults in [None, Some(empty)] {
+            let cfg = cfg.clone().with_faults(faults.clone());
+            let cluster = ServeRuntime::new(cfg, ServeOptions::default())
+                .unwrap()
+                .bind();
+            let (ours, theirs) = bat_net::ChannelConn::pair();
+            theirs.send(Frame::new(200, vec![])).unwrap();
+            let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_reader(ours, 1, 0, &cluster);
+            }))
+            .expect_err("a dead link without a schedule must fail the run");
+            let report = report
+                .downcast_ref::<String>()
+                .expect("panics with a report");
+            assert!(
+                report.contains("worker 1 link died") && report.contains("UnknownMsgType(200)"),
+                "{faults:?}: {report}"
+            );
+        }
     }
 
     #[test]
@@ -1047,7 +1055,6 @@ mod tests {
         };
         let t = trace(&ds, 4.0, 20.0);
         let mut cfg = config(SystemKind::Bat, &ds);
-        cfg.track_item_hotness = true;
         cfg.item_refresh_interval_secs = Some(0.5);
         let sim_stats = ServingEngine::new(cfg.clone()).unwrap().run(&t);
         let rt_stats = ServeRuntime::new(cfg.clone(), ServeOptions::default())

@@ -14,8 +14,9 @@
 //!
 //! Simplifications (documented in DESIGN.md): requests are routed with
 //! cache affinity, so user-prefix reads are local PCIe loads; background
-//! item-cache refresh (hourly timescale, §5.2 Step 3) is not simulated;
-//! KV write-back happens off the critical path (§5.1) and is not charged.
+//! item-cache refresh (§5.2 Step 3) runs only when
+//! [`EngineConfig::item_refresh_interval_secs`] is set; KV write-back
+//! happens off the critical path (§5.1) and is not charged.
 
 use crate::compute::ComputeModel;
 use crate::driver::SlotDriver;
@@ -138,11 +139,10 @@ pub struct EngineConfig {
     /// Record per-request telemetry ([`crate::stats::RequestRecord`]),
     /// retrievable via [`ServingEngine::take_records`] after a run.
     pub record_requests: bool,
-    /// Track per-item access frequency for the §5.2 Step 3 background
-    /// refresh (off by default: the paper's placement is computed offline).
-    pub track_item_hotness: bool,
-    /// Interval of the background hot-item re-replication, seconds
-    /// (requires `track_item_hotness`). `None` disables refresh.
+    /// Interval of the §5.2 Step 3 background hot-item re-replication,
+    /// seconds; the planner tracks per-item access frequency exactly when
+    /// it is set. `None` (the default: the paper's placement is computed
+    /// offline) disables refresh.
     pub item_refresh_interval_secs: Option<f64>,
     /// Fault schedule injected into the run. `None` plans exactly as the
     /// empty schedule does (nothing fails) and leaves `RunStats::faults` at
@@ -167,8 +167,9 @@ pub struct EngineConfig {
     pub straggler: Option<(usize, f64)>,
     /// Tiered KV pool: a quantized cold tier behind the hot cache regions,
     /// with adaptive user/item budget partitioning. `None` (the default)
-    /// keeps the flat single-tier cache and is byte-identical to before
-    /// the pool existed.
+    /// gives the planner's pool no cold capacity — every cold lookup misses
+    /// and every demotion is dropped, so the cache is flat — and leaves
+    /// `RunStats::tiers` at its default.
     pub tiers: Option<bat_tiers::TiersConfig>,
     /// Continuous cross-request batching: the slot configuration of the
     /// [`bat_sched::BatchScheduler`] every run executes on (seats per worker,
@@ -216,7 +217,6 @@ impl EngineConfig {
             freq_window_secs: 600.0,
             batch_overhead_secs: 0.003,
             record_requests: false,
-            track_item_hotness: false,
             item_refresh_interval_secs: None,
             faults: None,
             meta_replicas: bat_faults::DEFAULT_META_NODES,
@@ -321,10 +321,12 @@ impl EngineConfig {
                 "meta_replicas must be >= 1 (the meta service is a replicated group)".to_owned(),
             ));
         }
-        if self.item_refresh_interval_secs.is_some() && !self.track_item_hotness {
-            return Err(BatError::InvalidConfig(
-                "item refresh requires track_item_hotness".to_owned(),
-            ));
+        if let Some(secs) = self.item_refresh_interval_secs {
+            if !(secs.is_finite() && secs > 0.0) {
+                return Err(BatError::InvalidConfig(format!(
+                    "item_refresh_interval_secs must be finite and positive, got {secs}"
+                )));
+            }
         }
         if let Some(schedule) = &self.faults {
             if schedule.num_workers() != self.cluster.num_nodes {
@@ -832,6 +834,12 @@ mod tests {
         zero_tier_window.freq_window_secs = 0.0;
         let mut no_meta = cfg.clone();
         no_meta.meta_replicas = 0;
+        // A refresh interval ≤ 0 would refresh on every arrival, and an
+        // infinite one never.
+        let refresh = |secs: f64| EngineConfig {
+            item_refresh_interval_secs: Some(secs),
+            ..cfg.clone()
+        };
         for (bad, field) in [
             (nan_window, "freq_window_secs"),
             (
@@ -839,12 +847,17 @@ mod tests {
                 "freq_window_secs",
             ),
             (no_meta, "meta_replicas"),
+            (refresh(0.0), "item_refresh_interval_secs"),
+            (refresh(-1.0), "item_refresh_interval_secs"),
+            (refresh(f64::NAN), "item_refresh_interval_secs"),
+            (refresh(f64::INFINITY), "item_refresh_interval_secs"),
         ] {
             match ServingEngine::new(bad) {
                 Err(BatError::InvalidConfig(msg)) => assert!(msg.contains(field), "{msg}"),
                 other => panic!("expected InvalidConfig, got {:?}", other.err()),
             }
         }
+        assert!(refresh(0.5).validate().is_ok());
         cfg.caching = false;
         assert!(matches!(cfg.validate(), Err(BatError::InvalidConfig(_))));
     }

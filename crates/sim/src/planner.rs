@@ -17,7 +17,7 @@ use bat_placement::{DegradedLocation, DegradedPlacement, ItemLocation, ItemPlace
 use bat_sched::{
     CacheAgnosticPolicy, HotnessAwarePolicy, OverloadConfig, PromptPolicy, StaticPolicy,
 };
-use bat_tiers::TieredKvPool;
+use bat_tiers::{SplitPolicy, TieredKvPool, TiersConfig};
 use bat_types::{Bytes, ItemId, PrefixKind, RankRequest, WorkerId};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::collections::HashSet;
@@ -273,12 +273,13 @@ pub struct RequestPlanner {
     placement: Option<ItemPlacementPlan>,
     admission: AdmissionKind,
     caching: bool,
-    /// The replicated cache-meta service; `None` only when caching is
-    /// disabled (RE has no cache state to index). The planner mirrors every
-    /// cache mutation through it.
-    meta: Option<MetaClient>,
+    /// The replicated cache-meta service. The planner mirrors every cache
+    /// mutation through it; RE mutates nothing, so its group only sees the
+    /// schedule's meta faults, and its counters are reported only when
+    /// caching is on.
+    meta: MetaClient,
     /// Item access-frequency estimator for the §5.2 Step 3 background
-    /// refresh; populated only when tracking is enabled.
+    /// refresh; present exactly when a refresh interval is configured.
     item_freq: Option<bat_kvcache::FreqEstimator<ItemId>>,
     /// Membership, warmth and the fault ledger; the empty schedule when the
     /// configuration has none.
@@ -289,10 +290,11 @@ pub struct RequestPlanner {
     /// (or, with a tiered pool, serves them from the local cold tier).
     brownout_rung: u8,
     /// The tiered KV pool: a quantized cold tier behind the hot cache
-    /// regions. `None` keeps the flat cache, byte-identical to before.
+    /// regions. Without a configured pool it has no cold capacity, so every
+    /// cold lookup misses and every demotion is dropped: the flat cache.
     /// Decisions are driven on nominal arrival times, so the simulator's
     /// and the runtime's planners take the same ones bitwise.
-    tiers: Option<TieredKvPool>,
+    tiers: TieredKvPool,
 }
 
 impl RequestPlanner {
@@ -333,21 +335,21 @@ impl RequestPlanner {
             placement: cfg.placement.clone(),
             admission: cfg.admission,
             caching: cfg.caching,
-            meta: cfg
-                .caching
-                .then(|| MetaClient::new(cfg.meta_replicas, cfg.meta_seed, cfg.cluster.num_nodes)),
+            meta: MetaClient::new(cfg.meta_replicas, cfg.meta_seed, cfg.cluster.num_nodes),
             item_freq: cfg
-                .track_item_hotness
-                .then(|| bat_kvcache::FreqEstimator::new(cfg.freq_window_secs)),
+                .item_refresh_interval_secs
+                .map(|_| bat_kvcache::FreqEstimator::new(cfg.freq_window_secs)),
             faults,
             brownout_rung: 0,
-            tiers: cfg.tiers.clone().map(TieredKvPool::new),
+            tiers: TieredKvPool::new(cfg.tiers.clone().unwrap_or_else(|| {
+                TiersConfig::new(Bytes::ZERO).with_split(SplitPolicy::Static(0.5))
+            })),
         }
     }
 
-    /// The tiered pool's ledger, `None` when the pool is disabled.
-    pub fn tier_stats(&self) -> Option<bat_metrics::TierStats> {
-        self.tiers.as_ref().map(TieredKvPool::stats)
+    /// The tiered pool's ledger.
+    pub fn tier_stats(&self) -> bat_metrics::TierStats {
+        self.tiers.stats()
     }
 
     /// Moves the planner onto a brownout ladder rung. Rung transitions are
@@ -373,8 +375,8 @@ impl RequestPlanner {
     }
 
     /// Re-replicates the hottest observed items into the placement plan's
-    /// replicated area (§5.2 Step 3's background update). No-op unless item
-    /// hotness tracking is enabled and an item placement exists.
+    /// replicated area (§5.2 Step 3's background update). No-op unless a
+    /// refresh interval is configured and an item placement exists.
     ///
     /// This is also the recovery path's re-warm hook: a worker returning
     /// from a crash has its shard and replica contents streamed back, and
@@ -456,20 +458,16 @@ impl RequestPlanner {
                     // planned scale-in.
                     let n = fs.view.num_workers();
                     let (entries, bytes) = self.user_cache.invalidate_partition(w.index(), n);
-                    if let Some(pool) = &mut self.tiers {
-                        // The hot copies died with the worker; the cold tier
-                        // is durable local storage and keeps its entries.
-                        pool.forget_hot_partition(w.index(), n);
-                    }
-                    if let Some(meta) = &mut self.meta {
-                        // The replicated index drops the same partition; the
-                        // counts must agree or the mirror has diverged.
-                        let dropped = meta.drop_user_partition(w.index(), n, at);
-                        debug_assert_eq!(
-                            dropped, entries,
-                            "meta service and user cache disagree on worker {w}'s partition"
-                        );
-                    }
+                    // The hot copies died with the worker; the cold tier
+                    // is durable local storage and keeps its entries.
+                    self.tiers.forget_hot_partition(w.index(), n);
+                    // The replicated index drops the same partition; the
+                    // counts must agree or the mirror has diverged.
+                    let dropped = self.meta.drop_user_partition(w.index(), n, at);
+                    debug_assert_eq!(
+                        dropped, entries,
+                        "meta service and user cache disagree on worker {w}'s partition"
+                    );
                     match a {
                         AppliedFault::Crashed(_) => report.crashes += 1,
                         _ => report.drains += 1,
@@ -480,9 +478,7 @@ impl RequestPlanner {
                     reach_changed = true;
                 }
                 AppliedFault::Restarted(w, _) | AppliedFault::Joined(w, _) => {
-                    if let Some(meta) = &mut self.meta {
-                        meta.note_worker_restart(w.index(), at);
-                    }
+                    self.meta.note_worker_restart(w.index(), at);
                     match a {
                         AppliedFault::Restarted(..) => report.restarts += 1,
                         _ => report.joins += 1,
@@ -502,15 +498,11 @@ impl RequestPlanner {
                 AppliedFault::MetaStalledUntil(_) => report.meta_stalls += 1,
                 AppliedFault::MetaCrashed(m) => {
                     report.meta_crashes += 1;
-                    if let Some(client) = &mut self.meta {
-                        client.crash_replica(m, at);
-                    }
+                    self.meta.crash_replica(m, at);
                 }
                 AppliedFault::MetaRestarted(m) => {
                     report.meta_restarts += 1;
-                    if let Some(client) = &mut self.meta {
-                        client.restart_replica(m, at);
-                    }
+                    self.meta.restart_replica(m, at);
                 }
                 AppliedFault::LinkCut(..) => {
                     report.link_partitions += 1;
@@ -528,11 +520,11 @@ impl RequestPlanner {
                 }
             }
         }
-        if let (true, Some(client)) = (reach_changed, &mut self.meta) {
+        if reach_changed {
             // A leader behind a cut link is as good as down: the client
             // forces an election among the replicas it can still reach.
             let view = &self.faults.view;
-            client.update_reachability(|from, to| {
+            self.meta.update_reachability(|from, to| {
                 view.reachable(WorkerId::new(from as u64), WorkerId::new(to as u64))
             });
         }
@@ -624,20 +616,21 @@ impl RequestPlanner {
     }
 
     /// Applies any still-pending fault events and returns the finalized
-    /// [`FaultReport`], with the meta group's consensus counters and the
-    /// recovery metrics computed from the hit-rate timeline.
+    /// [`FaultReport`], with the meta group's consensus counters (when
+    /// caching is on) and the recovery metrics computed from the hit-rate
+    /// timeline.
     pub fn finish_faults(&mut self) -> FaultReport {
         self.advance_faults(f64::INFINITY);
         let mut report = self.faults.report.clone();
         // Elections and epochs are driven by logical ticks off nominal
         // trace time, so both execution paths land on identical numbers.
-        if let Some(client) = &self.meta {
-            let group = client.group().stats();
+        if self.caching {
+            let group = self.meta.group().stats();
             report.meta_elections = group.elections;
-            report.meta_final_epoch = client.group().epoch();
+            report.meta_final_epoch = self.meta.group().epoch();
             report.meta_fenced_appends = group.fenced_appends;
             report.meta_snapshot_installs = group.snapshot_installs;
-            report.meta_unreachable_leader_elections = client.stats().forced_elections;
+            report.meta_unreachable_leader_elections = self.meta.stats().forced_elections;
         }
         let first_crash_at = self.faults.cursor.schedule().first_crash_at();
         report.compute_recovery(&self.fault_timeline(), first_crash_at, RECOVERY_TOLERANCE);
@@ -694,11 +687,9 @@ impl RequestPlanner {
         }
         let kind = self.policy.decide(req, &mut self.user_cache, now);
         self.user_cache.record_access(req.user, now);
-        if let Some(meta) = &mut self.meta {
-            // The meta service is the frequency book: every access lands in
-            // its replicated hotness table.
-            meta.touch(req.user.into(), now);
-        }
+        // The meta service is the frequency book: every access lands in its
+        // replicated hotness table.
+        self.meta.touch(req.user.into(), now);
         job.prefix = kind;
         match kind {
             PrefixKind::User => {
@@ -707,22 +698,17 @@ impl RequestPlanner {
                     // Prefix hit: only items + instructions are computed.
                     job.suffix_tokens = total - req.user_tokens as u64;
                     job.local_load = user_bytes;
-                    if let Some(pool) = &mut self.tiers {
-                        pool.note_hot_hit(req.user.into(), user_bytes, now);
-                    }
+                    self.tiers.note_hot_hit(req.user.into(), user_bytes, now);
                 } else {
                     // Hot miss: probe the cold tier before recomputing. A
                     // cold hit streams the quantized prefix from local
                     // storage (priced as extra network-path time) instead
                     // of recomputing it.
-                    let mut cold_hit = false;
-                    if let Some(pool) = &mut self.tiers {
-                        if let Some(cold_bytes) = pool.cold_lookup(req.user.into(), user_bytes, now)
-                        {
-                            cold_hit = true;
-                            job.suffix_tokens = total - req.user_tokens as u64;
-                            job.net_extra_secs += pool.cold_load_secs(cold_bytes);
-                        }
+                    let pool = &mut self.tiers;
+                    let cold = pool.cold_lookup(req.user.into(), user_bytes, now);
+                    if let Some(cold_bytes) = cold {
+                        job.suffix_tokens = total - req.user_tokens as u64;
+                        job.net_extra_secs += pool.cold_load_secs(cold_bytes);
                     }
                     // Admit the (recomputed or cold-served) prefix into the
                     // hot region under the configured discipline.
@@ -737,36 +723,31 @@ impl RequestPlanner {
                             .user_cache
                             .entry_bytes(req.user)
                             .expect("entry was just admitted");
-                        if let Some(meta) = &mut self.meta {
-                            // Mirror the admission churn into the meta index:
-                            // evictions unregister, the new resident registers
-                            // its page-rounded footprint.
-                            for victim in &evicted {
-                                meta.evict((*victim).into(), now);
-                            }
-                            meta.register(req.user.into(), resident.as_u64(), now);
+                        // Mirror the admission churn into the meta index:
+                        // evictions unregister, the new resident registers
+                        // its page-rounded footprint.
+                        for victim in &evicted {
+                            self.meta.evict((*victim).into(), now);
                         }
-                        if let Some(pool) = &mut self.tiers {
-                            // Evicted residents demote into the cold tier at
-                            // their quantized size; a cold-served entry now
-                            // lives hot, so its cold copy is released.
-                            for victim in evicted {
-                                pool.demote_hot(victim.into(), now);
-                            }
-                            if cold_hit {
-                                pool.promote(req.user.into());
-                            }
-                            pool.register_hot(req.user.into(), resident);
+                        self.meta.register(req.user.into(), resident.as_u64(), now);
+                        // Evicted residents demote into the cold tier at
+                        // their quantized size; a cold-served entry now
+                        // lives hot, so its cold copy is released.
+                        let pool = &mut self.tiers;
+                        for victim in evicted {
+                            pool.demote_hot(victim.into(), now);
                         }
-                    } else if let Some(pool) = &mut self.tiers {
+                        if cold.is_some() {
+                            pool.promote(req.user.into());
+                        }
+                        pool.register_hot(req.user.into(), resident);
+                    } else if cold.is_none() {
                         // The hot region rejected the prefix (not hot
                         // enough to evict a resident). Park the freshly
                         // recomputed KV in the quantized cold tier rather
                         // than discarding the work; a cold-served entry
                         // is already there.
-                        if !cold_hit {
-                            pool.demote(req.user.into(), user_bytes, now);
-                        }
+                        self.tiers.demote(req.user.into(), user_bytes, now);
                     }
                 }
             }
@@ -802,14 +783,13 @@ impl RequestPlanner {
                                     // while the fabric is the bottleneck —
                                     // unless the tiered pool holds a local
                                     // cold copy, which costs no fabric at all.
-                                    if let Some(pool) = &mut self.tiers {
-                                        if let Some(cold) =
-                                            pool.brownout_cold_serve(item.into(), bytes, now)
-                                        {
-                                            reused += tokens;
-                                            job.net_extra_secs += pool.cold_load_secs(cold);
-                                            continue;
-                                        }
+                                    let pool = &mut self.tiers;
+                                    if let Some(cold) =
+                                        pool.brownout_cold_serve(item.into(), bytes, now)
+                                    {
+                                        reused += tokens;
+                                        job.net_extra_secs += pool.cold_load_secs(cold);
+                                        continue;
                                     }
                                     fs.report.brownout_recomputes += 1;
                                     continue;
@@ -861,17 +841,14 @@ impl RequestPlanner {
                         // the cold tier is durable local storage, so serve a
                         // resident copy from it, else recompute and write
                         // the result back cold so later accesses hit.
-                        let cold_secs = self.tiers.as_mut().and_then(|pool| {
-                            let served = pool.cold_lookup(item.into(), bytes, now);
-                            if served.is_none() {
-                                pool.demote(item.into(), bytes, now);
-                            }
-                            served.map(|cold| pool.cold_load_secs(cold))
-                        });
-                        if let Some(secs) = cold_secs {
+                        let pool = &mut self.tiers;
+                        if let Some(cold) = pool.cold_lookup(item.into(), bytes, now) {
                             reused += tokens;
-                            job.net_extra_secs += secs;
-                        } else if unreachable {
+                            job.net_extra_secs += pool.cold_load_secs(cold);
+                            continue;
+                        }
+                        pool.demote(item.into(), bytes, now);
+                        if unreachable {
                             fs.report.recompute_fallbacks += 1;
                         }
                     }
@@ -1017,7 +994,7 @@ mod tests {
             ClusterConfig::a100_4node(),
             &ds,
         );
-        cfg.track_item_hotness = true;
+        cfg.item_refresh_interval_secs = Some(50.0);
         let mut p = RequestPlanner::from_config(&cfg);
         // Burst hotspot: a request repeatedly hitting a cold-band item.
         let cold_item = ItemId::new(900_000);

@@ -351,39 +351,10 @@ impl Matrix {
         out
     }
 
-    /// `vec × self` where `vec` has length `self.rows()`; returns a vector of
-    /// length `self.cols()` — the tied output head (last hidden row times
-    /// the transposed embedding). It is the one-row case of
-    /// [`Matrix::matmul`], through the same microkernel: a row has the same
-    /// bits computed here, alone, or inside any row block of a product. For
-    /// operands that are *provably* mostly zero, use
-    /// [`Matrix::vecmul_sparse`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vec.len() != self.rows()`.
-    pub fn vecmul(&self, vec: &[f32]) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.vecmul_into(vec, &mut out);
-        out
-    }
-
-    /// [`Matrix::vecmul`] writing into a caller-owned vector (resized
-    /// keeping capacity). Same kernel, bit-identical results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vec.len() != self.rows()`.
-    pub fn vecmul_into(&self, vec: &[f32], out: &mut Vec<f32>) {
-        assert_eq!(vec.len(), self.rows, "vecmul shape mismatch");
-        out.resize(self.cols, 0.0);
-        gemm(Tier::best(), vec, self.rows, self, out);
-    }
-
     /// Sparse-aware `vec × self`: skips rows whose coefficient is exactly
     /// zero. Use only where the input is provably sparse (e.g. activations
     /// after an exact-zero gate); on dense data the per-element branch makes
-    /// this strictly slower than [`Matrix::vecmul`]. Semantics match the
+    /// this strictly slower than a one-row [`Matrix::matmul`]. Semantics match the
     /// seed kernel: a zero coefficient contributes nothing, so `-0.0`
     /// accumulator states are preserved rather than flushed to `+0.0`.
     ///
@@ -989,7 +960,7 @@ mod tests {
         }
 
         /// Row `r` of `A·B` has the same bits computed alone (`1 × k`),
-        /// through `vecmul`, inside any block of consecutive rows — which is
+        /// inside any block of consecutive rows — which is
         /// all a pool task ever computes — and through the pool at any
         /// width: its place among the tiles cannot matter.
         #[test]
@@ -1007,7 +978,6 @@ mod tests {
             for r in 0..n {
                 let alone = Matrix::from_rows(&[a.row(r)]).matmul(&b);
                 prop_assert_eq!(bits(alone.as_slice()), bits(whole.row(r)), "row {} alone", r);
-                prop_assert_eq!(bits(&b.vecmul(a.row(r))), bits(whole.row(r)), "row {} vecmul", r);
             }
             for _ in 0..4 {
                 let first = rng.gen_range(0..n);
@@ -1043,9 +1013,9 @@ mod tests {
             let v: Vec<f32> = (0..rows)
                 .map(|i| if i % zero_stride == 0 { 0.0 } else { (i as f32).sin() })
                 .collect();
-            let dense = w.vecmul(&v);
+            let dense = Matrix::from_rows(&[&v]).matmul(&w);
             let sparse = w.vecmul_sparse(&v);
-            for (d, s) in dense.iter().zip(&sparse) {
+            for (d, s) in dense.as_slice().iter().zip(&sparse) {
                 prop_assert!((d - s).abs() < 1e-6);
             }
         }

@@ -12,12 +12,15 @@
 //!   Entries evicted from the hot user cache *demote* here instead of
 //!   vanishing, stored **quantized** ([`ColdFormat`]: f16 halves the
 //!   footprint, int8 quarters it), so a fixed byte budget holds 2–4× more
-//!   prefixes. Cold hits are served at [`TiersConfig::cold_read_bandwidth`]
-//!   and — on the serve side, where real payloads exist — attended
-//!   *directly in quantized form* by `bat-tensor`'s dequant-fused kernels,
-//!   then promoted back into the hot region. Item recomputes write back
-//!   here too, so the brownout ladder's rung 2 can serve faulted items
-//!   from local cold storage instead of recomputing them.
+//!   prefixes. Cold hits are priced as a read of the quantized bytes at
+//!   [`TiersConfig::cold_read_bandwidth`], then promoted back into the hot
+//!   region. The planner's pool is accounting only; a caller with real KV
+//!   can store it quantized ([`TieredKvPool::demote_with_payload`]), but no
+//!   caller attends over a cold payload yet (`bat-tensor`'s dequant-fused
+//!   kernels are not wired to it), so such a caller still recomputes a
+//!   cold-hit prefix. Item recomputes write back here too, so the brownout
+//!   ladder's rung 2 can serve faulted items from local cold storage
+//!   instead of recomputing them.
 //! * [`PartitionController`] — re-divides the cold budget between the
 //!   user and item entry classes every rebalance interval, moving a step
 //!   of budget toward the class whose recent misses-per-budget-byte (the
@@ -312,8 +315,8 @@ fn split(total: Bytes, share: f64) -> [Bytes; 2] {
 /// byte budget. On top sit the quantized byte charging, the hotness-gated
 /// cold admission, the partition controller, and — when
 /// [`TieredKvPool::demote_with_payload`] is used — real
-/// [`QuantizedColBlock`] payloads that cold hits can attend over without
-/// dequantizing.
+/// [`QuantizedColBlock`] payloads, which a dequant-fused attend could read
+/// without dequantizing (no caller does yet).
 #[derive(Debug, Clone)]
 pub struct TieredKvPool {
     cfg: TiersConfig,
@@ -428,8 +431,8 @@ impl TieredKvPool {
     }
 
     /// Looks `key` up in the cold tier without promoting it, returning its
-    /// cold-resident (quantized) size — the bytes actually streamed, since
-    /// the dequant-fused kernels read the quantized planes directly.
+    /// cold-resident (quantized) size — the bytes a cold read streams, since
+    /// the dequant-fused kernels can read the quantized planes directly.
     /// Counts a cold hit or a miss and feeds the partition controller;
     /// `full_bytes` is the uncompressed size the caller wanted, used to
     /// weight misses in the controller's marginal-gain windows.
@@ -510,8 +513,10 @@ impl TieredKvPool {
             return false;
         }
         let class = EntryClass::of(key) as usize;
-        if bytes > self.regions[class].budget {
-            // Class region disabled or too small: the entry is dropped.
+        let budget = self.regions[class].budget;
+        if budget == Bytes::ZERO || bytes > budget {
+            // Class region disabled (even for an empty entry) or too
+            // small: the entry is dropped.
             self.counters.cold_evictions += 1;
             self.fold(6, key, 0, bytes);
             return false;
@@ -718,13 +723,15 @@ mod tests {
 
     #[test]
     fn zero_cold_capacity_drops_every_demotion() {
+        // An empty entry (a zero-token prefix) is dropped too: a pool with
+        // no cold bytes is the flat cache for every input.
         let mut p = pool(0, SplitPolicy::Static(0.5), ColdFormat::F32);
-        for key in [ukey(1), ikey(1)] {
-            assert!(!p.demote(key, Bytes::new(100), 0.0));
+        for (key, bytes) in [(ukey(1), 100), (ikey(1), 100), (ikey(2), 0)] {
+            assert!(!p.demote(key, Bytes::new(bytes), 0.0));
             assert!(!hit(&mut p, key, 1.0), "no cold tier: eviction is final");
         }
         let s = p.stats();
-        assert_eq!((s.demotions, s.cold_evictions), (2, 2));
+        assert_eq!((s.demotions, s.cold_evictions), (3, 3));
         assert_eq!(s.cold_occupancy_bytes, 0);
         assert_accounting(&p);
     }

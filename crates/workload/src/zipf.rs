@@ -41,11 +41,6 @@ impl ZipfLaw {
         self.n
     }
 
-    /// Exponent.
-    pub fn exponent(&self) -> f64 {
-        self.s
-    }
-
     /// `∫_1^{x} t^{-s} dt`, the unnormalized mass of ranks `≤ x` in the
     /// continuous relaxation (with the `s = 1` logarithmic special case).
     fn integral(&self, x: f64) -> f64 {
