@@ -391,8 +391,8 @@ fn cmd_overload(flags: &Flags) -> Result<(), String> {
     let knobs = Overload {
         segment: positive(flags, "duration", 10.0)?,
         rate: positive(flags, "rate", 300.0)?,
-        burst: flag(flags, "burst", 3.0)?,
-        deadline: flag(flags, "deadline", 1.0)?,
+        burst: positive(flags, "burst", 3.0)?,
+        deadline: positive(flags, "deadline", 1.0)?,
         slow: flag(flags, "slow", 150.0)?,
         straggle: flag(flags, "straggle", 5.0)?,
     };
@@ -882,6 +882,11 @@ mod tests {
             ("trace --duration -1", "--duration"),
             ("plan --gbps 0", "--gbps"),
             ("plan --gbps -1", "--gbps"),
+            ("overload --burst -1", "--burst"),
+            ("overload --burst 0", "--burst"),
+            ("overload --burst nan", "--burst"),
+            ("overload --deadline 0", "--deadline"),
+            ("overload --deadline -5", "--deadline"),
             ("info --trace no/such/trace.jsonl", "no/such/trace.jsonl"),
         ] {
             let err = dispatch(&args(line)).unwrap_err();

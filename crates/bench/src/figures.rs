@@ -451,7 +451,8 @@ pub fn fig5_6_throughput(args: &RunArgs) -> Report {
                 .map(move |ds| (m.clone(), ds))
         })
         .collect();
-    let cell_stats = bat::exec::parallel_map(&cells, 1, |(model, ds)| {
+    let cell_stats = bat::exec::parallel_map_indexed(cells.len(), 1, |i| {
+        let (model, ds) = &cells[i];
         let rate = saturation_offered_rate(model, &cluster, ds, 3.0);
         compare_systems(
             &spec(model, &cluster, ds, (duration, rate), 1),
@@ -750,8 +751,8 @@ pub fn table4_ablation(args: &RunArgs) -> Report {
         // Each variant is an independent engine run over the same spec, so
         // the five fan out on the bat-exec pool; results come back in
         // variant order, keeping the table layout stable.
-        let stats = bat::exec::parallel_map(&variants, 1, |(_, cfg)| {
-            run(cfg.clone(), &trace).expect("table4 configs validate")
+        let stats = bat::exec::parallel_map_indexed(variants.len(), 1, |i| {
+            run(variants[i].1.clone(), &trace).expect("table4 configs validate")
         });
         for ((label, _), stats) in variants.iter().zip(&stats) {
             rows.push(cells![

@@ -8,7 +8,7 @@
 //! [`run`] fails naming every gate that failed.
 //!
 //! Every row accepts `--quick`, which shrinks the experiment for a smoke
-//! run, and `batctl`'s global `--threads N`, which sizes the [`bat_exec`]
+//! run, and `batctl`'s global `--threads N`, which sizes the [`bat::exec`]
 //! pool; published numbers in EXPERIMENTS.md use the default scale.
 
 pub mod ablations;

@@ -497,7 +497,6 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
 
     let a = random_matrix(mm_dim, mm_dim, 1);
     let b = random_matrix(mm_dim, mm_dim, 2);
-    let bt = b.transpose();
     // The GEMM at the `rank_warm` forward's four shapes: 132 suffix rows
     // through gate|up, down, Q / O, and K|V.
     let gemms: Vec<(Matrix, Matrix)> =
@@ -636,8 +635,8 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
             let mut dispatches: Vec<f64> = (0..micro_samples * 10)
                 .map(|_| {
                     let t0 = Instant::now();
-                    exec::parallel_chunks(4 * w, 1, |rows| {
-                        black_box(rows);
+                    exec::run_blocks(4 * w, &|b| {
+                        black_box(b);
                     });
                     t0.elapsed().as_secs_f64()
                 })
@@ -648,11 +647,7 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
     });
     t.group(|s| &mut s.kernels, true)
         .row("pool_dispatch", dispatch)
-        .row("matmul_blocked", best(samples, || black_box(&a).matmul(&b)))
-        .row(
-            "matmul_nt_blocked",
-            best(samples, || black_box(&a).matmul_nt(&bt)),
-        );
+        .row("matmul_blocked", best(samples, || black_box(&a).matmul(&b)));
     for (lhs, rhs) in &gemms {
         let (n, k, m) = (lhs.rows(), lhs.cols(), rhs.cols());
         let mut out = Matrix::zeros(0, 0);

@@ -56,9 +56,9 @@ pub fn trace(ds: &DatasetConfig, seeds: (u64, u64), duration: f64, rate: f64) ->
 /// deterministic, so the output is identical for any thread count.
 pub fn compare_systems(spec: &ComparisonSpec, systems: &[SystemKind]) -> Vec<RunStats> {
     let trace = spec.trace();
-    bat_exec::parallel_map(systems, 1, |&kind| {
+    bat_exec::parallel_map_indexed(systems.len(), 1, |i| {
         let cfg = EngineConfig::for_system(
-            kind,
+            systems[i],
             spec.model.clone(),
             spec.cluster.clone(),
             &spec.dataset,

@@ -2,8 +2,9 @@
 //!
 //! A dependency-free work-stealing thread pool (see [`pool`]) plus the
 //! deterministic data-parallel primitives every compute hot path in the
-//! workspace builds on: indexed maps over disjoint outputs, chunked loops,
-//! and fixed-shape tree reductions.
+//! workspace builds on: an indexed map over disjoint outputs
+//! ([`parallel_map_indexed`]) and one row splitter that lends cost-balanced
+//! row blocks of row-major buffers ([`parallel_weighted_row_bands`]).
 //!
 //! Thread count resolution, in priority order:
 //!
@@ -17,8 +18,8 @@
 //! # Determinism
 //!
 //! All primitives guarantee **bit-identical results for any thread count**:
-//! map outputs are written to disjoint slots by exactly one task each with
-//! a fixed internal loop order. This is the contract the sim-vs-serve
+//! map outputs and rows are written to disjoint slots by exactly one task
+//! each with a fixed internal loop order. This is the contract the sim-vs-serve
 //! parity and fault-determinism suites regression-test.
 //!
 //! ```
@@ -113,48 +114,22 @@ where
     unsafe { std::mem::transmute::<Vec<MaybeUninit<R>>, Vec<R>>(out) }
 }
 
-/// Maps `f` over a slice, preserving order. See [`parallel_map_indexed`].
-pub fn parallel_map<T, R, F>(items: &[T], grain: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_indexed(items.len(), grain, |i| f(&items[i]))
-}
-
-/// Runs `f` on contiguous chunks partitioning `0..n`. Chunk boundaries are
-/// a pure function of `n` and the current block count, and each chunk is
-/// processed by exactly one task — callers must only write state disjoint
-/// per index for the result to be schedule-independent.
-pub fn parallel_chunks<F>(n: usize, grain: usize, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    if n == 0 {
-        return;
-    }
-    if threads() <= 1 || n < grain.max(2) {
-        f(0..n);
-        return;
-    }
-    let blocks = block_count(n);
-    run_blocks(blocks, &|b| f(block_range(n, blocks, b)));
-}
-
-/// The weight-balanced partition of [`parallel_weighted_row_bands`]: where
-/// [`parallel_chunks`] splits by *count*, this splits by cumulative
-/// *weight*, so a block of long rows does not inherit every expensive
-/// row. Chunk `b` of `k` is `cuts[b]..cuts[b + 1]`, where `cuts[b]` is the
-/// first index whose prefix weight reaches `b/k` of the total, rounded to
-/// the nearest multiple of `align` — one forward sweep, so the cuts are
-/// monotone and partition `0..weights.len()` exactly. A zero total weight
-/// gives the uniform count split. `k <= MAX_THREADS * 4`, so the cuts live
-/// on the stack and a steady-state call never allocates.
-fn weighted_cuts(weights: &[u64], k: usize, align: usize) -> [usize; MAX_THREADS * 4 + 1] {
-    let n = weights.len();
+/// The weight-balanced partition of [`parallel_weighted_row_bands`]: rows
+/// are split by cumulative *cost*, so a block of long rows does not inherit
+/// every expensive row. Chunk `b` of `k` is `cuts[b]..cuts[b + 1]`, where
+/// `cuts[b]` is the first row whose prefix cost reaches `b/k` of the total,
+/// rounded to the nearest multiple of `align` — one forward sweep, so the
+/// cuts are monotone and partition `0..n` exactly. A zero total cost gives
+/// the uniform count split. `k <= MAX_THREADS * 4`, so the cuts live on the
+/// stack and a steady-state call never allocates.
+fn weighted_cuts(
+    n: usize,
+    cost: impl Fn(usize) -> u64,
+    k: usize,
+    align: usize,
+) -> [usize; MAX_THREADS * 4 + 1] {
     let mut cuts = [0usize; MAX_THREADS * 4 + 1];
-    let total: u128 = weights.iter().map(|&w| u128::from(w)).sum();
+    let total: u128 = (0..n).map(|r| u128::from(cost(r))).sum();
     let mut prefix: u128 = 0;
     let mut i = 0usize;
     for (b, cut) in cuts.iter_mut().enumerate().take(k).skip(1) {
@@ -163,7 +138,7 @@ fn weighted_cuts(weights: &[u64], k: usize, align: usize) -> [usize; MAX_THREADS
         } else {
             let target = total * b as u128;
             while i < n && prefix * (k as u128) < target {
-                prefix += u128::from(weights[i]);
+                prefix += u128::from(cost(i));
                 i += 1;
             }
             *cut = i;
@@ -174,41 +149,49 @@ fn weighted_cuts(weights: &[u64], k: usize, align: usize) -> [usize; MAX_THREADS
     cuts
 }
 
-/// The row blocks [`parallel_weighted_row_bands`] hands out for `weights`
-/// at `threads` effective threads, empty ones left out: a pure function, so
-/// a test can assert where a stage is cut without racing the process-wide
-/// thread count.
+/// The row blocks [`parallel_weighted_row_bands`] hands out for `n_rows`
+/// rows of cost `cost(r)` at `threads` effective threads, empty ones left out: a
+/// pure function, so a test can assert where a stage is cut without racing
+/// the process-wide thread count.
 pub fn weighted_row_blocks(
-    weights: &[u64],
+    n_rows: usize,
+    cost: impl Fn(usize) -> u64,
     align_rows: usize,
     threads: usize,
 ) -> Vec<Range<usize>> {
-    let k = weights.len().min(threads.clamp(1, MAX_THREADS) * 4);
-    let cuts = weighted_cuts(weights, k, align_rows.max(1));
+    let k = n_rows.min(threads.clamp(1, MAX_THREADS) * 4);
+    let cuts = weighted_cuts(n_rows, cost, k, align_rows.max(1));
     let blocks = (0..k).map(|b| cuts[b]..cuts[b + 1]);
     blocks.filter(|rows| !rows.is_empty()).collect()
 }
 
-/// [`parallel_row_blocks`] over `N` equally tall row-major buffers at once,
-/// with the rows split by cumulative *weight* instead of count:
-/// `weights[r]` is row `r`'s cost, e.g. an attention row's exact
+/// Treats each of `N` buffers as `n_rows` row-major rows and hands disjoint
+/// contiguous row blocks of all of them to the pool at once, split by
+/// cumulative cost: `cost(r)` is row `r`'s work — an attention row's exact
 /// allowed-key count, so a block of short item rows and a block of long
-/// instruction rows carry the same work. `bands[i]` is a buffer and its row
-/// length — for a stage that carries a block of rows through several
-/// matrices: `f(rows, slices)` gets rows `rows` of every buffer, in order,
-/// and each row goes to exactly one call, so per-row results are
-/// schedule-independent. Every cut falls on a multiple of `align_rows` (see
-/// [`parallel_row_blocks`]); the blocks are those of
-/// [`weighted_row_blocks`], and a zero total weight falls back to the
-/// uniform count split.
+/// instruction rows carry the same work, or `1` for a product or a row map,
+/// which then splits by count. `bands[i]` is a buffer and its row length,
+/// for a stage that carries a block of rows through several matrices:
+/// `f(rows, slices)` gets rows `rows` of every buffer, in order, and each
+/// row goes to exactly one call, so per-row results are
+/// schedule-independent as long as `f` computes each row independently of
+/// the block it is in. Every cut falls on a multiple of `align_rows` (a
+/// kernel that works in tiles of that many rows then meets a partial tile
+/// once per matrix, not once per block; pass `1` for rows that stand
+/// alone); the blocks are those of [`weighted_row_blocks`], and a zero total
+/// cost falls back to the uniform count split.
+///
+/// Serial (one inline `f(0..n_rows, buffers)` call) when `n_rows <
+/// grain_rows` or one thread is effective.
 ///
 /// # Panics
 ///
 /// Panics if a row length or `align_rows` is zero, or a buffer is not
-/// `weights.len()` rows.
+/// `n_rows` rows.
 pub fn parallel_weighted_row_bands<T, F, const N: usize>(
     bands: [(&mut [T], usize); N],
-    weights: &[u64],
+    n_rows: usize,
+    cost: impl Fn(usize) -> u64,
     grain_rows: usize,
     align_rows: usize,
     f: F,
@@ -217,17 +200,16 @@ pub fn parallel_weighted_row_bands<T, F, const N: usize>(
     F: Fn(Range<usize>, [&mut [T]; N]) + Sync,
 {
     assert!(align_rows > 0, "row alignment must be positive");
-    let n = weights.len();
     let bands = bands.map(|(data, row_len)| {
         assert!(
-            row_len > 0 && data.len() == n * row_len,
-            "buffer length {} is not {n} rows of {row_len}",
+            row_len > 0 && data.len() == n_rows * row_len,
+            "buffer length {} is not {n_rows} rows of {row_len}",
             data.len()
         );
         (SendPtr(data.as_mut_ptr()), row_len)
     });
     let lend = |rows: Range<usize>| {
-        // SAFETY: the ranges this is called with partition `0..n` (one
+        // SAFETY: the ranges this is called with partition `0..n_rows` (one
         // call for all of it, or the cuts of one `weighted_cuts`), so no row
         // is lent twice: the slices of one buffer are disjoint and in
         // bounds, and those of different buffers come from different `&mut`
@@ -237,77 +219,18 @@ pub fn parallel_weighted_row_bands<T, F, const N: usize>(
             .map(|(ptr, len)| unsafe { ptr.slice_rows(rows.start * len, rows.len() * len) });
         f(rows, slices);
     };
-    if n == 0 {
-        return;
-    }
-    if threads() <= 1 || n < grain_rows.max(2) {
-        return lend(0..n);
-    }
-    let k = block_count(n);
-    let cuts = &weighted_cuts(weights, k, align_rows);
-    run_blocks(k, &|b| {
-        if cuts[b] < cuts[b + 1] {
-            lend(cuts[b]..cuts[b + 1]);
-        }
-    });
-}
-
-/// Treats `data` as an `n_rows × row_len` row-major buffer and hands
-/// disjoint contiguous row blocks to `f(first_row, rows_slice)` in
-/// parallel. Each row belongs to exactly one block, so per-row outputs are
-/// schedule-independent; `f` must compute rows independently of the block
-/// decomposition for results to be bit-identical across thread counts.
-/// Every block but the last starts and ends on a multiple of `align_rows`
-/// (a kernel that works in tiles of that many rows then meets a partial
-/// tile once per call, not once per block); pass `1` for rows that stand
-/// alone.
-///
-/// Serial (one inline `f(0, data)` call) when `n_rows < grain_rows` or one
-/// thread is effective.
-///
-/// # Panics
-///
-/// Panics if `row_len == 0`, `align_rows == 0`, or `data.len()` is not a
-/// multiple of `row_len`.
-pub fn parallel_row_blocks<T, F>(
-    data: &mut [T],
-    row_len: usize,
-    grain_rows: usize,
-    align_rows: usize,
-    f: F,
-) where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(
-        row_len > 0 && align_rows > 0,
-        "parallel_row_blocks needs a positive row length and alignment"
-    );
-    assert_eq!(
-        data.len() % row_len,
-        0,
-        "buffer length {} is not a multiple of row length {row_len}",
-        data.len()
-    );
-    let n_rows = data.len() / row_len;
     if n_rows == 0 {
         return;
     }
     if threads() <= 1 || n_rows < grain_rows.max(2) {
-        f(0, data);
-        return;
+        return lend(0..n_rows);
     }
-    let units = n_rows.div_ceil(align_rows);
-    let blocks = block_count(units);
-    let ptr = SendPtr(data.as_mut_ptr());
-    run_blocks(blocks, &|b| {
-        let units = block_range(units, blocks, b);
-        let rows = units.start * align_rows..(units.end * align_rows).min(n_rows);
-        // SAFETY: the unit ranges partition 0..units, so the row ranges
-        // partition 0..n_rows and the row slices are disjoint; the buffer
-        // outlives run_blocks.
-        let slice = unsafe { ptr.slice_rows(rows.start * row_len, rows.len() * row_len) };
-        f(rows.start, slice);
+    let k = block_count(n_rows);
+    let cuts = &weighted_cuts(n_rows, cost, k, align_rows);
+    run_blocks(k, &|b| {
+        if cuts[b] < cuts[b + 1] {
+            lend(cuts[b]..cuts[b + 1]);
+        }
     });
 }
 
@@ -395,48 +318,30 @@ mod tests {
     }
 
     #[test]
-    fn map_over_slice_borrows() {
-        set_threads(3);
-        let data = vec![1.5f32, 2.5, 3.5];
-        let doubled = parallel_map(&data, 1, |x| x * 2.0);
-        assert_eq!(doubled, vec![3.0, 5.0, 7.0]);
-        set_threads(1);
-    }
-
-    #[test]
-    fn chunks_partition_exactly() {
-        set_threads(4);
-        let hits: Vec<std::sync::atomic::AtomicU32> = (0..1003)
-            .map(|_| std::sync::atomic::AtomicU32::new(0))
-            .collect();
-        parallel_chunks(hits.len(), 1, |range| {
-            for i in range {
-                hits[i].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-        });
-        assert!(hits
-            .iter()
-            .all(|h| h.load(std::sync::atomic::Ordering::Relaxed) == 1));
-        set_threads(1);
-    }
-
-    #[test]
     fn weighted_chunks_cover_every_index_once() {
         for t in [1, 2, 4, 8] {
             set_threads(t);
             let weights: Vec<u64> = (0..157).map(|i| (i * 37) % 113).collect();
             let mut hits = vec![0u32; weights.len()];
-            parallel_weighted_row_bands([(&mut hits[..], 1)], &weights, 1, 1, |_, [block]| {
-                block.iter_mut().for_each(|h| *h += 1);
-            });
+            let bands = [(&mut hits[..], 1)];
+            parallel_weighted_row_bands(
+                bands,
+                157,
+                |r| weights[r],
+                1,
+                1,
+                |_, [block]| {
+                    block.iter_mut().for_each(|h| *h += 1);
+                },
+            );
             assert!(hits.iter().all(|&h| h == 1), "{t} threads");
         }
         set_threads(1);
     }
 
-    /// Checked on the pure `(weights, k) → cuts` function: the pool width
-    /// is process-global, so a test that reads it back races every other
-    /// test that sets it.
+    /// Checked on the pure `(cost, k) → cuts` function: the pool width is
+    /// process-global, so a test that reads it back races every other test
+    /// that sets it.
     #[test]
     fn weighted_cuts_balance_skewed_weights() {
         // One 10_000-token prompt among 63 tiny ones: a count split gives
@@ -446,7 +351,7 @@ mod tests {
         let total: u64 = weights.iter().sum();
         let max_w = *weights.iter().max().unwrap();
         for k in [2usize, 8, 16] {
-            let cuts = weighted_cuts(&weights, k, 1);
+            let cuts = weighted_cuts(weights.len(), |r| weights[r], k, 1);
             assert_eq!((cuts[0], cuts[k]), (0, weights.len()));
             let loads: Vec<u64> = (0..k)
                 .map(|b| weights[cuts[b]..cuts[b + 1]].iter().sum())
@@ -470,17 +375,31 @@ mod tests {
         // All-zero weights fall back to the uniform split; empty input is
         // a no-op.
         let mut hits = [0u32; 17];
-        parallel_weighted_row_bands([(&mut hits[..], 1)], &[0u64; 17], 1, 1, |_, [block]| {
-            block.iter_mut().for_each(|h| *h += 1);
-        });
+        parallel_weighted_row_bands(
+            [(&mut hits[..], 1)],
+            17,
+            |_| 0,
+            1,
+            1,
+            |_, [block]| {
+                block.iter_mut().for_each(|h| *h += 1);
+            },
+        );
         assert_eq!(hits, [1; 17]);
         let mut empty: [u32; 0] = [];
-        parallel_weighted_row_bands([(&mut empty[..], 1)], &[], 1, 1, |_, _| {
-            panic!("must not run")
-        });
+        parallel_weighted_row_bands(
+            [(&mut empty[..], 1)],
+            0,
+            |_| 1,
+            1,
+            1,
+            |_, _| panic!("must not run"),
+        );
         set_threads(1);
     }
 
+    /// The uniform cost a product or a row map passes: every row is lent
+    /// once, and only the block holding the last rows may be ragged.
     #[test]
     fn row_blocks_cover_every_row_once() {
         for t in [1, 2, 4, 8] {
@@ -489,17 +408,22 @@ mod tests {
             let row_len = 5;
             for align in [1, 4, 40] {
                 let mut buf = vec![0u32; rows * row_len];
-                parallel_row_blocks(&mut buf, row_len, 1, align, |first_row, block| {
-                    // Only the block that holds the last rows may be ragged.
-                    assert_eq!(first_row % align, 0);
-                    let n = block.len() / row_len;
-                    assert!(n % align == 0 || first_row + n == rows);
-                    for (off, row) in block.chunks_mut(row_len).enumerate() {
-                        for (c, slot) in row.iter_mut().enumerate() {
-                            *slot += ((first_row + off) * row_len + c) as u32;
+                parallel_weighted_row_bands(
+                    [(&mut buf[..], row_len)],
+                    rows,
+                    |_| 1,
+                    1,
+                    align,
+                    |range, [block]| {
+                        assert_eq!(range.start % align, 0);
+                        assert!(range.len() % align == 0 || range.end == rows);
+                        for (off, row) in block.chunks_mut(row_len).enumerate() {
+                            for (c, slot) in row.iter_mut().enumerate() {
+                                *slot += ((range.start + off) * row_len + c) as u32;
+                            }
                         }
-                    }
-                });
+                    },
+                );
                 let want: Vec<u32> = (0..(rows * row_len) as u32).collect();
                 assert_eq!(buf, want, "{t} threads, alignment {align}");
             }
@@ -516,7 +440,8 @@ mod tests {
             let mut buf = vec![0u32; weights.len() * row_len];
             parallel_weighted_row_bands(
                 [(&mut buf[..], row_len)],
-                &weights,
+                weights.len(),
+                |r| weights[r],
                 1,
                 1,
                 |rows, [block]| {
@@ -535,17 +460,20 @@ mod tests {
 
     /// Several buffers of different widths go through in step: every row of
     /// each is lent exactly once, every cut is on the alignment, and the
-    /// blocks are the ones `weighted_row_blocks` names for that width.
+    /// blocks are the ones `weighted_row_blocks` names for that width —
+    /// under skewed costs and under the uniform cost a product or a row map
+    /// passes, at alignments up to wider than the whole buffer.
     #[test]
     fn weighted_row_bands_lend_every_row_of_every_buffer_once() {
-        let weights: Vec<u64> = (0..41).map(|i| 1 + (i * 29) % 17).collect();
+        let skewed: Vec<u64> = (0..41).map(|i| 1 + (i * 29) % 17).collect();
+        let costs: [&(dyn Fn(usize) -> u64 + Sync); 2] = [&|r| skewed[r], &|_| 1];
         for t in [1, 2, 4, 8] {
             set_threads(t);
-            for align in [1, 4] {
+            for (cost, align) in costs.iter().flat_map(|c| [1, 4, 40].map(|a| (c, a))) {
                 let (mut a, mut b) = (vec![0u32; 41 * 3], vec![0u32; 41 * 5]);
                 let seen = std::sync::Mutex::new(Vec::new());
                 let bands = [(&mut a[..], 3), (&mut b[..], 5)];
-                parallel_weighted_row_bands(bands, &weights, 1, align, |rows, [a, b]| {
+                parallel_weighted_row_bands(bands, 41, cost, 1, align, |rows, [a, b]| {
                     assert_eq!((a.len(), b.len()), (rows.len() * 3, rows.len() * 5));
                     assert!(rows.start % align == 0 && (rows.end % align == 0 || rows.end == 41));
                     for (off, r) in rows.clone().enumerate() {
@@ -571,19 +499,29 @@ mod tests {
                 let mut seen = seen.into_inner().unwrap();
                 seen.sort_by_key(|rows| rows.start);
                 if seen.len() > 1 {
-                    let widths = [1, 2, 4, 8].map(|w| weighted_row_blocks(&weights, align, w));
+                    let widths = [1, 2, 4, 8].map(|w| weighted_row_blocks(41, cost, align, w));
                     assert!(widths.contains(&seen), "{seen:?} @ {t} threads");
                 }
             }
         }
         set_threads(1);
-        assert_eq!(weighted_row_blocks(&[], 4, 2), Vec::<Range<usize>>::new());
-        assert_eq!(weighted_row_blocks(&[1; 8], 4, 1), vec![0..4, 4..8]);
+        assert_eq!(
+            weighted_row_blocks(0, |_| 1, 4, 2),
+            Vec::<Range<usize>>::new()
+        );
+        assert_eq!(weighted_row_blocks(8, |_| 1, 4, 1), vec![0..4, 4..8]);
     }
 
     #[test]
     fn empty_inputs_are_noops() {
         assert!(parallel_map_indexed(0, 1, |i| i).is_empty());
-        parallel_chunks(0, 1, |_| panic!("must not run"));
+        parallel_weighted_row_bands(
+            [(&mut [0u8; 0][..], 1)],
+            0,
+            |_| 1,
+            1,
+            1,
+            |_, _| panic!("must not run"),
+        );
     }
 }

@@ -707,7 +707,8 @@ impl GrModel {
         let read_out: Vec<usize> = read_out_rows(&suffix.segs).collect();
         let cut = |run: Range<usize>| {
             let weights = &mask.weights()[run.clone()];
-            let blocks = bat_exec::weighted_row_blocks(weights, TILE_ROWS, threads);
+            let blocks =
+                bat_exec::weighted_row_blocks(run.len(), |r| weights[r], TILE_ROWS, threads);
             blocks
                 .into_iter()
                 .map(move |b| run.start + b.start..run.start + b.end)
@@ -918,7 +919,8 @@ fn run_rows<const N: usize>(
         (&mut m.as_mut_slice()[run.start * c..run.end * c], c)
     });
     let weights = &weights[run.clone()];
-    parallel_weighted_row_bands(bands, weights, grain, TILE_ROWS, |rows, block| {
+    let cost = |r: usize| weights[r];
+    parallel_weighted_row_bands(bands, run.len(), cost, grain, TILE_ROWS, |rows, block| {
         f(run.start + rows.start..run.start + rows.end, block)
     });
 }

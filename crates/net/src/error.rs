@@ -8,6 +8,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::mpsc::RecvTimeoutError;
 
 /// Errors surfaced by the pluggable transport layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,11 +110,11 @@ impl From<std::io::Error> for NetError {
     }
 }
 
-impl From<crossbeam::channel::RecvTimeoutError> for NetError {
-    fn from(e: crossbeam::channel::RecvTimeoutError) -> Self {
+impl From<RecvTimeoutError> for NetError {
+    fn from(e: RecvTimeoutError) -> Self {
         match e {
-            crossbeam::channel::RecvTimeoutError::Timeout => NetError::Timeout,
-            crossbeam::channel::RecvTimeoutError::Disconnected => NetError::Disconnected,
+            RecvTimeoutError::Timeout => NetError::Timeout,
+            RecvTimeoutError::Disconnected => NetError::Disconnected,
         }
     }
 }

@@ -10,8 +10,8 @@
 //! - **Message vocabulary** ([`messages`]): hand-rolled bitwise-exact
 //!   codecs for hello, dispatch, completion, orphan, shutdown, and
 //!   plane-major packed-KV segments.
-//! - **Backends**: [`ChannelTransport`] moves frames over in-process
-//!   crossbeam channels (the deterministic oracle); [`UdsTransport`] and
+//! - **Backends**: [`ChannelTransport`] moves frames through in-process
+//!   condvar pipes (the deterministic oracle); [`UdsTransport`] and
 //!   [`TcpTransport`] move the same frames over real OS sockets.
 //!
 //! The discipline that makes the socket path trustworthy: the channel

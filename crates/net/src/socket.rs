@@ -21,24 +21,19 @@
 
 use crate::error::NetError;
 use crate::frame::{decode_frame, read_frame, write_frame, Frame};
-use crate::transport::{Conn, Listener, Transport};
-use crossbeam::channel::{unbounded, Receiver};
+use crate::transport::{lock, Conn, Listener, Transport};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::mpsc::{channel, Receiver};
+use std::sync::{Arc, Mutex, TryLockError};
 use std::time::Duration;
 
 /// Bytes a [`SocketConn`] reads ahead per system call: a 1 024-round
 /// dispatch batch (≈ 54 KB) arrives in one read.
 const READ_BUFFER: usize = 64 << 10;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// The stream kinds a [`SocketConn`] can wrap.
 enum Stream {
@@ -203,7 +198,8 @@ impl Drop for SocketConn {
 /// Listener over a bound TCP or Unix-domain socket. A Unix listener
 /// unlinks its path on drop.
 pub struct SocketListener {
-    incoming: Receiver<Result<Arc<SocketConn>, NetError>>,
+    /// What the pump accepted; locked because a [`Listener`] is shared.
+    incoming: Mutex<Receiver<Result<Arc<SocketConn>, NetError>>>,
     /// Raised by drop; the pump checks it after every `accept`.
     closed: Arc<AtomicBool>,
     addr: String,
@@ -217,7 +213,7 @@ impl SocketListener {
         unix: bool,
         mut accept: impl FnMut() -> std::io::Result<Stream> + Send + 'static,
     ) -> Box<dyn Listener> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let closed = Arc::new(AtomicBool::new(false));
         let pump_closed = Arc::clone(&closed);
         // Detached on purpose: drop raises `closed` and dials the endpoint
@@ -236,7 +232,7 @@ impl SocketListener {
             }
         });
         Box::new(SocketListener {
-            incoming: rx,
+            incoming: Mutex::new(rx),
             closed,
             addr,
             unix,
@@ -246,12 +242,12 @@ impl SocketListener {
 
 impl Listener for SocketListener {
     fn accept(&self) -> Result<Arc<dyn Conn>, NetError> {
-        let conn = self.incoming.recv().map_err(|_| NetError::Disconnected)?;
-        Ok(conn? as Arc<dyn Conn>)
+        let conn = lock(&self.incoming).recv();
+        Ok(conn.map_err(|_| NetError::Disconnected)?? as Arc<dyn Conn>)
     }
 
     fn accept_timeout(&self, timeout: Duration) -> Result<Arc<dyn Conn>, NetError> {
-        Ok(self.incoming.recv_timeout(timeout)?? as Arc<dyn Conn>)
+        Ok(lock(&self.incoming).recv_timeout(timeout)?? as Arc<dyn Conn>)
     }
 
     fn local_addr(&self) -> String {
@@ -535,7 +531,7 @@ mod tests {
             SocketConn::from_unix(a).unwrap(),
             SocketConn::from_unix(b).unwrap(),
         );
-        let (entered, entering) = crossbeam::channel::bounded(1);
+        let (entered, entering) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
             let blocked = scope.spawn(|| {
                 entered.send(()).unwrap();

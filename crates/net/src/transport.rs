@@ -7,21 +7,22 @@
 //! single and batched sends and blocking and non-blocking receives (a
 //! blocking receive waits on a condvar or in a read; none polls). The
 //! serving runtime is written against these traits only; whether frames
-//! cross a crossbeam channel, a Unix socket, or a TCP loopback is a
+//! cross an in-process pipe, a Unix socket, or a TCP loopback is a
 //! construction-time choice.
 //!
 //! `ChannelTransport` is the reference backend: frames move through
-//! in-process crossbeam channels with no byte serialization, so it is
-//! immune to socket-layer bugs by construction. The socket backends must
-//! reproduce its observable behavior bit for bit — that contract is pinned
-//! by the `integration_transport` determinism test.
+//! in-process pipes — a `Mutex<VecDeque>` and a `Condvar` each way — with
+//! no byte serialization, so it is immune to socket-layer bugs by
+//! construction. The socket backends must reproduce its observable
+//! behavior bit for bit — that contract is pinned by the
+//! `integration_transport` determinism test.
 
 use crate::error::NetError;
 use crate::frame::Frame;
 use crate::wire::WireCodec;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// One bidirectional frame pipe between two peers.
@@ -167,8 +168,8 @@ impl Pipe {
         })
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, PipeState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, PipeState> {
+        lock(&self.state)
     }
 }
 
@@ -268,22 +269,28 @@ impl Drop for ChannelConn {
     }
 }
 
+/// Locks `m`, recovering from poisoning: every state behind these locks is
+/// a queue or a flag that a panicking holder cannot leave half-updated.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Listener side of a channel endpoint: a queue of freshly paired conns.
+/// The receiver sits behind a lock because a [`Listener`] is shared.
 struct ChannelListener {
     addr: String,
-    incoming: Receiver<Arc<ChannelConn>>,
+    incoming: Mutex<Receiver<Arc<ChannelConn>>>,
 }
 
 impl Listener for ChannelListener {
     fn accept(&self) -> Result<Arc<dyn Conn>, NetError> {
-        self.incoming
-            .recv()
-            .map(|c| c as Arc<dyn Conn>)
-            .map_err(|_| NetError::Disconnected)
+        let conn = lock(&self.incoming).recv();
+        Ok(conn.map_err(|_| NetError::Disconnected)? as Arc<dyn Conn>)
     }
 
     fn accept_timeout(&self, timeout: Duration) -> Result<Arc<dyn Conn>, NetError> {
-        Ok(self.incoming.recv_timeout(timeout)? as Arc<dyn Conn>)
+        let conn = lock(&self.incoming).recv_timeout(timeout)?;
+        Ok(conn as Arc<dyn Conn>)
     }
 
     fn local_addr(&self) -> String {
@@ -296,7 +303,7 @@ impl Listener for ChannelListener {
 /// which keeps tests hermetic.
 #[derive(Default)]
 pub struct ChannelTransport {
-    registry: Mutex<HashMap<String, Sender<Arc<ChannelConn>>>>,
+    registry: Mutex<HashMap<String, SyncSender<Arc<ChannelConn>>>>,
 }
 
 impl ChannelTransport {
@@ -311,33 +318,25 @@ impl Transport for ChannelTransport {
         if addr.is_empty() {
             return Err(NetError::InvalidAddress("empty address".into()));
         }
-        let mut reg = self
-            .registry
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut reg = lock(&self.registry);
         if reg.contains_key(addr) {
             return Err(NetError::InvalidAddress(format!(
                 "address already bound: {addr}"
             )));
         }
-        let (tx, rx) = bounded(64);
+        let (tx, rx) = sync_channel(64);
         reg.insert(addr.to_string(), tx);
         Ok(Box::new(ChannelListener {
             addr: addr.to_string(),
-            incoming: rx,
+            incoming: Mutex::new(rx),
         }))
     }
 
     fn connect(&self, addr: &str) -> Result<Arc<dyn Conn>, NetError> {
-        let accept_tx = {
-            let reg = self
-                .registry
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            reg.get(addr)
-                .cloned()
-                .ok_or_else(|| NetError::InvalidAddress(format!("nothing bound at {addr}")))?
-        };
+        let accept_tx = lock(&self.registry)
+            .get(addr)
+            .cloned()
+            .ok_or_else(|| NetError::InvalidAddress(format!("nothing bound at {addr}")))?;
         let (client, server) = ChannelConn::pair();
         accept_tx.send(server).map_err(|_| NetError::Disconnected)?;
         Ok(client as Arc<dyn Conn>)

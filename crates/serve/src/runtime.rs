@@ -5,7 +5,7 @@
 //! shutdown crosses a [`Conn`] as an encoded frame. The backend is a
 //! construction-time choice ([`TransportKind`]):
 //!
-//! * **Channel** — in-process crossbeam channels, the deterministic
+//! * **Channel** — in-process condvar pipes, the deterministic
 //!   oracle. No byte serialization, no sockets; immune to transport bugs
 //!   by construction.
 //! * **Uds / Tcp** — the same frames over real OS sockets. With
@@ -50,17 +50,16 @@ use bat_sim::{
     EngineConfig, FaultKind, FaultSchedule, RequestPlanner, RoundRecord, RunStats, SlotDriver,
 };
 use bat_types::{BatError, RankRequest};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 /// Which transport backend carries frames between scheduler and workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
-    /// In-process crossbeam channels — the deterministic oracle.
+    /// In-process condvar pipes — the deterministic oracle.
     #[default]
     Channel,
     /// Unix domain sockets (unix only). Required for
@@ -110,6 +109,14 @@ impl Default for ServeOptions {
 /// connect back, and a restarted child to rejoin.
 const ACCEPT_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// Locks `m`, recovering from poisoning as `bat-net`'s pipes do: every
+/// update behind these locks is one assignment or one map call, so a holder
+/// that panicked left the data whole, and the watchdog report can still read
+/// what a link held.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// How long a wait may see no progress — no frame retired, no membership
 /// change, and none left on the fault schedule — before the run fails.
 /// Far above anything a healthy run waits for: one frame's service on the
@@ -149,7 +156,7 @@ impl Link {
 
     /// Snapshot of `(incarnation, conn)` for a send.
     fn current(&self) -> (u64, Option<Arc<dyn Conn>>) {
-        let g = self.conn.lock();
+        let g = lock(&self.conn);
         (g.0, g.1.clone())
     }
 
@@ -166,9 +173,7 @@ impl Link {
         frames: &mut Vec<Frame>,
     ) -> bool {
         let (inc, conn) = self.current();
-        self.unacked
-            .lock()
-            .extend(rounds.iter().map(|m| (m.seq, (inc, *m))));
+        lock(&self.unacked).extend(rounds.iter().map(|m| (m.seq, (inc, *m))));
         let n = rounds.len() as u64;
         self.inflight.fetch_add(n, Ordering::AcqRel);
         outstanding.fetch_add(n, Ordering::AcqRel);
@@ -186,7 +191,7 @@ impl Link {
     /// Retires one round frame, exactly once: whoever takes the
     /// un-acknowledged entry does the accounting.
     fn retire_round(&self, outstanding: &AtomicU64, seq: u64) {
-        if self.unacked.lock().remove(&seq).is_some() {
+        if lock(&self.unacked).remove(&seq).is_some() {
             self.inflight.fetch_sub(1, Ordering::AcqRel);
             outstanding.fetch_sub(1, Ordering::Release);
         }
@@ -197,10 +202,10 @@ impl Link {
     /// the current conn (an unexpected death, or a stream error), dispatch
     /// to the link stops.
     fn retire_stranded(&self, outstanding: &AtomicU64, incarnation: u64) {
-        if self.conn.lock().0 == incarnation {
+        if lock(&self.conn).0 == incarnation {
             self.alive.store(false, Ordering::Release);
         }
-        let mut unacked = self.unacked.lock();
+        let mut unacked = lock(&self.unacked);
         let before = unacked.len();
         unacked.retain(|_, (inc, _)| *inc > incarnation);
         let n = (before - unacked.len()) as u64;
@@ -250,7 +255,7 @@ impl Progress {
     }
 
     fn notify(&self) {
-        if *self.waiters.lock() > 0 {
+        if *lock(&self.waiters) > 0 {
             self.cond.notify_all();
         }
     }
@@ -277,7 +282,7 @@ impl Progress {
         waiting_for: std::fmt::Arguments<'_>,
         mut ready: impl FnMut() -> bool,
     ) {
-        let mut waiters = self.waiters.lock();
+        let mut waiters = lock(&self.waiters);
         while !ready() {
             *waiters += 1;
             let (guard, timeout) = self
@@ -292,7 +297,7 @@ impl Progress {
                     self.patience
                 );
                 for (w, link) in links.iter().enumerate() {
-                    let unacked = link.unacked.lock();
+                    let unacked = lock(&link.unacked);
                     if let Some((seq, (inc, _))) = unacked.iter().min_by_key(|(&seq, _)| seq) {
                         report += &format!(
                             "; worker {w} (incarnation {inc}) holds {} un-acked frame(s), \
@@ -426,7 +431,7 @@ impl Cluster {
     /// backstop for a child that somehow missed it).
     fn reap(&self) {
         for link in &self.links {
-            if let Some(mut child) = link.child.lock().take() {
+            if let Some(mut child) = lock(&link.child).take() {
                 let _ = child.kill();
                 let _ = child.wait();
             }
@@ -601,7 +606,7 @@ impl ServeRuntime {
             if self.opts.processes {
                 let child = spawn_child(&self.opts.child_args, &cluster.dial[w], w)
                     .expect("child worker spawns");
-                *link.child.lock() = Some(child);
+                *lock(&link.child) = Some(child);
             } else {
                 let addr = &cluster.dial[w];
                 let alive = &link.alive;
@@ -621,7 +626,7 @@ impl ServeRuntime {
                 .expect("worker connects back during setup");
             conn.send(cluster.hello(w).to_frame())
                 .expect("worker accepts hello");
-            *link.conn.lock() = (0, Some(Arc::clone(&conn)));
+            *lock(&link.conn) = (0, Some(Arc::clone(&conn)));
             scope.spawn(move || run_reader(conn, w, 0, cluster));
         }
         let none = || FaultSchedule::none(self.cfg.cluster.num_nodes);
@@ -637,7 +642,7 @@ impl ServeRuntime {
                             // Real crash: SIGKILL. The link's reader observes
                             // the disconnect and retires whatever the child
                             // never finished.
-                            if let Some(mut child) = link.child.lock().take() {
+                            if let Some(mut child) = lock(&link.child).take() {
                                 let _ = child.kill();
                                 let _ = child.wait();
                             }
@@ -673,12 +678,12 @@ impl ServeRuntime {
                                         Ok(conn) => {
                                             if conn.send(cluster.hello(w).to_frame()).is_ok() {
                                                 let inc = {
-                                                    let mut g = link.conn.lock();
+                                                    let mut g = lock(&link.conn);
                                                     g.0 += 1;
                                                     g.1 = Some(Arc::clone(&conn));
                                                     g.0
                                                 };
-                                                *link.child.lock() = Some(child);
+                                                *lock(&link.child) = Some(child);
                                                 link.alive.store(true, Ordering::Release);
                                                 scope.spawn(move || {
                                                     run_reader(conn, w, inc, cluster);
@@ -859,12 +864,12 @@ mod tests {
     fn failed_batch_rolls_every_frame_back_exactly_once() {
         let link = Link::new();
         let (ours, theirs) = bat_net::ChannelConn::pair();
-        *link.conn.lock() = (3, Some(ours as Arc<dyn Conn>));
+        *lock(&link.conn) = (3, Some(ours as Arc<dyn Conn>));
         let outstanding = AtomicU64::new(0);
         let mut frames = Vec::new();
         let counters = |link: &Link| {
             (
-                link.unacked.lock().len(),
+                lock(&link.unacked).len(),
                 link.inflight.load(Ordering::Acquire),
                 outstanding.load(Ordering::Acquire),
             )
@@ -917,10 +922,7 @@ mod tests {
     #[test]
     fn stuck_wait_names_worker_incarnation_and_oldest_unacked_seq() {
         let links = [Link::new(), Link::new()];
-        links[1]
-            .unacked
-            .lock()
-            .extend([(17, (2, round(17))), (23, (2, round(23)))]);
+        lock(&links[1].unacked).extend([(17, (2, round(17))), (23, (2, round(23)))]);
         // While faults are still due a quiet wait is not stuck: the wait
         // sits through two deadlines, and panics at the first one after the
         // schedule has been delivered (here by its own third poll).

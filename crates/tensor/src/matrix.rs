@@ -274,81 +274,17 @@ impl Matrix {
         // Row blocks are whole tiles (but for the matrix's last rows): a
         // block that ended mid-tile would run its odd rows through the
         // single-row tile, at a fraction of the speed.
-        bat_exec::parallel_row_blocks(&mut out.data, m, grain, TILE_ROWS, |first_row, block| {
-            gemm(tier, &self.data[first_row * lda..], lda, rhs, block);
-        });
-    }
-
-    /// Matrix product `self × rhsᵀ` with `rhs` stored row-major (i.e. `rhs`
-    /// is the *transposed-packed* right operand: `out[i][j] =
-    /// dot(self.row(i), rhs.row(j))`).
-    ///
-    /// Use this when the right operand is *naturally* stored transposed
-    /// (e.g. attention keys packed row-per-key): both operands stream
-    /// contiguously, the inner kernel computes two lane-accumulated dot
-    /// products per pass (register blocking — see [`dot_unrolled_x2`])
-    /// with no per-element branch, the `j` loop is tiled so a block of
-    /// `rhs` rows stays cache-hot across output rows, and output row
-    /// blocks are computed in parallel on [`bat_exec`]. Every output
-    /// element is one fixed-order dot product written by exactly one task,
-    /// so the result is bit-identical for any thread count. For an
-    /// untransposed right operand, [`Matrix::matmul`]'s kernel is faster —
-    /// dot-form products pay a horizontal reduction per element — so above
-    /// a size threshold this un-packs `rhs` and delegates to it (the copy
-    /// amortizes; the threshold depends only on the shapes, so results stay
-    /// deterministic).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.cols()` (the shared inner dimension).
-    pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.cols,
-            "matmul_nt shape mismatch: {}x{} × ({}x{})T",
-            self.rows, self.cols, rhs.rows, rhs.cols
+        let bands = [(&mut out.data[..], m)];
+        bat_exec::parallel_weighted_row_bands(
+            bands,
+            n,
+            |_| 1,
+            grain,
+            TILE_ROWS,
+            |rows, [block]| {
+                gemm(tier, &self.data[rows.start * lda..], lda, rhs, block);
+            },
         );
-        let (n, k, m) = (self.rows, self.cols, rhs.rows);
-        // Past this many multiply-adds the O(m·k) un-packing copy is noise
-        // next to the O(n·m·k) kernel and the GEMM's throughput wins.
-        const NT_UNPACK_MACS: usize = 64 * 1024;
-        if n * m * k >= NT_UNPACK_MACS {
-            return self.matmul(&rhs.transpose());
-        }
-        let mut out = Matrix::zeros(n, m);
-        if n == 0 || m == 0 || k == 0 {
-            return out;
-        }
-        // Rows-per-tile of the packed operand kept hot in L1 across output
-        // rows; 16 rows × 256 columns of f32 is 16 KiB.
-        const J_TILE: usize = 16;
-        let tier = Tier::best();
-        let grain_rows = par_grain(n * m * k);
-        bat_exec::parallel_row_blocks(&mut out.data, m, grain_rows, 1, |first_row, block| {
-            let n_block = block.len() / m;
-            for j0 in (0..m).step_by(J_TILE) {
-                let j1 = (j0 + J_TILE).min(m);
-                for r in 0..n_block {
-                    let a_row = self.row(first_row + r);
-                    let out_row = &mut block[r * m..(r + 1) * m];
-                    // Register-blocked: two packed rows per pass share each
-                    // `a_row` load, then a single mops up an odd tile edge.
-                    let mut j = j0;
-                    while j + 2 <= j1 {
-                        out_row[j..j + 2].copy_from_slice(&dot_unrolled_x2(
-                            tier,
-                            a_row,
-                            rhs.row(j),
-                            rhs.row(j + 1),
-                        ));
-                        j += 2;
-                    }
-                    if j < j1 {
-                        out_row[j] = dot_unrolled(tier, a_row, rhs.row(j));
-                    }
-                }
-            }
-        });
-        out
     }
 
     /// Sparse-aware `vec × self`: skips rows whose coefficient is exactly
@@ -397,13 +333,21 @@ impl Matrix {
         if self.rows == 0 || self.cols == 0 {
             return;
         }
-        let cols = self.cols;
+        let (n, cols) = (self.rows, self.cols);
         let grain = par_grain(self.data.len());
-        bat_exec::parallel_row_blocks(&mut self.data, cols, grain, 1, |first_row, block| {
-            for (off, row) in block.chunks_mut(cols).enumerate() {
-                f(first_row + off, row);
-            }
-        });
+        let bands = [(&mut self.data[..], cols)];
+        bat_exec::parallel_weighted_row_bands(
+            bands,
+            n,
+            |_| 1,
+            grain,
+            1,
+            |rows, [block]| {
+                for (t, row) in rows.zip(block.chunks_mut(cols)) {
+                    f(t, row);
+                }
+            },
+        );
     }
 
     /// Transposed copy.
@@ -682,7 +626,7 @@ fn fold_tail(mut sum: f32, a_tail: &[f32], b_tail: &[f32]) -> f32 {
 }
 
 /// [`halve`] behind a call, for a kernel whose accumulators are a single
-/// loop-carried array (the dots below): inlined, the vectorizer works
+/// loop-carried array (the dot below): inlined, the vectorizer works
 /// backwards from the tree and regroups the accumulators into eight 2-lane
 /// vectors; behind a call they stay one sixteen-lane vector and the loop
 /// adds chunks to it as loaded. Additions only, so it needs no SIMD tier of
@@ -714,41 +658,6 @@ pub(crate) fn dot_unrolled_body(a: &[f32], b: &[f32]) -> f32 {
         }
     }
     fold_tail(halve_out_of_line(&acc), ca.remainder(), cb.remainder())
-}
-
-tiered! {
-    /// Two lane-accumulated dot products of `a` against `b0`/`b1` in one
-    /// pass: the register-blocked heart of [`Matrix::matmul_nt`]. Sharing
-    /// each `a` chunk across two packed rows halves the load traffic per
-    /// multiply. Each output reduces in exactly [`fold_lanes`] order, so the
-    /// result is bit-identical to two separate [`dot_unrolled`] calls.
-    fn dot_unrolled_x2(a: &[f32], b0: &[f32], b1: &[f32]) -> [f32; 2] = dot_unrolled_x2_body
-}
-
-#[inline(always)]
-fn dot_unrolled_x2_body(a: &[f32], b0: &[f32], b1: &[f32]) -> [f32; 2] {
-    // Equal-length reslices let the optimizer prove every chunk below is
-    // in-bounds (the rows all share `a`'s length, but the compiler cannot
-    // know that from the signature).
-    let n = a.len();
-    let (b0, b1) = (&b0[..n], &b1[..n]);
-    let mut acc0 = [0.0f32; LANES];
-    let mut acc1 = [0.0f32; LANES];
-    let main = n / LANES * LANES;
-    for i in (0..main).step_by(LANES) {
-        let pa: &[f32; LANES] = a[i..i + LANES].try_into().unwrap();
-        let p0: &[f32; LANES] = b0[i..i + LANES].try_into().unwrap();
-        let p1: &[f32; LANES] = b1[i..i + LANES].try_into().unwrap();
-        for l in 0..LANES {
-            acc0[l] = pa[l].mul_add(p0[l], acc0[l]);
-            acc1[l] = pa[l].mul_add(p1[l], acc1[l]);
-        }
-    }
-    let at = &a[main..];
-    [
-        fold_tail(halve_out_of_line(&acc0), at, &b0[main..]),
-        fold_tail(halve_out_of_line(&acc1), at, &b1[main..]),
-    ]
 }
 
 #[cfg(test)]
@@ -871,30 +780,6 @@ mod tests {
         bat_exec::set_threads(1);
     }
 
-    #[test]
-    fn matmul_nt_agrees_with_matmul_of_the_transpose() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        // Small product: the dot-form kernel, vs matmul's chain per element
-        // — different (each fixed) associations, so compare with tolerance.
-        let a = Matrix::random(9, 17, 1.0, &mut rng);
-        let b = Matrix::random(13, 17, 1.0, &mut rng);
-        let diff = a.matmul_nt(&b).max_abs_diff(&a.matmul(&b.transpose()));
-        assert!(diff.unwrap() < 1e-5);
-        // Large product: matmul_nt un-packs and delegates, so the results
-        // are the same kernel call and bit-identical.
-        let a = Matrix::random(48, 64, 1.0, &mut rng);
-        let b = Matrix::random(56, 64, 1.0, &mut rng);
-        assert_eq!(a.matmul_nt(&b), a.matmul(&b.transpose()));
-    }
-
-    #[test]
-    #[should_panic(expected = "matmul_nt shape mismatch")]
-    fn matmul_nt_rejects_bad_inner_dim() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 4);
-        let _ = a.matmul_nt(&b);
-    }
-
     /// Every SIMD tier this CPU has runs the same arithmetic as the
     /// portable body — each a different register tile of the same
     /// per-element chain of fused multiply-adds (the dispatchers only ever
@@ -909,7 +794,6 @@ mod tests {
         let wide = Matrix::random(37, 150, 1.0, &mut rng);
         let x: Vec<f32> = (0..77).map(|i| (i as f32 * 0.19).cos()).collect();
         let y: Vec<f32> = (0..77).map(|i| (i as f32 * 0.43).sin()).collect();
-        let z: Vec<f32> = (0..77).map(|i| (i as f32 * 0.29).cos()).collect();
         let run = |tier: Tier| {
             let mut out = vec![f32::NAN; 29 * 61];
             gemm(tier, a.as_slice(), 37, &w, &mut out);
@@ -917,7 +801,6 @@ mod tests {
             gemm(tier, a.as_slice(), 37, &wide, &mut out_wide);
             out.extend(out_wide);
             out.push(dot_unrolled(tier, &x, &y));
-            out.extend(dot_unrolled_x2(tier, &x, &y, &z));
             bits(&out)
         };
         let gold = run(Tier::SCALAR);
@@ -1053,10 +936,6 @@ mod tests {
                 dot_unrolled(Tier::best(), &xs, &ys).to_bits(),
                 dot_unrolled(Tier::SCALAR, &xs, &ys).to_bits()
             );
-            let x2 = dot_unrolled_x2(Tier::best(), &xs, &ys, &xs);
-            let x2b = dot_unrolled_x2(Tier::SCALAR, &xs, &ys, &xs);
-            prop_assert_eq!(x2[0].to_bits(), x2b[0].to_bits());
-            prop_assert_eq!(x2[1].to_bits(), x2b[1].to_bits());
         }
     }
 }

@@ -40,6 +40,12 @@ pub fn code_lines_without_strings(path: &Path) -> Vec<(usize, String)> {
     scan(path, true)
 }
 
+/// The whole of `path` with comments cut off, test code included: what a
+/// dev-dependency may be named in.
+pub fn code_with_tests(path: &Path) -> String {
+    strip_comments(&std::fs::read_to_string(path).expect("source file reads")).0
+}
+
 /// Reads `path` as [`code_lines`] does. Test-only code is the `#[cfg(test)]`
 /// module and everything after it, and any other item `#[cfg(test)]` marks
 /// (a function, say), through the line that closes it.
