@@ -252,15 +252,22 @@ fn cmd_compare(flags: &Flags) -> Result<(), String> {
 
 fn cmd_accuracy(flags: &Flags) -> Result<(), String> {
     let seed = flag(flags, "seed", 7)?;
-    let users = flag(flags, "users", 40)?;
+    let users = match flag(flags, "users", 40)? {
+        0 => return Err("bad --users '0': want at least one user".into()),
+        n => n,
+    };
     let mut cfg = SemanticConfig::table3_world(seed);
     if flags.contains_key("biased") {
         cfg = cfg.order_biased();
     }
-    let pic = flags
-        .get("pic")
-        .map(|_| flag(flags, "pic", 0.0f32))
-        .transpose()?;
+    // The fraction of item tokens PIC recomputes, as the row's label reads.
+    let pic = match flags.get("pic") {
+        None => None,
+        Some(v) => match flag(flags, "pic", 0.0f32)? {
+            f if (0.0..=1.0).contains(&f) => Some(f),
+            _ => return Err(format!("bad --pic '{v}': want a fraction in [0, 1]")),
+        },
+    };
     let table: Vec<Vec<String>> = accuracy_rows(cfg, users, pic)
         .iter()
         .map(|r| {
@@ -887,6 +894,13 @@ mod tests {
             ("overload --burst nan", "--burst"),
             ("overload --deadline 0", "--deadline"),
             ("overload --deadline -5", "--deadline"),
+            ("accuracy --pic 2", "--pic"),
+            ("accuracy --pic 1.5", "--pic"),
+            ("accuracy --pic inf", "--pic"),
+            ("accuracy --pic nan", "--pic"),
+            ("accuracy --pic -1", "--pic"),
+            ("accuracy --pic -0.5", "--pic"),
+            ("accuracy --users 0", "--users"),
             ("info --trace no/such/trace.jsonl", "no/such/trace.jsonl"),
         ] {
             let err = dispatch(&args(line)).unwrap_err();

@@ -23,7 +23,7 @@
 //!
 //! The quantized cold tier behind these hot regions (§3.3.2's deferred
 //! storage tier) is `bat-tiers`' `TieredKvPool`, which builds on
-//! [`lru::LruIndex`], [`meta::CacheKey`] and [`hotness::FreqEstimator`].
+//! [`lru::LruIndex`] and [`meta::CacheKey`].
 
 pub mod hotness;
 pub mod lru;

@@ -22,26 +22,20 @@ pub(crate) struct MaskBuf {
     off: Vec<usize>,
     /// Allowed-key count per suffix token (the runs' total length).
     allowed: Vec<u64>,
-    /// Per suffix token, what its second stage of a layer costs, in keys:
-    /// its allowed keys plus the constant `build` was given.
-    weights: Vec<u64>,
 }
 
 impl MaskBuf {
-    /// Encodes the mask rows of the suffix tokens `tags[p_len..]`; a row's
-    /// weight is its allowed keys plus `row_weight`.
+    /// Encodes the mask rows of the suffix tokens `tags[p_len..]`.
     pub(crate) fn build(
         &mut self,
         scheme: crate::prompt::MaskScheme,
         tags: &[SegTag],
         p_len: usize,
-        row_weight: u64,
     ) {
         self.blocks.clear();
         self.runs.clear();
         self.off.clear();
         self.allowed.clear();
-        self.weights.clear();
         for (g, &tag) in tags.iter().enumerate() {
             match self.blocks.last_mut() {
                 Some((last, r)) if *last == tag => r.end = g + 1,
@@ -68,20 +62,15 @@ impl MaskBuf {
             }
             self.off.push(self.runs.len());
             self.allowed.push(count as u64);
-            self.weights.push(count as u64 + row_weight);
         }
     }
 
     /// The mask of `forward(suffix, prefix)`.
-    pub(crate) fn of(suffix: &TokenSeq, prefix: Option<&KvSegment>, row_weight: u64) -> Self {
+    pub(crate) fn of(suffix: &TokenSeq, prefix: Option<&KvSegment>) -> Self {
         let prefix_tags = prefix.map_or(&[][..], |p| &p.segs);
         let mut mask = MaskBuf::default();
-        mask.build(
-            suffix.scheme,
-            &[prefix_tags, &suffix.segs].concat(),
-            prefix_tags.len(),
-            row_weight,
-        );
+        let tags = [prefix_tags, &suffix.segs].concat();
+        mask.build(suffix.scheme, &tags, prefix_tags.len());
         mask
     }
 
@@ -96,12 +85,6 @@ impl MaskBuf {
     #[inline]
     pub(crate) fn allowed(&self) -> &[u64] {
         &self.allowed
-    }
-
-    /// Every suffix token's weight (see [`MaskBuf::build`]).
-    #[inline]
-    pub(crate) fn weights(&self) -> &[u64] {
-        &self.weights
     }
 }
 

@@ -3,20 +3,21 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Where a [`crate::GrModel`] forward spends its time. A layer is two stages:
-/// [`Stage::KvRows`] on the calling thread (or its own dispatches), then one
-/// pool dispatch in which every block of rows runs [`Stage::Q`] to
-/// [`Stage::Down`] on one thread — those six are thread time, summed over
-/// the blocks, and [`Stage::RowsWall`] is the caller's wall time for the
-/// dispatch ([`Stage::LastRowsWall`] in the last layer, of the read-out rows
-/// alone), so `threads × (RowsWall + LastRowsWall) − Σ` is their idle time.
-/// A layer with the HSTU pointwise unit ends at [`Stage::Wo`], which then
-/// holds its norm and gate too: `GateUp`, `Silu` and `Down` read zero.
+/// Where a [`crate::GrModel`] forward spends its time. A layer is one pool
+/// dispatch in which every block of rows runs [`Stage::Q`] to [`Stage::Down`]
+/// and then [`Stage::KvRows`] of the next layer on one thread (one more
+/// dispatch before the first layer runs layer 0's `KvRows`): those seven
+/// are thread time, summed over the blocks. [`Stage::RowsWall`] is the
+/// caller's wall time for those dispatches and the serial pushes of their
+/// keys and values that follow ([`Stage::LastRowsWall`] in the last layer,
+/// of the read-out rows alone), so `threads × (RowsWall + LastRowsWall) − Σ`
+/// is their idle time. The HSTU pointwise unit ends at [`Stage::Wo`], which
+/// then holds its norm and gate too: `GateUp`, `Silu` and `Down` read zero.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
     /// Tags, mask runs, embeddings.
     Setup,
-    /// Norm, K|V product, RoPE and the push into the packed blocks.
+    /// Norm, K|V product and RoPE of the next layer (of layer 0, before it).
     KvRows,
     /// Q product (Q|U and SiLU for the pointwise unit) and RoPE.
     Q,
@@ -30,7 +31,8 @@ pub enum Stage {
     Silu,
     /// Down product and residual.
     Down,
-    /// Wall time of the dispatches that ran `Q` to `Down`, bar the last's.
+    /// Wall time of the row dispatches and the pushes after them, bar the
+    /// last layer's.
     RowsWall,
     /// Wall time of `Q` to `Down` over the last layer's read-out rows.
     LastRowsWall,

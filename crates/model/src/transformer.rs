@@ -7,7 +7,7 @@
 //! fresh keys/values.
 
 use crate::config::GrModelConfig;
-use crate::kv::KvSegment;
+use crate::kv::{KvSegment, LayerKv};
 use crate::mask::{read_out_rows, runs, MaskBuf};
 use crate::profile::{Laps, Stage, StageProfile};
 use crate::prompt::{SegTag, TokenSeq};
@@ -120,8 +120,9 @@ impl ForwardOutput {
 /// forward pass — norms, projections, attention rows, unit activations, mask
 /// run lists, and the output itself — lives here and is re-shaped (capacity
 /// kept) instead of re-allocated. Each token's key and value sit side by
-/// side in `k`, one packed product; `q` and `act` are as wide as the layers'
-/// unit makes them (`q`, or `q|u`; `gate|up`, or the gated aggregate).
+/// side in `kv`, one packed product; `q` and `act` are as wide as the
+/// layers' unit makes them (`q`, or `q|u`; `gate|up`, or the gated
+/// aggregate).
 /// Keep one per worker and the steady-state forward performs **zero heap
 /// allocations** after the first call at a given shape; the attention
 /// kernel's score rows are thread-local via
@@ -133,7 +134,7 @@ pub struct ForwardWorkspace {
     h: Matrix,
     xn: Matrix,
     q: Matrix,
-    k: Matrix,
+    kv: Matrix,
     attn: Matrix,
     o: Matrix,
     act: Matrix,
@@ -152,7 +153,7 @@ impl ForwardWorkspace {
             h: m(),
             xn: m(),
             q: m(),
-            k: m(),
+            kv: m(),
             attn: m(),
             o: m(),
             act: m(),
@@ -357,19 +358,22 @@ impl GrModel {
     ///
     /// # Execution
     ///
-    /// A layer is two stages (DESIGN §5d). The first computes the keys and
-    /// values of all suffix tokens (norm, one K|V product, RoPE) and appends
-    /// them to the layer's packed plane-major blocks. From there a suffix
-    /// row depends on nothing but its own activations and the KV, so the
-    /// second is **one** pool dispatch over blocks of rows, each block taking
-    /// its rows from the query projection to the unit's last residual on one
-    /// thread ([`GrModel::layer_rows`]) — in the last layer the read-out rows
-    /// ([`ForwardOutput`]) alone. Attention is **run-structured**: the
-    /// bipartite mask is block-structured, so a token's allowed keys are a
-    /// few contiguous runs, and [`GroupAttention::attend`] scores, softmaxes
-    /// and accumulates over exactly those, in *compact* rows whose reduction
-    /// order is a function of the compact index alone — a row's arithmetic
-    /// depends on its allowed keys and nothing else, so an item block attends
+    /// A layer is **one** pool dispatch over blocks of suffix rows (DESIGN
+    /// §5d). Its keys and values are already in the layer's packed
+    /// plane-major blocks, so a row depends on nothing but its own
+    /// activations and the KV: each block takes its rows from the query
+    /// projection to the unit's last residual on one thread, then computes
+    /// the *next* layer's keys and values of those rows (norm, one K|V
+    /// product, RoPE; [`GrModel::layer_rows`]), which the caller appends to
+    /// the next layer's blocks once the dispatch is over. One more row stage
+    /// before the first layer computes layer 0's; the last layer runs the
+    /// read-out rows ([`ForwardOutput`]) alone. Attention is
+    /// **run-structured**: the bipartite mask is block-structured, so a
+    /// token's allowed keys are a few contiguous runs, and
+    /// [`GroupAttention::attend`] scores, softmaxes and accumulates over
+    /// exactly those, in *compact* rows whose reduction order is a function
+    /// of the compact index alone — a row's arithmetic depends on its
+    /// allowed keys and nothing else, so an item block attends
     /// bit-identically standalone and inside a full prompt, whatever the
     /// prefix/suffix split. The blocks are cut by the rows' work; a row has
     /// the same bits whichever block computes it, so logits are
@@ -423,7 +427,7 @@ impl GrModel {
             h,
             xn,
             q,
-            k: kv_rows,
+            kv: fresh_kv,
             attn,
             o,
             act,
@@ -443,7 +447,8 @@ impl GrModel {
         tags.clear();
         tags.extend(prefix.map_or(&[][..], |p| &p.segs));
         tags.extend_from_slice(&suffix.segs);
-        mask.build(suffix.scheme, tags, p_len, self.row_weight());
+        mask.build(suffix.scheme, tags, p_len);
+        let mask = &*mask;
 
         // The scratch matrices the row blocks share, each written before it
         // is read; `h` starts as the suffix tokens' embeddings.
@@ -457,6 +462,7 @@ impl GrModel {
         for (m, cols) in [&mut *h, xn, q, attn, o, act].into_iter().zip(widths) {
             m.reshape_for_overwrite(s_len, cols);
         }
+        fresh_kv.reshape_for_overwrite(s_len, 2 * kv_dim);
         for (t, &tok) in suffix.tokens.iter().enumerate() {
             h.row_mut(t)
                 .copy_from_slice(self.embedding.row(tok as usize));
@@ -470,30 +476,22 @@ impl GrModel {
         }
         laps.lap(Stage::Setup);
 
-        for (l, lw) in self.layers.iter().enumerate() {
-            // Keys and values of every suffix token: they only depend on the
-            // previous layer's hidden states, and every row of the second
-            // stage may read any of them.
-            norm_rows_into(h, &lw.attn_norm, xn);
-            xn.matmul_into(&lw.wkv, kv_rows);
-            let pointwise = matches!(lw.unit, Unit::Pointwise { .. });
-            kv_rows.par_rows_mut(|t, row| {
-                if pointwise {
-                    fast_silu_in_place(row);
-                }
-                self.rope
-                    .apply_heads(&mut row[..kv_dim], suffix.pos[t] as usize)
-            });
-            for t in 0..s_len {
-                let (key, value) = kv_rows.row(t).split_at(kv_dim);
-                suffix_kv.layers[l].push(key, value);
-            }
+        // Layer 0's keys and values, cut by count: every row's are alike.
+        let (alike, work) = (|_: usize| 1, s_len * self.kv_products());
+        let mats = [&mut *h, xn, fresh_kv];
+        run_rows(mats, 0..s_len, alike, work, |rows, [h, xn, kv]| {
+            let mut laps = Laps::start(profile);
+            self.kv_rows(first, &suffix.pos, rows, h, xn, kv);
             laps.lap(Stage::KvRows);
+        });
+        push_kv(fresh_kv, &mut suffix_kv.layers[0]);
+        laps.lap(Stage::RowsWall);
 
-            // Attention reads the cached prefix block and the just-pushed
-            // suffix block through a zero-copy [`SplitCols`] view — the
-            // canonical packed layout means nothing is gathered or repacked
-            // per request — over each token's allowed key runs.
+        for (l, lw) in self.layers.iter().enumerate() {
+            // Attention reads the cached prefix block and the pushed suffix
+            // block through a zero-copy [`SplitCols`] view — the canonical
+            // packed layout means nothing is gathered or repacked per
+            // request — over each token's allowed key runs.
             let sl = &suffix_kv.layers[l];
             let kv = GroupAttention {
                 keys: SplitCols::new(prefix.map(|p| p.layers[l].keys()), sl.keys()),
@@ -501,17 +499,20 @@ impl GrModel {
                 head_dim: cfg.head_dim,
                 scale: 1.0 / (cfg.head_dim as f32).sqrt(),
             };
-            let mask = &*mask;
+            let next = self.layers.get(l + 1);
+            let row_weight = self.row_weight(next.is_some());
             let mut rows_stage = |run: Range<usize>| {
-                let work = self.rows_work(mask, &run);
-                let mats = [&mut *h, xn, q, attn, o, act];
-                run_rows(mats, run, mask.weights(), work, |rows, block| {
-                    self.layer_rows(lw, &kv, mask, &suffix.pos, rows, block, profile)
+                let work = self.rows_work(mask, &run, next.is_some());
+                let mats = [&mut *h, xn, q, attn, o, act, fresh_kv];
+                let cost = |t: usize| mask.allowed()[t] + row_weight;
+                run_rows(mats, run, cost, work, |rows, block| {
+                    self.layer_rows(lw, next, &kv, mask, &suffix.pos, rows, block, profile)
                 });
             };
             // Every row feeds the next layer's K|V; past the last, few are read.
-            if l + 1 < cfg.layers {
+            if next.is_some() {
                 rows_stage(0..s_len);
+                push_kv(fresh_kv, &mut suffix_kv.layers[l + 1]);
                 laps.lap(Stage::RowsWall);
             } else {
                 runs(read_out).for_each(rows_stage);
@@ -522,27 +523,58 @@ impl GrModel {
         laps.lap(Stage::ReadOut);
     }
 
-    /// The second stage of a layer for suffix rows `rows`, whose rows of the
-    /// workspace matrices `h, xn, q, attn, o, act` are `block`: everything
-    /// from the query projection to the unit's last residual, on the calling
-    /// thread. Per row this is the arithmetic of the stage order a single
-    /// block over all rows runs — the products give a row the same bits in
-    /// any block, and everything else is row by row.
+    /// Layer `lw`'s keys and values of suffix rows `rows`, whose rows of the
+    /// workspace matrices `h, xn, kv` are `h, xn, kv`, on the calling
+    /// thread: the attention norm into `xn` (the layer's query product reads
+    /// it), the K|V product, SiLU for the pointwise unit, and RoPE on the
+    /// key half. Row by row but for the product, which gives a row the same
+    /// bits in any block.
+    fn kv_rows(
+        &self,
+        lw: &Layer,
+        pos: &[u32],
+        rows: Range<usize>,
+        h: &[f32],
+        xn: &mut [f32],
+        kv: &mut [f32],
+    ) {
+        let (hidden, kv_dim) = (self.cfg.hidden_dim, self.cfg.kv_dim());
+        for (x, out) in h.chunks_exact(hidden).zip(xn.chunks_exact_mut(hidden)) {
+            rms_norm_into(x, &lw.attn_norm, 1e-6, out);
+        }
+        matmul_rows(xn, hidden, &lw.wkv, kv);
+        let pointwise = matches!(lw.unit, Unit::Pointwise { .. });
+        for (t, row) in rows.zip(kv.chunks_exact_mut(2 * kv_dim)) {
+            if pointwise {
+                fast_silu_in_place(row);
+            }
+            self.rope.apply_heads(&mut row[..kv_dim], pos[t] as usize);
+        }
+    }
+
+    /// Layer `lw` for suffix rows `rows`, whose rows of the workspace
+    /// matrices `h, xn, q, attn, o, act, kv` are `block`, on the calling
+    /// thread: everything from the query projection to the unit's last
+    /// residual, then the `next` layer's keys and values of these rows
+    /// ([`GrModel::kv_rows`]). Per row this is the arithmetic of the stage
+    /// order a single block over all rows runs — the products give a row
+    /// the same bits in any block, and everything else is row by row.
     #[allow(clippy::too_many_arguments)]
     fn layer_rows(
         &self,
         lw: &Layer,
+        next: Option<&Layer>,
         kv: &GroupAttention<'_>,
         mask: &MaskBuf,
         pos: &[u32],
         rows: Range<usize>,
-        block: [&mut [f32]; 6],
+        block: [&mut [f32]; 7],
         profile: Option<&StageProfile>,
     ) {
         let cfg = &self.cfg;
         let (hidden, q_dim, ffn) = (cfg.hidden_dim, cfg.q_dim(), cfg.ffn_dim);
         let tile = cfg.gqa_group() * cfg.head_dim;
-        let [h, xn, q, attn, o, act] = block;
+        let [h, xn, q, attn, o, act, fresh_kv] = block;
         let mut laps = Laps::start(profile);
 
         // A `q` row is the query, then whatever the unit packed beside it.
@@ -596,22 +628,21 @@ impl GrModel {
                 // SwiGLU FFN; skipped when structurally zero. The activations
                 // overwrite the gate half of each gate|up row, which the down
                 // projection then reads in place.
-                if *ffn_zero {
-                    return;
+                if !*ffn_zero {
+                    for (x, out) in h.chunks_exact(hidden).zip(xn.chunks_exact_mut(hidden)) {
+                        rms_norm_into(x, ffn_norm, 1e-6, out);
+                    }
+                    matmul_rows(xn, hidden, w_gate_up, act);
+                    laps.lap(Stage::GateUp);
+                    for row in act.chunks_exact_mut(2 * ffn) {
+                        let (gate, up) = row.split_at_mut(ffn);
+                        fast_silu_mul_in_place(gate, up);
+                    }
+                    laps.lap(Stage::Silu);
+                    matmul_rows(act, 2 * ffn, w_down, o);
+                    axpy(h, 1.0, o);
+                    laps.lap(Stage::Down);
                 }
-                for (x, out) in h.chunks_exact(hidden).zip(xn.chunks_exact_mut(hidden)) {
-                    rms_norm_into(x, ffn_norm, 1e-6, out);
-                }
-                matmul_rows(xn, hidden, w_gate_up, act);
-                laps.lap(Stage::GateUp);
-                for row in act.chunks_exact_mut(2 * ffn) {
-                    let (gate, up) = row.split_at_mut(ffn);
-                    fast_silu_mul_in_place(gate, up);
-                }
-                laps.lap(Stage::Silu);
-                matmul_rows(act, 2 * ffn, w_down, o);
-                axpy(h, 1.0, o);
-                laps.lap(Stage::Down);
             }
             Unit::Pointwise { norm } => {
                 // The aggregate over the context size, normed and gated by
@@ -619,6 +650,7 @@ impl GrModel {
                 let gated = attn
                     .chunks_exact_mut(q_dim)
                     .zip(act.chunks_exact_mut(hidden));
+                let rows = rows.clone();
                 for (t, (qu, (agg, gated))) in rows.zip(q.chunks_exact(q_cols).zip(gated)) {
                     let inv = 1.0 / mask.allowed()[t].max(1) as f32;
                     agg.iter_mut().for_each(|x| *x *= inv);
@@ -632,11 +664,22 @@ impl GrModel {
                 laps.lap(Stage::Wo);
             }
         }
+        if let Some(next) = next {
+            self.kv_rows(next, pos, rows, h, xn, fresh_kv);
+            laps.lap(Stage::KvRows);
+        }
     }
 
-    /// Multiply-adds of the products one suffix row goes through in the
-    /// second stage of a layer: Q (or Q|U), output, and the unit's own.
-    fn row_products(&self) -> usize {
+    /// Multiply-adds of a suffix row's K|V product in one layer.
+    fn kv_products(&self) -> usize {
+        let wkv = &self.layers[0].wkv;
+        wkv.rows() * wkv.cols()
+    }
+
+    /// Multiply-adds of the products one suffix row goes through in a
+    /// layer's row stage: Q (or Q|U), output, the unit's own, and with
+    /// `next_kv` — in every layer but the last — the next layer's K|V.
+    fn row_products(&self, next_kv: bool) -> usize {
         let lw = &self.layers[0];
         let size = |w: &Matrix| w.rows() * w.cols();
         let unit = match &lw.unit {
@@ -645,10 +688,11 @@ impl GrModel {
             } => size(w_gate_up) + size(w_down),
             Unit::Pointwise { .. } => 0,
         };
-        size(&lw.wq) + size(&lw.wo) + unit
+        let kv = if next_kv { self.kv_products() } else { 0 };
+        size(&lw.wq) + size(&lw.wo) + unit + kv
     }
 
-    /// What a suffix row's second stage costs beyond its allowed keys, in
+    /// What a suffix row's row stage costs beyond its allowed keys, in
     /// keys: the unit the stage's row blocks are balanced in. From the two
     /// rates of the one-thread stage profile at the ranking shape (`batctl
     /// bench --stages`; EXPERIMENTS.md, PR 22): a row pays ≈ 8.1 ns per
@@ -657,45 +701,46 @@ impl GrModel {
     /// keys per KV head), and ≈ 1.7 µs for the 92 k multiply-adds of its four
     /// products with their norms and activations, ≈ 54 G/s: 2.3 times the
     /// attention's rate. So an item row of 194 keys weighs 516 and an
-    /// instruction row of 309 weighs 631, as they cost 4.2 and 5.1 µs. The
-    /// 57 keys and the 2.3 were fitted on the SwiGLU unit; the pointwise unit
+    /// instruction row of 309 weighs 631, as they cost 4.2 and 5.1 µs (the
+    /// next layer's K|V product adds 3 k multiply-adds and 7 keys). The 57
+    /// keys and the 2.3 were fitted on the SwiGLU unit; the pointwise unit
     /// borrows them, and like the dispatch threshold they move speed only.
-    fn row_weight(&self) -> u64 {
-        let product_keys = 10 * self.row_products() / (46 * self.cfg.q_dim());
+    fn row_weight(&self, next_kv: bool) -> u64 {
+        let product_keys = 10 * self.row_products(next_kv) / (46 * self.cfg.q_dim());
         (product_keys + 57 * self.cfg.kv_heads) as u64
     }
 
-    /// Multiply-adds of a layer's second stage over suffix rows `run`.
-    fn rows_work(&self, mask: &MaskBuf, run: &Range<usize>) -> usize {
+    /// Multiply-adds of a layer's row stage over suffix rows `run`.
+    fn rows_work(&self, mask: &MaskBuf, run: &Range<usize>, next_kv: bool) -> usize {
         let keys = mask.allowed()[run.clone()].iter().sum::<u64>() as usize;
-        keys * self.cfg.q_dim() + run.len() * self.row_products()
+        keys * self.cfg.q_dim() + run.len() * self.row_products(next_kv)
     }
 
-    /// The stages of `forward(suffix, prefix)` by name — a layer's two and the
-    /// last layer's second (its widest dispatch) — with the multiply-add count
-    /// the pool dispatch of each is gated on. A test that compares thread
-    /// counts asserts [`bat_tensor::stage_is_pooled`] on these: below the
-    /// threshold every width runs the same inline code, a vacuous comparison.
+    /// The row stages of `forward(suffix, prefix)` by name — layer 0's K|V
+    /// rows, a layer's rows and the last layer's (its widest dispatch) —
+    /// with the multiply-add count the pool dispatch of each is gated on. A
+    /// test that compares thread counts asserts
+    /// [`bat_tensor::stage_is_pooled`] on these: below the threshold every
+    /// width runs the same inline code, a vacuous comparison.
     #[doc(hidden)]
     pub fn stage_work(
         &self,
         suffix: &TokenSeq,
         prefix: Option<&KvSegment>,
     ) -> [(&'static str, usize); 3] {
-        let wkv = &self.layers[0].wkv;
-        let mask = MaskBuf::of(suffix, prefix, 0);
+        let mask = MaskBuf::of(suffix, prefix);
         let read_out: Vec<usize> = read_out_rows(&suffix.segs).collect();
-        let widest = runs(&read_out).map(|run| self.rows_work(&mask, &run)).max();
+        let widest = runs(&read_out).map(|run| self.rows_work(&mask, &run, false));
         [
-            ("K|V", suffix.len() * wkv.rows() * wkv.cols()),
-            ("rows", self.rows_work(&mask, &(0..suffix.len()))),
-            ("read-out rows", widest.unwrap_or(0)),
+            ("K|V", suffix.len() * self.kv_products()),
+            ("rows", self.rows_work(&mask, &(0..suffix.len()), true)),
+            ("read-out rows", widest.max().unwrap_or(0)),
         ]
     }
 
-    /// The row blocks the second stage of `forward(suffix, prefix)` is cut
-    /// into at `threads` threads when pooled — in every layer but the last,
-    /// and in the last — for a test to assert where the cuts fall.
+    /// The row blocks a layer's row stage of `forward(suffix, prefix)` is
+    /// cut into at `threads` threads when pooled — in every layer but the
+    /// last, and in the last — for a test to assert where the cuts fall.
     #[doc(hidden)]
     pub fn stage_blocks(
         &self,
@@ -703,18 +748,21 @@ impl GrModel {
         prefix: Option<&KvSegment>,
         threads: usize,
     ) -> [Vec<Range<usize>>; 2] {
-        let mask = MaskBuf::of(suffix, prefix, self.row_weight());
+        let mask = MaskBuf::of(suffix, prefix);
         let read_out: Vec<usize> = read_out_rows(&suffix.segs).collect();
-        let cut = |run: Range<usize>| {
-            let weights = &mask.weights()[run.clone()];
-            let blocks =
-                bat_exec::weighted_row_blocks(run.len(), |r| weights[r], TILE_ROWS, threads);
+        let cut = |run: Range<usize>, next_kv: bool| {
+            let (start, row_weight) = (run.start, self.row_weight(next_kv));
+            let cost = |r: usize| mask.allowed()[start + r] + row_weight;
+            let blocks = bat_exec::weighted_row_blocks(run.len(), cost, TILE_ROWS, threads);
             blocks
                 .into_iter()
-                .map(move |b| run.start + b.start..run.start + b.end)
+                .map(move |b| start + b.start..start + b.end)
         };
-        let full = cut(0..suffix.len()).collect();
-        [full, runs(&read_out).flat_map(cut).collect()]
+        let full = cut(0..suffix.len(), true).collect();
+        [
+            full,
+            runs(&read_out).flat_map(|run| cut(run, false)).collect(),
+        ]
     }
 
     /// The seed's serial per-token forward pass, kept as the oracle the
@@ -903,13 +951,14 @@ impl GrModel {
 
 use crate::prompt::allowed_tags as allowed;
 
-/// A layer's row stage over suffix rows `run`: `f(rows, block)` for blocks
-/// of them (`block`: the rows' slices of `mats`), cut by `weights` on the
-/// pool if `work` multiply-adds repay a dispatch, else one inline call.
+/// A row stage over suffix rows `run`: `f(rows, block)` for blocks of them
+/// (`block`: the rows' slices of `mats`), cut by `cost(row)` on the pool if
+/// `work` multiply-adds repay a dispatch, else one inline call. The
+/// forward's one door to the pool (`tests/one_pool_door.rs`).
 fn run_rows<const N: usize>(
     mats: [&mut Matrix; N],
     run: Range<usize>,
-    weights: &[u64],
+    cost: impl Fn(usize) -> u64,
     work: usize,
     f: impl Fn(Range<usize>, [&mut [f32]; N]) + Sync,
 ) {
@@ -918,18 +967,19 @@ fn run_rows<const N: usize>(
         let c = m.cols();
         (&mut m.as_mut_slice()[run.start * c..run.end * c], c)
     });
-    let weights = &weights[run.clone()];
-    let cost = |r: usize| weights[r];
+    let cost = |r: usize| cost(run.start + r);
     parallel_weighted_row_bands(bands, run.len(), cost, grain, TILE_ROWS, |rows, block| {
         f(run.start + rows.start..run.start + rows.end, block)
     });
 }
 
-/// RMS-normalizes every row of `h` with `gain` into `out`, reusing `out`'s
-/// storage.
-fn norm_rows_into(h: &Matrix, gain: &[f32], out: &mut Matrix) {
-    out.reset(h.rows(), h.cols());
-    out.par_rows_mut(|t, row| rms_norm_into(h.row(t), gain, 1e-6, row));
+/// Appends every row of `kv` — a key, then its value — to `layer`'s packed
+/// blocks, in row order.
+fn push_kv(kv: &Matrix, layer: &mut LayerKv) {
+    for t in 0..kv.rows() {
+        let (key, value) = kv.row(t).split_at(kv.cols() / 2);
+        layer.push(key, value);
+    }
 }
 
 #[cfg(test)]
@@ -1069,7 +1119,7 @@ mod tests {
             for seq in &seqs {
                 for p_len in [0, 1, seq.len() / 2, seq.len() - 1] {
                     let mut mask = MaskBuf::default();
-                    mask.build(scheme, &seq.segs, p_len, 0);
+                    mask.build(scheme, &seq.segs, p_len);
                     for t in 0..seq.len() - p_len {
                         let want: Vec<usize> = (0..seq.len())
                             .filter(|&k| seq.allowed(p_len + t, k))

@@ -91,11 +91,17 @@ pub fn hrcs_params(model: &ModelConfig, cluster: &ClusterConfig, ds: &DatasetCon
     }
 }
 
+/// The most of a node's KV budget its item region may take: 4/5, so that
+/// some user region survives (§6.2's Industry discussion notes the user
+/// cache gets whatever the item cache leaves). The HRCS plan is fitted to
+/// it, and a worker adopting a dead peer's items stops there.
+pub(crate) fn item_region_budget(cluster: &ClusterConfig) -> Bytes {
+    Bytes::new(cluster.node.kv_cache_capacity.as_u64() * 4 / 5)
+}
+
 /// The HRCS item placement the paper's systems run (§5.1 "Offline
 /// Initialization"): Algorithm 1 picks the replication ratio, and the item
-/// region may take at most 80% of each node's budget — some user region
-/// must survive (§6.2's Industry discussion notes the user cache gets
-/// whatever the item cache leaves).
+/// region is fitted to [`item_region_budget`].
 pub fn hrcs_plan(
     model: &ModelConfig,
     cluster: &ClusterConfig,
@@ -110,7 +116,7 @@ pub fn hrcs_plan(
         r,
         model.kv_bytes(ds.avg_item_tokens as u64),
     )
-    .fit_to_capacity(Bytes::new(cluster.node.kv_cache_capacity.as_u64() * 4 / 5))
+    .fit_to_capacity(item_region_budget(cluster))
 }
 
 /// Full engine configuration.
@@ -825,13 +831,13 @@ mod tests {
             ServingEngine::new(no_budget),
             Err(BatError::InvalidConfig(_))
         ));
-        // A bad estimator window or an empty meta group is a typed error
-        // naming the field, never an assert deeper down — in the engine's
-        // config and the pool's.
+        // A bad estimator window, cold-tier split or an empty meta group is
+        // a typed error naming the field, never an assert deeper down — in
+        // the engine's config and the pool's.
         let mut nan_window = cfg.clone();
         nan_window.freq_window_secs = f64::NAN;
-        let mut zero_tier_window = bat_tiers::TiersConfig::new(Bytes::from_mb(400));
-        zero_tier_window.freq_window_secs = 0.0;
+        let mut half_share = bat_tiers::TiersConfig::new(Bytes::from_mb(400));
+        half_share.min_share = 0.5;
         let mut no_meta = cfg.clone();
         no_meta.meta_replicas = 0;
         // A refresh interval ≤ 0 would refresh on every arrival, and an
@@ -842,10 +848,7 @@ mod tests {
         };
         for (bad, field) in [
             (nan_window, "freq_window_secs"),
-            (
-                cfg.clone().with_tiers(Some(zero_tier_window)),
-                "freq_window_secs",
-            ),
+            (cfg.clone().with_tiers(Some(half_share)), "min_share"),
             (no_meta, "meta_replicas"),
             (refresh(0.0), "item_refresh_interval_secs"),
             (refresh(-1.0), "item_refresh_interval_secs"),

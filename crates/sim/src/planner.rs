@@ -9,7 +9,7 @@
 //! planner, so their cache behavior is identical by construction.
 
 use crate::compute::ComputeModel;
-use crate::engine::{AdmissionKind, EngineConfig, PolicyKind};
+use crate::engine::{item_region_budget, AdmissionKind, EngineConfig, PolicyKind};
 use bat_faults::{AppliedFault, ClusterView, FaultCursor, FaultReport, FaultSchedule};
 use bat_kvcache::{AdmitOutcome, MetaIndex, UserCache, UserCacheConfig};
 use bat_meta::MetaClient;
@@ -325,7 +325,7 @@ impl RequestPlanner {
                 .clone()
                 .unwrap_or_else(|| FaultSchedule::none(cfg.cluster.num_nodes)),
             rewarm_secs,
-            Bytes::new(cfg.cluster.node.kv_cache_capacity.as_u64() * 4 / 5),
+            item_region_budget(&cfg.cluster),
             cfg.slo.unwrap_or_default(),
         );
         RequestPlanner {
@@ -735,7 +735,7 @@ impl RequestPlanner {
                         // lives hot, so its cold copy is released.
                         let pool = &mut self.tiers;
                         for victim in evicted {
-                            pool.demote_hot(victim.into(), now);
+                            pool.demote_hot(victim.into());
                         }
                         if cold.is_some() {
                             pool.promote(req.user.into());

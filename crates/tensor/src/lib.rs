@@ -8,8 +8,10 @@
 //! is portable f32 from scratch — no BLAS — and the hot kernels are written
 //! for throughput: plain-Rust bodies in fused multiply-adds
 //! ([`f32::mul_add`]), multiversioned per SIMD tier (AVX-512, AVX2+FMA, NEON;
-//! see `simd.rs`), with [`Matrix::matmul`] a register-blocked GEMM whose
-//! output row blocks run in parallel on [`bat_exec`]'s work-stealing pool.
+//! see `simd.rs`), with [`Matrix::matmul`] a register-blocked GEMM. Every
+//! kernel runs on the calling thread: the crate schedules no threads, and
+//! a caller that parallelises cuts its work into row blocks itself
+//! ([`matmul_rows`] is the product of one block).
 //!
 //! No SIMD intrinsics, with one exception: the group attention kernel's
 //! horizontal folds in its AVX-512 clone are transposing networks written
@@ -19,8 +21,8 @@
 //! formulation tried either went back to LLVM's own extract tree or became
 //! gathers and scatters, and was no faster (EXPERIMENTS.md, PR 25). A source
 //! scan (`tests/intrinsics_in_one_place.rs`) keeps every intrinsic in that
-//! one file. Every kernel is deterministic: results are
-//! bit-identical for any thread count and any tier (DESIGN §5d has the
+//! one file. Every kernel is deterministic: a row's results are
+//! bit-identical in any block of rows and at any tier (DESIGN §5d has the
 //! numerics contract — what is an identity, what is a bound, and what is not
 //! promised across commits).
 //!

@@ -199,39 +199,31 @@ impl Matrix {
     }
 
     /// The underlying row-major buffer, mutably: what a stage that carries
-    /// row blocks through several matrices hands to
-    /// [`bat_exec::parallel_weighted_row_bands`].
+    /// row blocks through several matrices cuts into bands.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
     }
 
-    /// Reshapes to `rows × cols` and zeroes every entry, keeping the
-    /// backing allocation when it is large enough. The workspace primitive:
-    /// a scratch matrix `reset` each layer/request stops allocating once it
-    /// has seen its steady-state shape.
-    pub fn reset(&mut self, rows: usize, cols: usize) {
-        self.reshape_for_overwrite(rows, cols);
-        self.data.fill(0.0);
-    }
-
-    /// [`Matrix::reset`] without the zero fill, for a caller that writes
-    /// every entry: the contents are unspecified.
+    /// Reshapes to `rows × cols`, keeping the backing allocation when it is
+    /// large enough, for a caller that writes every entry: the contents are
+    /// unspecified. The workspace primitive: a scratch matrix reshaped each
+    /// request stops allocating once it has seen its steady-state shape.
     pub fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
         self.data.resize_for_overwrite(rows * cols);
     }
 
-    /// Matrix product `self × rhs`.
+    /// Matrix product `self × rhs`, on the calling thread.
     ///
     /// The workhorse kernel of the batched forward pass: a register-blocked
-    /// GEMM (see [`gemm_body`]). Output row blocks run in parallel on
-    /// [`bat_exec`]; every output element is one chain of fused
+    /// GEMM (see [`gemm_body`]). Every output element is one chain of fused
     /// multiply-adds, `acc = fma(a[r][k], b[k][c], acc)` from `0.0` in
-    /// ascending `k`, written once by exactly one task. The result is
-    /// therefore bit-identical for any thread count, any SIMD tier and any
-    /// position of a row inside a row block — and within
+    /// ascending `k`. The result is therefore bit-identical for any SIMD
+    /// tier and any position of a row among the rows multiplied — so a
+    /// caller that cuts a product into row blocks ([`matmul_rows`]) gets
+    /// these bits at any thread count — and within
     /// `k · 2⁻²⁴ · Σ_k |a[r][k] · b[k][c]|` of the exact product (each
     /// fused step rounds once; a test checks the bound against an `f64`
     /// accumulation).
@@ -246,8 +238,7 @@ impl Matrix {
     }
 
     /// [`Matrix::matmul`] writing into a caller-owned output matrix, which
-    /// is resized (capacity kept) — the zero-allocation twin the forward
-    /// workspace reuses across layers and requests. Same kernel, same bits.
+    /// is resized (capacity kept). Same kernel, same bits.
     ///
     /// # Panics
     ///
@@ -258,33 +249,8 @@ impl Matrix {
             "matmul shape mismatch: {}x{} × {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        self.matmul_with_grain(rhs, out, par_grain(self.rows * rhs.rows * rhs.cols));
-    }
-
-    /// The product `self × rhs`, with the row grain given: `1` sends row
-    /// blocks to the pool whatever the size (tests force it on products far
-    /// below [`par_grain`]'s threshold).
-    fn matmul_with_grain(&self, rhs: &Matrix, out: &mut Matrix, grain: usize) {
-        let (n, lda, m) = (self.rows, self.cols, rhs.cols);
-        out.reshape_for_overwrite(n, m);
-        if n == 0 || m == 0 {
-            return;
-        }
-        let tier = Tier::best();
-        // Row blocks are whole tiles (but for the matrix's last rows): a
-        // block that ended mid-tile would run its odd rows through the
-        // single-row tile, at a fraction of the speed.
-        let bands = [(&mut out.data[..], m)];
-        bat_exec::parallel_weighted_row_bands(
-            bands,
-            n,
-            |_| 1,
-            grain,
-            TILE_ROWS,
-            |rows, [block]| {
-                gemm(tier, &self.data[rows.start * lda..], lda, rhs, block);
-            },
-        );
+        out.reshape_for_overwrite(self.rows, rhs.cols);
+        matmul_rows(&self.data, self.cols, rhs, &mut out.data);
     }
 
     /// Sparse-aware `vec × self`: skips rows whose coefficient is exactly
@@ -318,49 +284,6 @@ impl Matrix {
         self.data.iter().all(|&x| x == 0.0)
     }
 
-    /// Visits every row mutably as `f(row_index, row)` — an element-wise
-    /// row map (RoPE, residual add, norm, activation). Row blocks go to
-    /// [`bat_exec`]'s pool once the matrix has enough elements to repay a
-    /// dispatch (see [`par_grain`]); a ranking-sized residual add costs
-    /// several times more through the pool than inline. Each row is
-    /// processed by exactly one task, so results are bit-identical for any
-    /// thread count as long as `f` computes each row independently of the
-    /// others.
-    pub fn par_rows_mut<F>(&mut self, f: F)
-    where
-        F: Fn(usize, &mut [f32]) + Sync,
-    {
-        if self.rows == 0 || self.cols == 0 {
-            return;
-        }
-        let (n, cols) = (self.rows, self.cols);
-        let grain = par_grain(self.data.len());
-        let bands = [(&mut self.data[..], cols)];
-        bat_exec::parallel_weighted_row_bands(
-            bands,
-            n,
-            |_| 1,
-            grain,
-            1,
-            |rows, [block]| {
-                for (t, row) in rows.zip(block.chunks_mut(cols)) {
-                    f(t, row);
-                }
-            },
-        );
-    }
-
-    /// Transposed copy.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
-            }
-        }
-        out
-    }
-
     /// Maximum absolute difference from `other`; `None` if shapes differ.
     pub fn max_abs_diff(&self, other: &Matrix) -> Option<f32> {
         if self.rows != other.rows || self.cols != other.cols {
@@ -376,11 +299,13 @@ impl Matrix {
     }
 }
 
-/// Row grain for a data-parallel stage of `work` multiply-adds (or element
-/// visits): `1` — farm rows out to the pool — once the stage is big enough
-/// to repay a pool dispatch, else `usize::MAX` — run inline. A pure
-/// function of the shapes, never the thread count, and every stage it
-/// gates computes rows independently, so it moves speed only.
+/// Whether a stage of `work` multiply-adds is farmed out to the pool: the
+/// one gate every row stage of a forward (`bat-model`'s `run_rows`) goes
+/// through. A pure function of the shapes, never the thread count, and
+/// every stage it gates computes rows independently, so it moves speed
+/// only. Public so that a test comparing thread counts can assert its
+/// shapes reach the pool at all: below the threshold every width runs the
+/// same inline code and the comparison says nothing.
 ///
 /// The threshold is the two measured numbers it trades off, multiplied. A
 /// dispatch at two threads costs ≈ 4 µs while the pool's workers are still
@@ -390,34 +315,19 @@ impl Matrix {
 /// GFLOP/s); and splitting a stage over two threads saves half its serial
 /// time. A stage therefore breaks even between 2 × 4 µs × 55 G/s = 0.45 M
 /// and 2 × 10 µs × 55 G/s = 1.1 M multiply-adds — *if its operands are
-/// where it runs*. They were not, for a stage of a layer's own: the 132 ×
-/// 96 × 96 Q and output products (1.2 M, 17 µs) cleared the threshold and,
-/// dispatched alone, cost 120 and 84 µs per forward at two threads against
-/// 81 and 79 at one, because each read rows the other core had just
-/// written. What a ranking forward hands the pool now is a layer's whole
-/// row stage (`bat-model`; 15 M multiply-adds, ≈ 600 µs), whose blocks own
-/// their rows from the query projection to the FFN residual; the
-/// threshold's remaining customers are stand-alone products and row maps
-/// (the K|V projection of a long cold prompt, `Matrix::matmul` in tests and
-/// benches), where the break-even above does hold. All of this is from runs
-/// in which the worker took its share of the blocks; a `batctl bench` run
-/// whose `pool_dispatch` reads under 1 µs is one in which it took none
+/// where it runs*. They were not, for a product dispatched on its own: the
+/// 132 × 96 × 96 Q and output products (1.2 M, 17 µs) cleared the
+/// threshold and cost 120 and 84 µs per forward at two threads against 81
+/// and 79 at one, because each read rows the other core had just written.
+/// So no product is dispatched alone: what a forward hands the pool is a
+/// layer's whole row stage (15 M multiply-adds, ≈ 600 µs at the ranking
+/// shape), whose blocks own their rows from the query projection to the
+/// next layer's keys and values, and layer 0's K|V rows (a long cold
+/// prompt's clear the threshold). All of this is from runs in which the
+/// worker took its share of the blocks; a `batctl bench` run whose
+/// `pool_dispatch` reads under 1 µs is one in which it took none
 /// (EXPERIMENTS.md, PR 17, has the two states), and its two-thread rows say
 /// nothing about the threshold.
-#[inline]
-pub(crate) fn par_grain(work: usize) -> usize {
-    if stage_is_pooled(work) {
-        1
-    } else {
-        usize::MAX
-    }
-}
-
-/// Whether a stage of `work` multiply-adds (or element visits) is farmed out
-/// to the pool — `par_grain`'s threshold. Public so that a test comparing
-/// thread counts can assert its shapes reach the pool at all: below the
-/// threshold every width runs the same inline code and the comparison says
-/// nothing.
 #[inline]
 pub fn stage_is_pooled(work: usize) -> bool {
     const PAR_MACS: usize = 1 << 20;
@@ -670,16 +580,26 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
+    fn transpose(m: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(m.cols(), m.rows());
+        for r in 0..m.rows() {
+            for c in 0..m.cols() {
+                out.set(c, r, m.get(r, c));
+            }
+        }
+        out
+    }
+
     #[test]
     fn storage_is_cache_line_aligned_and_survives_reshapes() {
         let mut m = Matrix::zeros(3, 5);
         assert_eq!(m.as_slice().as_ptr() as usize % 64, 0);
-        m.reset(40, 40);
+        m.reshape_for_overwrite(40, 40);
         assert_eq!(m.as_slice().as_ptr() as usize % 64, 0);
-        assert!(m.is_zero());
+        assert_eq!(m.as_slice().len(), 1600);
         m.set(39, 39, 1.0);
-        m.reset(2, 2);
-        assert_eq!(m.as_slice(), &[0.0; 4]);
+        m.reshape_for_overwrite(2, 2);
+        assert_eq!((m.rows(), m.cols(), m.as_slice().len()), (2, 2, 4));
         let c = m.clone();
         assert_eq!(c.as_slice().as_ptr() as usize % 64, 0);
         assert_eq!(c, m);
@@ -710,7 +630,7 @@ mod tests {
     fn transpose_round_trips() {
         let mut rng = SmallRng::seed_from_u64(2);
         let a = Matrix::random(4, 7, 1.0, &mut rng);
-        assert_eq!(a.transpose().transpose(), a);
+        assert_eq!(transpose(&transpose(&a)), a);
     }
 
     #[test]
@@ -727,57 +647,6 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
         let _ = a.matmul(&b);
-    }
-
-    #[test]
-    fn matmul_is_bit_identical_across_thread_counts() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        // Big enough to clear the parallel threshold (130 · 96 · 112 ≈ 1.4 M
-        // MACs), with rows and columns that leave ragged tiles.
-        let a = Matrix::random(130, 96, 1.0, &mut rng);
-        let b = Matrix::random(96, 112, 1.0, &mut rng);
-        assert!(stage_is_pooled(130 * 96 * 112));
-        bat_exec::set_threads(1);
-        let gold = a.matmul(&b);
-        for t in [2, 4, 8] {
-            bat_exec::set_threads(t);
-            let got = a.matmul(&b);
-            assert_eq!(
-                bits(gold.as_slice()),
-                bits(got.as_slice()),
-                "{t} threads diverged from serial"
-            );
-        }
-        bat_exec::set_threads(1);
-    }
-
-    /// The row map hands every row to exactly one task under its own index,
-    /// on a matrix big enough that it does go through the pool.
-    #[test]
-    fn row_maps_are_bit_identical_across_thread_counts() {
-        let (rows, cols) = (1030, 1024);
-        assert!(stage_is_pooled(rows * cols));
-        let mut rng = SmallRng::seed_from_u64(11);
-        let src = Matrix::random(rows, cols, 1.0, &mut rng);
-        let map = |t: usize, row: &mut [f32]| {
-            for (c, x) in row.iter_mut().enumerate() {
-                *x = x.mul_add(t as f32, c as f32);
-            }
-        };
-        let mut gold = src.clone();
-        for t in 0..rows {
-            map(t, gold.row_mut(t));
-        }
-        for t in [1, 2, 4, 8] {
-            bat_exec::set_threads(t);
-            let mut by_row = src.clone();
-            by_row.par_rows_mut(map);
-            assert!(
-                bits(by_row.as_slice()) == bits(gold.as_slice()),
-                "par_rows_mut @ {t} threads"
-            );
-        }
-        bat_exec::set_threads(1);
     }
 
     /// Every SIMD tier this CPU has runs the same arithmetic as the
@@ -842,10 +711,9 @@ mod tests {
             }
         }
 
-        /// Row `r` of `A·B` has the same bits computed alone (`1 × k`),
-        /// inside any block of consecutive rows — which is
-        /// all a pool task ever computes — and through the pool at any
-        /// width: its place among the tiles cannot matter.
+        /// Row `r` of `A·B` has the same bits computed alone (`1 × k`) and
+        /// inside any block of consecutive rows — which is all a pool task
+        /// ever computes: its place among the tiles cannot matter.
         #[test]
         fn a_row_has_the_same_bits_wherever_it_is_computed(
             seed in 0u64..u64::MAX,
@@ -856,7 +724,6 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(seed);
             let a = Matrix::random(n, k, 1.0, &mut rng);
             let b = Matrix::random(k, m, 1.0, &mut rng);
-            bat_exec::set_threads(1);
             let whole = a.matmul(&b);
             for r in 0..n {
                 let alone = Matrix::from_rows(&[a.row(r)]).matmul(&b);
@@ -873,13 +740,6 @@ mod tests {
                     "rows {}..{}", first, first + rows
                 );
             }
-            for width in [1, 2, 4, 8] {
-                bat_exec::set_threads(width);
-                let mut pooled = Matrix::zeros(0, 0);
-                a.matmul_with_grain(&b, &mut pooled, 1);
-                prop_assert_eq!(bits(pooled.as_slice()), bits(whole.as_slice()), "width {}", width);
-            }
-            bat_exec::set_threads(1);
         }
 
         /// Dense and sparse-aware vecmul agree, including with exact zeros
@@ -909,8 +769,8 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(seed);
             let a = Matrix::random(n, m, 1.0, &mut rng);
             let b = Matrix::random(m, k, 1.0, &mut rng);
-            let lhs = a.matmul(&b).transpose();
-            let rhs = b.transpose().matmul(&a.transpose());
+            let lhs = transpose(&a.matmul(&b));
+            let rhs = transpose(&b).matmul(&transpose(&a));
             prop_assert!(lhs.max_abs_diff(&rhs).unwrap() < 1e-4);
         }
 

@@ -33,7 +33,7 @@
 //! that. [`TieredKvPool::digest`] folds every decision in order, so two
 //! pools fed the same calls agree on it whether or not they carry payloads.
 
-use bat_kvcache::{CacheKey, FreqEstimator, LruIndex};
+use bat_kvcache::{CacheKey, LruIndex};
 use bat_metrics::TierStats;
 use bat_tensor::{ColBlock, QuantKind, QuantizedColBlock};
 use bat_types::fnv::Fnv64;
@@ -113,12 +113,6 @@ pub struct TiersConfig {
     pub rebalance_step: f64,
     /// Floor on each class's share under [`SplitPolicy::Adaptive`].
     pub min_share: f64,
-    /// Hotness admission threshold for demotions: entries accessed fewer
-    /// than this many times per window are dropped instead of demoted
-    /// (0.0 admits everything).
-    pub cold_admit_min_per_window: f64,
-    /// Window of the pool's access-frequency estimator, seconds.
-    pub freq_window_secs: f64,
 }
 
 impl TiersConfig {
@@ -133,8 +127,6 @@ impl TiersConfig {
             rebalance_interval_secs: 5.0,
             rebalance_step: 0.1,
             min_share: 0.1,
-            cold_admit_min_per_window: 0.0,
-            freq_window_secs: 60.0,
         }
     }
 
@@ -152,18 +144,6 @@ impl TiersConfig {
 
     /// Validates ranges; returns a message naming the first bad field.
     pub fn validate(&self) -> Result<(), String> {
-        if !(self.freq_window_secs.is_finite() && self.freq_window_secs > 0.0) {
-            return Err(format!(
-                "freq_window_secs must be finite and positive, got {}",
-                self.freq_window_secs
-            ));
-        }
-        if !(self.cold_admit_min_per_window.is_finite() && self.cold_admit_min_per_window >= 0.0) {
-            return Err(format!(
-                "cold_admit_min_per_window must be finite and >= 0, got {}",
-                self.cold_admit_min_per_window
-            ));
-        }
         if !(self.cold_read_bandwidth.is_finite() && self.cold_read_bandwidth > 0.0) {
             return Err("cold_read_bandwidth must be finite and positive".into());
         }
@@ -312,8 +292,8 @@ fn split(total: Bytes, share: f64) -> [Bytes; 2] {
 /// placement); the pool mirrors only the sizes of hot residents, so that a
 /// hot eviction can be demoted at the size it was admitted with. The cold
 /// tier is two LRU regions, one per [`EntryClass`], each under its own
-/// byte budget. On top sit the quantized byte charging, the hotness-gated
-/// cold admission, the partition controller, and — when
+/// byte budget. On top sit the quantized byte charging, the partition
+/// controller, and — when
 /// [`TieredKvPool::demote_with_payload`] is used — real
 /// [`QuantizedColBlock`] payloads, which a dequant-fused attend could read
 /// without dequantizing (no caller does yet).
@@ -325,7 +305,6 @@ pub struct TieredKvPool {
     /// The ledger's counters; [`Self::stats`] fills in its byte snapshots.
     counters: TierStats,
     digest: Fnv64,
-    hotness: FreqEstimator<CacheKey>,
     controller: PartitionController,
     /// Quantized blocks of cold-resident entries (a subset of the regions'
     /// keys: every path that releases an entry drops its payload).
@@ -356,7 +335,6 @@ impl TieredKvPool {
             regions,
             counters: TierStats::default(),
             digest: Fnv64::new(),
-            hotness: FreqEstimator::new(cfg.freq_window_secs),
             controller: PartitionController::new(user_share),
             payloads: HashMap::new(),
             hot_sizes: HashMap::new(),
@@ -383,9 +361,8 @@ impl TieredKvPool {
     }
 
     /// Records a hit served by the external hot region, keeping the
-    /// ledger's lookup stream complete and the key's hotness fresh.
+    /// ledger's lookup stream complete.
     pub fn note_hot_hit(&mut self, key: CacheKey, bytes: Bytes, now: f64) {
-        self.hotness.record(key, now);
         self.counters.hot_hits += 1;
         self.fold(8, key, 1, bytes);
         self.tick(now);
@@ -404,12 +381,12 @@ impl TieredKvPool {
     /// Demotes a victim the external hot region evicted, at the size it
     /// registered with. Unregistered victims are ignored (the hot region
     /// predates the pool, or the entry was invalidated).
-    pub fn demote_hot(&mut self, key: CacheKey, now: f64) -> bool {
+    pub fn demote_hot(&mut self, key: CacheKey) -> bool {
         let Some(bytes) = self.hot_sizes.remove(&key) else {
             return false;
         };
         self.hot_registered -= bytes;
-        self.demote_inner(key, bytes, now, None)
+        self.demote_inner(key, bytes, None)
     }
 
     /// Drops hot-size registrations for user entries of a crashed worker's
@@ -437,7 +414,6 @@ impl TieredKvPool {
     /// `full_bytes` is the uncompressed size the caller wanted, used to
     /// weight misses in the controller's marginal-gain windows.
     pub fn cold_lookup(&mut self, key: CacheKey, full_bytes: Bytes, now: f64) -> Option<Bytes> {
-        self.hotness.record(key, now);
         let class = EntryClass::of(key);
         let region = &mut self.regions[class as usize];
         let served = region.map.get(&key).copied();
@@ -476,11 +452,12 @@ impl TieredKvPool {
     }
 
     /// Demotes an entry evicted from the hot region (or writes back a
-    /// recomputed item) into the cold tier at its quantized size, subject
-    /// to the hotness admission gate. Accounting only — the serve side
-    /// uses [`Self::demote_with_payload`].
-    pub fn demote(&mut self, key: CacheKey, full_bytes: Bytes, now: f64) -> bool {
-        self.demote_inner(key, full_bytes, now, None)
+    /// recomputed item) into the cold tier at its quantized size. Accounting
+    /// only — the serve side uses [`Self::demote_with_payload`]. `_now`, the
+    /// trace time, decides nothing: a demotion is admitted whenever its
+    /// class region can hold it.
+    pub fn demote(&mut self, key: CacheKey, full_bytes: Bytes, _now: f64) -> bool {
+        self.demote_inner(key, full_bytes, None)
     }
 
     /// [`Self::demote`] carrying the real block: quantized into the
@@ -490,28 +467,15 @@ impl TieredKvPool {
         &mut self,
         key: CacheKey,
         full_bytes: Bytes,
-        now: f64,
+        _now: f64,
         block: &ColBlock,
     ) -> bool {
-        self.demote_inner(key, full_bytes, now, Some(block))
+        self.demote_inner(key, full_bytes, Some(block))
     }
 
-    fn demote_inner(
-        &mut self,
-        key: CacheKey,
-        full_bytes: Bytes,
-        now: f64,
-        block: Option<&ColBlock>,
-    ) -> bool {
+    fn demote_inner(&mut self, key: CacheKey, full_bytes: Bytes, block: Option<&ColBlock>) -> bool {
         let bytes = self.cfg.format.cold_bytes(full_bytes);
         self.counters.demotions += 1;
-        if self.cfg.cold_admit_min_per_window > 0.0
-            && self.hotness.per_window(&key, now) < self.cfg.cold_admit_min_per_window
-        {
-            self.counters.cold_evictions += 1;
-            self.fold(10, key, 0, bytes);
-            return false;
-        }
         let class = EntryClass::of(key) as usize;
         let budget = self.regions[class].budget;
         if budget == Bytes::ZERO || bytes > budget {
@@ -871,25 +835,6 @@ mod tests {
     }
 
     #[test]
-    fn hotness_gate_drops_cold_demotions() {
-        let mut cfg = TiersConfig::new(Bytes::new(1000)).with_format(ColdFormat::F32);
-        cfg.cold_admit_min_per_window = 2.0;
-        cfg.split = SplitPolicy::AllUser;
-        let mut p = TieredKvPool::new(cfg);
-        // One access: below the 2-per-window threshold → dropped.
-        p.note_hot_hit(ukey(1), Bytes::new(100), 0.0);
-        assert!(!p.demote(ukey(1), Bytes::new(100), 0.1));
-        // Three rapid accesses: above threshold → admitted.
-        for t in 0..3 {
-            p.note_hot_hit(ukey(2), Bytes::new(100), 0.2 + t as f64 * 0.1);
-        }
-        assert!(p.demote(ukey(2), Bytes::new(100), 0.6));
-        let stats = p.stats();
-        assert_eq!(stats.demotions, 2);
-        assert_eq!(stats.cold_evictions, 1);
-    }
-
-    #[test]
     fn payloads_follow_the_accounting_decisions() {
         // 1000 full bytes charge 250 cold bytes under int8; a 600-byte
         // cold tier holds two entries and evicts the LRU on the third.
@@ -984,14 +929,13 @@ mod tests {
     fn accounting_holds_after_every_operation() {
         // Every public call, in random order, on a pool whose budgets move
         // (adaptive split, short rebalance interval) and whose demotions
-        // are hotness-gated and sometimes re-demote a resident entry.
+        // sometimes re-demote a resident entry.
         let mut block = ColBlock::new(2);
         block.push_col(&[1.0, -1.0]);
         for seed in 0..8 {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut cfg = TiersConfig::new(Bytes::new(1200)).with_format(ColdFormat::Int8);
             cfg.rebalance_interval_secs = 0.5;
-            cfg.cold_admit_min_per_window = if seed % 2 == 0 { 0.0 } else { 0.05 };
             let mut p = TieredKvPool::new(cfg);
             let mut lookups = 0;
             for step in 0..400 {
@@ -1021,7 +965,7 @@ mod tests {
                         lookups += 1;
                     }
                     6 => p.register_hot(key, full),
-                    7 => drop(p.demote_hot(key, now)),
+                    7 => drop(p.demote_hot(key)),
                     _ => {
                         p.brownout_cold_serve(key, full, now);
                         lookups += 1;
@@ -1068,17 +1012,5 @@ mod tests {
         let mut bad = ok.clone();
         bad.cold_read_bandwidth = 0.0;
         assert!(bad.validate().is_err());
-        for window in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let mut bad = ok.clone();
-            bad.freq_window_secs = window;
-            let err = bad.validate().expect_err("bad window accepted");
-            assert!(err.contains("freq_window_secs"), "{err}");
-        }
-        for floor in [-0.5, f64::NAN, f64::INFINITY] {
-            let mut bad = ok.clone();
-            bad.cold_admit_min_per_window = floor;
-            let err = bad.validate().expect_err("bad admission floor accepted");
-            assert!(err.contains("cold_admit_min_per_window"), "{err}");
-        }
     }
 }
