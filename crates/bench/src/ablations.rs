@@ -764,7 +764,7 @@ pub fn ablation_elastic(args: &RunArgs) -> Report {
     .expect("membership schedule validates");
     let base = bat_on(4, &ds)
         .with_batching(Some(BatchingConfig::default()))
-        .with_slo(Some(OverloadConfig::default()));
+        .with_slo(Some(OverloadConfig));
     let mut r = Report::default();
     r.line(format_args!(
         "{} on 4 nodes, {} requests over {duration:.0}s at {rate:.0} qps, deadline 0.15s",

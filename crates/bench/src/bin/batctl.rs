@@ -371,15 +371,27 @@ fn cmd_faults(flags: &Flags) -> Result<(), String> {
     let base = bat_config(flags, 4, &ds)?;
     let nodes = base.cluster.num_nodes;
 
-    // Either the canonical kill-one-worker schedule (--crash W [--down S])
-    // or a seeded random one (--crashes N).
+    // Either the canonical kill-one-worker schedule (--crash W [--at T
+    // --down S]) or a seeded random one (--crashes N), never a flag of one
+    // silently dropped for the other.
     let schedule = if flags.contains_key("crash") {
+        if flags.contains_key("crashes") {
+            return Err("--crashes draws a random schedule; --crash gives one: pick one".into());
+        }
         let w = flag(flags, "crash", 0)?;
         let crash_at = flag(flags, "at", duration / 3.0)?;
-        let down = flag(flags, "down", duration / 6.0)?;
+        if !(crash_at.is_finite() && crash_at >= 0.0) {
+            return Err(format!("bad --at '{crash_at}': want a time >= 0"));
+        }
+        let down = positive(flags, "down", duration / 6.0)?;
         FaultSchedule::single_crash(nodes, WorkerId::new(w), crash_at, crash_at + down)
-            .map_err(|e| e.to_string())?
+            .map_err(|e| format!("bad --crash {w}: {e}"))?
     } else {
+        if let Some(key) = ["at", "down"].into_iter().find(|k| flags.contains_key(*k)) {
+            return Err(format!(
+                "--{key} times the --crash schedule: give --crash W"
+            ));
+        }
         let crashes = flag(flags, "crashes", 2)?;
         FaultSchedule::random(seed, nodes, duration, crashes)
     };
@@ -442,6 +454,14 @@ fn cmd_bench(flags: &Flags) -> Result<(), String> {
     let widths = if top == 1 { vec![1] } else { vec![1, top] };
     if flags.contains_key("stages") {
         // Where the ranking forwards' time goes, instead of the suite.
+        if let Some(key) = ["check", "out"]
+            .into_iter()
+            .find(|k| flags.contains_key(*k))
+        {
+            return Err(format!(
+                "--{key} is the kernel suite's; --stages only prints"
+            ));
+        }
         let rows = bat_bench::perf::stage_profile(&widths, if quick { 20 } else { 300 });
         let Some(first) = rows.first() else {
             return Err("no pool width fits this machine".into());
@@ -460,6 +480,17 @@ fn cmd_bench(flags: &Flags) -> Result<(), String> {
         report.table(&header, &table);
         return report.finish();
     }
+    // The baseline is read before measuring, so a bad path fails at once
+    // rather than after the suite.
+    let baseline = match flags.get("check") {
+        Some(path) => {
+            let base = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+            let base: bat_bench::perf::PerfSummary =
+                serde_json::from_str(&base).map_err(|e| format!("parse {path}: {e}"))?;
+            Some((path, base))
+        }
+        None => None,
+    };
     let summary = bat_bench::perf::run(quick, &widths);
     if !summary.thread_counts.contains(&top) {
         eprintln!(
@@ -477,10 +508,7 @@ fn cmd_bench(flags: &Flags) -> Result<(), String> {
     // committed baseline and fail on >25 % wall-clock regression (or on a
     // baseline row the fresh run no longer measures). Requires the run and
     // the baseline to use the same problem sizes (same --quick setting).
-    if let Some(path) = flags.get("check") {
-        let base = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-        let base: bat_bench::perf::PerfSummary =
-            serde_json::from_str(&base).map_err(|e| format!("parse {path}: {e}"))?;
+    if let Some((path, base)) = baseline {
         bat_bench::perf::comparable(&summary, &base)
             .map_err(|e| format!("perf gate: cannot check against {path}: {e}"))?;
         let bad = bat_bench::perf::regressions(&summary, &base, 0.25);
@@ -902,6 +930,15 @@ mod tests {
             ("accuracy --pic -0.5", "--pic"),
             ("accuracy --users 0", "--users"),
             ("info --trace no/such/trace.jsonl", "no/such/trace.jsonl"),
+            ("faults --at -5", "--at"),
+            ("faults --down -1", "--down"),
+            ("faults --crash 0 --crashes 3", "--crashes"),
+            ("faults --crash 0 --at -5", "--at"),
+            ("faults --crash 0 --down -1", "--down"),
+            ("faults --crash 9", "--crash"),
+            ("bench --stages --check /nonexistent.json", "--check"),
+            ("bench --stages --out /nonexistent/dir/x.json", "--out"),
+            ("bench --check /nonexistent.json", "/nonexistent.json"),
         ] {
             let err = dispatch(&args(line)).unwrap_err();
             assert!(err.contains(named), "{line}: {err}");

@@ -284,7 +284,7 @@ pub fn overload(
         2.1 * s,
     ));
 
-    let base = base.with_slo(Some(OverloadConfig::default()));
+    let base = base.with_slo(Some(OverloadConfig));
     let healthy = run(base.clone(), &trace)?;
     let faulted = run(
         base.with_straggler(Some((1, o.straggle)))

@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 /// Functions kept for tests alone, each with why: oracles that tests
 /// compare against, and fixtures or observers that tests in other crates
 /// drive.
-const TEST_FACING: [(&str, &str); 20] = [
+const TEST_FACING: [(&str, &str); 22] = [
     (
         "assigned_items",
         "oracle: `DegradedPlacement`'s exact per-worker count, by scanning every item",
@@ -52,6 +52,10 @@ const TEST_FACING: [(&str, &str); 20] = [
         "observer: the last row's hidden state the packed-KV tests compare bitwise",
     ),
     (
+        "hotness_count",
+        "observer: a key's access count in a meta replica's hotness table, which the system only writes",
+    ),
+    (
         "is_quiet",
         "observer: whether a run saw any fault, asserted by the fault and transport tests",
     ),
@@ -66,6 +70,10 @@ const TEST_FACING: [(&str, &str); 20] = [
     (
         "max_abs_diff",
         "oracle: the tolerance `Matrix` and `KvSegment` parity tests compare with",
+    ),
+    (
+        "num_entries",
+        "observer: how many entries a meta replica indexes, asserted by the group's catch-up tests",
     ),
     (
         "quantize_fp16",

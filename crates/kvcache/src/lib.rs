@@ -13,10 +13,8 @@
 //!   estimator with asynchronous decay (§5.3);
 //! * [`user_cache::UserCache`] — the user-prefix cache region with both
 //!   plain-LRU and hotness-aware admission primitives;
-//! * [`meta::CacheKey`] — user/item-granularity entry identifiers tracked by
-//!   the cache meta service, and [`meta::MetaIndex`] — the meta service's
-//!   behavioural contract, implemented locally here
-//!   ([`meta::LocalMetaIndex`]) and as a replicated group in `bat-meta`;
+//! * [`meta::CacheKey`] — user/item-granularity entry identifiers, the
+//!   keys `bat-meta`'s replicated index and hotness table track;
 //! * [`segments::SegmentStore`] — materialized packed [`bat_model::KvSegment`]s
 //!   charged to a [`pool::PagedPool`] at their packed-layout resident size,
 //!   so cached prefixes are stored in exactly the form forwards consume.
@@ -34,7 +32,7 @@ pub mod user_cache;
 
 pub use hotness::FreqEstimator;
 pub use lru::LruIndex;
-pub use meta::{meta_digest, meta_time_ms, CacheKey, LocalMetaIndex, MetaIndex};
+pub use meta::CacheKey;
 pub use pool::PagedPool;
 pub use segments::SegmentStore;
 pub use user_cache::{AdmitOutcome, UserCache, UserCacheConfig};

@@ -2,7 +2,14 @@
 
 use crate::command::{MetaCommand, ViewChange};
 use crate::group::{MetaError, MetaGroup, Receipt};
-use bat_kvcache::{meta_time_ms, CacheKey, MetaIndex};
+use bat_kvcache::CacheKey;
+
+/// Millisecond-quantized trace time, the hotness table's timestamp unit.
+/// Quantizing keeps the table free of float state, so every replica's
+/// [`crate::MetaState`] agrees bit for bit.
+fn meta_time_ms(now_secs: f64) -> u64 {
+    (now_secs * 1000.0).round() as u64
+}
 
 /// Client-side counters; planning-deterministic like everything else.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -162,18 +169,19 @@ impl MetaClient {
         }
         panic!("meta submit did not converge — leader churn exceeded retry budget");
     }
-}
 
-impl MetaIndex for MetaClient {
-    fn register(&mut self, key: CacheKey, bytes: u64, now: f64) {
+    /// Records that `key` now exists in the pool with `bytes` resident.
+    pub fn register(&mut self, key: CacheKey, bytes: u64, now: f64) {
         self.submit(MetaCommand::RegisterEntry { key, bytes }, now);
     }
 
-    fn evict(&mut self, key: CacheKey, now: f64) {
+    /// Removes `key` from the index (capacity eviction or invalidation).
+    pub fn evict(&mut self, key: CacheKey, now: f64) {
         self.submit(MetaCommand::Evict { key }, now);
     }
 
-    fn touch(&mut self, key: CacheKey, now: f64) {
+    /// Bumps `key`'s hotness: one more access at `now`.
+    pub fn touch(&mut self, key: CacheKey, now: f64) {
         self.submit(
             MetaCommand::HotnessDelta {
                 key,
@@ -183,7 +191,15 @@ impl MetaIndex for MetaClient {
         );
     }
 
-    fn drop_user_partition(&mut self, worker_index: usize, num_workers: usize, now: f64) -> u64 {
+    /// Drops every *user* entry owned by the crashed worker
+    /// (`user % num_workers == worker_index`), returning how many entries
+    /// were invalidated. Item entries are HRCS-replicated and survive.
+    pub fn drop_user_partition(
+        &mut self,
+        worker_index: usize,
+        num_workers: usize,
+        now: f64,
+    ) -> u64 {
         let dropped = self
             .group
             .read(|s| s.partition_entries(worker_index, num_workers));
@@ -197,7 +213,9 @@ impl MetaIndex for MetaClient {
         dropped
     }
 
-    fn note_worker_restart(&mut self, worker_index: usize, now: f64) {
+    /// Notes that a worker rejoined (the view epoch advances; the index
+    /// itself is unchanged — the worker rejoins empty).
+    pub fn note_worker_restart(&mut self, worker_index: usize, now: f64) {
         self.submit(
             MetaCommand::View(ViewChange::WorkerRestarted {
                 worker: worker_index,
@@ -205,66 +223,61 @@ impl MetaIndex for MetaClient {
             now,
         );
     }
-
-    fn contains(&self, key: CacheKey) -> bool {
-        self.group.read(|s| s.contains(key))
-    }
-
-    fn num_entries(&self) -> usize {
-        self.group.read(|s| s.num_entries())
-    }
-
-    fn bytes_indexed(&self) -> u64 {
-        self.group.read(|s| s.bytes_indexed())
-    }
-
-    fn view_epoch(&self) -> u64 {
-        self.group.read(|s| s.view_epoch())
-    }
-
-    fn hotness_count(&self, key: CacheKey) -> u64 {
-        self.group.read(|s| s.hotness_count(key))
-    }
-
-    fn digest(&self) -> u64 {
-        self.group.read(|s| s.digest())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MetaState;
     use bat_types::UserId;
 
     fn key(i: u64) -> CacheKey {
         UserId::new(i).into()
     }
 
+    fn num_entries(c: &MetaClient) -> usize {
+        c.group().read(|s| s.num_entries())
+    }
+
     #[test]
     fn client_behaves_like_a_local_meta_index() {
-        use bat_kvcache::LocalMetaIndex;
+        // The replicated client against one state fed the same commands,
+        // touch times quantized to the millisecond by hand.
         let mut c = MetaClient::new(3, 9, 4);
-        let mut local = LocalMetaIndex::new();
+        let mut local = MetaState::new();
         for i in 0..40u64 {
             let t = i as f64 * 0.5;
             c.register(key(i), 100 + i, t);
-            local.register(key(i), 100 + i, t);
-            c.touch(key(i / 2), t);
-            local.touch(key(i / 2), t);
+            local.apply(&MetaCommand::RegisterEntry {
+                key: key(i),
+                bytes: 100 + i,
+            });
+            // A sub-millisecond offset lands on the same timestamp.
+            c.touch(key(i / 2), t + 0.0004);
+            local.apply(&MetaCommand::HotnessDelta {
+                key: key(i / 2),
+                at_ms: i * 500,
+            });
             if i % 7 == 0 {
                 c.evict(key(i / 3), t);
-                local.evict(key(i / 3), t);
+                local.apply(&MetaCommand::Evict { key: key(i / 3) });
             }
         }
-        let dropped_c = c.drop_user_partition(1, 4, 21.0);
-        let dropped_l = local.drop_user_partition(1, 4, 21.0);
-        assert_eq!(dropped_c, dropped_l);
+        let expected = local.partition_entries(1, 4);
+        assert_eq!(c.drop_user_partition(1, 4, 21.0), expected);
+        local.apply(&MetaCommand::View(ViewChange::WorkerCrashed {
+            worker: 1,
+            num_workers: 4,
+        }));
         c.note_worker_restart(1, 22.0);
-        local.note_worker_restart(1, 22.0);
-        assert_eq!(c.num_entries(), local.num_entries());
-        assert_eq!(c.bytes_indexed(), local.bytes_indexed());
-        assert_eq!(c.view_epoch(), local.view_epoch());
-        assert_eq!(c.digest(), local.digest(), "replicated == local, bitwise");
+        local.apply(&MetaCommand::View(ViewChange::WorkerRestarted {
+            worker: 1,
+        }));
+        c.group().read(|s| {
+            assert_eq!(s.num_entries(), local.num_entries());
+            assert_eq!(s.view_epoch(), local.view_epoch());
+            assert_eq!(s.digest(), local.digest(), "replicated == local, bitwise");
+        });
     }
 
     #[test]
@@ -280,7 +293,7 @@ mod tests {
             c.register(key(i), 1, i as f64);
         }
         assert!(c.group().epoch() > epoch_before);
-        assert_eq!(c.num_entries(), 20);
+        assert_eq!(num_entries(&c), 20);
         assert_eq!(c.stats().submitted, 20);
         c.restart_replica(leader, 25.0);
         c.register(key(20), 1, 30.0);
@@ -306,6 +319,6 @@ mod tests {
         let new_leader = c.group().leader().unwrap();
         assert_ne!(c.host_of(new_leader), leader_host);
         assert!(c.group().epoch() > epoch_before);
-        assert_eq!(c.num_entries(), 2, "command still committed");
+        assert_eq!(num_entries(&c), 2, "command still committed");
     }
 }

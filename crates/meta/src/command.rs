@@ -39,7 +39,7 @@ pub enum MetaCommand {
         key: CacheKey,
     },
     /// One more access to `key` at millisecond-quantized trace time
-    /// `at_ms` (see [`bat_kvcache::meta_time_ms`]).
+    /// `at_ms` (trace seconds × 1000, rounded).
     HotnessDelta {
         /// The entry's identity.
         key: CacheKey,

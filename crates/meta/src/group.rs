@@ -26,7 +26,7 @@
 //! testable as an equality of final run statistics.
 
 use crate::command::MetaCommand;
-use crate::state::{Apply, MetaState};
+use crate::state::MetaState;
 use std::fmt;
 
 /// Logical tick length in seconds of nominal trace time.

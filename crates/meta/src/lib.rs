@@ -8,17 +8,17 @@
 //! * [`MetaCommand`] — the replicated command log's vocabulary
 //!   (RegisterEntry / Evict / HotnessDelta / ViewChange);
 //! * [`MetaState`] — the index + hotness table + view epoch as a pure,
-//!   deterministic state machine: the single-node
-//!   [`bat_kvcache::LocalMetaIndex`], which committed commands drive;
+//!   deterministic state machine that committed commands drive
+//!   ([`MetaState::apply`]);
 //! * [`MetaGroup`] — leader/follower replication: seeded-tick leader
 //!   election with randomized-by-seed timeouts, majority-commit append,
 //!   epoch fencing against deposed leaders, and install or log-replay
 //!   catch-up for rejoining replicas. Replicas that have applied the same
 //!   commands share one state, so a commit is applied once;
-//! * [`MetaClient`] — the retry/redirect handle that `bat-sim` and
-//!   `bat-serve` use in place of direct meta access; it implements
-//!   [`bat_kvcache::MetaIndex`], so the planner cannot tell (and must not
-//!   care) whether its meta service is local or replicated.
+//! * [`MetaClient`] — the retry/redirect handle the shared request planner
+//!   (and so both `bat-sim` and `bat-serve`) commits every index and
+//!   hotness mutation through. A one-replica group is the single-node
+//!   service.
 //!
 //! Determinism is the design constraint throughout: elections are driven by
 //! logical ticks derived from nominal trace time and a seed, never from

@@ -1,133 +1,203 @@
 //! The deterministic state machine every meta replica hosts.
 
 use crate::command::{MetaCommand, ViewChange};
-use bat_kvcache::{LocalMetaIndex, MetaIndex};
+use bat_kvcache::CacheKey;
+use std::collections::BTreeMap;
 
-/// The cache-meta index + hotness table + replicated view epoch: a replica's
-/// state *is* the single-node [`LocalMetaIndex`], driven by committed
-/// commands instead of direct calls. Replicated ≡ local therefore holds by
-/// construction, and [`LocalMetaIndex::digest`] is how tests and the group
-/// check that replicas agree.
-pub type MetaState = LocalMetaIndex;
-
-/// Applying a committed command to a replica's state.
-pub(crate) trait Apply {
-    /// Applies one committed command. Deterministic: no randomness, no
-    /// wall-clock, no iteration over unordered containers.
-    fn apply(&mut self, cmd: &MetaCommand);
+/// The cache-meta index + hotness table + replicated view epoch (§5.1):
+/// which KV entries exist (with their sizes), how often and when each was
+/// last accessed, and the membership epoch of the view the index was built
+/// against. Committed [`MetaCommand`]s are its only mutations.
+///
+/// Deterministic by construction (BTreeMap ordering, millisecond-quantized
+/// timestamps), so replicas fed the same commands are equal, and
+/// [`MetaState::digest`] is how tests and the group check that they agree.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct MetaState {
+    index: BTreeMap<CacheKey, u64>,
+    hotness: BTreeMap<CacheKey, (u64, u64)>,
+    view_epoch: u64,
 }
 
-impl Apply for MetaState {
-    fn apply(&mut self, cmd: &MetaCommand) {
-        // The single-node index ignores the trace time of every mutation
-        // but a touch, whose time the command carries already quantized.
+/// Whether `key` is a user entry the static partition
+/// (`user % num_workers`) places on `worker_index`.
+fn in_partition(key: &CacheKey, worker_index: usize, num_workers: usize) -> bool {
+    key.as_user()
+        .is_some_and(|u| u.as_u64() % num_workers as u64 == worker_index as u64)
+}
+
+impl MetaState {
+    /// An empty index at view epoch 0.
+    pub fn new() -> Self {
+        MetaState::default()
+    }
+
+    /// Applies one committed command. Deterministic: no randomness, no
+    /// wall-clock, no iteration over unordered containers.
+    pub fn apply(&mut self, cmd: &MetaCommand) {
         match *cmd {
-            MetaCommand::RegisterEntry { key, bytes } => self.register(key, bytes, 0.0),
-            MetaCommand::Evict { key } => self.evict(key, 0.0),
-            MetaCommand::HotnessDelta { key, at_ms } => self.touch_ms(key, at_ms),
+            MetaCommand::RegisterEntry { key, bytes } => {
+                self.index.insert(key, bytes);
+            }
+            MetaCommand::Evict { key } => {
+                self.index.remove(&key);
+            }
+            MetaCommand::HotnessDelta { key, at_ms } => {
+                let slot = self.hotness.entry(key).or_insert((0, 0));
+                slot.0 += 1;
+                slot.1 = at_ms;
+            }
             MetaCommand::View(ViewChange::WorkerCrashed {
                 worker,
                 num_workers,
             }) => {
-                self.drop_user_partition(worker, num_workers, 0.0);
+                self.index
+                    .retain(|k, _| !in_partition(k, worker, num_workers));
+                self.view_epoch += 1;
             }
-            MetaCommand::View(ViewChange::WorkerRestarted { worker }) => {
-                self.note_worker_restart(worker, 0.0)
-            }
+            MetaCommand::View(ViewChange::WorkerRestarted { .. }) => self.view_epoch += 1,
         }
+    }
+
+    /// How many entries a [`ViewChange::WorkerCrashed`] for `worker_index`
+    /// of `num_workers` would drop, without dropping them.
+    pub fn partition_entries(&self, worker_index: usize, num_workers: usize) -> u64 {
+        self.index
+            .keys()
+            .filter(|k| in_partition(k, worker_index, num_workers))
+            .count() as u64
+    }
+
+    /// Whether `key` is indexed.
+    pub fn contains(&self, key: CacheKey) -> bool {
+        self.index.contains_key(&key)
+    }
+
+    /// Number of indexed entries.
+    pub fn num_entries(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Membership epoch of the view this index reflects: bumps once per
+    /// worker crash or restart.
+    pub fn view_epoch(&self) -> u64 {
+        self.view_epoch
+    }
+
+    /// Access count recorded for `key` (0 if never touched).
+    pub fn hotness_count(&self, key: CacheKey) -> u64 {
+        self.hotness.get(&key).map_or(0, |(c, _)| *c)
+    }
+
+    /// FNV-1a digest over the canonical (sorted) index + hotness contents
+    /// and the view epoch, for replica-agreement and fault-vs-fault-free
+    /// identity checks.
+    pub fn digest(&self) -> u64 {
+        let mut h = bat_types::fnv::Fnv64::new();
+        let mut mix = |v: u64| h.write_u64(v);
+        let key_word = |k: &CacheKey| match *k {
+            CacheKey::User(u) => u.as_u64() << 1,
+            CacheKey::Item(i) => (i.as_u64() << 1) | 1,
+        };
+        for (k, bytes) in &self.index {
+            mix(key_word(k));
+            mix(*bytes);
+        }
+        mix(u64::MAX); // section separator
+        for (k, (count, last_ms)) in &self.hotness {
+            mix(key_word(k));
+            mix(*count);
+            mix(*last_ms);
+        }
+        mix(self.view_epoch);
+        h.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bat_kvcache::CacheKey;
     use bat_types::{ItemId, UserId};
 
     fn u(i: u64) -> CacheKey {
         UserId::new(i).into()
     }
 
+    fn register(key: CacheKey, bytes: u64) -> MetaCommand {
+        MetaCommand::RegisterEntry { key, bytes }
+    }
+
+    fn touch(key: CacheKey, at_ms: u64) -> MetaCommand {
+        MetaCommand::HotnessDelta { key, at_ms }
+    }
+
     #[test]
-    fn apply_matches_local_meta_index() {
-        // The replicated state machine and the single-node index must agree
-        // command-for-command, digest included.
-        let mut state = MetaState::new();
-        let mut local = LocalMetaIndex::new();
-        let script: Vec<MetaCommand> = vec![
-            MetaCommand::RegisterEntry {
-                key: u(1),
-                bytes: 100,
-            },
-            MetaCommand::RegisterEntry {
-                key: u(5),
-                bytes: 200,
-            },
-            MetaCommand::RegisterEntry {
-                key: ItemId::new(5).into(),
-                bytes: 64,
-            },
-            MetaCommand::HotnessDelta {
-                key: u(1),
-                at_ms: 1000,
-            },
-            MetaCommand::HotnessDelta {
-                key: u(1),
-                at_ms: 2500,
-            },
-            MetaCommand::Evict { key: u(5) },
-            MetaCommand::RegisterEntry {
-                key: u(9),
-                bytes: 300,
-            },
-            MetaCommand::View(ViewChange::WorkerCrashed {
-                worker: 1,
-                num_workers: 4,
-            }),
-            MetaCommand::View(ViewChange::WorkerRestarted { worker: 1 }),
-        ];
-        for cmd in &script {
-            state.apply(cmd);
-            match *cmd {
-                MetaCommand::RegisterEntry { key, bytes } => local.register(key, bytes, 0.0),
-                MetaCommand::Evict { key } => local.evict(key, 0.0),
-                MetaCommand::HotnessDelta { key, at_ms } => local.touch(key, at_ms as f64 / 1000.0),
-                MetaCommand::View(ViewChange::WorkerCrashed {
-                    worker,
-                    num_workers,
-                }) => {
-                    local.drop_user_partition(worker, num_workers, 0.0);
-                }
-                MetaCommand::View(ViewChange::WorkerRestarted { worker }) => {
-                    local.note_worker_restart(worker, 0.0)
-                }
-            }
+    fn state_tracks_entries_hotness_and_epoch() {
+        let mut m = MetaState::new();
+        let item: CacheKey = ItemId::new(2).into();
+        for cmd in [
+            register(u(2), 100),
+            register(u(5), 200),
+            register(item, 50),
+            touch(u(2), 1000),
+            touch(u(2), 2000),
+        ] {
+            m.apply(&cmd);
         }
-        assert_eq!(state.num_entries(), local.num_entries());
-        assert_eq!(state.bytes_indexed(), local.bytes_indexed());
-        assert_eq!(state.view_epoch(), local.view_epoch());
-        assert_eq!(state.digest(), local.digest());
-        // Worker 1 of 4 owned users 1, 5, 9: u1/u9 were present and dropped.
-        assert!(!state.contains(u(1)) && !state.contains(u(9)));
-        assert!(state.contains(ItemId::new(5).into()), "items survive");
+        assert_eq!(m.num_entries(), 3);
+        assert!(m.contains(u(2)));
+        assert_eq!(m.hotness_count(u(2)), 2);
+        assert_eq!(m.hotness_count(u(5)), 0);
+
+        // Worker 2 of 3 owns users ≡ 2 (mod 3): u2 and u5. Item entries
+        // survive the partition drop.
+        m.apply(&MetaCommand::View(ViewChange::WorkerCrashed {
+            worker: 2,
+            num_workers: 3,
+        }));
+        assert!(!m.contains(u(2)) && !m.contains(u(5)));
+        assert!(m.contains(item));
+        assert_eq!(m.view_epoch(), 1);
+
+        m.apply(&MetaCommand::View(ViewChange::WorkerRestarted {
+            worker: 2,
+        }));
+        assert_eq!(m.view_epoch(), 2);
+    }
+
+    #[test]
+    fn digest_reflects_contents() {
+        let mut a = MetaState::new();
+        let mut b = MetaState::new();
+        assert_eq!(a.digest(), b.digest());
+        a.apply(&register(u(1), 10));
+        assert_ne!(a.digest(), b.digest());
+        b.apply(&register(u(1), 10));
+        assert_eq!(a.digest(), b.digest());
+        a.apply(&touch(u(1), 1000));
+        b.apply(&touch(u(1), 1000));
+        assert_eq!(a.digest(), b.digest());
+        b.apply(&touch(u(1), 2000));
+        assert_ne!(a.digest(), b.digest());
+        a.apply(&touch(u(1), 2000));
+        a.apply(&MetaCommand::View(ViewChange::WorkerRestarted {
+            worker: 0,
+        }));
+        assert_ne!(a.digest(), b.digest(), "the view epoch is state");
     }
 
     #[test]
     fn partition_entries_counts_without_mutating() {
         let mut s = MetaState::new();
         for i in 0..8 {
-            s.apply(&MetaCommand::RegisterEntry {
-                key: u(i),
-                bytes: 1,
-            });
+            s.apply(&register(u(i), 1));
         }
         assert_eq!(s.partition_entries(0, 4), 2); // users 0, 4
         assert_eq!(s.num_entries(), 8, "counting does not drop");
-        assert_eq!(
-            s.drop_user_partition(0, 4, 0.0),
-            2,
-            "dropping reuses the count"
-        );
-        assert_eq!(s.num_entries(), 6);
+        s.apply(&MetaCommand::View(ViewChange::WorkerCrashed {
+            worker: 0,
+            num_workers: 4,
+        }));
+        assert_eq!(s.num_entries(), 6, "the crash drops what was counted");
     }
 }

@@ -9,7 +9,8 @@
 //!
 //! The backlog drains at the cluster's live capacity (workers weighted by
 //! any straggler slowdown). Pressure = estimated queueing delay divided by
-//! the configured bound. Three decisions fall out of it:
+//! the queue bound (`MAX_BACKLOG_SECS`, one second). Three decisions fall
+//! out of it:
 //!
 //! 1. **Reject-on-arrival** — a request whose estimated wait already blows
 //!    the queue bound ([`RejectReason::QueueFull`]) or whose wait + service
@@ -25,78 +26,29 @@
 //!    instead of collapsing the whole latency distribution.
 
 use bat_types::{Priority, RejectReason};
-use serde::{Deserialize, Serialize};
 
-/// Configuration of the overload control plane. `None` of these values
-/// depend on the run; the controller's state does.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct OverloadConfig {
-    /// Maximum tolerated estimated queueing delay, seconds. Arrivals whose
-    /// estimated wait exceeds this are rejected with
-    /// [`RejectReason::QueueFull`].
-    pub max_backlog_secs: f64,
-    /// Pressure (estimated wait / `max_backlog_secs`) at which rung 1
-    /// engages: background re-warm/refresh work is suspended.
-    pub rung1_pressure: f64,
-    /// Pressure at which rung 2 engages: cold remote pulls degrade to
-    /// local recompute — or, when the tiered KV pool is enabled, are
-    /// served from the local quantized cold tier, which costs neither
-    /// fabric nor recompute.
-    pub rung2_pressure: f64,
-    /// Pressure at which rung 3 engages: `Priority::Low` requests shed.
-    pub rung3_pressure: f64,
-    /// Hysteresis gap: a rung engaged at pressure `p` only releases below
-    /// `p - hysteresis`, so the ladder doesn't flap at a threshold.
-    pub hysteresis: f64,
-    /// Base backoff delay for retried remote pulls, seconds.
-    pub retry_backoff_secs: f64,
-    /// Seed for the jittered-backoff RNG (drawn in arrival order, so the
-    /// jitter stream is identical across execution paths).
-    pub retry_seed: u64,
-}
+/// Maximum tolerated estimated queueing delay, seconds. Arrivals whose
+/// estimated wait exceeds this are rejected with [`RejectReason::QueueFull`].
+const MAX_BACKLOG_SECS: f64 = 1.0;
+/// Pressure (estimated wait / `MAX_BACKLOG_SECS`) at which each rung
+/// engages: (1) background re-warm/refresh work is suspended; (2) cold
+/// remote pulls degrade to local recompute, or to the local quantized cold
+/// tier when one is configured; (3) `Priority::Low` requests shed.
+const RUNG_PRESSURES: [f64; 3] = [0.5, 0.7, 0.85];
+/// Hysteresis gap: a rung engaged at pressure `p` only releases below
+/// `p - HYSTERESIS`, so the ladder doesn't flap at a threshold.
+const HYSTERESIS: f64 = 0.15;
+/// Base backoff delay for retried remote pulls, seconds.
+pub const RETRY_BACKOFF_SECS: f64 = 0.002;
+/// Seed for the jittered-backoff RNG (drawn in arrival order, so the jitter
+/// stream is identical across execution paths).
+pub const RETRY_SEED: u64 = 0x510_B0FF;
 
-impl Default for OverloadConfig {
-    fn default() -> Self {
-        OverloadConfig {
-            max_backlog_secs: 1.0,
-            rung1_pressure: 0.5,
-            rung2_pressure: 0.7,
-            rung3_pressure: 0.85,
-            hysteresis: 0.15,
-            retry_backoff_secs: 0.002,
-            retry_seed: 0x510_B0FF,
-        }
-    }
-}
-
-impl OverloadConfig {
-    /// Validates threshold ordering and positivity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`bat_types::BatError::InvalidConfig`] naming the violated
-    /// constraint.
-    pub fn validate(&self) -> Result<(), bat_types::BatError> {
-        let invalid = |msg: &str| Err(bat_types::BatError::InvalidConfig(msg.to_owned()));
-        if !(self.max_backlog_secs.is_finite() && self.max_backlog_secs > 0.0) {
-            return invalid("overload max_backlog_secs must be finite and > 0");
-        }
-        if !(0.0 < self.rung1_pressure
-            && self.rung1_pressure <= self.rung2_pressure
-            && self.rung2_pressure <= self.rung3_pressure
-            && self.rung3_pressure <= 1.0)
-        {
-            return invalid("overload rung pressures must satisfy 0 < r1 <= r2 <= r3 <= 1");
-        }
-        if !(self.hysteresis.is_finite() && self.hysteresis >= 0.0) {
-            return invalid("overload hysteresis must be finite and >= 0");
-        }
-        if !(self.retry_backoff_secs.is_finite() && self.retry_backoff_secs >= 0.0) {
-            return invalid("overload retry_backoff_secs must be finite and >= 0");
-        }
-        Ok(())
-    }
-}
+/// The overload control plane switched on. It has nothing to set: the
+/// thresholds are the constants above, and the controller's state is all
+/// that depends on the run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OverloadConfig;
 
 /// What the controller decided for one arrival.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,7 +77,6 @@ impl AdmitDecision {
 /// Deterministic admission + brownout state machine (see module docs).
 #[derive(Debug, Clone)]
 pub struct OverloadController {
-    cfg: OverloadConfig,
     /// Admitted-but-undrained work, in service-seconds.
     backlog_secs: f64,
     /// Nominal time of the last backlog update.
@@ -146,9 +97,8 @@ pub struct OverloadController {
 impl OverloadController {
     /// A controller starting idle at `capacity` (see
     /// [`OverloadController::set_capacity`]).
-    pub fn new(cfg: OverloadConfig, capacity: f64) -> Self {
+    pub fn new(_: OverloadConfig, capacity: f64) -> Self {
         OverloadController {
-            cfg,
             backlog_secs: 0.0,
             last_update: 0.0,
             capacity: capacity.max(f64::MIN_POSITIVE),
@@ -157,11 +107,6 @@ impl OverloadController {
             transitions: 0,
             max_rung: 0,
         }
-    }
-
-    /// The configuration the controller runs under.
-    pub fn config(&self) -> &OverloadConfig {
-        &self.cfg
     }
 
     /// Updates the drain rate after a membership change: the sum over live
@@ -195,25 +140,20 @@ impl OverloadController {
         self.backlog_secs.max(self.slot_backlog_secs) / self.capacity
     }
 
-    /// Current pressure: estimated wait over the configured bound.
+    /// Current pressure: estimated wait over the queue bound.
     pub fn pressure(&self) -> f64 {
-        self.estimated_wait_secs() / self.cfg.max_backlog_secs
+        self.estimated_wait_secs() / MAX_BACKLOG_SECS
     }
 
     /// Re-evaluates the brownout rung under hysteresis at current pressure.
     fn update_rung(&mut self) {
         let p = self.pressure();
-        let engage = [
-            self.cfg.rung1_pressure,
-            self.cfg.rung2_pressure,
-            self.cfg.rung3_pressure,
-        ];
         let mut rung = 0u8;
-        for (i, &threshold) in engage.iter().enumerate() {
+        for (i, &threshold) in RUNG_PRESSURES.iter().enumerate() {
             let r = (i + 1) as u8;
             // A rung already held only releases below threshold - hysteresis.
             let bar = if self.rung >= r {
-                threshold - self.cfg.hysteresis
+                threshold - HYSTERESIS
             } else {
                 threshold
             };
@@ -241,7 +181,7 @@ impl OverloadController {
         self.drain_to(now);
         self.update_rung();
         let wait = self.estimated_wait_secs();
-        if wait > self.cfg.max_backlog_secs {
+        if wait > MAX_BACKLOG_SECS {
             return AdmitDecision::Reject(RejectReason::QueueFull);
         }
         if self.rung >= 3 && priority == Priority::Low {
@@ -281,7 +221,7 @@ mod tests {
     use super::*;
 
     fn ctl(capacity: f64) -> OverloadController {
-        OverloadController::new(OverloadConfig::default(), capacity)
+        OverloadController::new(OverloadConfig, capacity)
     }
 
     #[test]
@@ -310,7 +250,7 @@ mod tests {
             }
         }
         assert!(admitted > 0 && rejected > 0);
-        // Bound holds: ~max_backlog_secs of work at 0.05s each, +1 for the
+        // Bound holds: ~MAX_BACKLOG_SECS of work at 0.05s each, +1 for the
         // arrival that crossed the line.
         assert!(admitted <= 21, "admitted {admitted} past the bound");
     }
@@ -383,20 +323,6 @@ mod tests {
             c.on_arrival(10.0, 0.3, Some(1.0), Priority::Normal),
             AdmitDecision::Admit
         );
-    }
-
-    #[test]
-    fn config_validation_catches_misordered_rungs() {
-        let mut cfg = OverloadConfig::default();
-        assert!(cfg.validate().is_ok());
-        cfg.rung1_pressure = 0.9;
-        cfg.rung2_pressure = 0.5;
-        assert!(cfg.validate().is_err());
-        let bad = OverloadConfig {
-            max_backlog_secs: 0.0,
-            ..OverloadConfig::default()
-        };
-        assert!(bad.validate().is_err());
     }
 
     #[test]

@@ -26,16 +26,17 @@ const GRANULE: Duration = Duration::from_micros(100);
 
 /// `deadline - now` when that is more than a [`GRANULE`], i.e. when it is
 /// worth blocking for.
-fn lead_over(deadline: Instant) -> Option<Duration> {
+pub(crate) fn lead_over(deadline: Instant) -> Option<Duration> {
     deadline
         .checked_duration_since(Instant::now())
         .filter(|lead| *lead > GRANULE)
 }
 
 /// Blocks until `deadline` unless it is within a [`GRANULE`] (or past):
-/// the open-loop schedule waits of the scheduler and the fault supervisor,
-/// which therefore act up to a granule early rather than a timer slack
-/// late, and take consecutive deadlines closer than a granule in one go.
+/// the scheduler's open-loop arrival wait (the fault supervisor's wait
+/// blocks on [`lead_over`] too), which therefore acts up to a granule early
+/// rather than a timer slack late, and takes consecutive deadlines closer
+/// than a granule in one go.
 pub(crate) fn sleep_until(deadline: Instant) {
     if let Some(lead) = lead_over(deadline) {
         thread::sleep(lead);

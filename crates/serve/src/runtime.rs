@@ -240,6 +240,11 @@ struct Progress {
     /// when the schedule is empty): no membership change can end a wait any
     /// more, so a wait that sees nothing move is stuck.
     schedule_delivered: AtomicBool,
+    /// True once `SlotDriver::run` has returned and every dispatched round
+    /// has retired: a fault still ahead on the schedule has no work left to
+    /// act on, and the ledger applied it on nominal time already, so the
+    /// supervisor delivers it without waiting for its wall time.
+    trace_served: AtomicBool,
     /// The no-progress deadline ([`WATCHDOG`] outside tests).
     patience: Duration,
 }
@@ -250,7 +255,31 @@ impl Progress {
             waiters: Mutex::new(0),
             cond: Condvar::new(),
             schedule_delivered: AtomicBool::new(schedule_delivered),
+            trace_served: AtomicBool::new(false),
             patience,
+        }
+    }
+
+    fn serve_trace(&self) {
+        self.trace_served.store(true, Ordering::Release);
+        self.notify();
+    }
+
+    /// The fault supervisor's wait for an event's wall time: as
+    /// [`pacer::sleep_until`], but over once the trace is served.
+    fn pace_fault(&self, deadline: Instant) {
+        let mut waiters = lock(&self.waiters);
+        while !self.trace_served.load(Ordering::Acquire) {
+            let Some(lead) = pacer::lead_over(deadline) else {
+                return;
+            };
+            *waiters += 1;
+            waiters = self
+                .cond
+                .wait_timeout(waiters, lead)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            *waiters -= 1;
         }
     }
 
@@ -633,7 +662,7 @@ impl ServeRuntime {
         let schedule = self.cfg.faults.clone().unwrap_or_else(none);
         scope.spawn(move || {
             for event in schedule.events() {
-                pacer::sleep_until(cluster.wall(event.at_secs));
+                cluster.progress.pace_fault(cluster.wall(event.at_secs));
                 match event.kind {
                     FaultKind::WorkerCrash(w) => {
                         let link = &cluster.links[w.index()];
@@ -804,14 +833,18 @@ impl ServeRuntime {
             // overlaps execution with the trace replay.
             let pace = |nominal: f64| pacer::sleep_until(cluster.wall(nominal));
             let (stats, _) = driver.run(trace, pace, dispatch_rounds);
-            // Wait out the physical tail (and the supervisor, so a late
-            // respawned child still gets its shutdown frame), then release
-            // the cluster.
+            // Wait out the physical tail, then the supervisor (so a late
+            // respawned child still gets its shutdown frame), which no
+            // longer paces, and release the cluster.
             progress.wait(
                 links,
                 format_args!("the dispatched rounds to finish"),
-                || outstanding.load(Ordering::Acquire) == 0 && progress.is_schedule_delivered(),
+                || outstanding.load(Ordering::Acquire) == 0,
             );
+            progress.serve_trace();
+            progress.wait(links, format_args!("the fault schedule's delivery"), || {
+                progress.is_schedule_delivered()
+            });
             drop(teardown);
             stats
         });
@@ -1255,7 +1288,7 @@ mod tests {
         let mut g = TraceGenerator::new(Workload::new(ds.clone(), 11), 12);
         g.set_slo(SloBudget::with_deadline(0.05).at_priority(Priority::Low));
         let t = g.generate(1.0, 400.0);
-        let cfg = config(SystemKind::Bat, &ds).with_slo(Some(OverloadConfig::default()));
+        let cfg = config(SystemKind::Bat, &ds).with_slo(Some(OverloadConfig));
         let stats = ServeRuntime::new(cfg, ServeOptions::default())
             .unwrap()
             .serve(&t);
@@ -1290,7 +1323,7 @@ mod tests {
             let schedule = bat_sim::FaultSchedule::random(seed, 2, 2.0, 1);
             let cfg = config(SystemKind::Bat, &ds)
                 .with_faults(Some(schedule))
-                .with_slo(Some(OverloadConfig::default()));
+                .with_slo(Some(OverloadConfig));
             let stats = ServeRuntime::new(cfg, ServeOptions::default())
                 .unwrap()
                 .serve(&t);
@@ -1314,7 +1347,7 @@ mod tests {
             let schedule = bat_sim::FaultSchedule::random_membership(seed, 2, 2.0, 1);
             let cfg = config(SystemKind::Bat, &ds)
                 .with_faults(Some(schedule))
-                .with_slo(Some(OverloadConfig::default()))
+                .with_slo(Some(OverloadConfig))
                 .with_batching(Some(bat_sim::BatchingConfig::default()));
             let sim_stats = ServingEngine::new(cfg.clone()).unwrap().run(&t);
             let stats = ServeRuntime::new(cfg, ServeOptions::default())
@@ -1362,7 +1395,7 @@ mod tests {
         g.set_slo(SloBudget::with_deadline(0.08));
         let t = g.generate(1.0, 400.0);
         let cfg = config(SystemKind::Bat, &ds)
-            .with_slo(Some(OverloadConfig::default()))
+            .with_slo(Some(OverloadConfig))
             .with_batching(Some(bat_sim::BatchingConfig::default()));
         let sim_stats = ServingEngine::new(cfg.clone()).unwrap().run(&t);
         let rt_stats = ServeRuntime::new(cfg, ServeOptions::default())
@@ -1432,6 +1465,34 @@ mod tests {
         assert_eq!(rt_stats.faults.joins, 1);
         assert_eq!(sim_stats.batching, rt_stats.batching);
         assert_eq!(sim_stats.digest(), rt_stats.digest());
+    }
+
+    #[test]
+    fn faults_after_the_trace_are_delivered_without_pacing() {
+        // The join at nominal 1e5 s is 100 s of wall time at the default
+        // scale. Once every round has retired it has no work left to act
+        // on, and the ledger applied it on nominal time, so serve returns
+        // without waiting for it, with the simulator's digest.
+        let ds = DatasetConfig {
+            num_users: 300,
+            ..DatasetConfig::games()
+        };
+        let t = trace(&ds, 2.0, 20.0);
+        let schedule =
+            bat_sim::FaultSchedule::drain_join(2, bat_types::WorkerId::new(1), 1.0, 1e5).unwrap();
+        let cfg = config(SystemKind::Bat, &ds).with_faults(Some(schedule));
+        let sim = ServingEngine::new(cfg.clone()).unwrap().run(&t);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let server = thread::spawn(move || {
+            let rt = ServeRuntime::new(cfg, ServeOptions::default()).unwrap();
+            tx.send(rt.serve(&t)).expect("the test waits for the stats");
+        });
+        let served = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("serve returns before the join's wall time");
+        server.join().unwrap();
+        assert_eq!(served.faults.joins, 1);
+        assert_eq!(served, sim);
     }
 
     #[test]

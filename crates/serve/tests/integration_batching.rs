@@ -101,7 +101,7 @@ fn overloaded_batching_conserves_and_matches_simulator() {
     let mut g = TraceGenerator::new(Workload::new(ds.clone(), 11), 12);
     g.set_slo(SloBudget::with_deadline(0.08));
     let t = g.generate(1.0, 400.0);
-    let cfg = batched_config(&ds, 2).with_slo(Some(OverloadConfig::default()));
+    let cfg = batched_config(&ds, 2).with_slo(Some(OverloadConfig));
     let sim = ServingEngine::new(cfg.clone()).unwrap().run(&t);
     let rt = ServeRuntime::new(cfg, ServeOptions::default())
         .unwrap()
@@ -168,7 +168,7 @@ fn chaos_membership_schedules_match_simulator() {
         let schedule = FaultSchedule::random_membership(seed, 4, 2.0, 2);
         membership_events += schedule.events().len();
         let cfg = config(&ds, 4, batching)
-            .with_slo(Some(OverloadConfig::default()))
+            .with_slo(Some(OverloadConfig))
             .with_faults(Some(schedule));
         let sim = ServingEngine::new(cfg.clone()).unwrap().run(&t);
         let rt = ServeRuntime::new(cfg, ServeOptions::default())

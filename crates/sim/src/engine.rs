@@ -350,9 +350,6 @@ impl EngineConfig {
                 )));
             }
         }
-        if let Some(slo) = &self.slo {
-            slo.validate()?;
-        }
         if let Some(tiers) = &self.tiers {
             if !self.caching {
                 return Err(BatError::InvalidConfig(
@@ -800,7 +797,7 @@ mod tests {
                     small_cluster(),
                     &ds,
                 )
-                .with_slo(Some(bat_sched::OverloadConfig::default()))
+                .with_slo(Some(bat_sched::OverloadConfig))
                 .with_faults(Some(schedule))
                 .with_batching(Some(bat_sched::BatchingConfig {
                     slots_per_worker: seats,
@@ -836,8 +833,8 @@ mod tests {
         // the engine's config and the pool's.
         let mut nan_window = cfg.clone();
         nan_window.freq_window_secs = f64::NAN;
-        let mut half_share = bat_tiers::TiersConfig::new(Bytes::from_mb(400));
-        half_share.min_share = 0.5;
+        let over_share = bat_tiers::TiersConfig::new(Bytes::from_mb(400))
+            .with_split(bat_tiers::SplitPolicy::Static(1.5));
         let mut no_meta = cfg.clone();
         no_meta.meta_replicas = 0;
         // A refresh interval ≤ 0 would refresh on every arrival, and an
@@ -848,7 +845,10 @@ mod tests {
         };
         for (bad, field) in [
             (nan_window, "freq_window_secs"),
-            (cfg.clone().with_tiers(Some(half_share)), "min_share"),
+            (
+                cfg.clone().with_tiers(Some(over_share)),
+                "static user share",
+            ),
             (no_meta, "meta_replicas"),
             (refresh(0.0), "item_refresh_interval_secs"),
             (refresh(-1.0), "item_refresh_interval_secs"),
@@ -886,7 +886,7 @@ mod tests {
             small_cluster(),
             &ds,
         )
-        .with_slo(Some(bat_sched::OverloadConfig::default()));
+        .with_slo(Some(bat_sched::OverloadConfig));
         let stats = ServingEngine::new(cfg.clone()).unwrap().run(&trace);
         assert_eq!(stats.slo.submitted, trace.len() as u64);
         assert!(
@@ -919,7 +919,7 @@ mod tests {
             small_cluster(),
             &ds,
         )
-        .with_slo(Some(bat_sched::OverloadConfig::default()));
+        .with_slo(Some(bat_sched::OverloadConfig));
         let stats = ServingEngine::new(cfg).unwrap().run(&trace);
         assert_eq!(stats.slo.accepted, trace.len() as u64, "{:?}", stats.slo);
         assert_eq!(stats.completed, trace.len());
@@ -1022,7 +1022,7 @@ mod tests {
                 small_cluster(),
                 &ds,
             )
-            .with_slo(Some(bat_sched::OverloadConfig::default())),
+            .with_slo(Some(bat_sched::OverloadConfig)),
         );
         let stats = ServingEngine::new(cfg.clone()).unwrap().run(&t);
         assert_eq!(stats.slo.submitted, t.len() as u64);
@@ -1084,7 +1084,7 @@ mod tests {
             small_cluster(),
             &ds,
         )
-        .with_slo(Some(bat_sched::OverloadConfig::default()));
+        .with_slo(Some(bat_sched::OverloadConfig));
         let healthy = ServingEngine::new(base.clone()).unwrap().run(&trace);
         let slowed_cfg = base.with_straggler(Some((1, 5.0)));
         let slowed = ServingEngine::new(slowed_cfg.clone()).unwrap().run(&trace);

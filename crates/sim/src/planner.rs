@@ -11,12 +11,11 @@
 use crate::compute::ComputeModel;
 use crate::engine::{item_region_budget, AdmissionKind, EngineConfig, PolicyKind};
 use bat_faults::{AppliedFault, ClusterView, FaultCursor, FaultReport, FaultSchedule};
-use bat_kvcache::{AdmitOutcome, MetaIndex, UserCache, UserCacheConfig};
+use bat_kvcache::{AdmitOutcome, UserCache, UserCacheConfig};
 use bat_meta::MetaClient;
 use bat_placement::{DegradedLocation, DegradedPlacement, ItemLocation, ItemPlacementPlan};
-use bat_sched::{
-    CacheAgnosticPolicy, HotnessAwarePolicy, OverloadConfig, PromptPolicy, StaticPolicy,
-};
+use bat_sched::overload::{RETRY_BACKOFF_SECS, RETRY_SEED};
+use bat_sched::{CacheAgnosticPolicy, HotnessAwarePolicy, PromptPolicy, StaticPolicy};
 use bat_tiers::{SplitPolicy, TieredKvPool, TiersConfig};
 use bat_types::{Bytes, ItemId, PrefixKind, RankRequest, WorkerId};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -130,8 +129,6 @@ struct FaultState {
     /// actually crosses a slowed link, in arrival order, so runs without
     /// `SlowLink` events never touch it.
     retry_rng: SmallRng,
-    /// Base backoff delay for retried pulls, seconds.
-    retry_backoff_secs: f64,
     /// Per worker, [`FaultState::derive_reach`] as of the last change to
     /// membership, warmth or links ([`FaultState::refresh_reach`]).
     reach: Vec<(bool, bool)>,
@@ -139,12 +136,7 @@ struct FaultState {
 
 impl FaultState {
     /// Every worker of `schedule` alive and warm, no event applied yet.
-    fn new(
-        schedule: FaultSchedule,
-        rewarm_secs: f64,
-        per_worker_budget: Bytes,
-        slo: OverloadConfig,
-    ) -> Self {
+    fn new(schedule: FaultSchedule, rewarm_secs: f64, per_worker_budget: Bytes) -> Self {
         let n = schedule.num_workers();
         FaultState {
             cursor: FaultCursor::new(schedule),
@@ -157,8 +149,7 @@ impl FaultState {
             degraded: None,
             warmed_adopted: HashSet::new(),
             buckets: Vec::new(),
-            retry_rng: SmallRng::seed_from_u64(slo.retry_seed),
-            retry_backoff_secs: slo.retry_backoff_secs,
+            retry_rng: SmallRng::seed_from_u64(RETRY_SEED),
             reach: vec![(true, true); n],
         }
     }
@@ -326,7 +317,6 @@ impl RequestPlanner {
                 .unwrap_or_else(|| FaultSchedule::none(cfg.cluster.num_nodes)),
             rewarm_secs,
             item_region_budget(&cfg.cluster),
-            cfg.slo.unwrap_or_default(),
         );
         RequestPlanner {
             compute,
@@ -821,7 +811,7 @@ impl RequestPlanner {
                                         // enduring the slow link, bounded by
                                         // the deadline slack.
                                         let jitter = fs.retry_rng.gen::<f64>();
-                                        let backoff = fs.retry_backoff_secs * (1.0 + jitter);
+                                        let backoff = RETRY_BACKOFF_SECS * (1.0 + jitter);
                                         let slow_extra = transfer * (f1 - 1.0);
                                         let slack = req.slo.deadline_secs.unwrap_or(f64::INFINITY);
                                         if backoff < slow_extra && backoff + transfer <= slack {
@@ -1012,12 +1002,7 @@ mod tests {
     }
 
     fn fault_state(n: usize) -> FaultState {
-        FaultState::new(
-            FaultSchedule::none(n),
-            0.0,
-            Bytes::new(u64::MAX / 2),
-            OverloadConfig::default(),
-        )
+        FaultState::new(FaultSchedule::none(n), 0.0, Bytes::new(u64::MAX / 2))
     }
 
     /// Applies `kind` straight to the view, as the cursor would.

@@ -13,8 +13,8 @@
 //!   vanishing, stored **quantized** ([`ColdFormat`]: f16 halves the
 //!   footprint, int8 quarters it), so a fixed byte budget holds 2–4× more
 //!   prefixes. Cold hits are priced as a read of the quantized bytes at
-//!   [`TiersConfig::cold_read_bandwidth`], then promoted back into the hot
-//!   region. The planner's pool is accounting only; a caller with real KV
+//!   2 GB/s (NVMe-class), then promoted back into the hot region. The
+//!   planner's pool is accounting only; a caller with real KV
 //!   can store it quantized ([`TieredKvPool::demote_with_payload`]), but no
 //!   caller attends over a cold payload yet (`bat-tensor`'s dequant-fused
 //!   kernels are not wired to it), so such a caller still recomputes a
@@ -95,38 +95,35 @@ pub enum SplitPolicy {
     AllUser,
 }
 
+/// Cold storage read bandwidth, bytes/sec (NVMe-class; well below the PCIe
+/// bandwidth the hot tier loads at).
+const COLD_READ_BANDWIDTH: f64 = 2.0e9;
+/// Seconds of nominal time between adaptive rebalances.
+const REBALANCE_INTERVAL_SECS: f64 = 5.0;
+/// Fraction of the total budget shifted per rebalance.
+const REBALANCE_STEP: f64 = 0.1;
+/// Floor on each class's share under [`SplitPolicy::Adaptive`].
+const MIN_SHARE: f64 = 0.1;
+
 /// Configuration of the tiered pool.
 #[derive(Debug, Clone)]
 pub struct TiersConfig {
     /// Total cold-tier byte budget (shared by both classes).
     pub cold_capacity: Bytes,
-    /// Cold storage read bandwidth, bytes/sec (NVMe-class; well below the
-    /// PCIe bandwidth the hot tier loads at).
-    pub cold_read_bandwidth: f64,
     /// Storage format of cold entries.
     pub format: ColdFormat,
     /// Budget split policy between user and item entries.
     pub split: SplitPolicy,
-    /// Seconds between adaptive rebalances.
-    pub rebalance_interval_secs: f64,
-    /// Fraction of the total budget shifted per rebalance.
-    pub rebalance_step: f64,
-    /// Floor on each class's share under [`SplitPolicy::Adaptive`].
-    pub min_share: f64,
 }
 
 impl TiersConfig {
-    /// A pool with `cold_capacity` of NVMe-modelled storage and the
-    /// defaults: f16 format, adaptive split, 2 GB/s reads.
+    /// A pool with `cold_capacity` of NVMe-modelled storage (2 GB/s reads)
+    /// and the defaults: f16 format, adaptive split.
     pub fn new(cold_capacity: Bytes) -> Self {
         TiersConfig {
             cold_capacity,
-            cold_read_bandwidth: 2.0e9,
             format: ColdFormat::F16,
             split: SplitPolicy::Adaptive,
-            rebalance_interval_secs: 5.0,
-            rebalance_step: 0.1,
-            min_share: 0.1,
         }
     }
 
@@ -144,22 +141,10 @@ impl TiersConfig {
 
     /// Validates ranges; returns a message naming the first bad field.
     pub fn validate(&self) -> Result<(), String> {
-        if !(self.cold_read_bandwidth.is_finite() && self.cold_read_bandwidth > 0.0) {
-            return Err("cold_read_bandwidth must be finite and positive".into());
-        }
         if let SplitPolicy::Static(s) = self.split {
             if !(0.0..=1.0).contains(&s) {
                 return Err(format!("static user share {s} outside [0, 1]"));
             }
-        }
-        if !(0.0..0.5).contains(&self.min_share) {
-            return Err(format!("min_share {} outside [0, 0.5)", self.min_share));
-        }
-        if !(self.rebalance_step.is_finite() && self.rebalance_step > 0.0) {
-            return Err("rebalance_step must be finite and positive".into());
-        }
-        if !(self.rebalance_interval_secs.is_finite() && self.rebalance_interval_secs > 0.0) {
-            return Err("rebalance_interval_secs must be finite and positive".into());
         }
         Ok(())
     }
@@ -198,14 +183,14 @@ struct ClassWindow {
 
 /// The online user/item budget partitioner ("One Pool, Two Caches").
 ///
-/// Every [`TiersConfig::rebalance_interval_secs`] of nominal time it
+/// Every `REBALANCE_INTERVAL_SECS` (five seconds) of nominal time it
 /// estimates each class's marginal hit-rate gain as its windowed cold
-/// *missed bytes per budget byte* — the token-weighted rate at which
-/// extra capacity would have converted misses, since the end-to-end hit
-/// rate counts tokens, not lookups — and shifts [`TiersConfig::rebalance_step`] of the
-/// total budget toward the class with the higher estimate, clamped to
-/// [`TiersConfig::min_share`]. Deterministic: driven entirely by nominal
-/// time and integer outcome counts.
+/// *missed bytes per budget byte* — the token-weighted rate at which extra
+/// capacity would have converted misses, since the end-to-end hit rate
+/// counts tokens, not lookups — and shifts a tenth of the total budget
+/// (`REBALANCE_STEP`) toward the class with the higher estimate, keeping
+/// each class at least a tenth (`MIN_SHARE`). Deterministic: driven
+/// entirely by nominal time and integer outcome counts.
 #[derive(Debug, Clone)]
 pub struct PartitionController {
     user_share: f64,
@@ -237,15 +222,15 @@ impl PartitionController {
     }
 
     /// Re-splits on schedule; returns the new user share if it changed.
-    fn maybe_rebalance(&mut self, now: f64, cfg: &TiersConfig, budgets: [Bytes; 2]) -> Option<f64> {
+    fn maybe_rebalance(&mut self, now: f64, budgets: [Bytes; 2]) -> Option<f64> {
         if self.next_rebalance_at == f64::NEG_INFINITY {
-            self.next_rebalance_at = now + cfg.rebalance_interval_secs;
+            self.next_rebalance_at = now + REBALANCE_INTERVAL_SECS;
             return None;
         }
         if now < self.next_rebalance_at {
             return None;
         }
-        self.next_rebalance_at = now + cfg.rebalance_interval_secs;
+        self.next_rebalance_at = now + REBALANCE_INTERVAL_SECS;
         let gain = |w: ClassWindow, budget: Bytes| -> f64 {
             // Missed bytes per budget byte: how starved the class is,
             // weighted by how much reuse each miss forfeited. A class
@@ -259,8 +244,8 @@ impl PartitionController {
             return None;
         }
         let direction = if user_gain > item_gain { 1.0 } else { -1.0 };
-        let proposed = (self.user_share + direction * cfg.rebalance_step)
-            .clamp(cfg.min_share, 1.0 - cfg.min_share);
+        let proposed =
+            (self.user_share + direction * REBALANCE_STEP).clamp(MIN_SHARE, 1.0 - MIN_SHARE);
         if proposed == self.user_share {
             return None;
         }
@@ -357,7 +342,7 @@ impl TieredKvPool {
 
     /// Seconds to stream `bytes` from cold storage.
     pub fn cold_load_secs(&self, bytes: Bytes) -> f64 {
-        bytes.as_u64() as f64 / self.cfg.cold_read_bandwidth
+        bytes.as_u64() as f64 / COLD_READ_BANDWIDTH
     }
 
     /// Records a hit served by the external hot region, keeping the
@@ -531,7 +516,7 @@ impl TieredKvPool {
             return;
         }
         let budgets = self.regions.each_ref().map(|r| r.budget);
-        if let Some(share) = self.controller.maybe_rebalance(now, &self.cfg, budgets) {
+        if let Some(share) = self.controller.maybe_rebalance(now, budgets) {
             let budgets = split(self.cfg.cold_capacity, share);
             self.digest.write_u8(5);
             for budget in budgets {
@@ -830,7 +815,7 @@ mod tests {
         let share = p.controller().user_share();
         assert!(
             (share - 0.1).abs() < 1e-9,
-            "clamped to min_share, got {share}"
+            "clamped to MIN_SHARE, got {share}"
         );
     }
 
@@ -928,18 +913,17 @@ mod tests {
     #[test]
     fn accounting_holds_after_every_operation() {
         // Every public call, in random order, on a pool whose budgets move
-        // (adaptive split, short rebalance interval) and whose demotions
-        // sometimes re-demote a resident entry.
+        // (adaptive split over 40 s of nominal time, seven rebalances) and
+        // whose demotions sometimes re-demote a resident entry.
         let mut block = ColBlock::new(2);
         block.push_col(&[1.0, -1.0]);
         for seed in 0..8 {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let mut cfg = TiersConfig::new(Bytes::new(1200)).with_format(ColdFormat::Int8);
-            cfg.rebalance_interval_secs = 0.5;
+            let cfg = TiersConfig::new(Bytes::new(1200)).with_format(ColdFormat::Int8);
             let mut p = TieredKvPool::new(cfg);
             let mut lookups = 0;
             for step in 0..400 {
-                let now = step as f64 * 0.01;
+                let now = step as f64 * 0.1;
                 let key = if rng.gen_bool(0.5) {
                     ukey(rng.gen_range(0..12))
                 } else {
@@ -1003,14 +987,9 @@ mod tests {
     fn config_validation_rejects_bad_ranges() {
         let ok = TiersConfig::new(Bytes::new(1000));
         assert!(ok.validate().is_ok());
-        let mut bad = ok.clone();
-        bad.split = SplitPolicy::Static(1.5);
-        assert!(bad.validate().is_err());
-        let mut bad = ok.clone();
-        bad.min_share = 0.5;
-        assert!(bad.validate().is_err());
-        let mut bad = ok.clone();
-        bad.cold_read_bandwidth = 0.0;
-        assert!(bad.validate().is_err());
+        for share in [-0.1, 1.5, f64::NAN] {
+            let bad = ok.clone().with_split(SplitPolicy::Static(share));
+            assert!(bad.validate().is_err(), "accepted static:{share}");
+        }
     }
 }

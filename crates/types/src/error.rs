@@ -12,15 +12,8 @@ pub enum BatError {
     InvalidRequest(String),
     /// A configuration value is out of range or inconsistent.
     InvalidConfig(String),
-    /// A cache operation referenced an entry that does not exist.
-    CacheMiss(String),
     /// A cache worker ran out of capacity and could not admit an entry.
     CapacityExceeded(String),
-    /// The serving runtime shut down before the operation completed.
-    Shutdown(String),
-    /// A cache worker referenced by the operation is not in the live
-    /// membership (crashed, or draining after a fault).
-    WorkerUnavailable(String),
     /// The admission controller refused the request on arrival. Typed (not
     /// stringly) so shed points can be counted and asserted on.
     Rejected {
@@ -37,10 +30,7 @@ impl fmt::Display for BatError {
         match self {
             BatError::InvalidRequest(msg) => write!(f, "invalid request: {msg}"),
             BatError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
-            BatError::CacheMiss(msg) => write!(f, "cache miss: {msg}"),
             BatError::CapacityExceeded(msg) => write!(f, "capacity exceeded: {msg}"),
-            BatError::Shutdown(msg) => write!(f, "runtime shut down: {msg}"),
-            BatError::WorkerUnavailable(msg) => write!(f, "worker unavailable: {msg}"),
             BatError::Rejected { reason } => write!(f, "rejected: {reason}"),
             BatError::DeadlineExceeded => write!(f, "deadline exceeded"),
         }

@@ -74,7 +74,7 @@ fn overload_config(ds: &DatasetConfig) -> EngineConfig {
     )
     .with_faults(Some(slow_link_schedule()))
     .with_straggler(Some((1, 5.0)))
-    .with_slo(Some(OverloadConfig::default()))
+    .with_slo(Some(OverloadConfig))
 }
 
 /// Same seed + same schedule ⇒ bit-identical `RunStats` — fault report,
@@ -149,7 +149,7 @@ fn serve_matches_sim_admission_and_conserves() {
 /// speaks `BatError`, not a bare bool.
 #[test]
 fn admission_errors_are_typed() {
-    let mut ctl = OverloadController::new(OverloadConfig::default(), 1.0);
+    let mut ctl = OverloadController::new(OverloadConfig, 1.0);
     // Saturate the virtual backlog far past the bound.
     for _ in 0..200 {
         let _ = ctl.on_arrival(0.0, 0.05, None, Priority::Normal);
@@ -165,7 +165,7 @@ fn admission_errors_are_typed() {
     }
     // An infeasible deadline is rejected with its own reason even when the
     // queue has room.
-    let mut fresh = OverloadController::new(OverloadConfig::default(), 1.0);
+    let mut fresh = OverloadController::new(OverloadConfig, 1.0);
     let infeasible = fresh
         .on_arrival(0.0, 0.5, Some(0.01), Priority::High)
         .into_result();

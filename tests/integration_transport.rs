@@ -66,7 +66,7 @@ fn kill_schedule() -> FaultSchedule {
 fn faulted(ds: &DatasetConfig) -> (EngineConfig, Vec<RankRequest>) {
     let cfg = config(ds)
         .with_faults(Some(kill_schedule()))
-        .with_slo(Some(OverloadConfig::default()));
+        .with_slo(Some(OverloadConfig));
     let mut g = TraceGenerator::new(Workload::new(ds.clone(), 31), 32);
     g.set_slo(SloBudget::with_deadline(0.3));
     (cfg, g.generate(4.0, 40.0))
