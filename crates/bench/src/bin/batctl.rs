@@ -188,6 +188,24 @@ fn positive(flags: &Flags, key: &str, default: f64) -> Result<f64, String> {
     }
 }
 
+/// `--key`'s value (default `default`), checked finite and not negative:
+/// the nominal time of a scheduled event.
+fn time(flags: &Flags, key: &str, default: f64) -> Result<f64, String> {
+    match flag(flags, key, default)? {
+        v if v >= 0.0 && v.is_finite() => Ok(v),
+        v => Err(format!("bad --{key} '{v}': want a time >= 0")),
+    }
+}
+
+/// `--key`'s value (default `default`), checked finite and at least 1: a
+/// slowdown factor.
+fn factor(flags: &Flags, key: &str, default: f64) -> Result<f64, String> {
+    match flag(flags, key, default)? {
+        v if v >= 1.0 && v.is_finite() => Ok(v),
+        v => Err(format!("bad --{key} '{v}': want a factor >= 1")),
+    }
+}
+
 /// `--nodes` (default `nodes`, at least one) of the 4-node A100 testbed.
 fn cluster(flags: &Flags, nodes: usize) -> Result<ClusterConfig, String> {
     match flag(flags, "nodes", nodes)? {
@@ -379,10 +397,7 @@ fn cmd_faults(flags: &Flags) -> Result<(), String> {
             return Err("--crashes draws a random schedule; --crash gives one: pick one".into());
         }
         let w = flag(flags, "crash", 0)?;
-        let crash_at = flag(flags, "at", duration / 3.0)?;
-        if !(crash_at.is_finite() && crash_at >= 0.0) {
-            return Err(format!("bad --at '{crash_at}': want a time >= 0"));
-        }
+        let crash_at = time(flags, "at", duration / 3.0)?;
         let down = positive(flags, "down", duration / 6.0)?;
         FaultSchedule::single_crash(nodes, WorkerId::new(w), crash_at, crash_at + down)
             .map_err(|e| format!("bad --crash {w}: {e}"))?
@@ -412,8 +427,8 @@ fn cmd_overload(flags: &Flags) -> Result<(), String> {
         rate: positive(flags, "rate", 300.0)?,
         burst: positive(flags, "burst", 3.0)?,
         deadline: positive(flags, "deadline", 1.0)?,
-        slow: flag(flags, "slow", 150.0)?,
-        straggle: flag(flags, "straggle", 5.0)?,
+        slow: factor(flags, "slow", 150.0)?,
+        straggle: factor(flags, "straggle", 5.0)?,
     };
     let seed = flag(flags, "seed", 7)?;
     let base = bat_config(flags, 4, &ds)?;
@@ -434,8 +449,8 @@ fn cmd_meta(flags: &Flags) -> Result<(), String> {
     let mut base = bat_config(flags, 2, &ds)?;
     base.meta_replicas = flag(flags, "replicas", base.meta_replicas)?;
     base.validate().map_err(|e| e.to_string())?;
-    let crash_at = flag(flags, "at", duration / 3.0)?;
-    let down = flag(flags, "down", duration / 6.0)?;
+    let crash_at = time(flags, "at", duration / 3.0)?;
+    let down = positive(flags, "down", duration / 6.0)?;
     let trace = trace(&ds, ComparisonSpec::seeds(seed), duration, rate);
     let mut report = Report::default();
     report.line(format_args!(
@@ -590,7 +605,7 @@ fn cmd_net(flags: &Flags) -> Result<(), String> {
     let duration = positive(flags, "duration", 10.0)?;
     let rate = positive(flags, "rate", 60.0)?;
     let seed = flag(flags, "seed", 7)?;
-    let scale = flag(flags, "scale", 1e-3)?;
+    let scale = positive(flags, "scale", 1e-3)?;
     let kind = transport_kind(flags.get("transport").map_or("uds", String::as_str))?;
     let cfg = bat_config(flags, 2, &ds)?;
     let nodes = cfg.cluster.num_nodes;
@@ -624,7 +639,7 @@ fn run_membership(flags: &Flags, events: Vec<FaultEvent>) -> Result<(), String> 
     let seed = flag(flags, "seed", 1)?;
     let processes = flags.contains_key("processes");
     let opts = ServeOptions {
-        time_scale: flag(flags, "scale", 1e-3)?,
+        time_scale: positive(flags, "scale", 1e-3)?,
         transport: if processes {
             TransportKind::Uds
         } else {
@@ -653,9 +668,9 @@ fn run_membership(flags: &Flags, events: Vec<FaultEvent>) -> Result<(), String> 
 }
 
 fn cmd_drain(flags: &Flags) -> Result<(), String> {
-    let duration = flag(flags, "duration", 20.0)?;
+    let duration = positive(flags, "duration", 20.0)?;
     let w = WorkerId::new(flag(flags, "worker", 1)?);
-    let at = flag(flags, "at", duration / 3.0)?;
+    let at = time(flags, "at", duration / 3.0)?;
     // The worker's in-flight round finishes; its seated-but-unstarted
     // chunks migrate to the survivors.
     let events = vec![FaultEvent {
@@ -666,13 +681,13 @@ fn cmd_drain(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_join(flags: &Flags) -> Result<(), String> {
-    let duration = flag(flags, "duration", 20.0)?;
+    let duration = positive(flags, "duration", 20.0)?;
     let w = WorkerId::new(flag(flags, "worker", 1)?);
-    let leave = flag(flags, "leave", duration / 4.0)?;
-    let at = flag(flags, "at", duration / 2.0)?;
+    let leave = time(flags, "leave", duration / 4.0)?;
+    let at = time(flags, "at", duration / 2.0)?;
     if at <= leave {
         return Err(format!(
-            "join at t={at} must come after the drain at t={leave}"
+            "bad --at '{at}': the join must come after the drain at --leave {leave}"
         ));
     }
     // The worker drains, then a fresh incarnation joins, re-planned into
@@ -936,6 +951,22 @@ mod tests {
             ("faults --crash 0 --at -5", "--at"),
             ("faults --crash 0 --down -1", "--down"),
             ("faults --crash 9", "--crash"),
+            ("meta --at -5", "--at"),
+            ("meta --down -1", "--down"),
+            ("meta --down 0", "--down"),
+            ("drain --at -1", "--at"),
+            ("join --at 4", "--at"),
+            ("join --leave -1", "--leave"),
+            ("net --scale 0", "--scale"),
+            ("net --scale -1", "--scale"),
+            ("net --scale nan", "--scale"),
+            ("drain --scale 0", "--scale"),
+            ("drain --scale -1", "--scale"),
+            ("join --scale nan", "--scale"),
+            ("overload --slow 0.5", "--slow"),
+            ("overload --slow nan", "--slow"),
+            ("overload --straggle 0.5", "--straggle"),
+            ("overload --straggle nan", "--straggle"),
             ("bench --stages --check /nonexistent.json", "--check"),
             ("bench --stages --out /nonexistent/dir/x.json", "--out"),
             ("bench --check /nonexistent.json", "/nonexistent.json"),

@@ -178,11 +178,6 @@ impl ClusterView {
             .unwrap_or(1.0)
     }
 
-    /// Number of currently slowed links (unordered pairs with factor > 1).
-    pub fn slow_links(&self) -> usize {
-        self.link_slow.iter().filter(|&&f| f > 1.0).count() / 2
-    }
-
     /// Applies one fault event, returning what changed. Events must come
     /// from a validated [`crate::FaultSchedule`]; applying a crash to a dead
     /// worker (or restart to a live one) panics, because it means the caller
@@ -465,14 +460,13 @@ mod tests {
         assert_eq!(v.link_slow_factor(a, WorkerId::new(1)), 1.0);
         assert_eq!(v.link_slow_factor(a, a), 1.0, "self-transfer is local");
         assert!(v.reachable(a, b), "a slow link is still reachable");
-        assert_eq!(v.slow_links(), 1);
 
         v.apply(&FaultEvent {
             at_secs: 2.0,
             kind: FaultKind::SlowLink { a, b, factor: 1.0 },
         });
         assert_eq!(v.link_slow_factor(a, b), 1.0);
-        assert_eq!(v.slow_links(), 0);
+        assert_eq!(v.link_slow_factor(b, a), 1.0);
     }
 
     #[test]

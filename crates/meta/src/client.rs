@@ -28,13 +28,16 @@ pub struct ClientStats {
     pub blocked_unreachable: u64,
 }
 
+/// The worker the client (the planner) rides on.
+const CLIENT_WORKER: usize = 0;
+
 /// Retry/redirect client for a [`MetaGroup`], hosted on a cache worker.
 ///
 /// Replica `m` of the group is hosted on worker `m % num_workers`; the
-/// client rides on `client_worker`. Meta-to-meta traffic runs on the
+/// client rides on [`CLIENT_WORKER`]. Meta-to-meta traffic runs on the
 /// control plane (unaffected by worker-fabric cuts), but the client's
 /// command path crosses the worker fabric — so a per-link partition that
-/// severs `client_worker` from the leader's host makes the leader
+/// severs the client's worker from the leader's host makes the leader
 /// *unreachable*, and the client responds by forcing an election among the
 /// replicas it can still reach.
 ///
@@ -44,7 +47,6 @@ pub struct ClientStats {
 pub struct MetaClient {
     group: MetaGroup,
     num_workers: usize,
-    client_worker: usize,
     /// Whether the client can currently reach each replica's host worker.
     reach: Vec<bool>,
     leader_hint: Option<usize>,
@@ -60,7 +62,6 @@ impl MetaClient {
         MetaClient {
             group: MetaGroup::new(num_nodes, seed),
             num_workers,
-            client_worker: 0,
             reach: vec![true; num_nodes],
             leader_hint: None,
             stats: ClientStats::default(),
@@ -72,17 +73,12 @@ impl MetaClient {
         m % self.num_workers
     }
 
-    /// The worker the client rides on.
-    pub fn client_worker(&self) -> usize {
-        self.client_worker
-    }
-
     /// Recomputes which replicas the client can reach, given a predicate
     /// over worker-fabric reachability from the client's host. Call after
     /// every link cut/heal or worker membership change.
     pub fn update_reachability(&mut self, worker_reachable: impl Fn(usize, usize) -> bool) {
         for m in 0..self.group.num_nodes() {
-            self.reach[m] = worker_reachable(self.client_worker, self.host_of(m));
+            self.reach[m] = worker_reachable(CLIENT_WORKER, self.host_of(m));
         }
     }
 
@@ -94,11 +90,6 @@ impl MetaClient {
     /// Client-side counters.
     pub fn stats(&self) -> ClientStats {
         self.stats
-    }
-
-    /// Advances the group's logical clock to nominal trace time `now`.
-    pub fn advance_to(&mut self, now: f64) {
-        self.group.advance_to(now);
     }
 
     /// Injects a meta-replica crash at nominal time `at`.
@@ -275,7 +266,6 @@ mod tests {
         }));
         c.group().read(|s| {
             assert_eq!(s.num_entries(), local.num_entries());
-            assert_eq!(s.view_epoch(), local.view_epoch());
             assert_eq!(s.digest(), local.digest(), "replicated == local, bitwise");
         });
     }
@@ -297,7 +287,9 @@ mod tests {
         assert_eq!(c.stats().submitted, 20);
         c.restart_replica(leader, 25.0);
         c.register(key(20), 1, 30.0);
-        assert!(c.group().replicas_agree() || !c.group().is_alive(leader));
+        for m in 0..3 {
+            assert_eq!(c.group().applied_of(m), 21, "replica {m}");
+        }
     }
 
     #[test]

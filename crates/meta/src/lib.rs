@@ -13,8 +13,9 @@
 //! * [`MetaGroup`] — leader/follower replication: seeded-tick leader
 //!   election with randomized-by-seed timeouts, majority-commit append,
 //!   epoch fencing against deposed leaders, and install or log-replay
-//!   catch-up for rejoining replicas. Replicas that have applied the same
-//!   commands share one state, so a commit is applied once;
+//!   catch-up for rejoining replicas. Every replica holds a prefix of one
+//!   committed log, so the group keeps one state, applies each commit to
+//!   it once, and tracks a replica as its position in that log;
 //! * [`MetaClient`] — the retry/redirect handle the shared request planner
 //!   (and so both `bat-sim` and `bat-serve`) commits every index and
 //!   hotness mutation through. A one-replica group is the single-node
@@ -33,7 +34,7 @@ mod state;
 pub use client::{ClientStats, MetaClient};
 pub use command::{MetaCommand, ViewChange};
 pub use group::{
-    GroupStats, LogEntry, MetaError, MetaGroup, Receipt, COMPACT_TRIGGER, ELECTION_MIN_TICKS,
+    GroupStats, MetaError, MetaGroup, Receipt, COMPACT_TRIGGER, ELECTION_MIN_TICKS,
     ELECTION_SPREAD_TICKS, HEARTBEAT_TICKS, TICK_SECS,
 };
 pub use state::MetaState;

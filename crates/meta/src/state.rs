@@ -78,12 +78,6 @@ impl MetaState {
         self.index.len()
     }
 
-    /// Membership epoch of the view this index reflects: bumps once per
-    /// worker crash or restart.
-    pub fn view_epoch(&self) -> u64 {
-        self.view_epoch
-    }
-
     /// Access count recorded for `key` (0 if never touched).
     pub fn hotness_count(&self, key: CacheKey) -> u64 {
         self.hotness.get(&key).map_or(0, |(c, _)| *c)
@@ -157,12 +151,12 @@ mod tests {
         }));
         assert!(!m.contains(u(2)) && !m.contains(u(5)));
         assert!(m.contains(item));
-        assert_eq!(m.view_epoch(), 1);
+        assert_eq!(m.view_epoch, 1);
 
         m.apply(&MetaCommand::View(ViewChange::WorkerRestarted {
             worker: 2,
         }));
-        assert_eq!(m.view_epoch(), 2);
+        assert_eq!(m.view_epoch, 2);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Pins the replicated commit path's steady state: once the hotness table
 //! holds its keys, a [`MetaClient::submit`] of a `HotnessDelta` on one of
-//! them must not touch the heap. Lockstep replicas share one state, so the
-//! command is applied once; compaction moves the log base instead of
-//! copying the table; the log keeps its capacity across compactions.
+//! them must not touch the heap. The group keeps one state, so the command
+//! is applied once, and a replica's log is only a length, so replicating
+//! and compacting it moves counts.
 //!
 //! The whole binary holds exactly one `#[test]` so no concurrent test can
 //! allocate while the counting window is open.
@@ -80,8 +80,11 @@ fn hotness_commits_on_existing_keys_allocate_nothing() {
         "10 000 steady-state commits allocated {bytes} bytes"
     );
     // And they were real commits: every replica holds them.
-    assert_eq!(client.stats().submitted, 2 * KEYS + 10_000);
-    assert!(client.group().replicas_agree());
+    let committed = 2 * KEYS as usize + 10_000;
+    assert_eq!(client.stats().submitted, committed as u64);
+    for m in 0..3 {
+        assert_eq!(client.group().applied_of(m), committed, "replica {m}");
+    }
     let hits = (2 * KEYS + 10_000) / KEYS;
     assert_eq!(
         client

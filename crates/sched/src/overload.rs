@@ -90,8 +90,6 @@ pub struct OverloadController {
     /// from the moment it is admitted, but slot occupancy is ground truth.
     slot_backlog_secs: f64,
     rung: u8,
-    transitions: u64,
-    max_rung: u8,
 }
 
 impl OverloadController {
@@ -104,8 +102,6 @@ impl OverloadController {
             capacity: capacity.max(f64::MIN_POSITIVE),
             slot_backlog_secs: 0.0,
             rung: 0,
-            transitions: 0,
-            max_rung: 0,
         }
     }
 
@@ -161,11 +157,7 @@ impl OverloadController {
                 rung = r;
             }
         }
-        if rung != self.rung {
-            self.rung = rung;
-            self.transitions += 1;
-            self.max_rung = self.max_rung.max(rung);
-        }
+        self.rung = rung;
     }
 
     /// Decides one arrival at nominal time `now` with estimated service
@@ -204,16 +196,6 @@ impl OverloadController {
     pub fn rung(&self) -> u8 {
         self.rung
     }
-
-    /// Rung transitions so far (escalations and relaxations).
-    pub fn transitions(&self) -> u64 {
-        self.transitions
-    }
-
-    /// Deepest rung reached so far.
-    pub fn max_rung(&self) -> u8 {
-        self.max_rung
-    }
 }
 
 #[cfg(test)]
@@ -232,7 +214,6 @@ mod tests {
             assert_eq!(d, AdmitDecision::Admit);
         }
         assert_eq!(c.rung(), 0);
-        assert_eq!(c.transitions(), 0);
     }
 
     #[test]
@@ -291,8 +272,6 @@ mod tests {
         assert_eq!(c.rung(), 3, "hysteresis holds the rung");
         c.on_arrival(0.35, 0.0, None, Priority::Normal);
         assert!(c.rung() < 3, "draining releases the rung");
-        assert_eq!(c.max_rung(), 3);
-        assert!(c.transitions() >= 2);
     }
 
     #[test]

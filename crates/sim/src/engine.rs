@@ -1075,6 +1075,42 @@ mod tests {
     }
 
     #[test]
+    fn a_join_far_past_the_trace_returns_at_once() {
+        // The join at nominal 1e9 s is 1e11 meta ticks past the drain. The
+        // meta group jumps its idle clock instead of stepping it, so the
+        // run returns well inside the helper thread's bound.
+        let ds = DatasetConfig {
+            num_users: 300,
+            ..DatasetConfig::games()
+        };
+        let t = trace(&ds, 2.0, 20.0);
+        let schedule =
+            bat_faults::FaultSchedule::drain_join(2, bat_types::WorkerId::new(1), 1.0, 1e9)
+                .unwrap();
+        let cfg = batched(
+            EngineConfig::for_system(
+                SystemKind::Bat,
+                ModelConfig::qwen2_1_5b(),
+                small_cluster(),
+                &ds,
+            )
+            .with_faults(Some(schedule)),
+        );
+        let requests = t.len();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run = std::thread::spawn(move || {
+            let stats = ServingEngine::new(cfg).unwrap().run(&t);
+            tx.send(stats).expect("the test waits for the stats");
+        });
+        let stats = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the run returns without stepping the clock to the join");
+        run.join().unwrap();
+        assert_eq!(stats.faults.joins, 1);
+        assert_eq!(stats.completed, requests);
+    }
+
+    #[test]
     fn straggler_slows_service_without_breaking_determinism() {
         let ds = DatasetConfig::games();
         let trace = slo_trace(&ds, 2.0, 30.0, 2.0);

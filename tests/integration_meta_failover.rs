@@ -195,8 +195,8 @@ fn partitioned_leader_forces_election_and_data_plane_detours() {
 #[test]
 fn fenced_stale_epoch_write_is_never_applied() {
     // Linearizability at the group level: a deposed leader that never heard
-    // of the new epoch cannot commit — and its attempted write must not
-    // survive on any replica.
+    // of the new epoch cannot commit — and its attempted write must reach
+    // no replica's log.
     let mut g = MetaGroup::new(META_REPLICAS, 42);
     let committed = MetaCommand::RegisterEntry {
         key: UserId::new(1).into(),
@@ -221,6 +221,8 @@ fn fenced_stale_epoch_write_is_never_applied() {
         key: UserId::new(999).into(),
         bytes: 1,
     };
+    let committed = g.stats().committed;
+    let applied: Vec<usize> = (0..g.num_nodes()).map(|m| g.applied_of(m)).collect();
     match g.try_append_via(old_leader, &stale) {
         Err(MetaError::Fenced {
             stale_epoch,
@@ -228,15 +230,14 @@ fn fenced_stale_epoch_write_is_never_applied() {
         }) => assert!(stale_epoch < current_epoch),
         other => panic!("stale write must be fenced, got {other:?}"),
     }
-    for m in 0..g.num_nodes() {
-        assert!(
-            !g.state_of(m).contains(UserId::new(999).into()),
-            "fenced write leaked into replica {m}"
-        );
-        assert!(
-            g.state_of(m).contains(UserId::new(1).into()) || m == old_leader,
-            "committed write must survive on the majority side"
-        );
+    assert!(!g.read(|s| s.contains(UserId::new(999).into())));
+    assert!(
+        g.read(|s| s.contains(UserId::new(1).into())),
+        "the committed write survives"
+    );
+    assert_eq!(g.stats().committed, committed, "nothing committed");
+    for (m, &before) in applied.iter().enumerate() {
+        assert_eq!(g.applied_of(m), before, "fenced write reached replica {m}");
     }
 }
 
