@@ -2,26 +2,32 @@
 //! system: by non-test code under `crates/*/src`, `examples/` or
 //! `benchmark/src/`. A function that only tests call is API the system
 //! carries for nobody, so this test reads the sources and names each one.
-//! Names match by word outside string literals (a function that only its
-//! own panic message names is not called). A field read (`.name` not
-//! followed by `(`) and a field declaration or struct-literal key (`name:`)
-//! are not calls either, so a getter is not kept alive by the field it
-//! reads. A function that shares its name with a called one still counts
-//! as called, and so does one that only a listed test-facing function
-//! calls: the scan can miss an orphan, but it never flags a function the
-//! system calls.
+//! It reads each identifier's role from [`source_scan::identifiers`]. A
+//! call reaches the functions of its name that take as many arguments (a
+//! method call's receiver counted), since the scan cannot tell types apart;
+//! a use on a path (`Type::name`) or as a bare value, which may pass the
+//! function by value, reaches all of them. Nothing else is a call: not a
+//! name inside a string literal (a function that only its own panic
+//! message names is not called), a field read (`.name` without `(`), a
+//! field declaration or struct-literal key (`name:`), a local binding or
+//! parameter, or a bare use of one, so a getter is kept alive neither by
+//! the field it reads nor by a parameter of its name. A function that
+//! shares its name and parameter count with a called one still counts as
+//! called, and so does one that only a listed test-facing function calls:
+//! the scan can miss an orphan, but it never flags a function the system
+//! calls.
 
 #[path = "../../../tests/support/source_scan.rs"]
 mod source_scan;
 
-use source_scan::{code_lines_without_strings, repo_root, sources};
-use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
+use source_scan::{code_lines_without_strings, identifiers, repo_root, sources, Role};
+use std::collections::BTreeMap;
+use std::path::PathBuf;
 
 /// Functions kept for tests alone, each with why: oracles that tests
 /// compare against, and fixtures or observers that tests in other crates
 /// drive.
-const TEST_FACING: [(&str, &str); 22] = [
+const TEST_FACING: [(&str, &str); 24] = [
     (
         "applied_of",
         "observer: a meta replica's position in the committed log, which the group tests check against the commit count",
@@ -43,6 +49,10 @@ const TEST_FACING: [(&str, &str); 22] = [
         "observer: the per-discriminant read-out of those prompts",
     ),
     (
+        "capacity_items",
+        "observer: a degraded placement's per-worker item capacity, which `integration_fault_recovery` holds each re-plan under",
+    ),
+    (
         "drain_join",
         "fixture: the one-drain, one-join schedule the membership tests serve",
     ),
@@ -53,6 +63,10 @@ const TEST_FACING: [(&str, &str); 22] = [
     (
         "forward_reference",
         "oracle: the unpacked forward `integration_packed_kv` and the transformer tests compare the packed one against",
+    ),
+    (
+        "get",
+        "observer: one element of a `Matrix`, which its doc example and the f64 reference forwards read",
     ),
     (
         "hidden_last",
@@ -130,36 +144,6 @@ fn is_ident(c: char) -> bool {
     c == '_' || c.is_ascii_alphanumeric()
 }
 
-/// The identifiers in `line`, each with the code before and after it.
-fn words(line: &str) -> impl Iterator<Item = (&str, &str, &str)> {
-    line.match_indices(is_ident)
-        .filter(move |&(at, _)| !line[..at].ends_with(is_ident))
-        .map(move |(at, _)| {
-            let len = line[at..].find(|c| !is_ident(c)).unwrap_or(line.len() - at);
-            (&line[at..at + len], &line[..at], &line[at + len..])
-        })
-}
-
-/// Whether the code around a name makes it a field: read as `.name` without
-/// a call (`..name` is a range), or declared or keyed as `name:` (`name::`
-/// is a path).
-fn is_field(before: &str, after: &str) -> bool {
-    let (before, after) = (before.trim_end(), after.trim_start());
-    let read = before.ends_with('.') && !before.ends_with("..");
-    let called = after.starts_with('(') || after.starts_with("::");
-    let keyed = after.starts_with(':') && !after.starts_with("::");
-    (read && !called) || keyed
-}
-
-/// Whether `before` (the code ahead of a name) makes the name a function's
-/// definition.
-fn defines(before: &str) -> bool {
-    before
-        .trim_end()
-        .strip_suffix("fn")
-        .is_some_and(|rest| !rest.ends_with(is_ident))
-}
-
 /// The name a `pub fn` or `pub(crate) fn` line defines.
 fn pub_fn_name(line: &str) -> Option<&str> {
     let mut rest = line.trim_start();
@@ -169,26 +153,56 @@ fn pub_fn_name(line: &str) -> Option<&str> {
     for qualifier in ["const ", "unsafe "] {
         rest = rest.strip_prefix(qualifier).unwrap_or(rest);
     }
-    let (name, ..) = words(rest.strip_prefix("fn ")?).next()?;
-    Some(name)
+    let rest = rest.strip_prefix("fn ")?;
+    let name = &rest[..rest.find(|c| !is_ident(c)).unwrap_or(rest.len())];
+    (!name.is_empty()).then_some(name)
+}
+
+/// One `pub fn`: where it is, how many parameters it takes (`None`:
+/// unknown), and whether a call reaches it.
+struct Def {
+    site: String,
+    params: Option<usize>,
+    called: bool,
+}
+
+impl Def {
+    /// Whether an identifier of this function's name in the role `role`
+    /// may call it: a call with as many arguments, or a use as a value or
+    /// on a path.
+    fn reached_by(&self, role: Role) -> bool {
+        match role {
+            Role::Call(args) => args
+                .zip(self.params)
+                .is_none_or(|(args, params)| args == params),
+            Role::Path | Role::Value => true,
+            Role::Defines(_) | Role::Field | Role::Binding | Role::Local => false,
+        }
+    }
 }
 
 #[test]
 fn every_pub_fn_has_a_caller_outside_tests() {
     let root = repo_root();
-    let mut defined: BTreeMap<&str, Vec<String>> = BTreeMap::new();
+    let mut defined: BTreeMap<String, Vec<Def>> = BTreeMap::new();
     let src = crate_sources(&["src"]);
-    let code: Vec<(&Path, Vec<(usize, String)>)> = src
-        .iter()
-        .map(|path| (path.as_path(), code_lines_without_strings(path)))
-        .collect();
-    for (path, lines) in &code {
-        for (i, line) in lines {
-            if let Some(name) = pub_fn_name(line) {
-                defined.entry(name).or_default().push(format!(
-                    "{}:{i}",
-                    path.strip_prefix(&root).unwrap_or(path).display()
-                ));
+    for path in &src {
+        let lines: BTreeMap<usize, String> = code_lines_without_strings(path).into_iter().collect();
+        for ident in identifiers(path) {
+            let Role::Defines(params) = ident.role else {
+                continue;
+            };
+            if lines.get(&ident.line).and_then(|line| pub_fn_name(line)) == Some(&ident.name) {
+                let site = format!(
+                    "{}:{}",
+                    path.strip_prefix(&root).unwrap_or(path).display(),
+                    ident.line
+                );
+                defined.entry(ident.name).or_default().push(Def {
+                    site,
+                    params,
+                    called: false,
+                });
             }
         }
     }
@@ -197,13 +211,10 @@ fn every_pub_fn_has_a_caller_outside_tests() {
     callers.extend(sources(&root.join("examples")));
     callers.extend(sources(&root.join("benchmark/src")));
     assert!(callers.len() >= 100, "scanned only {} files", callers.len());
-    let mut called = BTreeSet::new();
     for path in &callers {
-        for (_, line) in code_lines_without_strings(path) {
-            for (word, before, after) in words(&line) {
-                if defined.contains_key(word) && !defines(before) && !is_field(before, after) {
-                    called.insert(word.to_owned());
-                }
+        for ident in identifiers(path) {
+            for def in defined.get_mut(&ident.name).into_iter().flatten() {
+                def.called |= def.reached_by(ident.role);
             }
         }
     }
@@ -211,8 +222,11 @@ fn every_pub_fn_has_a_caller_outside_tests() {
     let kept: BTreeMap<&str, &str> = TEST_FACING.into_iter().collect();
     let orphans: Vec<String> = defined
         .iter()
-        .filter(|(name, _)| !called.contains(**name) && !kept.contains_key(**name))
-        .map(|(name, sites)| format!("`{name}` at {}", sites.join(", ")))
+        .filter(|(name, _)| !kept.contains_key(name.as_str()))
+        .flat_map(|(name, defs)| {
+            let uncalled = defs.iter().filter(|def| !def.called);
+            uncalled.map(move |def| format!("`{name}` at {}", def.site))
+        })
         .collect();
     assert!(
         orphans.is_empty(),
@@ -222,12 +236,13 @@ fn every_pub_fn_has_a_caller_outside_tests() {
         orphans.join("\n  ")
     );
     for (name, _) in TEST_FACING {
+        let defs = defined.get(name);
         assert!(
-            defined.contains_key(name),
+            defs.is_some(),
             "TEST_FACING lists `{name}`, which is no `pub fn` any more"
         );
         assert!(
-            !called.contains(name),
+            defs.into_iter().flatten().any(|def| !def.called),
             "TEST_FACING lists `{name}`, which the system now calls: drop it from the list"
         );
     }

@@ -141,11 +141,6 @@ impl ClusterView {
         self.meta_alive.len()
     }
 
-    /// Number of live meta replicas.
-    pub fn n_meta_alive(&self) -> usize {
-        self.meta_alive.iter().filter(|&&a| a).count()
-    }
-
     /// Whether workers `a` and `b` can talk: both alive and the `a<->b`
     /// link not cut. A worker always reaches itself while alive. Views
     /// deserialized from before partitions existed have every link intact.
@@ -401,8 +396,9 @@ mod tests {
     #[test]
     fn meta_faults_and_partitions_do_not_bump_worker_epoch() {
         let mut v = ClusterView::with_meta(4, 3);
+        let n_meta_alive = |v: &ClusterView| v.meta_alive.iter().filter(|&&a| a).count();
         assert_eq!(v.meta_nodes(), 3);
-        assert_eq!(v.n_meta_alive(), 3);
+        assert_eq!(n_meta_alive(&v), 3);
 
         assert_eq!(
             v.apply(&FaultEvent {
@@ -412,7 +408,7 @@ mod tests {
             AppliedFault::MetaCrashed(1)
         );
         assert_eq!(v.epoch(), 0, "meta liveness is not worker membership");
-        assert_eq!(v.n_meta_alive(), 2);
+        assert_eq!(n_meta_alive(&v), 2);
 
         assert_eq!(
             v.apply(&FaultEvent {
@@ -421,7 +417,7 @@ mod tests {
             }),
             AppliedFault::MetaRestarted(1)
         );
-        assert_eq!(v.n_meta_alive(), 3);
+        assert_eq!(n_meta_alive(&v), 3);
 
         let (a, b) = (WorkerId::new(0), WorkerId::new(2));
         assert!(v.reachable(a, b));

@@ -50,11 +50,6 @@ impl<K: Hash + Eq + Clone> FreqEstimator<K> {
         }
     }
 
-    /// The configured window length in seconds.
-    pub fn window_secs(&self) -> f64 {
-        self.window_secs
-    }
-
     /// Records an access by `key` at time `now` (seconds) and returns the
     /// updated rate estimate (events/second).
     pub fn record(&mut self, key: K, now: f64) -> f64 {

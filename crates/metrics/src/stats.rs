@@ -127,21 +127,6 @@ impl Cdf {
         let idx = ((q * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len()) - 1;
         self.sorted[idx]
     }
-
-    /// Evenly-spaced `(x, P(X ≤ x))` points for plotting, `n ≥ 2`.
-    pub fn curve(&self, n: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || n < 2 {
-            return Vec::new();
-        }
-        let lo = self.sorted[0];
-        let hi = *self.sorted.last().unwrap();
-        (0..n)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (n - 1) as f64;
-                (x, self.at(x))
-            })
-            .collect()
-    }
 }
 
 /// Streaming count/mean/min/max summary.
@@ -263,21 +248,21 @@ mod tests {
     }
 
     #[test]
-    fn cdf_curve_is_monotone() {
+    fn cdf_is_monotone() {
         let cdf = Cdf::from_samples(&[5.0, 1.0, 3.0, 3.0, 9.0]);
-        let curve = cdf.curve(10);
-        assert_eq!(curve.len(), 10);
+        let curve: Vec<f64> = (0..10)
+            .map(|i| cdf.at(1.0 + 8.0 * i as f64 / 9.0))
+            .collect();
         for w in curve.windows(2) {
-            assert!(w[1].1 >= w[0].1);
+            assert!(w[1] >= w[0]);
         }
-        assert_eq!(curve.last().unwrap().1, 1.0);
+        assert_eq!(curve.last(), Some(&1.0));
     }
 
     #[test]
     fn empty_cdf_behaviour() {
         let cdf = Cdf::from_samples(&[]);
         assert_eq!(cdf.at(1.0), 0.0);
-        assert!(cdf.curve(5).is_empty());
     }
 
     #[test]

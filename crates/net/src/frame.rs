@@ -5,7 +5,7 @@
 //! ```text
 //!  offset  size  field
 //!       0     4  magic        0xBA7C0DE5, little-endian
-//!       4     1  version      protocol version (currently 2)
+//!       4     1  version      protocol version (currently 4)
 //!       5     1  msg_type     message vocabulary tag (see `messages`)
 //!       6     2  reserved     must be zero
 //!       8     4  payload_len  little-endian byte count of the payload
@@ -28,8 +28,9 @@ pub const MAGIC: u32 = 0xBA7C_0DE5;
 /// Current protocol version. Bump on any incompatible header or codec
 /// change; peers reject mismatches with [`NetError::BadVersion`]. Version 2
 /// dropped [`crate::HelloMsg`]'s batching and cost parameters. Version 3
-/// retired tags 6–8 (the meta command, meta response and fault event).
-pub const VERSION: u8 = 3;
+/// retired tags 6–8 (the meta command, meta response and fault event), and
+/// version 4 tag 4 (the orphan bounce).
+pub const VERSION: u8 = 4;
 
 /// Encoded header size in bytes.
 pub const HEADER_LEN: usize = 16;
@@ -274,7 +275,7 @@ mod tests {
 
     #[test]
     fn bad_version_is_typed() {
-        for found in [2, VERSION + 1] {
+        for found in [2, 3, VERSION + 1] {
             let mut bytes = encode_frame(&Frame::new(1, vec![9]));
             bytes[4] = found;
             assert_eq!(

@@ -8,8 +8,8 @@
 //!   frames — magic, version, message type, payload length, header CRC —
 //!   with typed [`NetError`]s for every way bytes can go wrong.
 //! - **Message vocabulary** ([`messages`]): hand-rolled bitwise-exact
-//!   codecs for hello, dispatch, completion, orphan, shutdown, and
-//!   plane-major packed-KV segments.
+//!   codecs for hello, dispatch, completion, shutdown, and plane-major
+//!   packed-KV segments.
 //! - **Backends**: [`ChannelTransport`] moves frames through in-process
 //!   condvar pipes (the deterministic oracle); [`UdsTransport`] and
 //!   [`TcpTransport`] move the same frames over real OS sockets.
@@ -37,8 +37,8 @@ pub use frame::{
     MAGIC, MAX_PAYLOAD, VERSION,
 };
 pub use messages::{
-    CompletionMsg, DispatchMsg, HelloMsg, KvSegmentMsg, OrphanMsg, ShutdownMsg, WireOutcome,
-    MSG_COMPLETION, MSG_DISPATCH, MSG_HELLO, MSG_KV_SEGMENT, MSG_ORPHAN, MSG_SHUTDOWN,
+    CompletionMsg, DispatchMsg, HelloMsg, KvSegmentMsg, ShutdownMsg, WireOutcome, MSG_COMPLETION,
+    MSG_DISPATCH, MSG_HELLO, MSG_KV_SEGMENT, MSG_SHUTDOWN,
 };
 #[cfg(unix)]
 pub use socket::UdsTransport;

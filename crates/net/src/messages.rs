@@ -6,9 +6,12 @@
 //! | 1 | [`HelloMsg`] | scheduler → worker | handshake: index + clock base |
 //! | 2 | [`DispatchMsg`] | scheduler → worker | one priced job (a round) |
 //! | 3 | [`CompletionMsg`] | worker → scheduler | terminal outcome of a job |
-//! | 4 | [`OrphanMsg`] | worker → scheduler | job bounced off a killed worker |
 //! | 5 | [`ShutdownMsg`] | scheduler → worker | drain and exit |
 //! | 9 | [`KvSegmentMsg`] | worker ↔ worker | one packed KV layer, plane-major |
+//!
+//! Tags 4 (the orphan bounce; retired in wire version 4) and 6–8 (meta
+//! command, meta response, fault event; version 3) are retired: no decoder
+//! takes them. The current version is [`crate::VERSION`].
 //!
 //! Codecs are deliberately explicit (no serde): the byte layout *is* the
 //! protocol, floats travel as bit patterns, and every decoder returns a
@@ -26,8 +29,6 @@ pub const MSG_HELLO: u8 = 1;
 pub const MSG_DISPATCH: u8 = 2;
 /// Frame tag of [`CompletionMsg`].
 pub const MSG_COMPLETION: u8 = 3;
-/// Frame tag of [`OrphanMsg`].
-pub const MSG_ORPHAN: u8 = 4;
 /// Frame tag of [`ShutdownMsg`].
 pub const MSG_SHUTDOWN: u8 = 5;
 /// Frame tag of [`KvSegmentMsg`].
@@ -69,8 +70,8 @@ impl WireCodec for HelloMsg {
 
 /// One dispatched job: the priced durations and accounting the worker
 /// needs, in virtual seconds. `seq` is the scheduler's per-run dispatch
-/// sequence number; completions and orphans echo it so the scheduler can
-/// retire the in-flight entry.
+/// sequence number; completions echo it so the scheduler can retire the
+/// in-flight entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DispatchMsg {
     /// Scheduler-assigned dispatch sequence number.
@@ -197,33 +198,6 @@ impl WireCodec for CompletionMsg {
             seq,
             suffix_tokens,
             outcome,
-        })
-    }
-}
-
-/// A job handed back unserved by a worker that observed its own kill flag.
-/// The scheduler's batch machine has already re-seated that work on a live
-/// worker, so the scheduler only retires the frame. Work is never dropped.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OrphanMsg {
-    /// Index of the (dead) worker bouncing the job.
-    pub worker: u32,
-    /// The unserved job, verbatim.
-    pub item: DispatchMsg,
-}
-
-impl WireCodec for OrphanMsg {
-    const MSG_TYPE: u8 = MSG_ORPHAN;
-
-    fn encode_payload(&self, buf: &mut Vec<u8>) {
-        put_u32(buf, self.worker);
-        self.item.encode_payload(buf);
-    }
-
-    fn decode_payload(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(OrphanMsg {
-            worker: r.u32()?,
-            item: DispatchMsg::decode_payload(r)?,
         })
     }
 }
@@ -410,16 +384,6 @@ mod tests {
             suffix_tokens: 10,
             outcome: WireOutcome::Rejected(RejectReason::BrownoutShed),
         });
-        roundtrip(&OrphanMsg {
-            worker: 2,
-            item: DispatchMsg {
-                seq: 9,
-                arrival_virtual: 0.5,
-                suffix_tokens: 64,
-                service_virtual: 0.001,
-                deadline_rel: None,
-            },
-        });
         roundtrip(&ShutdownMsg);
         let mut block = ColBlock::new(4);
         for j in 0..6 {
@@ -455,15 +419,13 @@ mod tests {
             DispatchMsg::from_frame(&frame),
             Err(NetError::UnknownMsgType(MSG_SHUTDOWN))
         ));
-        // Tags 6–8 (meta command, meta response, fault event) are retired:
-        // no decoder takes them.
-        for tag in 6..=8 {
+        // Tags 4 and 6–8 are retired: no decoder takes them.
+        for tag in [4, 6, 7, 8] {
             let frame = Frame::new(tag, vec![0; 24]);
             let unknown = |r: Result<(), NetError>| r == Err(NetError::UnknownMsgType(tag));
             assert!(unknown(HelloMsg::from_frame(&frame).map(drop)));
             assert!(unknown(DispatchMsg::from_frame(&frame).map(drop)));
             assert!(unknown(CompletionMsg::from_frame(&frame).map(drop)));
-            assert!(unknown(OrphanMsg::from_frame(&frame).map(drop)));
             assert!(unknown(ShutdownMsg::from_frame(&frame).map(drop)));
             assert!(unknown(KvSegmentMsg::from_frame(&frame).map(drop)));
         }

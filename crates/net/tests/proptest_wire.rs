@@ -14,7 +14,7 @@
 use bat_kvcache::CacheKey;
 use bat_net::{
     decode_frame, encode_frame, CompletionMsg, DispatchMsg, Frame, HelloMsg, KvSegmentMsg,
-    NetError, OrphanMsg, ShutdownMsg, WireCodec, WireOutcome,
+    NetError, ShutdownMsg, WireCodec, WireOutcome,
 };
 use bat_types::{ItemId, RejectReason, UserId};
 use proptest::prelude::*;
@@ -152,15 +152,6 @@ proptest! {
     }
 
     #[test]
-    fn orphan_roundtrips(seed in 0u64..u64::MAX) {
-        let mut rng = TestRng::from_seed(seed);
-        assert_roundtrip(&OrphanMsg {
-            worker: rng.next_u64() as u32,
-            item: any_dispatch(&mut rng),
-        });
-    }
-
-    #[test]
     fn shutdown_roundtrips(_seed in 0u64..u64::MAX) {
         assert_roundtrip(&ShutdownMsg);
     }
@@ -237,7 +228,6 @@ proptest! {
         decode_soup::<HelloMsg>(&soup);
         decode_soup::<DispatchMsg>(&soup);
         decode_soup::<CompletionMsg>(&soup);
-        decode_soup::<OrphanMsg>(&soup);
         decode_soup::<ShutdownMsg>(&soup);
         decode_soup::<KvSegmentMsg>(&soup);
     }

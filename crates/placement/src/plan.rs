@@ -120,11 +120,6 @@ impl ItemPlacementPlan {
         self.replicated_override = Some(set);
     }
 
-    /// The strategy this plan realizes.
-    pub fn strategy(&self) -> PlacementStrategy {
-        self.strategy
-    }
-
     /// Workers the plan shards over.
     pub fn num_workers(&self) -> usize {
         self.num_workers

@@ -282,11 +282,6 @@ impl BatchScheduler {
         &self.cfg
     }
 
-    /// Current nominal time (last event or admission processed).
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
     /// Number of currently-live workers.
     pub fn alive_workers(&self) -> usize {
         self.workers.iter().filter(|w| w.alive).count()
@@ -764,7 +759,7 @@ mod tests {
         assert_eq!(s.stats().seat_refills, 3);
         assert_eq!(s.drain_completions().len(), 4);
         // 4 requests, 2 overheads: cheaper than 4 sequential batches.
-        assert!(s.now() < 4.0 * (0.064 + 0.003));
+        assert!(s.now < 4.0 * (0.064 + 0.003));
     }
 
     #[test]

@@ -22,12 +22,12 @@
 //!    and answers them with one [`Conn::send_batch`] — when the buffer
 //!    runs dry, before it blocks on the pacer (nothing finished waits out
 //!    a sleep), or at [`MAX_COALESCED_REPLIES`].
-//! 4. A worker whose `alive` flag is lowered (in-process fault injection)
-//!    bounces every dispatch back as an [`OrphanMsg`] instead of serving
-//!    it — the scheduler's machine has already re-seated that work on a
-//!    survivor. Child processes don't need the flag: their crash *is* the
-//!    process kill, and the parent retires whatever they never
-//!    acknowledged.
+//! 4. A worker fails one way, thread or child process: the parent severs
+//!    its conn (killing the process first, if there is one). The severed
+//!    worker's next receive or send finds the conn dead and ends the loop
+//!    with `Ok(())`; whatever it never acknowledged, the parent retires when
+//!    its reader sees the conn go down. A restart or a join is a fresh
+//!    worker on a fresh conn.
 //! 5. A [`ShutdownMsg`] — or the peer disconnecting — ends the loop.
 //!
 //! [`maybe_child_worker`] is the child-process entry point: binaries (and
@@ -38,10 +38,9 @@
 
 use crate::pacer::Pacer;
 use bat_net::{
-    CompletionMsg, Conn, DispatchMsg, Frame, HelloMsg, NetError, OrphanMsg, WireCodec, WireOutcome,
+    CompletionMsg, Conn, DispatchMsg, Frame, HelloMsg, NetError, WireCodec, WireOutcome,
     MSG_DISPATCH, MSG_HELLO, MSG_SHUTDOWN,
 };
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Environment variable carrying the parent's Unix-socket path; its
@@ -57,23 +56,25 @@ const MAX_COALESCED_REPLIES: usize = 64;
 
 /// Serves one worker's lifetime over `conn`.
 ///
-/// `alive` is the in-process fault-injection flag: while it reads `false`
-/// the worker bounces dispatches back as orphans instead of serving them.
-/// Child processes pass `None` — their failure mode is the real one.
-///
-/// Returns `Ok(())` on orderly shutdown *or* peer disconnect (at the end
-/// of a run the scheduler may simply drop its end).
+/// Returns `Ok(())` on orderly shutdown *or* when the conn dies under the
+/// worker, at a receive or at a send: at the end of a run the scheduler
+/// may simply drop its end, and a crash is the scheduler closing it.
 ///
 /// # Errors
 ///
 /// Propagates protocol violations — a non-hello first frame, undecodable
 /// payloads, unexpected frame types — as typed [`NetError`]s.
-pub fn run_net_worker(conn: &dyn Conn, alive: Option<&AtomicBool>) -> Result<(), NetError> {
-    let first = match conn.recv() {
-        Ok(frame) => frame,
-        Err(NetError::Disconnected) => return Ok(()),
-        Err(e) => return Err(e),
-    };
+pub fn run_net_worker(conn: &dyn Conn) -> Result<(), NetError> {
+    match serve(conn) {
+        Err(NetError::Disconnected) => Ok(()),
+        served => served,
+    }
+}
+
+/// [`run_net_worker`]'s loop, which ends on a dead conn with
+/// [`NetError::Disconnected`].
+fn serve(conn: &dyn Conn) -> Result<(), NetError> {
+    let first = conn.recv()?;
     if first.msg_type != MSG_HELLO {
         return Err(NetError::UnknownMsgType(first.msg_type));
     }
@@ -84,13 +85,6 @@ pub fn run_net_worker(conn: &dyn Conn, alive: Option<&AtomicBool>) -> Result<(),
     let virtual_at = move |t: Instant| {
         hello.virtual_now + t.saturating_duration_since(base).as_secs_f64() / hello.scale
     };
-    let is_killed = || alive.is_some_and(|a| !a.load(Ordering::Acquire));
-    // A peer that is gone reads as an empty queue here; the blocking
-    // receive below is what reports it.
-    let poll = || match conn.try_recv() {
-        Err(NetError::Disconnected) => Ok(None),
-        polled => polled,
-    };
     let mut pacer = Pacer::new();
     // Replies not yet written, reused across iterations.
     let mut replies: Vec<Frame> = Vec::new();
@@ -98,50 +92,33 @@ pub fn run_net_worker(conn: &dyn Conn, alive: Option<&AtomicBool>) -> Result<(),
     loop {
         // Idle: block for a frame, then serve for as long as more are
         // found queued behind it.
-        let mut next = match conn.recv() {
-            Ok(frame) => Some(frame),
-            Err(NetError::Disconnected) => return Ok(()),
-            Err(e) => return Err(e),
-        };
+        let mut next = Some(conn.recv()?);
         let mut backlogged = false;
         while let Some(frame) = next.take() {
             let job = match frame.msg_type {
-                MSG_SHUTDOWN => {
-                    conn.send_batch(&mut replies)?;
-                    return Ok(());
-                }
+                MSG_SHUTDOWN => return conn.send_batch(&mut replies),
                 MSG_DISPATCH => DispatchMsg::from_frame(&frame)?,
                 other => return Err(NetError::UnknownMsgType(other)),
             };
-            if is_killed() {
-                // Crashed (in-process injection): hand the job straight back.
-                let orphan = OrphanMsg {
-                    worker: hello.worker,
-                    item: job,
-                };
-                replies.push(orphan.to_frame());
-            } else {
-                let service = job.service_virtual;
-                let finish =
-                    pacer.charge(Duration::from_secs_f64(service * hello.scale), backlogged);
-                if pacer.is_ahead() {
-                    // Nothing that already finished waits out a sleep.
-                    conn.send_batch(&mut replies)?;
-                    pacer.catch_up();
-                }
-                // Stamped at the paced finish, which a worker that did not
-                // block has yet to reach: never below the priced service.
-                let latency = (virtual_at(finish) - job.arrival_virtual).max(service);
-                let outcome = WireOutcome::Completed {
-                    latency_virtual: latency,
-                    missed: job.deadline_rel.is_some_and(|d| latency > d),
-                };
-                replies.push(completion(&hello, &job, outcome));
+            let service = job.service_virtual;
+            let finish = pacer.charge(Duration::from_secs_f64(service * hello.scale), backlogged);
+            if pacer.is_ahead() {
+                // Nothing that already finished waits out a sleep.
+                conn.send_batch(&mut replies)?;
+                pacer.catch_up();
             }
+            // Stamped at the paced finish, which a worker that did not
+            // block has yet to reach: never below the priced service.
+            let latency = (virtual_at(finish) - job.arrival_virtual).max(service);
+            let outcome = WireOutcome::Completed {
+                latency_virtual: latency,
+                missed: job.deadline_rel.is_some_and(|d| latency > d),
+            };
+            replies.push(completion(&hello, &job, outcome));
             if replies.len() >= MAX_COALESCED_REPLIES {
                 conn.send_batch(&mut replies)?;
             }
-            next = poll()?;
+            next = conn.try_recv()?;
             backlogged = true;
         }
         conn.send_batch(&mut replies)?;
@@ -171,7 +148,7 @@ pub fn maybe_child_worker() {
     {
         use bat_net::{Transport, UdsTransport};
         let code = match UdsTransport::new().connect(&path) {
-            Ok(conn) => match run_net_worker(conn.as_ref(), None) {
+            Ok(conn) => match run_net_worker(conn.as_ref()) {
                 Ok(()) => 0,
                 Err(e) => {
                     eprintln!("bat-net child worker: {e}");
@@ -209,7 +186,7 @@ mod tests {
     #[test]
     fn serves_dispatches_until_shutdown() {
         let (parent, worker) = ChannelConn::pair();
-        let handle = thread::spawn(move || run_net_worker(worker.as_ref(), None));
+        let handle = thread::spawn(move || run_net_worker(worker.as_ref()));
         parent.send(hello(1e-4).to_frame()).unwrap();
         for seq in 0..3u64 {
             parent
@@ -258,7 +235,7 @@ mod tests {
             parent.send(dispatch.to_frame()).unwrap();
         }
         parent.send(ShutdownMsg.to_frame()).unwrap();
-        let handle = thread::spawn(move || run_net_worker(worker.as_ref(), None));
+        let handle = thread::spawn(move || run_net_worker(worker.as_ref()));
         let mut last = 0.0;
         for seq in 0..200u64 {
             let c = CompletionMsg::from_frame(&parent.recv().unwrap()).unwrap();
@@ -279,35 +256,31 @@ mod tests {
     }
 
     #[test]
-    fn killed_worker_bounces_orphans() {
+    fn a_worker_severed_with_frames_queued_exits_cleanly() {
+        // The parent closes its end with more frames queued than the
+        // worker answers in one write: the worker serves what it finds,
+        // its write into the dead conn fails, and that is an orderly end.
         let (parent, worker) = ChannelConn::pair();
-        let alive = std::sync::Arc::new(AtomicBool::new(false));
-        let flag = std::sync::Arc::clone(&alive);
-        let handle = thread::spawn(move || run_net_worker(worker.as_ref(), Some(&flag)));
-        parent.send(hello(1e-4).to_frame()).unwrap();
-        let d = DispatchMsg {
-            seq: 9,
-            arrival_virtual: 0.5,
-            suffix_tokens: 64,
-            service_virtual: 0.001,
-            deadline_rel: None,
-        };
-        parent.send(d.to_frame()).unwrap();
-        let o = OrphanMsg::from_frame(&parent.recv().unwrap()).unwrap();
-        assert_eq!(o.item, d);
-        // Restart: the same worker loop serves again.
-        alive.store(true, Ordering::Release);
-        parent.send(d.to_frame()).unwrap();
-        let c = CompletionMsg::from_frame(&parent.recv().unwrap()).unwrap();
-        assert_eq!(c.seq, 9);
-        parent.send(ShutdownMsg.to_frame()).unwrap();
-        handle.join().unwrap().unwrap();
+        parent.send(hello(1e-6).to_frame()).unwrap();
+        for seq in 0..=MAX_COALESCED_REPLIES as u64 {
+            let dispatch = DispatchMsg {
+                seq,
+                arrival_virtual: 0.0,
+                suffix_tokens: 10,
+                service_virtual: 1e-3,
+                deadline_rel: None,
+            };
+            parent.send(dispatch.to_frame()).unwrap();
+        }
+        parent.close();
+        let handle = thread::spawn(move || run_net_worker(worker.as_ref()));
+        assert_eq!(handle.join().unwrap(), Ok(()));
     }
 
     #[test]
     fn non_hello_first_frame_is_a_typed_error() {
         let (parent, worker) = ChannelConn::pair();
-        let handle = thread::spawn(move || run_net_worker(worker.as_ref(), None));
+        let handle = thread::spawn(move || run_net_worker(worker.as_ref()));
         parent
             .send(
                 DispatchMsg {

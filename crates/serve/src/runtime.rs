@@ -1,8 +1,8 @@
 //! Threaded serving runtime over the pluggable transport layer.
 //!
 //! The scheduler, workers, and link readers are wired through [`bat_net`]'s
-//! [`Transport`] trait: every dispatch, completion, orphan bounce, and
-//! shutdown crosses a [`Conn`] as an encoded frame. The backend is a
+//! [`Transport`] trait: every hello, dispatch, completion and shutdown
+//! crosses a [`Conn`] as an encoded frame. The backend is a
 //! construction-time choice ([`TransportKind`]):
 //!
 //! * **Channel** — in-process condvar pipes, the deterministic
@@ -10,8 +10,13 @@
 //!   by construction.
 //! * **Uds / Tcp** — the same frames over real OS sockets. With
 //!   [`ServeOptions::processes`], workers run as **child OS processes**
-//!   connected over Unix domain sockets: a worker crash is a process
-//!   kill, and a rejoin is a fresh process accepted on the same listener.
+//!   connected over Unix domain sockets.
+//!
+//! A worker fails one way on every backend, thread or process: a crash
+//! severs its link (after killing its process, if it has one), a drain is
+//! the shutdown frame behind its queued frames, and a restart or a join is
+//! a fresh worker accepted on the same listener under the link's next
+//! incarnation.
 //!
 //! The scheduler runs the simulator's [`SlotDriver`] on *nominal* arrival
 //! times, so every statistic — token accounting, admission decisions,
@@ -23,8 +28,8 @@
 //! The physical plane retires every frame exactly once: the parent records
 //! each dispatched round in a per-link un-acknowledged map tagged with the
 //! link's connection incarnation, and the link's reader — the one thread
-//! that receives on its conn — retires the entry on a completion, an orphan
-//! bounce or the conn going down. Nothing is re-dispatched — the
+//! that receives on its conn — retires the entry on a completion or the
+//! conn going down. Nothing is re-dispatched — the
 //! nominal machine already reformed a killed worker's chunks into fresh
 //! rounds on the survivors — so work is never dropped and never
 //! double-served.
@@ -44,7 +49,7 @@ use crate::net_worker::{run_net_worker, CHILD_INDEX_ENV, CHILD_SOCKET_ENV};
 use crate::pacer;
 use bat_net::{
     ChannelTransport, CompletionMsg, Conn, DispatchMsg, Frame, HelloMsg, Listener, NetError,
-    OrphanMsg, ShutdownMsg, TcpTransport, Transport, WireCodec, MSG_COMPLETION, MSG_ORPHAN,
+    ShutdownMsg, TcpTransport, Transport, WireCodec, MSG_COMPLETION,
 };
 use bat_sim::{
     EngineConfig, FaultKind, FaultSchedule, RequestPlanner, RoundRecord, RunStats, SlotDriver,
@@ -82,9 +87,13 @@ pub struct ServeOptions {
     /// Which backend carries the frames.
     pub transport: TransportKind,
     /// Run each worker as a child OS process connected over a Unix domain
-    /// socket (requires [`TransportKind::Uds`]). The child re-executes the
-    /// current binary with [`ServeOptions::child_args`]; the entry path
-    /// must call [`crate::maybe_child_worker`] before doing anything else.
+    /// socket (requires [`TransportKind::Uds`]) instead of a thread. The
+    /// child re-executes the current binary with
+    /// [`ServeOptions::child_args`]; the entry path must call
+    /// [`crate::maybe_child_worker`] before doing anything else. A process
+    /// fails as a thread does — a crash severs its link, a restart or join
+    /// is a fresh worker under the next incarnation — except that the
+    /// crash also kills it.
     pub processes: bool,
     /// Arguments passed to the re-executed binary in `processes` mode.
     /// For a `cargo test` binary this is
@@ -132,13 +141,15 @@ struct Link {
     /// Frames dispatched but not yet retired on this link (backpressure
     /// credit).
     inflight: AtomicU64,
-    /// Liveness, flipped by the fault supervisor (in-process: shared with
-    /// the worker thread, which bounces work while false) and by the
-    /// reader when a link drops unexpectedly.
-    alive: AtomicBool,
-    /// Dispatched-but-unfinished frames, `seq → (incarnation, msg)`;
-    /// retired when incarnation `≤` a dead conn's.
-    unacked: Mutex<HashMap<u64, (u64, DispatchMsg)>>,
+    /// Dispatched-but-unfinished frames, `seq → incarnation` of the conn
+    /// each was sent on; retired when that is `≤` a dead conn's.
+    unacked: Mutex<HashMap<u64, u64>>,
+    /// Every incarnation below this has had its frames retired by a dead
+    /// conn's reader. Read and written under the `unacked` lock, so no frame
+    /// is booked on a conn once a reader has retired it: a conn can still
+    /// take a write after its reader saw it die (a TCP peer's FIN, or a
+    /// channel end closed one direction at a time).
+    dead: AtomicU64,
     /// The worker's OS process, in `processes` mode.
     child: Mutex<Option<std::process::Child>>,
 }
@@ -148,8 +159,8 @@ impl Link {
         Link {
             conn: Mutex::new((0, None)),
             inflight: AtomicU64::new(0),
-            alive: AtomicBool::new(true),
             unacked: Mutex::new(HashMap::new()),
+            dead: AtomicU64::new(0),
             child: Mutex::new(None),
         }
     }
@@ -160,12 +171,23 @@ impl Link {
         (g.0, g.1.clone())
     }
 
+    /// Makes `conn` the link's conn under the next incarnation (0 for the
+    /// first) and returns that incarnation.
+    fn install(&self, conn: Arc<dyn Conn>) -> u64 {
+        let mut g = lock(&self.conn);
+        if g.1.replace(conn).is_some() {
+            g.0 += 1;
+        }
+        g.0
+    }
+
     /// Sends `rounds` as one batched write. Every frame is registered
     /// un-acknowledged and booked — here and in the run's `outstanding`
     /// count — *before* the send, so a completion can never race past its
-    /// own bookkeeping. On a dead conn every frame is rolled back one by one
-    /// through [`Link::retire_round`] (a frame the reader already retired
-    /// with its dead conn is not retired twice) and the result is `false`.
+    /// own bookkeeping. On a conn its reader has retired nothing is booked,
+    /// and on a dead conn every frame is rolled back one by one through
+    /// [`Link::retire_round`] (a frame the reader already retired with its
+    /// dead conn is not retired twice); either way the result is `false`.
     fn send_rounds(
         &self,
         rounds: &[DispatchMsg],
@@ -173,7 +195,12 @@ impl Link {
         frames: &mut Vec<Frame>,
     ) -> bool {
         let (inc, conn) = self.current();
-        lock(&self.unacked).extend(rounds.iter().map(|m| (m.seq, (inc, *m))));
+        let mut unacked = lock(&self.unacked);
+        if inc < self.dead.load(Ordering::Relaxed) {
+            return false;
+        }
+        unacked.extend(rounds.iter().map(|m| (m.seq, inc)));
+        drop(unacked);
         let n = rounds.len() as u64;
         self.inflight.fetch_add(n, Ordering::AcqRel);
         outstanding.fetch_add(n, Ordering::AcqRel);
@@ -198,31 +225,36 @@ impl Link {
     }
 
     /// Retires every un-acknowledged frame sent on `incarnation` or an
-    /// earlier conn; entries sent on a newer conn stay. If `incarnation` is
-    /// the current conn (an unexpected death, or a stream error), dispatch
-    /// to the link stops.
+    /// earlier conn; entries sent on a newer conn stay.
     fn retire_stranded(&self, outstanding: &AtomicU64, incarnation: u64) {
-        if lock(&self.conn).0 == incarnation {
-            self.alive.store(false, Ordering::Release);
-        }
         let mut unacked = lock(&self.unacked);
+        self.dead.fetch_max(incarnation + 1, Ordering::Relaxed);
         let before = unacked.len();
-        unacked.retain(|_, (inc, _)| *inc > incarnation);
+        unacked.retain(|_, inc| *inc > incarnation);
         let n = (before - unacked.len()) as u64;
         self.inflight.fetch_sub(n, Ordering::AcqRel);
         outstanding.fetch_sub(n, Ordering::Release);
     }
 
     /// Orderly end of the link: the worker gets the shutdown frame behind
-    /// whatever it still holds. A failed run (`abort`) closes the conn as
-    /// well, so the reader and an in-process worker unblock whatever state
-    /// they are in.
-    fn shut_down(&self, abort: bool) {
+    /// whatever it still holds, serves it, and exits.
+    fn shut_down(&self) {
         if let (_, Some(conn)) = self.current() {
             let _ = conn.send(ShutdownMsg.to_frame());
-            if abort {
-                conn.close();
-            }
+        }
+    }
+
+    /// A crash: the worker's process, if it has one, is killed, and the
+    /// conn is closed, which unblocks the worker and the link's reader
+    /// whatever state they are in. The reader then retires every frame the
+    /// worker never acknowledged.
+    fn sever(&self) {
+        if let Some(mut child) = lock(&self.child).take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+        if let (_, Some(conn)) = self.current() {
+            conn.close();
         }
     }
 }
@@ -327,7 +359,7 @@ impl Progress {
                 );
                 for (w, link) in links.iter().enumerate() {
                     let unacked = lock(&link.unacked);
-                    if let Some((seq, (inc, _))) = unacked.iter().min_by_key(|(&seq, _)| seq) {
+                    if let Some((seq, inc)) = unacked.iter().min_by_key(|(&seq, _)| seq) {
                         report += &format!(
                             "; worker {w} (incarnation {inc}) holds {} un-acked frame(s), \
                              oldest seq {seq}",
@@ -343,9 +375,8 @@ impl Progress {
 }
 
 /// Reads one worker conn until it dies, retiring each round the worker
-/// answers — a completion, or an orphan an in-process worker bounced while
-/// its liveness flag was down — and, when the conn dies, every round still
-/// un-acknowledged on its incarnation. A frame stranded by a kill is retired
+/// completes and, when the conn dies, every round still un-acknowledged on
+/// its incarnation. A frame stranded by a crash is retired
 /// exactly once (its un-acked entry is the token: whoever removes it does
 /// the decrement) and never re-dispatched: the nominal machine has already
 /// reformed the cancelled round's chunks under fresh sequence numbers on
@@ -354,27 +385,21 @@ impl Progress {
 ///
 /// # Panics
 ///
-/// Without a fault event scheduled, on a bounced round or on a conn that dies
-/// before the scheduler's [`Teardown`] — naming the conn's error.
+/// Without a fault event scheduled, on a conn that dies before the
+/// scheduler's [`Teardown`] — naming the conn's error.
 fn run_reader(conn: Arc<dyn Conn>, w: usize, incarnation: u64, cluster: &Cluster) {
     let (link, outstanding) = (&cluster.links[w], &cluster.outstanding);
     loop {
         let seq = conn.recv().and_then(|frame| match frame.msg_type {
             MSG_COMPLETION => CompletionMsg::from_frame(&frame).map(|c| c.seq),
-            MSG_ORPHAN => {
-                assert!(
-                    cluster.have_faults,
-                    "worker {w} bounced a round without a fault schedule"
-                );
-                OrphanMsg::from_frame(&frame).map(|o| o.item.seq)
-            }
             other => Err(NetError::UnknownMsgType(other)),
         });
         match seq {
             Ok(seq) => link.retire_round(outstanding, seq),
             Err(e) => {
-                // A scheduled kill, a drained child exiting, or the orderly
-                // end of the run; anything else is a bug in the plane.
+                // A scheduled crash, a drained worker exiting, or the
+                // orderly end of the run; anything else is a bug in the
+                // plane.
                 assert!(
                     cluster.have_faults || cluster.finished.load(Ordering::Acquire),
                     "worker {w} link died without a fault schedule: {e:?}"
@@ -422,7 +447,7 @@ struct Cluster {
     dial: Vec<String>,
     links: Vec<Link>,
     /// Whether the run's fault schedule has any event: without one, a dead
-    /// link or a bounced round is a bug.
+    /// link is a bug.
     have_faults: bool,
     /// Raised by [`Teardown`] before it releases the workers, so a reader
     /// does not take an orderly disconnect for a death.
@@ -456,23 +481,34 @@ impl Cluster {
         self.start + Duration::from_secs_f64(at_secs * self.scale)
     }
 
-    /// Reaps child workers (they exited on shutdown; kill is a no-op
-    /// backstop for a child that somehow missed it).
+    /// Reaps child workers: they exited on shutdown, and the kill is a
+    /// no-op backstop for a child that somehow missed it.
     fn reap(&self) {
         for link in &self.links {
-            if let Some(mut child) = lock(&link.child).take() {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
+            link.sever();
         }
+    }
+
+    /// Accepts worker `w`'s conn, sends it the hello, and reads it under
+    /// the link's next incarnation.
+    fn attach<'scope>(
+        &'scope self,
+        scope: &'scope thread::Scope<'scope, '_>,
+        w: usize,
+    ) -> Result<(), NetError> {
+        let conn = self.listeners[w].accept_timeout(ACCEPT_TIMEOUT)?;
+        conn.send(self.hello(w).to_frame())?;
+        let incarnation = self.links[w].install(Arc::clone(&conn));
+        scope.spawn(move || run_reader(conn, w, incarnation, self));
+        Ok(())
     }
 }
 
 /// Ends a run when the scheduler's flow leaves it, normally or by panic:
-/// the readers are told first, then every worker (live or bounced-out)
-/// gets the shutdown frame — a dead child's send just fails. After a panic
-/// the conns are closed as well, so that every thread of the scope ends and
-/// the panic surfaces instead of a hang.
+/// the readers are told first, then every worker gets the shutdown frame —
+/// a severed or drained link's send just fails. After a panic every link is
+/// severed instead, so that every thread of the scope ends and the panic
+/// surfaces instead of a hang.
 struct Teardown<'a>(&'a Cluster);
 
 impl Drop for Teardown<'_> {
@@ -480,7 +516,11 @@ impl Drop for Teardown<'_> {
         self.0.finished.store(true, Ordering::Release);
         let abort = thread::panicking();
         for link in &self.0.links {
-            link.shut_down(abort);
+            if abort {
+                link.sever();
+            } else {
+                link.shut_down();
+            }
         }
     }
 }
@@ -610,53 +650,57 @@ impl ServeRuntime {
         }
     }
 
-    /// Brings the cluster up inside `scope`: starts every worker — a child
-    /// process dialing back over UDS, or an in-process thread running the
-    /// identical loop over the configured transport — accepts it, sends the
-    /// [`HelloMsg`] handshake and attaches its reader; then
-    /// starts the fault supervisor on the schedule (the empty one when none
-    /// is configured).
+    /// Starts worker `w`: a child process dialing back over UDS, or an
+    /// in-process thread running the identical loop over the configured
+    /// transport. Start, restart and join all spawn here, and
+    /// [`Cluster::attach`] then wires the worker in.
+    fn spawn_worker<'scope>(
+        &'scope self,
+        scope: &'scope thread::Scope<'scope, '_>,
+        cluster: &'scope Cluster,
+        w: usize,
+    ) -> std::io::Result<()> {
+        let addr = &cluster.dial[w];
+        if self.opts.processes {
+            let child = spawn_child(&self.opts.child_args, addr, w)?;
+            *lock(&cluster.links[w].child) = Some(child);
+        } else {
+            scope.spawn(move || {
+                let served = cluster.transport.connect(addr);
+                if let Err(e) = served.and_then(|conn| run_net_worker(conn.as_ref())) {
+                    eprintln!("worker {w} ({addr}): {e}");
+                }
+            });
+        }
+        Ok(())
+    }
+
+    /// Brings the cluster up inside `scope`: spawns every worker, then
+    /// accepts each one, sends it the [`HelloMsg`] handshake and attaches
+    /// its reader; then starts the fault supervisor on the schedule (the
+    /// empty one when none is configured).
     ///
     /// The supervisor walks the fault schedule in scaled wall-clock time,
-    /// making membership events physically real: crashes kill worker
-    /// threads (liveness flag) or child processes (SIGKILL); drains stop new
-    /// seating and let the worker finish what it holds before exiting;
-    /// restarts and joins wire a fresh worker (thread flag flip, or a
-    /// respawned child accepted on the same listener under a bumped link
-    /// incarnation) back into the cluster. All *accounting* for these
-    /// events lives in the planner and the batch machine, driven on nominal
-    /// time — that thread only touches the world.
+    /// making membership events physically real, the same way for threads
+    /// and processes: a crash severs the worker's link (SIGKILL first for a
+    /// process); a drain stops new seating and sends the shutdown frame
+    /// behind what the worker holds, which it serves before exiting; a
+    /// restart or a join spawns a fresh worker and accepts it on the same
+    /// listener under the link's next incarnation. All *accounting* for
+    /// these events lives in the planner and the batch machine, driven on
+    /// nominal time — that thread only touches the world.
     fn start<'scope>(
         &'scope self,
         scope: &'scope thread::Scope<'scope, '_>,
         cluster: &'scope Cluster,
     ) {
-        for (w, link) in cluster.links.iter().enumerate() {
-            if self.opts.processes {
-                let child = spawn_child(&self.opts.child_args, &cluster.dial[w], w)
-                    .expect("child worker spawns");
-                *lock(&link.child) = Some(child);
-            } else {
-                let addr = &cluster.dial[w];
-                let alive = &link.alive;
-                scope.spawn(move || match cluster.transport.connect(addr) {
-                    Ok(conn) => {
-                        if let Err(e) = run_net_worker(conn.as_ref(), Some(alive)) {
-                            eprintln!("worker {w}: {e}");
-                        }
-                    }
-                    Err(e) => eprintln!("worker {w}: connect {addr}: {e}"),
-                });
-            }
+        for w in 0..cluster.links.len() {
+            self.spawn_worker(scope, cluster, w).expect("worker spawns");
         }
-        for (w, link) in cluster.links.iter().enumerate() {
-            let conn = cluster.listeners[w]
-                .accept_timeout(ACCEPT_TIMEOUT)
+        for w in 0..cluster.links.len() {
+            cluster
+                .attach(scope, w)
                 .expect("worker connects back during setup");
-            conn.send(cluster.hello(w).to_frame())
-                .expect("worker accepts hello");
-            *lock(&link.conn) = (0, Some(Arc::clone(&conn)));
-            scope.spawn(move || run_reader(conn, w, 0, cluster));
         }
         let none = || FaultSchedule::none(self.cfg.cluster.num_nodes);
         let schedule = self.cfg.faults.clone().unwrap_or_else(none);
@@ -664,72 +708,20 @@ impl ServeRuntime {
             for event in schedule.events() {
                 cluster.progress.pace_fault(cluster.wall(event.at_secs));
                 match event.kind {
-                    FaultKind::WorkerCrash(w) => {
-                        let link = &cluster.links[w.index()];
-                        link.alive.store(false, Ordering::Release);
-                        if self.opts.processes {
-                            // Real crash: SIGKILL. The link's reader observes
-                            // the disconnect and retires whatever the child
-                            // never finished.
-                            if let Some(mut child) = lock(&link.child).take() {
-                                let _ = child.kill();
-                                let _ = child.wait();
-                            }
-                        }
-                        // In-process workers bounce dispatches as orphans
-                        // while their flag is down.
-                    }
-                    FaultKind::WorkerDrain(w) => {
-                        // Planned departure: stop seating new work, then let
-                        // the worker finish what it already holds. A child
-                        // process gets the shutdown frame *behind* its queued
-                        // frames — it serves them, acks, and exits cleanly;
-                        // its conn closing then retires anything it never
-                        // processed. In-process workers bounce dispatches
-                        // that race past the flag.
-                        let link = &cluster.links[w.index()];
-                        link.alive.store(false, Ordering::Release);
-                        if self.opts.processes {
-                            link.shut_down(false);
-                        }
-                    }
+                    FaultKind::WorkerCrash(w) => cluster.links[w.index()].sever(),
+                    // Planned departure: the machine stops seating new
+                    // work, and the worker finishes what it already holds;
+                    // its conn closing then retires anything it never
+                    // processed.
+                    FaultKind::WorkerDrain(w) => cluster.links[w.index()].shut_down(),
                     FaultKind::WorkerRestart(w) | FaultKind::WorkerJoin(w) => {
                         let w = w.index();
-                        let link = &cluster.links[w];
-                        if self.opts.processes {
-                            // Planned scale-out (or a scheduled recovery):
-                            // spawn a fresh process, accept it on the same
-                            // listener, and swap the link to the new
-                            // incarnation.
-                            match spawn_child(&self.opts.child_args, &cluster.dial[w], w) {
-                                Ok(child) => {
-                                    match cluster.listeners[w].accept_timeout(ACCEPT_TIMEOUT) {
-                                        Ok(conn) => {
-                                            if conn.send(cluster.hello(w).to_frame()).is_ok() {
-                                                let inc = {
-                                                    let mut g = lock(&link.conn);
-                                                    g.0 += 1;
-                                                    g.1 = Some(Arc::clone(&conn));
-                                                    g.0
-                                                };
-                                                *lock(&link.child) = Some(child);
-                                                link.alive.store(true, Ordering::Release);
-                                                scope.spawn(move || {
-                                                    run_reader(conn, w, inc, cluster);
-                                                });
-                                            }
-                                        }
-                                        Err(e) => {
-                                            eprintln!("worker {w} rejoin accept failed: {e}");
-                                        }
-                                    }
-                                }
-                                Err(e) => {
-                                    eprintln!("worker {w} respawn failed: {e}");
-                                }
-                            }
-                        } else {
-                            link.alive.store(true, Ordering::Release);
+                        let rejoined = self
+                            .spawn_worker(scope, cluster, w)
+                            .map_err(NetError::from)
+                            .and_then(|()| cluster.attach(scope, w));
+                        if let Err(e) = rejoined {
+                            eprintln!("worker {w} rejoin failed: {e}");
                         }
                     }
                     // Link, partition and meta faults have no thread-level
@@ -935,6 +927,15 @@ mod tests {
         link.retire_stranded(&outstanding, 3);
         link.retire_round(&outstanding, 4);
         assert_eq!(counters(&link), (0, 0, 0));
+
+        // A conn can still take a write after its reader retired it (a TCP
+        // peer's FIN, a channel end closed one direction at a time): nothing
+        // is booked on it, or no reader would ever retire the booking.
+        let (ours, theirs) = bat_net::ChannelConn::pair();
+        *lock(&link.conn) = (3, Some(ours as Arc<dyn Conn>));
+        assert!(!link.send_rounds(&batch, &outstanding, &mut frames));
+        assert_eq!(counters(&link), (0, 0, 0));
+        assert_eq!(theirs.try_recv(), Ok(None));
     }
 
     #[test]
@@ -955,7 +956,7 @@ mod tests {
     #[test]
     fn stuck_wait_names_worker_incarnation_and_oldest_unacked_seq() {
         let links = [Link::new(), Link::new()];
-        lock(&links[1].unacked).extend([(17, (2, round(17))), (23, (2, round(23)))]);
+        lock(&links[1].unacked).extend([(17, 2), (23, 2)]);
         // While faults are still due a quiet wait is not stuck: the wait
         // sits through two deadlines, and panics at the first one after the
         // schedule has been delivered (here by its own third poll).
@@ -1165,6 +1166,80 @@ mod tests {
         assert_eq!(rt_stats.faults, sim_stats.faults);
         assert!(!rt_stats.faults.is_quiet(), "the crash must be observed");
         assert_eq!(rt_stats, sim_stats);
+    }
+
+    #[test]
+    fn a_crashed_thread_is_severed_and_rejoins_like_a_child() {
+        // A worker thread fails as a child process does: the crash closes
+        // its link, the link's reader retires every frame the worker never
+        // acknowledged, exactly once, and the restart is a fresh worker
+        // accepted under incarnation 1.
+        let ds = DatasetConfig {
+            num_users: 300,
+            ..DatasetConfig::games()
+        };
+        let schedule =
+            bat_sim::FaultSchedule::single_crash(2, bat_types::WorkerId::new(1), 1.0, 2.5).unwrap();
+        let cfg = config(SystemKind::Bat, &ds).with_faults(Some(schedule));
+        let rt = ServeRuntime::new(cfg.clone(), ServeOptions::default()).unwrap();
+        let cluster = &rt.bind();
+        let (link, outstanding) = (&cluster.links[1], &cluster.outstanding);
+        let counters = || {
+            (
+                lock(&link.unacked).len(),
+                link.inflight.load(Ordering::Acquire),
+                outstanding.load(Ordering::Acquire),
+            )
+        };
+        // No supervisor runs here, so a wait that sees nothing move fails.
+        cluster.progress.deliver_schedule();
+        let drained = || {
+            let none_outstanding = || outstanding.load(Ordering::Acquire) == 0;
+            cluster
+                .progress
+                .wait(&cluster.links, format_args!("the rounds"), none_outstanding);
+        };
+        let mut frames = Vec::new();
+        thread::scope(|scope| {
+            for w in 0..2 {
+                rt.spawn_worker(scope, cluster, w).unwrap();
+            }
+            for w in 0..2 {
+                cluster.attach(scope, w).unwrap();
+            }
+            let teardown = Teardown(cluster);
+            // Each round is 50 ms of wall time: the worker is still pacing
+            // the first when its link is severed.
+            let slow: Vec<DispatchMsg> = (0..4)
+                .map(|seq| DispatchMsg {
+                    service_virtual: 50.0,
+                    ..round(seq)
+                })
+                .collect();
+            assert!(link.send_rounds(&slow, outstanding, &mut frames));
+            link.sever();
+            drained();
+            assert_eq!(counters(), (0, 0, 0));
+            for m in &slow {
+                link.retire_round(outstanding, m.seq);
+            }
+            link.retire_stranded(outstanding, 0);
+            assert_eq!(counters(), (0, 0, 0), "a frame retired twice");
+            assert!(!link.send_rounds(&[round(4)], outstanding, &mut frames));
+            assert_eq!(counters(), (0, 0, 0));
+
+            rt.spawn_worker(scope, cluster, 1).unwrap();
+            cluster.attach(scope, 1).unwrap();
+            assert_eq!(link.current().0, 1);
+            let fast: Vec<DispatchMsg> = (5..9).map(round).collect();
+            assert!(link.send_rounds(&fast, outstanding, &mut frames));
+            drained();
+            assert_eq!(counters(), (0, 0, 0));
+            drop(teardown);
+        });
+        // And a whole run over that crash and restart is the simulator's.
+        let t = trace(&ds, 4.0, 30.0);
+        assert_eq!(rt.serve(&t), ServingEngine::new(cfg).unwrap().run(&t));
     }
 
     #[test]

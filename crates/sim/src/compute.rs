@@ -50,11 +50,6 @@ impl ComputeModel {
         &self.model
     }
 
-    /// The node hardware.
-    pub fn node(&self) -> &NodeConfig {
-        &self.node
-    }
-
     /// Prefill seconds for `suffix` new tokens against a `context`-token
     /// attention context.
     ///

@@ -62,18 +62,6 @@ impl RopeTable {
         }
     }
 
-    /// Head dimension this table was built for.
-    #[inline]
-    pub fn head_dim(&self) -> usize {
-        self.head_dim
-    }
-
-    /// Largest position ID this table supports (exclusive).
-    #[inline]
-    pub fn max_positions(&self) -> usize {
-        self.max_positions
-    }
-
     /// Rotates `vec` (one attention head of length `head_dim`) in place for
     /// the given position ID.
     ///

@@ -207,11 +207,6 @@ impl PartitionController {
         }
     }
 
-    /// The current user share of the cold budget.
-    pub fn user_share(&self) -> f64 {
-        self.user_share
-    }
-
     fn record(&mut self, class: EntryClass, hit: bool, full_bytes: Bytes) {
         let w = &mut self.windows[class as usize];
         if hit {
@@ -333,11 +328,6 @@ impl TieredKvPool {
     /// hit, miss, demotion, eviction or budget change shows up in it.
     pub fn digest(&self) -> u64 {
         self.digest.finish()
-    }
-
-    /// The partition controller (current split inspection).
-    pub fn controller(&self) -> &PartitionController {
-        &self.controller
     }
 
     /// Seconds to stream `bytes` from cold storage.
@@ -483,13 +473,6 @@ impl TieredKvPool {
                 .insert(key, QuantizedColBlock::quantize(block, kind));
         }
         true
-    }
-
-    /// The stored quantized payload of a cold-resident entry, for the
-    /// dequant-fused attend path. `None` for accounting-only entries, the
-    /// f32 control format, or keys no longer cold-resident.
-    pub fn payload(&self, key: CacheKey) -> Option<&QuantizedColBlock> {
-        self.payloads.get(&key)
     }
 
     /// Brownout rung-2 serve: the bytes of a cold-resident entry, served
@@ -812,7 +795,7 @@ mod tests {
             now += 6.0;
             p.tick(now);
         }
-        let share = p.controller().user_share();
+        let share = p.controller.user_share;
         assert!(
             (share - 0.1).abs() < 1e-9,
             "clamped to MIN_SHARE, got {share}"
@@ -829,7 +812,7 @@ mod tests {
             block.push_col(&[c as f32, -(c as f32)]);
         }
         assert!(p.demote_with_payload(ukey(1), Bytes::new(1000), 0.0, &block));
-        let q = p.payload(ukey(1)).expect("payload stored");
+        let q = p.payloads.get(&ukey(1)).expect("payload stored");
         let back = q.dequantize();
         for r in 0..2 {
             for (x, y) in block.plane(r).iter().zip(back.plane(r)) {
@@ -839,11 +822,14 @@ mod tests {
         // Evicting the entry (capacity pressure) drops the payload.
         assert!(p.demote_with_payload(ukey(2), Bytes::new(1000), 1.0, &block));
         assert!(p.demote_with_payload(ukey(3), Bytes::new(1000), 2.0, &block));
-        assert!(p.payload(ukey(1)).is_none(), "evicted with its accounting");
+        assert!(
+            !p.payloads.contains_key(&ukey(1)),
+            "evicted with its accounting"
+        );
         // Promotion releases the cold copy and payload.
         assert!(p.cold_lookup(ukey(3), Bytes::new(1000), 3.0).is_some());
         p.promote(ukey(3));
-        assert!(p.payload(ukey(3)).is_none());
+        assert!(!p.payloads.contains_key(&ukey(3)));
         assert_eq!(p.stats().cold_occupancy_bytes, 250, "only user 2 is left");
         assert_accounting(&p);
     }

@@ -59,11 +59,6 @@ impl TraceGenerator {
         &self.workload
     }
 
-    /// Current trace clock, seconds.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
     /// Builds the next request for a *given* user at an explicit arrival
     /// time (session replay drives this).
     ///

@@ -78,11 +78,6 @@ impl Workload {
         self.item_law
     }
 
-    /// Activity law over users (rank = user ID + 1).
-    pub fn user_law(&self) -> ZipfLaw {
-        self.user_law
-    }
-
     /// Upper clip for user profiles: the prompt must still fit the item
     /// block and instructions inside `max_prompt_tokens`.
     pub fn max_user_tokens(&self) -> TokenCount {

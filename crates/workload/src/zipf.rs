@@ -104,16 +104,6 @@ impl ZipfLaw {
         };
         (x.floor() as u64).clamp(1, self.n)
     }
-
-    /// Relative access probability of rank `r` (unnormalized `r^{-s}`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is 0 or exceeds `n`.
-    pub fn weight(&self, r: u64) -> f64 {
-        assert!(r >= 1 && r <= self.n, "rank out of range");
-        (r as f64).powf(-self.s)
-    }
 }
 
 #[cfg(test)]

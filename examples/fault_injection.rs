@@ -1,9 +1,9 @@
 //! Fault injection on real threads: killing a cache worker mid-trace.
 //!
 //! Attaches a seeded [`FaultSchedule`] to the engine config, then serves a
-//! live trace on the `bat-serve` runtime: the fault supervisor really stops
-//! the victim's worker thread at the crash point and respawns it at the
-//! restart point. The scheduler keeps routing around the outage (surviving
+//! live trace on the `bat-serve` runtime: at the crash point the fault
+//! supervisor severs the victim worker thread's link, which ends the
+//! thread, and at the restart point it spawns a fresh one. The scheduler keeps routing around the outage (surviving
 //! HRCS replicas for hot items, recompute fallback for cold-shard misses),
 //! so every request still completes. The same schedule then drives the
 //! discrete-event simulator, and the fault accounting matches exactly —

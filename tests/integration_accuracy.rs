@@ -66,8 +66,7 @@ fn softmax(xs: &[f64]) -> Vec<f64> {
 /// The rotation the model's own table holds for `pos`, read off by rotating
 /// `(1, 0)` pairs: the table is a model constant, so the reference uses its
 /// f32 entries exactly rather than recomputing them in `f64`.
-fn rope(table: &RopeTable, pos: usize, heads: &mut [f64]) {
-    let d = table.head_dim();
+fn rope(table: &RopeTable, d: usize, pos: usize, heads: &mut [f64]) {
     let mut probe: Vec<f32> = (0..d).map(|i| if i % 2 == 0 { 1.0 } else { 0.0 }).collect();
     table.apply(&mut probe, pos);
     for head in heads.chunks_exact_mut(d) {
@@ -101,8 +100,8 @@ fn reference_scores(w: &Weights, seq: &TokenSeq, candidates: &[u32]) -> Vec<f64>
         for (t, ht) in h.iter().enumerate() {
             let xn = rms_norm(ht, &lw.attn_norm);
             let (mut q, mut k) = (project(&xn, &lw.wq), project(&xn, &lw.wk));
-            rope(&table, seq.pos[t] as usize, &mut q);
-            rope(&table, seq.pos[t] as usize, &mut k);
+            rope(&table, d, seq.pos[t] as usize, &mut q);
+            rope(&table, d, seq.pos[t] as usize, &mut k);
             qs.push(q);
             ks.push(k);
             vs.push(project(&xn, &lw.wv));

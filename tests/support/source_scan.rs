@@ -1,7 +1,7 @@
 //! What the source-scan tests (`crates/*/tests/one_*.rs`) share: list a
 //! tree's `.rs` files, read a file's code without comments, its trailing
-//! `#[cfg(test)]` module or its other `#[cfg(test)]` items, and find names
-//! in it. Each scan pulls this file in with `#[path]`, so not every scan
+//! `#[cfg(test)]` module or its other `#[cfg(test)]` items, find names in
+//! it, and tell each identifier's role. Each scan pulls this file in with `#[path]`, so not every scan
 //! uses every helper.
 #![allow(dead_code)]
 
@@ -172,4 +172,243 @@ pub fn workspace_hits(names: &[&str], this_file: &str) -> Vec<String> {
     }
     assert!(scanned >= 100, "scanned only {scanned} files");
     found
+}
+
+/// What an identifier is where it stands in the code.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// The name a `fn` item defines, with how many parameters it takes,
+    /// `self` included; `None` for a `fn` in a macro's own syntax (neither
+    /// a body nor a `;` follows its parameters), whose expansion may take
+    /// others.
+    Defines(Option<usize>),
+    /// Called — `name(…)`, `Path::name(…)` or `.name(…)` — with this many
+    /// arguments, a method call's receiver included; `None` where the scan
+    /// cannot count them (a closure or a `<` among them).
+    Call(Option<usize>),
+    /// A path segment, next to `::`: a module, a type, or an item reached by
+    /// path — a function passed by value among them.
+    Path,
+    /// A field: read as `.name` without a call, or declared or keyed as
+    /// `name:`.
+    Field,
+    /// A local introduced by `let`, a `for` pattern, or a parameter of a
+    /// `fn` or a closure.
+    Binding,
+    /// A bare use of a name the enclosing `fn` bound before it: the local,
+    /// which shadows any function of that name.
+    Local,
+    /// Any other bare use: a value, which may be a function passed by value.
+    Value,
+}
+
+/// One identifier of a source, with the line it is on and its [`Role`].
+#[derive(Debug)]
+pub struct Ident {
+    pub line: usize,
+    pub name: String,
+    pub role: Role,
+}
+
+/// Every identifier in the code of `path` as [`code_lines_without_strings`]
+/// reads it, in order, each with its role. Bindings are tracked only as far
+/// as a name counts as a local rather than a value: `let` and `for`
+/// patterns and `fn` and closure parameters bind (match-arm patterns are
+/// left as values), and a binding covers the rest of its `fn`, closures
+/// and inner blocks included.
+pub fn identifiers(path: &Path) -> Vec<Ident> {
+    /// A word (an index into `names`), a number, or one punctuation char.
+    enum Tok {
+        Word(usize),
+        Number,
+        Punct(char),
+    }
+    let (mut names, mut lines, mut toks) = (Vec::new(), Vec::new(), Vec::new());
+    for (line, code) in code_lines_without_strings(path) {
+        let chars: Vec<char> = code.chars().collect();
+        let mut k = 0;
+        while k < chars.len() {
+            let len = chars[k..]
+                .iter()
+                .take_while(|&&c| c == '_' || c.is_alphanumeric())
+                .count();
+            if len == 0 {
+                if !chars[k].is_whitespace() {
+                    toks.push(Tok::Punct(chars[k]));
+                }
+                k += 1;
+                continue;
+            }
+            // A number literal (`1u64`, `0e5`) is no identifier.
+            if chars[k].is_ascii_digit() {
+                toks.push(Tok::Number);
+            } else {
+                toks.push(Tok::Word(names.len()));
+                names.push(chars[k..k + len].iter().collect::<String>());
+                lines.push(line);
+            }
+            k += len;
+        }
+    }
+    let punct = |k: usize| match toks.get(k) {
+        Some(Tok::Punct(c)) => Some(*c),
+        _ => None,
+    };
+    let word = |k: usize| match toks.get(k) {
+        Some(&Tok::Word(w)) => Some(names[w].as_str()),
+        _ => None,
+    };
+    let path_sep = |k: usize| punct(k) == Some(':') && punct(k + 1) == Some(':');
+    let opener = |k: usize| matches!(punct(k), Some('(' | '[' | '{'));
+    let closer = |k: usize| matches!(punct(k), Some(')' | ']' | '}'));
+    // The first token from `from` on, outside any bracket opened after it,
+    // that `stop` accepts (a closing bracket there closes an earlier one).
+    let find = |from: usize, stop: &dyn Fn(usize) -> bool| {
+        let mut nest = 0;
+        for k in from..toks.len() {
+            if nest == 0 && stop(k) {
+                return k;
+            }
+            nest += i32::from(opener(k)) - i32::from(closer(k));
+        }
+        toks.len()
+    };
+    // The `(` that opens the parameters of the `fn` named at `k`: the
+    // first one outside its generics.
+    let params = |k: usize| {
+        let mut angles = 0;
+        (k + 1..toks.len()).find(|&o| {
+            match punct(o) {
+                Some('<') => angles += 1,
+                Some('>') if punct(o - 1) != Some('-') => angles -= 1,
+                _ => {}
+            }
+            angles == 0 && punct(o) == Some('(')
+        })
+    };
+    // How many items the list opened at `open` holds: `None` when a
+    // closure's `|` or a `<` at its top level hides the count, except in a
+    // signature (`types`), where `<…>` brackets generic arguments.
+    let arguments = |open: usize, types: bool| {
+        let close = find(open + 1, &closer);
+        let (mut items, mut angles, mut k) = (usize::from(close > open + 1), 0, open + 1);
+        while k < close {
+            match punct(k) {
+                Some(',') if angles == 0 && k + 1 < close => items += 1,
+                Some('|') => return None,
+                Some('<') if !types => return None,
+                Some('<') => angles += 1,
+                Some('>') if types && punct(k - 1) != Some('-') => angles -= 1,
+                _ => {}
+            }
+            k = if opener(k) { find(k + 1, &closer) } else { k } + 1;
+        }
+        Some(items)
+    };
+    // The words a pattern in `from..to` binds: those ahead of a `:` of
+    // theirs, which starts a type.
+    let pattern = |from: usize, to: usize| {
+        let (mut nest, mut typed, mut words) = (0, false, Vec::new());
+        for (k, tok) in toks.iter().enumerate().take(to).skip(from) {
+            nest += i32::from(opener(k)) - i32::from(closer(k));
+            match *tok {
+                Tok::Punct(',') if nest == 0 => typed = false,
+                Tok::Punct(':') if !path_sep(k) && !path_sep(k - 1) => typed |= nest == 0,
+                Tok::Word(w) if !typed => words.push(w),
+                _ => {}
+            }
+        }
+        words
+    };
+
+    // Where each word stands, from its neighbours alone.
+    let mut roles = vec![Role::Value; names.len()];
+    for (k, tok) in toks.iter().enumerate() {
+        let &Tok::Word(w) = tok else { continue };
+        let before = |n: usize| k.checked_sub(n).and_then(punct);
+        roles[w] = if k > 0 && word(k - 1) == Some("fn") {
+            let open = params(k).unwrap_or(toks.len());
+            let after = find(find(open + 1, &closer) + 1, &|j| {
+                matches!(punct(j), Some('{' | ';' | '='))
+            });
+            Role::Defines(arguments(open, true).filter(|_| punct(after) != Some('=')))
+        } else if punct(k + 1) == Some('(') {
+            let receiver = usize::from(before(1) == Some('.'));
+            Role::Call(arguments(k + 1, false).map(|args| args + receiver))
+        } else if path_sep(k + 1) || (k >= 2 && path_sep(k - 2)) {
+            Role::Path
+        } else if (before(1) == Some('.') && before(2) != Some('.')) || punct(k + 1) == Some(':') {
+            Role::Field
+        } else {
+            Role::Value
+        };
+    }
+
+    // Bindings, and the bare uses of a name after the enclosing `fn` bound
+    // it: each `fn` with a body is a scope, `(where its body closes, the
+    // words it has bound)`.
+    let mut scopes: Vec<(usize, Vec<usize>)> = Vec::new();
+    for (k, tok) in toks.iter().enumerate() {
+        while scopes.last().is_some_and(|&(end, _)| end < k) {
+            scopes.pop();
+        }
+        let bound = match *tok {
+            Tok::Word(w) => match (roles[w], names[w].as_str()) {
+                (Role::Defines(_), _) => {
+                    let Some(open) = params(k) else { continue };
+                    let close = find(open + 1, &closer);
+                    let body = find(close + 1, &|j| matches!(punct(j), Some('{' | ';')));
+                    if punct(body) != Some('{') {
+                        continue; // declared without a body
+                    }
+                    scopes.push((find(body + 1, &closer), Vec::new()));
+                    pattern(open + 1, close)
+                }
+                (_, "let") => pattern(k + 1, find(k + 1, &|j| matches!(punct(j), Some('=' | ';')))),
+                (_, "for") if punct(k + 1) != Some('<') => {
+                    let stop = find(k + 1, &|j| {
+                        word(j) == Some("in") || matches!(punct(j), Some('{' | ';'))
+                    });
+                    if word(stop) != Some("in") {
+                        continue; // `impl Trait for Type`
+                    }
+                    pattern(k + 1, stop)
+                }
+                (Role::Value, name) => {
+                    let local = scopes
+                        .last()
+                        .is_some_and(|(_, bound)| bound.iter().any(|&b| names[b] == name));
+                    if local {
+                        roles[w] = Role::Local;
+                    }
+                    continue;
+                }
+                _ => continue,
+            },
+            // A closure's parameters, where an expression starts.
+            Tok::Punct('|')
+                if k.checked_sub(1).is_some_and(|b| {
+                    matches!(punct(b), Some('(' | ',' | '=' | '{' | ';' | '['))
+                        || matches!(word(b), Some("move" | "return"))
+                }) =>
+            {
+                pattern(k + 1, find(k + 1, &|j| punct(j) == Some('|')))
+            }
+            _ => continue,
+        };
+        for w in bound {
+            if matches!(roles[w], Role::Value | Role::Field) {
+                roles[w] = Role::Binding;
+                if let Some((_, scope)) = scopes.last_mut() {
+                    scope.push(w);
+                }
+            }
+        }
+    }
+    names
+        .into_iter()
+        .zip(lines)
+        .zip(roles)
+        .map(|((name, line), role)| Ident { line, name, role })
+        .collect()
 }
