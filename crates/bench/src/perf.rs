@@ -881,7 +881,7 @@ pub fn comparable(fresh: &PerfSummary, baseline: &PerfSummary) -> Result<(), Bas
 /// Compares a fresh summary against a committed baseline (the parsed
 /// `BENCH_KERNELS.json`), returning one line per kernel/forward entry that
 /// regressed by more than `tolerance` (fractional, e.g. `0.25` for the CI
-/// gate's 25 %, plus [`GATE_ABS_SLACK_SECS`]) — or that the fresh run no
+/// gate's 25 %, plus `GATE_ABS_SLACK_SECS`) — or that the fresh run no
 /// longer measures at all, since a silently dropped row would otherwise
 /// un-gate itself — or that the baseline is *stale*: a fresh row the
 /// baseline has no entry for means a kernel was added or renamed without

@@ -36,6 +36,12 @@ impl FaultCursor {
     /// Applies every event with `at_secs <= now` to `view`, invoking
     /// `on_applied` for each in schedule order. Idempotent for a fixed
     /// `now`: already-applied events never fire again.
+    ///
+    /// # Panics
+    ///
+    /// If `view` refuses an event: the schedule was validated on a fresh
+    /// view of its own sizes, so `view` must be one and must have seen
+    /// nothing but this cursor.
     pub fn advance_to(
         &mut self,
         now: f64,
@@ -46,7 +52,9 @@ impl FaultCursor {
             if event.at_secs > now {
                 break;
             }
-            let applied = view.apply(event);
+            let applied = view
+                .apply(event)
+                .expect("a validated schedule replays on a view of its sizes");
             on_applied(event, applied);
             self.next += 1;
         }
@@ -58,6 +66,10 @@ mod tests {
     use super::*;
     use crate::schedule::FaultKind;
     use bat_types::WorkerId;
+
+    fn ev(at_secs: f64, kind: FaultKind) -> FaultEvent {
+        FaultEvent { at_secs, kind }
+    }
 
     #[test]
     fn advance_applies_due_events_once() {
@@ -90,14 +102,8 @@ mod tests {
         let schedule = FaultSchedule::new(
             2,
             vec![
-                FaultEvent {
-                    at_secs: 5.0,
-                    kind: FaultKind::WorkerCrash(WorkerId::new(0)),
-                },
-                FaultEvent {
-                    at_secs: 5.0,
-                    kind: FaultKind::WorkerRestart(WorkerId::new(0)),
-                },
+                ev(5.0, FaultKind::WorkerCrash(WorkerId::new(0))),
+                ev(5.0, FaultKind::WorkerRestart(WorkerId::new(0))),
             ],
         )
         .unwrap();

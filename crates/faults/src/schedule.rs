@@ -1,5 +1,6 @@
 //! Fault schedules: validated, time-ordered fault event lists.
 
+use crate::view::ClusterView;
 use bat_types::{BatError, WorkerId};
 use rand::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -84,30 +85,21 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// Default size of the replicated meta group when a schedule (or an old
-/// serialized schedule that predates meta faults) doesn't say.
+/// Default size of the replicated meta group when a schedule doesn't say.
 pub const DEFAULT_META_NODES: usize = 3;
 
 /// A validated fault schedule for a cluster of `num_workers` cache workers
 /// and a replicated meta group of `meta_nodes` replicas.
 ///
-/// Invariants enforced at construction:
-/// * events are finite-timed, non-negative, and sorted by time (ties keep
-///   insertion order);
-/// * every crash targets a live worker and every restart a crashed one;
-/// * at least one cache worker is alive at every instant;
-/// * every meta crash targets a live replica, every meta restart a crashed
-///   one, and a majority of the meta group stays alive at every instant (a
-///   quorum-less group cannot commit, so such schedules are unservable);
-/// * link cuts target distinct in-range workers, cut only intact links, and
-///   heals only cut ones;
-/// * degrade factors are ≥ 1 and stall durations are > 0.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A schedule is built only through validation, and it is valid exactly
+/// when its events are finite-timed and non-negative and, sorted by time
+/// (ties keep insertion order), each one applies to a fresh
+/// [`ClusterView`] of its sizes: [`ClusterView::apply`] is the one place
+/// that decides which transitions are legal (no crash of a down worker, at
+/// least one worker and a meta quorum alive at every instant, …).
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSchedule {
     num_workers: usize,
-    /// 0 only in schedules deserialized from before meta faults existed;
-    /// [`FaultSchedule::meta_nodes`] normalizes that to the default.
-    #[serde(default)]
     meta_nodes: usize,
     events: Vec<FaultEvent>,
 }
@@ -143,180 +135,20 @@ impl FaultSchedule {
         if meta_nodes == 0 {
             return invalid("fault schedule needs at least one meta replica".into());
         }
-        for e in &events {
-            if !e.at_secs.is_finite() || e.at_secs < 0.0 {
-                return invalid(format!("fault at t={} must be finite and >= 0", e.at_secs));
-            }
-            match e.kind {
-                FaultKind::WorkerCrash(w)
-                | FaultKind::WorkerRestart(w)
-                | FaultKind::WorkerDrain(w)
-                | FaultKind::WorkerJoin(w) => {
-                    if w.index() >= num_workers {
-                        return invalid(format!(
-                            "fault targets {w} but the cluster has {num_workers} workers"
-                        ));
-                    }
-                }
-                FaultKind::MetaCrash(m) | FaultKind::MetaRestart(m) => {
-                    if m >= meta_nodes {
-                        return invalid(format!(
-                            "meta fault targets replica {m} but the group has {meta_nodes} nodes"
-                        ));
-                    }
-                }
-                FaultKind::CutLink { a, b } | FaultKind::HealLink { a, b } => {
-                    if a.index() >= num_workers || b.index() >= num_workers {
-                        return invalid(format!(
-                            "link fault {a}<->{b} exceeds the {num_workers}-worker cluster"
-                        ));
-                    }
-                    if a == b {
-                        return invalid(format!("link fault endpoints must differ, got {a}<->{b}"));
-                    }
-                }
-                FaultKind::SlowLink { a, b, factor } => {
-                    if a.index() >= num_workers || b.index() >= num_workers {
-                        return invalid(format!(
-                            "slow link {a}<->{b} exceeds the {num_workers}-worker cluster"
-                        ));
-                    }
-                    if a == b {
-                        return invalid(format!("slow link endpoints must differ, got {a}<->{b}"));
-                    }
-                    if !factor.is_finite() || factor < 1.0 {
-                        return invalid(format!("slow link factor {factor} must be >= 1"));
-                    }
-                }
-                FaultKind::LinkDegrade { factor } => {
-                    if !factor.is_finite() || factor < 1.0 {
-                        return invalid(format!("link degrade factor {factor} must be >= 1"));
-                    }
-                }
-                FaultKind::MetaStall { duration_secs } => {
-                    if !duration_secs.is_finite() || duration_secs <= 0.0 {
-                        return invalid(format!("meta stall duration {duration_secs} must be > 0"));
-                    }
-                }
-                FaultKind::LinkRestore => {}
-            }
+        if let Some(e) = events
+            .iter()
+            .find(|e| !e.at_secs.is_finite() || e.at_secs < 0.0)
+        {
+            return invalid(format!("fault at t={} must be finite and >= 0", e.at_secs));
         }
         events.sort_by(|a, b| {
             a.at_secs
                 .partial_cmp(&b.at_secs)
                 .expect("fault times are finite")
         });
-        // Replay membership to catch dead-worker crashes, double restarts,
-        // full-cluster loss, meta-quorum loss, and double link cuts.
-        let mut alive = vec![true; num_workers];
-        let mut n_alive = num_workers;
-        let mut meta_alive = vec![true; meta_nodes];
-        let mut n_meta_alive = meta_nodes;
-        let quorum = meta_nodes / 2 + 1;
-        let mut cut = vec![false; num_workers * num_workers];
+        let mut view = ClusterView::with_meta(num_workers, meta_nodes);
         for e in &events {
-            match e.kind {
-                FaultKind::WorkerCrash(w) => {
-                    if !alive[w.index()] {
-                        return invalid(format!(
-                            "{w} crashes at t={} while already down",
-                            e.at_secs
-                        ));
-                    }
-                    alive[w.index()] = false;
-                    n_alive -= 1;
-                    if n_alive == 0 {
-                        return invalid(format!(
-                            "all workers down at t={}; at least one must stay alive",
-                            e.at_secs
-                        ));
-                    }
-                }
-                FaultKind::WorkerDrain(w) => {
-                    if !alive[w.index()] {
-                        return invalid(format!(
-                            "{w} drains at t={} while already out of the membership",
-                            e.at_secs
-                        ));
-                    }
-                    alive[w.index()] = false;
-                    n_alive -= 1;
-                    if n_alive == 0 {
-                        return invalid(format!(
-                            "draining the last worker at t={} leaves nowhere to migrate; \
-                             at least one must stay alive",
-                            e.at_secs
-                        ));
-                    }
-                }
-                FaultKind::WorkerRestart(w) => {
-                    if alive[w.index()] {
-                        return invalid(format!("{w} restarts at t={} while alive", e.at_secs));
-                    }
-                    alive[w.index()] = true;
-                    n_alive += 1;
-                }
-                FaultKind::WorkerJoin(w) => {
-                    if alive[w.index()] {
-                        return invalid(format!(
-                            "{w} joins at t={} while its slot is still occupied",
-                            e.at_secs
-                        ));
-                    }
-                    alive[w.index()] = true;
-                    n_alive += 1;
-                }
-                FaultKind::MetaCrash(m) => {
-                    if !meta_alive[m] {
-                        return invalid(format!(
-                            "meta replica {m} crashes at t={} while already down",
-                            e.at_secs
-                        ));
-                    }
-                    meta_alive[m] = false;
-                    n_meta_alive -= 1;
-                    if n_meta_alive < quorum {
-                        return invalid(format!(
-                            "meta quorum lost at t={}: {n_meta_alive}/{meta_nodes} alive but \
-                             {quorum} needed to commit",
-                            e.at_secs
-                        ));
-                    }
-                }
-                FaultKind::MetaRestart(m) => {
-                    if meta_alive[m] {
-                        return invalid(format!(
-                            "meta replica {m} restarts at t={} while alive",
-                            e.at_secs
-                        ));
-                    }
-                    meta_alive[m] = true;
-                    n_meta_alive += 1;
-                }
-                FaultKind::CutLink { a, b } => {
-                    let idx = a.index() * num_workers + b.index();
-                    if cut[idx] {
-                        return invalid(format!(
-                            "link {a}<->{b} cut at t={} while already cut",
-                            e.at_secs
-                        ));
-                    }
-                    cut[idx] = true;
-                    cut[b.index() * num_workers + a.index()] = true;
-                }
-                FaultKind::HealLink { a, b } => {
-                    let idx = a.index() * num_workers + b.index();
-                    if !cut[idx] {
-                        return invalid(format!(
-                            "link {a}<->{b} heals at t={} while intact",
-                            e.at_secs
-                        ));
-                    }
-                    cut[idx] = false;
-                    cut[b.index() * num_workers + a.index()] = false;
-                }
-                _ => {}
-            }
+            view.apply(e)?;
         }
         Ok(FaultSchedule {
             num_workers,
@@ -550,14 +382,9 @@ impl FaultSchedule {
         self.num_workers
     }
 
-    /// Replicated meta-group size the schedule was validated against
-    /// (pre-meta serialized schedules read as [`DEFAULT_META_NODES`]).
+    /// Replicated meta-group size the schedule was validated against.
     pub fn meta_nodes(&self) -> usize {
-        if self.meta_nodes == 0 {
-            DEFAULT_META_NODES
-        } else {
-            self.meta_nodes
-        }
+        self.meta_nodes
     }
 
     /// True when the schedule contains meta-replica or link-partition
@@ -597,19 +424,17 @@ mod tests {
         WorkerId::new(i)
     }
 
+    fn ev(at_secs: f64, kind: FaultKind) -> FaultEvent {
+        FaultEvent { at_secs, kind }
+    }
+
     #[test]
     fn events_sort_by_time() {
         let s = FaultSchedule::new(
             4,
             vec![
-                FaultEvent {
-                    at_secs: 30.0,
-                    kind: FaultKind::WorkerRestart(w(1)),
-                },
-                FaultEvent {
-                    at_secs: 10.0,
-                    kind: FaultKind::WorkerCrash(w(1)),
-                },
+                ev(30.0, FaultKind::WorkerRestart(w(1))),
+                ev(10.0, FaultKind::WorkerCrash(w(1))),
             ],
         )
         .unwrap();
@@ -619,14 +444,7 @@ mod tests {
 
     #[test]
     fn rejects_out_of_range_worker() {
-        let err = FaultSchedule::new(
-            2,
-            vec![FaultEvent {
-                at_secs: 1.0,
-                kind: FaultKind::WorkerCrash(w(5)),
-            }],
-        )
-        .unwrap_err();
+        let err = FaultSchedule::new(2, vec![ev(1.0, FaultKind::WorkerCrash(w(5)))]).unwrap_err();
         assert!(matches!(err, BatError::InvalidConfig(_)), "{err}");
     }
 
@@ -635,24 +453,12 @@ mod tests {
         let double = FaultSchedule::new(
             3,
             vec![
-                FaultEvent {
-                    at_secs: 1.0,
-                    kind: FaultKind::WorkerCrash(w(0)),
-                },
-                FaultEvent {
-                    at_secs: 2.0,
-                    kind: FaultKind::WorkerCrash(w(0)),
-                },
+                ev(1.0, FaultKind::WorkerCrash(w(0))),
+                ev(2.0, FaultKind::WorkerCrash(w(0))),
             ],
         );
         assert!(double.is_err());
-        let spurious = FaultSchedule::new(
-            3,
-            vec![FaultEvent {
-                at_secs: 1.0,
-                kind: FaultKind::WorkerRestart(w(0)),
-            }],
-        );
+        let spurious = FaultSchedule::new(3, vec![ev(1.0, FaultKind::WorkerRestart(w(0)))]);
         assert!(spurious.is_err());
     }
 
@@ -661,14 +467,8 @@ mod tests {
         let err = FaultSchedule::new(
             2,
             vec![
-                FaultEvent {
-                    at_secs: 1.0,
-                    kind: FaultKind::WorkerCrash(w(0)),
-                },
-                FaultEvent {
-                    at_secs: 2.0,
-                    kind: FaultKind::WorkerCrash(w(1)),
-                },
+                ev(1.0, FaultKind::WorkerCrash(w(0))),
+                ev(2.0, FaultKind::WorkerCrash(w(1))),
             ],
         )
         .unwrap_err();
@@ -677,30 +477,15 @@ mod tests {
 
     #[test]
     fn rejects_bad_factors_and_durations() {
+        assert!(
+            FaultSchedule::new(2, vec![ev(1.0, FaultKind::LinkDegrade { factor: 0.5 })]).is_err()
+        );
         assert!(FaultSchedule::new(
             2,
-            vec![FaultEvent {
-                at_secs: 1.0,
-                kind: FaultKind::LinkDegrade { factor: 0.5 },
-            }],
+            vec![ev(1.0, FaultKind::MetaStall { duration_secs: 0.0 })],
         )
         .is_err());
-        assert!(FaultSchedule::new(
-            2,
-            vec![FaultEvent {
-                at_secs: 1.0,
-                kind: FaultKind::MetaStall { duration_secs: 0.0 },
-            }],
-        )
-        .is_err());
-        assert!(FaultSchedule::new(
-            2,
-            vec![FaultEvent {
-                at_secs: f64::NAN,
-                kind: FaultKind::LinkRestore,
-            }],
-        )
-        .is_err());
+        assert!(FaultSchedule::new(2, vec![ev(f64::NAN, FaultKind::LinkRestore)]).is_err());
     }
 
     #[test]
@@ -726,21 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn serializes_round_trip() {
-        let s = FaultSchedule::single_crash(4, w(1), 5.0, 25.0).unwrap();
-        let json = serde_json::to_string(&s).unwrap();
-        let back: FaultSchedule = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn old_serialized_schedules_default_meta_nodes() {
-        // JSON written before meta faults existed has no meta_nodes field.
-        let back: FaultSchedule = serde_json::from_str(r#"{"num_workers":4,"events":[]}"#).unwrap();
-        assert_eq!(back.meta_nodes(), DEFAULT_META_NODES);
-    }
-
-    #[test]
     fn meta_crash_keeps_quorum() {
         let ok = FaultSchedule::single_meta_crash(4, 3, 0, 10.0, 30.0).unwrap();
         assert_eq!(ok.meta_nodes(), 3);
@@ -759,14 +529,8 @@ mod tests {
             4,
             3,
             vec![
-                FaultEvent {
-                    at_secs: 1.0,
-                    kind: FaultKind::MetaCrash(0),
-                },
-                FaultEvent {
-                    at_secs: 2.0,
-                    kind: FaultKind::MetaCrash(1),
-                },
+                ev(1.0, FaultKind::MetaCrash(0)),
+                ev(2.0, FaultKind::MetaCrash(1)),
             ],
         )
         .unwrap_err();
@@ -779,35 +543,17 @@ mod tests {
             4,
             3,
             vec![
-                FaultEvent {
-                    at_secs: 1.0,
-                    kind: FaultKind::MetaCrash(1),
-                },
-                FaultEvent {
-                    at_secs: 2.0,
-                    kind: FaultKind::MetaCrash(1),
-                },
+                ev(1.0, FaultKind::MetaCrash(1)),
+                ev(2.0, FaultKind::MetaCrash(1)),
             ],
         )
         .is_err());
-        assert!(FaultSchedule::with_meta_nodes(
-            4,
-            3,
-            vec![FaultEvent {
-                at_secs: 1.0,
-                kind: FaultKind::MetaRestart(0),
-            }],
-        )
-        .is_err());
-        assert!(FaultSchedule::with_meta_nodes(
-            4,
-            3,
-            vec![FaultEvent {
-                at_secs: 1.0,
-                kind: FaultKind::MetaCrash(7),
-            }],
-        )
-        .is_err());
+        assert!(
+            FaultSchedule::with_meta_nodes(4, 3, vec![ev(1.0, FaultKind::MetaRestart(0))]).is_err()
+        );
+        assert!(
+            FaultSchedule::with_meta_nodes(4, 3, vec![ev(1.0, FaultKind::MetaCrash(7))]).is_err()
+        );
     }
 
     #[test]
@@ -823,14 +569,8 @@ mod tests {
         assert!(FaultSchedule::new(
             3,
             vec![
-                FaultEvent {
-                    at_secs: 1.0,
-                    kind: FaultKind::WorkerCrash(w(0)),
-                },
-                FaultEvent {
-                    at_secs: 2.0,
-                    kind: FaultKind::WorkerDrain(w(0)),
-                },
+                ev(1.0, FaultKind::WorkerCrash(w(0))),
+                ev(2.0, FaultKind::WorkerDrain(w(0))),
             ],
         )
         .is_err());
@@ -838,14 +578,8 @@ mod tests {
         let err = FaultSchedule::new(
             2,
             vec![
-                FaultEvent {
-                    at_secs: 1.0,
-                    kind: FaultKind::WorkerCrash(w(0)),
-                },
-                FaultEvent {
-                    at_secs: 2.0,
-                    kind: FaultKind::WorkerDrain(w(1)),
-                },
+                ev(1.0, FaultKind::WorkerCrash(w(0))),
+                ev(2.0, FaultKind::WorkerDrain(w(1))),
             ],
         )
         .unwrap_err();
@@ -855,25 +589,12 @@ mod tests {
         assert!(FaultSchedule::new(
             3,
             vec![
-                FaultEvent {
-                    at_secs: 1.0,
-                    kind: FaultKind::WorkerCrash(w(2)),
-                },
-                FaultEvent {
-                    at_secs: 2.0,
-                    kind: FaultKind::WorkerJoin(w(2)),
-                },
+                ev(1.0, FaultKind::WorkerCrash(w(2))),
+                ev(2.0, FaultKind::WorkerJoin(w(2))),
             ],
         )
         .is_ok());
-        assert!(FaultSchedule::new(
-            3,
-            vec![FaultEvent {
-                at_secs: 1.0,
-                kind: FaultKind::WorkerJoin(w(2)),
-            }],
-        )
-        .is_err());
+        assert!(FaultSchedule::new(3, vec![ev(1.0, FaultKind::WorkerJoin(w(2)))]).is_err());
     }
 
     #[test]
@@ -897,14 +618,8 @@ mod tests {
         let ok = FaultSchedule::new(
             4,
             vec![
-                FaultEvent {
-                    at_secs: 1.0,
-                    kind: FaultKind::CutLink { a: w(0), b: w(2) },
-                },
-                FaultEvent {
-                    at_secs: 5.0,
-                    kind: FaultKind::HealLink { a: w(2), b: w(0) },
-                },
+                ev(1.0, FaultKind::CutLink { a: w(0), b: w(2) }),
+                ev(5.0, FaultKind::HealLink { a: w(2), b: w(0) }),
             ],
         );
         // Heal may name the endpoints in either order: links are symmetric.
@@ -912,35 +627,19 @@ mod tests {
         assert!(ok.unwrap().has_meta_events());
 
         // Self-link, double cut, and spurious heal are rejected.
-        assert!(FaultSchedule::new(
-            4,
-            vec![FaultEvent {
-                at_secs: 1.0,
-                kind: FaultKind::CutLink { a: w(1), b: w(1) },
-            }],
-        )
-        .is_err());
+        assert!(
+            FaultSchedule::new(4, vec![ev(1.0, FaultKind::CutLink { a: w(1), b: w(1) })]).is_err()
+        );
         assert!(FaultSchedule::new(
             4,
             vec![
-                FaultEvent {
-                    at_secs: 1.0,
-                    kind: FaultKind::CutLink { a: w(0), b: w(1) },
-                },
-                FaultEvent {
-                    at_secs: 2.0,
-                    kind: FaultKind::CutLink { a: w(1), b: w(0) },
-                },
+                ev(1.0, FaultKind::CutLink { a: w(0), b: w(1) }),
+                ev(2.0, FaultKind::CutLink { a: w(1), b: w(0) }),
             ],
         )
         .is_err());
-        assert!(FaultSchedule::new(
-            4,
-            vec![FaultEvent {
-                at_secs: 1.0,
-                kind: FaultKind::HealLink { a: w(0), b: w(1) },
-            }],
-        )
-        .is_err());
+        assert!(
+            FaultSchedule::new(4, vec![ev(1.0, FaultKind::HealLink { a: w(0), b: w(1) })]).is_err()
+        );
     }
 }

@@ -34,7 +34,7 @@ const CLIENT_WORKER: usize = 0;
 /// Retry/redirect client for a [`MetaGroup`], hosted on a cache worker.
 ///
 /// Replica `m` of the group is hosted on worker `m % num_workers`; the
-/// client rides on [`CLIENT_WORKER`]. Meta-to-meta traffic runs on the
+/// client rides on `CLIENT_WORKER`. Meta-to-meta traffic runs on the
 /// control plane (unaffected by worker-fabric cuts), but the client's
 /// command path crosses the worker fabric — so a per-link partition that
 /// severs the client's worker from the leader's host makes the leader

@@ -364,7 +364,7 @@ impl GrModel {
     /// activations and the KV: each block takes its rows from the query
     /// projection to the unit's last residual on one thread, then computes
     /// the *next* layer's keys and values of those rows (norm, one K|V
-    /// product, RoPE; [`GrModel::layer_rows`]), which the caller appends to
+    /// product, RoPE; `GrModel::layer_rows`), which the caller appends to
     /// the next layer's blocks once the dispatch is over. One more row stage
     /// before the first layer computes layer 0's; the last layer runs the
     /// read-out rows ([`ForwardOutput`]) alone. Attention is

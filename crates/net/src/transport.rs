@@ -11,9 +11,9 @@
 //! construction-time choice.
 //!
 //! `ChannelTransport` is the reference backend: frames move through
-//! in-process pipes — a `Mutex<VecDeque>` and a `Condvar` each way — with
-//! no byte serialization, so it is immune to socket-layer bugs by
-//! construction. The socket backends must reproduce its observable
+//! in-process queues — one `Mutex` over both directions, a `Condvar` each
+//! way — with no byte serialization, so it is immune to socket-layer bugs
+//! by construction. The socket backends must reproduce its observable
 //! behavior bit for bit — that contract is pinned by the
 //! `integration_transport` determinism test.
 
@@ -138,75 +138,62 @@ pub trait Transport: Send + Sync {
 // Channel backend: the deterministic in-process oracle.
 // ---------------------------------------------------------------------------
 
-/// One direction of the duplex: the receiver side's frame queue plus the
-/// open/closed state of both endpoints, under one lock so a blocked `recv`
-/// can wait on the condvar and be woken by a send *or* either side's close.
-struct Pipe {
-    state: Mutex<PipeState>,
-    cond: Condvar,
+/// Both directions of an in-process duplex and whether it is open, under
+/// one lock: a blocked `recv` waits on its end's condvar and is woken by a
+/// send to it *or* by either end's close, and the close is one flag, so an
+/// end that has seen it — in a `recv` or a `send` — sees it everywhere.
+struct Duplex {
+    state: Mutex<DuplexState>,
+    /// One condvar per end, each waited on by that end's `recv`.
+    cond: [Condvar; 2],
 }
 
-struct PipeState {
-    queue: VecDeque<Frame>,
-    /// False once the sending side closed (or dropped): the receiver
-    /// drains buffered frames, then observes the disconnect.
-    sender_open: bool,
-    /// False once the receiving side closed locally: its own blocked
-    /// `recv` wakes immediately, and peer sends start failing.
-    receiver_open: bool,
+struct DuplexState {
+    /// The frames each end has yet to receive, by end.
+    queues: [VecDeque<Frame>; 2],
+    /// False once either end closed (or dropped): every send fails, and
+    /// each end drains what it has buffered, then observes the disconnect.
+    open: bool,
 }
 
-impl Pipe {
-    fn new() -> Arc<Pipe> {
-        Arc::new(Pipe {
-            state: Mutex::new(PipeState {
-                queue: VecDeque::new(),
-                sender_open: true,
-                receiver_open: true,
-            }),
-            cond: Condvar::new(),
-        })
-    }
-
-    fn lock(&self) -> MutexGuard<'_, PipeState> {
-        lock(&self.state)
-    }
-}
-
-/// In-process [`Conn`]: two condvar-backed frame queues. `recv` blocks
+/// In-process [`Conn`]: one end of a condvar-backed duplex. `recv` blocks
 /// natively (no polling), which keeps the channel oracle's delivery
 /// latency at thread-wakeup cost — the bar the socket backends are
 /// measured against.
 pub struct ChannelConn {
-    /// The pipe this side receives from.
-    rx: Arc<Pipe>,
-    /// The peer's receive pipe — this side's send target.
-    tx: Arc<Pipe>,
+    duplex: Arc<Duplex>,
+    /// This end's index: it receives from `queues[end]` and sends to the
+    /// other end's queue.
+    end: usize,
 }
 
 impl ChannelConn {
     /// Builds both ends of a duplex in-process connection.
     pub fn pair() -> (Arc<ChannelConn>, Arc<ChannelConn>) {
-        let (ab, ba) = (Pipe::new(), Pipe::new());
-        let a = Arc::new(ChannelConn {
-            rx: Arc::clone(&ba),
-            tx: Arc::clone(&ab),
+        let duplex = Arc::new(Duplex {
+            state: Mutex::new(DuplexState {
+                queues: [VecDeque::new(), VecDeque::new()],
+                open: true,
+            }),
+            cond: [Condvar::new(), Condvar::new()],
         });
-        let b = Arc::new(ChannelConn { rx: ab, tx: ba });
-        (a, b)
+        let a = Arc::new(ChannelConn {
+            duplex: Arc::clone(&duplex),
+            end: 0,
+        });
+        (a, Arc::new(ChannelConn { duplex, end: 1 }))
     }
-}
 
-impl ChannelConn {
     /// Queues `frames` on the peer under one lock and wakes it once.
     fn push(&self, frames: impl IntoIterator<Item = Frame>) -> Result<(), NetError> {
-        let mut tx = self.tx.lock();
-        if !tx.sender_open || !tx.receiver_open {
+        let peer = 1 - self.end;
+        let mut state = lock(&self.duplex.state);
+        if !state.open {
             return Err(NetError::Disconnected);
         }
-        tx.queue.extend(frames);
-        drop(tx);
-        self.tx.cond.notify_all();
+        state.queues[peer].extend(frames);
+        drop(state);
+        self.duplex.cond[peer].notify_all();
         Ok(())
     }
 }
@@ -223,41 +210,38 @@ impl Conn for ChannelConn {
         self.push(frames.drain(..))
     }
 
-    /// Blocks on the pipe's condvar until a frame or a disconnect.
+    /// Blocks on this end's condvar until a frame or a disconnect.
     fn recv(&self) -> Result<Frame, NetError> {
-        let mut rx = self.rx.lock();
+        let mut state = lock(&self.duplex.state);
         loop {
-            if let Some(frame) = rx.queue.pop_front() {
+            if let Some(frame) = state.queues[self.end].pop_front() {
                 return Ok(frame);
             }
-            if !rx.receiver_open || !rx.sender_open {
+            if !state.open {
                 return Err(NetError::Disconnected);
             }
-            rx = self
-                .rx
-                .cond
-                .wait(rx)
+            state = self.duplex.cond[self.end]
+                .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     fn try_recv(&self) -> Result<Option<Frame>, NetError> {
-        let mut rx = self.rx.lock();
-        if let Some(frame) = rx.queue.pop_front() {
+        let mut state = lock(&self.duplex.state);
+        if let Some(frame) = state.queues[self.end].pop_front() {
             return Ok(Some(frame));
         }
-        if !rx.receiver_open || !rx.sender_open {
+        if !state.open {
             return Err(NetError::Disconnected);
         }
         Ok(None)
     }
 
     fn close(&self) {
-        // Two independent locks, never held together: no ordering hazard.
-        self.rx.lock().receiver_open = false;
-        self.rx.cond.notify_all(); // wake our own blocked recv
-        self.tx.lock().sender_open = false;
-        self.tx.cond.notify_all(); // peer drains, then disconnects
+        lock(&self.duplex.state).open = false;
+        for cond in &self.duplex.cond {
+            cond.notify_all();
+        }
     }
 }
 
@@ -408,6 +392,24 @@ mod tests {
         assert_eq!(b.recv().unwrap_err(), NetError::Disconnected);
         assert_eq!(a.send(Frame::new(1, vec![])), Err(NetError::Disconnected));
         assert_eq!(a.recv().unwrap_err(), NetError::Disconnected);
+    }
+
+    #[test]
+    fn an_end_that_saw_its_close_can_no_longer_send() {
+        // A receive that reports the disconnect comes after the close in
+        // full: the same end's next send must already fail.
+        for round in 0..2_000 {
+            let (a, _b) = ChannelConn::pair();
+            let reader = Arc::clone(&a);
+            let reader = std::thread::spawn(move || {
+                let seen = reader.recv();
+                (seen, reader.send(Frame::new(1, vec![])))
+            });
+            a.close();
+            let (seen, sent) = reader.join().unwrap();
+            assert_eq!(seen, Err(NetError::Disconnected), "round {round}");
+            assert_eq!(sent, Err(NetError::Disconnected), "round {round}");
+        }
     }
 
     #[test]

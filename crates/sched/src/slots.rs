@@ -173,16 +173,27 @@ struct InflightRound {
     tokens: u64,
 }
 
+/// Where a worker slot stands. The machine decides none of it: it follows
+/// the transitions the fault view (`bat_faults::ClusterView`) accepted,
+/// and a crash, restart, drain or join the view refuses panics. A draining
+/// slot's round in flight runs to its boundary, where the remaining seated
+/// work migrates; nothing seats meanwhile. With `rejoin`, a join or restart
+/// landed inside the drain: the fresh worker seats at that boundary, after
+/// the migration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Membership {
+    In,
+    Draining { rejoin: bool },
+    Out,
+}
+
 #[derive(Debug, Clone)]
 struct WorkerSlots {
     seated: Vec<SlotReq>,
     inflight: Option<InflightRound>,
-    alive: bool,
-    /// Planned departure in progress: the in-flight round runs to
-    /// completion, then the remaining seated work migrates and the worker
-    /// retires. No new seats fill and no new rounds start meanwhile.
-    draining: bool,
-    /// Bumped on crash so stale finish events are recognized and dropped.
+    membership: Membership,
+    /// Bumped whenever the slot is vacated, so the finish event of a
+    /// cancelled round is recognized and dropped.
     gen: u64,
     last_finish: f64,
 }
@@ -239,8 +250,7 @@ impl BatchScheduler {
             .map(|_| WorkerSlots {
                 seated: Vec::new(),
                 inflight: None,
-                alive: true,
-                draining: false,
+                membership: Membership::In,
                 gen: 0,
                 last_finish: 0.0,
             })
@@ -282,9 +292,14 @@ impl BatchScheduler {
         &self.cfg
     }
 
-    /// Number of currently-live workers.
-    pub fn alive_workers(&self) -> usize {
-        self.workers.iter().filter(|w| w.alive).count()
+    /// Whether new work will be seated on worker `w`, now or — when it
+    /// rejoined inside a drain — at the drained round's boundary: the fault
+    /// view's `is_alive` at every instant.
+    pub fn is_member(&self, w: usize) -> bool {
+        matches!(
+            self.workers[w].membership,
+            Membership::In | Membership::Draining { rejoin: true }
+        )
     }
 
     /// Un-retired priced service currently queued or seated, seconds
@@ -365,13 +380,10 @@ impl BatchScheduler {
     /// Retires one popped finish event, dropping stale entries from
     /// cancelled (crashed) rounds.
     fn process_finish(&mut self, w: usize, gen: u64) {
-        if self.workers[w].gen != gen || !self.workers[w].alive {
-            return;
+        if self.workers[w].gen == gen {
+            let round = self.workers[w].inflight.take().expect("round in flight");
+            self.retire_round(w, round);
         }
-        let Some(round) = self.workers[w].inflight.take() else {
-            return;
-        };
-        self.retire_round(w, round);
     }
 
     /// Admits one priced request at nominal time `now`: it joins the
@@ -405,41 +417,29 @@ impl BatchScheduler {
     /// any) is cancelled — its chunk work is lost — and every seated
     /// request returns to the *front* of the global queue in seat order,
     /// keeping chunks already retired in earlier rounds. No request is
-    /// dropped, so the conservation law survives mid-batch crashes.
+    /// dropped, so the conservation law survives mid-batch crashes. A
+    /// crash of a worker that rejoined inside a drain cancels the drained
+    /// round too: the slot is one process, and it is gone.
     pub fn crash(&mut self, now: f64, w: usize) {
         self.advance(now);
-        let worker = &mut self.workers[w];
-        if !worker.alive {
-            return;
-        }
-        worker.alive = false;
-        worker.draining = false;
-        worker.gen += 1;
-        worker.inflight = None;
-        self.seated_total -= worker.seated.len();
-        for req in worker.seated.drain(..).rev() {
-            let mut req = req;
-            req.queued_at = now;
-            self.stats.migrated_requests += 1;
-            self.stats.migrated_tokens += req.remaining_tokens();
-            self.pending.push_front(req);
-        }
-        self.seat_idle_workers();
+        assert!(self.is_member(w), "worker {w} crashes while out");
+        self.vacate(w, now, Membership::Out);
     }
 
     /// Restarts worker `w` at nominal time `now` with empty seats; it
-    /// immediately refills from the global queue.
+    /// refills from the global queue at once, or — inside a drain — at the
+    /// drained round's boundary.
     pub fn restart(&mut self, now: f64, w: usize) {
-        self.advance(now);
-        let worker = &mut self.workers[w];
-        if worker.alive {
-            return;
-        }
-        worker.alive = true;
-        worker.draining = false;
-        worker.gen += 1;
-        worker.last_finish = now;
-        self.seat_idle_workers();
+        self.rejoin(now, w);
+    }
+
+    /// A fresh worker takes over slot `w` at nominal time `now` (planned
+    /// scale-out): a [`BatchScheduler::restart`] that the ledger counts as
+    /// a join, and that the serving runtime hands a brand-new process with
+    /// a bumped incarnation.
+    pub fn join(&mut self, now: f64, w: usize) {
+        self.stats.joins += 1;
+        self.rejoin(now, w);
     }
 
     /// Begins a *planned* departure of worker `w` at nominal time `now`.
@@ -448,49 +448,47 @@ impl BatchScheduler {
     /// meanwhile, and at the boundary every still-unfinished seated
     /// request migrates to the *front* of the global queue in seat order
     /// (chunks retired in earlier rounds stay retired). With no round in
-    /// flight the worker retires immediately.
+    /// flight the worker retires immediately. A drain of a worker that
+    /// rejoined inside an earlier drain withdraws the rejoin.
     pub fn drain(&mut self, now: f64, w: usize) {
         self.advance(now);
-        let worker = &mut self.workers[w];
-        if !worker.alive || worker.draining {
-            return;
-        }
+        assert!(self.is_member(w), "worker {w} drains while out");
         self.stats.drains += 1;
         if self.workers[w].inflight.is_some() {
-            self.workers[w].draining = true;
+            self.workers[w].membership = Membership::Draining { rejoin: false };
         } else {
-            self.retire_worker(w, now);
+            self.vacate(w, now, Membership::Out);
         }
     }
 
-    /// A fresh worker takes over slot `w` at nominal time `now` (planned
-    /// scale-out). It joins with empty seats and immediately refills from
-    /// the global queue, exactly like a restart — but the ledger counts it
-    /// as a join, and the serving runtime hands the slot a brand-new
-    /// process with a bumped incarnation.
-    pub fn join(&mut self, now: f64, w: usize) {
+    /// The one body of [`BatchScheduler::restart`] and
+    /// [`BatchScheduler::join`].
+    fn rejoin(&mut self, now: f64, w: usize) {
         self.advance(now);
         let worker = &mut self.workers[w];
-        if worker.alive {
-            return;
+        match worker.membership {
+            Membership::Out => {
+                worker.membership = Membership::In;
+                worker.gen += 1;
+                worker.last_finish = now;
+                self.seat_idle_workers();
+            }
+            Membership::Draining { rejoin: false } => {
+                worker.membership = Membership::Draining { rejoin: true };
+            }
+            _ => panic!("worker {w} rejoins while in the membership"),
         }
-        worker.alive = true;
-        worker.draining = false;
-        worker.gen += 1;
-        worker.last_finish = now;
-        self.stats.joins += 1;
-        self.seat_idle_workers();
     }
 
-    /// Completes a drain: migrates worker `w`'s remaining seated work to
-    /// the front of the global queue (seat order preserved) and removes
-    /// the worker from the membership.
-    fn retire_worker(&mut self, w: usize, at: f64) {
+    /// Empties worker `w` at nominal time `at`: its round in flight, if
+    /// any, is cancelled, its seated work migrates to the front of the
+    /// global queue (seat order preserved), and it becomes `next` — out,
+    /// or the fresh worker that rejoined inside a drain.
+    fn vacate(&mut self, w: usize, at: f64, next: Membership) {
         let worker = &mut self.workers[w];
-        debug_assert!(worker.inflight.is_none(), "retire with a round in flight");
-        worker.alive = false;
-        worker.draining = false;
+        worker.membership = next;
         worker.gen += 1;
+        worker.inflight = None;
         self.seated_total -= worker.seated.len();
         for req in worker.seated.drain(..).rev() {
             let mut req = req;
@@ -524,7 +522,7 @@ impl BatchScheduler {
     /// the last processed event.
     pub fn finish(&mut self) -> f64 {
         while self.retire_next() {}
-        if self.alive_workers() == 0 {
+        if !(0..self.workers.len()).any(|w| self.is_member(w)) {
             let now = self.now;
             while let Some(req) = self.pending.pop_front() {
                 self.sheds.push(BatchShed {
@@ -568,11 +566,15 @@ impl BatchScheduler {
         self.stats.rounds += 1;
         self.stats.chunks += round.seats as u64;
         self.stats.batched_tokens += tokens;
-        if self.workers[w].draining {
-            // Planned departure: the round that was in flight when the
-            // drain landed has now retired; migrate what remains instead
-            // of refilling.
-            self.retire_worker(w, finish);
+        if let Membership::Draining { rejoin } = self.workers[w].membership {
+            // The round in flight when the drain landed has retired:
+            // migrate what remains, then seat the rejoined worker, if any.
+            let next = if rejoin {
+                Membership::In
+            } else {
+                Membership::Out
+            };
+            self.vacate(w, finish, next);
             return;
         }
         self.fill_seats(w, finish, true);
@@ -589,10 +591,7 @@ impl BatchScheduler {
             if self.pending.is_empty() {
                 break;
             }
-            if !self.workers[w].alive
-                || self.workers[w].draining
-                || self.workers[w].inflight.is_some()
-            {
+            if self.workers[w].membership != Membership::In || self.workers[w].inflight.is_some() {
                 continue;
             }
             self.fill_seats(w, now, false);
@@ -857,19 +856,16 @@ mod tests {
         assert_eq!(st.migrated_tokens, 192);
         // Every token was still batched exactly once.
         assert_eq!(st.batched_tokens, 4 * 192);
-        assert_eq!(s.alive_workers(), 1);
+        assert!(!s.is_member(0) && s.is_member(1));
     }
 
     #[test]
     fn drain_of_an_idle_worker_retires_it_immediately() {
         let mut s = sched(2, 1, 64);
         s.drain(0.0, 0);
-        assert_eq!(s.alive_workers(), 1);
+        assert!(!s.is_member(0) && s.is_member(1));
         assert_eq!(s.stats().drains, 1);
         assert_eq!(s.stats().migrated_requests, 0);
-        // Draining again (or draining a retired worker) is a no-op.
-        s.drain(0.1, 0);
-        assert_eq!(s.stats().drains, 1);
         s.admit(0.2, 0, 64, 0.064, None);
         s.finish();
         assert_eq!(s.drain_completions().len(), 1);
@@ -885,10 +881,7 @@ mod tests {
         let mut s = sched(2, 1, 64);
         s.drain(0.0, 0);
         s.join(1.0, 0);
-        assert_eq!(s.alive_workers(), 2);
-        assert_eq!(s.stats().joins, 1);
-        // Joining an occupied slot is a no-op.
-        s.join(1.1, 0);
+        assert!(s.is_member(0) && s.is_member(1));
         assert_eq!(s.stats().joins, 1);
         s.admit(1.2, 0, 64, 0.064, None);
         s.admit(1.2, 1, 64, 0.064, None);
@@ -902,6 +895,50 @@ mod tests {
     }
 
     #[test]
+    fn a_rejoin_inside_a_drain_seats_after_the_drained_work_migrates() {
+        // As in the test above, worker 0's second round (requests 0 and 2)
+        // runs from t≈0.067 to t≈0.198, and the drain lands inside it. A
+        // fresh worker takes the slot at 0.15, before that boundary; with
+        // `drain_again`, a second drain withdraws it at 0.16.
+        for drain_again in [false, true] {
+            let mut s = sched(2, 2, 64);
+            for i in 0..4 {
+                s.admit(0.0, i, 192, 0.192, None);
+            }
+            s.drain(0.1, 0);
+            assert!(!s.is_member(0));
+            s.join(0.15, 0);
+            assert!(s.is_member(0), "the view counts the joined worker in");
+            if drain_again {
+                s.drain(0.16, 0);
+                assert!(!s.is_member(0));
+            }
+            let boundary = s
+                .drain_rounds()
+                .iter()
+                .filter(|r| r.worker == 0)
+                .map(|r| r.finish)
+                .fold(0.0, f64::max);
+            assert!(boundary > 0.16, "the drained round ends at {boundary}");
+            s.finish();
+            assert_eq!(s.drain_completions().len(), 4);
+            let st = s.stats();
+            assert_eq!((st.drains, st.joins), (1 + u64::from(drain_again), 1));
+            // The drained round retired whole; only what was left of its
+            // two seats migrated, before anything seated on the slot.
+            assert_eq!((st.migrated_requests, st.migrated_tokens), (2, 192));
+            assert_eq!(st.batched_tokens, 4 * 192);
+            let after = s
+                .drain_rounds()
+                .into_iter()
+                .filter(|r| r.worker == 0)
+                .count();
+            assert_eq!(after > 0, !drain_again, "{after} rounds on the slot after");
+            assert_eq!(s.is_member(0), !drain_again);
+        }
+    }
+
+    #[test]
     fn draining_the_last_worker_sheds_like_a_dead_cluster() {
         // The schedule validator refuses this; the machine itself must
         // still conserve if driven here directly.
@@ -912,7 +949,7 @@ mod tests {
         s.finish();
         assert_eq!(s.drain_completions().len(), 0);
         assert_eq!(s.drain_sheds().len(), 2);
-        assert_eq!(s.alive_workers(), 0);
+        assert!(!s.is_member(0));
     }
 
     #[test]
@@ -1034,7 +1071,7 @@ mod tests {
             }
             // Make sure at least one worker survives to drain the queue
             // (the all-dead case is covered by a unit test above).
-            if s.alive_workers() == 0 {
+            if !(0..n_workers).any(|w| s.is_member(w)) {
                 s.restart(t, 0);
             }
             s.finish();
@@ -1048,11 +1085,15 @@ mod tests {
             prop_assert!(st.batched_tokens <= total_tokens, "over-counted tokens");
         }
 
-        /// Tentpole conservation extension: random *membership* schedules —
-        /// interleaved drains, joins, crashes, and restarts at arbitrary
-        /// points in a bursty arrival stream — never lose or double-count a
-        /// request, and the migration ledger stays self-consistent (every
-        /// migrated request carried at least one remaining token).
+        /// Random *membership* churn — drains, joins, crashes and restarts
+        /// at arbitrary points of a bursty arrival stream, each possibly
+        /// bounced straight back and forth at the same instant (a rejoin,
+        /// and a drain again, inside a drained worker's round in flight) —
+        /// never loses or double-counts a request, and the migration ledger
+        /// stays self-consistent (every migrated request carried at least
+        /// one remaining token). The events are the ones a `ClusterView`
+        /// accepts, and after each the machine seats new work on exactly
+        /// the view's live workers and has counted every drain and join.
         #[test]
         fn conservation_under_random_membership_churn(
             seats in 1usize..4,
@@ -1060,31 +1101,47 @@ mod tests {
             n_workers in 2usize..6,
             jobs in proptest::collection::vec((1u64..500, 1u32..50, proptest::bool::ANY), 1..60),
             churn in proptest::collection::vec(
-                (0usize..60, 0u8..4, 0usize..6),
+                (0usize..60, 0u8..4, 0usize..6, 0usize..4),
                 0..12,
             ),
         ) {
+            use bat_faults::{ClusterView, FaultEvent, FaultKind};
+            use bat_types::WorkerId;
             let mut s = BatchScheduler::new(
                 BatchingConfig { slots_per_worker: seats, chunk_tokens: chunk },
                 0.002,
                 vec![1.0; n_workers],
             );
-            // Membership events keyed by arrival index. Invalid transitions
-            // (drain a dead worker, join an occupied slot, …) are no-ops in
-            // the machine, so the random stream needs no pre-validation.
+            let mut view = ClusterView::new(n_workers);
+            let (mut drains, mut joins) = (0, 0);
             let mut t = 0.0f64;
             let mut admitted = 0usize;
             for (i, (tokens, gap_ms, tight)) in jobs.iter().enumerate() {
                 t += *gap_ms as f64 * 1e-4;
-                for (at, kind, target) in &churn {
-                    if *at == i {
-                        let w = *target % n_workers;
+                for &(_, kind, target, bounces) in churn.iter().filter(|c| c.0 == i) {
+                    let w = target % n_workers;
+                    let id = WorkerId::new(w as u64);
+                    // The event, then its inverse, then the event again, …
+                    for kind in (0..=bounces).map(|b| kind ^ (b as u8 & 1)) {
+                        let kind = match kind {
+                            0 => FaultKind::WorkerDrain(id),
+                            1 => FaultKind::WorkerJoin(id),
+                            2 => FaultKind::WorkerCrash(id),
+                            _ => FaultKind::WorkerRestart(id),
+                        };
+                        if view.apply(&FaultEvent { at_secs: t, kind }).is_err() {
+                            break;
+                        }
                         match kind {
-                            0 => s.drain(t, w),
-                            1 => s.join(t, w),
-                            2 => s.crash(t, w),
+                            FaultKind::WorkerDrain(_) => { s.drain(t, w); drains += 1; }
+                            FaultKind::WorkerJoin(_) => { s.join(t, w); joins += 1; }
+                            FaultKind::WorkerCrash(_) => s.crash(t, w),
                             _ => s.restart(t, w),
                         }
+                        for v in 0..n_workers {
+                            prop_assert_eq!(s.is_member(v), view.is_alive(WorkerId::new(v as u64)));
+                        }
+                        prop_assert_eq!((s.stats().drains, s.stats().joins), (drains, joins));
                     }
                 }
                 let deadline = if *tight { Some(t + 0.05) } else { None };

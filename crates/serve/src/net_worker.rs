@@ -21,14 +21,14 @@
 //!    buffer (on a socket, whatever that receive's one read brought in)
 //!    and answers them with one [`Conn::send_batch`] — when the buffer
 //!    runs dry, before it blocks on the pacer (nothing finished waits out
-//!    a sleep), or at [`MAX_COALESCED_REPLIES`].
+//!    a sleep), or at `MAX_COALESCED_REPLIES`.
 //! 4. A worker fails one way, thread or child process: the parent severs
 //!    its conn (killing the process first, if there is one). The severed
 //!    worker's next receive or send finds the conn dead and ends the loop
 //!    with `Ok(())`; whatever it never acknowledged, the parent retires when
 //!    its reader sees the conn go down. A restart or a join is a fresh
 //!    worker on a fresh conn.
-//! 5. A [`ShutdownMsg`] — or the peer disconnecting — ends the loop.
+//! 5. A [`ShutdownMsg`](bat_net::ShutdownMsg) — or the peer disconnecting — ends the loop.
 //!
 //! [`maybe_child_worker`] is the child-process entry point: binaries (and
 //! the integration test) call it first thing in `main`; when the

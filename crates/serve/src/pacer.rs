@@ -6,7 +6,7 @@
 //! serving microsecond-priced frames would spend its life in the floor. A
 //! [`Pacer`] instead keeps the absolute instant its booked work ends,
 //! `busy_until = max(busy_until, now) + priced`, and blocks only once that
-//! instant has run more than one [`GRANULE`] ahead of the wall clock. Many
+//! instant has run more than one `GRANULE` ahead of the wall clock. Many
 //! small charges then share one sleep, a sleep that runs long is paid back
 //! by the charges queued behind it, and the emulated time is exact in
 //! aggregate: the finish instants a pacer hands out never drift from the
@@ -91,7 +91,7 @@ impl Pacer {
     }
 
     /// Blocks until the wall clock reaches the end of the booked work, if
-    /// that is more than a [`GRANULE`] away.
+    /// that is more than a `GRANULE` away.
     pub fn catch_up(&mut self) {
         if let Some(lead) = lead_over(self.busy_until) {
             thread::sleep(lead);

@@ -39,8 +39,8 @@
 //! when it is more than a sleep granule ahead of the wall clock. Every
 //! other wait is wake-driven: each link's reader blocks in a receive on its
 //! conn, and the scheduler's waits for dispatch credit and for the drained
-//! tail block on [`Progress`], which the readers and the fault supervisor
-//! notify. Each of those waits carries the [`WATCHDOG`]
+//! tail block on `Progress`, which the readers and the fault supervisor
+//! notify. Each of those waits carries the `WATCHDOG`
 //! no-progress deadline, so a lost completion fails the run with the
 //! worker, incarnation and oldest un-acked sequence number in the message
 //! instead of hanging it.

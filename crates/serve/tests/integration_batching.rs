@@ -239,3 +239,40 @@ fn batched_child_processes_survive_sigkill_and_count_chunks_once() {
     );
     assert_eq!(sim.digest(), rt.digest(), "stats digest diverged");
 }
+
+#[test]
+fn a_join_inside_a_drain_serves_as_the_simulator_runs_it() {
+    // The drain lands inside one of worker 1's rounds and the join before
+    // that round's boundary (`bat-sim`'s driver tests pin that it does):
+    // the fresh worker seats there, on every transport as in the simulator.
+    let ds = DatasetConfig::games();
+    let t = trace(&ds, 2.0, 300.0);
+    let whole_prompts = BatchingConfig {
+        slots_per_worker: 4,
+        chunk_tokens: 4096,
+    };
+    for eps in [1e-4, 1e-2] {
+        let schedule = FaultSchedule::drain_join(2, WorkerId::new(1), 1.0, 1.0 + eps).unwrap();
+        for batching in [None, Some(whole_prompts)] {
+            let cfg = EngineConfig::for_system(
+                SystemKind::Bat,
+                ModelConfig::qwen2_1_5b(),
+                ClusterConfig::a100_4node().with_nodes(2),
+                &ds,
+            )
+            .with_batching(batching)
+            .with_faults(Some(schedule.clone()));
+            let sim = ServingEngine::new(cfg.clone()).unwrap().run(&t);
+            let at = format!("join {eps} s after the drain, batching {batching:?}");
+            assert_eq!((sim.faults.joins, sim.batching.joins), (1, 1), "{at}");
+            for transport in [TransportKind::Channel, TransportKind::Uds] {
+                let opts = ServeOptions {
+                    transport,
+                    ..ServeOptions::default()
+                };
+                let rt = ServeRuntime::new(cfg.clone(), opts).unwrap().serve(&t);
+                assert_eq!(sim, rt, "{at}, {transport:?}: serve diverged");
+            }
+        }
+    }
+}

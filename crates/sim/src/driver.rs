@@ -355,6 +355,11 @@ impl<'a> SlotDriver<'a> {
                     AppliedFault::Joined(fresh, _) => self.machine.join(at, fresh.index()),
                     _ => {}
                 }
+                debug_assert!(
+                    (0..self.front.speeds.len()).all(|w| self.machine.is_member(w)
+                        == self.front.planner.is_worker_alive(w)),
+                    "the slot machine left the fault view's membership at t={at}"
+                );
             }
             self.emit_rounds(on_rounds);
         }
@@ -423,7 +428,7 @@ impl<'a> SlotDriver<'a> {
     /// Serves an arrival-sorted `trace` to completion. `before_arrival` is
     /// called with each request's nominal arrival before anything due then
     /// is processed; `on_rounds` with the rounds each step formed and then
-    /// with the tail in batches of at most [`ROUND_BATCH`], in `seq` order,
+    /// with the tail in batches of at most `ROUND_BATCH`, in `seq` order,
     /// every round exactly once. Returns the run's statistics and — under
     /// [`EngineConfig::record_requests`] — its per-request telemetry.
     pub fn run(
@@ -505,6 +510,53 @@ mod tests {
         // machine, not just the planner's report.
         assert_eq!((stats.faults.crashes, stats.faults.restarts), (1, 1));
         assert_eq!((stats.faults.drains, stats.batching.drains), (1, 1));
+    }
+
+    /// Four seats of whole Games prompts: a round lasts tens of
+    /// milliseconds.
+    const WHOLE_PROMPTS: BatchingConfig = BatchingConfig {
+        slots_per_worker: 4,
+        chunk_tokens: 4096,
+    };
+
+    #[test]
+    fn a_join_inside_the_drained_round_takes_the_slot_at_its_boundary() {
+        // Games on two nodes at 300 qps keeps worker 1 busy, so the drain
+        // at t=1 lands inside a round and the join lands before that
+        // round's boundary, under per-request and slot batching alike.
+        let ds = DatasetConfig::games();
+        let requests = trace(&ds, 2.0, 300.0);
+        for eps in [1e-4, 1e-2] {
+            for batching in [None, Some(WHOLE_PROMPTS)] {
+                let at = format!("join {eps} s after the drain, batching {batching:?}");
+                let schedule =
+                    FaultSchedule::drain_join(2, WorkerId::new(1), 1.0, 1.0 + eps).unwrap();
+                let cfg = config(&ds)
+                    .with_faults(Some(schedule))
+                    .with_batching(batching);
+                let mut planner = RequestPlanner::from_config(&cfg);
+                let driver = SlotDriver::new(&cfg, &mut planner);
+                let mut rounds = Vec::new();
+                let (stats, _) = driver.run(&requests, |_| {}, |r| rounds.extend_from_slice(r));
+                let on_1 = |r: &&RoundRecord| r.worker == 1;
+                let boundary = rounds
+                    .iter()
+                    .filter(on_1)
+                    .filter(|r| r.start <= 1.0)
+                    .map(|r| r.finish)
+                    .fold(0.0, f64::max);
+                assert!(
+                    boundary > 1.0 + eps,
+                    "{at}: drained round ends at {boundary}"
+                );
+                assert_eq!((stats.faults.joins, stats.batching.joins), (1, 1), "{at}");
+                assert!(
+                    rounds.iter().filter(on_1).any(|r| r.start >= boundary),
+                    "{at}: worker 1 never ran a round after the join"
+                );
+                assert_eq!(stats.completed, requests.len(), "{at}");
+            }
+        }
     }
 
     /// Games on two nodes at more than they serve, in 8-token chunks: the

@@ -101,7 +101,7 @@ pub(crate) fn item_region_budget(cluster: &ClusterConfig) -> Bytes {
 
 /// The HRCS item placement the paper's systems run (§5.1 "Offline
 /// Initialization"): Algorithm 1 picks the replication ratio, and the item
-/// region is fitted to [`item_region_budget`].
+/// region is fitted to `item_region_budget`.
 pub fn hrcs_plan(
     model: &ModelConfig,
     cluster: &ClusterConfig,

@@ -139,8 +139,8 @@ impl FaultState {
     fn new(schedule: FaultSchedule, rewarm_secs: f64, per_worker_budget: Bytes) -> Self {
         let n = schedule.num_workers();
         FaultState {
+            view: ClusterView::with_meta(n, schedule.meta_nodes()),
             cursor: FaultCursor::new(schedule),
-            view: ClusterView::new(n),
             report: FaultReport::default(),
             warm_incarnation: vec![0; n],
             rewarm_ready_at: vec![f64::NEG_INFINITY; n],
@@ -370,7 +370,7 @@ impl RequestPlanner {
     ///
     /// This is also the recovery path's re-warm hook: a worker returning
     /// from a crash has its shard and replica contents streamed back, and
-    /// becomes warm once the transfer completes ([`Self::settle_rewarms`]).
+    /// becomes warm once the transfer completes (`settle_rewarms`).
     pub fn refresh_item_replication(&mut self, now: f64) {
         self.settle_rewarms(now);
         if self.brownout_rung >= 1 {
@@ -1007,7 +1007,9 @@ mod tests {
 
     /// Applies `kind` straight to the view, as the cursor would.
     fn apply(fs: &mut FaultState, at_secs: f64, kind: bat_faults::FaultKind) {
-        fs.view.apply(&bat_faults::FaultEvent { at_secs, kind });
+        fs.view
+            .apply(&bat_faults::FaultEvent { at_secs, kind })
+            .unwrap();
         fs.refresh_reach();
     }
 

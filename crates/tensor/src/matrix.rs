@@ -218,7 +218,7 @@ impl Matrix {
     /// Matrix product `self × rhs`, on the calling thread.
     ///
     /// The workhorse kernel of the batched forward pass: a register-blocked
-    /// GEMM (see [`gemm_body`]). Every output element is one chain of fused
+    /// GEMM (see `gemm_body`). Every output element is one chain of fused
     /// multiply-adds, `acc = fma(a[r][k], b[k][c], acc)` from `0.0` in
     /// ascending `k`. The result is therefore bit-identical for any SIMD
     /// tier and any position of a row among the rows multiplied — so a

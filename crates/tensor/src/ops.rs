@@ -1,7 +1,7 @@
 //! Elementwise and reduction kernels: softmax, RMSNorm, SiLU, axpy and dot.
 //!
 //! The `fast_*` kernels and [`axpy`] / [`dot_fast`] / [`rms_norm_into`] are
-//! multiversioned (see [`crate::simd`]) and written in fused multiply-adds,
+//! multiversioned (see the crate's `simd` module) and written in fused multiply-adds,
 //! so they compute the same bits on every SIMD tier.
 
 use crate::matrix::{dot_unrolled, dot_unrolled_body, halve, halve_rows, LANES};

@@ -829,7 +829,7 @@ pub trait RowWeights {
     /// Turns the `H` score rows held back to back in `rows` into weights in
     /// place — `max[h]` is row `h`'s maximum — and returns the factor each
     /// row's weighted value sum is still to be multiplied by. Every row is
-    /// padded to the same whole number of [`LANES`]-chunks with `-inf`;
+    /// padded to the same whole number of `LANES`-chunks with `-inf`;
     /// what the padding becomes is never read.
     fn weigh<const H: usize>(rows: &mut [f32], max: [f32; H]) -> [f32; H];
 
@@ -847,7 +847,7 @@ pub trait RowWeights {
     }
 }
 
-/// Softmax attention: the weights are [`softmax_exp_sum_rows`]'
+/// Softmax attention: the weights are `softmax_exp_sum_rows`'
 /// unnormalised exponentials and the factor is the reciprocal of their sum,
 /// so the division touches a head's `head_dim` outputs instead of its `n`
 /// weights.
@@ -911,7 +911,7 @@ impl GroupAttention<'_> {
     ///
     /// Heads go through in tiles of 6, 4, 2 and 1; per tile:
     ///
-    /// 1. **Scores.** The allowed keys are walked in compact [`KEYS`]-key
+    /// 1. **Scores.** The allowed keys are walked in compact `KEYS`-key
     ///    chunks (two at a time on AVX-512 where a piece holds both, sharing
     ///    each `q` broadcast). The `head_dim` K-plane chunks are loaded once
     ///    and every head of the tile accumulates `acc = fma(q[c], K[c][j],
