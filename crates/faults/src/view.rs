@@ -467,6 +467,33 @@ mod tests {
         );
     }
 
+    // A caller that unwraps a refused transition panics with the view's
+    // message, naming the event's time and target.
+    #[test]
+    #[should_panic(expected = "w0 crashes at t=2 while already down")]
+    fn double_crash_panics() {
+        let mut v = ClusterView::new(2);
+        v.apply(&crash(1.0, 0)).unwrap();
+        v.apply(&crash(2.0, 0)).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "w0 drains at t=2 while already out of the membership")]
+    fn drain_of_downed_worker_panics() {
+        let mut v = ClusterView::new(2);
+        v.apply(&crash(1.0, 0)).unwrap();
+        v.apply(&event(2.0, FaultKind::WorkerDrain(WorkerId::new(0))))
+            .unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "meta replica 0 crashes at t=2 while already down")]
+    fn double_meta_crash_panics() {
+        let mut v = ClusterView::with_meta(2, 3);
+        v.apply(&event(1.0, FaultKind::MetaCrash(0))).unwrap();
+        v.apply(&event(2.0, FaultKind::MetaCrash(0))).unwrap();
+    }
+
     #[test]
     fn meta_stall_window_has_an_end() {
         let mut v = ClusterView::new(2);
