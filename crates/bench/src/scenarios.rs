@@ -109,9 +109,16 @@ pub fn slo_ledger(report: &mut Report, runs: &[(&str, &RunStats)]) {
     report.table(&header, &table);
 }
 
+/// Lists `schedule`'s events, each time as the shortest decimal that reads
+/// back as it (at least one decimal place), so events a hair apart print
+/// apart and in order.
 fn events(report: &mut Report, schedule: &FaultSchedule) {
     for e in schedule.events() {
-        report.line(format_args!("  t={:6.1}s  {:?}", e.at_secs, e.kind));
+        let mut at = e.at_secs.to_string();
+        if !at.contains('.') {
+            at += ".0";
+        }
+        report.line(format_args!("  t={at:>6}s  {:?}", e.kind));
     }
 }
 
@@ -646,4 +653,26 @@ pub fn membership(
     );
     report.gate("the served run lands the simulator's digest", digests_match);
     Ok((served, digests_match))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bat_types::WorkerId;
+
+    #[test]
+    fn event_times_print_apart_when_a_hair_apart() {
+        let mut report = Report::default();
+        let schedule = FaultSchedule::drain_join(2, WorkerId::new(1), 5.0, 5.0001).unwrap();
+        events(&mut report, &schedule);
+        let crash = FaultSchedule::single_crash(2, WorkerId::new(1), 100.0, 150.0).unwrap();
+        events(&mut report, &crash);
+        assert_eq!(
+            report.text,
+            "  t=   5.0s  WorkerDrain(WorkerId(1))\n\
+             \x20 t=5.0001s  WorkerJoin(WorkerId(1))\n\
+             \x20 t= 100.0s  WorkerCrash(WorkerId(1))\n\
+             \x20 t= 150.0s  WorkerRestart(WorkerId(1))\n"
+        );
+    }
 }

@@ -1,16 +1,16 @@
 //! The versioned length-prefixed frame format.
 //!
-//! Every message crosses the wire as one frame:
+//! Messages cross the wire in frames of one or more messages of one tag:
 //!
 //! ```text
 //!  offset  size  field
 //!       0     4  magic        0xBA7C0DE5, little-endian
-//!       4     1  version      protocol version (currently 4)
+//!       4     1  version      protocol version (currently 5)
 //!       5     1  msg_type     message vocabulary tag (see `messages`)
 //!       6     2  reserved     must be zero
 //!       8     4  payload_len  little-endian byte count of the payload
 //!      12     4  header_crc   CRC-32 (IEEE) over bytes 0..12
-//!      16     …  payload      `payload_len` bytes, message-specific codec
+//!      16     …  payload      `payload_len` bytes: the messages, back to back
 //! ```
 //!
 //! The CRC covers the header only: it is the cheap guard that keeps a
@@ -28,9 +28,10 @@ pub const MAGIC: u32 = 0xBA7C_0DE5;
 /// Current protocol version. Bump on any incompatible header or codec
 /// change; peers reject mismatches with [`NetError::BadVersion`]. Version 2
 /// dropped [`crate::HelloMsg`]'s batching and cost parameters. Version 3
-/// retired tags 6–8 (the meta command, meta response and fault event), and
-/// version 4 tag 4 (the orphan bounce).
-pub const VERSION: u8 = 4;
+/// retired tags 6–8 (the meta command, meta response and fault event),
+/// version 4 tag 4 (the orphan bounce), and version 5 lets a frame carry
+/// several messages of its tag (a one-message frame is otherwise 4's).
+pub const VERSION: u8 = 5;
 
 /// Encoded header size in bytes.
 pub const HEADER_LEN: usize = 16;
@@ -44,7 +45,7 @@ pub const MAX_PAYLOAD: usize = 64 << 20;
 pub struct Frame {
     /// Message vocabulary tag (see the `messages` module constants).
     pub msg_type: u8,
-    /// Message payload, encoded by that type's codec.
+    /// One or more messages of that type, back to back.
     pub payload: Vec<u8>,
 }
 
@@ -275,7 +276,7 @@ mod tests {
 
     #[test]
     fn bad_version_is_typed() {
-        for found in [2, 3, VERSION + 1] {
+        for found in [2, 3, 4, VERSION + 1] {
             let mut bytes = encode_frame(&Frame::new(1, vec![9]));
             bytes[4] = found;
             assert_eq!(

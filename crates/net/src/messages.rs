@@ -4,8 +4,8 @@
 //! | tag | message | direction | role |
 //! |-----|---------|-----------|------|
 //! | 1 | [`HelloMsg`] | scheduler → worker | handshake: index + clock base |
-//! | 2 | [`DispatchMsg`] | scheduler → worker | one priced job (a round) |
-//! | 3 | [`CompletionMsg`] | worker → scheduler | terminal outcome of a job |
+//! | 2 | [`DispatchMsg`] | scheduler → worker | one priced job (a round); a frame carries a link's rounds |
+//! | 3 | [`CompletionMsg`] | worker → scheduler | terminal outcome of a job; a frame carries a worker's replies |
 //! | 5 | [`ShutdownMsg`] | scheduler → worker | drain and exit |
 //! | 9 | [`KvSegmentMsg`] | worker ↔ worker | one packed KV layer, plane-major |
 //!

@@ -11,9 +11,9 @@
 //! The kernel delivers a socket's queued bytes before its end of stream, so
 //! a peer that sends five frames and crashes still delivers all five.
 //!
-//! The send side buffers: [`Conn::send_batch`] encodes every frame of a
-//! batch into the connection's `BufWriter` under one writer lock and
-//! flushes once, so a batch that fits the buffer costs one `write` call.
+//! The send side buffers: [`Conn::send`] writes a frame's header and
+//! payload into the connection's `BufWriter` under the writer lock and
+//! flushes once, so a frame that fits the buffer costs one `write` call.
 //!
 //! A [`SocketListener`] accepts through a pump thread that blocks in
 //! `accept` and queues wrapped connections, so a bounded-wait accept is a
@@ -31,9 +31,9 @@ use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex, TryLockError};
 use std::time::Duration;
 
-/// Bytes a [`SocketConn`] reads ahead per system call: a 1 024-round
-/// dispatch batch (≈ 54 KB) arrives in one read.
-const READ_BUFFER: usize = 64 << 10;
+/// Bytes a [`SocketConn`] buffers each way: a 1 024-round dispatch frame
+/// (≈ 34 KB) leaves in one write and arrives in one read.
+const BUFFER: usize = 64 << 10;
 
 /// The stream kinds a [`SocketConn`] can wrap.
 enum Stream {
@@ -105,9 +105,9 @@ impl SocketConn {
         if let Stream::Tcp(tcp) = &stream {
             tcp.set_nodelay(true).ok();
         }
-        let reader = BufReader::with_capacity(READ_BUFFER, stream.try_clone()?);
+        let reader = BufReader::with_capacity(BUFFER, stream.try_clone()?);
         Ok(Arc::new(SocketConn {
-            writer: Mutex::new(BufWriter::new(stream.try_clone()?)),
+            writer: Mutex::new(BufWriter::with_capacity(BUFFER, stream.try_clone()?)),
             reader: Mutex::new((reader, None)),
             raw: stream,
         }))
@@ -123,19 +123,6 @@ impl SocketConn {
     pub fn from_unix(stream: UnixStream) -> Result<Arc<SocketConn>, NetError> {
         Self::wrap(Stream::Unix(stream))
     }
-
-    /// Writes `frames` under one writer lock and flushes once.
-    fn write_all(&self, frames: &[Frame]) -> Result<(), NetError> {
-        if frames.is_empty() {
-            return Ok(());
-        }
-        let mut w = lock(&self.writer);
-        for frame in frames {
-            write_frame(&mut *w, frame)?;
-        }
-        w.flush()?;
-        Ok(())
-    }
 }
 
 /// Parks the first error a receive hits, so every later receive returns it.
@@ -145,13 +132,10 @@ fn park(fate: &mut Option<NetError>, e: NetError) -> NetError {
 
 impl Conn for SocketConn {
     fn send(&self, frame: Frame) -> Result<(), NetError> {
-        self.write_all(&[frame])
-    }
-
-    fn send_batch(&self, frames: &mut Vec<Frame>) -> Result<(), NetError> {
-        let sent = self.write_all(frames);
-        frames.clear();
-        sent
+        let mut w = lock(&self.writer);
+        write_frame(&mut *w, &frame)?;
+        w.flush()?;
+        Ok(())
     }
 
     fn recv(&self) -> Result<Frame, NetError> {
@@ -377,16 +361,12 @@ mod tests {
         let got = CompletionMsg::from_frame(&client.recv().unwrap()).unwrap();
         assert_eq!(got, c);
 
-        // A batch is one flush; its frames arrive whole and in order.
-        let mut batch: Vec<Frame> = (0..40u8)
-            .map(|i| Frame::new(9, vec![i; i as usize]))
-            .collect();
-        client.send_batch(&mut batch).unwrap();
-        assert!(batch.is_empty());
-        for i in 0..40u8 {
-            let frame = server.recv().unwrap();
-            assert_eq!(frame, Frame::new(9, vec![i; i as usize]));
-        }
+        // A 1 024-round dispatch frame arrives whole, its rounds in order.
+        let rounds: Vec<DispatchMsg> = (0..1024).map(|seq| DispatchMsg { seq, ..d }).collect();
+        client.send(DispatchMsg::batch_to_frame(&rounds)).unwrap();
+        let mut got = Vec::new();
+        DispatchMsg::batch_from_frame(&server.recv().unwrap(), &mut got).unwrap();
+        assert_eq!(got, rounds);
         assert_eq!(server.try_recv().unwrap(), None);
 
         // Peer close surfaces as Disconnected after the buffer drains.
@@ -395,16 +375,14 @@ mod tests {
         assert_eq!(client.recv().unwrap().msg_type, 5);
         assert_eq!(client.recv().unwrap_err(), NetError::Disconnected);
 
-        // A batch to the closed peer is a typed error, not a panic or a
+        // A frame to the closed peer is a typed error, not a panic or a
         // hang — more than the socket buffers hold, so the write must see
-        // the close — and the caller gets its buffer back empty.
-        let mut batch: Vec<Frame> = (0..64).map(|_| Frame::new(9, vec![0; 1 << 16])).collect();
-        let err = client.send_batch(&mut batch).unwrap_err();
+        // the close.
+        let err = client.send(Frame::new(9, vec![0; 4 << 20])).unwrap_err();
         assert!(
             matches!(err, NetError::Disconnected | NetError::Io(_)),
             "{err:?}"
         );
-        assert!(batch.is_empty());
 
         // The listener's accept is a timed wait, and a second peer still
         // gets through afterwards.
@@ -504,7 +482,7 @@ mod tests {
                 }
             })
             .collect();
-        assert!(segments[0].to_frame().wire_len() > READ_BUFFER);
+        assert!(segments[0].to_frame().wire_len() > BUFFER);
         let sent = segments.clone();
         // More than the socket buffers hold: the writer needs the reader.
         let writer = std::thread::spawn(move || {

@@ -4,11 +4,10 @@
 //! A transport gives the runtime three things: `listen` (bind a named
 //! endpoint), `accept` (wait for a peer), and `connect` (dial one). Both
 //! sides then hold a [`Conn`] — a bidirectional, frame-oriented pipe with
-//! single and batched sends and blocking and non-blocking receives (a
-//! blocking receive waits on a condvar or in a read; none polls). The
-//! serving runtime is written against these traits only; whether frames
-//! cross an in-process pipe, a Unix socket, or a TCP loopback is a
-//! construction-time choice.
+//! sends and blocking and non-blocking receives (a blocking receive waits
+//! on a condvar or in a read; none polls). The serving runtime is written
+//! against these traits only; whether frames cross an in-process pipe, a
+//! Unix socket, or a TCP loopback is a construction-time choice.
 //!
 //! `ChannelTransport` is the reference backend: frames move through
 //! in-process queues — one `Mutex` over both directions, a `Condvar` each
@@ -38,16 +37,6 @@ pub trait Conn: Send + Sync {
     /// [`NetError::Disconnected`] when the peer is gone; socket backends
     /// may surface other typed I/O failures.
     fn send(&self, frame: Frame) -> Result<(), NetError>;
-
-    /// Sends every frame of `frames` in order, as one write where the
-    /// backend can, and leaves `frames` empty (its capacity is the
-    /// caller's to reuse). An empty batch touches nothing.
-    ///
-    /// # Errors
-    ///
-    /// As [`Conn::send`]. A failed batch counts as unsent as a whole: the
-    /// connection is dead, and the peer may have seen any prefix of it.
-    fn send_batch(&self, frames: &mut Vec<Frame>) -> Result<(), NetError>;
 
     /// Blocks until a frame arrives.
     ///
@@ -183,31 +172,20 @@ impl ChannelConn {
         });
         (a, Arc::new(ChannelConn { duplex, end: 1 }))
     }
+}
 
-    /// Queues `frames` on the peer under one lock and wakes it once.
-    fn push(&self, frames: impl IntoIterator<Item = Frame>) -> Result<(), NetError> {
+impl Conn for ChannelConn {
+    /// Queues `frame` on the peer and wakes it.
+    fn send(&self, frame: Frame) -> Result<(), NetError> {
         let peer = 1 - self.end;
         let mut state = lock(&self.duplex.state);
         if !state.open {
             return Err(NetError::Disconnected);
         }
-        state.queues[peer].extend(frames);
+        state.queues[peer].push_back(frame);
         drop(state);
         self.duplex.cond[peer].notify_all();
         Ok(())
-    }
-}
-
-impl Conn for ChannelConn {
-    fn send(&self, frame: Frame) -> Result<(), NetError> {
-        self.push([frame])
-    }
-
-    fn send_batch(&self, frames: &mut Vec<Frame>) -> Result<(), NetError> {
-        if frames.is_empty() {
-            return Ok(());
-        }
-        self.push(frames.drain(..))
     }
 
     /// Blocks on this end's condvar until a frame or a disconnect.
@@ -418,23 +396,6 @@ mod tests {
         drop(b);
         assert_eq!(a.recv().unwrap_err(), NetError::Disconnected);
         assert_eq!(a.send(Frame::new(1, vec![])), Err(NetError::Disconnected));
-    }
-
-    #[test]
-    fn batch_arrives_in_order_and_a_closed_peer_fails_it_whole() {
-        let (a, b) = ChannelConn::pair();
-        let mut frames: Vec<Frame> = (0..5u8).map(|i| Frame::new(i, vec![i])).collect();
-        let capacity = frames.capacity();
-        a.send_batch(&mut frames).unwrap();
-        assert!(frames.is_empty() && frames.capacity() == capacity);
-        for i in 0..5u8 {
-            assert_eq!(b.recv().unwrap(), Frame::new(i, vec![i]));
-        }
-        assert_eq!(b.try_recv().unwrap(), None);
-        b.close();
-        frames.extend((0..3u8).map(|i| Frame::new(i, vec![])));
-        assert_eq!(a.send_batch(&mut frames), Err(NetError::Disconnected));
-        assert!(frames.is_empty());
     }
 
     #[test]

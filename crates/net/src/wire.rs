@@ -5,8 +5,8 @@
 //! the property the channel-vs-socket determinism pin depends on. Decoders
 //! never index past the buffer: every read goes through [`WireReader`],
 //! which returns [`NetError::Truncated`] instead of panicking, and
-//! [`WireReader::finish`] rejects trailing garbage so a frame is either
-//! exactly one message or a typed error.
+//! [`WireReader::finish`] rejects trailing garbage, so a frame is exactly
+//! its messages, back to back, or a typed error.
 
 use crate::error::NetError;
 use crate::frame::Frame;
@@ -128,7 +128,7 @@ impl<'a> WireReader<'a> {
         Ok(())
     }
 
-    /// Asserts the payload is fully consumed: one frame, one message.
+    /// Asserts the payload is fully consumed.
     ///
     /// # Errors
     ///
@@ -175,7 +175,7 @@ pub fn put_opt_f64(buf: &mut Vec<u8>, v: Option<f64>) {
     }
 }
 
-/// A message that knows how to cross the wire as one frame.
+/// A message that crosses the wire in frames of one or more of its type.
 pub trait WireCodec: Sized {
     /// The frame-header tag identifying this message type.
     const MSG_TYPE: u8;
@@ -183,37 +183,70 @@ pub trait WireCodec: Sized {
     /// Appends this message's payload bytes to `buf`.
     fn encode_payload(&self, buf: &mut Vec<u8>);
 
-    /// Decodes the payload (without the trailing-bytes check — callers go
-    /// through [`WireCodec::from_frame`], which enforces it).
+    /// Decodes one message at the reader's position (callers go through
+    /// [`WireCodec::from_frame`] or [`WireCodec::batch_from_frame`]).
     ///
     /// # Errors
     ///
     /// [`NetError::Truncated`] or [`NetError::Decode`] on malformed bytes.
     fn decode_payload(r: &mut WireReader<'_>) -> Result<Self, NetError>;
 
-    /// Encodes into a ready-to-send frame.
-    fn to_frame(&self) -> Frame {
+    /// Encodes `msgs`, back to back in order, into one frame. An empty
+    /// slice makes a frame no decoder takes.
+    fn batch_to_frame(msgs: &[Self]) -> Frame {
         let mut payload = Vec::new();
-        self.encode_payload(&mut payload);
+        for msg in msgs {
+            msg.encode_payload(&mut payload);
+        }
         Frame::new(Self::MSG_TYPE, payload)
     }
 
-    /// Decodes from a frame, checking the type tag and rejecting trailing
-    /// bytes.
+    /// Encodes into a ready-to-send one-message frame.
+    fn to_frame(&self) -> Frame {
+        Self::batch_to_frame(std::slice::from_ref(self))
+    }
+
+    /// Appends every message of `frame` to `out`, in order. On an error
+    /// `out` is left as it was.
     ///
     /// # Errors
     ///
     /// [`NetError::UnknownMsgType`] on a tag mismatch, plus any payload
-    /// decode error.
-    fn from_frame(frame: &Frame) -> Result<Self, NetError> {
-        if frame.msg_type != Self::MSG_TYPE {
-            return Err(NetError::UnknownMsgType(frame.msg_type));
+    /// decode error: [`NetError::Truncated`] for a payload that ends inside
+    /// a message, an empty one included (but for a zero-byte message).
+    fn batch_from_frame(frame: &Frame, out: &mut Vec<Self>) -> Result<(), NetError> {
+        let (mut r, len) = (payload_of::<Self>(frame)?, out.len());
+        loop {
+            let left = r.remaining();
+            let msg = Self::decode_payload(&mut r).inspect_err(|_| out.truncate(len))?;
+            out.push(msg);
+            // A zero-byte message (a shutdown) ends the frame.
+            if r.remaining() == 0 || r.remaining() == left {
+                return r.finish().inspect_err(|_| out.truncate(len));
+            }
         }
-        let mut r = WireReader::new(&frame.payload);
+    }
+
+    /// Decodes a one-message frame.
+    ///
+    /// # Errors
+    ///
+    /// As [`WireCodec::batch_from_frame`], plus [`NetError::Decode`] when
+    /// bytes remain after the message — a second one, or garbage.
+    fn from_frame(frame: &Frame) -> Result<Self, NetError> {
+        let mut r = payload_of::<Self>(frame)?;
         let msg = Self::decode_payload(&mut r)?;
         r.finish()?;
         Ok(msg)
     }
+}
+
+/// `frame`'s payload, once its tag is `M`'s.
+fn payload_of<M: WireCodec>(frame: &Frame) -> Result<WireReader<'_>, NetError> {
+    if frame.msg_type != M::MSG_TYPE {
+        return Err(NetError::UnknownMsgType(frame.msg_type));
+    }
+    Ok(WireReader::new(&frame.payload))
 }
 
 #[cfg(test)]

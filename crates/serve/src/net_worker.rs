@@ -6,20 +6,21 @@
 //!
 //! 1. First frame in is a [`HelloMsg`]: worker index and the scheduler's
 //!    virtual clock at send time (the worker's clock base).
-//! 2. Every [`DispatchMsg`] is one round the scheduler's batch machine
-//!    formed, seated and priced — batching, overhead, straggler scaling and
-//!    deadline sheds all happened there. The worker "executes" it by booking
-//!    the priced duration on a [`Pacer`]: the round finishes at
+//! 2. A dispatch frame carries one or more [`DispatchMsg`]s, each one round
+//!    the scheduler's batch machine formed, seated and priced — batching,
+//!    overhead, straggler scaling and deadline sheds all happened there.
+//!    The worker "executes" the frame's rounds in order by booking each
+//!    one's priced duration on a [`Pacer`]: the round finishes at
 //!    `max(previous finish, now) + priced`, and the worker blocks only when
 //!    that runs more than a sleep granule ahead of the wall clock. Each
-//!    [`CompletionMsg`] carries the latency at the *paced* finish instant,
-//!    so a round's latency is never below its priced service, and priced
-//!    time adds up exactly over a busy period instead of gaining one timer
-//!    floor per round.
+//!    round gets its own [`CompletionMsg`], carrying the latency at the
+//!    *paced* finish instant, so a round's latency is never below its priced
+//!    service, and priced time adds up exactly over a busy period instead of
+//!    gaining one timer floor per round.
 //! 3. Replies are coalesced: after each blocking receive the worker keeps
 //!    serving the frames [`Conn::try_recv`] still finds whole in the read
 //!    buffer (on a socket, whatever that receive's one read brought in)
-//!    and answers them with one [`Conn::send_batch`] — when the buffer
+//!    and writes its queued completions as one frame — when the buffer
 //!    runs dry, before it blocks on the pacer (nothing finished waits out
 //!    a sleep), or at `MAX_COALESCED_REPLIES`.
 //! 4. A worker fails one way, thread or child process: the parent severs
@@ -38,8 +39,8 @@
 
 use crate::pacer::Pacer;
 use bat_net::{
-    CompletionMsg, Conn, DispatchMsg, Frame, HelloMsg, NetError, WireCodec, WireOutcome,
-    MSG_DISPATCH, MSG_HELLO, MSG_SHUTDOWN,
+    CompletionMsg, Conn, DispatchMsg, HelloMsg, NetError, WireCodec, WireOutcome, MSG_DISPATCH,
+    MSG_HELLO, MSG_SHUTDOWN,
 };
 use std::time::{Duration, Instant};
 
@@ -86,8 +87,8 @@ fn serve(conn: &dyn Conn) -> Result<(), NetError> {
         hello.virtual_now + t.saturating_duration_since(base).as_secs_f64() / hello.scale
     };
     let mut pacer = Pacer::new();
-    // Replies not yet written, reused across iterations.
-    let mut replies: Vec<Frame> = Vec::new();
+    // A frame's rounds, and the replies not yet written; reused.
+    let (mut jobs, mut replies) = (Vec::new(), Vec::new());
 
     loop {
         // Idle: block for a frame, then serve for as long as more are
@@ -95,44 +96,51 @@ fn serve(conn: &dyn Conn) -> Result<(), NetError> {
         let mut next = Some(conn.recv()?);
         let mut backlogged = false;
         while let Some(frame) = next.take() {
-            let job = match frame.msg_type {
-                MSG_SHUTDOWN => return conn.send_batch(&mut replies),
-                MSG_DISPATCH => DispatchMsg::from_frame(&frame)?,
+            match frame.msg_type {
+                MSG_SHUTDOWN => return reply(conn, &mut replies),
+                MSG_DISPATCH => DispatchMsg::batch_from_frame(&frame, &mut jobs)?,
                 other => return Err(NetError::UnknownMsgType(other)),
-            };
-            let service = job.service_virtual;
-            let finish = pacer.charge(Duration::from_secs_f64(service * hello.scale), backlogged);
-            if pacer.is_ahead() {
-                // Nothing that already finished waits out a sleep.
-                conn.send_batch(&mut replies)?;
-                pacer.catch_up();
             }
-            // Stamped at the paced finish, which a worker that did not
-            // block has yet to reach: never below the priced service.
-            let latency = (virtual_at(finish) - job.arrival_virtual).max(service);
-            let outcome = WireOutcome::Completed {
-                latency_virtual: latency,
-                missed: job.deadline_rel.is_some_and(|d| latency > d),
-            };
-            replies.push(completion(&hello, &job, outcome));
-            if replies.len() >= MAX_COALESCED_REPLIES {
-                conn.send_batch(&mut replies)?;
+            for job in jobs.drain(..) {
+                let service = job.service_virtual;
+                let priced = Duration::from_secs_f64(service * hello.scale);
+                let finish = pacer.charge(priced, backlogged);
+                if pacer.is_ahead() {
+                    // Nothing that already finished waits out a sleep.
+                    reply(conn, &mut replies)?;
+                    pacer.catch_up();
+                }
+                // Stamped at the paced finish, which a worker that did not
+                // block has yet to reach: never below the priced service.
+                let latency = (virtual_at(finish) - job.arrival_virtual).max(service);
+                replies.push(CompletionMsg {
+                    worker: hello.worker,
+                    seq: job.seq,
+                    suffix_tokens: job.suffix_tokens,
+                    outcome: WireOutcome::Completed {
+                        latency_virtual: latency,
+                        missed: job.deadline_rel.is_some_and(|d| latency > d),
+                    },
+                });
+                if replies.len() >= MAX_COALESCED_REPLIES {
+                    reply(conn, &mut replies)?;
+                }
+                backlogged = true;
             }
             next = conn.try_recv()?;
-            backlogged = true;
         }
-        conn.send_batch(&mut replies)?;
+        reply(conn, &mut replies)?;
     }
 }
 
-fn completion(hello: &HelloMsg, job: &DispatchMsg, outcome: WireOutcome) -> Frame {
-    CompletionMsg {
-        worker: hello.worker,
-        seq: job.seq,
-        suffix_tokens: job.suffix_tokens,
-        outcome,
+/// Writes the queued `replies`, if any, as one frame.
+fn reply(conn: &dyn Conn, replies: &mut Vec<CompletionMsg>) -> Result<(), NetError> {
+    if replies.is_empty() {
+        return Ok(());
     }
-    .to_frame()
+    let frame = CompletionMsg::batch_to_frame(replies);
+    replies.clear();
+    conn.send(frame)
 }
 
 /// Child-process entry point. Call this first thing in `main` (and in the
@@ -183,28 +191,36 @@ mod tests {
         }
     }
 
+    /// Receives completion frames until `n` completions have arrived,
+    /// decoding every message of each frame.
+    fn completions(parent: &dyn Conn, n: usize) -> Vec<CompletionMsg> {
+        let mut seen = Vec::new();
+        while seen.len() < n {
+            let before = seen.len();
+            CompletionMsg::batch_from_frame(&parent.recv().unwrap(), &mut seen).unwrap();
+            assert!(seen.len() - before <= MAX_COALESCED_REPLIES);
+        }
+        assert_eq!(seen.len(), n, "a completion beyond the rounds sent");
+        seen
+    }
+
     #[test]
     fn serves_dispatches_until_shutdown() {
         let (parent, worker) = ChannelConn::pair();
         let handle = thread::spawn(move || run_net_worker(worker.as_ref()));
         parent.send(hello(1e-4).to_frame()).unwrap();
-        for seq in 0..3u64 {
-            parent
-                .send(
-                    DispatchMsg {
-                        seq,
-                        arrival_virtual: 0.0,
-                        suffix_tokens: 10,
-                        service_virtual: 0.001,
-                        deadline_rel: None,
-                    }
-                    .to_frame(),
-                )
-                .unwrap();
-        }
+        let rounds: Vec<DispatchMsg> = (0..3u64)
+            .map(|seq| DispatchMsg {
+                seq,
+                arrival_virtual: 0.0,
+                suffix_tokens: 10,
+                service_virtual: 0.001,
+                deadline_rel: None,
+            })
+            .collect();
+        parent.send(DispatchMsg::batch_to_frame(&rounds)).unwrap();
         let mut seen = Vec::new();
-        for _ in 0..3 {
-            let c = CompletionMsg::from_frame(&parent.recv().unwrap()).unwrap();
+        for c in completions(parent.as_ref(), 3) {
             assert!(matches!(c.outcome, WireOutcome::Completed { .. }));
             seen.push(c.seq);
         }
@@ -216,39 +232,41 @@ mod tests {
 
     #[test]
     fn backlog_is_paced_in_aggregate_and_stamped_at_the_paced_finish() {
-        // 200 frames queued before the worker starts, each priced at 1
-        // virtual second = 1 µs of wall time: far below the sleep granule,
-        // so the worker mostly does not block — and still every latency is
-        // at least its priced service, latencies grow by a full service
-        // per frame (one busy period), and the replies keep frame order.
+        // 200 rounds queued in frames of 30 before the worker starts, each
+        // priced at 1 virtual second = 1 µs of wall time: far below the
+        // sleep granule, so the worker mostly does not block — and still
+        // every latency is at least its priced service, latencies grow by a
+        // full service per round (one busy period), and the replies keep
+        // round order.
         let (parent, worker) = ChannelConn::pair();
         parent.send(hello(1e-6).to_frame()).unwrap();
         let service = 1.0;
-        for seq in 0..200u64 {
-            let dispatch = DispatchMsg {
+        let rounds: Vec<DispatchMsg> = (0..200u64)
+            .map(|seq| DispatchMsg {
                 seq,
                 arrival_virtual: 0.0,
                 suffix_tokens: 10,
                 service_virtual: service,
                 deadline_rel: None,
-            };
-            parent.send(dispatch.to_frame()).unwrap();
+            })
+            .collect();
+        for frame in rounds.chunks(30) {
+            parent.send(DispatchMsg::batch_to_frame(frame)).unwrap();
         }
         parent.send(ShutdownMsg.to_frame()).unwrap();
         let handle = thread::spawn(move || run_net_worker(worker.as_ref()));
         let mut last = 0.0;
-        for seq in 0..200u64 {
-            let c = CompletionMsg::from_frame(&parent.recv().unwrap()).unwrap();
+        for (seq, c) in (0..200u64).zip(completions(parent.as_ref(), 200)) {
             assert_eq!(c.seq, seq);
             let WireOutcome::Completed {
                 latency_virtual, ..
             } = c.outcome
             else {
-                panic!("frame {seq} was not served: {:?}", c.outcome);
+                panic!("round {seq} was not served: {:?}", c.outcome);
             };
             assert!(
                 latency_virtual >= last + service * (1.0 - 1e-9),
-                "frame {seq}: latency {latency_virtual} after {last}"
+                "round {seq}: latency {latency_virtual} after {last}"
             );
             last = latency_virtual;
         }

@@ -107,15 +107,23 @@ mod tests {
     #[test]
     fn small_charges_share_sleeps_instead_of_paying_the_floor_each() {
         // 10 000 × 1 µs is 10 ms of priced work. Slept one by one it would
-        // take 10 000 timer floors (≥ 0.5 s); paced it takes the 10 ms,
-        // give or take the last granule and the last oversleep.
+        // take 10 000 timer floors (≥ 0.5 s); paced, the work blocks at
+        // most once per granule of it. Both checks below hold however
+        // loaded the machine is: a charge that leaves the pacer ahead
+        // started at the previous finish, so the pacer can only get a
+        // granule ahead again by booking another granule.
         let priced = Duration::from_micros(1);
         let mut pacer = Pacer::new();
         let t0 = Instant::now();
         let mut last = t0;
+        let mut sleeps = 0;
         for _ in 0..10_000 {
             let finish = pacer.charge(priced, true);
             assert!(finish >= last + priced, "finish times are monotone");
+            if pacer.is_ahead() {
+                assert_eq!(finish, last + priced, "booked while ahead");
+                sleeps += 1;
+            }
             last = finish;
             pacer.catch_up();
         }
@@ -124,12 +132,11 @@ mod tests {
             blocked + GRANULE >= Duration::from_millis(10),
             "ran ahead of the priced time: {blocked:?}"
         );
+        let most = Duration::from_millis(10).as_nanos() / GRANULE.as_nanos() + 1;
         assert!(
-            blocked < Duration::from_millis(10) + 50 * GRANULE,
-            "10 ms of priced work blocked for {blocked:?}"
+            sleeps <= most,
+            "10 ms of priced work blocked {sleeps} times"
         );
-        // The account itself is exact: booked end = start + Σ priced.
-        assert!(last <= t0 + Duration::from_millis(10) + 50 * GRANULE);
     }
 
     #[test]

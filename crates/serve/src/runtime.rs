@@ -25,11 +25,11 @@
 //! [`RunStats`] equality between the simulator, the channel oracle and
 //! each socket path, including under worker-kill fault schedules.
 //!
-//! The physical plane retires every frame exactly once: the parent records
-//! each dispatched round in a per-link un-acknowledged map tagged with the
+//! The physical plane retires every round exactly once: a link's rounds go
+//! out several to a frame, queued un-acknowledged in send order under the
 //! link's connection incarnation, and the link's reader — the one thread
-//! that receives on its conn — retires the entry on a completion or the
-//! conn going down. Nothing is re-dispatched — the
+//! that receives on its conn — retires each on its completion (several to
+//! a frame too) or the conn going down. Nothing is re-dispatched — the
 //! nominal machine already reformed a killed worker's chunks into fresh
 //! rounds on the survivors — so work is never dropped and never
 //! double-served.
@@ -48,14 +48,14 @@
 use crate::net_worker::{run_net_worker, CHILD_INDEX_ENV, CHILD_SOCKET_ENV};
 use crate::pacer;
 use bat_net::{
-    ChannelTransport, CompletionMsg, Conn, DispatchMsg, Frame, HelloMsg, Listener, NetError,
-    ShutdownMsg, TcpTransport, Transport, WireCodec, MSG_COMPLETION,
+    ChannelTransport, CompletionMsg, Conn, DispatchMsg, HelloMsg, Listener, NetError, ShutdownMsg,
+    TcpTransport, Transport, WireCodec,
 };
 use bat_sim::{
     EngineConfig, FaultKind, FaultSchedule, RequestPlanner, RoundRecord, RunStats, SlotDriver,
 };
 use bat_types::{BatError, RankRequest};
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
@@ -82,7 +82,7 @@ pub struct ServeOptions {
     /// overhead); `1.0` runs in real time.
     pub time_scale: f64,
     /// Per-worker dispatch credit: the scheduler stops sending to a worker
-    /// holding this many unfinished round frames (backpressure).
+    /// holding this many unfinished rounds (backpressure).
     pub queue_depth: usize,
     /// Which backend carries the frames.
     pub transport: TransportKind,
@@ -138,14 +138,15 @@ struct Link {
     /// lock so an un-acknowledged entry is always tagged with the
     /// incarnation of the conn its frame was actually sent on.
     conn: Mutex<(u64, Option<Arc<dyn Conn>>)>,
-    /// Frames dispatched but not yet retired on this link (backpressure
+    /// Rounds dispatched but not yet retired on this link (backpressure
     /// credit).
     inflight: AtomicU64,
-    /// Dispatched-but-unfinished frames, `seq → incarnation` of the conn
-    /// each was sent on; retired when that is `≤` a dead conn's.
-    unacked: Mutex<HashMap<u64, u64>>,
-    /// Every incarnation below this has had its frames retired by a dead
-    /// conn's reader. Read and written under the `unacked` lock, so no frame
+    /// Dispatched-but-unfinished rounds in send order, `(seq, incarnation
+    /// of the conn it was sent on)`; retired when that is `≤` a dead
+    /// conn's.
+    unacked: Mutex<VecDeque<(u64, u64)>>,
+    /// Every incarnation below this has had its rounds retired by a dead
+    /// conn's reader. Read and written under the `unacked` lock, so no round
     /// is booked on a conn once a reader has retired it: a conn can still
     /// take a write after its reader saw it die (a TCP peer's FIN, or a
     /// channel end closed one direction at a time).
@@ -159,7 +160,7 @@ impl Link {
         Link {
             conn: Mutex::new((0, None)),
             inflight: AtomicU64::new(0),
-            unacked: Mutex::new(HashMap::new()),
+            unacked: Mutex::new(VecDeque::new()),
             dead: AtomicU64::new(0),
             child: Mutex::new(None),
         }
@@ -181,19 +182,14 @@ impl Link {
         g.0
     }
 
-    /// Sends `rounds` as one batched write. Every frame is registered
+    /// Sends `rounds` as one frame. Every round is registered
     /// un-acknowledged and booked — here and in the run's `outstanding`
     /// count — *before* the send, so a completion can never race past its
     /// own bookkeeping. On a conn its reader has retired nothing is booked,
-    /// and on a dead conn every frame is rolled back one by one through
-    /// [`Link::retire_round`] (a frame the reader already retired with its
+    /// and on a dead conn every round is rolled back through
+    /// [`Link::retire_rounds`] (a round the reader already retired with its
     /// dead conn is not retired twice); either way the result is `false`.
-    fn send_rounds(
-        &self,
-        rounds: &[DispatchMsg],
-        outstanding: &AtomicU64,
-        frames: &mut Vec<Frame>,
-    ) -> bool {
+    fn send_rounds(&self, rounds: &[DispatchMsg], outstanding: &AtomicU64) -> bool {
         let (inc, conn) = self.current();
         let mut unacked = lock(&self.unacked);
         if inc < self.dead.load(Ordering::Relaxed) {
@@ -204,33 +200,36 @@ impl Link {
         let n = rounds.len() as u64;
         self.inflight.fetch_add(n, Ordering::AcqRel);
         outstanding.fetch_add(n, Ordering::AcqRel);
-        frames.extend(rounds.iter().map(WireCodec::to_frame));
-        let sent = conn.is_some_and(|c| c.send_batch(frames).is_ok());
+        let sent = conn.is_some_and(|c| c.send(DispatchMsg::batch_to_frame(rounds)).is_ok());
         if !sent {
-            frames.clear();
-            for m in rounds {
-                self.retire_round(outstanding, m.seq);
-            }
+            self.retire_rounds(outstanding, rounds.iter().map(|m| m.seq));
         }
         sent
     }
 
-    /// Retires one round frame, exactly once: whoever takes the
-    /// un-acknowledged entry does the accounting.
-    fn retire_round(&self, outstanding: &AtomicU64, seq: u64) {
-        if lock(&self.unacked).remove(&seq).is_some() {
-            self.inflight.fetch_sub(1, Ordering::AcqRel);
-            outstanding.fetch_sub(1, Ordering::Release);
+    /// Retires the rounds `seqs` names, each exactly once: whoever takes a
+    /// round's un-acked entry does its accounting. It is at the front unless
+    /// a restarted worker's replies overtook the old reader's strand.
+    fn retire_rounds(&self, outstanding: &AtomicU64, seqs: impl IntoIterator<Item = u64>) {
+        let mut unacked = lock(&self.unacked);
+        let before = unacked.len();
+        for seq in seqs {
+            if let Some(i) = unacked.iter().position(|&(s, _)| s == seq) {
+                unacked.remove(i);
+            }
         }
+        let n = (before - unacked.len()) as u64;
+        self.inflight.fetch_sub(n, Ordering::AcqRel);
+        outstanding.fetch_sub(n, Ordering::Release);
     }
 
-    /// Retires every un-acknowledged frame sent on `incarnation` or an
+    /// Retires every un-acknowledged round sent on `incarnation` or an
     /// earlier conn; entries sent on a newer conn stay.
     fn retire_stranded(&self, outstanding: &AtomicU64, incarnation: u64) {
         let mut unacked = lock(&self.unacked);
         self.dead.fetch_max(incarnation + 1, Ordering::Relaxed);
         let before = unacked.len();
-        unacked.retain(|_, inc| *inc > incarnation);
+        unacked.retain(|&(_, inc)| inc > incarnation);
         let n = (before - unacked.len()) as u64;
         self.inflight.fetch_sub(n, Ordering::AcqRel);
         outstanding.fetch_sub(n, Ordering::Release);
@@ -260,7 +259,7 @@ impl Link {
 }
 
 /// The wake-up edge from the threads that make progress — the readers
-/// retiring frames, the fault supervisor changing membership — to the
+/// retiring rounds, the fault supervisor changing membership — to the
 /// scheduler's waits.
 struct Progress {
     /// Threads blocked in [`Progress::wait`]. Notifiers take this lock
@@ -359,9 +358,9 @@ impl Progress {
                 );
                 for (w, link) in links.iter().enumerate() {
                     let unacked = lock(&link.unacked);
-                    if let Some((seq, inc)) = unacked.iter().min_by_key(|(&seq, _)| seq) {
+                    if let Some((seq, inc)) = unacked.front() {
                         report += &format!(
-                            "; worker {w} (incarnation {inc}) holds {} un-acked frame(s), \
+                            "; worker {w} (incarnation {inc}) holds {} un-acked round(s), \
                              oldest seq {seq}",
                             unacked.len()
                         );
@@ -374,9 +373,9 @@ impl Progress {
     }
 }
 
-/// Reads one worker conn until it dies, retiring each round the worker
-/// completes and, when the conn dies, every round still un-acknowledged on
-/// its incarnation. A frame stranded by a crash is retired
+/// Reads one worker conn until it dies, retiring every round each
+/// completion frame names and, when the conn dies, every round still
+/// un-acknowledged on its incarnation. A round stranded by a crash is retired
 /// exactly once (its un-acked entry is the token: whoever removes it does
 /// the decrement) and never re-dispatched: the nominal machine has already
 /// reformed the cancelled round's chunks under fresh sequence numbers on
@@ -389,13 +388,11 @@ impl Progress {
 /// scheduler's [`Teardown`] — naming the conn's error.
 fn run_reader(conn: Arc<dyn Conn>, w: usize, incarnation: u64, cluster: &Cluster) {
     let (link, outstanding) = (&cluster.links[w], &cluster.outstanding);
+    let mut replies = Vec::new();
     loop {
-        let seq = conn.recv().and_then(|frame| match frame.msg_type {
-            MSG_COMPLETION => CompletionMsg::from_frame(&frame).map(|c| c.seq),
-            other => Err(NetError::UnknownMsgType(other)),
-        });
-        match seq {
-            Ok(seq) => link.retire_round(outstanding, seq),
+        let frame = conn.recv();
+        match frame.and_then(|f| CompletionMsg::batch_from_frame(&f, &mut replies)) {
+            Ok(()) => link.retire_rounds(outstanding, replies.drain(..).map(|c| c.seq)),
             Err(e) => {
                 // A scheduled crash, a drained worker exiting, or the
                 // orderly end of the run; anything else is a bug in the
@@ -785,13 +782,12 @@ impl ServeRuntime {
         let stats = thread::scope(|scope| {
             self.start(scope, cluster);
             let teardown = Teardown(cluster);
-            // Each link's rounds go out in order as one batched write under
-            // per-link inflight credit (a group larger than the credit left
-            // is sent in as many writes as it takes). Under a fault schedule
-            // a dead link is survivable: its rounds are rolled back and
-            // simply not sent.
+            // Each link's rounds go out in order as one frame under per-link
+            // inflight credit (a group larger than the credit left is sent
+            // in as many frames as it takes). Under a fault schedule a dead
+            // link is survivable: its rounds are rolled back and simply not
+            // sent.
             let mut groups: Vec<Vec<DispatchMsg>> = vec![Vec::new(); links.len()];
-            let mut frames: Vec<Frame> = Vec::new();
             let dispatch_rounds = |rounds: &[RoundRecord]| {
                 for r in rounds {
                     groups[r.worker].push(DispatchMsg {
@@ -811,7 +807,7 @@ impl ServeRuntime {
                         progress.wait(links, format_args!("credit on worker {w}"), || credit() > 0);
                         let (batch, later) = rest.split_at(rest.len().min(credit() as usize));
                         rest = later;
-                        let sent = link.send_rounds(batch, outstanding, &mut frames);
+                        let sent = link.send_rounds(batch, outstanding);
                         assert!(
                             sent || cluster.have_faults,
                             "worker {w} link died without a fault schedule"
@@ -885,13 +881,19 @@ mod tests {
         }
     }
 
+    /// Every round of the one dispatch frame `conn` receives next.
+    fn rounds_of_next_frame(conn: &dyn Conn) -> Vec<DispatchMsg> {
+        let mut rounds = Vec::new();
+        DispatchMsg::batch_from_frame(&conn.recv().unwrap(), &mut rounds).unwrap();
+        rounds
+    }
+
     #[test]
     fn failed_batch_rolls_every_frame_back_exactly_once() {
         let link = Link::new();
         let (ours, theirs) = bat_net::ChannelConn::pair();
         *lock(&link.conn) = (3, Some(ours as Arc<dyn Conn>));
         let outstanding = AtomicU64::new(0);
-        let mut frames = Vec::new();
         let counters = |link: &Link| {
             (
                 lock(&link.unacked).len(),
@@ -900,19 +902,16 @@ mod tests {
             )
         };
 
-        // A live peer: the batch is booked, arrives in order, and each
-        // frame retires once however often its ack is replayed.
+        // A live peer: the batch is booked, arrives in order as one frame,
+        // and each round retires once however often its ack is replayed.
         let batch: Vec<DispatchMsg> = (0..4).map(round).collect();
-        assert!(link.send_rounds(&batch, &outstanding, &mut frames));
-        assert!(frames.is_empty());
+        assert!(link.send_rounds(&batch, &outstanding));
         assert_eq!(counters(&link), (4, 4, 4));
+        assert_eq!(rounds_of_next_frame(theirs.as_ref()), batch);
+        assert_eq!(theirs.try_recv(), Ok(None), "one frame per batch");
         for m in &batch {
-            assert_eq!(
-                DispatchMsg::from_frame(&theirs.recv().unwrap()).unwrap(),
-                *m
-            );
-            link.retire_round(&outstanding, m.seq);
-            link.retire_round(&outstanding, m.seq);
+            link.retire_rounds(&outstanding, [m.seq, m.seq]);
+            link.retire_rounds(&outstanding, [m.seq]);
         }
         assert_eq!(counters(&link), (0, 0, 0));
 
@@ -921,11 +920,10 @@ mod tests {
         // second time.
         drop(theirs);
         let batch: Vec<DispatchMsg> = (4..9).map(round).collect();
-        assert!(!link.send_rounds(&batch, &outstanding, &mut frames));
-        assert!(frames.is_empty());
+        assert!(!link.send_rounds(&batch, &outstanding));
         assert_eq!(counters(&link), (0, 0, 0));
         link.retire_stranded(&outstanding, 3);
-        link.retire_round(&outstanding, 4);
+        link.retire_rounds(&outstanding, [4]);
         assert_eq!(counters(&link), (0, 0, 0));
 
         // A conn can still take a write after its reader retired it (a TCP
@@ -933,9 +931,63 @@ mod tests {
         // is booked on it, or no reader would ever retire the booking.
         let (ours, theirs) = bat_net::ChannelConn::pair();
         *lock(&link.conn) = (3, Some(ours as Arc<dyn Conn>));
-        assert!(!link.send_rounds(&batch, &outstanding, &mut frames));
+        assert!(!link.send_rounds(&batch, &outstanding));
         assert_eq!(counters(&link), (0, 0, 0));
         assert_eq!(theirs.try_recv(), Ok(None));
+    }
+
+    #[test]
+    fn restart_race_retires_every_round_exactly_once() {
+        // Rounds are un-acked on incarnations 0 and 1, and incarnation 1's
+        // completion frame is retired before incarnation 0's reader has
+        // retired its strand: those completions sit behind the strand in
+        // the queue.
+        let ds = DatasetConfig::games();
+        let cluster = &ServeRuntime::new(config(SystemKind::Bat, &ds), ServeOptions::default())
+            .unwrap()
+            .bind();
+        // No fault schedule: a finished run takes a conn's end as orderly.
+        cluster.finished.store(true, Ordering::Release);
+        let (link, outstanding) = (&cluster.links[0], &cluster.outstanding);
+        let (old, old_worker) = bat_net::ChannelConn::pair();
+        link.install(Arc::clone(&old) as Arc<dyn Conn>);
+        let stranded: Vec<DispatchMsg> = (0..3).map(round).collect();
+        assert!(link.send_rounds(&stranded, outstanding));
+        let (new, new_worker) = bat_net::ChannelConn::pair();
+        assert_eq!(link.install(Arc::clone(&new) as Arc<dyn Conn>), 1);
+        let fresh: Vec<DispatchMsg> = (3..7).map(round).collect();
+        assert!(link.send_rounds(&fresh, outstanding));
+        assert_eq!(outstanding.load(Ordering::Acquire), 7);
+        let replies: Vec<CompletionMsg> = rounds_of_next_frame(new_worker.as_ref())
+            .iter()
+            .map(|m| CompletionMsg {
+                worker: 0,
+                seq: m.seq,
+                suffix_tokens: m.suffix_tokens,
+                outcome: bat_net::WireOutcome::Shed,
+            })
+            .collect();
+        thread::scope(|scope| {
+            let reader = scope.spawn(move || run_reader(new, 0, 1, cluster));
+            let frame = CompletionMsg::batch_to_frame(&replies);
+            new_worker.send(frame).unwrap();
+            let strand_left = || outstanding.load(Ordering::Acquire) == 3;
+            cluster
+                .progress
+                .wait(&cluster.links, format_args!("incarnation 1"), strand_left);
+            let left: Vec<(u64, u64)> = lock(&link.unacked).iter().copied().collect();
+            assert_eq!(left, [(0, 0), (1, 0), (2, 0)]);
+            // Incarnation 0's reader sees its conn die, then incarnation 1's.
+            drop(old_worker);
+            run_reader(old, 0, 0, cluster);
+            drop(new_worker);
+            reader.join().unwrap();
+        });
+        // A replayed completion finds nothing left to retire.
+        link.retire_rounds(outstanding, 0..7);
+        assert!(lock(&link.unacked).is_empty());
+        assert_eq!(link.inflight.load(Ordering::Acquire), 0);
+        assert_eq!(outstanding.load(Ordering::Acquire), 0);
     }
 
     #[test]
@@ -979,7 +1031,7 @@ mod tests {
         assert!(
             report.contains("waiting for credit on worker 1")
                 && report
-                    .contains("worker 1 (incarnation 2) holds 2 un-acked frame(s), oldest seq 17")
+                    .contains("worker 1 (incarnation 2) holds 2 un-acked round(s), oldest seq 17")
                 && !report.contains("worker 0"),
             "{report}"
         );
@@ -999,7 +1051,7 @@ mod tests {
                 .unwrap()
                 .bind();
             let (ours, theirs) = bat_net::ChannelConn::pair();
-            theirs.send(Frame::new(200, vec![])).unwrap();
+            theirs.send(bat_net::Frame::new(200, vec![])).unwrap();
             let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 run_reader(ours, 1, 0, &cluster);
             }))
@@ -1199,7 +1251,6 @@ mod tests {
                 .progress
                 .wait(&cluster.links, format_args!("the rounds"), none_outstanding);
         };
-        let mut frames = Vec::new();
         thread::scope(|scope| {
             for w in 0..2 {
                 rt.spawn_worker(scope, cluster, w).unwrap();
@@ -1216,23 +1267,21 @@ mod tests {
                     ..round(seq)
                 })
                 .collect();
-            assert!(link.send_rounds(&slow, outstanding, &mut frames));
+            assert!(link.send_rounds(&slow, outstanding));
             link.sever();
             drained();
             assert_eq!(counters(), (0, 0, 0));
-            for m in &slow {
-                link.retire_round(outstanding, m.seq);
-            }
+            link.retire_rounds(outstanding, slow.iter().map(|m| m.seq));
             link.retire_stranded(outstanding, 0);
-            assert_eq!(counters(), (0, 0, 0), "a frame retired twice");
-            assert!(!link.send_rounds(&[round(4)], outstanding, &mut frames));
+            assert_eq!(counters(), (0, 0, 0), "a round retired twice");
+            assert!(!link.send_rounds(&[round(4)], outstanding));
             assert_eq!(counters(), (0, 0, 0));
 
             rt.spawn_worker(scope, cluster, 1).unwrap();
             cluster.attach(scope, 1).unwrap();
             assert_eq!(link.current().0, 1);
             let fast: Vec<DispatchMsg> = (5..9).map(round).collect();
-            assert!(link.send_rounds(&fast, outstanding, &mut frames));
+            assert!(link.send_rounds(&fast, outstanding));
             drained();
             assert_eq!(counters(), (0, 0, 0));
             drop(teardown);
