@@ -31,6 +31,13 @@ pub mod net_worker;
 pub mod pacer;
 pub mod runtime;
 
+/// The most messages the data plane holds for one link before it writes
+/// them, in both directions: a worker writes its queued replies, and the
+/// scheduler its held rounds, once one link has this many. Past this a
+/// bigger frame saves no further system calls; it only delays the peer's
+/// work or the scheduler's credit.
+pub(crate) const MAX_COALESCED: usize = 64;
+
 pub use net_worker::{maybe_child_worker, run_net_worker, CHILD_INDEX_ENV, CHILD_SOCKET_ENV};
 pub use pacer::Pacer;
 pub use runtime::{ServeOptions, ServeRuntime, TransportKind};

@@ -22,7 +22,8 @@
 //!    buffer (on a socket, whatever that receive's one read brought in)
 //!    and writes its queued completions as one frame — when the buffer
 //!    runs dry, before it blocks on the pacer (nothing finished waits out
-//!    a sleep), or at `MAX_COALESCED_REPLIES`.
+//!    a sleep), or once 64 are queued (`MAX_COALESCED`, the count at which
+//!    the scheduler also writes the rounds it holds for a link).
 //! 4. A worker fails one way, thread or child process: the parent severs
 //!    its conn (killing the process first, if there is one). The severed
 //!    worker's next receive or send finds the conn dead and ends the loop
@@ -38,6 +39,7 @@
 //! ever returning to the caller.
 
 use crate::pacer::Pacer;
+use crate::MAX_COALESCED;
 use bat_net::{
     CompletionMsg, Conn, DispatchMsg, HelloMsg, NetError, WireCodec, WireOutcome, MSG_DISPATCH,
     MSG_HELLO, MSG_SHUTDOWN,
@@ -50,10 +52,6 @@ pub const CHILD_SOCKET_ENV: &str = "BAT_NET_WORKER_SOCKET";
 
 /// Environment variable carrying the worker index, for diagnostics.
 pub const CHILD_INDEX_ENV: &str = "BAT_NET_WORKER_INDEX";
-
-/// Replies held back for one write at most: past this a bigger batch saves
-/// no further system calls, it only delays the scheduler's credit.
-const MAX_COALESCED_REPLIES: usize = 64;
 
 /// Serves one worker's lifetime over `conn`.
 ///
@@ -122,7 +120,7 @@ fn serve(conn: &dyn Conn) -> Result<(), NetError> {
                         missed: job.deadline_rel.is_some_and(|d| latency > d),
                     },
                 });
-                if replies.len() >= MAX_COALESCED_REPLIES {
+                if replies.len() >= MAX_COALESCED {
                     reply(conn, &mut replies)?;
                 }
                 backlogged = true;
@@ -198,7 +196,7 @@ mod tests {
         while seen.len() < n {
             let before = seen.len();
             CompletionMsg::batch_from_frame(&parent.recv().unwrap(), &mut seen).unwrap();
-            assert!(seen.len() - before <= MAX_COALESCED_REPLIES);
+            assert!(seen.len() - before <= MAX_COALESCED);
         }
         assert_eq!(seen.len(), n, "a completion beyond the rounds sent");
         seen
@@ -280,7 +278,7 @@ mod tests {
         // its write into the dead conn fails, and that is an orderly end.
         let (parent, worker) = ChannelConn::pair();
         parent.send(hello(1e-6).to_frame()).unwrap();
-        for seq in 0..=MAX_COALESCED_REPLIES as u64 {
+        for seq in 0..=MAX_COALESCED as u64 {
             let dispatch = DispatchMsg {
                 seq,
                 arrival_virtual: 0.0,

@@ -12,6 +12,11 @@
 //! aggregate: the finish instants a pacer hands out never drift from the
 //! wall clock by more than a granule plus one oversleep.
 //!
+//! The granule also bounds how long the scheduler holds a round it has
+//! formed before writing it: held rounds go out once the oldest is a
+//! granule old, and always before the scheduler blocks (see
+//! [`crate::runtime`]).
+//!
 //! This module is the only place in `bat-serve` and `bat-net` that calls
 //! `thread::sleep`; every other wait blocks on a condvar or a channel.
 
@@ -19,17 +24,23 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 /// How far booked work may run ahead of the wall clock before the pacer
-/// blocks. Just above the timer slack, so that a sleep is mostly the time
-/// asked for, and far below any duration a run's statistics can resolve at
-/// the time scales the runtime is used with.
-const GRANULE: Duration = Duration::from_micros(100);
+/// blocks, and how long the scheduler may hold a formed round unwritten.
+/// Just above the timer slack, so that a sleep is mostly the time asked
+/// for, and far below any duration a run's statistics can resolve at the
+/// time scales the runtime is used with.
+pub(crate) const GRANULE: Duration = Duration::from_micros(100);
 
 /// `deadline - now` when that is more than a [`GRANULE`], i.e. when it is
 /// worth blocking for.
-pub(crate) fn lead_over(deadline: Instant) -> Option<Duration> {
+pub(crate) fn lead_at(deadline: Instant, now: Instant) -> Option<Duration> {
     deadline
-        .checked_duration_since(Instant::now())
+        .checked_duration_since(now)
         .filter(|lead| *lead > GRANULE)
+}
+
+/// [`lead_at`] the wall clock's now.
+pub(crate) fn lead_over(deadline: Instant) -> Option<Duration> {
+    lead_at(deadline, Instant::now())
 }
 
 /// Blocks until `deadline` unless it is within a [`GRANULE`] (or past):
@@ -171,10 +182,16 @@ mod tests {
 
     #[test]
     fn sleep_until_blocks_only_for_deadlines_beyond_a_granule() {
+        // `sleep_until` blocks for `lead_over` and only when it is `Some`.
+        // The clock only moves on, so a deadline within a granule of `t0`
+        // is never worth blocking for, however late these lines run.
         let t0 = Instant::now();
-        sleep_until(t0);
-        sleep_until(t0 + GRANULE / 2);
-        assert!(t0.elapsed() < 50 * GRANULE, "must not have blocked");
+        for within in [t0, t0 + GRANULE / 2, t0 + GRANULE] {
+            assert_eq!(lead_over(within), None);
+        }
+        assert_eq!(lead_at(t0 + GRANULE, t0), None);
+        assert_eq!(lead_at(t0 + 4 * GRANULE, t0), Some(4 * GRANULE));
+        assert_eq!(lead_at(t0, t0 + GRANULE), None, "a deadline past");
         let deadline = Instant::now() + 4 * GRANULE;
         sleep_until(deadline);
         assert!(Instant::now() >= deadline);

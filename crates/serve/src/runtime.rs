@@ -34,6 +34,14 @@
 //! rounds on the survivors — so work is never dropped and never
 //! double-served.
 //!
+//! Dispatch is coalesced the way a worker coalesces its replies: the
+//! scheduler holds the rounds it forms, per link, and writes every held
+//! round once the oldest is a pacer granule old, once one link holds 64,
+//! or before it blocks — on an arrival's deadline, or on the drained tail
+//! (a wait for credit happens inside the write). A scheduler that keeps up
+//! therefore writes before every sleep, and one that runs behind writes a
+//! granule's rounds at a time instead of one frame per arrival.
+//!
 //! No thread here polls. Emulated time — the open-loop arrival schedule and
 //! the fault schedule — goes through [`crate::pacer`], which blocks only
 //! when it is more than a sleep granule ahead of the wall clock. Every
@@ -46,7 +54,7 @@
 //! instead of hanging it.
 
 use crate::net_worker::{run_net_worker, CHILD_INDEX_ENV, CHILD_SOCKET_ENV};
-use crate::pacer;
+use crate::{pacer, MAX_COALESCED};
 use bat_net::{
     ChannelTransport, CompletionMsg, Conn, DispatchMsg, HelloMsg, Listener, NetError, ShutdownMsg,
     TcpTransport, Transport, WireCodec,
@@ -55,6 +63,7 @@ use bat_sim::{
     EngineConfig, FaultKind, FaultSchedule, RequestPlanner, RoundRecord, RunStats, SlotDriver,
 };
 use bat_types::{BatError, RankRequest};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -522,6 +531,76 @@ impl Drop for Teardown<'_> {
     }
 }
 
+/// Whether the scheduler writes the rounds it holds now: the oldest was
+/// held at `oldest` (`None`: nothing is held), and it is due once that is a
+/// pacer granule ago, once a link holds `most_held` ≥ [`MAX_COALESCED`], or
+/// when the scheduler is about to block for `lead` (see
+/// [`pacer::lead_at`]).
+fn flush_due(
+    oldest: Option<Instant>,
+    now: Instant,
+    most_held: usize,
+    lead: Option<Duration>,
+) -> bool {
+    oldest.is_some_and(|oldest| {
+        lead.is_some()
+            || most_held >= MAX_COALESCED
+            || now.saturating_duration_since(oldest) >= pacer::GRANULE
+    })
+}
+
+/// The rounds the scheduler has formed and not yet written: each link's in
+/// `seq` order, and when the oldest of them was held.
+struct Held {
+    links: Vec<Vec<DispatchMsg>>,
+    since: Option<Instant>,
+}
+
+impl Held {
+    fn new(links: usize) -> Self {
+        Held {
+            links: vec![Vec::new(); links],
+            since: None,
+        }
+    }
+
+    /// Holds `rounds`, each behind those already held for its worker.
+    fn hold(&mut self, rounds: &[RoundRecord], now: Instant) {
+        for r in rounds {
+            self.links[r.worker].push(DispatchMsg {
+                seq: r.seq,
+                arrival_virtual: r.start,
+                suffix_tokens: r.tokens,
+                service_virtual: r.service_secs,
+                deadline_rel: None,
+            });
+        }
+        self.since.get_or_insert(now);
+    }
+
+    /// [`flush_due`] on what is held.
+    fn is_due(&self, now: Instant, lead: Option<Duration>) -> bool {
+        let most_held = self.links.iter().map(Vec::len).max().unwrap_or(0);
+        flush_due(self.since, now, most_held, lead)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.links.iter().all(Vec::is_empty)
+    }
+
+    /// Hands each link's held rounds, in order, to `send`, and holds
+    /// nothing after.
+    fn flush(&mut self, mut send: impl FnMut(usize, &[DispatchMsg])) {
+        for (w, rounds) in self.links.iter_mut().enumerate() {
+            if !rounds.is_empty() {
+                send(w, rounds);
+                rounds.clear();
+            }
+        }
+        self.since = None;
+    }
+}
+
 /// The threaded serving runtime.
 ///
 /// ```
@@ -749,9 +828,9 @@ impl ServeRuntime {
     /// digest, latencies, sheds — is bit-identical to the simulator's for
     /// the same trace at any worker count, transport and fault schedule. This function is the physical
     /// plane only: it paces arrivals on the wall clock, puts every round the
-    /// driver forms on the wire to the round's worker under per-link credit
-    /// (workers pace the round's priced service and ack it), and waits out
-    /// the tail.
+    /// driver forms on the wire to the round's worker under per-link credit,
+    /// several to a frame (see the module docs; workers pace the round's
+    /// priced service and ack it), and waits out the tail.
     ///
     /// The two planes never share state. A round frame lost to a physical
     /// kill is simply retired after its link dies: the machine has already
@@ -782,45 +861,57 @@ impl ServeRuntime {
         let stats = thread::scope(|scope| {
             self.start(scope, cluster);
             let teardown = Teardown(cluster);
-            // Each link's rounds go out in order as one frame under per-link
-            // inflight credit (a group larger than the credit left is sent
+            // A link's held rounds go out in order as one frame under
+            // per-link inflight credit (more than the credit left are sent
             // in as many frames as it takes). Under a fault schedule a dead
             // link is survivable: its rounds are rolled back and simply not
             // sent.
-            let mut groups: Vec<Vec<DispatchMsg>> = vec![Vec::new(); links.len()];
-            let dispatch_rounds = |rounds: &[RoundRecord]| {
-                for r in rounds {
-                    groups[r.worker].push(DispatchMsg {
-                        seq: r.seq,
-                        arrival_virtual: r.start,
-                        suffix_tokens: r.tokens,
-                        service_virtual: r.service_secs,
-                        deadline_rel: None,
-                    });
-                }
-                for (w, group) in groups.iter_mut().enumerate() {
-                    let link = &links[w];
-                    let mut rest = group.as_slice();
-                    while !rest.is_empty() {
-                        let credit =
-                            || queue_depth.saturating_sub(link.inflight.load(Ordering::Acquire));
-                        progress.wait(links, format_args!("credit on worker {w}"), || credit() > 0);
-                        let (batch, later) = rest.split_at(rest.len().min(credit() as usize));
-                        rest = later;
-                        let sent = link.send_rounds(batch, outstanding);
-                        assert!(
-                            sent || cluster.have_faults,
-                            "worker {w} link died without a fault schedule"
-                        );
-                    }
-                    group.clear();
+            let send = |w: usize, rounds: &[DispatchMsg]| {
+                let link = &links[w];
+                let mut rest = rounds;
+                while !rest.is_empty() {
+                    let credit =
+                        || queue_depth.saturating_sub(link.inflight.load(Ordering::Acquire));
+                    progress.wait(links, format_args!("credit on worker {w}"), || credit() > 0);
+                    let (batch, later) = rest.split_at(rest.len().min(credit() as usize));
+                    rest = later;
+                    let sent = link.send_rounds(batch, outstanding);
+                    assert!(
+                        sent || cluster.have_faults,
+                        "worker {w} link died without a fault schedule"
+                    );
                 }
             };
-            // Open-loop pacing in scaled wall time: rounds form and dispatch
+            let held = RefCell::new(Held::new(links.len()));
+            let hold_rounds = |rounds: &[RoundRecord]| {
+                let mut held = held.borrow_mut();
+                let now = Instant::now();
+                held.hold(rounds, now);
+                if held.is_due(now, None) {
+                    held.flush(send);
+                }
+            };
+            // Open-loop pacing in scaled wall time: rounds form and go out
             // as their admitting arrivals come due, so the physical run
-            // overlaps execution with the trace replay.
-            let pace = |nominal: f64| pacer::sleep_until(cluster.wall(nominal));
-            let (stats, _) = driver.run(trace, pace, dispatch_rounds);
+            // overlaps execution with the trace replay. An arrival that
+            // forms no round still ends a granule's hold, and nothing held
+            // waits out a sleep.
+            let pace = |nominal: f64| {
+                let deadline = cluster.wall(nominal);
+                let now = Instant::now();
+                let lead = pacer::lead_at(deadline, now);
+                let mut held = held.borrow_mut();
+                if held.is_due(now, lead) {
+                    held.flush(send);
+                }
+                if lead.is_some() {
+                    pacer::sleep_until(deadline);
+                }
+            };
+            let (stats, _) = driver.run(trace, pace, hold_rounds);
+            let mut held = held.into_inner();
+            held.flush(send);
+            debug_assert!(held.is_empty(), "a round is held into the tail wait");
             // Wait out the physical tail, then the supervisor (so a late
             // respawned child still gets its shutdown frame), which no
             // longer paces, and release the cluster.
@@ -988,6 +1079,57 @@ mod tests {
         assert!(lock(&link.unacked).is_empty());
         assert_eq!(link.inflight.load(Ordering::Acquire), 0);
         assert_eq!(outstanding.load(Ordering::Acquire), 0);
+    }
+
+    #[test]
+    fn held_rounds_are_due_at_a_granule_at_64_or_before_a_block() {
+        // The rule reads no clock, so each row holds however loaded the
+        // machine is.
+        let t0 = Instant::now();
+        let g = pacer::GRANULE;
+        let (block, no_block) = (
+            pacer::lead_at(t0 + 2 * g, t0),
+            pacer::lead_at(t0 + g / 2, t0),
+        );
+        assert!(block.is_some() && no_block.is_none());
+        let max = MAX_COALESCED;
+        // (oldest held, now, most held on one link, lead, due)
+        let rows = [
+            (None, t0 + 5 * g, max, block, false),
+            (Some(t0), t0, 1, None, false),
+            (Some(t0), t0 + g / 2, max - 1, no_block, false),
+            (Some(t0 + g), t0, 1, None, false),
+            (Some(t0), t0 + g, 1, None, true),
+            (Some(t0), t0 + 3 * g, 1, None, true),
+            (Some(t0), t0, max, None, true),
+            (Some(t0), t0, 4 * max, None, true),
+            (Some(t0), t0, 1, block, true),
+        ];
+        for (row, (oldest, now, most_held, lead, due)) in rows.into_iter().enumerate() {
+            assert_eq!(flush_due(oldest, now, most_held, lead), due, "row {row}");
+        }
+    }
+
+    #[test]
+    fn held_rounds_all_go_out_before_the_tail_wait() {
+        // At 1e-6 the whole trace arrives within a few milliseconds, so the
+        // scheduler runs behind it and holds rounds across arrivals; every
+        // one still reaches its worker (the tail wait asserts nothing is
+        // held in a debug build), and the run is the simulator's.
+        let ds = DatasetConfig {
+            num_users: 300,
+            ..DatasetConfig::games()
+        };
+        let t = trace(&ds, 2.0, 200.0);
+        let cfg =
+            config(SystemKind::Bat, &ds).with_batching(Some(bat_sim::BatchingConfig::default()));
+        let opts = ServeOptions {
+            time_scale: 1e-6,
+            ..ServeOptions::default()
+        };
+        let served = ServeRuntime::new(cfg.clone(), opts).unwrap().serve(&t);
+        assert_eq!(served.completed, t.len());
+        assert_eq!(served, ServingEngine::new(cfg).unwrap().run(&t));
     }
 
     #[test]
@@ -1427,6 +1569,62 @@ mod tests {
             "a 400 qps burst on 2 workers must trip admission control"
         );
         assert!(stats.completed < t.len(), "shedding must actually shed");
+    }
+
+    proptest::proptest! {
+        /// However a seq-ordered stream of rounds is cut into `on_rounds`
+        /// calls and wherever the holds are flushed — by the rule's cap or
+        /// at random — each link's frames concatenate to exactly its
+        /// rounds, in `seq` order, each once.
+        #[test]
+        fn held_rounds_reach_each_link_once_in_seq_order(
+            workers in proptest::collection::vec(0usize..4, 1..600),
+            calls in proptest::collection::vec((1usize..150, proptest::bool::ANY), 1..40),
+        ) {
+            let rounds: Vec<RoundRecord> = workers
+                .iter()
+                .enumerate()
+                .map(|(seq, &worker)| RoundRecord {
+                    seq: seq as u64,
+                    worker,
+                    start: 0.0,
+                    finish: 0.0,
+                    service_secs: 1e-3,
+                    tokens: 10,
+                    requests: Vec::new(),
+                })
+                .collect();
+            let now = Instant::now();
+            let mut held = Held::new(4);
+            let mut sent: Vec<Vec<u64>> = vec![Vec::new(); 4];
+            let mut send = |w: usize, frame: &[DispatchMsg]| {
+                assert!(!frame.is_empty(), "an empty frame to worker {w}");
+                sent[w].extend(frame.iter().map(|m| m.seq));
+            };
+            let (mut rest, mut call) = (rounds.as_slice(), calls.iter().cycle());
+            while !rest.is_empty() {
+                let &(len, flush_here) = call.next().unwrap();
+                let (these, later) = rest.split_at(len.min(rest.len()));
+                rest = later;
+                held.hold(these, now);
+                if flush_here || held.is_due(now, None) {
+                    held.flush(&mut send);
+                    proptest::prop_assert!(held.is_empty() && !held.is_due(now, None));
+                }
+                let most_held = held.links.iter().map(Vec::len).max().unwrap();
+                proptest::prop_assert!(most_held < MAX_COALESCED);
+            }
+            held.flush(&mut send);
+            proptest::prop_assert!(held.is_empty());
+            for (w, seqs) in sent.iter().enumerate() {
+                let expected: Vec<u64> = rounds
+                    .iter()
+                    .filter(|r| r.worker == w)
+                    .map(|r| r.seq)
+                    .collect();
+                proptest::prop_assert_eq!(seqs, &expected, "worker {}", w);
+            }
+        }
     }
 
     proptest::proptest! {

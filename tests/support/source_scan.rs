@@ -46,6 +46,12 @@ pub fn code_with_tests(path: &Path) -> String {
     strip_comments(&std::fs::read_to_string(path).expect("source file reads")).0
 }
 
+/// [`code_with_tests`] with the contents of every string and char literal
+/// blanked, so an assert's message is not read as its condition.
+pub fn code_with_tests_without_strings(path: &Path) -> String {
+    strip_comments(&std::fs::read_to_string(path).expect("source file reads")).1
+}
+
 /// Reads `path` as [`code_lines`] does. Test-only code is the `#[cfg(test)]`
 /// module and everything after it, and any other item `#[cfg(test)]` marks
 /// (a function, say), through the line that closes it.
