@@ -797,8 +797,22 @@ pub fn run(quick: bool, widths: &[usize]) -> PerfSummary {
             black_box(engine.run(black_box(sim_trace)));
         }
     };
+    // `TraceGenerator::generate` of the sweep's Books trace — the input of
+    // every figure and benchmark set-up — in seconds per 10 000 requests
+    // (× 100 = µs per request): best of `samples` after one warm-up.
+    let books = &ds;
+    let trace_gen = Box::new(move |_| {
+        let per_10k = || {
+            let t0 = Instant::now();
+            let trace = bat::experiment::trace(books, (7, 11), sim_secs, 300.0);
+            t0.elapsed().as_secs_f64() * 1e4 / trace.len() as f64
+        };
+        per_10k();
+        (0..samples).map(|_| per_10k()).reduce(f64::min)
+    });
     t.row("worker_pacing_overshoot", best(samples, pacing))
-        .row("sim_sweep", best(samples, sweep));
+        .row("sim_sweep", best(samples, sweep))
+        .row("trace_gen_books", trace_gen);
 
     std::mem::take(&mut t).measure(widths, &mut summary);
     let restore = exec::threads();

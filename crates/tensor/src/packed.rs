@@ -89,6 +89,11 @@ impl ColBlock {
     ///
     /// When `planes.len() != rows * cols`.
     pub fn from_planes(rows: usize, cols: usize, planes: &[f32]) -> Self {
+        Self::from_plane_vec(rows, cols, planes.to_vec())
+    }
+
+    /// [`ColBlock::from_planes`], taking the buffer.
+    pub(crate) fn from_plane_vec(rows: usize, cols: usize, planes: Vec<f32>) -> Self {
         assert_eq!(
             planes.len(),
             rows * cols,
@@ -98,7 +103,7 @@ impl ColBlock {
             rows,
             len: cols,
             cap: cols,
-            data: planes.to_vec(),
+            data: planes,
         }
     }
 

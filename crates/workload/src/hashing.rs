@@ -20,9 +20,24 @@ pub fn splitmix64(mut x: u64) -> u64 {
 #[inline]
 pub fn uniform01(seed: u64, id: u64, stream: u64) -> f64 {
     let h = splitmix64(seed ^ splitmix64(id ^ splitmix64(stream)));
-    // 53 significant bits, then nudge off the boundaries.
-    let u = (h >> 11) as f64 / (1u64 << 53) as f64;
+    // 53 significant bits, then nudge off the boundaries. Multiplying by
+    // 2⁻⁵³ is dividing by 2⁵³ exactly (a power of two only moves the
+    // exponent), and the bits fit an `i64`, whose conversion is one
+    // instruction where a `u64`'s is a branchy sequence.
+    let u = (h >> 11) as i64 as f64 * (1.0 / (1u64 << 53) as f64);
     u.clamp(1e-12, 1.0 - 1e-12)
+}
+
+/// `x.round() as u32` — half away from zero, saturating, NaN to 0 — for
+/// every `f64`, without the libm call `round` is at the x86-64 baseline.
+/// `x as u64` truncates toward zero (saturating negatives and NaN to 0),
+/// and `x − trunc(x)` is exact, so comparing it with one half rounds as
+/// `round` does; the sum saturates where `round`'s cast would.
+#[inline]
+pub fn round_to_u32(x: f64) -> u32 {
+    let t = x as u64;
+    let r = t.saturating_add(u64::from(x - t as f64 >= 0.5));
+    u32::try_from(r).unwrap_or(u32::MAX)
 }
 
 /// Inverse standard-normal CDF (Acklam's rational approximation, absolute
@@ -150,6 +165,27 @@ mod tests {
         fn inverse_normal_monotone(a in 0.0001f64..0.9999, b in 0.0001f64..0.9999) {
             prop_assume!(a < b);
             prop_assert!(inverse_normal_cdf(a) <= inverse_normal_cdf(b));
+        }
+
+        /// `uniform01`'s product with 2⁻⁵³ is the quotient by 2⁵³ it
+        /// replaced.
+        #[test]
+        fn uniform01_scales_as_it_divided(seed in 0u64..u64::MAX, id in 0u64..u64::MAX, stream in 0u64..8) {
+            let h = splitmix64(seed ^ splitmix64(id ^ splitmix64(stream)));
+            let divided = ((h >> 11) as f64 / (1u64 << 53) as f64).clamp(1e-12, 1.0 - 1e-12);
+            prop_assert_eq!(uniform01(seed, id, stream).to_bits(), divided.to_bits());
+        }
+
+        /// `round_to_u32` is libm's `round` then the saturating cast: on any
+        /// bit pattern, on token-count magnitudes, and on exact halves and
+        /// their neighbours.
+        #[test]
+        fn round_to_u32_is_round_then_cast(bits in 0u64..u64::MAX, x in 0.0f64..1e4, k in 0u32..100_000) {
+            let half = f64::from(k) + 0.5;
+            let cases = [f64::from_bits(bits), x, half, half.next_up(), half.next_down()];
+            for v in cases {
+                prop_assert_eq!(round_to_u32(v), v.round() as u32, "at {:?}", v);
+            }
         }
 
         /// uniform01 is deterministic in all arguments.

@@ -10,6 +10,30 @@
 //! identifier, so the Industry-100M corpus of Figure 10 needs no
 //! materialized state.
 //!
+//! # Cost
+//!
+//! A Books request (100 candidates from ≈ 118 popularity draws) takes
+//! ≈ 3–5 µs on a shared 2-vCPU AVX-512 Xeon at 2.0 GHz (`batctl bench`'s
+//! `trace_gen_books` row), where the straightforward formulas take ≈ 8–11
+//! µs. Nearly all of it is the draws, and a draw costs one `exp` (the
+//! logarithmic law's inverse CDF; a `powf` for other exponents) and one
+//! table probe. Each step of the straightforward formulas is replaced by
+//! one with the same bits, so every trace is theirs (`tests/trace_pins.rs`):
+//!
+//! * a law's total mass, a `ln`, is computed once per law by the same
+//!   expression;
+//! * `floor`, a libm call at the x86-64 baseline, is the cast `x as u64`:
+//!   truncation is the floor of a non-negative value, and both send every
+//!   negative value and NaN to 0;
+//! * `round` is rebuilt half away from zero from that truncation, since
+//!   `x − trunc(x)` is exact ([`hashing::round_to_u32`]);
+//! * a uniform's division by 2⁵³ is a multiplication by 2⁻⁵³, exact because
+//!   the divisor is a power of two;
+//! * a request's de-duplication `HashSet` is a memo the trace keeps: per item
+//!   id of the hot head, the last request that drew it and its token count;
+//! * session requests past the horizon are drawn, to keep the random stream,
+//!   but neither stored nor sorted.
+//!
 //! # Example
 //!
 //! ```

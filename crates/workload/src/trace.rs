@@ -9,7 +9,7 @@
 //! weight, which yields both the skewed hourly access CDF of Figure 2c and
 //! the window-frequency self-similarity of Figure 4.
 
-use crate::workload::Workload;
+use crate::workload::{ItemMemo, Workload};
 use bat_types::{RankRequest, RequestId, SimTime, SloBudget, UserId};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::collections::HashMap;
@@ -32,6 +32,7 @@ pub struct TraceGenerator {
     next_id: u64,
     now: f64,
     slo: SloBudget,
+    memo: ItemMemo,
 }
 
 impl TraceGenerator {
@@ -40,6 +41,7 @@ impl TraceGenerator {
     pub fn new(workload: Workload, trace_seed: u64) -> Self {
         TraceGenerator {
             rng: SmallRng::seed_from_u64(trace_seed),
+            memo: ItemMemo::new(workload.dataset().num_items),
             workload,
             next_id: 0,
             now: 0.0,
@@ -69,15 +71,12 @@ impl TraceGenerator {
         assert!(at >= self.now, "trace clock must be monotone");
         self.now = at;
         let ds = self.workload.dataset();
-        let candidates = self.workload.retrieve_candidates_at(
+        let (candidates, candidate_tokens) = self.workload.retrieve_candidates_at(
             ds.candidates_per_request as usize,
             at,
             &mut || self.rng.gen::<f64>(),
+            &mut self.memo,
         );
-        let candidate_tokens = candidates
-            .iter()
-            .map(|&i| self.workload.item_token_count(i))
-            .collect();
         let req = RankRequest {
             id: RequestId::new(self.next_id),
             user,
@@ -112,19 +111,14 @@ impl TraceGenerator {
             mean_gap_secs: ds.session_mean_gap_secs.max(1e-6),
         };
         let session_rate = rate_per_sec / params.mean_requests;
-        let start = self.now;
-        let end = start + duration_secs;
-        let events = self.generate_session_arrivals(duration_secs, session_rate, params);
-        // Rewind the clock (the arrival generator advanced it) and
-        // materialize requests in arrival order, truncating session
+        let end = self.now + duration_secs;
+        // Materialize requests in arrival order, truncating session
         // spillover at the horizon so the trace occupies exactly
         // [start, end) — saturation measurements depend on a dense span.
-        self.now = start;
+        let events = self.session_arrivals(duration_secs, session_rate, params, end);
         let mut out = Vec::with_capacity(events.len());
         for (at, user) in events {
-            if at < end {
-                out.push(self.request_for(user, at));
-            }
+            out.push(self.request_for(user, at));
         }
         self.now = end;
         out
@@ -168,6 +162,25 @@ impl TraceGenerator {
         session_rate_per_sec: f64,
         params: SessionParams,
     ) -> Vec<(f64, UserId)> {
+        let end = self.now + duration_secs;
+        let events =
+            self.session_arrivals(duration_secs, session_rate_per_sec, params, f64::INFINITY);
+        self.now = events.last().map_or(end, |&(t, _)| t.max(end));
+        events
+    }
+
+    /// [`Self::generate_session_arrivals`]' events before `keep_before`,
+    /// sorted, leaving the clock alone. Every session still draws all of
+    /// its requests, so the stream is the same whatever is kept; and a
+    /// stable sort of the kept events orders them as sorting all of them
+    /// would.
+    fn session_arrivals(
+        &mut self,
+        duration_secs: f64,
+        session_rate_per_sec: f64,
+        params: SessionParams,
+        keep_before: f64,
+    ) -> Vec<(f64, UserId)> {
         assert!(session_rate_per_sec > 0.0, "rate must be positive");
         assert!(duration_secs > 0.0, "duration must be positive");
         let end = self.now + duration_secs;
@@ -185,7 +198,9 @@ impl TraceGenerator {
             let p = (1.0 / params.mean_requests).clamp(1e-6, 1.0);
             let mut at = t;
             loop {
-                events.push((at, user));
+                if at < keep_before {
+                    events.push((at, user));
+                }
                 if self.rng.gen::<f64>() < p {
                     break;
                 }
@@ -193,7 +208,6 @@ impl TraceGenerator {
             }
         }
         events.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        self.now = events.last().map_or(end, |&(t, _)| t.max(end));
         events
     }
 }

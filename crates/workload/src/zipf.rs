@@ -91,18 +91,49 @@ impl ZipfLaw {
         }
         lo
     }
+}
+
+/// A [`ZipfLaw`]'s inverse CDF with its per-law terms — the total mass (a
+/// `ln` or a `powf`) and the power-law exponents — computed once per law,
+/// by the expressions a draw would otherwise evaluate each time. A trace
+/// draws a rank per candidate, so this is the workload's hot path.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RankSampler {
+    law: ZipfLaw,
+    mass: f64,
+    /// `(1 − s, 1 / (1 − s))`, or `None` for the logarithmic law (`s = 1`).
+    power: Option<(f64, f64)>,
+}
+
+impl RankSampler {
+    pub(crate) fn new(law: ZipfLaw) -> Self {
+        let power = ((law.s - 1.0).abs() >= 1e-9).then(|| (1.0 - law.s, 1.0 / (1.0 - law.s)));
+        RankSampler {
+            law,
+            mass: law.total_mass(),
+            power,
+        }
+    }
+
+    /// The law sampled.
+    pub(crate) fn law(&self) -> ZipfLaw {
+        self.law
+    }
 
     /// Maps a uniform `u ∈ (0, 1)` to a 1-based rank by inverse-CDF
-    /// sampling; rank 1 is the hottest.
-    pub fn sample_rank(&self, u: f64) -> u64 {
+    /// sampling; rank 1 is the hottest. The inverse CDF is `floor(x)` of
+    /// some `x`; `x as u64` is that floor for every `f64` without the libm
+    /// call `floor` is at the x86-64 baseline: truncation equals the floor
+    /// on `x ≥ 0`, and both saturate every negative `x` (and NaN) to 0.
+    #[inline]
+    pub(crate) fn sample(&self, u: f64) -> u64 {
         let u = u.clamp(1e-12, 1.0 - 1e-12);
-        let target = u * self.total_mass();
-        let x = if (self.s - 1.0).abs() < 1e-9 {
-            target.exp()
-        } else {
-            (1.0 + (1.0 - self.s) * target).powf(1.0 / (1.0 - self.s))
+        let target = u * self.mass;
+        let x = match self.power {
+            None => target.exp(),
+            Some((exponent, inverse)) => (1.0 + exponent * target).powf(inverse),
         };
-        (x.floor() as u64).clamp(1, self.n)
+        (x as u64).clamp(1, self.law.n)
     }
 }
 
@@ -152,7 +183,7 @@ mod tests {
         let n_samples = 50_000u64;
         let head_k = 1000;
         let hits = (0..n_samples)
-            .filter(|&i| law.sample_rank(uniform01(3, i, 0)) <= head_k)
+            .filter(|&i| RankSampler::new(law).sample(uniform01(3, i, 0)) <= head_k)
             .count() as f64
             / n_samples as f64;
         let analytic = law.head_mass(head_k);
@@ -166,14 +197,54 @@ mod tests {
     fn s_equals_one_special_case() {
         let law = ZipfLaw::new(1000, 1.0);
         assert!(law.head_mass(100) > 0.6, "log law front-loads mass");
-        assert_eq!(law.sample_rank(1e-15), 1);
-        assert_eq!(law.sample_rank(1.0 - 1e-15), 1000);
+        let ranks = RankSampler::new(law);
+        assert_eq!(ranks.sample(1e-15), 1);
+        assert_eq!(ranks.sample(1.0 - 1e-15), 1000);
     }
 
     #[test]
     #[should_panic(expected = "at least one rank")]
     fn zero_ranks_rejected() {
         let _ = ZipfLaw::new(0, 1.0);
+    }
+
+    /// A draw as it was first written: the total mass recomputed on every
+    /// draw, libm's `floor`.
+    fn sample_rank_per_draw(law: &ZipfLaw, u: f64) -> u64 {
+        let u = u.clamp(1e-12, 1.0 - 1e-12);
+        let target = u * law.total_mass();
+        let x = if (law.s - 1.0).abs() < 1e-9 {
+            target.exp()
+        } else {
+            (1.0 + (1.0 - law.s) * target).powf(1.0 / (1.0 - law.s))
+        };
+        (x.floor() as u64).clamp(1, law.n)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The hoisted sampler draws the rank the per-draw formula does, on
+        /// the logarithmic law (a quarter of the cases) and on power laws.
+        #[test]
+        fn hoisted_sampler_matches_the_per_draw_formula(
+            n in 1u64..100_000_000,
+            s in 0.0f64..2.0,
+            log in 0u32..4,
+            u in 0.0f64..1.0,
+        ) {
+            let law = ZipfLaw::new(n, if log == 0 { 1.0 } else { s });
+            prop_assert_eq!(RankSampler::new(law).sample(u), sample_rank_per_draw(&law, u));
+        }
+
+        /// The cast is the floor on every `f64`: any bit pattern (negative,
+        /// NaN and infinite ones included) and the sampler's own range.
+        #[test]
+        fn truncation_is_the_floor(bits in 0u64..u64::MAX, x in 0.0f64..1e7) {
+            let any = f64::from_bits(bits);
+            prop_assert_eq!(any as u64, any.floor() as u64);
+            prop_assert_eq!(x as u64, x.floor() as u64);
+        }
     }
 
     proptest! {
@@ -188,11 +259,12 @@ mod tests {
             prop_assert!(b >= a);
         }
 
-        /// sample_rank always lands in [1, n] and is monotone in u.
+        /// A drawn rank always lands in [1, n] and is monotone in u.
         #[test]
         fn sample_in_range_and_monotone(n in 1u64..1_000_000, s in 0.0f64..2.0, u1 in 0.001f64..0.999, u2 in 0.001f64..0.999) {
             let law = ZipfLaw::new(n, s);
-            let (a, b) = (law.sample_rank(u1.min(u2)), law.sample_rank(u1.max(u2)));
+            let ranks = RankSampler::new(law);
+            let (a, b) = (ranks.sample(u1.min(u2)), ranks.sample(u1.max(u2)));
             prop_assert!(a >= 1 && a <= n);
             prop_assert!(b >= 1 && b <= n);
             prop_assert!(a <= b, "inverse CDF must be monotone");
